@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check crash chaos sse failover membership fallback bench bench-smoke bench-multicore bench-service load fmt serve clean
+.PHONY: all build test race vet vet-bench cpus check crash chaos sse failover membership fallback bench bench-smoke bench-multicore bench-service bench-pair load fmt serve clean
 
-# The kernel/Fit/fused-eval benchmark family captured in
+# The kernel/Fit/Evaluate benchmark family captured in
 # BENCH_kernels.json.
-BENCH_PATTERN = BenchmarkMat|BenchmarkFit|BenchmarkFused
+BENCH_PATTERN = BenchmarkMat|BenchmarkFit|BenchmarkEvaluate
 
 all: build
 
@@ -22,6 +22,21 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# bench/ is a module of its own, invisible to the root `go build ./...`
+# and `go vet ./...`: without this step, deleting a symbol the benchmark
+# imports would pass every other gate.
+vet-bench:
+	$(GO) vet -C bench ./...
+	$(GO) build -C bench -o /dev/null ./...
+
+# The determinism, preemption-replay and bitwise-parity tests at one,
+# two and four Ps, three times each: results may not depend on how many
+# cores the scheduler has, and a test tuned to one machine's timing
+# fails here instead of on the next box.
+cpus:
+	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|EvaluateConcurrent' \
+		./internal/hpo/ ./internal/nn/ ./internal/serve/
 
 # Crash-safety suite: journal replay/compaction, kill/restart recovery,
 # panic isolation, retry + failure budget, timeout/shutdown reasons, drain.
@@ -110,13 +125,23 @@ bench-service:
 	$(GO) run ./cmd/bhpoload -selfhost -tenants 1000 -classes 3,1 -duration 8s \
 		-pool 8 -max-jobs 32 -max-pending 192 -eval-ms 5 -poll 25ms -out BENCH_service.json
 
+# Paired end-to-end comparison of the working tree against BASE with the
+# repository benchmark (cmd/benchpair): alternating order, one seed per
+# pair, medians, quartiles and wins per metric. Every performance claim
+# in CHANGES.md is produced with this.
+BASE ?= HEAD
+WORKLOAD ?= all
+PAIRS ?= 10
+bench-pair:
+	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
+
 # Forced-fallback run: the portable blocked kernels stay tested end to
 # end on SIMD hardware (BHPO_KERNEL overrides the auto-selected family),
 # so a regression in the non-SIMD path cannot hide behind AVX2 CI boxes.
 fallback:
 	BHPO_KERNEL=blocked $(GO) test -count=1 ./internal/mat/ ./internal/nn/ ./internal/hpo/
 
-check: vet race crash chaos sse failover membership fallback load bench-smoke
+check: vet vet-bench race cpus crash chaos sse failover membership fallback load bench-smoke
 
 fmt:
 	gofmt -l -w .

@@ -13,7 +13,6 @@ package enhancedbhpo_test
 
 import (
 	"io"
-	"runtime"
 	"testing"
 
 	"enhancedbhpo/internal/cluster"
@@ -536,54 +535,39 @@ func BenchmarkFitLBFGS(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedEval measures aggregate evaluation throughput for a
-// pool-8-sized group of concurrent trials. The /solo variant evaluates
-// the eight requests one after another — what eight pool slots achieve
-// without fusion when evaluations serialize on the CPU — while /fused
-// stacks them through EvaluateBatch, the path the serve-layer fuser
-// takes. ns/op is per *group of eight*, so the solo/fused ratio is the
-// aggregate eval-throughput speedup fusion buys. L-BFGS samples are
-// excluded: they take the documented solo fallback and would measure the
-// fallback, not fusion.
-func BenchmarkFusedEval(b *testing.B) {
+// BenchmarkEvaluate measures one steady-state cross-validated evaluation
+// per solver — K folds of one architecture through CVEvaluator.Evaluate,
+// the unit of work a pool slot runs. B/op is the number to watch: the
+// evaluator's pooled workspace is warm after the first call, so what is
+// left is what every later evaluation of that shape costs the collector.
+func BenchmarkEvaluate(b *testing.B) {
 	train := benchData(b, 0.5)
 	base := nn.DefaultConfig()
 	base.MaxIter = 8
-	comps := hpo.VanillaComponents(3)
-	ev := hpo.NewCVEvaluator(train, base, comps)
+	base.KernelWorkers = 1 // one evaluation, one core: what a pool slot runs
+	ev := hpo.NewCVEvaluator(train, base, hpo.VanillaComponents(3))
 	space, err := search.TableIIISpace(8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	const group = 8
-	budget := ev.FullBudget()
-	var reqs []hpo.EvalRequest
-	for i := 0; len(reqs) < group; i++ {
-		cfg := space.SampleN(rng.New(uint64(400+i)), 1)[0]
-		if nnCfg, cerr := search.ToNNConfig(cfg, base); cerr != nil || nnCfg.Solver == nn.LBFGS {
-			continue
+	for _, solver := range []nn.Solver{nn.SGD, nn.Adam, nn.LBFGS} {
+		// The first sampled configuration that uses this solver.
+		var cfg search.Config
+		for i := 0; ; i++ {
+			cfg = space.SampleN(rng.New(uint64(400+i)), 1)[0]
+			if nnCfg, cerr := search.ToNNConfig(cfg, base); cerr == nil && nnCfg.Solver == solver {
+				break
+			}
 		}
-		reqs = append(reqs, hpo.EvalRequest{Cfg: cfg, Budget: budget, R: rng.New(uint64(500 + i))})
-	}
-	b.Run("solo", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, req := range reqs {
-				if _, err := ev.Evaluate(req.Cfg, req.Budget, req.R); err != nil {
+		b.Run(solver.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ev.Evaluate(cfg, ev.FullBudget(), rng.New(7)); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}
-	})
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			results, _ := ev.EvaluateBatch(reqs, runtime.GOMAXPROCS(0))
-			for _, res := range results {
-				if res.Err != nil {
-					b.Fatal(res.Err)
-				}
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkBetaEval measures the Eq. 2 weight function itself.

@@ -52,7 +52,7 @@
 //	      [-eval-attempts 2] [-retry-backoff 50ms] [-failure-budget 3]
 //	      [-eval-timeout 0] [-journal-max-bytes 4194304] [-scope-ttl 0]
 //	      [-event-buffer 256] [-trace-max-bytes 1048576]
-//	      [-kernel-workers 0] [-fuse-evals] [-pprof]
+//	      [-kernel-workers 0] [-pprof]
 //	      [-node NAME] [-ship-to DIR|URL]... [-ship-interval 250ms]
 //	      [-ship-sync] [-ship-recv-dir DIR] [-restore-from DIR]...
 //	      [-standby]
@@ -139,7 +139,6 @@ func main() {
 		eventBuf = flag.Int("event-buffer", 256, "buffered events per SSE subscriber; a slower consumer has events dropped from its stream (resumable via Last-Event-ID)")
 		traceMax = flag.Int64("trace-max-bytes", 1<<20, "compact a job's durable trace file once it grows this much past its last compaction (negative = never; needs -data-dir)")
 		kernelW  = flag.Int("kernel-workers", 0, "matmul goroutines per pooled evaluation (0 = NumCPU/workers, so the pool never oversubscribes)")
-		fuseOn   = flag.Bool("fuse-evals", true, "batch concurrent same-budget evaluations through the fused lockstep trainer (results are bitwise-identical either way)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ for live profiling")
 
 		tenantW     = flag.String("tenant-weights", "", "per-tenant fair-share weights as name=weight pairs, comma-separated (e.g. gold=3,free=1); unlisted tenants get -tenant-default-weight")
@@ -185,7 +184,6 @@ func main() {
 		EventBuffer:         *eventBuf,
 		TraceMaxBytes:       *traceMax,
 		KernelWorkers:       *kernelW,
-		DisableEvalFusion:   !*fuseOn,
 		NodeName:            *nodeName,
 	}
 	cluster := clusterFlags{
@@ -361,8 +359,8 @@ func run(addr string, cfg serve.Config, cluster clusterFlags, drainTimeout time.
 		if feats := mat.CPUFeatures(); feats != "" {
 			kernel += " [" + feats + "]"
 		}
-		log.Printf("bhpod listening on %s (pool=%d, max-jobs=%d, kernel=%s, fuse-evals=%v)",
-			addr, cfg.PoolSize, cfg.MaxJobs, kernel, !cfg.DisableEvalFusion)
+		log.Printf("bhpod listening on %s (pool=%d, max-jobs=%d, kernel=%s)",
+			addr, cfg.PoolSize, cfg.MaxJobs, kernel)
 		errc <- srv.ListenAndServe()
 	}()
 

@@ -91,15 +91,15 @@ func (d *Dataset) Validate() error {
 
 // Select returns a new dataset containing the rows at the given indices, in
 // order. Indices may repeat. It panics on an out-of-range index.
-func (d *Dataset) Select(indices []int) *Dataset {
-	f := d.Features()
-	x := mat.NewDense(max(len(indices), 1), f)
+func (d *Dataset) Select(indices []int) *Dataset { return d.SelectIn(nil, indices) }
+
+// SelectIn is Select with the row copies and labels taken from a, so the
+// result is valid only until a.Reset(). A nil arena is the heap.
+func (d *Dataset) SelectIn(a *mat.Arena, indices []int) *Dataset {
 	if len(indices) == 0 {
-		// Keep a 1-row zero matrix to satisfy mat's positive-dims invariant
-		// but report zero logical length through labels below. Callers are
-		// expected not to Select an empty set; guard anyway.
 		panic("dataset: Select with no indices")
 	}
+	x := a.Dense(len(indices), d.Features())
 	out := &Dataset{Name: d.Name, Kind: d.Kind, X: x, NumClasses: d.NumClasses}
 	for row, idx := range indices {
 		if idx < 0 || idx >= d.Len() {
@@ -108,12 +108,12 @@ func (d *Dataset) Select(indices []int) *Dataset {
 		copy(x.Row(row), d.X.Row(idx))
 	}
 	if d.Kind == Classification {
-		out.Class = make([]int, len(indices))
+		out.Class = a.Ints(len(indices))
 		for row, idx := range indices {
 			out.Class[row] = d.Class[idx]
 		}
 	} else {
-		out.Target = make([]float64, len(indices))
+		out.Target = a.Floats(len(indices))
 		for row, idx := range indices {
 			out.Target[row] = d.Target[idx]
 		}
@@ -198,7 +198,16 @@ func StratifiedIndices(r *rng.RNG, labels []int, numClasses, k int) []int {
 	if k <= 0 || k > n {
 		panic(fmt.Sprintf("dataset: StratifiedIndices k=%d out of [1,%d]", k, n))
 	}
+	// Members per class, carved out of one exactly-sized backing array.
+	counts := make([]int, numClasses)
+	for _, c := range labels {
+		counts[c]++
+	}
 	byClass := make([][]int, numClasses)
+	backing := make([]int, n)
+	for c, cnt := range counts {
+		byClass[c], backing = backing[:0:cnt], backing[cnt:]
+	}
 	for i, c := range labels {
 		byClass[c] = append(byClass[c], i)
 	}
@@ -238,7 +247,7 @@ func StratifiedIndices(r *rng.RNG, labels []int, numClasses, k int) []int {
 			total++
 		}
 	}
-	var out []int
+	out := make([]int, 0, k)
 	for _, a := range allocs {
 		members := byClass[a.class]
 		picked := r.Sample(len(members), a.base)
@@ -251,10 +260,3 @@ func StratifiedIndices(r *rng.RNG, labels []int, numClasses, k int) []int {
 }
 
 func shuffleInts(r *rng.RNG, s []int) { r.Shuffle(s) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -3,11 +3,13 @@ package hpo
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"enhancedbhpo/internal/cv"
 	"enhancedbhpo/internal/dataset"
 	"enhancedbhpo/internal/grouping"
+	"enhancedbhpo/internal/mat"
 	"enhancedbhpo/internal/nn"
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
@@ -40,6 +42,11 @@ type CVEvaluator struct {
 	// UseF1 scores classification folds by F1 instead of accuracy
 	// (the paper reports F1 on the imbalanced datasets).
 	UseF1 bool
+
+	// arenas holds one *mat.Arena per Evaluate call in flight, so the
+	// folds of an evaluation — and of the next evaluation that worker
+	// runs — train in the same memory instead of re-allocating it.
+	arenas sync.Pool
 }
 
 // NewCVEvaluator wires an evaluator from the shared components.
@@ -60,6 +67,9 @@ func (e *CVEvaluator) FullBudget() int { return e.Train.Len() }
 
 // Evaluate implements Evaluator: it builds folds over a budget-sized
 // subset, trains one model per fold and returns the per-fold scores.
+//
+// Each fold's row copies, model and training state live in a pooled
+// arena that is reset before the next fold; only the score leaves it.
 func (e *CVEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]float64, error) {
 	folds, err := e.Folds.Folds(e.Train, e.Groups, budget, e.K, r.Split(0xf01d))
 	if err != nil {
@@ -69,16 +79,22 @@ func (e *CVEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]flo
 	if err != nil {
 		return nil, fmt.Errorf("hpo: materializing config: %w", err)
 	}
+	ws, _ := e.arenas.Get().(*mat.Arena)
+	if ws == nil {
+		ws = new(mat.Arena)
+	}
+	defer e.arenas.Put(ws)
 	scores := make([]float64, 0, len(folds))
 	for fi, fold := range folds {
 		if len(fold.Train) < 2 || len(fold.Val) == 0 {
 			continue
 		}
-		trainSub := e.Train.Select(fold.Train)
-		valSub := e.Train.Select(fold.Val)
+		ws.Reset()
+		trainSub := e.Train.SelectIn(ws, fold.Train)
+		valSub := e.Train.SelectIn(ws, fold.Val)
 		foldCfg := nnCfg
 		foldCfg.Seed = r.Split(uint64(fi) + 1).Uint64()
-		model, err := nn.Fit(trainSub, foldCfg)
+		model, err := nn.FitIn(ws, trainSub, foldCfg)
 		if err != nil {
 			return nil, fmt.Errorf("hpo: training fold %d: %w", fi, err)
 		}

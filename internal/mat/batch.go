@@ -7,17 +7,15 @@ import "fmt"
 // the *stacked* destination-row space across workers. Each row is still
 // computed by the identical sequential row kernel the solo entry points
 // use, so every triple's result is bitwise-identical to a solo
-// Mul/MulT/TMul at any worker count — that is what lets the fused
-// cross-trial evaluator in internal/serve batch concurrent trials
-// without perturbing a single score.
+// Mul/MulT/TMul at any worker count. The only caller left is
+// nn.FitBatch, itself kept only for the frozen benchmark in bench/.
 //
 // The value of grouping is dispatch, not arithmetic: T small per-trial
 // matmuls that individually sit below parallelMinFlops (and so run
 // sequentially) sum to one dispatch that crosses the threshold and
 // spreads across cores, and T goroutine fork/joins collapse into one.
 // Shapes may differ between triples; the row partition is row-count
-// balanced, which is near-optimal for the same-architecture groups the
-// fused evaluator produces.
+// balanced, which is near-optimal for same-architecture groups.
 
 // BatchMul computes dsts[t] = as[t]*bs[t] for every triple. Slices must
 // have equal length; each triple is shape-checked like Mul.

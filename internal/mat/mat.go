@@ -19,22 +19,28 @@ type Dense struct {
 // NewDense returns a rows×cols zero matrix.
 // It panics if rows or cols is not positive.
 func NewDense(rows, cols int) *Dense {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("mat: invalid dimensions %dx%d", rows, cols))
-	}
+	checkDims(rows, cols)
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
 // NewDenseData wraps data (length rows*cols, row-major) without copying.
 // It panics on a length mismatch.
 func NewDenseData(rows, cols int, data []float64) *Dense {
+	checkData(rows, cols, data)
+	return &Dense{rows: rows, cols: cols, data: data}
+}
+
+func checkDims(rows, cols int) {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("mat: invalid dimensions %dx%d", rows, cols))
 	}
+}
+
+func checkData(rows, cols int, data []float64) {
+	checkDims(rows, cols)
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("mat: data length %d != %d*%d", len(data), rows, cols))
 	}
-	return &Dense{rows: rows, cols: cols, data: data}
 }
 
 // Dims returns the matrix dimensions.

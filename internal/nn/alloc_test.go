@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"enhancedbhpo/internal/dataset"
@@ -23,7 +24,7 @@ func TestFitEpochZeroAlloc(t *testing.T) {
 			cfg.KernelWorkers = 1
 			r := rng.New(42)
 			const n, features, classes = 37, 6, 3 // 37%8 != 0 → tail batch every epoch
-			nw := newNetwork(features, []int{10}, classes, ReLU, true, r.Split(1))
+			nw := newNetwork(nil, features, []int{10}, classes, ReLU, true, r.Split(1))
 			nw.workers = cfg.KernelWorkers
 			m := &Model{cfg: cfg, nw: nw, kind: dataset.Classification, numClasses: classes}
 
@@ -43,5 +44,44 @@ func TestFitEpochZeroAlloc(t *testing.T) {
 				t.Errorf("steady-state epoch allocated %v objects, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestFitInMatchesFitBitwise trains small, large and again small models
+// of every solver and task through one arena, resetting it in between,
+// and holds each against a heap Fit of the same input: parameters, loss
+// curve, epoch count and score are bitwise identical, so neither the
+// arena nor what an earlier model left in it reaches the arithmetic.
+func TestFitInMatchesFitBitwise(t *testing.T) {
+	ws := new(mat.Arena)
+	for _, train := range []*dataset.Dataset{easyClassification(120, 1), easyRegression(120, 2)} {
+		for _, solver := range []Solver{SGD, Adam, LBFGS} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				for step, hidden := range [][]int{{6}, {24, 16}, {6}} {
+					cfg := DefaultConfig()
+					cfg.Solver = solver
+					cfg.HiddenLayerSizes = hidden
+					cfg.MaxIter = 12
+					cfg.BatchSize = 32 // 120 % 32 != 0: the tail batch is exercised
+					cfg.EarlyStopping = seed == 2
+					cfg.KernelWorkers = 1
+					cfg.Seed = seed
+					ws.Reset()
+					got, err := FitIn(ws, train, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := Fit(train, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s %s seed %d step %d", train.Kind, solver, seed, step)
+					assertModelBitwise(t, label, got, want)
+					if g, w := got.Score(train), want.Score(train); g != w {
+						t.Fatalf("%s: score %x, want %x", label, g, w)
+					}
+				}
+			}
+		}
 	}
 }

@@ -13,8 +13,13 @@ import (
 // steps into single mat.Batch* dispatches. Grouping changes *when* each
 // matmul runs, never the order of any trial's own arithmetic, so every
 // model FitBatch produces is bitwise-identical to a solo Fit of the same
-// item — the invariant the fused evaluator in internal/serve relies on
-// to batch concurrent pool slots without perturbing a single score.
+// item.
+//
+// Nothing in the program calls FitBatch any more: the serving path runs
+// one evaluation per pool slot (DESIGN.md, "Evaluation path"). It stays
+// only because the frozen benchmark in bench/ still measures it
+// (nn.fitbatch2_over_solo2), and goes — with internal/mat/batch.go —
+// when a benchmark change drops that metric.
 
 // BatchItem is one trial's training input for FitBatch.
 type BatchItem struct {
@@ -102,18 +107,18 @@ func FitBatch(items []BatchItem, workers int) ([]*Model, BatchStats, error) {
 		} else {
 			outputs = 1
 		}
-		nw := newNetwork(train.Features(), cfg.HiddenLayerSizes, outputs, cfg.Activation, softmax, r.Split(1))
+		nw := newNetwork(nil, train.Features(), cfg.HiddenLayerSizes, outputs, cfg.Activation, softmax, r.Split(1))
 		nw.workers = cfg.KernelWorkers
 		m := &Model{cfg: cfg, nw: nw, kind: train.Kind, numClasses: train.NumClasses}
 
 		fitSet := train
 		var valSet *dataset.Dataset
 		if cfg.EarlyStopping && train.Len() >= 10 {
-			f, v := splitValidation(train, cfg.ValidationFraction, r.Split(2))
+			f, v := splitValidation(nil, train, cfg.ValidationFraction, r.Split(2))
 			fitSet, valSet = f, v
 		}
 		x := fitSet.X
-		target := targetMatrix(fitSet)
+		target := targetMatrix(nil, fitSet)
 		st := m.newSGDState(x, target, r.Split(3))
 		m.LossCurve = make([]float64, 0, cfg.MaxIter)
 		models[i] = m

@@ -17,28 +17,32 @@ func (m *Model) fitLBFGS(x, target *mat.Dense) {
 	const c1 = 1e-4 // Armijo sufficient-decrease constant
 	cfg := m.cfg
 	p := len(m.nw.params)
-	grad := make([]float64, p)
+	ws := m.nw.ws
+	grad := ws.Floats(p)
 	loss := m.nw.lossGrad(x, target, cfg.Alpha, grad)
-	m.LossCurve = make([]float64, 0, cfg.MaxIter+1)
+	m.LossCurve = ws.Floats(cfg.MaxIter + 1)[:0]
 	m.LossCurve = append(m.LossCurve, loss)
 
-	var sList, yList [][]float64
-	var rhoList []float64
-	dir := make([]float64, p)
-	trial := make([]float64, p)
-	newGrad := make([]float64, p)
-	alphaBuf := make([]float64, history)
+	// The history window holds at most history pairs between iterations
+	// and one more while a new pair is being admitted.
+	sList := make([][]float64, 0, history+1)
+	yList := make([][]float64, 0, history+1)
+	rhoList := ws.Floats(history + 1)[:0]
+	dir := ws.Floats(p)
+	trial := ws.Floats(p)
+	newGrad := ws.Floats(p)
+	alphaBuf := ws.Floats(history)
 	// freelist recycles curvature-pair buffers evicted from the history
 	// window (or rejected by the sᵀy check), capping total allocation at
 	// history+1 pairs no matter how many iterations run.
-	var freelist [][]float64
+	freelist := make([][]float64, 0, 2*(history+1))
 	newPair := func() []float64 {
 		if k := len(freelist); k > 0 {
 			b := freelist[k-1]
 			freelist = freelist[:k-1]
 			return b
 		}
-		return make([]float64, p)
+		return ws.Floats(p)
 	}
 
 	for iter := 0; iter < cfg.MaxIter; iter++ {
@@ -71,7 +75,7 @@ func (m *Model) fitLBFGS(x, target *mat.Dense) {
 			// Not a descent direction (numerical breakdown); restart with
 			// steepest descent.
 			freelist = append(append(freelist, sList...), yList...)
-			sList, yList, rhoList = nil, nil, nil
+			sList, yList, rhoList = sList[:0], yList[:0], rhoList[:0]
 			copy(dir, grad)
 			mat.Scale(-1, dir)
 			descent = -mat.Dot(grad, grad)
@@ -110,10 +114,11 @@ func (m *Model) fitLBFGS(x, target *mat.Dense) {
 			yList = append(yList, y)
 			rhoList = append(rhoList, 1/sy)
 			if len(sList) > history {
+				// Shift down in place so the window keeps its backing arrays.
 				freelist = append(freelist, sList[0], yList[0])
-				sList = sList[1:]
-				yList = yList[1:]
-				rhoList = rhoList[1:]
+				sList = sList[:copy(sList, sList[1:])]
+				yList = yList[:copy(yList, yList[1:])]
+				rhoList = rhoList[:copy(rhoList, rhoList[1:])]
 			}
 		} else {
 			freelist = append(freelist, s, y)

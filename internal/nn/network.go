@@ -27,6 +27,10 @@ type network struct {
 	// (0 = the mat package default). Results are bitwise-identical for
 	// any setting; it only bounds CPU use per evaluation.
 	workers int
+	// ws is where the parameter vector and every buffer below come from;
+	// nil is the heap. A network built on an arena — and the Model around
+	// it — is valid only until that arena is reset.
+	ws *mat.Arena
 	// Reused buffers (lazily built — Load constructs networks without
 	// newNetwork): weight views, weight-gradient buffers, and per-row-
 	// count forward/backward scratch. Their presence makes forwardPass
@@ -34,18 +38,19 @@ type network struct {
 	// network must not be used from multiple goroutines concurrently.
 	wMats   []*mat.Dense
 	gwBufs  []*mat.Dense
-	scratch map[int]*batchScratch
+	scratch []*batchScratch
 }
 
-func newNetwork(inputs int, hidden []int, outputs int, act Activation, softmax bool, r *rng.RNG) *network {
-	dims := make([]int, 0, len(hidden)+2)
-	dims = append(dims, inputs)
-	dims = append(dims, hidden...)
-	dims = append(dims, outputs)
+func newNetwork(ws *mat.Arena, inputs int, hidden []int, outputs int, act Activation, softmax bool, r *rng.RNG) *network {
+	layers := len(hidden) + 1
+	dims := ws.Ints(layers + 1)
+	dims[0] = inputs
+	copy(dims[1:], hidden)
+	dims[layers] = outputs
 	total := 0
-	wOff := make([]int, len(dims)-1)
-	bOff := make([]int, len(dims)-1)
-	for l := 0; l < len(dims)-1; l++ {
+	wOff := ws.Ints(layers)
+	bOff := ws.Ints(layers)
+	for l := 0; l < layers; l++ {
 		wOff[l] = total
 		total += dims[l] * dims[l+1]
 		bOff[l] = total
@@ -53,11 +58,12 @@ func newNetwork(inputs int, hidden []int, outputs int, act Activation, softmax b
 	}
 	nw := &network{
 		dims:       dims,
-		params:     make([]float64, total),
+		params:     ws.Floats(total),
 		wOff:       wOff,
 		bOff:       bOff,
 		activation: act,
 		softmaxOut: softmax,
+		ws:         ws,
 	}
 	nw.glorotInit(r)
 	return nw

@@ -29,7 +29,7 @@ func numericalGrad(nw *network, x, target *mat.Dense, alpha float64) []float64 {
 func gradCheck(t *testing.T, act Activation, softmax bool) {
 	t.Helper()
 	r := rng.New(42)
-	nw := newNetwork(4, []int{5, 3}, 2, act, softmax, r)
+	nw := newNetwork(nil, 4, []int{5, 3}, 2, act, softmax, r)
 	n := 7
 	x := mat.NewDense(n, 4)
 	for i := 0; i < n; i++ {

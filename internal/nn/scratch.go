@@ -9,6 +9,7 @@ import (
 // minibatch and the n%batch tail), so a network accumulates a handful of
 // these over its lifetime and every epoch after the first reuses them.
 type batchScratch struct {
+	rows int
 	// acts[l+1] is the post-activation output of layer l (rows×dims[l+1]);
 	// acts[0] is repointed at the caller's input every pass.
 	acts []*mat.Dense
@@ -22,24 +23,24 @@ type batchScratch struct {
 // batch row count. Lazy construction keeps serialization's struct-literal
 // network loads working without a constructor hook.
 func (nw *network) scratchFor(rows int) *batchScratch {
-	if nw.scratch == nil {
-		nw.scratch = make(map[int]*batchScratch)
-	}
-	if s, ok := nw.scratch[rows]; ok {
-		return s
+	for _, s := range nw.scratch {
+		if s.rows == rows {
+			return s
+		}
 	}
 	L := nw.layers()
 	s := &batchScratch{
+		rows:   rows,
 		acts:   make([]*mat.Dense, L+1),
 		deltas: make([]*mat.Dense, L+1),
 	}
 	for l := 0; l < L; l++ {
-		s.acts[l+1] = mat.NewDense(rows, nw.dims[l+1])
+		s.acts[l+1] = nw.ws.Dense(rows, nw.dims[l+1])
 	}
 	for l := 1; l <= L; l++ {
-		s.deltas[l] = mat.NewDense(rows, nw.dims[l])
+		s.deltas[l] = nw.ws.Dense(rows, nw.dims[l])
 	}
-	nw.scratch[rows] = s
+	nw.scratch = append(nw.scratch, s)
 	return s
 }
 
@@ -51,7 +52,7 @@ func (nw *network) weightMat(l int) *mat.Dense {
 		nw.wMats = make([]*mat.Dense, nw.layers())
 	}
 	if nw.wMats[l] == nil {
-		nw.wMats[l] = mat.NewDenseData(nw.dims[l], nw.dims[l+1], nw.weights(l))
+		nw.wMats[l] = nw.ws.DenseData(nw.dims[l], nw.dims[l+1], nw.weights(l))
 	}
 	return nw.wMats[l]
 }
@@ -65,7 +66,7 @@ func (nw *network) gwBuf(l int) *mat.Dense {
 		nw.gwBufs = make([]*mat.Dense, nw.layers())
 	}
 	if nw.gwBufs[l] == nil {
-		nw.gwBufs[l] = mat.NewDense(nw.dims[l], nw.dims[l+1])
+		nw.gwBufs[l] = nw.ws.Dense(nw.dims[l], nw.dims[l+1])
 	}
 	return nw.gwBufs[l]
 }

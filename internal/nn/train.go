@@ -20,12 +20,23 @@ type Model struct {
 	LossCurve []float64
 	// Epochs is the number of epochs/iterations actually run.
 	Epochs int
+
+	// Prediction buffers reused by Score and ScoreF1.
+	predClass []int
+	predReg   []float64
 }
 
 // Fit trains an MLP on train. Classification datasets get a softmax
 // classifier over train.NumClasses classes; regression datasets get a
 // single-output regressor. Training is deterministic given cfg.Seed.
-func Fit(train *dataset.Dataset, cfg Config) (*Model, error) {
+func Fit(train *dataset.Dataset, cfg Config) (*Model, error) { return FitIn(nil, train, cfg) }
+
+// FitIn is Fit with the model's parameters and every training buffer
+// taken from ws, for callers that score the model and drop it: the
+// returned Model aliases ws and must not be used after ws.Reset(). The
+// arithmetic — and so every weight and score — is that of Fit; a nil ws
+// is Fit.
+func FitIn(ws *mat.Arena, train *dataset.Dataset, cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -43,18 +54,18 @@ func Fit(train *dataset.Dataset, cfg Config) (*Model, error) {
 	} else {
 		outputs = 1
 	}
-	nw := newNetwork(train.Features(), cfg.HiddenLayerSizes, outputs, cfg.Activation, softmax, r.Split(1))
+	nw := newNetwork(ws, train.Features(), cfg.HiddenLayerSizes, outputs, cfg.Activation, softmax, r.Split(1))
 	nw.workers = cfg.KernelWorkers
 	m := &Model{cfg: cfg, nw: nw, kind: train.Kind, numClasses: train.NumClasses}
 
 	fitSet := train
 	var valSet *dataset.Dataset
 	if cfg.EarlyStopping && train.Len() >= 10 {
-		f, v := splitValidation(train, cfg.ValidationFraction, r.Split(2))
+		f, v := splitValidation(ws, train, cfg.ValidationFraction, r.Split(2))
 		fitSet, valSet = f, v
 	}
 	x := fitSet.X
-	target := targetMatrix(fitSet)
+	target := targetMatrix(ws, fitSet)
 
 	switch cfg.Solver {
 	case LBFGS:
@@ -69,7 +80,7 @@ func Fit(train *dataset.Dataset, cfg Config) (*Model, error) {
 
 // splitValidation carves a validation holdout off train (stratified for
 // classification).
-func splitValidation(train *dataset.Dataset, fraction float64, r *rng.RNG) (fit, val *dataset.Dataset) {
+func splitValidation(ws *mat.Arena, train *dataset.Dataset, fraction float64, r *rng.RNG) (fit, val *dataset.Dataset) {
 	n := train.Len()
 	k := int(float64(n) * fraction)
 	if k < 1 {
@@ -79,31 +90,31 @@ func splitValidation(train *dataset.Dataset, fraction float64, r *rng.RNG) (fit,
 		k = n - 1
 	}
 	valIdx := train.StratifiedSample(r, k)
-	inVal := make([]bool, n)
+	inVal := ws.Ints(n)
 	for _, i := range valIdx {
-		inVal[i] = true
+		inVal[i] = 1
 	}
-	fitIdx := make([]int, 0, n-k)
+	fitIdx := ws.Ints(n - k)[:0]
 	for i := 0; i < n; i++ {
-		if !inVal[i] {
+		if inVal[i] == 0 {
 			fitIdx = append(fitIdx, i)
 		}
 	}
-	return train.Select(fitIdx), train.Select(valIdx)
+	return train.SelectIn(ws, fitIdx), train.SelectIn(ws, valIdx)
 }
 
 // targetMatrix builds the training target: one-hot rows for classification,
 // a single column of values for regression.
-func targetMatrix(d *dataset.Dataset) *mat.Dense {
+func targetMatrix(ws *mat.Arena, d *dataset.Dataset) *mat.Dense {
 	n := d.Len()
 	if d.Kind == dataset.Classification {
-		t := mat.NewDense(n, d.NumClasses)
+		t := ws.Dense(n, d.NumClasses)
 		for i, c := range d.Class {
 			t.Set(i, c, 1)
 		}
 		return t
 	}
-	t := mat.NewDense(n, 1)
+	t := ws.Dense(n, 1)
 	for i, v := range d.Target {
 		t.Set(i, 0, v)
 	}
@@ -141,24 +152,25 @@ func (m *Model) newSGDState(x, target *mat.Dense, r *rng.RNG) *sgdState {
 		batch = n
 	}
 	p := len(m.nw.params)
+	ws := m.nw.ws
 	st := &sgdState{
 		m: m, x: x, target: target, n: n, batch: batch, r: r,
-		grad: make([]float64, p),
+		grad: ws.Floats(p),
 		lr:   cfg.LearningRateInit,
-		bx:   mat.NewDense(batch, x.Cols()),
-		bt:   mat.NewDense(batch, target.Cols()),
+		bx:   ws.Dense(batch, x.Cols()),
+		bt:   ws.Dense(batch, target.Cols()),
 	}
 	if cfg.Solver == SGD {
-		st.velocity = make([]float64, p)
+		st.velocity = ws.Floats(p)
 	} else {
-		st.adamM = make([]float64, p)
-		st.adamV = make([]float64, p)
+		st.adamM = ws.Floats(p)
+		st.adamV = ws.Floats(p)
 	}
 	if rem := n % batch; rem != 0 {
-		st.tailBx = mat.NewDense(rem, x.Cols())
-		st.tailBt = mat.NewDense(rem, target.Cols())
+		st.tailBx = ws.Dense(rem, x.Cols())
+		st.tailBt = ws.Dense(rem, target.Cols())
 	}
-	st.order = make([]int, n)
+	st.order = ws.Ints(n)
 	for i := range st.order {
 		st.order[i] = i
 	}
@@ -312,7 +324,7 @@ func (m *Model) fitStochastic(x, target *mat.Dense, valSet *dataset.Dataset, r *
 	cfg := m.cfg
 	st := m.newSGDState(x, target, r)
 	es := newEpochState()
-	m.LossCurve = make([]float64, 0, cfg.MaxIter)
+	m.LossCurve = m.nw.ws.Floats(cfg.MaxIter)[:0]
 	for epoch := 0; epoch < cfg.MaxIter; epoch++ {
 		epochLoss := st.runEpoch()
 		if m.observeEpoch(&es, st, valSet, epochLoss) {
@@ -324,12 +336,18 @@ func (m *Model) fitStochastic(x, target *mat.Dense, valSet *dataset.Dataset, r *
 // Predict returns the predicted class for each row of d (classification
 // models only).
 func (m *Model) Predict(d *dataset.Dataset) []int {
+	return m.predictInto(make([]int, d.Len()), d)
+}
+
+// predictInto writes the arg-max class of each row of d into out.
+func (m *Model) predictInto(out []int, d *dataset.Dataset) []int {
 	if m.kind != dataset.Classification {
 		panic("nn: Predict on regression model")
 	}
-	proba := m.PredictProba(d)
-	out := make([]int, len(proba))
-	for i, row := range proba {
+	acts := m.nw.forwardPass(d.X)
+	proba := acts[len(acts)-1]
+	for i := range out {
+		row := proba.Row(i)
 		best, bestP := 0, row[0]
 		for c, p := range row {
 			if p > bestP {
@@ -358,17 +376,19 @@ func (m *Model) PredictProba(d *dataset.Dataset) [][]float64 {
 
 // PredictReg returns the predicted targets for d (regression models only).
 func (m *Model) PredictReg(d *dataset.Dataset) []float64 {
+	return m.predictRegInto(make([]float64, d.Len()), d)
+}
+
+func (m *Model) predictRegInto(out []float64, d *dataset.Dataset) []float64 {
 	if m.kind != dataset.Regression {
 		panic("nn: PredictReg on classification model")
 	}
 	acts := m.nw.forwardPass(d.X)
-	out := acts[len(acts)-1]
-	n := out.Rows()
-	vals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = out.At(i, 0)
+	pred := acts[len(acts)-1]
+	for i := range out {
+		out[i] = pred.At(i, 0)
 	}
-	return vals
+	return out
 }
 
 // Score returns the model's default metric on d: accuracy for
@@ -376,9 +396,12 @@ func (m *Model) PredictReg(d *dataset.Dataset) []float64 {
 // reporting (F1 is available through ScoreF1 for imbalanced datasets).
 func (m *Model) Score(d *dataset.Dataset) float64 {
 	if m.kind == dataset.Classification {
-		return metrics.Accuracy(m.Predict(d), d.Class)
+		return metrics.Accuracy(m.scratchClasses(d), d.Class)
 	}
-	return metrics.R2(m.PredictReg(d), d.Target)
+	if cap(m.predReg) < d.Len() {
+		m.predReg = m.nw.ws.Floats(d.Len())
+	}
+	return metrics.R2(m.predictRegInto(m.predReg[:d.Len()], d), d.Target)
 }
 
 // ScoreF1 returns binary F1 for 2-class models and macro F1 otherwise.
@@ -386,11 +409,21 @@ func (m *Model) ScoreF1(d *dataset.Dataset) float64 {
 	if m.kind != dataset.Classification {
 		panic("nn: ScoreF1 on regression model")
 	}
-	pred := m.Predict(d)
+	pred := m.scratchClasses(d)
 	if m.numClasses == 2 {
 		return metrics.F1Binary(pred, d.Class)
 	}
 	return metrics.F1Macro(pred, d.Class, m.numClasses)
+}
+
+// scratchClasses is Predict into a buffer the model keeps, for the
+// scorers: they read the predictions once, and early stopping scores the
+// same holdout every epoch.
+func (m *Model) scratchClasses(d *dataset.Dataset) []int {
+	if cap(m.predClass) < d.Len() {
+		m.predClass = m.nw.ws.Ints(d.Len())
+	}
+	return m.predictInto(m.predClass[:d.Len()], d)
 }
 
 // NumParams returns the size of the flat parameter vector.

@@ -16,6 +16,7 @@ package evalcache
 
 import (
 	"container/list"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -89,6 +90,13 @@ func (c *Cache) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]float64, 
 	}
 	c.mu.Unlock()
 	c.misses.Add(1)
+	// A miss trains for a whole evaluation on this P. Whatever this
+	// goroutine woke since it last blocked — the stream writers of the
+	// curve point it just published — sits in the P's runnext slot, and
+	// with every pool slot training no other P is idle to steal it: step
+	// aside once so the point reaches its subscribers first. Hits never
+	// pay this; they return in microseconds.
+	runtime.Gosched()
 	scores, err := c.inner.Evaluate(cfg, budget, r)
 	if err != nil {
 		return nil, err

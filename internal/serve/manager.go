@@ -19,6 +19,7 @@ import (
 	"enhancedbhpo/internal/mat"
 	"enhancedbhpo/internal/nn"
 	"enhancedbhpo/internal/rng"
+	"enhancedbhpo/internal/search"
 	"enhancedbhpo/internal/serve/evalcache"
 	"enhancedbhpo/internal/serve/journal"
 	"enhancedbhpo/internal/serve/sched"
@@ -123,25 +124,9 @@ type Config struct {
 	// KernelWorkers caps the matmul-kernel goroutines of each pooled
 	// evaluation. 0 selects GOMAXPROCS/PoolSize (at least 1); explicit
 	// values are clamped so PoolSize × KernelWorkers never exceeds
-	// GOMAXPROCS — with fusion a group of g trials dispatches with
-	// g × KernelWorkers workers, so an oversubscribed product would
-	// multiply, not just double. Kernel results are bitwise-identical
-	// for any value, so this only shapes CPU use.
+	// GOMAXPROCS. Kernel results are bitwise-identical for any value,
+	// so this only shapes CPU use.
 	KernelWorkers int
-	// DisableEvalFusion turns off cross-trial fused evaluation: with it
-	// set, concurrent cache-missing evaluations each train their fold
-	// models alone instead of batching same-budget groups through the
-	// lockstep trainer. Fusion never changes a score (each member's
-	// results are bitwise-identical to solo execution), so this is a
-	// debugging/benchmarking switch, not a correctness one. The zero
-	// value (fusion on) is the default; cmd/bhpod exposes it as
-	// -fuse-evals.
-	DisableEvalFusion bool
-	// FuseWindow is how long a fuse group's leader waits for same-budget
-	// peers before running the group (cut short when the group reaches
-	// pool size, skipped entirely when nothing else is in flight).
-	// 0 selects 2ms.
-	FuseWindow time.Duration
 	// WrapEvaluator, when non-nil, wraps each job's evaluator between
 	// the pool gate and the cache. It is the fault-injection point used
 	// by the crash/restart and chaos tests and is applied per job as the
@@ -208,23 +193,46 @@ func (c Config) withDefaults() Config {
 			c.KernelWorkers = 1
 		}
 	}
-	if c.FuseWindow <= 0 {
-		c.FuseWindow = 2 * time.Millisecond
-	}
 	return c
 }
 
 // evalScope is the shared, deterministic substrate of every job that
 // agrees on a JobSpec cache scope: the synthesized data, the fold
-// components and the memoizing evaluator. Scopes are built once and
+// components and the memoizing evaluators. Scopes are built once and
 // reused, so resubmissions hit warm caches; an idle scope (no live job
 // referencing it for ScopeTTL) is evicted to reclaim its dataset and
 // fold memory and rebuilt deterministically on next use.
 type evalScope struct {
-	train, test *dataset.Dataset
-	comps       hpo.Components
-	cv          *hpo.CVEvaluator
-	cache       *evalcache.Cache
+	comps hpo.Components
+	cache *evalcache.Cache
+	// refits memoizes a job's last step — the winner refitted on the
+	// whole training split and scored on the test split — the same way
+	// cache memoizes fold scores, so a resubmission whose evaluations
+	// all hit trains nothing at all.
+	refits *evalcache.Cache
+}
+
+// refitter is the final step of a job as an hpo.Evaluator, which is what
+// evalcache memoizes: it refits one configuration on the whole training
+// split with a seed drawn from the stream it is handed and returns the
+// model's score on the held-out test split as the only "fold".
+type refitter struct {
+	cv    *hpo.CVEvaluator
+	test  *dataset.Dataset
+	useF1 bool
+}
+
+func (f refitter) FullBudget() int { return f.cv.FullBudget() }
+
+func (f refitter) Evaluate(cfg search.Config, _ int, r *rng.RNG) ([]float64, error) {
+	model, err := f.cv.FitFull(cfg, r.Uint64())
+	if err != nil {
+		return nil, err
+	}
+	if f.useF1 && f.test.Kind == dataset.Classification {
+		return []float64{model.ScoreF1(f.test)}, nil
+	}
+	return []float64{model.Score(f.test)}, nil
 }
 
 // scopeEntry tracks one live scope in the manager's table: how many jobs
@@ -259,9 +267,6 @@ type Manager struct {
 	traces *tracestore.Store // nil when persistence is disabled
 
 	evals            atomic.Int64
-	evalsFused       atomic.Int64
-	fusedRows        atomic.Int64
-	fuseFallbacks    atomic.Int64
 	trialFailures    atomic.Int64
 	traceErrs        atomic.Int64
 	journalErrs      atomic.Int64
@@ -1142,23 +1147,10 @@ func (m *Manager) buildScope(spec JobSpec) (*evalScope, error) {
 	base.LearningRateInit = 0.02
 	base.KernelWorkers = m.cfg.KernelWorkers
 	cv := hpo.NewCVEvaluator(train, base, comps)
-	var inner hpo.Evaluator = cv
-	if !m.cfg.DisableEvalFusion && m.pool.Size() > 1 {
-		// The fuser sits between the cache and the CV evaluator so only
-		// cache misses reach it; hits never pay the collection window.
-		inner = newFusedEvaluator(cv, m.pool, m.cfg.FuseWindow, m.cfg.KernelWorkers,
-			func(trials, rows int64) {
-				m.evalsFused.Add(trials)
-				m.fusedRows.Add(rows)
-			},
-			func(n int64) { m.fuseFallbacks.Add(n) })
-	}
 	return &evalScope{
-		train: train,
-		test:  test,
-		comps: comps,
-		cv:    cv,
-		cache: evalcache.New(inner, m.cfg.CacheEntries),
+		comps:  comps,
+		cache:  evalcache.New(cv, m.cfg.CacheEntries),
+		refits: evalcache.New(refitter{cv: cv, test: test, useF1: spec.UseF1}, m.cfg.CacheEntries),
 	}, nil
 }
 
@@ -1226,9 +1218,8 @@ type Metrics struct {
 	PoolInflight      int     `json:"pool_inflight"`
 	Evaluations       int64   `json:"evaluations"`
 	EvaluationsPerSec float64 `json:"evaluations_per_sec"`
-	EvalsFused        int64   `json:"evals_fused"`
-	FusedRows         int64   `json:"fused_rows"`
-	FuseFallbacks     int64   `json:"fuse_fallbacks"`
+	EvalsFused        int64   `json:"evals_fused"`    // always 0: the fuser is gone; bench/ (frozen) still reads it
+	FuseFallbacks     int64   `json:"fuse_fallbacks"` // always 0, as above; both go with bench's serve.* fuse metrics
 	Kernel            string  `json:"kernel"`
 	CPUFeatures       string  `json:"cpu_features,omitempty"`
 	KernelWorkers     int     `json:"kernel_workers"`
@@ -1269,9 +1260,6 @@ func (m *Manager) Metrics() Metrics {
 		PoolInUse:        m.pool.InUse(),
 		PoolInflight:     m.sched.Inflight(),
 		Evaluations:      m.evals.Load(),
-		EvalsFused:       m.evalsFused.Load(),
-		FusedRows:        m.fusedRows.Load(),
-		FuseFallbacks:    m.fuseFallbacks.Load(),
 		Kernel:           mat.ActiveKernel().String(),
 		CPUFeatures:      mat.CPUFeatures(),
 		KernelWorkers:    m.cfg.KernelWorkers,

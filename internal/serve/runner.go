@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"enhancedbhpo/internal/dataset"
 	"enhancedbhpo/internal/events"
 	"enhancedbhpo/internal/hpo"
 	"enhancedbhpo/internal/rng"
@@ -70,7 +69,7 @@ func (m *Manager) run(ctx context.Context, job *Job, cancel context.CancelFunc, 
 		}
 
 		// The scope stays pinned (TTL eviction cannot take it) until the
-		// segment is over — finish() reads scope.cv and scope.test.
+		// segment is over — finish() refits through scope.refits.
 		scope, release, err := m.acquireScope(job.Spec)
 		if err != nil {
 			segCancel(nil)
@@ -216,15 +215,13 @@ func (m *Manager) finish(job *Job, scope *evalScope, res *hpo.Result, err error)
 		status = StatusFailed
 		res = nil
 	default:
-		model, ferr := scope.cv.FitFull(res.Best, rng.New(job.Spec.Seed^0xf17).Uint64())
+		score, ferr := scope.refits.Evaluate(res.Best, scope.refits.FullBudget(), rng.New(job.Spec.Seed^0xf17))
 		if ferr != nil {
 			status = StatusFailed
 			err = ferr
 			res = nil
-		} else if job.Spec.UseF1 && scope.test.Kind == dataset.Classification {
-			testScore, hasTest = model.ScoreF1(scope.test), true
 		} else {
-			testScore, hasTest = model.Score(scope.test), true
+			testScore, hasTest = score[0], true
 		}
 	}
 	job.mu.Lock()

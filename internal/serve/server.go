@@ -383,12 +383,10 @@ type healthBody struct {
 	Pending    int     `json:"pending"`
 	MaxPending int     `json:"max_pending"`
 	// Kernel is the active matmul kernel family (naive/blocked/simd) and
-	// CPUFeatures the detected SIMD feature set; FuseEvals reports
-	// whether cross-trial fused evaluation is enabled. Surfaced here so
-	// an operator's first probe shows what compute path the node runs.
+	// CPUFeatures the detected SIMD feature set. Surfaced here so an
+	// operator's first probe shows what compute path the node runs.
 	Kernel      string `json:"kernel"`
 	CPUFeatures string `json:"cpu_features,omitempty"`
-	FuseEvals   bool   `json:"fuse_evals"`
 }
 
 func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
@@ -407,7 +405,6 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 		MaxPending:  s.manager.cfg.MaxPending,
 		Kernel:      mat.ActiveKernel().String(),
 		CPUFeatures: mat.CPUFeatures(),
-		FuseEvals:   !s.manager.cfg.DisableEvalFusion,
 	})
 }
 

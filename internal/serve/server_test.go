@@ -289,6 +289,17 @@ func TestCacheReuseAcrossJobs(t *testing.T) {
 			t.Fatalf("cached rerun best config differs at %s: %v != %v", k, d2.BestConfig[k], v)
 		}
 	}
+	// The final refit is memoized like the fold scores: the rerun trains
+	// nothing and reports the same test score.
+	if d1.TestScore == nil || d2.TestScore == nil || *d1.TestScore != *d2.TestScore {
+		t.Fatalf("cached rerun test score %v != %v", d2.TestScore, d1.TestScore)
+	}
+	m.mu.Lock()
+	refits := m.scopes[smallSpec().CacheScope()].scope.refits.Stats()
+	m.mu.Unlock()
+	if refits.Misses != 1 || refits.Hits != 1 {
+		t.Fatalf("refits after two identical runs: %+v, want 1 miss then 1 hit", refits)
+	}
 }
 
 // TestQueuedJobRespectsMaxJobs verifies the MaxJobs gate and that a

@@ -9,6 +9,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -133,38 +134,42 @@ func Fprint(w io.Writer, res *hpo.Result) {
 }
 
 // Sparkline renders the incumbent curve as a compact ASCII strip, for
-// logs and examples.
+// logs and examples. The scale runs from the first to the last finite
+// incumbent; a non-finite point (a curve whose evaluator scored NaN or
+// ±Inf) draws as the lowest level.
 func Sparkline(points []Point, width int) string {
 	if len(points) == 0 || width <= 0 {
 		return ""
 	}
 	levels := []byte("_.-=#")
-	lo := points[0].BestScore
-	hi := points[len(points)-1].BestScore
-	if hi <= lo {
-		return strings.Repeat(string(levels[len(levels)-1]), min(width, len(points)))
+	top := len(levels) - 1
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	lo, hi := math.NaN(), math.NaN()
+	for _, p := range points {
+		if finite(p.BestScore) {
+			if math.IsNaN(lo) {
+				lo = p.BestScore
+			}
+			hi = p.BestScore
+		}
 	}
-	var b strings.Builder
 	step := float64(len(points)) / float64(width)
 	if step < 1 {
 		step = 1
 		width = len(points)
 	}
+	var b strings.Builder
 	for i := 0; i < width; i++ {
-		idx := int(float64(i) * step)
-		if idx >= len(points) {
-			idx = len(points) - 1
+		idx := min(int(float64(i)*step), len(points)-1)
+		level := 0
+		switch v := points[idx].BestScore; {
+		case !finite(v):
+		case hi <= lo:
+			level = top
+		default:
+			level = max(0, min(int((v-lo)/(hi-lo)*float64(top)), top))
 		}
-		frac := (points[idx].BestScore - lo) / (hi - lo)
-		level := int(frac * float64(len(levels)-1))
 		b.WriteByte(levels[level])
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

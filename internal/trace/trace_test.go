@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -111,16 +112,37 @@ func TestFprint(t *testing.T) {
 }
 
 func TestSparkline(t *testing.T) {
-	points := Anytime(sampleTrials())
-	s := Sparkline(points, 10)
-	if len(s) == 0 {
+	if s := Sparkline(Anytime(sampleTrials()), 10); len(s) == 0 {
 		t.Fatal("empty sparkline")
 	}
-	if Sparkline(nil, 10) != "" {
-		t.Fatal("nil points should give empty sparkline")
+	curve := func(scores ...float64) []Point {
+		pts := make([]Point, len(scores))
+		for i, v := range scores {
+			pts[i] = Point{CumBudget: i + 1, BestScore: v}
+		}
+		return pts
 	}
-	flat := []Point{{CumBudget: 1, BestScore: 0.5}, {CumBudget: 2, BestScore: 0.5}}
-	if s := Sparkline(flat, 5); !strings.Contains(s, "#") {
-		t.Fatalf("flat curve sparkline %q", s)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		points []Point
+		width  int
+		want   string
+	}{
+		{"nil", nil, 10, ""},
+		{"zero width", curve(0.1, 0.2), 0, ""},
+		{"flat", curve(0.5, 0.5), 5, "##"},
+		{"short rising", curve(0, 0.5, 1), 10, "_-#"},
+		{"downsampled", curve(0, 0.25, 0.5, 0.75, 1, 1), 3, "_-#"},
+		{"all NaN", curve(nan, nan, nan), 5, "___"},
+		{"NaN head", curve(nan, 0.2, 0.4), 5, "__#"},
+		{"NaN inside", curve(0, nan, 1), 5, "__#"},
+		{"-Inf incumbent then finite", curve(-inf, -inf, 0.3, 0.6), 4, "___#"},
+		{"+Inf", curve(0, inf, 1), 3, "__#"},
+		{"one finite among NaN", curve(nan, 0.7, nan), 3, "_#_"},
+	} {
+		if got := Sparkline(tc.points, tc.width); got != tc.want {
+			t.Errorf("%s: Sparkline = %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
