@@ -33,10 +33,14 @@ vet-bench:
 # The determinism, preemption-replay and bitwise-parity tests at one,
 # two and four Ps, three times each: results may not depend on how many
 # cores the scheduler has, and a test tuned to one machine's timing
-# fails here instead of on the next box.
+# fails here instead of on the next box. The same for the cluster layer's
+# non-chaos tests (coordinator, submit retry, membership journal, ring,
+# shipper lanes, sinks, restore), five times each.
 cpus:
 	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|EvaluateConcurrent' \
 		./internal/hpo/ ./internal/nn/ ./internal/serve/
+	$(GO) test -cpu 1,2,4 -count 5 -run 'TestCoordinator|TestSubmitRetry|TestMemberJournal|TestRing|TestMultiSink|TestShipper|TestDirSink|TestRestore' \
+		./internal/coord/ ./internal/serve/shipper/
 
 # Crash-safety suite: journal replay/compaction, kill/restart recovery,
 # panic isolation, retry + failure budget, timeout/shutdown reasons, drain.

@@ -12,6 +12,7 @@
 package enhancedbhpo_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -349,7 +350,7 @@ func BenchmarkSHA(b *testing.B) {
 		configs := space.Enumerate()[:8]
 		for i := 0; i < b.N; i++ {
 			ev := hpo.NewCVEvaluator(train, base, comps)
-			if _, err := hpo.SuccessiveHalving(configs, ev, comps, hpo.SHAOptions{Seed: uint64(i)}); err != nil {
+			if _, err := hpo.SuccessiveHalving(context.Background(), configs, ev, comps, hpo.SHAOptions{Seed: uint64(i)}); err != nil {
 				b.Fatal(err)
 			}
 		}

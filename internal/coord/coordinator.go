@@ -2,13 +2,19 @@ package coord
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"net/http/httputil"
+	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -94,7 +100,10 @@ type Coordinator struct {
 	mux    *http.ServeMux
 
 	started time.Time
-	stopCh  chan struct{} // closed by Shutdown; ends failover retry loops
+	// ctx is cancelled by Shutdown: it ends failover retry loops, their
+	// in-flight restore requests and leave waits.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	jobsRouted       atomic.Int64
 	jobsFailedOver   atomic.Int64
@@ -105,11 +114,9 @@ type Coordinator struct {
 
 	journal *memberLog // nil without Config.DataDir
 
-	mu    sync.Mutex
-	nodes map[string]string // ring members: name → URL
-
 	failMu    sync.Mutex
 	restoring map[string]bool // failover pipelines in flight, by node
+	failovers sync.WaitGroup  // the same pipelines, for Shutdown to join
 
 	evMu   sync.Mutex
 	events []ClusterEvent // bounded cluster incident log
@@ -126,10 +133,9 @@ func New(cfg Config) (*Coordinator, error) {
 		client:    cfg.Client,
 		mux:       http.NewServeMux(),
 		started:   time.Now(),
-		stopCh:    make(chan struct{}),
-		nodes:     map[string]string{},
 		restoring: map[string]bool{},
 	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	if c.client == nil {
 		c.client = &http.Client{}
 	}
@@ -139,16 +145,16 @@ func New(cfg Config) (*Coordinator, error) {
 		if err := validNode(n); err != nil {
 			return nil, err
 		}
-		if _, dup := c.nodes[n.Name]; dup {
+		if _, dup := c.prober.memberURL(n.Name); dup {
 			return nil, fmt.Errorf("coord: duplicate node %q", n.Name)
 		}
-		c.applyMemberOp(MemberOp{Op: OpJoin, Node: n.Name, URL: strings.TrimSuffix(n.URL, "/")})
+		c.applyMemberOp(MemberOp{Op: OpJoin, Node: n.Name, URL: n.URL})
 	}
 	for _, n := range cfg.Standbys {
 		if err := validNode(n); err != nil {
 			return nil, err
 		}
-		c.applyMemberOp(MemberOp{Op: OpStandby, Node: n.Name, URL: strings.TrimSuffix(n.URL, "/"), On: true})
+		c.applyMemberOp(MemberOp{Op: OpStandby, Node: n.Name, URL: n.URL, On: true})
 	}
 	if cfg.DataDir != "" {
 		// The journal replays on top of the boot-time set: runtime
@@ -166,7 +172,7 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.journal = log
 	}
-	if len(c.nodes) == 0 {
+	if c.ring.Len() == 0 {
 		return nil, fmt.Errorf("coord: no nodes")
 	}
 	c.mux.HandleFunc("POST /jobs", c.submitJob)
@@ -175,18 +181,17 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mux.HandleFunc("GET /tenants", c.listTenants)
 	c.mux.HandleFunc("GET /jobs/{id}", c.jobProxy)
 	c.mux.HandleFunc("DELETE /jobs/{id}", c.jobProxy)
-	c.mux.HandleFunc("GET /jobs/{id}/events", c.jobEvents)
-	c.mux.HandleFunc("GET /jobs/{id}/trace", c.jobSubProxy("trace"))
+	c.mux.HandleFunc("GET /jobs/{id}/{sub...}", c.jobProxy)
 	c.mux.HandleFunc("GET /methods", c.listMethods)
 	c.mux.HandleFunc("GET /healthz", c.healthz)
 	c.mux.HandleFunc("GET /metrics", c.metrics)
-	c.mux.HandleFunc("GET /cluster", c.cluster)
+	c.mux.HandleFunc("GET /cluster", func(w http.ResponseWriter, r *http.Request) { c.writeStatusList(w) })
 	c.mux.HandleFunc("GET /cluster/events", c.clusterEvents)
-	c.mux.HandleFunc("POST /cluster/replace", c.replaceNode)
-	c.mux.HandleFunc("POST /cluster/join", c.joinNode)
-	c.mux.HandleFunc("POST /cluster/leave", c.leaveNode)
-	c.mux.HandleFunc("POST /cluster/drain", c.drainNode)
-	c.mux.HandleFunc("POST /cluster/standby", c.standbyNode)
+	c.mux.HandleFunc("POST /cluster/replace", c.memberEndpoint(c.replaceNode))
+	c.mux.HandleFunc("POST /cluster/join", c.memberEndpoint(c.joinNode))
+	c.mux.HandleFunc("POST /cluster/leave", c.memberEndpoint(c.leaveNode))
+	c.mux.HandleFunc("POST /cluster/drain", c.memberEndpoint(c.drainNode))
+	c.mux.HandleFunc("POST /cluster/standby", c.memberEndpoint(c.standbyNode))
 	return c, nil
 }
 
@@ -209,27 +214,21 @@ func (c *Coordinator) applyMemberOp(op MemberOp) {
 	url := strings.TrimSuffix(op.URL, "/")
 	switch op.Op {
 	case OpJoin:
-		c.mu.Lock()
-		c.nodes[op.Node] = url
-		c.mu.Unlock()
 		c.ring.Add(op.Node)
-		c.prober.track(op.Node, url)
+		c.prober.track(op.Node, url, false)
 	case OpLeave:
-		c.mu.Lock()
-		delete(c.nodes, op.Node)
-		c.mu.Unlock()
 		c.ring.Remove(op.Node)
 		c.prober.untrack(op.Node)
 	case OpDrain:
-		c.prober.setDraining(op.Node, op.On)
+		c.prober.update(op.Node, func(e *probeEntry) { e.draining = op.On })
 	case OpStandby:
 		if op.On {
-			c.prober.trackStandby(op.Node, url)
+			c.prober.track(op.Node, url, true)
 		} else {
 			c.prober.untrack(op.Node)
 		}
 	case OpQuarantine:
-		c.prober.setQuarantined(op.Node, op.On)
+		c.prober.update(op.Node, func(e *probeEntry) { e.quarantined = op.On })
 	}
 }
 
@@ -247,11 +246,16 @@ func (c *Coordinator) journalAndApply(op MemberOp) error {
 // Start launches heartbeat probing.
 func (c *Coordinator) Start() { c.prober.start() }
 
-// Shutdown stops the prober, any in-flight failover retry loops, and
-// the membership journal.
+// Shutdown stops the prober, cancels and joins every in-flight failover
+// pipeline, and only then closes the membership journal: nothing the
+// coordinator started is still talking to a node, or appending a
+// membership operation, once it returns.
 func (c *Coordinator) Shutdown() {
-	close(c.stopCh)
+	c.failMu.Lock() // orders the cancel against onNodeDead's failovers.Add
+	c.cancel()
+	c.failMu.Unlock()
 	c.prober.shutdown()
+	c.failovers.Wait()
 	c.journal.close()
 }
 
@@ -263,14 +267,6 @@ func (c *Coordinator) ProbeNow() { c.prober.probeAll() }
 // ServeHTTP implements http.Handler.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.mux.ServeHTTP(w, r)
-}
-
-// urlOf resolves a node name to its current URL.
-func (c *Coordinator) urlOf(name string) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	u, ok := c.nodes[name]
-	return u, ok
 }
 
 // qualifyID and splitID translate between a worker's local job ID and the
@@ -307,9 +303,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // ring); a degraded candidate is still preferred over refusing when
 // nothing is fully alive.
 func (c *Coordinator) routeNode(scope string, skip map[string]bool) (string, bool) {
-	candidates := c.ring.Candidates(scope)
 	var degraded string
-	for _, n := range candidates {
+	for _, n := range c.ring.Candidates(scope) {
 		if skip[n] {
 			continue
 		}
@@ -322,10 +317,7 @@ func (c *Coordinator) routeNode(scope string, skip map[string]bool) (string, boo
 			}
 		}
 	}
-	if degraded != "" {
-		return degraded, true
-	}
-	return "", false
+	return degraded, degraded != ""
 }
 
 // newSubmitToken mints the idempotency key one client submission carries
@@ -340,12 +332,49 @@ func newSubmitToken() string {
 	return hex.EncodeToString(b[:])
 }
 
-// submitJob routes POST /jobs: the spec's evaluation-cache scope picks
-// the worker, the body is forwarded verbatim, and the worker's response
-// flows back with only the job ID rewritten to its node-qualified form.
-// A worker 429 passes through untouched — status, its *priced*
-// Retry-After header and body — so clients back off on the owning node's
-// real backlog, not a number the coordinator made up.
+// batchOf is the POST /jobs:batch envelope: specs going in, snapshots
+// coming back.
+type batchOf[T any] struct {
+	Jobs []T `json:"jobs"`
+}
+
+func (c *Coordinator) submitJob(w http.ResponseWriter, r *http.Request) {
+	submit(c, w, r, "/jobs", 1<<20, "job spec",
+		func(spec *serve.JobSpec) (string, error) { return spec.CacheScope(), nil },
+		func(ack *serve.Snapshot) []*string { return []*string{&ack.ID} })
+}
+
+// submitBatch lands the whole batch on ONE node — picked by the first
+// spec's cache scope — so the all-or-nothing admission guarantee (every
+// item admitted against the global cap and every tenant's quota, or
+// none) holds exactly: it is the node's own atomic batch enqueue, not a
+// coordinator simulation spread over several nodes.
+func (c *Coordinator) submitBatch(w http.ResponseWriter, r *http.Request) {
+	submit(c, w, r, "/jobs:batch", 8<<20, "batch",
+		func(batch *batchOf[serve.JobSpec]) (string, error) {
+			if len(batch.Jobs) == 0 {
+				return "", errors.New("empty batch")
+			}
+			return batch.Jobs[0].CacheScope(), nil
+		},
+		func(ack *batchOf[serve.Snapshot]) []*string {
+			ids := make([]*string, len(ack.Jobs))
+			for i := range ack.Jobs {
+				ids[i] = &ack.Jobs[i].ID
+			}
+			return ids
+		})
+}
+
+// submit is the one forwarding path behind POST /jobs and POST
+// /jobs:batch. The body (a Req, named what in errors) is forwarded
+// verbatim to the worker that scopeOf's evaluation-cache scope picks, and
+// the worker's 202 (an Ack) flows back with only the job IDs that ids
+// points at rewritten to their node-qualified form. Any other worker
+// answer — a 429 with its *priced* Retry-After, a validation 400, a
+// draining 503 — passes through untouched: status, headers and body, so
+// clients back off on the owning node's real backlog, not a number the
+// coordinator made up.
 //
 // A node that dies between routing and ack does not fail the client:
 // the submission retries on the next ring candidate. Every attempt
@@ -353,18 +382,23 @@ func newSubmitToken() string {
 // first node actually accepted the job but the ack was lost, and a later
 // restore resurrects it under the same token — never double-runs: the
 // worker's token table returns the existing job instead.
-func (c *Coordinator) submitJob(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+func submit[Req, Ack any](c *Coordinator, w http.ResponseWriter, r *http.Request, path string, limit int64, what string,
+	scopeOf func(*Req) (string, error), ids func(*Ack) []*string) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	var spec serve.JobSpec
-	if err := json.Unmarshal(body, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding job spec: %v", err)
+	var req Req
+	if err := json.Unmarshal(body, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
 		return
 	}
-	scope := spec.CacheScope()
+	scope, err := scopeOf(&req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	token := newSubmitToken()
 	tried := map[string]bool{}
 	var lastErr error
@@ -379,15 +413,15 @@ func (c *Coordinator) submitJob(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		nodeURL, _ := c.urlOf(node)
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, nodeURL+"/jobs", bytes.NewReader(body))
+		nodeURL, _ := c.prober.memberURL(node)
+		fwd, err := http.NewRequestWithContext(r.Context(), http.MethodPost, nodeURL+path, bytes.NewReader(body))
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Submit-Token", token)
-		resp, err := c.client.Do(req)
+		fwd.Header.Set("Content-Type", "application/json")
+		fwd.Header.Set("X-Submit-Token", token)
+		resp, err := c.client.Do(fwd)
 		if err != nil {
 			// The node died (or vanished) between routing and ack: retry
 			// on the next ring candidate with the same token. Note the
@@ -402,154 +436,99 @@ func (c *Coordinator) submitJob(w http.ResponseWriter, r *http.Request) {
 			c.submitRetries.Add(1)
 			continue
 		}
-		func() {
-			defer resp.Body.Close()
-			if resp.StatusCode == http.StatusAccepted {
-				var snap serve.Snapshot
-				if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-					writeError(w, http.StatusBadGateway, "node %s: decoding response: %v", node, err)
-					return
-				}
-				snap.ID = qualifyID(node, snap.ID)
-				c.jobsRouted.Add(1)
-				writeJSON(w, http.StatusAccepted, snap)
-				return
-			}
-			// Anything else — 429 with its priced Retry-After, a validation
-			// 400, a draining 503 — passes through verbatim.
-			copyResponse(w, resp)
-		}()
+		defer resp.Body.Close() // no further iteration: every path below returns
+		if resp.StatusCode != http.StatusAccepted {
+			maps.Copy(w.Header(), resp.Header)
+			w.WriteHeader(resp.StatusCode)
+			io.Copy(w, resp.Body)
+			return
+		}
+		var ack Ack
+		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+			writeError(w, http.StatusBadGateway, "node %s: decoding response: %v", node, err)
+			return
+		}
+		qualified := ids(&ack)
+		for _, id := range qualified {
+			*id = qualifyID(node, *id)
+		}
+		c.jobsRouted.Add(int64(len(qualified)))
+		writeJSON(w, http.StatusAccepted, ack)
 		return
 	}
 }
 
-// submitBatch routes POST /jobs:batch. The whole batch lands on ONE
-// node — picked by the first spec's cache scope — so the all-or-nothing
-// admission guarantee (every item admitted against the global cap and
-// every tenant's quota, or none) holds exactly: it is the node's own
-// atomic batch enqueue, not a coordinator simulation spread over
-// several nodes. Worker rejections (per-item 400s, quota/overload 429s
-// with their priced Retry-After) relay verbatim; only accepted job IDs
-// are rewritten to their node-qualified form.
-func (c *Coordinator) submitBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
+// getJSON GETs url and decodes a 200 answer's JSON body: every read the
+// coordinator makes of a worker for its own use — probes, fan-outs,
+// adopted-job counts, idle checks.
+func getJSON[T any](ctx context.Context, client *http.Client, url string) (T, error) {
+	var v T
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
+		return v, err
 	}
-	var req struct {
-		Jobs []serve.JobSpec `json:"jobs"`
+	resp, err := client.Do(req)
+	if err != nil {
+		return v, err
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding batch: %v", err)
-		return
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return v, fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
-	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	scope := req.Jobs[0].CacheScope()
-	token := newSubmitToken()
-	tried := map[string]bool{}
-	var lastErr error
-	var lastNode string
-	for {
-		node, ok := c.routeNode(scope, tried)
-		if !ok {
-			if lastErr != nil {
-				writeError(w, http.StatusBadGateway, "node %s: %v (no further candidates)", lastNode, lastErr)
-			} else {
-				writeError(w, http.StatusServiceUnavailable, "no servable node for scope")
-			}
-			return
-		}
-		nodeURL, _ := c.urlOf(node)
-		hreq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, nodeURL+"/jobs:batch", bytes.NewReader(body))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		hreq.Header.Set("X-Submit-Token", token)
-		resp, err := c.client.Do(hreq)
-		if err != nil {
-			if r.Context().Err() != nil {
-				writeError(w, http.StatusBadGateway, "node %s: %v", node, err)
-				return
-			}
-			tried[node] = true
-			lastErr, lastNode = err, node
-			c.submitRetries.Add(1)
-			continue
-		}
-		func() {
-			defer resp.Body.Close()
-			if resp.StatusCode == http.StatusAccepted {
-				var out struct {
-					Jobs []serve.Snapshot `json:"jobs"`
-				}
-				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-					writeError(w, http.StatusBadGateway, "node %s: decoding response: %v", node, err)
-					return
-				}
-				for i := range out.Jobs {
-					out.Jobs[i].ID = qualifyID(node, out.Jobs[i].ID)
-				}
-				c.jobsRouted.Add(int64(len(out.Jobs)))
-				writeJSON(w, http.StatusAccepted, out)
-				return
-			}
-			copyResponse(w, resp)
-		}()
-		return
-	}
+	err = json.NewDecoder(resp.Body).Decode(&v)
+	return v, err
 }
 
-// listTenants fans GET /tenants out to every live node and merges the
-// per-tenant rows by name: counters sum across the cluster, the weight
-// is the configured one (identical on every node by construction), and
-// virtual time reports the maximum — each node runs its own clock, so
-// the merged value is a high-water mark, not a cluster-wide total.
-func (c *Coordinator) listTenants(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	names := make([]string, 0, len(c.nodes))
-	for name := range c.nodes {
-		names = append(names, name)
+// answers reports whether a node in this state is worth asking: a ring
+// member (standbys own no jobs) that is not dead or being restored.
+func (st NodeStatus) answers() bool {
+	return st.State != StateStandby && st.State != StateDead && st.State != StateRestoring
+}
+
+// fanOut GETs path, with the request's query (?tenant=X and any future
+// filter apply on each node), on every node of states that answers, at
+// once, and returns the decoded bodies by node name. A node that cannot
+// answer contributes nothing rather than failing the whole request — the
+// cluster view degrades, it does not disappear.
+func fanOut[T any](c *Coordinator, r *http.Request, path string, states []NodeStatus) map[string]T {
+	if r.URL.RawQuery != "" {
+		path += "?" + r.URL.RawQuery
 	}
-	c.mu.Unlock()
-	results := make(chan []serve.TenantStatus, len(names))
+	out := make(map[string]T, len(states))
+	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, name := range names {
-		if c.prober.stateOf(name) == StateDead {
+	for _, st := range states {
+		if !st.answers() {
 			continue
 		}
-		nodeURL, _ := c.urlOf(name)
 		wg.Add(1)
-		go func(nodeURL string) {
+		go func() {
 			defer wg.Done()
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, nodeURL+"/tenants", nil)
-			if err != nil {
-				return
+			if v, err := getJSON[T](r.Context(), c.client, st.URL+path); err == nil {
+				mu.Lock()
+				out[st.Name] = v
+				mu.Unlock()
 			}
-			resp, err := c.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			var body struct {
-				Tenants []serve.TenantStatus `json:"tenants"`
-			}
-			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&body) != nil {
-				return
-			}
-			results <- body.Tenants
-		}(nodeURL)
+		}()
 	}
 	wg.Wait()
-	close(results)
+	return out
+}
+
+// tenantsBody is the GET /tenants payload, a worker's and the merged one.
+type tenantsBody struct {
+	Tenants []serve.TenantStatus `json:"tenants"`
+}
+
+// listTenants merges every answering node's GET /tenants rows by name:
+// counters sum across the cluster, the weight is the configured one
+// (identical on every node by construction), and virtual time reports
+// the maximum — each node runs its own clock, so the merged value is a
+// high-water mark, not a cluster-wide total.
+func (c *Coordinator) listTenants(w http.ResponseWriter, r *http.Request) {
 	merged := map[string]*serve.TenantStatus{}
-	for rows := range results {
-		for _, row := range rows {
+	for _, body := range fanOut[tenantsBody](c, r, "/tenants", c.prober.status()) {
+		for _, row := range body.Tenants {
 			t, ok := merged[row.Tenant]
 			if !ok {
 				cp := row
@@ -582,20 +561,7 @@ func (c *Coordinator) listTenants(w http.ResponseWriter, r *http.Request) {
 		out = append(out, *t)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	writeJSON(w, http.StatusOK, struct {
-		Tenants []serve.TenantStatus `json:"tenants"`
-	}{Tenants: out})
-}
-
-// copyResponse relays a worker response verbatim: status, headers, body.
-func copyResponse(w http.ResponseWriter, resp *http.Response) {
-	for k, vals := range resp.Header {
-		for _, v := range vals {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	writeJSON(w, http.StatusOK, tenantsBody{Tenants: out})
 }
 
 // resolveJob maps a node-qualified job ID to (node, local ID, node URL),
@@ -609,7 +575,7 @@ func (c *Coordinator) resolveJob(w http.ResponseWriter, qualified string) (node,
 		writeError(w, http.StatusNotFound, "no job %q (cluster job IDs are node-qualified, e.g. %q)", qualified, "a:job-1")
 		return "", "", "", false
 	}
-	nodeURL, known := c.urlOf(node)
+	nodeURL, known := c.prober.memberURL(node)
 	if !known {
 		writeError(w, http.StatusNotFound, "no node %q", node)
 		return "", "", "", false
@@ -625,177 +591,84 @@ func (c *Coordinator) resolveJob(w http.ResponseWriter, qualified string) (node,
 	return node, id, nodeURL, true
 }
 
-// jobProxy forwards GET/DELETE /jobs/{id} to the owning node, rewriting
-// the returned snapshot's ID back to its qualified form.
+// jobProxy serves every per-job route — GET|DELETE /jobs/{id} and GET
+// /jobs/{id}/<anything> — through one reverse proxy. The coordinator does
+// not list the worker's sub-routes: it swaps the node-qualified ID for
+// the local one, forwards the rest of the path and the query as they
+// came, and the worker 404s what it does not serve. The proxy copies
+// headers both ways (Last-Event-ID reaches the worker's event hub, which
+// replays the backlog past it, so a client that reconnects after a worker
+// failover resumes exactly where it left off), flushes text/event-stream
+// as it arrives, and cancels the upstream request when the client hangs
+// up, so the worker releases its subscriber.
 func (c *Coordinator) jobProxy(w http.ResponseWriter, r *http.Request) {
-	node, id, nodeURL, ok := c.resolveJob(w, r.PathValue("id"))
+	qualified := r.PathValue("id")
+	node, id, nodeURL, ok := c.resolveJob(w, qualified)
 	if !ok {
 		return
 	}
-	u := nodeURL + "/jobs/" + id
-	if r.URL.RawQuery != "" {
-		u += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, u, nil)
+	sub := strings.TrimPrefix(r.URL.Path, "/jobs/"+qualified)
+	target, err := url.Parse(nodeURL + "/jobs/" + id + sub)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "node %s: %v", node, err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
-		var snap serve.Snapshot
-		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-			writeError(w, http.StatusBadGateway, "node %s: decoding response: %v", node, err)
-			return
-		}
-		snap.ID = qualifyID(node, snap.ID)
-		writeJSON(w, resp.StatusCode, snap)
-		return
-	}
-	copyResponse(w, resp)
-}
-
-// jobSubProxy forwards GET /jobs/{id}/<sub> verbatim (trace payloads have
-// no embedded job ID to rewrite).
-func (c *Coordinator) jobSubProxy(sub string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		node, id, nodeURL, ok := c.resolveJob(w, r.PathValue("id"))
-		if !ok {
-			return
-		}
-		u := nodeURL + "/jobs/" + id + "/" + sub
-		if r.URL.RawQuery != "" {
-			u += "?" + r.URL.RawQuery
-		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, u, nil)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		resp, err := c.client.Do(req)
-		if err != nil {
+	target.RawQuery = r.URL.RawQuery
+	(&httputil.ReverseProxy{
+		Transport:  c.client.Transport,
+		BufferPool: proxyBuffers,
+		Rewrite:    func(pr *httputil.ProxyRequest) { pr.Out.URL, pr.Out.Host = target, "" },
+		ModifyResponse: func(resp *http.Response) error {
+			// Only /jobs/{id} itself answers with the job's ID; sub-route
+			// payloads (events, trace) embed none and pass as they came.
+			if sub != "" || (resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted) {
+				return nil
+			}
+			return requalifySnapshot(resp, node)
+		},
+		ErrorHandler: func(w http.ResponseWriter, _ *http.Request, err error) {
 			writeError(w, http.StatusBadGateway, "node %s: %v", node, err)
-			return
-		}
-		defer resp.Body.Close()
-		copyResponse(w, resp)
-	}
+		},
+	}).ServeHTTP(w, r)
 }
 
-// flushWriter flushes after every write so proxied SSE frames reach the
-// client as they happen, not when a buffer fills.
-type flushWriter struct {
-	w http.ResponseWriter
-	f http.Flusher
-}
+// copyBuffers recycles the proxy's 32 KB copy buffers; without a pool it
+// allocates one for every response it relays.
+type copyBuffers struct{ sync.Pool }
 
-func (fw flushWriter) Write(p []byte) (int, error) {
-	n, err := fw.w.Write(p)
-	if fw.f != nil {
-		fw.f.Flush()
-	}
-	return n, err
-}
+var proxyBuffers = &copyBuffers{sync.Pool{New: func() any { return new([32 << 10]byte) }}}
 
-// jobEvents proxies the SSE stream. Last-Event-ID passes through to the
-// worker, whose event hub replays the backlog past it — so a client that
-// reconnects through the coordinator after a worker failover resumes
-// exactly where it left off (the replacement primes its hub from the
-// shipped trace, continuing the same sequence numbers). The upstream
-// request rides the client's context: when the watcher hangs up, the
-// worker sees the cancel and releases its subscriber.
-func (c *Coordinator) jobEvents(w http.ResponseWriter, r *http.Request) {
-	node, id, nodeURL, ok := c.resolveJob(w, r.PathValue("id"))
-	if !ok {
-		return
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, nodeURL+"/jobs/"+id+"/events", nil)
+func (p *copyBuffers) Get() []byte    { return p.Pool.Get().(*[32 << 10]byte)[:] }
+func (p *copyBuffers) Put(buf []byte) { p.Pool.Put((*[32 << 10]byte)(buf)) }
+
+// requalifySnapshot rewrites the job ID in a worker's snapshot answer
+// back to its node-qualified form and fixes the length to match.
+func requalifySnapshot(resp *http.Response, node string) error {
+	var snap serve.Snapshot
+	err := json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+		return fmt.Errorf("decoding response: %v", err)
 	}
-	if lid := r.Header.Get("Last-Event-ID"); lid != "" {
-		req.Header.Set("Last-Event-ID", lid)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.client.Do(req)
+	snap.ID = qualifyID(node, snap.ID)
+	body, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "node %s: %v", node, err)
-		return
+		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		copyResponse(w, resp)
-		return
-	}
-	for k, vals := range resp.Header {
-		for _, v := range vals {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	io.Copy(flushWriter{w: w, f: flusher}, resp.Body)
+	body = append(body, '\n') // what writeJSON's encoder ends with
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	resp.ContentLength = int64(len(body))
+	resp.Header.Set("Content-Length", strconv.Itoa(len(body)))
+	return nil
 }
 
-// listJobs fans GET /jobs out to every non-dead node and merges the
-// snapshots under qualified IDs, sorted by ID for a stable listing. A
-// node that cannot answer contributes nothing rather than failing the
-// whole listing — the cluster view degrades, it does not disappear.
+// listJobs merges every answering node's GET /jobs under qualified IDs,
+// sorted by ID for a stable listing.
 func (c *Coordinator) listJobs(w http.ResponseWriter, r *http.Request) {
-	type nodeJobs struct {
-		node  string
-		snaps []serve.Snapshot
-	}
-	c.mu.Lock()
-	names := make([]string, 0, len(c.nodes))
-	for name := range c.nodes {
-		names = append(names, name)
-	}
-	c.mu.Unlock()
-	results := make(chan nodeJobs, len(names))
-	var wg sync.WaitGroup
-	for _, name := range names {
-		if c.prober.stateOf(name) == StateDead {
-			continue
-		}
-		nodeURL, _ := c.urlOf(name)
-		wg.Add(1)
-		go func(name, nodeURL string) {
-			defer wg.Done()
-			u := nodeURL + "/jobs"
-			if r.URL.RawQuery != "" {
-				// The ?tenant=X filter (and any future query) applies on
-				// each node; the merge below only sees matching jobs.
-				u += "?" + r.URL.RawQuery
-			}
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, u, nil)
-			if err != nil {
-				return
-			}
-			resp, err := c.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			var snaps []serve.Snapshot
-			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&snaps) != nil {
-				return
-			}
-			results <- nodeJobs{node: name, snaps: snaps}
-		}(name, nodeURL)
-	}
-	wg.Wait()
-	close(results)
 	out := make([]serve.Snapshot, 0)
-	for nj := range results {
-		for _, snap := range nj.snaps {
-			snap.ID = qualifyID(nj.node, snap.ID)
+	for node, snaps := range fanOut[[]serve.Snapshot](c, r, "/jobs", c.prober.status()) {
+		for _, snap := range snaps {
+			snap.ID = qualifyID(node, snap.ID)
 			out = append(out, snap)
 		}
 	}
@@ -803,26 +676,19 @@ func (c *Coordinator) listJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// listMethods forwards GET /methods to the first servable node — the
-// method registry is compiled into every worker, so any one speaks for
-// the cluster.
+// listMethods answers GET /methods with the first servable node's list —
+// the method registry is compiled into every worker, so any one speaks
+// for the cluster.
 func (c *Coordinator) listMethods(w http.ResponseWriter, r *http.Request) {
 	for _, name := range c.ring.Nodes() {
 		if c.prober.stateOf(name) == StateDead {
 			continue
 		}
-		nodeURL, _ := c.urlOf(name)
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, nodeURL+"/methods", nil)
-		if err != nil {
-			continue
+		nodeURL, _ := c.prober.memberURL(name)
+		if methods, err := getJSON[json.RawMessage](r.Context(), c.client, nodeURL+"/methods"); err == nil {
+			writeJSON(w, http.StatusOK, methods)
+			return
 		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			continue
-		}
-		copyResponse(w, resp)
-		resp.Body.Close()
-		return
 	}
 	writeError(w, http.StatusServiceUnavailable, "no servable node")
 }
@@ -841,65 +707,52 @@ type clusterHealth struct {
 	Nodes      []NodeStatus `json:"nodes"`
 }
 
-// aggregateStatus folds per-node verdicts into one cluster status.
-// Standbys are spares, not members: they contribute nothing to the
-// aggregate (a cluster of healthy workers plus an idle standby is "ok").
-func aggregateStatus(nodes []NodeStatus) (status string, alive int) {
+// aggregateStatus folds per-node verdicts into one cluster status, and
+// counts the ring members and those of them that answer. Standbys are
+// spares, not members: they contribute nothing to the aggregate (a
+// cluster of healthy workers plus an idle standby is "ok").
+func aggregateStatus(nodes []NodeStatus) (status string, alive, members int) {
 	var aliveOK, overloaded, draining, impaired int
 	for _, n := range nodes {
-		switch n.State {
-		case StateStandby:
-			continue
-		case StateDead, StateRestoring:
-			impaired++
+		if n.State == StateStandby {
 			continue
 		}
-		alive++
-		switch n.State {
-		case StateDegraded:
+		members++
+		if n.answers() {
+			alive++
+		}
+		switch {
+		case !n.answers() || n.State == StateDegraded:
 			impaired++
-			continue
-		case StateDraining:
+		case n.State == StateDraining || n.Health == "draining":
 			draining++
-			continue
-		}
-		switch n.Health {
-		case "overloaded":
+		case n.Health == "overloaded":
 			overloaded++
-		case "draining":
-			draining++
 		default:
 			aliveOK++
 		}
 	}
 	switch {
 	case aliveOK > 0 && impaired == 0 && overloaded == 0 && draining == 0:
-		return "ok", alive
+		return "ok", alive, members
 	case aliveOK > 0:
-		return "degraded", alive
+		return "degraded", alive, members
 	case overloaded > 0:
 		// Every reachable node is shedding by admission control: the
 		// cluster is overloaded — alive, pricing retries — not dead.
-		return "overloaded", alive
+		return "overloaded", alive, members
 	case draining > 0:
-		return "draining", alive
+		return "draining", alive, members
 	case alive > 0:
-		return "degraded", alive
+		return "degraded", alive, members
 	default:
-		return "dead", alive
+		return "dead", alive, members
 	}
 }
 
 func (c *Coordinator) healthz(w http.ResponseWriter, r *http.Request) {
 	nodes := c.prober.status()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
-	status, alive := aggregateStatus(nodes)
-	members := 0
-	for _, n := range nodes {
-		if n.State != StateStandby {
-			members++
-		}
-	}
+	status, alive, members := aggregateStatus(nodes)
 	writeJSON(w, http.StatusOK, clusterHealth{
 		Status:     status,
 		NodesAlive: alive,
@@ -956,336 +809,22 @@ func (c *Coordinator) metrics(w http.ResponseWriter, r *http.Request) {
 		RestoresFailed:         c.restoresFailed.Load(),
 		RestoreDurationSeconds: float64(c.restoreDurMicros.Load()) / 1e6,
 		UptimeSec:              time.Since(c.started).Seconds(),
-		Nodes:                  map[string]serve.Metrics{},
+		Nodes:                  fanOut[serve.Metrics](c, r, "/metrics", statuses),
 	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, st := range statuses {
-		if st.State == StateStandby {
-			continue
-		}
-		out.NodesTotal++
-		if st.State == StateDead || st.State == StateRestoring {
-			continue
-		}
-		out.NodesAlive++
-		wg.Add(1)
-		go func(name, nodeURL string) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, nodeURL+"/metrics", nil)
-			if err != nil {
-				return
-			}
-			resp, err := c.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			var m serve.Metrics
-			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&m) != nil {
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			out.Nodes[name] = m
-			out.JobsQueued += m.JobsQueued
-			out.JobsRunning += m.JobsRunning
-			out.JobsDone += m.JobsDone
-			out.JobsFailed += m.JobsFailed
-			out.JobsCancelled += m.JobsCancelled
-			out.PendingDepth += m.PendingDepth
-			out.Evaluations += m.Evaluations
-			out.Preemptions += m.Preemptions
-			out.QuotaShed += m.QuotaShed
-			out.SegmentsShipped += m.SegmentsShipped
-			out.ShipRetries += m.ShipRetries
-			out.ShipBytes += m.ShipBytes
-		}(st.Name, st.URL)
+	_, out.NodesAlive, out.NodesTotal = aggregateStatus(statuses)
+	for _, m := range out.Nodes {
+		out.JobsQueued += m.JobsQueued
+		out.JobsRunning += m.JobsRunning
+		out.JobsDone += m.JobsDone
+		out.JobsFailed += m.JobsFailed
+		out.JobsCancelled += m.JobsCancelled
+		out.PendingDepth += m.PendingDepth
+		out.Evaluations += m.Evaluations
+		out.Preemptions += m.Preemptions
+		out.QuotaShed += m.QuotaShed
+		out.SegmentsShipped += m.SegmentsShipped
+		out.ShipRetries += m.ShipRetries
+		out.ShipBytes += m.ShipBytes
 	}
-	wg.Wait()
 	writeJSON(w, http.StatusOK, out)
-}
-
-// cluster serves the node table (GET /cluster).
-func (c *Coordinator) cluster(w http.ResponseWriter, r *http.Request) {
-	nodes := c.prober.status()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
-	writeJSON(w, http.StatusOK, nodes)
-}
-
-// replaceBody is the POST /cluster/replace request: point an existing
-// ring identity at a new URL.
-type replaceBody struct {
-	Node string `json:"node"`
-	URL  string `json:"url"`
-}
-
-// replaceNode swaps a node's URL, keeping its ring identity — the
-// failover step after a machine dies: the operator restores the dead
-// node's shipped replica onto a fresh machine (bhpod -restore-from),
-// starts it under the same -node name, and points the coordinator here.
-// The hash range, the node-qualified job IDs and the SSE sequence
-// numbering all survive because the *name* is the identity; only the
-// address changed. The replacement's adopted jobs count into
-// jobs_failed_over.
-func (c *Coordinator) replaceNode(w http.ResponseWriter, r *http.Request) {
-	var body replaceBody
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding: %v", err)
-		return
-	}
-	if body.URL == "" {
-		writeError(w, http.StatusBadRequest, "empty url")
-		return
-	}
-	newURL := strings.TrimSuffix(body.URL, "/")
-	c.mu.Lock()
-	_, known := c.nodes[body.Node]
-	c.mu.Unlock()
-	if !known {
-		writeError(w, http.StatusNotFound, "no node %q", body.Node)
-		return
-	}
-	if err := c.journalAndApply(MemberOp{Op: OpJoin, Node: body.Node, URL: newURL}); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	c.countAdoptedJobs(body.Node, newURL)
-	c.recordEvent(ClusterEvent{Type: "replace", Node: body.Node, Detail: "re-pointed to " + newURL})
-	c.ProbeNow()
-	nodes := c.prober.status()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
-	writeJSON(w, http.StatusOK, nodes)
-}
-
-// countAdoptedJobs folds a replacement node's job table into the
-// jobs_failed_over counter (best-effort: the replacement just replayed
-// the shipped journal, so its job table is the dead node's).
-func (c *Coordinator) countAdoptedJobs(node, nodeURL string) {
-	req, err := http.NewRequest(http.MethodGet, nodeURL+"/jobs", nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	var snaps []serve.Snapshot
-	if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&snaps) == nil {
-		c.jobsFailedOver.Add(int64(len(snaps)))
-	}
-}
-
-// memberBody is the request for the membership endpoints: join, leave,
-// drain, standby.
-type memberBody struct {
-	Node string `json:"node"`
-	URL  string `json:"url,omitempty"`
-	// Remove, on POST /cluster/standby, deregisters the standby.
-	Remove bool `json:"remove,omitempty"`
-	// DeadlineSec bounds POST /cluster/leave's wait for running jobs.
-	// 0 selects 30s.
-	DeadlineSec float64 `json:"deadline_sec,omitempty"`
-}
-
-// decodeMember reads a membership request body.
-func decodeMember(w http.ResponseWriter, r *http.Request) (memberBody, bool) {
-	var body memberBody
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding: %v", err)
-		return body, false
-	}
-	if body.Node == "" {
-		writeError(w, http.StatusBadRequest, "empty node")
-		return body, false
-	}
-	return body, true
-}
-
-// writeStatusList responds with the sorted node table — the common
-// success payload of the membership endpoints.
-func (c *Coordinator) writeStatusList(w http.ResponseWriter) {
-	nodes := c.prober.status()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
-	writeJSON(w, http.StatusOK, nodes)
-}
-
-// joinNode handles POST /cluster/join: a worker enters the ring live.
-// Consistent hashing moves only ~1/(N+1) of scope ownership to the new
-// node; every existing job stays addressable by its node-qualified ID.
-// Joining an existing name at the same URL is idempotent; at a different
-// URL it is a conflict (that is what replace is for).
-func (c *Coordinator) joinNode(w http.ResponseWriter, r *http.Request) {
-	body, ok := decodeMember(w, r)
-	if !ok {
-		return
-	}
-	if err := validNode(Node{Name: body.Node, URL: body.URL}); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	newURL := strings.TrimSuffix(body.URL, "/")
-	c.mu.Lock()
-	existing, known := c.nodes[body.Node]
-	c.mu.Unlock()
-	if known && existing != newURL {
-		writeError(w, http.StatusConflict, "node %q already joined at %s (use /cluster/replace to re-point)", body.Node, existing)
-		return
-	}
-	if !known {
-		if err := c.journalAndApply(MemberOp{Op: OpJoin, Node: body.Node, URL: newURL}); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		c.recordEvent(ClusterEvent{Type: "join", Node: body.Node, Detail: newURL})
-	}
-	c.ProbeNow()
-	c.writeStatusList(w)
-}
-
-// drainNode handles POST /cluster/drain: stop routing new jobs to the
-// node while it keeps serving reads and finishing running work — the
-// first half of a graceful leave, usable on its own for maintenance.
-func (c *Coordinator) drainNode(w http.ResponseWriter, r *http.Request) {
-	body, ok := decodeMember(w, r)
-	if !ok {
-		return
-	}
-	c.mu.Lock()
-	_, known := c.nodes[body.Node]
-	c.mu.Unlock()
-	if !known {
-		writeError(w, http.StatusNotFound, "no node %q", body.Node)
-		return
-	}
-	if err := c.journalAndApply(MemberOp{Op: OpDrain, Node: body.Node, On: true}); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	c.recordEvent(ClusterEvent{Type: "drain", Node: body.Node})
-	c.writeStatusList(w)
-}
-
-// nodeIdle reports whether the node has no running, queued or pending
-// jobs. An unreachable node reports idle=false with the error.
-func (c *Coordinator) nodeIdle(nodeURL string) (bool, error) {
-	req, err := http.NewRequest(http.MethodGet, nodeURL+"/metrics", nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	var m serve.Metrics
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("metrics: %s", resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return false, err
-	}
-	return m.JobsRunning == 0 && m.JobsQueued == 0 && m.PendingDepth == 0, nil
-}
-
-// leaveNode handles POST /cluster/leave: drain the node (stop routing
-// new jobs), wait for its running and queued work to finish (or the
-// deadline), then remove it from the ring — its scope ownership remaps
-// to the survivors (~1/N of the ring). Reads for its node-qualified job
-// IDs stop resolving once it is gone, so a graceful leave should only
-// complete after its jobs are terminal, which the wait enforces; a node
-// that stops answering mid-wait is removed at the deadline anyway (the
-// operator asked it gone, and its shipped replica still exists).
-func (c *Coordinator) leaveNode(w http.ResponseWriter, r *http.Request) {
-	body, ok := decodeMember(w, r)
-	if !ok {
-		return
-	}
-	c.mu.Lock()
-	nodeURL, known := c.nodes[body.Node]
-	c.mu.Unlock()
-	if !known {
-		writeError(w, http.StatusNotFound, "no node %q", body.Node)
-		return
-	}
-	if err := c.journalAndApply(MemberOp{Op: OpDrain, Node: body.Node, On: true}); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	deadline := 30 * time.Second
-	if body.DeadlineSec > 0 {
-		deadline = time.Duration(body.DeadlineSec * float64(time.Second))
-	}
-	timeout := time.After(deadline)
-	var errStreak int
-wait:
-	for {
-		idle, err := c.nodeIdle(nodeURL)
-		if idle {
-			break
-		}
-		if err != nil {
-			// A node that cannot answer cannot drain; after a few tries,
-			// stop waiting on it (it is likely already dead).
-			if errStreak++; errStreak >= 3 {
-				break
-			}
-		} else {
-			errStreak = 0
-		}
-		select {
-		case <-timeout:
-			break wait
-		case <-r.Context().Done():
-			writeError(w, http.StatusBadGateway, "leave interrupted: %v", r.Context().Err())
-			return
-		case <-c.stopCh:
-			writeError(w, http.StatusServiceUnavailable, "coordinator shutting down")
-			return
-		case <-time.After(c.cfg.DrainPoll):
-		}
-	}
-	if err := c.journalAndApply(MemberOp{Op: OpLeave, Node: body.Node}); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	c.recordEvent(ClusterEvent{Type: "leave", Node: body.Node})
-	c.writeStatusList(w)
-}
-
-// standbyNode handles POST /cluster/standby: register (or, with
-// remove=true, deregister) a spare for the automated failover pool.
-func (c *Coordinator) standbyNode(w http.ResponseWriter, r *http.Request) {
-	body, ok := decodeMember(w, r)
-	if !ok {
-		return
-	}
-	if body.Remove {
-		if err := c.journalAndApply(MemberOp{Op: OpStandby, Node: body.Node, On: false}); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		c.recordEvent(ClusterEvent{Type: "standby-removed", Node: body.Node})
-		c.writeStatusList(w)
-		return
-	}
-	if err := validNode(Node{Name: body.Node, URL: body.URL}); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	c.mu.Lock()
-	_, isMember := c.nodes[body.Node]
-	c.mu.Unlock()
-	if isMember {
-		writeError(w, http.StatusConflict, "node %q is a ring member", body.Node)
-		return
-	}
-	if err := c.journalAndApply(MemberOp{Op: OpStandby, Node: body.Node, URL: strings.TrimSuffix(body.URL, "/"), On: true}); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	c.recordEvent(ClusterEvent{Type: "standby-added", Node: body.Node, Detail: body.URL})
-	c.ProbeNow()
-	c.writeStatusList(w)
 }

@@ -20,10 +20,9 @@ import (
 type stubWorker struct {
 	name string
 
-	mu       sync.Mutex
-	submits  []serve.JobSpec
-	tokens   []string // X-Submit-Token seen on each /jobs submission
-	lastEvID string   // Last-Event-ID seen on the most recent /events request
+	mu      sync.Mutex
+	submits []serve.JobSpec
+	tokens  []string // X-Submit-Token seen on each submission, single or batch
 
 	health  atomic.Value // string: healthz status vocabulary
 	metrics serve.Metrics
@@ -56,6 +55,27 @@ func newStubWorker(t *testing.T, name string) *stubWorker {
 		rw.WriteHeader(http.StatusAccepted)
 		json.NewEncoder(rw).Encode(serve.Snapshot{ID: id, Status: "queued", Spec: spec})
 	})
+	mux.HandleFunc("POST /jobs:batch", func(rw http.ResponseWriter, r *http.Request) {
+		var batch struct {
+			Jobs []serve.JobSpec `json:"jobs"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.mu.Lock()
+		w.submits = append(w.submits, batch.Jobs...)
+		w.tokens = append(w.tokens, r.Header.Get("X-Submit-Token"))
+		w.mu.Unlock()
+		var out struct {
+			Jobs []serve.Snapshot `json:"jobs"`
+		}
+		for _, spec := range batch.Jobs {
+			out.Jobs = append(out.Jobs, serve.Snapshot{ID: fmt.Sprintf("job-%d", w.nextID.Add(1)), Status: "queued", Spec: spec})
+		}
+		rw.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(rw).Encode(out)
+	})
 	mux.HandleFunc("GET /jobs", func(rw http.ResponseWriter, r *http.Request) {
 		w.mu.Lock()
 		n := len(w.submits)
@@ -68,20 +88,6 @@ func newStubWorker(t *testing.T, name string) *stubWorker {
 	})
 	mux.HandleFunc("GET /jobs/{id}", func(rw http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(rw).Encode(serve.Snapshot{ID: r.PathValue("id"), Status: "running"})
-	})
-	mux.HandleFunc("GET /jobs/{id}/events", func(rw http.ResponseWriter, r *http.Request) {
-		w.mu.Lock()
-		w.lastEvID = r.Header.Get("Last-Event-ID")
-		w.mu.Unlock()
-		rw.Header().Set("Content-Type", "text/event-stream")
-		start := 1
-		if lid := w.lastEventID(); lid != "" {
-			fmt.Sscanf(lid, "%d", &start)
-			start++
-		}
-		for seq := start; seq < start+3; seq++ {
-			fmt.Fprintf(rw, "id: %d\ndata: {\"seq\":%d}\n\n", seq, seq)
-		}
 	})
 	mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, r *http.Request) {
 		w.mu.Lock()
@@ -96,12 +102,6 @@ func newStubWorker(t *testing.T, name string) *stubWorker {
 	w.ts = httptest.NewServer(mux)
 	t.Cleanup(w.ts.Close)
 	return w
-}
-
-func (w *stubWorker) lastEventID() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastEvID
 }
 
 func (w *stubWorker) submitted() []serve.JobSpec {
@@ -224,19 +224,22 @@ func TestCoordinatorRoutesAroundDeadNode(t *testing.T) {
 
 // TestCoordinator429PassesThroughVerbatim: a worker shedding load prices
 // its own Retry-After; the coordinator must relay status, header and body
-// untouched rather than substitute its own.
+// untouched rather than substitute its own — for a single submission and
+// for a batch, which share the one submit loop.
 func TestCoordinator429PassesThroughVerbatim(t *testing.T) {
 	const body = `{"error":"pending queue full","retry_after_sec":17}`
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(rw, `{"status":"overloaded","pending":64}`)
-	})
-	mux.HandleFunc("POST /jobs", func(rw http.ResponseWriter, r *http.Request) {
+	shed := func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Retry-After", "17")
 		rw.Header().Set("Content-Type", "application/json")
 		rw.WriteHeader(http.StatusTooManyRequests)
 		io.WriteString(rw, body)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(rw, `{"status":"overloaded","pending":64}`)
 	})
+	mux.HandleFunc("POST /jobs", shed)
+	mux.HandleFunc("POST /jobs:batch", shed)
 	shedding := httptest.NewServer(mux)
 	defer shedding.Close()
 
@@ -248,20 +251,28 @@ func TestCoordinator429PassesThroughVerbatim(t *testing.T) {
 	defer ts.Close()
 
 	spec, _ := json.Marshal(serve.JobSpec{Dataset: "australian", Method: "sha"})
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(string(spec)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %s, want 429", resp.Status)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "17" {
-		t.Fatalf("Retry-After %q, want the worker's priced %q", got, "17")
-	}
-	got, _ := io.ReadAll(resp.Body)
-	if strings.TrimSpace(string(got)) != body {
-		t.Fatalf("body rewritten:\n got %s\nwant %s", got, body)
+	for path, payload := range map[string]string{
+		"/jobs":       string(spec),
+		"/jobs:batch": `{"jobs":[` + string(spec) + `]}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("POST %s: status %s, want 429", path, resp.Status)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "17" {
+			t.Fatalf("POST %s: Retry-After %q, want the worker's priced %q", path, ra, "17")
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("POST %s: Content-Type %q, want the worker's", path, ct)
+		}
+		if string(got) != body {
+			t.Fatalf("POST %s: body rewritten:\n got %s\nwant %s", path, got, body)
+		}
 	}
 }
 
@@ -293,7 +304,7 @@ func TestAggregateStatus(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, alive := aggregateStatus(tc.nodes)
+			status, alive, _ := aggregateStatus(tc.nodes)
 			if status != tc.want || alive != tc.wantAlive {
 				t.Fatalf("got (%q, %d), want (%q, %d)", status, alive, tc.want, tc.wantAlive)
 			}
@@ -324,35 +335,6 @@ func TestCoordinatorHealthzFullyShed(t *testing.T) {
 	}
 	if h.NodesAlive != 2 || h.NodesTotal != 2 {
 		t.Fatalf("alive %d/%d, want 2/2", h.NodesAlive, h.NodesTotal)
-	}
-}
-
-// TestCoordinatorSSEPassthrough: the events proxy must hand the client's
-// Last-Event-ID to the worker (resume where the watcher left off) and
-// relay the worker's frames.
-func TestCoordinatorSSEPassthrough(t *testing.T) {
-	a := newStubWorker(t, "a")
-	_, ts := newTestCluster(t, a)
-
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/jobs/a:job-1/events", nil)
-	req.Header.Set("Last-Event-ID", "5")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("events: %s", resp.Status)
-	}
-	if got := a.lastEventID(); got != "5" {
-		t.Fatalf("worker saw Last-Event-ID %q, want %q", got, "5")
-	}
-	body, _ := io.ReadAll(resp.Body)
-	// The stub resumes past 5: frames 6, 7, 8.
-	for _, want := range []string{"id: 6", "id: 7", "id: 8"} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("stream missing %q:\n%s", want, body)
-		}
 	}
 }
 
@@ -387,55 +369,6 @@ func TestCoordinatorMetricsAggregation(t *testing.T) {
 	}
 	if m.NodesAlive != 2 || len(m.Nodes) != 2 {
 		t.Fatalf("nodes: alive %d, payloads %d, want 2 and 2", m.NodesAlive, len(m.Nodes))
-	}
-}
-
-// TestCoordinatorJobIDResolution: unqualified IDs and unknown node names
-// are definitive 404s; a dead node's jobs answer 503 — retryable, because
-// a replacement will serve the same IDs.
-func TestCoordinatorJobIDResolution(t *testing.T) {
-	a := newStubWorker(t, "a")
-	coord, ts := newTestCluster(t, a)
-
-	for path, want := range map[string]int{
-		"/jobs/job-1":     http.StatusNotFound, // unqualified
-		"/jobs/zz:job-1":  http.StatusNotFound, // unknown node
-		"/jobs/a:job-1":   http.StatusOK,
-		"/jobs/a%3Ajob-1": http.StatusOK, // escaped colon resolves too
-	} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Fatalf("GET %s: %s, want %d", path, resp.Status, want)
-		}
-	}
-
-	// ID rewrite on the proxied snapshot.
-	resp, err := http.Get(ts.URL + "/jobs/a:job-9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap serve.Snapshot
-	json.NewDecoder(resp.Body).Decode(&snap)
-	resp.Body.Close()
-	if snap.ID != "a:job-9" {
-		t.Fatalf("proxied snapshot ID %q, want re-qualified %q", snap.ID, "a:job-9")
-	}
-
-	a.ts.Close()
-	for i := 0; i < 6; i++ {
-		coord.ProbeNow()
-	}
-	resp, err = http.Get(ts.URL + "/jobs/a:job-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("dead node's job: %s, want 503 (retryable, awaiting replacement)", resp.Status)
 	}
 }
 

@@ -22,8 +22,8 @@ import (
 // standby, POST /restore to it with the verified replica directories
 // (the standby re-verifies, restores the first that holds up, and swaps
 // in a full worker over the restored journal), then re-point the ring
-// identity at the standby's URL — the same effect as a manual
-// bhpoctl replace, recorded in the membership journal so a coordinator
+// identity at the standby's URL — the same repoint a manual bhpoctl
+// replace runs, recorded in the membership journal so a coordinator
 // restart mid-incident resumes with the promotion either durably done
 // or not yet done, never half-applied. A standby that fails its restore
 // is quarantined and the next one tried; when everything is exhausted
@@ -73,17 +73,18 @@ func (c *Coordinator) clusterEvents(w http.ResponseWriter, r *http.Request) {
 
 // onNodeDead is the prober's dead-transition hook. One pipeline per
 // node: a node that flaps dead while its restore is already running
-// does not spawn a second.
+// does not spawn a second, and none starts once Shutdown has begun.
 func (c *Coordinator) onNodeDead(name string) {
 	if !c.cfg.AutoFailover {
 		return
 	}
 	c.failMu.Lock()
-	if c.restoring[name] {
+	if c.restoring[name] || c.ctx.Err() != nil {
 		c.failMu.Unlock()
 		return
 	}
 	c.restoring[name] = true
+	c.failovers.Add(1)
 	c.failMu.Unlock()
 	c.recordEvent(ClusterEvent{Type: "node-dead", Node: name})
 	go c.runFailover(name)
@@ -93,19 +94,20 @@ func (c *Coordinator) onNodeDead(name string) {
 // the node is replaced, resurrects on its own, or the coordinator shuts
 // down.
 func (c *Coordinator) runFailover(name string) {
+	defer c.failovers.Done()
 	defer func() {
 		c.failMu.Lock()
 		delete(c.restoring, name)
 		c.failMu.Unlock()
 	}()
-	c.prober.setRestoring(name, true)
+	c.prober.update(name, func(e *probeEntry) { e.restoring = true })
 	start := time.Now()
 	backoff := c.cfg.RestoreBackoff
 	for {
 		if c.prober.stateOf(name) != StateRestoring {
 			// Resurrected (a probe succeeded), replaced manually, or left
 			// the ring: nothing to restore.
-			c.prober.setRestoring(name, false)
+			c.prober.update(name, func(e *probeEntry) { e.restoring = false })
 			return
 		}
 		sources := c.verifiedReplicas(name)
@@ -119,7 +121,7 @@ func (c *Coordinator) runFailover(name string) {
 		// No verified replica yet (shipping may still be catching up on a
 		// lagging sink) or every standby failed: back off and retry.
 		select {
-		case <-c.stopCh:
+		case <-c.ctx.Done():
 			return
 		case <-time.After(backoff):
 		}
@@ -155,7 +157,7 @@ func (c *Coordinator) tryPromote(name string, sb standbyInfo, sources []string, 
 		Sources []string `json:"sources"`
 	}{Node: name, Sources: sources})
 	err := func() error {
-		req, err := http.NewRequest(http.MethodPost, sb.url+"/restore", bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(c.ctx, http.MethodPost, sb.url+"/restore", bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
@@ -173,11 +175,14 @@ func (c *Coordinator) tryPromote(name string, sb standbyInfo, sources []string, 
 		return nil
 	}()
 	if err != nil {
+		if c.ctx.Err() != nil {
+			return false // Shutdown cut the attempt short: the standby did not fail
+		}
 		c.restoresFailed.Add(1)
 		// Durable quarantine, best-effort: a journal write failure only
 		// loses the preference ordering, not correctness.
 		_ = c.journal.append(MemberOp{Op: OpQuarantine, Node: sb.name, On: true})
-		c.prober.setQuarantined(sb.name, true)
+		c.prober.update(sb.name, func(e *probeEntry) { e.quarantined = true })
 		c.recordEvent(ClusterEvent{Type: "restore_failed", Node: name, Standby: sb.name, Detail: err.Error()})
 		return false
 	}
@@ -189,21 +194,17 @@ func (c *Coordinator) tryPromote(name string, sb standbyInfo, sources []string, 
 		c.recordEvent(ClusterEvent{Type: "journal_error", Node: sb.name, Detail: jerr.Error()})
 	}
 	c.applyMemberOp(MemberOp{Op: OpStandby, Node: sb.name, On: false})
-	if jerr := c.journal.append(MemberOp{Op: OpJoin, Node: name, URL: sb.url}); jerr != nil {
-		c.recordEvent(ClusterEvent{Type: "journal_error", Node: name, Detail: jerr.Error()})
-	}
-	c.applyMemberOp(MemberOp{Op: OpJoin, Node: name, URL: sb.url})
-	c.countAdoptedJobs(name, sb.url)
 	dur := time.Since(start)
-	c.autoRestores.Add(1)
-	c.restoreDurMicros.Add(dur.Microseconds())
-	c.recordEvent(ClusterEvent{
+	if jerr := c.repoint(c.ctx, name, sb.url, ClusterEvent{
 		Type:        "failover",
 		Node:        name,
 		Standby:     sb.name,
 		DurationSec: dur.Seconds(),
 		Detail:      "restored onto " + sb.url,
-	})
-	c.ProbeNow()
+	}); jerr != nil {
+		c.recordEvent(ClusterEvent{Type: "journal_error", Node: name, Detail: jerr.Error()})
+	}
+	c.restoreDurMicros.Add(dur.Microseconds())
+	c.autoRestores.Add(1)
 	return true
 }

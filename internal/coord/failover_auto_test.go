@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -478,5 +479,118 @@ func TestFailoverZeroOperator(t *testing.T) {
 		if n.Name == "s0" && !n.Quarantined {
 			t.Fatal("broken spare not marked quarantined")
 		}
+	}
+}
+
+// TestShutdownJoinsFailover: Shutdown must stop what it started. A
+// failover pipeline is caught mid-promotion — its POST /restore blocked
+// inside the standby — when the coordinator shuts down; Shutdown has to
+// cancel that request and wait for the pipeline to exit before it closes
+// the membership journal. Afterwards the standby is released: a pipeline
+// still alive would carry on (adopt the standby's jobs, probe, retry) —
+// none may, so no further request reaches a node and no membership
+// operation is journaled.
+func TestShutdownJoinsFailover(t *testing.T) {
+	// A replica of the dead node that verifies: one sealed segment.
+	sinkRoot, src := t.TempDir(), t.TempDir()
+	if err := os.WriteFile(filepath.Join(src, "journal-000001.jsonl"), []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sink, err := shipper.NewDirSink(filepath.Join(sinkRoot, "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship := shipper.New(src, sink, shipper.Options{Sync: true})
+	ship.Sealed("journal-000001.jsonl")
+	if err := ship.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var requests atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	standbyMux := http.NewServeMux()
+	standbyMux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(rw).Encode(map[string]string{"status": "standby"})
+	})
+	standbyMux.HandleFunc("POST /restore", func(rw http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+		json.NewEncoder(rw).Encode(map[string]string{"node": "a"})
+	})
+	standby := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		standbyMux.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(standby.Close)
+	t.Cleanup(func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	})
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+
+	dataDir := t.TempDir()
+	c, err := New(Config{
+		Nodes:          []Node{{Name: "a", URL: dead.URL}},
+		Standbys:       []Node{{Name: "s1", URL: standby.URL}},
+		Probe:          ProbeOptions{Interval: time.Hour, Timeout: 2 * time.Second},
+		DataDir:        dataDir,
+		SinkRoots:      []string{sinkRoot},
+		AutoFailover:   true,
+		RestoreBackoff: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ { // a crosses DeadAfter: the pipeline starts
+		c.ProbeNow()
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the failover pipeline never asked the standby to restore")
+	}
+
+	done := make(chan struct{})
+	go func() {
+		c.Shutdown()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown is stuck behind the blocked restore instead of cancelling it")
+	}
+	c.failMu.Lock()
+	running := len(c.restoring)
+	c.failMu.Unlock()
+	if running != 0 {
+		t.Fatalf("Shutdown returned with %d failover pipeline(s) still running", running)
+	}
+
+	opsAtShutdown, err := replayMemberLog(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range opsAtShutdown {
+		if op.Op == OpQuarantine {
+			t.Fatalf("the standby was quarantined for a restore Shutdown itself cancelled: %+v", op)
+		}
+	}
+	requestsAtShutdown := requests.Load()
+	close(release)
+	time.Sleep(20 * c.cfg.RestoreBackoff) // room for a surviving pipeline to show itself
+	if n := requests.Load(); n != requestsAtShutdown {
+		t.Fatalf("%d request(s) reached the standby after Shutdown returned", n-requestsAtShutdown)
+	}
+	ops, err := replayMemberLog(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ops) != len(opsAtShutdown) {
+		t.Fatalf("membership operations journaled after Shutdown: %+v", ops[len(opsAtShutdown):])
 	}
 }

@@ -3,6 +3,7 @@ package coord
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -90,7 +91,8 @@ func TestMemberJournalRoundTrip(t *testing.T) {
 // TestSubmitRetryOnDeadRoute is the satellite regression: a submission
 // whose routed node accepts the connection and then dies before acking
 // must be retried transparently on the ring successor — same
-// idempotency token — and succeed, not surface a retryable 503/502.
+// idempotency token — and succeed, not surface a retryable 503/502. A
+// batch goes through the same submit loop and gets the same treatment.
 func TestSubmitRetryOnDeadRoute(t *testing.T) {
 	healthy := newStubWorker(t, "b")
 
@@ -98,16 +100,18 @@ func TestSubmitRetryOnDeadRoute(t *testing.T) {
 	// connection mid-response — the node died between routing and ack.
 	var mu sync.Mutex
 	var killerTokens []string
-	killerMux := http.NewServeMux()
-	killerMux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(rw).Encode(map[string]any{"status": "ok", "pending": 0})
-	})
-	killerMux.HandleFunc("POST /jobs", func(rw http.ResponseWriter, r *http.Request) {
+	die := func(rw http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		killerTokens = append(killerTokens, r.Header.Get("X-Submit-Token"))
 		mu.Unlock()
 		panic(http.ErrAbortHandler)
+	}
+	killerMux := http.NewServeMux()
+	killerMux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(rw).Encode(map[string]any{"status": "ok", "pending": 0})
 	})
+	killerMux.HandleFunc("POST /jobs", die)
+	killerMux.HandleFunc("POST /jobs:batch", die)
 	killer := httptest.NewServer(killerMux)
 	t.Cleanup(killer.Close)
 
@@ -129,38 +133,47 @@ func TestSubmitRetryOnDeadRoute(t *testing.T) {
 			break
 		}
 	}
+	one, _ := json.Marshal(spec)
 
-	resp, snap := postJob(t, ts.URL, spec)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit through dying node: %s, want 202 via the successor", resp.Status)
-	}
-	if !strings.HasPrefix(snap.ID, "b:") {
-		t.Fatalf("retried job ID %q, want the successor's (b:...)", snap.ID)
-	}
-	mu.Lock()
-	kt := append([]string(nil), killerTokens...)
-	mu.Unlock()
-	if len(kt) != 1 || kt[0] == "" {
-		t.Fatalf("killer saw tokens %q, want one non-empty", kt)
-	}
-	healthy.mu.Lock()
-	ht := append([]string(nil), healthy.tokens...)
-	healthy.mu.Unlock()
-	if len(ht) != 1 || ht[0] != kt[0] {
-		t.Fatalf("successor saw tokens %q, want the same token %q — the retry must carry the idempotency key", ht, kt[0])
+	for i, entry := range []struct{ path, payload string }{
+		{"/jobs", string(one)},
+		{"/jobs:batch", `{"jobs":[` + string(one) + `,` + string(one) + `]}`},
+	} {
+		resp, err := http.Post(ts.URL+entry.path, "application/json", strings.NewReader(entry.payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %s through dying node: %s, want 202 via the successor", entry.path, resp.Status)
+		}
+		if strings.Contains(string(ack), `"id": "job-`) || !strings.Contains(string(ack), `"id": "b:job-`) {
+			t.Fatalf("POST %s: retried job IDs not all the successor's (b:...):\n%s", entry.path, ack)
+		}
+		mu.Lock()
+		kt := append([]string(nil), killerTokens...)
+		mu.Unlock()
+		if len(kt) != i+1 || kt[i] == "" {
+			t.Fatalf("POST %s: killer saw tokens %q, want %d non-empty", entry.path, kt, i+1)
+		}
+		healthy.mu.Lock()
+		ht := append([]string(nil), healthy.tokens...)
+		healthy.mu.Unlock()
+		if len(ht) != i+1 || ht[i] != kt[i] {
+			t.Fatalf("POST %s: successor saw tokens %q, want the same token %q — the retry must carry the idempotency key", entry.path, ht, kt[i])
+		}
+		if i > 0 && kt[i] == kt[i-1] {
+			t.Fatalf("two submissions shared the token %q", kt[i])
+		}
 	}
 
-	var cm ClusterMetrics
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	cm := clusterMetrics(t, ts.URL)
+	if cm.SubmitRetries != 2 {
+		t.Fatalf("submit_retries = %d, want 2", cm.SubmitRetries)
 	}
-	if err := json.NewDecoder(mresp.Body).Decode(&cm); err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
-	if cm.SubmitRetries != 1 {
-		t.Fatalf("submit_retries = %d, want 1", cm.SubmitRetries)
+	if cm.JobsRouted != 3 {
+		t.Fatalf("jobs_routed = %d, want 3 (one single, a batch of two)", cm.JobsRouted)
 	}
 }
 

@@ -2,8 +2,6 @@ package coord
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -40,6 +38,9 @@ const (
 	StateRestoring NodeState = "restoring"
 )
 
+// rttAlpha is the RTT EWMA smoothing factor.
+const rttAlpha = 0.3
+
 // ProbeOptions tunes the heartbeat prober.
 type ProbeOptions struct {
 	// Interval paces the probe loop. 0 selects 1s.
@@ -53,8 +54,6 @@ type ProbeOptions struct {
 	// DeadAfter is the consecutive-failure count that declares a node
 	// dead. 0 selects 6.
 	DeadAfter int
-	// Alpha is the RTT EWMA smoothing factor in (0, 1]. 0 selects 0.3.
-	Alpha float64
 }
 
 func (o ProbeOptions) withDefaults() ProbeOptions {
@@ -72,9 +71,6 @@ func (o ProbeOptions) withDefaults() ProbeOptions {
 	}
 	if o.DeadAfter < o.DegradedAfter {
 		o.DeadAfter = o.DegradedAfter
-	}
-	if o.Alpha <= 0 || o.Alpha > 1 {
-		o.Alpha = 0.3
 	}
 	return o
 }
@@ -159,32 +155,22 @@ func (e *probeEntry) effectiveState() NodeState {
 
 // newProber returns a prober tracking no nodes; start launches its loop.
 func newProber(opts ProbeOptions, client *http.Client) *prober {
-	opts = opts.withDefaults()
-	if client == nil {
-		client = &http.Client{}
-	}
 	return &prober{
-		opts:   opts,
+		opts:   opts.withDefaults(),
 		client: client,
 		nodes:  map[string]*probeEntry{},
 		stop:   make(chan struct{}),
 	}
 }
 
-// track adds (or re-points) a ring member. Re-pointing resets the node
-// to a fresh alive state — a replacement deserves a clean failure streak
-// — and clears every overlay (a promoted standby becomes a plain member).
-func (p *prober) track(name, url string) {
+// track adds (or re-points) a ring member, or registers a standby: a
+// spare probed for visibility, never routed to. Re-pointing resets the
+// node to a fresh alive state (a replacement deserves a clean failure
+// streak) with no overlay (a promoted standby becomes a plain member).
+func (p *prober) track(name, url string, standby bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.nodes[name] = &probeEntry{url: url, state: StateAlive}
-}
-
-// trackStandby registers a spare: probed for visibility, never routed to.
-func (p *prober) trackStandby(name, url string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.nodes[name] = &probeEntry{url: url, state: StateAlive, standby: true}
+	p.nodes[name] = &probeEntry{url: url, state: StateAlive, standby: standby}
 }
 
 // untrack forgets a node (leave, or a standby consumed by promotion
@@ -195,30 +181,14 @@ func (p *prober) untrack(name string) {
 	delete(p.nodes, name)
 }
 
-// setDraining flags/unflags a member as leaving the ring.
-func (p *prober) setDraining(name string, on bool) {
+// update applies f to the node's entry under the lock, if it is tracked
+// — how the coordinator flips the overlays (draining, restoring,
+// quarantined) it manages on top of the probe verdict.
+func (p *prober) update(name string, f func(e *probeEntry)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if e, ok := p.nodes[name]; ok {
-		e.draining = on
-	}
-}
-
-// setRestoring flags/unflags a dead member as under automated restore.
-func (p *prober) setRestoring(name string, on bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if e, ok := p.nodes[name]; ok {
-		e.restoring = on
-	}
-}
-
-// setQuarantined flags a standby that failed a restore.
-func (p *prober) setQuarantined(name string, on bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if e, ok := p.nodes[name]; ok {
-		e.quarantined = on
+		f(e)
 	}
 }
 
@@ -234,31 +204,31 @@ type standbyInfo struct {
 func (p *prober) standbys() []standbyInfo {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var clean, dirty []standbyInfo
+	var out []standbyInfo
 	for name, e := range p.nodes {
-		if !e.standby {
-			continue
-		}
-		info := standbyInfo{name: name, url: e.url, quarantined: e.quarantined}
-		if e.quarantined {
-			dirty = append(dirty, info)
-		} else {
-			clean = append(clean, info)
+		if e.standby {
+			out = append(out, standbyInfo{name: name, url: e.url, quarantined: e.quarantined})
 		}
 	}
-	sort.Slice(clean, func(i, j int) bool { return clean[i].name < clean[j].name })
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].name < dirty[j].name })
-	return append(clean, dirty...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].quarantined != out[j].quarantined {
+			return out[j].quarantined
+		}
+		return out[i].name < out[j].name
+	})
+	return out
 }
 
-// urlOf returns the node's current URL ("" if untracked).
-func (p *prober) urlOf(name string) string {
+// memberURL returns a ring member's current URL; ok is false for an
+// untracked name and for a standby.
+func (p *prober) memberURL(name string) (url string, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if e, ok := p.nodes[name]; ok {
-		return e.url
+	e, ok := p.nodes[name]
+	if !ok || e.standby {
+		return "", false
 	}
-	return ""
+	return e.url, true
 }
 
 // stateOf returns the node's state (StateDead if untracked).
@@ -271,7 +241,7 @@ func (p *prober) stateOf(name string) NodeState {
 	return StateDead
 }
 
-// status snapshots every tracked node.
+// status snapshots every tracked node, in name order.
 func (p *prober) status() []NodeStatus {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -290,6 +260,7 @@ func (p *prober) status() []NodeStatus {
 			Quarantined: e.quarantined,
 		})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -320,20 +291,18 @@ func (p *prober) shutdown() {
 // probeAll probes every tracked node concurrently and waits for the round.
 func (p *prober) probeAll() {
 	p.mu.Lock()
-	names := make([]string, 0, len(p.nodes))
-	urls := make([]string, 0, len(p.nodes))
+	urls := make(map[string]string, len(p.nodes))
 	for name, e := range p.nodes {
-		names = append(names, name)
-		urls = append(urls, e.url)
+		urls[name] = e.url
 	}
 	p.mu.Unlock()
 	var wg sync.WaitGroup
-	for i := range names {
+	for name, url := range urls {
 		wg.Add(1)
-		go func(name, url string) {
+		go func() {
 			defer wg.Done()
 			p.probeOne(name, url)
-		}(names[i], urls[i])
+		}()
 	}
 	wg.Wait()
 }
@@ -346,25 +315,10 @@ func (p *prober) probeOne(name, url string) {
 	ctx, cancel := context.WithTimeout(context.Background(), p.opts.Timeout)
 	defer cancel()
 	start := time.Now()
-	var body struct {
+	body, err := getJSON[struct {
 		Status  string `json:"status"`
 		Pending int    `json:"pending"`
-	}
-	err := func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/healthz", nil)
-		if err != nil {
-			return err
-		}
-		resp, err := p.client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("healthz: %s", resp.Status)
-		}
-		return json.NewDecoder(resp.Body).Decode(&body)
-	}()
+	}](ctx, p.client, url+"/healthz")
 	rtt := time.Since(start)
 
 	p.mu.Lock()
@@ -396,7 +350,7 @@ func (p *prober) probeOne(name, url string) {
 		if e.rttMs == 0 {
 			e.rttMs = ms
 		} else {
-			e.rttMs = (1-p.opts.Alpha)*e.rttMs + p.opts.Alpha*ms
+			e.rttMs = (1-rttAlpha)*e.rttMs + rttAlpha*ms
 		}
 	}
 	onDead := p.onDead

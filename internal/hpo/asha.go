@@ -113,14 +113,11 @@ type ashaState struct {
 // emitReady), so Result.Trials — and the Observe stream, hence any
 // anytime curve built from it — are also identical for any worker count;
 // only per-trial wall times vary.
-func ASHA(space *search.Space, ev Evaluator, comps Components, opts ASHAOptions) (*Result, error) {
-	return ASHACtx(context.Background(), space, ev, comps, opts)
-}
-
-// ASHACtx is ASHA with cancellation: a cancelled or expired ctx stops every
-// worker before its next evaluation and returns ctx's error. Evaluations in
-// flight finish, so the run stops within one evaluation of the cancel.
-func ASHACtx(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts ASHAOptions) (*Result, error) {
+//
+// Cancellation: a cancelled or expired ctx stops every worker before its
+// next evaluation and returns ctx's error. Evaluations in flight finish,
+// so the run stops within one evaluation of the cancel.
+func ASHA(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts ASHAOptions) (*Result, error) {
 	comps = comps.withDefaults()
 	if err := validateRun(space, comps); err != nil {
 		return nil, err
@@ -231,7 +228,7 @@ func init() {
 		if o.MaxConfigs == 0 {
 			o.MaxConfigs = opts.MaxConfigs
 		}
-		return ASHACtx(ctx, space, ev, comps, o)
+		return ASHA(ctx, space, ev, comps, o)
 	})
 }
 

@@ -20,13 +20,10 @@ type BOHBOptions struct {
 // TPE/KDE model fitted to completed evaluations (Falkner et al. 2018),
 // instead of uniform sampling. With enhanced components this is the
 // paper's "BOHB+".
-func BOHB(space *search.Space, ev Evaluator, comps Components, opts BOHBOptions) (*Result, error) {
-	return BOHBCtx(context.Background(), space, ev, comps, opts)
-}
-
-// BOHBCtx is BOHB with cancellation: a cancelled or expired ctx stops the
-// run before the next evaluation starts and returns ctx's error.
-func BOHBCtx(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts BOHBOptions) (*Result, error) {
+//
+// Cancellation: a cancelled or expired ctx stops the run before the next
+// evaluation starts and returns ctx's error.
+func BOHB(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts BOHBOptions) (*Result, error) {
 	comps = comps.withDefaults()
 	if err := validateRun(space, comps); err != nil {
 		return nil, err
@@ -75,6 +72,6 @@ func init() {
 	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
 		o := opts.BOHB
 		o.Hyperband.Seed = opts.Seed
-		return BOHBCtx(ctx, space, ev, comps, o)
+		return BOHB(ctx, space, ev, comps, o)
 	})
 }

@@ -23,13 +23,13 @@ func TestASHAWorkerCountDeterminism(t *testing.T) {
 		base := ASHAOptions{Eta: 2, MinBudget: 100, MaxConfigs: 16, Seed: seed}
 		serialOpts := base
 		serialOpts.Workers = 1
-		serial, err := ASHA(space, ev, vanComps(), serialOpts)
+		serial, err := ASHA(context.Background(), space, ev, vanComps(), serialOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		parallelOpts := base
 		parallelOpts.Workers = 8
-		parallel, err := ASHA(space, ev, vanComps(), parallelOpts)
+		parallel, err := ASHA(context.Background(), space, ev, vanComps(), parallelOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestASHATrialOrderAnyWorkers(t *testing.T) {
 		})
 		opts := base
 		opts.Workers = workers
-		res, err := ASHA(space, ev, comps, opts)
+		res, err := ASHA(context.Background(), space, ev, comps, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -25,13 +25,10 @@ type DEHBOptions struct {
 // DEHB runs Hyperband brackets whose configurations evolve from the best
 // evaluated ones via rand-to-best/1 differential evolution adapted to
 // categorical dimensions (index arithmetic modulo the value count).
-func DEHB(space *search.Space, ev Evaluator, comps Components, opts DEHBOptions) (*Result, error) {
-	return DEHBCtx(context.Background(), space, ev, comps, opts)
-}
-
-// DEHBCtx is DEHB with cancellation: when ctx is cancelled or times out the
-// run stops before starting another evaluation and returns ctx's error.
-func DEHBCtx(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts DEHBOptions) (*Result, error) {
+//
+// Cancellation: when ctx is cancelled or times out the run stops before
+// starting another evaluation and returns ctx's error.
+func DEHB(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts DEHBOptions) (*Result, error) {
 	comps = comps.withDefaults()
 	if err := validateRun(space, comps); err != nil {
 		return nil, err
@@ -134,6 +131,6 @@ func init() {
 	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
 		o := opts.DEHB
 		o.Hyperband.Seed = opts.Seed
-		return DEHBCtx(ctx, space, ev, comps, o)
+		return DEHB(ctx, space, ev, comps, o)
 	})
 }

@@ -1,6 +1,7 @@
 package hpo_test
 
 import (
+	"context"
 	"fmt"
 
 	"enhancedbhpo/internal/hpo"
@@ -40,7 +41,7 @@ func ExampleSuccessiveHalving() {
 		{Name: "y", Values: []any{0, 1, 2, 3, 4, 5}},
 	}}
 	comps := hpo.Components{K: 5, Scorer: scoring.MeanScorer{}}
-	res, err := hpo.SuccessiveHalving(space.Enumerate(), funcEvaluator{full: 3600}, comps, hpo.SHAOptions{Seed: 7})
+	res, err := hpo.SuccessiveHalving(context.Background(), space.Enumerate(), funcEvaluator{full: 3600}, comps, hpo.SHAOptions{Seed: 7})
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package hpo
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -48,47 +49,47 @@ func TestOptimizersSurfaceEvaluationErrors(t *testing.T) {
 		run  func(space *search.Space, ev Evaluator) error
 	}{
 		{"sha", func(space *search.Space, ev Evaluator) error {
-			_, err := SuccessiveHalving(space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 1})
+			_, err := SuccessiveHalving(context.Background(), space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 1})
 			return err
 		}},
 		{"sha-parallel", func(space *search.Space, ev Evaluator) error {
-			_, err := SuccessiveHalving(space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 1, Workers: 4})
+			_, err := SuccessiveHalving(context.Background(), space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 1, Workers: 4})
 			return err
 		}},
 		{"random", func(space *search.Space, ev Evaluator) error {
-			_, err := RandomSearch(space, ev, vanComps(), RandomSearchOptions{N: 8, Seed: 1})
+			_, err := RandomSearch(context.Background(), space, ev, vanComps(), RandomSearchOptions{N: 8, Seed: 1})
 			return err
 		}},
 		{"hyperband", func(space *search.Space, ev Evaluator) error {
-			_, err := Hyperband(space, ev, vanComps(), HyperbandOptions{MinBudget: 50, Seed: 1})
+			_, err := Hyperband(context.Background(), space, ev, vanComps(), HyperbandOptions{MinBudget: 50, Seed: 1})
 			return err
 		}},
 		{"bohb", func(space *search.Space, ev Evaluator) error {
-			_, err := BOHB(space, ev, vanComps(), BOHBOptions{Hyperband: HyperbandOptions{MinBudget: 50, Seed: 1}})
+			_, err := BOHB(context.Background(), space, ev, vanComps(), BOHBOptions{Hyperband: HyperbandOptions{MinBudget: 50, Seed: 1}})
 			return err
 		}},
 		{"asha", func(space *search.Space, ev Evaluator) error {
-			_, err := ASHA(space, ev, vanComps(), ASHAOptions{MinBudget: 100, MaxConfigs: 8, Workers: 3, Seed: 1})
+			_, err := ASHA(context.Background(), space, ev, vanComps(), ASHAOptions{MinBudget: 100, MaxConfigs: 8, Workers: 3, Seed: 1})
 			return err
 		}},
 		{"pasha", func(space *search.Space, ev Evaluator) error {
-			_, err := PASHA(space, ev, vanComps(), PASHAOptions{MinBudget: 100, MaxConfigs: 8, Seed: 1})
+			_, err := PASHA(context.Background(), space, ev, vanComps(), PASHAOptions{MinBudget: 100, MaxConfigs: 8, Seed: 1})
 			return err
 		}},
 		{"dehb", func(space *search.Space, ev Evaluator) error {
-			_, err := DEHB(space, ev, vanComps(), DEHBOptions{Hyperband: HyperbandOptions{MinBudget: 50, Seed: 1}})
+			_, err := DEHB(context.Background(), space, ev, vanComps(), DEHBOptions{Hyperband: HyperbandOptions{MinBudget: 50, Seed: 1}})
 			return err
 		}},
 		{"smac", func(space *search.Space, ev Evaluator) error {
-			_, err := SMAC(space, ev, vanComps(), SMACOptions{N: 8, Seed: 1})
+			_, err := SMAC(context.Background(), space, ev, vanComps(), SMACOptions{N: 8, Seed: 1})
 			return err
 		}},
 		{"tpe", func(space *search.Space, ev Evaluator) error {
-			_, err := TPE(space, ev, vanComps(), TPEOptions{N: 8, Seed: 1})
+			_, err := TPE(context.Background(), space, ev, vanComps(), TPEOptions{N: 8, Seed: 1})
 			return err
 		}},
 		{"grid", func(space *search.Space, ev Evaluator) error {
-			_, err := GridSearch(space, ev, vanComps(), GridSearchOptions{Seed: 1})
+			_, err := GridSearch(context.Background(), space, ev, vanComps(), GridSearchOptions{Seed: 1})
 			return err
 		}},
 	}
@@ -114,7 +115,7 @@ func TestASHAErrorStopsWorkers(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = ASHA(space, ev, vanComps(), ASHAOptions{MinBudget: 100, MaxConfigs: 16, Workers: 4, Seed: 9})
+		_, _ = ASHA(context.Background(), space, ev, vanComps(), ASHAOptions{MinBudget: 100, MaxConfigs: 16, Workers: 4, Seed: 9})
 	}()
 	select {
 	case <-done:

@@ -23,14 +23,10 @@ type GridSearchOptions struct {
 }
 
 // GridSearch evaluates the (possibly capped) full grid at full budget.
-func GridSearch(space *search.Space, ev Evaluator, comps Components, opts GridSearchOptions) (*Result, error) {
-	return GridSearchCtx(context.Background(), space, ev, comps, opts)
-}
-
-// GridSearchCtx is GridSearch with cancellation: when ctx is cancelled or
-// times out the run stops before starting another evaluation and returns
-// ctx's error.
-func GridSearchCtx(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts GridSearchOptions) (*Result, error) {
+//
+// Cancellation: when ctx is cancelled or times out the run stops before
+// starting another evaluation and returns ctx's error.
+func GridSearch(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts GridSearchOptions) (*Result, error) {
 	comps = comps.withDefaults()
 	if err := validateRun(space, comps); err != nil {
 		return nil, err
@@ -64,6 +60,6 @@ func init() {
 		if o.MaxConfigs == 0 {
 			o.MaxConfigs = opts.MaxConfigs
 		}
-		return GridSearchCtx(ctx, space, ev, comps, o)
+		return GridSearch(ctx, space, ev, comps, o)
 	})
 }

@@ -1,6 +1,7 @@
 package hpo
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -56,7 +57,7 @@ func vanComps() Components {
 func TestSuccessiveHalvingFindsGoodConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0005}
-	res, err := SuccessiveHalving(space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 1})
+	res, err := SuccessiveHalving(context.Background(), space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestSuccessiveHalvingFindsGoodConfig(t *testing.T) {
 func TestSuccessiveHalvingBudgetSchedule(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.001}
-	res, err := SuccessiveHalving(space.Enumerate(), ev, vanComps(), SHAOptions{Eta: 2, Seed: 2})
+	res, err := SuccessiveHalving(context.Background(), space.Enumerate(), ev, vanComps(), SHAOptions{Eta: 2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestSuccessiveHalvingSingleConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 100, quality: quality, noise: 0.001}
 	one := space.Enumerate()[:1]
-	res, err := SuccessiveHalving(one, ev, vanComps(), SHAOptions{Seed: 3})
+	res, err := SuccessiveHalving(context.Background(), one, ev, vanComps(), SHAOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestSuccessiveHalvingSingleConfig(t *testing.T) {
 func TestSuccessiveHalvingEmpty(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 100, quality: quality}
-	if _, err := SuccessiveHalving(nil, ev, vanComps(), SHAOptions{}); err == nil {
+	if _, err := SuccessiveHalving(context.Background(), nil, ev, vanComps(), SHAOptions{}); err == nil {
 		t.Error("empty config list accepted")
 	}
 }
@@ -126,7 +127,7 @@ func TestSuccessiveHalvingEmpty(t *testing.T) {
 func TestRandomSearchPicksBestOfSampled(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 400, quality: quality, noise: 0.0001}
-	res, err := RandomSearch(space, ev, vanComps(), RandomSearchOptions{N: 10, Seed: 4})
+	res, err := RandomSearch(context.Background(), space, ev, vanComps(), RandomSearchOptions{N: 10, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestRandomSearchPicksBestOfSampled(t *testing.T) {
 func TestHyperbandFindsGoodConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0005}
-	res, err := Hyperband(space, ev, vanComps(), HyperbandOptions{Eta: 3, MinBudget: 50, Seed: 5})
+	res, err := Hyperband(context.Background(), space, ev, vanComps(), HyperbandOptions{Eta: 3, MinBudget: 50, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestHyperbandFindsGoodConfig(t *testing.T) {
 func TestBOHBFindsGoodConfigAndLearns(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0005}
-	res, err := BOHB(space, ev, vanComps(), BOHBOptions{
+	res, err := BOHB(context.Background(), space, ev, vanComps(), BOHBOptions{
 		Hyperband: HyperbandOptions{Eta: 3, MinBudget: 50, Seed: 6},
 	})
 	if err != nil {
@@ -194,7 +195,7 @@ func TestBOHBFindsGoodConfigAndLearns(t *testing.T) {
 func TestASHAFindsGoodConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0005}
-	res, err := ASHA(space, ev, vanComps(), ASHAOptions{
+	res, err := ASHA(context.Background(), space, ev, vanComps(), ASHAOptions{
 		Eta: 2, MinBudget: 100, MaxConfigs: 16, Workers: 4, Seed: 7,
 	})
 	if err != nil {
@@ -223,11 +224,11 @@ func TestASHASingleWorkerDeterministicBest(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 800, quality: quality, noise: 0.0002}
 	opts := ASHAOptions{Eta: 2, MinBudget: 100, MaxConfigs: 8, Workers: 1, Seed: 8}
-	r1, err := ASHA(space, ev, vanComps(), opts)
+	r1, err := ASHA(context.Background(), space, ev, vanComps(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ASHA(space, ev, vanComps(), opts)
+	r2, err := ASHA(context.Background(), space, ev, vanComps(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +371,7 @@ func TestSHAWithRealEvaluator(t *testing.T) {
 		t.Fatal(err)
 	}
 	configs := space.Enumerate()[:8]
-	res, err := SuccessiveHalving(configs, ev, comps, SHAOptions{Seed: 5})
+	res, err := SuccessiveHalving(context.Background(), configs, ev, comps, SHAOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +403,7 @@ func TestEnhancedComponentsEndToEnd(t *testing.T) {
 	base.HiddenLayerSizes = []int{4}
 	ev := NewCVEvaluator(train, base, comps)
 	space, _ := search.TableIIISpace(2)
-	res, err := SuccessiveHalving(space.Enumerate()[:4], ev, comps, SHAOptions{Seed: 8})
+	res, err := SuccessiveHalving(context.Background(), space.Enumerate()[:4], ev, comps, SHAOptions{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +422,7 @@ func TestVanillaComponentsDefaults(t *testing.T) {
 func TestResultHelpers(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 800, quality: quality, noise: 0.0005}
-	res, err := SuccessiveHalving(space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 10})
+	res, err := SuccessiveHalving(context.Background(), space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +456,7 @@ func TestResultHelpers(t *testing.T) {
 func TestTrialsSortedByRound(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 800, quality: quality, noise: 0.001}
-	res, err := SuccessiveHalving(space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 9})
+	res, err := SuccessiveHalving(context.Background(), space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,13 +47,10 @@ type observer func(cfg search.Config, budget int, score float64)
 // budgets, each bracket running successive halving with factor Eta.
 //
 // With enhanced components this is the paper's "HB+".
-func Hyperband(space *search.Space, ev Evaluator, comps Components, opts HyperbandOptions) (*Result, error) {
-	return HyperbandCtx(context.Background(), space, ev, comps, opts)
-}
-
-// HyperbandCtx is Hyperband with cancellation: a cancelled or expired ctx
-// stops the run before the next evaluation starts and returns ctx's error.
-func HyperbandCtx(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts HyperbandOptions) (*Result, error) {
+//
+// Cancellation: a cancelled or expired ctx stops the run before the next
+// evaluation starts and returns ctx's error.
+func Hyperband(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts HyperbandOptions) (*Result, error) {
 	comps = comps.withDefaults()
 	if err := validateRun(space, comps); err != nil {
 		return nil, err
@@ -73,7 +70,7 @@ func init() {
 	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
 		o := opts.HB
 		o.Seed = opts.Seed
-		return HyperbandCtx(ctx, space, ev, comps, o)
+		return Hyperband(ctx, space, ev, comps, o)
 	})
 }
 

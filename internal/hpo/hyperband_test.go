@@ -1,6 +1,7 @@
 package hpo
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestHyperbandBracketSchedule(t *testing.T) {
 	space, quality := gradedSpace()
 	// R = 1600, r_min = 200, eta = 2 -> s_max = 3, brackets s = 3,2,1,0.
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0001}
-	res, err := Hyperband(space, ev, vanComps(), HyperbandOptions{Eta: 2, MinBudget: 200, Seed: 1})
+	res, err := Hyperband(context.Background(), space, ev, vanComps(), HyperbandOptions{Eta: 2, MinBudget: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +55,11 @@ func TestHyperbandBracketSchedule(t *testing.T) {
 func TestHyperbandMaxBrackets(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0001}
-	full, err := Hyperband(space, ev, vanComps(), HyperbandOptions{Eta: 2, MinBudget: 200, Seed: 2})
+	full, err := Hyperband(context.Background(), space, ev, vanComps(), HyperbandOptions{Eta: 2, MinBudget: 200, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := Hyperband(space, ev, vanComps(), HyperbandOptions{Eta: 2, MinBudget: 200, MaxBrackets: 1, Seed: 2})
+	capped, err := Hyperband(context.Background(), space, ev, vanComps(), HyperbandOptions{Eta: 2, MinBudget: 200, MaxBrackets: 1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestHyperbandMaxBrackets(t *testing.T) {
 func TestHyperbandBudgetsNeverExceedFull(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 777, quality: quality, noise: 0.001}
-	res, err := Hyperband(space, ev, vanComps(), HyperbandOptions{Eta: 3, MinBudget: 30, Seed: 3})
+	res, err := Hyperband(context.Background(), space, ev, vanComps(), HyperbandOptions{Eta: 3, MinBudget: 30, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestHyperbandTinyBudgetSingleBracket(t *testing.T) {
 	// R < eta·r_min -> s_max = 0: one bracket, full-budget evaluations only.
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 100, quality: quality, noise: 0.0001}
-	res, err := Hyperband(space, ev, vanComps(), HyperbandOptions{Eta: 3, MinBudget: 60, Seed: 4})
+	res, err := Hyperband(context.Background(), space, ev, vanComps(), HyperbandOptions{Eta: 3, MinBudget: 60, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestHyperbandTinyBudgetSingleBracket(t *testing.T) {
 func TestBOHBSamplesValidConfigsOnly(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 800, quality: quality, noise: 0.001}
-	res, err := BOHB(space, ev, vanComps(), BOHBOptions{
+	res, err := BOHB(context.Background(), space, ev, vanComps(), BOHBOptions{
 		Hyperband: HyperbandOptions{Eta: 2, MinBudget: 100, Seed: 5},
 	})
 	if err != nil {
@@ -125,7 +126,7 @@ func TestBOHBSamplesValidConfigsOnly(t *testing.T) {
 func TestDEHBProposesWithinSpace(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 800, quality: quality, noise: 0.001}
-	res, err := DEHB(space, ev, vanComps(), DEHBOptions{
+	res, err := DEHB(context.Background(), space, ev, vanComps(), DEHBOptions{
 		Hyperband: HyperbandOptions{Eta: 2, MinBudget: 100, Seed: 6},
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package hpo
 
 import (
+	"context"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ import (
 func TestPASHAFindsGoodConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0005}
-	res, err := PASHA(space, ev, vanComps(), PASHAOptions{
+	res, err := PASHA(context.Background(), space, ev, vanComps(), PASHAOptions{
 		Eta: 2, MinBudget: 100, MaxConfigs: 16, Seed: 1,
 	})
 	if err != nil {
@@ -40,11 +41,11 @@ func TestPASHASavesBudgetWhenStable(t *testing.T) {
 	// full ladder.
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 6400, quality: quality, noise: 1e-9}
-	resP, err := PASHA(space, ev, vanComps(), PASHAOptions{Eta: 2, MinBudget: 100, MaxConfigs: 16, Seed: 2})
+	resP, err := PASHA(context.Background(), space, ev, vanComps(), PASHAOptions{Eta: 2, MinBudget: 100, MaxConfigs: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resA, err := ASHA(space, ev, vanComps(), ASHAOptions{Eta: 2, MinBudget: 100, MaxConfigs: 16, Workers: 1, Seed: 2})
+	resA, err := ASHA(context.Background(), space, ev, vanComps(), ASHAOptions{Eta: 2, MinBudget: 100, MaxConfigs: 16, Workers: 1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestPASHASavesBudgetWhenStable(t *testing.T) {
 func TestDEHBFindsGoodConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0005}
-	res, err := DEHB(space, ev, vanComps(), DEHBOptions{
+	res, err := DEHB(context.Background(), space, ev, vanComps(), DEHBOptions{
 		Hyperband: HyperbandOptions{Eta: 3, MinBudget: 50, Seed: 3},
 	})
 	if err != nil {
@@ -80,7 +81,7 @@ func TestDEHBFindsGoodConfig(t *testing.T) {
 func TestSMACFindsGoodConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 400, quality: quality, noise: 0.0001}
-	res, err := SMAC(space, ev, vanComps(), SMACOptions{N: 12, Seed: 4})
+	res, err := SMAC(context.Background(), space, ev, vanComps(), SMACOptions{N: 12, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestSMACFindsGoodConfig(t *testing.T) {
 func TestSMACDoesNotRepeatConfigs(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 400, quality: quality, noise: 0.0001}
-	res, err := SMAC(space, ev, vanComps(), SMACOptions{N: 16, Seed: 5})
+	res, err := SMAC(context.Background(), space, ev, vanComps(), SMACOptions{N: 16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestSMACDoesNotRepeatConfigs(t *testing.T) {
 func TestTPEFindsGoodConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 400, quality: quality, noise: 0.0001}
-	res, err := TPE(space, ev, vanComps(), TPEOptions{N: 12, Seed: 6})
+	res, err := TPE(context.Background(), space, ev, vanComps(), TPEOptions{N: 12, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestTPEFindsGoodConfig(t *testing.T) {
 func TestGridSearchExhaustive(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 400, quality: quality, noise: 0.00001}
-	res, err := GridSearch(space, ev, vanComps(), GridSearchOptions{Seed: 7})
+	res, err := GridSearch(context.Background(), space, ev, vanComps(), GridSearchOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestGridSearchExhaustive(t *testing.T) {
 func TestGridSearchCapped(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 400, quality: quality, noise: 0.0001}
-	res, err := GridSearch(space, ev, vanComps(), GridSearchOptions{MaxConfigs: 5, Seed: 8})
+	res, err := GridSearch(context.Background(), space, ev, vanComps(), GridSearchOptions{MaxConfigs: 5, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package hpo
 
 import (
+	"context"
 	"testing"
 )
 
@@ -11,12 +12,12 @@ func TestSHAParallelMatchesSerial(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.001}
 	configs := space.Enumerate()
-	serial, err := SuccessiveHalving(configs, ev, vanComps(), SHAOptions{Seed: 1, Workers: 1})
+	serial, err := SuccessiveHalving(context.Background(), configs, ev, vanComps(), SHAOptions{Seed: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		parallel, err := SuccessiveHalving(configs, ev, vanComps(), SHAOptions{Seed: 1, Workers: workers})
+		parallel, err := SuccessiveHalving(context.Background(), configs, ev, vanComps(), SHAOptions{Seed: 1, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -41,7 +42,7 @@ func TestSHAParallelMatchesSerial(t *testing.T) {
 func TestSHAParallelRace(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 800, quality: quality, noise: 0.01}
-	if _, err := SuccessiveHalving(space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 2, Workers: 6}); err != nil {
+	if _, err := SuccessiveHalving(context.Background(), space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 2, Workers: 6}); err != nil {
 		t.Fatal(err)
 	}
 }

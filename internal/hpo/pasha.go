@@ -49,13 +49,10 @@ func (o PASHAOptions) withDefaults(k, spaceSize int) PASHAOptions {
 // rungs and is extended only while the top of the ranking disagrees
 // between the two highest rungs (soft-rank instability), up to the full
 // budget.
-func PASHA(space *search.Space, ev Evaluator, comps Components, opts PASHAOptions) (*Result, error) {
-	return PASHACtx(context.Background(), space, ev, comps, opts)
-}
-
-// PASHACtx is PASHA with cancellation: when ctx is cancelled or times out
-// the run stops before starting another evaluation and returns ctx's error.
-func PASHACtx(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts PASHAOptions) (*Result, error) {
+//
+// Cancellation: when ctx is cancelled or times out the run stops before
+// starting another evaluation and returns ctx's error.
+func PASHA(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts PASHAOptions) (*Result, error) {
 	comps = comps.withDefaults()
 	if err := validateRun(space, comps); err != nil {
 		return nil, err
@@ -157,7 +154,7 @@ func init() {
 		if o.MaxConfigs == 0 {
 			o.MaxConfigs = opts.MaxConfigs
 		}
-		return PASHACtx(ctx, space, ev, comps, o)
+		return PASHA(ctx, space, ev, comps, o)
 	})
 }
 

@@ -21,14 +21,10 @@ type RandomSearchOptions struct {
 // RandomSearch evaluates N uniformly sampled configurations at full budget
 // and returns the best by the components' scorer — the "random" baseline of
 // Table IV.
-func RandomSearch(space *search.Space, ev Evaluator, comps Components, opts RandomSearchOptions) (*Result, error) {
-	return RandomSearchCtx(context.Background(), space, ev, comps, opts)
-}
-
-// RandomSearchCtx is RandomSearch with cancellation: when ctx is cancelled
-// or times out the run stops before starting another evaluation and returns
-// ctx's error.
-func RandomSearchCtx(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RandomSearchOptions) (*Result, error) {
+//
+// Cancellation: when ctx is cancelled or times out the run stops before
+// starting another evaluation and returns ctx's error.
+func RandomSearch(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RandomSearchOptions) (*Result, error) {
 	comps = comps.withDefaults()
 	if err := validateRun(space, comps); err != nil {
 		return nil, err
@@ -62,6 +58,6 @@ func init() {
 		if o.N == 0 {
 			o.N = opts.Trials
 		}
-		return RandomSearchCtx(ctx, space, ev, comps, o)
+		return RandomSearch(ctx, space, ev, comps, o)
 	})
 }

@@ -38,7 +38,7 @@ func TestRegistryCoversEveryEntryPoint(t *testing.T) {
 				if !ok || fn.Recv != nil || !fn.Name.IsExported() || !returnsResultErr(fn) {
 					continue
 				}
-				name := strings.ToLower(strings.TrimSuffix(fn.Name.Name, "Ctx"))
+				name := strings.ToLower(fn.Name.Name)
 				if canonical, ok := entryPointMethod[name]; ok {
 					name = canonical
 				}

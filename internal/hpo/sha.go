@@ -44,15 +44,12 @@ func (o SHAOptions) withDefaults(k int) SHAOptions {
 //
 // With vanilla components this is plain SHA; with enhanced components
 // (group folds + UCB-β scorer) it is the paper's "SHA+".
-func SuccessiveHalving(configs []search.Config, ev Evaluator, comps Components, opts SHAOptions) (*Result, error) {
-	return SuccessiveHalvingCtx(context.Background(), configs, ev, comps, opts)
-}
-
-// SuccessiveHalvingCtx is SuccessiveHalving with cancellation: when ctx is
-// cancelled or times out the run stops before starting another evaluation
-// and returns ctx's error. Evaluations already in flight are allowed to
-// finish, so the run stops within one evaluation of the cancel.
-func SuccessiveHalvingCtx(ctx context.Context, configs []search.Config, ev Evaluator, comps Components, opts SHAOptions) (*Result, error) {
+//
+// Cancellation: when ctx is cancelled or times out the run stops before
+// starting another evaluation and returns ctx's error. Evaluations already
+// in flight are allowed to finish, so the run stops within one evaluation
+// of the cancel.
+func SuccessiveHalving(ctx context.Context, configs []search.Config, ev Evaluator, comps Components, opts SHAOptions) (*Result, error) {
 	comps = comps.withDefaults()
 	if len(configs) == 0 {
 		return nil, fmt.Errorf("hpo: SHA needs at least one configuration")
@@ -124,7 +121,7 @@ func init() {
 			// the start set for a given seed.
 			configs = space.SampleN(rng.New(opts.Seed^0xc0de).Split(2), opts.MaxConfigs)
 		}
-		return SuccessiveHalvingCtx(ctx, configs, ev, comps, o)
+		return SuccessiveHalving(ctx, configs, ev, comps, o)
 	})
 }
 

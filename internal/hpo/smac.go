@@ -53,13 +53,10 @@ func (o SMACOptions) withDefaults() SMACOptions {
 // evaluation uses the full budget (the paper's observation is that with a
 // time budget similar to SHA's, SMAC3 and Optuna behave like random
 // search — reproduced by the baselines experiment).
-func SMAC(space *search.Space, ev Evaluator, comps Components, opts SMACOptions) (*Result, error) {
-	return SMACCtx(context.Background(), space, ev, comps, opts)
-}
-
-// SMACCtx is SMAC with cancellation: when ctx is cancelled or times out the
-// run stops before starting another evaluation and returns ctx's error.
-func SMACCtx(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts SMACOptions) (*Result, error) {
+//
+// Cancellation: when ctx is cancelled or times out the run stops before
+// starting another evaluation and returns ctx's error.
+func SMAC(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts SMACOptions) (*Result, error) {
 	comps = comps.withDefaults()
 	if err := validateRun(space, comps); err != nil {
 		return nil, err
@@ -127,7 +124,7 @@ func init() {
 		if o.N == 0 {
 			o.N = opts.Trials
 		}
-		return SMACCtx(ctx, space, ev, comps, o)
+		return SMAC(ctx, space, ev, comps, o)
 	})
 }
 

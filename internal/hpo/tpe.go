@@ -24,13 +24,10 @@ type TPEOptions struct {
 }
 
 // TPE runs sequential full-budget TPE optimization.
-func TPE(space *search.Space, ev Evaluator, comps Components, opts TPEOptions) (*Result, error) {
-	return TPECtx(context.Background(), space, ev, comps, opts)
-}
-
-// TPECtx is TPE with cancellation: when ctx is cancelled or times out the
-// run stops before starting another evaluation and returns ctx's error.
-func TPECtx(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts TPEOptions) (*Result, error) {
+//
+// Cancellation: when ctx is cancelled or times out the run stops before
+// starting another evaluation and returns ctx's error.
+func TPE(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts TPEOptions) (*Result, error) {
 	comps = comps.withDefaults()
 	if err := validateRun(space, comps); err != nil {
 		return nil, err
@@ -88,6 +85,6 @@ func init() {
 		if o.N == 0 {
 			o.N = opts.Trials
 		}
-		return TPECtx(ctx, space, ev, comps, o)
+		return TPE(ctx, space, ev, comps, o)
 	})
 }

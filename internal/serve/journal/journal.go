@@ -46,11 +46,6 @@ import (
 	"enhancedbhpo/internal/trace"
 )
 
-// FileName is the legacy single-file journal inside a data directory.
-// Pre-segmentation directories are migrated on open/replay by renaming it
-// to the first numbered segment.
-const FileName = "journal.jsonl"
-
 // Record types.
 const (
 	// TypeSubmit records a job's acceptance: ID plus the defaulted spec.
@@ -184,29 +179,6 @@ func (l layout) maxSeq() int {
 	return m
 }
 
-// migrateLegacy renames a pre-segmentation journal.jsonl to the first
-// numbered segment. It refuses to guess an order if numbered files
-// already coexist with the legacy one.
-func migrateLegacy(dir string) error {
-	legacy := filepath.Join(dir, FileName)
-	if _, err := os.Stat(legacy); errors.Is(err, os.ErrNotExist) {
-		return nil
-	} else if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	lay, err := scanDir(dir)
-	if err != nil {
-		return err
-	}
-	if lay.hasBase || len(lay.segs) > 0 {
-		return fmt.Errorf("journal: legacy %s coexists with segmented journal in %s", FileName, dir)
-	}
-	if err := os.Rename(legacy, filepath.Join(dir, segmentName(1))); err != nil {
-		return fmt.Errorf("journal: migrating legacy journal: %w", err)
-	}
-	return nil
-}
-
 // Options tunes a Writer.
 type Options struct {
 	// MaxBytes rotates the active segment once it reaches this size; the
@@ -250,17 +222,14 @@ func Open(dir string) (*Writer, error) {
 	return OpenOptions(dir, Options{})
 }
 
-// OpenOptions creates the data directory if needed, migrates a legacy
-// single-file journal, and opens the newest segment for appending.
+// OpenOptions creates the data directory if needed and opens the newest
+// segment for appending.
 func OpenOptions(dir string, opts Options) (*Writer, error) {
 	if dir == "" {
 		return nil, errors.New("journal: empty data dir")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
-	}
-	if err := migrateLegacy(dir); err != nil {
-		return nil, err
 	}
 	lay, err := scanDir(dir)
 	if err != nil {
@@ -419,7 +388,7 @@ func DirStats(dir string) Stats {
 	for _, e := range entries {
 		_, isSeg := parseSeq(e.Name(), "journal-")
 		_, isBase := parseSeq(e.Name(), "base-")
-		if !isSeg && !isBase && e.Name() != FileName {
+		if !isSeg && !isBase {
 			continue
 		}
 		info, err := e.Info()
@@ -629,9 +598,6 @@ const (
 // converges on a consistent layout. Only a persistent gap (genuinely
 // lost data) is reported.
 func Replay(dir string) ([]JobState, error) {
-	if err := migrateLegacy(dir); err != nil {
-		return nil, err
-	}
 	var lastErr error
 	for attempt := 0; attempt < replayRetries; attempt++ {
 		if attempt > 0 {
@@ -778,9 +744,6 @@ func foldDir(dir string, upto int) error {
 // stale files that replay ignores. The next OpenOptions appends to a
 // fresh segment after the base.
 func Compact(dir string, states []JobState) error {
-	if err := migrateLegacy(dir); err != nil {
-		return err
-	}
 	lay, err := scanDir(dir)
 	if err != nil {
 		return err

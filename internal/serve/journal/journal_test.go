@@ -390,42 +390,6 @@ func TestRotationConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestLegacyJournalMigrated: a pre-segmentation journal.jsonl is adopted
-// as the first segment on replay and open.
-func TestLegacyJournalMigrated(t *testing.T) {
-	dir := t.TempDir()
-	spec := json.RawMessage(`{"dataset":"australian","method":"sha"}`)
-	line, _ := json.Marshal(Record{Type: TypeSubmit, Time: time.Now(), JobID: "job-1", Spec: spec})
-	if err := os.WriteFile(filepath.Join(dir, FileName), append(line, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	states, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(states) != 1 || states[0].ID != "job-1" {
-		t.Fatalf("legacy replay: %+v", states)
-	}
-	if _, err := os.Stat(filepath.Join(dir, FileName)); !os.IsNotExist(err) {
-		t.Fatal("legacy file not migrated away")
-	}
-	w, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(Record{Type: TypeResult, Time: time.Now(), JobID: "job-1", Status: "done"}); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	states, err = Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(states) != 1 || states[0].Status != "done" {
-		t.Fatalf("post-migration append lost: %+v", states)
-	}
-}
-
 func TestWriterClosedAppendFails(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir)

@@ -203,6 +203,19 @@ func TestRestoreAnyFallsBackOnMismatch(t *testing.T) {
 	}
 }
 
+// crash stops every lane's loop and waits for it, without the final flush
+// Close does: what kill -9 leaves at the sinks is what was shipped before,
+// and nothing of this shipper runs afterwards.
+func (s *Shipper) crash() {
+	for _, ln := range s.lanes {
+		ln.mu.Lock()
+		ln.closed = true
+		ln.mu.Unlock()
+		close(ln.stop)
+		ln.wg.Wait()
+	}
+}
+
 // TestMultiSinkCrashResumesPerSinkOffsets: after a shipper crash
 // mid-ship, a fresh shipper must resume each sink from that sink's own
 // offset — the sinks were at different points when the process died.
@@ -214,8 +227,8 @@ func TestMultiSinkCrashResumesPerSinkOffsets(t *testing.T) {
 	sinkB := &gateSink{inner: inB}
 
 	// First life: A receives the first ten bytes, B is down and receives
-	// nothing. The process then "crashes" — the shipper is abandoned
-	// without Close, its in-memory offsets lost.
+	// nothing. The process then crashes: its lanes stop without a flush
+	// and its in-memory offsets are lost.
 	full := []byte("0123456789abcdefghij\n")
 	writeFile(t, filepath.Join(root, "journal-000001.jsonl"), full[:10])
 	sinkB.down.Store(true)
@@ -227,6 +240,7 @@ func TestMultiSinkCrashResumesPerSinkOffsets(t *testing.T) {
 	if off, _ := sinkA.Offset("journal-000001.jsonl"); off != 10 {
 		t.Fatalf("sink A offset = %d before crash, want 10", off)
 	}
+	s1.crash()
 
 	// Second life: the file has grown and sealed; B is back. The new
 	// shipper knows nothing — each lane must query its own sink's offset

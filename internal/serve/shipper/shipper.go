@@ -92,8 +92,9 @@ type Options struct {
 	// back to its lane's background retry loop, so durability degrades to
 	// async on that sink rather than failing the write path.
 	Sync bool
-	// OnError receives background ship errors (best-effort; the dirty
-	// file stays queued in its lane and is retried).
+	// OnError receives the first error of each failed background pass
+	// (best-effort; the dirty files stay queued in their lane and are
+	// retried).
 	OnError func(error)
 }
 
@@ -464,7 +465,7 @@ func hashFile(f *os.File) (string, int64, error) {
 	return hex.EncodeToString(h.Sum(nil)), n, nil
 }
 
-// loop drains the lane's dirty set on the interval, with capped backoff
+// loop flushes the lane's dirty set on the interval, with capped backoff
 // while its sink is failing.
 func (ln *lane) loop() {
 	defer ln.wg.Done()
@@ -478,9 +479,12 @@ func (ln *lane) loop() {
 		case <-ln.kick:
 		case <-timer.C:
 		}
-		if ln.drainDirty() {
+		if err := ln.flush(); err == nil {
 			backoff = ln.opts.Interval
 		} else {
+			if ln.opts.OnError != nil {
+				ln.opts.OnError(err)
+			}
 			ln.retries.Add(1)
 			backoff *= 2
 			if backoff > ln.opts.MaxBackoff {
@@ -497,33 +501,8 @@ func (ln *lane) loop() {
 	}
 }
 
-// drainDirty ships every queued file once, reporting whether the pass was
-// clean. Failed files stay queued.
-func (ln *lane) drainDirty() bool {
-	ln.mu.Lock()
-	rels := make([]string, 0, len(ln.dirty))
-	for rel := range ln.dirty {
-		rels = append(rels, rel)
-	}
-	ln.mu.Unlock()
-	sort.Strings(rels) // deterministic order: segments before traces
-	clean := true
-	for _, rel := range rels {
-		if err := ln.shipFile(rel); err != nil {
-			clean = false
-			if ln.opts.OnError != nil {
-				ln.opts.OnError(err)
-			}
-			continue
-		}
-		ln.mu.Lock()
-		delete(ln.dirty, rel)
-		ln.mu.Unlock()
-	}
-	return clean
-}
-
-// flush ships everything queued right now, returning the first error.
+// flush ships every queued file once, returning the first error. Failed
+// files stay queued for the next pass.
 func (ln *lane) flush() error {
 	ln.mu.Lock()
 	rels := make([]string, 0, len(ln.dirty))
@@ -531,7 +510,7 @@ func (ln *lane) flush() error {
 		rels = append(rels, rel)
 	}
 	ln.mu.Unlock()
-	sort.Strings(rels)
+	sort.Strings(rels) // deterministic order: segments before traces
 	var first error
 	for _, rel := range rels {
 		if err := ln.shipFile(rel); err != nil {
