@@ -3,10 +3,9 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vet-bench cpus check crash chaos sse failover membership fallback bench bench-smoke bench-multicore bench-service bench-pair load fmt serve clean
+.PHONY: all build test race vet vet-bench cpus check crash chaos sse failover membership fallback bench-smoke bench-pair load loc fmt serve clean
 
-# The kernel/Fit/Evaluate benchmark family captured in
-# BENCH_kernels.json.
+# The kernel/Fit/Evaluate microbenchmark family of bench_test.go.
 BENCH_PATTERN = BenchmarkMat|BenchmarkFit|BenchmarkEvaluate
 
 all: build
@@ -33,12 +32,13 @@ vet-bench:
 # The determinism, preemption-replay and bitwise-parity tests at one,
 # two and four Ps, three times each: results may not depend on how many
 # cores the scheduler has, and a test tuned to one machine's timing
-# fails here instead of on the next box. The same for the cluster layer's
-# non-chaos tests (coordinator, submit retry, membership journal, ring,
-# shipper lanes, sinks, restore), five times each.
+# fails here instead of on the next box — with them the evaluation-slot
+# acquire/cancel races and the one inflight gauge. The same for the
+# cluster layer's non-chaos tests (coordinator, submit retry, membership
+# journal, ring, shipper lanes, sinks, restore), five times each.
 cpus:
-	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|EvaluateConcurrent' \
-		./internal/hpo/ ./internal/nn/ ./internal/serve/
+	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge' \
+		./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
 	$(GO) test -cpu 1,2,4 -count 5 -run 'TestCoordinator|TestSubmitRetry|TestMemberJournal|TestRing|TestMultiSink|TestShipper|TestDirSink|TestRestore' \
 		./internal/coord/ ./internal/serve/shipper/
 
@@ -49,13 +49,15 @@ crash:
 	$(GO) test -race -count=1 -run 'TestRestartRecovery|TestPanicIsolation|TestTransientFailureRetried|TestFailureBudgetAbsorbsTrial|TestTimeoutReason|TestShutdownWithInFlightJobs|TestDrainRefusesSubmissions' ./internal/serve/
 
 # Overload suite: admission control (429 + Retry-After), the evaluation
-# deadline watchdog, and the chaos harness — a 30-second over-capacity
+# deadline watchdog, the scheduler's evaluation-slot acquire under a
+# cancel storm, and the chaos harness — a 30-second over-capacity
 # submission storm with injected panics, wedged evaluations, online
 # journal rotation and a mid-run kill/replay, all under the race
 # detector. Plain `go test` runs the same harness with a ~2s storm;
 # BHPOD_CHAOS_SECONDS overrides the length.
 chaos:
-	BHPOD_CHAOS_SECONDS=30 $(GO) test -race -count=1 -run 'TestChaosOverload|TestAdmissionControl429|TestEvalDeadlineAbandonsWedgedTrial|TestPoolAcquire|TestScope' -timeout 600s ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestEvalSlot' ./internal/serve/sched/
+	BHPOD_CHAOS_SECONDS=30 $(GO) test -race -count=1 -run 'TestChaosOverload|TestAdmissionControl429|TestEvalDeadlineAbandonsWedgedTrial|TestPoolInflightGauge|TestScope' -timeout 600s ./internal/serve/
 
 # Streaming-telemetry suite: the SSE end-to-end path (submit a job,
 # subscribe, drop the connection, resume with Last-Event-ID and receive
@@ -92,42 +94,19 @@ membership:
 	$(GO) test -race -count=1 -run 'TestSubmitToken' ./internal/serve/
 	$(GO) test -race -count=1 ./cmd/bhpoctl/
 
-# Kernel + training-loop benchmarks, recorded as the perf baseline.
-# Writes BENCH_kernels.json (ns/op, B/op, allocs/op per benchmark).
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_kernels.json
-
-# Same benchmark family swept across GOMAXPROCS 1/2/4 (benchmark names
-# gain -2/-4 suffixes), recording the row-parallel kernel path. Writes
-# BENCH_kernels_multicore.json. Note: on a single-CPU container this
-# measures the parallel code path under GOMAXPROCS oversubscription, not
-# true hardware scaling.
-bench-multicore:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -cpu 1,2,4 . | $(GO) run ./cmd/benchjson -out BENCH_kernels_multicore.json
-
 # One-iteration smoke run so the benchmarks can never rot; part of check.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem . >/dev/null
 
-# Multi-tenant scheduler gate: a short closed-loop bhpoload run under
-# the race detector — 48 tenants at weights 3:1 saturating a 4-slot
-# pool through the real HTTP stack — asserting the weighted fairness
-# ratio stays under 1.6 (1.0 is perfect; an unweighted scheduler scores
-# ~3). Part of check, plus the scheduler/tenant unit suites.
+# Multi-tenant scheduler gate under the race detector: the scheduler's
+# unit suite plus the service-level tenant tests — the exact 3:1 grant
+# split at saturation (TestFairnessWeighted3to1), per-tenant and global
+# shedding (TestTenantQuota429), batch atomicity, rung-boundary
+# preemption and grant-order determinism. The HTTP path under real load
+# is the benchmark's tenants-contended workload (make bench-pair).
 load:
 	$(GO) test -race -count=1 ./internal/serve/sched/
 	$(GO) test -race -count=1 -run 'TestTenant|TestFairness|TestPreempt|TestBatch|TestSchedulerDeterminism' ./internal/serve/
-	$(GO) run -race ./cmd/bhpoload -selfhost -tenants 24 -classes 3,1 -duration 5s \
-		-pool 4 -max-jobs 6 -max-pending 64 -eval-ms 25 -assert-fairness 1.6 >/dev/null
-
-# Closed-loop service benchmark, recorded as the scheduler baseline:
-# 1000 simulated tenants against a self-hosted daemon with admission
-# pressure (MaxPending 192 over a 1000-tenant offered load), recording
-# p50/p99 submit-to-first-curve-point latency, shed rate, per-class
-# throughput and the weighted fairness ratio. Writes BENCH_service.json.
-bench-service:
-	$(GO) run ./cmd/bhpoload -selfhost -tenants 1000 -classes 3,1 -duration 8s \
-		-pool 8 -max-jobs 32 -max-pending 192 -eval-ms 5 -poll 25ms -out BENCH_service.json
 
 # Paired end-to-end comparison of the working tree against BASE with the
 # repository benchmark (cmd/benchpair): alternating order, one seed per
@@ -144,6 +123,17 @@ bench-pair:
 # so a regression in the non-SIMD path cannot hide behind AVX2 CI boxes.
 fallback:
 	BHPO_KERNEL=blocked $(GO) test -count=1 ./internal/mat/ ./internal/nn/ ./internal/hpo/
+
+# Non-test / test Go lines per package and in total, outside bench/ —
+# raw `wc -l`, the count ROADMAP's "net line count per PR" and every
+# CHANGES.md entry use.
+loc:
+	@find . -name '*.go' -not -path './bench/*' | xargs wc -l | awk ' \
+		$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); seen[d] = 1; \
+			if ($$2 ~ /_test\.go$$/) { t[d] += $$1; T += $$1 } else { n[d] += $$1; N += $$1 } } \
+		END { printf "%8s %8s  %s\n", "non-test", "test", "package"; \
+			for (d in seen) printf "%8d %8d  %s\n", n[d], t[d], d | "sort -k3"; close("sort -k3"); \
+			printf "%8d %8d  total\n", N, T }'
 
 check: vet vet-bench race cpus crash chaos sse failover membership fallback load bench-smoke
 

@@ -367,13 +367,13 @@ func BenchmarkSHA(b *testing.B) {
 	})
 }
 
-// --- Compute-kernel benchmarks (the BENCH_kernels.json baseline) ---
+// --- Compute-kernel benchmarks ---
 //
 // Each kernel benchmark runs the retained naive reference and every
 // dispatchable kernel family — blocked always, simd where the CPU
 // supports it — on identical dense data at MLP-typical shapes, so the
-// recorded ns/op ratios are the kernel speedups themselves. `make bench`
-// captures these (with -benchmem) into BENCH_kernels.json.
+// ns/op ratios are the kernel speedups themselves. `make bench-smoke`
+// runs them for one iteration so they cannot rot.
 
 // dispatchKernels lists the kernel families Mul/MulT/TMul can dispatch to
 // on this machine, each forced explicitly so the sub-benchmark names say
@@ -406,8 +406,6 @@ var matShapes = []struct {
 	{"batch32_w50", 32, 50, 50},
 	{"batch128_w100", 128, 100, 100},
 	{"batch256_w200", 256, 200, 200},
-	// Wide enough (n, k ≥ the tile thresholds) to engage the cache-blocked
-	// panel path on top of the register kernels.
 	{"batch64_w512", 64, 512, 512},
 }
 

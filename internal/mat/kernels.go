@@ -274,12 +274,6 @@ func TMulWorkers(dst, a, b *Dense, workers int) {
 // Each element's additions stay in ascending-k order.
 func mulBlocked(dst, a, b *Dense, i0, i1 int) {
 	kDim, n := a.cols, b.cols
-	if n >= tileMinN && kDim >= tileMinK {
-		// Wide B spills the caches when re-streamed per row; switch to
-		// the panel-tiled driver (bitwise-identical, see tiled.go).
-		mulTiled(dst, a, b, i0, i1, scalarAxpy)
-		return
-	}
 	bd := b.data
 	for i := i0; i < i1; i++ {
 		arow := a.data[i*kDim : (i+1)*kDim]
@@ -359,10 +353,6 @@ func mulTBlocked(dst, a, b *Dense, i0, i1 int) {
 // naive kernel.
 func tMulBlocked(dst, a, b *Dense, i0, i1 int) {
 	kDim, p, n := a.rows, a.cols, b.cols
-	if n >= tileMinN && kDim >= tileMinK {
-		tMulTiled(dst, a, b, i0, i1, scalarAxpy)
-		return
-	}
 	ad, bd := a.data, b.data
 	for i := i0; i < i1; i++ {
 		drow := dst.data[i*n : i*n+n : i*n+n]

@@ -7,24 +7,9 @@ package mat
 // by the property tests. They are only dispatched to when simdAvailable
 // (kernel dispatch normalizes SIMD→Blocked otherwise).
 
-// simdAxpy adapts the asm microkernels to the tiled driver's slice-based
-// kernel interface (see tiled.go).
-var simdAxpy = axpyFuncs{
-	axpy4: func(a0, a1, a2, a3 float64, b []float64, ldb int, dst []float64) {
-		axpy4avx(a0, a1, a2, a3, &b[0], uintptr(ldb), &dst[0], uintptr(len(dst)))
-	},
-	axpy1: func(a0 float64, b []float64, dst []float64) {
-		axpy1avx(a0, &b[0], &dst[0], uintptr(len(dst)))
-	},
-}
-
 // mulSIMD computes rows [i0, i1) of dst = a*b.
 func mulSIMD(dst, a, b *Dense, i0, i1 int) {
 	kDim, n := a.cols, b.cols
-	if n >= tileMinN && kDim >= tileMinK {
-		mulTiled(dst, a, b, i0, i1, simdAxpy)
-		return
-	}
 	bd := b.data
 	for i := i0; i < i1; i++ {
 		arow := a.data[i*kDim : (i+1)*kDim]
@@ -88,10 +73,6 @@ func mulTSIMD(dst, a, b *Dense, i0, i1 int) {
 // mulSIMD and the a values gathered down column i.
 func tMulSIMD(dst, a, b *Dense, i0, i1 int) {
 	kDim, p, n := a.rows, a.cols, b.cols
-	if n >= tileMinN && kDim >= tileMinK {
-		tMulTiled(dst, a, b, i0, i1, simdAxpy)
-		return
-	}
 	ad, bd := a.data, b.data
 	for i := i0; i < i1; i++ {
 		drow := dst.data[i*n : i*n+n]

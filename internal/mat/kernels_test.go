@@ -155,20 +155,20 @@ func TestSetKernelDispatch(t *testing.T) {
 	}
 }
 
-// TestBlockedKernelsTiledShapes extends the bitwise parity pin to shapes
-// that cross the cache-blocking threshold (b.cols ≥ tileMinN with
-// a-depth ≥ tileMinK), including odd sizes that land in every panel
-// remainder path. Runs under whatever kernel family is active (the
-// forced-fallback CI run repeats it with BHPO_KERNEL=blocked).
+// TestBlockedKernelsTiledShapes extends the bitwise parity pin to wide
+// operands (b.cols ≥ 512, far past any layer the paper's networks
+// form), including odd sizes that land in every unroll remainder. Runs
+// under whatever kernel family is active (the forced-fallback CI run
+// repeats it with BHPO_KERNEL=blocked).
 func TestBlockedKernelsTiledShapes(t *testing.T) {
-	tiledShapes := []struct{ m, k, n int }{
-		{1, tileMinK, tileMinN}, // exact threshold boundary
-		{4, 64, 512},            // aligned panels
-		{9, 67, 515},            // odd everything: k%4, panel tails
-		{65, 129, 600},          // parallel path + partial panels
-		{3, 300, 1024},          // deep k, two full j-panel rows
+	wideShapes := []struct{ m, k, n int }{
+		{1, 64, 512},
+		{4, 64, 512},
+		{9, 67, 515},   // odd everything: k%4, j%4 tails
+		{65, 129, 600}, // parallel path
+		{3, 300, 1024}, // deep k
 	}
-	for si, sh := range tiledShapes {
+	for si, sh := range wideShapes {
 		r := rng.New(uint64(4000 + si))
 		t.Run(fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), func(t *testing.T) {
 			a := randDense(r, sh.m, sh.k)

@@ -82,9 +82,9 @@ func TestEvalDeadlineAbandonsWedgedTrial(t *testing.T) {
 		t.Errorf("DeadlineExceeded = %d, want 1", got)
 	}
 	// The abandoned slot was handed back: the job finished, which needed
-	// every remaining trial to get through the same pool.
-	if got := m.pool.InUse(); got != 0 {
-		t.Errorf("pool InUse = %d after job done, want 0", got)
+	// every remaining trial to get through the same slots.
+	if got := m.Metrics().PoolInUse; got != 0 {
+		t.Errorf("PoolInUse = %d after job done, want 0", got)
 	}
 }
 

@@ -233,17 +233,6 @@ func terminalStatus(s Status) bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCancelled
 }
 
-// restoredState carries a journaled terminal outcome across a restart:
-// the live fields (trials, hpo.Result) cannot be rebuilt from disk, so a
-// recovered job serves snapshots from this instead.
-type restoredState struct {
-	curve       []trace.Point
-	bestConfig  map[string]any
-	bestScore   *float64
-	testScore   *float64
-	evaluations int
-}
-
 // Job is one tracked optimization run.
 type Job struct {
 	// ID is the handle used by the HTTP API.
@@ -268,11 +257,17 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	trials    []hpo.Trial
-	result    *hpo.Result
-	testScore float64
-	hasTest   bool
-	restored  *restoredState
+	trials    []ckTrial // every recorded trial, as a preempt checkpoint carries it
+
+	// The job's outcome as snapshots and the journal's terminal record
+	// carry it. recordTrialLocked extends evaluations and curve trial by
+	// trial; finish fills the rest for a run that completed; journal replay
+	// fills all of it for a job that was terminal before the restart.
+	evaluations int
+	curve       []trace.Point
+	bestConfig  map[string]any
+	bestScore   *float64
+	testScore   *float64
 
 	// Preemption/resume state. segCancel cancels the current run
 	// segment's context with cause errPreempted; preempts counts the
@@ -285,40 +280,38 @@ type Job struct {
 	checkpointLen int
 	replaySkip    int
 
-	// Incumbent recurrence, maintained trial by trial so each observed
-	// trial yields its anytime-curve point without recomputing the whole
-	// curve. Matches trace.Anytime exactly: a full recompute over trials
-	// produces the same points bit for bit.
-	cumBudget int
-	cumTime   time.Duration
-	best      float64
-	haveBest  bool
-	maxRound  int
+	// maxRound is the highest halving round any recorded trial reached.
+	maxRound int
 }
 
-// recordTrialLocked appends one observed trial and extends the incumbent
-// recurrence, returning the trial's anytime-curve point plus whether it
-// opened a new halving round (a rung promotion). Called with j.mu held —
-// the manager keeps the lock across record+publish so the event stream
-// order matches the trial order.
-func (j *Job) recordTrialLocked(tr hpo.Trial) (pt trace.Point, newRound int, promoted bool) {
+// recordTrialLocked appends one observed trial and extends the curve by
+// the incumbent recurrence — each point follows from the one before it,
+// exactly as trace.Anytime computes the whole curve
+// (TestJobCurveMatchesAnytime) — returning the new point plus whether the
+// trial opened a new halving round (a rung promotion). Called with j.mu
+// held — the manager keeps the lock across record+publish so the event
+// stream order matches the trial order.
+func (j *Job) recordTrialLocked(tr ckTrial) (pt trace.Point, newRound int, promoted bool) {
 	j.trials = append(j.trials, tr)
-	j.cumBudget += tr.Budget
-	j.cumTime += tr.Elapsed
-	if !j.haveBest || tr.Score > j.best {
-		j.best = tr.Score
-		j.haveBest = true
+	j.evaluations++
+	var last trace.Point
+	if n := len(j.curve); n > 0 {
+		last = j.curve[n-1]
 	}
+	pt = trace.Point{
+		Evaluations: j.evaluations,
+		CumBudget:   last.CumBudget + tr.Budget,
+		CumTime:     last.CumTime + time.Duration(tr.ElapsedNS),
+		BestScore:   last.BestScore,
+	}
+	if len(j.curve) == 0 || tr.Score > pt.BestScore {
+		pt.BestScore = tr.Score
+	}
+	j.curve = append(j.curve, pt)
 	if tr.Round > j.maxRound {
 		j.maxRound = tr.Round
 		promoted = tr.Round > 0
 		newRound = tr.Round
-	}
-	pt = trace.Point{
-		Evaluations: len(j.trials),
-		CumBudget:   j.cumBudget,
-		CumTime:     j.cumTime,
-		BestScore:   j.best,
 	}
 	return pt, newRound, promoted
 }
@@ -331,21 +324,15 @@ func (j *Job) Status() Status {
 }
 
 // Cancel asks the job to stop after its in-flight evaluations, recording
-// the user_cancel reason. Safe to call in any state; cancelling a
-// finished job is a no-op.
+// the user_cancel reason unless another reason got there first. Safe to
+// call in any state; cancelling a finished job is a no-op. The cancel
+// func is read under the job lock because launch installs it after the
+// job is visible in the table; launch re-checks the reason so a cancel
+// landing in that window still takes effect.
 func (j *Job) Cancel() {
-	j.cancelWith(ReasonUserCancel)
-}
-
-// cancelWith records why the job is being stopped (first reason wins)
-// and fires the context cancellation. The cancel func is read under the
-// job lock because launch installs it after the job is visible in the
-// table; launch re-checks the reason so a cancel landing in that window
-// still takes effect.
-func (j *Job) cancelWith(reason Reason) {
 	j.mu.Lock()
 	if j.reason == "" && !terminalStatus(j.status) {
-		j.reason = reason
+		j.reason = ReasonUserCancel
 	}
 	cancel := j.cancel
 	j.mu.Unlock()
@@ -360,10 +347,11 @@ func (j *Job) tenant() string {
 	return j.Spec.Tenant
 }
 
-// ckTrial is one checkpointed trial: everything the curve, snapshot and
-// incumbent recurrence need. The configuration itself is omitted — the
-// resume re-derives it deterministically from the spec seed, and the
-// replayed observations are skipped rather than compared.
+// ckTrial is one recorded trial: everything the curve, snapshot and
+// incumbent recurrence need, in the form a preempt checkpoint journals
+// it. The configuration itself is omitted — the resume re-derives it
+// deterministically from the spec seed, and the replayed observations
+// are skipped rather than compared.
 type ckTrial struct {
 	Budget     int       `json:"budget"`
 	Round      int       `json:"round"`
@@ -381,23 +369,6 @@ type checkpointState struct {
 	Trials   []ckTrial `json:"trials"`
 }
 
-// checkpointLocked snapshots the job's completed trials for the
-// journal. Called with j.mu held.
-func (j *Job) checkpointLocked() checkpointState {
-	ck := checkpointState{Preempts: j.preempts, Trials: make([]ckTrial, len(j.trials))}
-	for i, tr := range j.trials {
-		ck.Trials[i] = ckTrial{
-			Budget:     tr.Budget,
-			Round:      tr.Round,
-			Score:      tr.Score,
-			FoldScores: append([]float64(nil), tr.FoldScores...),
-			Gamma:      tr.Gamma,
-			ElapsedNS:  int64(tr.Elapsed),
-		}
-	}
-	return ck
-}
-
 // restoreCheckpoint seeds a replayed job from a journaled checkpoint:
 // the trial prefix is re-recorded through the same incumbent recurrence
 // the live path uses (so the curve is bit-identical to what the dead
@@ -410,15 +381,8 @@ func (j *Job) restoreCheckpoint(raw json.RawMessage) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for _, t := range ck.Trials {
-		j.recordTrialLocked(hpo.Trial{
-			Budget:     t.Budget,
-			Round:      t.Round,
-			Score:      t.Score,
-			FoldScores: t.FoldScores,
-			Gamma:      t.Gamma,
-			Elapsed:    time.Duration(t.ElapsedNS),
-		})
+	for _, tr := range ck.Trials {
+		j.recordTrialLocked(tr)
 	}
 	j.preempts = ck.Preempts
 	j.checkpointLen = len(j.trials)
@@ -501,8 +465,12 @@ func (j *Job) Snapshot() Snapshot {
 		Stack:       j.stack,
 		Failures:    j.failures,
 		SubmittedAt: j.submitted,
-		Evaluations: len(j.trials),
-		Curve:       trace.Anytime(j.trials),
+		Evaluations: j.evaluations,
+		// A copy: the job keeps appending to its own slice.
+		Curve:      append([]trace.Point{}, j.curve...),
+		BestConfig: j.bestConfig,
+		BestScore:  j.bestScore,
+		TestScore:  j.testScore,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -511,29 +479,6 @@ func (j *Job) Snapshot() Snapshot {
 	if !j.finished.IsZero() {
 		t := j.finished
 		snap.FinishedAt = &t
-	}
-	if j.result != nil {
-		if sp := j.result.Best.Space(); sp != nil {
-			cfg := map[string]any{}
-			for _, dim := range sp.Dims {
-				cfg[dim.Name] = j.result.Best.Value(dim.Name)
-			}
-			snap.BestConfig = cfg
-		}
-		score := j.result.BestScore
-		snap.BestScore = &score
-	}
-	if j.hasTest {
-		ts := j.testScore
-		snap.TestScore = &ts
-	}
-	if j.restored != nil {
-		// Journal-recovered job: serve the persisted terminal view.
-		snap.Evaluations = j.restored.evaluations
-		snap.Curve = j.restored.curve
-		snap.BestConfig = j.restored.bestConfig
-		snap.BestScore = j.restored.bestScore
-		snap.TestScore = j.restored.testScore
 	}
 	snap.Sparkline = trace.Sparkline(snap.Curve, 40)
 	return snap

@@ -8,7 +8,6 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +24,6 @@ import (
 	"enhancedbhpo/internal/serve/sched"
 	"enhancedbhpo/internal/serve/shipper"
 	"enhancedbhpo/internal/serve/tracestore"
-	"enhancedbhpo/internal/trace"
 )
 
 // ErrOverloaded is returned by Submit when the scheduler's global
@@ -244,15 +242,15 @@ type scopeEntry struct {
 	lastUsed time.Time
 }
 
-// Manager owns the job table, the shared pool, the weighted-fair
-// scheduler and the cache scopes.
+// Manager owns the job table, the weighted-fair scheduler and the cache
+// scopes.
 type Manager struct {
 	cfg     Config
-	pool    *Pool
 	started time.Time
-	// sched replaces the old FIFO job-slot channel: admission (global cap
-	// + per-tenant quota), slot dispatch in weighted-fair order and
-	// rung-boundary preemption marking all live here.
+	// sched hands out all capacity: admission (global cap + per-tenant
+	// quota), job slots in weighted-fair order with rung-boundary
+	// preemption marking, and the PoolSize evaluation slots running jobs
+	// share.
 	sched *sched.Scheduler
 
 	baseCtx    context.Context
@@ -294,10 +292,10 @@ func NewManager(cfg Config) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:     cfg,
-		pool:    NewPool(cfg.PoolSize),
 		started: time.Now(),
 		sched: sched.New(sched.Config{
 			Slots:         cfg.MaxJobs,
+			EvalSlots:     cfg.PoolSize,
 			MaxQueued:     cfg.MaxPending,
 			Quota:         cfg.TenantQuota,
 			DefaultWeight: cfg.TenantDefaultWeight,
@@ -452,10 +450,8 @@ func NewManagerFromJournal(cfg Config) (*Manager, error) {
 					// An undecodable checkpoint is dropped, not fatal: the
 					// job still runs, just from scratch.
 					m.journalErrs.Add(1)
-				} else {
-					job.mu.Lock()
-					service = float64(job.cumBudget)
-					job.mu.Unlock()
+				} else if n := len(job.curve); n > 0 {
+					service = float64(job.curve[n-1].CumBudget)
 				}
 			}
 			m.sched.Restore(job.tenant(), service, int64(st.Evaluations), int64(st.Preemptions))
@@ -464,23 +460,17 @@ func NewManagerFromJournal(cfg Config) (*Manager, error) {
 			continue
 		}
 		m.sched.Restore(job.tenant(), service, int64(st.Evaluations), int64(st.Preemptions))
-		curve := st.Curve
-		if curve == nil {
-			curve = []trace.Point{}
-		}
 		job.status = Status(st.Status)
 		job.reason = Reason(st.Reason)
 		job.errMsg = st.Error
 		job.stack = st.Stack
 		job.started = st.StartedAt
 		job.finished = st.FinishedAt
-		job.restored = &restoredState{
-			curve:       curve,
-			bestConfig:  st.BestConfig,
-			bestScore:   st.BestScore,
-			testScore:   st.TestScore,
-			evaluations: st.Evaluations,
-		}
+		job.evaluations = st.Evaluations
+		job.curve = st.Curve
+		job.bestConfig = st.BestConfig
+		job.bestScore = st.BestScore
+		job.testScore = st.TestScore
 		if !m.hub.Done(job.ID) {
 			// The trace never saw the final transition (the job was
 			// reclassified at replay, or the process died between the
@@ -553,7 +543,14 @@ func (m *Manager) observeTrial(job *Job, tr hpo.Trial) {
 		job.replaySkip--
 		return
 	}
-	pt, newRound, promoted := job.recordTrialLocked(tr)
+	pt, newRound, promoted := job.recordTrialLocked(ckTrial{
+		Budget:     tr.Budget,
+		Round:      tr.Round,
+		Score:      tr.Score,
+		FoldScores: tr.FoldScores,
+		Gamma:      tr.Gamma,
+		ElapsedNS:  int64(tr.Elapsed),
+	})
 	if promoted {
 		m.publish(job.ID, events.Event{Type: events.TypeRung, Round: newRound, Budget: tr.Budget})
 	}
@@ -624,49 +621,11 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 // guarantee survives restart and restore. An empty token is an ordinary
 // submission.
 func (m *Manager) SubmitToken(spec JobSpec, token string) (*Job, error) {
-	spec = spec.withDefaults()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	job := &Job{
-		Spec:      spec,
-		token:     token,
-		cancel:    func() {},
-		status:    StatusQueued,
-		submitted: time.Now(),
-	}
-	m.mu.Lock()
-	if token != "" {
-		if id, ok := m.tokens[token]; ok {
-			dup := m.jobs[id]
-			m.mu.Unlock()
-			return dup, nil
-		}
-	}
-	// ID assignment and enqueue happen under m.mu so concurrent
-	// submissions cannot interleave IDs and scheduler order differently
-	// (lock order m.mu → sched.mu).
-	id := fmt.Sprintf("job-%d", m.seq+1)
-	ticket, err := m.sched.Enqueue(spec.Tenant, id, false)
+	jobs, err := m.submit([]JobSpec{spec}, token, false)
 	if err != nil {
-		m.mu.Unlock()
-		m.shed.Add(1)
-		if errors.Is(err, sched.ErrQueueFull) {
-			return nil, fmt.Errorf("%w: %v", ErrOverloaded, err)
-		}
 		return nil, err
 	}
-	m.seq++
-	job.ID = id
-	m.jobs[job.ID] = job
-	m.order = append(m.order, job.ID)
-	if token != "" {
-		m.tokens[token] = job.ID
-	}
-	m.mu.Unlock()
-	m.journalSubmit(job)
-	m.launch(job, ticket)
-	return job, nil
+	return jobs[0], nil
 }
 
 // BatchError names the batch item that failed validation, so the HTTP
@@ -685,6 +644,11 @@ func (e *BatchError) Error() string {
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *BatchError) Unwrap() error { return e.Err }
 
+// errTokenMismatch is a batch re-sent under an accepted token with a
+// different number of jobs: it cannot be the retry the token vouches
+// for. The HTTP layer maps it to 409.
+var errTokenMismatch = errors.New("serve: submit token already accepted for a batch of another length")
+
 // SubmitBatch admits every spec or none: validation failures reject the
 // batch with a *BatchError before anything is enqueued, and admission —
 // the global queued cap plus every named tenant's quota, counting the
@@ -696,21 +660,36 @@ func (m *Manager) SubmitBatch(specs []JobSpec, token string) ([]*Job, error) {
 	if len(specs) == 0 {
 		return nil, &BatchError{Index: 0, Err: errors.New("empty batch")}
 	}
+	return m.submit(specs, token, true)
+}
+
+// submit is the one admission path behind Submit, SubmitToken and
+// SubmitBatch: validate every spec, answer a token already accepted with
+// the jobs it was accepted for, otherwise assign IDs and enqueue all
+// specs or none, register, journal and launch. Item i is journaled under
+// the token itself for a single submission and under "token#i" for a
+// batch.
+func (m *Manager) submit(specs []JobSpec, token string, batch bool) ([]*Job, error) {
+	itemToken := func(i int) string {
+		if token == "" || !batch {
+			return token
+		}
+		return fmt.Sprintf("%s#%d", token, i)
+	}
 	jobs := make([]*Job, len(specs))
 	items := make([]sched.BatchItem, len(specs))
 	now := time.Now()
 	for i, spec := range specs {
 		spec = spec.withDefaults()
 		if err := spec.Validate(); err != nil {
-			return nil, &BatchError{Index: i, Err: err}
-		}
-		itemToken := ""
-		if token != "" {
-			itemToken = fmt.Sprintf("%s#%d", token, i)
+			if batch {
+				err = &BatchError{Index: i, Err: err}
+			}
+			return nil, err
 		}
 		jobs[i] = &Job{
 			Spec:      spec,
-			token:     itemToken,
+			token:     itemToken(i),
 			cancel:    func() {},
 			status:    StatusQueued,
 			submitted: now,
@@ -718,19 +697,26 @@ func (m *Manager) SubmitBatch(specs []JobSpec, token string) ([]*Job, error) {
 		items[i].Tenant = spec.Tenant
 	}
 	m.mu.Lock()
-	if token != "" {
-		if id, ok := m.tokens[fmt.Sprintf("%s#%d", token, 0)]; ok {
-			// The whole batch was registered atomically under m.mu, so the
-			// first item's token implies every item's.
-			out := make([]*Job, len(specs))
-			out[0] = m.jobs[id]
-			for i := 1; i < len(specs); i++ {
-				out[i] = m.jobs[m.tokens[fmt.Sprintf("%s#%d", token, i)]]
-			}
-			m.mu.Unlock()
-			return out, nil
+	if _, ok := m.tokens[itemToken(0)]; token != "" && ok {
+		// A submission is registered atomically under m.mu, so its first
+		// token implies every item's — and the first absent one its length.
+		accepted := 1
+		for batch && m.tokens[itemToken(accepted)] != "" {
+			accepted++
 		}
+		if accepted != len(specs) {
+			m.mu.Unlock()
+			return nil, fmt.Errorf("%w: accepted with %d jobs, resent with %d", errTokenMismatch, accepted, len(specs))
+		}
+		for i := range jobs {
+			jobs[i] = m.jobs[m.tokens[itemToken(i)]]
+		}
+		m.mu.Unlock()
+		return jobs, nil
 	}
+	// ID assignment and enqueue happen under m.mu so concurrent
+	// submissions cannot interleave IDs and scheduler order differently
+	// (lock order m.mu → sched.mu).
 	for i := range items {
 		items[i].ID = fmt.Sprintf("job-%d", m.seq+1+i)
 	}
@@ -781,16 +767,11 @@ func (m *Manager) Tenants() []TenantStatus {
 	}
 	m.mu.Lock()
 	for _, j := range m.jobs {
-		name := j.tenant()
-		i, ok := byName[name]
+		// Every job's tenant is known to the scheduler: submission enqueues
+		// under it and journal replay restores its accounting.
+		i, ok := byName[j.tenant()]
 		if !ok {
-			// Journal-restored terminal jobs of a tenant that has not
-			// submitted since the restart.
-			i = len(out)
-			out = append(out, TenantStatus{TenantStats: sched.TenantStats{
-				Tenant: name, Weight: m.tenantWeight(name),
-			}})
-			byName[name] = i
+			continue
 		}
 		switch j.Status() {
 		case StatusQueued:
@@ -806,17 +787,7 @@ func (m *Manager) Tenants() []TenantStatus {
 		}
 	}
 	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
-}
-
-// tenantWeight resolves a tenant's configured weight without touching
-// scheduler state.
-func (m *Manager) tenantWeight(name string) int {
-	if w, ok := m.cfg.TenantWeights[name]; ok && w >= 1 {
-		return w
-	}
-	return m.cfg.TenantDefaultWeight
 }
 
 // TenantStatus is one row of GET /tenants: scheduler-side fair-share
@@ -946,17 +917,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		j.mu.Unlock()
 	}
 	m.baseCancel()
-	done := make(chan struct{})
-	go func() {
-		m.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
+	err := m.Drain(ctx)
 	if m.traces != nil {
 		if cerr := m.traces.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -970,62 +931,60 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// journalSubmit, journalStatus, journalTerminal and journalEvent persist
-// lifecycle records when a journal is configured. Journaling is
-// best-effort for the live path: an append error is counted
-// (journal_errors in the metrics) rather than failing the job, since the
-// in-memory table is still authoritative until the next restart.
+// journalAppend persists one lifecycle record when a journal is
+// configured. Journaling is best-effort for the live path: an append
+// error is counted (journal_errors in the metrics) rather than failing
+// the job, since the in-memory table is still authoritative until the
+// next restart.
+func (m *Manager) journalAppend(rec journal.Record) {
+	if m.journal == nil {
+		return
+	}
+	if err := m.journal.Append(rec); err != nil {
+		m.journalErrs.Add(1)
+	}
+}
+
 func (m *Manager) journalSubmit(job *Job) {
 	if m.journal == nil {
 		return
 	}
 	spec, err := json.Marshal(job.Spec)
-	if err == nil {
-		err = m.journal.Append(journal.Record{
-			Type:   journal.TypeSubmit,
-			Time:   job.submitted,
-			JobID:  job.ID,
-			Token:  job.token,
-			Tenant: job.tenant(),
-			Spec:   spec,
-		})
-	}
 	if err != nil {
 		m.journalErrs.Add(1)
+		return
 	}
+	m.journalAppend(journal.Record{
+		Type:   journal.TypeSubmit,
+		Time:   job.submitted,
+		JobID:  job.ID,
+		Token:  job.token,
+		Tenant: job.tenant(),
+		Spec:   spec,
+	})
 }
 
 // journalPreempt durably records a rung-boundary yield: the checkpoint
 // payload (trial prefix + preemption count) is what a restart resumes
 // from, so the record is fsynced like a terminal record.
 func (m *Manager) journalPreempt(job *Job, checkpoint []byte, evals int, at time.Time) {
-	if m.journal == nil {
-		return
-	}
-	if err := m.journal.Append(journal.Record{
+	m.journalAppend(journal.Record{
 		Type:        journal.TypePreempt,
 		Time:        at,
 		JobID:       job.ID,
 		Tenant:      job.tenant(),
 		Evaluations: evals,
 		Checkpoint:  checkpoint,
-	}); err != nil {
-		m.journalErrs.Add(1)
-	}
+	})
 }
 
 func (m *Manager) journalStatus(job *Job, status Status, at time.Time) {
-	if m.journal == nil {
-		return
-	}
-	if err := m.journal.Append(journal.Record{
+	m.journalAppend(journal.Record{
 		Type:   journal.TypeStatus,
 		Time:   at,
 		JobID:  job.ID,
 		Status: string(status),
-	}); err != nil {
-		m.journalErrs.Add(1)
-	}
+	})
 }
 
 func (m *Manager) journalTerminal(job *Job) {
@@ -1033,7 +992,7 @@ func (m *Manager) journalTerminal(job *Job) {
 		return
 	}
 	snap := job.Snapshot()
-	if err := m.journal.Append(journal.Record{
+	m.journalAppend(journal.Record{
 		Type:        journal.TypeResult,
 		Time:        snap.FinishedAtOr(time.Now()),
 		JobID:       job.ID,
@@ -1047,26 +1006,19 @@ func (m *Manager) journalTerminal(job *Job) {
 		BestScore:   snap.BestScore,
 		TestScore:   snap.TestScore,
 		Preemptions: snap.Preemptions,
-	}); err != nil {
-		m.journalErrs.Add(1)
-	}
+	})
 }
 
 // journalEvent records an observational incident (e.g. an abandoned
 // evaluation, reason "deadline"); events never change replayed job state
 // and are dropped by compaction.
 func (m *Manager) journalEvent(job *Job, reason Reason) {
-	if m.journal == nil {
-		return
-	}
-	if err := m.journal.Append(journal.Record{
+	m.journalAppend(journal.Record{
 		Type:   journal.TypeEvent,
 		Time:   time.Now(),
 		JobID:  job.ID,
 		Reason: string(reason),
-	}); err != nil {
-		m.journalErrs.Add(1)
-	}
+	})
 }
 
 // acquireScope returns (building on first use) the evaluation scope
@@ -1210,11 +1162,9 @@ type Metrics struct {
 	Preemptions   int64   `json:"preemptions"`
 	Resumes       int64   `json:"resumes"`
 	PoolSize      int     `json:"pool_size"`
-	PoolInUse     int     `json:"pool_in_use"`
-	// PoolInflight is the scheduler-side evaluation gauge, incremented
-	// only while a slot is actually held (EvalStarted/EvalFinished pair
-	// with slot ownership), so it never under-reports during
-	// acquire/release races the way a detached counter would.
+	// PoolInUse and PoolInflight are the same number, the scheduler's
+	// count of held evaluation slots; both names are read by clients.
+	PoolInUse         int     `json:"pool_in_use"`
 	PoolInflight      int     `json:"pool_inflight"`
 	Evaluations       int64   `json:"evaluations"`
 	EvaluationsPerSec float64 `json:"evaluations_per_sec"`
@@ -1256,9 +1206,7 @@ func (m *Manager) Metrics() Metrics {
 		QuotaShed:        m.sched.QuotaShed(),
 		Preemptions:      m.sched.Preemptions(),
 		Resumes:          m.resumes.Load(),
-		PoolSize:         m.pool.Size(),
-		PoolInUse:        m.pool.InUse(),
-		PoolInflight:     m.sched.Inflight(),
+		PoolSize:         m.cfg.PoolSize,
 		Evaluations:      m.evals.Load(),
 		Kernel:           mat.ActiveKernel().String(),
 		CPUFeatures:      mat.CPUFeatures(),
@@ -1291,22 +1239,18 @@ func (m *Manager) Metrics() Metrics {
 		out.ShipBytes = ss.Bytes
 	}
 	out.PendingDepth = m.sched.Queued()
-	out.Tenants = len(m.sched.Stats())
-	m.mu.Lock()
-	for _, j := range m.jobs {
-		switch j.Status() {
-		case StatusQueued:
-			out.JobsQueued++
-		case StatusRunning:
-			out.JobsRunning++
-		case StatusDone:
-			out.JobsDone++
-		case StatusFailed:
-			out.JobsFailed++
-		case StatusCancelled:
-			out.JobsCancelled++
-		}
+	out.PoolInUse = m.sched.Inflight()
+	out.PoolInflight = out.PoolInUse
+	tenants := m.Tenants()
+	out.Tenants = len(tenants)
+	for _, row := range tenants {
+		out.JobsQueued += row.JobsQueued
+		out.JobsRunning += row.JobsRunning
+		out.JobsDone += row.JobsDone
+		out.JobsFailed += row.JobsFailed
+		out.JobsCancelled += row.JobsCancelled
 	}
+	m.mu.Lock()
 	out.CacheScopes = len(m.scopes)
 	var agg evalcache.Stats
 	for _, e := range m.scopes {

@@ -14,64 +14,11 @@ import (
 	"runtime/debug"
 	"time"
 
+	"enhancedbhpo/internal/events"
 	"enhancedbhpo/internal/hpo"
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 )
-
-// Pool is a bounded slot pool shared by every job's evaluations. Each
-// optimizer may spin up its own worker goroutines, but an evaluation only
-// proceeds while holding a slot, so total concurrent training across all
-// jobs never exceeds the pool size — the service's one global knob for CPU
-// pressure.
-type Pool struct {
-	slots chan struct{}
-}
-
-// NewPool returns a pool with the given number of slots (minimum 1).
-func NewPool(size int) *Pool {
-	if size < 1 {
-		size = 1
-	}
-	return &Pool{slots: make(chan struct{}, size)}
-}
-
-// Acquire blocks until a slot is free or ctx is done, returning ctx's
-// error in the latter case. When both are ready at once the select may
-// win the slot anyway; the re-check below gives the cancellation
-// priority and hands the slot straight back, so Acquire never returns an
-// error while holding a slot and never returns nil for a context that
-// was already done — the caller's "on error, don't Release" contract
-// cannot leak a slot.
-func (p *Pool) Acquire(ctx context.Context) error {
-	select {
-	case p.slots <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	if err := ctx.Err(); err != nil {
-		<-p.slots
-		return err
-	}
-	return nil
-}
-
-// Release frees a slot acquired with Acquire.
-func (p *Pool) Release() {
-	<-p.slots
-}
-
-// Size returns the pool capacity.
-func (p *Pool) Size() int { return cap(p.slots) }
-
-// InUse returns the number of slots currently held. It reads the slot
-// channel's occupancy directly, so — unlike the separate counter it
-// replaced, which was incremented after the channel send and so
-// under-reported momentarily during Acquire/Release races — it is
-// always consistent with what the pool will actually admit. The
-// per-tenant pool_inflight gauge (sched.EvalStarted/EvalFinished) is
-// maintained by the pooled evaluator while the slot is held.
-func (p *Pool) InUse() int { return len(p.slots) }
 
 // panicError is an evaluation panic converted to an error by the
 // pooled evaluator's recover armor, with the goroutine stack captured at
@@ -90,63 +37,38 @@ func (e *panicError) Error() string {
 // released and its result, if one ever comes, is discarded.
 var errEvalDeadline = errors.New("serve: evaluation exceeded deadline")
 
-// pooledEvaluator gates a job's evaluations through the shared pool,
-// counts them for the service metrics, and isolates the daemon from
-// misbehaving evaluations: panics are recovered into errors, transient
-// failures are retried with a jittered backoff, a wedged evaluation is
-// abandoned at the deadline so it cannot hold its slot forever, and
-// definitive failures are charged against the job's failure budget —
-// within budget the trial scores worst-case and the run continues; past
-// it the error surfaces and only that job fails. It carries the job's
-// context so a cancelled job stops waiting for slots immediately.
+// pooledEvaluator gates a job's evaluations through the scheduler's
+// evaluation slots — across all jobs, no more than Config.PoolSize train
+// at once, the service's one global knob for CPU pressure — counts them
+// for the service metrics, and isolates the daemon from misbehaving
+// evaluations: panics are recovered into errors, transient failures are
+// retried with a jittered backoff, a wedged evaluation is abandoned at
+// the deadline so it cannot hold its slot forever, and definitive
+// failures are charged against the job's failure budget — within budget
+// the trial scores worst-case and the run continues; past it the error
+// surfaces and only that job fails. It carries the run segment's context
+// so a cancelled job stops waiting for slots immediately.
 type pooledEvaluator struct {
-	inner      hpo.Evaluator
-	pool       *Pool
-	ctx        context.Context
-	onEval     func()
-	onFailure  func()
-	onDeadline func(budget int)
-	onRetry    func(attempt int, err error)
-	onCharge   func(failures int, absorbed bool)
-	onLatency  func(time.Duration)
-	// onSlotAcquired/onSlotReleased bracket slot ownership exactly: the
-	// scheduler's per-tenant inflight gauge is incremented only after the
-	// slot is actually held and decremented before it is returned, so the
-	// gauge can never under- or over-report relative to pool occupancy.
-	onSlotAcquired func()
-	onSlotReleased func()
-	job            *Job
-	attempts       int
-	backoff        time.Duration
-	failureBudget  int
-	evalTimeout    time.Duration
+	inner hpo.Evaluator
+	m     *Manager
+	job   *Job
+	ctx   context.Context
 }
 
 func (e *pooledEvaluator) FullBudget() int { return e.inner.FullBudget() }
 
 func (e *pooledEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]float64, error) {
-	if err := e.pool.Acquire(e.ctx); err != nil {
+	m, job := e.m, e.job
+	tenant := job.tenant()
+	if err := m.sched.AcquireEval(e.ctx, tenant); err != nil {
 		return nil, err
 	}
-	if e.onSlotAcquired != nil {
-		e.onSlotAcquired()
-	}
-	defer func() {
-		if e.onSlotReleased != nil {
-			e.onSlotReleased()
-		}
-		e.pool.Release()
-	}()
-	attempts := e.attempts
-	if attempts < 1 {
-		attempts = 1
-	}
+	defer m.sched.ReleaseEval(tenant)
+	attempts := m.cfg.EvalAttempts
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			if e.onRetry != nil {
-				e.onRetry(attempt, lastErr)
-			}
+			m.publish(job.ID, events.Event{Type: events.TypeRetry, Attempt: attempt, Error: lastErr.Error()})
 			if err := e.sleepBackoff(attempt); err != nil {
 				return nil, err
 			}
@@ -156,12 +78,8 @@ func (e *pooledEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([
 		start := time.Now()
 		scores, err := e.evalOnce(cfg, budget, r)
 		if err == nil {
-			if e.onLatency != nil {
-				e.onLatency(time.Since(start))
-			}
-			if e.onEval != nil {
-				e.onEval()
-			}
+			m.observeEvalLatency(time.Since(start))
+			m.evals.Add(1)
 			return scores, nil
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -175,24 +93,22 @@ func (e *pooledEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([
 			break
 		}
 	}
-	if e.onFailure != nil {
-		e.onFailure()
-	}
+	m.trialFailures.Add(1)
 	var stack string
 	var pe *panicError
 	if errors.As(lastErr, &pe) {
 		stack = string(pe.stack)
 	}
-	if e.job != nil {
-		failures, absorbed := e.job.recordEvalFailure(stack, e.failureBudget)
-		if e.onCharge != nil {
-			e.onCharge(failures, absorbed)
-		}
-		if absorbed {
-			// Absorbed: this trial alone fails, scoring worst-case so the
-			// optimizer ranks the configuration last and moves on.
-			return []float64{0}, nil
-		}
+	failures, absorbed := job.recordEvalFailure(stack, m.cfg.FailureBudget)
+	reason := "absorbed"
+	if !absorbed {
+		reason = "exhausted"
+	}
+	m.publish(job.ID, events.Event{Type: events.TypeFailure, Failures: failures, Reason: reason})
+	if absorbed {
+		// Absorbed: this trial alone fails, scoring worst-case so the
+		// optimizer ranks the configuration last and moves on.
+		return []float64{0}, nil
 	}
 	return nil, fmt.Errorf("serve: evaluation failed after %d attempts: %w", attempts, lastErr)
 }
@@ -205,7 +121,8 @@ func (e *pooledEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([
 // evaluation cache, and an RNG it reads via non-advancing Splits), so it
 // can finish (or sleep) harmlessly in the background.
 func (e *pooledEvaluator) evalOnce(cfg search.Config, budget int, r *rng.RNG) ([]float64, error) {
-	if e.evalTimeout <= 0 {
+	timeout := e.m.cfg.EvalTimeout
+	if timeout <= 0 {
 		return e.evalDirect(cfg, budget, r)
 	}
 	type outcome struct {
@@ -217,16 +134,17 @@ func (e *pooledEvaluator) evalOnce(cfg search.Config, budget int, r *rng.RNG) ([
 		scores, err := e.evalDirect(cfg, budget, r)
 		ch <- outcome{scores, err}
 	}()
-	t := time.NewTimer(e.evalTimeout)
+	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
 	case out := <-ch:
 		return out.scores, out.err
 	case <-t.C:
-		if e.onDeadline != nil {
-			e.onDeadline(budget)
-		}
-		return nil, fmt.Errorf("%w (%s)", errEvalDeadline, e.evalTimeout)
+		m, job := e.m, e.job
+		m.deadlineExceeded.Add(1)
+		m.journalEvent(job, ReasonDeadline)
+		m.publish(job.ID, events.Event{Type: events.TypeDeadline, Budget: budget, Reason: string(ReasonDeadline)})
+		return nil, fmt.Errorf("%w (%s)", errEvalDeadline, timeout)
 	case <-e.ctx.Done():
 		return nil, e.ctx.Err()
 	}
@@ -246,7 +164,7 @@ func (e *pooledEvaluator) evalDirect(cfg search.Config, budget int, r *rng.RNG) 
 // sleepBackoff waits the jittered, exponentially grown backoff for the
 // given retry attempt, aborting early when the job is cancelled.
 func (e *pooledEvaluator) sleepBackoff(attempt int) error {
-	d := e.backoff << (attempt - 1)
+	d := e.m.cfg.RetryBackoff << (attempt - 1)
 	if d <= 0 {
 		return e.ctx.Err()
 	}

@@ -34,7 +34,7 @@ func (m *Manager) run(ctx context.Context, job *Job, cancel context.CancelFunc, 
 
 	for {
 		// Queued until the scheduler grants the ticket; cancellation while
-		// queued withdraws it without ever touching the pool.
+		// queued withdraws it without ever taking an evaluation slot.
 		if err := ticket.Wait(ctx); err != nil {
 			m.finish(job, nil, nil, err)
 			return
@@ -108,7 +108,9 @@ func (m *Manager) preemptJob(job *Job) {
 	job.preempts++
 	job.checkpointLen = len(job.trials)
 	job.segCancel = nil
-	ck := job.checkpointLocked()
+	// Appends never touch the recorded prefix, so it is marshalled below
+	// without the lock.
+	ck := checkpointState{Preempts: job.preempts, Trials: job.trials}
 	evals := len(job.trials)
 	round := job.maxRound
 	job.mu.Unlock()
@@ -141,40 +143,7 @@ func (m *Manager) optimize(ctx context.Context, job *Job, scope *evalScope) (*hp
 		// errors exercise the real isolation path.
 		inner = m.cfg.WrapEvaluator(job.ID, inner)
 	}
-	tenant := job.tenant()
-	ev := &pooledEvaluator{
-		inner:     inner,
-		pool:      m.pool,
-		ctx:       ctx,
-		onEval:    func() { m.evals.Add(1) },
-		onFailure: func() { m.trialFailures.Add(1) },
-		onDeadline: func(budget int) {
-			m.deadlineExceeded.Add(1)
-			m.journalEvent(job, ReasonDeadline)
-			m.publish(job.ID, events.Event{Type: events.TypeDeadline, Budget: budget, Reason: string(ReasonDeadline)})
-		},
-		onRetry: func(attempt int, err error) {
-			m.publish(job.ID, events.Event{Type: events.TypeRetry, Attempt: attempt, Error: err.Error()})
-		},
-		onCharge: func(failures int, absorbed bool) {
-			reason := "absorbed"
-			if !absorbed {
-				reason = "exhausted"
-			}
-			m.publish(job.ID, events.Event{Type: events.TypeFailure, Failures: failures, Reason: reason})
-		},
-		onLatency: m.observeEvalLatency,
-		// The inflight gauge is charged to the tenant only while the slot
-		// is actually held, so pool_inflight is always consistent with
-		// pool occupancy.
-		onSlotAcquired: func() { m.sched.EvalStarted(tenant) },
-		onSlotReleased: func() { m.sched.EvalFinished(tenant) },
-		job:            job,
-		attempts:       m.cfg.EvalAttempts,
-		backoff:        m.cfg.RetryBackoff,
-		failureBudget:  m.cfg.FailureBudget,
-		evalTimeout:    m.cfg.EvalTimeout,
-	}
+	ev := &pooledEvaluator{inner: inner, m: m, job: job, ctx: ctx}
 	method, ok := hpo.LookupMethod(spec.Method)
 	if !ok {
 		// Unreachable for submitted jobs: Validate rejects unknown methods.
@@ -182,7 +151,7 @@ func (m *Manager) optimize(ctx context.Context, job *Job, scope *evalScope) (*hp
 	}
 	workers := spec.Workers
 	if workers <= 0 {
-		workers = m.pool.Size()
+		workers = m.cfg.PoolSize
 	}
 	// The registry adapters run the same code path as core.Run, so a
 	// served job and a CLI run with the same seed agree bit for bit.
@@ -203,8 +172,7 @@ func (m *Manager) optimize(ctx context.Context, job *Job, scope *evalScope) (*hp
 // the cancel source (user_cancel, shutdown) or derived here (timeout).
 func (m *Manager) finish(job *Job, scope *evalScope, res *hpo.Result, err error) {
 	status := StatusDone
-	var testScore float64
-	hasTest := false
+	var testScore *float64
 	timedOut := errors.Is(err, context.DeadlineExceeded)
 	switch {
 	case errors.Is(err, context.Canceled), timedOut:
@@ -221,7 +189,8 @@ func (m *Manager) finish(job *Job, scope *evalScope, res *hpo.Result, err error)
 			err = ferr
 			res = nil
 		} else {
-			testScore, hasTest = score[0], true
+			ts := score[0]
+			testScore = &ts
 		}
 	}
 	job.mu.Lock()
@@ -244,9 +213,16 @@ func (m *Manager) finish(job *Job, scope *evalScope, res *hpo.Result, err error)
 	if err != nil {
 		job.errMsg = err.Error()
 	}
-	job.result = res
-	job.testScore = testScore
-	job.hasTest = hasTest
+	if res != nil {
+		if sp := res.Best.Space(); sp != nil {
+			job.bestConfig = make(map[string]any, len(sp.Dims))
+			for _, dim := range sp.Dims {
+				job.bestConfig[dim.Name] = res.Best.Value(dim.Name)
+			}
+		}
+		job.bestScore = &res.BestScore
+		job.testScore = testScore
+	}
 	job.mu.Unlock()
 	// Terminal event before the journal record: the publish fsyncs the
 	// job's trace file and closes its feed, so by the time the journal

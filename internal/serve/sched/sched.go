@@ -8,6 +8,13 @@
 // runner can yield at the next rung boundary. Per-tenant quotas bound
 // how much any one tenant can queue, independent of the global cap.
 //
+// The scheduler also owns the evaluation slots — how many evaluations,
+// across every running job, may train at once. A running job's workers
+// call AcquireEval before each evaluation and ReleaseEval after it;
+// slots go to waiters in arrival order, and the per-tenant and global
+// inflight counts move under the same lock hold as the grant, so there
+// is one count of what is on a core and nothing to keep in step with it.
+//
 // Virtual-time math (stride/SFQ): each tenant carries vtime, a
 // monotonically increasing float. Granting a slot charges a fixed
 // grantCost/weight; each completed evaluation charges budget/weight
@@ -35,6 +42,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -71,6 +79,9 @@ type Config struct {
 	// Slots is the number of jobs that may run concurrently (the serve
 	// layer's MaxJobs). Minimum 1.
 	Slots int
+	// EvalSlots is the number of evaluations that may hold a slot at once,
+	// across all running jobs (the serve layer's PoolSize). Minimum 1.
+	EvalSlots int
 	// MaxQueued caps jobs accepted but not yet granted a slot, across
 	// all tenants. 0 = unbounded. Bypass enqueues (journal replays,
 	// preemption resumes) are exempt and not counted against it.
@@ -94,7 +105,7 @@ type tenant struct {
 
 	queuedAdmitted int // queue entries counted against MaxQueued/Quota
 	running        int
-	inflight       int // evaluations currently holding pool slots
+	inflight       int // evaluations currently holding evaluation slots
 
 	granted     int64
 	evals       int64
@@ -139,9 +150,14 @@ type Scheduler struct {
 	free     int
 	queued   int // total waiting tickets
 	admitted int // waiting tickets counted against MaxQueued
-	inflight int // evaluations currently holding pool slots
 	grantSeq uint64
 	grants   []string // grant-order log (job IDs), capped at maxGrantLog
+
+	// Evaluation slots. inflight is the one count of held slots; a waiter
+	// exists only while inflight == cfg.EvalSlots, because a released slot
+	// passes straight to the first waiter.
+	inflight    int
+	evalWaiters []*evalWaiter
 
 	preemptions int64
 	quotaShed   int64
@@ -151,6 +167,9 @@ type Scheduler struct {
 func New(cfg Config) *Scheduler {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
+	}
+	if cfg.EvalSlots < 1 {
+		cfg.EvalSlots = 1
 	}
 	if cfg.DefaultWeight < 1 {
 		cfg.DefaultWeight = 1
@@ -193,29 +212,17 @@ func (s *Scheduler) minActiveVtimeLocked() (float64, bool) {
 	return min, ok
 }
 
-// Enqueue admits one job for tenant and returns its ticket. With bypass
-// false it enforces the global MaxQueued cap (ErrQueueFull) and the
-// per-tenant Quota (QuotaError); bypass true skips both — journal
-// replays were admitted by the previous process, and a preempted job
-// re-entering the queue was admitted at submission.
+// Enqueue admits one job for tenant and returns its ticket: an
+// EnqueueBatch of one. bypass true skips the global cap and the tenant
+// quota — journal replays were admitted by the previous process, and a
+// preempted job re-entering the queue was admitted at submission — and
+// never errors.
 func (s *Scheduler) Enqueue(tenantName, id string, bypass bool) (*Ticket, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.tenantLocked(tenantName)
-	if !bypass {
-		if s.cfg.MaxQueued > 0 && s.admitted >= s.cfg.MaxQueued {
-			t.shed++
-			return nil, fmt.Errorf("%w (%d queued, max %d)", ErrQueueFull, s.admitted, s.cfg.MaxQueued)
-		}
-		if s.cfg.Quota > 0 && t.queuedAdmitted >= s.cfg.Quota {
-			t.shed++
-			s.quotaShed++
-			return nil, &QuotaError{Tenant: tenantName, Queued: t.queuedAdmitted, Quota: s.cfg.Quota}
-		}
+	tks, err := s.enqueue([]BatchItem{{Tenant: tenantName, ID: id}}, bypass)
+	if err != nil {
+		return nil, err
 	}
-	tk := s.enqueueLocked(t, id, !bypass)
-	s.rebalanceLocked()
-	return tk, nil
+	return tks[0], nil
 }
 
 // BatchItem is one entry of an EnqueueBatch.
@@ -225,64 +232,88 @@ type BatchItem struct {
 }
 
 // EnqueueBatch admits every item or none: the whole batch is checked
-// against the global cap and each tenant's quota before any ticket is
-// created, under one lock, so a concurrent submission cannot split the
-// batch. On success the returned tickets are index-aligned with items.
+// against the global MaxQueued cap (ErrQueueFull) and each tenant's
+// Quota (QuotaError) before any ticket is created, under one lock, so a
+// concurrent submission cannot split the batch. On success the returned
+// tickets are index-aligned with items.
 func (s *Scheduler) EnqueueBatch(items []BatchItem) ([]*Ticket, error) {
+	return s.enqueue(items, false)
+}
+
+// enqueue is the one admission path: all-or-nothing cap checks unless
+// bypassed, then one ticket per item — a tenant going from idle to
+// active enters at the SFQ arrival clock — and one rebalance.
+func (s *Scheduler) enqueue(items []BatchItem, bypass bool) ([]*Ticket, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.MaxQueued > 0 && s.admitted+len(items) > s.cfg.MaxQueued {
-		for _, it := range items {
-			s.tenantLocked(it.Tenant).shed++
-		}
-		return nil, fmt.Errorf("%w (%d queued + %d batched, max %d)",
-			ErrQueueFull, s.admitted, len(items), s.cfg.MaxQueued)
-	}
-	if s.cfg.Quota > 0 {
-		perTenant := map[string]int{}
-		for _, it := range items {
-			perTenant[it.Tenant]++
-		}
-		// Deterministic error: report the alphabetically first tenant over
-		// quota, not map-iteration luck.
-		names := make([]string, 0, len(perTenant))
-		for name := range perTenant {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			t := s.tenantLocked(name)
-			if t.queuedAdmitted+perTenant[name] > s.cfg.Quota {
-				t.shed += int64(perTenant[name])
-				s.quotaShed += int64(perTenant[name])
-				return nil, &QuotaError{Tenant: name, Queued: t.queuedAdmitted + perTenant[name], Quota: s.cfg.Quota}
-			}
+	if !bypass {
+		if err := s.checkCapsLocked(items); err != nil {
+			return nil, err
 		}
 	}
 	out := make([]*Ticket, len(items))
 	for i, it := range items {
-		out[i] = s.enqueueLocked(s.tenantLocked(it.Tenant), it.ID, true)
+		t := s.tenantLocked(it.Tenant)
+		if len(t.queue) == 0 && t.running == 0 {
+			if min, ok := s.minActiveVtimeLocked(); ok && min > t.vtime {
+				t.vtime = min
+			}
+		}
+		out[i] = &Ticket{ID: it.ID, Tenant: t.name, s: s, grant: make(chan struct{}), admitted: !bypass}
+		t.queue = append(t.queue, out[i])
+		s.queued++
+		if !bypass {
+			t.queuedAdmitted++
+			s.admitted++
+		}
 	}
 	s.rebalanceLocked()
 	return out, nil
 }
 
-// enqueueLocked appends a ticket to the tenant's queue, applying the
-// SFQ arrival rule to a tenant going from idle to active.
-func (s *Scheduler) enqueueLocked(t *tenant, id string, admitted bool) *Ticket {
-	if len(t.queue) == 0 && t.running == 0 {
-		if min, ok := s.minActiveVtimeLocked(); ok && min > t.vtime {
-			t.vtime = min
+// checkCapsLocked refuses items that would push the admitted queue past
+// MaxQueued or any one tenant past Quota, counting the shed against the
+// tenants concerned. The error describes one job by the queue it met and
+// a longer batch by that queue plus its own length.
+func (s *Scheduler) checkCapsLocked(items []BatchItem) error {
+	batch := len(items) > 1
+	if s.cfg.MaxQueued > 0 && s.admitted+len(items) > s.cfg.MaxQueued {
+		for _, it := range items {
+			s.tenantLocked(it.Tenant).shed++
+		}
+		if !batch {
+			return fmt.Errorf("%w (%d queued, max %d)", ErrQueueFull, s.admitted, s.cfg.MaxQueued)
+		}
+		return fmt.Errorf("%w (%d queued + %d batched, max %d)",
+			ErrQueueFull, s.admitted, len(items), s.cfg.MaxQueued)
+	}
+	if s.cfg.Quota == 0 {
+		return nil
+	}
+	perTenant := map[string]int{}
+	for _, it := range items {
+		perTenant[it.Tenant]++
+	}
+	// Deterministic error: report the alphabetically first tenant over
+	// quota, not map-iteration luck.
+	names := make([]string, 0, len(perTenant))
+	for name := range perTenant {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t, n := s.tenantLocked(name), perTenant[name]
+		if t.queuedAdmitted+n > s.cfg.Quota {
+			t.shed += int64(n)
+			s.quotaShed += int64(n)
+			queued := t.queuedAdmitted
+			if batch {
+				queued += n
+			}
+			return &QuotaError{Tenant: name, Queued: queued, Quota: s.cfg.Quota}
 		}
 	}
-	tk := &Ticket{ID: id, Tenant: t.name, s: s, grant: make(chan struct{}), admitted: admitted}
-	t.queue = append(t.queue, tk)
-	s.queued++
-	if admitted {
-		t.queuedAdmitted++
-		s.admitted++
-	}
-	return tk
+	return nil
 }
 
 // rebalanceLocked grants free slots to the lowest-vtime backlogged
@@ -391,15 +422,12 @@ func (tk *Ticket) Wait(ctx context.Context) error {
 // withdrawLocked removes a still-queued ticket from its tenant's queue.
 func (s *Scheduler) withdrawLocked(tk *Ticket) {
 	t := s.tenants[tk.Tenant]
-	for i, q := range t.queue {
-		if q == tk {
-			t.queue = append(t.queue[:i], t.queue[i+1:]...)
-			s.queued--
-			if tk.admitted {
-				t.queuedAdmitted--
-				s.admitted--
-			}
-			break
+	if i := slices.Index(t.queue, tk); i >= 0 {
+		t.queue = slices.Delete(t.queue, i, i+1)
+		s.queued--
+		if tk.admitted {
+			t.queuedAdmitted--
+			s.admitted--
 		}
 	}
 	tk.state = tkAbandoned
@@ -477,29 +505,84 @@ func (s *Scheduler) Restore(tenantName string, service float64, evals, preemptio
 	s.preemptions += preemptions
 }
 
-// EvalStarted and EvalFinished maintain the consistent inflight gauge:
-// called by the pooled evaluator immediately after acquiring and
-// immediately before releasing a pool slot, so the count is paired with
-// slot ownership and can never go negative or leak.
-func (s *Scheduler) EvalStarted(tenantName string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.tenantLocked(tenantName)
-	t.inflight++
-	s.inflight++
+// evalWaiter is one AcquireEval blocked because every evaluation slot is
+// held.
+type evalWaiter struct {
+	tenant  *tenant
+	grant   chan struct{}
+	granted bool
 }
 
-// EvalFinished is the paired decrement of EvalStarted.
-func (s *Scheduler) EvalFinished(tenantName string) {
+// AcquireEval blocks until one of the EvalSlots evaluation slots is
+// free or ctx is done, and counts the evaluation inflight for the tenant
+// and globally in the same lock hold as the grant. Waiters are served in
+// arrival order. Cancellation has priority over a simultaneous grant —
+// the slot goes straight back — so AcquireEval never returns an error
+// while holding a slot and never returns nil for a context that was
+// already done: "on error, don't ReleaseEval" cannot leak a slot.
+func (s *Scheduler) AcquireEval(ctx context.Context, tenantName string) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	t := s.tenantLocked(tenantName)
+	if s.inflight < s.cfg.EvalSlots {
+		t.inflight++
+		s.inflight++
+		s.mu.Unlock()
+		return nil
+	}
+	w := &evalWaiter{tenant: t, grant: make(chan struct{})}
+	s.evalWaiters = append(s.evalWaiters, w)
+	s.mu.Unlock()
+
+	select {
+	case <-w.grant:
+		if ctx.Err() == nil {
+			return nil
+		}
+	case <-ctx.Done():
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := s.tenantLocked(tenantName)
+	if w.granted {
+		// Granted between the select arms, or to a context that was done
+		// by then: pass the slot on.
+		s.releaseEvalLocked(t)
+		return ctx.Err()
+	}
+	if i := slices.Index(s.evalWaiters, w); i >= 0 {
+		s.evalWaiters = slices.Delete(s.evalWaiters, i, i+1)
+	}
+	return ctx.Err()
+}
+
+// ReleaseEval returns the evaluation slot a successful AcquireEval for
+// the same tenant took.
+func (s *Scheduler) ReleaseEval(tenantName string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.releaseEvalLocked(s.tenants[tenantName])
+}
+
+// releaseEvalLocked frees one of t's slots and hands it to the first
+// waiter, if any.
+func (s *Scheduler) releaseEvalLocked(t *tenant) {
 	t.inflight--
 	s.inflight--
+	if len(s.evalWaiters) == 0 {
+		return
+	}
+	w := s.evalWaiters[0]
+	s.evalWaiters = s.evalWaiters[1:]
+	w.granted = true
+	w.tenant.inflight++
+	s.inflight++
+	close(w.grant)
 }
 
-// Inflight returns the evaluations currently holding pool slots — the
-// pool_inflight gauge.
+// Inflight returns the evaluations currently holding evaluation slots —
+// the pool_in_use and pool_inflight gauges.
 func (s *Scheduler) Inflight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,6 +3,8 @@ package sched
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -236,18 +238,27 @@ func TestWaitContextWithdraws(t *testing.T) {
 	}
 }
 
-// TestInflightGauge pairs EvalStarted/EvalFinished.
-func TestInflightGauge(t *testing.T) {
-	s := New(Config{Slots: 2})
-	s.EvalStarted("a")
-	s.EvalStarted("a")
-	s.EvalStarted("b")
+// TestEvalSlotInflightGauge: the per-tenant and global inflight counts
+// move with evaluation-slot ownership and drain to zero.
+func TestEvalSlotInflightGauge(t *testing.T) {
+	s := New(Config{Slots: 2, EvalSlots: 3})
+	ctx := context.Background()
+	for _, tenant := range []string{"a", "a", "b"} {
+		if err := s.AcquireEval(ctx, tenant); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got := s.Inflight(); got != 3 {
 		t.Fatalf("inflight = %d, want 3", got)
 	}
-	s.EvalFinished("a")
-	s.EvalFinished("b")
-	s.EvalFinished("a")
+	for _, st := range s.Stats() {
+		if want := map[string]int{"a": 2, "b": 1}[st.Tenant]; st.InflightEvals != want {
+			t.Fatalf("tenant %s inflight = %d, want %d", st.Tenant, st.InflightEvals, want)
+		}
+	}
+	s.ReleaseEval("a")
+	s.ReleaseEval("b")
+	s.ReleaseEval("a")
 	if got := s.Inflight(); got != 0 {
 		t.Fatalf("inflight = %d, want 0", got)
 	}
@@ -255,6 +266,156 @@ func TestInflightGauge(t *testing.T) {
 		if st.InflightEvals != 0 {
 			t.Fatalf("tenant %s inflight = %d, want 0", st.Tenant, st.InflightEvals)
 		}
+	}
+}
+
+// TestEvalSlotFIFO: with every slot held, waiters are served in arrival
+// order, whatever their tenant.
+func TestEvalSlotFIFO(t *testing.T) {
+	s := New(Config{EvalSlots: 1})
+	ctx := context.Background()
+	if err := s.AcquireEval(ctx, "hold"); err != nil {
+		t.Fatal(err)
+	}
+	order := make(chan string, 3)
+	for i, tenant := range []string{"c", "a", "b"} {
+		go func() {
+			if err := s.AcquireEval(ctx, tenant); err != nil {
+				order <- "err:" + err.Error()
+				return
+			}
+			order <- tenant
+		}()
+		// The next waiter may only arrive once this one is queued.
+		waitFor(t, func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return len(s.evalWaiters) == i+1
+		})
+	}
+	holder := "hold"
+	for _, want := range []string{"c", "a", "b"} {
+		s.ReleaseEval(holder)
+		select {
+		case got := <-order:
+			if got != want {
+				t.Fatalf("slot went to %q, want %q", got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("waiter %q never served", want)
+		}
+		holder = want
+	}
+	s.ReleaseEval(holder)
+	if got := s.Inflight(); got != 0 {
+		t.Fatalf("inflight = %d after all released, want 0", got)
+	}
+}
+
+// waitFor polls cond until it holds or ten seconds pass.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never held")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEvalSlotAcquireCancelRace is the regression for the acquire/cancel
+// race: when a context is cancelled concurrently with acquisition, the
+// grant can land even though the context is already done. AcquireEval
+// must hand that slot straight back and report the cancellation — it may
+// never return an error while holding a slot, nor strand a slot the
+// caller was told it did not get — and no storm may ever put more than
+// EvalSlots evaluations in flight. Run under -race via make check.
+func TestEvalSlotAcquireCancelRace(t *testing.T) {
+	const slots = 2
+	s := New(Config{EvalSlots: slots})
+	var held, over atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < 400; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithCancel(context.Background())
+			// Cancel on a sibling goroutine so it lands before, during
+			// and after the grant across iterations.
+			go cancel()
+			tenant := []string{"a", "b", "c"}[i%3]
+			if err := s.AcquireEval(ctx, tenant); err == nil {
+				if held.Add(1) > slots || s.Inflight() > slots {
+					over.Add(1)
+				}
+				held.Add(-1)
+				s.ReleaseEval(tenant)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := over.Load(); n != 0 {
+		t.Fatalf("%d acquisitions saw more than %d slots held", n, slots)
+	}
+	if got := s.Inflight(); got != 0 {
+		t.Fatalf("%d slots still counted in use after churn", got)
+	}
+	for _, st := range s.Stats() {
+		if st.InflightEvals != 0 {
+			t.Fatalf("tenant %s inflight = %d after churn, want 0", st.Tenant, st.InflightEvals)
+		}
+	}
+	// Every slot must still be acquirable; a leaked slot makes this time
+	// out instead of hanging the suite.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < slots; i++ {
+		if err := s.AcquireEval(ctx, "a"); err != nil {
+			t.Fatalf("slot %d unacquirable after churn: %v (leaked by a cancelled AcquireEval)", i, err)
+		}
+	}
+	if got := s.Inflight(); got != slots {
+		t.Fatalf("Inflight %d after acquiring all %d slots", got, slots)
+	}
+	for i := 0; i < slots; i++ {
+		s.ReleaseEval("a")
+	}
+}
+
+// TestEvalSlotAcquirePreCancelled: a context that is already done must
+// never acquire, free slot or not.
+func TestEvalSlotAcquirePreCancelled(t *testing.T) {
+	s := New(Config{EvalSlots: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 200; i++ {
+		if err := s.AcquireEval(ctx, "a"); err == nil {
+			t.Fatal("pre-cancelled context acquired a slot")
+		}
+	}
+	if got := s.Inflight(); got != 0 {
+		t.Fatalf("Inflight %d after refused acquires", got)
+	}
+	if err := s.AcquireEval(context.Background(), "a"); err != nil {
+		t.Fatalf("slots unusable after refused acquires: %v", err)
+	}
+	// A waiter cancelled while queued is withdrawn, not granted later.
+	waitCtx, waitCancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- s.AcquireEval(waitCtx, "b") }()
+	waitFor(t, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.evalWaiters) == 1
+	})
+	waitCancel()
+	if err := <-errc; err == nil {
+		t.Fatal("cancelled waiter acquired a slot")
+	}
+	s.ReleaseEval("a")
+	if got := s.Inflight(); got != 0 {
+		t.Fatalf("Inflight %d: the freed slot went to a withdrawn waiter", got)
 	}
 }
 

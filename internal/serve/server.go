@@ -129,37 +129,57 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
+// admit is the one submission path behind POST /jobs and POST
+// /jobs:batch: refuse while draining, decode a body of at most limit
+// bytes into Req (named what in a decode error), hand it to submit with
+// the request's X-Submit-Token — the coordinator's idempotency key: a
+// retried submission whose first ack was lost returns the jobs already
+// accepted instead of running the work twice — and answer 202 with what
+// submit returns, 429 for a shed, 409 for a token re-sent with another
+// batch length, or a 400 naming the offending batch item and spec field
+// when the error carries them.
+func admit[Req any](s *Server, w http.ResponseWriter, r *http.Request, limit int64, what string,
+	submit func(req Req, token string) (any, error)) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
 		return
 	}
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	var req Req
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding job spec: %v", err)
+	if err := dec.Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
 		return
 	}
-	// X-Submit-Token is the coordinator's idempotency key: a retried
-	// submission (the first attempt's ack was lost) with the same token
-	// returns the already-accepted job instead of running the work twice.
-	job, err := s.manager.SubmitToken(spec, r.Header.Get("X-Submit-Token"))
-	if s.writeShed(w, err) {
-		return
+	accepted, err := submit(req, r.Header.Get("X-Submit-Token"))
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusAccepted, accepted)
+	case s.writeShed(w, err):
+	case errors.Is(err, errTokenMismatch):
+		writeError(w, http.StatusConflict, "%v", err)
+	default:
+		body := errorBody{Error: err.Error()}
+		var batchErr *BatchError
+		if errors.As(err, &batchErr) {
+			body.Index = &batchErr.Index
+		}
+		var fieldErr *SpecFieldError
+		if errors.As(err, &fieldErr) {
+			body.Field = fieldErr.Field
+		}
+		writeJSON(w, http.StatusBadRequest, body)
 	}
-	var fieldErr *SpecFieldError
-	if errors.As(err, &fieldErr) {
-		// Spec validation failure: name the offending field so clients can
-		// fix the submission instead of guessing.
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), Field: fieldErr.Field})
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, job.Snapshot())
+}
+
+func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
+	admit(s, w, r, 1<<20, "job spec", func(spec JobSpec, token string) (any, error) {
+		job, err := s.manager.SubmitToken(spec, token)
+		if err != nil {
+			return nil, err
+		}
+		return job.Snapshot(), nil
+	})
 }
 
 // writeShed maps admission-control rejections to 429: a global-cap shed
@@ -168,30 +188,25 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 // response.
 func (s *Server) writeShed(w http.ResponseWriter, err error) bool {
 	var quotaErr *sched.QuotaError
+	var tenant string
+	var wait time.Duration
 	switch {
 	case errors.As(err, &quotaErr):
-		secs := retryAfterSeconds(s.manager.RetryAfterTenant(quotaErr.Tenant))
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusTooManyRequests, overloadBody{
-			Error:         err.Error(),
-			Tenant:        quotaErr.Tenant,
-			RetryAfterSec: secs,
-		})
-		return true
+		tenant = quotaErr.Tenant
+		wait = s.manager.RetryAfterTenant(tenant)
 	case errors.Is(err, ErrOverloaded):
 		// Shed load instead of queueing unboundedly. Retry-After is
 		// priced from the observed evaluation latency EWMA and the queue
 		// depth, so clients back off proportionally to the actual
 		// backlog.
-		secs := retryAfterSeconds(s.manager.RetryAfter())
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusTooManyRequests, overloadBody{
-			Error:         err.Error(),
-			RetryAfterSec: secs,
-		})
-		return true
+		wait = s.manager.RetryAfter()
+	default:
+		return false
 	}
-	return false
+	secs := retryAfterSeconds(wait)
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	writeJSON(w, http.StatusTooManyRequests, overloadBody{Error: err.Error(), Tenant: tenant, RetryAfterSec: secs})
+	return true
 }
 
 // batchRequest is the POST /jobs:batch body.
@@ -206,48 +221,23 @@ type batchResponse struct {
 }
 
 func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
-		return
-	}
-	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding batch: %v", err)
-		return
-	}
-	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	jobs, err := s.manager.SubmitBatch(req.Jobs, r.Header.Get("X-Submit-Token"))
-	if s.writeShed(w, err) {
-		return
-	}
-	var batchErr *BatchError
-	if errors.As(err, &batchErr) {
-		idx := batchErr.Index
-		body := errorBody{Error: err.Error(), Index: &idx}
-		var fieldErr *SpecFieldError
-		if errors.As(batchErr.Err, &fieldErr) {
-			body.Field = fieldErr.Field
+	admit(s, w, r, 8<<20, "batch", func(req batchRequest, token string) (any, error) {
+		if len(req.Jobs) == 0 {
+			return nil, errors.New("empty batch")
 		}
-		writeJSON(w, http.StatusBadRequest, body)
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	out := batchResponse{Jobs: make([]Snapshot, len(jobs))}
-	for i, job := range jobs {
-		snap := job.Snapshot()
-		snap.Curve = nil
-		snap.Sparkline = ""
-		out.Jobs[i] = snap
-	}
-	writeJSON(w, http.StatusAccepted, out)
+		jobs, err := s.manager.SubmitBatch(req.Jobs, token)
+		if err != nil {
+			return nil, err
+		}
+		out := batchResponse{Jobs: make([]Snapshot, len(jobs))}
+		for i, job := range jobs {
+			snap := job.Snapshot()
+			snap.Curve = nil
+			snap.Sparkline = ""
+			out.Jobs[i] = snap
+		}
+		return out, nil
+	})
 }
 
 // tenantsResponse is the GET /tenants payload.

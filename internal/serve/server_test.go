@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"enhancedbhpo/internal/hpo"
+	"enhancedbhpo/internal/trace"
 )
 
 // smallSpec is a job small enough to finish in well under a second.
@@ -471,6 +472,38 @@ func TestAllMethodsServable(t *testing.T) {
 		}
 		if done.Evaluations == 0 || len(done.Curve) == 0 {
 			t.Errorf("%s: no anytime curve (evaluations=%d, curve=%d)", info.Name, done.Evaluations, len(done.Curve))
+		}
+	}
+}
+
+// TestJobCurveMatchesAnytime: the curve a job appends to trial by trial
+// is the library's anytime curve of the same trials, bit for bit — what
+// a served job streams and what the CLI computes cannot drift apart.
+func TestJobCurveMatchesAnytime(t *testing.T) {
+	job := &Job{ID: "job-1"}
+	if got := job.Snapshot().Curve; got == nil || len(got) != 0 {
+		t.Fatalf("curve before any trial = %#v, want an empty, non-nil slice", got)
+	}
+	trials := []hpo.Trial{
+		{Budget: 30, Score: 0.5, Elapsed: 3 * time.Millisecond},
+		{Budget: 30, Score: 0.25, Elapsed: 5 * time.Millisecond},
+		{Budget: 90, Score: 0.75, Round: 1, Elapsed: 7 * time.Millisecond},
+		{Budget: 90, Score: 0.75, Round: 1, Elapsed: 2 * time.Millisecond},
+		{Budget: 270, Score: -1, Round: 2, Elapsed: 11 * time.Millisecond},
+	}
+	job.mu.Lock()
+	for _, tr := range trials {
+		job.recordTrialLocked(ckTrial{Budget: tr.Budget, Round: tr.Round, Score: tr.Score, ElapsedNS: int64(tr.Elapsed)})
+	}
+	job.mu.Unlock()
+	snap := job.Snapshot()
+	want := trace.Anytime(trials)
+	if snap.Evaluations != len(want) || len(snap.Curve) != len(want) {
+		t.Fatalf("evaluations %d, curve of %d points, want %d", snap.Evaluations, len(snap.Curve), len(want))
+	}
+	for i := range want {
+		if snap.Curve[i] != want[i] {
+			t.Errorf("point %d = %+v, want %+v", i, snap.Curve[i], want[i])
 		}
 	}
 }

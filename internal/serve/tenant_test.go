@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"testing"
 	"time"
@@ -565,10 +566,9 @@ func getJSON(t *testing.T, url string, into any) {
 	}
 }
 
-// TestPoolInflightGauge: pool_inflight must equal true slot occupancy
-// while evaluations hold slots and return to zero after — the gauge is
-// bracketed by slot ownership, so the old Acquire/Release race cannot
-// under-report.
+// TestPoolInflightGauge: pool_in_use, pool_inflight and the tenants'
+// inflight_evals are one count of held evaluation slots — equal to true
+// occupancy while evaluations hold slots, zero after.
 func TestPoolInflightGauge(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 4)
@@ -584,6 +584,20 @@ func TestPoolInflightGauge(t *testing.T) {
 		defer cancel()
 		m.Shutdown(ctx)
 	})
+	check := func(when string, want int) {
+		t.Helper()
+		mt := m.Metrics()
+		if mt.PoolInUse != want || mt.PoolInflight != want {
+			t.Errorf("PoolInUse = %d, PoolInflight = %d %s, want %d", mt.PoolInUse, mt.PoolInflight, when, want)
+		}
+		perTenant := 0
+		for _, row := range m.Tenants() {
+			perTenant += row.InflightEvals
+		}
+		if perTenant != want {
+			t.Errorf("tenants' inflight_evals sum to %d %s, want %d", perTenant, when, want)
+		}
+	}
 	j1, err := m.Submit(tinySpec("a", 1))
 	if err != nil {
 		t.Fatal(err)
@@ -594,21 +608,11 @@ func TestPoolInflightGauge(t *testing.T) {
 	}
 	<-entered
 	<-entered
-	if got := m.Metrics().PoolInflight; got != 2 {
-		t.Errorf("PoolInflight = %d with 2 gated evaluations, want 2", got)
-	}
-	if got := m.pool.InUse(); got != 2 {
-		t.Errorf("pool.InUse = %d with 2 gated evaluations, want 2", got)
-	}
+	check("with 2 gated evaluations", 2)
 	close(gate)
 	waitJob(t, m, j1.ID, func(s Status) bool { return s == StatusDone }, "done")
 	waitJob(t, m, j2.ID, func(s Status) bool { return s == StatusDone }, "done")
-	if got := m.Metrics().PoolInflight; got != 0 {
-		t.Errorf("PoolInflight = %d after all jobs done, want 0", got)
-	}
-	if got := m.pool.InUse(); got != 0 {
-		t.Errorf("pool.InUse = %d after all jobs done, want 0", got)
-	}
+	check("after all jobs done", 0)
 }
 
 // TestTenantAccountingSurvivesRestart: a journaled service restarted
@@ -714,7 +718,10 @@ func tenantRows(rows []TenantStatus) map[string]TenantStatus {
 }
 
 // TestBatchDedup: resubmitting a batch under the same X-Submit-Token
-// returns the originally registered jobs instead of duplicating them.
+// returns the originally registered jobs instead of duplicating them,
+// and the same token re-sent with a longer or shorter batch — which
+// cannot be that retry — is refused with 409 instead of answered with
+// missing jobs or a silent prefix.
 func TestBatchDedup(t *testing.T) {
 	ts, m := newTestServer(t, Config{
 		PoolSize: 1,
@@ -723,8 +730,7 @@ func TestBatchDedup(t *testing.T) {
 			return &instantEvaluator{inner: inner}
 		},
 	})
-	specs := []JobSpec{tinySpec("a", 1), tinySpec("a", 2)}
-	post := func() []Snapshot {
+	post := func(wantStatus int, specs ...JobSpec) []byte {
 		t.Helper()
 		payload, _ := json.Marshal(map[string]any{"jobs": specs})
 		req, err := http.NewRequest("POST", ts.URL+"/jobs:batch", bytes.NewReader(payload))
@@ -738,19 +744,27 @@ func TestBatchDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("batch: status %d", resp.StatusCode)
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("batch of %d: status %d, want %d: %s", len(specs), resp.StatusCode, wantStatus, body)
+		}
+		return body
+	}
+	accepted := func(body []byte) []Snapshot {
+		t.Helper()
 		var out struct {
 			Jobs []Snapshot `json:"jobs"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
 		return out.Jobs
 	}
-	first := post()
-	second := post()
+	first := accepted(post(http.StatusAccepted, tinySpec("a", 1), tinySpec("a", 2)))
+	second := accepted(post(http.StatusAccepted, tinySpec("a", 1), tinySpec("a", 2)))
 	if len(first) != 2 || len(second) != 2 {
 		t.Fatalf("batch sizes %d and %d, want 2 and 2", len(first), len(second))
 	}
@@ -759,7 +773,15 @@ func TestBatchDedup(t *testing.T) {
 			t.Errorf("replayed batch item %d got new job %s (was %s)", i, second[i].ID, first[i].ID)
 		}
 	}
+	longer := post(http.StatusConflict, tinySpec("a", 1), tinySpec("a", 2), tinySpec("a", 3))
+	if want := "accepted with 2 jobs, resent with 3"; !bytes.Contains(longer, []byte(want)) {
+		t.Errorf("409 body %s does not say %q", longer, want)
+	}
+	shorter := post(http.StatusConflict, tinySpec("a", 1))
+	if want := "accepted with 2 jobs, resent with 1"; !bytes.Contains(shorter, []byte(want)) {
+		t.Errorf("409 body %s does not say %q", shorter, want)
+	}
 	if got := len(m.Jobs()); got != 2 {
-		t.Errorf("job table has %d jobs after replayed batch, want 2", got)
+		t.Errorf("job table has %d jobs after replayed batches, want 2", got)
 	}
 }
