@@ -1,9 +1,13 @@
 # Developer entry points. `make check` is the gate CI (and reviewers)
-# run: static analysis plus the full suite under the race detector.
+# run: static analysis, the full suite under the race detector, and then
+# only what adds a configuration to that — other P counts, the 30-second
+# storms, the forced kernel fallback, the benchmark smoke run. The
+# scenario targets (crash, chaos, sse, failover, membership, load) are
+# developer shortcuts: named slices of what `race` already ran.
 
 GO ?= go
 
-.PHONY: all build test race vet vet-bench cpus check crash chaos sse failover membership fallback bench-smoke bench-pair load loc fmt serve clean
+.PHONY: all build test race vet vet-bench cpus check crash chaos chaos-storm sse failover failover-storm membership fallback bench-smoke bench-pair load loc fmt serve clean
 
 # The kernel/Fit/Evaluate microbenchmark family of bench_test.go.
 BENCH_PATTERN = BenchmarkMat|BenchmarkFit|BenchmarkEvaluate
@@ -35,12 +39,15 @@ vet-bench:
 # fails here instead of on the next box — with them the evaluation-slot
 # acquire/cancel races and the one inflight gauge. The same for the
 # cluster layer's non-chaos tests (coordinator, submit retry, membership
-# journal, ring, shipper lanes, sinks, restore), five times each.
+# journal, ring, shipper lanes, sinks, restore), five times each, and
+# once for its short-storm chaos e2es (node kill, zero-operator failover,
+# membership churn, shutdown mid-promotion).
 cpus:
 	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge' \
 		./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
 	$(GO) test -cpu 1,2,4 -count 5 -run 'TestCoordinator|TestSubmitRetry|TestMemberJournal|TestRing|TestMultiSink|TestShipper|TestDirSink|TestRestore' \
 		./internal/coord/ ./internal/serve/shipper/
+	$(GO) test -cpu 1,2,4 -count 1 -run 'TestFailover|TestMembership|TestShutdownJoinsFailover' ./internal/coord/
 
 # Crash-safety suite: journal replay/compaction, kill/restart recovery,
 # panic isolation, retry + failure budget, timeout/shutdown reasons, drain.
@@ -54,10 +61,14 @@ crash:
 # submission storm with injected panics, wedged evaluations, online
 # journal rotation and a mid-run kill/replay, all under the race
 # detector. Plain `go test` runs the same harness with a ~2s storm;
-# BHPOD_CHAOS_SECONDS overrides the length.
-chaos:
+# BHPOD_CHAOS_SECONDS overrides the length. chaos-storm is the part no
+# other target runs, and the part `make check` includes.
+chaos: chaos-storm
 	$(GO) test -race -count=1 -run 'TestEvalSlot' ./internal/serve/sched/
-	BHPOD_CHAOS_SECONDS=30 $(GO) test -race -count=1 -run 'TestChaosOverload|TestAdmissionControl429|TestEvalDeadlineAbandonsWedgedTrial|TestPoolInflightGauge|TestScope' -timeout 600s ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestAdmissionControl429|TestEvalDeadlineAbandonsWedgedTrial|TestPoolInflightGauge|TestScope' ./internal/serve/
+
+chaos-storm:
+	BHPOD_CHAOS_SECONDS=30 $(GO) test -race -count=1 -run 'TestChaosOverload' -timeout 600s ./internal/serve/
 
 # Streaming-telemetry suite: the SSE end-to-end path (submit a job,
 # subscribe, drop the connection, resume with Last-Event-ID and receive
@@ -79,10 +90,14 @@ sse:
 # byte-identical pre-crash curves, and resumes SSE at last-seq+1) — plus
 # the hash-ring, multi-sink shipper and coordinator unit suites. Plain
 # `go test` runs a ~2s storm; BHPOD_CHAOS_SECONDS overrides the length.
-failover:
-	$(GO) test -race -count=1 ./internal/serve/shipper/...
-	BHPOD_CHAOS_SECONDS=30 BHPOD_AUTO_FAILOVER=1 $(GO) test -race -count=1 -timeout 600s ./internal/coord/
-	$(GO) test -race -count=1 -run 'TestReplayFromShippedMatchesLocal|TestSubmitToken' ./internal/serve/
+# failover-storm is the two e2es at the full chaos budget: the part no
+# other target runs, and the part `make check` includes.
+failover: failover-storm
+	$(GO) test -race -count=1 ./internal/serve/shipper/... ./internal/coord/
+	$(GO) test -race -count=1 -run 'TestReplayFromShippedMatchesLocal|TestSubmitToken|TestNode|TestRunServes' ./internal/serve/ ./cmd/bhpod/
+
+failover-storm:
+	BHPOD_CHAOS_SECONDS=30 BHPOD_AUTO_FAILOVER=1 $(GO) test -race -count=1 -timeout 600s -run 'TestFailoverNodeKill|TestFailoverZeroOperator' ./internal/coord/
 
 # Runtime-membership suite: join a node into a live ring, storm jobs
 # onto it, drain it (no new routing), leave it (wait-for-idle, then
@@ -135,7 +150,7 @@ loc:
 			for (d in seen) printf "%8d %8d  %s\n", n[d], t[d], d | "sort -k3"; close("sort -k3"); \
 			printf "%8d %8d  total\n", N, T }'
 
-check: vet vet-bench race cpus crash chaos sse failover membership fallback load bench-smoke
+check: vet vet-bench race cpus chaos-storm failover-storm fallback bench-smoke
 
 fmt:
 	gofmt -l -w .

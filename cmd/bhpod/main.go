@@ -30,20 +30,25 @@
 // As a cluster member the daemon can ship its journal segments and trace
 // files to replica sinks while it runs (-ship-to, repeatable: each a
 // directory or a peer node's /ship receiver, every sink tracking its own
-// resumable offsets), receive peers' replicas (-ship-recv-dir), and
-// start as a *replacement* for a dead node by restoring a shipped
-// replica into its data directory (-restore-from, repeatable: the first
-// replica whose manifest checksums verify wins) before replaying it —
-// mid-run jobs come back as interrupted, trace sequence numbers
-// continue, and the coordinator (bhpoctl) re-points the dead node's name
-// at the new address.
+// resumable offsets) and receive peers' replicas (-ship-recv-dir).
 //
-// With -standby the daemon instead boots as a blank spare: it answers
-// /healthz with {"status":"standby"} and waits for a coordinator's
-// POST /restore, at which point it restores the named dead node's
-// replica under -data-dir, becomes that node (same flags as a normal
-// worker, shipping included), and starts serving its jobs — the
-// automated half of bhpoctl's -auto-failover.
+// However a process becomes a node, it does so by one sequence
+// (serve.StartNode): restore a replica if any were named, start the
+// shipper, rebuild the job table from the journal, serve. It has three
+// triggers. A normal boot runs it on -data-dir as it stands. With
+// -restore-from (repeatable) the daemon starts as a *replacement* for a
+// dead node: the first replica whose manifest checksums hold is restored
+// into -data-dir — which may be absent or empty, never a directory that
+// already holds a journal — and replayed, so mid-run jobs come back as
+// interrupted, trace sequence numbers continue, and the coordinator
+// (bhpoctl) re-points the dead node's name at the new address. With
+// -standby the daemon boots as the same node not yet activated: it
+// answers /healthz with {"status":"standby"} until a coordinator's POST
+// /restore names a dead node and its replicas, restores them under
+// -data-dir/<node> and becomes that node — same flags as any worker,
+// shipping, receiver and pprof included; the automated half of bhpoctl's
+// -auto-failover. POST /restore is idempotent: repeated for the node the
+// daemon already is, it answers as it did the first time.
 //
 // Usage:
 //
@@ -70,12 +75,14 @@
 //	GET    /jobs/{id}/trace    full anytime curve, durable across restarts
 //	                           (?events=1 for the raw event log)
 //	DELETE /jobs/{id}          cancel a job (idempotent on finished jobs)
-//	GET    /healthz            health probe ("ok", "overloaded" or "draining")
+//	GET    /healthz            health probe ("ok", "overloaded", "draining"
+//	                           or, not yet promoted, "standby")
 //	GET    /metrics            service counters
 //	POST   /ship/{node}/...    peer journal-shipping receiver (only with
 //	                           -ship-recv-dir)
-//	POST   /restore            standby promotion (only with -standby):
-//	                           restore a dead node's replica and become it
+//	POST   /restore            standby promotion: restore a dead node's
+//	                           replica and become it; 200 again for the
+//	                           node this already is, 409 for another
 //	GET    /debug/pprof/*      live profiling (only with -pprof)
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: new submissions are
@@ -91,15 +98,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -165,7 +170,7 @@ func main() {
 		// config's zero value would select the default of 8).
 		*maxPreempts = -1
 	}
-	cfg := serve.Config{
+	opts := serve.NodeOptions{Config: serve.Config{
 		PoolSize:            *workers,
 		MaxJobs:             *maxJobs,
 		MaxPending:          *maxPend,
@@ -185,20 +190,23 @@ func main() {
 		TraceMaxBytes:       *traceMax,
 		KernelWorkers:       *kernelW,
 		NodeName:            *nodeName,
+	},
+		ShipTo: shipTo,
+		Ship: shipper.Options{
+			Interval: *shipIntv,
+			Sync:     *shipSync,
+			OnError:  func(err error) { log.Printf("bhpod: ship: %v", err) },
+		},
+		ShipRecvDir: *shipRecv,
+		Pprof:       *pprofOn,
+		RestoreFrom: restoreFrom,
+		Standby:     *standby,
+		Logf:        func(format string, args ...any) { log.Printf("bhpod: "+format, args...) },
 	}
-	cluster := clusterFlags{
-		ShipTo:       shipTo,
-		ShipInterval: *shipIntv,
-		ShipSync:     *shipSync,
-		ShipRecvDir:  *shipRecv,
-		RestoreFrom:  restoreFrom,
-	}
-	if *standby {
-		err = runStandby(*addr, cfg, cluster, *drainTmo)
-	} else {
-		err = run(*addr, cfg, cluster, *drainTmo, *pprofOn)
-	}
-	if err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	listen := func() (net.Listener, error) { return net.Listen("tcp", *addr) }
+	if err = run(ctx, listen, opts, *drainTmo); err != nil {
 		fmt.Fprintln(os.Stderr, "bhpod:", err)
 		os.Exit(1)
 	}
@@ -225,264 +233,63 @@ func parseTenantWeights(s string) (map[string]int, error) {
 	return out, nil
 }
 
-// clusterFlags carries the journal-shipping and failover options.
-type clusterFlags struct {
-	ShipTo       []string
-	ShipInterval time.Duration
-	ShipSync     bool
-	ShipRecvDir  string
-	RestoreFrom  []string
-}
-
-// newShipper builds one lane per -ship-to sink: an http(s) URL pushes to
-// a peer's /ship receiver; anything else is a local directory, with the
-// node name appended so several nodes can share one sink root. Each sink
-// keeps its own resumable offsets, so one lagging or down sink never
-// holds the others back.
-func newShipper(dataDir, node string, fl clusterFlags) (*shipper.Shipper, error) {
-	if dataDir == "" {
-		return nil, errors.New("-ship-to needs -data-dir")
+// run is the daemon's whole life: become a node (serve.StartNode — blank
+// with -standby, from a replica with -restore-from, from -data-dir as it
+// is otherwise), then listen, serve until ctx is cancelled, and take
+// everything down in reverse. The listener is opened only after the node
+// is assembled, so a connection is never accepted before there is a job
+// table to answer from.
+func run(ctx context.Context, listen func() (net.Listener, error), opts serve.NodeOptions, drainTimeout time.Duration) error {
+	node, err := serve.StartNode(opts)
+	if err != nil {
+		return err
 	}
-	if node == "" {
-		return nil, errors.New("-ship-to needs -node")
+	ln, err := listen()
+	if err != nil {
+		node.Close(ctx)
+		return err
 	}
-	sinks := make([]shipper.Sink, 0, len(fl.ShipTo))
-	for _, dest := range fl.ShipTo {
-		if strings.HasPrefix(dest, "http://") || strings.HasPrefix(dest, "https://") {
-			base := strings.TrimSuffix(dest, "/")
-			if !strings.HasSuffix(base, "/ship") {
-				base += "/ship"
-			}
-			s, err := shipper.NewHTTPSink(base, node, nil)
-			if err != nil {
-				return nil, err
-			}
-			sinks = append(sinks, s)
-		} else {
-			s, err := shipper.NewDirSink(filepath.Join(dest, node))
-			if err != nil {
-				return nil, err
-			}
-			sinks = append(sinks, s)
-		}
-	}
-	return shipper.NewMulti(dataDir, sinks, shipper.Options{
-		Interval: fl.ShipInterval,
-		Sync:     fl.ShipSync,
-		OnError:  func(err error) { log.Printf("bhpod: ship: %v", err) },
-	}), nil
-}
-
-func run(addr string, cfg serve.Config, cluster clusterFlags, drainTimeout time.Duration, pprofOn bool) error {
-	if len(cluster.RestoreFrom) > 0 {
-		if cfg.DataDir == "" {
-			return errors.New("-restore-from needs -data-dir")
-		}
-		if len(cluster.RestoreFrom) == 1 {
-			// Single replica: restore in place (tolerates an existing,
-			// possibly pre-created, data dir) — the original replacement path.
-			if err := shipper.Restore(cluster.RestoreFrom[0], cfg.DataDir); err != nil {
-				return fmt.Errorf("restoring replica: %w", err)
-			}
-			log.Printf("bhpod: restored shipped replica %s into %s", cluster.RestoreFrom[0], cfg.DataDir)
-		} else {
-			// Several replicas: the first whose manifest checksums verify
-			// wins; a corrupt sink falls through to the next.
-			src, err := shipper.RestoreAny(cluster.RestoreFrom, cfg.DataDir)
-			if err != nil {
-				return fmt.Errorf("restoring replica: %w", err)
-			}
-			log.Printf("bhpod: restored shipped replica %s into %s (of %d candidates)",
-				src, cfg.DataDir, len(cluster.RestoreFrom))
-		}
-	}
-	var ship *shipper.Shipper
-	if len(cluster.ShipTo) > 0 {
-		var err error
-		ship, err = newShipper(cfg.DataDir, cfg.NodeName, cluster)
-		if err != nil {
-			return err
-		}
-		defer ship.Close()
-		cfg.Shipper = ship
-		mode := "async"
-		if cluster.ShipSync {
-			mode = "sync"
-		}
-		log.Printf("bhpod: shipping journal + traces to %s (%s)", strings.Join(cluster.ShipTo, ", "), mode)
-	}
-	var manager *serve.Manager
-	var err error
-	if cfg.DataDir != "" {
-		manager, err = serve.NewManagerFromJournal(cfg)
-		if err != nil {
-			return fmt.Errorf("recovering journal: %w", err)
-		}
-		log.Printf("bhpod: journal at %s recovered (%d jobs)", cfg.DataDir, len(manager.Jobs()))
-	} else {
-		manager = serve.NewManager(cfg)
-	}
-	handler := serve.NewServer(manager)
-	// The service handler stays addressable (SetDraining below), so the
-	// optional pprof and /ship endpoints go on a wrapper mux that falls
-	// through to it for everything else.
-	var root http.Handler = handler
-	if pprofOn || cluster.ShipRecvDir != "" {
-		mux := http.NewServeMux()
-		if pprofOn {
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-			log.Printf("bhpod: pprof mounted at /debug/pprof/")
-		}
-		if cluster.ShipRecvDir != "" {
-			recv, err := shipper.NewReceiver(cluster.ShipRecvDir)
-			if err != nil {
-				return err
-			}
-			mux.Handle("/ship/", http.StripPrefix("/ship", recv))
-			log.Printf("bhpod: receiving peer replicas under /ship/ into %s", cluster.ShipRecvDir)
-		}
-		mux.Handle("/", handler)
-		root = mux
-	}
-	srv := &http.Server{
-		Addr:    addr,
-		Handler: root,
-	}
-
+	srv := &http.Server{Handler: node}
 	errc := make(chan error, 1)
 	go func() {
 		kernel := mat.ActiveKernel().String()
 		if feats := mat.CPUFeatures(); feats != "" {
 			kernel += " [" + feats + "]"
 		}
-		log.Printf("bhpod listening on %s (pool=%d, max-jobs=%d, kernel=%s)",
-			addr, cfg.PoolSize, cfg.MaxJobs, kernel)
-		errc <- srv.ListenAndServe()
+		state := "listening"
+		if opts.Standby {
+			state = "standing by"
+		}
+		log.Printf("bhpod %s on %s (pool=%d, max-jobs=%d, kernel=%s)",
+			state, ln.Addr(), opts.Config.PoolSize, opts.Config.MaxJobs, kernel)
+		errc <- srv.Serve(ln)
 	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
+		node.Close(ctx)
 		return err
-	case sig := <-stop:
-		log.Printf("bhpod: %v, draining (timeout %s)", sig, drainTimeout)
+	case <-ctx.Done():
+		log.Printf("bhpod: stopping, draining (timeout %s)", drainTimeout)
 	}
 
 	// Graceful drain: refuse new submissions, let in-flight evaluations
 	// finish within the drain timeout, then cancel whatever remains with
-	// reason "shutdown". Every terminal record is journaled before exit.
-	handler.SetDraining(true)
+	// reason "shutdown". Every terminal record is journaled — and shipped —
+	// before exit.
 	drainCtx, cancelDrain := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancelDrain()
-	if err := manager.Drain(drainCtx); err != nil {
+	if err := node.Drain(drainCtx); err != nil {
 		log.Printf("bhpod: drain timeout, cancelling remaining jobs")
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	stopCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+	// Closed even if connections outlive the timeout: the last state ships.
+	err = srv.Shutdown(stopCtx)
+	if cerr := node.Close(stopCtx); cerr != nil {
+		err = errors.Join(err, fmt.Errorf("waiting for jobs: %w", cerr))
+	}
+	if err != nil {
 		return err
-	}
-	if err := manager.Shutdown(ctx); err != nil {
-		return fmt.Errorf("waiting for jobs: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
-}
-
-// runStandby boots the daemon as a blank spare. It serves only /healthz
-// ({"status":"standby"}) until a coordinator POSTs /restore naming a
-// dead node and its verified replica directories; then it restores the
-// replica under -data-dir/<node>, builds a full worker over the restored
-// journal (shipping to the same -ship-to sinks, so the promoted node's
-// history stays replicated), and atomically swaps it in — from that
-// point it IS the node, same endpoints, same drain behavior.
-func runStandby(addr string, cfg serve.Config, cluster clusterFlags, drainTimeout time.Duration) error {
-	if cfg.DataDir == "" {
-		return errors.New("-standby needs -data-dir")
-	}
-	// Set only after a successful promotion; read at shutdown to drain
-	// whatever the standby became.
-	var (
-		mu      sync.Mutex
-		manager *serve.Manager
-		handler *serve.Server
-		ship    *shipper.Shipper
-	)
-	sb := serve.NewStandby(serve.StandbyOptions{
-		DataDir: cfg.DataDir,
-		Activate: func(node, dataDir string) (http.Handler, error) {
-			nodeCfg := cfg
-			nodeCfg.DataDir = dataDir
-			nodeCfg.NodeName = node
-			var sh *shipper.Shipper
-			if len(cluster.ShipTo) > 0 {
-				var err error
-				sh, err = newShipper(dataDir, node, cluster)
-				if err != nil {
-					return nil, err
-				}
-				nodeCfg.Shipper = sh
-			}
-			m, err := serve.NewManagerFromJournal(nodeCfg)
-			if err != nil {
-				if sh != nil {
-					sh.Close()
-				}
-				return nil, fmt.Errorf("recovering restored journal: %w", err)
-			}
-			h := serve.NewServer(m)
-			mu.Lock()
-			manager, handler, ship = m, h, sh
-			mu.Unlock()
-			log.Printf("bhpod: standby promoted to node %s (%d jobs recovered)", node, len(m.Jobs()))
-			return h, nil
-		},
-	})
-	srv := &http.Server{Addr: addr, Handler: sb}
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("bhpod standing by on %s (data dir %s)", addr, cfg.DataDir)
-		errc <- srv.ListenAndServe()
-	}()
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-stop:
-		log.Printf("bhpod: %v, shutting down standby (node %q)", sig, sb.Active())
-	}
-	mu.Lock()
-	m, h, sh := manager, handler, ship
-	mu.Unlock()
-	if h != nil {
-		h.SetDraining(true)
-		drainCtx, cancelDrain := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancelDrain()
-		if err := m.Drain(drainCtx); err != nil {
-			log.Printf("bhpod: drain timeout, cancelling remaining jobs")
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return err
-	}
-	if m != nil {
-		if err := m.Shutdown(ctx); err != nil {
-			return fmt.Errorf("waiting for jobs: %w", err)
-		}
-	}
-	if sh != nil {
-		sh.Close()
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err

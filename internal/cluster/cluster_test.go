@@ -214,35 +214,3 @@ func TestElbowErrors(t *testing.T) {
 		t.Fatalf("degenerate range: k=%d err=%v", k, err)
 	}
 }
-
-func TestMeanShiftSeparatesBlobs(t *testing.T) {
-	x, truth := blobs(2, 40, 2, 12, 18)
-	res, err := MeanShift(x, 4, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.K() < 2 {
-		t.Fatalf("mean-shift found %d clusters", res.K())
-	}
-	if p := clusterPurity(res.Assign, truth, res.K(), 2); p < 0.9 {
-		t.Fatalf("mean-shift purity %v", p)
-	}
-}
-
-func TestMeanShiftErrors(t *testing.T) {
-	x, _ := blobs(2, 5, 2, 5, 19)
-	if _, err := MeanShift(x, 0, 10); err == nil {
-		t.Error("zero bandwidth accepted")
-	}
-}
-
-func TestEstimateBandwidthPositive(t *testing.T) {
-	x, _ := blobs(3, 30, 3, 6, 20)
-	bw := EstimateBandwidth(x, 50)
-	if bw <= 0 {
-		t.Fatalf("bandwidth %v", bw)
-	}
-	if EstimateBandwidth(mat.NewDense(1, 2), 10) != 1 {
-		t.Error("single-point bandwidth fallback wrong")
-	}
-}

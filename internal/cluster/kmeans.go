@@ -1,9 +1,8 @@
 // Package cluster implements the feature-clustering substrate behind the
 // paper's instance grouping (§III-A): k-means with k-means++ seeding, the
 // balanced re-clustering loop that drops undersized clusters (controlled by
-// the r_group ratio), a mini-batch path for very large datasets (§III-E),
-// an elbow heuristic for choosing the cluster count, and mean-shift as the
-// alternative backend the paper mentions.
+// the r_group ratio), a mini-batch path for very large datasets (§III-E)
+// and an elbow heuristic for choosing the cluster count.
 package cluster
 
 import (

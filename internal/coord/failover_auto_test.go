@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,47 +18,12 @@ import (
 	"enhancedbhpo/internal/serve/shipper"
 )
 
-// standbyProc is one in-process spare: a serve.Standby that, when the
-// coordinator promotes it, restores the dead node's replica and swaps in
-// a full worker — the -standby bhpod.
-type standbyProc struct {
-	ts *httptest.Server
-
-	mu sync.Mutex
-	m  *serve.Manager
-}
-
-func startStandbyProc(t *testing.T) *standbyProc {
+// startStandbyProc starts one in-process spare, bhpod -standby: blank
+// until the coordinator promotes it, then the dead node restored from its
+// replica.
+func startStandbyProc(t *testing.T) *workerProc {
 	t.Helper()
-	sp := &standbyProc{}
-	sb := serve.NewStandby(serve.StandbyOptions{
-		DataDir: t.TempDir(),
-		Activate: func(node, dataDir string) (http.Handler, error) {
-			m, err := serve.NewManagerFromJournal(serve.Config{
-				PoolSize: 2, MaxJobs: 8, DataDir: dataDir, NodeName: node,
-			})
-			if err != nil {
-				return nil, err
-			}
-			sp.mu.Lock()
-			sp.m = m
-			sp.mu.Unlock()
-			return serve.NewServer(m), nil
-		},
-	})
-	sp.ts = httptest.NewServer(sb)
-	t.Cleanup(func() {
-		sp.ts.Close()
-		sp.mu.Lock()
-		m := sp.m
-		sp.mu.Unlock()
-		if m != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			m.Shutdown(ctx)
-		}
-	})
-	return sp
+	return startNodeProc(t, serve.NodeOptions{Config: serve.Config{DataDir: t.TempDir()}, Standby: true})
 }
 
 // corruptReplica overwrites one manifested file in a replica with
@@ -141,12 +105,6 @@ func TestFailoverZeroOperator(t *testing.T) {
 		wp := startWorkerProcMulti(t, []string{shipRootA, shipRootB}, n)
 		workers[n] = wp
 		nodes = append(nodes, Node{Name: n, URL: wp.ts.URL})
-		t.Cleanup(func() {
-			wp.release()
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			wp.m.Shutdown(ctx)
-		})
 	}
 
 	dataDir := t.TempDir()
@@ -592,5 +550,98 @@ func TestShutdownJoinsFailover(t *testing.T) {
 	}
 	if len(ops) != len(opsAtShutdown) {
 		t.Fatalf("membership operations journaled after Shutdown: %+v", ops[len(opsAtShutdown):])
+	}
+}
+
+// TestRestoreLostAckAdopted: POST /restore is idempotent, so a promotion
+// whose ack was lost — the coordinator died between the standby's 200 and
+// its own re-point — is adopted, not punished. The standby is promoted
+// once by hand (the ack nobody saw); the same request replayed answers 200
+// with the same body, another node's name 409; and a coordinator that then
+// finds the node dead finishes the promotion through its own pipeline with
+// no failed restore and no quarantine. (Before, the replay fell through to
+// the promoted server's 404 and a healthy standby was quarantined.)
+func TestRestoreLostAckAdopted(t *testing.T) {
+	sinkRoot := t.TempDir()
+	worker := startWorkerProc(t, sinkRoot, "a")
+	job, err := http.Post(worker.ts.URL+"/jobs", "application/json", strings.NewReader(
+		`{"dataset":"australian","scale":0.06,"method":"sha","hps":2,"max_configs":6,"iters":2,"seed":3}`))
+	if err != nil || job.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %v %v", job, err)
+	}
+	job.Body.Close()
+	waitTerminal(t, worker.ts.URL, "job-1")
+	worker.ts.CloseClientConnections()
+	worker.ts.Close() // kill -9: every append is already at the sink (sync shipping)
+
+	standby := startStandbyProc(t)
+	restore := func(node string) (int, string) {
+		t.Helper()
+		body, _ := json.Marshal(map[string]any{"node": node, "sources": []string{filepath.Join(sinkRoot, "a")}})
+		resp, err := http.Post(standby.ts.URL+"/restore", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp.StatusCode, buf.String()
+	}
+	code, first := restore("a")
+	if code != http.StatusOK {
+		t.Fatalf("promotion: %d %s", code, first)
+	}
+	if code, again := restore("a"); code != http.StatusOK || again != first {
+		t.Fatalf("replayed restore: %d %s, want 200 and the first answer %s", code, again, first)
+	}
+	if code, body := restore("b"); code != http.StatusConflict {
+		t.Fatalf("restore as another node: %d %s, want 409", code, body)
+	}
+
+	dataDir := t.TempDir()
+	c, err := New(Config{
+		Nodes:          []Node{{Name: "a", URL: worker.ts.URL}},
+		Standbys:       []Node{{Name: "s1", URL: standby.ts.URL}},
+		Probe:          ProbeOptions{Interval: time.Hour, Timeout: 2 * time.Second},
+		DataDir:        dataDir,
+		SinkRoots:      []string{sinkRoot},
+		AutoFailover:   true,
+		RestoreBackoff: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	front := httptest.NewServer(c)
+	defer front.Close()
+	for i := 0; i < 6; i++ {
+		c.ProbeNow()
+	}
+	var cm ClusterMetrics
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if cm = clusterMetrics(t, front.URL); cm.AutoRestores == 1 {
+			break
+		}
+		if !time.Now().Before(deadline) {
+			t.Fatalf("the pipeline never adopted the promoted standby: %+v", cm)
+		}
+	}
+	if cm.RestoresFailed != 0 {
+		t.Fatalf("restores_failed = %d, want 0: the replayed restore was counted as a failure", cm.RestoresFailed)
+	}
+	ops, err := replayMemberLog(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		if op.Op == OpQuarantine {
+			t.Fatalf("a healthy, already promoted standby was quarantined: %+v", op)
+		}
+	}
+	if st := c.prober.stateOf("a"); st != StateAlive {
+		t.Fatalf("node a is %q after the adopted promotion, want alive", st)
+	}
+	if snap := waitTerminal(t, front.URL, "a:job-1"); snap.Status != serve.StatusDone || len(snap.Curve) == 0 {
+		t.Fatalf("the dead node's job through the coordinator: %s with %d curve points", snap.Status, len(snap.Curve))
 	}
 }

@@ -43,13 +43,10 @@ func (f *freezeEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([
 	return f.inner.Evaluate(cfg, budget, r)
 }
 
-// workerProc is one in-process "machine": a real manager with journaled
-// persistence and a synchronous shipper replicating to the shared ship
-// root, fronted by its own HTTP server.
+// workerProc is one in-process "machine": a serve.Node — the assembly
+// cmd/bhpod runs, so what these suites kill, restore and promote is what
+// the binary ships — fronted by its own HTTP server.
 type workerProc struct {
-	name    string
-	dataDir string
-	m       *serve.Manager
 	ts      *httptest.Server
 	armed   atomic.Bool
 	gate    chan struct{}
@@ -58,36 +55,47 @@ type workerProc struct {
 
 func (wp *workerProc) release() { wp.unfroze.Do(func() { close(wp.gate) }) }
 
+// startNodeProc is how every worker, replacement and standby of the
+// cluster e2es comes to be: serve.StartNode with a two-slot pool and the
+// (unarmed) freeze hook. The test's end releases the hook, closes the
+// server and closes the node — manager, journal, then its shipper.
+func startNodeProc(t *testing.T, opts serve.NodeOptions) *workerProc {
+	t.Helper()
+	wp := &workerProc{gate: make(chan struct{})}
+	opts.Config.PoolSize, opts.Config.MaxJobs = 2, 8
+	opts.Config.WrapEvaluator = func(id string, inner hpo.Evaluator) hpo.Evaluator {
+		return &freezeEvaluator{inner: inner, armed: &wp.armed, gate: wp.gate}
+	}
+	node, err := serve.StartNode(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp.ts = httptest.NewServer(node)
+	t.Cleanup(func() {
+		wp.release()
+		wp.ts.CloseClientConnections()
+		wp.ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		node.Close(ctx)
+	})
+	return wp
+}
+
 func startWorkerProc(t *testing.T, shipRoot, name string) *workerProc {
 	return startWorkerProcMulti(t, []string{shipRoot}, name)
 }
 
 // startWorkerProcMulti starts a worker shipping synchronously to one
-// replica directory per sink root — the N-way replication layout.
+// replica directory per sink root — the N-way replication layout, bhpod
+// -node NAME -ship-sync -ship-to ROOT...
 func startWorkerProcMulti(t *testing.T, shipRoots []string, name string) *workerProc {
 	t.Helper()
-	wp := &workerProc{name: name, dataDir: t.TempDir(), gate: make(chan struct{})}
-	sinks := make([]shipper.Sink, 0, len(shipRoots))
-	for _, root := range shipRoots {
-		sink, err := shipper.NewDirSink(filepath.Join(root, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sinks = append(sinks, sink)
-	}
-	ship := shipper.NewMulti(wp.dataDir, sinks, shipper.Options{Sync: true})
-	m, err := serve.NewManagerFromJournal(serve.Config{
-		PoolSize: 2, MaxJobs: 8, DataDir: wp.dataDir, NodeName: name, Shipper: ship,
-		WrapEvaluator: func(id string, inner hpo.Evaluator) hpo.Evaluator {
-			return &freezeEvaluator{inner: inner, armed: &wp.armed, gate: wp.gate}
-		},
+	return startNodeProc(t, serve.NodeOptions{
+		Config: serve.Config{DataDir: t.TempDir(), NodeName: name},
+		ShipTo: shipRoots,
+		Ship:   shipper.Options{Sync: true},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wp.m = m
-	wp.ts = httptest.NewServer(serve.NewServer(m))
-	return wp
 }
 
 // sseClient consumes a job's event feed, tracking the frames it has
@@ -239,12 +247,6 @@ func TestFailoverNodeKill(t *testing.T) {
 		wp := startWorkerProc(t, shipRoot, n)
 		workers[n] = wp
 		nodes = append(nodes, Node{Name: n, URL: wp.ts.URL})
-		t.Cleanup(func() {
-			wp.release()
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			wp.m.Shutdown(ctx)
-		})
 	}
 	coord, err := New(Config{
 		Nodes: nodes,
@@ -381,25 +383,13 @@ func TestFailoverNodeKill(t *testing.T) {
 		t.Fatalf("dead node's job answered %d, want 503", code)
 	}
 
-	// Failover: restore the shipped replica onto a "fresh machine" and
-	// point the victim's ring identity at it.
-	restoredDir := t.TempDir()
-	if err := shipper.Restore(filepath.Join(shipRoot, victimName), restoredDir); err != nil {
-		t.Fatal(err)
-	}
-	rm, err := serve.NewManagerFromJournal(serve.Config{
-		PoolSize: 2, MaxJobs: 8, DataDir: restoredDir, NodeName: victimName,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rts := httptest.NewServer(serve.NewServer(rm))
-	t.Cleanup(func() {
-		rts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		rm.Shutdown(ctx)
-	})
+	// Failover: restore the shipped replica onto a "fresh machine" (bhpod
+	// -restore-from into an empty, pre-created data dir) and point the
+	// victim's ring identity at it.
+	rts := startNodeProc(t, serve.NodeOptions{
+		Config:      serve.Config{DataDir: t.TempDir(), NodeName: victimName},
+		RestoreFrom: []string{filepath.Join(shipRoot, victimName)},
+	}).ts
 	body, _ := json.Marshal(map[string]string{"node": victimName, "url": rts.URL})
 	rresp, err := http.Post(front.URL+"/cluster/replace", "application/json", bytes.NewReader(body))
 	if err != nil {

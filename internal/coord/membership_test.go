@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -221,14 +220,7 @@ func TestMembershipJoinStormDrainLeave(t *testing.T) {
 
 	workers := map[string]*workerProc{}
 	for _, n := range []string{"a", "b", "c"} {
-		wp := startWorkerProc(t, shipRoot, n)
-		workers[n] = wp
-		t.Cleanup(func() {
-			wp.release()
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			wp.m.Shutdown(ctx)
-		})
+		workers[n] = startWorkerProc(t, shipRoot, n)
 	}
 
 	cfg := Config{

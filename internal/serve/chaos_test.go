@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -346,6 +347,7 @@ func TestChaosOverload(t *testing.T) {
 		defer close(samplerDone)
 		tick := time.NewTicker(20 * time.Millisecond)
 		defer tick.Stop()
+		midFold := 0
 		for {
 			select {
 			case <-stop:
@@ -354,7 +356,20 @@ func TestChaosOverload(t *testing.T) {
 				if d := m1.PendingDepth(); d > maxPend && pendOver.CompareAndSwap(false, true) {
 					t.Errorf("pending depth %d exceeded max %d", d, maxPend)
 				}
-				if b := journal.DirStats(dir).Bytes; b > maxJBytes.Load() {
+				b, bases := journalDirSample(dir)
+				if bases > 1 {
+					// Mid-fold: journal.foldDir renames the new base into
+					// place before it removes the one it supersedes, and
+					// this sample landed in between. Re-take it on the next
+					// tick; a superseded base still there 25 ticks (≥ 500
+					// ms) later was leaked, not caught mid-removal.
+					if midFold++; midFold == 25 {
+						t.Errorf("journal dir held %d base files for %d consecutive samples: a superseded base was never removed", bases, midFold)
+					}
+					continue
+				}
+				midFold = 0
+				if b > maxJBytes.Load() {
 					maxJBytes.Store(b)
 				}
 			}
@@ -422,8 +437,13 @@ func TestChaosOverload(t *testing.T) {
 	}
 
 	// Kill phase: arm the gate, submit one more job, and once it is wedged
-	// mid-evaluation abandon m1 without shutdown (no Close, no final
-	// fsync) and recover the same directory with a second manager.
+	// mid-evaluation abandon m1 without shutdown — no drain, no terminal
+	// record — and recover the same directory with a second manager. A dead
+	// process writes nothing more, so the kill closes m1's trace store and
+	// journal: the wedged job's deadline watchdog and eventual result find
+	// them closed instead of appending beside m2. (What kill -9 adds to
+	// that, losing unsynced page-cache data, an in-process test cannot
+	// simulate either way.)
 	freezeArm.Store(true)
 	frozen, err := m1.Submit(smallSpec())
 	if err != nil {
@@ -435,6 +455,8 @@ func TestChaosOverload(t *testing.T) {
 		t.Fatal("frozen job never reached its evaluation")
 	}
 	time.Sleep(50 * time.Millisecond) // let any fold spawned by its submit records land
+	m1.traces.Close()
+	m1.journal.Close()
 
 	cfg2 := cfg
 	cfg2.WrapEvaluator = nil
@@ -556,6 +578,29 @@ func TestChaosOverload(t *testing.T) {
 		t.Errorf("journal dir peaked at %d bytes, bound %d (compacted %d + 2×%d + %d slack)",
 			peak, bound, final.Bytes, maxBytes, slack)
 	}
+}
+
+// journalDirSample sizes the journal files in dir the way
+// journal.DirStats does and, from the same directory listing, counts the
+// base files among them.
+func journalDirSample(dir string) (size int64, bases int) {
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		name := e.Name()
+		isBase := strings.HasPrefix(name, "base-")
+		if !strings.HasSuffix(name, ".jsonl") || !isBase && !strings.HasPrefix(name, "journal-") {
+			continue // base-N.jsonl.tmp, traces/, anything else
+		}
+		info, err := e.Info()
+		if err != nil {
+			continue
+		}
+		size += info.Size()
+		if isBase {
+			bases++
+		}
+	}
+	return size, bases
 }
 
 // maxSegmentSeq reports the highest journal segment sequence in dir.

@@ -487,10 +487,6 @@ func TraceDir(dataDir string) string {
 	return filepath.Join(dataDir, "traces")
 }
 
-// NodeName returns the cluster node name this manager was configured
-// with ("" outside a cluster).
-func (m *Manager) NodeName() string { return m.cfg.NodeName }
-
 // publish stamps the event time (when unset) and routes it through the
 // hub — and so to SSE subscribers and, when persistence is on, the
 // durable trace store.

@@ -57,7 +57,7 @@ func TestReplayFromShippedMatchesLocal(t *testing.T) {
 	}
 
 	restored := t.TempDir()
-	if err := shipper.Restore(filepath.Join(shipRoot, "a"), restored); err != nil {
+	if _, err := shipper.Restore([]string{filepath.Join(shipRoot, "a")}, restored); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,8 +1,6 @@
 package shipper
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,9 +57,6 @@ func NewDirSink(dir string) (*DirSink, error) {
 	}
 	return &DirSink{root: dir}, nil
 }
-
-// Root returns the sink's directory.
-func (d *DirSink) Root() string { return d.root }
 
 // validName rejects names that would escape the sink root.
 func validName(name string) error {
@@ -161,7 +156,7 @@ func (d *DirSink) Seal(name string, size int64, sum string) error {
 		// between rename and manifest append): verify in place.
 		src = final
 	}
-	gotSum, gotSize, err := hashPath(src)
+	gotSum, gotSize, err := hashCopy(src, "")
 	if errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("shipper: sealing %s: nothing shipped: %w", name, ErrOffsetMismatch)
 	}
@@ -232,21 +227,6 @@ func ReadManifest(dir string) (map[string]ManifestEntry, error) {
 		}
 		out[e.Name] = e
 	}
-}
-
-// hashPath returns the SHA-256 hex digest and size of the file at path.
-func hashPath(path string) (string, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", 0, err
-	}
-	defer f.Close()
-	h := sha256.New()
-	n, err := io.Copy(h, f)
-	if err != nil {
-		return "", 0, err
-	}
-	return hex.EncodeToString(h.Sum(nil)), n, nil
 }
 
 // fsyncFile syncs the file at path.

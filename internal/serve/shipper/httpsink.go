@@ -170,12 +170,6 @@ func (rc *Receiver) sink(node string) (*DirSink, error) {
 	return d, nil
 }
 
-// NodeDir returns where a node's shipped replica lives under the
-// receiver — the directory Restore reads when that node needs replacing.
-func (rc *Receiver) NodeDir(node string) string {
-	return filepath.Join(rc.root, node)
-}
-
 // ServeHTTP implements http.Handler.
 func (rc *Receiver) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	node, op, ok := strings.Cut(strings.TrimPrefix(r.URL.Path, "/"), "/")

@@ -63,9 +63,6 @@ func TestMultiSinkShipsToAll(t *testing.T) {
 
 	s := NewMulti(root, []Sink{sinkA, sinkB}, Options{Interval: time.Hour})
 	defer s.Close()
-	if s.Sinks() != 2 {
-		t.Fatalf("Sinks() = %d, want 2", s.Sinks())
-	}
 	s.Sealed("journal-000001.jsonl")
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -178,7 +175,7 @@ func TestRestoreAnyFallsBackOnMismatch(t *testing.T) {
 	writeFile(t, filepath.Join(dirA, "journal-000001.jsonl"), []byte("bitrot"))
 
 	dest := filepath.Join(t.TempDir(), "restored")
-	src, err := RestoreAny([]string{dirA, dirB}, dest)
+	src, err := Restore([]string{dirA, dirB}, dest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,15 +188,25 @@ func TestRestoreAnyFallsBackOnMismatch(t *testing.T) {
 	if _, err := os.Stat(dest + ".restoring"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("scratch dir left behind: %v", err)
 	}
+	// One quarantine rule: the mismatch renamed A's file although another
+	// replica was there to fall back to, and A stays unusable — for the
+	// coordinator's probe too — instead of passing as a replica whose
+	// segment was superseded.
+	if _, err := os.Stat(filepath.Join(dirA, "journal-000001.jsonl"+quarantineSuffix)); err != nil {
+		t.Fatalf("corrupt file not quarantined with a fallback present: %v", err)
+	}
+	if err := VerifyReplica(dirA); !errors.Is(err, ErrChecksumMismatch) {
+		t.Fatalf("VerifyReplica of a quarantined replica = %v, want ErrChecksumMismatch", err)
+	}
 
 	// Both corrupt: the error must carry the mismatch, and the existing
 	// destination must be refused rather than replaced.
 	writeFile(t, filepath.Join(dirB, "journal-000001.jsonl"), []byte("worse"))
-	if _, err := RestoreAny([]string{dirA, dirB}, filepath.Join(t.TempDir(), "r2")); !errors.Is(err, ErrChecksumMismatch) {
+	if _, err := Restore([]string{dirA, dirB}, filepath.Join(t.TempDir(), "r2")); !errors.Is(err, ErrChecksumMismatch) {
 		t.Fatalf("all-corrupt restore = %v, want ErrChecksumMismatch", err)
 	}
-	if _, err := RestoreAny([]string{dirB}, dest); err == nil {
-		t.Fatal("RestoreAny replaced an existing destination")
+	if _, err := Restore([]string{dirB}, dest); err == nil {
+		t.Fatal("Restore replaced an existing destination")
 	}
 }
 
@@ -268,5 +275,83 @@ func TestMultiSinkCrashResumesPerSinkOffsets(t *testing.T) {
 	}
 	if per[1].Bytes != int64(len(full)) {
 		t.Fatalf("sink B resumed shipping %d bytes, want the whole file (%d)", per[1].Bytes, len(full))
+	}
+}
+
+// TestRestoreDestinationRule: one rule for every restore, however many
+// replicas are named — a destination that already holds a journal segment
+// or base is refused and left as it was, an absent one and an empty
+// pre-created one are accepted; a file, a symlink and a directory holding
+// anything else are refused before a byte is copied.
+func TestRestoreDestinationRule(t *testing.T) {
+	root := t.TempDir()
+	dirA, dirB := t.TempDir(), t.TempDir()
+	sinkA, _ := NewDirSink(dirA)
+	sinkB, _ := NewDirSink(dirB)
+	writeFile(t, filepath.Join(root, "base-000002.jsonl"), []byte("replica\n"))
+	writeFile(t, filepath.Join(root, "journal-000003.jsonl"), []byte("active tail"))
+	s := NewMulti(root, []Sink{sinkA, sinkB}, Options{Interval: time.Hour})
+	s.Sealed("base-000002.jsonl")
+	s.Changed("journal-000003.jsonl")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Replica paths as an operator types them (./replicas/a/), not as
+	// t.TempDir cleans them: file names are taken relative to the replica.
+	for _, replicas := range [][]string{{dirA + "/./"}, {dirA + "/.", dirB}} {
+		for _, held := range []string{"journal-000001.jsonl", "base-000001.jsonl"} {
+			live := t.TempDir()
+			writeFile(t, filepath.Join(live, held), []byte("live\n"))
+			if _, err := Restore(replicas, live); err == nil {
+				t.Fatalf("%d replica(s) restored over a directory holding %s", len(replicas), held)
+			}
+			if got := readFile(t, filepath.Join(live, held)); string(got) != "live\n" {
+				t.Fatalf("refused restore rewrote %s: %q", held, got)
+			}
+			if _, err := os.Stat(filepath.Join(live, "base-000002.jsonl")); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("refused restore copied the replica in anyway (%v)", err)
+			}
+		}
+		// What the final rename could not replace whole is refused up
+		// front and left as found: a file is not deleted, a symlink not
+		// replaced beside its target, a stray file not buried.
+		odd := t.TempDir()
+		file, link, target, stray := filepath.Join(odd, "file"), filepath.Join(odd, "link"), filepath.Join(odd, "target"), filepath.Join(odd, "stray")
+		writeFile(t, file, []byte("not a directory\n"))
+		writeFile(t, filepath.Join(stray, "lost+found"), nil)
+		if err := os.Mkdir(target, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Symlink(target, link); err != nil {
+			t.Fatal(err)
+		}
+		for _, dest := range []string{file, link, stray} {
+			if _, err := Restore(replicas, dest); err == nil {
+				t.Fatalf("%d replica(s) restored onto %s", len(replicas), dest)
+			}
+		}
+		if got := readFile(t, file); string(got) != "not a directory\n" {
+			t.Fatalf("refused restore rewrote the file: %q", got)
+		}
+		if fi, err := os.Lstat(link); err != nil || fi.Mode()&os.ModeSymlink == 0 {
+			t.Fatalf("refused restore replaced the symlink (%v)", err)
+		}
+		if _, err := os.Stat(filepath.Join(stray, "lost+found")); err != nil {
+			t.Fatalf("refused restore removed a stray file: %v", err)
+		}
+		if left, _ := filepath.Glob(filepath.Join(odd, "*.restoring")); len(left) > 0 {
+			t.Fatalf("refused restores left scratch directories behind: %v", left)
+		}
+		for _, dest := range []string{t.TempDir(), filepath.Join(t.TempDir(), "absent")} {
+			if _, err := Restore(replicas, dest); err != nil {
+				t.Fatalf("%d replica(s) into %s: %v", len(replicas), dest, err)
+			}
+			if got := readFile(t, filepath.Join(dest, "base-000002.jsonl")); string(got) != "replica\n" {
+				t.Fatalf("restored base = %q", got)
+			}
+			if got := readFile(t, filepath.Join(dest, "journal-000003.jsonl")); string(got) != "active tail" {
+				t.Fatalf("restored part = %q", got)
+			}
+		}
 	}
 }

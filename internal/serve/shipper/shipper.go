@@ -24,7 +24,7 @@
 // backoff — so one sink being down never stalls the others, and the
 // lagging sink catches up from its own offsets when it returns. Restore
 // picks the first replica whose manifest verifies, falling back across
-// sinks on checksum mismatch (RestoreAny).
+// sinks on checksum mismatch.
 //
 // Shipping is asynchronous by default (each lane's background loop
 // drains its dirty set on an interval, retrying failures with capped
@@ -183,9 +183,6 @@ func NewMulti(root string, sinks []Sink, opts Options) *Shipper {
 	}
 	return s
 }
-
-// Sinks reports the replication factor.
-func (s *Shipper) Sinks() int { return len(s.lanes) }
 
 // Stats snapshots the ship counters summed across every lane.
 func (s *Shipper) Stats() Stats {

@@ -59,11 +59,11 @@ func TestDirSinkAppendSealRoundTrip(t *testing.T) {
 	if err := sink.Seal("journal-000001.jsonl", int64(len(data)), sha(data)); err != nil {
 		t.Fatal(err)
 	}
-	got := readFile(t, filepath.Join(sink.Root(), "journal-000001.jsonl"))
+	got := readFile(t, filepath.Join(sink.root, "journal-000001.jsonl"))
 	if string(got) != string(data) {
 		t.Fatalf("sealed content %q, want %q", got, data)
 	}
-	manifest, err := ReadManifest(sink.Root())
+	manifest, err := ReadManifest(sink.root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +118,13 @@ func TestDirSinkChecksumQuarantine(t *testing.T) {
 	if !errors.Is(err, ErrChecksumMismatch) {
 		t.Fatalf("seal error = %v, want ErrChecksumMismatch", err)
 	}
-	if _, err := os.Stat(filepath.Join(sink.Root(), "seg"+quarantineSuffix)); err != nil {
+	if _, err := os.Stat(filepath.Join(sink.root, "seg"+quarantineSuffix)); err != nil {
 		t.Fatalf("quarantined file missing: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(sink.Root(), "seg")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(filepath.Join(sink.root, "seg")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("mismatched content was promoted to its final name")
 	}
-	if m, _ := ReadManifest(sink.Root()); len(m) != 0 {
+	if m, _ := ReadManifest(sink.root); len(m) != 0 {
 		t.Fatalf("manifest recorded a failed seal: %v", m)
 	}
 }
@@ -159,7 +159,7 @@ func TestShipperMidShipCrashResumes(t *testing.T) {
 	s1 := New(root, sink, Options{Sync: true})
 	s1.Changed("journal-000001.jsonl")
 	// "Crash": abandon s1 without Close. The sink holds a part file.
-	partPath := filepath.Join(sink.Root(), "journal-000001.jsonl"+partSuffix)
+	partPath := filepath.Join(sink.root, "journal-000001.jsonl"+partSuffix)
 	if got := readFile(t, partPath); string(got) != string(first) {
 		t.Fatalf("sink part holds %d bytes, want %d", len(got), len(first))
 	}
@@ -180,11 +180,11 @@ func TestShipperMidShipCrashResumes(t *testing.T) {
 	if got := s2.Stats(); got.Bytes != int64(len(tail)) {
 		t.Fatalf("fresh shipper shipped %d bytes, want only the %d-byte tail (resume failed)", got.Bytes, len(tail))
 	}
-	got := readFile(t, filepath.Join(sink.Root(), "journal-000001.jsonl"))
+	got := readFile(t, filepath.Join(sink.root, "journal-000001.jsonl"))
 	if string(got) != string(all) {
 		t.Fatalf("sealed content mismatch: %d bytes vs %d", len(got), len(all))
 	}
-	m, _ := ReadManifest(sink.Root())
+	m, _ := ReadManifest(sink.root)
 	if e := m["journal-000001.jsonl"]; e.SHA256 != sha(all) {
 		t.Fatalf("manifest checksum %q, want %q", e.SHA256, sha(all))
 	}
@@ -211,7 +211,7 @@ func TestShipperShrunkFileRestarts(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got := readFile(t, filepath.Join(sink.Root(), "traces", "job-1.trace.jsonl"+partSuffix))
+	got := readFile(t, filepath.Join(sink.root, "traces", "job-1.trace.jsonl"+partSuffix))
 	if string(got) != string(compacted) {
 		t.Fatalf("sink holds %q, want the compacted content %q", got, compacted)
 	}
@@ -270,7 +270,7 @@ func TestReceiverHTTPSinkRoundTrip(t *testing.T) {
 	if err := sink.Seal("journal-000001.jsonl", int64(len(data)), sha(data)); err != nil {
 		t.Fatal(err)
 	}
-	got := readFile(t, filepath.Join(recv.NodeDir("node-a"), "journal-000001.jsonl"))
+	got := readFile(t, filepath.Join(recvRoot, "node-a", "journal-000001.jsonl"))
 	if string(got) != string(data) {
 		t.Fatalf("receiver holds %q", got)
 	}
@@ -295,7 +295,7 @@ func TestRestoreVerifiesChecksums(t *testing.T) {
 	writeFile(t, filepath.Join(sinkDir, "journal-000002.jsonl"+partSuffix), []byte("active tail"))
 
 	dest := t.TempDir()
-	if err := Restore(sinkDir, dest); err != nil {
+	if _, err := Restore([]string{sinkDir}, dest); err != nil {
 		t.Fatal(err)
 	}
 	if got := readFile(t, filepath.Join(dest, "journal-000001.jsonl")); string(got) != string(sealed) {
@@ -307,7 +307,7 @@ func TestRestoreVerifiesChecksums(t *testing.T) {
 
 	// Corrupt the sealed replica: Restore must refuse and quarantine.
 	writeFile(t, filepath.Join(sinkDir, "journal-000001.jsonl"), []byte("bitrot"))
-	err = Restore(sinkDir, t.TempDir())
+	_, err = Restore([]string{sinkDir}, t.TempDir())
 	if !errors.Is(err, ErrChecksumMismatch) {
 		t.Fatalf("restore of corrupted replica = %v, want ErrChecksumMismatch", err)
 	}

@@ -59,6 +59,7 @@ type Store struct {
 	maxBytes int64
 	onChange func(name string, final bool)
 	bytes    atomic.Int64 // on-disk bytes across all trace files
+	closed   atomic.Bool  // set by Close before it takes any job's lock
 
 	mu   sync.Mutex
 	jobs map[string]*jobFile
@@ -146,10 +147,14 @@ func (s *Store) jobHandle(jobID string) *jobFile {
 	return jf
 }
 
+// ErrClosed is what Append returns once the store has been closed.
+var ErrClosed = errors.New("tracestore: closed")
+
 // Append writes one event as a JSON line to the job's trace file,
 // opening it lazily. A terminal event is fsynced and closes the file (a
 // finished job holds no descriptor); crossing the compaction threshold
-// rewrites the file crash-safely before the append returns.
+// rewrites the file crash-safely before the append returns. After Close
+// it writes nothing and returns ErrClosed.
 func (s *Store) Append(ev events.Event) error {
 	name, err := fileName(ev.JobID)
 	if err != nil {
@@ -163,6 +168,9 @@ func (s *Store) Append(ev events.Event) error {
 	jf := s.jobHandle(ev.JobID)
 	jf.mu.Lock()
 	defer jf.mu.Unlock()
+	if s.closed.Load() {
+		return ErrClosed
+	}
 	path := filepath.Join(s.dir, name)
 	if jf.f == nil {
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
@@ -344,8 +352,13 @@ func (s *Store) Jobs() ([]string, error) {
 	return out, nil
 }
 
-// Close syncs and closes every open trace file. Idempotent.
+// Close syncs and closes every open trace file, for good: an Append that
+// has not taken its job's lock yet returns ErrClosed instead of reopening
+// the file, so a runner that outlives Shutdown — or a manager a test has
+// "killed" — cannot write beside the store's successor. Reads keep
+// working. Idempotent.
 func (s *Store) Close() error {
+	s.closed.Store(true)
 	s.mu.Lock()
 	jobs := make([]*jobFile, 0, len(s.jobs))
 	for _, jf := range s.jobs {

@@ -3,6 +3,7 @@ package tracestore
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -342,5 +343,48 @@ func TestReopenReplaysByteIdentically(t *testing.T) {
 	}
 	if ids, err := s2.Jobs(); err != nil || len(ids) != 1 || ids[0] != "job-1" {
 		t.Fatalf("Jobs() = %v, %v; want [job-1]", ids, err)
+	}
+}
+
+// TestCloseIsTerminal: once the store is closed an Append must not reopen
+// the job's file — for a job that had one open, and for one that never
+// did — so a writer that outlives Close cannot write beside whoever
+// opened the directory next. Reads keep working.
+func TestCloseIsTerminal(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(point(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(filepath.Join(dir, "job-1.trace.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := point(2)
+	other := point(1)
+	other.JobID = "job-2"
+	for _, ev := range []events.Event{late, other} {
+		if err := s.Append(ev); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Append(%s) after Close = %v, want ErrClosed", ev.JobID, err)
+		}
+	}
+	after, _ := os.ReadFile(filepath.Join(dir, "job-1.trace.jsonl"))
+	if !bytes.Equal(before, after) {
+		t.Fatalf("a closed store wrote %d bytes", len(after)-len(before))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "job-2.trace.jsonl")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a closed store created a trace file: %v", err)
+	}
+	if evs, err := s.ReadJob("job-1"); err != nil || len(evs) != 1 {
+		t.Fatalf("ReadJob after Close = %d events, %v", len(evs), err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
