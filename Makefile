@@ -37,13 +37,15 @@ vet-bench:
 # two and four Ps, three times each: results may not depend on how many
 # cores the scheduler has, and a test tuned to one machine's timing
 # fails here instead of on the next box — with them the evaluation-slot
-# acquire/cancel races and the one inflight gauge. The same for the
+# acquire/cancel/borrow races, the one inflight gauge and fold lending,
+# which lends more or less often with the core count and must not show
+# in a score. The same for the
 # cluster layer's non-chaos tests (coordinator, submit retry, membership
 # journal, ring, shipper lanes, sinks, restore), five times each, and
 # once for its short-storm chaos e2es (node kill, zero-operator failover,
 # membership churn, shutdown mid-promotion).
 cpus:
-	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge' \
+	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge' \
 		./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
 	$(GO) test -cpu 1,2,4 -count 5 -run 'TestCoordinator|TestSubmitRetry|TestMemberJournal|TestRing|TestMultiSink|TestShipper|TestDirSink|TestRestore' \
 		./internal/coord/ ./internal/serve/shipper/

@@ -14,6 +14,7 @@ package enhancedbhpo_test
 import (
 	"context"
 	"io"
+	"sync/atomic"
 	"testing"
 
 	"enhancedbhpo/internal/cluster"
@@ -539,12 +540,25 @@ func BenchmarkFitLBFGS(b *testing.B) {
 // the unit of work a pool slot runs. B/op is the number to watch: the
 // evaluator's pooled workspace is warm after the first call, so what is
 // left is what every later evaluation of that shape costs the collector.
+// The lent1 variant has one idle core to lend folds to, the solo job on a
+// two-slot pool: ns/op against the serial variant is what lending buys
+// per evaluation (5 folds on 2 cores: 0.6 at best, 1 at -cpu 1), B/op
+// what it costs.
 func BenchmarkEvaluate(b *testing.B) {
 	train := benchData(b, 0.5)
 	base := nn.DefaultConfig()
 	base.MaxIter = 8
 	base.KernelWorkers = 1 // one evaluation, one core: what a pool slot runs
-	ev := hpo.NewCVEvaluator(train, base, hpo.VanillaComponents(3))
+	serial := hpo.NewCVEvaluator(train, base, hpo.VanillaComponents(5))
+	lent1 := hpo.NewCVEvaluator(train, base, hpo.VanillaComponents(5))
+	var out atomic.Bool // the one core is lent
+	giveBack := func() { out.Store(false) }
+	lent1.Spare = func() func() {
+		if !out.CompareAndSwap(false, true) {
+			return nil
+		}
+		return giveBack
+	}
 	space, err := search.TableIIISpace(8)
 	if err != nil {
 		b.Fatal(err)
@@ -558,14 +572,19 @@ func BenchmarkEvaluate(b *testing.B) {
 				break
 			}
 		}
-		b.Run(solver.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ev.Evaluate(cfg, ev.FullBudget(), rng.New(7)); err != nil {
-					b.Fatal(err)
+		for _, v := range []struct {
+			name string
+			ev   *hpo.CVEvaluator
+		}{{solver.String(), serial}, {solver.String() + "/lent1", lent1}} {
+			b.Run(v.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := v.ev.Evaluate(cfg, v.ev.FullBudget(), rng.New(7)); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -129,7 +129,7 @@ func main() {
 	var shipTo, restoreFrom stringList
 	var (
 		addr     = flag.String("addr", ":8149", "listen address")
-		workers  = flag.Int("workers", runtime.NumCPU(), "shared evaluation pool size across all jobs")
+		workers  = flag.Int("workers", runtime.NumCPU(), "cores evaluations may train on, across all jobs: one per evaluation holding a slot, the idle ones lent to running evaluations fold by fold")
 		maxJobs  = flag.Int("max-jobs", 4, "max concurrently running jobs (excess stay queued)")
 		maxPend  = flag.Int("max-pending", 64, "max queued jobs before POST /jobs sheds load with 429 + Retry-After")
 		evalTmo  = flag.Duration("eval-timeout", 0, "abandon an evaluation running longer than this, freeing its pool slot (0 = no deadline)")

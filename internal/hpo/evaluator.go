@@ -3,6 +3,7 @@ package hpo
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -42,10 +43,17 @@ type CVEvaluator struct {
 	// UseF1 scores classification folds by F1 instead of accuracy
 	// (the paper reports F1 on the imbalanced datasets).
 	UseF1 bool
+	// Spare, when set, is asked for an idle core before each fold an
+	// evaluation could hand away: a non-nil giveBack grants one, for one
+	// fold, and is called exactly once when that fold is over. It must not
+	// block. Nil — every caller but the job service, whose scheduler knows
+	// which cores are idle — trains the folds one after another on the
+	// calling goroutine and starts no other.
+	Spare func() (giveBack func())
 
-	// arenas holds one *mat.Arena per Evaluate call in flight, so the
-	// folds of an evaluation — and of the next evaluation that worker
-	// runs — train in the same memory instead of re-allocating it.
+	// arenas holds one *mat.Arena per fold in training, so the folds of an
+	// evaluation — and of the next evaluation that worker runs — train in
+	// the same memory instead of re-allocating it.
 	arenas sync.Pool
 }
 
@@ -70,6 +78,11 @@ func (e *CVEvaluator) FullBudget() int { return e.Train.Len() }
 //
 // Each fold's row copies, model and training state live in a pooled
 // arena that is reset before the next fold; only the score leaves it.
+// With Spare set, folds the calling goroutine has not reached train on the
+// cores Spare grants, each in an arena of its own. Either way the scores
+// are the same bits, the lowest-indexed failing fold decides the error or
+// the panic — the one the serial loop stops at — and Evaluate returns, or
+// panics, only when every fold it started is over.
 func (e *CVEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]float64, error) {
 	folds, err := e.Folds.Folds(e.Train, e.Groups, budget, e.K, r.Split(0xf01d))
 	if err != nil {
@@ -79,31 +92,146 @@ func (e *CVEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]flo
 	if err != nil {
 		return nil, fmt.Errorf("hpo: materializing config: %w", err)
 	}
-	ws, _ := e.arenas.Get().(*mat.Arena)
-	if ws == nil {
-		ws = new(mat.Arena)
+	run := &foldRun{e: e, folds: folds, cfg: nnCfg, r: r, scores: make([]float64, len(folds)), failed: len(folds)}
+	ws := e.arena()
+	for fi, _ := run.take(false); fi >= 0; fi, _ = run.take(false) {
+		run.offer()
+		run.train(ws, fi)
 	}
-	defer e.arenas.Put(ws)
-	scores := make([]float64, 0, len(folds))
+	e.arenas.Put(ws)
+	run.lent.Wait()
+	if p, ok := run.err.(*foldPanic); ok {
+		panic(p)
+	}
+	if run.err != nil {
+		return nil, run.err
+	}
+	scores := run.scores[:0]
 	for fi, fold := range folds {
-		if len(fold.Train) < 2 || len(fold.Val) == 0 {
-			continue
+		if usable(fold) {
+			scores = append(scores, run.scores[fi])
 		}
-		ws.Reset()
-		trainSub := e.Train.SelectIn(ws, fold.Train)
-		valSub := e.Train.SelectIn(ws, fold.Val)
-		foldCfg := nnCfg
-		foldCfg.Seed = r.Split(uint64(fi) + 1).Uint64()
-		model, err := nn.FitIn(ws, trainSub, foldCfg)
-		if err != nil {
-			return nil, fmt.Errorf("hpo: training fold %d: %w", fi, err)
-		}
-		scores = append(scores, e.scoreModel(model, valSub))
 	}
 	if len(scores) == 0 {
 		return nil, fmt.Errorf("hpo: no usable folds for budget %d", budget)
 	}
 	return scores, nil
+}
+
+// usable is the skip rule: a fold too small to train or with nothing to
+// validate on contributes no score.
+func usable(f cv.Fold) bool { return len(f.Train) >= 2 && len(f.Val) > 0 }
+
+// foldRun is one Evaluate call's folds and who has taken which.
+type foldRun struct {
+	e      *CVEvaluator
+	folds  []cv.Fold
+	cfg    nn.Config
+	r      *rng.RNG
+	scores []float64 // by fold index; each written by the goroutine that trained the fold
+
+	mu     sync.Mutex
+	next   int   // folds below it are taken
+	failed int   // lowest fold index that failed; len(folds) while none has
+	err    error // that fold's error, a *foldPanic if it panicked
+	lent   sync.WaitGroup
+}
+
+// foldPanic keeps a fold's panic until every fold is over and Evaluate
+// re-raises it on its caller's goroutine, where the caller's recover — the
+// job service's isolation — can reach it. The stack is the one the panic
+// had: the re-raise site's says nothing about the fold.
+type foldPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *foldPanic) Error() string {
+	return fmt.Sprintf("%v\n\nfold's %s", p.value, p.stack)
+}
+
+// take hands out the next usable fold, or -1 once none is left or one has
+// failed. Folds are taken in index order, so every fold below a failed one
+// has been taken already and the lowest failed index is the fold the serial
+// loop stops at. With lend set the fold is for a borrowed core and none is
+// taken unless Spare grants one; Spare runs under mu (it does not block) so
+// that no core is borrowed for a fold another goroutine takes meanwhile:
+// every giveBack follows exactly one fold.
+func (fr *foldRun) take(lend bool) (fi int, giveBack func()) {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	for fr.next < len(fr.folds) && !usable(fr.folds[fr.next]) {
+		fr.next++
+	}
+	if fr.next == len(fr.folds) || fr.failed < len(fr.folds) {
+		return -1, nil
+	}
+	if lend {
+		if giveBack = fr.e.Spare(); giveBack == nil {
+			return -1, nil
+		}
+	}
+	fr.next++
+	return fr.next - 1, giveBack
+}
+
+// offer starts one goroutine per fold nobody has taken and core Spare
+// grants. Each trains its one fold in an arena of its own, gives the core
+// back — whoever waits for one waits a fold, not an evaluation — and
+// offers again; Spare refuses while somebody does wait.
+func (fr *foldRun) offer() {
+	if fr.e.Spare == nil {
+		return
+	}
+	for fi, giveBack := fr.take(true); giveBack != nil; fi, giveBack = fr.take(true) {
+		fr.lent.Add(1) // by a goroutine Evaluate is yet to join, so never from zero during its Wait
+		go func(fi int, giveBack func()) {
+			defer fr.lent.Done()
+			ws := fr.e.arena()
+			fr.train(ws, fi)
+			fr.e.arenas.Put(ws)
+			giveBack()
+			fr.offer()
+		}(fi, giveBack)
+	}
+}
+
+// train fits and scores fold fi in ws, and records instead of returning
+// how it failed, a panic included: no fold takes its goroutine down.
+func (fr *foldRun) train(ws *mat.Arena, fi int) {
+	defer func() {
+		if v := recover(); v != nil {
+			fr.fail(fi, &foldPanic{value: v, stack: debug.Stack()})
+		}
+	}()
+	e, fold := fr.e, fr.folds[fi]
+	ws.Reset()
+	trainSub := e.Train.SelectIn(ws, fold.Train)
+	valSub := e.Train.SelectIn(ws, fold.Val)
+	foldCfg := fr.cfg
+	foldCfg.Seed = fr.r.Split(uint64(fi) + 1).Uint64()
+	model, err := nn.FitIn(ws, trainSub, foldCfg)
+	if err != nil {
+		fr.fail(fi, fmt.Errorf("hpo: training fold %d: %w", fi, err))
+		return
+	}
+	fr.scores[fi] = e.scoreModel(model, valSub)
+}
+
+// fail records fold fi's failure if it is the lowest-indexed so far.
+func (fr *foldRun) fail(fi int, err error) {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	if fi < fr.failed {
+		fr.failed, fr.err = fi, err
+	}
+}
+
+func (e *CVEvaluator) arena() *mat.Arena {
+	if ws, _ := e.arenas.Get().(*mat.Arena); ws != nil {
+		return ws
+	}
+	return new(mat.Arena)
 }
 
 func (e *CVEvaluator) scoreModel(m *nn.Model, val *dataset.Dataset) float64 {

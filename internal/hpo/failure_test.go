@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -121,5 +122,41 @@ func TestASHAErrorStopsWorkers(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second): // normal completion is milliseconds
 		t.Fatal("ASHA hung after evaluation failure")
+	}
+}
+
+// firstFailsEvaluator fails one configuration and takes a millisecond over
+// every other, counting calls.
+type firstFailsEvaluator struct {
+	failID string
+	calls  atomic.Int64
+}
+
+func (f *firstFailsEvaluator) FullBudget() int { return 6400 }
+
+func (f *firstFailsEvaluator) Evaluate(c search.Config, _ int, _ *rng.RNG) ([]float64, error) {
+	f.calls.Add(1)
+	if c.ID() == f.failID {
+		return nil, errInjected
+	}
+	time.Sleep(time.Millisecond)
+	return []float64{0.5}, nil
+}
+
+// TestSHARoundStopsAtFirstFailure: once an evaluation of a parallel round
+// has failed the round is lost, so its workers take no more of it — the
+// evaluations already in flight finish, the other sixty-odd never start —
+// and the error returned is the one that failed first.
+func TestSHARoundStopsAtFirstFailure(t *testing.T) {
+	vals := []any{0, 1, 2, 3, 4, 5, 6, 7}
+	space := &search.Space{Dims: []search.Dimension{{Name: "a", Values: vals}, {Name: "b", Values: vals}}}
+	configs := space.Enumerate()
+	ev := &firstFailsEvaluator{failID: configs[0].ID()}
+	_, err := SuccessiveHalving(context.Background(), configs, ev, vanComps(), SHAOptions{Seed: 1, Workers: 2})
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("error %v, want the injected failure", err)
+	}
+	if calls := ev.calls.Load(); calls > 8 {
+		t.Errorf("%d of %d configurations evaluated after the first one failed, want a handful", calls, len(configs))
 	}
 }

@@ -127,8 +127,9 @@ func init() {
 
 // evalRound evaluates one halving round, optionally with a worker pool.
 // Results are ordered by configuration index, so the outcome is identical
-// for any worker count. A cancelled ctx stops the round before the next
-// evaluation starts.
+// for any worker count. A cancelled ctx or a failed evaluation stops the
+// round before the next evaluation starts; the error returned is the first
+// one recorded.
 func evalRound(ctx context.Context, ev Evaluator, comps Components, configs []search.Config, budget, round, workers int, root *rng.RNG) ([]Trial, error) {
 	trials := make([]Trial, len(configs))
 	if workers <= 1 || len(configs) == 1 {
@@ -156,7 +157,14 @@ func evalRound(ctx context.Context, ev Evaluator, comps Components, configs []se
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				err := ctx.Err()
+				// Once the round is lost — an evaluation failed, ctx is done —
+				// the feed is drained and nothing more trained for it.
+				mu.Lock()
+				err := firstErr
+				mu.Unlock()
+				if err == nil {
+					err = ctx.Err()
+				}
 				var tr Trial
 				if err == nil {
 					tr, err = evalTrial(ev, comps, configs[i], budget, round, root.Split(trialTag(round, i)))

@@ -36,8 +36,9 @@ var ErrOverloaded = errors.New("serve: pending queue full")
 
 // Config tunes the Manager.
 type Config struct {
-	// PoolSize is the shared evaluation-slot count across all jobs.
-	// 0 selects runtime.NumCPU().
+	// PoolSize is the shared evaluation-slot count across all jobs: how
+	// many cores evaluations — and the folds they lend to idle slots —
+	// may train on at once. 0 selects runtime.NumCPU().
 	PoolSize int
 	// MaxJobs bounds concurrently running jobs; submissions beyond it
 	// wait in the queued state. 0 selects 4.
@@ -265,6 +266,7 @@ type Manager struct {
 	traces *tracestore.Store // nil when persistence is disabled
 
 	evals            atomic.Int64
+	foldsLent        atomic.Int64
 	trialFailures    atomic.Int64
 	traceErrs        atomic.Int64
 	journalErrs      atomic.Int64
@@ -1095,6 +1097,20 @@ func (m *Manager) buildScope(spec JobSpec) (*evalScope, error) {
 	base.LearningRateInit = 0.02
 	base.KernelWorkers = m.cfg.KernelWorkers
 	cv := hpo.NewCVEvaluator(train, base, comps)
+	// An evaluation's folds spill onto whatever evaluation slots are idle:
+	// a slot nobody waits for trains the next fold, counted like any other
+	// held slot, and is back — with the first waiter, if one has come —
+	// when that fold is over.
+	giveBack := func() {
+		m.foldsLent.Add(1)
+		m.sched.ReturnEval()
+	}
+	cv.Spare = func() func() {
+		if !m.sched.TryAcquireEval() {
+			return nil
+		}
+		return giveBack
+	}
 	return &evalScope{
 		comps:  comps,
 		cache:  evalcache.New(cv, m.cfg.CacheEntries),
@@ -1159,10 +1175,16 @@ type Metrics struct {
 	Resumes       int64   `json:"resumes"`
 	PoolSize      int     `json:"pool_size"`
 	// PoolInUse and PoolInflight are the same number, the scheduler's
-	// count of held evaluation slots; both names are read by clients.
-	PoolInUse         int     `json:"pool_in_use"`
-	PoolInflight      int     `json:"pool_inflight"`
-	Evaluations       int64   `json:"evaluations"`
+	// count of held evaluation slots — by an evaluation or lent to one of
+	// its folds; both names are read by clients.
+	PoolInUse    int   `json:"pool_in_use"`
+	PoolInflight int   `json:"pool_inflight"`
+	Evaluations  int64 `json:"evaluations"`
+	// FoldsLent counts folds trained on a borrowed slot; the other
+	// cache_misses × K − folds_lent ran on their evaluation's own. Zero
+	// under load means the job mix leaves no slot idle; zero on a quiet
+	// node means -workers is what bounds a job.
+	FoldsLent         int64   `json:"folds_lent"`
 	EvaluationsPerSec float64 `json:"evaluations_per_sec"`
 	EvalsFused        int64   `json:"evals_fused"`    // always 0: the fuser is gone; bench/ (frozen) still reads it
 	FuseFallbacks     int64   `json:"fuse_fallbacks"` // always 0, as above; both go with bench's serve.* fuse metrics
@@ -1204,6 +1226,7 @@ func (m *Manager) Metrics() Metrics {
 		Resumes:          m.resumes.Load(),
 		PoolSize:         m.cfg.PoolSize,
 		Evaluations:      m.evals.Load(),
+		FoldsLent:        m.foldsLent.Load(),
 		Kernel:           mat.ActiveKernel().String(),
 		CPUFeatures:      mat.CPUFeatures(),
 		KernelWorkers:    m.cfg.KernelWorkers,

@@ -38,8 +38,8 @@ func (e *panicError) Error() string {
 var errEvalDeadline = errors.New("serve: evaluation exceeded deadline")
 
 // pooledEvaluator gates a job's evaluations through the scheduler's
-// evaluation slots — across all jobs, no more than Config.PoolSize train
-// at once, the service's one global knob for CPU pressure — counts them
+// evaluation slots — across all jobs, no more than Config.PoolSize cores
+// train at once, the service's one global knob for CPU pressure — counts them
 // for the service metrics, and isolates the daemon from misbehaving
 // evaluations: panics are recovered into errors, transient failures are
 // retried with a jittered backoff, a wedged evaluation is abandoned at
@@ -60,10 +60,6 @@ func (e *pooledEvaluator) FullBudget() int { return e.inner.FullBudget() }
 func (e *pooledEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]float64, error) {
 	m, job := e.m, e.job
 	tenant := job.tenant()
-	if err := m.sched.AcquireEval(e.ctx, tenant); err != nil {
-		return nil, err
-	}
-	defer m.sched.ReleaseEval(tenant)
 	attempts := m.cfg.EvalAttempts
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -73,10 +69,16 @@ func (e *pooledEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([
 				return nil, err
 			}
 		}
+		// A slot is held per attempt, not across the backoff: a sleeper
+		// would keep a core from the waiters behind it.
+		if err := m.sched.AcquireEval(e.ctx, tenant); err != nil {
+			return nil, err
+		}
 		// Retrying with the same RNG is sound: evaluators derive their
 		// streams via Split, which never advances r.
 		start := time.Now()
 		scores, err := e.evalOnce(cfg, budget, r)
+		m.sched.ReleaseEval(tenant)
 		if err == nil {
 			m.observeEvalLatency(time.Since(start))
 			m.evals.Add(1)

@@ -337,6 +337,82 @@ func TestTransientFailureRetried(t *testing.T) {
 	}
 }
 
+// funcEvaluator evaluates through eval, whatever it makes of inner.
+type funcEvaluator struct {
+	inner hpo.Evaluator
+	eval  func(search.Config, int, *rng.RNG) ([]float64, error)
+}
+
+func (f funcEvaluator) FullBudget() int { return f.inner.FullBudget() }
+
+func (f funcEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]float64, error) {
+	return f.eval(cfg, budget, r)
+}
+
+// TestRetryBackoffReleasesSlot: an evaluation sleeping out its retry
+// backoff holds no evaluation slot. On a one-slot pool, job A's first
+// attempt fails with job B already running; B's evaluation has trained and
+// returned by the time A's retry gets the slot back — not after it.
+func TestRetryBackoffReleasesSlot(t *testing.T) {
+	gate, entered := make(chan struct{}), make(chan struct{})
+	var aCalls, bDone, bDoneAtRetry atomic.Int64
+	wrap := func(id string, inner hpo.Evaluator) hpo.Evaluator {
+		if id != "job-1" {
+			return funcEvaluator{inner, func(cfg search.Config, budget int, r *rng.RNG) ([]float64, error) {
+				scores, err := inner.Evaluate(cfg, budget, r)
+				bDone.Add(1)
+				return scores, err
+			}}
+		}
+		return funcEvaluator{inner, func(cfg search.Config, budget int, r *rng.RNG) ([]float64, error) {
+			switch aCalls.Add(1) {
+			case 1:
+				close(entered)
+				<-gate
+				return nil, errors.New("injected: transient failure")
+			case 2:
+				bDoneAtRetry.Store(bDone.Load())
+			}
+			return inner.Evaluate(cfg, budget, r)
+		}}
+	}
+	m := NewManager(Config{
+		PoolSize: 1, MaxJobs: 2,
+		EvalAttempts: 2, RetryBackoff: 300 * time.Millisecond,
+		WrapEvaluator: wrap,
+	})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if err := m.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	a, err := m.Submit(tinySpec("a", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	b, err := m.Submit(tinySpec("b", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, m, b.ID, func(s Status) bool { return s == StatusRunning }, "running")
+	close(gate)
+	for _, job := range []*Job{a, b} {
+		waitJob(t, m, job.ID, terminal, "terminal")
+		if snap := job.Snapshot(); snap.Status != StatusDone || snap.Failures != 0 {
+			t.Errorf("%s ended %s with %d failures (%s)", job.ID, snap.Status, snap.Failures, snap.Error)
+		}
+	}
+	if aCalls.Load() != 2 {
+		t.Fatalf("job A's evaluation was attempted %d times, want 2", aCalls.Load())
+	}
+	if bDoneAtRetry.Load() == 0 {
+		t.Error("job B's evaluation had not run when job A's retry began: A slept out its backoff holding the only slot")
+	}
+}
+
 // TestFailureBudgetAbsorbsTrial: a fault that survives every retry fails
 // only its trial (worst-case score) while the job still completes.
 func TestFailureBudgetAbsorbsTrial(t *testing.T) {

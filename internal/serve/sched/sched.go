@@ -8,12 +8,15 @@
 // runner can yield at the next rung boundary. Per-tenant quotas bound
 // how much any one tenant can queue, independent of the global cap.
 //
-// The scheduler also owns the evaluation slots — how many evaluations,
-// across every running job, may train at once. A running job's workers
-// call AcquireEval before each evaluation and ReleaseEval after it;
-// slots go to waiters in arrival order, and the per-tenant and global
-// inflight counts move under the same lock hold as the grant, so there
-// is one count of what is on a core and nothing to keep in step with it.
+// The scheduler also owns the evaluation slots — how many cores, across
+// every running job, may train at once. A running job's workers call
+// AcquireEval before each evaluation and ReleaseEval after it; slots go
+// to waiters in arrival order, and the per-tenant and global inflight
+// counts move under the same lock hold as the grant, so there is one
+// count of what is on a core and nothing to keep in step with it. A slot
+// nobody waits for can be lent to a running evaluation for one of its
+// folds (TryAcquireEval/ReturnEval): same count, same hand-over to the
+// first waiter when it comes back.
 //
 // Virtual-time math (stride/SFQ): each tenant carries vtime, a
 // monotonically increasing float. Granting a slot charges a fixed
@@ -79,8 +82,9 @@ type Config struct {
 	// Slots is the number of jobs that may run concurrently (the serve
 	// layer's MaxJobs). Minimum 1.
 	Slots int
-	// EvalSlots is the number of evaluations that may hold a slot at once,
-	// across all running jobs (the serve layer's PoolSize). Minimum 1.
+	// EvalSlots is the number of evaluation slots — cores evaluations may
+	// train on at once, across all running jobs (the serve layer's
+	// PoolSize). Minimum 1.
 	EvalSlots int
 	// MaxQueued caps jobs accepted but not yet granted a slot, across
 	// all tenants. 0 = unbounded. Bypass enqueues (journal replays,
@@ -565,10 +569,35 @@ func (s *Scheduler) ReleaseEval(tenantName string) {
 	s.releaseEvalLocked(s.tenants[tenantName])
 }
 
-// releaseEvalLocked frees one of t's slots and hands it to the first
-// waiter, if any.
+// TryAcquireEval lends an idle evaluation slot to an evaluation that
+// already holds one — a fold of it trains there — and reports whether one
+// was idle. It never waits and never succeeds ahead of a waiter: one
+// exists only while every slot is held. The slot counts in Inflight, not
+// in any tenant's inflight evaluations, and goes back through ReturnEval.
+func (s *Scheduler) TryAcquireEval() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.inflight == s.cfg.EvalSlots {
+		return false
+	}
+	s.inflight++
+	return true
+}
+
+// ReturnEval gives back a slot TryAcquireEval lent; the first waiter, if
+// any, has it before ReturnEval returns.
+func (s *Scheduler) ReturnEval() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.releaseEvalLocked(nil)
+}
+
+// releaseEvalLocked frees a slot — one of t's, or a lent one for a nil t —
+// and hands it to the first waiter, if any.
 func (s *Scheduler) releaseEvalLocked(t *tenant) {
-	t.inflight--
+	if t != nil {
+		t.inflight--
+	}
 	s.inflight--
 	if len(s.evalWaiters) == 0 {
 		return
@@ -581,8 +610,8 @@ func (s *Scheduler) releaseEvalLocked(t *tenant) {
 	close(w.grant)
 }
 
-// Inflight returns the evaluations currently holding evaluation slots —
-// the pool_in_use and pool_inflight gauges.
+// Inflight returns the evaluation slots currently held, by an evaluation
+// or lent to one of its folds — the pool_in_use and pool_inflight gauges.
 func (s *Scheduler) Inflight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

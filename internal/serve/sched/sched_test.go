@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -270,12 +271,13 @@ func TestEvalSlotInflightGauge(t *testing.T) {
 }
 
 // TestEvalSlotFIFO: with every slot held, waiters are served in arrival
-// order, whatever their tenant.
+// order, whatever their tenant — and whether the slot that comes back was
+// an evaluation's own or one lent to a fold.
 func TestEvalSlotFIFO(t *testing.T) {
 	s := New(Config{EvalSlots: 1})
 	ctx := context.Background()
-	if err := s.AcquireEval(ctx, "hold"); err != nil {
-		t.Fatal(err)
+	if !s.TryAcquireEval() {
+		t.Fatal("no slot to lend on an idle scheduler")
 	}
 	order := make(chan string, 3)
 	for i, tenant := range []string{"c", "a", "b"} {
@@ -293,9 +295,9 @@ func TestEvalSlotFIFO(t *testing.T) {
 			return len(s.evalWaiters) == i+1
 		})
 	}
-	holder := "hold"
+	release := s.ReturnEval
 	for _, want := range []string{"c", "a", "b"} {
-		s.ReleaseEval(holder)
+		release()
 		select {
 		case got := <-order:
 			if got != want {
@@ -304,11 +306,156 @@ func TestEvalSlotFIFO(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("waiter %q never served", want)
 		}
-		holder = want
+		release = func() { s.ReleaseEval(want) }
 	}
-	s.ReleaseEval(holder)
+	release()
 	if got := s.Inflight(); got != 0 {
 		t.Fatalf("inflight = %d after all released, want 0", got)
+	}
+}
+
+// TestEvalSlotTryAcquire: a slot is lent only while one is idle, counts in
+// the one inflight gauge but in no tenant's, and is never lent past a
+// waiter — also not the slot that waiter is about to be handed.
+func TestEvalSlotTryAcquire(t *testing.T) {
+	s := New(Config{EvalSlots: 2})
+	ctx := context.Background()
+	if err := s.AcquireEval(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if !s.TryAcquireEval() {
+		t.Fatal("one of two slots held: the other was not lent")
+	}
+	if s.TryAcquireEval() {
+		t.Fatal("a third slot was lent out of two")
+	}
+	if got := s.Inflight(); got != 2 {
+		t.Fatalf("inflight = %d with one slot acquired and one lent, want 2", got)
+	}
+	for _, st := range s.Stats() {
+		if st.InflightEvals != 1 {
+			t.Fatalf("tenant %s inflight = %d, want 1: a lent slot is no tenant's evaluation", st.Tenant, st.InflightEvals)
+		}
+	}
+	got := make(chan error, 1)
+	go func() { got <- s.AcquireEval(ctx, "b") }()
+	waitFor(t, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.evalWaiters) == 1
+	})
+	s.ReturnEval() // to the waiter, before ReturnEval returns
+	if s.TryAcquireEval() {
+		t.Fatal("the slot a waiter was owed was lent again")
+	}
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	s.ReleaseEval("a")
+	s.ReleaseEval("b")
+	if got := s.Inflight(); got != 0 {
+		t.Fatalf("inflight = %d after all released, want 0", got)
+	}
+}
+
+// TestEvalSlotTryAcquireHammer: blocking acquirers and borrowers churn two
+// slots while a sampler reads the scheduler's own state: never more slots
+// held than there are, never a waiter while one is idle — so no borrow can
+// have succeeded ahead of one — and everything drains to zero.
+func TestEvalSlotTryAcquireHammer(t *testing.T) {
+	const slots = 2
+	s := New(Config{EvalSlots: slots})
+	var held, over, refused atomic.Int64
+	hold := func() {
+		if held.Add(1) > slots {
+			over.Add(1)
+		}
+		runtime.Gosched()
+		held.Add(-1)
+	}
+	stop := make(chan struct{})
+	sampled := make(chan int)
+	go func() {
+		bad := 0
+		for {
+			select {
+			case <-stop:
+				sampled <- bad
+				return
+			default:
+			}
+			s.mu.Lock()
+			if s.inflight > slots || (len(s.evalWaiters) > 0 && s.inflight < slots) {
+				bad++
+			}
+			s.mu.Unlock()
+			if s.Inflight() > slots {
+				bad++
+			}
+			runtime.Gosched()
+		}
+	}()
+	// Three acquirers on two slots keep a waiter queued much of the time;
+	// they churn until each borrower has been lent a slot 200 times, so
+	// both outcomes of a borrow are exercised on every run.
+	var acquirers, borrowers sync.WaitGroup
+	borrowed := make(chan struct{})
+	for g := 0; g < 3; g++ {
+		acquirers.Add(1)
+		go func() {
+			defer acquirers.Done()
+			tenant := []string{"a", "b"}[g%2]
+			for {
+				select {
+				case <-borrowed:
+					return
+				default:
+				}
+				if err := s.AcquireEval(context.Background(), tenant); err != nil {
+					t.Error(err)
+					return
+				}
+				hold()
+				s.ReleaseEval(tenant)
+				runtime.Gosched()
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		borrowers.Add(1)
+		go func() {
+			defer borrowers.Done()
+			for n := 0; n < 200; runtime.Gosched() {
+				if s.TryAcquireEval() {
+					n++
+					hold()
+					s.ReturnEval()
+				} else {
+					refused.Add(1)
+				}
+			}
+		}()
+	}
+	borrowers.Wait()
+	close(borrowed)
+	acquirers.Wait()
+	close(stop)
+	if bad := <-sampled; bad != 0 {
+		t.Errorf("%d samples saw more than %d slots held, or a waiter beside an idle slot", bad, slots)
+	}
+	if n := over.Load(); n != 0 {
+		t.Errorf("%d holders saw more than %d slots held", n, slots)
+	}
+	if got := s.Inflight(); got != 0 {
+		t.Errorf("inflight = %d after churn, want 0", got)
+	}
+	for _, st := range s.Stats() {
+		if st.InflightEvals != 0 {
+			t.Errorf("tenant %s inflight = %d after churn, want 0", st.Tenant, st.InflightEvals)
+		}
+	}
+	if refused.Load() == 0 {
+		t.Error("no borrow was ever refused: the hammer never had both slots held")
 	}
 }
 
