@@ -138,8 +138,11 @@ bench-pair:
 # Forced-fallback run: the portable blocked kernels stay tested end to
 # end on SIMD hardware (BHPO_KERNEL overrides the auto-selected family),
 # so a regression in the non-SIMD path cannot hide behind AVX2 CI boxes.
+# internal/experiments rides along for its golden: the one place the
+# "kernel families are bitwise-equal" invariant is asserted on the paper's
+# own tables rather than on a matmul.
 fallback:
-	BHPO_KERNEL=blocked $(GO) test -count=1 ./internal/mat/ ./internal/nn/ ./internal/hpo/
+	BHPO_KERNEL=blocked $(GO) test -count=1 ./internal/mat/ ./internal/nn/ ./internal/hpo/ ./internal/experiments/
 
 # Non-test / test Go lines per package and in total, outside bench/ —
 # raw `wc -l`, the count ROADMAP's "net line count per PR" and every

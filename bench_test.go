@@ -1,8 +1,8 @@
-// Package enhancedbhpo_test holds the benchmark harness: one benchmark per
-// table and figure of the paper's evaluation (regenerating the artifact at
-// reduced scale each iteration) plus ablation benchmarks for the design
-// choices called out in DESIGN.md and micro-benchmarks for the hot
-// substrates. Run everything with:
+// Package enhancedbhpo_test holds the benchmark harness: one
+// BenchmarkExperiment/<name> per table and figure of the paper's
+// evaluation (regenerating the artifact at reduced scale each iteration)
+// plus ablation benchmarks for the design choices called out in DESIGN.md
+// and micro-benchmarks for the hot substrates. Run everything with:
 //
 //	go test -bench=. -benchmem
 //
@@ -31,181 +31,28 @@ import (
 	"enhancedbhpo/internal/stats"
 )
 
-func fastSettings(datasets ...string) experiments.Settings {
-	s := experiments.FastSettings()
-	s.Datasets = datasets
-	return s
-}
-
-// BenchmarkTable4 regenerates the Table IV comparison (random, SHA/SHA+,
-// HB/HB+, BOHB/BOHB+) on one simulated dataset per iteration.
-func BenchmarkTable4(b *testing.B) {
-	s := fastSettings("australian")
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable4(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Print(io.Discard)
-	}
-}
-
-// BenchmarkTable5 regenerates the Table V grouping ablation.
-func BenchmarkTable5(b *testing.B) {
-	s := fastSettings("australian")
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable5(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Print(io.Discard)
-	}
-}
-
-// BenchmarkFig3 regenerates the β–γ curve of Figure 3.
-func BenchmarkFig3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.RunFig3().Print(io.Discard)
-	}
-}
-
-// BenchmarkFig4 regenerates the Figure 4 sweeps (HP count, model size).
-func BenchmarkFig4(b *testing.B) {
-	s := experiments.FastSettings()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig4(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Print(io.Discard)
-	}
-}
-
-// BenchmarkFig5 regenerates the Figure 5 CV comparison.
-func BenchmarkFig5(b *testing.B) {
-	s := fastSettings("australian")
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig5(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Print(io.Discard)
-	}
-}
-
-// BenchmarkFig6 regenerates the Figure 6 fold-allocation sweep.
-func BenchmarkFig6(b *testing.B) {
-	s := fastSettings("australian")
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig6(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Print(io.Discard)
-	}
-}
-
-// BenchmarkFig7 regenerates the Figure 7 metric ablation.
-func BenchmarkFig7(b *testing.B) {
-	s := fastSettings("australian")
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig7(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Print(io.Discard)
-	}
-}
-
-// BenchmarkProp1 regenerates the Proposition 1 stability analysis.
-func BenchmarkProp1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.RunProp1().Print(io.Discard)
-	}
-}
-
-// BenchmarkBaselines regenerates the §IV-B full-budget baseline comparison
-// (random, SMAC, TPE, grid vs SHA/SHA+).
-func BenchmarkBaselines(b *testing.B) {
-	s := fastSettings("australian")
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunBaselines(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Print(io.Discard)
-	}
-}
-
-// BenchmarkAnytime regenerates the incumbent-curve comparison of SHA vs
-// SHA+ (budget-normalized AUC).
-func BenchmarkAnytime(b *testing.B) {
-	s := fastSettings("australian")
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAnytime(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Print(io.Discard)
-	}
-}
-
-// BenchmarkAblations regenerates the parameter-sensitivity sweeps
-// (group count v, special-fold bias, α, r_group).
-func BenchmarkAblations(b *testing.B) {
-	s := fastSettings("australian")
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblations(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Print(io.Discard)
-	}
-}
-
-// BenchmarkRobustness regenerates the label-corruption stress comparison.
-func BenchmarkRobustness(b *testing.B) {
-	s := fastSettings("australian")
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunRobustness(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Print(io.Discard)
-	}
-}
-
-// BenchmarkExtended regenerates the extended-method comparison
-// (ASHA/PASHA/DEHB, vanilla vs enhanced).
-func BenchmarkExtended(b *testing.B) {
-	s := fastSettings("australian")
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunExtended(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Print(io.Discard)
-	}
-}
-
-// BenchmarkStability regenerates the seed-stability comparison.
-func BenchmarkStability(b *testing.B) {
-	s := fastSettings("australian")
-	s.Seeds = 3
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunStability(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Print(io.Discard)
-	}
-}
-
-// BenchmarkTable2 regenerates the dataset inventory.
-func BenchmarkTable2(b *testing.B) {
-	s := fastSettings()
-	for i := 0; i < b.N; i++ {
-		experiments.RunTable2(s).Print(io.Discard)
+// BenchmarkExperiment regenerates each artifact of the experiments
+// registry once per iteration, rendering included: every table and figure
+// of the paper's evaluation plus the extension experiments, on one
+// simulated dataset. A new registry entry is benchmarked without an edit
+// here.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.Name, func(b *testing.B) {
+			s := experiments.FastSettings()
+			s.Datasets = []string{"australian"}
+			if e.Name == "stability" {
+				// A spread across optimizer seeds needs more than one run.
+				s.Seeds = 3
+			}
+			for i := 0; i < b.N; i++ {
+				res, err := e.Run(s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res.Print(io.Discard)
+			}
+		})
 	}
 }
 

@@ -3,11 +3,12 @@
 //
 // Usage:
 //
-//	experiments -exp table4|table5|fig3|fig4|fig5|fig6|fig7|prop1|all \
+//	experiments -exp <name>|cv|hpo|all \
 //	    [-scale 0.35] [-seeds 3] [-configs 162] [-hps 4] [-iters 20] \
-//	    [-datasets a9a,usps] [-fast]
+//	    [-datasets a9a,usps] [-fast] [-v] [-out dir]
 //
-// The defaults run a laptop-scale protocol; -fast shrinks everything for a
+// The names are those of experiments.Registry (-help lists them). The
+// defaults run a laptop-scale protocol; -fast shrinks everything for a
 // quick smoke pass, and raising -scale/-seeds/-configs approaches the
 // paper's full protocol.
 package main
@@ -25,7 +26,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run: table4, table5, fig3, fig4, fig5, fig6, fig7, prop1, baselines, anytime, ablations, all")
+		exp      = flag.String("exp", "all", "experiment to run: "+strings.Join(experiments.Names(), ", "))
 		scale    = flag.Float64("scale", 0, "dataset scale factor (0 = default 0.35)")
 		seeds    = flag.Int("seeds", 0, "number of random seeds (0 = default 3; paper uses 5)")
 		configs  = flag.Int("configs", 0, "max configurations for HPO experiments (0 = default 162)")
@@ -57,24 +58,19 @@ func main() {
 		s.Datasets = strings.Split(*datasets, ",")
 	}
 
-	if err := run(*exp, s, *outDir); err != nil {
+	if err := run(os.Stdout, *exp, s, *outDir); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, s experiments.Settings, outDir string) error {
-	todo := []string{exp}
-	switch exp {
-	case "all":
-		todo = []string{"table2", "fig3", "prop1", "table5", "fig5", "fig6", "fig7", "fig4", "table4", "baselines", "anytime", "ablations", "robustness", "extended", "stability"}
-	case "cv":
-		// The cross-validation experiments share ground truths through the
-		// in-process cache; running them together avoids recomputing the
-		// full-data trainings per experiment.
-		todo = []string{"table5", "fig5", "fig6", "fig7", "ablations"}
-	case "hpo":
-		todo = []string{"fig4", "table4", "baselines", "anytime", "robustness", "extended"}
+// run resolves exp in the registry before touching the file system, then
+// runs each selected experiment and prints it to stdout, followed by a
+// blank line.
+func run(stdout io.Writer, exp string, s experiments.Settings, outDir string) error {
+	todo, err := experiments.Select(exp)
+	if err != nil {
+		return err
 	}
 	if outDir != "" {
 		if err := os.MkdirAll(outDir, 0o755); err != nil {
@@ -82,120 +78,43 @@ func run(exp string, s experiments.Settings, outDir string) error {
 		}
 	}
 	for _, e := range todo {
-		if err := runOne(e, s, outDir); err != nil {
+		res, err := e.Run(s)
+		if err != nil {
 			return err
 		}
-		fmt.Println()
+		res.Print(stdout)
+		fmt.Fprintln(stdout)
+		if outDir == "" {
+			continue
+		}
+		if err := writeFile(filepath.Join(outDir, e.Name+".txt"), func(w io.Writer) error {
+			res.Print(w)
+			return nil
+		}); err != nil {
+			return err
+		}
+		// A result that serializes itself (anytime: the curves in the
+		// serialization of bhpod's /jobs endpoint, so one set of tooling
+		// plots either source) also gets <exp>.json.
+		if j, ok := res.(interface{ WriteJSON(io.Writer) error }); ok {
+			if err := writeFile(filepath.Join(outDir, e.Name+".json"), j.WriteJSON); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-func runOne(exp string, s experiments.Settings, outDir string) error {
-	var w io.Writer = os.Stdout
-	if outDir != "" {
-		f, err := os.Create(filepath.Join(outDir, exp+".txt"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
+// writeFile creates path, fills it through write and reports the first
+// error, the one from Close included.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	switch exp {
-	case "table2":
-		experiments.RunTable2(s).Print(w)
-	case "table4":
-		res, err := experiments.RunTable4(s)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "table5":
-		res, err := experiments.RunTable5(s)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "fig3":
-		experiments.RunFig3().Print(w)
-	case "fig4":
-		res, err := experiments.RunFig4(s)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "fig5":
-		res, err := experiments.RunFig5(s)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "fig6":
-		res, err := experiments.RunFig6(s)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "fig7":
-		res, err := experiments.RunFig7(s)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "prop1":
-		experiments.RunProp1().Print(w)
-	case "baselines":
-		res, err := experiments.RunBaselines(s)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "anytime":
-		res, err := experiments.RunAnytime(s)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-		if outDir != "" {
-			// The curves use the same serialization as bhpod's /jobs
-			// endpoint, so one set of tooling plots either source.
-			f, err := os.Create(filepath.Join(outDir, "anytime.json"))
-			if err != nil {
-				return err
-			}
-			err = res.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-		}
-	case "ablations":
-		res, err := experiments.RunAblations(s)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "robustness":
-		res, err := experiments.RunRobustness(s)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "extended":
-		res, err := experiments.RunExtended(s)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	case "stability":
-		res, err := experiments.RunStability(s)
-		if err != nil {
-			return err
-		}
-		res.Print(w)
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	return err
 }

@@ -6,9 +6,7 @@ import (
 
 	"enhancedbhpo/internal/cv"
 	"enhancedbhpo/internal/grouping"
-	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/scoring"
-	"enhancedbhpo/internal/stats"
 )
 
 // The ablation experiment sweeps the enhanced method's own knobs — the
@@ -20,110 +18,49 @@ import (
 //	alpha    variance weight α with β_max = 1/α (§III-C recommendation)
 //	rgroup   balanced-clustering ratio (§IV-B uses 0.8)
 
-// AblationPoint is one knob setting's summary.
-type AblationPoint struct {
-	Knob    string
-	Value   float64
-	TestAcc float64
-	TestStd float64
-	NDCG    float64
-}
-
-// AblationResult holds all sweeps for one dataset.
+// AblationResult holds all sweeps for one dataset: cells labelled by knob
+// with the knob's value as X, in sweep order.
 type AblationResult struct {
 	Dataset string
 	Ratio   float64
-	Points  []AblationPoint
-}
-
-// Sweep returns the points of one knob, in sweep order.
-func (r *AblationResult) Sweep(knob string) []AblationPoint {
-	var out []AblationPoint
-	for _, p := range r.Points {
-		if p.Knob == knob {
-			out = append(out, p)
-		}
-	}
-	return out
+	Grid
 }
 
 // RunAblations sweeps the enhanced method's parameters on the first
 // configured dataset (default australian) at a 25% subset ratio.
 func RunAblations(s Settings) (*AblationResult, error) {
-	s = s.WithDefaults()
-	name := "australian"
-	if len(s.Datasets) > 0 {
-		name = s.Datasets[0]
-	}
-	space, err := cvSpace()
-	if err != nil {
-		return nil, err
-	}
-	const ratio = 0.25
-	res := &AblationResult{Dataset: name, Ratio: ratio}
+	res := &AblationResult{Dataset: s.firstDatasetOr("australian"), Ratio: 0.25}
 
-	type variant struct {
+	sweeps := []struct {
 		knob   string
-		value  float64
-		v      int
-		bias   float64
-		alpha  float64
-		rgroup float64
+		values []float64
+	}{
+		{"v", []float64{2, 3, 4, 5}},
+		{"bias", []float64{0.6, 0.7, 0.8, 0.9}},
+		{"alpha", []float64{0.05, 0.1, 0.2, 0.5}},
+		{"rgroup", []float64{0.2, 0.5, 0.8}},
 	}
-	base := variant{v: 2, bias: 0.8, alpha: scoring.DefaultAlpha, rgroup: 0.8}
-	var variants []variant
-	for _, v := range []int{2, 3, 4, 5} {
-		vv := base
-		vv.knob, vv.value, vv.v = "v", float64(v), v
-		variants = append(variants, vv)
-	}
-	for _, b := range []float64{0.6, 0.7, 0.8, 0.9} {
-		vv := base
-		vv.knob, vv.value, vv.bias = "bias", b, b
-		variants = append(variants, vv)
-	}
-	for _, a := range []float64{0.05, 0.1, 0.2, 0.5} {
-		vv := base
-		vv.knob, vv.value, vv.alpha = "alpha", a, a
-		variants = append(variants, vv)
-	}
-	for _, rg := range []float64{0.2, 0.5, 0.8} {
-		vv := base
-		vv.knob, vv.value, vv.rgroup = "rgroup", rg, rg
-		variants = append(variants, vv)
-	}
-
-	for _, vv := range variants {
-		var accs, ndcgs []float64
-		for seed := 0; seed < s.Seeds; seed++ {
-			truth, err := s.buildTruth(name, uint64(seed)+1, space)
-			if err != nil {
-				return nil, err
-			}
-			groups, err := grouping.Build(truth.train, grouping.Options{V: vv.v, RGroup: vv.rgroup},
-				rng.New(uint64(seed)^0xab1a))
-			if err != nil {
-				return nil, err
-			}
+	var cells []cvCell
+	for _, sw := range sweeps {
+		for _, value := range sw.values {
+			// The paper's defaults, with the swept knob overridden.
+			k := map[string]float64{"v": 2, "bias": 0.8, "alpha": scoring.DefaultAlpha, "rgroup": 0.8}
+			k[sw.knob] = value
 			// Keep 5 folds total; with v groups the special folds cover
 			// min(v, 2) focus groups, matching the paper's 3+2 default.
-			m := cvMethod{
-				name:        fmt.Sprintf("%s=%v", vv.knob, vv.value),
-				folds:       cv.GroupFolds{KGen: 3, KSpe: 2, SpecialBias: vv.bias},
-				scorer:      scoring.UCBScorer{Alpha: vv.alpha, BetaMax: 1 / vv.alpha},
-				needsGroups: true,
-			}
-			out, err := s.runCVMethod(truth, m, groups, ratio, 5, uint64(seed)*59+uint64(vv.value*100))
-			if err != nil {
-				return nil, err
-			}
-			accs = append(accs, out.TestAcc)
-			ndcgs = append(ndcgs, out.NDCG)
+			cells = append(cells, cvCell{
+				label: sw.knob, x: value, ratio: res.Ratio, seedMul: 59, seedAdd: uint64(value * 100),
+				folds:  cv.GroupFolds{KGen: 3, KSpe: 2, SpecialBias: k["bias"]},
+				scorer: scoring.UCBScorer{Alpha: k["alpha"], BetaMax: 1 / k["alpha"]},
+				groups: &grouping.Options{V: int(k["v"]), RGroup: k["rgroup"]},
+			})
 		}
-		p := AblationPoint{Knob: vv.knob, Value: vv.value}
-		p.TestAcc, p.TestStd = stats.MeanStd(accs)
-		p.NDCG = stats.Mean(ndcgs)
-		res.Points = append(res.Points, p)
+	}
+	var err error
+	res.Cells, err = s.runCVGrid("ablations", []string{res.Dataset}, cells,
+		func(seed int) uint64 { return uint64(seed) ^ 0xab1a })
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -131,15 +68,11 @@ func RunAblations(s Settings) (*AblationResult, error) {
 // Print renders the sweeps grouped by knob.
 func (r *AblationResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Ablations on %s (subset %.0f%%): enhanced-method parameter sweeps\n", r.Dataset, r.Ratio*100)
-	for _, knob := range []string{"v", "bias", "alpha", "rgroup"} {
-		pts := r.Sweep(knob)
-		if len(pts) == 0 {
-			continue
+	for i, c := range r.Cells {
+		if i == 0 || c.Label != r.Cells[i-1].Label {
+			fmt.Fprintf(w, "\n%s sweep\n", c.Label)
+			fmt.Fprintf(w, "  %-8s %14s %8s\n", c.Label, "testAcc(%)", "nDCG")
 		}
-		fmt.Fprintf(w, "\n%s sweep\n", knob)
-		fmt.Fprintf(w, "  %-8s %14s %8s\n", knob, "testAcc(%)", "nDCG")
-		for _, p := range pts {
-			fmt.Fprintf(w, "  %-8.2f %7s±%-6s %8.3f\n", p.Value, pct(p.TestAcc), pct(p.TestStd), p.NDCG)
-		}
+		fmt.Fprintf(w, "  %-8.2f %7s±%-6s %8.3f\n", c.X, pct(c.TestMean), pct(c.TestStd), c.NDCG)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"enhancedbhpo/internal/core"
-	"enhancedbhpo/internal/search"
 	"enhancedbhpo/internal/stats"
 	"enhancedbhpo/internal/trace"
 )
@@ -36,47 +34,22 @@ type AnytimeResult struct {
 // RunAnytime compares the SHA and SHA+ incumbent curves on the first
 // configured dataset (default australian).
 func RunAnytime(s Settings) (*AnytimeResult, error) {
-	s = s.WithDefaults()
-	name := "australian"
-	if len(s.Datasets) > 0 {
-		name = s.Datasets[0]
-	}
-	space, err := search.TableIIISpace(s.NumHPs)
+	res := &AnytimeResult{Dataset: s.firstDatasetOr("australian")}
+	cells, runs, err := s.runHPOGrid("anytime", shaPair("vanilla", "enhanced", hpoCell{
+		dataset: res.Dataset, seedMul: 53, seedAdd: 17,
+	}))
 	if err != nil {
 		return nil, err
 	}
-	res := &AnytimeResult{Dataset: name}
-	for _, variant := range []core.Variant{core.Vanilla, core.Enhanced} {
-		var aucs, finals []float64
-		var spark string
-		var curve []trace.Point
-		for seed := 0; seed < s.Seeds; seed++ {
-			train, test, err := s.loadDataset(name, uint64(seed)+1)
-			if err != nil {
-				return nil, err
-			}
-			out, err := core.Run(train, test, core.Options{
-				Method:     core.SHA,
-				Variant:    variant,
-				Space:      space,
-				Base:       s.baseConfig(),
-				MaxConfigs: s.MaxConfigs,
-				Seed:       uint64(seed)*53 + 17,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("anytime %s/%v: %w", name, variant, err)
-			}
-			points := trace.Anytime(out.Search.Trials)
-			aucs = append(aucs, trace.AreaUnderCurve(points))
-			finals = append(finals, out.TestScore)
-			if seed == 0 {
-				spark = trace.Sparkline(points, 40)
-				curve = points
-			}
+	for i, c := range cells {
+		// The curve shown is seed 0's; the AUC is averaged over all seeds.
+		curve := trace.Anytime(runs[i][0].Search.Trials)
+		var aucs []float64
+		for _, o := range runs[i] {
+			aucs = append(aucs, trace.AreaUnderCurve(trace.Anytime(o.Search.Trials)))
 		}
-		cell := AnytimeCell{Variant: variant.String(), Sparkline: spark, Curve: curve}
+		cell := AnytimeCell{Variant: c.Label, FinalScore: c.TestMean, Sparkline: trace.Sparkline(curve, 40), Curve: curve}
 		cell.AUC, cell.AUCStd = stats.MeanStd(aucs)
-		cell.FinalScore = stats.Mean(finals)
 		res.Cells = append(res.Cells, cell)
 	}
 	return res, nil

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"enhancedbhpo/internal/core"
-	"enhancedbhpo/internal/stats"
 )
 
 // The §IV-B text reports that with a time budget similar to Successive
@@ -16,88 +14,46 @@ import (
 // grid (capped) and SHA/SHA+ on one dataset, reporting test quality and
 // time.
 
-// BaselineCell is one method's summary.
-type BaselineCell struct {
-	Method   string
-	TestMean float64
-	TestStd  float64
-	TimeMean time.Duration
-}
-
-// BaselinesResult reproduces the §IV-B baseline comparison.
+// BaselinesResult reproduces the §IV-B baseline comparison: one cell per
+// method.
 type BaselinesResult struct {
 	Dataset string
-	Cells   []BaselineCell
-}
-
-// Cell returns the named method's entry, or nil.
-func (r *BaselinesResult) Cell(method string) *BaselineCell {
-	for i := range r.Cells {
-		if r.Cells[i].Method == method {
-			return &r.Cells[i]
-		}
-	}
-	return nil
+	Grid
 }
 
 // RunBaselines compares the full-budget baselines against SHA and SHA+ on
 // the first configured dataset (default: nticusdroid, the dataset the
 // paper's anecdote uses).
 func RunBaselines(s Settings) (*BaselinesResult, error) {
-	s = s.WithDefaults()
-	name := "nticusdroid"
-	if len(s.Datasets) > 0 {
-		name = s.Datasets[0]
-	}
 	space, err := cvSpace()
 	if err != nil {
 		return nil, err
 	}
-	methods := []struct {
-		name    string
-		method  core.Method
-		variant core.Variant
-	}{
-		{"random", core.Random, core.Vanilla},
-		{"smac", core.SMAC, core.Vanilla},
-		{"tpe", core.TPE, core.Vanilla},
-		{"grid", core.Grid, core.Vanilla},
-		{"SHA", core.SHA, core.Vanilla},
-		{"SHA+", core.SHA, core.Enhanced},
+	res := &BaselinesResult{Dataset: s.firstDatasetOr("nticusdroid")}
+	cells := []hpoCell{
+		{label: "random", method: core.Random, variant: core.Vanilla},
+		{label: "smac", method: core.SMAC, variant: core.Vanilla},
+		{label: "tpe", method: core.TPE, variant: core.Vanilla},
+		{label: "grid", method: core.Grid, variant: core.Vanilla},
+		{label: "SHA", method: core.SHA, variant: core.Vanilla},
+		{label: "SHA+", method: core.SHA, variant: core.Enhanced},
 	}
-	res := &BaselinesResult{Dataset: name}
-	for _, m := range methods {
-		var tests, times []float64
-		for seed := 0; seed < s.Seeds; seed++ {
-			train, test, err := s.loadDataset(name, uint64(seed)+1)
-			if err != nil {
-				return nil, err
-			}
-			opts := core.Options{
-				Method:     m.method,
-				Variant:    m.variant,
-				Space:      space,
-				Base:       s.baseConfig(),
-				MaxConfigs: s.MaxConfigs,
-				Seed:       uint64(seed)*997 + 3,
-			}
-			// Full-budget baselines get the same trial count as the
-			// paper's random baseline (10).
-			opts.Random.N = 10
-			opts.SMAC.N = 10
-			opts.TPE.N = 10
-			opts.Grid.MaxConfigs = 10
-			out, err := core.Run(train, test, opts)
-			if err != nil {
-				return nil, fmt.Errorf("baselines %s/%s: %w", name, m.name, err)
-			}
-			tests = append(tests, out.TestScore)
-			times = append(times, out.TotalTime.Seconds())
+	for i := range cells {
+		c := &cells[i]
+		c.dataset, c.space = res.Dataset, space
+		c.seedMul, c.seedAdd = 997, 3
+		// Full-budget baselines get the same trial count as the paper's
+		// random baseline (10).
+		c.tune = func(o *core.Options) {
+			o.Random.N = 10
+			o.SMAC.N = 10
+			o.TPE.N = 10
+			o.Grid.MaxConfigs = 10
 		}
-		cell := BaselineCell{Method: m.name}
-		cell.TestMean, cell.TestStd = stats.MeanStd(tests)
-		cell.TimeMean = time.Duration(stats.Mean(times) * float64(time.Second))
-		res.Cells = append(res.Cells, cell)
+	}
+	res.Cells, _, err = s.runHPOGrid("baselines", cells)
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -107,6 +63,6 @@ func (r *BaselinesResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Baselines (§IV-B): full-budget optimizers vs bandit methods on %s\n", r.Dataset)
 	fmt.Fprintf(w, "  %-8s %16s %10s\n", "method", "testAcc(%)", "time(s)")
 	for _, c := range r.Cells {
-		fmt.Fprintf(w, "  %-8s %8s±%-7s %10.2f\n", c.Method, pct(c.TestMean), pct(c.TestStd), c.TimeMean.Seconds())
+		fmt.Fprintf(w, "  %-8s %8s±%-7s %10.2f\n", c.Label, pct(c.TestMean), pct(c.TestStd), c.TimeMean)
 	}
 }

@@ -18,7 +18,7 @@ func TestRunBaselinesFast(t *testing.T) {
 		t.Fatalf("dataset %q", res.Dataset)
 	}
 	for _, method := range []string{"random", "smac", "tpe", "grid", "SHA", "SHA+"} {
-		c := res.Cell(method)
+		c := res.Cell("australian", method, 0)
 		if c == nil {
 			t.Fatalf("missing method %s", method)
 		}
@@ -34,6 +34,7 @@ func TestRunBaselinesFast(t *testing.T) {
 	if !strings.Contains(buf.String(), "smac") {
 		t.Error("printout missing smac")
 	}
+	checkGolden(t, "baselines", res, res.Cells)
 }
 
 func TestRunAblationsFast(t *testing.T) {
@@ -44,15 +45,16 @@ func TestRunAblationsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, knob := range []string{"v", "bias", "alpha", "rgroup"} {
-		pts := res.Sweep(knob)
-		if len(pts) < 3 {
-			t.Fatalf("%s sweep has %d points", knob, len(pts))
+	points := map[string]int{}
+	for _, p := range res.Cells {
+		points[p.Label]++
+		if p.TestMean <= 0 || p.NDCG <= 0 {
+			t.Errorf("%s=%v: acc %v ndcg %v", p.Label, p.X, p.TestMean, p.NDCG)
 		}
-		for _, p := range pts {
-			if p.TestAcc <= 0 || p.NDCG <= 0 {
-				t.Errorf("%s=%v: acc %v ndcg %v", knob, p.Value, p.TestAcc, p.NDCG)
-			}
+	}
+	for _, knob := range []string{"v", "bias", "alpha", "rgroup"} {
+		if points[knob] < 3 {
+			t.Fatalf("%s sweep has %d points", knob, points[knob])
 		}
 	}
 	var buf bytes.Buffer
@@ -60,6 +62,7 @@ func TestRunAblationsFast(t *testing.T) {
 	if !strings.Contains(buf.String(), "rgroup sweep") {
 		t.Error("printout missing rgroup sweep")
 	}
+	checkGolden(t, "ablations", res)
 }
 
 func TestRunExtendedFast(t *testing.T) {
@@ -70,13 +73,12 @@ func TestRunExtendedFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("%d rows", len(res.Rows))
+	if n := len(res.Datasets()); n != 1 {
+		t.Fatalf("%d rows", n)
 	}
-	row := res.Rows[0]
 	for _, method := range []string{"asha", "pasha", "dehb"} {
 		for _, variant := range []string{"vanilla", "enhanced"} {
-			c := row.Cell(method, variant)
+			c := res.Cell("australian", method+" "+variant, 0)
 			if c == nil {
 				t.Fatalf("missing %s/%s", method, variant)
 			}
@@ -90,6 +92,7 @@ func TestRunExtendedFast(t *testing.T) {
 	if !strings.Contains(buf.String(), "pasha") {
 		t.Error("printout missing pasha")
 	}
+	checkGolden(t, "extended", res, res.Cells)
 }
 
 func TestRunRobustnessFast(t *testing.T) {
@@ -100,24 +103,39 @@ func TestRunRobustnessFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != len(RobustnessRates) {
-		t.Fatalf("%d points", len(res.Points))
+	if len(res.Cells) != 2*len(RobustnessRates) {
+		t.Fatalf("%d cells", len(res.Cells))
 	}
-	for _, p := range res.Points {
-		if p.TestSHA <= 0 || p.TestSHAp <= 0 {
-			t.Errorf("rate %v: scores %v / %v", p.NoiseRate, p.TestSHA, p.TestSHAp)
+	for _, rate := range RobustnessRates {
+		sha, shap := res.Cell("australian", "SHA", rate), res.Cell("australian", "SHA+", rate)
+		if sha == nil || shap == nil {
+			t.Fatalf("missing point at rate %v", rate)
+		}
+		if sha.TestMean <= 0 || shap.TestMean <= 0 {
+			t.Errorf("rate %v: scores %v / %v", rate, sha.TestMean, shap.TestMean)
 		}
 	}
 	// Heavy corruption should not beat the clean run for either variant
 	// (allowing small-sample noise).
-	clean, dirty := res.Points[0], res.Points[len(res.Points)-1]
-	if dirty.TestSHA > clean.TestSHA+0.15 {
-		t.Errorf("SHA improved under corruption: %v -> %v", clean.TestSHA, dirty.TestSHA)
+	clean := res.Cell("australian", "SHA", RobustnessRates[0])
+	dirty := res.Cell("australian", "SHA", RobustnessRates[len(RobustnessRates)-1])
+	if dirty.TestMean > clean.TestMean+0.15 {
+		t.Errorf("SHA improved under corruption: %v -> %v", clean.TestMean, dirty.TestMean)
 	}
 	var buf bytes.Buffer
 	res.Print(&buf)
 	if !strings.Contains(buf.String(), "label corruption") {
 		t.Error("printout missing header")
+	}
+	checkGolden(t, "robustness", res, res.Cells)
+}
+
+func TestRunRobustnessRejectsRegression(t *testing.T) {
+	// kc-house has no class labels to corrupt: a CLI argument must come
+	// back as an error naming the dataset, not reach CorruptLabels' panic.
+	_, err := RunRobustness(fastWith("kc-house"))
+	if err == nil || !strings.Contains(err.Error(), "kc-house") || !strings.Contains(err.Error(), "regression") {
+		t.Fatalf("err = %v, want one naming kc-house and regression", err)
 	}
 }
 
@@ -134,15 +152,15 @@ func TestRunStabilityFast(t *testing.T) {
 	if len(res.Cells) != 2 {
 		t.Fatalf("%d cells", len(res.Cells))
 	}
-	for _, c := range res.Cells {
+	for i, c := range res.Cells {
 		if c.Runs != 3 {
-			t.Errorf("%s: runs %d", c.Variant, c.Runs)
+			t.Errorf("%s: runs %d", c.Label, c.Runs)
 		}
-		if c.DistinctConfigs < 1 || c.DistinctConfigs > c.Runs {
-			t.Errorf("%s: distinct winners %d of %d runs", c.Variant, c.DistinctConfigs, c.Runs)
+		if res.Distinct[i] < 1 || res.Distinct[i] > c.Runs {
+			t.Errorf("%s: distinct winners %d of %d runs", c.Label, res.Distinct[i], c.Runs)
 		}
 		if c.TestMean <= 0 {
-			t.Errorf("%s: test %v", c.Variant, c.TestMean)
+			t.Errorf("%s: test %v", c.Label, c.TestMean)
 		}
 	}
 	var buf bytes.Buffer
@@ -150,6 +168,7 @@ func TestRunStabilityFast(t *testing.T) {
 	if !strings.Contains(buf.String(), "distinct winners") {
 		t.Error("printout missing header")
 	}
+	checkGolden(t, "stability", res, res.Cells)
 }
 
 func TestRunAnytimeFast(t *testing.T) {
@@ -176,4 +195,17 @@ func TestRunAnytimeFast(t *testing.T) {
 	if !strings.Contains(buf.String(), "enhanced") {
 		t.Error("printout missing enhanced row")
 	}
+	checkGolden(t, "anytime", res)
+	// anytime.json is the one artifact other tooling parses: pin its bytes
+	// too, with the only wall-clock field of a curve point zeroed.
+	for _, c := range res.Cells {
+		for i := range c.Curve {
+			c.Curve[i].CumTime = 0
+		}
+	}
+	var js bytes.Buffer
+	if err := res.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, "anytime.json", js.Bytes())
 }

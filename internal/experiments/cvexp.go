@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"enhancedbhpo/internal/cv"
 	"enhancedbhpo/internal/dataset"
@@ -26,21 +28,27 @@ import (
 // CVDatasets are the six datasets of the paper's Figure 5.
 var CVDatasets = []string{"australian", "splice", "a9a", "gisette", "satimage", "usps"}
 
-// cvMethod is one fold-construction + scoring strategy under comparison.
-type cvMethod struct {
-	name   string
+// cvCell specifies one cell of a §IV-C experiment: one fold-construction
+// + scoring strategy at one subset ratio.
+type cvCell struct {
+	label  string
+	x      float64
 	folds  cv.Builder
 	scorer scoring.Scorer
-	// needsGroups marks builders that require §III-A groups.
-	needsGroups bool
+	// groups, when non-nil, is the §III-A grouping recipe the fold builder
+	// needs; cells sharing a recipe share the built groups.
+	groups *grouping.Options
+	ratio  float64
+	// The fold-sampling seed of seed index i is i*seedMul + seedAdd.
+	seedMul, seedAdd uint64
 }
 
 // cvTruth caches the expensive ground truth for one (dataset, seed): each
 // configuration's test quality after training on the full training set.
 type cvTruth struct {
-	train, test *dataset.Dataset
-	configs     []search.Config
-	testScores  []float64
+	train      *dataset.Dataset
+	configs    []search.Config
+	testScores []float64
 }
 
 // truthCache memoizes ground truths across the CV experiments: Table V,
@@ -55,33 +63,26 @@ type truthKey struct {
 	seed    uint64
 	scale   float64
 	maxIter int
-	spaceID string
 }
 
 // buildTruth trains every configuration on the full training set once per
 // (dataset, seed, settings), memoized across experiments.
-func (s Settings) buildTruth(name string, seed uint64, space *search.Space) (*cvTruth, error) {
-	key := truthKey{name: name, seed: seed, scale: s.Scale, maxIter: s.MaxIter, spaceID: fmt.Sprintf("%d", space.Size())}
+func (s Settings) buildTruth(name string, seed uint64) (*cvTruth, error) {
+	key := truthKey{name: name, seed: seed, scale: s.Scale, maxIter: s.MaxIter}
 	if cached, ok := truthCache.Load(key); ok {
 		return cached.(*cvTruth), nil
 	}
-	truth, err := s.buildTruthUncached(name, seed, space)
+	space, err := cvSpace()
 	if err != nil {
 		return nil, err
 	}
-	truthCache.Store(key, truth)
-	return truth, nil
-}
-
-func (s Settings) buildTruthUncached(name string, seed uint64, space *search.Space) (*cvTruth, error) {
 	train, test, err := s.loadDataset(name, seed)
 	if err != nil {
 		return nil, err
 	}
 	configs := space.Enumerate()
-	truth := &cvTruth{train: train, test: test, configs: configs}
+	truth := &cvTruth{train: train, configs: configs, testScores: make([]float64, len(configs))}
 	base := s.baseConfig()
-	truth.testScores = make([]float64, len(configs))
 	err = forEachParallel(len(configs), func(i int) error {
 		nnCfg, err := search.ToNNConfig(configs[i], base)
 		if err != nil {
@@ -98,100 +99,54 @@ func (s Settings) buildTruthUncached(name string, seed uint64, space *search.Spa
 	if err != nil {
 		return nil, err
 	}
+	truthCache.Store(key, truth)
 	return truth, nil
 }
 
-// forEachParallel runs f(0..n-1) on a small worker pool. Each index is
-// independent and deterministic, so parallelism does not change results.
+// forEachParallel runs f(0..n-1) on a small worker pool and returns the
+// errors joined in index order. Each index is independent and
+// deterministic, so parallelism does not change results.
 func forEachParallel(n int, f func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				if err := f(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = f(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
-	return firstErr
+	return errors.Join(errs...)
 }
 
-// bestTruth returns the highest achievable test score (for reporting).
-func (t *cvTruth) bestTruth() float64 {
-	best := t.testScores[0]
-	for _, v := range t.testScores[1:] {
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// cvOutcome is one method × subset-ratio evaluation.
-type cvOutcome struct {
-	// TestAcc is the true test quality of the recommended configuration.
-	TestAcc float64
-	// NDCG measures how well the CV scores rank all configurations.
-	NDCG float64
-}
-
-// runCVMethod scores every configuration by cross-validation at the given
-// subset ratio and judges the ranking against the truth.
-func (s Settings) runCVMethod(truth *cvTruth, m cvMethod, groups *grouping.Groups, ratio float64, k int, seed uint64) (cvOutcome, error) {
+// runCVMethod scores every configuration by 5-fold cross-validation at the
+// cell's subset ratio and judges the ranking against the truth: the true
+// test quality of the recommended (top-scored) configuration and the nDCG
+// of the predicted ranking. groups is nil for cells whose folds need none.
+func (s Settings) runCVMethod(truth *cvTruth, c cvCell, groups *grouping.Groups, seed uint64) (testAcc, ndcg float64, err error) {
+	const k = 5
 	n := truth.train.Len()
-	budget := int(float64(n) * ratio)
-	if budget < 2*k {
-		budget = 2 * k
-	}
-	if budget > n {
-		budget = n
-	}
+	// At least two instances per fold, at most the whole training set.
+	budget := min(max(int(float64(n)*c.ratio), 2*k), n)
 	gamma := scoring.Gamma(budget, n)
 	base := s.baseConfig()
 	r := rng.New(seed ^ 0xcfe0)
 	predScores := make([]float64, len(truth.configs))
-	var g *grouping.Groups
-	if m.needsGroups {
-		g = groups
-	}
-	ev := &hpo.CVEvaluator{Train: truth.train, Base: base, Folds: m.folds, K: k, Groups: g}
-	err := forEachParallel(len(truth.configs), func(i int) error {
+	ev := &hpo.CVEvaluator{Train: truth.train, Base: base, Folds: c.folds, K: k, Groups: groups}
+	err = forEachParallel(len(truth.configs), func(i int) error {
 		foldScores, err := ev.Evaluate(truth.configs[i], budget, r.Split(uint64(i)+1))
 		if err != nil {
-			return fmt.Errorf("cv %s config %d: %w", m.name, i, err)
+			return fmt.Errorf("cv config %d: %w", i, err)
 		}
-		predScores[i] = m.scorer.Score(foldScores, gamma)
+		predScores[i] = c.scorer.Score(foldScores, gamma)
 		return nil
 	})
 	if err != nil {
-		return cvOutcome{}, err
+		return 0, 0, err
 	}
 	best := 0
 	for i, v := range predScores {
@@ -199,17 +154,28 @@ func (s Settings) runCVMethod(truth *cvTruth, m cvMethod, groups *grouping.Group
 			best = i
 		}
 	}
-	return cvOutcome{
-		TestAcc: truth.testScores[best],
-		NDCG:    metrics.NDCG(predScores, truth.testScores),
-	}, nil
+	return truth.testScores[best], metrics.NDCG(predScores, truth.testScores), nil
 }
 
 // cvSpace is the §IV-C configuration space: hidden sizes × activations
 // (6·3 = 18 configurations).
 func cvSpace() (*search.Space, error) { return search.TableIIISpace(2) }
 
-// buildCVGroups constructs the §III-A groups used by the "ours" methods.
-func (s Settings) buildCVGroups(train *dataset.Dataset, v int, seed uint64) (*grouping.Groups, error) {
-	return grouping.Build(train, grouping.Options{V: v}, rng.New(seed^0x9109))
+// cvGroupSeed is the grouping seed of the paper's CV experiments: it
+// follows the data seed (seed index + 1), so groups change with the data.
+func cvGroupSeed(seed int) uint64 { return (uint64(seed) + 1) ^ 0x9109 }
+
+// cvSweep lays out methods × ratios as cells keyed (method name, ratio),
+// with the fold-sampling seed index*seedMul + ratio*100 that Table V,
+// Figure 5 and Figure 7 share up to the multiplier.
+func cvSweep(methods []cvCell, ratios []float64, seedMul uint64) []cvCell {
+	var cells []cvCell
+	for _, c := range methods {
+		for _, ratio := range ratios {
+			c.x, c.ratio = ratio, ratio
+			c.seedMul, c.seedAdd = seedMul, uint64(ratio*100)
+			cells = append(cells, c)
+		}
+	}
+	return cells
 }

@@ -44,15 +44,11 @@ func TestBuildTruthCached(t *testing.T) {
 		t.Skip("short mode")
 	}
 	s := FastSettings()
-	space, err := cvSpace()
+	t1, err := s.buildTruth("australian", 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := s.buildTruth("australian", 99, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := s.buildTruth("australian", 99, space)
+	t2, err := s.buildTruth("australian", 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +56,7 @@ func TestBuildTruthCached(t *testing.T) {
 		t.Fatal("identical settings did not hit the truth cache")
 	}
 	// Different seed misses the cache.
-	t3, err := s.buildTruth("australian", 100, space)
+	t3, err := s.buildTruth("australian", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,18 +66,11 @@ func TestBuildTruthCached(t *testing.T) {
 	// Different MaxIter misses the cache too.
 	s2 := s
 	s2.MaxIter = s.MaxIter + 1
-	t4, err := s2.buildTruth("australian", 99, space)
+	t4, err := s2.buildTruth("australian", 99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if t4 == t1 {
 		t.Fatal("different MaxIter hit the same cache entry")
-	}
-}
-
-func TestCVTruthBest(t *testing.T) {
-	truth := &cvTruth{testScores: []float64{0.3, 0.9, 0.5}}
-	if got := truth.bestTruth(); got != 0.9 {
-		t.Fatalf("bestTruth = %v", got)
 	}
 }

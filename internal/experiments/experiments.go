@@ -1,18 +1,26 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section on the simulated datasets:
+// evaluation section on the simulated datasets, plus the extensions. In
+// Registry order:
 //
-//	Table IV  — HPO comparison (random, SHA/SHA+, HB/HB+, BOHB/BOHB+)
-//	Figure 4  — accuracy & time vs number of HPs and model size
-//	Table V   — grouping-only cross-validation ablation
-//	Figure 5  — CV comparison (random / stratified / ours) vs subset size
-//	Figure 6  — general:special fold-allocation sweep
-//	Figure 7  — mean vs UCB-β metric vs subset size
-//	Figure 3  — the β(γ) curve
-//	Prop. 1   — sampling-stability analysis
+//	table2     — Table II, the dataset inventory
+//	fig3       — Figure 3, the β(γ) curve
+//	prop1      — Proposition 1, sampling-stability analysis
+//	table5     — Table V, grouping-only cross-validation ablation
+//	fig5       — Figure 5, CV comparison (random / stratified / ours) vs subset size
+//	fig6       — Figure 6, general:special fold-allocation sweep
+//	fig7       — Figure 7, mean vs UCB-β metric vs subset size
+//	fig4       — Figure 4, accuracy & time vs number of HPs and model size
+//	table4     — Table IV, HPO comparison (random, SHA/SHA+, HB/HB+, BOHB/BOHB+)
+//	baselines  — §IV-B, full-budget SMAC/TPE/grid vs random and SHA/SHA+
+//	anytime    — incumbent curves of SHA vs SHA+ (budget-normalized AUC)
+//	ablations  — the enhanced method's own knobs (v, bias, α, r_group)
+//	robustness — SHA vs SHA+ under label corruption
+//	extended   — the components in ASHA, PASHA and DEHB
+//	stability  — outcome spread across optimizer seeds on fixed data
 //
-// Each experiment has a typed result so tests and benchmarks can assert the
-// paper's qualitative claims, and a printer that emits rows shaped like the
-// paper's presentation.
+// Each experiment is a table of cells run by one of two grid runners
+// (grid.go), a typed result so tests can assert the paper's qualitative
+// claims, and a printer that emits rows shaped like the paper's.
 package experiments
 
 import (
@@ -104,13 +112,35 @@ func (s Settings) loadDataset(name string, seed uint64) (train, test *dataset.Da
 	return train, test, nil
 }
 
-// checkmark renders the paper's ✔/✘ annotation: did the enhanced variant
-// improve over the vanilla one?
-func checkmark(improved bool) string {
-	if improved {
-		return "+"
+// datasetsOr returns the configured datasets, or the experiment's
+// defaults when none are configured.
+func (s Settings) datasetsOr(defaults []string) []string {
+	if s.Datasets != nil {
+		return s.Datasets
 	}
-	return "-"
+	return defaults
+}
+
+// firstDatasetOr returns the first configured dataset, for experiments
+// that run on a single one, or the experiment's default.
+func (s Settings) firstDatasetOr(def string) string {
+	if len(s.Datasets) > 0 {
+		return s.Datasets[0]
+	}
+	return def
+}
+
+// checkmark renders the paper's ✔/✘ annotation on an enhanced row: "+"
+// when its mean test score beats its vanilla counterpart's, "-" when it
+// loses, and "=" on an exact tie, which Significance counts as neither.
+func checkmark(enhanced, vanilla float64) string {
+	switch {
+	case enhanced > vanilla:
+		return "+"
+	case enhanced < vanilla:
+		return "-"
+	}
+	return "="
 }
 
 // pct formats a fraction as a percentage with the paper's precision.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 
 func fastWith(datasets ...string) Settings {
 	s := FastSettings()
+	s.Seeds = 2
 	s.Datasets = datasets
 	return s
 }
@@ -22,21 +24,21 @@ func TestRunTable4Fast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("%d rows", len(res.Rows))
+	if n := len(res.Datasets()); n != 1 {
+		t.Fatalf("%d rows", n)
 	}
-	row := res.Rows[0]
-	if len(row.Cells) != 7 {
-		t.Fatalf("%d cells", len(row.Cells))
+	if len(res.Cells) != 7 {
+		t.Fatalf("%d cells", len(res.Cells))
 	}
-	for _, c := range row.Cells {
+	for _, c := range res.Cells {
 		if c.TestMean <= 0 || c.TestMean > 1 {
-			t.Errorf("%s: test mean %v", c.Method, c.TestMean)
+			t.Errorf("%s: test mean %v", c.Label, c.TestMean)
 		}
 		if c.TimeMean <= 0 {
-			t.Errorf("%s: no time recorded", c.Method)
+			t.Errorf("%s: no time recorded", c.Label)
 		}
 	}
+	checkGolden(t, "table4", res, res.Cells)
 	var buf bytes.Buffer
 	res.Print(&buf)
 	out := buf.String()
@@ -72,21 +74,21 @@ func TestRunTable5Fast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("%d rows", len(res.Rows))
+	if n := len(res.Datasets()); n != 1 {
+		t.Fatalf("%d rows", n)
 	}
-	row := res.Rows[0]
 	for _, ratio := range Table5Ratios {
 		for _, method := range []string{"vanilla", "ours"} {
-			c := row.Cell(method, ratio)
+			c := res.Cell("australian", method, ratio)
 			if c == nil {
 				t.Fatalf("missing cell %s/%v", method, ratio)
 			}
-			if c.TestAcc <= 0 || c.NDCG <= 0 {
-				t.Errorf("%s/%v: acc %v ndcg %v", method, ratio, c.TestAcc, c.NDCG)
+			if c.TestMean <= 0 || c.NDCG <= 0 {
+				t.Errorf("%s/%v: acc %v ndcg %v", method, ratio, c.TestMean, c.NDCG)
 			}
 		}
 	}
+	checkGolden(t, "table5", res)
 	var buf bytes.Buffer
 	res.Print(&buf)
 	if !strings.Contains(buf.String(), "nDCG") {
@@ -102,19 +104,19 @@ func TestRunFig5Fast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Series) != 1 {
-		t.Fatalf("%d series", len(res.Series))
+	if n := len(res.Datasets()); n != 1 {
+		t.Fatalf("%d series", n)
 	}
-	series := res.Series[0]
 	wantPoints := 3 * len(Fig5Ratios)
-	if len(series.Points) != wantPoints {
-		t.Fatalf("%d points, want %d", len(series.Points), wantPoints)
+	if len(res.Cells) != wantPoints {
+		t.Fatalf("%d points, want %d", len(res.Cells), wantPoints)
 	}
-	for _, p := range series.Points {
+	for _, p := range res.Cells {
 		if p.NDCG < 0 || p.NDCG > 1+1e-9 {
-			t.Errorf("%s@%v: nDCG %v", p.Method, p.Ratio, p.NDCG)
+			t.Errorf("%s@%v: nDCG %v", p.Label, p.X, p.NDCG)
 		}
 	}
+	checkGolden(t, "fig5", res)
 	var buf bytes.Buffer
 	res.Print(&buf)
 	if !strings.Contains(buf.String(), "ours-acc") {
@@ -130,12 +132,13 @@ func TestRunFig6Fast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Series) != 1 {
-		t.Fatalf("%d series", len(res.Series))
+	if n := len(res.Datasets()); n != 1 {
+		t.Fatalf("%d series", n)
 	}
-	if len(res.Series[0].Points) != len(Fig6Allocations) {
-		t.Fatalf("%d allocations", len(res.Series[0].Points))
+	if len(res.Cells) != len(Fig6Allocations) {
+		t.Fatalf("%d allocations", len(res.Cells))
 	}
+	checkGolden(t, "fig6", res)
 	var buf bytes.Buffer
 	res.Print(&buf)
 	if !strings.Contains(buf.String(), "kgen:kspe") {
@@ -151,12 +154,12 @@ func TestRunFig7Fast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := res.Series[0]
-	for _, ratio := range res.Ratios {
-		if series.Point("vanilla", ratio) == nil || series.Point("ours", ratio) == nil {
+	for _, ratio := range Fig5Ratios {
+		if res.Cell("australian", "vanilla", ratio) == nil || res.Cell("australian", "ours", ratio) == nil {
 			t.Fatalf("missing points at ratio %v", ratio)
 		}
 	}
+	checkGolden(t, "fig7", res)
 	var buf bytes.Buffer
 	res.Print(&buf)
 	if !strings.Contains(buf.String(), "vanilla-acc") {
@@ -168,24 +171,26 @@ func TestRunFig4Fast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := RunFig4(FastSettings())
+	res, err := RunFig4(fastWith())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.HPSweep) < 2 || len(res.SizeSweep) < 2 {
-		t.Fatalf("sweeps too short: %d/%d", len(res.HPSweep), len(res.SizeSweep))
+	hp, size := res.HPSweep.Configs, res.SizeSweep.Configs
+	if len(hp) < 2 || len(size) < 2 {
+		t.Fatalf("sweeps too short: %d/%d", len(hp), len(size))
 	}
 	// Config counts must grow along both sweeps.
-	for i := 1; i < len(res.HPSweep); i++ {
-		if res.HPSweep[i].Configs <= res.HPSweep[i-1].Configs {
+	for i := 1; i < len(hp); i++ {
+		if hp[i] <= hp[i-1] {
 			t.Error("HP sweep config count not increasing")
 		}
 	}
-	for i := 1; i < len(res.SizeSweep); i++ {
-		if res.SizeSweep[i].Configs <= res.SizeSweep[i-1].Configs {
+	for i := 1; i < len(size); i++ {
+		if size[i] <= size[i-1] {
 			t.Error("size sweep config count not increasing")
 		}
 	}
+	checkGolden(t, "fig4", res, res.HPSweep.Cells, res.SizeSweep.Cells)
 	var buf bytes.Buffer
 	res.Print(&buf)
 	if !strings.Contains(buf.String(), "#HPs") {
@@ -213,6 +218,7 @@ func TestRunFig3Exact(t *testing.T) {
 	if !strings.Contains(buf.String(), "γ_min") {
 		t.Error("printout missing bounds")
 	}
+	checkGolden(t, "fig3", res)
 }
 
 func TestRunProp1Shape(t *testing.T) {
@@ -242,6 +248,7 @@ func TestRunProp1Shape(t *testing.T) {
 	if !strings.Contains(buf.String(), "grouped") {
 		t.Error("printout missing column")
 	}
+	checkGolden(t, "prop1", res)
 }
 
 func TestRunTable2(t *testing.T) {
@@ -267,6 +274,7 @@ func TestRunTable2(t *testing.T) {
 	if !strings.Contains(buf.String(), "kc-house") {
 		t.Error("printout missing kc-house")
 	}
+	checkGolden(t, "table2", res)
 }
 
 func TestTable4Significance(t *testing.T) {
@@ -274,17 +282,16 @@ func TestTable4Significance(t *testing.T) {
 	// loses; the paired tests must reflect that without any training.
 	res := &Table4Result{}
 	for i := 0; i < 8; i++ {
-		row := Table4Row{Dataset: "d", Metric: "Acc"}
+		d := fmt.Sprintf("d%d", i)
 		base := 0.7 + float64(i)*0.01
-		row.Cells = []Table4Cell{
-			{Method: "SHA", TestMean: base},
-			{Method: "SHA+", TestMean: base + 0.02},
-			{Method: "HB", TestMean: base},
-			{Method: "HB+", TestMean: base},
-			{Method: "BOHB", TestMean: base},
-			{Method: "BOHB+", TestMean: base - 0.02},
-		}
-		res.Rows = append(res.Rows, row)
+		res.Cells = append(res.Cells,
+			Cell{Dataset: d, Label: "SHA", TestMean: base},
+			Cell{Dataset: d, Label: "SHA+", TestMean: base + 0.02},
+			Cell{Dataset: d, Label: "HB", TestMean: base},
+			Cell{Dataset: d, Label: "HB+", TestMean: base},
+			Cell{Dataset: d, Label: "BOHB", TestMean: base},
+			Cell{Dataset: d, Label: "BOHB+", TestMean: base - 0.02},
+		)
 	}
 	rows := res.Significance()
 	if len(rows) != 3 {
@@ -316,7 +323,8 @@ func TestFormattingHelpers(t *testing.T) {
 	if pct(0.8571) != "85.71" {
 		t.Errorf("pct = %q", pct(0.8571))
 	}
-	if checkmark(true) != "+" || checkmark(false) != "-" {
+	// A tie is neither an improvement nor a loss, as in Significance.
+	if checkmark(0.8, 0.7) != "+" || checkmark(0.7, 0.8) != "-" || checkmark(0.75, 0.75) != "=" {
 		t.Error("checkmark symbols wrong")
 	}
 	// logf must be a no-op without a sink and reach the sink with one.

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
+	"strings"
 
 	"enhancedbhpo/internal/core"
-	"enhancedbhpo/internal/search"
-	"enhancedbhpo/internal/stats"
 )
 
 // The extended experiment goes beyond Table IV's three bandit methods: the
@@ -16,34 +14,10 @@ import (
 // this harness plugs them into ASHA, PASHA and DEHB as well and compares
 // vanilla vs enhanced on a few datasets.
 
-// ExtendedCell is one (method, variant) summary.
-type ExtendedCell struct {
-	Method   string
-	Variant  string
-	TestMean float64
-	TestStd  float64
-	TimeMean time.Duration
-}
-
-// ExtendedRow holds one dataset's cells.
-type ExtendedRow struct {
-	Dataset string
-	Cells   []ExtendedCell
-}
-
-// Cell returns the entry for (method, variant), or nil.
-func (r *ExtendedRow) Cell(method, variant string) *ExtendedCell {
-	for i := range r.Cells {
-		if r.Cells[i].Method == method && r.Cells[i].Variant == variant {
-			return &r.Cells[i]
-		}
-	}
-	return nil
-}
-
-// ExtendedResult is the extended-method comparison.
+// ExtendedResult is the extended-method comparison: cells labelled
+// "<method> <variant>" per dataset.
 type ExtendedResult struct {
-	Rows []ExtendedRow
+	Grid
 }
 
 // ExtendedDatasets are the defaults for the extended comparison.
@@ -52,80 +26,49 @@ var ExtendedDatasets = []string{"australian", "splice", "satimage"}
 // RunExtended compares ASHA/PASHA/DEHB vanilla vs enhanced.
 func RunExtended(s Settings) (*ExtendedResult, error) {
 	s = s.WithDefaults()
-	space, err := search.TableIIISpace(s.NumHPs)
+	var cells []hpoCell
+	for _, name := range s.datasetsOr(ExtendedDatasets) {
+		for _, method := range []core.Method{core.ASHA, core.PASHA, core.DEHB} {
+			for _, variant := range []core.Variant{core.Vanilla, core.Enhanced} {
+				cells = append(cells, hpoCell{
+					dataset: name, label: method.String() + " " + variant.String(),
+					method: method, variant: variant,
+					seedMul: 89, seedAdd: 7,
+					tune: func(o *core.Options) {
+						// Two workers: ASHA's result does not depend on
+						// the worker count. Bound the sampled
+						// configuration counts to the Table IV setting.
+						o.ASHA.Workers = 2
+						o.ASHA.MaxConfigs = min(s.MaxConfigs, 27)
+						o.PASHA.MaxConfigs = min(s.MaxConfigs, 27)
+					},
+				})
+			}
+		}
+	}
+	out, _, err := s.runHPOGrid("extended", cells)
 	if err != nil {
 		return nil, err
 	}
-	names := s.Datasets
-	if names == nil {
-		names = ExtendedDatasets
-	}
-	methods := []core.Method{core.ASHA, core.PASHA, core.DEHB}
-	res := &ExtendedResult{}
-	for _, name := range names {
-		row := ExtendedRow{Dataset: name}
-		for _, method := range methods {
-			for _, variant := range []core.Variant{core.Vanilla, core.Enhanced} {
-				var tests, times []float64
-				for seed := 0; seed < s.Seeds; seed++ {
-					train, test, err := s.loadDataset(name, uint64(seed)+1)
-					if err != nil {
-						return nil, err
-					}
-					opts := core.Options{
-						Method:     method,
-						Variant:    variant,
-						Space:      space,
-						Base:       s.baseConfig(),
-						MaxConfigs: s.MaxConfigs,
-						Seed:       uint64(seed)*89 + 7,
-					}
-					// Keep the asynchronous methods deterministic across
-					// runs of this harness (single worker) and bound the
-					// sampled configuration counts to the Table IV setting.
-					opts.ASHA.Workers = 2
-					opts.ASHA.MaxConfigs = min(s.MaxConfigs, 27)
-					opts.PASHA.MaxConfigs = min(s.MaxConfigs, 27)
-					out, err := core.Run(train, test, opts)
-					if err != nil {
-						return nil, fmt.Errorf("extended %s/%v/%v: %w", name, method, variant, err)
-					}
-					tests = append(tests, out.TestScore)
-					times = append(times, out.TotalTime.Seconds())
-				}
-				cell := ExtendedCell{Method: method.String(), Variant: variant.String()}
-				cell.TestMean, cell.TestStd = stats.MeanStd(tests)
-				cell.TimeMean = time.Duration(stats.Mean(times) * float64(time.Second))
-				row.Cells = append(row.Cells, cell)
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+	return &ExtendedResult{Grid{out}}, nil
 }
 
 // Print renders the comparison per dataset.
 func (r *ExtendedResult) Print(w io.Writer) {
 	fmt.Fprintln(w, "Extended methods: vanilla vs enhanced components in ASHA, PASHA and DEHB")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "\n%s\n", row.Dataset)
-		fmt.Fprintf(w, "  %-8s %-10s %16s %10s\n", "method", "variant", "testAcc(%)", "time(s)")
-		for _, c := range row.Cells {
-			mark := " "
-			if c.Variant == "enhanced" {
-				if v := row.Cell(c.Method, "vanilla"); v != nil {
-					mark = checkmark(c.TestMean >= v.TestMean)
-				}
-			}
-			fmt.Fprintf(w, "  %-8s %-10s %8s±%-7s %10.2f %s\n",
-				c.Method, c.Variant, pct(c.TestMean), pct(c.TestStd), c.TimeMean.Seconds(), mark)
+	for i, c := range r.Cells {
+		if i == 0 || c.Dataset != r.Cells[i-1].Dataset {
+			fmt.Fprintf(w, "\n%s\n", c.Dataset)
+			fmt.Fprintf(w, "  %-8s %-10s %16s %10s\n", "method", "variant", "testAcc(%)", "time(s)")
 		}
+		method, variant, _ := strings.Cut(c.Label, " ")
+		mark := " "
+		if variant == "enhanced" {
+			if v := r.Cell(c.Dataset, method+" vanilla", 0); v != nil {
+				mark = checkmark(c.TestMean, v.TestMean)
+			}
+		}
+		fmt.Fprintf(w, "  %-8s %-10s %8s±%-7s %10.2f %s\n",
+			method, variant, pct(c.TestMean), pct(c.TestStd), c.TimeMean, mark)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

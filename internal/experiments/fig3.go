@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"enhancedbhpo/internal/scoring"
 )
@@ -29,18 +30,7 @@ func (r *Fig3Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "γ_min = %.3f, γ_max = %.3f\n\n", gMin, gMax)
 	fmt.Fprintf(w, "  %-8s %-8s\n", "gamma", "beta")
 	for i := 0; i < len(r.Gammas); i += 5 {
-		bar := int(r.Betas[i] / r.BetaMax * 40)
-		fmt.Fprintf(w, "  %-8.1f %-8.3f %s\n", r.Gammas[i], r.Betas[i], repeat('#', bar))
+		bar := max(int(r.Betas[i]/r.BetaMax*40), 0)
+		fmt.Fprintf(w, "  %-8.1f %-8.3f %s\n", r.Gammas[i], r.Betas[i], strings.Repeat("#", bar))
 	}
-}
-
-func repeat(c byte, n int) string {
-	if n < 0 {
-		n = 0
-	}
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = c
-	}
-	return string(b)
 }

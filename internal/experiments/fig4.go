@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"enhancedbhpo/internal/core"
 	"enhancedbhpo/internal/search"
-	"enhancedbhpo/internal/stats"
 )
 
 // Figure 4 studies how SHA and SHA+ behave as the configuration count
@@ -15,124 +13,83 @@ import (
 // a time (1 → 8), and (b) growing the model-complexity space (widths ×
 // depths). Both run on the australian dataset, as in the paper.
 
-// Fig4Point is one sweep position's summary.
-type Fig4Point struct {
-	// X is the sweep coordinate: the number of HPs, or the depth.
-	X int
-	// Configs is the resulting space size.
-	Configs  int
-	TestSHA  float64
-	TestSHAp float64
-	TimeSHA  time.Duration
-	TimeSHAp time.Duration
+// Fig4Sweep is one direction of growth: cells "SHA" and "SHA+" at each
+// sweep position X = 1, 2, ….
+type Fig4Sweep struct {
+	Grid
+	// Configs[i] is the space size at X = i+1.
+	Configs []int
 }
 
 // Fig4Result reproduces Figure 4.
 type Fig4Result struct {
 	// HPSweep grows the hyperparameter count.
-	HPSweep []Fig4Point
+	HPSweep Fig4Sweep
 	// SizeSweep grows the model depth over widths {10..50}.
-	SizeSweep []Fig4Point
+	SizeSweep Fig4Sweep
 }
 
 // RunFig4 runs both sweeps.
 func RunFig4(s Settings) (*Fig4Result, error) {
 	s = s.WithDefaults()
+	maxHPs, maxDepth, widths := 8, 3, []int{10, 20, 30, 40, 50}
+	if s.MaxConfigs < 54 {
+		// Fast settings: cap the sweeps so the spaces stay evaluable.
+		maxHPs, maxDepth, widths = 4, 2, []int{10, 20}
+	}
 	res := &Fig4Result{}
-	maxHPs := 8
-	if s.MaxConfigs < 54 {
-		// Fast settings: cap the sweep so the space stays evaluable.
-		maxHPs = 4
+	var err error
+	if res.HPSweep, err = s.fig4Sweep(maxHPs, search.TableIIISpace); err != nil {
+		return nil, err
 	}
-	for hps := 1; hps <= maxHPs; hps++ {
-		s.logf("fig4: HP sweep %d/%d", hps, maxHPs)
-		space, err := search.TableIIISpace(hps)
-		if err != nil {
-			return nil, err
-		}
-		p, err := s.fig4Point(space, hps)
-		if err != nil {
-			return nil, err
-		}
-		res.HPSweep = append(res.HPSweep, p)
-	}
-	widths := []int{10, 20, 30, 40, 50}
-	maxDepth := 3
-	if s.MaxConfigs < 54 {
-		widths = []int{10, 20}
-		maxDepth = 2
-	}
-	for depth := 1; depth <= maxDepth; depth++ {
-		space, err := search.ModelSizeSpace(widths, depth)
-		if err != nil {
-			return nil, err
-		}
-		p, err := s.fig4Point(space, depth)
-		if err != nil {
-			return nil, err
-		}
-		res.SizeSweep = append(res.SizeSweep, p)
+	res.SizeSweep, err = s.fig4Sweep(maxDepth, func(depth int) (*search.Space, error) {
+		return search.ModelSizeSpace(widths, depth)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// fig4Point runs SHA and SHA+ on the australian dataset over the given
-// space, averaged across seeds.
-func (s Settings) fig4Point(space *search.Space, x int) (Fig4Point, error) {
-	p := Fig4Point{X: x, Configs: space.Size()}
-	var accSHA, accSHAp, timeSHA, timeSHAp []float64
-	maxConfigs := s.MaxConfigs
-	if space.Size() < maxConfigs {
-		maxConfigs = space.Size()
-	}
-	for seed := 0; seed < s.Seeds; seed++ {
-		train, test, err := s.loadDataset("australian", uint64(seed)+1)
+// fig4Sweep runs SHA and SHA+ on the australian dataset over the space at
+// each sweep position x = 1..n.
+func (s Settings) fig4Sweep(n int, spaceAt func(x int) (*search.Space, error)) (Fig4Sweep, error) {
+	var sweep Fig4Sweep
+	var cells []hpoCell
+	for x := 1; x <= n; x++ {
+		space, err := spaceAt(x)
 		if err != nil {
-			return p, err
+			return sweep, err
 		}
-		for _, variant := range []core.Variant{core.Vanilla, core.Enhanced} {
-			out, err := core.Run(train, test, core.Options{
-				Method:     core.SHA,
-				Variant:    variant,
-				Space:      space,
-				Base:       s.baseConfig(),
-				MaxConfigs: maxConfigs,
-				Seed:       uint64(seed)*101 + uint64(x),
-			})
-			if err != nil {
-				return p, fmt.Errorf("fig4 x=%d seed=%d %v: %w", x, seed, variant, err)
-			}
-			if variant == core.Vanilla {
-				accSHA = append(accSHA, out.TestScore)
-				timeSHA = append(timeSHA, out.TotalTime.Seconds())
-			} else {
-				accSHAp = append(accSHAp, out.TestScore)
-				timeSHAp = append(timeSHAp, out.TotalTime.Seconds())
-			}
-		}
+		sweep.Configs = append(sweep.Configs, space.Size())
+		cells = append(cells, shaPair("SHA", "SHA+", hpoCell{
+			dataset: "australian", x: float64(x), space: space,
+			seedMul: 101, seedAdd: uint64(x),
+			tune: func(o *core.Options) { o.MaxConfigs = min(o.MaxConfigs, space.Size()) },
+		})...)
 	}
-	p.TestSHA = stats.Mean(accSHA)
-	p.TestSHAp = stats.Mean(accSHAp)
-	p.TimeSHA = time.Duration(stats.Mean(timeSHA) * float64(time.Second))
-	p.TimeSHAp = time.Duration(stats.Mean(timeSHAp) * float64(time.Second))
-	return p, nil
+	var err error
+	sweep.Cells, _, err = s.runHPOGrid("fig4", cells)
+	return sweep, err
 }
 
 // Print renders both sweeps.
 func (r *Fig4Result) Print(w io.Writer) {
 	fmt.Fprintln(w, "Figure 4: performance changes as HPs and model size increase (australian)")
 	fmt.Fprintln(w, "\n(a) number of hyperparameters")
-	fmt.Fprintf(w, "  %-5s %-8s %10s %10s %10s %10s\n", "#HPs", "configs", "SHA-acc", "SHA+-acc", "SHA-t(s)", "SHA+-t(s)")
-	for _, p := range r.HPSweep {
-		fmt.Fprintf(w, "  %-5d %-8d %10s %10s %10.2f %10.2f\n",
-			p.X, p.Configs, pct(p.TestSHA), pct(p.TestSHAp),
-			p.TimeSHA.Seconds(), p.TimeSHAp.Seconds())
-	}
+	r.HPSweep.print(w, "#HPs")
 	fmt.Fprintln(w, "\n(b) model complexity (depth over widths)")
-	fmt.Fprintf(w, "  %-5s %-8s %10s %10s %10s %10s\n", "depth", "configs", "SHA-acc", "SHA+-acc", "SHA-t(s)", "SHA+-t(s)")
-	for _, p := range r.SizeSweep {
+	r.SizeSweep.print(w, "depth")
+}
+
+// print renders one sweep as rows of (position, space size, accuracy and
+// time per variant).
+func (sw *Fig4Sweep) print(w io.Writer, axis string) {
+	fmt.Fprintf(w, "  %-5s %-8s %10s %10s %10s %10s\n", axis, "configs", "SHA-acc", "SHA+-acc", "SHA-t(s)", "SHA+-t(s)")
+	for i, configs := range sw.Configs {
+		v, e := sw.Cell("australian", "SHA", float64(i+1)), sw.Cell("australian", "SHA+", float64(i+1))
 		fmt.Fprintf(w, "  %-5d %-8d %10s %10s %10.2f %10.2f\n",
-			p.X, p.Configs, pct(p.TestSHA), pct(p.TestSHAp),
-			p.TimeSHA.Seconds(), p.TimeSHAp.Seconds())
+			i+1, configs, pct(v.TestMean), pct(e.TestMean),
+			v.TimeMean, e.TimeMean)
 	}
 }

@@ -5,134 +5,56 @@ import (
 	"io"
 
 	"enhancedbhpo/internal/cv"
+	"enhancedbhpo/internal/grouping"
 	"enhancedbhpo/internal/scoring"
-	"enhancedbhpo/internal/stats"
 )
 
 // Fig5Ratios are the subset sizes swept in Figure 5.
 var Fig5Ratios = []float64{0.1, 0.25, 0.5, 0.75, 1.0}
 
-// Fig5Point is one (method, ratio) measurement averaged over seeds.
-type Fig5Point struct {
-	Method  string
-	Ratio   float64
-	TestAcc float64
-	TestStd float64
-	NDCG    float64
-	NDCGStd float64
-}
-
-// Fig5Series holds the full sweep for one dataset.
-type Fig5Series struct {
-	Dataset string
-	Points  []Fig5Point
-}
-
-// Point returns the entry for (method, ratio), or nil.
-func (s *Fig5Series) Point(method string, ratio float64) *Fig5Point {
-	for i := range s.Points {
-		if s.Points[i].Method == method && s.Points[i].Ratio == ratio {
-			return &s.Points[i]
-		}
-	}
-	return nil
-}
-
 // Fig5Result reproduces Figure 5: test accuracy and nDCG of random,
-// stratified and our cross-validation across subset sizes.
+// stratified and our cross-validation across subset sizes — one cell per
+// (dataset, method, ratio X).
 type Fig5Result struct {
-	Series []Fig5Series
+	Grid
 }
 
 // fig5Methods returns the three compared CV strategies. "ours" combines
 // group folds (3 general + 2 special) with the UCB-β metric, exactly the
 // §IV-C configuration.
-func fig5Methods() []cvMethod {
-	return []cvMethod{
-		{name: "random", folds: cv.RandomKFold{}, scorer: scoring.MeanScorer{}},
-		{name: "stratified", folds: cv.StratifiedKFold{}, scorer: scoring.MeanScorer{}},
-		{name: "ours", folds: cv.GroupFolds{KGen: 3, KSpe: 2}, scorer: scoring.UCBScorer{}, needsGroups: true},
+func fig5Methods() []cvCell {
+	return []cvCell{
+		{label: "random", folds: cv.RandomKFold{}, scorer: scoring.MeanScorer{}},
+		{label: "stratified", folds: cv.StratifiedKFold{}, scorer: scoring.MeanScorer{}},
+		{label: "ours", folds: cv.GroupFolds{KGen: 3, KSpe: 2}, scorer: scoring.UCBScorer{}, groups: &grouping.Options{V: 2}},
 	}
 }
 
 // RunFig5 runs the Figure 5 sweep.
 func RunFig5(s Settings) (*Fig5Result, error) {
-	s = s.WithDefaults()
-	space, err := cvSpace()
+	cells, err := s.runCVGrid("fig5", s.datasetsOr(CVDatasets), cvSweep(fig5Methods(), Fig5Ratios, 37), cvGroupSeed)
 	if err != nil {
 		return nil, err
 	}
-	names := s.Datasets
-	if names == nil {
-		names = CVDatasets
-	}
-	res := &Fig5Result{}
-	for _, name := range names {
-		s.logf("fig5: %s", name)
-		series := Fig5Series{Dataset: name}
-		type agg struct{ acc, ndcg []float64 }
-		sums := map[string]map[float64]*agg{}
-		for _, m := range fig5Methods() {
-			sums[m.name] = map[float64]*agg{}
-			for _, ratio := range Fig5Ratios {
-				sums[m.name][ratio] = &agg{}
-			}
-		}
-		for seed := 0; seed < s.Seeds; seed++ {
-			truth, err := s.buildTruth(name, uint64(seed)+1, space)
-			if err != nil {
-				return nil, err
-			}
-			groups, err := s.buildCVGroups(truth.train, 2, uint64(seed)+1)
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range fig5Methods() {
-				for _, ratio := range Fig5Ratios {
-					out, err := s.runCVMethod(truth, m, groups, ratio, 5, uint64(seed)*37+uint64(ratio*100))
-					if err != nil {
-						return nil, err
-					}
-					a := sums[m.name][ratio]
-					a.acc = append(a.acc, out.TestAcc)
-					a.ndcg = append(a.ndcg, out.NDCG)
-				}
-			}
-		}
-		for _, m := range fig5Methods() {
-			for _, ratio := range Fig5Ratios {
-				a := sums[m.name][ratio]
-				p := Fig5Point{Method: m.name, Ratio: ratio}
-				p.TestAcc, p.TestStd = stats.MeanStd(a.acc)
-				p.NDCG, p.NDCGStd = stats.MeanStd(a.ndcg)
-				series.Points = append(series.Points, p)
-			}
-		}
-		res.Series = append(res.Series, series)
-	}
-	return res, nil
+	return &Fig5Result{Grid{cells}}, nil
 }
 
 // Print renders the Figure 5 series as rows of (ratio, per-method accuracy
 // and nDCG).
 func (r *Fig5Result) Print(w io.Writer) {
 	fmt.Fprintln(w, "Figure 5: test accuracy (%) and nDCG under different subset sizes")
-	for _, series := range r.Series {
-		fmt.Fprintf(w, "\n%s\n", series.Dataset)
+	for _, name := range r.Datasets() {
+		fmt.Fprintf(w, "\n%s\n", name)
 		fmt.Fprintf(w, "  %-6s", "ratio")
 		for _, m := range fig5Methods() {
-			fmt.Fprintf(w, " %12s %12s", m.name+"-acc", m.name+"-ndcg")
+			fmt.Fprintf(w, " %12s %12s", m.label+"-acc", m.label+"-ndcg")
 		}
 		fmt.Fprintln(w)
 		for _, ratio := range Fig5Ratios {
 			fmt.Fprintf(w, "  %-6.0f", ratio*100)
 			for _, m := range fig5Methods() {
-				p := series.Point(m.name, ratio)
-				if p == nil {
-					fmt.Fprintf(w, " %12s %12s", "-", "-")
-					continue
-				}
-				fmt.Fprintf(w, " %12s %12.3f", pct(p.TestAcc), p.NDCG)
+				p := r.Cell(name, m.label, ratio)
+				fmt.Fprintf(w, " %12s %12.3f", pct(p.TestMean), p.NDCG)
 			}
 			fmt.Fprintln(w)
 		}

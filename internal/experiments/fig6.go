@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"enhancedbhpo/internal/cv"
+	"enhancedbhpo/internal/grouping"
 	"enhancedbhpo/internal/scoring"
-	"enhancedbhpo/internal/stats"
 )
 
 // Figure 6 sweeps the allocation of the 5 cross-validation folds between
@@ -16,23 +16,10 @@ import (
 // Fig6Allocations are the k_gen:k_spe mixes swept in Figure 6.
 var Fig6Allocations = [][2]int{{5, 0}, {4, 1}, {3, 2}, {2, 3}, {1, 4}, {0, 5}}
 
-// Fig6Point is one allocation's summary on one dataset.
-type Fig6Point struct {
-	KGen, KSpe int
-	TestAcc    float64
-	TestStd    float64
-	NDCG       float64
-}
-
-// Fig6Series holds one dataset's sweep.
-type Fig6Series struct {
-	Dataset string
-	Points  []Fig6Point
-}
-
-// Fig6Result reproduces Figure 6.
+// Fig6Result reproduces Figure 6: one cell per (dataset, allocation),
+// labelled "kgen:kspe".
 type Fig6Result struct {
-	Series []Fig6Series
+	Grid
 	// Ratio is the subset size used (the paper's small-subset regime).
 	Ratio float64
 }
@@ -40,55 +27,21 @@ type Fig6Result struct {
 // RunFig6 runs the fold-allocation sweep at a 25% subset ratio, where the
 // mix of fold types matters most.
 func RunFig6(s Settings) (*Fig6Result, error) {
-	s = s.WithDefaults()
-	space, err := cvSpace()
+	res := &Fig6Result{Ratio: 0.25}
+	// Special folds focus one group each; v = 5 lets the 0:5 and 1:4
+	// allocations use distinct focus groups.
+	groups := &grouping.Options{V: 5}
+	var cells []cvCell
+	for ai, alloc := range Fig6Allocations {
+		cells = append(cells, cvCell{
+			label: fmt.Sprintf("%d:%d", alloc[0], alloc[1]), ratio: res.Ratio, seedMul: 43, seedAdd: uint64(ai),
+			folds: cv.GroupFolds{KGen: alloc[0], KSpe: alloc[1]}, scorer: scoring.UCBScorer{}, groups: groups,
+		})
+	}
+	var err error
+	res.Cells, err = s.runCVGrid("fig6", s.datasetsOr(CVDatasets), cells, cvGroupSeed)
 	if err != nil {
 		return nil, err
-	}
-	names := s.Datasets
-	if names == nil {
-		names = CVDatasets
-	}
-	const ratio = 0.25
-	res := &Fig6Result{Ratio: ratio}
-	for _, name := range names {
-		s.logf("fig6: %s", name)
-		series := Fig6Series{Dataset: name}
-		type agg struct{ acc, ndcg []float64 }
-		sums := make([]agg, len(Fig6Allocations))
-		for seed := 0; seed < s.Seeds; seed++ {
-			truth, err := s.buildTruth(name, uint64(seed)+1, space)
-			if err != nil {
-				return nil, err
-			}
-			// Special folds focus one group each; v = 5 lets the 0:5 and
-			// 1:4 allocations use distinct focus groups.
-			groups, err := s.buildCVGroups(truth.train, 5, uint64(seed)+1)
-			if err != nil {
-				return nil, err
-			}
-			for ai, alloc := range Fig6Allocations {
-				m := cvMethod{
-					name:        fmt.Sprintf("%d:%d", alloc[0], alloc[1]),
-					folds:       cv.GroupFolds{KGen: alloc[0], KSpe: alloc[1]},
-					scorer:      scoring.UCBScorer{},
-					needsGroups: true,
-				}
-				out, err := s.runCVMethod(truth, m, groups, ratio, alloc[0]+alloc[1], uint64(seed)*43+uint64(ai))
-				if err != nil {
-					return nil, err
-				}
-				sums[ai].acc = append(sums[ai].acc, out.TestAcc)
-				sums[ai].ndcg = append(sums[ai].ndcg, out.NDCG)
-			}
-		}
-		for ai, alloc := range Fig6Allocations {
-			p := Fig6Point{KGen: alloc[0], KSpe: alloc[1]}
-			p.TestAcc, p.TestStd = stats.MeanStd(sums[ai].acc)
-			p.NDCG = stats.Mean(sums[ai].ndcg)
-			series.Points = append(series.Points, p)
-		}
-		res.Series = append(res.Series, series)
 	}
 	return res, nil
 }
@@ -96,11 +49,11 @@ func RunFig6(s Settings) (*Fig6Result, error) {
 // Print renders the Figure 6 sweep.
 func (r *Fig6Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "Figure 6: test accuracy (%%) and nDCG by fold allocation (subset %.0f%%)\n", r.Ratio*100)
-	for _, series := range r.Series {
-		fmt.Fprintf(w, "\n%s\n", series.Dataset)
-		fmt.Fprintf(w, "  %-10s %14s %8s\n", "kgen:kspe", "testAcc(%)", "nDCG")
-		for _, p := range series.Points {
-			fmt.Fprintf(w, "  %d:%-8d %7s±%-6s %8.3f\n", p.KGen, p.KSpe, pct(p.TestAcc), pct(p.TestStd), p.NDCG)
+	for i, c := range r.Cells {
+		if i == 0 || c.Dataset != r.Cells[i-1].Dataset {
+			fmt.Fprintf(w, "\n%s\n", c.Dataset)
+			fmt.Fprintf(w, "  %-10s %14s %8s\n", "kgen:kspe", "testAcc(%)", "nDCG")
 		}
+		fmt.Fprintf(w, "  %-10s %7s±%-6s %8.3f\n", c.Label, pct(c.TestMean), pct(c.TestStd), c.NDCG)
 	}
 }

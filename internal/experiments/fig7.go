@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"enhancedbhpo/internal/cv"
+	"enhancedbhpo/internal/grouping"
 	"enhancedbhpo/internal/scoring"
-	"enhancedbhpo/internal/stats"
 )
 
 // Figure 7 isolates the metric design (§IV-D, "Variance and Sampling in
@@ -14,118 +14,36 @@ import (
 // special) and only the scorer changes — the vanilla mean vs the paper's
 // UCB-β (Eq. 3) — across subset sizes.
 
-// Fig7Point is one (metric, ratio) summary.
-type Fig7Point struct {
-	Metric  string
-	Ratio   float64
-	TestAcc float64
-	TestStd float64
-	NDCG    float64
-}
-
-// Fig7Series holds one dataset's sweep.
-type Fig7Series struct {
-	Dataset string
-	Points  []Fig7Point
-}
-
-// Point returns the entry for (metric, ratio), or nil.
-func (s *Fig7Series) Point(metric string, ratio float64) *Fig7Point {
-	for i := range s.Points {
-		if s.Points[i].Metric == metric && s.Points[i].Ratio == ratio {
-			return &s.Points[i]
-		}
-	}
-	return nil
-}
-
-// Fig7Result reproduces Figure 7.
+// Fig7Result reproduces Figure 7: cells "vanilla" and "ours" (the metric)
+// at each ratio X, per dataset.
 type Fig7Result struct {
-	Series []Fig7Series
-	Ratios []float64
-}
-
-func fig7Metrics() []cvMethod {
-	folds := cv.GroupFolds{KGen: 3, KSpe: 2}
-	return []cvMethod{
-		{name: "vanilla", folds: folds, scorer: scoring.MeanScorer{}, needsGroups: true},
-		{name: "ours", folds: folds, scorer: scoring.UCBScorer{}, needsGroups: true},
-	}
+	Grid
 }
 
 // RunFig7 runs the metric ablation across subset sizes.
 func RunFig7(s Settings) (*Fig7Result, error) {
-	s = s.WithDefaults()
-	space, err := cvSpace()
+	folds, groups := cv.GroupFolds{KGen: 3, KSpe: 2}, &grouping.Options{V: 2}
+	metrics := []cvCell{
+		{label: "vanilla", folds: folds, scorer: scoring.MeanScorer{}, groups: groups},
+		{label: "ours", folds: folds, scorer: scoring.UCBScorer{}, groups: groups},
+	}
+	cells, err := s.runCVGrid("fig7", s.datasetsOr(CVDatasets), cvSweep(metrics, Fig5Ratios, 47), cvGroupSeed)
 	if err != nil {
 		return nil, err
 	}
-	names := s.Datasets
-	if names == nil {
-		names = CVDatasets
-	}
-	ratios := Fig5Ratios
-	res := &Fig7Result{Ratios: ratios}
-	for _, name := range names {
-		s.logf("fig7: %s", name)
-		series := Fig7Series{Dataset: name}
-		type agg struct{ acc, ndcg []float64 }
-		sums := map[string]map[float64]*agg{}
-		for _, m := range fig7Metrics() {
-			sums[m.name] = map[float64]*agg{}
-			for _, ratio := range ratios {
-				sums[m.name][ratio] = &agg{}
-			}
-		}
-		for seed := 0; seed < s.Seeds; seed++ {
-			truth, err := s.buildTruth(name, uint64(seed)+1, space)
-			if err != nil {
-				return nil, err
-			}
-			groups, err := s.buildCVGroups(truth.train, 2, uint64(seed)+1)
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range fig7Metrics() {
-				for _, ratio := range ratios {
-					out, err := s.runCVMethod(truth, m, groups, ratio, 5, uint64(seed)*47+uint64(ratio*100))
-					if err != nil {
-						return nil, err
-					}
-					a := sums[m.name][ratio]
-					a.acc = append(a.acc, out.TestAcc)
-					a.ndcg = append(a.ndcg, out.NDCG)
-				}
-			}
-		}
-		for _, m := range fig7Metrics() {
-			for _, ratio := range ratios {
-				a := sums[m.name][ratio]
-				p := Fig7Point{Metric: m.name, Ratio: ratio}
-				p.TestAcc, p.TestStd = stats.MeanStd(a.acc)
-				p.NDCG = stats.Mean(a.ndcg)
-				series.Points = append(series.Points, p)
-			}
-		}
-		res.Series = append(res.Series, series)
-	}
-	return res, nil
+	return &Fig7Result{Grid{cells}}, nil
 }
 
 // Print renders the Figure 7 series.
 func (r *Fig7Result) Print(w io.Writer) {
 	fmt.Fprintln(w, "Figure 7: test accuracy (%) and nDCG, vanilla mean vs UCB-β metric")
-	for _, series := range r.Series {
-		fmt.Fprintf(w, "\n%s\n", series.Dataset)
+	for _, name := range r.Datasets() {
+		fmt.Fprintf(w, "\n%s\n", name)
 		fmt.Fprintf(w, "  %-6s %14s %8s %14s %8s\n", "ratio", "vanilla-acc", "ndcg", "ours-acc", "ndcg")
-		for _, ratio := range r.Ratios {
-			v := series.Point("vanilla", ratio)
-			o := series.Point("ours", ratio)
-			if v == nil || o == nil {
-				continue
-			}
+		for _, ratio := range Fig5Ratios {
+			v, o := r.Cell(name, "vanilla", ratio), r.Cell(name, "ours", ratio)
 			fmt.Fprintf(w, "  %-6.0f %14s %8.3f %14s %8.3f\n",
-				ratio*100, pct(v.TestAcc), v.NDCG, pct(o.TestAcc), o.NDCG)
+				ratio*100, pct(v.TestMean), v.NDCG, pct(o.TestMean), o.NDCG)
 		}
 	}
 }

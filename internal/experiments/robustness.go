@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"enhancedbhpo/internal/core"
+	"enhancedbhpo/internal/dataset"
 	"enhancedbhpo/internal/rng"
-	"enhancedbhpo/internal/search"
-	"enhancedbhpo/internal/stats"
 )
 
 // The robustness experiment stresses the paper's stability claim: labels
@@ -16,68 +14,39 @@ import (
 // enhanced evaluation, which leans on the data's cluster structure rather
 // than labels alone, should degrade more gracefully.
 
-// RobustnessPoint is one corruption level's summary.
-type RobustnessPoint struct {
-	NoiseRate float64
-	TestSHA   float64
-	StdSHA    float64
-	TestSHAp  float64
-	StdSHAp   float64
-}
-
-// RobustnessResult holds the sweep for one dataset.
+// RobustnessResult holds the sweep for one dataset: cells "SHA" and "SHA+"
+// at each corruption rate X.
 type RobustnessResult struct {
 	Dataset string
-	Points  []RobustnessPoint
+	Grid
 }
 
 // RobustnessRates are the label-corruption rates swept.
 var RobustnessRates = []float64{0, 0.1, 0.2, 0.3}
 
 // RunRobustness sweeps label corruption on the first configured dataset
-// (default australian).
+// (default australian), which must be a classification dataset.
 func RunRobustness(s Settings) (*RobustnessResult, error) {
-	s = s.WithDefaults()
-	name := "australian"
-	if len(s.Datasets) > 0 {
-		name = s.Datasets[0]
-	}
-	space, err := search.TableIIISpace(s.NumHPs)
+	res := &RobustnessResult{Dataset: s.firstDatasetOr("australian")}
+	spec, err := dataset.SpecByName(res.Dataset)
 	if err != nil {
 		return nil, err
 	}
-	res := &RobustnessResult{Dataset: name}
+	if spec.Kind != dataset.Classification {
+		return nil, fmt.Errorf("robustness %s: label corruption needs class labels, and this is a %s dataset", res.Dataset, spec.Kind)
+	}
+	var cells []hpoCell
 	for _, rate := range RobustnessRates {
-		var sha, shap []float64
-		for seed := 0; seed < s.Seeds; seed++ {
-			train, test, err := s.loadDataset(name, uint64(seed)+1)
-			if err != nil {
-				return nil, err
-			}
-			noisy := train.CorruptLabels(rng.New(uint64(seed)*31+uint64(rate*100)), rate)
-			for _, variant := range []core.Variant{core.Vanilla, core.Enhanced} {
-				out, err := core.Run(noisy, test, core.Options{
-					Method:     core.SHA,
-					Variant:    variant,
-					Space:      space,
-					Base:       s.baseConfig(),
-					MaxConfigs: s.MaxConfigs,
-					Seed:       uint64(seed)*71 + uint64(rate*1000),
-				})
-				if err != nil {
-					return nil, fmt.Errorf("robustness %s rate %v: %w", name, rate, err)
-				}
-				if variant == core.Vanilla {
-					sha = append(sha, out.TestScore)
-				} else {
-					shap = append(shap, out.TestScore)
-				}
-			}
-		}
-		p := RobustnessPoint{NoiseRate: rate}
-		p.TestSHA, p.StdSHA = stats.MeanStd(sha)
-		p.TestSHAp, p.StdSHAp = stats.MeanStd(shap)
-		res.Points = append(res.Points, p)
+		cells = append(cells, shaPair("SHA", "SHA+", hpoCell{
+			dataset: res.Dataset, x: rate, seedMul: 71, seedAdd: uint64(rate * 1000),
+			prepare: func(train *dataset.Dataset, seed int) *dataset.Dataset {
+				return train.CorruptLabels(rng.New(uint64(seed)*31+uint64(rate*100)), rate)
+			},
+		})...)
+	}
+	res.Cells, _, err = s.runHPOGrid("robustness", cells)
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -86,8 +55,9 @@ func RunRobustness(s Settings) (*RobustnessResult, error) {
 func (r *RobustnessResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Robustness to label corruption on %s (clean test set)\n", r.Dataset)
 	fmt.Fprintf(w, "  %-8s %16s %16s\n", "noise", "SHA testAcc(%)", "SHA+ testAcc(%)")
-	for _, p := range r.Points {
+	for _, rate := range RobustnessRates {
+		v, e := r.Cell(r.Dataset, "SHA", rate), r.Cell(r.Dataset, "SHA+", rate)
 		fmt.Fprintf(w, "  %-8.2f %8s±%-7s %8s±%-7s\n",
-			p.NoiseRate, pct(p.TestSHA), pct(p.StdSHA), pct(p.TestSHAp), pct(p.StdSHAp))
+			rate, pct(v.TestMean), pct(v.TestStd), pct(e.TestMean), pct(e.TestStd))
 	}
 }

@@ -3,10 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"enhancedbhpo/internal/core"
-	"enhancedbhpo/internal/search"
-	"enhancedbhpo/internal/stats"
 )
 
 // The stability experiment quantifies the paper's "Unstable Results"
@@ -16,65 +12,36 @@ import (
 // of distinct configurations selected. A stable method selects the same
 // (or an equivalent) configuration regardless of sampling randomness.
 
-// StabilityCell summarizes one variant.
-type StabilityCell struct {
-	Variant string
-	// TestMean and TestStd summarize final test scores across seeds.
-	TestMean, TestStd float64
-	// DistinctConfigs is the number of different winning configurations.
-	DistinctConfigs int
-	// Runs is the number of repetitions.
-	Runs int
-}
-
-// StabilityResult holds the comparison for one dataset.
+// StabilityResult holds the comparison for one dataset: cells "vanilla"
+// and "enhanced".
 type StabilityResult struct {
 	Dataset string
-	Cells   []StabilityCell
+	Grid
+	// Distinct[i] is the number of different winning configurations among
+	// the Runs repetitions of Cells[i].
+	Distinct []int
 }
 
 // RunStability repeats SHA vs SHA+ across seeds on the first configured
 // dataset (default australian). Settings.Seeds controls the repetition
 // count; the paper uses 5, and more repetitions sharpen the comparison.
 func RunStability(s Settings) (*StabilityResult, error) {
-	s = s.WithDefaults()
-	name := "australian"
-	if len(s.Datasets) > 0 {
-		name = s.Datasets[0]
-	}
-	space, err := search.TableIIISpace(s.NumHPs)
+	res := &StabilityResult{Dataset: s.firstDatasetOr("australian")}
+	// Same data split every time: only the optimizer's own randomness
+	// varies, which is exactly the instability §II-C describes.
+	cells, runs, err := s.runHPOGrid("stability", shaPair("vanilla", "enhanced", hpoCell{
+		dataset: res.Dataset, seedMul: 613, seedAdd: 11, fixedData: true,
+	}))
 	if err != nil {
 		return nil, err
 	}
-	res := &StabilityResult{Dataset: name}
-	for _, variant := range []core.Variant{core.Vanilla, core.Enhanced} {
-		var tests []float64
+	res.Cells = cells
+	for _, outcomes := range runs {
 		chosen := map[string]bool{}
-		for seed := 0; seed < s.Seeds; seed++ {
-			// Same data split every time: only the optimizer's own
-			// randomness varies, which is exactly the instability §II-C
-			// describes.
-			train, test, err := s.loadDataset(name, 1)
-			if err != nil {
-				return nil, err
-			}
-			out, err := core.Run(train, test, core.Options{
-				Method:     core.SHA,
-				Variant:    variant,
-				Space:      space,
-				Base:       s.baseConfig(),
-				MaxConfigs: s.MaxConfigs,
-				Seed:       uint64(seed)*613 + 11,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("stability %s/%v: %w", name, variant, err)
-			}
-			tests = append(tests, out.TestScore)
-			chosen[out.Search.Best.ID()] = true
+		for _, o := range outcomes {
+			chosen[o.Search.Best.ID()] = true
 		}
-		cell := StabilityCell{Variant: variant.String(), DistinctConfigs: len(chosen), Runs: s.Seeds}
-		cell.TestMean, cell.TestStd = stats.MeanStd(tests)
-		res.Cells = append(res.Cells, cell)
+		res.Distinct = append(res.Distinct, len(chosen))
 	}
 	return res, nil
 }
@@ -83,8 +50,8 @@ func RunStability(s Settings) (*StabilityResult, error) {
 func (r *StabilityResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Stability across optimizer seeds on %s (fixed data)\n", r.Dataset)
 	fmt.Fprintf(w, "  %-10s %16s %18s\n", "variant", "testAcc(%)", "distinct winners")
-	for _, c := range r.Cells {
+	for i, c := range r.Cells {
 		fmt.Fprintf(w, "  %-10s %8s±%-7s %10d/%d\n",
-			c.Variant, pct(c.TestMean), pct(c.TestStd), c.DistinctConfigs, c.Runs)
+			c.Label, pct(c.TestMean), pct(c.TestStd), r.Distinct[i], c.Runs)
 	}
 }

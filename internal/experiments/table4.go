@@ -3,11 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
+	"strings"
 
 	"enhancedbhpo/internal/core"
 	"enhancedbhpo/internal/dataset"
-	"enhancedbhpo/internal/search"
 	"enhancedbhpo/internal/stats"
 )
 
@@ -18,57 +17,12 @@ var Table4Datasets = []string{
 	"fraud", "usps", "satimage", "molecules", "kc-house",
 }
 
-// table4Methods are the Table IV columns: the random baseline plus the
-// three bandit methods in vanilla and enhanced ("+") form.
-type table4Method struct {
-	Name    string
-	Method  core.Method
-	Variant core.Variant
-}
-
-func table4Methods() []table4Method {
-	return []table4Method{
-		{"random", core.Random, core.Vanilla},
-		{"SHA", core.SHA, core.Vanilla},
-		{"SHA+", core.SHA, core.Enhanced},
-		{"HB", core.Hyperband, core.Vanilla},
-		{"HB+", core.Hyperband, core.Enhanced},
-		{"BOHB", core.BOHB, core.Vanilla},
-		{"BOHB+", core.BOHB, core.Enhanced},
-	}
-}
-
-// Table4Cell summarizes one (dataset, method) entry across seeds.
-type Table4Cell struct {
-	Method    string
-	TrainMean float64
-	TrainStd  float64
-	TestMean  float64
-	TestStd   float64
-	TimeMean  time.Duration
-	TimeStd   time.Duration
-}
-
-// Table4Row holds all method entries for one dataset.
-type Table4Row struct {
-	Dataset string
-	Metric  string // "Acc", "F1" or "R2", following Table IV
-	Cells   []Table4Cell
-}
-
-// Cell returns the entry for the named method, or nil.
-func (r *Table4Row) Cell(method string) *Table4Cell {
-	for i := range r.Cells {
-		if r.Cells[i].Method == method {
-			return &r.Cells[i]
-		}
-	}
-	return nil
-}
-
-// Table4Result is the full reproduction of Table IV.
+// Table4Result is the full reproduction of Table IV: one cell per
+// (dataset, method).
 type Table4Result struct {
-	Rows []Table4Row
+	Grid
+	// Metric maps each dataset to "Acc", "F1" or "R2", following Table IV.
+	Metric map[string]string
 }
 
 // metricName mirrors Table IV: F1 for the imbalanced classification
@@ -87,93 +41,70 @@ func metricName(name string, kind dataset.Kind) string {
 // RunTable4 reproduces Table IV: for every dataset and method it runs the
 // optimization across seeds and records train/test quality and search time.
 func RunTable4(s Settings) (*Table4Result, error) {
-	s = s.WithDefaults()
-	space, err := search.TableIIISpace(s.NumHPs)
-	if err != nil {
-		return nil, err
+	// The Table IV columns: the random baseline plus the three bandit
+	// methods in vanilla and enhanced ("+") form.
+	methods := []hpoCell{
+		{label: "random", method: core.Random, variant: core.Vanilla},
+		{label: "SHA", method: core.SHA, variant: core.Vanilla},
+		{label: "SHA+", method: core.SHA, variant: core.Enhanced},
+		{label: "HB", method: core.Hyperband, variant: core.Vanilla},
+		{label: "HB+", method: core.Hyperband, variant: core.Enhanced},
+		{label: "BOHB", method: core.BOHB, variant: core.Vanilla},
+		{label: "BOHB+", method: core.BOHB, variant: core.Enhanced},
 	}
-	names := s.Datasets
-	if names == nil {
-		names = Table4Datasets
-	}
-	res := &Table4Result{}
-	for _, name := range names {
+	res := &Table4Result{Metric: map[string]string{}}
+	var cells []hpoCell
+	for _, name := range s.datasetsOr(Table4Datasets) {
 		spec, err := dataset.SpecByName(name)
 		if err != nil {
 			return nil, err
 		}
-		row := Table4Row{Dataset: name, Metric: metricName(name, spec.Kind)}
-		useF1 := row.Metric == "F1"
-		s.logf("table4: %s", name)
-		for _, m := range table4Methods() {
-			s.logf("table4: %s / %s", name, m.Name)
-			var trains, tests, times []float64
-			for seed := 0; seed < s.Seeds; seed++ {
-				train, test, err := s.loadDataset(name, uint64(seed)+1)
-				if err != nil {
-					return nil, err
-				}
-				opts := core.Options{
-					Method:     m.Method,
-					Variant:    m.Variant,
-					Space:      space,
-					Base:       s.baseConfig(),
-					MaxConfigs: s.MaxConfigs,
-					UseF1:      useF1,
-					Seed:       uint64(seed)*7919 + 13,
-				}
-				opts.Random.N = 10
+		res.Metric[name] = metricName(name, spec.Kind)
+		useF1 := res.Metric[name] == "F1"
+		for _, c := range methods {
+			c.dataset = name
+			c.seedMul, c.seedAdd = 7919, 13
+			c.tune = func(o *core.Options) {
+				o.UseF1 = useF1
+				o.Random.N = 10
 				// Bound bracket counts so the scaled-down runs finish; the
 				// schedule shape (multiple budgets per bracket) is preserved.
-				opts.HB.MaxBrackets = 3
-				opts.BOHB.Hyperband.MaxBrackets = 3
-				out, err := core.Run(train, test, opts)
-				if err != nil {
-					return nil, fmt.Errorf("table4 %s/%s seed %d: %w", name, m.Name, seed, err)
-				}
-				trains = append(trains, out.TrainScore)
-				tests = append(tests, out.TestScore)
-				times = append(times, out.TotalTime.Seconds())
+				o.HB.MaxBrackets = 3
+				o.BOHB.Hyperband.MaxBrackets = 3
 			}
-			cell := Table4Cell{Method: m.Name}
-			cell.TrainMean, cell.TrainStd = stats.MeanStd(trains)
-			cell.TestMean, cell.TestStd = stats.MeanStd(tests)
-			tm, ts := stats.MeanStd(times)
-			cell.TimeMean = time.Duration(tm * float64(time.Second))
-			cell.TimeStd = time.Duration(ts * float64(time.Second))
-			row.Cells = append(row.Cells, cell)
+			cells = append(cells, c)
 		}
-		res.Rows = append(res.Rows, row)
+	}
+	var err error
+	res.Cells, _, err = s.runHPOGrid("table4", cells)
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
 // Print renders the result in the layout of Table IV: per dataset, the
-// train/test quality and search time of each method, with a +/- mark on
-// enhanced columns indicating improvement over their vanilla counterpart.
+// train/test quality and search time of each method, with a +/=/- mark on
+// enhanced columns comparing them to their vanilla counterpart.
 func (r *Table4Result) Print(w io.Writer) {
-	methods := table4Methods()
 	fmt.Fprintf(w, "Table IV: train result (%%), test result (%%) and search time (sec.)\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "\n%s (%s)\n", row.Dataset, row.Metric)
-		fmt.Fprintf(w, "  %-8s %16s %16s %14s\n", "method", "train"+row.Metric, "test"+row.Metric, "time(s)")
-		for _, m := range methods {
-			c := row.Cell(m.Name)
-			if c == nil {
-				continue
-			}
-			mark := " "
-			if vanilla := vanillaOf(m.Name); vanilla != "" {
-				if v := row.Cell(vanilla); v != nil {
-					mark = checkmark(c.TestMean >= v.TestMean)
-				}
-			}
-			fmt.Fprintf(w, "  %-8s %7s±%-7s %7s±%-7s %7.2f±%-6.2f %s\n",
-				c.Method,
-				pct(c.TrainMean), pct(c.TrainStd),
-				pct(c.TestMean), pct(c.TestStd),
-				c.TimeMean.Seconds(), c.TimeStd.Seconds(), mark)
+	for i, c := range r.Cells {
+		if i == 0 || c.Dataset != r.Cells[i-1].Dataset {
+			metric := r.Metric[c.Dataset]
+			fmt.Fprintf(w, "\n%s (%s)\n", c.Dataset, metric)
+			fmt.Fprintf(w, "  %-8s %16s %16s %14s\n", "method", "train"+metric, "test"+metric, "time(s)")
 		}
+		mark := " "
+		if vanilla, ok := strings.CutSuffix(c.Label, "+"); ok {
+			if v := r.Cell(c.Dataset, vanilla, 0); v != nil {
+				mark = checkmark(c.TestMean, v.TestMean)
+			}
+		}
+		fmt.Fprintf(w, "  %-8s %7s±%-7s %7s±%-7s %7.2f±%-6.2f %s\n",
+			c.Label,
+			pct(c.TrainMean), pct(c.TrainStd),
+			pct(c.TestMean), pct(c.TestStd),
+			c.TimeMean, c.TimeStd, mark)
 	}
 	r.PrintSignificance(w)
 }
@@ -200,8 +131,8 @@ func (r *Table4Result) Significance() []SignificanceRow {
 	var out []SignificanceRow
 	for _, pair := range pairs {
 		var enh, van []float64
-		for _, row := range r.Rows {
-			e, v := row.Cell(pair[0]), row.Cell(pair[1])
+		for _, name := range r.Datasets() {
+			e, v := r.Cell(name, pair[0], 0), r.Cell(name, pair[1], 0)
 			if e == nil || v == nil {
 				continue
 			}
@@ -231,17 +162,4 @@ func (r *Table4Result) PrintSignificance(w io.Writer) {
 		fmt.Fprintf(w, "  %-14s %6d %8d %10.3f %12.3f\n",
 			sr.Enhanced+" vs "+sr.Vanilla, sr.Wins, sr.Losses, sr.SignP, sr.WilcoxonP)
 	}
-}
-
-// vanillaOf maps an enhanced method name to its vanilla counterpart.
-func vanillaOf(name string) string {
-	switch name {
-	case "SHA+":
-		return "SHA"
-	case "HB+":
-		return "HB"
-	case "BOHB+":
-		return "BOHB"
-	}
-	return ""
 }

@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"enhancedbhpo/internal/cv"
+	"enhancedbhpo/internal/grouping"
 	"enhancedbhpo/internal/scoring"
-	"enhancedbhpo/internal/stats"
 )
 
 // Table V isolates the grouping contribution (§IV-D, "Feature and Label
@@ -18,118 +18,36 @@ import (
 // Table5Ratios are the two sampling ratios of Table V.
 var Table5Ratios = []float64{0.1, 1.0}
 
-// Table5Cell is one (method, ratio) summary.
-type Table5Cell struct {
-	Method  string
-	Ratio   float64
-	TestAcc float64
-	TestStd float64
-	NDCG    float64
-}
-
-// Table5Row holds one dataset's cells.
-type Table5Row struct {
-	Dataset string
-	Cells   []Table5Cell
-}
-
-// Cell returns the entry for (method, ratio), or nil.
-func (r *Table5Row) Cell(method string, ratio float64) *Table5Cell {
-	for i := range r.Cells {
-		if r.Cells[i].Method == method && r.Cells[i].Ratio == ratio {
-			return &r.Cells[i]
-		}
-	}
-	return nil
-}
-
-// Table5Result reproduces Table V.
+// Table5Result reproduces Table V: cells "vanilla" and "ours" at each
+// ratio X, per dataset.
 type Table5Result struct {
-	Rows []Table5Row
-}
-
-func table5Methods() []cvMethod {
-	return []cvMethod{
-		{name: "vanilla", folds: cv.StratifiedKFold{}, scorer: scoring.MeanScorer{}},
-		{name: "ours", folds: cv.GroupFolds{KGen: 5, KSpe: 0}, scorer: scoring.MeanScorer{}, needsGroups: true},
-	}
+	Grid
 }
 
 // RunTable5 runs the grouping ablation.
 func RunTable5(s Settings) (*Table5Result, error) {
-	s = s.WithDefaults()
-	space, err := cvSpace()
+	methods := []cvCell{
+		{label: "vanilla", folds: cv.StratifiedKFold{}, scorer: scoring.MeanScorer{}},
+		{label: "ours", folds: cv.GroupFolds{KGen: 5, KSpe: 0}, scorer: scoring.MeanScorer{}, groups: &grouping.Options{V: 2}},
+	}
+	cells, err := s.runCVGrid("table5", s.datasetsOr(CVDatasets), cvSweep(methods, Table5Ratios, 41), cvGroupSeed)
 	if err != nil {
 		return nil, err
 	}
-	names := s.Datasets
-	if names == nil {
-		names = CVDatasets
-	}
-	res := &Table5Result{}
-	for _, name := range names {
-		s.logf("table5: %s", name)
-		row := Table5Row{Dataset: name}
-		type agg struct {
-			acc  []float64
-			ndcg []float64
-		}
-		sums := map[string]map[float64]*agg{}
-		for _, m := range table5Methods() {
-			sums[m.name] = map[float64]*agg{}
-			for _, ratio := range Table5Ratios {
-				sums[m.name][ratio] = &agg{}
-			}
-		}
-		for seed := 0; seed < s.Seeds; seed++ {
-			truth, err := s.buildTruth(name, uint64(seed)+1, space)
-			if err != nil {
-				return nil, err
-			}
-			groups, err := s.buildCVGroups(truth.train, 2, uint64(seed)+1)
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range table5Methods() {
-				for _, ratio := range Table5Ratios {
-					out, err := s.runCVMethod(truth, m, groups, ratio, 5, uint64(seed)*41+uint64(ratio*100))
-					if err != nil {
-						return nil, err
-					}
-					a := sums[m.name][ratio]
-					a.acc = append(a.acc, out.TestAcc)
-					a.ndcg = append(a.ndcg, out.NDCG)
-				}
-			}
-		}
-		for _, m := range table5Methods() {
-			for _, ratio := range Table5Ratios {
-				a := sums[m.name][ratio]
-				cell := Table5Cell{Method: m.name, Ratio: ratio}
-				cell.TestAcc, cell.TestStd = stats.MeanStd(a.acc)
-				cell.NDCG = stats.Mean(a.ndcg)
-				row.Cells = append(row.Cells, cell)
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+	return &Table5Result{Grid{cells}}, nil
 }
 
 // Print renders the result in the layout of Table V.
 func (r *Table5Result) Print(w io.Writer) {
 	fmt.Fprintln(w, "Table V: test accuracy (%) and nDCG, group-based vs vanilla stratified CV")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "\n%s\n", row.Dataset)
+	for _, name := range r.Datasets() {
+		fmt.Fprintf(w, "\n%s\n", name)
 		fmt.Fprintf(w, "  %-6s %-8s %14s %8s\n", "ratio", "method", "testAcc(%)", "nDCG")
 		for _, ratio := range Table5Ratios {
-			for _, m := range table5Methods() {
-				c := row.Cell(m.name, ratio)
-				if c == nil {
-					continue
-				}
+			for _, method := range []string{"vanilla", "ours"} {
+				c := r.Cell(name, method, ratio)
 				fmt.Fprintf(w, "  %-6.0f %-8s %7s±%-6s %8.3f\n",
-					ratio*100, c.Method, pct(c.TestAcc), pct(c.TestStd), c.NDCG)
+					ratio*100, c.Label, pct(c.TestMean), pct(c.TestStd), c.NDCG)
 			}
 		}
 	}
