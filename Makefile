@@ -43,13 +43,18 @@ vet-bench:
 # cluster layer's non-chaos tests (coordinator, submit retry, membership
 # journal, ring, shipper lanes, sinks, restore), five times each, and
 # once for its short-storm chaos e2es (node kill, zero-operator failover,
-# membership churn, shutdown mid-promotion).
+# membership churn, shutdown mid-promotion). And for the shared trace log:
+# rotation under concurrent appenders, the reopen after a torn line, the
+# rebuild that must serve a trace byte for byte, and the replica whose
+# manifest may not grow with the number of jobs.
 cpus:
 	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge' \
 		./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
 	$(GO) test -cpu 1,2,4 -count 5 -run 'TestCoordinator|TestSubmitRetry|TestMemberJournal|TestRing|TestMultiSink|TestShipper|TestDirSink|TestRestore' \
 		./internal/coord/ ./internal/serve/shipper/
 	$(GO) test -cpu 1,2,4 -count 1 -run 'TestFailover|TestMembership|TestShutdownJoinsFailover' ./internal/coord/
+	$(GO) test -cpu 1,2,4 -count 3 -run 'TestRotationConcurrentAppends|TestCrashReopen|TestTraceByteIdenticalAcrossRebuild|TestNoPerJobSeal' \
+		./internal/serve/tracestore/ ./internal/serve/
 
 # Crash-safety suite: journal replay/compaction, kill/restart recovery,
 # panic isolation, retry + failure budget, timeout/shutdown reasons, drain.

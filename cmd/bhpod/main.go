@@ -23,12 +23,13 @@
 // promotions, retries, deadline abandonments, failure-budget charges and
 // lifecycle transitions are published to GET /jobs/{id}/events as
 // Server-Sent Events (resumable via Last-Event-ID), and — with -data-dir
-// set — recorded durably to a per-job trace file so GET /jobs/{id}/trace
-// serves the full anytime curve even after a crash and restart. `bhpo
+// set — recorded durably to the trace log all jobs share (segments of
+// -trace-max-bytes, immutable once sealed) so GET /jobs/{id}/trace serves
+// the full event history even after a crash and restart. `bhpo
 // watch <job-url>` is the terminal client for the feed.
 //
-// As a cluster member the daemon can ship its journal segments and trace
-// files to replica sinks while it runs (-ship-to, repeatable: each a
+// As a cluster member the daemon can ship its journal and trace
+// segments to replica sinks while it runs (-ship-to, repeatable: each a
 // directory or a peer node's /ship receiver, every sink tracking its own
 // resumable offsets) and receive peers' replicas (-ship-recv-dir).
 //
@@ -142,7 +143,7 @@ func main() {
 		backoff  = flag.Duration("retry-backoff", 50*time.Millisecond, "base (jittered) delay between evaluation retries")
 		failures = flag.Int("failure-budget", 3, "evaluation failures a job absorbs before it is failed")
 		eventBuf = flag.Int("event-buffer", 256, "buffered events per SSE subscriber; a slower consumer has events dropped from its stream (resumable via Last-Event-ID)")
-		traceMax = flag.Int64("trace-max-bytes", 1<<20, "compact a job's durable trace file once it grows this much past its last compaction (negative = never; needs -data-dir)")
+		traceMax = flag.Int64("trace-max-bytes", 1<<20, "segment size of the durable trace log: start a new segment once the active one has grown past this (negative = never; needs -data-dir)")
 		kernelW  = flag.Int("kernel-workers", 0, "matmul goroutines per pooled evaluation (0 = NumCPU/workers, so the pool never oversubscribes)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ for live profiling")
 

@@ -46,6 +46,7 @@ func DEHB(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 
 	// archive holds every completed evaluation (highest score per config).
 	type entry struct {
+		id    string
 		cfg   search.Config
 		score float64
 	}
@@ -61,7 +62,15 @@ func DEHB(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 		for _, e := range archive {
 			pool = append(pool, e)
 		}
-		sort.SliceStable(pool, func(i, j int) bool { return pool[i].score > pool[j].score })
+		// A total order — best score first, ties by configuration ID — so
+		// the pool, and through it every parent the stream below draws,
+		// does not depend on the archive map's iteration order.
+		sort.Slice(pool, func(i, j int) bool {
+			if pool[i].score != pool[j].score {
+				return pool[i].score > pool[j].score
+			}
+			return pool[i].id < pool[j].id
+		})
 		best := pool[0]
 		out := make([]search.Config, 0, n)
 		seen := map[string]bool{}
@@ -113,7 +122,7 @@ func DEHB(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 	observe := func(cfg search.Config, budget int, score float64) {
 		id := cfg.ID()
 		if prev, ok := archive[id]; !ok || score > prev.score {
-			archive[id] = entry{cfg: cfg, score: score}
+			archive[id] = entry{id: id, cfg: cfg, score: score}
 		}
 	}
 	res, err := runBrackets(ctx, "dehb", ev, comps, hb, root, provider, observe)

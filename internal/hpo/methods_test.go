@@ -2,6 +2,8 @@ package hpo
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -226,5 +228,33 @@ func TestRankingStable(t *testing.T) {
 	}
 	if rankingStable(lower, nil) {
 		t.Fatal("empty upper rung reported stable")
+	}
+}
+
+// TestDEHBDeterministicBySeed: one seed, one trial sequence. Without
+// evaluation noise the equal-sum configurations of the graded space tie
+// exactly, so a DE pool ordered by score alone leaves them — and every
+// parent drawn from the pool by index — in the archive map's iteration
+// order, which differs from run to run.
+func TestDEHBDeterministicBySeed(t *testing.T) {
+	space, quality := gradedSpace()
+	var first string
+	for run := 0; run < 20; run++ {
+		ev := &fakeEvaluator{space: space, full: 800, quality: quality}
+		res, err := DEHB(context.Background(), space, ev, vanComps(), DEHBOptions{
+			Hyperband: HyperbandOptions{Eta: 2, MinBudget: 100, Seed: 6},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seq strings.Builder
+		for _, tr := range res.Trials {
+			fmt.Fprintf(&seq, "%s@%d ", tr.Config.ID(), tr.Budget)
+		}
+		if run == 0 {
+			first = seq.String()
+		} else if seq.String() != first {
+			t.Fatalf("run %d evaluated another trial sequence with the same seed:\n first %s\n now   %s", run, first, seq.String())
+		}
 	}
 }

@@ -245,7 +245,7 @@ func TestChaosOverload(t *testing.T) {
 		ScopeTTL:        300 * time.Millisecond,
 		DataDir:         dir,
 		JournalMaxBytes: maxBytes,
-		TraceMaxBytes:   4 << 10, // force trace compactions under the storm
+		TraceMaxBytes:   4 << 10, // force trace rotations under the storm
 		WrapEvaluator: func(id string, inner hpo.Evaluator) hpo.Evaluator {
 			if freezeArm.CompareAndSwap(true, false) {
 				return &gateEvaluator{inner: inner, gate: freezeGate, entered: frozenEntered}
@@ -507,10 +507,10 @@ func TestChaosOverload(t *testing.T) {
 		t.Errorf("frozen job replayed as %s/%s, want cancelled/interrupted", fsnap.Status, fsnap.Reason)
 	}
 
-	// Trace integrity: a mid-storm kill must never corrupt a trace file.
-	// Every per-job trace on disk still parses (a torn final line is
+	// Trace integrity: a mid-storm kill must never corrupt the trace log.
+	// Every job's trace on disk still parses (a torn final line is
 	// tolerated by the reader; a torn middle is not), its event sequence
-	// numbers are strictly increasing across any compactions that ran
+	// numbers are strictly increasing across the rotations that ran
 	// under the storm, and every job the journal replayed as done still
 	// has its complete anytime curve and terminal event on disk.
 	if mt.TraceStoreErrors != 0 {

@@ -113,12 +113,10 @@ type Config struct {
 	// events_dropped_slow_consumer — and recovers via Last-Event-ID
 	// resume; the retained history loses nothing. 0 selects 256.
 	EventBuffer int
-	// TraceMaxBytes caps each job's durable trace file: once a file
-	// grows this much past its last compaction it is rewritten
-	// crash-safely (temp + fsync + atomic rename), keeping every curve
-	// point and lifecycle transition and shedding observational events.
-	// Only meaningful with DataDir set. 0 selects 1 MiB; negative
-	// disables compaction.
+	// TraceMaxBytes is the segment size of the durable trace log all jobs
+	// share: the active segment is sealed, immutable from then on, and
+	// the next one started once it has grown past this. Only meaningful
+	// with DataDir set. 0 selects 1 MiB; negative never rotates.
 	TraceMaxBytes int64
 	// KernelWorkers caps the matmul-kernel goroutines of each pooled
 	// evaluation. 0 selects GOMAXPROCS/PoolSize (at least 1); explicit
@@ -367,16 +365,24 @@ func NewManagerFromJournal(cfg Config) (*Manager, error) {
 	m := NewManager(cfg)
 	traceOpts := tracestore.Options{MaxBytes: m.cfg.TraceMaxBytes}
 	if ship := cfg.Shipper; ship != nil {
-		// Trace files ship under their directory-relative name so a
+		// Trace segments ship under their directory-relative name so a
 		// restored replica has the same traces/ layout the manager opens.
-		traceOpts.OnChange = func(name string, final bool) {
+		traceOpts.OnChange = func(name string, sealed bool) {
 			rel := "traces/" + name
-			if final {
+			if sealed {
 				ship.Sealed(rel)
 			} else {
 				ship.Changed(rel)
 			}
 		}
+	}
+	// Re-arm the event feeds from the durable trace, read in one pass
+	// before this life's segment is opened: sequence numbers continue
+	// where the dead process stopped, and subscribers can resume (or fetch
+	// the full pre-crash curve) across the restart.
+	history, err := tracestore.ReadAll(TraceDir(cfg.DataDir))
+	if err != nil {
+		m.traceErrs.Add(1)
 	}
 	traces, err := tracestore.Open(TraceDir(cfg.DataDir), traceOpts)
 	if err != nil {
@@ -404,7 +410,7 @@ func NewManagerFromJournal(cfg Config) (*Manager, error) {
 		// Ship whatever is already on disk (compacted bases, sealed
 		// segments, pre-crash traces) so the replica is complete even for
 		// files that will never change again.
-		cfg.Shipper.SnapshotRoot(w.ActiveSegment())
+		cfg.Shipper.SnapshotRoot(w.ActiveSegment(), traces.ActiveSegment())
 	}
 	for _, st := range states {
 		var spec JobSpec
@@ -425,14 +431,7 @@ func NewManagerFromJournal(cfg Config) (*Manager, error) {
 			preempts: st.Preemptions,
 		}
 		m.register(job)
-		// Re-arm the event feed from the durable trace: sequence numbers
-		// continue where the dead process stopped, and subscribers can
-		// resume (or fetch the full pre-crash curve) across the restart.
-		if evs, err := traces.ReadJob(st.ID); err != nil {
-			m.traceErrs.Add(1)
-		} else {
-			m.hub.Prime(st.ID, evs)
-		}
+		m.hub.Prime(st.ID, history[st.ID])
 		// Re-seed the tenant's cumulative accounting (service = the
 		// curve's final cumulative budget — exactly what was charged) so
 		// /tenants survives the restart; virtual times restart level.
@@ -484,7 +483,8 @@ func NewManagerFromJournal(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// TraceDir is where a data directory keeps its per-job trace files.
+// TraceDir is where a data directory keeps its trace log: the segments
+// (trace-NNNNNN.jsonl) all jobs' events are appended to.
 func TraceDir(dataDir string) string {
 	return filepath.Join(dataDir, "traces")
 }
@@ -500,8 +500,8 @@ func (m *Manager) publish(jobID string, ev events.Event) {
 }
 
 // publishStatus emits a lifecycle transition for the job's current
-// state. Terminal transitions close the job's event feed and fsync its
-// trace file.
+// state. Terminal transitions close the job's event feed and fsync the
+// trace log.
 func (m *Manager) publishStatus(job *Job, terminal bool, at time.Time) {
 	job.mu.Lock()
 	ev := events.Event{

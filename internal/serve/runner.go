@@ -225,7 +225,7 @@ func (m *Manager) finish(job *Job, scope *evalScope, res *hpo.Result, err error)
 	}
 	job.mu.Unlock()
 	// Terminal event before the journal record: the publish fsyncs the
-	// job's trace file and closes its feed, so by the time the journal
+	// trace log and closes the job's feed, so by the time the journal
 	// says "terminal" the full curve is durably on disk.
 	m.publishStatus(job, true, finishedAt)
 	m.journalTerminal(job)

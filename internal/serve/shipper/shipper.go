@@ -1,22 +1,23 @@
 // Package shipper replicates a bhpod data directory — journal segments,
-// compacted bases and per-job trace files — to one or more sinks, so a
+// compacted bases and trace segments — to one or more sinks, so a
 // *replacement* node (not just a restarted process) can rebuild a dead
 // machine's job table with journal.Replay and serve its traces
 // byte-identically.
 //
 // The unit of shipping is one file, addressed by its path relative to the
-// data directory ("journal-000003.jsonl", "traces/job-7.trace.jsonl").
+// data directory ("journal-000003.jsonl", "traces/trace-000002.jsonl").
 // Files move in two phases matching how the journal and trace store write
 // them:
 //
-//   - a *changed* file (the active journal segment, a live job's trace)
-//     ships incrementally: the shipper reads the local bytes past the
-//     sink's resumable offset and appends them. A file that shrank
-//     locally (trace compaction rewrote it) restarts at offset zero.
-//   - a *sealed* file (a rotated segment, a new base, a terminal trace)
-//     ships its remaining tail and is then sealed at the sink with its
-//     size and SHA-256, which records it in the sink's checksummed
-//     manifest. Sealed content is what Restore verifies.
+//   - a *changed* file (the active journal or trace segment) ships
+//     incrementally: the shipper reads the local bytes past the sink's
+//     resumable offset and appends them. A file the sink holds more of
+//     than exists locally (a sink that was ahead of the replica this node
+//     was restored from) restarts at offset zero.
+//   - a *sealed* file (a rotated segment, a new base) ships its remaining
+//     tail and is then sealed at the sink with its size and SHA-256, which
+//     records it in the sink's checksummed manifest. Sealed content is
+//     what Restore verifies.
 //
 // With several sinks (bhpod -ship-to repeated) the shipper replicates
 // N-way: every sink runs its own *lane* — an independent resumable
@@ -44,6 +45,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -103,7 +105,7 @@ type Options struct {
 // carries the per-sink breakdown.
 type Stats struct {
 	// SegmentsShipped counts successfully sealed files (journal segments,
-	// bases and terminal traces). With N sinks one local seal counts N
+	// bases and trace segments). With N sinks one local seal counts N
 	// times — it is a count of sink-seal operations, not of local files.
 	SegmentsShipped int64
 	// Retries counts ship attempts that failed and were requeued.
@@ -208,8 +210,8 @@ func (s *Shipper) PerSink() []Stats {
 	return out
 }
 
-// Changed notes that rel (relative to the data dir, slash-separated) grew
-// or was rewritten. With Options.Sync the delta ships to every sink
+// Changed notes that rel (relative to the data dir, slash-separated)
+// grew. With Options.Sync the delta ships to every sink
 // before Changed returns; a failing sink degrades to its lane's
 // background retry.
 func (s *Shipper) Changed(rel string) {
@@ -218,9 +220,9 @@ func (s *Shipper) Changed(rel string) {
 	}
 }
 
-// Sealed notes that rel reached its final content (a rotated journal
-// segment, a freshly folded base, a terminal trace): the remaining tail
-// ships and the file is sealed into each sink's checksummed manifest.
+// Sealed notes that rel reached its final content (a rotated journal or
+// trace segment, a freshly folded base): the remaining tail ships and the
+// file is sealed into each sink's checksummed manifest.
 func (s *Shipper) Sealed(rel string) {
 	for _, ln := range s.lanes {
 		ln.sealed(rel)
@@ -229,37 +231,31 @@ func (s *Shipper) Sealed(rel string) {
 
 // SnapshotRoot marks every journal and trace file currently in the data
 // directory for shipping — the startup sync after a restart (or the first
-// run against an already-populated directory). Journal files other than
-// the active segment, and bases, are final and marked sealed; the active
-// segment and the trace files ship incrementally.
-func (s *Shipper) SnapshotRoot(activeSegment string) {
-	entries, err := os.ReadDir(s.root)
+// run against an already-populated directory). The active journal and
+// trace segments, named as their writers name them, ship incrementally;
+// every other segment, and every base, is final and marked sealed.
+func (s *Shipper) SnapshotRoot(activeJournal, activeTrace string) {
+	s.snapshotDir("", activeJournal, "journal-", "base-")
+	s.snapshotDir("traces/", activeTrace, "trace-")
+}
+
+// snapshotDir marks the .jsonl files of one directory (sub is "" or ends
+// in a slash) that carry one of the prefixes.
+func (s *Shipper) snapshotDir(sub, active string, prefixes ...string) {
+	entries, err := os.ReadDir(filepath.Join(s.root, sub))
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() {
+		if e.IsDir() || !strings.HasSuffix(name, ".jsonl") ||
+			!slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(name, p) }) {
 			continue
 		}
-		isSeg := strings.HasPrefix(name, "journal-") && strings.HasSuffix(name, ".jsonl")
-		isBase := strings.HasPrefix(name, "base-") && strings.HasSuffix(name, ".jsonl")
-		if !isSeg && !isBase {
-			continue
-		}
-		if name == activeSegment {
-			s.Changed(name)
+		if name == active {
+			s.Changed(sub + name)
 		} else {
-			s.Sealed(name)
-		}
-	}
-	traces, err := os.ReadDir(filepath.Join(s.root, "traces"))
-	if err != nil {
-		return
-	}
-	for _, e := range traces {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".trace.jsonl") {
-			s.Changed("traces/" + e.Name())
+			s.Sealed(sub + name)
 		}
 	}
 }
@@ -379,7 +375,8 @@ func (ln *lane) shipFile(rel string) error {
 		st.offset = off
 	}
 	if size < st.offset {
-		// The file was rewritten smaller (trace compaction): restart it.
+		// The sink is ahead of a file this node restored from a replica
+		// that lagged: restart it.
 		st.offset = 0
 	}
 	if size == 0 && st.sealed && st.offset == 0 {
@@ -507,7 +504,7 @@ func (ln *lane) flush() error {
 		rels = append(rels, rel)
 	}
 	ln.mu.Unlock()
-	sort.Strings(rels) // deterministic order: segments before traces
+	sort.Strings(rels) // deterministic order: journal before traces
 	var first error
 	for _, rel := range rels {
 		if err := ln.shipFile(rel); err != nil {

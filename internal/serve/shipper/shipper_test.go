@@ -190,30 +190,30 @@ func TestShipperMidShipCrashResumes(t *testing.T) {
 	}
 }
 
-// TestShipperShrunkFileRestarts: a file rewritten smaller locally (trace
-// compaction) must restart at the sink rather than appending garbage past
-// its end.
+// TestShipperShrunkFileRestarts: a file smaller locally than at the sink
+// (this node was restored from a replica that lagged the sink) must
+// restart at the sink rather than appending garbage past its end.
 func TestShipperShrunkFileRestarts(t *testing.T) {
 	root := t.TempDir()
 	sink, err := NewDirSink(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(root, "traces", "job-1.trace.jsonl")
+	path := filepath.Join(root, "traces", "trace-000001.jsonl")
 	writeFile(t, path, []byte(strings.Repeat("x", 500)))
 	s := New(root, sink, Options{Sync: true})
 	defer s.Close()
-	s.Changed("traces/job-1.trace.jsonl")
+	s.Changed("traces/trace-000001.jsonl")
 
-	compacted := []byte("compacted\n")
-	writeFile(t, path, compacted)
-	s.Changed("traces/job-1.trace.jsonl")
+	shorter := []byte("shorter\n")
+	writeFile(t, path, shorter)
+	s.Changed("traces/trace-000001.jsonl")
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got := readFile(t, filepath.Join(sink.root, "traces", "job-1.trace.jsonl"+partSuffix))
-	if string(got) != string(compacted) {
-		t.Fatalf("sink holds %q, want the compacted content %q", got, compacted)
+	got := readFile(t, filepath.Join(sink.root, "traces", "trace-000001.jsonl"+partSuffix))
+	if string(got) != string(shorter) {
+		t.Fatalf("sink holds %q, want the local content %q", got, shorter)
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,7 +31,7 @@ func terminalEvent(seq int) events.Event {
 }
 
 // TestAppendReadRoundTrip: events come back in order, bit-identical,
-// and the terminal event closes the job's descriptor.
+// and the terminal event creates no file of the job's own.
 func TestAppendReadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -49,10 +51,10 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	if err := s.Append(fin); err != nil {
 		t.Fatal(err)
 	}
-	if s.jobs["job-1"].f != nil {
-		t.Fatal("terminal event left the job file open")
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != "trace-000001.jsonl" {
+		t.Fatalf("a finished job left %v, want the one shared segment", names)
 	}
-	got, err := s.ReadJob("job-1")
+	got, err := Read(dir, "job-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,17 +63,31 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("round trip mismatch:\n got %s\nwant %s", a, b)
 	}
-	// The package-level reader (post-mortem path) agrees.
-	got2, err := Read(dir, "job-1")
+	// The one-pass reader (the boot path) agrees.
+	all, err := ReadAll(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got2) != len(want) {
-		t.Fatalf("Read returned %d events, want %d", len(got2), len(want))
+	if len(all) != 1 || len(all["job-1"]) != len(want) {
+		t.Fatalf("ReadAll returned %d jobs, %d events for job-1; want 1, %d", len(all), len(all["job-1"]), len(want))
 	}
 	if s.Bytes() <= 0 {
 		t.Fatal("Bytes() not accounted")
 	}
+}
+
+// dirNames lists a directory's entries.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // TestTornTailTolerated: a trace ending in half a record (crash
@@ -90,7 +106,7 @@ func TestTornTailTolerated(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "job-1.trace.jsonl")
+	path := filepath.Join(dir, segmentName(1))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -108,17 +124,28 @@ func TestTornTailTolerated(t *testing.T) {
 	}
 }
 
-// TestMissingTraceIsEmpty: a job with no file is an empty trace, not an
-// error; a bad job ID is rejected.
+// TestMissingTraceIsEmpty: a job the log never saw is an empty trace, not
+// an error — in an empty directory, in a missing one and beside other
+// jobs' events; a bad job ID is rejected.
 func TestMissingTraceIsEmpty(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs, err := s.ReadJob("job-404")
-	if err != nil || evs != nil {
-		t.Fatalf("missing trace: got %v, %v; want nil, nil", evs, err)
+	// job-4040 is not job-404: the last pass reads past its events.
+	other := point(1)
+	other.JobID = "job-4040"
+	for i, d := range []string{dir, filepath.Join(dir, "never-made"), dir} {
+		if i == 2 {
+			if err := s.Append(other); err != nil {
+				t.Fatal(err)
+			}
+		}
+		evs, err := Read(d, "job-404")
+		if err != nil || evs != nil {
+			t.Fatalf("missing trace in %s: got %v, %v; want nil, nil", d, evs, err)
+		}
 	}
 	if _, err := Read(dir, "../escape"); err == nil {
 		t.Fatal("path-traversal job ID accepted")
@@ -128,179 +155,10 @@ func TestMissingTraceIsEmpty(t *testing.T) {
 	}
 }
 
-// TestCompactionDropsObservationalKeepsCurve: crossing MaxBytes rewrites
-// the file keeping every curve point and status transition, dropping
-// retries/deadlines/failure charges, and the rewrite is atomic (no temp
-// file survives, appends continue on the compacted file).
-func TestCompactionDropsObservationalKeepsCurve(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{MaxBytes: 2 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := 0
-	next := func(ev events.Event) events.Event {
-		seq++
-		ev.Seq = uint64(seq)
-		ev.JobID = "job-1"
-		return ev
-	}
-	var curve []uint64
-	// Interleave curve points with observational noise until well past
-	// the threshold.
-	for s.Bytes() < 8<<10 {
-		ev := next(point(seq + 1))
-		curve = append(curve, ev.Seq)
-		if err := s.Append(ev); err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < 3; j++ {
-			noise := next(events.Event{Type: events.TypeRetry, Attempt: 1, Error: "injected: transient failure with a long message to pad the line"})
-			if err := s.Append(noise); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	fin := next(events.Event{Type: events.TypeStatus, Status: "done", Terminal: true})
-	if err := s.Append(fin); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.ReadJob("job-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotCurve []uint64
-	noiseSurvived := 0
-	for _, ev := range got {
-		switch ev.Type {
-		case events.TypeCurvePoint:
-			gotCurve = append(gotCurve, ev.Seq)
-		case events.TypeStatus:
-		default:
-			// Observational events appended since the last compaction may
-			// survive; compaction must have shed the bulk of them.
-			noiseSurvived++
-		}
-	}
-	if len(gotCurve) != len(curve) {
-		t.Fatalf("compaction lost curve points: %d of %d survive", len(gotCurve), len(curve))
-	}
-	for i := range curve {
-		if gotCurve[i] != curve[i] {
-			t.Fatalf("curve seq %d became %d after compaction", curve[i], gotCurve[i])
-		}
-	}
-	if got[len(got)-1].Seq != fin.Seq || !got[len(got)-1].Terminal {
-		t.Fatal("terminal event missing after compaction")
-	}
-	if noiseAppended := 3 * len(curve); noiseSurvived >= noiseAppended/2 {
-		t.Fatalf("%d of %d observational events survive: compaction never shed them", noiseSurvived, noiseAppended)
-	}
-	st, err := os.Stat(filepath.Join(dir, "job-1.trace.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "job-1.trace.jsonl"+tmpSuffix)); !os.IsNotExist(err) {
-		t.Fatal("compaction left its temp file behind")
-	}
-	if s.Bytes() != st.Size() {
-		t.Fatalf("Bytes() = %d, file is %d", s.Bytes(), st.Size())
-	}
-}
-
-// TestCompactionConcurrentWithAppends: many goroutines appending to the
-// same job while compaction fires repeatedly must lose nothing durable
-// and keep the file readable at every moment.
-func TestCompactionConcurrentWithAppends(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{MaxBytes: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const (
-		writers = 4
-		perW    = 100
-	)
-	var seqMu sync.Mutex
-	seq := uint64(0)
-	nextSeq := func() uint64 {
-		seqMu.Lock()
-		defer seqMu.Unlock()
-		seq++
-		return seq
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	// A concurrent reader: the file must decode cleanly at all times.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := s.ReadJob("job-1"); err != nil {
-				t.Errorf("concurrent read failed: %v", err)
-				return
-			}
-		}
-	}()
-	var appendWG sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		appendWG.Add(1)
-		go func() {
-			defer appendWG.Done()
-			for i := 0; i < perW; i++ {
-				n := nextSeq()
-				ev := events.Event{Seq: n, Type: events.TypeCurvePoint, JobID: "job-1",
-					Point: &trace.Point{Evaluations: int(n), BestScore: float64(n)}}
-				if n%3 == 0 {
-					ev = events.Event{Seq: n, Type: events.TypeRetry, JobID: "job-1", Attempt: 1,
-						Error: "injected: padding padding padding padding padding padding"}
-				}
-				if err := s.Append(ev); err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	appendWG.Wait()
-	close(stop)
-	wg.Wait()
-	got, err := s.ReadJob("job-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every curve point ever appended must survive exactly once (only
-	// observational events are shed). Writers race the job lock, so the
-	// on-disk order is lock-win order, not global seq order — the real
-	// daemon publishes through the hub, which serializes per job.
-	seen := map[uint64]int{}
-	for _, ev := range got {
-		if ev.Type == events.TypeCurvePoint {
-			seen[ev.Seq]++
-		}
-	}
-	for n := uint64(1); n <= writers*perW; n++ {
-		if n%3 == 0 {
-			continue
-		}
-		if seen[n] != 1 {
-			t.Fatalf("curve point seq %d present %d times, want exactly once", n, seen[n])
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestReopenReplaysByteIdentically: a new store over the same directory
-// (the restart path) serves the pre-crash events byte-identically and
-// re-tallies the on-disk size; a stale temp file from a crashed
-// compaction is swept without touching the real trace.
+// (the restart path) serves the pre-crash events byte-identically,
+// re-tallies the on-disk size and leaves the previous life's segment as it
+// found it.
 func TestReopenReplaysByteIdentically(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir, Options{})
@@ -312,24 +170,21 @@ func TestReopenReplaysByteIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, err := s1.ReadJob("job-1")
+	before, err := Read(dir, "job-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantBytes := s1.Bytes()
-	// Abandon s1 without Close — the crash. Leave a half-written temp
-	// file as a crashed compaction would.
-	if err := os.WriteFile(filepath.Join(dir, "job-1.trace.jsonl"+tmpSuffix), []byte(`{"seq":1`), 0o644); err != nil {
+	onDisk, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
+	if err != nil {
 		t.Fatal(err)
 	}
+	// Abandon s1 without Close — the crash.
 	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "job-1.trace.jsonl"+tmpSuffix)); !os.IsNotExist(err) {
-		t.Fatal("stale temp file survived Open")
-	}
-	after, err := s2.ReadJob("job-1")
+	after, err := Read(dir, "job-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,15 +196,21 @@ func TestReopenReplaysByteIdentically(t *testing.T) {
 	if s2.Bytes() != wantBytes {
 		t.Fatalf("reopened Bytes() = %d, want %d", s2.Bytes(), wantBytes)
 	}
-	if ids, err := s2.Jobs(); err != nil || len(ids) != 1 || ids[0] != "job-1" {
-		t.Fatalf("Jobs() = %v, %v; want [job-1]", ids, err)
+	if err := s2.Append(point(8)); err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := os.ReadFile(filepath.Join(dir, segmentName(1))); !bytes.Equal(now, onDisk) {
+		t.Fatal("the reopened store wrote into the previous life's segment")
+	}
+	if evs, err := Read(dir, "job-1"); err != nil || len(evs) != 8 || evs[7].Seq != 8 {
+		t.Fatalf("after the reopen's append: %d events, %v; want 8", len(evs), err)
 	}
 }
 
-// TestCloseIsTerminal: once the store is closed an Append must not reopen
-// the job's file — for a job that had one open, and for one that never
-// did — so a writer that outlives Close cannot write beside whoever
-// opened the directory next. Reads keep working.
+// TestCloseIsTerminal: once the store is closed an Append must not write
+// — for a job the log already knows, and for one it does not — so a
+// writer that outlives Close cannot write beside whoever opened the
+// directory next. Reads keep working.
 func TestCloseIsTerminal(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -362,7 +223,7 @@ func TestCloseIsTerminal(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before, err := os.ReadFile(filepath.Join(dir, "job-1.trace.jsonl"))
+	before, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,17 +235,232 @@ func TestCloseIsTerminal(t *testing.T) {
 			t.Fatalf("Append(%s) after Close = %v, want ErrClosed", ev.JobID, err)
 		}
 	}
-	after, _ := os.ReadFile(filepath.Join(dir, "job-1.trace.jsonl"))
+	after, _ := os.ReadFile(filepath.Join(dir, segmentName(1)))
 	if !bytes.Equal(before, after) {
 		t.Fatalf("a closed store wrote %d bytes", len(after)-len(before))
 	}
-	if _, err := os.Stat(filepath.Join(dir, "job-2.trace.jsonl")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("a closed store created a trace file: %v", err)
+	if names := dirNames(t, dir); len(names) != 1 {
+		t.Fatalf("a closed store created a file: %v", names)
 	}
-	if evs, err := s.ReadJob("job-1"); err != nil || len(evs) != 1 {
-		t.Fatalf("ReadJob after Close = %d events, %v", len(evs), err)
+	if evs, err := Read(dir, "job-1"); err != nil || len(evs) != 1 {
+		t.Fatalf("Read after Close = %d events, %v", len(evs), err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestOpenRefusesPerJobLayout: a traces directory written by the per-job
+// layout is refused by name, with what to do about it, instead of booting
+// with silently empty traces; so are the readers.
+func TestOpenRefusesPerJobLayout(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"job-2.trace.jsonl", "job-1.trace.jsonl"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := Open(dir, Options{})
+	if err == nil {
+		t.Fatal("Open accepted a directory of per-job trace files")
+	}
+	for _, want := range []string{filepath.Join(dir, "job-1.trace.jsonl"), "move", "journal"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not mention %q", err, want)
+		}
+	}
+	if _, err := ReadAll(dir); err == nil {
+		t.Error("ReadAll accepted a directory of per-job trace files")
+	}
+	if names := dirNames(t, dir); len(names) != 2 {
+		t.Errorf("the refused directory was touched: %v", names)
+	}
+}
+
+// TestCrashReopenLosesNothingBehindTear: a segment cut mid-line (the
+// kill -9 signature), a reopen and new appends — every whole event before
+// the tear and every event after the reopen reads back, per job in
+// sequence order. Nothing is appended behind the tear, where a reader
+// would never find it.
+func TestCrashReopenLosesNothingBehindTear(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := func(i int) events.Event {
+		ev := point(i)
+		ev.JobID = "job-2"
+		return ev
+	}
+	for i := 1; i <= 3; i++ {
+		for _, ev := range []events.Event{point(i), other(i)} {
+			if err := s1.Append(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The crash: s1 is abandoned and its last line (job-2's third event)
+	// only half reached the disk.
+	path := filepath.Join(dir, segmentName(1))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, int64(len(raw)-20)); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Append(other(3)); err != nil { // the hub re-issues the lost sequence number
+		t.Fatal(err)
+	}
+	for _, ev := range []events.Event{point(4), terminalEvent(5), other(4)} {
+		if err := s2.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	all, err := ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range map[string]int{"job-1": 5, "job-2": 4} {
+		one, err := Read(dir, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(one)
+		b, _ := json.Marshal(all[id])
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: Read and ReadAll disagree:\n %s\n %s", id, a, b)
+		}
+		if len(one) != want {
+			t.Fatalf("%s: %d events read back, want %d", id, len(one), want)
+		}
+		for i, ev := range one {
+			if ev.Seq != uint64(i+1) {
+				t.Fatalf("%s: seq %d at position %d", id, ev.Seq, i)
+			}
+		}
+	}
+	if !all["job-1"][4].Terminal {
+		t.Fatal("the terminal event written after the reopen was lost")
+	}
+	if s2.Bytes() != diskBytes(t, dir) {
+		t.Fatalf("Bytes() = %d, the directory holds %d", s2.Bytes(), diskBytes(t, dir))
+	}
+}
+
+// diskBytes sums the sizes of a directory's files.
+func diskBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	var total int64
+	for _, name := range dirNames(t, dir) {
+		st, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += st.Size()
+	}
+	return total
+}
+
+// TestRotationConcurrentAppends: eight goroutines, eight jobs each,
+// through one store whose segments hold 4 KiB. Per job every sequence
+// number reads back exactly once and in order across the segments; every
+// sealed segment is announced by exactly one OnChange(name, true), after
+// which it is neither announced nor written again; Bytes() is what the
+// directory holds.
+func TestRotationConcurrentAppends(t *testing.T) {
+	const (
+		writers = 8
+		jobsPer = 8
+		perJob  = 40
+	)
+	dir := t.TempDir()
+	sealedSize := map[string]int64{} // written under the store's lock
+	opts := Options{MaxBytes: 4 << 10, OnChange: func(name string, sealed bool) {
+		if _, again := sealedSize[name]; again {
+			t.Errorf("%s announced (sealed=%v) after it was sealed", name, sealed)
+		}
+		if sealed {
+			st, err := os.Stat(filepath.Join(dir, name))
+			if err != nil {
+				t.Errorf("sealed segment: %v", err)
+				return
+			}
+			sealedSize[name] = st.Size()
+		}
+	}}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Round-robin over the goroutine's own jobs: each job's events
+			// reach the store in sequence order, as the hub delivers them.
+			for seq := 1; seq <= perJob; seq++ {
+				for j := 0; j < jobsPer; j++ {
+					ev := point(seq)
+					if seq == perJob {
+						ev = terminalEvent(seq)
+					}
+					ev.JobID = fmt.Sprintf("job-%d", w*jobsPer+j+1)
+					if err := s.Append(ev); err != nil {
+						t.Errorf("append: %v", err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	all, err := ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != writers*jobsPer {
+		t.Fatalf("%d jobs read back, want %d", len(all), writers*jobsPer)
+	}
+	for id, evs := range all {
+		if len(evs) != perJob {
+			t.Fatalf("%s: %d events, want %d", id, len(evs), perJob)
+		}
+		for i, ev := range evs {
+			if ev.Seq != uint64(i+1) {
+				t.Fatalf("%s: seq %d at position %d", id, ev.Seq, i)
+			}
+		}
+	}
+	one, err := Read(dir, "job-1") // not job-10 … job-19
+	if err != nil || len(one) != perJob {
+		t.Fatalf("Read(job-1) = %d events, %v; want %d", len(one), err, perJob)
+	}
+	names := dirNames(t, dir)
+	if len(sealedSize) < 10 || len(names)-len(sealedSize) > 1 {
+		t.Fatalf("%d segments on disk, %d sealed: want many, and at most the last one unsealed", len(names), len(sealedSize))
+	}
+	for name, size := range sealedSize {
+		if st, err := os.Stat(filepath.Join(dir, name)); err != nil || st.Size() != size {
+			t.Errorf("%s was %d bytes when sealed, now %v, %v", name, size, st.Size(), err)
+		}
+		if size < opts.MaxBytes {
+			t.Errorf("%s sealed at %d bytes, below the %d-byte segment size", name, size, opts.MaxBytes)
+		}
+	}
+	if s.Bytes() != diskBytes(t, dir) {
+		t.Fatalf("Bytes() = %d, the directory holds %d", s.Bytes(), diskBytes(t, dir))
 	}
 }
