@@ -46,15 +46,18 @@ vet-bench:
 # membership churn, shutdown mid-promotion). And for the shared trace log:
 # rotation under concurrent appenders, the reopen after a torn line, the
 # rebuild that must serve a trace byte for byte, and the replica whose
-# manifest may not grow with the number of jobs.
+# manifest may not grow with the number of jobs. And for the boot: the
+# history loaded once by whoever reads it first, the restart that serves a
+# finished, an interrupted and a resumable job as before, the boot that
+# fails and leaves nothing running.
 cpus:
 	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge' \
 		./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
 	$(GO) test -cpu 1,2,4 -count 5 -run 'TestCoordinator|TestSubmitRetry|TestMemberJournal|TestRing|TestMultiSink|TestShipper|TestDirSink|TestRestore' \
 		./internal/coord/ ./internal/serve/shipper/
 	$(GO) test -cpu 1,2,4 -count 1 -run 'TestFailover|TestMembership|TestShutdownJoinsFailover' ./internal/coord/
-	$(GO) test -cpu 1,2,4 -count 3 -run 'TestRotationConcurrentAppends|TestCrashReopen|TestTraceByteIdenticalAcrossRebuild|TestNoPerJobSeal' \
-		./internal/serve/tracestore/ ./internal/serve/
+	$(GO) test -cpu 1,2,4 -count 3 -run 'TestRotationConcurrentAppends|TestCrashReopen|TestTraceByteIdenticalAcrossRebuild|TestNoPerJobSeal|TestPrime|TestRestartServesThreeKindsOfJob|TestFailedBoot' \
+		./internal/serve/tracestore/ ./internal/serve/ ./internal/events/
 
 # Crash-safety suite: journal replay/compaction, kill/restart recovery,
 # panic isolation, retry + failure budget, timeout/shutdown reasons, drain.
@@ -119,6 +122,7 @@ membership:
 # One-iteration smoke run so the benchmarks can never rot; part of check.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem . >/dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkBoot' -benchtime 1x -benchmem ./internal/serve/ >/dev/null
 
 # Multi-tenant scheduler gate under the race detector: the scheduler's
 # unit suite plus the service-level tenant tests — the exact 3:1 grant

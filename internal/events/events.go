@@ -7,11 +7,16 @@
 // events, replacing status polling with push delivery.
 //
 // Every event carries a per-job monotonic sequence number assigned at
-// publish time. The hub retains each job's full event history in memory
-// (jobs are bounded by their trial counts, and the manager already keeps
-// the trial list for the same lifetime), so a subscriber can join late or
-// reconnect and resume from any sequence number with exactly-once,
-// in-order delivery. Per-subscriber buffers are bounded: a consumer that
+// publish time. The hub retains each job's full event history (jobs are
+// bounded by their trial counts, and the manager already keeps the trial
+// list for the same lifetime), so a subscriber can join late or reconnect
+// and resume from any sequence number with exactly-once, in-order
+// delivery. Events of this process life are retained decoded, as
+// published; a job that finished in an earlier life is primed with its
+// last sequence number and a loader (Prime), its history held as the
+// durable log's lines and decoded — once, then retained like any other —
+// the first time Since or Subscribe reads it. A restart therefore pays
+// for the jobs somebody asks about, not for every job there ever was. Per-subscriber buffers are bounded: a consumer that
 // falls behind has events dropped from its channel (never from the
 // history), the drops are counted, and the consumer recovers by reading
 // the history from its last seen sequence.

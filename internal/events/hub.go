@@ -48,6 +48,9 @@ type Hub struct {
 type feed struct {
 	mu      sync.Mutex
 	history []Event
+	// load, while non-nil, is an earlier process life's history not yet
+	// decoded (Prime); the first reader runs it, once, under mu.
+	load    func() []Event
 	nextSeq uint64
 	done    bool
 	subs    map[*Subscription]struct{}
@@ -131,26 +134,36 @@ func (h *Hub) Publish(jobID string, ev Event) Event {
 	return ev
 }
 
-// Prime preloads a job's event history — read back from the durable
-// trace store after a restart — so sequence numbers continue where the
-// previous process stopped and subscribers can resume across restarts.
-// It only applies to an untouched feed; a feed that already has events
-// is left alone. Primed events do not count as published and do not
-// reach the sink (they are already durable).
-func (h *Hub) Prime(jobID string, history []Event) {
-	if len(history) == 0 {
+// Prime re-arms a job's feed after a restart from what the durable trace
+// store holds of it: lastSeq is the sequence number of its newest event,
+// so numbering continues where the previous process stopped, done says
+// that event was terminal, and load decodes the history. A feed that will
+// publish again (not done) is loaded at once; a done feed the first time
+// Since or Subscribe reads it — LastSeq, Done and a post-terminal Publish
+// never load. load runs at most once, with the feed's lock held, and must
+// not call back into the hub; what it returns is retained like any other
+// history. Prime only applies to an untouched feed. Primed events do not
+// count as published and do not reach the sink (they are already durable).
+func (h *Hub) Prime(jobID string, lastSeq uint64, done bool, load func() []Event) {
+	if lastSeq == 0 {
 		return
 	}
 	f := h.getFeed(jobID)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.history) > 0 || f.done {
+	if f.nextSeq > 1 || f.done {
 		return
 	}
-	f.history = append(f.history, history...)
-	f.nextSeq = history[len(history)-1].Seq + 1
-	if history[len(history)-1].Terminal {
-		f.done = true
+	f.nextSeq, f.done, f.load = lastSeq+1, done, load
+	if !done {
+		f.loadLocked()
+	}
+}
+
+// loadLocked decodes a primed history the first time it is needed.
+func (f *feed) loadLocked() {
+	if f.load != nil {
+		f.history, f.load = f.load(), nil
 	}
 }
 
@@ -165,6 +178,7 @@ func (h *Hub) Subscribe(jobID string, afterSeq uint64) (*Subscription, []Event) 
 	sub.C = sub.ch
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.loadLocked()
 	backlog := eventsAfter(f.history, afterSeq)
 	if f.done {
 		sub.closed = true
@@ -211,6 +225,7 @@ func (h *Hub) Since(jobID string, afterSeq uint64) []Event {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.loadLocked()
 	return eventsAfter(f.history, afterSeq)
 }
 

@@ -3,6 +3,7 @@ package events
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,7 +159,8 @@ func TestPrimeContinuesSequence(t *testing.T) {
 		{Seq: 1, Type: TypeCurvePoint, JobID: "j"},
 		{Seq: 2, Type: TypeCurvePoint, JobID: "j"},
 	}
-	h.Prime("j", hist)
+	load := func() []Event { return hist }
+	h.Prime("j", 2, false, load)
 	if got := h.Stats().Published; got != 0 {
 		t.Fatalf("Published = %d after Prime, want 0", got)
 	}
@@ -166,17 +168,115 @@ func TestPrimeContinuesSequence(t *testing.T) {
 		t.Fatalf("publish after prime got seq %d, want 3", ev.Seq)
 	}
 	// Prime on a feed with events is a no-op.
-	h.Prime("j", hist)
+	h.Prime("j", 2, false, load)
 	if got := h.LastSeq("j"); got != 3 {
 		t.Fatalf("LastSeq = %d after redundant Prime, want 3", got)
 	}
 
-	h.Prime("done-job", []Event{{Seq: 7, Type: TypeStatus, Status: "done", Terminal: true}})
+	h.Prime("done-job", 7, true, func() []Event {
+		return []Event{{Seq: 7, Type: TypeStatus, Status: "done", Terminal: true}}
+	})
 	if !h.Done("done-job") {
 		t.Fatal("feed primed with a terminal tail is not done")
 	}
 	if ev := h.Publish("done-job", curveEvent(1)); ev.Seq != 0 {
 		t.Fatal("publish accepted on a feed primed terminal")
+	}
+}
+
+// TestPrimeLoadsDoneFeedOnFirstRead: a finished job's history of an
+// earlier life stays undecoded until Since or Subscribe reads it. LastSeq,
+// Done and a post-terminal Publish never run the loader; readers racing
+// from many goroutines run it exactly once and all see the same events.
+func TestPrimeLoadsDoneFeedOnFirstRead(t *testing.T) {
+	h := NewHub(Options{})
+	hist := make([]Event, 9)
+	for i := range hist {
+		hist[i] = curveEvent(i + 1)
+		hist[i].Seq, hist[i].JobID = uint64(i+1), "j"
+	}
+	hist[8] = Event{Seq: 9, Type: TypeStatus, JobID: "j", Status: "done", Terminal: true}
+	var loads atomic.Int64
+	h.Prime("j", 9, true, func() []Event {
+		loads.Add(1)
+		return hist
+	})
+	if got := h.LastSeq("j"); got != 9 {
+		t.Fatalf("LastSeq = %d, want 9", got)
+	}
+	if !h.Done("j") {
+		t.Fatal("feed primed done is not done")
+	}
+	if ev := h.Publish("j", curveEvent(10)); ev.Seq != 0 {
+		t.Fatalf("post-terminal publish got seq %d, want 0", ev.Seq)
+	}
+	if n := loads.Load(); n != 0 {
+		t.Fatalf("loader ran %d times before any read, want 0", n)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if all := h.Since("j", 0); len(all) != 9 || all[0].Seq != 1 || !all[8].Terminal {
+				t.Errorf("goroutine %d: Since(0) = %d events", g, len(all))
+			}
+			if tail := h.Since("j", 4); len(tail) != 5 || tail[0].Seq != 5 {
+				t.Errorf("goroutine %d: Since(4) = %d events", g, len(tail))
+			}
+			sub, backlog := h.Subscribe("j", 6)
+			defer sub.Close()
+			if len(backlog) != 3 || backlog[0].Seq != 7 {
+				t.Errorf("goroutine %d: Subscribe(6) backlog = %d events", g, len(backlog))
+			}
+			if _, open := <-sub.C; open {
+				t.Errorf("goroutine %d: a finished feed's channel is open", g)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := loads.Load(); n != 1 {
+		t.Fatalf("loader ran %d times, want exactly 1", n)
+	}
+	if got := h.Stats(); got.Published != 0 || got.Subscribers != 0 {
+		t.Fatalf("stats after reads = %+v, want nothing published, nobody subscribed", got)
+	}
+}
+
+// TestPrimeNotDoneFeedContinues: a feed that will publish again is loaded
+// at Prime, numbers on from last+1, and a subscriber gets the earlier
+// life's backlog plus the live events exactly once, in order.
+func TestPrimeNotDoneFeedContinues(t *testing.T) {
+	var sunk []uint64
+	h := NewHub(Options{Sink: func(ev Event) { sunk = append(sunk, ev.Seq) }})
+	loads := 0
+	h.Prime("j", 3, false, func() []Event {
+		loads++
+		return []Event{{Seq: 1, JobID: "j"}, {Seq: 2, JobID: "j"}, {Seq: 3, JobID: "j"}}
+	})
+	if loads != 1 {
+		t.Fatalf("loader ran %d times at Prime of a live feed, want 1", loads)
+	}
+	sub, backlog := h.Subscribe("j", 1)
+	defer sub.Close()
+	if ev := h.Publish("j", curveEvent(4)); ev.Seq != 4 {
+		t.Fatalf("first publish after Prime got seq %d, want 4", ev.Seq)
+	}
+	h.Publish("j", Event{Type: TypeStatus, Status: "done", Terminal: true})
+	got := collect(sub, backlog, 4, 2*time.Second)
+	if len(got) != 4 {
+		t.Fatalf("backlog + live = %d events, want 4", len(got))
+	}
+	for i, ev := range got {
+		if ev.Seq != uint64(i+2) {
+			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, i+2)
+		}
+	}
+	if all := h.Since("j", 0); len(all) != 5 || loads != 1 {
+		t.Fatalf("Since(0) = %d events after %d loads, want 5 after 1", len(all), loads)
+	}
+	if len(sunk) != 2 || sunk[0] != 4 || sunk[1] != 5 {
+		t.Fatalf("sink saw %v, want only this life's 4 and 5", sunk)
 	}
 }
 

@@ -276,6 +276,14 @@ type Manager struct {
 
 	journal *journal.Writer // nil when persistence is disabled
 
+	// boot is what NewManagerFromJournal cost, set once before it returns:
+	// the whole call, replay through compaction, the trace log's filing
+	// pass beside it; jobs came back, live of them were launched again.
+	boot struct {
+		total, journal, trace time.Duration
+		jobs, live            int
+	}
+
 	mu     sync.Mutex
 	seq    int
 	jobs   map[string]*Job
@@ -331,38 +339,76 @@ func NewManager(cfg Config) *Manager {
 // process's job table rebuilt: terminal jobs are restored with their
 // results and anytime curves, jobs that were mid-run when the process
 // died are marked cancelled with reason "interrupted", and jobs that
-// were still queued are re-enqueued and run again. The journal is
-// compacted to one submit (plus one terminal) record per job before new
-// records are appended; while the daemon runs, segments past
-// JournalMaxBytes are rotated and re-compacted online.
-func NewManagerFromJournal(cfg Config) (*Manager, error) {
+// were still queued are re-enqueued and run again.
+//
+// A boot decodes the journal once and the trace log not at all. In order:
+// the journal is replayed, every job's spec decoded, mid-run jobs
+// reclassified and the journal compacted to one submit (plus one
+// terminal) record per job — while, on a goroutine of its own because
+// the trace log is an independent file, tracestore.ReadAll files the
+// log's lines under their jobs. The two are joined, this life's trace
+// segment and journal segment opened, and the whole table built:
+// register, sched.Restore, and the event feed primed with the sequence
+// number and done flag of the job's newest trace event, its history left
+// as lines until somebody reads it (events.Hub.Prime). Only then are the
+// queued jobs launched, so nothing runs before the table is whole and a
+// boot that fails leaves nothing running and nothing open. While the
+// daemon runs, journal segments past JournalMaxBytes are rotated and
+// re-compacted online.
+func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("serve: NewManagerFromJournal needs Config.DataDir")
 	}
+	begin := time.Now()
+	type filedTrace struct {
+		history map[string]tracestore.History
+		err     error
+		took    time.Duration
+	}
+	filed := make(chan filedTrace, 1) // buffered: a journal error returns without waiting for the reader
+	go func() {
+		history, err := tracestore.ReadAll(TraceDir(cfg.DataDir))
+		filed <- filedTrace{history, err, time.Since(begin)}
+	}()
 	states, err := journal.Replay(cfg.DataDir)
 	if err != nil {
 		return nil, err
 	}
-	now := time.Now()
+	specs := make([]JobSpec, len(states))
 	for i := range states {
-		if states[i].Status != string(StatusRunning) {
+		st := &states[i]
+		if len(st.Spec) > 0 {
+			if err := json.Unmarshal(st.Spec, &specs[i]); err != nil {
+				return nil, fmt.Errorf("serve: replaying %s: %w", st.ID, err)
+			}
+		}
+		if st.Status != string(StatusRunning) {
 			continue
 		}
-		if len(states[i].Checkpoint) > 0 {
+		if len(st.Checkpoint) > 0 {
 			// The job had yielded at a rung boundary at least once before
 			// the process died: its journaled checkpoint makes it resumable
 			// instead of lost — back to queued, to replay from the prefix.
-			states[i].Status = string(StatusQueued)
+			st.Status = string(StatusQueued)
 			continue
 		}
-		states[i].Status = string(StatusCancelled)
-		states[i].Reason = string(ReasonInterrupted)
-		states[i].FinishedAt = now
+		st.Status = string(StatusCancelled)
+		st.Reason = string(ReasonInterrupted)
+		st.FinishedAt = begin
 	}
 	if err := journal.Compact(cfg.DataDir, states); err != nil {
 		return nil, err
 	}
 	m := NewManager(cfg)
+	m.boot.journal, m.boot.jobs = time.Since(begin), len(states)
+	defer func() {
+		if err != nil {
+			// Nothing is registered yet: this stops the janitor and closes
+			// whichever of the two logs did open. The boot's error is the
+			// one to report.
+			_ = m.Shutdown(context.Background())
+		}
+	}()
 	traceOpts := tracestore.Options{MaxBytes: m.cfg.TraceMaxBytes}
 	if ship := cfg.Shipper; ship != nil {
 		// Trace segments ship under their directory-relative name so a
@@ -376,12 +422,10 @@ func NewManagerFromJournal(cfg Config) (*Manager, error) {
 			}
 		}
 	}
-	// Re-arm the event feeds from the durable trace, read in one pass
-	// before this life's segment is opened: sequence numbers continue
-	// where the dead process stopped, and subscribers can resume (or fetch
-	// the full pre-crash curve) across the restart.
-	history, err := tracestore.ReadAll(TraceDir(cfg.DataDir))
-	if err != nil {
+	// The filing pass read the log before this life's segment is opened.
+	log := <-filed
+	m.boot.trace = log.took
+	if log.err != nil {
 		m.traceErrs.Add(1)
 	}
 	traces, err := tracestore.Open(TraceDir(cfg.DataDir), traceOpts)
@@ -412,16 +456,11 @@ func NewManagerFromJournal(cfg Config) (*Manager, error) {
 		// files that will never change again.
 		cfg.Shipper.SnapshotRoot(w.ActiveSegment(), traces.ActiveSegment())
 	}
-	for _, st := range states {
-		var spec JobSpec
-		if len(st.Spec) > 0 {
-			if err := json.Unmarshal(st.Spec, &spec); err != nil {
-				return nil, fmt.Errorf("serve: replaying %s: %w", st.ID, err)
-			}
-		}
+	var live []*Job
+	for i, st := range states {
 		job := &Job{
 			ID:        st.ID,
-			Spec:      spec,
+			Spec:      specs[i],
 			token:     st.Token,
 			cancel:    func() {},
 			submitted: st.SubmittedAt,
@@ -431,7 +470,19 @@ func NewManagerFromJournal(cfg Config) (*Manager, error) {
 			preempts: st.Preemptions,
 		}
 		m.register(job)
-		m.hub.Prime(st.ID, history[st.ID])
+		// Re-arm the event feed: sequence numbers continue where the dead
+		// process stopped, and subscribers can resume (or fetch the full
+		// pre-crash curve) across the restart.
+		history := log.history[st.ID]
+		if last, ok := history.Last(); ok {
+			m.hub.Prime(st.ID, last.Seq, last.Terminal, func() []events.Event {
+				evs, err := history.Events()
+				if err != nil {
+					m.traceErrs.Add(1)
+				}
+				return evs
+			})
+		}
 		// Re-seed the tenant's cumulative accounting (service = the
 		// curve's final cumulative budget — exactly what was charged) so
 		// /tenants survives the restart; virtual times restart level.
@@ -443,8 +494,7 @@ func NewManagerFromJournal(cfg Config) (*Manager, error) {
 			// Queued (or checkpoint-resumable) when the process died: run
 			// it again under this manager (the compacted journal already
 			// holds its submit record, so launching appends only the new
-			// transitions). Replayed jobs bypass admission control — they
-			// were already accepted once.
+			// transitions).
 			job.status = StatusQueued
 			if len(st.Checkpoint) > 0 {
 				if err := job.restoreCheckpoint(st.Checkpoint); err != nil {
@@ -456,8 +506,7 @@ func NewManagerFromJournal(cfg Config) (*Manager, error) {
 				}
 			}
 			m.sched.Restore(job.tenant(), service, int64(st.Evaluations), int64(st.Preemptions))
-			ticket, _ := m.sched.Enqueue(job.tenant(), job.ID, true) // bypass: never errors
-			m.launch(job, ticket)
+			live = append(live, job)
 			continue
 		}
 		m.sched.Restore(job.tenant(), service, int64(st.Evaluations), int64(st.Preemptions))
@@ -480,6 +529,14 @@ func NewManagerFromJournal(cfg Config) (*Manager, error) {
 			m.publishStatus(job, true, st.FinishedAt)
 		}
 	}
+	// The table is whole and every tenant's accounting re-seeded: only now
+	// may the scheduler grant. Replayed jobs bypass admission control —
+	// they were already accepted once.
+	for _, job := range live {
+		ticket, _ := m.sched.Enqueue(job.tenant(), job.ID, true) // bypass: never errors
+		m.launch(job, ticket)
+	}
+	m.boot.live, m.boot.total = len(live), time.Since(begin)
 	return m, nil
 }
 
@@ -1211,7 +1268,17 @@ type Metrics struct {
 	SegmentsShipped   int64   `json:"segments_shipped"`
 	ShipRetries       int64   `json:"ship_retries"`
 	ShipBytes         int64   `json:"ship_bytes"`
+	// What the boot from the journal cost (all 0 without one): the whole
+	// NewManagerFromJournal call, its replay + compaction, and the trace
+	// log's filing pass, which runs beside that; and the jobs it restored.
+	BootMS        float64 `json:"boot_ms"`
+	BootJournalMS float64 `json:"boot_journal_ms"`
+	BootTraceMS   float64 `json:"boot_trace_ms"`
+	JobsRestored  int     `json:"jobs_restored"`
 }
+
+// ms is a duration in (fractional) milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // Metrics snapshots the service counters.
 func (m *Manager) Metrics() Metrics {
@@ -1235,6 +1302,10 @@ func (m *Manager) Metrics() Metrics {
 		JournalErrors:    m.journalErrs.Load(),
 		TraceStoreErrors: m.traceErrs.Load(),
 		ScopesEvicted:    m.scopesEvicted.Load(),
+		BootMS:           ms(m.boot.total),
+		BootJournalMS:    ms(m.boot.journal),
+		BootTraceMS:      ms(m.boot.trace),
+		JobsRestored:     m.boot.jobs,
 	}
 	es := m.hub.Stats()
 	out.EventSubscribers = es.Subscribers

@@ -155,7 +155,9 @@ func (n *Node) activate(node, dataDir string, replicas []string) (err error) {
 			}
 			return fmt.Errorf("recovering journal: %w", err)
 		}
-		logf("journal at %s recovered (%d jobs) as node %q", dataDir, len(manager.Jobs()), node)
+		b := manager.boot
+		logf("journal at %s recovered (%d jobs, %d live) as node %q in %.1f ms (journal %.1f ms, trace log %.1f ms)",
+			dataDir, b.jobs, b.live, node, ms(b.total), ms(b.journal), ms(b.trace))
 	} else {
 		manager = NewManager(cfg)
 	}

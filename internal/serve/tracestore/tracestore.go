@@ -18,16 +18,21 @@
 // again, and neither is a segment a previous process left behind — every
 // Open starts a new one, so nothing is ever appended behind a torn line
 // (the signature of a crash mid-append). A reader ends a segment at a
-// line that does not decode and goes on to the next.
+// line that is not whole — no newline, not JSON, no job — and goes on to
+// the next.
+//
+// There are two readers. Read decodes one job's events, for post-mortems
+// and tests. ReadAll is the boot path and decodes nothing: it files every
+// line under its job as bytes (History), so a restart costs one
+// validating scan of the log, and an event is decoded when its job's
+// history is first asked for.
 package tracestore
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -237,14 +242,75 @@ func (s *Store) Close() error {
 	return errors.Join(f.Sync(), f.Close())
 }
 
-// ReadAll returns every job's events, per job in publish order, from one
-// sequential pass over the directory's segments — how a booting manager
-// re-arms its event hub. A missing directory is empty.
-func ReadAll(dir string) (map[string][]events.Event, error) {
-	out := map[string][]events.Event{}
-	err := scan(dir, nil, func(ev events.Event) { out[ev.JobID] = append(out[ev.JobID], ev) })
+// History is one job's lines of the log, oldest first, as the store wrote
+// them: whole, valid JSON, not yet decoded. The lines alias the buffer
+// their segment was read into, so one undecoded History keeps its
+// segments' bytes alive.
+type History [][]byte
+
+// Last decodes the newest line that is an event — its Seq and Terminal
+// are all a boot needs of a finished job.
+func (h History) Last() (events.Event, bool) {
+	for i := len(h) - 1; i >= 0; i-- {
+		var ev events.Event
+		if json.Unmarshal(h[i], &ev) == nil {
+			return ev, true
+		}
+	}
+	return events.Event{}, false
+}
+
+// Events decodes the history. A line that is JSON but not an event ends
+// it there: the events before that line are returned with the error.
+func (h History) Events() ([]events.Event, error) {
+	out := make([]events.Event, len(h))
+	for i, line := range h {
+		if err := json.Unmarshal(line, &out[i]); err != nil {
+			return out[:i], fmt.Errorf("tracestore: decoding event: %w", err)
+		}
+	}
+	return out, nil
+}
+
+// ReadAll files every line of the directory's segments under its job, in
+// publish order, without decoding it — how a booting manager re-arms its
+// event hub at the cost of one validating pass over the bytes. A line
+// counts only if it is valid JSON and names its job. A missing directory
+// is empty.
+func ReadAll(dir string) (map[string]History, error) {
+	out := map[string]History{}
+	err := scan(dir, func(line []byte) bool {
+		id := lineJob(line)
+		if len(id) == 0 || !json.Valid(line) {
+			return false
+		}
+		out[string(id)] = append(out[string(id)], line)
+		return true
+	})
 	return out, err
 }
+
+// lineJob returns the job ID of a line Append wrote, nil if it has none.
+// The marker cannot occur inside a JSON string (its quotes would be
+// escaped) and the job field precedes every free-text one, so its first
+// occurrence is the field; an ID that needed escaping is decoded.
+func lineJob(line []byte) []byte {
+	i := bytes.Index(line, jobMarker)
+	if i < 0 {
+		return nil
+	}
+	id := line[i+len(jobMarker):]
+	if end := bytes.IndexAny(id, `"\`); end >= 0 && id[end] == '"' {
+		return id[:end]
+	}
+	var v struct {
+		Job string `json:"job"`
+	}
+	_ = json.Unmarshal(line, &v) // a line that is not JSON has no job
+	return []byte(v.Job)
+}
+
+var jobMarker = []byte(`"job":"`)
 
 // Read returns one job's events in publish order without a Store — the
 // post-mortem path (a crashed daemon's traces can be inspected without
@@ -256,45 +322,45 @@ func Read(dir, jobID string) ([]events.Event, error) {
 		return nil, err
 	}
 	id, _ := json.Marshal(jobID) // a string always encodes
+	filter := append([]byte(`"job":`), id...)
 	var out []events.Event
-	err := scan(dir, append([]byte(`"job":`), id...), func(ev events.Event) {
+	err := scan(dir, func(line []byte) bool {
+		if !bytes.Contains(line, filter) {
+			return true
+		}
+		var ev events.Event
+		if json.Unmarshal(line, &ev) != nil {
+			return false
+		}
 		if ev.JobID == jobID {
 			out = append(out, ev)
 		}
+		return true
 	})
 	return out, err
 }
 
-// scan decodes the directory's segments in sequence order, of the lines
-// that contain filter (nil: all of them). A line that does not decode
-// — a torn tail, which only a crash mid-append leaves and only at the end
-// of a process life's last segment — ends its segment.
-func scan(dir string, filter []byte, fn func(events.Event)) error {
+// scan hands fn the whole lines of the directory's segments, in sequence
+// order, each segment read in one piece. A segment ends at the first line
+// fn refuses or that has no newline — a torn tail, which only a crash
+// mid-append leaves and only at the end of a process life's last segment
+// — and the pass goes on to the next.
+func scan(dir string, fn func(line []byte) bool) error {
 	seqs, _, err := segments(dir)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 64<<10)
 	for _, seq := range seqs {
-		f, err := os.Open(filepath.Join(dir, segmentName(seq)))
+		data, err := os.ReadFile(filepath.Join(dir, segmentName(seq)))
 		if err != nil {
 			return fmt.Errorf("tracestore: %w", err)
 		}
-		lines := bufio.NewScanner(f)
-		lines.Buffer(buf, math.MaxInt) // a line is as long as its error text
-		for lines.Scan() {
-			if !bytes.Contains(lines.Bytes(), filter) {
-				continue
-			}
-			var ev events.Event
-			if json.Unmarshal(lines.Bytes(), &ev) != nil {
+		for {
+			end := bytes.IndexByte(data, '\n')
+			if end < 0 || !fn(data[:end]) {
 				break
 			}
-			fn(ev)
-		}
-		f.Close()
-		if err := lines.Err(); err != nil {
-			return fmt.Errorf("tracestore: reading %s: %w", segmentName(seq), err)
+			data = data[end+1:]
 		}
 	}
 	return nil

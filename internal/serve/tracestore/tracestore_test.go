@@ -68,8 +68,18 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 1 || len(all["job-1"]) != len(want) {
-		t.Fatalf("ReadAll returned %d jobs, %d events for job-1; want 1, %d", len(all), len(all["job-1"]), len(want))
+	filed, err := all["job-1"].Events()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 1 || len(filed) != len(want) {
+		t.Fatalf("ReadAll returned %d jobs, %d events for job-1; want 1, %d", len(all), len(filed), len(want))
+	}
+	if c, _ := json.Marshal(filed); !bytes.Equal(c, b) {
+		t.Fatalf("ReadAll's decode mismatch:\n got %s\nwant %s", c, b)
+	}
+	if last, ok := all["job-1"].Last(); !ok || last.Seq != fin.Seq || !last.Terminal {
+		t.Fatalf("Last() = %+v, %v; want the terminal event", last, ok)
 	}
 	if s.Bytes() <= 0 {
 		t.Fatal("Bytes() not accounted")
@@ -334,8 +344,12 @@ func TestCrashReopenLosesNothingBehindTear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		filed, err := all[id].Events()
+		if err != nil {
+			t.Fatal(err)
+		}
 		a, _ := json.Marshal(one)
-		b, _ := json.Marshal(all[id])
+		b, _ := json.Marshal(filed)
 		if !bytes.Equal(a, b) {
 			t.Errorf("%s: Read and ReadAll disagree:\n %s\n %s", id, a, b)
 		}
@@ -348,7 +362,7 @@ func TestCrashReopenLosesNothingBehindTear(t *testing.T) {
 			}
 		}
 	}
-	if !all["job-1"][4].Terminal {
+	if last, ok := all["job-1"].Last(); !ok || last.Seq != 5 || !last.Terminal {
 		t.Fatal("the terminal event written after the reopen was lost")
 	}
 	if s2.Bytes() != diskBytes(t, dir) {
@@ -434,7 +448,11 @@ func TestRotationConcurrentAppends(t *testing.T) {
 	if len(all) != writers*jobsPer {
 		t.Fatalf("%d jobs read back, want %d", len(all), writers*jobsPer)
 	}
-	for id, evs := range all {
+	for id, lines := range all {
+		evs, err := lines.Events()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(evs) != perJob {
 			t.Fatalf("%s: %d events, want %d", id, len(evs), perJob)
 		}
@@ -462,5 +480,92 @@ func TestRotationConcurrentAppends(t *testing.T) {
 	}
 	if s.Bytes() != diskBytes(t, dir) {
 		t.Fatalf("Bytes() = %d, the directory holds %d", s.Bytes(), diskBytes(t, dir))
+	}
+}
+
+// writeSegment writes a segment file by hand: events as Append encodes
+// them, strings verbatim — the damage.
+func writeSegment(t *testing.T, dir string, seq int, lines ...any) {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, l := range lines {
+		if raw, ok := l.(string); ok {
+			buf.WriteString(raw)
+			continue
+		}
+		line, err := json.Marshal(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(append(line, '\n'))
+	}
+	if err := os.WriteFile(filepath.Join(dir, segmentName(seq)), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// seqsOf decodes a filed history and returns its sequence numbers.
+func seqsOf(t *testing.T, h History) []uint64 {
+	t.Helper()
+	evs, err := h.Events()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []uint64
+	for _, ev := range evs {
+		out = append(out, ev.Seq)
+	}
+	return out
+}
+
+// TestReadAllDamagedLog: what the filing pass — which decodes nothing —
+// makes of a damaged log. A tear or a line that is not JSON ends its
+// segment only; so does a line that names no job; a line that is JSON but
+// not an event ends, when it is decoded, the history of the one job it
+// names; an ID that JSON escapes is still filed under the right job.
+func TestReadAllDamagedLog(t *testing.T) {
+	forJob := func(id string, seq int) events.Event {
+		ev := point(seq)
+		ev.JobID = id
+		return ev
+	}
+	dir := t.TempDir()
+	// Segment 1 is cut mid-line: its whole lines count, the tear does not.
+	writeSegment(t, dir, 1, forJob("a", 1), forJob("b", 1), forJob("a", 2), `{"seq":3,"type":"curve_point","job":"a","poi`)
+	// Segment 2 holds a whole line that is not JSON: the lines behind it
+	// are lost with it, the next segment is not.
+	writeSegment(t, dir, 2, forJob("a", 3), "{\"seq\":2,\"job\":\"b\",oops}\n", forJob("b", 3))
+	// Segment 3: a line without a job ends the segment.
+	writeSegment(t, dir, 3, forJob("b", 4), "{\"seq\":9,\"type\":\"status\"}\n", forJob("a", 9))
+	// Segment 4: JSON, a job, not an event. Filed; found when decoded.
+	writeSegment(t, dir, 4, forJob("a", 4), forJob("c", 1), "{\"seq\":\"x\",\"job\":\"c\"}\n", forJob("c", 3), forJob("a", 5),
+		forJob(`q"<uote`, 1), forJob("b", 5))
+
+	all, err := ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range map[string][]uint64{"a": {1, 2, 3, 4, 5}, "b": {1, 4, 5}, `q"<uote`: {1}} {
+		if got := seqsOf(t, all[id]); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("job %q filed as seqs %v, want %v", id, got, want)
+		}
+	}
+	// Read sees a job's own lines only, so other jobs' damage is not its
+	// business; the escaped ID is.
+	if one, err := Read(dir, `q"<uote`); err != nil || len(one) != 1 {
+		t.Errorf("Read of the escaped ID = %d events, %v; want 1", len(one), err)
+	}
+	if len(all) != 4 {
+		t.Errorf("%d jobs filed, want a, b, c and the quoted one", len(all))
+	}
+	evs, err := all["c"].Events()
+	if err == nil || len(evs) != 1 || evs[0].Seq != 1 {
+		t.Errorf("job c decodes to %d events, error %v; want the one event before the bad line and an error", len(evs), err)
+	}
+	if last, ok := all["c"].Last(); !ok || last.Seq != 3 {
+		t.Errorf("job c's newest decodable event is %+v, %v; want seq 3", last, ok)
+	}
+	if last, ok := all["nobody"].Last(); ok || len(seqsOf(t, all["nobody"])) != 0 {
+		t.Errorf("a job the log never saw has a newest event: %+v", last)
 	}
 }

@@ -4,43 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 )
-
-// pointJSON is the wire form of Point. CumTime travels as integer
-// nanoseconds so curves round-trip bit-for-bit; scores rely on
-// encoding/json's shortest-round-trip float rendering.
-type pointJSON struct {
-	Evaluations int     `json:"evaluations"`
-	CumBudget   int     `json:"cum_budget"`
-	CumTimeNS   int64   `json:"cum_time_ns"`
-	BestScore   float64 `json:"best_score"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (p Point) MarshalJSON() ([]byte, error) {
-	return json.Marshal(pointJSON{
-		Evaluations: p.Evaluations,
-		CumBudget:   p.CumBudget,
-		CumTimeNS:   p.CumTime.Nanoseconds(),
-		BestScore:   p.BestScore,
-	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (p *Point) UnmarshalJSON(data []byte) error {
-	var pj pointJSON
-	if err := json.Unmarshal(data, &pj); err != nil {
-		return fmt.Errorf("trace: decoding point: %w", err)
-	}
-	*p = Point{
-		Evaluations: pj.Evaluations,
-		CumBudget:   pj.CumBudget,
-		CumTime:     time.Duration(pj.CumTimeNS),
-		BestScore:   pj.BestScore,
-	}
-	return nil
-}
 
 // EncodeAnytime writes an incumbent curve as a JSON array. It is the one
 // serialization shared by the bhpod status endpoint and the experiments

@@ -17,16 +17,22 @@ import (
 	"enhancedbhpo/internal/hpo"
 )
 
-// Point is one step of an incumbent curve.
+// Point is one step of an incumbent curve. The struct tags are its wire
+// form — in the journal, the trace log, every SSE frame and every /trace
+// body — and there is no MarshalJSON beside them: a point is scanned once.
 type Point struct {
 	// Evaluations completed so far (including this one).
-	Evaluations int
+	Evaluations int `json:"evaluations"`
 	// CumBudget is the total instances consumed so far.
-	CumBudget int
-	// CumTime is the summed evaluation wall time so far.
-	CumTime time.Duration
-	// BestScore is the incumbent (highest) score seen so far.
-	BestScore float64
+	CumBudget int `json:"cum_budget"`
+	// CumTime is the summed evaluation wall time so far. A time.Duration
+	// is an int64 of nanoseconds and encoding/json writes it as one, so it
+	// travels as the integer the key names and curves round-trip
+	// bit-for-bit.
+	CumTime time.Duration `json:"cum_time_ns"`
+	// BestScore is the incumbent (highest) score seen so far; it relies
+	// on encoding/json's shortest-round-trip float rendering.
+	BestScore float64 `json:"best_score"`
 }
 
 // Anytime returns the incumbent curve over the trial sequence in arrival
