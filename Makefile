@@ -49,7 +49,10 @@ vet-bench:
 # manifest may not grow with the number of jobs. And for the boot: the
 # history loaded once by whoever reads it first, the restart that serves a
 # finished, an interrupted and a resumable job as before, the boot that
-# fails and leaves nothing running.
+# fails and leaves nothing running. And for the one segment writer under
+# the journal, the trace log and the membership log: the cut write (a
+# re-executed test binary under RLIMIT_FSIZE), the torn tail, one segment
+# per life, hook order under rotation and the frozen bytes.
 cpus:
 	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge' \
 		./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
@@ -58,6 +61,8 @@ cpus:
 	$(GO) test -cpu 1,2,4 -count 1 -run 'TestFailover|TestMembership|TestShutdownJoinsFailover' ./internal/coord/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestRotationConcurrentAppends|TestCrashReopen|TestTraceByteIdenticalAcrossRebuild|TestNoPerJobSeal|TestPrime|TestRestartServesThreeKindsOfJob|TestFailedBoot' \
 		./internal/serve/tracestore/ ./internal/serve/ ./internal/events/
+	$(GO) test -cpu 1,2,4 -count 3 -run 'TestCutWrite|TestMemberJournal|TestEveryLifeStartsItsOwnSegment|TestOnChange|TestSegmentBytesFrozen|TestFailedUndo' \
+		./internal/serve/seglog/ ./internal/serve/journal/ ./internal/serve/tracestore/ ./internal/coord/
 
 # Crash-safety suite: journal replay/compaction, kill/restart recovery,
 # panic isolation, retry + failure budget, timeout/shutdown reasons, drain.
@@ -153,16 +158,19 @@ bench-pair:
 fallback:
 	BHPO_KERNEL=blocked $(GO) test -count=1 ./internal/mat/ ./internal/nn/ ./internal/hpo/ ./internal/experiments/
 
-# Non-test / test Go lines per package and in total, outside bench/ —
+# Go lines per package and in total, outside bench/: non-test lines —
 # raw `wc -l`, the count ROADMAP's "net line count per PR" and every
-# CHANGES.md entry use.
+# CHANGES.md entry use — the code among them (neither blank nor a `//`
+# comment, so a reduction cannot come from deleted comments), and test
+# lines.
 loc:
-	@find . -name '*.go' -not -path './bench/*' | xargs wc -l | awk ' \
-		$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); seen[d] = 1; \
-			if ($$2 ~ /_test\.go$$/) { t[d] += $$1; T += $$1 } else { n[d] += $$1; N += $$1 } } \
-		END { printf "%8s %8s  %s\n", "non-test", "test", "package"; \
-			for (d in seen) printf "%8d %8d  %s\n", n[d], t[d], d | "sort -k3"; close("sort -k3"); \
-			printf "%8d %8d  total\n", N, T }'
+	@awk ' \
+		{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); seen[d] = 1; \
+			if (FILENAME ~ /_test\.go$$/) { t[d]++; T++ } \
+			else { n[d]++; N++; if ($$0 !~ /^[ \t]*(\/\/|$$)/) { c[d]++; C++ } } } \
+		END { printf "%8s %8s %8s  %s\n", "non-test", "code", "test", "package"; \
+			for (d in seen) printf "%8d %8d %8d  %s\n", n[d], c[d], t[d], d | "sort -k4"; close("sort -k4"); \
+			printf "%8d %8d %8d  total\n", N, C, T }' $$(find . -name '*.go' -not -path './bench/*')
 
 check: vet vet-bench race cpus chaos-storm failover-storm fallback bench-smoke
 

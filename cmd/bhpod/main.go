@@ -54,11 +54,12 @@
 // Usage:
 //
 //	bhpod [-addr :8149] [-workers N] [-max-jobs 4] [-max-pending 64]
-//	      [-cache-entries 65536] [-data-dir DIR] [-drain-timeout 30s]
+//	      [-data-dir DIR] [-drain-timeout 30s]
 //	      [-eval-attempts 2] [-retry-backoff 50ms] [-failure-budget 3]
 //	      [-eval-timeout 0] [-journal-max-bytes 4194304] [-scope-ttl 0]
 //	      [-event-buffer 256] [-trace-max-bytes 1048576]
 //	      [-kernel-workers 0] [-pprof]
+//	      [-tenant-weights NAME=W,...] [-tenant-quota 0]
 //	      [-node NAME] [-ship-to DIR|URL]... [-ship-interval 250ms]
 //	      [-ship-sync] [-ship-recv-dir DIR] [-restore-from DIR]...
 //	      [-standby]
@@ -134,7 +135,6 @@ func main() {
 		maxJobs  = flag.Int("max-jobs", 4, "max concurrently running jobs (excess stay queued)")
 		maxPend  = flag.Int("max-pending", 64, "max queued jobs before POST /jobs sheds load with 429 + Retry-After")
 		evalTmo  = flag.Duration("eval-timeout", 0, "abandon an evaluation running longer than this, freeing its pool slot (0 = no deadline)")
-		cacheN   = flag.Int("cache-entries", 1<<16, "evaluation cache entries per dataset scope (LRU)")
 		dataDir  = flag.String("data-dir", "", "journal directory for crash-safe job persistence (empty = in-memory only)")
 		jrnlMax  = flag.Int64("journal-max-bytes", 4<<20, "rotate + re-compact the journal once its active segment passes this size (negative = never)")
 		scopeTTL = flag.Duration("scope-ttl", 0, "release an idle dataset scope's memory after this long unused; rebuilt on next use (0 = keep forever)")
@@ -147,10 +147,8 @@ func main() {
 		kernelW  = flag.Int("kernel-workers", 0, "matmul goroutines per pooled evaluation (0 = NumCPU/workers, so the pool never oversubscribes)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ for live profiling")
 
-		tenantW     = flag.String("tenant-weights", "", "per-tenant fair-share weights as name=weight pairs, comma-separated (e.g. gold=3,free=1); unlisted tenants get -tenant-default-weight")
-		tenantDefW  = flag.Int("tenant-default-weight", 1, "fair-share weight of tenants not named in -tenant-weights")
+		tenantW     = flag.String("tenant-weights", "", "per-tenant fair-share weights as name=weight pairs, comma-separated (e.g. gold=3,free=1); unlisted tenants get weight 1")
 		tenantQuota = flag.Int("tenant-quota", 0, "max queued jobs per tenant before its submissions shed with 429 (0 = no per-tenant quota)")
-		maxPreempts = flag.Int("max-preempts", 8, "max rung-boundary preemptions a single job absorbs before it runs to completion unpreempted (negative = preemption off)")
 
 		nodeName = flag.String("node", "", "cluster node name (ring identity under a bhpoctl coordinator; required with -ship-to)")
 		shipIntv = flag.Duration("ship-interval", 250*time.Millisecond, "background ship pass interval")
@@ -166,31 +164,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bhpod: -tenant-weights:", err)
 		os.Exit(2)
 	}
-	if *maxPreempts == 0 {
-		// Flag semantics: 0 and negative both mean "never preempt" (the
-		// config's zero value would select the default of 8).
-		*maxPreempts = -1
-	}
 	opts := serve.NodeOptions{Config: serve.Config{
-		PoolSize:            *workers,
-		MaxJobs:             *maxJobs,
-		MaxPending:          *maxPend,
-		TenantWeights:       weights,
-		TenantDefaultWeight: *tenantDefW,
-		TenantQuota:         *tenantQuota,
-		MaxPreempts:         *maxPreempts,
-		EvalTimeout:         *evalTmo,
-		CacheEntries:        *cacheN,
-		DataDir:             *dataDir,
-		JournalMaxBytes:     *jrnlMax,
-		ScopeTTL:            *scopeTTL,
-		EvalAttempts:        *attempts,
-		RetryBackoff:        *backoff,
-		FailureBudget:       *failures,
-		EventBuffer:         *eventBuf,
-		TraceMaxBytes:       *traceMax,
-		KernelWorkers:       *kernelW,
-		NodeName:            *nodeName,
+		PoolSize:        *workers,
+		MaxJobs:         *maxJobs,
+		MaxPending:      *maxPend,
+		TenantWeights:   weights,
+		TenantQuota:     *tenantQuota,
+		EvalTimeout:     *evalTmo,
+		DataDir:         *dataDir,
+		JournalMaxBytes: *jrnlMax,
+		ScopeTTL:        *scopeTTL,
+		EvalAttempts:    *attempts,
+		RetryBackoff:    *backoff,
+		FailureBudget:   *failures,
+		EventBuffer:     *eventBuf,
+		TraceMaxBytes:   *traceMax,
+		KernelWorkers:   *kernelW,
+		NodeName:        *nodeName,
 	},
 		ShipTo: shipTo,
 		Ship: shipper.Options{

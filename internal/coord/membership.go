@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"enhancedbhpo/internal/serve"
+	"enhancedbhpo/internal/serve/seglog"
 )
 
 // This file is ring membership: the operations, the crash-safe journal
@@ -26,7 +28,7 @@ import (
 // and automated replaces included — not the boot-time one. Membership
 // changes are rare, so the file stays small and is never compacted;
 // replay tolerates a torn final line (crash mid-append) by stopping at
-// the last whole record.
+// the last whole record, and the next openMemberLog cuts it off.
 const MembersFileName = "members.jsonl"
 
 // Membership operations.
@@ -53,21 +55,32 @@ type MemberOp struct {
 	Time time.Time `json:"time"`
 }
 
-// memberLog appends membership operations durably. Safe for concurrent
-// use; every append is fsynced before it returns — a membership change
-// the coordinator acknowledged is never lost to a crash.
+// memberLog appends membership operations durably through seglog, the
+// writer under bhpod's journal and trace log: one write per operation,
+// fsynced before append returns — a membership change the coordinator
+// acknowledged is never lost to a crash — and a write that fails is cut
+// back off, so the next operation is not appended behind half a line.
+// Safe for concurrent use.
 type memberLog struct {
 	mu sync.Mutex
-	f  *os.File
+	f  *seglog.File
 }
 
 // openMemberLog opens (creating if needed) dir's membership journal for
-// appending.
+// appending, after cutting off a torn tail: a crash mid-append leaves a
+// last line without its newline, behind which replay would never find
+// what this life appends.
 func openMemberLog(dir string) (*memberLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("coord: members journal: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, MembersFileName), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	path := filepath.Join(dir, MembersFileName)
+	if data, err := os.ReadFile(path); err == nil {
+		if err := os.Truncate(path, int64(bytes.LastIndexByte(data, '\n')+1)); err != nil {
+			return nil, fmt.Errorf("coord: members journal: %w", err)
+		}
+	}
+	f, err := seglog.OpenFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("coord: members journal: %w", err)
 	}
@@ -86,16 +99,12 @@ func (l *memberLog) append(op MemberOp) error {
 	if err != nil {
 		return fmt.Errorf("coord: members journal: %w", err)
 	}
-	line = append(line, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return errors.New("coord: members journal: closed")
 	}
-	if _, err := l.f.Write(line); err != nil {
-		return fmt.Errorf("coord: members journal: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
+	if _, err := l.f.Append(append(line, '\n'), true); err != nil {
 		return fmt.Errorf("coord: members journal: %w", err)
 	}
 	return nil

@@ -87,6 +87,61 @@ func TestMemberJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// appendOps opens dir's membership journal, appends ops and closes it:
+// one coordinator life.
+func appendOps(t *testing.T, dir string, ops ...MemberOp) {
+	t.Helper()
+	l, err := openMemberLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		if err := l.append(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// replayedNodes replays dir's membership journal into "op node" strings.
+func replayedNodes(t *testing.T, dir string) string {
+	t.Helper()
+	ops, err := replayMemberLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, op := range ops {
+		out = append(out, op.Op+" "+op.Node)
+	}
+	return strings.Join(out, ", ")
+}
+
+// TestMemberJournalTornTailRestart: a crash tears the journal's last line;
+// the restarted coordinator's acknowledged op replays at the next restart
+// instead of lying behind the tear.
+func TestMemberJournalTornTailRestart(t *testing.T) {
+	dir := t.TempDir()
+	appendOps(t, dir, MemberOp{Op: OpJoin, Node: "a", URL: "http://a"})
+	f, err := os.OpenFile(filepath.Join(dir, MembersFileName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"op":"join","node":"b","ur`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if got := replayedNodes(t, dir); got != "join a" {
+		t.Fatalf("torn journal replays as %q, want the whole op before the tear", got)
+	}
+	appendOps(t, dir, MemberOp{Op: OpJoin, Node: "c", URL: "http://c"})
+	if got := replayedNodes(t, dir); got != "join a, join c" {
+		t.Fatalf("after a restart and a join the journal replays as %q, want join a, join c", got)
+	}
+}
+
 // TestSubmitRetryOnDeadRoute is the satellite regression: a submission
 // whose routed node accepts the connection and then dies before acking
 // must be retried transparently on the ring successor — same

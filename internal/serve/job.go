@@ -271,7 +271,7 @@ type Job struct {
 
 	// Preemption/resume state. segCancel cancels the current run
 	// segment's context with cause errPreempted; preempts counts the
-	// rung-boundary yields so far (capped by Config.MaxPreempts);
+	// rung-boundary yields so far (capped by maxPreempts);
 	// checkpointLen is how many leading trials were recorded in earlier
 	// segments; replaySkip counts how many upcoming observations are
 	// deterministic replays of that prefix and must not be re-recorded.

@@ -12,6 +12,10 @@
 //	journal-000008.jsonl   sealed segment
 //	journal-000009.jsonl   active segment (appends go here)
 //
+// Segments are written through seglog, the writer the trace log shares:
+// every life starts its own segment, the one after the newest base or
+// segment, created at its first record; a write that fails is undone, so
+// a record appended after it is replayed, not hidden behind half a line.
 // Append rotates to a fresh segment once the active one passes the
 // configured size and re-compacts everything sealed so far into a new
 // base in the background, using the same temp-file + atomic-rename
@@ -43,6 +47,7 @@ import (
 	"sync"
 	"time"
 
+	"enhancedbhpo/internal/serve/seglog"
 	"enhancedbhpo/internal/trace"
 )
 
@@ -102,8 +107,8 @@ type Record struct {
 }
 
 // segmentName and baseName are the on-disk names for sequence seq.
-func segmentName(seq int) string { return fmt.Sprintf("journal-%06d.jsonl", seq) }
-func baseName(seq int) string    { return fmt.Sprintf("base-%06d.jsonl", seq) }
+func segmentName(seq int) string { return seglog.Name("journal-", seq) }
+func baseName(seq int) string    { return seglog.Name("base-", seq) }
 
 // parseSeq extracts the sequence from a segment or base file name.
 func parseSeq(name, prefix string) (int, bool) {
@@ -183,36 +188,23 @@ func (l layout) maxSeq() int {
 type Options struct {
 	// MaxBytes rotates the active segment once it reaches this size; the
 	// sealed segments are re-compacted into a fresh base in the
-	// background. 0 disables rotation.
+	// background. 0 or negative disables rotation.
 	MaxBytes int64
 	// OnError receives background fold errors (the live append path is
 	// unaffected by a failed fold; the data stays in the sealed segments).
 	OnError func(error)
-	// OnAppend, when non-nil, is called after each record lands in the
-	// active segment (after the terminal fsync for result records) with
-	// the segment's file name — the shipper's incremental-replication
-	// hook. Called with the writer lock held; it must not call back into
-	// the writer.
-	OnAppend func(name string)
-	// OnSeal, when non-nil, is called when a segment's content becomes
-	// final: rotation sealing the active segment, and a background fold
-	// publishing a new base. Same re-entrancy rule as OnAppend.
-	OnSeal func(name string)
+	// OnChange, when non-nil, is the shipper's replication hook: called
+	// for the segments as seglog.Options.OnChange is, and with true for
+	// each base a background fold publishes.
+	OnChange func(name string, sealed bool)
 }
 
 // Writer appends records to a data directory's journal, rotating the
 // active segment at Options.MaxBytes. Safe for concurrent use.
 type Writer struct {
-	dir      string
-	maxBytes int64
-	onError  func(error)
-	onAppend func(name string)
-	onSeal   func(name string)
-
-	mu     sync.Mutex
-	f      *os.File
-	seq    int
-	size   int64
+	dir    string
+	opts   Options
+	log    *seglog.Log
 	foldWG sync.WaitGroup
 }
 
@@ -222,8 +214,9 @@ func Open(dir string) (*Writer, error) {
 	return OpenOptions(dir, Options{})
 }
 
-// OpenOptions creates the data directory if needed and opens the newest
-// segment for appending.
+// OpenOptions creates the data directory if needed and opens its journal
+// for appending: this life's records go to the segment after the newest
+// base or segment, created at the first of them.
 func OpenOptions(dir string, opts Options) (*Writer, error) {
 	if dir == "" {
 		return nil, errors.New("journal: empty data dir")
@@ -235,38 +228,15 @@ func OpenOptions(dir string, opts Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	seq := lay.maxSeq()
-	if live := lay.liveSegs(); len(live) == 0 {
-		// Nothing appendable: start the segment after the base (or 1).
-		seq++
+	if opts.OnError == nil {
+		opts.OnError = func(error) {}
 	}
-	f, err := os.OpenFile(filepath.Join(dir, segmentName(seq)), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
+	if opts.OnChange == nil {
+		opts.OnChange = func(string, bool) {}
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	return &Writer{
-		dir:      dir,
-		maxBytes: opts.MaxBytes,
-		onError:  opts.OnError,
-		onAppend: opts.OnAppend,
-		onSeal:   opts.OnSeal,
-		f:        f,
-		seq:      seq,
-		size:     st.Size(),
-	}, nil
-}
-
-// ActiveSegment returns the file name of the segment currently receiving
-// appends — what a startup replication sync must treat as still growing.
-func (w *Writer) ActiveSegment() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return segmentName(w.seq)
+	w := &Writer{dir: dir, opts: opts}
+	w.log = seglog.Open(dir, "journal-", lay.maxSeq()+1, seglog.Options{MaxBytes: opts.MaxBytes, OnChange: w.changed})
+	return w, nil
 }
 
 // Append writes one record as a JSON line. Terminal (result) records are
@@ -274,99 +244,51 @@ func (w *Writer) ActiveSegment() string {
 // crash; non-terminal records ride on the OS page cache — losing one
 // degrades a job from running to queued on replay, never corrupts it.
 // When the active segment passes MaxBytes the append also rotates: the
-// segment is sealed, a fresh one opened, and a background fold
-// re-compacts everything sealed so far into a new base.
+// segment is sealed and a background fold re-compacts everything sealed
+// so far into a new base.
 func (w *Writer) Append(rec Record) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("journal: encoding record: %w", err)
 	}
-	line = append(line, '\n')
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return errors.New("journal: closed")
-	}
-	if _, err := w.f.Write(line); err != nil {
-		return fmt.Errorf("journal: appending: %w", err)
-	}
-	w.size += int64(len(line))
-	if rec.Type == TypeResult || rec.Type == TypePreempt {
-		// Results are a job's final word; preempt records are a resumable
-		// job's only recovery point — both are worth the fsync.
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("journal: fsync: %w", err)
-		}
-	}
-	if w.onAppend != nil {
-		w.onAppend(segmentName(w.seq))
-	}
-	if w.maxBytes > 0 && w.size >= w.maxBytes {
-		if err := w.rotateLocked(); err != nil {
-			return err
-		}
+	// Results are a job's final word; preempt records are a resumable
+	// job's only recovery point — both are worth the fsync.
+	if _, err := w.log.Append(append(line, '\n'), rec.Type == TypeResult || rec.Type == TypePreempt); err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
 }
 
-// rotateLocked seals the active segment, opens the next one, and folds
-// the sealed history into a new base in the background. It first waits
-// for any previous fold, so at most one unfolded sealed generation ever
-// exists — that is what bounds the directory at roughly
-// base + one sealed generation + the active segment.
-func (w *Writer) rotateLocked() error {
+// changed passes a segment's change on to OnChange and, once rotation has
+// sealed the segment, folds the sealed history into a new base in the
+// background. It first waits for any previous fold, so at most one
+// unfolded sealed generation ever exists — that is what bounds the
+// directory at roughly base + one sealed generation + the active segment.
+func (w *Writer) changed(name string, sealed bool) {
+	if !sealed {
+		w.opts.OnChange(name, false)
+		return
+	}
 	w.foldWG.Wait()
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("journal: sealing segment %d: %w", w.seq, err)
-	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("journal: sealing segment %d: %w", w.seq, err)
-	}
-	sealed := w.seq
-	w.seq++
-	f, err := os.OpenFile(filepath.Join(w.dir, segmentName(w.seq)), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		w.f = nil
-		return fmt.Errorf("journal: opening segment %d: %w", w.seq, err)
-	}
-	w.f = f
-	w.size = 0
-	if w.onSeal != nil {
-		w.onSeal(segmentName(sealed))
-	}
+	w.opts.OnChange(name, true)
+	seq, _ := parseSeq(name, "journal-")
 	w.foldWG.Add(1)
 	go func() {
 		defer w.foldWG.Done()
-		if err := foldDir(w.dir, sealed); err != nil {
-			if w.onError != nil {
-				w.onError(err)
-			}
-			return
-		}
-		if w.onSeal != nil {
-			w.onSeal(baseName(sealed))
+		if err := foldDir(w.dir, seq); err != nil {
+			w.opts.OnError(err)
+		} else {
+			w.opts.OnChange(baseName(seq), true)
 		}
 	}()
-	return nil
 }
 
-// Close waits for any in-flight fold, then syncs and closes the active
-// segment. Idempotent.
+// Close syncs and closes the active segment, then waits for any
+// in-flight fold. Idempotent; a later Append fails.
 func (w *Writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	err := w.log.Close()
 	w.foldWG.Wait()
-	if w.f == nil {
-		return nil
-	}
-	f := w.f
-	w.f = nil
-	serr := f.Sync()
-	cerr := f.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return err
 }
 
 // Stats reports the journal files currently on disk (base + segments)

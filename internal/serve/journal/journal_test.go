@@ -390,10 +390,15 @@ func TestRotationConcurrentAppends(t *testing.T) {
 	}
 }
 
+// TestWriterClosedAppendFails: Close is terminal — an append after it
+// fails and writes nothing, neither into the closed segment nor a new one.
 func TestWriterClosedAppendFails(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(Record{Type: TypeSubmit, JobID: "job-1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -402,7 +407,11 @@ func TestWriterClosedAppendFails(t *testing.T) {
 	if err := w.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if err := w.Append(Record{Type: TypeSubmit, JobID: "job-1"}); err == nil {
+	before := dirFiles(t, dir)
+	if err := w.Append(Record{Type: TypeSubmit, JobID: "job-2"}); err == nil {
 		t.Fatal("append on closed writer succeeded")
+	}
+	if after := dirFiles(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("a closed writer wrote: %v became %v", before, after)
 	}
 }

@@ -34,6 +34,15 @@ import (
 // instead, priced for that tenant specifically.
 var ErrOverloaded = errors.New("serve: pending queue full")
 
+const (
+	// maxPreempts bounds how many times a single job yields its slot at
+	// rung boundaries before it becomes immune to further preemption —
+	// bounded churn, guaranteed progress.
+	maxPreempts = 8
+	// cacheEntries caps each evaluation-cache scope (LRU).
+	cacheEntries = 1 << 16
+)
+
 // Config tunes the Manager.
 type Config struct {
 	// PoolSize is the shared evaluation-slot count across all jobs: how
@@ -51,21 +60,13 @@ type Config struct {
 	// TenantWeights maps tenant names to their weighted-fair-share
 	// weights (≥ 1): at saturation, a weight-3 tenant receives three
 	// times the evaluation budget of a weight-1 tenant. Tenants absent
-	// from the map get TenantDefaultWeight.
+	// from the map get weight 1.
 	TenantWeights map[string]int
-	// TenantDefaultWeight is the weight of tenants not named in
-	// TenantWeights. 0 selects 1.
-	TenantDefaultWeight int
 	// TenantQuota caps one tenant's queued (not yet running) jobs;
 	// submissions beyond it are shed with a *sched.QuotaError 429 priced
 	// for that tenant, independent of the global MaxPending cap.
 	// 0 disables per-tenant quotas.
 	TenantQuota int
-	// MaxPreempts bounds how many times a single job yields its slot at
-	// rung boundaries before it becomes immune to further preemption —
-	// bounded churn, guaranteed progress. 0 selects 8; negative disables
-	// preemption entirely.
-	MaxPreempts int
 	// DeterministicTiming replaces each observed trial's wall-clock
 	// elapsed time with a synthetic duration proportional to its budget
 	// (budget × 1ms), making anytime curves — including their CumTime
@@ -78,8 +79,6 @@ type Config struct {
 	// is discarded, and the trial is charged to the job's failure budget
 	// (worst-case score). 0 disables the watchdog.
 	EvalTimeout time.Duration
-	// CacheEntries caps each evaluation-cache scope (LRU). 0 selects 1<<16.
-	CacheEntries int
 	// DataDir, when non-empty, enables journaled persistence: job specs
 	// and terminal results are appended to a segmented JSONL journal in
 	// DataDir so NewManagerFromJournal can rebuild the job table after a
@@ -152,18 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 64
-	}
-	if c.TenantDefaultWeight <= 0 {
-		c.TenantDefaultWeight = 1
-	}
-	switch {
-	case c.MaxPreempts == 0:
-		c.MaxPreempts = 8
-	case c.MaxPreempts < 0:
-		c.MaxPreempts = 0 // preemption disabled
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 1 << 16
 	}
 	if c.JournalMaxBytes == 0 {
 		c.JournalMaxBytes = 4 << 20
@@ -302,12 +289,11 @@ func NewManager(cfg Config) *Manager {
 		cfg:     cfg,
 		started: time.Now(),
 		sched: sched.New(sched.Config{
-			Slots:         cfg.MaxJobs,
-			EvalSlots:     cfg.PoolSize,
-			MaxQueued:     cfg.MaxPending,
-			Quota:         cfg.TenantQuota,
-			DefaultWeight: cfg.TenantDefaultWeight,
-			Weights:       cfg.TenantWeights,
+			Slots:     cfg.MaxJobs,
+			EvalSlots: cfg.PoolSize,
+			MaxQueued: cfg.MaxPending,
+			Quota:     cfg.TenantQuota,
+			Weights:   cfg.TenantWeights,
 		}),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -332,6 +318,23 @@ func NewManager(cfg Config) *Manager {
 		go m.scopeJanitor()
 	}
 	return m
+}
+
+// shipHook replicates a log's segments through ship, nil without one:
+// appends ship incrementally, a sealed file ships its tail and is sealed
+// at the sinks. sub is the log's directory relative to the data
+// directory, "" or ending in a slash.
+func shipHook(ship *shipper.Shipper, sub string) func(name string, sealed bool) {
+	if ship == nil {
+		return nil
+	}
+	return func(name string, sealed bool) {
+		if sealed {
+			ship.Sealed(sub + name)
+		} else {
+			ship.Changed(sub + name)
+		}
+	}
 }
 
 // NewManagerFromJournal opens (creating if needed) the journal in
@@ -409,43 +412,27 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 			_ = m.Shutdown(context.Background())
 		}
 	}()
-	traceOpts := tracestore.Options{MaxBytes: m.cfg.TraceMaxBytes}
-	if ship := cfg.Shipper; ship != nil {
-		// Trace segments ship under their directory-relative name so a
-		// restored replica has the same traces/ layout the manager opens.
-		traceOpts.OnChange = func(name string, sealed bool) {
-			rel := "traces/" + name
-			if sealed {
-				ship.Sealed(rel)
-			} else {
-				ship.Changed(rel)
-			}
-		}
-	}
 	// The filing pass read the log before this life's segment is opened.
 	log := <-filed
 	m.boot.trace = log.took
 	if log.err != nil {
 		m.traceErrs.Add(1)
 	}
-	traces, err := tracestore.Open(TraceDir(cfg.DataDir), traceOpts)
+	// Trace segments ship under their directory-relative name so a
+	// restored replica has the same traces/ layout the manager opens.
+	traces, err := tracestore.Open(TraceDir(cfg.DataDir), tracestore.Options{
+		MaxBytes: m.cfg.TraceMaxBytes,
+		OnChange: shipHook(cfg.Shipper, "traces/"),
+	})
 	if err != nil {
 		return nil, err
 	}
 	m.traces = traces
-	maxBytes := m.cfg.JournalMaxBytes
-	if maxBytes < 0 {
-		maxBytes = 0 // negative config value = rotation disabled
-	}
-	jopts := journal.Options{
-		MaxBytes: maxBytes,
+	w, err := journal.OpenOptions(cfg.DataDir, journal.Options{
+		MaxBytes: m.cfg.JournalMaxBytes,
 		OnError:  func(error) { m.journalErrs.Add(1) },
-	}
-	if ship := cfg.Shipper; ship != nil {
-		jopts.OnAppend = ship.Changed
-		jopts.OnSeal = ship.Sealed
-	}
-	w, err := journal.OpenOptions(cfg.DataDir, jopts)
+		OnChange: shipHook(cfg.Shipper, ""),
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -454,7 +441,7 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 		// Ship whatever is already on disk (compacted bases, sealed
 		// segments, pre-crash traces) so the replica is complete even for
 		// files that will never change again.
-		cfg.Shipper.SnapshotRoot(w.ActiveSegment(), traces.ActiveSegment())
+		cfg.Shipper.SnapshotRoot()
 	}
 	var live []*Job
 	for i, st := range states {
@@ -611,7 +598,7 @@ func (m *Manager) observeTrial(job *Job, tr hpo.Trial) {
 	}
 	m.publish(job.ID, events.Event{Type: events.TypeCurvePoint, Point: &pt})
 	m.sched.Charge(job.tenant(), float64(tr.Budget))
-	if m.cfg.MaxPreempts > 0 && job.preempts < m.cfg.MaxPreempts &&
+	if job.preempts < maxPreempts &&
 		len(job.trials) > job.checkpointLen && job.segCancel != nil &&
 		m.sched.ShouldPreempt(job.ID) {
 		// Yield, but only with at least one new trial recorded this
@@ -1170,8 +1157,8 @@ func (m *Manager) buildScope(spec JobSpec) (*evalScope, error) {
 	}
 	return &evalScope{
 		comps:  comps,
-		cache:  evalcache.New(cv, m.cfg.CacheEntries),
-		refits: evalcache.New(refitter{cv: cv, test: test, useF1: spec.UseF1}, m.cfg.CacheEntries),
+		cache:  evalcache.New(cv, cacheEntries),
+		refits: evalcache.New(refitter{cv: cv, test: test, useF1: spec.UseF1}, cacheEntries),
 	}, nil
 }
 

@@ -230,18 +230,18 @@ func (s *Shipper) Sealed(rel string) {
 }
 
 // SnapshotRoot marks every journal and trace file currently in the data
-// directory for shipping — the startup sync after a restart (or the first
-// run against an already-populated directory). The active journal and
-// trace segments, named as their writers name them, ship incrementally;
-// every other segment, and every base, is final and marked sealed.
-func (s *Shipper) SnapshotRoot(activeJournal, activeTrace string) {
-	s.snapshotDir("", activeJournal, "journal-", "base-")
-	s.snapshotDir("traces/", activeTrace, "trace-")
+// directory for shipping, sealed — the startup sync after a restart (or
+// the first run against an already-populated directory), called before
+// this life's first append. Every file on disk then is final: each log
+// writes a life's appends to a segment of its own, created at the first.
+func (s *Shipper) SnapshotRoot() {
+	s.snapshotDir("", "journal-", "base-")
+	s.snapshotDir("traces/", "trace-")
 }
 
 // snapshotDir marks the .jsonl files of one directory (sub is "" or ends
 // in a slash) that carry one of the prefixes.
-func (s *Shipper) snapshotDir(sub, active string, prefixes ...string) {
+func (s *Shipper) snapshotDir(sub string, prefixes ...string) {
 	entries, err := os.ReadDir(filepath.Join(s.root, sub))
 	if err != nil {
 		return
@@ -252,11 +252,7 @@ func (s *Shipper) snapshotDir(sub, active string, prefixes ...string) {
 			!slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(name, p) }) {
 			continue
 		}
-		if name == active {
-			s.Changed(sub + name)
-		} else {
-			s.Sealed(sub + name)
-		}
+		s.Sealed(sub + name)
 	}
 }
 

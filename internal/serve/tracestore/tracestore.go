@@ -13,13 +13,15 @@
 // before Append returns. A finished job creates, closes and renames
 // nothing: its events are lines in the segment every other job writes.
 //
-// A segment that passes MaxBytes is fsynced, closed and announced as
-// sealed, and the next one opened; a sealed segment is never written
-// again, and neither is a segment a previous process left behind — every
-// Open starts a new one, so nothing is ever appended behind a torn line
-// (the signature of a crash mid-append). A reader ends a segment at a
-// line that is not whole — no newline, not JSON, no job — and goes on to
-// the next.
+// The segments are written by seglog, the writer the journal shares: a
+// segment that passes MaxBytes is fsynced, closed and announced as sealed
+// and never written again, and neither is a segment a previous process
+// left behind — every Open starts a new one, created at its first event,
+// so nothing is ever appended behind a torn line (the signature of a
+// crash mid-append), and a write that fails part-way is cut back off
+// before the next event is written. A reader ends a segment at a line
+// that is not whole — no newline, not JSON, no job — and goes on to the
+// next.
 //
 // There are two readers. Read decodes one job's events, for post-mortems
 // and tests. ReadAll is the boot path and decodes nothing: it files every
@@ -37,43 +39,24 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"enhancedbhpo/internal/events"
+	"enhancedbhpo/internal/serve/seglog"
 )
 
-// Options tunes a Store.
-type Options struct {
-	// MaxBytes is the segment size: the active segment is sealed, and the
-	// next one started, once it has grown past this. 0 selects 1 MiB;
-	// negative never rotates.
-	MaxBytes int64
-	// OnChange, when non-nil, is called after an append with the active
-	// segment's file name and false, and once per segment with true when
-	// rotation has sealed it (fsynced, closed, never written again) — the
-	// shipper's replication hook. Called with the store's lock held; it
-	// must not call back into the store.
-	OnChange func(name string, sealed bool)
-}
+// Options tunes a Store: seglog's, except that MaxBytes 0 selects 1 MiB.
+// OnChange is the shipper's replication hook.
+type Options = seglog.Options
 
 // Store appends every job's events to one segmented log. Safe for
 // concurrent use.
 type Store struct {
-	dir      string
-	maxBytes int64
-	onChange func(name string, sealed bool)
-	bytes    atomic.Int64 // on-disk bytes across all segments
-
-	mu     sync.Mutex
-	f      *os.File // the active segment; nil until its first append
-	seq    int      // sequence of the active segment
-	name   string   // segmentName(seq)
-	size   int64
-	closed bool
+	log   *seglog.Log
+	bytes atomic.Int64 // on-disk bytes across all segments
 }
 
-func segmentName(seq int) string { return fmt.Sprintf("trace-%06d.jsonl", seq) }
+func segmentName(seq int) string { return seglog.Name("trace-", seq) }
 
 // segmentSeq extracts the sequence from a segment file name.
 func segmentSeq(name string) (int, bool) {
@@ -117,9 +100,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("tracestore: empty directory")
 	}
-	maxBytes := opts.MaxBytes
-	if maxBytes == 0 {
-		maxBytes = 1 << 20
+	if opts.MaxBytes == 0 {
+		opts.MaxBytes = 1 << 20
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tracestore: %w", err)
@@ -128,11 +110,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, maxBytes: maxBytes, onChange: opts.OnChange, seq: 1}
+	next := 1
 	if n := len(seqs); n > 0 {
-		s.seq = seqs[n-1] + 1
+		next = seqs[n-1] + 1
 	}
-	s.name = segmentName(s.seq)
+	s := &Store{log: seglog.Open(dir, "trace-", next, opts)}
 	s.bytes.Store(total)
 	return s, nil
 }
@@ -142,15 +124,11 @@ func Open(dir string, opts Options) (*Store, error) {
 func (s *Store) Bytes() int64 { return s.bytes.Load() }
 
 // ActiveSegment returns the file name of the segment that receives
-// appends — what a startup replication sync must not treat as sealed.
-func (s *Store) ActiveSegment() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.name
-}
+// appends.
+func (s *Store) ActiveSegment() string { return s.log.Active() }
 
-// ErrClosed is what Append returns once the store has been closed.
-var ErrClosed = errors.New("tracestore: closed")
+// ErrClosed is what Append's error wraps once the store has been closed.
+var ErrClosed = seglog.ErrClosed
 
 // checkID rejects job IDs that could not be a file name. IDs are of the
 // daemon's own making (job-N) and no longer name a file, but one that
@@ -174,54 +152,10 @@ func (s *Store) Append(ev events.Event) error {
 	if err != nil {
 		return fmt.Errorf("tracestore: encoding event: %w", err)
 	}
-	line = append(line, '\n')
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.f == nil {
-		f, err := os.OpenFile(filepath.Join(s.dir, s.name), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("tracestore: %w", err)
-		}
-		s.f = f
-	}
-	n, err := s.f.Write(line)
-	s.size += int64(n)
+	n, err := s.log.Append(append(line, '\n'), ev.Terminal)
 	s.bytes.Add(int64(n))
 	if err != nil {
-		// What reached the file may be half a line: nothing may follow it.
-		s.sealLocked()
-		return fmt.Errorf("tracestore: appending: %w", err)
-	}
-	if ev.Terminal {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("tracestore: fsync: %w", err)
-		}
-	}
-	if s.maxBytes > 0 && s.size >= s.maxBytes {
-		return s.sealLocked()
-	}
-	if s.onChange != nil {
-		s.onChange(s.name, false)
-	}
-	return nil
-}
-
-// sealLocked fsyncs and closes the active segment for good, announces it
-// as sealed and makes its successor the active one.
-func (s *Store) sealLocked() error {
-	name := s.name
-	err := errors.Join(s.f.Sync(), s.f.Close())
-	s.f, s.size = nil, 0
-	s.seq++
-	s.name = segmentName(s.seq)
-	if s.onChange != nil {
-		s.onChange(name, true)
-	}
-	if err != nil {
-		return fmt.Errorf("tracestore: sealing %s: %w", name, err)
+		return fmt.Errorf("tracestore: %w", err)
 	}
 	return nil
 }
@@ -230,17 +164,7 @@ func (s *Store) sealLocked() error {
 // returns ErrClosed instead of writing, so a runner that outlives
 // Shutdown — or a manager a test has "killed" — cannot write beside the
 // store's successor. Idempotent.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	if s.f == nil {
-		return nil
-	}
-	f := s.f
-	s.f = nil
-	return errors.Join(f.Sync(), f.Close())
-}
+func (s *Store) Close() error { return s.log.Close() }
 
 // History is one job's lines of the log, oldest first, as the store wrote
 // them: whole, valid JSON, not yet decoded. The lines alias the buffer
