@@ -52,7 +52,10 @@ vet-bench:
 # fails and leaves nothing running. And for the one segment writer under
 # the journal, the trace log and the membership log: the cut write (a
 # re-executed test binary under RLIMIT_FSIZE), the torn tail, one segment
-# per life, hook order under rotation and the frozen bytes.
+# per life, hook order under rotation and the frozen bytes. And for the
+# job lifecycle: every path's journal records and status events, the
+# finished job that reads the same after a restart, the first start a
+# replay keeps.
 cpus:
 	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge' \
 		./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
@@ -63,12 +66,16 @@ cpus:
 		./internal/serve/tracestore/ ./internal/serve/ ./internal/events/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestCutWrite|TestMemberJournal|TestEveryLifeStartsItsOwnSegment|TestOnChange|TestSegmentBytesFrozen|TestFailedUndo' \
 		./internal/serve/seglog/ ./internal/serve/journal/ ./internal/serve/tracestore/ ./internal/coord/
+	$(GO) test -cpu 1,2,4 -count 3 -run 'TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestReplayKeepsFirstStart' \
+		./internal/serve/ ./internal/serve/journal/
 
 # Crash-safety suite: journal replay/compaction, kill/restart recovery,
-# panic isolation, retry + failure budget, timeout/shutdown reasons, drain.
+# every lifecycle path's records and events, a finished job read back
+# the same after a restart, panic isolation, retry + failure budget,
+# timeout/shutdown reasons, drain.
 crash:
 	$(GO) test -race -count=1 ./internal/serve/journal/...
-	$(GO) test -race -count=1 -run 'TestRestartRecovery|TestPanicIsolation|TestTransientFailureRetried|TestFailureBudgetAbsorbsTrial|TestTimeoutReason|TestShutdownWithInFlightJobs|TestDrainRefusesSubmissions' ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestRestartRecovery|TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestDeadlineJournalsNothing|TestPanicIsolation|TestTransientFailureRetried|TestFailureBudgetAbsorbsTrial|TestTimeoutReason|TestShutdownWithInFlightJobs|TestDrainRefusesSubmissions' ./internal/serve/
 
 # Overload suite: admission control (429 + Retry-After), the evaluation
 # deadline watchdog, the scheduler's evaluation-slot acquire under a

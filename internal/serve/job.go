@@ -222,9 +222,9 @@ const (
 	// during journal recovery.
 	ReasonInterrupted Reason = "interrupted"
 	// ReasonDeadline: an evaluation ran past -eval-timeout and was
-	// abandoned by the watchdog. It qualifies journal *event* records
-	// (and the trial charged to the failure budget), not a terminal job
-	// status.
+	// abandoned by the watchdog. It qualifies the trace log's deadline
+	// events (and the trial charged to the failure budget), not a
+	// terminal job status.
 	ReasonDeadline Reason = "deadline"
 )
 
@@ -248,7 +248,9 @@ type Job struct {
 	// still deduplicates a re-sent submission.
 	token string
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// status moves only through Manager.transition; restoreResult sets a
+	// job's that the journal holds as terminal.
 	status    Status
 	reason    Reason
 	errMsg    string
@@ -260,9 +262,10 @@ type Job struct {
 	trials    []ckTrial // every recorded trial, as a preempt checkpoint carries it
 
 	// The job's outcome as snapshots and the journal's terminal record
-	// carry it. recordTrialLocked extends evaluations and curve trial by
-	// trial; finish fills the rest for a run that completed; journal replay
-	// fills all of it for a job that was terminal before the restart.
+	// carry it (resultLocked). recordTrialLocked extends evaluations and
+	// curve trial by trial; finish fills the rest for a run that
+	// completed; restoreResult fills all of it for a job that was terminal
+	// before the restart.
 	evaluations int
 	curve       []trace.Point
 	bestConfig  map[string]any
@@ -329,14 +332,17 @@ func (j *Job) Status() Status {
 // func is read under the job lock because launch installs it after the
 // job is visible in the table; launch re-checks the reason so a cancel
 // landing in that window still takes effect.
-func (j *Job) Cancel() {
+func (j *Job) Cancel() { j.stop(ReasonUserCancel)() }
+
+// stop records why the job is being stopped, unless it is finished or
+// another reason got there first, and returns its cancel func.
+func (j *Job) stop(reason Reason) (cancel func()) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.reason == "" && !terminalStatus(j.status) {
-		j.reason = ReasonUserCancel
+		j.reason = reason
 	}
-	cancel := j.cancel
-	j.mu.Unlock()
-	cancel()
+	return j.cancel
 }
 
 // tenant returns the job's (defaulted) tenant.
@@ -438,15 +444,6 @@ type Snapshot struct {
 	// the resume point for /jobs/{id}/events (Last-Event-ID) and the
 	// ?since=N incremental poll.
 	LastSeq uint64 `json:"last_seq,omitempty"`
-}
-
-// FinishedAtOr returns the snapshot's finish time, or fallback when the
-// job has not finished.
-func (s Snapshot) FinishedAtOr(fallback time.Time) time.Time {
-	if s.FinishedAt != nil {
-		return *s.FinishedAt
-	}
-	return fallback
 }
 
 // Snapshot renders the job's current state, including the live anytime

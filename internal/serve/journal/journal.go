@@ -60,10 +60,11 @@ const (
 	// TypeResult records a terminal state with everything needed to serve
 	// the job after a restart; it is fsynced.
 	TypeResult = "result"
-	// TypeEvent records an observational incident (reason "deadline": an
-	// evaluation was abandoned by the watchdog). Events never change a
-	// job's replayed state and are dropped by compaction; they exist so a
-	// post-mortem can see what the daemon shed or abandoned and when.
+	// TypeEvent is an observational incident record (reason "deadline":
+	// an evaluation was abandoned by the watchdog) that earlier versions
+	// wrote. Nothing writes it now — the trace log's deadline event tells
+	// the same, with the evaluation's budget — and replay skips it, so
+	// their data directories still boot.
 	TypeEvent = "event"
 	// TypePreempt records a rung-boundary preemption: the scheduler
 	// reclaimed the job's slot, and Checkpoint carries the serve layer's
@@ -104,6 +105,9 @@ type Record struct {
 	// count, so compaction — which folds the preempt history of a
 	// finished job away — does not lose it.
 	Preemptions int `json:"preemptions,omitempty"`
+	// Failures on a result record is how many failed trials the job's
+	// failure budget absorbed.
+	Failures int `json:"failures,omitempty"`
 }
 
 // segmentName and baseName are the on-disk names for sequence seq.
@@ -341,13 +345,16 @@ type JobState struct {
 	BestScore   *float64
 	TestScore   *float64
 	SubmittedAt time.Time
-	StartedAt   time.Time
-	FinishedAt  time.Time
+	// StartedAt is the first running record's time: a preempted job
+	// started when it first ran, not at its last resume.
+	StartedAt  time.Time
+	FinishedAt time.Time
 	// Checkpoint is the latest preempt record's rung-state snapshot for
 	// a job that has not reached a terminal state — the resume point
 	// after a restart. Nil once a terminal record lands.
 	Checkpoint  json.RawMessage
 	Preemptions int
+	Failures    int
 }
 
 // Terminal reports whether the state is a journaled terminal outcome.
@@ -388,7 +395,7 @@ func (r *replayState) apply(rec Record) {
 		}
 	case TypeStatus:
 		st.Status = rec.Status
-		if rec.Status == "running" {
+		if rec.Status == "running" && st.StartedAt.IsZero() {
 			st.StartedAt = rec.Time
 		}
 	case TypePreempt:
@@ -408,6 +415,7 @@ func (r *replayState) apply(rec Record) {
 		if rec.Preemptions > 0 {
 			st.Preemptions = rec.Preemptions
 		}
+		st.Failures = rec.Failures
 		st.Curve = rec.Curve
 		st.BestConfig = rec.BestConfig
 		st.BestScore = rec.BestScore
@@ -591,6 +599,7 @@ func writeBase(dir string, seq int, states []JobState) error {
 				BestScore:   st.BestScore,
 				TestScore:   st.TestScore,
 				Preemptions: st.Preemptions,
+				Failures:    st.Failures,
 			}
 			if err := write(rec); err != nil {
 				f.Close()

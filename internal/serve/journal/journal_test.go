@@ -87,6 +87,40 @@ func TestReplayMergesRecords(t *testing.T) {
 	}
 }
 
+// TestReplayKeepsFirstStart: a job that ran, was preempted and ran again
+// started when it first ran — as the live job reports it — not at its
+// last resume.
+func TestReplayKeepsFirstStart(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
+	records := []Record{
+		{Type: TypeSubmit, Time: t0, JobID: "job-1", Spec: json.RawMessage(`{}`)},
+		{Type: TypeStatus, Time: t0.Add(time.Second), JobID: "job-1", Status: "running"},
+		{Type: TypePreempt, Time: t0.Add(2 * time.Second), JobID: "job-1", Evaluations: 1, Checkpoint: json.RawMessage(`{}`)},
+		{Type: TypeStatus, Time: t0.Add(3 * time.Second), JobID: "job-1", Status: "running"},
+		{Type: TypeResult, Time: t0.Add(4 * time.Second), JobID: "job-1", Status: "done", Evaluations: 2},
+	}
+	for _, rec := range records {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	states, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(states) != 1 || !states[0].StartedAt.Equal(t0.Add(time.Second)) {
+		t.Fatalf("replayed %+v; want job-1 started at %v", states, t0.Add(time.Second))
+	}
+}
+
 func TestReplayMissingJournal(t *testing.T) {
 	states, err := Replay(t.TempDir())
 	if err != nil {

@@ -450,7 +450,9 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 			Spec:      specs[i],
 			token:     st.Token,
 			cancel:    func() {},
+			status:    StatusQueued,
 			submitted: st.SubmittedAt,
+			started:   st.StartedAt,
 			// Preemption counts survive restarts like the rest of the
 			// accounting; restoreCheckpoint overwrites this with the
 			// checkpoint's own (authoritative) count for resumable jobs.
@@ -470,51 +472,31 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 				return evs
 			})
 		}
+		if st.Terminal() {
+			job.restoreResult(st)
+			if !m.hub.Done(job.ID) {
+				m.transition(job, phaseRestored, st.FinishedAt, nil)
+			}
+		} else {
+			// Queued (or checkpoint-resumable) when the process died: run it
+			// again under this manager (the compacted journal already holds
+			// its submit record, so launching appends only the new
+			// transitions).
+			live = append(live, job)
+			if len(st.Checkpoint) > 0 && job.restoreCheckpoint(st.Checkpoint) != nil {
+				// An undecodable checkpoint is dropped, not fatal: the job
+				// still runs, just from scratch.
+				m.journalErrs.Add(1)
+			}
+		}
 		// Re-seed the tenant's cumulative accounting (service = the
 		// curve's final cumulative budget — exactly what was charged) so
 		// /tenants survives the restart; virtual times restart level.
 		var service float64
-		if n := len(st.Curve); n > 0 {
-			service = float64(st.Curve[n-1].CumBudget)
-		}
-		if !st.Terminal() {
-			// Queued (or checkpoint-resumable) when the process died: run
-			// it again under this manager (the compacted journal already
-			// holds its submit record, so launching appends only the new
-			// transitions).
-			job.status = StatusQueued
-			if len(st.Checkpoint) > 0 {
-				if err := job.restoreCheckpoint(st.Checkpoint); err != nil {
-					// An undecodable checkpoint is dropped, not fatal: the
-					// job still runs, just from scratch.
-					m.journalErrs.Add(1)
-				} else if n := len(job.curve); n > 0 {
-					service = float64(job.curve[n-1].CumBudget)
-				}
-			}
-			m.sched.Restore(job.tenant(), service, int64(st.Evaluations), int64(st.Preemptions))
-			live = append(live, job)
-			continue
+		if n := len(job.curve); n > 0 {
+			service = float64(job.curve[n-1].CumBudget)
 		}
 		m.sched.Restore(job.tenant(), service, int64(st.Evaluations), int64(st.Preemptions))
-		job.status = Status(st.Status)
-		job.reason = Reason(st.Reason)
-		job.errMsg = st.Error
-		job.stack = st.Stack
-		job.started = st.StartedAt
-		job.finished = st.FinishedAt
-		job.evaluations = st.Evaluations
-		job.curve = st.Curve
-		job.bestConfig = st.BestConfig
-		job.bestScore = st.BestScore
-		job.testScore = st.TestScore
-		if !m.hub.Done(job.ID) {
-			// The trace never saw the final transition (the job was
-			// reclassified at replay, or the process died between the
-			// journal fsync and the trace fsync): close the feed now so
-			// late subscribers get a terminal event instead of hanging.
-			m.publishStatus(job, true, st.FinishedAt)
-		}
 	}
 	// The table is whole and every tenant's accounting re-seeded: only now
 	// may the scheduler grant. Replayed jobs bypass admission control —
@@ -541,23 +523,6 @@ func (m *Manager) publish(jobID string, ev events.Event) {
 		ev.Time = time.Now()
 	}
 	m.hub.Publish(jobID, ev)
-}
-
-// publishStatus emits a lifecycle transition for the job's current
-// state. Terminal transitions close the job's event feed and fsync the
-// trace log.
-func (m *Manager) publishStatus(job *Job, terminal bool, at time.Time) {
-	job.mu.Lock()
-	ev := events.Event{
-		Type:     events.TypeStatus,
-		Time:     at,
-		Status:   string(job.status),
-		Reason:   string(job.reason),
-		Error:    job.errMsg,
-		Terminal: terminal,
-	}
-	job.mu.Unlock()
-	m.publish(job.ID, ev)
 }
 
 // observeTrial is the per-trial observer behind every running job: it
@@ -782,7 +747,7 @@ func (m *Manager) submit(specs []JobSpec, token string, batch bool) ([]*Job, err
 	}
 	m.mu.Unlock()
 	for i, job := range jobs {
-		m.journalSubmit(job)
+		m.transition(job, phaseSubmitted, job.submitted, nil)
 		m.launch(job, tickets[i])
 	}
 	return jobs, nil
@@ -952,11 +917,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	for _, j := range jobs {
 		// Record the reason before the shared cancel fires so finish()
 		// can distinguish shutdown from a user cancel.
-		j.mu.Lock()
-		if j.reason == "" && !terminalStatus(j.status) {
-			j.reason = ReasonShutdown
-		}
-		j.mu.Unlock()
+		j.stop(ReasonShutdown)
 	}
 	m.baseCancel()
 	err := m.Drain(ctx)
@@ -971,96 +932,6 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		}
 	}
 	return err
-}
-
-// journalAppend persists one lifecycle record when a journal is
-// configured. Journaling is best-effort for the live path: an append
-// error is counted (journal_errors in the metrics) rather than failing
-// the job, since the in-memory table is still authoritative until the
-// next restart.
-func (m *Manager) journalAppend(rec journal.Record) {
-	if m.journal == nil {
-		return
-	}
-	if err := m.journal.Append(rec); err != nil {
-		m.journalErrs.Add(1)
-	}
-}
-
-func (m *Manager) journalSubmit(job *Job) {
-	if m.journal == nil {
-		return
-	}
-	spec, err := json.Marshal(job.Spec)
-	if err != nil {
-		m.journalErrs.Add(1)
-		return
-	}
-	m.journalAppend(journal.Record{
-		Type:   journal.TypeSubmit,
-		Time:   job.submitted,
-		JobID:  job.ID,
-		Token:  job.token,
-		Tenant: job.tenant(),
-		Spec:   spec,
-	})
-}
-
-// journalPreempt durably records a rung-boundary yield: the checkpoint
-// payload (trial prefix + preemption count) is what a restart resumes
-// from, so the record is fsynced like a terminal record.
-func (m *Manager) journalPreempt(job *Job, checkpoint []byte, evals int, at time.Time) {
-	m.journalAppend(journal.Record{
-		Type:        journal.TypePreempt,
-		Time:        at,
-		JobID:       job.ID,
-		Tenant:      job.tenant(),
-		Evaluations: evals,
-		Checkpoint:  checkpoint,
-	})
-}
-
-func (m *Manager) journalStatus(job *Job, status Status, at time.Time) {
-	m.journalAppend(journal.Record{
-		Type:   journal.TypeStatus,
-		Time:   at,
-		JobID:  job.ID,
-		Status: string(status),
-	})
-}
-
-func (m *Manager) journalTerminal(job *Job) {
-	if m.journal == nil {
-		return
-	}
-	snap := job.Snapshot()
-	m.journalAppend(journal.Record{
-		Type:        journal.TypeResult,
-		Time:        snap.FinishedAtOr(time.Now()),
-		JobID:       job.ID,
-		Status:      string(snap.Status),
-		Reason:      string(snap.Reason),
-		Error:       snap.Error,
-		Stack:       snap.Stack,
-		Evaluations: snap.Evaluations,
-		Curve:       snap.Curve,
-		BestConfig:  snap.BestConfig,
-		BestScore:   snap.BestScore,
-		TestScore:   snap.TestScore,
-		Preemptions: snap.Preemptions,
-	})
-}
-
-// journalEvent records an observational incident (e.g. an abandoned
-// evaluation, reason "deadline"); events never change replayed job state
-// and are dropped by compaction.
-func (m *Manager) journalEvent(job *Job, reason Reason) {
-	m.journalAppend(journal.Record{
-		Type:   journal.TypeEvent,
-		Time:   time.Now(),
-		JobID:  job.ID,
-		Reason: string(reason),
-	})
 }
 
 // acquireScope returns (building on first use) the evaluation scope

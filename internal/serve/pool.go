@@ -144,7 +144,6 @@ func (e *pooledEvaluator) evalOnce(cfg search.Config, budget int, r *rng.RNG) ([
 	case <-t.C:
 		m, job := e.m, e.job
 		m.deadlineExceeded.Add(1)
-		m.journalEvent(job, ReasonDeadline)
 		m.publish(job.ID, events.Event{Type: events.TypeDeadline, Budget: budget, Reason: string(ReasonDeadline)})
 		return nil, fmt.Errorf("%w (%s)", errEvalDeadline, timeout)
 	case <-e.ctx.Done():

@@ -2,12 +2,10 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
 
-	"enhancedbhpo/internal/events"
 	"enhancedbhpo/internal/hpo"
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
@@ -40,33 +38,8 @@ func (m *Manager) run(ctx context.Context, job *Job, cancel context.CancelFunc, 
 			return
 		}
 
-		started := time.Now()
 		segCtx, segCancel := context.WithCancelCause(ctx)
-		job.mu.Lock()
-		job.status = StatusRunning
-		if job.started.IsZero() {
-			job.started = started
-		}
-		resumed := job.checkpointLen > 0
-		// Arm the replay skip: the optimizer restarts from scratch each
-		// segment, regenerating the checkpointed prefix via evaluation-cache
-		// hits; those observations must not be re-recorded or re-charged.
-		job.replaySkip = job.checkpointLen
-		job.segCancel = segCancel
-		round := job.maxRound
-		job.mu.Unlock()
-		m.journalStatus(job, StatusRunning, started)
-		if resumed {
-			m.resumes.Add(1)
-			m.publish(job.ID, events.Event{
-				Type:   events.TypeResumed,
-				Time:   started,
-				Status: string(StatusRunning),
-				Round:  round,
-			})
-		} else {
-			m.publishStatus(job, false, started)
-		}
+		m.transition(job, phaseRunning, time.Now(), func() { job.segCancel = segCancel })
 
 		// The scope stays pinned (TTL eviction cannot take it) until the
 		// segment is over — finish() refits through scope.refits.
@@ -83,7 +56,7 @@ func (m *Manager) run(ctx context.Context, job *Job, cancel context.CancelFunc, 
 			// slot back, rejoin the queue, go around.
 			segCancel(nil)
 			release()
-			m.preemptJob(job)
+			m.transition(job, phasePreempted, time.Now(), nil)
 			ticket = m.sched.Preempt(ticket)
 			continue
 		}
@@ -95,37 +68,6 @@ func (m *Manager) run(ctx context.Context, job *Job, cancel context.CancelFunc, 
 		release()
 		return
 	}
-}
-
-// preemptJob transitions a yielded job back to queued: the completed
-// trial prefix and preemption count are checkpointed to the journal
-// (fsynced — the resume point must survive a crash), and subscribers see
-// a preempted event at the rung the job reached.
-func (m *Manager) preemptJob(job *Job) {
-	at := time.Now()
-	job.mu.Lock()
-	job.status = StatusQueued
-	job.preempts++
-	job.checkpointLen = len(job.trials)
-	job.segCancel = nil
-	// Appends never touch the recorded prefix, so it is marshalled below
-	// without the lock.
-	ck := checkpointState{Preempts: job.preempts, Trials: job.trials}
-	evals := len(job.trials)
-	round := job.maxRound
-	job.mu.Unlock()
-	raw, err := json.Marshal(ck)
-	if err != nil {
-		m.journalErrs.Add(1)
-		raw = nil
-	}
-	m.journalPreempt(job, raw, evals, at)
-	m.publish(job.ID, events.Event{
-		Type:   events.TypePreempted,
-		Time:   at,
-		Status: string(StatusQueued),
-		Round:  round,
-	})
 }
 
 // optimize dispatches to the context-aware optimizer selected by the spec.
@@ -166,10 +108,11 @@ func (m *Manager) optimize(ctx context.Context, job *Job, scope *evalScope) (*hp
 	})
 }
 
-// finish records the job's terminal state and journals it. A successful
-// run is refitted on the full training set and scored on the test split,
-// matching the paper's final step. Cancelled jobs keep the reason set at
-// the cancel source (user_cancel, shutdown) or derived here (timeout).
+// finish computes the job's outcome and ends it with the terminal
+// transition. A successful run is refitted on the full training set and
+// scored on the test split, matching the paper's final step. Cancelled
+// jobs keep the reason set at the cancel source (user_cancel, shutdown)
+// or derived here (timeout).
 func (m *Manager) finish(job *Job, scope *evalScope, res *hpo.Result, err error) {
 	status := StatusDone
 	var testScore *float64
@@ -193,40 +136,32 @@ func (m *Manager) finish(job *Job, scope *evalScope, res *hpo.Result, err error)
 			testScore = &ts
 		}
 	}
-	job.mu.Lock()
-	job.status = status
-	job.segCancel = nil
-	switch {
-	case status != StatusCancelled:
-		// A speculative shutdown mark on a job that still finished (or
-		// failed) on its own does not apply.
-		job.reason = ""
-	case timedOut:
-		// The deadline fired before any explicit cancel: the context
-		// reports DeadlineExceeded only in that case.
-		job.reason = ReasonTimeout
-	case job.reason == "":
-		job.reason = ReasonShutdown
-	}
-	finishedAt := time.Now()
-	job.finished = finishedAt
-	if err != nil {
-		job.errMsg = err.Error()
-	}
-	if res != nil {
-		if sp := res.Best.Space(); sp != nil {
-			job.bestConfig = make(map[string]any, len(sp.Dims))
-			for _, dim := range sp.Dims {
-				job.bestConfig[dim.Name] = res.Best.Value(dim.Name)
-			}
+	m.transition(job, phaseTerminal, time.Now(), func() {
+		job.status = status
+		switch {
+		case status != StatusCancelled:
+			// A speculative shutdown mark on a job that still finished (or
+			// failed) on its own does not apply.
+			job.reason = ""
+		case timedOut:
+			// The deadline fired before any explicit cancel: the context
+			// reports DeadlineExceeded only in that case.
+			job.reason = ReasonTimeout
+		case job.reason == "":
+			job.reason = ReasonShutdown
 		}
-		job.bestScore = &res.BestScore
-		job.testScore = testScore
-	}
-	job.mu.Unlock()
-	// Terminal event before the journal record: the publish fsyncs the
-	// trace log and closes the job's feed, so by the time the journal
-	// says "terminal" the full curve is durably on disk.
-	m.publishStatus(job, true, finishedAt)
-	m.journalTerminal(job)
+		if err != nil {
+			job.errMsg = err.Error()
+		}
+		if res != nil {
+			if sp := res.Best.Space(); sp != nil {
+				job.bestConfig = make(map[string]any, len(sp.Dims))
+				for _, dim := range sp.Dims {
+					job.bestConfig[dim.Name] = res.Best.Value(dim.Name)
+				}
+			}
+			job.bestScore = &res.BestScore
+			job.testScore = testScore
+		}
+	})
 }
