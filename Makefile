@@ -52,10 +52,13 @@ vet-bench:
 # fails and leaves nothing running. And for the one segment writer under
 # the journal, the trace log and the membership log: the cut write (a
 # re-executed test binary under RLIMIT_FSIZE), the torn tail, one segment
-# per life, hook order under rotation and the frozen bytes. And for the
-# job lifecycle: every path's journal records and status events, the
-# finished job that reads the same after a restart, the first start a
-# replay keeps.
+# per life, hook order under rotation and the frozen bytes — and for the
+# sink manifest on the same writer: the cut entry and the torn tail that
+# may not hide a later seal. And for the job lifecycle: every path's
+# journal records and status events, the finished job that reads the same
+# after a restart, the first start a replay keeps. And for the chaos
+# harness's short storm, whose journal may rotate on its last record — a
+# rotation that leaves only a base behind, which a one-P run hits often.
 cpus:
 	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge' \
 		./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
@@ -64,10 +67,11 @@ cpus:
 	$(GO) test -cpu 1,2,4 -count 1 -run 'TestFailover|TestMembership|TestShutdownJoinsFailover' ./internal/coord/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestRotationConcurrentAppends|TestCrashReopen|TestTraceByteIdenticalAcrossRebuild|TestNoPerJobSeal|TestPrime|TestRestartServesThreeKindsOfJob|TestFailedBoot' \
 		./internal/serve/tracestore/ ./internal/serve/ ./internal/events/
-	$(GO) test -cpu 1,2,4 -count 3 -run 'TestCutWrite|TestMemberJournal|TestEveryLifeStartsItsOwnSegment|TestOnChange|TestSegmentBytesFrozen|TestFailedUndo' \
-		./internal/serve/seglog/ ./internal/serve/journal/ ./internal/serve/tracestore/ ./internal/coord/
+	$(GO) test -cpu 1,2,4 -count 3 -run 'TestCutWrite|TestMemberJournal|TestEveryLifeStartsItsOwnSegment|TestOnChange|TestSegmentBytesFrozen|TestFailedUndo|TestOpenFileCutsTornTail|TestDirSinkTornManifestTail' \
+		./internal/serve/seglog/ ./internal/serve/journal/ ./internal/serve/tracestore/ ./internal/coord/ ./internal/serve/shipper/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestReplayKeepsFirstStart' \
 		./internal/serve/ ./internal/serve/journal/
+	$(GO) test -cpu 1,2,4 -count 3 -run 'TestChaosOverload' ./internal/serve/
 
 # Crash-safety suite: journal replay/compaction, kill/restart recovery,
 # every lifecycle path's records and events, a finished job read back

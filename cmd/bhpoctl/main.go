@@ -12,9 +12,11 @@
 // routed node dies before acking retries transparently on the ring
 // successor under a coordinator-minted idempotency token.
 //
-// The coordinator heartbeats each node's /healthz (EWMA-smoothed RTT,
-// consecutive-failure thresholds) and distinguishes degraded from dead:
-// a degraded node stops receiving new jobs but keeps its existing ones.
+// The coordinator heartbeats each node's /healthz once a second
+// (EWMA-smoothed RTT) and distinguishes degraded (2 missed probes) from
+// dead (6): a degraded node stops receiving new jobs but keeps its
+// existing ones. The pacing, the thresholds and the ring's 64 virtual
+// nodes per worker are constants, not flags (see DESIGN.md).
 // With -auto-failover, a dead node heals itself: the coordinator
 // verifies the node's shipped replicas (-sink-root), restores one onto
 // a registered standby (-standby, or `bhpoctl standby`), and re-points
@@ -28,8 +30,6 @@
 //	bhpoctl [-addr :8150] -node a=http://h1:8149 -node b=http://h2:8149 ...
 //	        [-standby s1=http://h9:8149]... [-sink-root /mnt/ship]...
 //	        [-auto-failover] [-data-dir /var/lib/bhpoctl]
-//	        [-replicas 64] [-probe-interval 1s] [-probe-timeout 1s]
-//	        [-degraded-after 2] [-dead-after 6]
 //	bhpoctl status  [-addr http://localhost:8150]
 //	bhpoctl tenants [-addr http://localhost:8150]
 //	bhpoctl join    [-addr ...] -node c -url http://h3:8149
@@ -127,14 +127,9 @@ func main() {
 	var nodes, standbys nodeFlags
 	var sinkRoots stringList
 	var (
-		addr      = flag.String("addr", ":8150", "listen address")
-		replicas  = flag.Int("replicas", 0, "virtual nodes per worker on the hash ring (0 = 64)")
-		probeIntv = flag.Duration("probe-interval", time.Second, "heartbeat probe interval")
-		probeTmo  = flag.Duration("probe-timeout", 0, "per-probe timeout (0 = probe interval)")
-		degraded  = flag.Int("degraded-after", 2, "consecutive probe failures before a node is degraded (no new jobs)")
-		dead      = flag.Int("dead-after", 6, "consecutive probe failures before a node is dead (range served by successors)")
-		dataDir   = flag.String("data-dir", "", "directory for the crash-safe membership journal (empty = membership not persisted)")
-		autoFail  = flag.Bool("auto-failover", false, "restore dead nodes onto standbys automatically (needs -sink-root and a standby pool)")
+		addr     = flag.String("addr", ":8150", "listen address")
+		dataDir  = flag.String("data-dir", "", "directory for the crash-safe membership journal (empty = membership not persisted)")
+		autoFail = flag.Bool("auto-failover", false, "restore dead nodes onto standbys automatically (needs -sink-root and a standby pool)")
 	)
 	flag.Var(&nodes, "node", "worker as name=url (repeatable)")
 	flag.Var(&standbys, "standby", "standby node as name=url (repeatable); spares for automated failover")
@@ -145,15 +140,8 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := coord.Config{
-		Nodes:    nodes,
-		Standbys: standbys,
-		Replicas: *replicas,
-		Probe: coord.ProbeOptions{
-			Interval:      *probeIntv,
-			Timeout:       *probeTmo,
-			DegradedAfter: *degraded,
-			DeadAfter:     *dead,
-		},
+		Nodes:        nodes,
+		Standbys:     standbys,
 		DataDir:      *dataDir,
 		SinkRoots:    sinkRoots,
 		AutoFailover: *autoFail,

@@ -26,7 +26,9 @@
 // set — recorded durably to the trace log all jobs share (segments of
 // -trace-max-bytes, immutable once sealed) so GET /jobs/{id}/trace serves
 // the full event history even after a crash and restart. `bhpo
-// watch <job-url>` is the terminal client for the feed.
+// watch <job-url>` is the terminal client for the feed. Two values are not
+// flags: a subscriber 256 events behind (events.SubscriberBuffer) drops
+// the rest and resumes, and an evaluation's kernels get GOMAXPROCS/-workers.
 //
 // As a cluster member the daemon can ship its journal and trace
 // segments to replica sinks while it runs (-ship-to, repeatable: each a
@@ -57,8 +59,7 @@
 //	      [-data-dir DIR] [-drain-timeout 30s]
 //	      [-eval-attempts 2] [-retry-backoff 50ms] [-failure-budget 3]
 //	      [-eval-timeout 0] [-journal-max-bytes 4194304] [-scope-ttl 0]
-//	      [-event-buffer 256] [-trace-max-bytes 1048576]
-//	      [-kernel-workers 0] [-pprof]
+//	      [-trace-max-bytes 1048576] [-pprof]
 //	      [-tenant-weights NAME=W,...] [-tenant-quota 0]
 //	      [-node NAME] [-ship-to DIR|URL]... [-ship-interval 250ms]
 //	      [-ship-sync] [-ship-recv-dir DIR] [-restore-from DIR]...
@@ -142,9 +143,7 @@ func main() {
 		attempts = flag.Int("eval-attempts", 2, "total tries per evaluation before it counts as a failure")
 		backoff  = flag.Duration("retry-backoff", 50*time.Millisecond, "base (jittered) delay between evaluation retries")
 		failures = flag.Int("failure-budget", 3, "evaluation failures a job absorbs before it is failed")
-		eventBuf = flag.Int("event-buffer", 256, "buffered events per SSE subscriber; a slower consumer has events dropped from its stream (resumable via Last-Event-ID)")
 		traceMax = flag.Int64("trace-max-bytes", 1<<20, "segment size of the durable trace log: start a new segment once the active one has grown past this (negative = never; needs -data-dir)")
-		kernelW  = flag.Int("kernel-workers", 0, "matmul goroutines per pooled evaluation (0 = NumCPU/workers, so the pool never oversubscribes)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ for live profiling")
 
 		tenantW     = flag.String("tenant-weights", "", "per-tenant fair-share weights as name=weight pairs, comma-separated (e.g. gold=3,free=1); unlisted tenants get weight 1")
@@ -177,9 +176,7 @@ func main() {
 		EvalAttempts:    *attempts,
 		RetryBackoff:    *backoff,
 		FailureBudget:   *failures,
-		EventBuffer:     *eventBuf,
 		TraceMaxBytes:   *traceMax,
-		KernelWorkers:   *kernelW,
 		NodeName:        *nodeName,
 	},
 		ShipTo: shipTo,

@@ -29,7 +29,9 @@ type Node struct {
 	URL  string `json:"url"`
 }
 
-// Config tunes the Coordinator.
+// Config is what a deployment varies about the Coordinator. The ring's
+// virtual nodes, the prober's pacing and thresholds and the failover and
+// drain timing are constants next to the code they pace.
 type Config struct {
 	// Nodes is the boot-time worker set. Names are ring identities: a
 	// replacement node keeps the dead node's name (automated failover or
@@ -40,14 +42,6 @@ type Config struct {
 	// Standbys is the boot-time spare pool: nodes registered for
 	// automated failover, outside the ring until promoted.
 	Standbys []Node
-	// Replicas is the ring's virtual-node count per node. 0 selects 64.
-	Replicas int
-	// Probe tunes the heartbeat prober.
-	Probe ProbeOptions
-	// Client performs all worker requests. nil selects a default with no
-	// overall timeout (SSE streams are long-lived; probes carry their own
-	// per-request timeouts).
-	Client *http.Client
 	// DataDir, when non-empty, persists membership operations to a
 	// crash-safe journal (members.jsonl) so a restarted coordinator
 	// recovers the current ring — runtime joins, leaves, standby
@@ -61,27 +55,6 @@ type Config struct {
 	// dead triggers verify → restore onto a standby → re-point, with no
 	// manual replace call.
 	AutoFailover bool
-	// RestoreBackoff is the initial delay between failed restore rounds
-	// (all standbys exhausted, or no verified replica yet); it doubles up
-	// to RestoreMaxBackoff. 0 selects 500ms / 15s.
-	RestoreBackoff    time.Duration
-	RestoreMaxBackoff time.Duration
-	// DrainPoll paces the leave handler's wait for a draining node's
-	// running jobs. 0 selects 250ms.
-	DrainPoll time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.RestoreBackoff <= 0 {
-		c.RestoreBackoff = 500 * time.Millisecond
-	}
-	if c.RestoreMaxBackoff <= 0 {
-		c.RestoreMaxBackoff = 15 * time.Second
-	}
-	if c.DrainPoll <= 0 {
-		c.DrainPoll = 250 * time.Millisecond
-	}
-	return c
 }
 
 // Coordinator routes the bhpod HTTP API across a cluster of workers.
@@ -126,20 +99,18 @@ type Coordinator struct {
 // journal in cfg.DataDir (when set) on top of the boot-time nodes. Call
 // Start to begin heartbeat probing and Shutdown to stop it.
 func New(cfg Config) (*Coordinator, error) {
-	cfg = cfg.withDefaults()
 	c := &Coordinator{
-		cfg:       cfg,
-		ring:      NewRing(cfg.Replicas),
-		client:    cfg.Client,
+		cfg:  cfg,
+		ring: NewRing(defaultReplicas),
+		// No overall timeout: SSE streams are long-lived, and probes carry
+		// their own per-request timeout.
+		client:    &http.Client{},
 		mux:       http.NewServeMux(),
 		started:   time.Now(),
 		restoring: map[string]bool{},
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
-	if c.client == nil {
-		c.client = &http.Client{}
-	}
-	c.prober = newProber(cfg.Probe, c.client)
+	c.prober = newProber(c.client)
 	c.prober.onDead = c.onNodeDead
 	for _, n := range cfg.Nodes {
 		if err := validNode(n); err != nil {
@@ -278,21 +249,9 @@ func splitID(qualified string) (node, id string, ok bool) {
 	return node, id, ok && node != "" && id != ""
 }
 
-// errorBody mirrors the worker API's JSON error envelope.
+// errorBody decodes the JSON error envelope serve.WriteError writes.
 type errorBody struct {
 	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // routeNode picks the worker for a new job with the given cache scope:
@@ -386,17 +345,17 @@ func submit[Req, Ack any](c *Coordinator, w http.ResponseWriter, r *http.Request
 	scopeOf func(*Req) (string, error), ids func(*Ack) []*string) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	var req Req
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
+		serve.WriteError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
 		return
 	}
 	scope, err := scopeOf(&req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	token := newSubmitToken()
@@ -407,16 +366,16 @@ func submit[Req, Ack any](c *Coordinator, w http.ResponseWriter, r *http.Request
 		node, ok := c.routeNode(scope, tried)
 		if !ok {
 			if lastErr != nil {
-				writeError(w, http.StatusBadGateway, "node %s: %v (no further candidates)", lastNode, lastErr)
+				serve.WriteError(w, http.StatusBadGateway, "node %s: %v (no further candidates)", lastNode, lastErr)
 			} else {
-				writeError(w, http.StatusServiceUnavailable, "no servable node for scope")
+				serve.WriteError(w, http.StatusServiceUnavailable, "no servable node for scope")
 			}
 			return
 		}
 		nodeURL, _ := c.prober.memberURL(node)
 		fwd, err := http.NewRequestWithContext(r.Context(), http.MethodPost, nodeURL+path, bytes.NewReader(body))
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			serve.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		fwd.Header.Set("Content-Type", "application/json")
@@ -428,7 +387,7 @@ func submit[Req, Ack any](c *Coordinator, w http.ResponseWriter, r *http.Request
 			// client context: if the *client* hung up, stop instead of
 			// spraying the ring.
 			if r.Context().Err() != nil {
-				writeError(w, http.StatusBadGateway, "node %s: %v", node, err)
+				serve.WriteError(w, http.StatusBadGateway, "node %s: %v", node, err)
 				return
 			}
 			tried[node] = true
@@ -445,7 +404,7 @@ func submit[Req, Ack any](c *Coordinator, w http.ResponseWriter, r *http.Request
 		}
 		var ack Ack
 		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-			writeError(w, http.StatusBadGateway, "node %s: decoding response: %v", node, err)
+			serve.WriteError(w, http.StatusBadGateway, "node %s: decoding response: %v", node, err)
 			return
 		}
 		qualified := ids(&ack)
@@ -453,7 +412,7 @@ func submit[Req, Ack any](c *Coordinator, w http.ResponseWriter, r *http.Request
 			*id = qualifyID(node, *id)
 		}
 		c.jobsRouted.Add(int64(len(qualified)))
-		writeJSON(w, http.StatusAccepted, ack)
+		serve.WriteJSON(w, http.StatusAccepted, ack)
 		return
 	}
 }
@@ -561,7 +520,7 @@ func (c *Coordinator) listTenants(w http.ResponseWriter, r *http.Request) {
 		out = append(out, *t)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	writeJSON(w, http.StatusOK, tenantsBody{Tenants: out})
+	serve.WriteJSON(w, http.StatusOK, tenantsBody{Tenants: out})
 }
 
 // resolveJob maps a node-qualified job ID to (node, local ID, node URL),
@@ -572,20 +531,20 @@ func (c *Coordinator) listTenants(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) resolveJob(w http.ResponseWriter, qualified string) (node, id, nodeURL string, ok bool) {
 	node, id, ok = splitID(qualified)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q (cluster job IDs are node-qualified, e.g. %q)", qualified, "a:job-1")
+		serve.WriteError(w, http.StatusNotFound, "no job %q (cluster job IDs are node-qualified, e.g. %q)", qualified, "a:job-1")
 		return "", "", "", false
 	}
 	nodeURL, known := c.prober.memberURL(node)
 	if !known {
-		writeError(w, http.StatusNotFound, "no node %q", node)
+		serve.WriteError(w, http.StatusNotFound, "no node %q", node)
 		return "", "", "", false
 	}
 	switch c.prober.stateOf(node) {
 	case StateDead:
-		writeError(w, http.StatusServiceUnavailable, "node %s is dead; awaiting replacement", node)
+		serve.WriteError(w, http.StatusServiceUnavailable, "node %s is dead; awaiting replacement", node)
 		return "", "", "", false
 	case StateRestoring:
-		writeError(w, http.StatusServiceUnavailable, "node %s is being restored; retry shortly", node)
+		serve.WriteError(w, http.StatusServiceUnavailable, "node %s is being restored; retry shortly", node)
 		return "", "", "", false
 	}
 	return node, id, nodeURL, true
@@ -610,7 +569,7 @@ func (c *Coordinator) jobProxy(w http.ResponseWriter, r *http.Request) {
 	sub := strings.TrimPrefix(r.URL.Path, "/jobs/"+qualified)
 	target, err := url.Parse(nodeURL + "/jobs/" + id + sub)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		serve.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	target.RawQuery = r.URL.RawQuery
@@ -627,7 +586,7 @@ func (c *Coordinator) jobProxy(w http.ResponseWriter, r *http.Request) {
 			return requalifySnapshot(resp, node)
 		},
 		ErrorHandler: func(w http.ResponseWriter, _ *http.Request, err error) {
-			writeError(w, http.StatusBadGateway, "node %s: %v", node, err)
+			serve.WriteError(w, http.StatusBadGateway, "node %s: %v", node, err)
 		},
 	}).ServeHTTP(w, r)
 }
@@ -655,7 +614,7 @@ func requalifySnapshot(resp *http.Response, node string) error {
 	if err != nil {
 		return err
 	}
-	body = append(body, '\n') // what writeJSON's encoder ends with
+	body = append(body, '\n') // what serve.WriteJSON ends with
 	resp.Body = io.NopCloser(bytes.NewReader(body))
 	resp.ContentLength = int64(len(body))
 	resp.Header.Set("Content-Length", strconv.Itoa(len(body)))
@@ -673,7 +632,7 @@ func (c *Coordinator) listJobs(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 // listMethods answers GET /methods with the first servable node's list —
@@ -686,11 +645,11 @@ func (c *Coordinator) listMethods(w http.ResponseWriter, r *http.Request) {
 		}
 		nodeURL, _ := c.prober.memberURL(name)
 		if methods, err := getJSON[json.RawMessage](r.Context(), c.client, nodeURL+"/methods"); err == nil {
-			writeJSON(w, http.StatusOK, methods)
+			serve.WriteJSON(w, http.StatusOK, methods)
 			return
 		}
 	}
-	writeError(w, http.StatusServiceUnavailable, "no servable node")
+	serve.WriteError(w, http.StatusServiceUnavailable, "no servable node")
 }
 
 // clusterHealth is the aggregate GET /healthz payload.
@@ -753,7 +712,7 @@ func aggregateStatus(nodes []NodeStatus) (status string, alive, members int) {
 func (c *Coordinator) healthz(w http.ResponseWriter, r *http.Request) {
 	nodes := c.prober.status()
 	status, alive, members := aggregateStatus(nodes)
-	writeJSON(w, http.StatusOK, clusterHealth{
+	serve.WriteJSON(w, http.StatusOK, clusterHealth{
 		Status:     status,
 		NodesAlive: alive,
 		NodesTotal: members,
@@ -826,5 +785,5 @@ func (c *Coordinator) metrics(w http.ResponseWriter, r *http.Request) {
 		out.ShipRetries += m.ShipRetries
 		out.ShipBytes += m.ShipBytes
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"enhancedbhpo/internal/serve"
 )
@@ -118,10 +117,7 @@ func newTestCluster(t *testing.T, workers ...*stubWorker) (*Coordinator, *httpte
 	for i, w := range workers {
 		nodes[i] = Node{Name: w.name, URL: w.ts.URL}
 	}
-	c, err := New(Config{
-		Nodes: nodes,
-		Probe: ProbeOptions{Interval: time.Hour, Timeout: 500 * time.Millisecond},
-	})
+	c, err := New(Config{Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +206,7 @@ func TestCoordinatorRoutesAroundDeadNode(t *testing.T) {
 		victim, survivor = b, a
 	}
 	victim.ts.Close()
-	for i := 0; i < 6; i++ { // cross DeadAfter
+	for range deadAfter {
 		coord.ProbeNow()
 	}
 	resp, snap := postJob(t, ts.URL, spec)
@@ -378,7 +374,7 @@ func TestCoordinatorReplace(t *testing.T) {
 	a := newStubWorker(t, "a")
 	coord, ts := newTestCluster(t, a)
 	a.ts.Close()
-	for i := 0; i < 6; i++ {
+	for range deadAfter {
 		coord.ProbeNow()
 	}
 	if st := coord.prober.stateOf("a"); st != StateDead {

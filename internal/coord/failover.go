@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"enhancedbhpo/internal/serve"
 	"enhancedbhpo/internal/serve/shipper"
 )
 
@@ -47,6 +48,15 @@ type ClusterEvent struct {
 // maxClusterEvents bounds the in-memory incident log.
 const maxClusterEvents = 256
 
+// A failed restore round (no verified replica yet, or every standby
+// failed) waits restoreBackoff, doubling up to restoreMaxBackoff: quick
+// enough to catch a sink that was seconds behind, slow enough not to
+// hammer standbys during a long outage.
+const (
+	restoreBackoff    = 500 * time.Millisecond
+	restoreMaxBackoff = 15 * time.Second
+)
+
 // recordEvent appends to the incident log, dropping the oldest entries
 // past the cap.
 func (c *Coordinator) recordEvent(ev ClusterEvent) {
@@ -68,7 +78,7 @@ func (c *Coordinator) clusterEvents(w http.ResponseWriter, r *http.Request) {
 	out := make([]ClusterEvent, len(c.events))
 	copy(out, c.events)
 	c.evMu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 // onNodeDead is the prober's dead-transition hook. One pipeline per
@@ -102,7 +112,7 @@ func (c *Coordinator) runFailover(name string) {
 	}()
 	c.prober.update(name, func(e *probeEntry) { e.restoring = true })
 	start := time.Now()
-	backoff := c.cfg.RestoreBackoff
+	backoff := restoreBackoff
 	for {
 		if c.prober.stateOf(name) != StateRestoring {
 			// Resurrected (a probe succeeded), replaced manually, or left
@@ -125,10 +135,7 @@ func (c *Coordinator) runFailover(name string) {
 			return
 		case <-time.After(backoff):
 		}
-		backoff *= 2
-		if backoff > c.cfg.RestoreMaxBackoff {
-			backoff = c.cfg.RestoreMaxBackoff
-		}
+		backoff = min(2*backoff, restoreMaxBackoff)
 	}
 }
 

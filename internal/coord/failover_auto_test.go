@@ -109,13 +109,10 @@ func TestFailoverZeroOperator(t *testing.T) {
 
 	dataDir := t.TempDir()
 	cfg := Config{
-		Nodes:             nodes,
-		Probe:             ProbeOptions{Interval: time.Hour, Timeout: 2 * time.Second},
-		DataDir:           dataDir,
-		SinkRoots:         []string{shipRootA, shipRootB},
-		AutoFailover:      true,
-		RestoreBackoff:    10 * time.Millisecond,
-		RestoreMaxBackoff: 50 * time.Millisecond,
+		Nodes:        nodes,
+		DataDir:      dataDir,
+		SinkRoots:    []string{shipRootA, shipRootB},
+		AutoFailover: true,
 	}
 	coord1, err := New(cfg)
 	if err != nil {
@@ -245,7 +242,7 @@ func TestFailoverZeroOperator(t *testing.T) {
 
 	// The prober walks the victim to dead; the dead transition starts the
 	// pipeline with no operator involved.
-	for i := 0; i < 6; i++ {
+	for range deadAfter {
 		coord1.ProbeNow()
 	}
 	for deadline := time.Now().Add(10 * time.Second); coord1.prober.stateOf(victimName) != StateRestoring; {
@@ -290,7 +287,7 @@ func TestFailoverZeroOperator(t *testing.T) {
 	if members != 3 || standbys != 2 {
 		t.Fatalf("restarted coordinator recovered %d members / %d standbys, want 3/2", members, standbys)
 	}
-	for i := 0; i < 6; i++ {
+	for range deadAfter {
 		coord2.ProbeNow()
 	}
 	var cm ClusterMetrics
@@ -492,18 +489,16 @@ func TestShutdownJoinsFailover(t *testing.T) {
 
 	dataDir := t.TempDir()
 	c, err := New(Config{
-		Nodes:          []Node{{Name: "a", URL: dead.URL}},
-		Standbys:       []Node{{Name: "s1", URL: standby.URL}},
-		Probe:          ProbeOptions{Interval: time.Hour, Timeout: 2 * time.Second},
-		DataDir:        dataDir,
-		SinkRoots:      []string{sinkRoot},
-		AutoFailover:   true,
-		RestoreBackoff: 5 * time.Millisecond,
+		Nodes:        []Node{{Name: "a", URL: dead.URL}},
+		Standbys:     []Node{{Name: "s1", URL: standby.URL}},
+		DataDir:      dataDir,
+		SinkRoots:    []string{sinkRoot},
+		AutoFailover: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ { // a crosses DeadAfter: the pipeline starts
+	for range deadAfter { // a dies: the pipeline starts
 		c.ProbeNow()
 	}
 	select {
@@ -540,7 +535,9 @@ func TestShutdownJoinsFailover(t *testing.T) {
 	}
 	requestsAtShutdown := requests.Load()
 	close(release)
-	time.Sleep(20 * c.cfg.RestoreBackoff) // room for a surviving pipeline to show itself
+	// A pipeline that survived would show itself at once: its in-flight
+	// restore returns and it re-points, which asks the standby again.
+	time.Sleep(100 * time.Millisecond)
 	if n := requests.Load(); n != requestsAtShutdown {
 		t.Fatalf("%d request(s) reached the standby after Shutdown returned", n-requestsAtShutdown)
 	}
@@ -600,13 +597,11 @@ func TestRestoreLostAckAdopted(t *testing.T) {
 
 	dataDir := t.TempDir()
 	c, err := New(Config{
-		Nodes:          []Node{{Name: "a", URL: worker.ts.URL}},
-		Standbys:       []Node{{Name: "s1", URL: standby.ts.URL}},
-		Probe:          ProbeOptions{Interval: time.Hour, Timeout: 2 * time.Second},
-		DataDir:        dataDir,
-		SinkRoots:      []string{sinkRoot},
-		AutoFailover:   true,
-		RestoreBackoff: 5 * time.Millisecond,
+		Nodes:        []Node{{Name: "a", URL: worker.ts.URL}},
+		Standbys:     []Node{{Name: "s1", URL: standby.ts.URL}},
+		DataDir:      dataDir,
+		SinkRoots:    []string{sinkRoot},
+		AutoFailover: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -614,7 +609,7 @@ func TestRestoreLostAckAdopted(t *testing.T) {
 	defer c.Shutdown()
 	front := httptest.NewServer(c)
 	defer front.Close()
-	for i := 0; i < 6; i++ {
+	for range deadAfter {
 		c.ProbeNow()
 	}
 	var cm ClusterMetrics

@@ -248,10 +248,7 @@ func TestFailoverNodeKill(t *testing.T) {
 		workers[n] = wp
 		nodes = append(nodes, Node{Name: n, URL: wp.ts.URL})
 	}
-	coord, err := New(Config{
-		Nodes: nodes,
-		Probe: ProbeOptions{Interval: time.Hour, Timeout: 2 * time.Second},
-	})
+	coord, err := New(Config{Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +358,7 @@ func TestFailoverNodeKill(t *testing.T) {
 	// The prober walks the victim through degraded to dead; the cluster
 	// stays servable (degraded, not dead) and the victim's jobs answer
 	// 503 — retryable — while awaiting the replacement.
-	for i := 0; i < 6; i++ {
+	for range deadAfter {
 		coord.ProbeNow()
 	}
 	if st := coord.prober.stateOf(victimName); st != StateDead {

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -67,20 +66,12 @@ type memberLog struct {
 }
 
 // openMemberLog opens (creating if needed) dir's membership journal for
-// appending, after cutting off a torn tail: a crash mid-append leaves a
-// last line without its newline, behind which replay would never find
-// what this life appends.
+// appending; seglog cuts off the torn tail a crash mid-append leaves.
 func openMemberLog(dir string) (*memberLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("coord: members journal: %w", err)
 	}
-	path := filepath.Join(dir, MembersFileName)
-	if data, err := os.ReadFile(path); err == nil {
-		if err := os.Truncate(path, int64(bytes.LastIndexByte(data, '\n')+1)); err != nil {
-			return nil, fmt.Errorf("coord: members journal: %w", err)
-		}
-	}
-	f, err := seglog.OpenFile(path)
+	f, err := seglog.OpenFile(filepath.Join(dir, MembersFileName))
 	if err != nil {
 		return nil, fmt.Errorf("coord: members journal: %w", err)
 	}
@@ -182,20 +173,20 @@ func (c *Coordinator) memberEndpoint(op func(r *http.Request, body memberBody) e
 	return func(w http.ResponseWriter, r *http.Request) {
 		var body memberBody
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, "decoding: %v", err)
+			serve.WriteError(w, http.StatusBadRequest, "decoding: %v", err)
 			return
 		}
 		if body.Node == "" {
-			writeError(w, http.StatusBadRequest, "empty node")
+			serve.WriteError(w, http.StatusBadRequest, "empty node")
 			return
 		}
 		err := op(r, body)
 		var refused refusal
 		switch {
 		case errors.As(err, &refused):
-			writeError(w, refused.status, "%s", refused.msg)
+			serve.WriteError(w, refused.status, "%s", refused.msg)
 		case err != nil:
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			serve.WriteError(w, http.StatusInternalServerError, "%v", err)
 		default:
 			c.writeStatusList(w)
 		}
@@ -205,7 +196,7 @@ func (c *Coordinator) memberEndpoint(op func(r *http.Request, body memberBody) e
 // writeStatusList responds with the node table: GET /cluster, and the
 // success payload of every membership endpoint.
 func (c *Coordinator) writeStatusList(w http.ResponseWriter) {
-	writeJSON(w, http.StatusOK, c.prober.status())
+	serve.WriteJSON(w, http.StatusOK, c.prober.status())
 }
 
 // repoint points an existing ring identity at a new URL — the one
@@ -284,6 +275,10 @@ func (c *Coordinator) drainNode(r *http.Request, body memberBody) error {
 	return nil
 }
 
+// drainPoll paces leaveNode's wait for a draining node's work: a leave
+// takes seconds to minutes, so four polls a second cost nothing.
+const drainPoll = 250 * time.Millisecond
+
 // leaveNode handles POST /cluster/leave: drain the node (stop routing
 // new jobs), wait for its running and queued work to finish (or the
 // deadline), then remove it from the ring — its scope ownership remaps
@@ -328,7 +323,7 @@ wait:
 			return refuse(http.StatusBadGateway, "leave interrupted: %v", r.Context().Err())
 		case <-c.ctx.Done():
 			return refuse(http.StatusServiceUnavailable, "coordinator shutting down")
-		case <-time.After(c.cfg.DrainPoll):
+		case <-time.After(drainPoll):
 		}
 	}
 	if err := c.journalAndApply(MemberOp{Op: OpLeave, Node: body.Node}); err != nil {

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"enhancedbhpo/internal/serve"
 )
@@ -171,7 +170,6 @@ func TestSubmitRetryOnDeadRoute(t *testing.T) {
 
 	coord, err := New(Config{
 		Nodes: []Node{{Name: "a", URL: killer.URL}, {Name: "b", URL: healthy.ts.URL}},
-		Probe: ProbeOptions{Interval: time.Hour, Timeout: 500 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,9 +281,7 @@ func TestMembershipJoinStormDrainLeave(t *testing.T) {
 			{Name: "a", URL: workers["a"].ts.URL},
 			{Name: "b", URL: workers["b"].ts.URL},
 		},
-		Probe:     ProbeOptions{Interval: time.Hour, Timeout: 2 * time.Second},
-		DataDir:   dataDir,
-		DrainPoll: 10 * time.Millisecond,
+		DataDir: dataDir,
 	}
 	coord, err := New(cfg)
 	if err != nil {

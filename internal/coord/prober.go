@@ -38,42 +38,19 @@ const (
 	StateRestoring NodeState = "restoring"
 )
 
-// rttAlpha is the RTT EWMA smoothing factor.
-const rttAlpha = 0.3
-
-// ProbeOptions tunes the heartbeat prober.
-type ProbeOptions struct {
-	// Interval paces the probe loop. 0 selects 1s.
-	Interval time.Duration
-	// Timeout bounds one probe request. 0 selects Interval (a probe never
-	// overlaps the next round).
-	Timeout time.Duration
-	// DegradedAfter is the consecutive-failure count that demotes a node
-	// to degraded. 0 selects 2.
-	DegradedAfter int
-	// DeadAfter is the consecutive-failure count that declares a node
-	// dead. 0 selects 6.
-	DeadAfter int
-}
-
-func (o ProbeOptions) withDefaults() ProbeOptions {
-	if o.Interval <= 0 {
-		o.Interval = time.Second
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = o.Interval
-	}
-	if o.DegradedAfter <= 0 {
-		o.DegradedAfter = 2
-	}
-	if o.DeadAfter <= 0 {
-		o.DeadAfter = 6
-	}
-	if o.DeadAfter < o.DegradedAfter {
-		o.DeadAfter = o.DegradedAfter
-	}
-	return o
-}
+// The prober's pacing. A node misses degradedAfter consecutive probes
+// before new jobs avoid it and deadAfter before its range fails over:
+// two seconds rides out a GC pause or a brief partition, six is short
+// enough that a dead node's scopes move on quickly. A probe times out at
+// the interval, so one round never overlaps the next. rttAlpha is the
+// RTT EWMA smoothing factor.
+const (
+	probeInterval = time.Second
+	probeTimeout  = probeInterval
+	degradedAfter = 2
+	deadAfter     = 6
+	rttAlpha      = 0.3
+)
 
 // NodeStatus is one node's probed condition, served by GET /cluster.
 type NodeStatus struct {
@@ -105,7 +82,6 @@ type NodeStatus struct {
 // traffic before the first probe lands) and moves through degraded to
 // dead on consecutive failures; one success fully restores it.
 type prober struct {
-	opts   ProbeOptions
 	client *http.Client
 
 	// onDead, when set (before start), fires once per alive→dead
@@ -154,9 +130,8 @@ func (e *probeEntry) effectiveState() NodeState {
 }
 
 // newProber returns a prober tracking no nodes; start launches its loop.
-func newProber(opts ProbeOptions, client *http.Client) *prober {
+func newProber(client *http.Client) *prober {
 	return &prober{
-		opts:   opts.withDefaults(),
 		client: client,
 		nodes:  map[string]*probeEntry{},
 		stop:   make(chan struct{}),
@@ -269,7 +244,7 @@ func (p *prober) start() {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		t := time.NewTicker(p.opts.Interval)
+		t := time.NewTicker(probeInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -312,7 +287,7 @@ func (p *prober) probeAll() {
 // vocabulary (ok, overloaded, draining) is a success — an overloaded node
 // is alive and must not be declared dead, it is shedding by design.
 func (p *prober) probeOne(name, url string) {
-	ctx, cancel := context.WithTimeout(context.Background(), p.opts.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	start := time.Now()
 	body, err := getJSON[struct {
@@ -334,10 +309,10 @@ func (p *prober) probeOne(name, url string) {
 		e.fails++
 		e.lastErr = err.Error()
 		switch {
-		case e.fails >= p.opts.DeadAfter:
+		case e.fails >= deadAfter:
 			died = e.state != StateDead && !e.standby
 			e.state = StateDead
-		case e.fails >= p.opts.DegradedAfter:
+		case e.fails >= degradedAfter:
 			e.state = StateDegraded
 		}
 	} else {

@@ -55,14 +55,13 @@ func TestCoordinatorProxyPassthrough(t *testing.T) {
 
 	c, err := New(Config{
 		Nodes: []Node{{Name: "a", URL: worker.URL}, {Name: "d", URL: gone.URL}, {Name: "r", URL: gone.URL}},
-		Probe: ProbeOptions{Interval: time.Hour, Timeout: 500 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	front := httptest.NewServer(c)
 	t.Cleanup(front.Close)
-	for i := 0; i < 6; i++ { // d and r cross DeadAfter
+	for range deadAfter { // d and r die
 		c.ProbeNow()
 	}
 	c.prober.update("r", func(e *probeEntry) { e.restoring = true })

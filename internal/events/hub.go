@@ -5,13 +5,14 @@ import (
 	"sync/atomic"
 )
 
+// SubscriberBuffer is each subscription's channel capacity. A subscriber
+// whose buffer is full has events dropped from its channel (counted,
+// never removed from history) and recovers via Since: the size only
+// decides how often a slow reader backfills.
+const SubscriberBuffer = 256
+
 // Options tunes a Hub.
 type Options struct {
-	// SubscriberBuffer is each subscription's channel capacity. A
-	// subscriber whose buffer is full has events dropped from its
-	// channel (counted, never removed from history) and recovers via
-	// Since. 0 selects 256.
-	SubscriberBuffer int
 	// Sink, when non-nil, receives every published event synchronously
 	// in publish order, before any subscriber sees it. It is the durable
 	// trace store's hook; it must not call back into the hub.
@@ -74,9 +75,6 @@ type Subscription struct {
 
 // NewHub returns an empty hub.
 func NewHub(opts Options) *Hub {
-	if opts.SubscriberBuffer <= 0 {
-		opts.SubscriberBuffer = 256
-	}
 	return &Hub{opts: opts, feeds: map[string]*feed{}}
 }
 
@@ -174,7 +172,7 @@ func (f *feed) loadLocked() {
 // remaining history and an already-closed channel.
 func (h *Hub) Subscribe(jobID string, afterSeq uint64) (*Subscription, []Event) {
 	f := h.getFeed(jobID)
-	sub := &Subscription{hub: h, feed: f, ch: make(chan Event, h.opts.SubscriberBuffer)}
+	sub := &Subscription{hub: h, feed: f, ch: make(chan Event, SubscriberBuffer)}
 	sub.C = sub.ch
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -120,33 +120,36 @@ func TestTerminalClosesFeed(t *testing.T) {
 	}
 }
 
-// TestSlowConsumerDropAccounting: a subscriber that never drains a
-// 1-slot buffer loses events from its channel — counted on the
-// subscription and the hub — while the history keeps everything, so
-// Since can backfill the gap.
+// TestSlowConsumerDropAccounting: a subscriber that never drains its
+// buffer loses the events published past it from its channel — counted
+// on the subscription and the hub — while the history keeps everything,
+// so Since can backfill the gap.
 func TestSlowConsumerDropAccounting(t *testing.T) {
-	h := NewHub(Options{SubscriberBuffer: 1})
+	h := NewHub(Options{})
 	sub, _ := h.Subscribe("j", 0)
 	defer sub.Close()
-	const n = 10
+	const n = SubscriberBuffer + 9
 	for i := 1; i <= n; i++ {
 		h.Publish("j", curveEvent(i))
 	}
-	if got := sub.Dropped(); got != n-1 {
-		t.Fatalf("subscription dropped %d, want %d", got, n-1)
+	if got := sub.Dropped(); got != n-SubscriberBuffer {
+		t.Fatalf("subscription dropped %d, want %d", got, n-SubscriberBuffer)
 	}
-	if got := h.Stats().Dropped; got != n-1 {
-		t.Fatalf("hub dropped %d, want %d", got, n-1)
+	if got := h.Stats().Dropped; got != n-SubscriberBuffer {
+		t.Fatalf("hub dropped %d, want %d", got, n-SubscriberBuffer)
 	}
-	// The one delivered event is the first; the gap backfills from history.
-	ev := <-sub.C
-	if ev.Seq != 1 {
-		t.Fatalf("delivered event has seq %d, want 1", ev.Seq)
+	// The delivered events are the first SubscriberBuffer; the gap
+	// backfills from history.
+	var ev Event
+	for i := 1; i <= SubscriberBuffer; i++ {
+		if ev = <-sub.C; ev.Seq != uint64(i) {
+			t.Fatalf("delivered event %d has seq %d", i, ev.Seq)
+		}
 	}
 	rest := h.Since("j", ev.Seq)
-	if len(rest) != n-1 || rest[0].Seq != 2 || rest[len(rest)-1].Seq != n {
-		t.Fatalf("Since(1) = %d events [%d..%d], want seqs 2..%d",
-			len(rest), rest[0].Seq, rest[len(rest)-1].Seq, n)
+	if len(rest) != n-SubscriberBuffer || rest[0].Seq != SubscriberBuffer+1 || rest[len(rest)-1].Seq != n {
+		t.Fatalf("Since(%d) = %d events [%d..%d], want seqs %d..%d",
+			ev.Seq, len(rest), rest[0].Seq, rest[len(rest)-1].Seq, SubscriberBuffer+1, n)
 	}
 }
 
@@ -283,11 +286,12 @@ func TestPrimeNotDoneFeedContinues(t *testing.T) {
 // TestConcurrentPublishSubscribe hammers one feed from many publishers
 // and subscribers under -race: every subscriber must see a strictly
 // increasing sequence (gaps allowed only where its drop counter says so).
+// The 800 events overflow the subscriber buffer, so a lagging reader drops.
 func TestConcurrentPublishSubscribe(t *testing.T) {
-	h := NewHub(Options{SubscriberBuffer: 8})
+	h := NewHub(Options{})
 	const (
 		publishers = 4
-		perPub     = 50
+		perPub     = 200
 		readers    = 3
 	)
 	var wg sync.WaitGroup

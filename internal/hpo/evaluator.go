@@ -278,28 +278,22 @@ func evalTrial(ev Evaluator, comps Components, cfg search.Config, budget, round 
 }
 
 // evalSequential is the shared trial loop of the full-budget baselines
-// (random, grid): every configuration is evaluated once at full budget,
-// ctx is honored between trials, and the best by score is recorded on res.
-// Per-trial RNG streams are root.Split(trialTag(0, i)) — identical to the
-// historical per-method loops, so results are bit-for-bit unchanged.
+// (random, grid): one round of evalRound at full budget on one worker, the
+// best by score recorded on res.
 func evalSequential(ctx context.Context, ev Evaluator, comps Components, configs []search.Config, root *rng.RNG, res *Result) error {
-	budget := ev.FullBudget()
-	best := -1
-	for i, cfg := range configs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		tr, err := evalTrial(ev, comps, cfg, budget, 0, root.Split(trialTag(0, i)))
-		if err != nil {
-			return err
-		}
-		res.Trials = append(res.Trials, tr)
-		if best < 0 || tr.Score > res.Trials[best].Score {
+	trials, err := evalRound(ctx, ev, comps, configs, ev.FullBudget(), 0, 1, root)
+	if err != nil {
+		return err
+	}
+	best := 0
+	for i, tr := range trials {
+		if tr.Score > trials[best].Score {
 			best = i
 		}
 	}
-	res.Best = res.Trials[best].Config
-	res.BestScore = res.Trials[best].Score
+	res.Trials = trials
+	res.Best = trials[best].Config
+	res.BestScore = trials[best].Score
 	return nil
 }
 

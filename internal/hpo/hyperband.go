@@ -114,24 +114,24 @@ func runBrackets(ctx context.Context, method string, ev Evaluator, comps Compone
 			if ri > int(R) {
 				ri = int(R)
 			}
+			trials, err := evalRound(ctx, ev, comps, current, ri, round, 1, root)
+			if err != nil {
+				return nil, err
+			}
 			scores := make([]ranked, 0, len(current))
-			for ci, cfg := range current {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				tr, err := evalTrial(ev, comps, cfg, ri, round, root.Split(trialTag(round, ci)))
-				if err != nil {
-					return nil, err
-				}
+			for ci, tr := range trials {
 				res.Trials = append(res.Trials, tr)
-				scores = append(scores, ranked{cfg: cfg, score: tr.Score, order: ci})
+				scores = append(scores, ranked{cfg: tr.Config, score: tr.Score, order: ci})
+				// BOHB's sampler and DEHB's archive are read only when the
+				// next bracket starts, so feeding them after the rung is
+				// the same as feeding them after each trial.
 				if observe != nil {
-					observe(cfg, ri, tr.Score)
+					observe(tr.Config, ri, tr.Score)
 				}
 				// Track the best configuration seen at (near-)full budget;
 				// fall back to the best at any budget if none reach it.
 				if ri >= int(R)/2 && tr.Score > globalScore {
-					globalBest, globalScore, haveBest = cfg, tr.Score, true
+					globalBest, globalScore, haveBest = tr.Config, tr.Score, true
 				}
 			}
 			round++

@@ -125,7 +125,8 @@ func init() {
 	})
 }
 
-// evalRound evaluates one halving round, optionally with a worker pool.
+// evalRound evaluates one round — SHA's halving round, a Hyperband rung,
+// the baselines' one full-budget pass — optionally with a worker pool.
 // Results are ordered by configuration index, so the outcome is identical
 // for any worker count. A cancelled ctx or a failed evaluation stops the
 // round before the next evaluation starts; the error returned is the first

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -287,5 +288,33 @@ func TestNaNCurveDoesNotKillDaemon(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz after a NaN job: status %d", resp.StatusCode)
+	}
+}
+
+// TestUnencodableResponseAnswers500: a job whose curve holds a NaN score
+// cannot be encoded as JSON. Every route that would carry it answers 500
+// with the encoding error in the JSON envelope, not a 200 with an empty
+// body a client cannot tell from a truncated one.
+func TestUnencodableResponseAnswers500(t *testing.T) {
+	ts, m := newTestServer(t, Config{
+		PoolSize: 2, MaxJobs: 1,
+		WrapEvaluator: func(_ string, inner hpo.Evaluator) hpo.Evaluator { return nanEvaluator{inner} },
+	})
+	job, err := m.Submit(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, m, job.ID, terminal, "terminal")
+	for _, path := range []string{"/jobs/" + job.ID, "/jobs", "/jobs/" + job.ID + "/trace"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorBody
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || derr != nil || !strings.Contains(body.Error, "NaN") {
+			t.Errorf("GET %s: %d, error %q (%v); want 500 naming the NaN", path, resp.StatusCode, body.Error, derr)
+		}
 	}
 }

@@ -411,26 +411,27 @@ func TestSSEDrainClosesStreams(t *testing.T) {
 	}
 }
 
-// TestSlowConsumerDropsCounted: with a one-slot subscriber buffer a
-// stalled subscriber has events dropped from its stream — counted both
+// TestSlowConsumerDropsCounted: a stalled subscriber has the events
+// published past its buffer dropped from its stream — counted both
 // per-subscription and in the service metrics — while the hub history
 // keeps everything, so a backfill read is still complete.
 func TestSlowConsumerDropsCounted(t *testing.T) {
-	_, m := newTestServer(t, Config{PoolSize: 1, MaxJobs: 1, EventBuffer: 1})
+	_, m := newTestServer(t, Config{PoolSize: 1, MaxJobs: 1})
 	const jobID = "job-synthetic"
 	stuck, _ := m.hub.Subscribe(jobID, 0)
 	defer stuck.Close()
 
-	const published = 5
+	const published = events.SubscriberBuffer + 4
 	for i := 0; i < published; i++ {
 		m.hub.Publish(jobID, events.Event{Type: events.TypeRung, Round: i})
 	}
-	// One slot in the buffer; everything else must have been shed.
-	if got := stuck.Dropped(); got != published-1 {
-		t.Fatalf("subscription dropped %d events, want %d", got, published-1)
+	// The buffer fills; everything past it must have been shed.
+	const dropped = published - events.SubscriberBuffer
+	if got := stuck.Dropped(); got != dropped {
+		t.Fatalf("subscription dropped %d events, want %d", got, dropped)
 	}
-	if got := m.Metrics().EventsDropped; got != published-1 {
-		t.Fatalf("events_dropped_slow_consumer = %d, want %d", got, published-1)
+	if got := m.Metrics().EventsDropped; got != dropped {
+		t.Fatalf("events_dropped_slow_consumer = %d, want %d", got, dropped)
 	}
 	// Drops never touch history: the gap backfill still has every event.
 	backlog := m.hub.Since(jobID, 0)

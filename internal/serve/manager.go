@@ -106,12 +106,6 @@ type Config struct {
 	// absorbs — each failed trial scores worst-case instead of aborting —
 	// before the job flips to StatusFailed. 0 selects 3.
 	FailureBudget int
-	// EventBuffer is each event subscriber's buffered window (SSE
-	// streams, internal consumers). A subscriber lagging further than
-	// this has events dropped from its channel — counted in
-	// events_dropped_slow_consumer — and recovers via Last-Event-ID
-	// resume; the retained history loses nothing. 0 selects 256.
-	EventBuffer int
 	// TraceMaxBytes is the segment size of the durable trace log all jobs
 	// share: the active segment is sealed, immutable from then on, and
 	// the next one started once it has grown past this. Only meaningful
@@ -154,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JournalMaxBytes == 0 {
 		c.JournalMaxBytes = 4 << 20
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 256
 	}
 	if c.TraceMaxBytes == 0 {
 		c.TraceMaxBytes = 1 << 20
@@ -302,7 +293,6 @@ func NewManager(cfg Config) *Manager {
 		scopes:     map[string]*scopeEntry{},
 	}
 	m.hub = events.NewHub(events.Options{
-		SubscriberBuffer: cfg.EventBuffer,
 		Sink: func(ev events.Event) {
 			// m.traces is set (at most once) before any job can publish,
 			// so this read never races the write in NewManagerFromJournal.

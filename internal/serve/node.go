@@ -97,10 +97,10 @@ func StartNode(opts NodeOptions) (*Node, error) {
 	n.idle = http.NewServeMux()
 	n.mountBeside(n.idle)
 	n.idle.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, healthBody{Status: "standby"})
+		WriteJSON(w, http.StatusOK, healthBody{Status: "standby"})
 	})
 	n.idle.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusServiceUnavailable, "standby: not active")
+		WriteError(w, http.StatusServiceUnavailable, "standby: not active")
 	})
 	return n, nil
 }
@@ -233,11 +233,11 @@ func (n *Node) restore(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding restore request: %v", err)
+		WriteError(w, http.StatusBadRequest, "decoding restore request: %v", err)
 		return
 	}
 	if req.Node == "" || len(req.Sources) == 0 {
-		writeError(w, http.StatusBadRequest, "restore needs node and sources")
+		WriteError(w, http.StatusBadRequest, "restore needs node and sources")
 		return
 	}
 	n.mu.Lock()
@@ -247,14 +247,14 @@ func (n *Node) restore(w http.ResponseWriter, r *http.Request) {
 		// asked to become a different node without meeting the earlier
 		// attempt's directory.
 		if err := n.activate(req.Node, filepath.Join(n.opts.Config.DataDir, req.Node), req.Sources); err != nil {
-			writeError(w, http.StatusBadGateway, "restore: %v", err)
+			WriteError(w, http.StatusBadGateway, "restore: %v", err)
 			return
 		}
 	}
 	if a := n.active.Load(); a.Node != req.Node {
-		writeError(w, http.StatusConflict, "already active as %s", a.Node)
+		WriteError(w, http.StatusConflict, "already active as %s", a.Node)
 	} else {
-		writeJSON(w, http.StatusOK, a.restoreResponse)
+		WriteJSON(w, http.StatusOK, a.restoreResponse)
 	}
 }
 

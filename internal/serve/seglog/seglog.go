@@ -12,6 +12,7 @@
 package seglog
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -34,18 +35,43 @@ type File struct {
 	wedged error // the failed write that could not be undone
 }
 
-// OpenFile opens path for appending, creating it if needed.
+// OpenFile opens path for appending, creating it if needed, after cutting
+// off a torn tail: a last line without its newline, which a crash or a
+// write cut short leaves and behind which readers would never find what
+// is appended next.
 func OpenFile(path string) (*File, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
+	size, err := cutTornTail(f)
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &File{f: f, size: st.Size()}, nil
+	return &File{f: f, size: size}, nil
+}
+
+// cutTornTail truncates f after its last newline and returns the size
+// left. Only a file whose last byte is not a newline is read whole.
+func cutTornTail(f *os.File) (int64, error) {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return 0, err
+	}
+	last := []byte{0}
+	if _, err := f.ReadAt(last, st.Size()-1); err != nil {
+		return 0, err
+	}
+	if last[0] == '\n' {
+		return st.Size(), nil
+	}
+	data := make([]byte, st.Size())
+	if _, err := f.ReadAt(data, 0); err != nil {
+		return 0, err
+	}
+	whole := int64(bytes.LastIndexByte(data, '\n') + 1)
+	return whole, f.Truncate(whole)
 }
 
 // Append writes line, newline included, in one write and, with sync,

@@ -7,6 +7,36 @@ import (
 	"testing"
 )
 
+// TestOpenFileCutsTornTail: a file that ends in half a line is cut back to
+// its last newline at open, so the next line starts a line of its own; a
+// file of whole lines is left as it is.
+func TestOpenFileCutsTornTail(t *testing.T) {
+	for _, c := range []struct{ held, want string }{
+		{"", "{\"a\":3}\n"},
+		{"{\"a\":1}\n", "{\"a\":1}\n{\"a\":3}\n"},
+		{"{\"a\":1}\n{\"a\":", "{\"a\":1}\n{\"a\":3}\n"},
+		{"{\"a\":", "{\"a\":3}\n"},
+	} {
+		path := filepath.Join(t.TempDir(), "x.jsonl")
+		if err := os.WriteFile(path, []byte(c.held), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Append([]byte("{\"a\":3}\n"), true); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if data, err := os.ReadFile(path); err != nil || string(data) != c.want {
+			t.Errorf("%q then an append holds %q (%v), want %q", c.held, data, err, c.want)
+		}
+	}
+}
+
 // TestFailedUndoRefusesAppends: when a failed write cannot be undone
 // either — here both fail because the descriptor under the file is gone —
 // the log refuses every later append, announces nothing and seals

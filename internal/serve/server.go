@@ -117,16 +117,26 @@ type errorBody struct {
 	Index *int `json:"index,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v indented, newline-terminated — the bytes
+// an indenting json.Encoder writes — for the worker API and the
+// coordinator that re-exports it alike. v is encoded before the status
+// goes out, so a value that does not encode (a NaN score) answers 500
+// with the error rather than the status with an empty body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	w.Write(append(body, '\n'))
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+// WriteError answers status with the formatted message in the JSON error
+// envelope.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // admit is the one submission path behind POST /jobs and POST
@@ -141,23 +151,23 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 func admit[Req any](s *Server, w http.ResponseWriter, r *http.Request, limit int64, what string,
 	submit func(req Req, token string) (any, error)) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
+		WriteError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
 		return
 	}
 	var req Req
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
+		WriteError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
 		return
 	}
 	accepted, err := submit(req, r.Header.Get("X-Submit-Token"))
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusAccepted, accepted)
+		WriteJSON(w, http.StatusAccepted, accepted)
 	case s.writeShed(w, err):
 	case errors.Is(err, errTokenMismatch):
-		writeError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 	default:
 		body := errorBody{Error: err.Error()}
 		var batchErr *BatchError
@@ -168,7 +178,7 @@ func admit[Req any](s *Server, w http.ResponseWriter, r *http.Request, limit int
 		if errors.As(err, &fieldErr) {
 			body.Field = fieldErr.Field
 		}
-		writeJSON(w, http.StatusBadRequest, body)
+		WriteJSON(w, http.StatusBadRequest, body)
 	}
 }
 
@@ -205,7 +215,7 @@ func (s *Server) writeShed(w http.ResponseWriter, err error) bool {
 	}
 	secs := retryAfterSeconds(wait)
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, http.StatusTooManyRequests, overloadBody{Error: err.Error(), Tenant: tenant, RetryAfterSec: secs})
+	WriteJSON(w, http.StatusTooManyRequests, overloadBody{Error: err.Error(), Tenant: tenant, RetryAfterSec: secs})
 	return true
 }
 
@@ -246,7 +256,7 @@ type tenantsResponse struct {
 }
 
 func (s *Server) listTenants(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, tenantsResponse{Tenants: s.manager.Tenants()})
+	WriteJSON(w, http.StatusOK, tenantsResponse{Tenants: s.manager.Tenants()})
 }
 
 // methodBody is one GET /methods entry: the registry's view of an
@@ -276,7 +286,7 @@ func (s *Server) listMethods(w http.ResponseWriter, r *http.Request) {
 			HonorsTrials:     info.HonorsTrials,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // overloadBody is the 429 payload: the error plus the same retry hint as
@@ -313,13 +323,13 @@ func (s *Server) listJobs(w http.ResponseWriter, r *http.Request) {
 		snap.Stack = ""
 		out = append(out, snap)
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) getJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.manager.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
 	snap := job.Snapshot()
@@ -327,7 +337,7 @@ func (s *Server) getJob(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("since"); v != "" {
 		since, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad since %q", v)
+			WriteError(w, http.StatusBadRequest, "bad since %q", v)
 			return
 		}
 		// Incremental poll: only the curve points past event sequence
@@ -343,23 +353,23 @@ func (s *Server) getJob(w http.ResponseWriter, r *http.Request) {
 		snap.Curve = curve
 		snap.Sparkline = ""
 	}
-	writeJSON(w, http.StatusOK, snap)
+	WriteJSON(w, http.StatusOK, snap)
 }
 
 func (s *Server) cancelJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.manager.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
 	// Idempotent on terminal jobs: a repeated DELETE (retried request,
 	// lost response) observes the settled state instead of a conflict.
 	if terminalStatus(job.Status()) {
-		writeJSON(w, http.StatusOK, job.Snapshot())
+		WriteJSON(w, http.StatusOK, job.Snapshot())
 		return
 	}
 	job.Cancel()
-	writeJSON(w, http.StatusAccepted, job.Snapshot())
+	WriteJSON(w, http.StatusAccepted, job.Snapshot())
 }
 
 type healthBody struct {
@@ -387,7 +397,7 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 	case s.manager.Overloaded():
 		status = "overloaded"
 	}
-	writeJSON(w, http.StatusOK, healthBody{
+	WriteJSON(w, http.StatusOK, healthBody{
 		Status:      status,
 		Node:        s.manager.cfg.NodeName,
 		UptimeSec:   time.Since(s.manager.started).Seconds(),
@@ -399,5 +409,5 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.manager.Metrics())
+	WriteJSON(w, http.StatusOK, s.manager.Metrics())
 }

@@ -4,12 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"time"
+
+	"enhancedbhpo/internal/serve/seglog"
 )
 
 // ManifestName is the sink-side index of sealed files: one JSON line per
@@ -181,25 +182,24 @@ func (d *DirSink) Seal(name string, size int64, sum string) error {
 	return d.appendManifest(ManifestEntry{Name: name, Size: size, SHA256: sum, Time: time.Now()})
 }
 
-// appendManifest records one sealed file. Called with d.mu held.
+// appendManifest records one sealed file through seglog, fsynced by the
+// close: a torn tail an earlier crash left is cut off at open and a write
+// cut short is undone, so no entry ever lands behind half a line where
+// ReadManifest would stop before it. Called with d.mu held.
 func (d *DirSink) appendManifest(e ManifestEntry) error {
 	line, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("shipper: manifest: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(d.root, ManifestName), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := seglog.OpenFile(filepath.Join(d.root, ManifestName))
 	if err != nil {
 		return fmt.Errorf("shipper: manifest: %w", err)
 	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		f.Close()
+	_, err = f.Append(append(line, '\n'), false)
+	if err = errors.Join(err, f.Close()); err != nil {
 		return fmt.Errorf("shipper: manifest: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("shipper: manifest: %w", err)
-	}
-	return f.Close()
+	return nil
 }
 
 // ReadManifest returns a sink directory's sealed-file index, last entry
@@ -219,11 +219,7 @@ func ReadManifest(dir string) (map[string]ManifestEntry, error) {
 	for {
 		var e ManifestEntry
 		if err := dec.Decode(&e); err != nil {
-			if errors.Is(err, io.EOF) {
-				return out, nil
-			}
-			// Torn tail: the entries before it are whole.
-			return out, nil
+			return out, nil // the end, or a torn tail: the entries before it are whole
 		}
 		out[e.Name] = e
 	}

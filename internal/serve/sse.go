@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -25,19 +26,19 @@ const keepaliveInterval = 15 * time.Second
 func (s *Server) jobEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.manager.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	after := uint64(0)
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad Last-Event-ID %q", v)
+			WriteError(w, http.StatusBadRequest, "bad Last-Event-ID %q", v)
 			return
 		}
 		after = n
@@ -45,7 +46,7 @@ func (s *Server) jobEvents(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("after"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad after %q", v)
+			WriteError(w, http.StatusBadRequest, "bad after %q", v)
 			return
 		}
 		after = n
@@ -132,7 +133,7 @@ func (s *Server) jobEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) jobTrace(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.manager.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
 	evs := s.manager.hub.Since(job.ID, 0)
@@ -140,7 +141,7 @@ func (s *Server) jobTrace(w http.ResponseWriter, r *http.Request) {
 		if evs == nil {
 			evs = []events.Event{}
 		}
-		writeJSON(w, http.StatusOK, evs)
+		WriteJSON(w, http.StatusOK, evs)
 		return
 	}
 	curve := make([]trace.Point, 0, len(evs))
@@ -154,7 +155,12 @@ func (s *Server) jobTrace(w http.ResponseWriter, r *http.Request) {
 		// journal-restored snapshot curve is the best available record.
 		curve = job.Snapshot().Curve
 	}
+	var body bytes.Buffer
+	if err := trace.EncodeAnytime(&body, curve); err != nil {
+		WriteError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_ = trace.EncodeAnytime(w, curve)
+	w.Write(body.Bytes())
 }
