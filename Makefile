@@ -56,7 +56,10 @@ vet-bench:
 # sink manifest on the same writer: the cut entry and the torn tail that
 # may not hide a later seal. And for the job lifecycle: every path's
 # journal records and status events, the finished job that reads the same
-# after a restart, the first start a replay keeps. And for the chaos
+# after a restart, the first start a replay keeps — and for the curve that
+# only the trace log holds: the listing that decodes no history, the short
+# history that is counted, the older binary's embedded curve, the points a
+# resumed life publishes twice. And for the chaos
 # harness's short storm, whose journal may rotate on its last record — a
 # rotation that leaves only a base behind, which a one-P run hits often.
 cpus:
@@ -69,17 +72,19 @@ cpus:
 		./internal/serve/tracestore/ ./internal/serve/ ./internal/events/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestCutWrite|TestMemberJournal|TestEveryLifeStartsItsOwnSegment|TestOnChange|TestSegmentBytesFrozen|TestFailedUndo|TestOpenFileCutsTornTail|TestDirSinkTornManifestTail' \
 		./internal/serve/seglog/ ./internal/serve/journal/ ./internal/serve/tracestore/ ./internal/coord/ ./internal/serve/shipper/
-	$(GO) test -cpu 1,2,4 -count 3 -run 'TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestReplayKeepsFirstStart' \
+	$(GO) test -cpu 1,2,4 -count 3 -run 'TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestReplayKeepsFirstStart|TestListingLeavesHistoriesUndecoded|TestShortHistoryCounted|TestEmbeddedCurveFixtureBoots|TestResumedPastCheckpointReadsSameAfterRestart' \
 		./internal/serve/ ./internal/serve/journal/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestChaosOverload' ./internal/serve/
 
 # Crash-safety suite: journal replay/compaction, kill/restart recovery,
 # every lifecycle path's records and events, a finished job read back
-# the same after a restart, panic isolation, retry + failure budget,
-# timeout/shutdown reasons, drain.
+# the same after a restart, its curve read back from the trace log (listed
+# without decoding, a short history counted, an older binary's embedded
+# curve, points a resumed life published twice), panic isolation, retry +
+# failure budget, timeout/shutdown reasons, drain.
 crash:
 	$(GO) test -race -count=1 ./internal/serve/journal/...
-	$(GO) test -race -count=1 -run 'TestRestartRecovery|TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestDeadlineJournalsNothing|TestPanicIsolation|TestTransientFailureRetried|TestFailureBudgetAbsorbsTrial|TestTimeoutReason|TestShutdownWithInFlightJobs|TestDrainRefusesSubmissions' ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestRestartRecovery|TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestListingLeavesHistoriesUndecoded|TestShortHistoryCounted|TestEmbeddedCurveFixtureBoots|TestResumedPastCheckpointReadsSameAfterRestart|TestDeadlineJournalsNothing|TestPanicIsolation|TestTransientFailureRetried|TestFailureBudgetAbsorbsTrial|TestTimeoutReason|TestShutdownWithInFlightJobs|TestDrainRefusesSubmissions' ./internal/serve/
 
 # Overload suite: admission control (429 + Retry-After), the evaluation
 # deadline watchdog, the scheduler's evaluation-slot acquire under a

@@ -6,7 +6,8 @@
 // With -data-dir set the daemon is crash-safe: job specs and terminal
 // results are journaled to an append-only JSONL log, and a restarted
 // daemon rebuilds its job table from the journal — finished jobs keep
-// their results and anytime curves, jobs that were mid-run come back as
+// their results and anytime curves (the curves read back from the trace
+// log), jobs that were mid-run come back as
 // cancelled with reason "interrupted", and jobs that were still queued
 // are re-enqueued and run again.
 //

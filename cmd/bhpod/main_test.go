@@ -56,7 +56,7 @@ func TestRunServesDrainsAndJournals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(states) != 1 || !states[0].Terminal() || states[0].Status != string(serve.StatusDone) || len(states[0].Curve) == 0 {
+	if len(states) != 1 || !states[0].Terminal() || states[0].Status != string(serve.StatusDone) || states[0].Evaluations == 0 {
 		t.Fatalf("journal after a drained stop: %+v", states)
 	}
 	if _, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {

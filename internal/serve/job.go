@@ -264,10 +264,12 @@ type Job struct {
 	// The job's outcome as snapshots and the journal's terminal record
 	// carry it (resultLocked). recordTrialLocked extends evaluations and
 	// curve trial by trial; finish fills the rest for a run that
-	// completed; restoreResult fills all of it for a job that was terminal
-	// before the restart.
+	// completed; restoreResult fills the rest for a job that was terminal
+	// before the restart, and loadCurve, while non-nil, is where such a
+	// job's curve is: its trace-log history, read by the first Snapshot.
 	evaluations int
 	curve       []trace.Point
+	loadCurve   func() []trace.Point
 	bestConfig  map[string]any
 	bestScore   *float64
 	testScore   *float64
@@ -446,11 +448,32 @@ type Snapshot struct {
 	LastSeq uint64 `json:"last_seq,omitempty"`
 }
 
-// Snapshot renders the job's current state, including the live anytime
-// curve of a run still in flight.
+// Snapshot renders the job's current state, including its anytime curve:
+// the live one of a run still in flight, or a restored job's, loaded from
+// its trace-log history the first time it is asked for (lock order job.mu
+// → feed.mu, as in observeTrial).
 func (j *Job) Snapshot() Snapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.loadCurve != nil {
+		j.curve, j.loadCurve = j.loadCurve(), nil
+	}
+	snap := j.summaryLocked()
+	// A copy: the job keeps appending to its own slice.
+	snap.Curve = append([]trace.Point{}, j.curve...)
+	snap.Sparkline = trace.Sparkline(snap.Curve, 40)
+	return snap
+}
+
+// summary is Snapshot without the curve and its sparkline: what a
+// listing serves, which never loads a restored job's history.
+func (j *Job) summary() Snapshot {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.summaryLocked()
+}
+
+func (j *Job) summaryLocked() Snapshot {
 	snap := Snapshot{
 		ID:          j.ID,
 		Status:      j.status,
@@ -463,11 +486,9 @@ func (j *Job) Snapshot() Snapshot {
 		Failures:    j.failures,
 		SubmittedAt: j.submitted,
 		Evaluations: j.evaluations,
-		// A copy: the job keeps appending to its own slice.
-		Curve:      append([]trace.Point{}, j.curve...),
-		BestConfig: j.bestConfig,
-		BestScore:  j.bestScore,
-		TestScore:  j.testScore,
+		BestConfig:  j.bestConfig,
+		BestScore:   j.bestScore,
+		TestScore:   j.testScore,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -477,6 +498,5 @@ func (j *Job) Snapshot() Snapshot {
 		t := j.finished
 		snap.FinishedAt = &t
 	}
-	snap.Sparkline = trace.Sparkline(snap.Curve, 40)
 	return snap
 }

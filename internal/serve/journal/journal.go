@@ -58,7 +58,8 @@ const (
 	// TypeStatus records a non-terminal lifecycle transition (running).
 	TypeStatus = "status"
 	// TypeResult records a terminal state with everything needed to serve
-	// the job after a restart; it is fsynced.
+	// the job after a restart except its curve, which the trace log holds;
+	// it is fsynced.
 	TypeResult = "result"
 	// TypeEvent is an observational incident record (reason "deadline":
 	// an evaluation was abandoned by the watchdog) that earlier versions
@@ -76,8 +77,8 @@ const (
 )
 
 // Record is one journal line. The spec travels as raw JSON so this
-// package stays independent of the serve layer's types; curves reuse the
-// trace package's bit-exact Point round-trip.
+// package stays independent of the serve layer's types; the curves older
+// binaries embedded reuse the trace package's bit-exact Point round-trip.
 type Record struct {
 	Type  string          `json:"t"`
 	Time  time.Time       `json:"time"`
@@ -87,16 +88,24 @@ type Record struct {
 	// Tenant is the submitting tenant, carried on submit and preempt
 	// records so a restart rebuilds per-tenant accounting without
 	// decoding every spec.
-	Tenant      string         `json:"tenant,omitempty"`
-	Status      string         `json:"status,omitempty"`
-	Reason      string         `json:"reason,omitempty"`
-	Error       string         `json:"error,omitempty"`
-	Stack       string         `json:"stack,omitempty"`
-	Evaluations int            `json:"evaluations,omitempty"`
-	Curve       []trace.Point  `json:"curve,omitempty"`
-	BestConfig  map[string]any `json:"best_config,omitempty"`
-	BestScore   *float64       `json:"best_score,omitempty"`
-	TestScore   *float64       `json:"test_score,omitempty"`
+	Tenant      string `json:"tenant,omitempty"`
+	Status      string `json:"status,omitempty"`
+	Reason      string `json:"reason,omitempty"`
+	Error       string `json:"error,omitempty"`
+	Stack       string `json:"stack,omitempty"`
+	Evaluations int    `json:"evaluations,omitempty"`
+	// Curve is the anytime curve a result record written by an older
+	// binary embeds: its data directories are read through it, and
+	// compaction copies it forward. A result record written now leaves it
+	// out — the trace log's curve_point events are the one copy.
+	Curve []trace.Point `json:"curve,omitempty"`
+	// Budget on a result record is the job's final cumulative budget (its
+	// curve's last cum_budget): what a restart re-seeds the tenant's
+	// accounting with, without the curve.
+	Budget     int            `json:"budget,omitempty"`
+	BestConfig map[string]any `json:"best_config,omitempty"`
+	BestScore  *float64       `json:"best_score,omitempty"`
+	TestScore  *float64       `json:"test_score,omitempty"`
 	// Checkpoint is the serve layer's opaque rung-state snapshot on
 	// preempt records: the trials completed before the slot was
 	// reclaimed, enough to resume the job deterministically.
@@ -340,7 +349,9 @@ type JobState struct {
 	Error       string
 	Stack       string
 	Evaluations int
+	// Curve is an older binary's embedded result curve, nil otherwise.
 	Curve       []trace.Point
+	Budget      int
 	BestConfig  map[string]any
 	BestScore   *float64
 	TestScore   *float64
@@ -417,6 +428,7 @@ func (r *replayState) apply(rec Record) {
 		}
 		st.Failures = rec.Failures
 		st.Curve = rec.Curve
+		st.Budget = rec.Budget
 		st.BestConfig = rec.BestConfig
 		st.BestScore = rec.BestScore
 		st.TestScore = rec.TestScore
@@ -595,6 +607,7 @@ func writeBase(dir string, seq int, states []JobState) error {
 				Stack:       st.Stack,
 				Evaluations: st.Evaluations,
 				Curve:       st.Curve,
+				Budget:      st.Budget,
 				BestConfig:  st.BestConfig,
 				BestScore:   st.BestScore,
 				TestScore:   st.TestScore,

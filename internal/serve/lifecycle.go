@@ -109,8 +109,14 @@ func (m *Manager) transition(job *Job, ph phase, at time.Time, apply func()) {
 
 // resultLocked is the journal's result record of a finished job:
 // everything GET /jobs/{id} serves of it after a restart, which
-// restoreResult below reads back. Called with j.mu held.
+// restoreResult below reads back — except the curve, which the trace log
+// already holds as the job's curve_point events; the record carries only
+// its final cumulative budget. Called with j.mu held.
 func (j *Job) resultLocked() journal.Record {
+	var budget int
+	if n := len(j.curve); n > 0 {
+		budget = j.curve[n-1].CumBudget
+	}
 	return journal.Record{
 		Type:        journal.TypeResult,
 		Status:      string(j.status),
@@ -118,7 +124,7 @@ func (j *Job) resultLocked() journal.Record {
 		Error:       j.errMsg,
 		Stack:       j.stack,
 		Evaluations: j.evaluations,
-		Curve:       j.curve,
+		Budget:      budget,
 		BestConfig:  j.bestConfig,
 		BestScore:   j.bestScore,
 		TestScore:   j.testScore,
@@ -128,9 +134,12 @@ func (j *Job) resultLocked() journal.Record {
 }
 
 // restoreResult is resultLocked read back into a job the journal holds as
-// terminal, at boot, before the manager serves or runs anything. (What
-// every restored job carries, its preemption count and its submission and
-// first start times, the boot sets for all of them.)
+// terminal, at boot, before the manager serves or runs anything. The
+// curve is set only from a record an older binary wrote with the curve
+// embedded; otherwise the boot arranges for the first snapshot to load it
+// from the trace log (loadCurve). (What every restored job carries, its
+// preemption count and its submission and first start times, the boot
+// sets for all of them.)
 func (j *Job) restoreResult(st journal.JobState) {
 	j.status = Status(st.Status)
 	j.reason = Reason(st.Reason)

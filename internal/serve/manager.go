@@ -24,6 +24,7 @@ import (
 	"enhancedbhpo/internal/serve/sched"
 	"enhancedbhpo/internal/serve/shipper"
 	"enhancedbhpo/internal/serve/tracestore"
+	"enhancedbhpo/internal/trace"
 )
 
 // ErrOverloaded is returned by Submit when the scheduler's global
@@ -330,7 +331,8 @@ func shipHook(ship *shipper.Shipper, sub string) func(name string, sealed bool) 
 // NewManagerFromJournal opens (creating if needed) the journal in
 // cfg.DataDir, replays it, and returns a manager with the previous
 // process's job table rebuilt: terminal jobs are restored with their
-// results and anytime curves, jobs that were mid-run when the process
+// results (their anytime curves are read from the trace log when first
+// asked for), jobs that were mid-run when the process
 // died are marked cancelled with reason "interrupted", and jobs that
 // were still queued are re-enqueued and run again.
 //
@@ -449,6 +451,15 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 			preempts: st.Preemptions,
 		}
 		m.register(job)
+		// A finished job whose result record embeds no curve — every record
+		// this binary writes — takes its curve from its trace-log history on
+		// its first snapshot. A history holding fewer curve points than the
+		// job's evaluations (a power cut can take the unsynced tail of an
+		// earlier life's segment) is served as it is and counted once in
+		// trace_store_errors: when it is decoded, or now if it holds no
+		// event at all. A job the boot calls interrupted serves no curve.
+		evaluations := st.Evaluations
+		lazy := st.Terminal() && st.Curve == nil && evaluations > 0 && st.Reason != string(ReasonInterrupted)
 		// Re-arm the event feed: sequence numbers continue where the dead
 		// process stopped, and subscribers can resume (or fetch the full
 		// pre-crash curve) across the restart.
@@ -456,14 +467,19 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 		if last, ok := history.Last(); ok {
 			m.hub.Prime(st.ID, last.Seq, last.Terminal, func() []events.Event {
 				evs, err := history.Events()
-				if err != nil {
+				if err != nil || lazy && len(curvePoints(evs)) < evaluations {
 					m.traceErrs.Add(1)
 				}
 				return evs
 			})
+		} else if lazy {
+			m.traceErrs.Add(1)
 		}
 		if st.Terminal() {
 			job.restoreResult(st)
+			if lazy {
+				job.loadCurve = func() []trace.Point { return curvePoints(m.hub.Since(job.ID, 0)) }
+			}
 			if !m.hub.Done(job.ID) {
 				m.transition(job, phaseRestored, st.FinishedAt, nil)
 			}
@@ -480,13 +496,14 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 			}
 		}
 		// Re-seed the tenant's cumulative accounting (service = the
-		// curve's final cumulative budget — exactly what was charged) so
+		// curve's final cumulative budget — exactly what was charged —
+		// which a curve-less result record carries as its budget) so
 		// /tenants survives the restart; virtual times restart level.
-		var service float64
-		if n := len(job.curve); n > 0 {
-			service = float64(job.curve[n-1].CumBudget)
+		service := st.Budget
+		if n := len(job.curve); n > 0 { // an embedded or a checkpoint's curve
+			service = job.curve[n-1].CumBudget
 		}
-		m.sched.Restore(job.tenant(), service, int64(st.Evaluations), int64(st.Preemptions))
+		m.sched.Restore(job.tenant(), float64(service), int64(st.Evaluations), int64(st.Preemptions))
 	}
 	// The table is whole and every tenant's accounting re-seeded: only now
 	// may the scheduler grant. Replayed jobs bypass admission control —

@@ -11,11 +11,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"enhancedbhpo/internal/events"
 	"enhancedbhpo/internal/hpo"
 	"enhancedbhpo/internal/mat"
 	"enhancedbhpo/internal/serve/sched"
-	"enhancedbhpo/internal/trace"
 )
 
 // Server exposes a Manager over HTTP/JSON.
@@ -241,10 +239,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		out := batchResponse{Jobs: make([]Snapshot, len(jobs))}
 		for i, job := range jobs {
-			snap := job.Snapshot()
-			snap.Curve = nil
-			snap.Sparkline = ""
-			out.Jobs[i] = snap
+			out.Jobs[i] = job.summary()
 		}
 		return out, nil
 	})
@@ -316,10 +311,8 @@ func (s *Server) listJobs(w http.ResponseWriter, r *http.Request) {
 		if tenant != "" && j.tenant() != tenant {
 			continue
 		}
-		snap := j.Snapshot()
 		// Keep the listing light: curves and stacks are per-job payloads.
-		snap.Curve = nil
-		snap.Sparkline = ""
+		snap := j.summary()
 		snap.Stack = ""
 		out = append(out, snap)
 	}
@@ -332,27 +325,25 @@ func (s *Server) getJob(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
-	snap := job.Snapshot()
-	snap.LastSeq = s.manager.hub.LastSeq(job.ID)
-	if v := r.URL.Query().Get("since"); v != "" {
-		since, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "bad since %q", v)
-			return
-		}
-		// Incremental poll: only the curve points past event sequence
-		// `since`. The client keeps its own prefix and appends these;
-		// last_seq is the cursor for the next poll. The sparkline is
-		// omitted — it renders the full curve, not a delta.
-		curve := make([]trace.Point, 0)
-		for _, ev := range s.manager.hub.Since(job.ID, since) {
-			if ev.Type == events.TypeCurvePoint && ev.Point != nil {
-				curve = append(curve, *ev.Point)
-			}
-		}
-		snap.Curve = curve
-		snap.Sparkline = ""
+	v := r.URL.Query().Get("since")
+	if v == "" {
+		snap := job.Snapshot()
+		snap.LastSeq = s.manager.hub.LastSeq(job.ID)
+		WriteJSON(w, http.StatusOK, snap)
+		return
 	}
+	since, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "bad since %q", v)
+		return
+	}
+	// Incremental poll: only the curve points past event sequence `since`.
+	// The client keeps its own prefix and appends these; last_seq, read
+	// first, is the cursor for the next poll. The sparkline is omitted — it
+	// renders the full curve, not a delta.
+	snap := job.summary()
+	snap.LastSeq = s.manager.hub.LastSeq(job.ID)
+	snap.Curve = curvePoints(s.manager.hub.Since(job.ID, since))
 	WriteJSON(w, http.StatusOK, snap)
 }
 

@@ -104,7 +104,7 @@ func TestReplayFromShippedMatchesLocal(t *testing.T) {
 	if !bytes.Equal(lj, sj) {
 		t.Fatalf("replayed states differ:\nlocal:   %s\nshipped: %s", lj, sj)
 	}
-	if len(localStates) != 1 || len(localStates[0].Curve) == 0 {
+	if len(localStates) != 1 || localStates[0].Evaluations == 0 || localStates[0].Budget == 0 {
 		t.Fatalf("replay shape unexpected: %d states", len(localStates))
 	}
 }

@@ -125,11 +125,11 @@ func (s *Server) jobEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // jobTrace serves GET /jobs/{id}/trace: the job's full anytime curve in
-// the trace package's wire encoding — for running jobs the live curve,
-// for finished and journal-replayed jobs the curve restored from the
-// durable trace store, byte-identical across restarts. ?events=1 returns
-// the raw event log (curve points plus lifecycle and observational
-// events) instead.
+// the trace package's wire encoding — its curve points as the event hub
+// holds them: published by this process, or filed from the durable trace
+// log for a job of an earlier life, so byte-identical across restarts.
+// ?events=1 returns the raw event log (curve points plus lifecycle and
+// observational events) instead.
 func (s *Server) jobTrace(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.manager.Get(r.PathValue("id"))
 	if !ok {
@@ -144,23 +144,34 @@ func (s *Server) jobTrace(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, evs)
 		return
 	}
-	curve := make([]trace.Point, 0, len(evs))
-	for _, ev := range evs {
-		if ev.Type == events.TypeCurvePoint && ev.Point != nil {
-			curve = append(curve, *ev.Point)
-		}
-	}
-	if len(curve) == 0 {
-		// No event history (persistence off across a restart): the
-		// journal-restored snapshot curve is the best available record.
-		curve = job.Snapshot().Curve
-	}
 	var body bytes.Buffer
-	if err := trace.EncodeAnytime(&body, curve); err != nil {
+	if err := trace.EncodeAnytime(&body, curvePoints(evs)); err != nil {
 		WriteError(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(body.Bytes())
+}
+
+// curvePoints is the anytime curve a job's events carry: their curve
+// points, in order, never nil. It is the one source of every curve served
+// from the hub — /trace, the ?since=N poll and a restored job's snapshot.
+// A point that does not advance the evaluation count replaces the points
+// from its count on: a life that died after resuming from a checkpoint
+// left points past it in the log, which the next life, resuming from the
+// same checkpoint, publishes again — and its snapshot holds only the
+// second copy.
+func curvePoints(evs []events.Event) []trace.Point {
+	curve := make([]trace.Point, 0, len(evs))
+	for _, ev := range evs {
+		if ev.Type != events.TypeCurvePoint || ev.Point == nil {
+			continue
+		}
+		for n := len(curve); n > 0 && curve[n-1].Evaluations >= ev.Point.Evaluations; n-- {
+			curve = curve[:n-1]
+		}
+		curve = append(curve, *ev.Point)
+	}
+	return curve
 }

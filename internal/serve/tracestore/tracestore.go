@@ -78,7 +78,7 @@ func segments(dir string) (seqs []int, total int64, err error) {
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), ".trace.jsonl") {
 			return nil, 0, fmt.Errorf("tracestore: %s is a per-job trace file of an older bhpod, which this one does not read: "+
-				"move the *.trace.jsonl files out of %s (the journal still restores every finished job's result and curve)",
+				"move the *.trace.jsonl files out of %s (the journal that bhpod wrote embeds every finished job's curve in its result, so finished jobs keep their results and curves)",
 				filepath.Join(dir, e.Name()), dir)
 		}
 		seq, ok := segmentSeq(e.Name())
