@@ -41,7 +41,8 @@ vet-bench:
 # which lends more or less often with the core count and must not show
 # in a score. The same for the
 # cluster layer's non-chaos tests (coordinator, submit retry, membership
-# journal, ring, shipper lanes, sinks, restore), five times each, and
+# journal, ring, shipper lanes, sinks, restore, the file handles a lane
+# and a sink keep open while a segment grows), five times each, and
 # once for its short-storm chaos e2es (node kill, zero-operator failover,
 # membership churn, shutdown mid-promotion). And for the shared trace log:
 # rotation under concurrent appenders, the reopen after a torn line, the
@@ -65,7 +66,7 @@ vet-bench:
 cpus:
 	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge' \
 		./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
-	$(GO) test -cpu 1,2,4 -count 5 -run 'TestCoordinator|TestSubmitRetry|TestMemberJournal|TestRing|TestMultiSink|TestShipper|TestDirSink|TestRestore' \
+	$(GO) test -cpu 1,2,4 -count 5 -run 'TestCoordinator|TestSubmitRetry|TestMemberJournal|TestRing|TestMultiSink|TestShipper|TestDirSink|TestRestore|TestKeptHandle' \
 		./internal/coord/ ./internal/serve/shipper/
 	$(GO) test -cpu 1,2,4 -count 1 -run 'TestFailover|TestMembership|TestShutdownJoinsFailover' ./internal/coord/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestRotationConcurrentAppends|TestCrashReopen|TestTraceByteIdenticalAcrossRebuild|TestNoPerJobSeal|TestPrime|TestRestartServesThreeKindsOfJob|TestFailedBoot' \
@@ -119,7 +120,8 @@ sse:
 # failing standby, promotes the next, survives its own restart
 # mid-incident via the membership journal, loses zero acked jobs, keeps
 # byte-identical pre-crash curves, and resumes SSE at last-seq+1) — plus
-# the hash-ring, multi-sink shipper and coordinator unit suites. Plain
+# the hash-ring, multi-sink shipper (its kept file handles included) and
+# coordinator unit suites. Plain
 # `go test` runs a ~2s storm; BHPOD_CHAOS_SECONDS overrides the length.
 # failover-storm is the two e2es at the full chaos budget: the part no
 # other target runs, and the part `make check` includes.

@@ -54,8 +54,8 @@ type NodeOptions struct {
 // curves and SSE sequences. Drain and Close undo it in reverse order.
 type Node struct {
 	opts NodeOptions
-	recv http.Handler   // the /ship/ receiver, nil without ShipRecvDir
-	idle *http.ServeMux // what a standby serves until it is activated
+	recv *shipper.Receiver // the /ship/ receiver, nil without ShipRecvDir
+	idle *http.ServeMux    // what a standby serves until it is activated
 
 	mu     sync.Mutex // serializes activation and Close
 	active atomic.Pointer[activeNode]
@@ -85,7 +85,7 @@ func StartNode(opts NodeOptions) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.recv = http.StripPrefix("/ship", recv)
+		n.recv = recv
 		opts.Logf("receiving peer replicas under /ship/ into %s", opts.ShipRecvDir)
 	}
 	if !opts.Standby {
@@ -117,7 +117,7 @@ func (n *Node) mountBeside(mux *http.ServeMux) {
 		mux.Handle("/debug/pprof/", http.DefaultServeMux)
 	}
 	if n.recv != nil {
-		mux.Handle("/ship/", n.recv)
+		mux.Handle("/ship/", http.StripPrefix("/ship", n.recv))
 	}
 	mux.HandleFunc("POST /restore", n.restore)
 }
@@ -275,19 +275,24 @@ func (n *Node) Drain(ctx context.Context) error {
 // Close takes the node down in the reverse of the order it was assembled
 // in: the manager cancels what is still running (reason "shutdown") and
 // closes its trace store and journal, then the shipper flushes that final
-// state to its sinks and stops. Callers stop serving requests first; a
-// blank node has nothing to close.
+// state to its sinks and stops, and the /ship/ receiver closes the replica
+// files it holds open — the one step a blank node has too. Callers stop
+// serving requests first.
 func (n *Node) Close(ctx context.Context) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	a := n.active.Load()
-	if a == nil {
-		return nil
+	var err error
+	if a := n.active.Load(); a != nil {
+		err = a.server.manager.Shutdown(ctx)
+		if a.ship != nil {
+			if serr := a.ship.Close(); serr != nil {
+				n.opts.Logf("ship: final flush: %v", serr)
+			}
+		}
 	}
-	err := a.server.manager.Shutdown(ctx)
-	if a.ship != nil {
-		if serr := a.ship.Close(); serr != nil {
-			n.opts.Logf("ship: final flush: %v", serr)
+	if n.recv != nil {
+		if rerr := n.recv.Close(); rerr != nil {
+			n.opts.Logf("ship receiver: closing replicas: %v", rerr)
 		}
 	}
 	return err

@@ -42,10 +42,24 @@ type ManifestEntry struct {
 // suffix and resume by size; Seal verifies the checksum, renames the part
 // to its final name and appends the manifest entry. A crash mid-ship
 // leaves a resumable part plus a manifest describing only whole files.
+//
+// A part that is still growing stays open with the size written to it, so
+// an Append at that size is one fstat and one write. Any other offset, an
+// offset of zero, a failed write, Seal and Close drop the handle; the
+// append then opens the part by path and checks its size as it always did.
 type DirSink struct {
 	root string
 
 	mu sync.Mutex // serializes seals and manifest appends
+
+	pmu   sync.Mutex // guards parts; held across an Append
+	parts map[string]*openPart
+}
+
+// openPart is a kept .part handle and the bytes the sink wrote to it.
+type openPart struct {
+	f    *os.File
+	size int64
 }
 
 // NewDirSink returns a sink rooted at dir, creating it if needed.
@@ -56,7 +70,7 @@ func NewDirSink(dir string) (*DirSink, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shipper: %w", err)
 	}
-	return &DirSink{root: dir}, nil
+	return &DirSink{root: dir, parts: map[string]*openPart{}}, nil
 }
 
 // validName rejects names that would escape the sink root.
@@ -108,10 +122,21 @@ func (d *DirSink) Append(name string, off int64, data []byte) error {
 	if err != nil {
 		return err
 	}
+	d.pmu.Lock()
+	defer d.pmu.Unlock()
+	if p := d.parts[name]; p != nil {
+		if off != 0 && off == p.size {
+			// The fstat catches a part grown or cut behind the sink's back.
+			if st, err := p.f.Stat(); err == nil && st.Size() == off {
+				return d.write(name, p, data)
+			}
+		}
+		d.dropPart(name)
+	}
 	if err := os.MkdirAll(filepath.Dir(part), 0o755); err != nil {
 		return fmt.Errorf("shipper: %w", err)
 	}
-	flags := os.O_WRONLY | os.O_CREATE
+	flags := os.O_WRONLY | os.O_CREATE | os.O_APPEND
 	if off == 0 {
 		flags |= os.O_TRUNC
 	} else {
@@ -123,20 +148,49 @@ func (d *DirSink) Append(name string, off int64, data []byte) error {
 			}
 			return fmt.Errorf("shipper: %s: append at %d, have %d: %w", name, off, have, ErrOffsetMismatch)
 		}
-		flags |= os.O_APPEND
 	}
 	f, err := os.OpenFile(part, flags, 0o644)
 	if err != nil {
 		return fmt.Errorf("shipper: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	p := &openPart{f: f, size: off}
+	d.parts[name] = p
+	return d.write(name, p, data)
+}
+
+// write appends data to a kept part, dropping the handle if it fails.
+// Called with d.pmu held.
+func (d *DirSink) write(name string, p *openPart, data []byte) error {
+	if _, err := p.f.Write(data); err != nil {
+		d.dropPart(name)
 		return fmt.Errorf("shipper: writing %s: %w", name, err)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("shipper: %w", err)
-	}
+	p.size += int64(len(data))
 	return nil
+}
+
+// dropPart closes name's kept part, if any. Called with d.pmu held. Only
+// Close reports the error: each write already handed its bytes to the
+// file, and Seal syncs the part by path before it renames it.
+func (d *DirSink) dropPart(name string) error {
+	p := d.parts[name]
+	if p == nil {
+		return nil
+	}
+	delete(d.parts, name)
+	return p.f.Close()
+}
+
+// Close closes every part the sink keeps open. The sink stays usable: the
+// next Append to a part opens it again.
+func (d *DirSink) Close() error {
+	d.pmu.Lock()
+	defer d.pmu.Unlock()
+	var err error
+	for name := range d.parts {
+		err = errors.Join(err, d.dropPart(name))
+	}
+	return err
 }
 
 // Seal implements Sink: verifies the part (or an already-sealed file)
@@ -149,6 +203,9 @@ func (d *DirSink) Seal(name string, size int64, sum string) error {
 	if err != nil {
 		return err
 	}
+	d.pmu.Lock()
+	d.dropPart(name)
+	d.pmu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	src := part

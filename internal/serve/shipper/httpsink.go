@@ -170,6 +170,18 @@ func (rc *Receiver) sink(node string) (*DirSink, error) {
 	return d, nil
 }
 
+// Close closes the parts every node's sink keeps open; a request after it
+// opens them again.
+func (rc *Receiver) Close() error {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	var err error
+	for _, d := range rc.sinks {
+		err = errors.Join(err, d.Close())
+	}
+	return err
+}
+
 // ServeHTTP implements http.Handler.
 func (rc *Receiver) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	node, op, ok := strings.Cut(strings.TrimPrefix(r.URL.Path, "/"), "/")

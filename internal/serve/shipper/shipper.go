@@ -117,9 +117,18 @@ type Stats struct {
 // fileState tracks one file's shipping progress on one lane.
 type fileState struct {
 	mu     sync.Mutex
-	offset int64 // bytes known to be at the sink; -1 = unknown, query
-	sealed bool  // a seal is owed once the bytes are shipped
-	done   bool  // sealed at the sink; nothing more to do unless it changes
+	offset int64    // bytes known to be at the sink; -1 = unknown, query
+	sealed bool     // a seal is owed once the bytes are shipped
+	done   bool     // sealed at the sink; nothing more to do unless it changes
+	f      *os.File // a growing file's handle, kept open until it is sealed
+}
+
+// drop closes the kept handle, if any. Called with st.mu held.
+func (st *fileState) drop() {
+	if st.f != nil {
+		st.f.Close()
+		st.f = nil
+	}
 }
 
 // lane is one sink's independent replication state: its own per-file
@@ -170,20 +179,25 @@ func NewMulti(root string, sinks []Sink, opts Options) *Shipper {
 	}
 	s := &Shipper{root: root, opts: opts}
 	for _, sink := range sinks {
-		ln := &lane{
-			root:  root,
-			sink:  sink,
-			opts:  opts,
-			files: map[string]*fileState{},
-			dirty: map[string]struct{}{},
-			kick:  make(chan struct{}, 1),
-			stop:  make(chan struct{}),
-		}
+		ln := newLane(root, sink, opts)
 		ln.wg.Add(1)
 		go ln.loop()
 		s.lanes = append(s.lanes, ln)
 	}
 	return s
+}
+
+// newLane returns a lane whose background loop is not started yet.
+func newLane(root string, sink Sink, opts Options) *lane {
+	return &lane{
+		root:  root,
+		sink:  sink,
+		opts:  opts,
+		files: map[string]*fileState{},
+		dirty: map[string]struct{}{},
+		kick:  make(chan struct{}, 1),
+		stop:  make(chan struct{}),
+	}
 }
 
 // Stats snapshots the ship counters summed across every lane.
@@ -270,7 +284,9 @@ func (s *Shipper) Flush() error {
 }
 
 // Close stops every lane's background loop after a final best-effort
-// flush. Idempotent.
+// flush, then closes every file handle the lanes keep and every sink that
+// is an io.Closer (a DirSink's kept parts; the sink stays usable).
+// Idempotent.
 func (s *Shipper) Close() error {
 	var first error
 	for _, ln := range s.lanes {
@@ -326,6 +342,9 @@ func (ln *lane) sealed(rel string) {
 	st.mu.Lock()
 	st.sealed = true
 	st.done = false
+	// From here the file ships by path: a segment folded away before its
+	// turn is then done without a seal.
+	st.drop()
 	st.mu.Unlock()
 	if ln.opts.Sync {
 		if err := ln.shipFile(rel); err == nil {
@@ -345,19 +364,27 @@ func (ln *lane) shipFile(rel string) error {
 	if st.done {
 		return nil
 	}
-	path := filepath.Join(ln.root, filepath.FromSlash(rel))
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		// Folded away (the journal deletes segments once a newer base
-		// carries their data) — nothing left to ship; the base ships in
-		// its own right.
-		st.done = true
-		return nil
+	f := st.f
+	if f == nil {
+		var err error
+		f, err = os.Open(filepath.Join(ln.root, filepath.FromSlash(rel)))
+		if errors.Is(err, os.ErrNotExist) {
+			// Folded away (the journal deletes segments once a newer base
+			// carries their data) — nothing left to ship; the base ships in
+			// its own right.
+			st.done = true
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("shipper: %s: %w", rel, err)
+		}
+		if st.sealed || ln.isClosed() {
+			defer f.Close()
+		} else {
+			// Still growing: the next change ships through the same handle.
+			st.f = f
+		}
 	}
-	if err != nil {
-		return fmt.Errorf("shipper: %s: %w", rel, err)
-	}
-	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
 		return fmt.Errorf("shipper: %s: %w", rel, err)
@@ -516,7 +543,16 @@ func (ln *lane) flush() error {
 	return first
 }
 
-// close stops the lane's loop after a final best-effort flush. Idempotent.
+// isClosed reports whether close has begun; a file shipped from then on
+// keeps no handle.
+func (ln *lane) isClosed() bool {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	return ln.closed
+}
+
+// close stops the lane's loop after a final best-effort flush, then closes
+// the handles it kept and its sink, if that is an io.Closer. Idempotent.
 func (ln *lane) close() error {
 	ln.mu.Lock()
 	if ln.closed {
@@ -528,5 +564,19 @@ func (ln *lane) close() error {
 	err := ln.flush()
 	close(ln.stop)
 	ln.wg.Wait()
+	ln.mu.Lock()
+	files := make([]*fileState, 0, len(ln.files))
+	for _, st := range ln.files {
+		files = append(files, st)
+	}
+	ln.mu.Unlock()
+	for _, st := range files {
+		st.mu.Lock()
+		st.drop()
+		st.mu.Unlock()
+	}
+	if c, ok := ln.sink.(io.Closer); ok {
+		err = errors.Join(err, c.Close())
+	}
 	return err
 }

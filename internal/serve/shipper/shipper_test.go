@@ -385,3 +385,184 @@ func (f *flakySink) Seal(name string, size int64, sum string) error {
 	}
 	return f.inner.Seal(name, size, sum)
 }
+
+// TestKeptHandleSinkContract: appends through a DirSink's kept part keep
+// the Sink contract — Offset, Seal, the restart at zero, and a stale
+// offset after the part grew behind the sink's back.
+func TestKeptHandleSinkContract(t *testing.T) {
+	sink := mustDirSink(t)
+	const name = "traces/trace-000001.jsonl"
+	part := filepath.Join(sink.root, "traces", "trace-000001.jsonl"+partSuffix)
+	var want []byte
+	for i, chunk := range []string{"one\n", "two\n", "three\n"} {
+		if err := sink.Append(name, int64(len(want)), []byte(chunk)); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		want = append(want, chunk...)
+		if off, err := sink.Offset(name); err != nil || off != int64(len(want)) {
+			t.Fatalf("offset after append %d = %d, %v; want %d", i, off, err, len(want))
+		}
+	}
+	if got := readFile(t, part); string(got) != string(want) {
+		t.Fatalf("part holds %q, want %q", got, want)
+	}
+
+	// A restart at zero truncates, and appends then continue from it.
+	if err := sink.Append(name, 0, []byte("again\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Append(name, 6, []byte("more\n")); err != nil {
+		t.Fatal(err)
+	}
+	want = []byte("again\nmore\n")
+	if got := readFile(t, part); string(got) != string(want) {
+		t.Fatalf("part after restart holds %q, want %q", got, want)
+	}
+
+	// Grown behind the sink's back: the offset the sink wrote to is stale.
+	f, err := os.OpenFile(part, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("foreign\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := sink.Append(name, int64(len(want)), []byte("x")); !errors.Is(err, ErrOffsetMismatch) {
+		t.Fatalf("stale append = %v, want ErrOffsetMismatch", err)
+	}
+	want = append(want, "foreign\n"...)
+	if off, _ := sink.Offset(name); off != int64(len(want)) {
+		t.Fatalf("offset = %d, want %d", off, len(want))
+	}
+
+	// Resumed at the part's real size, then sealed: renamed and manifested.
+	if err := sink.Append(name, int64(len(want)), []byte("tail\n")); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, "tail\n"...)
+	if err := sink.Seal(name, int64(len(want)), sha(want)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(part); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("part still present after seal: %v", err)
+	}
+	if got := readFile(t, filepath.Join(sink.root, filepath.FromSlash(name))); string(got) != string(want) {
+		t.Fatalf("sealed file holds %q, want %q", got, want)
+	}
+	if m, _ := ReadManifest(sink.root); m[name].SHA256 != sha(want) {
+		t.Fatalf("manifest entry %+v", m[name])
+	}
+}
+
+// TestKeptHandleSealedThenFoldedIsDone: a growing file whose handle the
+// lane keeps, then sealed, then deleted before the lane runs (the journal
+// folded it into a base) ends done, with nothing sealed at the sink. The
+// lane's loop is not started, so nothing ships between the steps.
+func TestKeptHandleSealedThenFoldedIsDone(t *testing.T) {
+	root := t.TempDir()
+	sink := mustDirSink(t)
+	const name = "journal-000002.jsonl"
+	path := filepath.Join(root, name)
+	writeFile(t, path, []byte("r1\n"))
+	ln := newLane(root, sink, Options{})
+	st := ln.state(name)
+	ln.changed(name)
+	if err := ln.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st.f == nil {
+		t.Fatal("growing file's handle was not kept")
+	}
+	writeFile(t, path, []byte("r1\nr2\n"))
+	ln.sealed(name)
+	if st.f != nil {
+		t.Fatal("sealed file's handle was kept")
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := ln.flush(); err != nil {
+		t.Fatalf("folded-away file errored: %v", err)
+	}
+	if !st.done || len(ln.dirty) != 0 {
+		t.Fatalf("folded-away file: done=%v, dirty=%v", st.done, ln.dirty)
+	}
+	if m, _ := ReadManifest(sink.root); len(m) != 0 {
+		t.Fatalf("folded-away file was sealed: %v", m)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKeptHandlesClosed: no kept handle outlives its file or its owner —
+// the descriptors open on the test's directories fall back to none after a
+// seal, after Shipper.Close and after Receiver.Close. Only those count:
+// files an earlier test abandoned close whenever the collector finds them.
+func TestKeptHandlesClosed(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd")
+	}
+	root, sinkDir, recvDir := t.TempDir(), t.TempDir(), t.TempDir()
+	fds := func() int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, e := range entries {
+			target, _ := os.Readlink(filepath.Join("/proc/self/fd", e.Name()))
+			for _, dir := range []string{root, sinkDir, recvDir} {
+				if strings.HasPrefix(target, dir+string(filepath.Separator)) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	writeFile(t, filepath.Join(root, "journal-000001.jsonl"), []byte("j1\n"))
+	writeFile(t, filepath.Join(root, "traces", "trace-000001.jsonl"), []byte("t1\n"))
+	sink, err := NewDirSink(sinkDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(root, sink, Options{Sync: true, Interval: time.Hour})
+	s.Changed("journal-000001.jsonl")
+	s.Changed("traces/trace-000001.jsonl")
+	if got := fds(); got != 4 {
+		t.Fatalf("%d descriptors with two growing files shipped, want 4 (one per end)", got)
+	}
+	s.Sealed("journal-000001.jsonl")
+	if got := fds(); got != 2 {
+		t.Fatalf("%d descriptors after a seal, want 2", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fds(); got != 0 {
+		t.Fatalf("%d descriptors after Shipper.Close, want 0", got)
+	}
+
+	recv, err := NewReceiver(recvDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []string{"a", "b"} {
+		w := httptest.NewRecorder()
+		recv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/"+node+"/append?name=journal-000001.jsonl&off=0", strings.NewReader("j1\n")))
+		if w.Code != http.StatusOK {
+			t.Fatalf("append for %s: %d %s", node, w.Code, w.Body)
+		}
+	}
+	if got := fds(); got != 2 {
+		t.Fatalf("%d descriptors with two pushed parts, want 2", got)
+	}
+	if err := recv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fds(); got != 0 {
+		t.Fatalf("%d descriptors after Receiver.Close, want 0", got)
+	}
+}
