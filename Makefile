@@ -39,8 +39,8 @@ vet-bench:
 # fails here instead of on the next box — with them the evaluation-slot
 # acquire/cancel/borrow races, the one inflight gauge and fold lending,
 # which lends more or less often with the core count and must not show
-# in a score. The same for the
-# cluster layer's non-chaos tests (coordinator, submit retry, membership
+# in a score — nor may the order SHA's parallel rounds report trials in.
+# The same for the cluster layer's non-chaos tests (coordinator, submit retry, membership
 # journal, ring, shipper lanes, sinks, restore, the file handles a lane
 # and a sink keep open while a segment grows), five times each, and
 # once for its short-storm chaos e2es (node kill, zero-operator failover,
@@ -60,11 +60,14 @@ vet-bench:
 # after a restart, the first start a replay keeps — and for the curve that
 # only the trace log holds: the listing that decodes no history, the short
 # history that is counted, the older binary's embedded curve, the points a
-# resumed life publishes twice. And for the chaos
+# resumed life publishes twice — and the resume that goes on from those
+# points alone: its rounds kept across a restart, a short history resumed
+# from what it holds, an older binary's checkpoint, a preempt record that
+# does not grow with the trials. And for the chaos
 # harness's short storm, whose journal may rotate on its last record — a
 # rotation that leaves only a base behind, which a one-P run hits often.
 cpus:
-	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge' \
+	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge|TestSHATrialOrderAnyWorkers' \
 		./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
 	$(GO) test -cpu 1,2,4 -count 5 -run 'TestCoordinator|TestSubmitRetry|TestMemberJournal|TestRing|TestMultiSink|TestShipper|TestDirSink|TestRestore|TestKeptHandle' \
 		./internal/coord/ ./internal/serve/shipper/
@@ -73,7 +76,7 @@ cpus:
 		./internal/serve/tracestore/ ./internal/serve/ ./internal/events/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestCutWrite|TestMemberJournal|TestEveryLifeStartsItsOwnSegment|TestOnChange|TestSegmentBytesFrozen|TestFailedUndo|TestOpenFileCutsTornTail|TestDirSinkTornManifestTail' \
 		./internal/serve/seglog/ ./internal/serve/journal/ ./internal/serve/tracestore/ ./internal/coord/ ./internal/serve/shipper/
-	$(GO) test -cpu 1,2,4 -count 3 -run 'TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestReplayKeepsFirstStart|TestListingLeavesHistoriesUndecoded|TestShortHistoryCounted|TestEmbeddedCurveFixtureBoots|TestResumedPastCheckpointReadsSameAfterRestart' \
+	$(GO) test -cpu 1,2,4 -count 3 -run 'TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestReplayKeepsFirstStart|TestListingLeavesHistoriesUndecoded|TestShortHistoryCounted|TestEmbeddedCurveFixtureBoots|TestResumedPastCheckpointReadsSameAfterRestart|TestResumeAfterRestartKeepsRounds|TestShortHistoryResumes|TestParentCheckpointResumes|TestPreemptRecordStaysSmall' \
 		./internal/serve/ ./internal/serve/journal/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestChaosOverload' ./internal/serve/
 
@@ -81,11 +84,13 @@ cpus:
 # every lifecycle path's records and events, a finished job read back
 # the same after a restart, its curve read back from the trace log (listed
 # without decoding, a short history counted, an older binary's embedded
-# curve, points a resumed life published twice), panic isolation, retry +
-# failure budget, timeout/shutdown reasons, drain.
+# curve, points a resumed life published twice), a preempted job resumed
+# from those points after a restart (its rounds kept, a short history, an
+# older binary's checkpoint), panic isolation, retry + failure budget,
+# timeout/shutdown reasons, drain.
 crash:
 	$(GO) test -race -count=1 ./internal/serve/journal/...
-	$(GO) test -race -count=1 -run 'TestRestartRecovery|TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestListingLeavesHistoriesUndecoded|TestShortHistoryCounted|TestEmbeddedCurveFixtureBoots|TestResumedPastCheckpointReadsSameAfterRestart|TestDeadlineJournalsNothing|TestPanicIsolation|TestTransientFailureRetried|TestFailureBudgetAbsorbsTrial|TestTimeoutReason|TestShutdownWithInFlightJobs|TestDrainRefusesSubmissions' ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestRestartRecovery|TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestListingLeavesHistoriesUndecoded|TestShortHistoryCounted|TestEmbeddedCurveFixtureBoots|TestResumedPastCheckpointReadsSameAfterRestart|TestResumeAfterRestartKeepsRounds|TestShortHistoryResumes|TestParentCheckpointResumes|TestDeadlineJournalsNothing|TestPanicIsolation|TestTransientFailureRetried|TestFailureBudgetAbsorbsTrial|TestTimeoutReason|TestShutdownWithInFlightJobs|TestDrainRefusesSubmissions' ./internal/serve/
 
 # Overload suite: admission control (429 + Retry-After), the evaluation
 # deadline watchdog, the scheduler's evaluation-slot acquire under a

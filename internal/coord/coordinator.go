@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"enhancedbhpo/internal/serve"
+	"enhancedbhpo/internal/serve/shipper"
 )
 
 // Node names one worker and where to reach it.
@@ -166,11 +167,11 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// validNode checks a node's name (a ring identity, embedded in job IDs)
-// and URL.
+// validNode checks a node's name (a ring identity, embedded in job IDs and
+// sink paths) and URL.
 func validNode(n Node) error {
-	if n.Name == "" || strings.ContainsAny(n.Name, ":/ ") {
-		return fmt.Errorf("coord: bad node name %q (used in job IDs; no colons, slashes or spaces)", n.Name)
+	if err := shipper.ValidNode(n.Name); err != nil {
+		return fmt.Errorf("coord: %w", err)
 	}
 	if n.URL == "" {
 		return fmt.Errorf("coord: node %s: empty URL", n.Name)

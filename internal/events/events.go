@@ -8,15 +8,17 @@
 //
 // Every event carries a per-job monotonic sequence number assigned at
 // publish time. The hub retains each job's full event history (jobs are
-// bounded by their trial counts, and the manager already keeps the trial
-// list for the same lifetime), so a subscriber can join late or reconnect
-// and resume from any sequence number with exactly-once, in-order
-// delivery. Events of this process life are retained decoded, as
-// published; a job that finished in an earlier life is primed with its
-// last sequence number and a loader (Prime), its history held as the
-// durable log's lines and decoded — once, then retained like any other —
-// the first time Since or Subscribe reads it. A restart therefore pays
-// for the jobs somebody asks about, not for every job there ever was. Per-subscriber buffers are bounded: a consumer that
+// bounded by their trial counts), so a subscriber can join late or
+// reconnect and resume from any sequence number with exactly-once,
+// in-order delivery — and that history is the only copy of a job's curve
+// the serving process keeps: its snapshots, its /trace and a restarted
+// job's resume point are all read from it. Events of this process life
+// are retained decoded, as published; a job that finished in an earlier
+// life is primed with its last sequence number and a loader (Prime), its
+// history held as the durable log's lines and decoded — once, then
+// retained like any other — the first time Since or Subscribe reads it. A
+// restart therefore pays for the jobs somebody asks about, not for every
+// job there ever was. Per-subscriber buffers are bounded: a consumer that
 // falls behind has events dropped from its channel (never from the
 // history), the drops are counted, and the consumer recovers by reading
 // the history from its last seen sequence.
@@ -56,8 +58,8 @@ const (
 	// job's feed is closed.
 	TypeStatus Type = "status"
 	// TypePreempted: the weighted-fair scheduler reclaimed the job's
-	// slot at a rung boundary; the job is back in the queued state with
-	// its completed trials checkpointed. Round is the highest rung
+	// slot at a rung boundary; the job is back in the queued state, its
+	// completed trials counted in a checkpoint. Round is the highest rung
 	// reached so far.
 	TypePreempted Type = "preempted"
 	// TypeResumed: a previously preempted (or crash-recovered) job got

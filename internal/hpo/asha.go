@@ -3,6 +3,7 @@ package hpo
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -55,12 +56,11 @@ type ashaJob struct {
 	done   bool // no more work will ever arrive
 }
 
-// ashaMember is one configuration's slot in a rung.
+// ashaMember is one configuration's slot in a rung. Its order is the
+// global sample index: RNG stream tag and tie-break.
 type ashaMember struct {
-	cfg      search.Config
-	cfgIdx   int // global sample index: RNG stream tag and tie-break
+	ranked
 	state    int // 0 pending, 1 running, 2 done
-	score    float64
 	promoted bool
 	trial    Trial // completed evaluation, buffered until emitted in serial order
 }
@@ -89,12 +89,13 @@ type ashaState struct {
 	// replaying the serial scheduler (highest rung first, members in
 	// index order) over the completed set. emitted[r] is the emission
 	// cursor of rung r; created[r] is how many of rung r's members exist
-	// in the replay (promotions from the emitted prefix of rung r-1);
-	// shadowProm mirrors settle's promoted flags for the replay.
+	// in the replay: what settle had promoted into rung r once it took the
+	// emitted prefix of rung r-1, which promotedAt[r-1][j-1] records for
+	// each prefix length j.
 	observe    func(Trial)
 	emitted    []int
 	created    []int
-	shadowProm [][]bool
+	promotedAt [][]int
 }
 
 // ASHA runs asynchronous successive halving: worker goroutines
@@ -140,11 +141,11 @@ func ASHA(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 		maxRung:    maxRung,
 		emitted:    make([]int, maxRung+1),
 		created:    make([]int, maxRung+1),
-		shadowProm: make([][]bool, maxRung+1),
+		promotedAt: make([][]int, maxRung+1),
 	}
 	st.cond = sync.NewCond(&st.mu)
 	for i, cfg := range configs {
-		st.rungs[0] = append(st.rungs[0], ashaMember{cfg: cfg, cfgIdx: i})
+		st.rungs[0] = append(st.rungs[0], ashaMember{ranked: ranked{cfg: cfg, order: i}})
 	}
 	st.created[0] = len(st.rungs[0])
 	// Trials are observed in serial emission order, not completion order:
@@ -250,7 +251,7 @@ func (st *ashaState) nextJob() ashaJob {
 				}
 				mem.state = memberRunning
 				st.outstanding++
-				return ashaJob{cfg: mem.cfg, cfgIdx: mem.cfgIdx, rung: r, member: m}
+				return ashaJob{cfg: mem.cfg, cfgIdx: mem.order, rung: r, member: m}
 			}
 		}
 		if st.outstanding == 0 {
@@ -317,36 +318,10 @@ func (st *ashaState) emitReady() {
 		if st.observe != nil {
 			st.observe(mem.trial)
 		}
-		st.shadowSettle(r)
-	}
-}
-
-// shadowSettle advances the replay's promotion state after rung r's
-// emitted prefix grew by one: the same decision settle takes at this
-// prefix length, recorded with the replay's own flags, so created[r+1]
-// counts exactly the members a serial run would have promoted by now.
-// Caller holds st.mu.
-func (st *ashaState) shadowSettle(r int) {
-	if r >= st.maxRung {
-		return
-	}
-	members := st.rungs[r]
-	j := st.emitted[r]
-	k := j / st.eta
-	if k < 1 {
-		return
-	}
-	if len(st.shadowProm[r]) < j {
-		grown := make([]bool, j)
-		copy(grown, st.shadowProm[r])
-		st.shadowProm[r] = grown
-	}
-	for _, m := range topMembers(members[:j], k) {
-		if st.shadowProm[r][m] {
-			continue
+		if r < st.maxRung {
+			// settle has taken at least this prefix: its members are done.
+			st.created[r+1] = st.promotedAt[r][st.emitted[r]-1]
 		}
-		st.shadowProm[r][m] = true
-		st.created[r+1]++
 	}
 }
 
@@ -363,49 +338,32 @@ func (st *ashaState) settle(r int) {
 	for st.settled[r] < len(members) && members[st.settled[r]].state == memberDone {
 		st.settled[r]++
 		j := st.settled[r]
-		k := j / st.eta
-		if k < 1 {
-			continue
-		}
-		for _, m := range topMembers(members[:j], k) {
-			if members[m].promoted {
-				continue
+		if k := j / st.eta; k >= 1 {
+			for _, m := range topMembers(members[:j], k) {
+				if members[m].promoted {
+					continue
+				}
+				members[m].promoted = true
+				st.rungs[r+1] = append(st.rungs[r+1], ashaMember{ranked: ranked{cfg: members[m].cfg, order: members[m].order}})
 			}
-			members[m].promoted = true
-			st.rungs[r+1] = append(st.rungs[r+1], ashaMember{
-				cfg:    members[m].cfg,
-				cfgIdx: members[m].cfgIdx,
-			})
 		}
+		st.promotedAt[r] = append(st.promotedAt[r], len(st.rungs[r+1]))
 	}
 }
 
-// topMembers returns the indices of the k highest-scoring members (ties
-// broken by configuration index), in rank order.
+// topMembers returns the indices of the k best-ranked members, in rank
+// order.
 func topMembers(members []ashaMember, k int) []int {
 	idx := make([]int, len(members))
 	for i := range idx {
 		idx[i] = i
 	}
-	// Insertion sort: rung prefixes are small and the call is per-completion.
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &members[idx[j-1]], &members[idx[j]]
-			if a.score > b.score || (a.score == b.score && a.cfgIdx < b.cfgIdx) {
-				break
-			}
-			idx[j-1], idx[j] = idx[j], idx[j-1]
-		}
-	}
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
+	sort.SliceStable(idx, func(a, b int) bool { return members[idx[a]].better(members[idx[b]].ranked) })
+	return idx[:min(k, len(idx))]
 }
 
-// best returns the top configuration of the highest rung with a completed
-// evaluation (ties broken by configuration index, so the choice is
-// deterministic).
+// best returns the best-ranked configuration of the highest rung with a
+// completed evaluation.
 func (st *ashaState) best() (search.Config, float64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -413,15 +371,7 @@ func (st *ashaState) best() (search.Config, float64) {
 		bestIdx := -1
 		for m := range st.rungs[r] {
 			mem := &st.rungs[r][m]
-			if mem.state != memberDone {
-				continue
-			}
-			if bestIdx < 0 {
-				bestIdx = m
-				continue
-			}
-			cur := &st.rungs[r][bestIdx]
-			if mem.score > cur.score || (mem.score == cur.score && mem.cfgIdx < cur.cfgIdx) {
+			if mem.state == memberDone && (bestIdx < 0 || mem.better(st.rungs[r][bestIdx].ranked)) {
 				bestIdx = m
 			}
 		}

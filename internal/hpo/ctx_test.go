@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
@@ -91,6 +92,53 @@ func TestASHATrialOrderAnyWorkers(t *testing.T) {
 		if !equalStrings(seen, serialSeen) {
 			t.Fatalf("workers=%d: observer stream diverged from serial order:\n got  %v\n want %v",
 				workers, seen, serialSeen)
+		}
+	}
+}
+
+// slowFirst holds every evaluation of one configuration for a while, so
+// concurrent workers finish the others before it.
+type slowFirst struct {
+	*fakeEvaluator
+	slow string
+}
+
+func (s slowFirst) Evaluate(c search.Config, budget int, r *rng.RNG) ([]float64, error) {
+	if c.ID() == s.slow {
+		time.Sleep(20 * time.Millisecond)
+	}
+	return s.fakeEvaluator.Evaluate(c, budget, r)
+}
+
+// TestSHATrialOrderAnyWorkers: SHA's Observe stream arrives in index order
+// for any worker count — the first configuration first even when it is
+// the last to finish — so an anytime curve, and the count of it a resumed
+// run skips, does not depend on scheduling.
+func TestSHATrialOrderAnyWorkers(t *testing.T) {
+	space, quality := gradedSpace()
+	configs := space.Enumerate()
+	run := func(workers int) []string {
+		ev := slowFirst{&fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.001}, configs[0].ID()}
+		var mu sync.Mutex
+		var seen []string
+		comps := vanComps().WithObserver(func(tr Trial) {
+			mu.Lock()
+			seen = append(seen, fmt.Sprintf("%s@%d=%x", tr.Config.ID(), tr.Round, tr.Score))
+			mu.Unlock()
+		})
+		res, err := SuccessiveHalving(context.Background(), configs, ev, comps, SHAOptions{Seed: 1, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(seen) != len(res.Trials) {
+			t.Fatalf("workers=%d: observer saw %d trials, result has %d", workers, len(seen), len(res.Trials))
+		}
+		return seen
+	}
+	serial := run(1)
+	for _, workers := range []int{2, 4} {
+		if seen := run(workers); !equalStrings(seen, serial) {
+			t.Fatalf("workers=%d: observer stream diverged from serial order:\n got  %v\n want %v", workers, seen, serial)
 		}
 	}
 }

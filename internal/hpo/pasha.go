@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"enhancedbhpo/internal/rng"
@@ -180,15 +179,4 @@ func rankingStable(lower, upper []ranked) bool {
 		}
 	}
 	return bestID == upTop.cfg.ID()
-}
-
-func sortRanked(rs []ranked) []ranked {
-	sorted := append([]ranked(nil), rs...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].score != sorted[j].score {
-			return sorted[i].score > sorted[j].score
-		}
-		return sorted[i].order < sorted[j].order
-	})
-	return sorted
 }

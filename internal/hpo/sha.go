@@ -20,8 +20,9 @@ type SHAOptions struct {
 	// support k folds). 0 selects 2·K of the components.
 	MinBudget int
 	// Workers evaluates each round's configurations concurrently. The
-	// result is identical for any worker count (per-trial RNG streams are
-	// derived from round and index, not from scheduling). 0 selects 1.
+	// result and the Observe stream are identical for any worker count
+	// (per-trial RNG streams are derived from round and index, not from
+	// scheduling, and trials are observed in index order). 0 selects 1.
 	Workers int
 	// Seed drives subset sampling and training.
 	Seed uint64
@@ -127,10 +128,12 @@ func init() {
 
 // evalRound evaluates one round — SHA's halving round, a Hyperband rung,
 // the baselines' one full-budget pass — optionally with a worker pool.
-// Results are ordered by configuration index, so the outcome is identical
-// for any worker count. A cancelled ctx or a failed evaluation stops the
-// round before the next evaluation starts; the error returned is the first
-// one recorded.
+// Results are ordered by configuration index, and so is the Observe
+// stream: a worker's trial is held until every trial before it is in, so
+// the stream — and any count of it a resume skips — is the one a single
+// worker produces. A cancelled ctx or a failed evaluation stops the round
+// before the next evaluation starts, and stops the stream; the error
+// returned is the first one recorded.
 func evalRound(ctx context.Context, ev Evaluator, comps Components, configs []search.Config, budget, round, workers int, root *rng.RNG) ([]Trial, error) {
 	trials := make([]Trial, len(configs))
 	if workers <= 1 || len(configs) == 1 {
@@ -149,6 +152,9 @@ func evalRound(ctx context.Context, ev Evaluator, comps Components, configs []se
 	if workers > len(configs) {
 		workers = len(configs)
 	}
+	observe := comps.Observe
+	comps.Observe = nil
+	done, emitted := make([]bool, len(configs)), 0
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
@@ -176,7 +182,12 @@ func evalRound(ctx context.Context, ev Evaluator, comps Components, configs []se
 						firstErr = err
 					}
 				} else {
-					trials[i] = tr
+					trials[i], done[i] = tr, true
+				}
+				for ; firstErr == nil && emitted < len(done) && done[emitted]; emitted++ {
+					if observe != nil {
+						observe(trials[emitted])
+					}
 				}
 				mu.Unlock()
 			}

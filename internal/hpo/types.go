@@ -38,11 +38,12 @@ type Components struct {
 	// paper reports F1 on the imbalanced datasets). Evaluators wired from
 	// these components (NewCVEvaluator) inherit it.
 	UseF1 bool
-	// Observe, when non-nil, receives every completed Trial as soon as it
-	// finishes, in completion order. Optimizers with concurrent workers
-	// call it from several goroutines, so implementations must be safe for
-	// concurrent use. It exists so a serving layer can report live anytime
-	// curves while a run is still in flight.
+	// Observe, when non-nil, receives every completed Trial, in the order a
+	// single worker produces them: an optimizer with concurrent workers
+	// holds a finished trial back until every trial before it is in, and
+	// may call Observe from any of its goroutines, one call at a time. It
+	// exists so a serving layer can report live anytime curves while a run
+	// is still in flight.
 	Observe func(Trial)
 }
 
@@ -137,24 +138,30 @@ func (r *Result) TrialsAt(round int) []Trial {
 type ranked struct {
 	cfg   search.Config
 	score float64
-	order int // arrival order, for deterministic tie-breaks
+	order int // arrival order or sample index, for deterministic tie-breaks
 }
 
-// topConfigs returns the k highest-scoring configurations (ties broken by
-// arrival order).
-func topConfigs(rs []ranked, k int) []search.Config {
-	sorted := append([]ranked(nil), rs...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].score != sorted[j].score {
-			return sorted[i].score > sorted[j].score
-		}
-		return sorted[i].order < sorted[j].order
-	})
-	if k > len(sorted) {
-		k = len(sorted)
+// better is every optimizer's one ranking rule: a ranks above b on a
+// higher score, and on a tie on a lower order.
+func (a ranked) better(b ranked) bool {
+	if a.score != b.score {
+		return a.score > b.score
 	}
-	out := make([]search.Config, k)
-	for i := 0; i < k; i++ {
+	return a.order < b.order
+}
+
+// sortRanked returns a copy of rs, best first.
+func sortRanked(rs []ranked) []ranked {
+	sorted := append([]ranked(nil), rs...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].better(sorted[j]) })
+	return sorted
+}
+
+// topConfigs returns the k best-ranked configurations.
+func topConfigs(rs []ranked, k int) []search.Config {
+	sorted := sortRanked(rs)
+	out := make([]search.Config, min(k, len(sorted)))
+	for i := range out {
 		out[i] = sorted[i].cfg
 	}
 	return out

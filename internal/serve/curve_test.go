@@ -127,10 +127,11 @@ const (
 
 // TestEmbeddedCurveFixtureBoots: a directory whose result record embeds its
 // curve, as older binaries wrote it, boots and serves GET /jobs/{id},
-// /trace and GET /jobs as those binaries did, byte for byte — the embedded
-// curve used as it is, nothing counted — and /tenants re-seeds the
-// tenant's service from it. The boot's compaction copies the record
-// forward unchanged, so a second boot serves the same again.
+// /trace and GET /jobs as those binaries did, byte for byte — the curve
+// read from the trace log, nothing counted — and /tenants re-seeds the
+// tenant's service from the embedded curve's final budget. The boot's
+// compaction writes that budget in the curve's place, so a second boot
+// serves the same again.
 func TestEmbeddedCurveFixtureBoots(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "journal-000001.jsonl"), []byte(embeddedJournal), 0o644); err != nil {
@@ -145,9 +146,6 @@ func TestEmbeddedCurveFixtureBoots(t *testing.T) {
 	for boot := 1; boot <= 2; boot++ {
 		m := bootJournaled(t, Config{PoolSize: 1, MaxJobs: 1, DataDir: dir})
 		ts := httptest.NewServer(NewServer(m))
-		if job, _ := m.Get("job-1"); job.loadCurve != nil {
-			t.Errorf("boot %d: the embedded curve is not used as it is", boot)
-		}
 		for path, want := range map[string]string{
 			"/jobs/job-1":       embeddedJobBody,
 			"/jobs/job-1/trace": embeddedTraceBody,
@@ -168,9 +166,16 @@ func TestEmbeddedCurveFixtureBoots(t *testing.T) {
 		ts.Close()
 		shutdown(t, m)
 	}
-	states, err := journal.Replay(dir)
-	if err != nil || len(states) != 1 || len(states[0].Curve) != 3 {
-		t.Fatalf("after two compactions the journal replays as %+v, %v; want the embedded curve kept", states, err)
+	bases, _ := filepath.Glob(filepath.Join(dir, "base-*.jsonl"))
+	if len(bases) != 1 {
+		t.Fatalf("after two compactions the journal is %v; want one base", bases)
+	}
+	raw, err := os.ReadFile(bases[0])
+	if err != nil || bytes.Contains(raw, []byte(`"curve"`)) || !bytes.Contains(raw, []byte(`"budget":400`)) {
+		t.Fatalf("after two compactions the journal holds %s (%v); want the budget in the curve's place", raw, err)
+	}
+	if states, err := journal.Replay(dir); err != nil || len(states) != 1 || states[0].Budget != 400 {
+		t.Fatalf("the journal replays as %+v, %v; want the embedded curve's budget, 400", states, err)
 	}
 }
 

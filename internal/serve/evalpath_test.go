@@ -106,11 +106,23 @@ func TestPoolSlotsEvaluateSideBySide(t *testing.T) {
 }
 
 // soloRun runs spec alone on a fresh manager of the given pool size,
-// sampling pool_in_use all the while, and returns the finished job's
-// trials and curve as JSON, the most slots seen held and folds_lent.
+// sampling pool_in_use all the while, and returns the fold scores of the
+// job's evaluations and its curve as JSON, the most slots seen held and
+// folds_lent.
 func soloRun(t *testing.T, poolSize int, spec JobSpec) (trials, curve []byte, peak int, lent int64) {
 	t.Helper()
-	m := NewManager(Config{PoolSize: poolSize, MaxJobs: 1, DeterministicTiming: true})
+	var mu sync.Mutex
+	var folds [][]float64
+	m := NewManager(Config{PoolSize: poolSize, MaxJobs: 1, DeterministicTiming: true,
+		WrapEvaluator: func(_ string, inner hpo.Evaluator) hpo.Evaluator {
+			return funcEvaluator{inner, func(c search.Config, budget int, r *rng.RNG) ([]float64, error) {
+				scores, err := inner.Evaluate(c, budget, r)
+				mu.Lock()
+				folds = append(folds, scores)
+				mu.Unlock()
+				return scores, err
+			}}
+		}})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -143,9 +155,9 @@ func soloRun(t *testing.T, poolSize int, spec JobSpec) (trials, curve []byte, pe
 	if snap.Status != StatusDone {
 		t.Fatalf("PoolSize %d: job ended %s (%s)", poolSize, snap.Status, snap.Error)
 	}
-	job.mu.Lock()
-	trials, err = json.Marshal(job.trials)
-	job.mu.Unlock()
+	mu.Lock()
+	trials, err = json.Marshal(folds)
+	mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}

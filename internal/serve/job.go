@@ -2,13 +2,13 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
 	"time"
 
 	"enhancedbhpo/internal/dataset"
+	"enhancedbhpo/internal/events"
 	"enhancedbhpo/internal/hpo"
 	"enhancedbhpo/internal/trace"
 )
@@ -248,6 +248,9 @@ type Job struct {
 	// still deduplicates a re-sent submission.
 	token string
 
+	// hub holds the job's event feed, the one place its curve lives.
+	hub *events.Hub
+
 	mu sync.Mutex
 	// status moves only through Manager.transition; restoreResult sets a
 	// job's that the journal holds as terminal.
@@ -259,17 +262,14 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	trials    []ckTrial // every recorded trial, as a preempt checkpoint carries it
 
 	// The job's outcome as snapshots and the journal's terminal record
 	// carry it (resultLocked). recordTrialLocked extends evaluations and
-	// curve trial by trial; finish fills the rest for a run that
-	// completed; restoreResult fills the rest for a job that was terminal
-	// before the restart, and loadCurve, while non-nil, is where such a
-	// job's curve is: its trace-log history, read by the first Snapshot.
+	// last, the curve's newest point, trial by trial; finish fills the rest
+	// for a run that completed; restoreResult fills the rest for a job that
+	// was terminal before the restart.
 	evaluations int
-	curve       []trace.Point
-	loadCurve   func() []trace.Point
+	last        trace.Point
 	bestConfig  map[string]any
 	bestScore   *float64
 	testScore   *float64
@@ -278,8 +278,8 @@ type Job struct {
 	// segment's context with cause errPreempted; preempts counts the
 	// rung-boundary yields so far (capped by maxPreempts);
 	// checkpointLen is how many leading trials were recorded in earlier
-	// segments; replaySkip counts how many upcoming observations are
-	// deterministic replays of that prefix and must not be re-recorded.
+	// segments or lives; replaySkip counts how many upcoming observations
+	// are deterministic replays of that prefix and must not be re-recorded.
 	segCancel     context.CancelCauseFunc
 	preempts      int
 	checkpointLen int
@@ -289,36 +289,56 @@ type Job struct {
 	maxRound int
 }
 
-// recordTrialLocked appends one observed trial and extends the curve by
-// the incumbent recurrence — each point follows from the one before it,
+// recordTrialLocked counts one observed trial and extends the curve by the
+// incumbent recurrence — each point follows from the one before it,
 // exactly as trace.Anytime computes the whole curve
 // (TestJobCurveMatchesAnytime) — returning the new point plus whether the
 // trial opened a new halving round (a rung promotion). Called with j.mu
-// held — the manager keeps the lock across record+publish so the event
-// stream order matches the trial order.
-func (j *Job) recordTrialLocked(tr ckTrial) (pt trace.Point, newRound int, promoted bool) {
-	j.trials = append(j.trials, tr)
+// held — the manager keeps the lock across record+publish so the feed's
+// curve points arrive in trial order.
+func (j *Job) recordTrialLocked(tr hpo.Trial) (pt trace.Point, promoted bool) {
 	j.evaluations++
-	var last trace.Point
-	if n := len(j.curve); n > 0 {
-		last = j.curve[n-1]
-	}
 	pt = trace.Point{
 		Evaluations: j.evaluations,
-		CumBudget:   last.CumBudget + tr.Budget,
-		CumTime:     last.CumTime + time.Duration(tr.ElapsedNS),
-		BestScore:   last.BestScore,
+		CumBudget:   j.last.CumBudget + tr.Budget,
+		CumTime:     j.last.CumTime + tr.Elapsed,
+		BestScore:   j.last.BestScore,
 	}
-	if len(j.curve) == 0 || tr.Score > pt.BestScore {
+	if j.evaluations == 1 || tr.Score > pt.BestScore {
 		pt.BestScore = tr.Score
 	}
-	j.curve = append(j.curve, pt)
-	if tr.Round > j.maxRound {
-		j.maxRound = tr.Round
-		promoted = tr.Round > 0
-		newRound = tr.Round
+	j.last = pt
+	promoted = tr.Round > j.maxRound
+	j.maxRound = max(j.maxRound, tr.Round)
+	return pt, promoted
+}
+
+// resume arms a job the journal holds as preempted to go on from the first
+// n curve points of its feed, evs — fewer if its history lost some — with
+// the recurrence state they leave: the last of them, and the highest
+// round a rung event before them entered. A rung event comes right before
+// the point of the trial that entered the round, and every life that
+// replays the same prefix publishes it before the same point, so it counts
+// when that point is one of the first n.
+func (j *Job) resume(evs []events.Event, n int) {
+	curve := curvePoints(evs)
+	n = min(n, len(curve))
+	round := 0
+	for _, ev := range evs {
+		switch {
+		case ev.Type == events.TypeRung:
+			round = ev.Round
+		case ev.Type == events.TypeCurvePoint && ev.Point != nil:
+			if ev.Point.Evaluations <= n {
+				j.maxRound = max(j.maxRound, round)
+			}
+			round = 0
+		}
 	}
-	return pt, newRound, promoted
+	if n > 0 {
+		j.last = curve[n-1]
+	}
+	j.evaluations, j.checkpointLen = n, n
 }
 
 // Status returns the job's current lifecycle state.
@@ -355,46 +375,14 @@ func (j *Job) tenant() string {
 	return j.Spec.Tenant
 }
 
-// ckTrial is one recorded trial: everything the curve, snapshot and
-// incumbent recurrence need, in the form a preempt checkpoint journals
-// it. The configuration itself is omitted — the resume re-derives it
-// deterministically from the spec seed, and the replayed observations
-// are skipped rather than compared.
-type ckTrial struct {
-	Budget     int       `json:"budget"`
-	Round      int       `json:"round"`
-	Score      float64   `json:"score"`
-	FoldScores []float64 `json:"fold_scores,omitempty"`
-	Gamma      float64   `json:"gamma,omitempty"`
-	ElapsedNS  int64     `json:"elapsed_ns"`
-}
-
-// checkpointState is the journal's preempt-record payload: the trial
-// prefix completed before the slot was reclaimed, plus the preemption
-// count so a restart keeps honoring the per-job cap.
+// checkpointState is the journal's preempt-record payload: the preemption
+// count, so a restart keeps honoring the per-job cap after compaction has
+// folded the preempt records away. The resume point is the record's
+// evaluations — that many curve points of the job's feed — and the
+// optimizer re-derives the trials behind them from the spec seed. (Older
+// binaries embedded the trial list too; it is not read.)
 type checkpointState struct {
-	Preempts int       `json:"preempts"`
-	Trials   []ckTrial `json:"trials"`
-}
-
-// restoreCheckpoint seeds a replayed job from a journaled checkpoint:
-// the trial prefix is re-recorded through the same incumbent recurrence
-// the live path uses (so the curve is bit-identical to what the dead
-// process had), and the replay-skip counter arms the observer to let
-// the optimizer regenerate that prefix without double-recording it.
-func (j *Job) restoreCheckpoint(raw json.RawMessage) error {
-	var ck checkpointState
-	if err := json.Unmarshal(raw, &ck); err != nil {
-		return fmt.Errorf("serve: decoding checkpoint: %w", err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, tr := range ck.Trials {
-		j.recordTrialLocked(tr)
-	}
-	j.preempts = ck.Preempts
-	j.checkpointLen = len(j.trials)
-	return nil
+	Preempts int `json:"preempts"`
 }
 
 // recordEvalFailure counts one definitive evaluation failure against the
@@ -423,7 +411,7 @@ type Snapshot struct {
 	// filter without digging into the spec.
 	Tenant string `json:"tenant"`
 	// Preemptions counts the rung-boundary slot yields this job has
-	// absorbed; each one checkpointed its trials and re-queued the rest.
+	// absorbed; each one checkpointed its progress and re-queued the rest.
 	Preemptions int `json:"preemptions,omitempty"`
 	// Reason qualifies a cancelled status: user_cancel, timeout,
 	// shutdown or interrupted.
@@ -448,32 +436,23 @@ type Snapshot struct {
 	LastSeq uint64 `json:"last_seq,omitempty"`
 }
 
-// Snapshot renders the job's current state, including its anytime curve:
-// the live one of a run still in flight, or a restored job's, loaded from
-// its trace-log history the first time it is asked for (lock order job.mu
-// → feed.mu, as in observeTrial).
+// Snapshot renders the job's current state with its anytime curve: the
+// first evaluations curve points of its feed, however the job got them —
+// and a feed can hold more, the points a life that died after resuming
+// published past the checkpoint this one resumed from.
 func (j *Job) Snapshot() Snapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.loadCurve != nil {
-		j.curve, j.loadCurve = j.loadCurve(), nil
-	}
-	snap := j.summaryLocked()
-	// A copy: the job keeps appending to its own slice.
-	snap.Curve = append([]trace.Point{}, j.curve...)
+	snap := j.summary()
+	curve := curvePoints(j.hub.Since(j.ID, 0))
+	snap.Curve = curve[:min(len(curve), snap.Evaluations)]
 	snap.Sparkline = trace.Sparkline(snap.Curve, 40)
 	return snap
 }
 
 // summary is Snapshot without the curve and its sparkline: what a
-// listing serves, which never loads a restored job's history.
+// listing serves, which never decodes a restored job's history.
 func (j *Job) summary() Snapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.summaryLocked()
-}
-
-func (j *Job) summaryLocked() Snapshot {
 	snap := Snapshot{
 		ID:          j.ID,
 		Status:      j.status,

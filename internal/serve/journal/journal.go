@@ -68,17 +68,18 @@ const (
 	// their data directories still boot.
 	TypeEvent = "event"
 	// TypePreempt records a rung-boundary preemption: the scheduler
-	// reclaimed the job's slot, and Checkpoint carries the serve layer's
-	// snapshot of the trials completed so far. On replay the job is
-	// queued with the checkpoint attached, so a restart resumes it from
-	// its last rung boundary instead of restarting from scratch; the
-	// latest preempt record wins and a terminal result supersedes it.
+	// reclaimed the job's slot after Evaluations trials, and Checkpoint
+	// carries the serve layer's preemption count — a few bytes however
+	// long the job has run, because the trials' curve points are in the
+	// trace log. On replay the job is queued with the checkpoint attached,
+	// so a restart resumes it from those points instead of from scratch;
+	// the latest preempt record wins and a terminal result supersedes it.
 	TypePreempt = "preempt"
 )
 
 // Record is one journal line. The spec travels as raw JSON so this
 // package stays independent of the serve layer's types; the curves older
-// binaries embedded reuse the trace package's bit-exact Point round-trip.
+// binaries embedded decode through the trace package's Point.
 type Record struct {
 	Type  string          `json:"t"`
 	Time  time.Time       `json:"time"`
@@ -95,9 +96,9 @@ type Record struct {
 	Stack       string `json:"stack,omitempty"`
 	Evaluations int    `json:"evaluations,omitempty"`
 	// Curve is the anytime curve a result record written by an older
-	// binary embeds: its data directories are read through it, and
-	// compaction copies it forward. A result record written now leaves it
-	// out — the trace log's curve_point events are the one copy.
+	// binary embeds. Replay reads only its last point's cum_budget, as
+	// Budget, and compaction writes that budget instead; nothing writes a
+	// curve now — the trace log's curve_point events are the one copy.
 	Curve []trace.Point `json:"curve,omitempty"`
 	// Budget on a result record is the job's final cumulative budget (its
 	// curve's last cum_budget): what a restart re-seeds the tenant's
@@ -106,9 +107,9 @@ type Record struct {
 	BestConfig map[string]any `json:"best_config,omitempty"`
 	BestScore  *float64       `json:"best_score,omitempty"`
 	TestScore  *float64       `json:"test_score,omitempty"`
-	// Checkpoint is the serve layer's opaque rung-state snapshot on
-	// preempt records: the trials completed before the slot was
-	// reclaimed, enough to resume the job deterministically.
+	// Checkpoint is the serve layer's opaque payload on preempt records:
+	// its preemption count, which compaction would otherwise fold away.
+	// Checkpoints older binaries wrote carry the trial list as well.
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
 	// Preemptions on a result record carries the job's final yield
 	// count, so compaction — which folds the preempt history of a
@@ -349,8 +350,6 @@ type JobState struct {
 	Error       string
 	Stack       string
 	Evaluations int
-	// Curve is an older binary's embedded result curve, nil otherwise.
-	Curve       []trace.Point
 	Budget      int
 	BestConfig  map[string]any
 	BestScore   *float64
@@ -360,9 +359,9 @@ type JobState struct {
 	// started when it first ran, not at its last resume.
 	StartedAt  time.Time
 	FinishedAt time.Time
-	// Checkpoint is the latest preempt record's rung-state snapshot for
-	// a job that has not reached a terminal state — the resume point
-	// after a restart. Nil once a terminal record lands.
+	// Checkpoint is the latest preempt record's payload for a job that has
+	// not reached a terminal state, which Evaluations then counts the
+	// resume point of. Nil once a terminal record lands.
 	Checkpoint  json.RawMessage
 	Preemptions int
 	Failures    int
@@ -427,8 +426,10 @@ func (r *replayState) apply(rec Record) {
 			st.Preemptions = rec.Preemptions
 		}
 		st.Failures = rec.Failures
-		st.Curve = rec.Curve
 		st.Budget = rec.Budget
+		if n := len(rec.Curve); n > 0 {
+			st.Budget = rec.Curve[n-1].CumBudget
+		}
 		st.BestConfig = rec.BestConfig
 		st.BestScore = rec.BestScore
 		st.TestScore = rec.TestScore
@@ -606,7 +607,6 @@ func writeBase(dir string, seq int, states []JobState) error {
 				Error:       st.Error,
 				Stack:       st.Stack,
 				Evaluations: st.Evaluations,
-				Curve:       st.Curve,
 				Budget:      st.Budget,
 				BestConfig:  st.BestConfig,
 				BestScore:   st.BestScore,

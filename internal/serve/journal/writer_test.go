@@ -50,9 +50,10 @@ func dirFiles(t *testing.T, dir string) map[string]string {
 const (
 	frozenSubmit1 = `{"t":"submit","time":"2026-08-05T10:00:00Z","job":"job-1","token":"tok","spec":{"dataset":"australian","method":"sha"},"tenant":"gold"}` + "\n"
 	frozenStatus1 = `{"t":"status","time":"2026-08-05T10:00:01Z","job":"job-1","status":"running"}` + "\n"
+	// The appended result record embeds its curve, as older binaries wrote
+	// it; the fold writes the curve's final budget in its place.
 	frozenResult1 = `{"t":"result","time":"2026-08-05T10:00:02Z","job":"job-1","status":"done","evaluations":2,` +
-		`"curve":[{"evaluations":1,"cum_budget":100,"cum_time_ns":12345000,"best_score":0.71},{"evaluations":2,"cum_budget":250,"cum_time_ns":34567000,"best_score":0.83}],` +
-		`"best_config":{"activation":"relu"},"best_score":0.83,"test_score":0.8}` + "\n"
+		`"budget":250,"best_config":{"activation":"relu"},"best_score":0.83,"test_score":0.8}` + "\n"
 	frozenSubmit2 = `{"t":"submit","time":"2026-08-05T10:00:03Z","job":"job-2","spec":{"dataset":"australian","method":"sha"}}` + "\n"
 	frozenEvent2  = `{"t":"event","time":"2026-08-05T10:00:04Z","job":"job-2","reason":"deadline"}` + "\n"
 	frozenPreempt = `{"t":"preempt","time":"2026-08-05T10:00:05Z","job":"job-2","evaluations":1,"checkpoint":{"trials":1}}` + "\n"

@@ -31,7 +31,6 @@ const (
 // in-memory table stays authoritative until the next restart.
 func (m *Manager) transition(job *Job, ph phase, at time.Time, apply func()) {
 	var rec journal.Record
-	var ck *checkpointState // marshalled without the lock
 	ev := &events.Event{Type: events.TypeStatus, Time: at}
 	job.mu.Lock()
 	if apply != nil {
@@ -58,11 +57,11 @@ func (m *Manager) transition(job *Job, ph phase, at time.Time, apply func()) {
 	case phasePreempted:
 		job.status = StatusQueued
 		job.preempts++
-		job.checkpointLen = len(job.trials)
+		job.checkpointLen = job.evaluations
 		job.segCancel = nil
-		// Appends never touch the recorded prefix.
-		ck = &checkpointState{Preempts: job.preempts, Trials: job.trials}
-		rec = journal.Record{Type: journal.TypePreempt, Tenant: job.tenant(), Evaluations: len(job.trials)}
+		// The resume point is the count: the feed holds the points.
+		ck, _ := json.Marshal(checkpointState{Preempts: job.preempts}) // an int always encodes
+		rec = journal.Record{Type: journal.TypePreempt, Tenant: job.tenant(), Evaluations: job.evaluations, Checkpoint: ck}
 		ev.Type, ev.Round = events.TypePreempted, job.maxRound
 	case phaseTerminal:
 		job.segCancel = nil
@@ -89,14 +88,6 @@ func (m *Manager) transition(job *Job, ph phase, at time.Time, apply func()) {
 		var err error
 		if rec.Type == journal.TypeSubmit {
 			rec.Spec, err = json.Marshal(job.Spec)
-		} else if ck != nil {
-			// A checkpoint that does not encode is counted and left out:
-			// the job then comes back queued, to run from scratch.
-			rec.Checkpoint, err = json.Marshal(ck)
-			if err != nil {
-				m.journalErrs.Add(1)
-				err = nil
-			}
 		}
 		if err != nil || m.journal.Append(rec) != nil {
 			m.journalErrs.Add(1)
@@ -113,10 +104,6 @@ func (m *Manager) transition(job *Job, ph phase, at time.Time, apply func()) {
 // already holds as the job's curve_point events; the record carries only
 // its final cumulative budget. Called with j.mu held.
 func (j *Job) resultLocked() journal.Record {
-	var budget int
-	if n := len(j.curve); n > 0 {
-		budget = j.curve[n-1].CumBudget
-	}
 	return journal.Record{
 		Type:        journal.TypeResult,
 		Status:      string(j.status),
@@ -124,7 +111,7 @@ func (j *Job) resultLocked() journal.Record {
 		Error:       j.errMsg,
 		Stack:       j.stack,
 		Evaluations: j.evaluations,
-		Budget:      budget,
+		Budget:      j.last.CumBudget,
 		BestConfig:  j.bestConfig,
 		BestScore:   j.bestScore,
 		TestScore:   j.testScore,
@@ -134,10 +121,8 @@ func (j *Job) resultLocked() journal.Record {
 }
 
 // restoreResult is resultLocked read back into a job the journal holds as
-// terminal, at boot, before the manager serves or runs anything. The
-// curve is set only from a record an older binary wrote with the curve
-// embedded; otherwise the boot arranges for the first snapshot to load it
-// from the trace log (loadCurve). (What every restored job carries, its
+// terminal, at boot, before the manager serves or runs anything; its curve
+// is its feed's, like every job's. (What every restored job carries, its
 // preemption count and its submission and first start times, the boot
 // sets for all of them.)
 func (j *Job) restoreResult(st journal.JobState) {
@@ -146,7 +131,6 @@ func (j *Job) restoreResult(st journal.JobState) {
 	j.errMsg = st.Error
 	j.stack = st.Stack
 	j.evaluations = st.Evaluations
-	j.curve = st.Curve
 	j.bestConfig = st.BestConfig
 	j.bestScore = st.BestScore
 	j.testScore = st.TestScore

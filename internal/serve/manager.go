@@ -24,7 +24,6 @@ import (
 	"enhancedbhpo/internal/serve/sched"
 	"enhancedbhpo/internal/serve/shipper"
 	"enhancedbhpo/internal/serve/tracestore"
-	"enhancedbhpo/internal/trace"
 )
 
 // ErrOverloaded is returned by Submit when the scheduler's global
@@ -332,9 +331,10 @@ func shipHook(ship *shipper.Shipper, sub string) func(name string, sealed bool) 
 // cfg.DataDir, replays it, and returns a manager with the previous
 // process's job table rebuilt: terminal jobs are restored with their
 // results (their anytime curves are read from the trace log when first
-// asked for), jobs that were mid-run when the process
-// died are marked cancelled with reason "interrupted", and jobs that
-// were still queued are re-enqueued and run again.
+// asked for), jobs that were mid-run when the process died are marked
+// cancelled with reason "interrupted", and jobs that were still queued are
+// re-enqueued and run again — those preempted before, from the curve
+// points their trace log holds.
 //
 // A boot decodes the journal once and the trace log not at all. In order:
 // the journal is replayed, every job's spec decoded, mid-run jobs
@@ -441,45 +441,44 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 			ID:        st.ID,
 			Spec:      specs[i],
 			token:     st.Token,
+			hub:       m.hub,
 			cancel:    func() {},
 			status:    StatusQueued,
 			submitted: st.SubmittedAt,
 			started:   st.StartedAt,
 			// Preemption counts survive restarts like the rest of the
-			// accounting; restoreCheckpoint overwrites this with the
-			// checkpoint's own (authoritative) count for resumable jobs.
+			// accounting; a resumable job's checkpoint holds its own.
 			preempts: st.Preemptions,
 		}
 		m.register(job)
-		// A finished job whose result record embeds no curve — every record
-		// this binary writes — takes its curve from its trace-log history on
-		// its first snapshot. A history holding fewer curve points than the
-		// job's evaluations (a power cut can take the unsynced tail of an
-		// earlier life's segment) is served as it is and counted once in
-		// trace_store_errors: when it is decoded, or now if it holds no
-		// event at all. A job the boot calls interrupted serves no curve.
-		evaluations := st.Evaluations
-		lazy := st.Terminal() && st.Curve == nil && evaluations > 0 && st.Reason != string(ReasonInterrupted)
-		// Re-arm the event feed: sequence numbers continue where the dead
-		// process stopped, and subscribers can resume (or fetch the full
-		// pre-crash curve) across the restart.
+		// Re-arm the event feed, the one place the job's curve is:
+		// sequence numbers continue where the dead process stopped, and
+		// subscribers can resume (or fetch the full pre-crash curve) across
+		// the restart. A history holding fewer curve points than the
+		// evaluations the journal counts (a power cut can take the unsynced
+		// tail of an earlier life's segment) is served, or resumed from, as
+		// it is and counted once in trace_store_errors: when it is decoded
+		// — a finished job's on its first read, a live one's now — or now
+		// if it holds no event at all.
 		history := log.history[st.ID]
 		if last, ok := history.Last(); ok {
 			m.hub.Prime(st.ID, last.Seq, last.Terminal, func() []events.Event {
 				evs, err := history.Events()
-				if err != nil || lazy && len(curvePoints(evs)) < evaluations {
+				if err != nil || len(curvePoints(evs)) < st.Evaluations {
 					m.traceErrs.Add(1)
 				}
 				return evs
 			})
-		} else if lazy {
+		} else if st.Evaluations > 0 {
 			m.traceErrs.Add(1)
 		}
+		// Re-seed the tenant's cumulative accounting (service = the curve's
+		// final cumulative budget — exactly what was charged — which a
+		// result record carries as its budget) so /tenants survives the
+		// restart; virtual times restart level.
+		service := st.Budget
 		if st.Terminal() {
 			job.restoreResult(st)
-			if lazy {
-				job.loadCurve = func() []trace.Point { return curvePoints(m.hub.Since(job.ID, 0)) }
-			}
 			if !m.hub.Done(job.ID) {
 				m.transition(job, phaseRestored, st.FinishedAt, nil)
 			}
@@ -489,21 +488,17 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 			// its submit record, so launching appends only the new
 			// transitions).
 			live = append(live, job)
-			if len(st.Checkpoint) > 0 && job.restoreCheckpoint(st.Checkpoint) != nil {
-				// An undecodable checkpoint is dropped, not fatal: the job
-				// still runs, just from scratch.
-				m.journalErrs.Add(1)
+			if len(st.Checkpoint) > 0 {
+				ck := checkpointState{Preempts: job.preempts} // kept if the checkpoint does not decode
+				if json.Unmarshal(st.Checkpoint, &ck) != nil {
+					m.journalErrs.Add(1)
+				}
+				job.preempts = ck.Preempts
+				job.resume(m.hub.Since(job.ID, 0), st.Evaluations)
+				service = job.last.CumBudget
 			}
 		}
-		// Re-seed the tenant's cumulative accounting (service = the
-		// curve's final cumulative budget — exactly what was charged —
-		// which a curve-less result record carries as its budget) so
-		// /tenants survives the restart; virtual times restart level.
-		service := st.Budget
-		if n := len(job.curve); n > 0 { // an embedded or a checkpoint's curve
-			service = job.curve[n-1].CumBudget
-		}
-		m.sched.Restore(job.tenant(), float64(service), int64(st.Evaluations), int64(st.Preemptions))
+		m.sched.Restore(job.tenant(), float64(service), int64(job.evaluations), int64(st.Preemptions))
 	}
 	// The table is whole and every tenant's accounting re-seeded: only now
 	// may the scheduler grant. Replayed jobs bypass admission control —
@@ -537,13 +532,12 @@ func (m *Manager) publish(jobID string, ev events.Event) {
 // point (plus a rung event when the trial entered a new round), charges
 // the trial's budget to the job's tenant, and — when the scheduler has
 // marked this job as a preemption victim — cancels the current run
-// segment so the slot is yielded at this trial boundary. Called
-// concurrently by optimizer workers; the job lock is held across
-// record-and-publish so the event stream's curve points arrive in the
-// same order as the job's trial list — the streamed curve is always a
-// prefix of what Snapshot computes. (Lock order job.mu → feed.mu and
-// job.mu → sched.mu are both safe: no hub or scheduler path takes a job
-// lock.)
+// segment so the slot is yielded at this trial boundary. Optimizer workers
+// call it one at a time, in the order a single worker produces trials; the
+// job lock is held across record-and-publish so the feed holds a point
+// for every evaluation the job counts, the moment it counts it. (Lock
+// order job.mu → feed.mu and job.mu → sched.mu are both safe: no hub or
+// scheduler path takes a job lock.)
 func (m *Manager) observeTrial(job *Job, tr hpo.Trial) {
 	job.mu.Lock()
 	defer job.mu.Unlock()
@@ -557,21 +551,14 @@ func (m *Manager) observeTrial(job *Job, tr hpo.Trial) {
 		job.replaySkip--
 		return
 	}
-	pt, newRound, promoted := job.recordTrialLocked(ckTrial{
-		Budget:     tr.Budget,
-		Round:      tr.Round,
-		Score:      tr.Score,
-		FoldScores: tr.FoldScores,
-		Gamma:      tr.Gamma,
-		ElapsedNS:  int64(tr.Elapsed),
-	})
+	pt, promoted := job.recordTrialLocked(tr)
 	if promoted {
-		m.publish(job.ID, events.Event{Type: events.TypeRung, Round: newRound, Budget: tr.Budget})
+		m.publish(job.ID, events.Event{Type: events.TypeRung, Round: tr.Round, Budget: tr.Budget})
 	}
 	m.publish(job.ID, events.Event{Type: events.TypeCurvePoint, Point: &pt})
 	m.sched.Charge(job.tenant(), float64(tr.Budget))
 	if job.preempts < maxPreempts &&
-		len(job.trials) > job.checkpointLen && job.segCancel != nil &&
+		job.evaluations > job.checkpointLen && job.segCancel != nil &&
 		m.sched.ShouldPreempt(job.ID) {
 		// Yield, but only with at least one new trial recorded this
 		// segment: a job that resumes straight into a victim mark must
@@ -704,6 +691,7 @@ func (m *Manager) submit(specs []JobSpec, token string, batch bool) ([]*Job, err
 		jobs[i] = &Job{
 			Spec:      spec,
 			token:     itemToken(i),
+			hub:       m.hub,
 			cancel:    func() {},
 			status:    StatusQueued,
 			submitted: now,

@@ -76,6 +76,11 @@ func StartNode(opts NodeOptions) (*Node, error) {
 	if cfg.DataDir == "" && (opts.Standby || len(opts.RestoreFrom) > 0) {
 		return nil, errors.New("a standby or a restored node needs a data directory")
 	}
+	if cfg.NodeName != "" {
+		if err := shipper.ValidNode(cfg.NodeName); err != nil {
+			return nil, err
+		}
+	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
@@ -236,8 +241,12 @@ func (n *Node) restore(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "decoding restore request: %v", err)
 		return
 	}
-	if req.Node == "" || len(req.Sources) == 0 {
+	if len(req.Sources) == 0 {
 		WriteError(w, http.StatusBadRequest, "restore needs node and sources")
+		return
+	}
+	if err := shipper.ValidNode(req.Node); err != nil {
+		WriteError(w, http.StatusBadRequest, "restore: %v", err)
 		return
 	}
 	n.mu.Lock()

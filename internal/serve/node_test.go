@@ -220,6 +220,45 @@ func TestNodeOneAssemblyThreeTriggers(t *testing.T) {
 	}
 }
 
+// TestNodeNameIsOnePathElement: a node name is joined to directories — a
+// standby's data directory, a sink root — so one that would leave them is
+// refused where it comes in: POST /restore answers 400 and StartNode fails,
+// and nothing appears beside the data directory.
+func TestNodeNameIsOnePathElement(t *testing.T) {
+	root := t.TempDir()
+	dataDir, sinkRoot := filepath.Join(root, "spare"), filepath.Join(root, "sink")
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	standby, err := StartNode(NodeOptions{Config: Config{PoolSize: 1, DataDir: dataDir}, Standby: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(standby)
+	defer func() {
+		ts.Close()
+		standby.Close(ctx)
+	}()
+	for _, node := range []string{"../x", "..", `a\b`} {
+		body, _ := json.Marshal(restoreRequest{Node: node, Sources: []string{sinkRoot}})
+		if code, msg := httpDo(t, http.MethodPost, ts.URL+"/restore", string(body)); code != http.StatusBadRequest {
+			t.Errorf("restore as %q: %d %s, want 400", node, code, msg)
+		}
+	}
+	if n, err := StartNode(NodeOptions{Config: Config{PoolSize: 1, DataDir: t.TempDir(), NodeName: ".."}, ShipTo: []string{sinkRoot}}); err == nil {
+		n.Close(ctx)
+		t.Error("StartNode accepted the node name ..")
+	}
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "spare" {
+			t.Errorf("%s appeared beside the data directory", e.Name())
+		}
+	}
+}
+
 // TestNodeConcurrentRestoreActivatesOnce: promotions racing each other —
 // a coordinator's retry overtaking its own first attempt — and racing
 // ordinary requests must activate the node exactly once (a second

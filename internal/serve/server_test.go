@@ -476,11 +476,13 @@ func TestAllMethodsServable(t *testing.T) {
 	}
 }
 
-// TestJobCurveMatchesAnytime: the curve a job appends to trial by trial
-// is the library's anytime curve of the same trials, bit for bit — what
-// a served job streams and what the CLI computes cannot drift apart.
+// TestJobCurveMatchesAnytime: the curve a job's feed gathers trial by
+// trial is the library's anytime curve of the same trials, bit for bit —
+// what a served job streams and what the CLI computes cannot drift apart.
 func TestJobCurveMatchesAnytime(t *testing.T) {
-	job := &Job{ID: "job-1"}
+	m := NewManager(Config{PoolSize: 1})
+	defer shutdown(t, m)
+	job := &Job{ID: "job-1", hub: m.hub}
 	if got := job.Snapshot().Curve; got == nil || len(got) != 0 {
 		t.Fatalf("curve before any trial = %#v, want an empty, non-nil slice", got)
 	}
@@ -491,11 +493,9 @@ func TestJobCurveMatchesAnytime(t *testing.T) {
 		{Budget: 90, Score: 0.75, Round: 1, Elapsed: 2 * time.Millisecond},
 		{Budget: 270, Score: -1, Round: 2, Elapsed: 11 * time.Millisecond},
 	}
-	job.mu.Lock()
 	for _, tr := range trials {
-		job.recordTrialLocked(ckTrial{Budget: tr.Budget, Round: tr.Round, Score: tr.Score, ElapsedNS: int64(tr.Elapsed)})
+		m.observeTrial(job, tr)
 	}
-	job.mu.Unlock()
 	snap := job.Snapshot()
 	want := trace.Anytime(trials)
 	if snap.Evaluations != len(want) || len(snap.Curve) != len(want) {

@@ -41,8 +41,8 @@ func NewHTTPSink(base, node string, client *http.Client) (*HTTPSink, error) {
 	if _, err := url.Parse(base); err != nil || base == "" {
 		return nil, fmt.Errorf("shipper: bad sink URL %q", base)
 	}
-	if node == "" || strings.ContainsAny(node, "/\\ ") {
-		return nil, fmt.Errorf("shipper: bad node name %q", node)
+	if err := ValidNode(node); err != nil {
+		return nil, fmt.Errorf("shipper: %w", err)
 	}
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
@@ -154,8 +154,8 @@ func NewReceiver(root string) (*Receiver, error) {
 
 // sink returns (creating if needed) the pushing node's DirSink.
 func (rc *Receiver) sink(node string) (*DirSink, error) {
-	if node == "" || node == "." || node == ".." || strings.ContainsAny(node, `/\`) {
-		return nil, fmt.Errorf("shipper: bad node %q", node)
+	if err := ValidNode(node); err != nil {
+		return nil, fmt.Errorf("shipper: %w", err)
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()

@@ -64,6 +64,17 @@ var (
 	ErrOffsetMismatch = errors.New("shipper: offset mismatch")
 )
 
+// ValidNode is the one rule for a node name. A name becomes a directory —
+// under a sink root, a receiver root or a standby's data directory — and
+// the prefix of the coordinator's job IDs, so it must be one path element
+// other than "." and "..", with no slash, backslash, colon or space.
+func ValidNode(name string) error {
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, `/\: `) {
+		return fmt.Errorf("bad node name %q (one path element, not . or .., without slashes, colons or spaces)", name)
+	}
+	return nil
+}
+
 // Sink is one destination for shipped files. Implementations: DirSink
 // (local directory, also the storage behind the peer-push Receiver) and
 // HTTPSink (push to a peer node's /ship/ receiver).

@@ -156,7 +156,7 @@ func (s *Server) jobTrace(w http.ResponseWriter, r *http.Request) {
 
 // curvePoints is the anytime curve a job's events carry: their curve
 // points, in order, never nil. It is the one source of every curve served
-// from the hub — /trace, the ?since=N poll and a restored job's snapshot.
+// — /trace, the ?since=N poll and every snapshot.
 // A point that does not advance the evaluation count replaces the points
 // from its count on: a life that died after resuming from a checkpoint
 // left points past it in the log, which the next life, resuming from the
