@@ -5,9 +5,17 @@
 //
 // Usage:
 //
-//	bhpo -dataset a9a -method sha -enhanced [-hps 4] [-configs 162] \
-//	     [-scale 0.35] [-seed 1] [-iters 20] [-f1]
+//	bhpo -dataset a9a -method sha -enhanced [-hps 4 | -space file.json] \
+//	     [-configs 162] [-scale 0.35] [-seed 1] [-iters 20] [-f1] \
+//	     [-trace | -json]
+//	bhpo -csv data.csv [-kind regression] -method hb ...
 //	bhpo watch [-after N] [-retries 8] [-quiet] http://host:8149/jobs/job-1
+//
+// A run is core.Run with -seed and -configs as the method's hpo.RunOptions:
+// -configs caps the configurations of the methods that honor MaxConfigs
+// (sha, asha, pasha, grid) and is ignored by the rest; random, smac and
+// tpe run their default 10 trials, and hyperband, bohb and dehb run every
+// bracket (Table IV caps them at 3).
 //
 // The watch subcommand follows a job running on a bhpod daemon: it
 // subscribes to the job's Server-Sent Events feed and renders a live
@@ -70,9 +78,9 @@ func run(dsName, csvPath, csvKind, spacePath, methodName string, enhanced bool, 
 	}
 	dataset.Standardize(train, test)
 
-	method, err := core.ParseMethod(methodName)
-	if err != nil {
-		return err
+	method, ok := hpo.CanonicalName(methodName)
+	if !ok {
+		return fmt.Errorf("unknown method %q (known: %s)", methodName, strings.Join(hpo.MethodNames(), ", "))
 	}
 	var space *search.Space
 	if spacePath != "" {
@@ -111,9 +119,8 @@ func run(dsName, csvPath, csvKind, spacePath, methodName string, enhanced bool, 
 		Variant:    variant,
 		Space:      space,
 		Base:       base,
-		MaxConfigs: configs,
 		UseF1:      useF1,
-		Seed:       seed,
+		RunOptions: hpo.RunOptions{Seed: seed, MaxConfigs: configs},
 	})
 	if err != nil {
 		return err

@@ -16,6 +16,7 @@ import (
 
 	"enhancedbhpo/internal/core"
 	"enhancedbhpo/internal/dataset"
+	"enhancedbhpo/internal/hpo"
 	"enhancedbhpo/internal/nn"
 	"enhancedbhpo/internal/search"
 	"enhancedbhpo/internal/trace"
@@ -43,11 +44,11 @@ func main() {
 	var bestOut *core.Outcome
 	for _, variant := range []core.Variant{core.Vanilla, core.Enhanced} {
 		out, err := core.Run(train, test, core.Options{
-			Method:  core.SHA,
-			Variant: variant,
-			Space:   space,
-			Base:    base,
-			Seed:    4,
+			Method:     "sha",
+			Variant:    variant,
+			Space:      space,
+			Base:       base,
+			RunOptions: hpo.RunOptions{Seed: 4},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -18,6 +18,7 @@ import (
 	"enhancedbhpo/internal/core"
 	"enhancedbhpo/internal/dataset"
 	"enhancedbhpo/internal/grouping"
+	"enhancedbhpo/internal/hpo"
 	"enhancedbhpo/internal/nn"
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
@@ -66,13 +67,12 @@ func main() {
 
 	for _, variant := range []core.Variant{core.Vanilla, core.Enhanced} {
 		out, err := core.Run(train, test, core.Options{
-			Method:     core.SHA,
+			Method:     "sha",
 			Variant:    variant,
 			Space:      space,
 			Base:       base,
-			MaxConfigs: 54,
 			UseF1:      true,
-			Seed:       2,
+			RunOptions: hpo.RunOptions{Seed: 2, MaxConfigs: 54},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -46,7 +46,7 @@ func main() {
 	// Hyperband with the enhanced components, tuning the regression
 	// grouping explicitly: 4 magnitude bins over the target.
 	opts := core.Options{
-		Method:  core.Hyperband,
+		Method:  "hyperband",
 		Variant: core.Enhanced,
 		Space:   space,
 		Base:    base,
@@ -54,10 +54,9 @@ func main() {
 			KGen: 3,
 			KSpe: 2,
 		},
-		Seed: 3,
+		RunOptions: hpo.RunOptions{Seed: 3, MaxBrackets: 3},
 	}
 	opts.Enhanced.Grouping.RegressionBins = 4
-	opts.HB.MaxBrackets = 3
 
 	out, err := core.Run(train, test, opts)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"enhancedbhpo/internal/core"
 	"enhancedbhpo/internal/dataset"
+	"enhancedbhpo/internal/hpo"
 	"enhancedbhpo/internal/nn"
 	"enhancedbhpo/internal/search"
 )
@@ -49,11 +50,11 @@ func main() {
 	// 4. Run vanilla SHA and the enhanced SHA+ and compare.
 	for _, variant := range []core.Variant{core.Vanilla, core.Enhanced} {
 		out, err := core.Run(train, test, core.Options{
-			Method:  core.SHA,
-			Variant: variant,
-			Space:   space,
-			Base:    base,
-			Seed:    3,
+			Method:     "sha",
+			Variant:    variant,
+			Space:      space,
+			Base:       base,
+			RunOptions: hpo.RunOptions{Seed: 3},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -1,11 +1,12 @@
 // Package core is the public façade of the repository: it wires the
 // substrates (datasets, MLPs, clustering) and the bandit framework into a
-// single entry point. A caller picks a Method (random / SHA / Hyperband /
-// BOHB / ASHA) and a Variant (Vanilla, or the paper's Enhanced components:
-// instance grouping, general+special folds and the variance/size-aware
-// score), calls Run, and receives the selected configuration, a model
-// refitted on the full training set, and train/test scores — the quantities
-// reported in the paper's Table IV.
+// single entry point. A caller names any method of the hpo registry
+// (random, sha, hyperband, bohb, asha, pasha, dehb, smac, tpe or grid, or
+// an alias such as "hb"), picks a Variant (Vanilla, or the paper's
+// Enhanced components: instance grouping, general+special folds and the
+// variance/size-aware score), calls Run, and receives the selected
+// configuration, a model refitted on the full training set, and train/test
+// scores — the quantities reported in the paper's Table IV.
 package core
 
 import (
@@ -19,72 +20,6 @@ import (
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 )
-
-// Method selects the bandit-based optimizer.
-type Method int
-
-const (
-	// Random is the random-search baseline.
-	Random Method = iota
-	// SHA is Successive Halving.
-	SHA
-	// Hyperband is the bracket schedule over SHA.
-	Hyperband
-	// BOHB is Hyperband with TPE-model-based sampling.
-	BOHB
-	// ASHA is asynchronous successive halving.
-	ASHA
-	// PASHA is progressive ASHA (grows the rung ladder on demand).
-	PASHA
-	// DEHB is differential-evolution Hyperband.
-	DEHB
-	// SMAC is the random-forest-surrogate sequential Bayesian optimizer
-	// (full-budget baseline, per §IV-B).
-	SMAC
-	// TPE is the Optuna-style sequential TPE optimizer (full-budget
-	// baseline, per §IV-B).
-	TPE
-	// Grid is exhaustive grid search at full budget.
-	Grid
-)
-
-// methodNames maps the enum to the hpo registry's canonical method names.
-var methodNames = [...]string{
-	Random:    "random",
-	SHA:       "sha",
-	Hyperband: "hyperband",
-	BOHB:      "bohb",
-	ASHA:      "asha",
-	PASHA:     "pasha",
-	DEHB:      "dehb",
-	SMAC:      "smac",
-	TPE:       "tpe",
-	Grid:      "grid",
-}
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	if m >= 0 && int(m) < len(methodNames) {
-		return methodNames[m]
-	}
-	return fmt.Sprintf("Method(%d)", int(m))
-}
-
-// ParseMethod converts a method name used by the CLI tools. Registry
-// aliases ("hb", "optuna") are accepted and resolve to the canonical
-// method.
-func ParseMethod(s string) (Method, error) {
-	canonical, ok := hpo.CanonicalName(s)
-	if !ok {
-		return 0, fmt.Errorf("core: unknown method %q", s)
-	}
-	for m, name := range methodNames {
-		if name == canonical {
-			return Method(m), nil
-		}
-	}
-	return 0, fmt.Errorf("core: method %q is registered but has no core enum value", canonical)
-}
 
 // Variant selects vanilla or paper-enhanced components.
 type Variant int
@@ -107,8 +42,9 @@ func (v Variant) String() string {
 
 // Options configure a Run.
 type Options struct {
-	// Method selects the optimizer. Defaults to SHA.
-	Method Method
+	// Method names the optimizer: a registry name or alias
+	// (hpo.MethodNames). Required.
+	Method string
 	// Variant selects vanilla or enhanced components.
 	Variant Variant
 	// Space is the configuration space to search. Required.
@@ -121,27 +57,11 @@ type Options struct {
 	K int
 	// Enhanced tunes the paper's components when Variant == Enhanced.
 	Enhanced hpo.EnhancedOptions
-	// The per-method option blocks tune the respective optimizers; the
-	// Seed below overrides their seeds.
-	SHA    hpo.SHAOptions
-	HB     hpo.HyperbandOptions
-	BOHB   hpo.BOHBOptions
-	ASHA   hpo.ASHAOptions
-	PASHA  hpo.PASHAOptions
-	DEHB   hpo.DEHBOptions
-	SMAC   hpo.SMACOptions
-	TPE    hpo.TPEOptions
-	Grid   hpo.GridSearchOptions
-	Random hpo.RandomSearchOptions
-	// MaxConfigs caps how many configurations are considered by methods
-	// that honor it (SHA start set, ASHA/PASHA samples, grid cap); 0 =
-	// whole space / method default. A non-zero per-method block setting
-	// wins.
-	MaxConfigs int
 	// UseF1 scores classification folds (and the final model) by F1.
 	UseF1 bool
-	// Seed makes the run reproducible.
-	Seed uint64
+	// RunOptions tune the method: Seed also seeds grouping and the final
+	// refit, so it makes the whole run reproducible.
+	hpo.RunOptions
 }
 
 // Outcome is the result of one optimization run.
@@ -202,30 +122,20 @@ func RunCtx(ctx context.Context, train, test *dataset.Dataset, opts Options) (*O
 	ev := hpo.NewCVEvaluator(train, base, comps)
 	ev.UseF1 = opts.UseF1
 
-	// Dispatch through the hpo registry — the same code path the job
-	// service uses, so CLI runs and served jobs are provably identical for
-	// a given seed. The per-method blocks ride along untouched; shared
-	// knobs (Seed, MaxConfigs) fill block fields left at zero.
-	method, ok := hpo.LookupMethod(opts.Method.String())
+	// Dispatch through the hpo registry, the table the job service resolves
+	// methods in too: given equal components and seed, a CLI run and a
+	// served job run the same optimizer, and SHA starts from the same
+	// configurations. Their scores can still differ, because the components
+	// are not equal: grouping and the refit here draw from root's splits 1
+	// and 3, where the service uses DatasetSeed^0x9e37 and Seed^0xf17
+	// (ROADMAP.md, "The paper's table is the service's workload").
+	method, ok := hpo.LookupMethod(opts.Method)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown method %v", opts.Method)
+		return nil, fmt.Errorf("core: unknown method %q", opts.Method)
 	}
-	res, err := method.Run(ctx, opts.Space, ev, comps, hpo.RunOptions{
-		Seed:       opts.Seed,
-		MaxConfigs: opts.MaxConfigs,
-		SHA:        opts.SHA,
-		HB:         opts.HB,
-		BOHB:       opts.BOHB,
-		ASHA:       opts.ASHA,
-		PASHA:      opts.PASHA,
-		DEHB:       opts.DEHB,
-		SMAC:       opts.SMAC,
-		TPE:        opts.TPE,
-		Grid:       opts.Grid,
-		Random:     opts.Random,
-	})
+	res, err := method.Run(ctx, opts.Space, ev, comps, opts.RunOptions)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", opts.Method, err)
+		return nil, fmt.Errorf("core: %s: %w", method.Info().Name, err)
 	}
 
 	model, err := ev.FitFull(res.Best, root.Split(3).Uint64())

@@ -47,12 +47,11 @@ func TestRunSHAVanillaAndEnhanced(t *testing.T) {
 	space := smallSpace(t)
 	for _, variant := range []Variant{Vanilla, Enhanced} {
 		out, err := Run(train, test, Options{
-			Method:     SHA,
+			Method:     "sha",
 			Variant:    variant,
 			Space:      space,
 			Base:       fastBase(),
-			MaxConfigs: 6,
-			Seed:       1,
+			RunOptions: hpo.RunOptions{Seed: 1, MaxConfigs: 6},
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", variant, err)
@@ -78,38 +77,28 @@ func TestRunSHAVanillaAndEnhanced(t *testing.T) {
 func TestRunAllMethods(t *testing.T) {
 	train, test := smallData(t)
 	space := smallSpace(t)
-	for _, method := range []Method{Random, SHA, Hyperband, BOHB, ASHA, PASHA, DEHB, SMAC, TPE, Grid} {
-		opts := Options{
+	for _, method := range hpo.MethodNames() {
+		out, err := Run(train, test, Options{
 			Method:     method,
 			Space:      space,
 			Base:       fastBase(),
-			MaxConfigs: 4,
-			Seed:       2,
-		}
-		opts.Random.N = 3
-		opts.HB.MaxBrackets = 2
-		opts.HB.MinBudget = 40
-		opts.BOHB.Hyperband.MaxBrackets = 2
-		opts.BOHB.Hyperband.MinBudget = 40
-		opts.ASHA.MaxConfigs = 4
-		opts.ASHA.Workers = 2
-		opts.PASHA.MaxConfigs = 4
-		opts.PASHA.MinBudget = 40
-		opts.DEHB.Hyperband.MaxBrackets = 2
-		opts.DEHB.Hyperband.MinBudget = 40
-		opts.SMAC.N = 4
-		opts.TPE.N = 4
-		opts.Grid.MaxConfigs = 4
-		out, err := Run(train, test, opts)
+			RunOptions: hpo.RunOptions{Seed: 2, Workers: 2, MaxConfigs: 4, Trials: 3, MaxBrackets: 1},
+		})
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
-		if out.Search.Method != method.String() {
+		if out.Search.Method != method {
 			t.Errorf("%v: method recorded as %q", method, out.Search.Method)
 		}
 		if out.TestScore <= 0 {
 			t.Errorf("%v: test score %v", method, out.TestScore)
 		}
+	}
+	if _, err := Run(train, test, Options{Method: "hb", Space: space, Base: fastBase(), RunOptions: hpo.RunOptions{MaxBrackets: 1}}); err != nil {
+		t.Errorf("alias hb: %v", err)
+	}
+	if _, err := Run(train, test, Options{Method: "sgd", Space: space}); err == nil || !strings.Contains(err.Error(), `unknown method "sgd"`) {
+		t.Errorf("unknown method: got error %v", err)
 	}
 }
 
@@ -139,12 +128,11 @@ func TestRunRegression(t *testing.T) {
 	base := fastBase()
 	base.Activation = nn.Tanh
 	out, err := Run(train, test, Options{
-		Method:     SHA,
+		Method:     "sha",
 		Variant:    Enhanced,
 		Space:      smallSpace(t),
 		Base:       base,
-		MaxConfigs: 4,
-		Seed:       4,
+		RunOptions: hpo.RunOptions{Seed: 4, MaxConfigs: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,36 +145,17 @@ func TestRunRegression(t *testing.T) {
 func TestRunUseF1(t *testing.T) {
 	train, test := smallData(t)
 	out, err := Run(train, test, Options{
-		Method:     SHA,
+		Method:     "sha",
 		Space:      smallSpace(t),
 		Base:       fastBase(),
-		MaxConfigs: 4,
 		UseF1:      true,
-		Seed:       5,
+		RunOptions: hpo.RunOptions{Seed: 5, MaxConfigs: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.TestScore < 0 || out.TestScore > 1 {
 		t.Errorf("F1 %v out of range", out.TestScore)
-	}
-}
-
-func TestParseMethod(t *testing.T) {
-	for _, s := range []string{"random", "sha", "hyperband", "bohb", "asha", "pasha", "dehb", "smac", "tpe", "grid"} {
-		m, err := ParseMethod(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.String() != s {
-			t.Errorf("round-trip %q -> %q", s, m.String())
-		}
-	}
-	if m, err := ParseMethod("hb"); err != nil || m != Hyperband {
-		t.Error("hb alias broken")
-	}
-	if _, err := ParseMethod("sgd"); err == nil {
-		t.Error("unknown method accepted")
 	}
 }
 
@@ -199,7 +168,7 @@ func TestVariantString(t *testing.T) {
 func TestRunDeterministicBest(t *testing.T) {
 	train, test := smallData(t)
 	space := smallSpace(t)
-	opts := Options{Method: SHA, Space: space, Base: fastBase(), MaxConfigs: 4, Seed: 6}
+	opts := Options{Method: "sha", Space: space, Base: fastBase(), RunOptions: hpo.RunOptions{Seed: 6, MaxConfigs: 4}}
 	o1, err := Run(train, test, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -213,41 +182,5 @@ func TestRunDeterministicBest(t *testing.T) {
 	}
 	if o1.TestScore != o2.TestScore {
 		t.Fatal("same seed produced different test scores")
-	}
-}
-
-// TestMethodEnumMatchesRegistry requires the core Method enum and the hpo
-// registry to cover exactly the same method set: every enum value resolves
-// to a registered method, every registered name (and alias) parses, and
-// nothing else does.
-func TestMethodEnumMatchesRegistry(t *testing.T) {
-	registered := hpo.MethodNames()
-	fromEnum := map[string]bool{}
-	for m := Method(0); ; m++ {
-		name := m.String()
-		if strings.HasPrefix(name, "Method(") {
-			break
-		}
-		fromEnum[name] = true
-		if _, ok := hpo.LookupMethod(name); !ok {
-			t.Errorf("enum method %s has no registry entry", name)
-		}
-		if parsed, err := ParseMethod(name); err != nil || parsed != m {
-			t.Errorf("ParseMethod(%q) = %v, %v; want %v", name, parsed, err, m)
-		}
-	}
-	if len(fromEnum) != len(registered) {
-		t.Errorf("enum covers %d methods, registry has %d (%v)", len(fromEnum), len(registered), registered)
-	}
-	for _, name := range registered {
-		if !fromEnum[name] {
-			t.Errorf("registered method %q missing from the core enum", name)
-		}
-	}
-	// Aliases parse to the canonical method.
-	for alias, want := range map[string]Method{"hb": Hyperband, "optuna": TPE} {
-		if m, err := ParseMethod(alias); err != nil || m != want {
-			t.Errorf("ParseMethod(%q) = %v, %v; want %v", alias, m, err, want)
-		}
 	}
 }

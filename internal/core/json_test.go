@@ -4,16 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"enhancedbhpo/internal/hpo"
 )
 
 func TestOutcomeJSON(t *testing.T) {
 	train, test := smallData(t)
 	out, err := Run(train, test, Options{
-		Method:     SHA,
+		Method:     "sha",
 		Space:      smallSpace(t),
 		Base:       fastBase(),
-		MaxConfigs: 4,
-		Seed:       21,
+		RunOptions: hpo.RunOptions{Seed: 21, MaxConfigs: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

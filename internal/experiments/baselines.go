@@ -31,25 +31,19 @@ func RunBaselines(s Settings) (*BaselinesResult, error) {
 	}
 	res := &BaselinesResult{Dataset: s.firstDatasetOr("nticusdroid")}
 	cells := []hpoCell{
-		{label: "random", method: core.Random, variant: core.Vanilla},
-		{label: "smac", method: core.SMAC, variant: core.Vanilla},
-		{label: "tpe", method: core.TPE, variant: core.Vanilla},
-		{label: "grid", method: core.Grid, variant: core.Vanilla},
-		{label: "SHA", method: core.SHA, variant: core.Vanilla},
-		{label: "SHA+", method: core.SHA, variant: core.Enhanced},
+		{label: "random", method: "random", variant: core.Vanilla},
+		{label: "smac", method: "smac", variant: core.Vanilla},
+		{label: "tpe", method: "tpe", variant: core.Vanilla},
+		// The full-budget baselines run the paper's random-baseline trial
+		// count, 10: random, SMAC and TPE by default, the grid by its cap.
+		{label: "grid", method: "grid", variant: core.Vanilla, tune: func(o *core.Options) { o.MaxConfigs = 10 }},
+		{label: "SHA", method: "sha", variant: core.Vanilla},
+		{label: "SHA+", method: "sha", variant: core.Enhanced},
 	}
 	for i := range cells {
 		c := &cells[i]
 		c.dataset, c.space = res.Dataset, space
 		c.seedMul, c.seedAdd = 997, 3
-		// Full-budget baselines get the same trial count as the paper's
-		// random baseline (10).
-		c.tune = func(o *core.Options) {
-			o.Random.N = 10
-			o.SMAC.N = 10
-			o.TPE.N = 10
-			o.Grid.MaxConfigs = 10
-		}
 	}
 	res.Cells, _, err = s.runHPOGrid("baselines", cells)
 	if err != nil {

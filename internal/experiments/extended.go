@@ -28,19 +28,18 @@ func RunExtended(s Settings) (*ExtendedResult, error) {
 	s = s.WithDefaults()
 	var cells []hpoCell
 	for _, name := range s.datasetsOr(ExtendedDatasets) {
-		for _, method := range []core.Method{core.ASHA, core.PASHA, core.DEHB} {
+		for _, method := range []string{"asha", "pasha", "dehb"} {
 			for _, variant := range []core.Variant{core.Vanilla, core.Enhanced} {
 				cells = append(cells, hpoCell{
-					dataset: name, label: method.String() + " " + variant.String(),
+					dataset: name, label: method + " " + variant.String(),
 					method: method, variant: variant,
 					seedMul: 89, seedAdd: 7,
 					tune: func(o *core.Options) {
 						// Two workers: ASHA's result does not depend on
 						// the worker count. Bound the sampled
 						// configuration counts to the Table IV setting.
-						o.ASHA.Workers = 2
-						o.ASHA.MaxConfigs = min(s.MaxConfigs, 27)
-						o.PASHA.MaxConfigs = min(s.MaxConfigs, 27)
+						o.Workers = 2
+						o.MaxConfigs = min(s.MaxConfigs, 27)
 					},
 				})
 			}

@@ -6,6 +6,7 @@ import (
 	"enhancedbhpo/internal/core"
 	"enhancedbhpo/internal/dataset"
 	"enhancedbhpo/internal/grouping"
+	"enhancedbhpo/internal/hpo"
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 	"enhancedbhpo/internal/stats"
@@ -69,7 +70,7 @@ func (g *Grid) Datasets() []string {
 type hpoCell struct {
 	dataset, label string
 	x              float64
-	method         core.Method
+	method         string // a registry name
 	variant        core.Variant
 	// space is the configuration space; nil selects the paper's §IV-B
 	// space, the first Settings.NumHPs hyperparameters of Table III.
@@ -98,7 +99,7 @@ func (c hpoCell) name() string {
 // shaPair returns the comparison most single-dataset experiments run: c
 // as SHA and as SHA+, two cells that differ in variant and label only.
 func shaPair(vanilla, enhanced string, c hpoCell) []hpoCell {
-	c.method = core.SHA
+	c.method = "sha"
 	v, e := c, c
 	v.label, v.variant = vanilla, core.Vanilla
 	e.label, e.variant = enhanced, core.Enhanced
@@ -149,12 +150,14 @@ func (s Settings) runHPOGrid(exp string, cells []hpoCell) ([]Cell, [][]*core.Out
 				train = c.prepare(train, seed)
 			}
 			opts := core.Options{
-				Method:     c.method,
-				Variant:    c.variant,
-				Space:      c.space,
-				Base:       s.baseConfig(),
-				MaxConfigs: s.MaxConfigs,
-				Seed:       uint64(seed)*c.seedMul + c.seedAdd,
+				Method:  c.method,
+				Variant: c.variant,
+				Space:   c.space,
+				Base:    s.baseConfig(),
+				RunOptions: hpo.RunOptions{
+					Seed:       uint64(seed)*c.seedMul + c.seedAdd,
+					MaxConfigs: s.MaxConfigs,
+				},
 			}
 			if c.tune != nil {
 				c.tune(&opts)

@@ -44,13 +44,13 @@ func RunTable4(s Settings) (*Table4Result, error) {
 	// The Table IV columns: the random baseline plus the three bandit
 	// methods in vanilla and enhanced ("+") form.
 	methods := []hpoCell{
-		{label: "random", method: core.Random, variant: core.Vanilla},
-		{label: "SHA", method: core.SHA, variant: core.Vanilla},
-		{label: "SHA+", method: core.SHA, variant: core.Enhanced},
-		{label: "HB", method: core.Hyperband, variant: core.Vanilla},
-		{label: "HB+", method: core.Hyperband, variant: core.Enhanced},
-		{label: "BOHB", method: core.BOHB, variant: core.Vanilla},
-		{label: "BOHB+", method: core.BOHB, variant: core.Enhanced},
+		{label: "random", method: "random", variant: core.Vanilla},
+		{label: "SHA", method: "sha", variant: core.Vanilla},
+		{label: "SHA+", method: "sha", variant: core.Enhanced},
+		{label: "HB", method: "hyperband", variant: core.Vanilla},
+		{label: "HB+", method: "hyperband", variant: core.Enhanced},
+		{label: "BOHB", method: "bohb", variant: core.Vanilla},
+		{label: "BOHB+", method: "bohb", variant: core.Enhanced},
 	}
 	res := &Table4Result{Metric: map[string]string{}}
 	var cells []hpoCell
@@ -66,11 +66,9 @@ func RunTable4(s Settings) (*Table4Result, error) {
 			c.seedMul, c.seedAdd = 7919, 13
 			c.tune = func(o *core.Options) {
 				o.UseF1 = useF1
-				o.Random.N = 10
 				// Bound bracket counts so the scaled-down runs finish; the
 				// schedule shape (multiple budgets per bracket) is preserved.
-				o.HB.MaxBrackets = 3
-				o.BOHB.Hyperband.MaxBrackets = 3
+				o.MaxBrackets = 3
 			}
 			cells = append(cells, c)
 		}

@@ -213,26 +213,6 @@ func ASHA(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 	return res, nil
 }
 
-func init() {
-	RegisterFunc(MethodInfo{
-		Name:             "asha",
-		Description:      "asynchronous successive halving with deterministic prefix-replayed promotions (Li et al. 2018)",
-		BudgetAware:      true,
-		HonorsWorkers:    true,
-		HonorsMaxConfigs: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
-		o := opts.ASHA
-		o.Seed = opts.Seed
-		if o.Workers == 0 {
-			o.Workers = opts.Workers
-		}
-		if o.MaxConfigs == 0 {
-			o.MaxConfigs = opts.MaxConfigs
-		}
-		return ASHA(ctx, space, ev, comps, o)
-	})
-}
-
 // nextJob blocks until work is available or the run is finished.
 func (st *ashaState) nextJob() ashaJob {
 	st.mu.Lock()

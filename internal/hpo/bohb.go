@@ -63,15 +63,3 @@ func BOHB(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 	}
 	return res, nil
 }
-
-func init() {
-	RegisterFunc(MethodInfo{
-		Name:        "bohb",
-		Description: "Hyperband brackets with TPE/KDE-proposed configurations (Falkner et al. 2018)",
-		BudgetAware: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
-		o := opts.BOHB
-		o.Hyperband.Seed = opts.Seed
-		return BOHB(ctx, space, ev, comps, o)
-	})
-}

@@ -131,15 +131,3 @@ func DEHB(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 	}
 	return res, nil
 }
-
-func init() {
-	RegisterFunc(MethodInfo{
-		Name:        "dehb",
-		Description: "Hyperband brackets with differential-evolution proposals over the evaluation archive (Awad et al. 2021)",
-		BudgetAware: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
-		o := opts.DEHB
-		o.Hyperband.Seed = opts.Seed
-		return DEHB(ctx, space, ev, comps, o)
-	})
-}

@@ -279,21 +279,18 @@ func evalTrial(ev Evaluator, comps Components, cfg search.Config, budget, round 
 
 // evalSequential is the shared trial loop of the full-budget baselines
 // (random, grid): one round of evalRound at full budget on one worker, the
-// best by score recorded on res.
+// best-ranked trial recorded on res.
 func evalSequential(ctx context.Context, ev Evaluator, comps Components, configs []search.Config, root *rng.RNG, res *Result) error {
 	trials, err := evalRound(ctx, ev, comps, configs, ev.FullBudget(), 0, 1, root)
 	if err != nil {
 		return err
 	}
-	best := 0
-	for i, tr := range trials {
-		if tr.Score > trials[best].Score {
-			best = i
-		}
+	var best incumbent
+	for _, tr := range trials {
+		best.offer(tr.Config, tr.Score)
 	}
 	res.Trials = trials
-	res.Best = trials[best].Config
-	res.BestScore = trials[best].Score
+	res.Best, res.BestScore = best.cfg, best.score
 	return nil
 }
 

@@ -48,18 +48,3 @@ func GridSearch(ctx context.Context, space *search.Space, ev Evaluator, comps Co
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
-
-func init() {
-	RegisterFunc(MethodInfo{
-		Name:             "grid",
-		Description:      "exhaustive (optionally subsampled) grid, every trial at full budget",
-		HonorsMaxConfigs: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
-		o := opts.Grid
-		o.Seed = opts.Seed
-		if o.MaxConfigs == 0 {
-			o.MaxConfigs = opts.MaxConfigs
-		}
-		return GridSearch(ctx, space, ev, comps, o)
-	})
-}

@@ -3,6 +3,7 @@ package hpo
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -258,6 +259,81 @@ func TestTopConfigs(t *testing.T) {
 	}
 }
 
+// TestSortRankedTotalOrderNaNLast: for random score vectors holding NaN,
+// ±Inf and repeated numbers, sortRanked puts every entry strictly above
+// the ones after it, NaNs last, whatever order the entries come in.
+func TestSortRankedTotalOrderNaNLast(t *testing.T) {
+	space, _ := gradedSpace()
+	cfg := space.Enumerate()[0]
+	pool := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0, 0.5, 1}
+	r := rng.New(31)
+	for trial := 0; trial < 500; trial++ {
+		rs := make([]ranked, 1+r.Intn(12))
+		for i := range rs {
+			score := pool[r.Intn(len(pool))]
+			if r.Intn(4) == 0 {
+				score = r.Float64()
+			}
+			rs[i] = ranked{cfg: cfg, score: score, order: i}
+		}
+		sorted := sortRanked(rs)
+		for i := range sorted {
+			for j := i + 1; j < len(sorted); j++ {
+				if !sorted[i].better(sorted[j]) || sorted[j].better(sorted[i]) {
+					t.Fatalf("%v: entry %d (%v) does not rank strictly above entry %d (%v)", scoresOf(sorted), i, sorted[i].score, j, sorted[j].score)
+				}
+			}
+			if i > 0 && math.IsNaN(sorted[i-1].score) && !math.IsNaN(sorted[i].score) {
+				t.Fatalf("%v: a NaN ranks above %v", scoresOf(sorted), sorted[i].score)
+			}
+		}
+		perm := make([]int, len(rs))
+		for i := range perm {
+			perm[i] = i
+		}
+		r.Shuffle(perm)
+		shuffled := make([]ranked, len(rs))
+		for i, p := range perm {
+			shuffled[i] = rs[p]
+		}
+		for i, e := range sortRanked(shuffled) {
+			if e.order != sorted[i].order {
+				t.Fatalf("%v: sorting a permutation moved entry %d", scoresOf(sorted), i)
+			}
+		}
+	}
+}
+
+func scoresOf(rs []ranked) []float64 {
+	out := make([]float64, len(rs))
+	for i, e := range rs {
+		out[i] = e.score
+	}
+	return out
+}
+
+// TestIncumbentSkipsNaN: a full-budget baseline whose first trial scores
+// NaN selects the best scored trial, not the diverged one.
+func TestIncumbentSkipsNaN(t *testing.T) {
+	space := &search.Space{Dims: []search.Dimension{{Name: "x", Values: []any{0, 1, 2}}}}
+	configs := space.Enumerate()
+	ev := &deterministicEvaluator{full: 100, scores: map[string][]float64{
+		configs[0].ID(): {math.NaN(), 0.9},
+		configs[1].ID(): {0.5, 0.5},
+		configs[2].ID(): {0.4, 0.4},
+	}}
+	for _, name := range []string{"grid", "random", "smac"} {
+		m, _ := LookupMethod(name)
+		res, err := m.Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 1, Trials: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Evaluations != 3 || res.Best.ID() != configs[1].ID() || res.BestScore != 0.5 {
+			t.Errorf("%s: selected %s at %v after %d evaluations, want %s at 0.5", name, res.Best.ID(), res.BestScore, res.Evaluations, configs[1].ID())
+		}
+	}
+}
+
 func TestEnhancedScorerKeepsHighVarianceEarly(t *testing.T) {
 	// Two configs with equal mean: one volatile, one stable. With the mean
 	// scorer the pick is arbitrary; with the UCB-β scorer at a small budget
@@ -416,40 +492,6 @@ func TestVanillaComponentsDefaults(t *testing.T) {
 	c := VanillaComponents(0)
 	if c.K != 5 || c.Folds == nil || c.Scorer == nil {
 		t.Fatalf("bad defaults: %+v", c)
-	}
-}
-
-func TestResultHelpers(t *testing.T) {
-	space, quality := gradedSpace()
-	ev := &fakeEvaluator{space: space, full: 800, quality: quality, noise: 0.0005}
-	res, err := SuccessiveHalving(context.Background(), space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := res.BestTrial()
-	if best == nil {
-		t.Fatal("no best trial")
-	}
-	for _, tr := range res.Trials {
-		if tr.Score > best.Score {
-			t.Fatalf("BestTrial missed score %v > %v", tr.Score, best.Score)
-		}
-	}
-	round0 := res.TrialsAt(0)
-	if len(round0) != 16 {
-		t.Fatalf("round 0 has %d trials", len(round0))
-	}
-	for _, tr := range round0 {
-		if tr.Round != 0 {
-			t.Fatal("TrialsAt returned wrong round")
-		}
-	}
-	if got := res.TrialsAt(99); len(got) != 0 {
-		t.Fatalf("phantom round returned %d trials", len(got))
-	}
-	empty := &Result{}
-	if empty.BestTrial() != nil {
-		t.Fatal("empty result returned a best trial")
 	}
 }
 

@@ -61,19 +61,6 @@ func Hyperband(ctx context.Context, space *search.Space, ev Evaluator, comps Com
 	return runBrackets(ctx, "hyperband", ev, comps, opts, root, provider, nil)
 }
 
-func init() {
-	RegisterFunc(MethodInfo{
-		Name:        "hyperband",
-		Aliases:     []string{"hb"},
-		Description: "bracket schedule over successive halving, trading breadth at small budgets against depth at large ones",
-		BudgetAware: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
-		o := opts.HB
-		o.Seed = opts.Seed
-		return Hyperband(ctx, space, ev, comps, o)
-	})
-}
-
 // runBrackets is the shared Hyperband/BOHB engine.
 func runBrackets(ctx context.Context, method string, ev Evaluator, comps Components, opts HyperbandOptions, root *rng.RNG, provide configProvider, observe observer) (*Result, error) {
 	start := time.Now()
@@ -90,9 +77,8 @@ func runBrackets(ctx context.Context, method string, ev Evaluator, comps Compone
 	}
 	bHB := float64(sMax+1) * R
 
-	var globalBest search.Config
-	globalScore := math.Inf(-1)
-	haveBest := false
+	var best incumbent // among the evaluations at (near-)full budget
+	var provisional search.Config
 	round := 0
 	for bi := 0; bi < brackets; bi++ {
 		s := sMax - bi
@@ -128,10 +114,8 @@ func runBrackets(ctx context.Context, method string, ev Evaluator, comps Compone
 				if observe != nil {
 					observe(tr.Config, ri, tr.Score)
 				}
-				// Track the best configuration seen at (near-)full budget;
-				// fall back to the best at any budget if none reach it.
-				if ri >= int(R)/2 && tr.Score > globalScore {
-					globalBest, globalScore, haveBest = tr.Config, tr.Score, true
+				if ri >= int(R)/2 {
+					best.offer(tr.Config, tr.Score)
 				}
 			}
 			round++
@@ -141,16 +125,17 @@ func runBrackets(ctx context.Context, method string, ev Evaluator, comps Compone
 			}
 			current = topConfigs(scores, keep)
 		}
-		if !haveBest && len(current) > 0 {
-			// No evaluation reached half budget yet; remember the bracket
-			// winner as a provisional best.
-			globalBest = current[0]
-			haveBest = true
+		if provisional.Space() == nil && len(current) > 0 {
+			// The first bracket's winner stands in while no evaluation
+			// reaches (near-)full budget.
+			provisional = current[0]
 		}
 	}
-	res.Best = globalBest
-	res.BestScore = globalScore
-	if math.IsInf(globalScore, -1) {
+	res.Best, res.BestScore = provisional, 0
+	if best.offers > 0 {
+		res.Best, res.BestScore = best.cfg, best.score
+	}
+	if math.IsInf(res.BestScore, -1) {
 		res.BestScore = 0
 	}
 	res.Evaluations = len(res.Trials)

@@ -3,7 +3,6 @@ package hpo
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"enhancedbhpo/internal/rng"
@@ -141,22 +140,6 @@ func PASHA(ctx context.Context, space *search.Space, ev Evaluator, comps Compone
 	return res, nil
 }
 
-func init() {
-	RegisterFunc(MethodInfo{
-		Name:             "pasha",
-		Description:      "progressive ASHA: the rung ladder grows only while the top ranking is unstable (Bohdal et al. 2023)",
-		BudgetAware:      true,
-		HonorsMaxConfigs: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
-		o := opts.PASHA
-		o.Seed = opts.Seed
-		if o.MaxConfigs == 0 {
-			o.MaxConfigs = opts.MaxConfigs
-		}
-		return PASHA(ctx, space, ev, comps, o)
-	})
-}
-
 // rankingStable reports whether the leader at the higher rung is also the
 // leader among the same configurations at the lower rung — PASHA's
 // soft-rank progression criterion.
@@ -170,13 +153,11 @@ func rankingStable(lower, upper []ranked) bool {
 	for _, e := range upper {
 		reached[e.cfg.ID()] = true
 	}
-	bestScore := math.Inf(-1)
-	var bestID string
+	var lead incumbent
 	for _, e := range lower {
-		if reached[e.cfg.ID()] && e.score > bestScore {
-			bestScore = e.score
-			bestID = e.cfg.ID()
+		if reached[e.cfg.ID()] {
+			lead.offer(e.cfg, e.score)
 		}
 	}
-	return bestID == upTop.cfg.ID()
+	return lead.offers > 0 && lead.cfg.ID() == upTop.cfg.ID()
 }

@@ -46,18 +46,3 @@ func RandomSearch(ctx context.Context, space *search.Space, ev Evaluator, comps 
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
-
-func init() {
-	RegisterFunc(MethodInfo{
-		Name:         "random",
-		Description:  "uniform random sampling, every trial at full budget (Table IV baseline)",
-		HonorsTrials: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
-		o := opts.Random
-		o.Seed = opts.Seed
-		if o.N == 0 {
-			o.N = opts.Trials
-		}
-		return RandomSearch(ctx, space, ev, comps, o)
-	})
-}

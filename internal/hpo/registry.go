@@ -2,46 +2,31 @@ package hpo
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
+	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 )
 
-// RunOptions is the method-agnostic option surface of the registry. The
-// shared knobs (Seed, Workers, MaxConfigs, Trials) apply to every method
-// that declares the matching capability; the per-method blocks carry the
-// full option structs for callers (core.Run) that tune methods directly.
-//
-// Precedence: Seed always overrides the per-method seeds, exactly as
-// core.Run has always done. The other shared knobs only fill per-method
-// fields left at zero — a non-zero block setting wins — so existing tuned
-// callers keep bit-identical behavior.
+// RunOptions is the one option surface of the registry: every method reads
+// the knobs it honors and leaves the rest at its own defaults. A zero knob
+// selects the method default.
 type RunOptions struct {
-	// Seed drives sampling and training; it overrides the per-method seeds.
+	// Seed drives sampling and training.
 	Seed uint64
 	// Workers is the evaluation-goroutine count for methods with
-	// HonorsWorkers. 0 selects the method default.
+	// HonorsWorkers.
 	Workers int
 	// MaxConfigs caps the configurations considered by methods with
-	// HonorsMaxConfigs. 0 selects the method default (or the whole space).
+	// HonorsMaxConfigs: SHA's start set, ASHA's and PASHA's samples, the
+	// grid. 0 selects the method default (or the whole space).
 	MaxConfigs int
 	// Trials is the evaluation count for full-budget methods with
-	// HonorsTrials. 0 selects the method default.
+	// HonorsTrials.
 	Trials int
-
-	// Per-method option blocks; zero values select each method's defaults.
-	SHA    SHAOptions
-	HB     HyperbandOptions
-	BOHB   BOHBOptions
-	ASHA   ASHAOptions
-	PASHA  PASHAOptions
-	DEHB   DEHBOptions
-	SMAC   SMACOptions
-	TPE    TPEOptions
-	Grid   GridSearchOptions
-	Random RandomSearchOptions
+	// MaxBrackets caps the brackets run by the methods with a Hyperband
+	// schedule (hyperband, bohb, dehb); 0 runs all of them.
+	MaxBrackets int
 }
 
 // MethodInfo describes a registered optimizer: its canonical name, accepted
@@ -71,104 +56,138 @@ type MethodInfo struct {
 // Method is one registered optimizer: capability metadata plus a
 // context-aware entry point. Every method stops before starting another
 // evaluation once ctx is cancelled and returns ctx's error.
-type Method interface {
-	Info() MethodInfo
-	Run(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error)
-}
-
-// methodFunc adapts a plain function to the Method interface.
-type methodFunc struct {
+type Method struct {
 	info MethodInfo
 	run  func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error)
 }
 
-func (m methodFunc) Info() MethodInfo { return m.info }
+// Info returns the method's name, aliases and capabilities.
+func (m Method) Info() MethodInfo { return m.info }
 
-func (m methodFunc) Run(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
+// Run optimizes over space with the method's own defaults for every knob
+// opts leaves at zero.
+func (m Method) Run(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
 	return m.run(ctx, space, ev, comps, opts)
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Method{}
-	// aliasOf maps every accepted name (canonical or alias) to the
-	// canonical name.
-	aliasOf = map[string]string{}
-)
-
-// Register adds a method under its canonical name and aliases. It panics on
-// empty or duplicate names: registration happens in init funcs, so a
-// collision is a programming error, not a runtime condition.
-func Register(m Method) {
-	info := m.Info()
-	if info.Name == "" {
-		panic("hpo: Register with empty method name")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	// Validate every name before mutating, so a panic leaves the registry
-	// untouched.
-	names := append([]string{info.Name}, info.Aliases...)
-	for _, n := range names {
-		if n == "" {
-			panic(fmt.Sprintf("hpo: method %q registers an empty alias", info.Name))
+// registry is every optimizer, in canonical-name order.
+var registry = []Method{
+	{MethodInfo{
+		Name:             "asha",
+		Description:      "asynchronous successive halving with deterministic prefix-replayed promotions (Li et al. 2018)",
+		BudgetAware:      true,
+		HonorsWorkers:    true,
+		HonorsMaxConfigs: true,
+	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+		return ASHA(ctx, space, ev, comps, ASHAOptions{Seed: o.Seed, Workers: o.Workers, MaxConfigs: o.MaxConfigs})
+	}},
+	{MethodInfo{
+		Name:        "bohb",
+		Description: "Hyperband brackets with TPE/KDE-proposed configurations (Falkner et al. 2018)",
+		BudgetAware: true,
+	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+		return BOHB(ctx, space, ev, comps, BOHBOptions{Hyperband: HyperbandOptions{Seed: o.Seed, MaxBrackets: o.MaxBrackets}})
+	}},
+	{MethodInfo{
+		Name:        "dehb",
+		Description: "Hyperband brackets with differential-evolution proposals over the evaluation archive (Awad et al. 2021)",
+		BudgetAware: true,
+	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+		return DEHB(ctx, space, ev, comps, DEHBOptions{Hyperband: HyperbandOptions{Seed: o.Seed, MaxBrackets: o.MaxBrackets}})
+	}},
+	{MethodInfo{
+		Name:             "grid",
+		Description:      "exhaustive (optionally subsampled) grid, every trial at full budget",
+		HonorsMaxConfigs: true,
+	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+		return GridSearch(ctx, space, ev, comps, GridSearchOptions{Seed: o.Seed, MaxConfigs: o.MaxConfigs})
+	}},
+	{MethodInfo{
+		Name:        "hyperband",
+		Aliases:     []string{"hb"},
+		Description: "bracket schedule over successive halving, trading breadth at small budgets against depth at large ones",
+		BudgetAware: true,
+	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+		return Hyperband(ctx, space, ev, comps, HyperbandOptions{Seed: o.Seed, MaxBrackets: o.MaxBrackets})
+	}},
+	{MethodInfo{
+		Name:             "pasha",
+		Description:      "progressive ASHA: the rung ladder grows only while the top ranking is unstable (Bohdal et al. 2023)",
+		BudgetAware:      true,
+		HonorsMaxConfigs: true,
+	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+		return PASHA(ctx, space, ev, comps, PASHAOptions{Seed: o.Seed, MaxConfigs: o.MaxConfigs})
+	}},
+	{MethodInfo{
+		Name:         "random",
+		Description:  "uniform random sampling, every trial at full budget (Table IV baseline)",
+		HonorsTrials: true,
+	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+		return RandomSearch(ctx, space, ev, comps, RandomSearchOptions{Seed: o.Seed, N: o.Trials})
+	}},
+	{MethodInfo{
+		Name:             "sha",
+		Description:      "successive halving (Algorithm 1): budget doubles as the candidate set halves",
+		BudgetAware:      true,
+		HonorsWorkers:    true,
+		HonorsMaxConfigs: true,
+	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+		configs := space.Enumerate()
+		if o.MaxConfigs > 0 && o.MaxConfigs < len(configs) {
+			// The start set depends on the seed alone, so a CLI run and a
+			// served job with one seed start from the same configurations.
+			configs = space.SampleN(rng.New(o.Seed^0xc0de).Split(2), o.MaxConfigs)
 		}
-		if _, dup := aliasOf[n]; dup {
-			panic(fmt.Sprintf("hpo: duplicate method registration %q", n))
-		}
-	}
-	registry[info.Name] = m
-	for _, n := range names {
-		aliasOf[n] = info.Name
-	}
-}
-
-// RegisterFunc registers a plain function as a Method.
-func RegisterFunc(info MethodInfo, run func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error)) {
-	Register(methodFunc{info: info, run: run})
-}
-
-// CanonicalName resolves a method name or alias to the canonical name.
-func CanonicalName(name string) (string, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	canonical, ok := aliasOf[name]
-	return canonical, ok
+		return SuccessiveHalving(ctx, configs, ev, comps, SHAOptions{Seed: o.Seed, Workers: o.Workers})
+	}},
+	{MethodInfo{
+		Name:         "smac",
+		Description:  "sequential full-budget Bayesian optimization with a random-forest surrogate (SMAC3-style, §IV-B baseline)",
+		HonorsTrials: true,
+	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+		return SMAC(ctx, space, ev, comps, SMACOptions{Seed: o.Seed, N: o.Trials})
+	}},
+	{MethodInfo{
+		Name:         "tpe",
+		Aliases:      []string{"optuna"},
+		Description:  "sequential full-budget TPE (Optuna's default sampler, §IV-B baseline)",
+		HonorsTrials: true,
+	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+		return TPE(ctx, space, ev, comps, TPEOptions{Seed: o.Seed, N: o.Trials})
+	}},
 }
 
 // LookupMethod resolves a method by canonical name or alias.
 func LookupMethod(name string) (Method, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	canonical, ok := aliasOf[name]
-	if !ok {
-		return nil, false
+	for _, m := range registry {
+		if m.info.Name == name || slices.Contains(m.info.Aliases, name) {
+			return m, true
+		}
 	}
-	m, ok := registry[canonical]
-	return m, ok
+	return Method{}, false
+}
+
+// CanonicalName resolves a method name or alias to the canonical name.
+func CanonicalName(name string) (string, bool) {
+	m, ok := LookupMethod(name)
+	return m.info.Name, ok
 }
 
 // MethodNames returns the sorted canonical names of every registered
 // method.
 func MethodNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
+	names := make([]string, len(registry))
+	for i, m := range registry {
+		names[i] = m.info.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
 // Methods returns every registered method's info, sorted by canonical name.
 func Methods() []MethodInfo {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	infos := make([]MethodInfo, 0, len(registry))
-	for _, m := range registry {
-		infos = append(infos, m.Info())
+	infos := make([]MethodInfo, len(registry))
+	for i, m := range registry {
+		infos[i] = m.info
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
 }

@@ -142,24 +142,27 @@ func TestRegistryCapabilities(t *testing.T) {
 	}
 }
 
-// TestRegisterRejectsDuplicates verifies the init-time guard rails.
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
+// TestRegistryNamesUniqueAndNonEmpty: every name and alias in the registry
+// table is non-empty and resolves to one method only, and the table is in
+// canonical-name order, the order Methods and MethodNames promise.
+func TestRegistryNamesUniqueAndNonEmpty(t *testing.T) {
+	owner := map[string]string{}
+	for i, m := range registry {
+		info := m.Info()
+		if i > 0 && registry[i-1].info.Name >= info.Name {
+			t.Errorf("registry out of order: %q before %q", registry[i-1].info.Name, info.Name)
+		}
+		if m.run == nil {
+			t.Errorf("method %q has no entry point", info.Name)
+		}
+		for _, name := range append([]string{info.Name}, info.Aliases...) {
+			if name == "" {
+				t.Errorf("method %q has an empty name or alias", info.Name)
 			}
-		}()
-		f()
+			if prev, dup := owner[name]; dup {
+				t.Errorf("name %q belongs to both %q and %q", name, prev, info.Name)
+			}
+			owner[name] = info.Name
+		}
 	}
-	mustPanic("empty name", func() {
-		RegisterFunc(MethodInfo{}, nil)
-	})
-	mustPanic("duplicate canonical name", func() {
-		RegisterFunc(MethodInfo{Name: "sha"}, nil)
-	})
-	mustPanic("alias colliding with existing name", func() {
-		RegisterFunc(MethodInfo{Name: "brandnew", Aliases: []string{"hb"}}, nil)
-	})
 }

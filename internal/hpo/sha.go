@@ -101,31 +101,6 @@ func SuccessiveHalving(ctx context.Context, configs []search.Config, ev Evaluato
 	return res, nil
 }
 
-func init() {
-	RegisterFunc(MethodInfo{
-		Name:             "sha",
-		Description:      "successive halving (Algorithm 1): budget doubles as the candidate set halves",
-		BudgetAware:      true,
-		HonorsWorkers:    true,
-		HonorsMaxConfigs: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
-		o := opts.SHA
-		o.Seed = opts.Seed
-		if o.Workers == 0 {
-			o.Workers = opts.Workers
-		}
-		configs := space.Enumerate()
-		if opts.MaxConfigs > 0 && opts.MaxConfigs < len(configs) {
-			// The subsampling stream is rng.New(seed^0xc0de).Split(2) —
-			// bit-identical to core.Run's historical root.Split(2) (Split
-			// never advances the parent), so CLI and served runs agree on
-			// the start set for a given seed.
-			configs = space.SampleN(rng.New(opts.Seed^0xc0de).Split(2), opts.MaxConfigs)
-		}
-		return SuccessiveHalving(ctx, configs, ev, comps, o)
-	})
-}
-
 // evalRound evaluates one round — SHA's halving round, a Hyperband rung,
 // the baselines' one full-budget pass — optionally with a worker pool.
 // Results are ordered by configuration index, and so is the Observe

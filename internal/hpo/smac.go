@@ -70,8 +70,7 @@ func SMAC(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 	var xs [][]float64
 	var ys []float64
 	seen := map[string]bool{}
-	bestScore := math.Inf(-1)
-	var best search.Config
+	var best incumbent
 
 	evaluate := func(cfg search.Config, step int) error {
 		if err := ctx.Err(); err != nil {
@@ -85,9 +84,7 @@ func SMAC(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 		xs = append(xs, encodeOneHot(space, cfg))
 		ys = append(ys, tr.Score)
 		seen[cfg.ID()] = true
-		if tr.Score > bestScore {
-			bestScore, best = tr.Score, cfg
-		}
+		best.offer(cfg, tr.Score)
 		return nil
 	}
 
@@ -98,7 +95,7 @@ func SMAC(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 		}
 	}
 	for step := len(res.Trials); step < opts.N; step++ {
-		cfg, err := smacPropose(space, xs, ys, bestScore, seen, opts, root.Split(uint64(step)+0x51))
+		cfg, err := smacPropose(space, xs, ys, best.score, seen, opts, root.Split(uint64(step)+0x51))
 		if err != nil {
 			return nil, err
 		}
@@ -106,26 +103,10 @@ func SMAC(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 			return nil, err
 		}
 	}
-	res.Best = best
-	res.BestScore = bestScore
+	res.Best, res.BestScore = best.cfg, best.score
 	res.Evaluations = len(res.Trials)
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-func init() {
-	RegisterFunc(MethodInfo{
-		Name:         "smac",
-		Description:  "sequential full-budget Bayesian optimization with a random-forest surrogate (SMAC3-style, §IV-B baseline)",
-		HonorsTrials: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
-		o := opts.SMAC
-		o.Seed = opts.Seed
-		if o.N == 0 {
-			o.N = opts.Trials
-		}
-		return SMAC(ctx, space, ev, comps, o)
-	})
 }
 
 // smacPropose fits the surrogate and returns the candidate with the best

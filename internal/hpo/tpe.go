@@ -2,7 +2,6 @@ package hpo
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"enhancedbhpo/internal/bayes"
@@ -41,8 +40,7 @@ func TPE(ctx context.Context, space *search.Space, ev Evaluator, comps Component
 	budget := ev.FullBudget()
 	sampler := bayes.NewSampler(space, opts.Sampler)
 	seen := map[string]bool{}
-	bestScore := math.Inf(-1)
-	var best search.Config
+	var best incumbent
 	for step := 0; step < opts.N; step++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -62,29 +60,10 @@ func TPE(ctx context.Context, space *search.Space, ev Evaluator, comps Component
 		res.Trials = append(res.Trials, tr)
 		seen[cfg.ID()] = true
 		sampler.Add(bayes.Observation{Config: cfg, Budget: budget, Score: tr.Score})
-		if tr.Score > bestScore {
-			bestScore, best = tr.Score, cfg
-		}
+		best.offer(cfg, tr.Score)
 	}
-	res.Best = best
-	res.BestScore = bestScore
+	res.Best, res.BestScore = best.cfg, best.score
 	res.Evaluations = len(res.Trials)
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-func init() {
-	RegisterFunc(MethodInfo{
-		Name:         "tpe",
-		Aliases:      []string{"optuna"},
-		Description:  "sequential full-budget TPE (Optuna's default sampler, §IV-B baseline)",
-		HonorsTrials: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
-		o := opts.TPE
-		o.Seed = opts.Seed
-		if o.N == 0 {
-			o.N = opts.Trials
-		}
-		return TPE(ctx, space, ev, comps, o)
-	})
 }

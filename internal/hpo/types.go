@@ -1,12 +1,15 @@
 // Package hpo implements the bandit-based hyperparameter optimization
-// framework of the paper: Successive Halving, Hyperband, BOHB and ASHA,
-// plus a random-search baseline. Each method is parameterized by three
-// pluggable components — the fold builder, the configuration scorer and the
-// (optional) instance groups — so the paper's enhanced variants ("SHA+",
-// "HB+", "BOHB+") are the same algorithms run with the group-based folds
-// (cv.GroupFolds), the variance/size-aware scorer (scoring.UCBScorer) and
-// pre-built groups (grouping.Build), while the vanilla variants use
-// stratified folds and the plain mean.
+// framework of the paper and the methods it is compared with. Six bandit
+// methods allocate partial budgets — Successive Halving, Hyperband, BOHB,
+// ASHA, PASHA and DEHB — and four baselines run every trial at full budget:
+// random search, grid search, SMAC and TPE. All ten are listed in one
+// registry (LookupMethod, Methods) and tuned by one RunOptions. Each method
+// is parameterized by three pluggable components — the fold builder, the
+// configuration scorer and the (optional) instance groups — so the paper's
+// enhanced variants ("SHA+", "HB+", "BOHB+") are the same algorithms run
+// with the group-based folds (cv.GroupFolds), the variance/size-aware
+// scorer (scoring.UCBScorer) and pre-built groups (grouping.Build), while
+// the vanilla variants use stratified folds and the plain mean.
 //
 // The budget unit is the instance, following the paper: a configuration
 // evaluated with budget b trains on cross-validation folds drawn from a
@@ -15,6 +18,7 @@ package hpo
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -109,31 +113,6 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// BestTrial returns the highest-scoring trial of the run, preferring the
-// largest budget on ties, or nil when no trials were recorded.
-func (r *Result) BestTrial() *Trial {
-	var best *Trial
-	for i := range r.Trials {
-		t := &r.Trials[i]
-		if best == nil || t.Score > best.Score ||
-			(t.Score == best.Score && t.Budget > best.Budget) {
-			best = t
-		}
-	}
-	return best
-}
-
-// TrialsAt returns the trials of one round (or rung), in arrival order.
-func (r *Result) TrialsAt(round int) []Trial {
-	var out []Trial
-	for _, t := range r.Trials {
-		if t.Round == round {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // ranked pairs a configuration with its score for halving.
 type ranked struct {
 	cfg   search.Config
@@ -141,13 +120,43 @@ type ranked struct {
 	order int // arrival order or sample index, for deterministic tie-breaks
 }
 
+// Better reports whether score a ranks above score b: a higher number
+// does, and any number ranks above NaN. Two NaNs tie, as two equal numbers
+// do, so ranking by Better is a total order with NaN last — a diverged
+// evaluation is never picked over one that scored.
+func Better(a, b float64) bool {
+	if math.IsNaN(b) {
+		return !math.IsNaN(a)
+	}
+	return a > b
+}
+
 // better is every optimizer's one ranking rule: a ranks above b on a
-// higher score, and on a tie on a lower order.
+// Better score, and on a tie on a lower order.
 func (a ranked) better(b ranked) bool {
-	if a.score != b.score {
-		return a.score > b.score
+	switch {
+	case Better(a.score, b.score):
+		return true
+	case Better(b.score, a.score):
+		return false
 	}
 	return a.order < b.order
+}
+
+// incumbent keeps the best-ranked of the configurations offered to it,
+// the earlier offer winning a tie.
+type incumbent struct {
+	ranked
+	offers int
+}
+
+// offer ranks cfg, scored score, against the incumbent.
+func (in *incumbent) offer(cfg search.Config, score float64) {
+	c := ranked{cfg: cfg, score: score, order: in.offers}
+	if in.offers == 0 || c.better(in.ranked) {
+		in.ranked = c
+	}
+	in.offers++
 }
 
 // sortRanked returns a copy of rs, best first.

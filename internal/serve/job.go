@@ -289,24 +289,18 @@ type Job struct {
 	maxRound int
 }
 
-// recordTrialLocked counts one observed trial and extends the curve by the
-// incumbent recurrence — each point follows from the one before it,
-// exactly as trace.Anytime computes the whole curve
-// (TestJobCurveMatchesAnytime) — returning the new point plus whether the
+// recordTrialLocked counts one observed trial and extends the curve by
+// trace.Step, the step trace.Anytime takes over a whole trial list
+// (TestJobCurveMatchesAnytime), returning the new point plus whether the
 // trial opened a new halving round (a rung promotion). Called with j.mu
 // held — the manager keeps the lock across record+publish so the feed's
 // curve points arrive in trial order.
 func (j *Job) recordTrialLocked(tr hpo.Trial) (pt trace.Point, promoted bool) {
 	j.evaluations++
-	pt = trace.Point{
-		Evaluations: j.evaluations,
-		CumBudget:   j.last.CumBudget + tr.Budget,
-		CumTime:     j.last.CumTime + tr.Elapsed,
-		BestScore:   j.last.BestScore,
-	}
-	if j.evaluations == 1 || tr.Score > pt.BestScore {
-		pt.BestScore = tr.Score
-	}
+	pt = trace.Step(j.last, tr)
+	// A resumed history that lost points numbers on from the count it
+	// resumed at.
+	pt.Evaluations = j.evaluations
 	j.last = pt
 	promoted = tr.Round > j.maxRound
 	j.maxRound = max(j.maxRound, tr.Round)

@@ -95,11 +95,15 @@ func (m *Manager) optimize(ctx context.Context, job *Job, scope *evalScope) (*hp
 	if workers <= 0 {
 		workers = m.cfg.PoolSize
 	}
-	// The registry adapters run the same code path as core.Run, so a
-	// served job and a CLI run with the same seed agree bit for bit.
-	// Workers only reaches methods that honor it (Validate rejects an
-	// explicit setting for the rest); the pool-size default is harmless
-	// for methods that ignore it.
+	// core.Run dispatches through the same registry, so given equal
+	// components a served job and a CLI run with one seed run the same
+	// optimizer, and SHA starts from the same configurations. The
+	// components are not equal yet — the scope seeds grouping from
+	// DatasetSeed^0x9e37 and finish the refit from Seed^0xf17, core.Run
+	// both from Seed^0xc0de — so their scores can differ (ROADMAP.md, "The
+	// paper's table is the service's workload"). Workers only reaches
+	// methods that honor it (Validate rejects an explicit setting for the
+	// rest); the pool-size default is harmless for methods that ignore it.
 	return method.Run(ctx, space, ev, comps, hpo.RunOptions{
 		Seed:       spec.Seed,
 		Workers:    workers,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -504,6 +505,29 @@ func TestJobCurveMatchesAnytime(t *testing.T) {
 	for i := range want {
 		if snap.Curve[i] != want[i] {
 			t.Errorf("point %d = %+v, want %+v", i, snap.Curve[i], want[i])
+		}
+	}
+}
+
+// TestJobCurveRanksNaNLast: a job's curve takes trace.Step's incumbent
+// rule — a NaN after a score keeps the score, and a score after a NaN
+// replaces it.
+func TestJobCurveRanksNaNLast(t *testing.T) {
+	m := NewManager(Config{PoolSize: 1})
+	defer shutdown(t, m)
+	job := &Job{ID: "job-1", hub: m.hub}
+	nan := math.NaN()
+	for _, score := range []float64{nan, 0.5, nan, 0.25} {
+		m.observeTrial(job, hpo.Trial{Budget: 30, Score: score})
+	}
+	want := []float64{nan, 0.5, 0.5, 0.5}
+	curve := job.Snapshot().Curve
+	if len(curve) != len(want) {
+		t.Fatalf("curve of %d points, want %d", len(curve), len(want))
+	}
+	for i, p := range curve {
+		if got := p.BestScore; got != want[i] && !(math.IsNaN(got) && math.IsNaN(want[i])) {
+			t.Errorf("point %d incumbent %v, want %v", i, got, want[i])
 		}
 	}
 }

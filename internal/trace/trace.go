@@ -39,25 +39,29 @@ type Point struct {
 // order. An empty trial list yields an empty curve.
 func Anytime(trials []hpo.Trial) []Point {
 	points := make([]Point, 0, len(trials))
-	best := 0.0
-	haveBest := false
-	cumBudget := 0
-	var cumTime time.Duration
-	for i, tr := range trials {
-		cumBudget += tr.Budget
-		cumTime += tr.Elapsed
-		if !haveBest || tr.Score > best {
-			best = tr.Score
-			haveBest = true
-		}
-		points = append(points, Point{
-			Evaluations: i + 1,
-			CumBudget:   cumBudget,
-			CumTime:     cumTime,
-			BestScore:   best,
-		})
+	var last Point
+	for _, tr := range trials {
+		last = Step(last, tr)
+		points = append(points, last)
 	}
 	return points
+}
+
+// Step extends an incumbent curve by one trial: the point after prev, with
+// the zero Point standing before the first trial. The incumbent is the best
+// score so far by hpo.Better, so a NaN never replaces a scored incumbent
+// and a number replaces a NaN one.
+func Step(prev Point, tr hpo.Trial) Point {
+	pt := Point{
+		Evaluations: prev.Evaluations + 1,
+		CumBudget:   prev.CumBudget + tr.Budget,
+		CumTime:     prev.CumTime + tr.Elapsed,
+		BestScore:   prev.BestScore,
+	}
+	if prev.Evaluations == 0 || hpo.Better(tr.Score, prev.BestScore) {
+		pt.BestScore = tr.Score
+	}
+	return pt
 }
 
 // TotalBudget returns the total instances consumed by the trials.

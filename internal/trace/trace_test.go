@@ -48,6 +48,21 @@ func TestAnytimeMonotone(t *testing.T) {
 	}
 }
 
+// TestStepRanksNaNLast: the incumbent takes hpo.Better's rule — a NaN
+// after a score keeps the score, and a score after a NaN replaces it.
+func TestStepRanksNaNLast(t *testing.T) {
+	nan := math.NaN()
+	trials := []hpo.Trial{{Score: nan}, {Score: 0.5}, {Score: nan}, {Score: 0.25}, {Score: 0.75}}
+	want := []float64{nan, 0.5, 0.5, 0.5, 0.75}
+	for i, p := range Anytime(trials) {
+		if p.Evaluations != i+1 || !sameScore(p.BestScore, want[i]) {
+			t.Errorf("point %d = %+v, want incumbent %v", i, p, want[i])
+		}
+	}
+}
+
+func sameScore(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+
 func TestAnytimeEmpty(t *testing.T) {
 	if got := Anytime(nil); len(got) != 0 {
 		t.Fatalf("empty trials gave %d points", len(got))
