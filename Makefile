@@ -67,7 +67,7 @@ vet-bench:
 # harness's short storm, whose journal may rotate on its last record — a
 # rotation that leaves only a base behind, which a one-P run hits often.
 cpus:
-	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge|TestSHATrialOrderAnyWorkers' \
+	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge|TrialOrderAnyWorkers|TestSHAParallel' \
 		./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
 	$(GO) test -cpu 1,2,4 -count 5 -run 'TestCoordinator|TestSubmitRetry|TestMemberJournal|TestRing|TestMultiSink|TestShipper|TestDirSink|TestRestore|TestKeptHandle' \
 		./internal/coord/ ./internal/serve/shipper/

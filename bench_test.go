@@ -194,11 +194,11 @@ func BenchmarkSHA(b *testing.B) {
 	base := nn.DefaultConfig()
 	base.MaxIter = 8
 	base.LearningRateInit = 0.02
+	sha, _ := hpo.LookupMethod("sha")
 	run := func(b *testing.B, comps hpo.Components) {
-		configs := space.Enumerate()[:8]
 		for i := 0; i < b.N; i++ {
 			ev := hpo.NewCVEvaluator(train, base, comps)
-			if _, err := hpo.SuccessiveHalving(context.Background(), configs, ev, comps, hpo.SHAOptions{Seed: uint64(i)}); err != nil {
+			if _, err := sha.Run(context.Background(), space, ev, comps, hpo.RunOptions{Seed: uint64(i), MaxConfigs: 8}); err != nil {
 				b.Fatal(err)
 			}
 		}

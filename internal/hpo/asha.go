@@ -2,50 +2,12 @@ package hpo
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 )
-
-// ASHAOptions configure asynchronous successive halving (Li et al., 2018).
-type ASHAOptions struct {
-	// Eta is the promotion factor. 0 selects 3.
-	Eta int
-	// MinBudget is the rung-0 per-configuration budget. 0 selects 4·K.
-	MinBudget int
-	// MaxConfigs is the number of configurations sampled. 0 selects
-	// min(27, space size).
-	MaxConfigs int
-	// Workers is the number of concurrent evaluation goroutines. The set
-	// of evaluations and the selected configuration are identical for any
-	// worker count (see the determinism note on ASHA). 0 selects 4.
-	Workers int
-	// Seed drives sampling and training.
-	Seed uint64
-}
-
-func (o ASHAOptions) withDefaults(k, spaceSize int) ASHAOptions {
-	if o.Eta < 2 {
-		o.Eta = 3
-	}
-	if o.MinBudget <= 0 {
-		o.MinBudget = 4 * k
-	}
-	if o.MaxConfigs <= 0 {
-		o.MaxConfigs = 27
-		if o.MaxConfigs > spaceSize {
-			o.MaxConfigs = spaceSize
-		}
-	}
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	return o
-}
 
 // ashaJob is one unit of work: evaluate the member at rung job.rung.
 type ashaJob struct {
@@ -98,11 +60,12 @@ type ashaState struct {
 	promotedAt [][]int
 }
 
-// ASHA runs asynchronous successive halving: worker goroutines
-// independently promote configurations through budget rungs as soon as a
-// configuration enters the top 1/Eta of its rung, without waiting for the
-// rung to fill. With enhanced components this is "ASHA+", extending the
-// paper's technique to the asynchronous setting it cites.
+// asha runs asynchronous successive halving (Li et al., 2018): worker
+// goroutines independently promote configurations through budget rungs as
+// soon as a configuration enters the top 1/η of its rung, without waiting
+// for the rung to fill. With enhanced components this is "ASHA+",
+// extending the paper's technique to the asynchronous setting it cites.
+// Workers defaults to 4.
 //
 // Determinism: promotion decisions are replayed in the canonical arrival
 // order of each rung (a configuration's rung-r result is considered only
@@ -113,31 +76,16 @@ type ashaState struct {
 // released in the order a single-worker run would produce them (see
 // emitReady), so Result.Trials — and the Observe stream, hence any
 // anytime curve built from it — are also identical for any worker count;
-// only per-trial wall times vary.
-//
-// Cancellation: a cancelled or expired ctx stops every worker before its
-// next evaluation and returns ctx's error. Evaluations in flight finish,
-// so the run stops within one evaluation of the cancel.
-func ASHA(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts ASHAOptions) (*Result, error) {
-	comps = comps.withDefaults()
-	if err := validateRun(space, comps); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults(comps.K, space.Size())
-	root := rng.New(opts.Seed ^ 0xa5aa)
-	full := ev.FullBudget()
-	maxRung := 0
-	for b := opts.MinBudget; b < full; b *= opts.Eta {
-		maxRung++
-	}
-	configs := space.SampleN(root.Split(1), opts.MaxConfigs)
-	if len(configs) == 0 {
-		return nil, fmt.Errorf("hpo: ASHA sampled no configurations")
-	}
+// only per-trial wall times vary. Evaluations in flight when ctx is
+// cancelled finish, so the run stops within one evaluation per worker.
+func (sc schedule) asha(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+	root := rng.New(o.Seed ^ 0xa5aa)
+	budgets, configs := sc.rungs(space, comps.K, ev.FullBudget(), o.MaxConfigs, root.Split(1))
+	maxRung := len(budgets) - 1
 	st := &ashaState{
 		rungs:      make([][]ashaMember, maxRung+1),
 		settled:    make([]int, maxRung+1),
-		eta:        opts.Eta,
+		eta:        sc.eta,
 		maxRung:    maxRung,
 		emitted:    make([]int, maxRung+1),
 		created:    make([]int, maxRung+1),
@@ -153,18 +101,6 @@ func ASHA(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 	// through the replay instead.
 	st.observe = comps.Observe
 	comps.Observe = nil
-
-	start := time.Now()
-	budgetOf := func(rung int) int {
-		b := opts.MinBudget
-		for i := 0; i < rung; i++ {
-			b *= opts.Eta
-		}
-		if b > full {
-			b = full
-		}
-		return b
-	}
 
 	// Wake blocked workers when ctx is cancelled mid-run.
 	watchDone := make(chan struct{})
@@ -182,8 +118,12 @@ func ASHA(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 		}
 	}()
 
+	workers := o.Workers
+	if workers <= 0 {
+		workers = 4
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -196,7 +136,7 @@ func ASHA(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 				var tr Trial
 				err := ctx.Err()
 				if err == nil {
-					tr, err = evalTrial(ev, comps, job.cfg, budgetOf(job.rung), job.rung, r)
+					tr, err = evalTrial(ev, comps, job.cfg, budgets[job.rung], job.rung, r)
 				}
 				st.complete(job, tr, err)
 			}
@@ -206,10 +146,8 @@ func ASHA(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 	if st.err != nil {
 		return nil, st.err
 	}
-	res := &Result{Method: "asha", Trials: st.trials}
+	res := &Result{Trials: st.trials}
 	res.Best, res.BestScore = st.best()
-	res.Evaluations = len(res.Trials)
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

@@ -8,29 +8,12 @@ import (
 	"enhancedbhpo/internal/search"
 )
 
-// BOHBOptions configure BOHB.
-type BOHBOptions struct {
-	// Hyperband carries the bracket schedule settings.
-	Hyperband HyperbandOptions
-	// Sampler tunes the TPE model; zero value selects BOHB defaults.
-	Sampler bayes.Options
-}
-
-// BOHB runs Hyperband brackets whose configurations are proposed by a
+// bohb runs Hyperband brackets whose configurations are proposed by a
 // TPE/KDE model fitted to completed evaluations (Falkner et al. 2018),
 // instead of uniform sampling. With enhanced components this is the
 // paper's "BOHB+".
-//
-// Cancellation: a cancelled or expired ctx stops the run before the next
-// evaluation starts and returns ctx's error.
-func BOHB(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts BOHBOptions) (*Result, error) {
-	comps = comps.withDefaults()
-	if err := validateRun(space, comps); err != nil {
-		return nil, err
-	}
-	hb := opts.Hyperband.withDefaults(comps.K)
-	root := rng.New(hb.Seed ^ 0xb0b1)
-	sampler := bayes.NewSampler(space, opts.Sampler)
+func (sc schedule) bohb(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+	sampler := bayes.NewSampler(space, bayes.Options{})
 	provider := func(r *rng.RNG, n int) []search.Config {
 		out := make([]search.Config, 0, n)
 		seen := map[string]bool{}
@@ -57,9 +40,5 @@ func BOHB(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 	observe := func(cfg search.Config, budget int, score float64) {
 		sampler.Add(bayes.Observation{Config: cfg, Budget: budget, Score: score})
 	}
-	res, err := runBrackets(ctx, "bohb", ev, comps, hb, root, provider, observe)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return sc.runBrackets(ctx, ev, comps, o.MaxBrackets, rng.New(o.Seed^0xb0b1), provider, observe)
 }

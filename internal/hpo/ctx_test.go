@@ -14,88 +14,6 @@ import (
 	"enhancedbhpo/internal/search"
 )
 
-// TestASHAWorkerCountDeterminism is the regression test for the promotion
-// replay: ASHA with 1 worker and with 8 workers on the same seed must run
-// the same set of evaluations and select the same best configuration.
-func TestASHAWorkerCountDeterminism(t *testing.T) {
-	space, quality := gradedSpace()
-	for _, seed := range []uint64{1, 7, 42} {
-		ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.001}
-		base := ASHAOptions{Eta: 2, MinBudget: 100, MaxConfigs: 16, Seed: seed}
-		serialOpts := base
-		serialOpts.Workers = 1
-		serial, err := ASHA(context.Background(), space, ev, vanComps(), serialOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallelOpts := base
-		parallelOpts.Workers = 8
-		parallel, err := ASHA(context.Background(), space, ev, vanComps(), parallelOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parallel.Best.ID() != serial.Best.ID() {
-			t.Fatalf("seed %d: workers=8 picked %s, workers=1 picked %s",
-				seed, parallel.Best.ID(), serial.Best.ID())
-		}
-		if parallel.BestScore != serial.BestScore {
-			t.Fatalf("seed %d: best score %v vs %v", seed, parallel.BestScore, serial.BestScore)
-		}
-		if got, want := trialKeys(parallel), trialKeys(serial); !equalStrings(got, want) {
-			t.Fatalf("seed %d: evaluation sets diverged:\n workers=8: %v\n workers=1: %v",
-				seed, got, want)
-		}
-	}
-}
-
-// TestASHATrialOrderAnyWorkers pins the serial-order emission replay:
-// Result.Trials and the Observe stream arrive in the identical order for
-// any worker count — the order a single-worker run produces — so anytime
-// curves built from either are scheduling-independent, not just the
-// evaluation set.
-func TestASHATrialOrderAnyWorkers(t *testing.T) {
-	space, quality := gradedSpace()
-	base := ASHAOptions{Eta: 2, MinBudget: 100, MaxConfigs: 16, Seed: 7}
-	run := func(workers int) (*Result, []string) {
-		ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.001}
-		var mu sync.Mutex
-		var seen []string
-		comps := vanComps().WithObserver(func(tr Trial) {
-			mu.Lock()
-			seen = append(seen, fmt.Sprintf("%s@%d=%x", tr.Config.ID(), tr.Round, tr.Score))
-			mu.Unlock()
-		})
-		opts := base
-		opts.Workers = workers
-		res, err := ASHA(context.Background(), space, ev, comps, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return res, seen
-	}
-	serial, serialSeen := run(1)
-	if len(serialSeen) != len(serial.Trials) {
-		t.Fatalf("observer saw %d trials, result has %d", len(serialSeen), len(serial.Trials))
-	}
-	for _, workers := range []int{2, 8} {
-		res, seen := run(workers)
-		if len(res.Trials) != len(serial.Trials) {
-			t.Fatalf("workers=%d: %d trials, serial %d", workers, len(res.Trials), len(serial.Trials))
-		}
-		for i := range serial.Trials {
-			a, b := serial.Trials[i], res.Trials[i]
-			if a.Config.ID() != b.Config.ID() || a.Round != b.Round || a.Score != b.Score || a.Budget != b.Budget {
-				t.Fatalf("workers=%d: trial %d out of serial order: %s@%d vs %s@%d",
-					workers, i, b.Config.ID(), b.Round, a.Config.ID(), a.Round)
-			}
-		}
-		if !equalStrings(seen, serialSeen) {
-			t.Fatalf("workers=%d: observer stream diverged from serial order:\n got  %v\n want %v",
-				workers, seen, serialSeen)
-		}
-	}
-}
-
 // slowFirst holds every evaluation of one configuration for a while, so
 // concurrent workers finish the others before it.
 type slowFirst struct {
@@ -110,45 +28,141 @@ func (s slowFirst) Evaluate(c search.Config, budget int, r *rng.RNG) ([]float64,
 	return s.fakeEvaluator.Evaluate(c, budget, r)
 }
 
-// TestSHATrialOrderAnyWorkers: SHA's Observe stream arrives in index order
-// for any worker count — the first configuration first even when it is
-// the last to finish — so an anytime curve, and the count of it a resumed
-// run skips, does not depend on scheduling.
-func TestSHATrialOrderAnyWorkers(t *testing.T) {
+// TestTrialOrderAnyWorkers: every method with HonorsWorkers runs the same
+// at any worker count — the same Trials in the same order, the same
+// Observe stream, the same Best and BestScore — even when every
+// evaluation of the first configuration finishes last. SHA's parallel
+// rounds and ASHA hold a finished trial back until every trial before it
+// in single-worker order is in, so an anytime curve, and the count of it a
+// resumed run skips, does not depend on scheduling.
+func TestTrialOrderAnyWorkers(t *testing.T) {
 	space, quality := gradedSpace()
-	configs := space.Enumerate()
-	run := func(workers int) []string {
-		ev := slowFirst{&fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.001}, configs[0].ID()}
-		var mu sync.Mutex
-		var seen []string
-		comps := vanComps().WithObserver(func(tr Trial) {
-			mu.Lock()
-			seen = append(seen, fmt.Sprintf("%s@%d=%x", tr.Config.ID(), tr.Round, tr.Score))
-			mu.Unlock()
-		})
-		res, err := SuccessiveHalving(context.Background(), configs, ev, comps, SHAOptions{Seed: 1, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	slow := space.Enumerate()[0].ID()
+	for _, info := range Methods() {
+		if !info.HonorsWorkers {
+			continue
 		}
-		if len(seen) != len(res.Trials) {
-			t.Fatalf("workers=%d: observer saw %d trials, result has %d", workers, len(seen), len(res.Trials))
-		}
-		return seen
-	}
-	serial := run(1)
-	for _, workers := range []int{2, 4} {
-		if seen := run(workers); !equalStrings(seen, serial) {
-			t.Fatalf("workers=%d: observer stream diverged from serial order:\n got  %v\n want %v", workers, seen, serial)
+		for _, seed := range []uint64{1, 7, 42} {
+			t.Run(fmt.Sprintf("%s/seed=%d", info.Name, seed), func(t *testing.T) {
+				checkWorkerCounts(t, space, method(info.Name), RunOptions{Seed: seed}, []int{2, 4, 8}, func() Evaluator {
+					return slowFirst{&fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.001}, slow}
+				})
+			})
 		}
 	}
 }
 
-// trialKeys returns the sorted (config, rung, score) keys of a run — the
+// TestASHAWorkerCountDeterminism is the regression test for the promotion
+// replay on a halving ladder (η = 2, r_min = 100, 16 configurations):
+// ASHA with 1 worker and with 8 workers on the same seed runs the same
+// evaluations and selects the same best configuration.
+func TestASHAWorkerCountDeterminism(t *testing.T) {
+	space, quality := gradedSpace()
+	asha := ladder("asha", schedule{eta: 2, perFold: 20})
+	for _, seed := range []uint64{1, 7, 42} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			checkWorkerCounts(t, space, asha, RunOptions{MaxConfigs: 16, Seed: seed}, []int{8}, func() Evaluator {
+				return &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.001}
+			})
+		})
+	}
+}
+
+// TestASHATrialOrderAnyWorkers pins the serial-order emission replay on
+// the same halving ladder: Result.Trials and the Observe stream arrive in
+// the order a single-worker run produces.
+func TestASHATrialOrderAnyWorkers(t *testing.T) {
+	space, quality := gradedSpace()
+	asha := ladder("asha", schedule{eta: 2, perFold: 20})
+	checkWorkerCounts(t, space, asha, RunOptions{MaxConfigs: 16, Seed: 7}, []int{2, 8}, func() Evaluator {
+		return &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.001}
+	})
+}
+
+// TestSHATrialOrderAnyWorkers: SHA's Observe stream arrives in index order
+// for any worker count — the first configuration first even when it is
+// the last to finish.
+func TestSHATrialOrderAnyWorkers(t *testing.T) {
+	space, quality := gradedSpace()
+	slow := space.Enumerate()[0].ID()
+	checkWorkerCounts(t, space, method("sha"), RunOptions{Seed: 1}, []int{2, 4}, func() Evaluator {
+		return slowFirst{&fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.001}, slow}
+	})
+}
+
+// TestSHAParallelMatchesSerial verifies the determinism contract of the
+// Workers knob: per-trial RNG streams are derived from (round, index), so
+// any worker count produces identical trials and the same winner.
+func TestSHAParallelMatchesSerial(t *testing.T) {
+	space, quality := gradedSpace()
+	checkWorkerCounts(t, space, method("sha"), RunOptions{Seed: 1}, []int{2, 4, 8}, func() Evaluator {
+		return &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.001}
+	})
+}
+
+// TestSHAParallelRace exercises SHA's worker pool under the race detector
+// at a worker count that does not divide the rung sizes.
+func TestSHAParallelRace(t *testing.T) {
+	space, quality := gradedSpace()
+	checkWorkerCounts(t, space, method("sha"), RunOptions{Seed: 2}, []int{6}, func() Evaluator {
+		return &fakeEvaluator{space: space, full: 800, quality: quality, noise: 0.01}
+	})
+}
+
+// checkWorkerCounts runs m on space at workers=1 and at each count in
+// workers, each run on a fresh evaluator from newEv, and requires the same
+// Trials in the same order, the same Observe stream, and the same Best and
+// BestScore as the single-worker run.
+func checkWorkerCounts(t *testing.T, space *search.Space, m Method, opts RunOptions, workers []int, newEv func() Evaluator) {
+	t.Helper()
+	run := func(w int) (res *Result, trials, observed []string) {
+		var mu sync.Mutex
+		comps := vanComps().WithObserver(func(tr Trial) {
+			mu.Lock()
+			observed = append(observed, trialKey(tr))
+			mu.Unlock()
+		})
+		o := opts
+		o.Workers = w
+		res, err := m.Run(context.Background(), space, newEv(), comps, o)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		for _, tr := range res.Trials {
+			trials = append(trials, trialKey(tr))
+		}
+		return res, trials, observed
+	}
+	serial, serialTrials, serialObserved := run(1)
+	if !equalStrings(serialObserved, serialTrials) {
+		t.Fatalf("observer saw %v, result has %v", serialObserved, serialTrials)
+	}
+	for _, w := range workers {
+		res, trials, observed := run(w)
+		if !equalStrings(trials, serialTrials) {
+			t.Fatalf("workers=%d: trials out of serial order:\n got  %v\n want %v", w, trials, serialTrials)
+		}
+		if !equalStrings(observed, serialObserved) {
+			t.Fatalf("workers=%d: observer stream diverged from serial order:\n got  %v\n want %v", w, observed, serialObserved)
+		}
+		if res.Best.ID() != serial.Best.ID() || res.BestScore != serial.BestScore {
+			t.Fatalf("workers=%d picked %s at %v, workers=1 %s at %v", w, res.Best.ID(), res.BestScore, serial.Best.ID(), serial.BestScore)
+		}
+	}
+}
+
+// trialKey identifies a trial by configuration, round, budget and score
+// bits.
+func trialKey(tr Trial) string {
+	return fmt.Sprintf("%s@%d/%d=%x", tr.Config.ID(), tr.Round, tr.Budget, tr.Score)
+}
+
+// trialKeys returns the sorted trial keys of a run — the
 // scheduling-independent fingerprint of what was evaluated.
 func trialKeys(res *Result) []string {
 	keys := make([]string, 0, len(res.Trials))
 	for _, tr := range res.Trials {
-		keys = append(keys, fmt.Sprintf("%s@%d=%x", tr.Config.ID(), tr.Round, tr.Score))
+		keys = append(keys, trialKey(tr))
 	}
 	sort.Strings(keys)
 	return keys
@@ -225,7 +239,6 @@ func TestCtxCancellationStopsOptimizers(t *testing.T) {
 func TestSeedDeterminism(t *testing.T) {
 	space, quality := gradedSpace()
 	for _, info := range Methods() {
-		method, _ := LookupMethod(info.Name)
 		t.Run(info.Name, func(t *testing.T) {
 			opts := RunOptions{Seed: 7}
 			if info.HonorsWorkers {
@@ -235,7 +248,7 @@ func TestSeedDeterminism(t *testing.T) {
 			}
 			runOnce := func(o RunOptions) *Result {
 				ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.001}
-				res, err := method.Run(context.Background(), space, ev, vanComps(), o)
+				res, err := method(info.Name).Run(context.Background(), space, ev, vanComps(), o)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,48 +9,16 @@ import (
 	"enhancedbhpo/internal/search"
 )
 
-// DEHBOptions configure Differential Evolution Hyperband (Awad et al.,
-// IJCAI 2021), another Hyperband improvement the paper cites: bracket
-// populations are proposed by differential evolution over the archive of
-// evaluated configurations instead of uniform sampling.
-type DEHBOptions struct {
-	// Hyperband carries the bracket schedule.
-	Hyperband HyperbandOptions
-	// F is the DE mutation factor. 0 selects 0.5.
-	F float64
-	// Cr is the DE crossover rate. 0 selects 0.9 (the DEHB default).
-	Cr float64
-}
+// dehb runs Hyperband brackets whose configurations evolve from the best
+// evaluated ones via rand-to-best/1 differential evolution (Awad et al.,
+// IJCAI 2021) adapted to categorical dimensions (index arithmetic modulo
+// the value count), instead of uniform sampling.
+func (sc schedule) dehb(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+	// The DE mutation factor and crossover rate, DEHB's defaults.
+	const f, cr = 0.5, 0.9
 
-// DEHB runs Hyperband brackets whose configurations evolve from the best
-// evaluated ones via rand-to-best/1 differential evolution adapted to
-// categorical dimensions (index arithmetic modulo the value count).
-//
-// Cancellation: when ctx is cancelled or times out the run stops before
-// starting another evaluation and returns ctx's error.
-func DEHB(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts DEHBOptions) (*Result, error) {
-	comps = comps.withDefaults()
-	if err := validateRun(space, comps); err != nil {
-		return nil, err
-	}
-	hb := opts.Hyperband.withDefaults(comps.K)
-	f := opts.F
-	if f <= 0 {
-		f = 0.5
-	}
-	cr := opts.Cr
-	if cr <= 0 {
-		cr = 0.9
-	}
-	root := rng.New(hb.Seed ^ 0xdeb0)
-
-	// archive holds every completed evaluation (highest score per config).
-	type entry struct {
-		id    string
-		cfg   search.Config
-		score float64
-	}
-	archive := map[string]entry{}
+	// archive holds every evaluated configuration's best score, by ID.
+	archive := map[string]ranked{}
 
 	provider := func(r *rng.RNG, n int) []search.Config {
 		// Too little history: uniform sampling, exactly like Hyperband's
@@ -58,19 +26,20 @@ func DEHB(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 		if len(archive) < 4 {
 			return space.SampleN(r, n)
 		}
-		pool := make([]entry, 0, len(archive))
-		for _, e := range archive {
-			pool = append(pool, e)
+		// The one ranking rule, ties by configuration ID, so the pool — and
+		// through it every parent the stream below draws — does not depend
+		// on the archive map's iteration order, NaN scores included.
+		ids := make([]string, 0, len(archive))
+		for id := range archive {
+			ids = append(ids, id)
 		}
-		// A total order — best score first, ties by configuration ID — so
-		// the pool, and through it every parent the stream below draws,
-		// does not depend on the archive map's iteration order.
-		sort.Slice(pool, func(i, j int) bool {
-			if pool[i].score != pool[j].score {
-				return pool[i].score > pool[j].score
-			}
-			return pool[i].id < pool[j].id
-		})
+		sort.Strings(ids)
+		pool := make([]ranked, len(ids))
+		for i, id := range ids {
+			pool[i] = archive[id]
+			pool[i].order = i
+		}
+		pool = sortRanked(pool)
 		best := pool[0]
 		out := make([]search.Config, 0, n)
 		seen := map[string]bool{}
@@ -121,13 +90,9 @@ func DEHB(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 	}
 	observe := func(cfg search.Config, budget int, score float64) {
 		id := cfg.ID()
-		if prev, ok := archive[id]; !ok || score > prev.score {
-			archive[id] = entry{id: id, cfg: cfg, score: score}
+		if prev, ok := archive[id]; !ok || Better(score, prev.score) {
+			archive[id] = ranked{cfg: cfg, score: score}
 		}
 	}
-	res, err := runBrackets(ctx, "dehb", ev, comps, hb, root, provider, observe)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return sc.runBrackets(ctx, ev, comps, o.MaxBrackets, rng.New(o.Seed^0xdeb0), provider, observe)
 }

@@ -278,20 +278,18 @@ func evalTrial(ev Evaluator, comps Components, cfg search.Config, budget, round 
 }
 
 // evalSequential is the shared trial loop of the full-budget baselines
-// (random, grid): one round of evalRound at full budget on one worker, the
-// best-ranked trial recorded on res.
-func evalSequential(ctx context.Context, ev Evaluator, comps Components, configs []search.Config, root *rng.RNG, res *Result) error {
+// (random, grid): one round of evalRound at full budget on one worker, and
+// the best-ranked trial picked.
+func evalSequential(ctx context.Context, ev Evaluator, comps Components, configs []search.Config, root *rng.RNG) (*Result, error) {
 	trials, err := evalRound(ctx, ev, comps, configs, ev.FullBudget(), 0, 1, root)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var best incumbent
 	for _, tr := range trials {
 		best.offer(tr.Config, tr.Score)
 	}
-	res.Trials = trials
-	res.Best, res.BestScore = best.cfg, best.score
-	return nil
+	return &Result{Trials: trials, Best: best.cfg, BestScore: best.score}, nil
 }
 
 func gammaOf(budget, full int) float64 {

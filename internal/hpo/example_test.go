@@ -33,15 +33,17 @@ func (f funcEvaluator) Evaluate(c search.Config, budget int, r *rng.RNG) ([]floa
 	return scores, nil
 }
 
-// Successive halving over a custom integer grid with a custom evaluator:
-// no datasets, no neural networks — just the bandit machinery.
-func ExampleSuccessiveHalving() {
+// Successive halving, looked up by its registry name, over a custom
+// integer grid with a custom evaluator: no datasets, no neural networks —
+// just the bandit machinery.
+func ExampleLookupMethod() {
 	space := &search.Space{Dims: []search.Dimension{
 		{Name: "x", Values: []any{0, 1, 2, 3, 4, 5}},
 		{Name: "y", Values: []any{0, 1, 2, 3, 4, 5}},
 	}}
 	comps := hpo.Components{K: 5, Scorer: scoring.MeanScorer{}}
-	res, err := hpo.SuccessiveHalving(context.Background(), space.Enumerate(), funcEvaluator{full: 3600}, comps, hpo.SHAOptions{Seed: 7})
+	sha, _ := hpo.LookupMethod("sha")
+	res, err := sha.Run(context.Background(), space, funcEvaluator{full: 3600}, comps, hpo.RunOptions{Seed: 7})
 	if err != nil {
 		panic(err)
 	}

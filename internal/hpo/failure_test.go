@@ -45,65 +45,22 @@ func newFailing(failAfter int) (*search.Space, *failingEvaluator) {
 }
 
 func TestOptimizersSurfaceEvaluationErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func(space *search.Space, ev Evaluator) error
-	}{
-		{"sha", func(space *search.Space, ev Evaluator) error {
-			_, err := SuccessiveHalving(context.Background(), space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 1})
-			return err
-		}},
-		{"sha-parallel", func(space *search.Space, ev Evaluator) error {
-			_, err := SuccessiveHalving(context.Background(), space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 1, Workers: 4})
-			return err
-		}},
-		{"random", func(space *search.Space, ev Evaluator) error {
-			_, err := RandomSearch(context.Background(), space, ev, vanComps(), RandomSearchOptions{N: 8, Seed: 1})
-			return err
-		}},
-		{"hyperband", func(space *search.Space, ev Evaluator) error {
-			_, err := Hyperband(context.Background(), space, ev, vanComps(), HyperbandOptions{MinBudget: 50, Seed: 1})
-			return err
-		}},
-		{"bohb", func(space *search.Space, ev Evaluator) error {
-			_, err := BOHB(context.Background(), space, ev, vanComps(), BOHBOptions{Hyperband: HyperbandOptions{MinBudget: 50, Seed: 1}})
-			return err
-		}},
-		{"asha", func(space *search.Space, ev Evaluator) error {
-			_, err := ASHA(context.Background(), space, ev, vanComps(), ASHAOptions{MinBudget: 100, MaxConfigs: 8, Workers: 3, Seed: 1})
-			return err
-		}},
-		{"pasha", func(space *search.Space, ev Evaluator) error {
-			_, err := PASHA(context.Background(), space, ev, vanComps(), PASHAOptions{MinBudget: 100, MaxConfigs: 8, Seed: 1})
-			return err
-		}},
-		{"dehb", func(space *search.Space, ev Evaluator) error {
-			_, err := DEHB(context.Background(), space, ev, vanComps(), DEHBOptions{Hyperband: HyperbandOptions{MinBudget: 50, Seed: 1}})
-			return err
-		}},
-		{"smac", func(space *search.Space, ev Evaluator) error {
-			_, err := SMAC(context.Background(), space, ev, vanComps(), SMACOptions{N: 8, Seed: 1})
-			return err
-		}},
-		{"tpe", func(space *search.Space, ev Evaluator) error {
-			_, err := TPE(context.Background(), space, ev, vanComps(), TPEOptions{N: 8, Seed: 1})
-			return err
-		}},
-		{"grid", func(space *search.Space, ev Evaluator) error {
-			_, err := GridSearch(context.Background(), space, ev, vanComps(), GridSearchOptions{Seed: 1})
-			return err
-		}},
-	}
-	for _, tc := range cases {
-		for _, failAfter := range []int{0, 3} {
-			space, ev := newFailing(failAfter)
-			err := tc.run(space, ev)
-			if err == nil {
-				t.Errorf("%s (failAfter=%d): error swallowed", tc.name, failAfter)
-				continue
-			}
-			if !errors.Is(err, errInjected) && !strings.Contains(err.Error(), "injected") {
-				t.Errorf("%s: unexpected error %v", tc.name, err)
+	for _, info := range Methods() {
+		workerCounts := []int{0}
+		if info.HonorsWorkers {
+			workerCounts = append(workerCounts, 4)
+		}
+		for _, workers := range workerCounts {
+			for _, failAfter := range []int{0, 3} {
+				space, ev := newFailing(failAfter)
+				_, err := method(info.Name).Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 1, Workers: workers, Trials: 8})
+				if err == nil {
+					t.Errorf("%s (workers=%d, failAfter=%d): error swallowed", info.Name, workers, failAfter)
+					continue
+				}
+				if !errors.Is(err, errInjected) && !strings.Contains(err.Error(), "injected") {
+					t.Errorf("%s: unexpected error %v", info.Name, err)
+				}
 			}
 		}
 	}
@@ -116,7 +73,7 @@ func TestASHAErrorStopsWorkers(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = ASHA(context.Background(), space, ev, vanComps(), ASHAOptions{MinBudget: 100, MaxConfigs: 16, Workers: 4, Seed: 9})
+		_, _ = method("asha").Run(context.Background(), space, ev, vanComps(), RunOptions{MaxConfigs: 16, Workers: 4, Seed: 9})
 	}()
 	select {
 	case <-done:
@@ -152,7 +109,7 @@ func TestSHARoundStopsAtFirstFailure(t *testing.T) {
 	space := &search.Space{Dims: []search.Dimension{{Name: "a", Values: vals}, {Name: "b", Values: vals}}}
 	configs := space.Enumerate()
 	ev := &firstFailsEvaluator{failID: configs[0].ID()}
-	_, err := SuccessiveHalving(context.Background(), configs, ev, vanComps(), SHAOptions{Seed: 1, Workers: 2})
+	_, err := method("sha").Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 1, Workers: 2})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("error %v, want the injected failure", err)
 	}

@@ -55,10 +55,27 @@ func vanComps() Components {
 	return Components{Folds: cv.StratifiedKFold{}, K: 5, Scorer: scoring.MeanScorer{}}
 }
 
+// method returns the registered method name.
+func method(name string) Method {
+	m, _ := LookupMethod(name)
+	return m
+}
+
+// ladder returns the registered bandit method name run on sc, a ladder
+// other than its paper default.
+func ladder(name string, sc schedule) Method {
+	m := method(name)
+	m.run = map[string]func(context.Context, *search.Space, Evaluator, Components, RunOptions) (*Result, error){
+		"sha": sc.sha, "asha": sc.asha, "pasha": sc.pasha,
+		"hyperband": sc.hyperband, "bohb": sc.bohb, "dehb": sc.dehb,
+	}[name]
+	return m
+}
+
 func TestSuccessiveHalvingFindsGoodConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0005}
-	res, err := SuccessiveHalving(context.Background(), space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 1})
+	res, err := method("sha").Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +93,7 @@ func TestSuccessiveHalvingFindsGoodConfig(t *testing.T) {
 func TestSuccessiveHalvingBudgetSchedule(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.001}
-	res, err := SuccessiveHalving(context.Background(), space.Enumerate(), ev, vanComps(), SHAOptions{Eta: 2, Seed: 2})
+	res, err := method("sha").Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,16 +118,18 @@ func TestSuccessiveHalvingBudgetSchedule(t *testing.T) {
 	}
 }
 
+// TestSuccessiveHalvingSingleConfig: a start set of one is the selection,
+// unevaluated. SHA draws it by the seed alone, from
+// rng.New(seed^0xc0de).Split(2).
 func TestSuccessiveHalvingSingleConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 100, quality: quality, noise: 0.001}
-	one := space.Enumerate()[:1]
-	res, err := SuccessiveHalving(context.Background(), one, ev, vanComps(), SHAOptions{Seed: 3})
+	res, err := method("sha").Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 3, MaxConfigs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best.ID() != one[0].ID() {
-		t.Fatal("single config not selected")
+	if one := space.SampleN(rng.New(3^0xc0de).Split(2), 1); res.Best.ID() != one[0].ID() {
+		t.Fatalf("selected %s, want the start set's %s", res.Best.ID(), one[0].ID())
 	}
 	if len(res.Trials) != 0 {
 		t.Fatalf("unexpected evaluations: %d", len(res.Trials))
@@ -118,17 +137,18 @@ func TestSuccessiveHalvingSingleConfig(t *testing.T) {
 }
 
 func TestSuccessiveHalvingEmpty(t *testing.T) {
-	space, quality := gradedSpace()
-	ev := &fakeEvaluator{space: space, full: 100, quality: quality}
-	if _, err := SuccessiveHalving(context.Background(), nil, ev, vanComps(), SHAOptions{}); err == nil {
-		t.Error("empty config list accepted")
+	_, quality := gradedSpace()
+	empty := &search.Space{}
+	ev := &fakeEvaluator{space: empty, full: 100, quality: quality}
+	if _, err := method("sha").Run(context.Background(), empty, ev, vanComps(), RunOptions{}); err == nil {
+		t.Error("empty space accepted")
 	}
 }
 
 func TestRandomSearchPicksBestOfSampled(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 400, quality: quality, noise: 0.0001}
-	res, err := RandomSearch(context.Background(), space, ev, vanComps(), RandomSearchOptions{N: 10, Seed: 4})
+	res, err := method("random").Run(context.Background(), space, ev, vanComps(), RunOptions{Trials: 10, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +176,7 @@ func TestRandomSearchPicksBestOfSampled(t *testing.T) {
 func TestHyperbandFindsGoodConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0005}
-	res, err := Hyperband(context.Background(), space, ev, vanComps(), HyperbandOptions{Eta: 3, MinBudget: 50, Seed: 5})
+	res, err := ladder("hyperband", schedule{eta: 3, perFold: 10}).Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +199,7 @@ func TestHyperbandFindsGoodConfig(t *testing.T) {
 func TestBOHBFindsGoodConfigAndLearns(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0005}
-	res, err := BOHB(context.Background(), space, ev, vanComps(), BOHBOptions{
-		Hyperband: HyperbandOptions{Eta: 3, MinBudget: 50, Seed: 6},
-	})
+	res, err := ladder("bohb", schedule{eta: 3, perFold: 10}).Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +214,8 @@ func TestBOHBFindsGoodConfigAndLearns(t *testing.T) {
 func TestASHAFindsGoodConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0005}
-	res, err := ASHA(context.Background(), space, ev, vanComps(), ASHAOptions{
-		Eta: 2, MinBudget: 100, MaxConfigs: 16, Workers: 4, Seed: 7,
+	res, err := ladder("asha", schedule{eta: 2, perFold: 20}).Run(context.Background(), space, ev, vanComps(), RunOptions{
+		MaxConfigs: 16, Workers: 4, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,12 +242,13 @@ func TestASHAFindsGoodConfig(t *testing.T) {
 func TestASHASingleWorkerDeterministicBest(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 800, quality: quality, noise: 0.0002}
-	opts := ASHAOptions{Eta: 2, MinBudget: 100, MaxConfigs: 8, Workers: 1, Seed: 8}
-	r1, err := ASHA(context.Background(), space, ev, vanComps(), opts)
+	asha := ladder("asha", schedule{eta: 2, perFold: 20})
+	opts := RunOptions{MaxConfigs: 8, Workers: 1, Seed: 8}
+	r1, err := asha.Run(context.Background(), space, ev, vanComps(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ASHA(context.Background(), space, ev, vanComps(), opts)
+	r2, err := asha.Run(context.Background(), space, ev, vanComps(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,8 +342,7 @@ func TestIncumbentSkipsNaN(t *testing.T) {
 		configs[2].ID(): {0.4, 0.4},
 	}}
 	for _, name := range []string{"grid", "random", "smac"} {
-		m, _ := LookupMethod(name)
-		res, err := m.Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 1, Trials: 3})
+		res, err := method(name).Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 1, Trials: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,8 +464,7 @@ func TestSHAWithRealEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	configs := space.Enumerate()[:8]
-	res, err := SuccessiveHalving(context.Background(), configs, ev, comps, SHAOptions{Seed: 5})
+	res, err := method("sha").Run(context.Background(), space, ev, comps, RunOptions{Seed: 5, MaxConfigs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +496,7 @@ func TestEnhancedComponentsEndToEnd(t *testing.T) {
 	base.HiddenLayerSizes = []int{4}
 	ev := NewCVEvaluator(train, base, comps)
 	space, _ := search.TableIIISpace(2)
-	res, err := SuccessiveHalving(context.Background(), space.Enumerate()[:4], ev, comps, SHAOptions{Seed: 8})
+	res, err := method("sha").Run(context.Background(), space, ev, comps, RunOptions{Seed: 8, MaxConfigs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +515,7 @@ func TestVanillaComponentsDefaults(t *testing.T) {
 func TestTrialsSortedByRound(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 800, quality: quality, noise: 0.001}
-	res, err := SuccessiveHalving(context.Background(), space.Enumerate(), ev, vanComps(), SHAOptions{Seed: 9})
+	res, err := method("sha").Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

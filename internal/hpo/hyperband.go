@@ -3,37 +3,10 @@ package hpo
 import (
 	"context"
 	"math"
-	"time"
 
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 )
-
-// HyperbandOptions configure Hyperband and BOHB (which shares the bracket
-// structure).
-type HyperbandOptions struct {
-	// Eta is the elimination factor. 0 selects 3, Hyperband's default.
-	Eta int
-	// MinBudget is the smallest per-configuration budget r_min; together
-	// with the full budget R it determines the bracket count
-	// s_max = floor(log_eta(R/r_min)). 0 selects 4·K of the components.
-	MinBudget int
-	// MaxBrackets caps the number of brackets actually run (0 = all).
-	// Useful for the scaled-down experiment harness.
-	MaxBrackets int
-	// Seed drives sampling and training.
-	Seed uint64
-}
-
-func (o HyperbandOptions) withDefaults(k int) HyperbandOptions {
-	if o.Eta < 2 {
-		o.Eta = 3
-	}
-	if o.MinBudget <= 0 {
-		o.MinBudget = 4 * k
-	}
-	return o
-}
 
 // configProvider supplies n configurations for a new bracket; Hyperband
 // samples uniformly, BOHB queries its TPE model.
@@ -42,38 +15,30 @@ type configProvider func(r *rng.RNG, n int) []search.Config
 // observer is notified of every completed evaluation (BOHB feeds its KDE).
 type observer func(cfg search.Config, budget int, score float64)
 
-// Hyperband runs the classic bracket schedule: brackets s = s_max..0 trade
+// hyperband runs the classic bracket schedule: brackets s = s_max..0 trade
 // many configurations at small budgets against few configurations at large
-// budgets, each bracket running successive halving with factor Eta.
+// budgets, each bracket running successive halving with factor η.
 //
 // With enhanced components this is the paper's "HB+".
-//
-// Cancellation: a cancelled or expired ctx stops the run before the next
-// evaluation starts and returns ctx's error.
-func Hyperband(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts HyperbandOptions) (*Result, error) {
-	comps = comps.withDefaults()
-	if err := validateRun(space, comps); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults(comps.K)
-	root := rng.New(opts.Seed ^ 0x4b71)
+func (sc schedule) hyperband(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
 	provider := func(r *rng.RNG, n int) []search.Config { return space.SampleN(r, n) }
-	return runBrackets(ctx, "hyperband", ev, comps, opts, root, provider, nil)
+	return sc.runBrackets(ctx, ev, comps, o.MaxBrackets, rng.New(o.Seed^0x4b71), provider, nil)
 }
 
-// runBrackets is the shared Hyperband/BOHB engine.
-func runBrackets(ctx context.Context, method string, ev Evaluator, comps Components, opts HyperbandOptions, root *rng.RNG, provide configProvider, observe observer) (*Result, error) {
-	start := time.Now()
-	res := &Result{Method: method}
+// runBrackets is the shared Hyperband/BOHB/DEHB engine; it runs the first
+// maxBrackets brackets, or all of them when maxBrackets is 0.
+func (sc schedule) runBrackets(ctx context.Context, ev Evaluator, comps Components, maxBrackets int, root *rng.RNG, provide configProvider, observe observer) (*Result, error) {
+	res := &Result{}
+	rMin := sc.rMin(comps.K)
 	R := float64(ev.FullBudget())
-	eta := float64(opts.Eta)
-	sMax := int(math.Floor(math.Log(R/float64(opts.MinBudget)) / math.Log(eta)))
+	eta := float64(sc.eta)
+	sMax := int(math.Floor(math.Log(R/float64(rMin)) / math.Log(eta)))
 	if sMax < 0 {
 		sMax = 0
 	}
 	brackets := sMax + 1
-	if opts.MaxBrackets > 0 && brackets > opts.MaxBrackets {
-		brackets = opts.MaxBrackets
+	if maxBrackets > 0 && brackets > maxBrackets {
+		brackets = maxBrackets
 	}
 	bHB := float64(sMax+1) * R
 
@@ -94,8 +59,8 @@ func runBrackets(ctx context.Context, method string, ev Evaluator, comps Compone
 		current := configs
 		for i := 0; i <= s && len(current) > 0; i++ {
 			ri := int(math.Round(r0 * math.Pow(eta, float64(i))))
-			if ri < opts.MinBudget {
-				ri = opts.MinBudget
+			if ri < rMin {
+				ri = rMin
 			}
 			if ri > int(R) {
 				ri = int(R)
@@ -119,7 +84,7 @@ func runBrackets(ctx context.Context, method string, ev Evaluator, comps Compone
 				}
 			}
 			round++
-			keep := len(current) / opts.Eta
+			keep := len(current) / sc.eta
 			if i == s || keep < 1 {
 				keep = 1
 			}
@@ -138,7 +103,5 @@ func runBrackets(ctx context.Context, method string, ev Evaluator, comps Compone
 	if math.IsInf(res.BestScore, -1) {
 		res.BestScore = 0
 	}
-	res.Evaluations = len(res.Trials)
-	res.Elapsed = time.Since(start)
 	return res, nil
 }

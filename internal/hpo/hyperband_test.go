@@ -2,64 +2,78 @@ package hpo
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"enhancedbhpo/internal/search"
 )
 
-// TestHyperbandBracketSchedule verifies the published bracket arithmetic:
-// with R/r_min = eta^s_max, bracket s starts n_s = ceil((s_max+1)·eta^s/(s+1))
-// configurations at budget R·eta^{-s}, halving by eta each rung.
+// TestHyperbandBracketSchedule: Hyperband's brackets follow the closed
+// form of Li et al. (arXiv 1603.06560) for η ∈ {2, 3, 4}. With
+// s_max = ⌊log_η(R/r_min)⌋, bracket s = s_max..0 starts
+// n_s = ⌈(s_max+1)/(s+1)·η^s⌉ configurations at R·η^(−s), and each of its
+// s+1 rungs keeps 1/η of the rung below at η times the budget.
 func TestHyperbandBracketSchedule(t *testing.T) {
-	space, quality := gradedSpace()
-	// R = 1600, r_min = 200, eta = 2 -> s_max = 3, brackets s = 3,2,1,0.
-	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0001}
-	res, err := Hyperband(context.Background(), space, ev, vanComps(), HyperbandOptions{Eta: 2, MinBudget: 200, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Collect (round, budget, count) from the trials.
-	type key struct{ round, budget int }
-	counts := map[key]int{}
-	for _, tr := range res.Trials {
-		counts[key{tr.Round, tr.Budget}]++
-	}
-	// Bracket s=3: n = ceil(4·8/4) = 8 configs at budget 200, then 4@400,
-	// 2@800, 1@1600 (rounds 0..3).
-	want := []struct {
-		round, budget, n int
-	}{
-		{0, 200, 8},
-		{1, 400, 4},
-		{2, 800, 2},
-		{3, 1600, 1},
-	}
-	for _, wnt := range want {
-		if got := counts[key{wnt.round, wnt.budget}]; got != wnt.n {
-			t.Errorf("round %d budget %d: %d evaluations, want %d", wnt.round, wnt.budget, got, wnt.n)
-		}
-	}
-	// Bracket s=0 runs ceil(4·1/1) = 4 configs straight at full budget.
-	lastRound := 0
-	for k := range counts {
-		if k.round > lastRound {
-			lastRound = k.round
-		}
-	}
-	if got := counts[key{lastRound, 1600}]; got != 4 {
-		t.Errorf("final bracket: %d evaluations at full budget, want 4", got)
+	// 1 000 configurations, so no bracket runs out of them.
+	digits := []any{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	space := &search.Space{Dims: []search.Dimension{{Name: "a", Values: digits}, {Name: "b", Values: digits}, {Name: "c", Values: digits}}}
+	quality := func(c search.Config) float64 { return float64(c.Index(0)+c.Index(1)+c.Index(2)) / 27 }
+	type rung struct{ n, budget int }
+	for _, tc := range []struct{ eta, perFold, full int }{
+		{2, 20, 1600}, // r_min = 100: s_max = 4
+		{3, 4, 540},   // the paper default r_min = 4·K = 20: s_max = 3
+		{3, 10, 1600}, // R/r_min = 32, no power of 3: s_max = 3
+		{4, 5, 1600},  // r_min = 25: s_max = 3
+	} {
+		rMin := tc.perFold * vanComps().K
+		t.Run(fmt.Sprintf("eta=%d/R=%d/rmin=%d", tc.eta, tc.full, rMin), func(t *testing.T) {
+			ev := &fakeEvaluator{space: space, full: tc.full, quality: quality, noise: 0.001}
+			res, err := ladder("hyperband", schedule{eta: tc.eta, perFold: tc.perFold}).Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []rung
+			for _, tr := range res.Trials {
+				if tr.Round == len(got) {
+					got = append(got, rung{budget: tr.Budget})
+				}
+				if got[tr.Round].budget != tr.Budget {
+					t.Fatalf("round %d trains at %d and %d", tr.Round, got[tr.Round].budget, tr.Budget)
+				}
+				got[tr.Round].n++
+			}
+			sMax := 0
+			for p := tc.eta; rMin*p <= tc.full; p *= tc.eta {
+				sMax++
+			}
+			var want []rung
+			for s := sMax; s >= 0; s-- {
+				etaS := int(math.Pow(float64(tc.eta), float64(s)))
+				n := ((sMax+1)*etaS + s) / (s + 1)
+				for i := 0; i <= s; i++ {
+					budget := int(math.Round(float64(tc.full) * math.Pow(float64(tc.eta), float64(i-s))))
+					want = append(want, rung{n, budget})
+					n = max(n/tc.eta, 1)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("s_max = %d: rungs (configurations, budget)\n got  %v\n want %v", sMax, got, want)
+			}
+		})
 	}
 }
 
 func TestHyperbandMaxBrackets(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0001}
-	full, err := Hyperband(context.Background(), space, ev, vanComps(), HyperbandOptions{Eta: 2, MinBudget: 200, Seed: 2})
+	hb := ladder("hyperband", schedule{eta: 2, perFold: 40})
+	full, err := hb.Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := Hyperband(context.Background(), space, ev, vanComps(), HyperbandOptions{Eta: 2, MinBudget: 200, MaxBrackets: 1, Seed: 2})
+	capped, err := hb.Run(context.Background(), space, ev, vanComps(), RunOptions{MaxBrackets: 1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +85,7 @@ func TestHyperbandMaxBrackets(t *testing.T) {
 func TestHyperbandBudgetsNeverExceedFull(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 777, quality: quality, noise: 0.001}
-	res, err := Hyperband(context.Background(), space, ev, vanComps(), HyperbandOptions{Eta: 3, MinBudget: 30, Seed: 3})
+	res, err := ladder("hyperband", schedule{eta: 3, perFold: 6}).Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +103,7 @@ func TestHyperbandTinyBudgetSingleBracket(t *testing.T) {
 	// R < eta·r_min -> s_max = 0: one bracket, full-budget evaluations only.
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 100, quality: quality, noise: 0.0001}
-	res, err := Hyperband(context.Background(), space, ev, vanComps(), HyperbandOptions{Eta: 3, MinBudget: 60, Seed: 4})
+	res, err := ladder("hyperband", schedule{eta: 3, perFold: 12}).Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +120,7 @@ func TestHyperbandTinyBudgetSingleBracket(t *testing.T) {
 func TestBOHBSamplesValidConfigsOnly(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 800, quality: quality, noise: 0.001}
-	res, err := BOHB(context.Background(), space, ev, vanComps(), BOHBOptions{
-		Hyperband: HyperbandOptions{Eta: 2, MinBudget: 100, Seed: 5},
-	})
+	res, err := ladder("bohb", schedule{eta: 2, perFold: 20}).Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +138,7 @@ func TestBOHBSamplesValidConfigsOnly(t *testing.T) {
 func TestDEHBProposesWithinSpace(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 800, quality: quality, noise: 0.001}
-	res, err := DEHB(context.Background(), space, ev, vanComps(), DEHBOptions{
-		Hyperband: HyperbandOptions{Eta: 2, MinBudget: 100, Seed: 6},
-	})
+	res, err := ladder("dehb", schedule{eta: 2, perFold: 20}).Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,11 @@ package hpo
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"enhancedbhpo/internal/search"
 )
 
 // Tests for the extended optimizer set: PASHA, DEHB, SMAC, TPE and grid
@@ -13,9 +16,7 @@ import (
 func TestPASHAFindsGoodConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0005}
-	res, err := PASHA(context.Background(), space, ev, vanComps(), PASHAOptions{
-		Eta: 2, MinBudget: 100, MaxConfigs: 16, Seed: 1,
-	})
+	res, err := ladder("pasha", schedule{eta: 2, perFold: 20}).Run(context.Background(), space, ev, vanComps(), RunOptions{MaxConfigs: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +44,12 @@ func TestPASHASavesBudgetWhenStable(t *testing.T) {
 	// full ladder.
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 6400, quality: quality, noise: 1e-9}
-	resP, err := PASHA(context.Background(), space, ev, vanComps(), PASHAOptions{Eta: 2, MinBudget: 100, MaxConfigs: 16, Seed: 2})
+	sc := schedule{eta: 2, perFold: 20}
+	resP, err := ladder("pasha", sc).Run(context.Background(), space, ev, vanComps(), RunOptions{MaxConfigs: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resA, err := ASHA(context.Background(), space, ev, vanComps(), ASHAOptions{Eta: 2, MinBudget: 100, MaxConfigs: 16, Workers: 1, Seed: 2})
+	resA, err := ladder("asha", sc).Run(context.Background(), space, ev, vanComps(), RunOptions{MaxConfigs: 16, Workers: 1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +68,7 @@ func TestPASHASavesBudgetWhenStable(t *testing.T) {
 func TestDEHBFindsGoodConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 1600, quality: quality, noise: 0.0005}
-	res, err := DEHB(context.Background(), space, ev, vanComps(), DEHBOptions{
-		Hyperband: HyperbandOptions{Eta: 3, MinBudget: 50, Seed: 3},
-	})
+	res, err := ladder("dehb", schedule{eta: 3, perFold: 10}).Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestDEHBFindsGoodConfig(t *testing.T) {
 func TestSMACFindsGoodConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 400, quality: quality, noise: 0.0001}
-	res, err := SMAC(context.Background(), space, ev, vanComps(), SMACOptions{N: 12, Seed: 4})
+	res, err := method("smac").Run(context.Background(), space, ev, vanComps(), RunOptions{Trials: 12, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSMACFindsGoodConfig(t *testing.T) {
 func TestSMACDoesNotRepeatConfigs(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 400, quality: quality, noise: 0.0001}
-	res, err := SMAC(context.Background(), space, ev, vanComps(), SMACOptions{N: 16, Seed: 5})
+	res, err := method("smac").Run(context.Background(), space, ev, vanComps(), RunOptions{Trials: 16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSMACDoesNotRepeatConfigs(t *testing.T) {
 func TestTPEFindsGoodConfig(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 400, quality: quality, noise: 0.0001}
-	res, err := TPE(context.Background(), space, ev, vanComps(), TPEOptions{N: 12, Seed: 6})
+	res, err := method("tpe").Run(context.Background(), space, ev, vanComps(), RunOptions{Trials: 12, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestTPEFindsGoodConfig(t *testing.T) {
 func TestGridSearchExhaustive(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 400, quality: quality, noise: 0.00001}
-	res, err := GridSearch(context.Background(), space, ev, vanComps(), GridSearchOptions{Seed: 7})
+	res, err := method("grid").Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestGridSearchExhaustive(t *testing.T) {
 func TestGridSearchCapped(t *testing.T) {
 	space, quality := gradedSpace()
 	ev := &fakeEvaluator{space: space, full: 400, quality: quality, noise: 0.0001}
-	res, err := GridSearch(context.Background(), space, ev, vanComps(), GridSearchOptions{MaxConfigs: 5, Seed: 8})
+	res, err := method("grid").Run(context.Background(), space, ev, vanComps(), RunOptions{MaxConfigs: 5, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,30 +231,41 @@ func TestRankingStable(t *testing.T) {
 	}
 }
 
-// TestDEHBDeterministicBySeed: one seed, one trial sequence. Without
-// evaluation noise the equal-sum configurations of the graded space tie
-// exactly, so a DE pool ordered by score alone leaves them — and every
-// parent drawn from the pool by index — in the archive map's iteration
-// order, which differs from run to run.
+// TestDEHBDeterministicBySeed: one seed, one trial sequence. The DE pool
+// is drawn from by index, so it must be ranked by a total order that does
+// not depend on the archive map's iteration order: without evaluation
+// noise the equal-sum configurations of the graded space tie exactly, and
+// a NaN score compares false both ways under >.
 func TestDEHBDeterministicBySeed(t *testing.T) {
 	space, quality := gradedSpace()
-	var first string
-	for run := 0; run < 20; run++ {
-		ev := &fakeEvaluator{space: space, full: 800, quality: quality}
-		res, err := DEHB(context.Background(), space, ev, vanComps(), DEHBOptions{
-			Hyperband: HyperbandOptions{Eta: 2, MinBudget: 100, Seed: 6},
+	nanOnDiagonal := func(c search.Config) float64 {
+		if c.Index(0) == c.Index(1) {
+			return math.NaN()
+		}
+		return quality(c)
+	}
+	for _, tc := range []struct {
+		name    string
+		quality func(search.Config) float64
+	}{{"ties", quality}, {"nan", nanOnDiagonal}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var first string
+			for run := 0; run < 30; run++ {
+				ev := &fakeEvaluator{space: space, full: 800, quality: tc.quality}
+				res, err := ladder("dehb", schedule{eta: 2, perFold: 20}).Run(context.Background(), space, ev, vanComps(), RunOptions{Seed: 6})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var seq strings.Builder
+				for _, tr := range res.Trials {
+					fmt.Fprintf(&seq, "%s@%d ", tr.Config.ID(), tr.Budget)
+				}
+				if run == 0 {
+					first = seq.String()
+				} else if seq.String() != first {
+					t.Fatalf("run %d evaluated another trial sequence with the same seed:\n first %s\n now   %s", run, first, seq.String())
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var seq strings.Builder
-		for _, tr := range res.Trials {
-			fmt.Fprintf(&seq, "%s@%d ", tr.Config.ID(), tr.Budget)
-		}
-		if run == 0 {
-			first = seq.String()
-		} else if seq.String() != first {
-			t.Fatalf("run %d evaluated another trial sequence with the same seed:\n first %s\n now   %s", run, first, seq.String())
-		}
 	}
 }

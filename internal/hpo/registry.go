@@ -3,8 +3,8 @@ package hpo
 import (
 	"context"
 	"slices"
+	"time"
 
-	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 )
 
@@ -27,6 +27,15 @@ type RunOptions struct {
 	// MaxBrackets caps the brackets run by the methods with a Hyperband
 	// schedule (hyperband, bohb, dehb); 0 runs all of them.
 	MaxBrackets int
+}
+
+// trials is the evaluation count of the methods with HonorsTrials: Trials,
+// or the paper's random baseline's 10.
+func (o RunOptions) trials() int {
+	if o.Trials > 0 {
+		return o.Trials
+	}
+	return 10
 }
 
 // MethodInfo describes a registered optimizer: its canonical name, accepted
@@ -53,9 +62,10 @@ type MethodInfo struct {
 	HonorsTrials bool
 }
 
-// Method is one registered optimizer: capability metadata plus a
-// context-aware entry point. Every method stops before starting another
-// evaluation once ctx is cancelled and returns ctx's error.
+// Method is one registered optimizer: capability metadata plus the
+// function that samples, evaluates and picks. Every method stops before
+// starting another evaluation once ctx is cancelled and returns ctx's
+// error.
 type Method struct {
 	info MethodInfo
 	run  func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error)
@@ -65,12 +75,26 @@ type Method struct {
 func (m Method) Info() MethodInfo { return m.info }
 
 // Run optimizes over space with the method's own defaults for every knob
-// opts leaves at zero.
+// opts leaves at zero. Zero components select the vanilla ones.
 func (m Method) Run(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts RunOptions) (*Result, error) {
-	return m.run(ctx, space, ev, comps, opts)
+	comps = comps.withDefaults()
+	if err := validateRun(space, comps); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	res, err := m.run(ctx, space, ev, comps, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Method = m.info.Name
+	res.Evaluations = len(res.Trials)
+	res.Elapsed = time.Since(start)
+	return res, nil
 }
 
-// registry is every optimizer, in canonical-name order.
+// registry is every optimizer, in canonical-name order. A bandit method's
+// schedule is its paper default: SHA halves (η = 2, r_min = 2·K), the
+// others keep a third (η = 3, r_min = 4·K).
 var registry = []Method{
 	{MethodInfo{
 		Name:             "asha",
@@ -78,83 +102,57 @@ var registry = []Method{
 		BudgetAware:      true,
 		HonorsWorkers:    true,
 		HonorsMaxConfigs: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
-		return ASHA(ctx, space, ev, comps, ASHAOptions{Seed: o.Seed, Workers: o.Workers, MaxConfigs: o.MaxConfigs})
-	}},
+	}, schedule{eta: 3, perFold: 4}.asha},
 	{MethodInfo{
 		Name:        "bohb",
 		Description: "Hyperband brackets with TPE/KDE-proposed configurations (Falkner et al. 2018)",
 		BudgetAware: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
-		return BOHB(ctx, space, ev, comps, BOHBOptions{Hyperband: HyperbandOptions{Seed: o.Seed, MaxBrackets: o.MaxBrackets}})
-	}},
+	}, schedule{eta: 3, perFold: 4}.bohb},
 	{MethodInfo{
 		Name:        "dehb",
 		Description: "Hyperband brackets with differential-evolution proposals over the evaluation archive (Awad et al. 2021)",
 		BudgetAware: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
-		return DEHB(ctx, space, ev, comps, DEHBOptions{Hyperband: HyperbandOptions{Seed: o.Seed, MaxBrackets: o.MaxBrackets}})
-	}},
+	}, schedule{eta: 3, perFold: 4}.dehb},
 	{MethodInfo{
 		Name:             "grid",
 		Description:      "exhaustive (optionally subsampled) grid, every trial at full budget",
 		HonorsMaxConfigs: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
-		return GridSearch(ctx, space, ev, comps, GridSearchOptions{Seed: o.Seed, MaxConfigs: o.MaxConfigs})
-	}},
+	}, gridSearch},
 	{MethodInfo{
 		Name:        "hyperband",
 		Aliases:     []string{"hb"},
 		Description: "bracket schedule over successive halving, trading breadth at small budgets against depth at large ones",
 		BudgetAware: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
-		return Hyperband(ctx, space, ev, comps, HyperbandOptions{Seed: o.Seed, MaxBrackets: o.MaxBrackets})
-	}},
+	}, schedule{eta: 3, perFold: 4}.hyperband},
 	{MethodInfo{
 		Name:             "pasha",
 		Description:      "progressive ASHA: the rung ladder grows only while the top ranking is unstable (Bohdal et al. 2023)",
 		BudgetAware:      true,
 		HonorsMaxConfigs: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
-		return PASHA(ctx, space, ev, comps, PASHAOptions{Seed: o.Seed, MaxConfigs: o.MaxConfigs})
-	}},
+	}, schedule{eta: 3, perFold: 4}.pasha},
 	{MethodInfo{
 		Name:         "random",
 		Description:  "uniform random sampling, every trial at full budget (Table IV baseline)",
 		HonorsTrials: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
-		return RandomSearch(ctx, space, ev, comps, RandomSearchOptions{Seed: o.Seed, N: o.Trials})
-	}},
+	}, randomSearch},
 	{MethodInfo{
 		Name:             "sha",
 		Description:      "successive halving (Algorithm 1): budget doubles as the candidate set halves",
 		BudgetAware:      true,
 		HonorsWorkers:    true,
 		HonorsMaxConfigs: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
-		configs := space.Enumerate()
-		if o.MaxConfigs > 0 && o.MaxConfigs < len(configs) {
-			// The start set depends on the seed alone, so a CLI run and a
-			// served job with one seed start from the same configurations.
-			configs = space.SampleN(rng.New(o.Seed^0xc0de).Split(2), o.MaxConfigs)
-		}
-		return SuccessiveHalving(ctx, configs, ev, comps, SHAOptions{Seed: o.Seed, Workers: o.Workers})
-	}},
+	}, schedule{eta: 2, perFold: 2}.sha},
 	{MethodInfo{
 		Name:         "smac",
 		Description:  "sequential full-budget Bayesian optimization with a random-forest surrogate (SMAC3-style, §IV-B baseline)",
 		HonorsTrials: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
-		return SMAC(ctx, space, ev, comps, SMACOptions{Seed: o.Seed, N: o.Trials})
-	}},
+	}, smac},
 	{MethodInfo{
 		Name:         "tpe",
 		Aliases:      []string{"optuna"},
 		Description:  "sequential full-budget TPE (Optuna's default sampler, §IV-B baseline)",
 		HonorsTrials: true,
-	}, func(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
-		return TPE(ctx, space, ev, comps, TPEOptions{Seed: o.Seed, N: o.Trials})
-	}},
+	}, tpe},
 }
 
 // LookupMethod resolves a method by canonical name or alias.

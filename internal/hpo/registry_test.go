@@ -9,60 +9,50 @@ import (
 	"testing"
 )
 
-// entryPointMethod maps exported optimizer entry points whose lowercased
-// name is not already the canonical registry name.
-var entryPointMethod = map[string]string{
-	"successivehalving": "sha",
-	"randomsearch":      "random",
-	"gridsearch":        "grid",
-}
-
-// TestRegistryCoversEveryEntryPoint parses the package source and fails
-// when an exported optimizer entry point — any exported top-level function
-// returning (*Result, error) — lacks a registry entry, or a registered
-// method lacks an entry point. Adding an eleventh optimizer without
-// registering it breaks this test, not the job service at runtime.
-func TestRegistryCoversEveryEntryPoint(t *testing.T) {
+// TestNoPerMethodAPI parses the package source and fails when it exports a
+// function returning (*Result, error) or an option type beside RunOptions
+// and EnhancedOptions: a method is reached through the registry and tuned
+// by RunOptions alone, so a per-method entry point or knob cannot come
+// back unnoticed.
+func TestNoPerMethodAPI(t *testing.T) {
 	fset := token.NewFileSet()
 	noTests := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
 	pkgs, err := parser.ParseDir(fset, ".", noTests, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// entryPoints: canonical method name -> exported functions implementing it.
-	entryPoints := map[string][]string{}
+	types := 0
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Recv != nil || !fn.Name.IsExported() || !returnsResultErr(fn) {
-					continue
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					if decl.Recv == nil && decl.Name.IsExported() && returnsResultErr(decl) {
+						t.Errorf("%s: exported entry point %s; register the method instead", fset.Position(decl.Pos()), decl.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
+						if !ok {
+							continue
+						}
+						types++
+						name := ts.Name.Name
+						if ast.IsExported(name) && strings.HasSuffix(name, "Options") && name != "RunOptions" && name != "EnhancedOptions" {
+							t.Errorf("%s: exported option type %s; tune methods with RunOptions", fset.Position(ts.Pos()), name)
+						}
+					}
 				}
-				name := strings.ToLower(fn.Name.Name)
-				if canonical, ok := entryPointMethod[name]; ok {
-					name = canonical
-				}
-				entryPoints[name] = append(entryPoints[name], fn.Name.Name)
 			}
 		}
 	}
-	if len(entryPoints) == 0 {
-		t.Fatal("found no optimizer entry points; the scanner is broken")
-	}
-	for name, fns := range entryPoints {
-		if _, ok := LookupMethod(name); !ok {
-			t.Errorf("exported optimizer entry point(s) %v have no registry entry %q", fns, name)
-		}
-	}
-	for _, name := range MethodNames() {
-		if _, ok := entryPoints[name]; !ok {
-			t.Errorf("registered method %q has no exported entry point", name)
-		}
+	if types == 0 {
+		t.Fatal("found no type declarations; the scanner is broken")
 	}
 }
 
-// returnsResultErr matches the optimizer entry-point signature suffix
-// (*Result, error).
+// returnsResultErr matches the signature suffix (*Result, error) of a
+// method's run.
 func returnsResultErr(fn *ast.FuncDecl) bool {
 	res := fn.Type.Results
 	if res == nil || len(res.List) != 2 {

@@ -2,102 +2,49 @@ package hpo
 
 import (
 	"context"
-	"fmt"
 	"sync"
-	"time"
 
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 )
 
-// SHAOptions configure Successive Halving.
-type SHAOptions struct {
-	// Eta is the halving factor: each round keeps 1/Eta of the candidates.
-	// 0 selects 2, the classic halving of the paper's Figure 1.
-	Eta int
-	// MinBudget floors the per-configuration budget of the first round
-	// (useful when the configuration count is so large that B/m cannot
-	// support k folds). 0 selects 2·K of the components.
-	MinBudget int
-	// Workers evaluates each round's configurations concurrently. The
-	// result and the Observe stream are identical for any worker count
-	// (per-trial RNG streams are derived from round and index, not from
-	// scheduling, and trials are observed in index order). 0 selects 1.
-	Workers int
-	// Seed drives subset sampling and training.
-	Seed uint64
-}
-
-func (o SHAOptions) withDefaults(k int) SHAOptions {
-	if o.Eta < 2 {
-		o.Eta = 2
-	}
-	if o.MinBudget <= 0 {
-		o.MinBudget = 2 * k
-	}
-	return o
-}
-
-// SuccessiveHalving runs the paper's Algorithm 1 skeleton over the given
-// configurations: in each iteration every surviving configuration receives
-// budget b_t = B/|T_t| and is evaluated by cross-validation; the top 1/Eta
-// by score advance, until one configuration remains.
+// sha runs the paper's Algorithm 1 skeleton: in each iteration every
+// surviving configuration receives budget b_t = B/|T_t| — at least r_min —
+// and is evaluated by cross-validation; the top 1/η by score advance, until
+// one configuration remains. The start set is the whole space, or
+// MaxConfigs configurations drawn by the seed alone, so a CLI run and a
+// served job with one seed start from the same configurations.
 //
 // With vanilla components this is plain SHA; with enhanced components
-// (group folds + UCB-β scorer) it is the paper's "SHA+".
-//
-// Cancellation: when ctx is cancelled or times out the run stops before
-// starting another evaluation and returns ctx's error. Evaluations already
-// in flight are allowed to finish, so the run stops within one evaluation
-// of the cancel.
-func SuccessiveHalving(ctx context.Context, configs []search.Config, ev Evaluator, comps Components, opts SHAOptions) (*Result, error) {
-	comps = comps.withDefaults()
-	if len(configs) == 0 {
-		return nil, fmt.Errorf("hpo: SHA needs at least one configuration")
+// (group folds + UCB-β scorer) it is the paper's "SHA+". Workers evaluate
+// each round concurrently; the result and the Observe stream are the same
+// for any worker count (per-trial RNG streams are derived from round and
+// index, not from scheduling, and trials are observed in index order).
+func (sc schedule) sha(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+	current := space.Enumerate()
+	if o.MaxConfigs > 0 && o.MaxConfigs < len(current) {
+		current = space.SampleN(rng.New(o.Seed^0xc0de).Split(2), o.MaxConfigs)
 	}
-	if sp := configs[0].Space(); sp != nil {
-		if err := validateRun(sp, comps); err != nil {
-			return nil, err
-		}
-	}
-	opts = opts.withDefaults(comps.K)
-	root := rng.New(opts.Seed ^ 0x5a5a1)
-	start := time.Now()
-	res := &Result{Method: "sha"}
-
-	current := append([]search.Config(nil), configs...)
-	budget := ev.FullBudget()
-	round := 0
+	root := rng.New(o.Seed ^ 0x5a5a1)
+	budget, rMin := ev.FullBudget(), sc.rMin(comps.K)
+	res := &Result{}
 	var lastScores []ranked
-	for len(current) > 1 {
-		bt := budget / len(current)
-		if bt < opts.MinBudget {
-			bt = opts.MinBudget
-		}
-		if bt > budget {
-			bt = budget
-		}
-		trials, err := evalRound(ctx, ev, comps, current, bt, round, opts.Workers, root)
+	for round := 0; len(current) > 1; round++ {
+		bt := min(max(budget/len(current), rMin), budget)
+		trials, err := evalRound(ctx, ev, comps, current, bt, round, o.Workers, root)
 		if err != nil {
 			return nil, err
 		}
-		scores := make([]ranked, 0, len(current))
+		res.Trials = append(res.Trials, trials...)
+		scores := make([]ranked, len(current))
 		for i, tr := range trials {
-			res.Trials = append(res.Trials, tr)
-			scores = append(scores, ranked{cfg: current[i], score: tr.Score, order: i})
+			scores[i] = ranked{cfg: current[i], score: tr.Score, order: i}
 		}
-		keep := len(current) / opts.Eta
-		if keep < 1 {
-			keep = 1
-		}
-		current = topConfigs(scores, keep)
+		current = topConfigs(scores, max(len(current)/sc.eta, 1))
 		lastScores = scores
-		round++
 	}
 	res.Best = current[0]
 	res.BestScore = bestScoreOf(lastScores, res.Best)
-	res.Evaluations = len(res.Trials)
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

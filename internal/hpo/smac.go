@@ -4,67 +4,27 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"enhancedbhpo/internal/forest"
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 )
 
-// SMACOptions configure the SMAC3-style Bayesian optimizer the paper
-// compares against in §IV-B: sequential full-budget evaluations guided by
-// a random-forest surrogate with an expected-improvement acquisition.
-type SMACOptions struct {
-	// N is the total number of configurations evaluated. 0 selects 10
-	// (matching the random baseline's trial count).
-	N int
-	// InitRandom is the number of initial random evaluations before the
-	// surrogate kicks in. 0 selects max(3, N/4).
-	InitRandom int
-	// Candidates is the pool size scored by the acquisition per step.
-	// 0 selects 64.
-	Candidates int
-	// Forest tunes the surrogate.
-	Forest forest.Options
-	// Seed drives sampling and training.
-	Seed uint64
-}
+// smacCandidates is the pool of random configurations the acquisition
+// scores per step.
+const smacCandidates = 64
 
-func (o SMACOptions) withDefaults() SMACOptions {
-	if o.N <= 0 {
-		o.N = 10
-	}
-	if o.InitRandom <= 0 {
-		o.InitRandom = o.N / 4
-		if o.InitRandom < 3 {
-			o.InitRandom = 3
-		}
-	}
-	if o.InitRandom > o.N {
-		o.InitRandom = o.N
-	}
-	if o.Candidates <= 0 {
-		o.Candidates = 64
-	}
-	return o
-}
-
-// SMAC runs the random-forest-surrogate sequential optimizer. Every
-// evaluation uses the full budget (the paper's observation is that with a
-// time budget similar to SHA's, SMAC3 and Optuna behave like random
-// search — reproduced by the baselines experiment).
-//
-// Cancellation: when ctx is cancelled or times out the run stops before
-// starting another evaluation and returns ctx's error.
-func SMAC(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts SMACOptions) (*Result, error) {
-	comps = comps.withDefaults()
-	if err := validateRun(space, comps); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults()
-	root := rng.New(opts.Seed ^ 0x53ac)
-	start := time.Now()
-	res := &Result{Method: "smac"}
+// smac runs the SMAC3-style Bayesian optimizer the paper compares against
+// in §IV-B: sequential full-budget evaluations guided by a random-forest
+// surrogate with an expected-improvement acquisition, after max(3,
+// Trials/4) random ones. Every evaluation uses the full budget (the paper's
+// observation is that with a time budget similar to SHA's, SMAC3 and
+// Optuna behave like random search — reproduced by the baselines
+// experiment).
+func smac(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+	n := o.trials()
+	root := rng.New(o.Seed ^ 0x53ac)
+	res := &Result{}
 	budget := ev.FullBudget()
 
 	var xs [][]float64
@@ -88,14 +48,14 @@ func SMAC(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 		return nil
 	}
 
-	initConfigs := space.SampleN(root.Split(1), opts.InitRandom)
+	initConfigs := space.SampleN(root.Split(1), min(max(3, n/4), n))
 	for i, cfg := range initConfigs {
 		if err := evaluate(cfg, i); err != nil {
 			return nil, err
 		}
 	}
-	for step := len(res.Trials); step < opts.N; step++ {
-		cfg, err := smacPropose(space, xs, ys, best.score, seen, opts, root.Split(uint64(step)+0x51))
+	for step := len(res.Trials); step < n; step++ {
+		cfg, err := smacPropose(space, xs, ys, best.score, seen, root.Split(uint64(step)+0x51))
 		if err != nil {
 			return nil, err
 		}
@@ -104,27 +64,23 @@ func SMAC(ctx context.Context, space *search.Space, ev Evaluator, comps Componen
 		}
 	}
 	res.Best, res.BestScore = best.cfg, best.score
-	res.Evaluations = len(res.Trials)
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
 // smacPropose fits the surrogate and returns the candidate with the best
 // expected improvement, falling back to random on degenerate data.
-func smacPropose(space *search.Space, xs [][]float64, ys []float64, bestScore float64, seen map[string]bool, opts SMACOptions, r *rng.RNG) (search.Config, error) {
+func smacPropose(space *search.Space, xs [][]float64, ys []float64, bestScore float64, seen map[string]bool, r *rng.RNG) (search.Config, error) {
 	if len(xs) < 2 {
 		return space.Sample(r), nil
 	}
-	fOpts := opts.Forest
-	fOpts.Seed = r.Uint64()
-	model, err := forest.Train(xs, ys, fOpts)
+	model, err := forest.Train(xs, ys, forest.Options{Seed: r.Uint64()})
 	if err != nil {
 		return search.Config{}, fmt.Errorf("hpo: smac surrogate: %w", err)
 	}
 	var best search.Config
 	bestEI := math.Inf(-1)
 	found := false
-	for c := 0; c < opts.Candidates; c++ {
+	for c := 0; c < smacCandidates; c++ {
 		cand := space.Sample(r)
 		if seen[cand.ID()] {
 			continue

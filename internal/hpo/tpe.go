@@ -2,46 +2,24 @@ package hpo
 
 import (
 	"context"
-	"time"
 
 	"enhancedbhpo/internal/bayes"
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 )
 
-// TPEOptions configure the Optuna-style sequential TPE optimizer the paper
-// compares against in §IV-B (Optuna's default sampler is TPE): every trial
-// runs at full budget, and the next configuration is proposed from the
+// tpe runs the Optuna-style sequential TPE optimizer the paper compares
+// against in §IV-B (Optuna's default sampler is TPE): every trial runs at
+// full budget, and the next configuration is proposed from the
 // density-ratio model over past trials.
-type TPEOptions struct {
-	// N is the number of trials. 0 selects 10.
-	N int
-	// Sampler tunes the TPE model; zero value selects defaults.
-	Sampler bayes.Options
-	// Seed drives sampling and training.
-	Seed uint64
-}
-
-// TPE runs sequential full-budget TPE optimization.
-//
-// Cancellation: when ctx is cancelled or times out the run stops before
-// starting another evaluation and returns ctx's error.
-func TPE(ctx context.Context, space *search.Space, ev Evaluator, comps Components, opts TPEOptions) (*Result, error) {
-	comps = comps.withDefaults()
-	if err := validateRun(space, comps); err != nil {
-		return nil, err
-	}
-	if opts.N <= 0 {
-		opts.N = 10
-	}
-	root := rng.New(opts.Seed ^ 0x79e1)
-	start := time.Now()
-	res := &Result{Method: "tpe"}
+func tpe(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
+	root := rng.New(o.Seed ^ 0x79e1)
+	res := &Result{}
 	budget := ev.FullBudget()
-	sampler := bayes.NewSampler(space, opts.Sampler)
+	sampler := bayes.NewSampler(space, bayes.Options{})
 	seen := map[string]bool{}
 	var best incumbent
-	for step := 0; step < opts.N; step++ {
+	for step := 0; step < o.trials(); step++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -63,7 +41,5 @@ func TPE(ctx context.Context, space *search.Space, ev Evaluator, comps Component
 		best.offer(cfg, tr.Score)
 	}
 	res.Best, res.BestScore = best.cfg, best.score
-	res.Evaluations = len(res.Trials)
-	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -2,14 +2,16 @@
 // framework of the paper and the methods it is compared with. Six bandit
 // methods allocate partial budgets — Successive Halving, Hyperband, BOHB,
 // ASHA, PASHA and DEHB — and four baselines run every trial at full budget:
-// random search, grid search, SMAC and TPE. All ten are listed in one
-// registry (LookupMethod, Methods) and tuned by one RunOptions. Each method
-// is parameterized by three pluggable components — the fold builder, the
-// configuration scorer and the (optional) instance groups — so the paper's
-// enhanced variants ("SHA+", "HB+", "BOHB+") are the same algorithms run
-// with the group-based folds (cv.GroupFolds), the variance/size-aware
-// scorer (scoring.UCBScorer) and pre-built groups (grouping.Build), while
-// the vanilla variants use stratified folds and the plain mean.
+// random search, grid search, SMAC and TPE. All ten are reached through
+// one registry (LookupMethod, Methods) and tuned by one RunOptions: there
+// is no per-method entry point or option type, and each bandit method runs
+// its paper's η and r_min. Each method is parameterized by three pluggable
+// components — the fold builder, the configuration scorer and the
+// (optional) instance groups — so the paper's enhanced variants ("SHA+",
+// "HB+", "BOHB+") are the same algorithms run with the group-based folds
+// (cv.GroupFolds), the variance/size-aware scorer (scoring.UCBScorer) and
+// pre-built groups (grouping.Build), while the vanilla variants use
+// stratified folds and the plain mean.
 //
 // The budget unit is the instance, following the paper: a configuration
 // evaluated with budget b trains on cross-validation folds drawn from a
@@ -24,6 +26,7 @@ import (
 
 	"enhancedbhpo/internal/cv"
 	"enhancedbhpo/internal/grouping"
+	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/scoring"
 	"enhancedbhpo/internal/search"
 )
@@ -174,6 +177,31 @@ func topConfigs(rs []ranked, k int) []search.Config {
 		out[i] = sorted[i].cfg
 	}
 	return out
+}
+
+// schedule is the budget ladder of the bandit methods: a rung keeps 1/eta
+// of the configurations below it, and none trains on fewer than
+// r_min = perFold·K instances, perFold per cross-validation fold.
+type schedule struct {
+	eta, perFold int
+}
+
+// rMin is the smallest per-configuration budget for k folds.
+func (sc schedule) rMin(k int) int { return sc.perFold * k }
+
+// rungs lays out ASHA's and PASHA's ladder: rung r trains at
+// min(r_min·η^r, full), up to the first rung at full budget, and rung 0
+// starts maxConfigs configurations drawn from r — min(27, |space|) when
+// maxConfigs is 0.
+func (sc schedule) rungs(space *search.Space, k, full, maxConfigs int, r *rng.RNG) (budgets []int, configs []search.Config) {
+	for b := sc.rMin(k); b < full; b *= sc.eta {
+		budgets = append(budgets, b)
+	}
+	budgets = append(budgets, full)
+	if maxConfigs <= 0 {
+		maxConfigs = min(27, space.Size())
+	}
+	return budgets, space.SampleN(r, maxConfigs)
 }
 
 // validateRun checks the shared preconditions of the optimizers.
