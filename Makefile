@@ -53,9 +53,10 @@ vet-bench:
 # fails and leaves nothing running. And for the one segment writer under
 # the journal, the trace log and the membership log: the cut write (a
 # re-executed test binary under RLIMIT_FSIZE), the torn tail, one segment
-# per life, hook order under rotation and the frozen bytes — and for the
-# sink manifest on the same writer: the cut entry and the torn tail that
-# may not hide a later seal. And for the job lifecycle: every path's
+# per life, a journal replayed across four killed lives, hook order under
+# rotation and the frozen bytes — and for the sink manifest on the same
+# writer: the cut entry, the torn tail that may not hide a later seal and
+# the boot's re-seal that adds no entry. And for the job lifecycle: every path's
 # journal records and status events, the finished job that reads the same
 # after a restart, the first start a replay keeps — and for the curve that
 # only the trace log holds: the listing that decodes no history, the short
@@ -65,7 +66,7 @@ vet-bench:
 # from what it holds, an older binary's checkpoint, a preempt record that
 # does not grow with the trials. And for the chaos
 # harness's short storm, whose journal may rotate on its last record — a
-# rotation that leaves only a base behind, which a one-P run hits often.
+# sealed segment with none after it, which a one-P run hits often.
 cpus:
 	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge|TrialOrderAnyWorkers|TestSHAParallel' \
 		./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
@@ -74,13 +75,14 @@ cpus:
 	$(GO) test -cpu 1,2,4 -count 1 -run 'TestFailover|TestMembership|TestShutdownJoinsFailover' ./internal/coord/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestRotationConcurrentAppends|TestCrashReopen|TestTraceByteIdenticalAcrossRebuild|TestNoPerJobSeal|TestPrime|TestRestartServesThreeKindsOfJob|TestFailedBoot' \
 		./internal/serve/tracestore/ ./internal/serve/ ./internal/events/
-	$(GO) test -cpu 1,2,4 -count 3 -run 'TestCutWrite|TestMemberJournal|TestEveryLifeStartsItsOwnSegment|TestOnChange|TestSegmentBytesFrozen|TestFailedUndo|TestOpenFileCutsTornTail|TestDirSinkTornManifestTail' \
+	$(GO) test -cpu 1,2,4 -count 3 -run 'TestCutWrite|TestMemberJournal|TestEveryLifeStartsItsOwnSegment|TestReplayAcrossLives|TestOnChange|TestSegmentBytesFrozen|TestFailedUndo|TestOpenFileCutsTornTail|TestDirSinkTornManifestTail|TestDirSinkResealAddsNoEntry' \
 		./internal/serve/seglog/ ./internal/serve/journal/ ./internal/serve/tracestore/ ./internal/coord/ ./internal/serve/shipper/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestReplayKeepsFirstStart|TestListingLeavesHistoriesUndecoded|TestShortHistoryCounted|TestEmbeddedCurveFixtureBoots|TestResumedPastCheckpointReadsSameAfterRestart|TestResumeAfterRestartKeepsRounds|TestShortHistoryResumes|TestParentCheckpointResumes|TestPreemptRecordStaysSmall' \
 		./internal/serve/ ./internal/serve/journal/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestChaosOverload' ./internal/serve/
 
-# Crash-safety suite: journal replay/compaction, kill/restart recovery,
+# Crash-safety suite: journal replay across lives, a sink that holds each
+# record once however often the node restarts, kill/restart recovery,
 # every lifecycle path's records and events, a finished job read back
 # the same after a restart, its curve read back from the trace log (listed
 # without decoding, a short history counted, an older binary's embedded
@@ -90,7 +92,7 @@ cpus:
 # timeout/shutdown reasons, drain.
 crash:
 	$(GO) test -race -count=1 ./internal/serve/journal/...
-	$(GO) test -race -count=1 -run 'TestRestartRecovery|TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestListingLeavesHistoriesUndecoded|TestShortHistoryCounted|TestEmbeddedCurveFixtureBoots|TestResumedPastCheckpointReadsSameAfterRestart|TestResumeAfterRestartKeepsRounds|TestShortHistoryResumes|TestParentCheckpointResumes|TestDeadlineJournalsNothing|TestPanicIsolation|TestTransientFailureRetried|TestFailureBudgetAbsorbsTrial|TestTimeoutReason|TestShutdownWithInFlightJobs|TestDrainRefusesSubmissions' ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestRestartRecovery|TestSinkHoldsEachRecordOnce|TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestListingLeavesHistoriesUndecoded|TestShortHistoryCounted|TestEmbeddedCurveFixtureBoots|TestResumedPastCheckpointReadsSameAfterRestart|TestResumeAfterRestartKeepsRounds|TestShortHistoryResumes|TestParentCheckpointResumes|TestDeadlineJournalsNothing|TestPanicIsolation|TestTransientFailureRetried|TestFailureBudgetAbsorbsTrial|TestTimeoutReason|TestShutdownWithInFlightJobs|TestDrainRefusesSubmissions' ./internal/serve/
 
 # Overload suite: admission control (429 + Retry-After), the evaluation
 # deadline watchdog, the scheduler's evaluation-slot acquire under a

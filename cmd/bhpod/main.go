@@ -15,8 +15,8 @@
 // beyond -max-pending queued jobs are shed with 429 + Retry-After
 // (priced from the observed evaluation latency), an evaluation running
 // past -eval-timeout is abandoned so it cannot hold a pool slot forever,
-// the journal rotates and re-compacts online once its active segment
-// passes -journal-max-bytes, and dataset scopes idle longer than
+// the journal seals its active segment and starts the next once it passes
+// -journal-max-bytes, and dataset scopes idle longer than
 // -scope-ttl release their memory (rebuilt deterministically on next
 // use).
 //
@@ -138,7 +138,7 @@ func main() {
 		maxPend  = flag.Int("max-pending", 64, "max queued jobs before POST /jobs sheds load with 429 + Retry-After")
 		evalTmo  = flag.Duration("eval-timeout", 0, "abandon an evaluation running longer than this, freeing its pool slot (0 = no deadline)")
 		dataDir  = flag.String("data-dir", "", "journal directory for crash-safe job persistence (empty = in-memory only)")
-		jrnlMax  = flag.Int64("journal-max-bytes", 4<<20, "rotate + re-compact the journal once its active segment passes this size (negative = never)")
+		jrnlMax  = flag.Int64("journal-max-bytes", 4<<20, "seal the journal's active segment and start the next once it passes this size (negative = never)")
 		scopeTTL = flag.Duration("scope-ttl", 0, "release an idle dataset scope's memory after this long unused; rebuilt on next use (0 = keep forever)")
 		drainTmo = flag.Duration("drain-timeout", 30*time.Second, "how long in-flight jobs may finish after SIGTERM before being cancelled")
 		attempts = flag.Int("eval-attempts", 2, "total tries per evaluation before it counts as a failure")

@@ -568,6 +568,17 @@ func TestRestoreLostAckAdopted(t *testing.T) {
 	}
 	job.Body.Close()
 	waitTerminal(t, worker.ts.URL, "job-1")
+	// The result record follows the terminal status a snapshot shows; sync
+	// shipping puts it at the sink as it is appended.
+	part := filepath.Join(sinkRoot, "a", "journal-000001.jsonl.part")
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if data, _ := os.ReadFile(part); bytes.Contains(data, []byte(`"t":"result"`)) {
+			break
+		}
+		if !time.Now().Before(deadline) {
+			t.Fatal("job-1's result record never reached the sink")
+		}
+	}
 	worker.ts.CloseClientConnections()
 	worker.ts.Close() // kill -9: every append is already at the sink (sync shipping)
 

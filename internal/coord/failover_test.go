@@ -88,11 +88,12 @@ func startWorkerProc(t *testing.T, shipRoot, name string) *workerProc {
 
 // startWorkerProcMulti starts a worker shipping synchronously to one
 // replica directory per sink root — the N-way replication layout, bhpod
-// -node NAME -ship-sync -ship-to ROOT...
+// -node NAME -ship-sync -ship-to ROOT... Its trace log rotates every few
+// KiB, so a replica holds sealed, checksummed segments from the first life.
 func startWorkerProcMulti(t *testing.T, shipRoots []string, name string) *workerProc {
 	t.Helper()
 	return startNodeProc(t, serve.NodeOptions{
-		Config: serve.Config{DataDir: t.TempDir(), NodeName: name},
+		Config: serve.Config{DataDir: t.TempDir(), NodeName: name, TraceMaxBytes: 4 << 10},
 		ShipTo: shipRoots,
 		Ship:   shipper.Options{Sync: true},
 	})

@@ -129,8 +129,7 @@ const (
 // curve, as older binaries wrote it, boots and serves GET /jobs/{id},
 // /trace and GET /jobs as those binaries did, byte for byte — the curve
 // read from the trace log, nothing counted — and /tenants re-seeds the
-// tenant's service from the embedded curve's final budget. The boot's
-// compaction writes that budget in the curve's place, so a second boot
+// tenant's service from the embedded curve's final budget. A second boot
 // serves the same again.
 func TestEmbeddedCurveFixtureBoots(t *testing.T) {
 	dir := t.TempDir()
@@ -165,14 +164,6 @@ func TestEmbeddedCurveFixtureBoots(t *testing.T) {
 		}
 		ts.Close()
 		shutdown(t, m)
-	}
-	bases, _ := filepath.Glob(filepath.Join(dir, "base-*.jsonl"))
-	if len(bases) != 1 {
-		t.Fatalf("after two compactions the journal is %v; want one base", bases)
-	}
-	raw, err := os.ReadFile(bases[0])
-	if err != nil || bytes.Contains(raw, []byte(`"curve"`)) || !bytes.Contains(raw, []byte(`"budget":400`)) {
-		t.Fatalf("after two compactions the journal holds %s (%v); want the budget in the curve's place", raw, err)
 	}
 	if states, err := journal.Replay(dir); err != nil || len(states) != 1 || states[0].Budget != 400 {
 		t.Fatalf("the journal replays as %+v, %v; want the embedded curve's budget, 400", states, err)

@@ -160,72 +160,6 @@ func TestReplayTornTail(t *testing.T) {
 	}
 }
 
-// TestCompactRoundTrip verifies that compaction preserves the merged
-// states exactly and shrinks the log to the minimal record set.
-func TestCompactRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
-	spec := json.RawMessage(`{"dataset":"australian","method":"asha"}`)
-	// Noisy history: repeated transitions that compaction should fold away.
-	for _, rec := range []Record{
-		{Type: TypeSubmit, Time: t0, JobID: "job-1", Spec: spec},
-		{Type: TypeStatus, Time: t0.Add(time.Second), JobID: "job-1", Status: "running"},
-		{Type: TypeResult, Time: t0.Add(2 * time.Second), JobID: "job-1", Status: "cancelled", Reason: "user_cancel", Curve: sampleCurve(), Evaluations: 2},
-		{Type: TypeSubmit, Time: t0.Add(3 * time.Second), JobID: "job-2", Spec: spec},
-		{Type: TypeStatus, Time: t0.Add(4 * time.Second), JobID: "job-2", Status: "running"},
-	} {
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	before, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Compact(dir, before); err != nil {
-		t.Fatal(err)
-	}
-	after, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(before) {
-		t.Fatalf("compaction changed state count: %d -> %d", len(before), len(after))
-	}
-	for i := range before {
-		b, a := before[i], after[i]
-		if a.ID != b.ID || a.Status != b.Status || a.Reason != b.Reason ||
-			a.Evaluations != b.Evaluations || a.Budget != b.Budget ||
-			!a.SubmittedAt.Equal(b.SubmittedAt) || !a.StartedAt.Equal(b.StartedAt) {
-			t.Fatalf("state %d changed:\nbefore %+v\nafter  %+v", i, b, a)
-		}
-	}
-	// Appending after compaction keeps working (the writer reopens).
-	w2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Append(Record{Type: TypeResult, Time: t0.Add(5 * time.Second), JobID: "job-2", Status: "done"}); err != nil {
-		t.Fatal(err)
-	}
-	w2.Close()
-	final, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final[1].Status != "done" {
-		t.Fatalf("post-compaction append lost: %+v", final[1])
-	}
-}
-
 // writeSegment handcrafts one complete segment file from records.
 func writeSegment(t *testing.T, dir string, seq int, recs ...Record) {
 	t.Helper()
@@ -243,8 +177,8 @@ func writeSegment(t *testing.T, dir string, seq int, recs ...Record) {
 	}
 }
 
-// TestSegmentReplayTornNewest: with a multi-segment journal, a torn tail
-// is tolerated only in the newest segment — sealed history replays whole.
+// TestSegmentReplayTornNewest: a torn tail ends its segment, the newest
+// one's as an earlier life's, and the segments after it replay whole.
 func TestSegmentReplayTornNewest(t *testing.T) {
 	dir := t.TempDir()
 	spec := json.RawMessage(`{"dataset":"australian","method":"sha"}`)
@@ -279,12 +213,14 @@ func TestSegmentReplayTornNewest(t *testing.T) {
 		t.Fatalf("torn tail not dropped: %+v", states[1])
 	}
 
-	// The same tear in a *sealed* segment is corruption, not a torn tail.
+	// A later life's segment leaves the tear where it is, ending an earlier
+	// segment now: the same rule.
 	writeSegment(t, dir, 3,
 		Record{Type: TypeSubmit, Time: t0.Add(3 * time.Second), JobID: "job-3", Spec: spec},
 	)
-	if _, err := Replay(dir); err == nil {
-		t.Fatal("torn record in a sealed segment replayed without error")
+	states, err = Replay(dir)
+	if err != nil || len(states) != 3 || states[1].Status != "queued" || states[2].ID != "job-3" {
+		t.Fatalf("replayed %+v, %v; want job-2 queued and job-3 after it", states, err)
 	}
 }
 
@@ -313,53 +249,120 @@ func TestReplayMissingMiddleSegment(t *testing.T) {
 	}
 }
 
-// TestReplayRetriesTransientGap: a gap that heals while Replay is
-// retrying (the signature of a concurrent fold racing the scan) must
-// replay cleanly instead of reporting lost data.
-func TestReplayRetriesTransientGap(t *testing.T) {
+// TestReplayAcrossLives runs four lives on one directory, each killed
+// mid-write: its last segment ends in a line without its newline. The
+// second life rotates at a small size and preempts a job the third
+// resumes to done. After every life Replay holds every job as it last
+// stood, and every file an earlier life left is byte for byte as it was
+// then: nothing is rewritten, nothing deleted. A whole line that does not
+// decode is corruption, named by its file.
+func TestReplayAcrossLives(t *testing.T) {
 	dir := t.TempDir()
-	spec := json.RawMessage(`{"dataset":"australian","method":"sha"}`)
-	now := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
-	for seq := 1; seq <= 3; seq++ {
-		writeSegment(t, dir, seq,
-			Record{Type: TypeSubmit, Time: now, JobID: "job-" + segmentName(seq), Spec: spec})
+	t0 := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
+	spec := json.RawMessage(`{"dataset":"australian","method":"asha"}`)
+	at := func(s int) time.Time { return t0.Add(time.Duration(s) * time.Second) }
+	submit := func(id string, s int) Record { return Record{Type: TypeSubmit, Time: at(s), JobID: id, Spec: spec} }
+	running := func(id string, s int) Record {
+		return Record{Type: TypeStatus, Time: at(s), JobID: id, Status: "running"}
 	}
-	seg2 := filepath.Join(dir, segmentName(2))
-	stashed, err := os.ReadFile(seg2)
-	if err != nil {
-		t.Fatal(err)
+	result := func(id string, s int, status, reason string, evals int) Record {
+		return Record{Type: TypeResult, Time: at(s), JobID: id, Status: status, Reason: reason, Evaluations: evals, BestScore: ptr(0.8)}
 	}
-	if err := os.Remove(seg2); err != nil {
-		t.Fatal(err)
-	}
-	restored := make(chan struct{})
-	go func() {
-		defer close(restored)
-		time.Sleep(3 * replayRetryDelay)
-		if err := os.WriteFile(seg2, stashed, 0o644); err != nil {
-			t.Error(err)
+	for i, life := range []struct {
+		maxBytes int64
+		recs     []Record
+		want     []string // id status evaluations preemptions
+	}{
+		{
+			recs: []Record{submit("job-1", 1), running("job-1", 2), result("job-1", 3, "done", "", 4), submit("job-2", 4), running("job-2", 5)},
+			want: []string{"job-1 done 4 0", "job-2 running 0 0"},
+		},
+		{
+			maxBytes: 200,
+			recs: []Record{
+				result("job-2", 10, "cancelled", "interrupted", 0), submit("job-3", 11), running("job-3", 12),
+				{Type: TypePreempt, Time: at(13), JobID: "job-3", Evaluations: 2, Checkpoint: json.RawMessage(`{"preempts":1}`)},
+				submit("job-4", 14),
+			},
+			want: []string{"job-1 done 4 0", "job-2 cancelled 0 0", "job-3 queued 2 1", "job-4 queued 0 0"},
+		},
+		{
+			recs: []Record{running("job-3", 20), func() Record { r := result("job-3", 21, "done", "", 6); r.Preemptions = 1; return r }()},
+			want: []string{"job-1 done 4 0", "job-2 cancelled 0 0", "job-3 done 6 1", "job-4 queued 0 0"},
+		},
+		{
+			recs: []Record{running("job-4", 30), result("job-4", 31, "failed", "", 1)},
+			want: []string{"job-1 done 4 0", "job-2 cancelled 0 0", "job-3 done 6 1", "job-4 failed 1 0"},
+		},
+	} {
+		before := dirFiles(t, dir)
+		w, err := OpenOptions(dir, Options{MaxBytes: life.maxBytes})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	states, err := Replay(dir)
-	<-restored
-	if err != nil {
-		t.Fatalf("replay did not ride out the transient gap: %v", err)
+		for _, rec := range life.recs {
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		active := w.log.Active()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(filepath.Join(dir, active), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(`{"t":"result","job":"job-1","status":"fai`); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		after := dirFiles(t, dir)
+		for name, data := range before {
+			if after[name] != data {
+				t.Fatalf("life %d rewrote or deleted %s", i+1, name)
+			}
+		}
+		if life.maxBytes > 0 && len(after)-len(before) < 3 {
+			t.Fatalf("life %d added %d segments at MaxBytes %d; want rotations", i+1, len(after)-len(before), life.maxBytes)
+		}
+		states, err := Replay(dir)
+		if err != nil {
+			t.Fatalf("after life %d: %v", i+1, err)
+		}
+		var got []string
+		for _, st := range states {
+			got = append(got, fmt.Sprintf("%s %s %d %d", st.ID, st.Status, st.Evaluations, st.Preemptions))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(life.want) {
+			t.Fatalf("after life %d replayed\n %v\nwant\n %v", i+1, got, life.want)
+		}
 	}
-	if len(states) != 3 {
-		t.Fatalf("replayed %d jobs, want 3", len(states))
+
+	lay, err := scanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := segmentName(lay.next())
+	line, _ := json.Marshal(submit("job-5", 40))
+	data := string(line) + "\n" + `{"t":"submit","job":` + "\n" + string(line) + "\n"
+	if err := os.WriteFile(filepath.Join(dir, corrupt), []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(dir); err == nil || !strings.Contains(err.Error(), corrupt) {
+		t.Fatalf("a whole undecodable line replayed as %v; want an error naming %s", err, corrupt)
 	}
 }
 
 // TestRotationConcurrentAppends hammers a rotating writer from several
 // goroutines (run under -race via make check): every job must survive
-// rotation + background folds, and the sealed history must land in a
-// base file.
+// rotation, every sealed segment must have reached the size limit, and
+// nothing but segments may be on disk.
 func TestRotationConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenOptions(dir, Options{
-		MaxBytes: 512,
-		OnError:  func(err error) { t.Errorf("fold: %v", err) },
-	})
+	const maxBytes = 512
+	w, err := OpenOptions(dir, Options{MaxBytes: maxBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,18 +407,17 @@ func TestRotationConcurrentAppends(t *testing.T) {
 			t.Fatalf("job %s lost its result across rotation: %+v", st.ID, st)
 		}
 	}
-	lay, err := scanDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	files := dirFiles(t, dir)
+	for seq := 1; seq < len(files); seq++ {
+		if data, ok := files[segmentName(seq)]; !ok || len(data) < maxBytes {
+			t.Fatalf("%s holds %d bytes (on disk: %v); every segment but the last is sealed at %d", segmentName(seq), len(data), ok, maxBytes)
+		}
 	}
-	if !lay.hasBase {
-		t.Fatal("no fold ever completed: no base file on disk")
+	if _, ok := files[segmentName(len(files))]; !ok || len(files) < 5 {
+		t.Fatalf("%d files on disk, want several segments and nothing else", len(files))
 	}
-	if live := lay.liveSegs(); len(live) > 2 {
-		t.Fatalf("folds fell behind: %d live segments (%v)", len(live), live)
-	}
-	if s := DirStats(dir); s.Segments == 0 || s.Bytes == 0 {
-		t.Fatalf("DirStats sees nothing: %+v", s)
+	if s := DirStats(dir); s.Segments != len(files) || s.Bytes == 0 {
+		t.Fatalf("DirStats sees %+v of %d segments", s, len(files))
 	}
 }
 

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -50,21 +47,19 @@ func dirFiles(t *testing.T, dir string) map[string]string {
 const (
 	frozenSubmit1 = `{"t":"submit","time":"2026-08-05T10:00:00Z","job":"job-1","token":"tok","spec":{"dataset":"australian","method":"sha"},"tenant":"gold"}` + "\n"
 	frozenStatus1 = `{"t":"status","time":"2026-08-05T10:00:01Z","job":"job-1","status":"running"}` + "\n"
-	// The appended result record embeds its curve, as older binaries wrote
-	// it; the fold writes the curve's final budget in its place.
+	// The result record embeds its curve, as older binaries wrote it.
 	frozenResult1 = `{"t":"result","time":"2026-08-05T10:00:02Z","job":"job-1","status":"done","evaluations":2,` +
-		`"budget":250,"best_config":{"activation":"relu"},"best_score":0.83,"test_score":0.8}` + "\n"
+		`"curve":[{"evaluations":1,"cum_budget":100,"cum_time_ns":12345000,"best_score":0.71},` +
+		`{"evaluations":2,"cum_budget":250,"cum_time_ns":34567000,"best_score":0.83}],` +
+		`"best_config":{"activation":"relu"},"best_score":0.83,"test_score":0.8}` + "\n"
 	frozenSubmit2 = `{"t":"submit","time":"2026-08-05T10:00:03Z","job":"job-2","spec":{"dataset":"australian","method":"sha"}}` + "\n"
 	frozenEvent2  = `{"t":"event","time":"2026-08-05T10:00:04Z","job":"job-2","reason":"deadline"}` + "\n"
 	frozenPreempt = `{"t":"preempt","time":"2026-08-05T10:00:05Z","job":"job-2","evaluations":1,"checkpoint":{"trials":1}}` + "\n"
-	// Compaction folds the preempt record under the submission's time.
-	frozenFolded = `{"t":"preempt","time":"2026-08-05T10:00:03Z","job":"job-2","evaluations":1,"checkpoint":{"trials":1}}` + "\n"
 )
 
 // TestSegmentBytesFrozen pins, byte for byte, the files a fixed sequence
-// of appends leaves — a rotation, the fold of the sealed segment into a
-// base, the active segment, then a boot's compaction — so a change to the
-// writer cannot change what is on disk.
+// of appends leaves — a segment sealed by rotation and the active one — so
+// a change to the writer cannot change what is on disk.
 func TestSegmentBytesFrozen(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenOptions(dir, Options{MaxBytes: 600})
@@ -79,19 +74,10 @@ func TestSegmentBytesFrozen(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	base := frozenSubmit1 + frozenStatus1 + frozenResult1 + frozenSubmit2
 	checkFiles(t, dir, map[string]string{
-		"base-000001.jsonl":    base,
+		"journal-000001.jsonl": frozenSubmit1 + frozenStatus1 + frozenResult1 + frozenSubmit2,
 		"journal-000002.jsonl": frozenEvent2 + frozenPreempt,
 	})
-	states, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Compact(dir, states); err != nil {
-		t.Fatal(err)
-	}
-	checkFiles(t, dir, map[string]string{"base-000002.jsonl": base + frozenFolded})
 }
 
 // checkFiles fails unless dir holds exactly the files of want, each with
@@ -117,30 +103,14 @@ type hookCall struct {
 
 // TestOnChangeOrderUnderRotation: under rotation every append that did
 // not seal its segment is announced once with false, every sealed segment
-// exactly once with true and never again, and each sealed segment's fold
-// is announced as its base once the base is on disk and the segment gone.
+// exactly once with true and never again, in sequence, and no other file
+// is ever announced.
 func TestOnChangeOrderUnderRotation(t *testing.T) {
 	dir := t.TempDir()
-	var (
-		mu    sync.Mutex
-		calls []hookCall
-	)
+	var calls []hookCall
 	w, err := OpenOptions(dir, Options{
 		MaxBytes: 512,
-		OnError:  func(err error) { t.Errorf("fold: %v", err) },
-		OnChange: func(name string, sealed bool) {
-			if seq, ok := parseSeq(name, "base-"); ok {
-				if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-					t.Errorf("%s announced before it is on disk: %v", name, err)
-				}
-				if _, err := os.Stat(filepath.Join(dir, segmentName(seq))); err == nil {
-					t.Errorf("%s announced while %s is still on disk", name, segmentName(seq))
-				}
-			}
-			mu.Lock()
-			calls = append(calls, hookCall{name, sealed})
-			mu.Unlock()
-		},
+		OnChange: func(name string, sealed bool) { calls = append(calls, hookCall{name, sealed}) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,44 +126,17 @@ func TestOnChangeOrderUnderRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sealedAt := map[string]int{} // segment or base → index of its sealed announcement
-	appended := 0
+	var segs []string // in the order they were sealed
 	for i, c := range calls {
-		if at, again := sealedAt[c.name]; again {
-			t.Fatalf("call %d: %s announced (sealed=%v) after it was sealed at call %d", i, c.name, c.sealed, at)
+		if want := segmentName(len(segs) + 1); c.name != want {
+			t.Fatalf("call %d announced %s (sealed=%v); want %s, the segment after the last sealed", i, c.name, c.sealed, want)
 		}
-		switch {
-		case !c.sealed:
-			appended++
-		case strings.HasPrefix(c.name, "base-"):
-			seq, _ := parseSeq(c.name, "base-")
-			if _, ok := sealedAt[segmentName(seq)]; !ok {
-				t.Fatalf("call %d: %s announced before %s was sealed", i, c.name, segmentName(seq))
-			}
-			sealedAt[c.name] = i
-		default:
-			sealedAt[c.name] = i
+		if c.sealed {
+			segs = append(segs, c.name)
 		}
 	}
-	var segs, bases []string
-	for name := range sealedAt {
-		if strings.HasPrefix(name, "base-") {
-			bases = append(bases, name)
-		} else {
-			segs = append(segs, name)
-		}
-	}
-	sort.Strings(segs)
-	if len(segs) < 5 || len(bases) != len(segs) {
-		t.Fatalf("%d segments sealed, %d bases announced: want several, one base per segment", len(segs), len(bases))
-	}
-	if appended+len(segs) != appends {
-		t.Fatalf("%d appends announced unsealed + %d seals, want %d appends", appended, len(segs), appends)
-	}
-	for i, name := range segs {
-		if name != segmentName(i+1) {
-			t.Fatalf("sealed segments %v, want journal-000001 onward without a gap", segs)
-		}
+	if len(segs) < 5 || len(calls) != appends {
+		t.Fatalf("%d segments sealed in %d announcements; want several, one per append", len(segs), len(calls))
 	}
 }
 

@@ -16,14 +16,16 @@ const (
 	phaseRunning                // granted a job slot: a first grant, or a resume
 	phasePreempted              // yielded at a rung boundary, queued again
 	phaseTerminal               // done, failed or cancelled
-	phaseRestored               // boot: terminal in the journal, feed never closed
+	phaseRestored               // boot: terminal in the journal, or ended by the boot
 )
 
 // transition moves a job one step along its lifecycle; it is the only code
 // that journals a job or publishes a status, preempted or resumed event.
 // Under job.mu it runs apply (the step's outcome, may be nil), sets the
 // status fields the phase implies and builds the record and the event from
-// that one state. Then it writes both by one rule: a terminal transition
+// that one state. A restored job is journaled only when apply is the
+// boot's own verdict; its event is published only if its feed never
+// closed. Then it writes both by one rule: a terminal transition
 // reaches the trace log — which fsyncs it and closes the job's feed —
 // before the journal's result record, so a journal that says a job
 // finished has its whole trace on disk behind it; every other transition
@@ -68,8 +70,15 @@ func (m *Manager) transition(job *Job, ph phase, at time.Time, apply func()) {
 		job.finished = at
 		rec = job.resultLocked()
 		ev.Terminal = true
-	case phaseRestored: // late subscribers get a terminal event, not a hang
-		ev.Terminal = true
+	case phaseRestored:
+		if apply != nil {
+			rec = job.resultLocked()
+		}
+		if m.hub.Done(job.ID) {
+			ev = nil
+		} else {
+			ev.Terminal = true // late subscribers get a terminal event, not a hang
+		}
 	}
 	if ev != nil {
 		ev.Status = string(job.status)

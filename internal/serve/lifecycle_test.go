@@ -29,20 +29,16 @@ type lifeLine struct {
 	Terminal             bool
 }
 
-// jobJournal returns a job's journal records in replay order — the base,
-// then the segments — skipping event records.
+// jobJournal returns a job's journal records in replay order, segment by
+// segment, skipping event records.
 func jobJournal(t *testing.T, dir, id string) []lifeLine {
 	t.Helper()
-	bases, err := filepath.Glob(filepath.Join(dir, "base-*.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	segs, err := filepath.Glob(filepath.Join(dir, "journal-*.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []lifeLine
-	for _, path := range append(bases, segs...) {
+	for _, path := range segs {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -84,10 +84,9 @@ type Config struct {
 	// DataDir so NewManagerFromJournal can rebuild the job table after a
 	// restart.
 	DataDir string
-	// JournalMaxBytes rotates the journal's active segment past this
-	// size and re-compacts the sealed history in the background, keeping
-	// the directory bounded at roughly the compacted state plus two
-	// segments. 0 selects 4 MiB; negative disables rotation.
+	// JournalMaxBytes seals the journal's active segment past this size
+	// and goes on in a new one; sealed segments are kept as they are. 0
+	// selects 4 MiB; negative disables rotation.
 	JournalMaxBytes int64
 	// ScopeTTL releases an evalScope's dataset/fold memory once no live
 	// job has referenced it for this long; the scope is rebuilt
@@ -255,8 +254,8 @@ type Manager struct {
 	journal *journal.Writer // nil when persistence is disabled
 
 	// boot is what NewManagerFromJournal cost, set once before it returns:
-	// the whole call, replay through compaction, the trace log's filing
-	// pass beside it; jobs came back, live of them were launched again.
+	// the whole call, the journal's replay, the trace log's filing pass
+	// beside it; jobs came back, live of them were launched again.
 	boot struct {
 		total, journal, trace time.Duration
 		jobs, live            int
@@ -336,20 +335,20 @@ func shipHook(ship *shipper.Shipper, sub string) func(name string, sealed bool) 
 // re-enqueued and run again — those preempted before, from the curve
 // points their trace log holds.
 //
-// A boot decodes the journal once and the trace log not at all. In order:
-// the journal is replayed, every job's spec decoded, mid-run jobs
-// reclassified and the journal compacted to one submit (plus one
-// terminal) record per job — while, on a goroutine of its own because
-// the trace log is an independent file, tracestore.ReadAll files the
-// log's lines under their jobs. The two are joined, this life's trace
-// segment and journal segment opened, and the whole table built:
-// register, sched.Restore, and the event feed primed with the sequence
-// number and done flag of the job's newest trace event, its history left
-// as lines until somebody reads it (events.Hub.Prime). Only then are the
-// queued jobs launched, so nothing runs before the table is whole and a
-// boot that fails leaves nothing running and nothing open. While the
-// daemon runs, journal segments past JournalMaxBytes are rotated and
-// re-compacted online.
+// A boot decodes the journal once and the trace log not at all, and
+// rewrites neither. In order: the journal is replayed and every job's
+// spec decoded — while, on a goroutine of its own because the trace log is
+// an independent file, tracestore.ReadAll files the log's lines under
+// their jobs. The two are joined, this life's trace segment and journal
+// segment opened, and the whole table built: register, sched.Restore,
+// and the event feed primed with the sequence number and done flag of the
+// job's newest trace event, its history left as lines until somebody
+// reads it (events.Hub.Prime). A job that was mid-run without a
+// checkpoint is the one thing the boot decides: it ends cancelled,
+// interrupted, finished at the boot's start, and its result record is
+// this life's journal segment's first lines. Only then are the queued
+// jobs launched, so nothing runs before the table is whole and a boot
+// that fails leaves nothing running and nothing open.
 func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("serve: NewManagerFromJournal needs Config.DataDir")
@@ -370,29 +369,12 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 		return nil, err
 	}
 	specs := make([]JobSpec, len(states))
-	for i := range states {
-		st := &states[i]
+	for i, st := range states {
 		if len(st.Spec) > 0 {
 			if err := json.Unmarshal(st.Spec, &specs[i]); err != nil {
 				return nil, fmt.Errorf("serve: replaying %s: %w", st.ID, err)
 			}
 		}
-		if st.Status != string(StatusRunning) {
-			continue
-		}
-		if len(st.Checkpoint) > 0 {
-			// The job had yielded at a rung boundary at least once before
-			// the process died: its journaled checkpoint makes it resumable
-			// instead of lost — back to queued, to replay from the prefix.
-			st.Status = string(StatusQueued)
-			continue
-		}
-		st.Status = string(StatusCancelled)
-		st.Reason = string(ReasonInterrupted)
-		st.FinishedAt = begin
-	}
-	if err := journal.Compact(cfg.DataDir, states); err != nil {
-		return nil, err
 	}
 	m := NewManager(cfg)
 	m.boot.journal, m.boot.jobs = time.Since(begin), len(states)
@@ -422,7 +404,6 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 	m.traces = traces
 	w, err := journal.OpenOptions(cfg.DataDir, journal.Options{
 		MaxBytes: m.cfg.JournalMaxBytes,
-		OnError:  func(error) { m.journalErrs.Add(1) },
 		OnChange: shipHook(cfg.Shipper, ""),
 	})
 	if err != nil {
@@ -430,9 +411,9 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 	}
 	m.journal = w
 	if cfg.Shipper != nil {
-		// Ship whatever is already on disk (compacted bases, sealed
-		// segments, pre-crash traces) so the replica is complete even for
-		// files that will never change again.
+		// Ship whatever is already on disk (earlier lives' segments,
+		// pre-crash traces) so the replica is complete even for files that
+		// will never change again.
 		cfg.Shipper.SnapshotRoot()
 	}
 	var live []*Job
@@ -477,16 +458,21 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 		// result record carries as its budget) so /tenants survives the
 		// restart; virtual times restart level.
 		service := st.Budget
-		if st.Terminal() {
+		switch {
+		case st.Terminal():
 			job.restoreResult(st)
-			if !m.hub.Done(job.ID) {
-				m.transition(job, phaseRestored, st.FinishedAt, nil)
-			}
-		} else {
-			// Queued (or checkpoint-resumable) when the process died: run it
-			// again under this manager (the compacted journal already holds
-			// its submit record, so launching appends only the new
-			// transitions).
+			m.transition(job, phaseRestored, st.FinishedAt, nil)
+		case st.Status == string(StatusRunning) && len(st.Checkpoint) == 0:
+			// Mid-run when the process died, with no checkpoint to resume
+			// from: the boot's verdict, which the transition journals.
+			m.transition(job, phaseRestored, begin, func() {
+				job.status, job.reason, job.finished = StatusCancelled, ReasonInterrupted, begin
+			})
+		default:
+			// Queued, or yielded at a rung boundary before it ran again, when
+			// the process died: run it again under this manager (the journal
+			// already holds its submit record, so launching appends only the
+			// new transitions) — a checkpointed job from its curve points.
 			live = append(live, job)
 			if len(st.Checkpoint) > 0 {
 				ck := checkpointState{Preempts: job.preempts} // kept if the checkpoint does not decode
@@ -1122,7 +1108,7 @@ type Metrics struct {
 	ShipRetries       int64   `json:"ship_retries"`
 	ShipBytes         int64   `json:"ship_bytes"`
 	// What the boot from the journal cost (all 0 without one): the whole
-	// NewManagerFromJournal call, its replay + compaction, and the trace
+	// NewManagerFromJournal call, its journal replay, and the trace
 	// log's filing pass, which runs beside that; and the jobs it restored.
 	BootMS        float64 `json:"boot_ms"`
 	BootJournalMS float64 `json:"boot_journal_ms"`

@@ -96,7 +96,9 @@ func TestNodeOneAssemblyThreeTriggers(t *testing.T) {
 	// Trigger 1a: boot active on an empty directory. This node runs the job
 	// and is the reference every other way of becoming "a" must match.
 	first, url := start(NodeOptions{
-		Config: Config{DataDir: liveDir, NodeName: "a"},
+		// The job's trace outgrows a segment, so the replicas hold a sealed,
+		// checksummed file for trigger 3 to rot.
+		Config: Config{DataDir: liveDir, NodeName: "a", TraceMaxBytes: 1 << 10},
 		ShipTo: []string{rootA, rootB},
 	})
 	checkBeside(t, url, "booted active")
@@ -276,6 +278,10 @@ func TestNodeConcurrentRestoreActivatesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One journaled job: a node that never wrote its journal has no replica.
+	m := src.active.Load().server.manager
+	submitAs(t, m, smallSpec(), "job-1")
+	waitJob(t, m, "job-1", terminal, "terminal")
 	if err := src.Close(ctx); err != nil {
 		t.Fatal(err)
 	}

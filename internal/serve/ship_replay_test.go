@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,7 +18,8 @@ import (
 // TestReplayFromShippedMatchesLocal is the journal-shipping contract:
 // after a job runs on a node whose shipper replicates synchronously, the
 // shipped copy must be a byte-for-byte replica of the node's own data
-// dir — journal segments, bases and traces — and journal.Replay over the
+// dir — journal and trace segments, the trace log's rotated ones sealed at
+// the sink — and journal.Replay over the
 // restored copy must reconstruct the identical job state. This is what
 // makes a replacement node's curves and SSE sequences indistinguishable
 // from the dead node's.
@@ -31,6 +33,7 @@ func TestReplayFromShippedMatchesLocal(t *testing.T) {
 	ship := shipper.New(dataDir, sink, shipper.Options{Sync: true})
 	m, err := NewManagerFromJournal(Config{
 		PoolSize: 2, MaxJobs: 2, DataDir: dataDir, NodeName: "a", Shipper: ship,
+		TraceMaxBytes: 1 << 10, // the job's trace outgrows a segment: one is sealed
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,5 +109,67 @@ func TestReplayFromShippedMatchesLocal(t *testing.T) {
 	}
 	if len(localStates) != 1 || localStates[0].Evaluations == 0 || localStates[0].Budget == 0 {
 		t.Fatalf("replay shape unexpected: %d states", len(localStates))
+	}
+}
+
+// TestSinkHoldsEachRecordOnce: six lives of a node shipping synchronously,
+// twenty jobs each, leave its sink the node's own journal bytes — every
+// record once, none of an earlier life shipped again — and a manifest of
+// one line per sealed file, though every boot re-seals every file on disk.
+func TestSinkHoldsEachRecordOnce(t *testing.T) {
+	dataDir, sinkDir := t.TempDir(), filepath.Join(t.TempDir(), "a")
+	for life := 1; life <= 6; life++ {
+		sink, err := shipper.NewDirSink(sinkDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ship := shipper.New(dataDir, sink, shipper.Options{Sync: true})
+		m := bootJournaled(t, Config{PoolSize: 2, MaxJobs: 2, MaxPending: 32, DataDir: dataDir, NodeName: "a", Shipper: ship})
+		var ids []string
+		for range 20 {
+			job, err := m.Submit(smallSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, job.ID)
+		}
+		for _, id := range ids {
+			waitJob(t, m, id, func(s Status) bool { return s == StatusDone }, "done")
+		}
+		shutdown(t, m)
+		if err := ship.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	journalBytes := func(dir string) (n int64) {
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			if info, err := e.Info(); err == nil && (strings.HasPrefix(e.Name(), "journal-") || strings.HasPrefix(e.Name(), "base-")) {
+				n += info.Size()
+			}
+		}
+		return n
+	}
+	if node, sink := journalBytes(dataDir), journalBytes(sinkDir); node == 0 || sink != node {
+		t.Errorf("the sink holds %d bytes of journal for the node's %d", sink, node)
+	}
+	manifest, err := shipper.ReadManifest(sinkDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(sinkDir, shipper.ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := 0
+	filepath.WalkDir(sinkDir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && !strings.HasSuffix(path, ".part") && d.Name() != shipper.ManifestName {
+			sealed++
+		}
+		return err
+	})
+	if lines := bytes.Count(raw, []byte("\n")); lines != len(manifest) || sealed != len(manifest) || sealed < 10 {
+		t.Errorf("the manifest holds %d lines naming %d files; the sink holds %d sealed files, want one line for each, five lives' journal and trace segments",
+			lines, len(manifest), sealed)
 	}
 }

@@ -16,8 +16,10 @@ import (
 // ManifestName is the sink-side index of sealed files: one JSON line per
 // seal with the file's name, size and SHA-256. Appended (fsynced) after
 // the sealed bytes are verified and renamed into place, so a manifest
-// entry always describes a whole, checksummed file; duplicate entries for
-// one name can appear after a restart-and-reseal and the last one wins.
+// entry always describes a whole, checksummed file. A re-seal of a file
+// the manifest already lists at that size and checksum appends nothing; a
+// name sealed again with other content gets a second entry, and the last
+// one wins.
 const ManifestName = "MANIFEST.jsonl"
 
 // partSuffix marks an in-progress (resumable) file at the sink; the bare
@@ -210,8 +212,8 @@ func (d *DirSink) Seal(name string, size int64, sum string) error {
 	defer d.mu.Unlock()
 	src := part
 	if _, err := os.Stat(part); errors.Is(err, os.ErrNotExist) {
-		// Re-seal of an already-finalized file (restart after a crash
-		// between rename and manifest append): verify in place.
+		// Re-seal of an already-finalized file (every boot re-seals what
+		// is on disk): verify in place.
 		src = final
 	}
 	gotSum, gotSize, err := hashCopy(src, "")
@@ -235,6 +237,11 @@ func (d *DirSink) Seal(name string, size int64, sum string) error {
 		if err := os.Rename(part, final); err != nil {
 			return fmt.Errorf("shipper: sealing %s: %w", name, err)
 		}
+	} else if m, err := ReadManifest(d.root); err == nil && m[name].Size == size && m[name].SHA256 == sum {
+		// Every boot re-seals what is on disk: a file the manifest lists as
+		// it is adds nothing. One a crash kept from its entry, between the
+		// rename and the append, gets it now.
+		return nil
 	}
 	return d.appendManifest(ManifestEntry{Name: name, Size: size, SHA256: sum, Time: time.Now()})
 }

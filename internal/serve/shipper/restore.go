@@ -97,7 +97,7 @@ func restoreInto(srcDir, destDir string) error {
 
 // VerifyReplica checks a shipped replica without touching it, so the
 // coordinator can probe candidates before committing a restore: the sink
-// directory must exist and hold a manifest, and every manifest-listed file
+// directory must exist and hold a journal, and every manifest-listed file
 // still present must hash to its manifest checksum. It applies the rules
 // Restore applies, read-only — nothing is copied or quarantined. A corrupt
 // file fails with an error matching ErrChecksumMismatch.
@@ -111,16 +111,17 @@ func VerifyReplica(dir string) error {
 // compared with its manifest entry; with copyTo set a mismatching source
 // file is quarantined.
 func checkSealed(dir, copyTo string) error {
-	// A replica that never sealed anything has no manifest to vouch for it
-	// (one that is not there at all, even less). Refusing it keeps an empty
-	// sink directory (say, one whose shipping never caught up) from being
-	// preferred over a complete replica later in the preference list.
-	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err != nil {
-		return fmt.Errorf("shipper: replica %s: no manifest: %w", dir, err)
-	}
 	manifest, err := ReadManifest(dir)
 	if err != nil {
 		return err
+	}
+	// A replica holds a journal: sealed files its manifest lists or, in a
+	// node's first life before anything was sealed, a segment in progress.
+	// Refusing one that holds neither (or is not there at all) keeps an
+	// empty sink directory from being preferred over a complete replica
+	// later in the preference list.
+	if parts, _ := filepath.Glob(filepath.Join(dir, "journal-*.jsonl"+partSuffix)); len(manifest) == 0 && len(parts) == 0 {
+		return fmt.Errorf("shipper: replica %s holds no journal: %w", dir, os.ErrNotExist)
 	}
 	for name, entry := range manifest {
 		src := filepath.Join(dir, filepath.FromSlash(name))
@@ -131,8 +132,8 @@ func checkSealed(dir, copyTo string) error {
 		sum, size, err := hashCopy(src, dest)
 		if errors.Is(err, os.ErrNotExist) {
 			if _, qerr := os.Stat(src + quarantineSuffix); qerr != nil {
-				// Sealed but gone: a later fold's base supersedes old journal
-				// segments; nothing to restore under this name.
+				// Sealed but gone: a base an older binary folded it into
+				// deleted it; nothing to restore under this name.
 				continue
 			}
 			// Gone because an earlier restore quarantined it.

@@ -1,5 +1,5 @@
-// Package shipper replicates a bhpod data directory — journal segments,
-// compacted bases and trace segments — to one or more sinks, so a
+// Package shipper replicates a bhpod data directory — journal and trace
+// segments — to one or more sinks, so a
 // *replacement* node (not just a restarted process) can rebuild a dead
 // machine's job table with journal.Replay and serve its traces
 // byte-identically.
@@ -14,10 +14,10 @@
 //     resumable offset and appends them. A file the sink holds more of
 //     than exists locally (a sink that was ahead of the replica this node
 //     was restored from) restarts at offset zero.
-//   - a *sealed* file (a rotated segment, a new base) ships its remaining
-//     tail and is then sealed at the sink with its size and SHA-256, which
-//     records it in the sink's checksummed manifest. Sealed content is
-//     what Restore verifies.
+//   - a *sealed* file (a rotated segment, or at boot one an earlier life
+//     left) ships its remaining tail and is then sealed at the sink with
+//     its size and SHA-256, which records it in the sink's checksummed
+//     manifest once. Sealed content is what Restore verifies.
 //
 // With several sinks (bhpod -ship-to repeated) the shipper replicates
 // N-way: every sink runs its own *lane* — an independent resumable
@@ -246,8 +246,8 @@ func (s *Shipper) Changed(rel string) {
 }
 
 // Sealed notes that rel reached its final content (a rotated journal or
-// trace segment, a freshly folded base): the remaining tail ships and the
-// file is sealed into each sink's checksummed manifest.
+// trace segment, or one an earlier life left): the remaining tail ships
+// and the file is sealed into each sink's checksummed manifest.
 func (s *Shipper) Sealed(rel string) {
 	for _, ln := range s.lanes {
 		ln.sealed(rel)
@@ -353,8 +353,8 @@ func (ln *lane) sealed(rel string) {
 	st.mu.Lock()
 	st.sealed = true
 	st.done = false
-	// From here the file ships by path: a segment folded away before its
-	// turn is then done without a seal.
+	// From here the file ships by path: one gone before its turn is then
+	// done without a seal.
 	st.drop()
 	st.mu.Unlock()
 	if ln.opts.Sync {
@@ -380,9 +380,8 @@ func (ln *lane) shipFile(rel string) error {
 		var err error
 		f, err = os.Open(filepath.Join(ln.root, filepath.FromSlash(rel)))
 		if errors.Is(err, os.ErrNotExist) {
-			// Folded away (the journal deletes segments once a newer base
-			// carries their data) — nothing left to ship; the base ships in
-			// its own right.
+			// Gone (the logs delete nothing, but someone may have) —
+			// nothing left to ship.
 			st.done = true
 			return nil
 		}
@@ -414,8 +413,9 @@ func (ln *lane) shipFile(rel string) error {
 		st.offset = 0
 	}
 	if size == 0 && st.sealed && st.offset == 0 {
-		// An empty sealed file (a base folded from zero jobs) never gets
-		// an append, but it still has to exist at the sink to seal.
+		// An empty sealed file (a base an older binary folded from zero
+		// jobs) never gets an append, but it still has to exist at the sink
+		// to seal.
 		if err := ln.sink.Append(rel, 0, nil); err != nil {
 			return fmt.Errorf("shipper: %s: %w", rel, err)
 		}

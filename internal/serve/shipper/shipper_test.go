@@ -129,6 +129,49 @@ func TestDirSinkChecksumQuarantine(t *testing.T) {
 	}
 }
 
+// TestDirSinkResealAddsNoEntry: every boot re-seals the files on disk, and
+// a re-seal of a file the manifest lists at that size and checksum appends
+// nothing, so three boots of one directory leave one manifest line per
+// sealed file. A file a crash kept from its entry, after the rename and
+// before the append, gets it at the next boot.
+func TestDirSinkResealAddsNoEntry(t *testing.T) {
+	root, sinkDir := t.TempDir(), t.TempDir()
+	files := []string{"journal-000001.jsonl", "traces/trace-000001.jsonl"}
+	for _, name := range files {
+		writeFile(t, filepath.Join(root, filepath.FromSlash(name)), []byte(name+"\n"))
+	}
+	manifest := filepath.Join(sinkDir, ManifestName)
+	for boot := 1; boot <= 3; boot++ {
+		sink, err := NewDirSink(sinkDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(root, sink, Options{Sync: true})
+		s.SnapshotRoot()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(string(readFile(t, manifest)), "\n")
+		lines = lines[:len(lines)-1] // after the last newline
+		if len(lines) != len(files) {
+			t.Fatalf("boot %d: the manifest holds %d lines for %d sealed files:\n%s", boot, len(lines), len(files), strings.Join(lines, ""))
+		}
+		if boot == 1 {
+			// The crash: the trace segment is in place, its entry is not.
+			kept := ""
+			for _, line := range lines {
+				if strings.Contains(line, files[0]) {
+					kept = line
+				}
+			}
+			writeFile(t, manifest, []byte(kept))
+		}
+	}
+	if err := VerifyReplica(sinkDir); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDirSinkRejectsEscapingNames: traversal and absolute names must be
 // refused before touching the filesystem.
 func TestDirSinkRejectsEscapingNames(t *testing.T) {
@@ -456,8 +499,8 @@ func TestKeptHandleSinkContract(t *testing.T) {
 }
 
 // TestKeptHandleSealedThenFoldedIsDone: a growing file whose handle the
-// lane keeps, then sealed, then deleted before the lane runs (the journal
-// folded it into a base) ends done, with nothing sealed at the sink. The
+// lane keeps, then sealed, then deleted before the lane runs ends done,
+// with nothing sealed at the sink. The
 // lane's loop is not started, so nothing ships between the steps.
 func TestKeptHandleSealedThenFoldedIsDone(t *testing.T) {
 	root := t.TempDir()

@@ -699,7 +699,7 @@ func TestTenantAccountingSurvivesRestart(t *testing.T) {
 		t.Error("victim preemption count lost across restart")
 	}
 	// The restored job's own snapshot keeps its yield count too (the
-	// result record carries it, so even compaction cannot drop it).
+	// result record carries it).
 	restored, ok := m2.Get(victim.ID)
 	if !ok {
 		t.Fatalf("victim %s missing after restart", victim.ID)
