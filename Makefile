@@ -40,6 +40,8 @@ vet-bench:
 # acquire/cancel/borrow races, the one inflight gauge and fold lending,
 # which lends more or less often with the core count and must not show
 # in a score — nor may the order SHA's parallel rounds report trials in.
+# With them the per-parameter kernels against their Go loops and L-BFGS
+# against its every-trial-backpropagated oracle.
 # The same for the cluster layer's non-chaos tests (coordinator, submit retry, membership
 # journal, ring, shipper lanes, sinks, restore, the file handles a lane
 # and a sink keep open while a segment grows), five times each, and
@@ -68,8 +70,8 @@ vet-bench:
 # harness's short storm, whose journal may rotate on its last record — a
 # sealed segment with none after it, which a one-P run hits often.
 cpus:
-	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge|TrialOrderAnyWorkers|TestSHAParallel' \
-		./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
+	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge|TrialOrderAnyWorkers|TestSHAParallel|TestElementwiseKernelsMatchGo|TestLBFGSMatchesFullGradientBitwise' \
+		./internal/mat/ ./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
 	$(GO) test -cpu 1,2,4 -count 5 -run 'TestCoordinator|TestSubmitRetry|TestMemberJournal|TestRing|TestMultiSink|TestShipper|TestDirSink|TestRestore|TestKeptHandle' \
 		./internal/coord/ ./internal/serve/shipper/
 	$(GO) test -cpu 1,2,4 -count 1 -run 'TestFailover|TestMembership|TestShutdownJoinsFailover' ./internal/coord/
@@ -177,6 +179,8 @@ bench-pair:
 # Forced-fallback run: the portable blocked kernels stay tested end to
 # end on SIMD hardware (BHPO_KERNEL overrides the auto-selected family),
 # so a regression in the non-SIMD path cannot hide behind AVX2 CI boxes.
+# That includes the Go loops of the Adam step and the L2 fold, which
+# every adam fit and every gradient in internal/nn run under it.
 # internal/experiments rides along for its golden: the one place the
 # "kernel families are bitwise-equal" invariant is asserted on the paper's
 # own tables rather than on a matmul.

@@ -60,7 +60,12 @@ func BenchmarkExperiment(b *testing.B) {
 
 func benchData(b *testing.B, scale float64) *dataset.Dataset {
 	b.Helper()
-	spec, err := dataset.SpecByName("australian")
+	return benchDataset(b, "australian", scale)
+}
+
+func benchDataset(b *testing.B, name string, scale float64) *dataset.Dataset {
+	b.Helper()
+	spec, err := dataset.SpecByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -410,6 +415,7 @@ func BenchmarkEvaluate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchEvaluateServed(b)
 	for _, solver := range []nn.Solver{nn.SGD, nn.Adam, nn.LBFGS} {
 		// The first sampled configuration that uses this solver.
 		var cfg search.Config
@@ -427,6 +433,40 @@ func BenchmarkEvaluate(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := v.ev.Evaluate(cfg, v.ev.FullBudget(), rng.New(7)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// benchEvaluateServed adds BenchmarkEvaluate/solo-<solver>/{budget10,full}:
+// the shape the paper's served jobs train (solo-paper's a9a at scale 0.2,
+// 123 features into one hidden layer of 50, two iterations), at the
+// lowest budget a bandit method runs — folds of 8 rows, where
+// per-parameter work outweighs the rows — and at the full one.
+func benchEvaluateServed(b *testing.B) {
+	train := benchDataset(b, "a9a", 0.2)
+	base := nn.DefaultConfig()
+	base.MaxIter = 2
+	base.KernelWorkers = 1
+	ev := hpo.NewCVEvaluator(train, base, hpo.VanillaComponents(5))
+	space, err := search.TableIIISpace(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Table III indices: hidden [50], logistic, the solver, lr 0.05.
+	for si, solver := range []string{"lbfgs", "sgd", "adam"} {
+		cfg := space.NewConfig([]int{4, 0, si, 1})
+		for _, budget := range []struct {
+			name string
+			n    int
+		}{{"budget10", 10}, {"full", ev.FullBudget()}} {
+			b.Run("solo-"+solver+"/"+budget.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := ev.Evaluate(cfg, budget.n, rng.New(7)); err != nil {
 						b.Fatal(err)
 					}
 				}

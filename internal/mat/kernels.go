@@ -32,7 +32,8 @@ import (
 	"sync/atomic"
 )
 
-// KernelKind selects the matmul implementation used by Mul/MulT/TMul.
+// KernelKind selects the implementation used by Mul/MulT/TMul and by
+// the per-parameter kernels AdamStep and FoldL2.
 type KernelKind int32
 
 const (
@@ -107,10 +108,11 @@ func normalizeKernel(k KernelKind) KernelKind {
 	return k
 }
 
-// SetKernel switches the implementation behind Mul/MulT/TMul and returns
-// the previous setting. Requesting SIMD without CPU support selects
-// Blocked. It exists for benchmarks and tests that need a specific
-// family end to end; production code never calls it.
+// SetKernel switches the implementation behind Mul/MulT/TMul and
+// AdamStep/FoldL2 and returns the previous setting. Requesting SIMD
+// without CPU support selects Blocked. It exists for benchmarks and
+// tests that need a specific family end to end; production code never
+// calls it.
 func SetKernel(k KernelKind) KernelKind {
 	return KernelKind(activeKernel.Swap(int32(normalizeKernel(k))))
 }

@@ -11,7 +11,9 @@ import (
 // kernelShapes covers the degenerate, prime, tall, wide and MLP-typical
 // cases: (m, k, n) for dst(m×n) = a(m×k) * b(k×n). The odd sizes land in
 // every unroll remainder path (k%4, n%4) and the large ones cross the
-// parallel threshold.
+// parallel threshold. The last five are the products the served jobs
+// form: satimage's 36 features and a9a's 123 into a 30- or 50-wide
+// hidden layer, a short tail minibatch, and the 6- and 2-class heads.
 var kernelShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 5, 1},
@@ -24,6 +26,11 @@ var kernelShapes = []struct{ m, k, n int }{
 	{64, 33, 17},
 	{97, 101, 103},
 	{128, 100, 100},
+	{32, 36, 30},
+	{32, 123, 50},
+	{8, 123, 50},
+	{9, 50, 6},
+	{32, 50, 2},
 }
 
 func randDense(r *rng.RNG, rows, cols int) *Dense {

@@ -114,13 +114,6 @@ func (m *Dense) MulElem(other *Dense) {
 	}
 }
 
-// Apply replaces each element x with f(x).
-func (m *Dense) Apply(f func(float64) float64) {
-	for i, v := range m.data {
-		m.data[i] = f(v)
-	}
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Dense) T() *Dense {
 	out := NewDense(m.cols, m.rows)

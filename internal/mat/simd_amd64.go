@@ -39,6 +39,17 @@ func axpy1avx(a0 float64, b *float64, dst *float64, n uintptr)
 //go:noescape
 func dot4avx(a *float64, b *float64, ldb, n uintptr, out *float64)
 
+// adamavx is AdamStep four lanes wide over n elements, c pointing at
+// the eight coefficients in AdamCoeffs field order.
+//
+//go:noescape
+func adamavx(p, m, v, grad *float64, n uintptr, c *AdamCoeffs)
+
+// foldl2avx is FoldL2 four lanes wide over n elements.
+//
+//go:noescape
+func foldl2avx(dst, gw, w *float64, n uintptr, alpha, rows float64)
+
 // cpuid executes the CPUID instruction with the given leaf/subleaf.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 

@@ -1,5 +1,6 @@
-// AVX2 microkernels for the SIMD matmul family. See simd_amd64.go for
-// the contracts. Determinism rules observed throughout:
+// AVX2 microkernels for the SIMD family: the matmul sweeps and the
+// per-parameter Adam and L2-fold loops. See simd_amd64.go for the
+// contracts. Determinism rules observed throughout:
 //
 //   - separate VMULPD + VADDPD, never FMA: each product is rounded
 //     before it is added, exactly like the scalar float64(a*b) form;
@@ -227,6 +228,158 @@ dot4_done:
 	MOVQ out+32(FP), DI
 	VMOVUPD Y0, (DI)
 	VZEROUPPER
+	RET
+
+// func adamavx(p, m, v, grad *float64, n uintptr, c *AdamCoeffs)
+//
+// One Adam step per lane, in the reference loop's operation order:
+// m' = β1·m + (1−β1)·g, v' = β2·v + ((1−β2)·g)·g, then
+// p −= (lr·(m'/b1c)) / (√(v'/b2c) + ε). Multiplication is commutative
+// bit for bit, so only the grouping of each expression matters, and it
+// is kept. VSQRTPD and VDIVPD are correctly rounded like SQRTSD and
+// DIVSD, so every lane equals the scalar form.
+TEXT ·adamavx(SB), NOSPLIT, $0-48
+	MOVQ p+0(FP), DI
+	MOVQ m+8(FP), SI
+	MOVQ v+16(FP), R8
+	MOVQ grad+24(FP), R9
+	MOVQ n+32(FP), DX
+	MOVQ c+40(FP), R10
+	VBROADCASTSD 0(R10), Y0   // β1
+	VBROADCASTSD 8(R10), Y1   // 1−β1
+	VBROADCASTSD 16(R10), Y2  // β2
+	VBROADCASTSD 24(R10), Y3  // 1−β2
+	VBROADCASTSD 32(R10), Y4  // lr
+	VBROADCASTSD 40(R10), Y5  // b1c
+	VBROADCASTSD 48(R10), Y6  // b2c
+	VBROADCASTSD 56(R10), Y7  // ε
+	XORQ AX, AX
+	MOVQ DX, BX
+	ANDQ $-4, BX
+
+adam_loop4:
+	CMPQ AX, BX
+	JGE  adam_tail
+	VMOVUPD (R9)(AX*8), Y8    // g
+	VMOVUPD (SI)(AX*8), Y9
+	VMULPD  Y0, Y9, Y9        // β1·m
+	VMULPD  Y1, Y8, Y10       // (1−β1)·g
+	VADDPD  Y10, Y9, Y9       // m'
+	VMOVUPD Y9, (SI)(AX*8)
+	VMOVUPD (R8)(AX*8), Y10
+	VMULPD  Y2, Y10, Y10      // β2·v
+	VMULPD  Y3, Y8, Y11       // (1−β2)·g
+	VMULPD  Y8, Y11, Y11      // ((1−β2)·g)·g
+	VADDPD  Y11, Y10, Y10     // v'
+	VMOVUPD Y10, (R8)(AX*8)
+	VDIVPD  Y5, Y9, Y9        // m'/b1c
+	VMULPD  Y4, Y9, Y9        // lr·(m'/b1c)
+	VDIVPD  Y6, Y10, Y10      // v'/b2c
+	VSQRTPD Y10, Y10
+	VADDPD  Y7, Y10, Y10      // √(v'/b2c) + ε
+	VDIVPD  Y10, Y9, Y9
+	VMOVUPD (DI)(AX*8), Y11
+	VSUBPD  Y9, Y11, Y11      // p − step
+	VMOVUPD Y11, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  adam_loop4
+
+adam_tail:
+	VZEROUPPER
+
+adam_tailloop:
+	CMPQ AX, DX
+	JGE  adam_done
+	MOVSD (R9)(AX*8), X8
+	MOVSD (SI)(AX*8), X9
+	MULSD X0, X9
+	MOVSD X8, X10
+	MULSD X1, X10
+	ADDSD X10, X9
+	MOVSD X9, (SI)(AX*8)
+	MOVSD (R8)(AX*8), X10
+	MULSD X2, X10
+	MOVSD X8, X11
+	MULSD X3, X11
+	MULSD X8, X11
+	ADDSD X11, X10
+	MOVSD X10, (R8)(AX*8)
+	DIVSD X5, X9
+	MULSD X4, X9
+	DIVSD X6, X10
+	SQRTSD X10, X10
+	ADDSD X7, X10
+	DIVSD X10, X9
+	MOVSD (DI)(AX*8), X11
+	SUBSD X9, X11
+	MOVSD X11, (DI)(AX*8)
+	INCQ AX
+	JMP  adam_tailloop
+
+adam_done:
+	RET
+
+// func foldl2avx(dst, gw, w *float64, n uintptr, alpha, rows float64)
+//
+// dst = gw + (α·w)/rows per lane, the reference loop's grouping.
+TEXT ·foldl2avx(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ gw+8(FP), SI
+	MOVQ w+16(FP), R8
+	MOVQ n+24(FP), DX
+	VBROADCASTSD alpha+32(FP), Y0
+	VBROADCASTSD rows+40(FP), Y1
+	XORQ AX, AX
+	MOVQ DX, BX
+	ANDQ $-8, BX
+
+foldl2_loop8:
+	CMPQ AX, BX
+	JGE  foldl2_quad
+	VMOVUPD (R8)(AX*8), Y2
+	VMOVUPD 32(R8)(AX*8), Y3
+	VMULPD  Y0, Y2, Y2
+	VMULPD  Y0, Y3, Y3
+	VDIVPD  Y1, Y2, Y2
+	VDIVPD  Y1, Y3, Y3
+	VMOVUPD (SI)(AX*8), Y4
+	VMOVUPD 32(SI)(AX*8), Y5
+	VADDPD  Y2, Y4, Y4
+	VADDPD  Y3, Y5, Y5
+	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD Y5, 32(DI)(AX*8)
+	ADDQ $8, AX
+	JMP  foldl2_loop8
+
+foldl2_quad:
+	MOVQ DX, BX
+	ANDQ $-4, BX
+	CMPQ AX, BX
+	JGE  foldl2_tail
+	VMOVUPD (R8)(AX*8), Y2
+	VMULPD  Y0, Y2, Y2
+	VDIVPD  Y1, Y2, Y2
+	VMOVUPD (SI)(AX*8), Y4
+	VADDPD  Y2, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ $4, AX
+
+foldl2_tail:
+	VZEROUPPER
+
+foldl2_tailloop:
+	CMPQ AX, DX
+	JGE  foldl2_done
+	MOVSD (R8)(AX*8), X2
+	MULSD X0, X2
+	DIVSD X1, X2
+	MOVSD (SI)(AX*8), X4
+	ADDSD X2, X4
+	MOVSD X4, (DI)(AX*8)
+	INCQ AX
+	JMP  foldl2_tailloop
+
+foldl2_done:
 	RET
 
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

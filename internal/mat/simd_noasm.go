@@ -23,4 +23,12 @@ func dot4avx(a *float64, b *float64, ldb, n uintptr, out *float64) {
 	panic("mat: SIMD kernel called on a platform without SIMD support")
 }
 
+func adamavx(p, m, v, grad *float64, n uintptr, c *AdamCoeffs) {
+	panic("mat: SIMD kernel called on a platform without SIMD support")
+}
+
+func foldl2avx(dst, gw, w *float64, n uintptr, alpha, rows float64) {
+	panic("mat: SIMD kernel called on a platform without SIMD support")
+}
+
 func cpuFeatures() string { return "" }

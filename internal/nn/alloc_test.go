@@ -10,34 +10,51 @@ import (
 )
 
 // TestFitEpochZeroAlloc pins the zero-allocation contract of the
-// stochastic training loop: after the first epoch has warmed the scratch
-// arena (minibatch buffers, gradient vector, per-row-count
-// forward/backward matrices), steady-state epochs allocate nothing — for
-// both the full-batch and the n%batch tail path, under both solvers.
+// training loops: after the first epoch has warmed the scratch arena
+// (minibatch buffers, gradient vector, per-row-count forward/backward
+// matrices), steady-state epochs allocate nothing — for both the
+// full-batch and the n%batch tail path, under both stochastic solvers,
+// and for adam with the SIMD family forced, whose step hands the
+// assembly a pointer to its coefficients. An L-BFGS iteration's loss
+// and backprop calls allocate nothing once warm either.
 func TestFitEpochZeroAlloc(t *testing.T) {
-	for _, solver := range []Solver{SGD, Adam} {
-		t.Run(solver.String(), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Solver = solver
-			cfg.BatchSize = 8
-			cfg.LearningRate = InvScaling // exercises the schedule math too
-			cfg.KernelWorkers = 1
-			r := rng.New(42)
-			const n, features, classes = 37, 6, 3 // 37%8 != 0 → tail batch every epoch
-			nw := newNetwork(nil, features, []int{10}, classes, ReLU, true, r.Split(1))
-			nw.workers = cfg.KernelWorkers
-			m := &Model{cfg: cfg, nw: nw, kind: dataset.Classification, numClasses: classes}
+	const n, features, classes = 37, 6, 3 // 37%8 != 0 → tail batch every epoch
+	setup := func(solver Solver) (*Model, *mat.Dense, *mat.Dense, *rng.RNG) {
+		cfg := DefaultConfig()
+		cfg.Solver = solver
+		cfg.BatchSize = 8
+		cfg.LearningRate = InvScaling // exercises the schedule math too
+		cfg.KernelWorkers = 1
+		r := rng.New(42)
+		nw := newNetwork(nil, features, []int{10}, classes, ReLU, true, r.Split(1))
+		nw.workers = cfg.KernelWorkers
+		m := &Model{cfg: cfg, nw: nw, kind: dataset.Classification, numClasses: classes}
 
-			x := mat.NewDense(n, features)
-			xd := x.Data()
-			for i := range xd {
-				xd[i] = r.Norm()
+		x := mat.NewDense(n, features)
+		xd := x.Data()
+		for i := range xd {
+			xd[i] = r.Norm()
+		}
+		target := mat.NewDense(n, classes)
+		for i := 0; i < n; i++ {
+			target.Set(i, int(r.Uint64()%classes), 1)
+		}
+		return m, x, target, r
+	}
+	for _, c := range []struct {
+		name      string
+		solver    Solver
+		forceSIMD bool // else the init-selected family
+	}{
+		{"sgd", SGD, false},
+		{"adam", Adam, false},
+		{"adam/simd", Adam, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.forceSIMD {
+				defer mat.SetKernel(mat.SetKernel(mat.SIMD))
 			}
-			target := mat.NewDense(n, classes)
-			for i := 0; i < n; i++ {
-				target.Set(i, int(r.Uint64()%classes), 1)
-			}
-
+			m, x, target, r := setup(c.solver)
 			st := m.newSGDState(x, target, r.Split(2))
 			st.runEpoch() // warm-up: builds full-batch and tail scratch
 			if allocs := testing.AllocsPerRun(5, func() { st.runEpoch() }); allocs != 0 {
@@ -45,6 +62,18 @@ func TestFitEpochZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+	t.Run("lbfgs", func(t *testing.T) {
+		m, x, target, _ := setup(LBFGS)
+		grad := make([]float64, len(m.nw.params))
+		m.nw.lossGrad(x, target, m.cfg.Alpha, grad) // warm-up: builds the full-batch scratch
+		iteration := func() {
+			m.nw.loss(x, target, m.cfg.Alpha) // a line-search trial
+			m.nw.backprop(x, target, m.cfg.Alpha, grad)
+		}
+		if allocs := testing.AllocsPerRun(5, iteration); allocs != 0 {
+			t.Errorf("warm loss and backprop allocated %v objects, want 0", allocs)
+		}
+	})
 }
 
 // TestFitInMatchesFitBitwise trains small, large and again small models

@@ -259,15 +259,9 @@ func lossGradBatch(ts []*batchTrainer, workers int, buf *groupBufs) {
 			if l >= nw.layers() {
 				continue
 			}
-			n := t.bx.Rows()
 			grad := t.st.grad
-			gwData := nw.gwBuf(l).Data()
 			w := nw.weights(l)
-			gSlice := grad[nw.wOff[l] : nw.wOff[l]+len(w)]
-			alpha := t.m.cfg.Alpha
-			for i, wv := range w {
-				gSlice[i] = gwData[i] + alpha*wv/float64(n)
-			}
+			mat.FoldL2(grad[nw.wOff[l]:nw.wOff[l]+len(w)], nw.gwBuf(l).Data(), w, t.m.cfg.Alpha, float64(t.bx.Rows()))
 			mat.ColSumsInto(grad[nw.bOff[l]:nw.bOff[l]+nw.dims[l+1]], t.delta)
 		}
 		if l == 0 {

@@ -12,6 +12,11 @@ import (
 // search space — a deterministic full-batch quasi-Newton method whose cost
 // profile differs sharply from sgd/adam, which is exactly what makes the
 // solver hyperparameter worth searching over.
+//
+// Only a point the next iteration steps from is backpropagated: the
+// line search evaluates trials on the loss alone, and the point accepted
+// on the last iteration or at the tolerance exit ends the fit with its
+// loss recorded and no gradient taken.
 func (m *Model) fitLBFGS(x, target *mat.Dense) {
 	const history = 10
 	const c1 = 1e-4 // Armijo sufficient-decrease constant
@@ -83,14 +88,15 @@ func (m *Model) fitLBFGS(x, target *mat.Dense) {
 				break
 			}
 		}
-		// Backtracking Armijo line search.
+		// Backtracking Armijo line search, on the loss alone: a trial's
+		// gradient is needed only if the trial is accepted.
 		step := 1.0
 		var newLoss float64
 		accepted := false
 		for ls := 0; ls < 30; ls++ {
 			copy(trial, m.nw.params)
 			mat.Axpy(step, dir, m.nw.params)
-			newLoss = m.nw.lossGrad(x, target, cfg.Alpha, newGrad)
+			newLoss = m.nw.loss(x, target, cfg.Alpha)
 			if newLoss <= loss+c1*step*descent {
 				accepted = true
 				break
@@ -101,6 +107,15 @@ func (m *Model) fitLBFGS(x, target *mat.Dense) {
 		if !accepted {
 			break
 		}
+		converged := math.Abs(loss-newLoss) < cfg.Tol*math.Max(1, math.Abs(loss))
+		loss = newLoss
+		m.LossCurve = append(m.LossCurve, loss)
+		m.Epochs = iter + 1
+		if converged || iter == cfg.MaxIter-1 {
+			// No later step reads this point's gradient or curvature pair.
+			break
+		}
+		m.nw.backprop(x, target, cfg.Alpha, newGrad)
 		// Curvature pair update.
 		s := newPair()
 		y := newPair()
@@ -123,16 +138,6 @@ func (m *Model) fitLBFGS(x, target *mat.Dense) {
 		} else {
 			freelist = append(freelist, s, y)
 		}
-		if math.Abs(loss-newLoss) < cfg.Tol*math.Max(1, math.Abs(loss)) {
-			loss = newLoss
-			copy(grad, newGrad)
-			m.LossCurve = append(m.LossCurve, loss)
-			m.Epochs = iter + 1
-			break
-		}
-		loss = newLoss
-		copy(grad, newGrad)
-		m.LossCurve = append(m.LossCurve, loss)
-		m.Epochs = iter + 1
+		grad, newGrad = newGrad, grad
 	}
 }

@@ -127,36 +127,56 @@ func (nw *network) forwardPass(x *mat.Dense) []*mat.Dense {
 // regression target holds real values (identity + half squared error).
 // grad must have len(nw.params); it is overwritten.
 func (nw *network) lossGrad(x, target *mat.Dense, alpha float64, grad []float64) float64 {
-	n := x.Rows()
-	s := nw.scratchFor(n)
-	acts := nw.forwardPass(x)
-	out := acts[len(acts)-1]
+	loss := nw.loss(x, target, alpha)
+	nw.backprop(x, target, alpha, grad)
+	return loss
+}
+
+// loss runs the forward pass over the batch and returns the regularized
+// loss, leaving the activations in the scratch for x's row count, where
+// a backprop call with the same x and target reads them.
+func (nw *network) loss(x, target *mat.Dense, alpha float64) float64 {
+	out := nw.forwardPass(x)[nw.layers()]
 	var loss float64
-	// delta starts as dL/dz of the output layer; for both softmax+CE and
-	// identity+MSE that is (out - target)/n.
-	delta := s.deltas[nw.layers()]
-	copy(delta.Data(), out.Data())
 	if nw.softmaxOut {
 		loss = crossEntropy(out, target)
 	} else {
 		loss = halfSquaredError(out, target)
 	}
+	// L2 penalty on weights only (not biases), matching sklearn.
+	var reg float64
+	for l := 0; l < nw.layers(); l++ {
+		for _, wv := range nw.weights(l) {
+			reg += wv * wv
+		}
+	}
+	return loss + 0.5*alpha*reg/float64(x.Rows())
+}
+
+// backprop writes into grad the gradient of the loss the last loss call
+// computed, from the activations that call left behind; x and target
+// must be the ones it was given, and the parameters unchanged since.
+// grad must have len(nw.params); it is overwritten.
+func (nw *network) backprop(x, target *mat.Dense, alpha float64, grad []float64) {
+	n := x.Rows()
+	s := nw.scratchFor(n)
+	acts := s.acts
+	// delta starts as dL/dz of the output layer; for both softmax+CE and
+	// identity+MSE that is (out - target)/n.
+	delta := s.deltas[nw.layers()]
+	copy(delta.Data(), acts[nw.layers()].Data())
 	delta.Sub(target)
 	delta.Scale(1 / float64(n))
 
-	// Every element of grad is overwritten below (weights via the gw copy,
-	// biases via ColSumsInto), so no upfront zeroing is needed.
+	// Every element of grad is overwritten below (weights via the L2
+	// fold out of the gw buffer, biases via ColSumsInto), so no upfront
+	// zeroing is needed.
 	for l := nw.layers() - 1; l >= 0; l-- {
-		// Weight gradient: actsᵀ[l] * delta  (+ L2 term folded into the
-		// copy out of the scratch buffer).
+		// Weight gradient: actsᵀ[l] * delta, plus the L2 term.
 		gw := nw.gwBuf(l)
 		mat.TMulWorkers(gw, acts[l], delta, nw.workers)
 		w := nw.weights(l)
-		gwData := gw.Data()
-		gSlice := grad[nw.wOff[l] : nw.wOff[l]+len(w)]
-		for i, wv := range w {
-			gSlice[i] = gwData[i] + alpha*wv/float64(n)
-		}
+		mat.FoldL2(grad[nw.wOff[l]:nw.wOff[l]+len(w)], gw.Data(), w, alpha, float64(n))
 		// Bias gradient: column sums of delta.
 		mat.ColSumsInto(grad[nw.bOff[l]:nw.bOff[l]+nw.dims[l+1]], delta)
 		if l == 0 {
@@ -168,30 +188,26 @@ func (nw *network) lossGrad(x, target *mat.Dense, alpha float64, grad []float64)
 		applyActivationDeriv(prev, acts[l], nw.activation)
 		delta = prev
 	}
-	// L2 penalty on weights only (not biases), matching sklearn.
-	var reg float64
-	for l := 0; l < nw.layers(); l++ {
-		for _, wv := range nw.weights(l) {
-			reg += wv * wv
-		}
-	}
-	loss += 0.5 * alpha * reg / float64(n)
-	return loss
 }
 
+// applyActivation applies the hidden-layer activation to z in place.
 func applyActivation(z *mat.Dense, act Activation) {
+	d := z.Data()
 	switch act {
 	case Logistic:
-		z.Apply(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
+		for i, v := range d {
+			d[i] = 1 / (1 + math.Exp(-v))
+		}
 	case Tanh:
-		z.Apply(math.Tanh)
+		for i, v := range d {
+			d[i] = math.Tanh(v)
+		}
 	case ReLU:
-		z.Apply(func(v float64) float64 {
+		for i, v := range d {
 			if v < 0 {
-				return 0
+				d[i] = 0
 			}
-			return v
-		})
+		}
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", int(act)))
 	}

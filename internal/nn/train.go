@@ -237,12 +237,11 @@ func (st *sgdState) applyUpdate() {
 		const beta1, beta2, eps = 0.9, 0.999, 1e-8
 		b1c := 1 - math.Pow(beta1, float64(st.adamT))
 		b2c := 1 - math.Pow(beta2, float64(st.adamT))
-		adamM, adamV := st.adamM, st.adamV
-		for i := range adamM {
-			adamM[i] = beta1*adamM[i] + (1-beta1)*grad[i]
-			adamV[i] = beta2*adamV[i] + (1-beta2)*grad[i]*grad[i]
-			m.nw.params[i] -= st.lr * (adamM[i] / b1c) / (math.Sqrt(adamV[i]/b2c) + eps)
-		}
+		mat.AdamStep(m.nw.params, st.adamM, st.adamV, grad, mat.AdamCoeffs{
+			Beta1: beta1, OneMinusBeta1: 1 - beta1,
+			Beta2: beta2, OneMinusBeta2: 1 - beta2,
+			LR: st.lr, B1c: b1c, B2c: b2c, Eps: eps,
+		})
 	}
 }
 
