@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the gate CI (and reviewers)
 # run: static analysis, the full suite under the race detector, and then
 # only what adds a configuration to that — other P counts, the 30-second
-# storms, the forced kernel fallback, the benchmark smoke run. The
+# storms, the portable (purego) kernel path, the benchmark smoke run. The
 # scenario targets (crash, chaos, sse, failover, membership, load) are
 # developer shortcuts: named slices of what `race` already ran.
 
@@ -9,7 +9,8 @@ GO ?= go
 
 .PHONY: all build test race vet vet-bench cpus check crash chaos chaos-storm sse failover failover-storm membership fallback bench-smoke bench-pair load loc fmt serve clean
 
-# The kernel/Fit/Evaluate microbenchmark family of bench_test.go.
+# The Fit/Evaluate microbenchmark family of bench_test.go and the
+# matmul row kernels of internal/mat.
 BENCH_PATTERN = BenchmarkMat|BenchmarkFit|BenchmarkEvaluate
 
 all: build
@@ -20,8 +21,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The purego and arm64 lines compile what a native amd64 vet skips: the
+# SIMD stubs and the build-constraint split of the assembly.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags purego ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 race:
 	$(GO) test -race ./...
@@ -153,7 +158,7 @@ membership:
 
 # One-iteration smoke run so the benchmarks can never rot; part of check.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem . >/dev/null
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem . ./internal/mat/ >/dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkBoot' -benchtime 1x -benchmem ./internal/serve/ >/dev/null
 
 # Multi-tenant scheduler gate under the race detector: the scheduler's
@@ -176,16 +181,16 @@ PAIRS ?= 10
 bench-pair:
 	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
 
-# Forced-fallback run: the portable blocked kernels stay tested end to
-# end on SIMD hardware (BHPO_KERNEL overrides the auto-selected family),
-# so a regression in the non-SIMD path cannot hide behind AVX2 CI boxes.
+# Portable-path run: -tags purego leaves the AVX2 assembly out of the
+# build, so the blocked kernels stay tested end to end on SIMD hardware
+# and a regression in the non-SIMD path cannot hide behind AVX2 CI boxes.
 # That includes the Go loops of the Adam step and the L2 fold, which
 # every adam fit and every gradient in internal/nn run under it.
 # internal/experiments rides along for its golden: the one place the
 # "kernel families are bitwise-equal" invariant is asserted on the paper's
 # own tables rather than on a matmul.
 fallback:
-	BHPO_KERNEL=blocked $(GO) test -count=1 ./internal/mat/ ./internal/nn/ ./internal/hpo/ ./internal/experiments/
+	$(GO) test -count=1 -tags purego ./internal/mat/ ./internal/nn/ ./internal/hpo/ ./internal/experiments/
 
 # Go lines per package and in total, outside bench/: non-test lines —
 # raw `wc -l`, the count ROADMAP's "net line count per PR" and every

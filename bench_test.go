@@ -220,126 +220,12 @@ func BenchmarkSHA(b *testing.B) {
 	})
 }
 
-// --- Compute-kernel benchmarks ---
-//
-// Each kernel benchmark runs the retained naive reference and every
-// dispatchable kernel family — blocked always, simd where the CPU
-// supports it — on identical dense data at MLP-typical shapes, so the
-// ns/op ratios are the kernel speedups themselves. `make bench-smoke`
-// runs them for one iteration so they cannot rot.
-
-// dispatchKernels lists the kernel families Mul/MulT/TMul can dispatch to
-// on this machine, each forced explicitly so the sub-benchmark names say
-// what actually ran regardless of the default selection.
-func dispatchKernels() []mat.KernelKind {
-	ks := []mat.KernelKind{mat.Blocked}
-	if mat.SIMDAvailable() {
-		ks = append(ks, mat.SIMD)
-	}
-	return ks
-}
-
-// benchMat returns a rows×cols matrix of nonzero values: dense data is
-// the honest baseline because the naive kernels skip zero multiplicands.
-func benchMat(r *rng.RNG, rows, cols int) *mat.Dense {
-	m := mat.NewDense(rows, cols)
-	d := m.Data()
-	for i := range d {
-		d[i] = r.Norm() + 3 // shifted away from zero
-	}
-	return m
-}
-
-// matShapes are (batch × width × width) products as they occur inside
-// nn.Fit on the Table III search space.
-var matShapes = []struct {
-	name    string
-	m, k, n int
-}{
-	{"batch32_w50", 32, 50, 50},
-	{"batch128_w100", 128, 100, 100},
-	{"batch256_w200", 256, 200, 200},
-	{"batch64_w512", 64, 512, 512},
-}
-
-// BenchmarkMatMul compares naive vs blocked vs simd dst = a*b (the
-// forward-pass product).
-func BenchmarkMatMul(b *testing.B) {
-	for _, sh := range matShapes {
-		r := rng.New(21)
-		a := benchMat(r, sh.m, sh.k)
-		bb := benchMat(r, sh.k, sh.n)
-		dst := mat.NewDense(sh.m, sh.n)
-		b.Run(sh.name+"/naive", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mat.NaiveMul(dst, a, bb)
-			}
-		})
-		for _, k := range dispatchKernels() {
-			b.Run(sh.name+"/"+k.String(), func(b *testing.B) {
-				defer mat.SetKernel(mat.SetKernel(k))
-				for i := 0; i < b.N; i++ {
-					mat.Mul(dst, a, bb)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkMatMulT compares naive vs blocked vs simd dst = a*bᵀ (the
-// backprop delta propagation).
-func BenchmarkMatMulT(b *testing.B) {
-	for _, sh := range matShapes {
-		r := rng.New(22)
-		a := benchMat(r, sh.m, sh.k)
-		bt := benchMat(r, sh.n, sh.k)
-		dst := mat.NewDense(sh.m, sh.n)
-		b.Run(sh.name+"/naive", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mat.NaiveMulT(dst, a, bt)
-			}
-		})
-		for _, k := range dispatchKernels() {
-			b.Run(sh.name+"/"+k.String(), func(b *testing.B) {
-				defer mat.SetKernel(mat.SetKernel(k))
-				for i := 0; i < b.N; i++ {
-					mat.MulT(dst, a, bt)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkMatTMul compares naive vs blocked vs simd dst = aᵀ*b (the
-// weight gradient).
-func BenchmarkMatTMul(b *testing.B) {
-	for _, sh := range matShapes {
-		r := rng.New(23)
-		at := benchMat(r, sh.k, sh.m)
-		bb := benchMat(r, sh.k, sh.n)
-		dst := mat.NewDense(sh.m, sh.n)
-		b.Run(sh.name+"/naive", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mat.NaiveTMul(dst, at, bb)
-			}
-		})
-		for _, k := range dispatchKernels() {
-			b.Run(sh.name+"/"+k.String(), func(b *testing.B) {
-				defer mat.SetKernel(mat.SetKernel(k))
-				for i := 0; i < b.N; i++ {
-					mat.TMul(dst, at, bb)
-				}
-			})
-		}
-	}
-}
+// --- End-to-end fit benchmarks ---
 
 // fitBenchConfig is the MLP the end-to-end Fit benchmarks train: wide
 // enough (2×100 hidden) that the matmul kernels dominate, like the large
 // end of the Table III space. Logistic activation keeps the activations
-// dense — with ReLU roughly half the activations are exactly zero and
-// the naive kernels' skip branch hides part of the kernel cost, so the
-// measured ratio would understate the dense-path speedup.
+// dense, as the kernels' dense path assumes.
 func fitBenchConfig(solver nn.Solver) nn.Config {
 	cfg := nn.DefaultConfig()
 	cfg.Solver = solver
@@ -351,41 +237,29 @@ func fitBenchConfig(solver nn.Solver) nn.Config {
 	return cfg
 }
 
-// benchFit runs nn.Fit under the given kernel family.
-func benchFit(b *testing.B, train *dataset.Dataset, cfg nn.Config, kernel mat.KernelKind) {
-	b.Helper()
-	prev := mat.SetKernel(kernel)
-	defer mat.SetKernel(prev)
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i)
-		if _, err := nn.Fit(train, cfg); err != nil {
-			b.Fatal(err)
+// benchFit runs nn.Fit under the kernel family this build selected (simd
+// on AVX2 hardware, blocked elsewhere and under -tags purego), named in
+// the sub-benchmark so results from different machines do not mix.
+func benchFit(b *testing.B, solver nn.Solver) {
+	train := benchData(b, 0.5)
+	cfg := fitBenchConfig(solver)
+	b.Run(mat.Kernel(), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cfg.Seed = uint64(i)
+			if _, err := nn.Fit(train, cfg); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
-// BenchmarkFitStochastic measures a full adam fit under each kernel
-// family — the end-to-end per-trial speedup every bandit optimizer
-// inherits.
-func BenchmarkFitStochastic(b *testing.B) {
-	train := benchData(b, 0.5)
-	cfg := fitBenchConfig(nn.Adam)
-	b.Run("naive", func(b *testing.B) { benchFit(b, train, cfg, mat.NaiveKernel) })
-	for _, k := range dispatchKernels() {
-		b.Run(k.String(), func(b *testing.B) { benchFit(b, train, cfg, k) })
-	}
-}
+// BenchmarkFitStochastic measures a full adam fit — the end-to-end
+// per-trial cost every bandit optimizer inherits.
+func BenchmarkFitStochastic(b *testing.B) { benchFit(b, nn.Adam) }
 
 // BenchmarkFitLBFGS is the full-batch counterpart of
 // BenchmarkFitStochastic.
-func BenchmarkFitLBFGS(b *testing.B) {
-	train := benchData(b, 0.5)
-	cfg := fitBenchConfig(nn.LBFGS)
-	b.Run("naive", func(b *testing.B) { benchFit(b, train, cfg, mat.NaiveKernel) })
-	for _, k := range dispatchKernels() {
-		b.Run(k.String(), func(b *testing.B) { benchFit(b, train, cfg, k) })
-	}
-}
+func BenchmarkFitLBFGS(b *testing.B) { benchFit(b, nn.LBFGS) }
 
 // BenchmarkEvaluate measures one steady-state cross-validated evaluation
 // per solver — K folds of one architecture through CVEvaluator.Evaluate,

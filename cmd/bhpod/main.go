@@ -241,16 +241,12 @@ func run(ctx context.Context, listen func() (net.Listener, error), opts serve.No
 	srv := &http.Server{Handler: node}
 	errc := make(chan error, 1)
 	go func() {
-		kernel := mat.ActiveKernel().String()
-		if feats := mat.CPUFeatures(); feats != "" {
-			kernel += " [" + feats + "]"
-		}
 		state := "listening"
 		if opts.Standby {
 			state = "standing by"
 		}
 		log.Printf("bhpod %s on %s (pool=%d, max-jobs=%d, kernel=%s)",
-			state, ln.Addr(), opts.Config.PoolSize, opts.Config.MaxJobs, kernel)
+			state, ln.Addr(), opts.Config.PoolSize, opts.Config.MaxJobs, mat.Kernel())
 		errc <- srv.Serve(ln)
 	}()
 	select {

@@ -29,20 +29,13 @@ func BatchMulWorkers(dsts, as, bs []*Dense, workers int) {
 	if len(dsts) == 0 {
 		return
 	}
-	kind := KernelKind(activeKernel.Load())
 	totalRows, totalFlops := 0, 0
 	for t := range dsts {
 		checkMul(dsts[t], as[t], bs[t])
 		totalRows += as[t].rows
 		totalFlops += as[t].rows * as[t].cols * bs[t].cols
 	}
-	if kind == NaiveKernel {
-		for t := range dsts {
-			naiveMul(dsts[t], as[t], bs[t])
-		}
-		return
-	}
-	batchDispatch(dsts, as, bs, mulRangeKernel(kind), batchRowsA, totalRows, totalFlops, workers)
+	batchDispatch(dsts, as, bs, mulRangeKernel(), batchRowsA, totalRows, totalFlops, workers)
 }
 
 // BatchMulT computes dsts[t] = as[t] * bs[t]ᵀ for every triple.
@@ -54,20 +47,13 @@ func BatchMulTWorkers(dsts, as, bs []*Dense, workers int) {
 	if len(dsts) == 0 {
 		return
 	}
-	kind := KernelKind(activeKernel.Load())
 	totalRows, totalFlops := 0, 0
 	for t := range dsts {
 		checkMulT(dsts[t], as[t], bs[t])
 		totalRows += as[t].rows
 		totalFlops += as[t].rows * as[t].cols * bs[t].rows
 	}
-	if kind == NaiveKernel {
-		for t := range dsts {
-			naiveMulT(dsts[t], as[t], bs[t])
-		}
-		return
-	}
-	batchDispatch(dsts, as, bs, mulTRangeKernel(kind), batchRowsA, totalRows, totalFlops, workers)
+	batchDispatch(dsts, as, bs, mulTRangeKernel(), batchRowsA, totalRows, totalFlops, workers)
 }
 
 // BatchTMul computes dsts[t] = as[t]ᵀ * bs[t] for every triple.
@@ -79,20 +65,13 @@ func BatchTMulWorkers(dsts, as, bs []*Dense, workers int) {
 	if len(dsts) == 0 {
 		return
 	}
-	kind := KernelKind(activeKernel.Load())
 	totalRows, totalFlops := 0, 0
 	for t := range dsts {
 		checkTMul(dsts[t], as[t], bs[t])
 		totalRows += as[t].cols // dst rows of aᵀ·b = a.cols
 		totalFlops += as[t].rows * as[t].cols * bs[t].cols
 	}
-	if kind == NaiveKernel {
-		for t := range dsts {
-			naiveTMul(dsts[t], as[t], bs[t])
-		}
-		return
-	}
-	batchDispatch(dsts, as, bs, tMulRangeKernel(kind), batchRowsAT, totalRows, totalFlops, workers)
+	batchDispatch(dsts, as, bs, tMulRangeKernel(), batchRowsAT, totalRows, totalFlops, workers)
 }
 
 func batchCheckLen(d, a, b int) {

@@ -8,12 +8,11 @@ import (
 // Per-parameter kernels of the training loop: the Adam step and the L2
 // fold of the weight gradient. Each runs once per parameter per
 // minibatch, and on the small folds a bandit method's low budgets train
-// on their cost rivals the matmuls'. Like Mul, they dispatch on the
-// active kernel family: SIMD runs the AVX2 bodies in simd_amd64.s, every
-// other family (and every other platform) runs the Go loops below, which
-// are the reference. The assembly evaluates each element with the same
-// operations in the same order as the Go loop, all of them IEEE-exact
-// per lane (no FMA), so the two are bitwise-equal
+// on their cost rivals the matmuls'. Like Mul, they run the AVX2 bodies
+// in simd_amd64.s where the CPU has them and the Go loops below, which
+// are the reference, everywhere else. The assembly evaluates each
+// element with the same operations in the same order as the Go loop,
+// all of them IEEE-exact per lane (no FMA), so the two are bitwise-equal
 // (TestElementwiseKernelsMatchGo).
 
 // AdamCoeffs are the scalars of one Adam step. OneMinusBeta1 and
@@ -46,7 +45,7 @@ func AdamStep(p, m, v, g []float64, c AdamCoeffs) {
 	if n == 0 {
 		return
 	}
-	if KernelKind(activeKernel.Load()) == SIMD {
+	if simdAvailable {
 		adamavx(&p[0], &m[0], &v[0], &g[0], uintptr(n), &c)
 		return
 	}
@@ -79,7 +78,7 @@ func FoldL2(g, gw, w []float64, alpha, n float64) {
 	if k == 0 {
 		return
 	}
-	if KernelKind(activeKernel.Load()) == SIMD {
+	if simdAvailable {
 		foldl2avx(&g[0], &gw[0], &w[0], uintptr(k), alpha, n)
 		return
 	}

@@ -51,9 +51,10 @@ type elementwiseRun struct {
 }
 
 // elementwiseRuns are the assembly called directly (where the CPU has
-// it) and the public entry points under every kernel family.
+// it) and the public entry points, which run the family this build
+// selected: the assembly natively, the Go loops under -tags purego.
 func elementwiseRuns() []elementwiseRun {
-	var runs []elementwiseRun
+	runs := []elementwiseRun{{"dispatch/" + Kernel(), AdamStep, FoldL2}}
 	if simdAvailable {
 		runs = append(runs, elementwiseRun{"avx",
 			func(p, m, v, g []float64, c AdamCoeffs) {
@@ -65,17 +66,6 @@ func elementwiseRuns() []elementwiseRun {
 				if len(g) > 0 {
 					foldl2avx(&g[0], &gw[0], &w[0], uintptr(len(g)), alpha, n)
 				}
-			}})
-	}
-	for _, kind := range []KernelKind{NaiveKernel, Blocked, SIMD} {
-		runs = append(runs, elementwiseRun{"dispatch/" + kind.String(),
-			func(p, m, v, g []float64, c AdamCoeffs) {
-				defer SetKernel(SetKernel(kind))
-				AdamStep(p, m, v, g, c)
-			},
-			func(g, gw, w []float64, alpha, n float64) {
-				defer SetKernel(SetKernel(kind))
-				FoldL2(g, gw, w, alpha, n)
 			}})
 	}
 	return runs

@@ -1,7 +1,8 @@
 // Tuned matrix-multiplication kernels. Mul, MulT and TMul dispatch to a
 // register-blocked implementation (4-wide unrolled inner loops with
-// multiple independent accumulator chains) and, above a size threshold,
-// to a goroutine-parallel path that partitions *output rows* across
+// multiple independent accumulator chains), or to its AVX2 lift in
+// kernels_simd.go where the CPU has it, and, above a size threshold, to
+// a goroutine-parallel path that partitions *output rows* across
 // workers. Three properties are deliberately engineered in:
 //
 //   - Bitwise determinism across worker counts. Every output row is
@@ -9,14 +10,15 @@
 //     rows are partitioned, so results are bit-for-bit the same for any
 //     worker count. This is what lets the evaluation cache and the
 //     deterministic parallel ASHA guarantee survive kernel parallelism.
-//   - Bitwise agreement with the retained naive reference kernels
-//     (NaiveMul/NaiveMulT/NaiveTMul) on finite inputs. The unrolled
-//     loops keep each output element's additions in ascending-k order —
-//     unrolling buys instruction-level parallelism from *independent*
-//     element chains, never by splitting one element's sum — and every
-//     product is passed through float64(·) so implementations that fuse
-//     multiply-add (arm64, ppc64) cannot introduce drift.
-//   - No av == 0 branch in the dense path. The naive kernels skip zero
+//   - Bitwise agreement with the naive reference loops the tests hold
+//     them against (NaiveMul/NaiveMulT/NaiveTMul) on finite inputs. The
+//     unrolled loops keep each output element's additions in
+//     ascending-k order — unrolling buys instruction-level parallelism
+//     from *independent* element chains, never by splitting one
+//     element's sum — and every product is passed through float64(·) so
+//     implementations that fuse multiply-add (arm64, ppc64) cannot
+//     introduce drift.
+//   - No av == 0 branch in the dense path. The naive loops skip zero
 //     multiplicands (profitable for sparse ReLU activations but a
 //     mispredicted branch on dense data); the blocked kernels always
 //     multiply. Adding av*bv with av == 0 contributes +0 or -0, and
@@ -25,109 +27,20 @@
 package mat
 
 import (
-	"fmt"
-	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
-// KernelKind selects the implementation used by Mul/MulT/TMul and by
-// the per-parameter kernels AdamStep and FoldL2.
-type KernelKind int32
-
-const (
-	// Blocked is the tuned register-blocked (and, above the size
-	// threshold, row-parallel) portable kernel family.
-	Blocked KernelKind = iota
-	// NaiveKernel routes Mul/MulT/TMul to the retained sequential
-	// reference kernels — the pre-tuning baseline kept for property
-	// tests and benchmark comparisons.
-	NaiveKernel
-	// SIMD is the AVX2 microkernel family (amd64 only), bitwise-
-	// identical to Blocked and NaiveKernel. Selected by default when
-	// the CPU supports it; requesting it elsewhere falls back to
-	// Blocked.
-	SIMD
-)
-
-// String implements fmt.Stringer with the names BHPO_KERNEL accepts.
-func (k KernelKind) String() string {
-	switch k {
-	case Blocked:
-		return "blocked"
-	case NaiveKernel:
-		return "naive"
-	case SIMD:
-		return "simd"
-	default:
-		return fmt.Sprintf("KernelKind(%d)", int32(k))
-	}
-}
-
-// ParseKernel converts a kernel name ("naive", "blocked", "simd") to its
-// KernelKind, for the BHPO_KERNEL environment override and flag parsing.
-func ParseKernel(s string) (KernelKind, error) {
-	switch s {
-	case "blocked":
-		return Blocked, nil
-	case "naive":
-		return NaiveKernel, nil
-	case "simd":
-		return SIMD, nil
-	}
-	return 0, fmt.Errorf("mat: unknown kernel %q (want naive, blocked or simd)", s)
-}
-
-var activeKernel atomic.Int32 // KernelKind; set by init
-
-// init selects the fastest supported kernel family (SIMD where AVX2 is
-// available, Blocked otherwise). The BHPO_KERNEL environment variable
-// forces a specific family — the forced-fallback CI run uses it to keep
-// the portable path tested on AVX2 hardware. Unknown names are ignored
-// rather than fatal: kernel choice never changes results, only speed.
-func init() {
-	k := Blocked
+// Kernel names the matmul family this process runs: "simd" where the
+// CPU and OS support AVX2 (decided once, at package init, by the CPUID
+// probe), "blocked" otherwise and in -tags purego builds. The families
+// are bitwise-equal, so the choice changes speed, never a result.
+func Kernel() string {
 	if simdAvailable {
-		k = SIMD
+		return "simd"
 	}
-	if name := os.Getenv("BHPO_KERNEL"); name != "" {
-		if parsed, err := ParseKernel(name); err == nil {
-			k = parsed
-		}
-	}
-	activeKernel.Store(int32(normalizeKernel(k)))
+	return "blocked"
 }
-
-// normalizeKernel maps a requested kind to the kind that will actually
-// run, so ActiveKernel always reports truthfully.
-func normalizeKernel(k KernelKind) KernelKind {
-	if k == SIMD && !simdAvailable {
-		return Blocked
-	}
-	return k
-}
-
-// SetKernel switches the implementation behind Mul/MulT/TMul and
-// AdamStep/FoldL2 and returns the previous setting. Requesting SIMD
-// without CPU support selects Blocked. It exists for benchmarks and
-// tests that need a specific family end to end; production code never
-// calls it.
-func SetKernel(k KernelKind) KernelKind {
-	return KernelKind(activeKernel.Swap(int32(normalizeKernel(k))))
-}
-
-// ActiveKernel returns the kernel family currently dispatched to.
-func ActiveKernel() KernelKind { return KernelKind(activeKernel.Load()) }
-
-// SIMDAvailable reports whether the SIMD kernel family is usable on this
-// CPU (amd64 with AVX2 enabled by the OS).
-func SIMDAvailable() bool { return simdAvailable }
-
-// CPUFeatures returns a comma-separated list of the detected SIMD
-// instruction-set extensions relevant to kernel selection (empty on
-// platforms without the probe). For service introspection endpoints.
-func CPUFeatures() string { return cpuFeatures() }
 
 // parallelMinFlops is the multiply-add count below which the parallel
 // path is never taken: partitioning costs two goroutine handoffs per
@@ -185,12 +98,7 @@ func Mul(dst, a, b *Dense) { MulWorkers(dst, a, b, 0) }
 // worker count.
 func MulWorkers(dst, a, b *Dense, workers int) {
 	checkMul(dst, a, b)
-	kind := KernelKind(activeKernel.Load())
-	if kind == NaiveKernel {
-		naiveMul(dst, a, b)
-		return
-	}
-	f := mulRangeKernel(kind)
+	f := mulRangeKernel()
 	w := resolveWorkers(workers, a.rows, a.rows*a.cols*b.cols)
 	if w <= 1 {
 		// Direct call: the closure below captures and escapes, and the
@@ -208,22 +116,22 @@ func MulWorkers(dst, a, b *Dense, workers int) {
 // dispatchers all run the identical per-row code.
 type rangeKernel func(dst, a, b *Dense, i0, i1 int)
 
-func mulRangeKernel(kind KernelKind) rangeKernel {
-	if kind == SIMD {
+func mulRangeKernel() rangeKernel {
+	if simdAvailable {
 		return mulSIMD
 	}
 	return mulBlocked
 }
 
-func mulTRangeKernel(kind KernelKind) rangeKernel {
-	if kind == SIMD {
+func mulTRangeKernel() rangeKernel {
+	if simdAvailable {
 		return mulTSIMD
 	}
 	return mulTBlocked
 }
 
-func tMulRangeKernel(kind KernelKind) rangeKernel {
-	if kind == SIMD {
+func tMulRangeKernel() rangeKernel {
+	if simdAvailable {
 		return tMulSIMD
 	}
 	return tMulBlocked
@@ -235,12 +143,7 @@ func MulT(dst, a, b *Dense) { MulTWorkers(dst, a, b, 0) }
 // MulTWorkers is MulT with an explicit worker cap (0 = GOMAXPROCS).
 func MulTWorkers(dst, a, b *Dense, workers int) {
 	checkMulT(dst, a, b)
-	kind := KernelKind(activeKernel.Load())
-	if kind == NaiveKernel {
-		naiveMulT(dst, a, b)
-		return
-	}
-	f := mulTRangeKernel(kind)
+	f := mulTRangeKernel()
 	w := resolveWorkers(workers, a.rows, a.rows*a.cols*b.rows)
 	if w <= 1 {
 		f(dst, a, b, 0, a.rows)
@@ -255,12 +158,7 @@ func TMul(dst, a, b *Dense) { TMulWorkers(dst, a, b, 0) }
 // TMulWorkers is TMul with an explicit worker cap (0 = GOMAXPROCS).
 func TMulWorkers(dst, a, b *Dense, workers int) {
 	checkTMul(dst, a, b)
-	kind := KernelKind(activeKernel.Load())
-	if kind == NaiveKernel {
-		naiveTMul(dst, a, b)
-		return
-	}
-	f := tMulRangeKernel(kind)
+	f := tMulRangeKernel()
 	w := resolveWorkers(workers, a.cols, a.rows*a.cols*b.cols)
 	if w <= 1 {
 		f(dst, a, b, 0, a.cols)
@@ -384,72 +282,6 @@ func tMulBlocked(dst, a, b *Dense, i0, i1 int) {
 		for ; k < kDim; k++ {
 			av := ad[k*p+i]
 			brow := bd[k*n : k*n+n][:len(drow)]
-			for j, bv := range brow {
-				drow[j] += float64(av * bv)
-			}
-		}
-	}
-}
-
-// NaiveMul is the pre-tuning reference kernel for dst = a*b (sequential
-// ikj loop with the zero-multiplicand skip). Retained so property tests
-// and benchmarks can compare the blocked kernels against it.
-func NaiveMul(dst, a, b *Dense) {
-	checkMul(dst, a, b)
-	naiveMul(dst, a, b)
-}
-
-func naiveMul(dst, a, b *Dense) {
-	dst.Zero()
-	// ikj loop order keeps the inner loop streaming over contiguous rows.
-	for i := 0; i < a.rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				drow[j] += float64(av * bv)
-			}
-		}
-	}
-}
-
-// NaiveMulT is the pre-tuning reference kernel for dst = a * bᵀ
-// (row-by-row dot products).
-func NaiveMulT(dst, a, b *Dense) {
-	checkMulT(dst, a, b)
-	naiveMulT(dst, a, b)
-}
-
-func naiveMulT(dst, a, b *Dense) {
-	for i := 0; i < a.rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.rows; j++ {
-			drow[j] = Dot(arow, b.Row(j))
-		}
-	}
-}
-
-// NaiveTMul is the pre-tuning reference kernel for dst = aᵀ * b.
-func NaiveTMul(dst, a, b *Dense) {
-	checkTMul(dst, a, b)
-	naiveTMul(dst, a, b)
-}
-
-func naiveTMul(dst, a, b *Dense) {
-	dst.Zero()
-	for k := 0; k < a.rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			drow := dst.Row(i)
 			for j, bv := range brow {
 				drow[j] += float64(av * bv)
 			}

@@ -3,9 +3,9 @@ package mat
 // SIMD row-range drivers: the same loop structure as the blocked kernels
 // with the innermost sweeps replaced by the AVX2 microkernels from
 // simd_amd64.s. Per-element accumulation order is identical, so these
-// are bitwise-equal to the blocked and naive kernels; parity is pinned
-// by the property tests. They are only dispatched to when simdAvailable
-// (kernel dispatch normalizes SIMD→Blocked otherwise).
+// are bitwise-equal to the blocked kernels and the naive oracle; parity
+// is pinned by the property tests. They are only dispatched to when
+// simdAvailable.
 
 // mulSIMD computes rows [i0, i1) of dst = a*b.
 func mulSIMD(dst, a, b *Dense, i0, i1 int) {

@@ -2,7 +2,11 @@ package mat
 
 import (
 	"fmt"
-	"os"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strings"
 	"testing"
 
 	"enhancedbhpo/internal/rng"
@@ -62,48 +66,96 @@ func bitwiseEqual(t *testing.T, label string, got, want *Dense) {
 	}
 }
 
-// TestBlockedKernelsMatchNaiveBitwise pins the core tuned-kernel
-// contract: for every shape and worker count (1, 2, 8), the blocked and
-// parallel kernels produce results bit-for-bit identical to the retained
-// naive references on finite inputs.
+// wideShapes are operands far wider than any layer the paper's networks
+// form (b.cols ≥ 512), with odd sizes in every unroll remainder, the
+// parallel path and a deep k.
+var wideShapes = []struct{ m, k, n int }{
+	{1, 64, 512},
+	{4, 64, 512},
+	{9, 67, 515},
+	{65, 129, 600},
+	{3, 300, 1024},
+}
+
+// kernelOps are the three matmul forms, each posed as dst(m×n) over an
+// inner dimension k, with its oracle, its public solo and grouped entry
+// points, and the row kernels of both families.
+var kernelOps = []struct {
+	name     string
+	operands func(r *rng.RNG, m, k, n int) (a, b *Dense)
+	oracle   func(dst, a, b *Dense)
+	public   func(dst, a, b *Dense, workers int)
+	batch    func(dsts, as, bs []*Dense, workers int)
+	rows     [2]rangeKernel // blocked, simd
+	rowsOf   func(*Dense) int
+}{
+	{"Mul", func(r *rng.RNG, m, k, n int) (*Dense, *Dense) { return randDense(r, m, k), randDense(r, k, n) },
+		NaiveMul, MulWorkers, BatchMulWorkers, [2]rangeKernel{mulBlocked, mulSIMD}, batchRowsA},
+	{"MulT", func(r *rng.RNG, m, k, n int) (*Dense, *Dense) { return randDense(r, m, k), randDense(r, n, k) },
+		NaiveMulT, MulTWorkers, BatchMulTWorkers, [2]rangeKernel{mulTBlocked, mulTSIMD}, batchRowsA},
+	{"TMul", func(r *rng.RNG, m, k, n int) (*Dense, *Dense) { return randDense(r, k, m), randDense(r, k, n) },
+		NaiveTMul, TMulWorkers, BatchTMulWorkers, [2]rangeKernel{tMulBlocked, tMulSIMD}, batchRowsAT},
+}
+
+// kernelFamilies names the entries of a kernelOps rows array this CPU
+// can run.
+func kernelFamilies() []string {
+	if simdAvailable {
+		return []string{"blocked", "simd"}
+	}
+	return []string{"blocked"}
+}
+
+// TestBlockedKernelsMatchNaiveBitwise is the kernel oracle table: for
+// every shape and matmul form, each way the package computes a product
+// must match the naive loops bit for bit on finite inputs — the blocked
+// row kernels and, where the CPU has them, the SIMD ones, each called
+// over two row ranges; the public entry points at several worker
+// counts; and the Batch* dispatchers, over a single triple and over a
+// ragged group that puts the previous shape between two copies of this
+// one, so a partition chunk crosses triple boundaries. Every destination
+// starts filled with 42: stale contents must not leak through.
 func TestBlockedKernelsMatchNaiveBitwise(t *testing.T) {
-	workerCounts := []int{1, 2, 8}
-	for si, sh := range kernelShapes {
+	shapes := append(kernelShapes[:len(kernelShapes):len(kernelShapes)], wideShapes...)
+	workerCounts := []int{1, 2, 3, 4, 8}
+	stale := func(m, n int) *Dense {
+		d := NewDense(m, n)
+		d.Fill(42)
+		return d
+	}
+	for si, sh := range shapes {
+		prev := shapes[(si+len(shapes)-1)%len(shapes)]
 		r := rng.New(uint64(1000 + si))
 		t.Run(fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), func(t *testing.T) {
-			// Mul: a(m×k) * b(k×n).
-			a := randDense(r, sh.m, sh.k)
-			b := randDense(r, sh.k, sh.n)
-			want := NewDense(sh.m, sh.n)
-			NaiveMul(want, a, b)
-			for _, w := range workerCounts {
-				got := NewDense(sh.m, sh.n)
-				got.Fill(42) // stale contents must not leak through
-				MulWorkers(got, a, b, w)
-				bitwiseEqual(t, fmt.Sprintf("Mul workers=%d", w), got, want)
-			}
+			for _, op := range kernelOps {
+				a, b := op.operands(r, sh.m, sh.k, sh.n)
+				want := NewDense(sh.m, sh.n)
+				op.oracle(want, a, b)
+				pa, pb := op.operands(r, prev.m, prev.k, prev.n)
+				wantPrev := NewDense(prev.m, prev.n)
+				op.oracle(wantPrev, pa, pb)
+				for fi, family := range kernelFamilies() {
+					got := stale(sh.m, sh.n)
+					rows := op.rowsOf(a)
+					op.rows[fi](got, a, b, 0, rows/2)
+					op.rows[fi](got, a, b, rows/2, rows)
+					bitwiseEqual(t, fmt.Sprintf("%s %s rows", op.name, family), got, want)
+				}
+				for _, w := range workerCounts {
+					got := stale(sh.m, sh.n)
+					op.public(got, a, b, w)
+					bitwiseEqual(t, fmt.Sprintf("%s workers=%d", op.name, w), got, want)
 
-			// MulT: a(m×k) * b(n×k)ᵀ.
-			bt := randDense(r, sh.n, sh.k)
-			wantT := NewDense(sh.m, sh.n)
-			NaiveMulT(wantT, a, bt)
-			for _, w := range workerCounts {
-				got := NewDense(sh.m, sh.n)
-				got.Fill(42)
-				MulTWorkers(got, a, bt, w)
-				bitwiseEqual(t, fmt.Sprintf("MulT workers=%d", w), got, wantT)
-			}
+					got = stale(sh.m, sh.n)
+					op.batch([]*Dense{got}, []*Dense{a}, []*Dense{b}, w)
+					bitwiseEqual(t, fmt.Sprintf("Batch%s single workers=%d", op.name, w), got, want)
 
-			// TMul: a(k×m)ᵀ * b(k×n).
-			at := randDense(r, sh.k, sh.m)
-			b2 := randDense(r, sh.k, sh.n)
-			wantG := NewDense(sh.m, sh.n)
-			NaiveTMul(wantG, at, b2)
-			for _, w := range workerCounts {
-				got := NewDense(sh.m, sh.n)
-				got.Fill(42)
-				TMulWorkers(got, at, b2, w)
-				bitwiseEqual(t, fmt.Sprintf("TMul workers=%d", w), got, wantG)
+					dsts := []*Dense{stale(sh.m, sh.n), stale(prev.m, prev.n), stale(sh.m, sh.n)}
+					op.batch(dsts, []*Dense{a, pa, a}, []*Dense{b, pb, b}, w)
+					for i, wantI := range []*Dense{want, wantPrev, want} {
+						bitwiseEqual(t, fmt.Sprintf("Batch%s group[%d] workers=%d", op.name, i, w), dsts[i], wantI)
+					}
+				}
 			}
 		})
 	}
@@ -130,78 +182,6 @@ func TestParallelWorkerCountDeterminism(t *testing.T) {
 	bitwiseEqual(t, "workers=default", got, base)
 }
 
-// TestSetKernelDispatch pins that the benchmark escape hatch really
-// routes the public entry points to the naive kernels and restores.
-func TestSetKernelDispatch(t *testing.T) {
-	wantDefault := Blocked
-	if SIMDAvailable() {
-		wantDefault = SIMD
-	}
-	// The forced-fallback CI run (`make fallback`) overrides the default
-	// family via BHPO_KERNEL; the pinned expectation follows it.
-	if name := os.Getenv("BHPO_KERNEL"); name != "" {
-		if parsed, err := ParseKernel(name); err == nil {
-			wantDefault = normalizeKernel(parsed)
-		}
-	}
-	prev := SetKernel(NaiveKernel)
-	if prev != wantDefault {
-		t.Fatalf("default kernel = %v, want %v", prev, wantDefault)
-	}
-	defer SetKernel(prev)
-	r := rng.New(5)
-	a := randDense(r, 6, 7)
-	b := randDense(r, 7, 8)
-	got := NewDense(6, 8)
-	Mul(got, a, b)
-	want := NewDense(6, 8)
-	NaiveMul(want, a, b)
-	bitwiseEqual(t, "naive dispatch", got, want)
-	if back := SetKernel(Blocked); back != NaiveKernel {
-		t.Fatalf("SetKernel returned %d, want NaiveKernel", back)
-	}
-}
-
-// TestBlockedKernelsTiledShapes extends the bitwise parity pin to wide
-// operands (b.cols ≥ 512, far past any layer the paper's networks
-// form), including odd sizes that land in every unroll remainder. Runs
-// under whatever kernel family is active (the forced-fallback CI run
-// repeats it with BHPO_KERNEL=blocked).
-func TestBlockedKernelsTiledShapes(t *testing.T) {
-	wideShapes := []struct{ m, k, n int }{
-		{1, 64, 512},
-		{4, 64, 512},
-		{9, 67, 515},   // odd everything: k%4, j%4 tails
-		{65, 129, 600}, // parallel path
-		{3, 300, 1024}, // deep k
-	}
-	for si, sh := range wideShapes {
-		r := rng.New(uint64(4000 + si))
-		t.Run(fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), func(t *testing.T) {
-			a := randDense(r, sh.m, sh.k)
-			b := randDense(r, sh.k, sh.n)
-			want := NewDense(sh.m, sh.n)
-			NaiveMul(want, a, b)
-			for _, w := range []int{1, 3, 8} {
-				got := NewDense(sh.m, sh.n)
-				got.Fill(42)
-				MulWorkers(got, a, b, w)
-				bitwiseEqual(t, fmt.Sprintf("Mul workers=%d", w), got, want)
-			}
-
-			at := randDense(r, sh.k, sh.m)
-			wantG := NewDense(sh.m, sh.n)
-			NaiveTMul(wantG, at, b)
-			for _, w := range []int{1, 3, 8} {
-				got := NewDense(sh.m, sh.n)
-				got.Fill(42)
-				TMulWorkers(got, at, b, w)
-				bitwiseEqual(t, fmt.Sprintf("TMul workers=%d", w), got, wantG)
-			}
-		})
-	}
-}
-
 // TestColSumsInto pins the allocation-free column-sum path against the
 // allocating one.
 func TestColSumsInto(t *testing.T) {
@@ -219,4 +199,81 @@ func TestColSumsInto(t *testing.T) {
 		}
 	}
 	assertPanics(t, "length mismatch", func() { ColSumsInto(make([]float64, 3), m) })
+}
+
+// TestBatchMulChecks pins the grouped dispatchers' validation: length
+// mismatches and per-triple shape mismatches must panic like the solo
+// entry points, and empty batches are no-ops.
+func TestBatchMulChecks(t *testing.T) {
+	BatchMul(nil, nil, nil) // empty: no-op
+	a := NewDense(2, 3)
+	b := NewDense(3, 4)
+	d := NewDense(2, 4)
+	assertPanics(t, "length mismatch", func() { BatchMul([]*Dense{d}, []*Dense{a}, nil) })
+	bad := NewDense(5, 4)
+	assertPanics(t, "shape mismatch", func() {
+		BatchMul([]*Dense{d, d}, []*Dense{a, a}, []*Dense{b, bad})
+	})
+}
+
+// exportedAPI is everything the package exports at package level. It
+// holds no kernel selector: the family is picked once, from CPUID, and
+// Kernel only names it.
+var exportedAPI = map[string]bool{
+	"AdamCoeffs": true, "AdamStep": true, "AddRowVector": true, "Arena": true, "Axpy": true,
+	"BatchMul": true, "BatchMulT": true, "BatchMulTWorkers": true, "BatchMulWorkers": true,
+	"BatchTMul": true, "BatchTMulWorkers": true, "ColSums": true, "ColSumsInto": true,
+	"Dense": true, "Dot": true, "FoldL2": true, "Kernel": true, "Mul": true, "MulT": true,
+	"MulTWorkers": true, "MulWorkers": true, "NewDense": true, "NewDenseData": true,
+	"Norm2": true, "Scale": true, "SqDist": true, "TMul": true, "TMulWorkers": true,
+}
+
+// TestNoKernelSwitch keeps the kernel family a property of the build:
+// the package's non-test sources may export nothing beyond exportedAPI,
+// and may not import os, so no environment variable can reach a kernel.
+func TestNoKernelSwitch(t *testing.T) {
+	fset := token.NewFileSet()
+	noTests := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	pkgs, err := parser.ParseDir(fset, ".", noTests, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	check := func(pos token.Pos, name string) {
+		seen++
+		if ast.IsExported(name) && !exportedAPI[name] {
+			t.Errorf("%s: exported %s; the kernel family is chosen from CPUID, not by a caller", fset.Position(pos), name)
+		}
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, imp := range file.Imports {
+				if imp.Path.Value == `"os"` {
+					t.Errorf("%s: imports os", fset.Position(imp.Pos()))
+				}
+			}
+			for _, decl := range file.Decls {
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					if decl.Recv == nil {
+						check(decl.Pos(), decl.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							check(spec.Pos(), spec.Name.Name)
+						case *ast.ValueSpec:
+							for _, n := range spec.Names {
+								check(n.Pos(), n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if seen < len(exportedAPI) {
+		t.Fatalf("saw %d package-level declarations; the scanner is broken", seen)
+	}
 }

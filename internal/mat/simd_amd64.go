@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package mat
 
@@ -57,12 +57,8 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 // detectAVX2 reports whether both the CPU and the OS support AVX2 with
-// full YMM state. Under GOAMD64=v3 the toolchain already assumes AVX2,
-// so the probe is skipped.
+// full YMM state.
 func detectAVX2() bool {
-	if compiledV3 {
-		return true
-	}
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
 		return false
@@ -83,34 +79,7 @@ func detectAVX2() bool {
 	return b7&(1<<5) != 0 // AVX2
 }
 
+// simdAvailable selects the kernel family, once, for the life of the
+// process: the AVX2 microkernels where the probe says yes, the blocked
+// Go loops otherwise.
 var simdAvailable = detectAVX2()
-
-// cpuFeatures names the instruction-set extensions relevant to kernel
-// selection, for the service's /metrics and /healthz introspection.
-func cpuFeatures() string {
-	maxID, _, _, _ := cpuid(0, 0)
-	_, _, c1, _ := cpuid(1, 0)
-	feats := "sse2"
-	if c1&(1<<19) != 0 {
-		feats += ",sse4.1"
-	}
-	if c1&(1<<20) != 0 {
-		feats += ",sse4.2"
-	}
-	if c1&(1<<28) != 0 {
-		feats += ",avx"
-	}
-	if c1&(1<<12) != 0 {
-		feats += ",fma"
-	}
-	if maxID >= 7 {
-		_, b7, _, _ := cpuid(7, 0)
-		if b7&(1<<5) != 0 {
-			feats += ",avx2"
-		}
-		if b7&(1<<16) != 0 {
-			feats += ",avx512f"
-		}
-	}
-	return feats
-}

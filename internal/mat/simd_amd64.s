@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 // AVX2 microkernels for the SIMD family: the matmul sweeps and the
 // per-parameter Adam and L2-fold loops. See simd_amd64.go for the
 // contracts. Determinism rules observed throughout:

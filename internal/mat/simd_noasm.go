@@ -1,15 +1,14 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package mat
 
-// Non-amd64 stubs. simdAvailable is false, so kernel dispatch normalizes
-// any SIMD request to the portable blocked family and the microkernel
+// Stubs for platforms without the AVX2 microkernels, and for -tags purego
+// builds, which leave the assembly out so the portable blocked family
+// runs end to end on AVX2 hardware too. simdAvailable is false, so the
 // stubs below are unreachable; they exist only to keep the package
-// compiling on every platform.
+// compiling.
 
-const compiledV3 = false
-
-var simdAvailable = false
+const simdAvailable = false
 
 func axpy4avx(a0, a1, a2, a3 float64, b *float64, ldb uintptr, dst *float64, n uintptr) {
 	panic("mat: SIMD kernel called on a platform without SIMD support")
@@ -30,5 +29,3 @@ func adamavx(p, m, v, grad *float64, n uintptr, c *AdamCoeffs) {
 func foldl2avx(dst, gw, w *float64, n uintptr, alpha, rows float64) {
 	panic("mat: SIMD kernel called on a platform without SIMD support")
 }
-
-func cpuFeatures() string { return "" }

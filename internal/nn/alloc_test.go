@@ -13,10 +13,10 @@ import (
 // training loops: after the first epoch has warmed the scratch arena
 // (minibatch buffers, gradient vector, per-row-count forward/backward
 // matrices), steady-state epochs allocate nothing — for both the
-// full-batch and the n%batch tail path, under both stochastic solvers,
-// and for adam with the SIMD family forced, whose step hands the
-// assembly a pointer to its coefficients. An L-BFGS iteration's loss
-// and backprop calls allocate nothing once warm either.
+// full-batch and the n%batch tail path, under both stochastic solvers
+// (adam's step, where the CPU has AVX2, hands the assembly a pointer to
+// its coefficients). An L-BFGS iteration's loss and backprop calls
+// allocate nothing once warm either.
 func TestFitEpochZeroAlloc(t *testing.T) {
 	const n, features, classes = 37, 6, 3 // 37%8 != 0 → tail batch every epoch
 	setup := func(solver Solver) (*Model, *mat.Dense, *mat.Dense, *rng.RNG) {
@@ -42,18 +42,13 @@ func TestFitEpochZeroAlloc(t *testing.T) {
 		return m, x, target, r
 	}
 	for _, c := range []struct {
-		name      string
-		solver    Solver
-		forceSIMD bool // else the init-selected family
+		name   string
+		solver Solver
 	}{
-		{"sgd", SGD, false},
-		{"adam", Adam, false},
-		{"adam/simd", Adam, true},
+		{"sgd", SGD},
+		{"adam", Adam},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if c.forceSIMD {
-				defer mat.SetKernel(mat.SetKernel(mat.SIMD))
-			}
 			m, x, target, r := setup(c.solver)
 			st := m.newSGDState(x, target, r.Split(2))
 			st.runEpoch() // warm-up: builds full-batch and tail scratch

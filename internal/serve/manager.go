@@ -1085,7 +1085,6 @@ type Metrics struct {
 	EvalsFused        int64   `json:"evals_fused"`    // always 0: the fuser is gone; bench/ (frozen) still reads it
 	FuseFallbacks     int64   `json:"fuse_fallbacks"` // always 0, as above; both go with bench's serve.* fuse metrics
 	Kernel            string  `json:"kernel"`
-	CPUFeatures       string  `json:"cpu_features,omitempty"`
 	KernelWorkers     int     `json:"kernel_workers"`
 	TrialFailures     int64   `json:"trial_failures"`
 	DeadlineExceeded  int64   `json:"deadline_exceeded"`
@@ -1133,8 +1132,7 @@ func (m *Manager) Metrics() Metrics {
 		PoolSize:         m.cfg.PoolSize,
 		Evaluations:      m.evals.Load(),
 		FoldsLent:        m.foldsLent.Load(),
-		Kernel:           mat.ActiveKernel().String(),
-		CPUFeatures:      mat.CPUFeatures(),
+		Kernel:           mat.Kernel(),
 		KernelWorkers:    m.cfg.KernelWorkers,
 		TrialFailures:    m.trialFailures.Load(),
 		DeadlineExceeded: m.deadlineExceeded.Load(),

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"enhancedbhpo/internal/hpo"
-	"enhancedbhpo/internal/mat"
 	"enhancedbhpo/internal/serve/sched"
 )
 
@@ -373,11 +372,6 @@ type healthBody struct {
 	UptimeSec  float64 `json:"uptime_sec"`
 	Pending    int     `json:"pending"`
 	MaxPending int     `json:"max_pending"`
-	// Kernel is the active matmul kernel family (naive/blocked/simd) and
-	// CPUFeatures the detected SIMD feature set. Surfaced here so an
-	// operator's first probe shows what compute path the node runs.
-	Kernel      string `json:"kernel"`
-	CPUFeatures string `json:"cpu_features,omitempty"`
 }
 
 func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
@@ -389,13 +383,11 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 		status = "overloaded"
 	}
 	WriteJSON(w, http.StatusOK, healthBody{
-		Status:      status,
-		Node:        s.manager.cfg.NodeName,
-		UptimeSec:   time.Since(s.manager.started).Seconds(),
-		Pending:     s.manager.PendingDepth(),
-		MaxPending:  s.manager.cfg.MaxPending,
-		Kernel:      mat.ActiveKernel().String(),
-		CPUFeatures: mat.CPUFeatures(),
+		Status:     status,
+		Node:       s.manager.cfg.NodeName,
+		UptimeSec:  time.Since(s.manager.started).Seconds(),
+		Pending:    s.manager.PendingDepth(),
+		MaxPending: s.manager.cfg.MaxPending,
 	})
 }
 
