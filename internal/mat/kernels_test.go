@@ -97,63 +97,138 @@ var kernelOps = []struct {
 		NaiveTMul, TMulWorkers, BatchTMulWorkers, [2]rangeKernel{tMulBlocked, tMulSIMD}, batchRowsAT},
 }
 
+// familyNames are the two matmul families, named as Kernel reports
+// them; the index is the entry of a kernelOps rows array.
+var familyNames = [2]string{"blocked", "simd"}
+
 // kernelFamilies names the entries of a kernelOps rows array this CPU
 // can run.
 func kernelFamilies() []string {
 	if simdAvailable {
-		return []string{"blocked", "simd"}
+		return familyNames[:]
 	}
-	return []string{"blocked"}
+	return familyNames[:1]
 }
 
-// TestBlockedKernelsMatchNaiveBitwise is the kernel oracle table: for
-// every shape and matmul form, each way the package computes a product
-// must match the naive loops bit for bit on finite inputs — the blocked
-// row kernels and, where the CPU has them, the SIMD ones, each called
-// over two row ranges; the public entry points at several worker
-// counts; and the Batch* dispatchers, over a single triple and over a
-// ragged group that puts the previous shape between two copies of this
-// one, so a partition chunk crosses triple boundaries. Every destination
-// starts filled with 42: stale contents must not leak through.
-func TestBlockedKernelsMatchNaiveBitwise(t *testing.T) {
-	shapes := append(kernelShapes[:len(kernelShapes):len(kernelShapes)], wideShapes...)
-	workerCounts := []int{1, 2, 3, 4, 8}
-	stale := func(m, n int) *Dense {
-		d := NewDense(m, n)
-		d.Fill(42)
-		return d
-	}
+// runFamily runs f as the subtest of one kernel family. The SIMD row
+// kernels need AVX2, which the CPU may lack and -tags purego builds
+// leave out; its subtest is skipped there.
+func runFamily(t *testing.T, fi int, f func(t *testing.T)) {
+	t.Run(familyNames[fi], func(t *testing.T) {
+		if familyNames[fi] == "simd" && !simdAvailable {
+			t.Skip("this CPU or build has no AVX2 kernels")
+		}
+		f(t)
+	})
+}
+
+func staleDense(m, n int) *Dense {
+	d := NewDense(m, n)
+	d.Fill(42)
+	return d
+}
+
+// checkPublicKernels holds the public entry points of every matmul form
+// against the naive loops, bit for bit, at several worker counts. Every
+// destination starts filled with 42: stale contents must not leak
+// through.
+func checkPublicKernels(t *testing.T, shapes []struct{ m, k, n int }, seed uint64) {
 	for si, sh := range shapes {
-		prev := shapes[(si+len(shapes)-1)%len(shapes)]
-		r := rng.New(uint64(1000 + si))
+		r := rng.New(seed + uint64(si))
 		t.Run(fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), func(t *testing.T) {
 			for _, op := range kernelOps {
 				a, b := op.operands(r, sh.m, sh.k, sh.n)
 				want := NewDense(sh.m, sh.n)
 				op.oracle(want, a, b)
-				pa, pb := op.operands(r, prev.m, prev.k, prev.n)
-				wantPrev := NewDense(prev.m, prev.n)
-				op.oracle(wantPrev, pa, pb)
-				for fi, family := range kernelFamilies() {
-					got := stale(sh.m, sh.n)
+				for _, w := range []int{1, 2, 3, 4, 8} {
+					got := staleDense(sh.m, sh.n)
+					op.public(got, a, b, w)
+					bitwiseEqual(t, fmt.Sprintf("%s workers=%d", op.name, w), got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestBlockedKernelsMatchNaiveBitwise pins the public Mul/MulT/TMul
+// entry points, under the family this build runs, to the naive loops
+// bit for bit over the shape table.
+func TestBlockedKernelsMatchNaiveBitwise(t *testing.T) {
+	checkPublicKernels(t, kernelShapes, 1000)
+}
+
+// TestBlockedKernelsTiledShapes extends the same pin to wideShapes.
+func TestBlockedKernelsTiledShapes(t *testing.T) {
+	checkPublicKernels(t, wideShapes, 4000)
+}
+
+// TestForcedKernelParity calls each family's row kernels directly, over
+// two row ranges of every shape, and holds them to the naive loops bit
+// for bit, whichever family the public entry points run.
+func TestForcedKernelParity(t *testing.T) {
+	shapes := append(kernelShapes[:len(kernelShapes):len(kernelShapes)], wideShapes...)
+	for fi := range familyNames {
+		runFamily(t, fi, func(t *testing.T) {
+			for si, sh := range shapes {
+				r := rng.New(uint64(7000 + si))
+				for _, op := range kernelOps {
+					a, b := op.operands(r, sh.m, sh.k, sh.n)
+					want := NewDense(sh.m, sh.n)
+					op.oracle(want, a, b)
+					got := staleDense(sh.m, sh.n)
 					rows := op.rowsOf(a)
 					op.rows[fi](got, a, b, 0, rows/2)
 					op.rows[fi](got, a, b, rows/2, rows)
-					bitwiseEqual(t, fmt.Sprintf("%s %s rows", op.name, family), got, want)
+					bitwiseEqual(t, fmt.Sprintf("%s %dx%dx%d", op.name, sh.m, sh.k, sh.n), got, want)
 				}
-				for _, w := range workerCounts {
-					got := stale(sh.m, sh.n)
-					op.public(got, a, b, w)
-					bitwiseEqual(t, fmt.Sprintf("%s workers=%d", op.name, w), got, want)
+			}
+		})
+	}
+}
 
-					got = stale(sh.m, sh.n)
-					op.batch([]*Dense{got}, []*Dense{a}, []*Dense{b}, w)
-					bitwiseEqual(t, fmt.Sprintf("Batch%s single workers=%d", op.name, w), got, want)
+// TestBatchMulParity holds the grouped dispatch to the naive loops bit
+// for bit, for each family's row kernels and several worker counts:
+// over a single triple and over a ragged group that puts the previous
+// shape between two copies of this one, so a partition chunk crosses
+// triple boundaries. The public Batch* entry points are checked in the
+// subtest of the family this build runs; the other family goes through
+// batchDispatch with its row kernels, with the flop count set past
+// parallelMinFlops so every worker count above one partitions.
+func TestBatchMulParity(t *testing.T) {
+	shapes := append(kernelShapes[:len(kernelShapes):len(kernelShapes)], wideShapes...)
+	for fi := range familyNames {
+		runFamily(t, fi, func(t *testing.T) {
+			for si, sh := range shapes {
+				prev := shapes[(si+len(shapes)-1)%len(shapes)]
+				r := rng.New(uint64(9000 + si))
+				for _, op := range kernelOps {
+					batch := op.batch
+					if familyNames[fi] != Kernel() {
+						batch = func(dsts, as, bs []*Dense, workers int) {
+							rows := 0
+							for _, a := range as {
+								rows += op.rowsOf(a)
+							}
+							batchDispatch(dsts, as, bs, op.rows[fi], op.rowsOf, rows, parallelMinFlops, workers)
+						}
+					}
+					a, b := op.operands(r, sh.m, sh.k, sh.n)
+					want := NewDense(sh.m, sh.n)
+					op.oracle(want, a, b)
+					pa, pb := op.operands(r, prev.m, prev.k, prev.n)
+					wantPrev := NewDense(prev.m, prev.n)
+					op.oracle(wantPrev, pa, pb)
+					for _, w := range []int{1, 2, 3, 4, 8} {
+						label := fmt.Sprintf("Batch%s %dx%dx%d", op.name, sh.m, sh.k, sh.n)
+						got := staleDense(sh.m, sh.n)
+						batch([]*Dense{got}, []*Dense{a}, []*Dense{b}, w)
+						bitwiseEqual(t, fmt.Sprintf("%s single workers=%d", label, w), got, want)
 
-					dsts := []*Dense{stale(sh.m, sh.n), stale(prev.m, prev.n), stale(sh.m, sh.n)}
-					op.batch(dsts, []*Dense{a, pa, a}, []*Dense{b, pb, b}, w)
-					for i, wantI := range []*Dense{want, wantPrev, want} {
-						bitwiseEqual(t, fmt.Sprintf("Batch%s group[%d] workers=%d", op.name, i, w), dsts[i], wantI)
+						dsts := []*Dense{staleDense(sh.m, sh.n), staleDense(prev.m, prev.n), staleDense(sh.m, sh.n)}
+						batch(dsts, []*Dense{a, pa, a}, []*Dense{b, pb, b}, w)
+						for i, wantI := range []*Dense{want, wantPrev, want} {
+							bitwiseEqual(t, fmt.Sprintf("%s group[%d] workers=%d", label, i, w), dsts[i], wantI)
+						}
 					}
 				}
 			}

@@ -13,10 +13,11 @@ import (
 // training loops: after the first epoch has warmed the scratch arena
 // (minibatch buffers, gradient vector, per-row-count forward/backward
 // matrices), steady-state epochs allocate nothing — for both the
-// full-batch and the n%batch tail path, under both stochastic solvers
-// (adam's step, where the CPU has AVX2, hands the assembly a pointer to
-// its coefficients). An L-BFGS iteration's loss and backprop calls
-// allocate nothing once warm either.
+// full-batch and the n%batch tail path, under both stochastic solvers,
+// and for adam on the SIMD family, whose step hands the assembly a
+// pointer to its coefficients (skipped where the CPU or build has no
+// AVX2 kernels). An L-BFGS iteration's loss and backprop calls allocate
+// nothing once warm either.
 func TestFitEpochZeroAlloc(t *testing.T) {
 	const n, features, classes = 37, 6, 3 // 37%8 != 0 → tail batch every epoch
 	setup := func(solver Solver) (*Model, *mat.Dense, *mat.Dense, *rng.RNG) {
@@ -44,11 +45,16 @@ func TestFitEpochZeroAlloc(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		solver Solver
+		simd   bool // needs the SIMD family
 	}{
-		{"sgd", SGD},
-		{"adam", Adam},
+		{"sgd", SGD, false},
+		{"adam", Adam, false},
+		{"adam/simd", Adam, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			if c.simd && mat.Kernel() != "simd" {
+				t.Skip("this CPU or build has no AVX2 kernels")
+			}
 			m, x, target, r := setup(c.solver)
 			st := m.newSGDState(x, target, r.Split(2))
 			st.runEpoch() // warm-up: builds full-batch and tail scratch
