@@ -15,7 +15,11 @@
 // -configs caps the configurations of the methods that honor MaxConfigs
 // (sha, asha, pasha, grid) and is ignored by the rest; random, smac and
 // tpe run their default 10 trials, and hyperband, bohb and dehb run every
-// bracket (Table IV caps them at 3).
+// bracket (Table IV caps them at 3). -seed is both of a job's seeds: it
+// synthesizes the data (and so seeds the enhanced grouping) and seeds the
+// search and the final refit. So `bhpo -seed N ... -json` reports the best
+// configuration, best score and test score of a bhpod job of the same
+// spec with "seed":N,"dataset_seed":N, bit for bit.
 //
 // The watch subcommand follows a job running on a bhpod daemon: it
 // subscribes to the job's Server-Sent Events feed and renders a live
@@ -115,12 +119,13 @@ func run(dsName, csvPath, csvKind, spacePath, methodName string, enhanced bool, 
 	}
 
 	out, err := core.Run(train, test, core.Options{
-		Method:     method,
-		Variant:    variant,
-		Space:      space,
-		Base:       base,
-		UseF1:      useF1,
-		RunOptions: hpo.RunOptions{Seed: seed, MaxConfigs: configs},
+		Method:      method,
+		Variant:     variant,
+		Space:       space,
+		Base:        base,
+		DatasetSeed: seed,
+		UseF1:       useF1,
+		RunOptions:  hpo.RunOptions{Seed: seed, MaxConfigs: configs},
 	})
 	if err != nil {
 		return err

@@ -44,11 +44,12 @@ func main() {
 	var bestOut *core.Outcome
 	for _, variant := range []core.Variant{core.Vanilla, core.Enhanced} {
 		out, err := core.Run(train, test, core.Options{
-			Method:     "sha",
-			Variant:    variant,
-			Space:      space,
-			Base:       base,
-			RunOptions: hpo.RunOptions{Seed: 4},
+			Method:      "sha",
+			Variant:     variant,
+			Space:       space,
+			Base:        base,
+			DatasetSeed: 3,
+			RunOptions:  hpo.RunOptions{Seed: 4},
 		})
 		if err != nil {
 			log.Fatal(err)

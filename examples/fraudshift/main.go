@@ -67,12 +67,13 @@ func main() {
 
 	for _, variant := range []core.Variant{core.Vanilla, core.Enhanced} {
 		out, err := core.Run(train, test, core.Options{
-			Method:     "sha",
-			Variant:    variant,
-			Space:      space,
-			Base:       base,
-			UseF1:      true,
-			RunOptions: hpo.RunOptions{Seed: 2, MaxConfigs: 54},
+			Method:      "sha",
+			Variant:     variant,
+			Space:       space,
+			Base:        base,
+			DatasetSeed: 7,
+			UseF1:       true,
+			RunOptions:  hpo.RunOptions{Seed: 2, MaxConfigs: 54},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -43,20 +43,16 @@ func main() {
 	base.MaxIter = 25
 	base.LearningRateInit = 0.02
 
-	// Hyperband with the enhanced components, tuning the regression
-	// grouping explicitly: 4 magnitude bins over the target.
+	// Hyperband with the enhanced components: their regression grouping
+	// bins the target into 4 magnitude bins, combined with feature clusters.
 	opts := core.Options{
-		Method:  "hyperband",
-		Variant: core.Enhanced,
-		Space:   space,
-		Base:    base,
-		Enhanced: hpo.EnhancedOptions{
-			KGen: 3,
-			KSpe: 2,
-		},
-		RunOptions: hpo.RunOptions{Seed: 3, MaxBrackets: 3},
+		Method:      "hyperband",
+		Variant:     core.Enhanced,
+		Space:       space,
+		Base:        base,
+		DatasetSeed: 11,
+		RunOptions:  hpo.RunOptions{Seed: 3, MaxBrackets: 3},
 	}
-	opts.Enhanced.Grouping.RegressionBins = 4
 
 	out, err := core.Run(train, test, opts)
 	if err != nil {

@@ -50,11 +50,12 @@ func main() {
 	// 4. Run vanilla SHA and the enhanced SHA+ and compare.
 	for _, variant := range []core.Variant{core.Vanilla, core.Enhanced} {
 		out, err := core.Run(train, test, core.Options{
-			Method:     "sha",
-			Variant:    variant,
-			Space:      space,
-			Base:       base,
-			RunOptions: hpo.RunOptions{Seed: 3},
+			Method:      "sha",
+			Variant:     variant,
+			Space:       space,
+			Base:        base,
+			DatasetSeed: 42,
+			RunOptions:  hpo.RunOptions{Seed: 3},
 		})
 		if err != nil {
 			log.Fatal(err)

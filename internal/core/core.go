@@ -52,15 +52,14 @@ type Options struct {
 	// Base supplies the non-searched nn.Config fields; zero value selects
 	// nn.DefaultConfig.
 	Base nn.Config
-	// K is the fold count for vanilla components (enhanced components
-	// derive it from KGen+KSpe). 0 selects 5.
-	K int
-	// Enhanced tunes the paper's components when Variant == Enhanced.
-	Enhanced hpo.EnhancedOptions
+	// DatasetSeed is the seed the data was synthesized from. It seeds the
+	// enhanced variant's grouping (see Components).
+	DatasetSeed uint64
 	// UseF1 scores classification folds (and the final model) by F1.
 	UseF1 bool
-	// RunOptions tune the method: Seed also seeds grouping and the final
-	// refit, so it makes the whole run reproducible.
+	// RunOptions tune the method: Seed also seeds the final refit (see
+	// RefitStream), so with DatasetSeed it makes the whole run
+	// reproducible.
 	hpo.RunOptions
 }
 
@@ -104,31 +103,21 @@ func RunCtx(ctx context.Context, train, test *dataset.Dataset, opts Options) (*O
 		base = nn.DefaultConfig()
 	}
 	totalStart := time.Now()
-	root := rng.New(opts.Seed ^ 0xc0de)
 
-	var comps hpo.Components
+	comps, err := Components(train, opts.Variant, opts.DatasetSeed)
+	if err != nil {
+		return nil, fmt.Errorf("core: building %s components: %w", opts.Variant, err)
+	}
 	var setup time.Duration
 	if opts.Variant == Enhanced {
-		setupStart := time.Now()
-		c, err := hpo.EnhancedComponents(train, opts.Enhanced, root.Split(1))
-		if err != nil {
-			return nil, fmt.Errorf("core: building enhanced components: %w", err)
-		}
-		comps = c
-		setup = time.Since(setupStart)
-	} else {
-		comps = hpo.VanillaComponents(opts.K)
+		setup = time.Since(totalStart)
 	}
 	ev := hpo.NewCVEvaluator(train, base, comps)
 	ev.UseF1 = opts.UseF1
 
-	// Dispatch through the hpo registry, the table the job service resolves
-	// methods in too: given equal components and seed, a CLI run and a
-	// served job run the same optimizer, and SHA starts from the same
-	// configurations. Their scores can still differ, because the components
-	// are not equal: grouping and the refit here draw from root's splits 1
-	// and 3, where the service uses DatasetSeed^0x9e37 and Seed^0xf17
-	// (ROADMAP.md, "The paper's table is the service's workload").
+	// The job service resolves methods in the same registry and takes its
+	// components and refit stream from this package, so a served job of
+	// one spec is this computation.
 	method, ok := hpo.LookupMethod(opts.Method)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown method %q", opts.Method)
@@ -138,23 +127,33 @@ func RunCtx(ctx context.Context, train, test *dataset.Dataset, opts Options) (*O
 		return nil, fmt.Errorf("core: %s: %w", method.Info().Name, err)
 	}
 
-	model, err := ev.FitFull(res.Best, root.Split(3).Uint64())
+	model, err := ev.FitFull(res.Best, RefitStream(opts.Seed).Uint64())
 	if err != nil {
 		return nil, fmt.Errorf("core: refitting best configuration: %w", err)
 	}
 	out := &Outcome{
 		Search:     res,
 		Model:      model,
+		TrainScore: ev.ScoreModel(model, train),
+		TestScore:  ev.ScoreModel(model, test),
 		SetupTime:  setup,
 		SearchTime: res.Elapsed,
-	}
-	if opts.UseF1 && train.Kind == dataset.Classification {
-		out.TrainScore = model.ScoreF1(train)
-		out.TestScore = model.ScoreF1(test)
-	} else {
-		out.TrainScore = model.Score(train)
-		out.TestScore = model.Score(test)
 	}
 	out.TotalTime = time.Since(totalStart)
 	return out, nil
 }
+
+// Components returns a job's fold components: hpo.VanillaComponents, or
+// the paper's enhanced components over groups drawn from DatasetSeed^0x9e37.
+// Grouping is a function of the data alone, so every job on one dataset
+// sees the same groups, which the job service builds once per cache scope.
+func Components(train *dataset.Dataset, variant Variant, datasetSeed uint64) (hpo.Components, error) {
+	if variant != Enhanced {
+		return hpo.VanillaComponents(0), nil
+	}
+	return hpo.EnhancedComponents(train, hpo.EnhancedOptions{}, rng.New(datasetSeed^0x9e37))
+}
+
+// RefitStream is the stream a job's final refit draws its seed from,
+// Seed^0xf17: the refit is a function of the search, not of the data.
+func RefitStream(seed uint64) *rng.RNG { return rng.New(seed ^ 0xf17) }

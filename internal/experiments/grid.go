@@ -150,10 +150,11 @@ func (s Settings) runHPOGrid(exp string, cells []hpoCell) ([]Cell, [][]*core.Out
 				train = c.prepare(train, seed)
 			}
 			opts := core.Options{
-				Method:  c.method,
-				Variant: c.variant,
-				Space:   c.space,
-				Base:    s.baseConfig(),
+				Method:      c.method,
+				Variant:     c.variant,
+				Space:       c.space,
+				Base:        s.baseConfig(),
+				DatasetSeed: dataSeed,
 				RunOptions: hpo.RunOptions{
 					Seed:       uint64(seed)*c.seedMul + c.seedAdd,
 					MaxConfigs: s.MaxConfigs,

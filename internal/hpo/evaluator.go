@@ -66,7 +66,6 @@ func NewCVEvaluator(train *dataset.Dataset, base nn.Config, comps Components) *C
 		Folds:  comps.Folds,
 		K:      comps.K,
 		Groups: comps.Groups,
-		UseF1:  comps.UseF1,
 	}
 }
 
@@ -215,7 +214,7 @@ func (fr *foldRun) train(ws *mat.Arena, fi int) {
 		fr.fail(fi, fmt.Errorf("hpo: training fold %d: %w", fi, err))
 		return
 	}
-	fr.scores[fi] = e.scoreModel(model, valSub)
+	fr.scores[fi] = e.ScoreModel(model, valSub)
 }
 
 // fail records fold fi's failure if it is the lowest-indexed so far.
@@ -234,7 +233,10 @@ func (e *CVEvaluator) arena() *mat.Arena {
 	return new(mat.Arena)
 }
 
-func (e *CVEvaluator) scoreModel(m *nn.Model, val *dataset.Dataset) float64 {
+// ScoreModel is the one scoring rule of folds and of the final model: F1
+// when UseF1 is set and the task is classification, else Model.Score
+// (accuracy, or R² on regression).
+func (e *CVEvaluator) ScoreModel(m *nn.Model, val *dataset.Dataset) float64 {
 	if e.UseF1 && e.Train.Kind == dataset.Classification {
 		return m.ScoreF1(val)
 	}

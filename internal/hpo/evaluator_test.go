@@ -47,13 +47,8 @@ func TestCVEvaluatorUseF1(t *testing.T) {
 	cfg := space.NewConfig([]int{0})
 	comps := VanillaComponents(5)
 	acc := NewCVEvaluator(train, base, comps)
-	if acc.UseF1 {
-		t.Fatal("UseF1 set without WithF1")
-	}
-	f1 := NewCVEvaluator(train, base, comps.WithF1())
-	if !f1.UseF1 {
-		t.Fatal("NewCVEvaluator dropped Components.UseF1")
-	}
+	f1 := NewCVEvaluator(train, base, comps)
+	f1.UseF1 = true
 	accScores, err := acc.Evaluate(cfg, 200, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +63,27 @@ func TestCVEvaluatorUseF1(t *testing.T) {
 		if f1Scores[i] > accScores[i]+1e-9 && accScores[i] > 0.9 {
 			t.Fatalf("fold %d: F1 %v above accuracy %v on an imbalanced set", i, f1Scores[i], accScores[i])
 		}
+	}
+	// ScoreModel, the rule the folds above used, is the one a final
+	// model is scored by too: F1 on classification when UseF1 is set,
+	// else accuracy — and R² on regression either way.
+	model, err := f1.FitFull(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f1.ScoreModel(model, train), model.ScoreF1(train); got != want {
+		t.Errorf("UseF1 classification: ScoreModel %v, want F1 %v", got, want)
+	}
+	if got, want := acc.ScoreModel(model, train), model.Score(train); got != want {
+		t.Errorf("classification: ScoreModel %v, want accuracy %v", got, want)
+	}
+	reg := NewCVEvaluator(tinyRegression(160, 4), base, comps)
+	reg.UseF1 = true
+	if model, err = reg.FitFull(cfg, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.ScoreModel(model, reg.Train), model.Score(reg.Train); got != want {
+		t.Errorf("UseF1 regression: ScoreModel %v, want R² %v", got, want)
 	}
 }
 

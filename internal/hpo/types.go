@@ -41,10 +41,6 @@ type Components struct {
 	Scorer scoring.Scorer
 	// Groups are the §III-A instance groups; nil for vanilla components.
 	Groups *grouping.Groups
-	// UseF1 scores classification folds by F1 instead of accuracy (the
-	// paper reports F1 on the imbalanced datasets). Evaluators wired from
-	// these components (NewCVEvaluator) inherit it.
-	UseF1 bool
 	// Observe, when non-nil, receives every completed Trial, in the order a
 	// single worker produces them: an optimizer with concurrent workers
 	// holds a finished trial back until every trial before it is in, and
@@ -52,13 +48,6 @@ type Components struct {
 	// exists so a serving layer can report live anytime curves while a run
 	// is still in flight.
 	Observe func(Trial)
-}
-
-// WithF1 returns a copy of the components that scores classification folds
-// by F1.
-func (c Components) WithF1() Components {
-	c.UseF1 = true
-	return c
 }
 
 // WithObserver returns a copy of the components that reports every

@@ -69,7 +69,7 @@ func referenceEvaluate(e *CVEvaluator, cfg search.Config, budget int, r *rng.RNG
 		if err != nil {
 			return nil, err
 		}
-		scores = append(scores, e.scoreModel(model, e.Train.Select(fold.Val)))
+		scores = append(scores, e.ScoreModel(model, e.Train.Select(fold.Val)))
 	}
 	return scores, nil
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"enhancedbhpo/internal/core"
 	"enhancedbhpo/internal/dataset"
 	"enhancedbhpo/internal/events"
 	"enhancedbhpo/internal/hpo"
@@ -191,9 +192,8 @@ type evalScope struct {
 // split with a seed drawn from the stream it is handed and returns the
 // model's score on the held-out test split as the only "fold".
 type refitter struct {
-	cv    *hpo.CVEvaluator
-	test  *dataset.Dataset
-	useF1 bool
+	cv   *hpo.CVEvaluator
+	test *dataset.Dataset
 }
 
 func (f refitter) FullBudget() int { return f.cv.FullBudget() }
@@ -203,10 +203,7 @@ func (f refitter) Evaluate(cfg search.Config, _ int, r *rng.RNG) ([]float64, err
 	if err != nil {
 		return nil, err
 	}
-	if f.useF1 && f.test.Kind == dataset.Classification {
-		return []float64{model.ScoreF1(f.test)}, nil
-	}
-	return []float64{model.Score(f.test)}, nil
+	return []float64{f.cv.ScoreModel(model, f.test)}, nil
 }
 
 // scopeEntry tracks one live scope in the manager's table: how many jobs
@@ -976,23 +973,20 @@ func (m *Manager) buildScope(spec JobSpec) (*evalScope, error) {
 		return nil, err
 	}
 	dataset.Standardize(train, test)
-	var comps hpo.Components
+	variant := core.Vanilla
 	if spec.Enhanced {
-		comps, err = hpo.EnhancedComponents(train, hpo.EnhancedOptions{}, rng.New(spec.DatasetSeed^0x9e37))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		comps = hpo.VanillaComponents(0)
+		variant = core.Enhanced
 	}
-	if spec.UseF1 {
-		comps = comps.WithF1()
+	comps, err := core.Components(train, variant, spec.DatasetSeed)
+	if err != nil {
+		return nil, err
 	}
 	base := nn.DefaultConfig()
 	base.MaxIter = spec.Iters
 	base.LearningRateInit = 0.02
 	base.KernelWorkers = m.cfg.KernelWorkers
 	cv := hpo.NewCVEvaluator(train, base, comps)
+	cv.UseF1 = spec.UseF1
 	// An evaluation's folds spill onto whatever evaluation slots are idle:
 	// a slot nobody waits for trains the next fold, counted like any other
 	// held slot, and is back — with the first waiter, if one has come —
@@ -1010,7 +1004,7 @@ func (m *Manager) buildScope(spec JobSpec) (*evalScope, error) {
 	return &evalScope{
 		comps:  comps,
 		cache:  evalcache.New(cv, cacheEntries),
-		refits: evalcache.New(refitter{cv: cv, test: test, useF1: spec.UseF1}, cacheEntries),
+		refits: evalcache.New(refitter{cv: cv, test: test}, cacheEntries),
 	}, nil
 }
 

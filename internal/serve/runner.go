@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"time"
 
+	"enhancedbhpo/internal/core"
 	"enhancedbhpo/internal/hpo"
-	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 	"enhancedbhpo/internal/serve/sched"
 )
@@ -95,15 +95,12 @@ func (m *Manager) optimize(ctx context.Context, job *Job, scope *evalScope) (*hp
 	if workers <= 0 {
 		workers = m.cfg.PoolSize
 	}
-	// core.Run dispatches through the same registry, so given equal
-	// components a served job and a CLI run with one seed run the same
-	// optimizer, and SHA starts from the same configurations. The
-	// components are not equal yet — the scope seeds grouping from
-	// DatasetSeed^0x9e37 and finish the refit from Seed^0xf17, core.Run
-	// both from Seed^0xc0de — so their scores can differ (ROADMAP.md, "The
-	// paper's table is the service's workload"). Workers only reaches
+	// core.Run dispatches through the same registry, on components and a
+	// refit stream from the same core rule, so a served job and a
+	// core.Run of one spec are the same computation. Workers only reaches
 	// methods that honor it (Validate rejects an explicit setting for the
-	// rest); the pool-size default is harmless for methods that ignore it.
+	// rest); the pool-size default is harmless for methods that ignore it,
+	// and the scores of those that honor it do not depend on it.
 	return method.Run(ctx, space, ev, comps, hpo.RunOptions{
 		Seed:       spec.Seed,
 		Workers:    workers,
@@ -130,7 +127,7 @@ func (m *Manager) finish(job *Job, scope *evalScope, res *hpo.Result, err error)
 		status = StatusFailed
 		res = nil
 	default:
-		score, ferr := scope.refits.Evaluate(res.Best, scope.refits.FullBudget(), rng.New(job.Spec.Seed^0xf17))
+		score, ferr := scope.refits.Evaluate(res.Best, scope.refits.FullBudget(), core.RefitStream(job.Spec.Seed))
 		if ferr != nil {
 			status = StatusFailed
 			err = ferr
