@@ -45,10 +45,11 @@ vet-bench:
 # acquire/cancel/borrow races, the one inflight gauge and fold lending,
 # which lends more or less often with the core count and must not show
 # in a score — nor may the order SHA's parallel rounds report trials in.
-# With them the per-parameter kernels against their Go loops and L-BFGS
-# against its every-trial-backpropagated oracle, and the served job of
-# every method and variant that must equal a core.Run of its spec bit for
-# bit (TestServedJobMatchesCoreRun).
+# With them the per-parameter kernels against their Go loops, L-BFGS
+# against its every-trial-backpropagated oracle, concurrent fits on
+# shared datasets against solo ones (TestFitBatchMatchesFitBitwise), and
+# the served job of every method and variant that must equal a core.Run
+# of its spec bit for bit (TestServedJobMatchesCoreRun).
 # The same for the cluster layer's non-chaos tests (coordinator, submit retry, membership
 # journal, ring, shipper lanes, sinks, restore, the file handles a lane
 # and a sink keep open while a segment grows), five times each, and

@@ -112,8 +112,8 @@ func MulWorkers(dst, a, b *Dense, workers int) {
 
 // rangeKernel computes a contiguous range of destination rows; every
 // kernel family exposes its Mul/MulT/TMul bodies in this shape so the
-// solo dispatchers, the row partitioner and the Batch* grouped
-// dispatchers all run the identical per-row code.
+// sequential path and every chunk of the row partitioner run the
+// identical per-row code.
 type rangeKernel func(dst, a, b *Dense, i0, i1 int)
 
 func mulRangeKernel() rangeKernel {

@@ -78,23 +78,22 @@ var wideShapes = []struct{ m, k, n int }{
 }
 
 // kernelOps are the three matmul forms, each posed as dst(m×n) over an
-// inner dimension k, with its oracle, its public solo and grouped entry
-// points, and the row kernels of both families.
+// inner dimension k, with its oracle, its public entry point, the row
+// kernels of both families and dst's row count read off a.
 var kernelOps = []struct {
 	name     string
 	operands func(r *rng.RNG, m, k, n int) (a, b *Dense)
 	oracle   func(dst, a, b *Dense)
 	public   func(dst, a, b *Dense, workers int)
-	batch    func(dsts, as, bs []*Dense, workers int)
 	rows     [2]rangeKernel // blocked, simd
 	rowsOf   func(*Dense) int
 }{
 	{"Mul", func(r *rng.RNG, m, k, n int) (*Dense, *Dense) { return randDense(r, m, k), randDense(r, k, n) },
-		NaiveMul, MulWorkers, BatchMulWorkers, [2]rangeKernel{mulBlocked, mulSIMD}, batchRowsA},
+		NaiveMul, MulWorkers, [2]rangeKernel{mulBlocked, mulSIMD}, func(a *Dense) int { return a.rows }},
 	{"MulT", func(r *rng.RNG, m, k, n int) (*Dense, *Dense) { return randDense(r, m, k), randDense(r, n, k) },
-		NaiveMulT, MulTWorkers, BatchMulTWorkers, [2]rangeKernel{mulTBlocked, mulTSIMD}, batchRowsA},
+		NaiveMulT, MulTWorkers, [2]rangeKernel{mulTBlocked, mulTSIMD}, func(a *Dense) int { return a.rows }},
 	{"TMul", func(r *rng.RNG, m, k, n int) (*Dense, *Dense) { return randDense(r, k, m), randDense(r, k, n) },
-		NaiveTMul, TMulWorkers, BatchTMulWorkers, [2]rangeKernel{tMulBlocked, tMulSIMD}, batchRowsAT},
+		NaiveTMul, TMulWorkers, [2]rangeKernel{tMulBlocked, tMulSIMD}, func(a *Dense) int { return a.cols }},
 }
 
 // familyNames are the two matmul families, named as Kernel reports
@@ -186,56 +185,6 @@ func TestForcedKernelParity(t *testing.T) {
 	}
 }
 
-// TestBatchMulParity holds the grouped dispatch to the naive loops bit
-// for bit, for each family's row kernels and several worker counts:
-// over a single triple and over a ragged group that puts the previous
-// shape between two copies of this one, so a partition chunk crosses
-// triple boundaries. The public Batch* entry points are checked in the
-// subtest of the family this build runs; the other family goes through
-// batchDispatch with its row kernels, with the flop count set past
-// parallelMinFlops so every worker count above one partitions.
-func TestBatchMulParity(t *testing.T) {
-	shapes := append(kernelShapes[:len(kernelShapes):len(kernelShapes)], wideShapes...)
-	for fi := range familyNames {
-		runFamily(t, fi, func(t *testing.T) {
-			for si, sh := range shapes {
-				prev := shapes[(si+len(shapes)-1)%len(shapes)]
-				r := rng.New(uint64(9000 + si))
-				for _, op := range kernelOps {
-					batch := op.batch
-					if familyNames[fi] != Kernel() {
-						batch = func(dsts, as, bs []*Dense, workers int) {
-							rows := 0
-							for _, a := range as {
-								rows += op.rowsOf(a)
-							}
-							batchDispatch(dsts, as, bs, op.rows[fi], op.rowsOf, rows, parallelMinFlops, workers)
-						}
-					}
-					a, b := op.operands(r, sh.m, sh.k, sh.n)
-					want := NewDense(sh.m, sh.n)
-					op.oracle(want, a, b)
-					pa, pb := op.operands(r, prev.m, prev.k, prev.n)
-					wantPrev := NewDense(prev.m, prev.n)
-					op.oracle(wantPrev, pa, pb)
-					for _, w := range []int{1, 2, 3, 4, 8} {
-						label := fmt.Sprintf("Batch%s %dx%dx%d", op.name, sh.m, sh.k, sh.n)
-						got := staleDense(sh.m, sh.n)
-						batch([]*Dense{got}, []*Dense{a}, []*Dense{b}, w)
-						bitwiseEqual(t, fmt.Sprintf("%s single workers=%d", label, w), got, want)
-
-						dsts := []*Dense{staleDense(sh.m, sh.n), staleDense(prev.m, prev.n), staleDense(sh.m, sh.n)}
-						batch(dsts, []*Dense{a, pa, a}, []*Dense{b, pb, b}, w)
-						for i, wantI := range []*Dense{want, wantPrev, want} {
-							bitwiseEqual(t, fmt.Sprintf("%s group[%d] workers=%d", label, i, w), dsts[i], wantI)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestParallelWorkerCountDeterminism forces the parallel path (a shape
 // well past the flop threshold) and pins bitwise-identical output for
 // every worker count, including ones that do not divide the row count.
@@ -276,28 +225,12 @@ func TestColSumsInto(t *testing.T) {
 	assertPanics(t, "length mismatch", func() { ColSumsInto(make([]float64, 3), m) })
 }
 
-// TestBatchMulChecks pins the grouped dispatchers' validation: length
-// mismatches and per-triple shape mismatches must panic like the solo
-// entry points, and empty batches are no-ops.
-func TestBatchMulChecks(t *testing.T) {
-	BatchMul(nil, nil, nil) // empty: no-op
-	a := NewDense(2, 3)
-	b := NewDense(3, 4)
-	d := NewDense(2, 4)
-	assertPanics(t, "length mismatch", func() { BatchMul([]*Dense{d}, []*Dense{a}, nil) })
-	bad := NewDense(5, 4)
-	assertPanics(t, "shape mismatch", func() {
-		BatchMul([]*Dense{d, d}, []*Dense{a, a}, []*Dense{b, bad})
-	})
-}
-
 // exportedAPI is everything the package exports at package level. It
 // holds no kernel selector: the family is picked once, from CPUID, and
 // Kernel only names it.
 var exportedAPI = map[string]bool{
 	"AdamCoeffs": true, "AdamStep": true, "AddRowVector": true, "Arena": true, "Axpy": true,
-	"BatchMul": true, "BatchMulT": true, "BatchMulTWorkers": true, "BatchMulWorkers": true,
-	"BatchTMul": true, "BatchTMulWorkers": true, "ColSums": true, "ColSumsInto": true,
+	"ColSums": true, "ColSumsInto": true,
 	"Dense": true, "Dot": true, "FoldL2": true, "Kernel": true, "Mul": true, "MulT": true,
 	"MulTWorkers": true, "MulWorkers": true, "NewDense": true, "NewDenseData": true,
 	"Norm2": true, "Scale": true, "SqDist": true, "TMul": true, "TMulWorkers": true,

@@ -177,144 +177,63 @@ func (m *Model) newSGDState(x, target *mat.Dense, r *rng.RNG) *sgdState {
 	return st
 }
 
-// beginEpoch reshuffles the minibatch visit order for a new epoch.
-func (st *sgdState) beginEpoch() { st.r.Shuffle(st.order) }
-
-// numBatches returns the minibatch steps per epoch.
-func (st *sgdState) numBatches() int { return (st.n + st.batch - 1) / st.batch }
-
-// stepBatch gathers minibatch s of the current epoch's order into the
-// reusable buffers and returns them (the tail buffers for the final
-// short step).
-func (st *sgdState) stepBatch(s int) (bx, bt *mat.Dense) {
-	start := s * st.batch
-	end := start + st.batch
-	if end > st.n {
-		end = st.n
-	}
-	size := end - start
-	cbx, cbt := st.bx, st.bt
-	if size != st.batch {
-		cbx, cbt = st.tailBx, st.tailBt
-	}
-	for bi := 0; bi < size; bi++ {
-		src := st.order[start+bi]
-		copy(cbx.Row(bi), st.x.Row(src))
-		copy(cbt.Row(bi), st.target.Row(src))
-	}
-	return cbx, cbt
-}
-
-// applyUpdate advances the step counters and applies the solver update
-// for the gradient currently in st.grad.
-func (st *sgdState) applyUpdate() {
-	m, cfg := st.m, st.m.cfg
-	grad := st.grad
-	st.step++
-	switch cfg.Solver {
-	case SGD:
-		effLR := st.lr
-		if cfg.LearningRate == InvScaling {
-			effLR = cfg.LearningRateInit / math.Pow(float64(st.step), cfg.PowerT)
-		}
-		if cfg.Nesterov {
-			// Nesterov look-ahead in the standard reformulation
-			// (sklearn's): v ← μ·v − lr·∇; params += μ·v − lr·∇.
-			velocity := st.velocity
-			for i := range velocity {
-				velocity[i] = cfg.Momentum*velocity[i] - effLR*grad[i]
-				m.nw.params[i] += cfg.Momentum*velocity[i] - effLR*grad[i]
-			}
-		} else {
-			velocity := st.velocity
-			for i := range velocity {
-				velocity[i] = cfg.Momentum*velocity[i] - effLR*grad[i]
-				m.nw.params[i] += velocity[i]
-			}
-		}
-	case Adam:
-		st.adamT++
-		const beta1, beta2, eps = 0.9, 0.999, 1e-8
-		b1c := 1 - math.Pow(beta1, float64(st.adamT))
-		b2c := 1 - math.Pow(beta2, float64(st.adamT))
-		mat.AdamStep(m.nw.params, st.adamM, st.adamV, grad, mat.AdamCoeffs{
-			Beta1: beta1, OneMinusBeta1: 1 - beta1,
-			Beta2: beta2, OneMinusBeta2: 1 - beta2,
-			LR: st.lr, B1c: b1c, B2c: b2c, Eps: eps,
-		})
-	}
-}
-
-// runEpoch shuffles, sweeps the minibatches and applies the solver
-// update, returning the mean minibatch loss. Steady-state calls are
-// allocation-free: minibatch buffers, the gradient vector and the
-// network's forward/backward scratch are all reused.
+// runEpoch shuffles, sweeps the minibatches — the last one the n%batch
+// tail — and applies the solver update after each, returning the mean
+// minibatch loss. Steady-state calls are allocation-free: minibatch
+// buffers, the gradient vector and the network's forward/backward
+// scratch are all reused.
 func (st *sgdState) runEpoch() float64 {
-	st.beginEpoch()
+	m, cfg, grad := st.m, st.m.cfg, st.grad
+	st.r.Shuffle(st.order)
 	var epochLoss float64
-	nb := st.numBatches()
-	for s := 0; s < nb; s++ {
-		bx, bt := st.stepBatch(s)
-		epochLoss += st.m.nw.lossGrad(bx, bt, st.m.cfg.Alpha, st.grad)
-		st.applyUpdate()
-	}
-	return epochLoss / float64(nb)
-}
-
-// epochState is the per-model convergence bookkeeping carried across
-// epochs — best loss/score, patience and the adaptive-lr stall counter —
-// shared verbatim by the solo and lockstep (FitBatch) trainers so both
-// stop at exactly the same epoch.
-type epochState struct {
-	bestLoss, bestVal        float64
-	noImprove, adaptiveStall int
-}
-
-func newEpochState() epochState {
-	return epochState{bestLoss: math.Inf(1), bestVal: math.Inf(-1)}
-}
-
-// observeEpoch records one epoch's mean minibatch loss, runs the
-// convergence / early-stopping / adaptive-schedule logic and reports
-// whether training should stop.
-func (m *Model) observeEpoch(es *epochState, st *sgdState, valSet *dataset.Dataset, epochLoss float64) bool {
-	cfg := m.cfg
-	m.LossCurve = append(m.LossCurve, epochLoss)
-	m.Epochs = len(m.LossCurve)
-
-	// Convergence / early stopping bookkeeping.
-	if valSet != nil {
-		score := m.Score(valSet)
-		if score > es.bestVal+cfg.Tol {
-			es.bestVal = score
-			es.noImprove = 0
-		} else {
-			es.noImprove++
+	batches := 0
+	for start := 0; start < st.n; start += st.batch {
+		end := min(start+st.batch, st.n)
+		bx, bt := st.bx, st.bt
+		if end-start != st.batch {
+			bx, bt = st.tailBx, st.tailBt
 		}
-	} else {
-		if epochLoss < es.bestLoss-cfg.Tol {
-			es.bestLoss = epochLoss
-			es.noImprove = 0
-		} else {
-			es.noImprove++
+		for bi, src := range st.order[start:end] {
+			copy(bx.Row(bi), st.x.Row(src))
+			copy(bt.Row(bi), st.target.Row(src))
 		}
-	}
-	// Adaptive schedule: halve-by-5 when the loss stalls twice in a row.
-	if cfg.Solver == SGD && cfg.LearningRate == Adaptive {
-		if len(m.LossCurve) >= 2 && epochLoss > m.LossCurve[len(m.LossCurve)-2]-cfg.Tol {
-			es.adaptiveStall++
-		} else {
-			es.adaptiveStall = 0
-		}
-		if es.adaptiveStall >= 2 {
-			st.lr /= 5
-			es.adaptiveStall = 0
-			if st.lr < 1e-6 {
-				return true
+		epochLoss += m.nw.lossGrad(bx, bt, cfg.Alpha, grad)
+		batches++
+
+		st.step++
+		switch cfg.Solver {
+		case SGD:
+			effLR := st.lr
+			if cfg.LearningRate == InvScaling {
+				effLR = cfg.LearningRateInit / math.Pow(float64(st.step), cfg.PowerT)
 			}
+			velocity := st.velocity
+			if cfg.Nesterov {
+				// Nesterov look-ahead in the standard reformulation
+				// (sklearn's): v ← μ·v − lr·∇; params += μ·v − lr·∇.
+				for i := range velocity {
+					velocity[i] = cfg.Momentum*velocity[i] - effLR*grad[i]
+					m.nw.params[i] += cfg.Momentum*velocity[i] - effLR*grad[i]
+				}
+			} else {
+				for i := range velocity {
+					velocity[i] = cfg.Momentum*velocity[i] - effLR*grad[i]
+					m.nw.params[i] += velocity[i]
+				}
+			}
+		case Adam:
+			st.adamT++
+			const beta1, beta2, eps = 0.9, 0.999, 1e-8
+			b1c := 1 - math.Pow(beta1, float64(st.adamT))
+			b2c := 1 - math.Pow(beta2, float64(st.adamT))
+			mat.AdamStep(m.nw.params, st.adamM, st.adamV, grad, mat.AdamCoeffs{
+				Beta1: beta1, OneMinusBeta1: 1 - beta1,
+				Beta2: beta2, OneMinusBeta2: 1 - beta2,
+				LR: st.lr, B1c: b1c, B2c: b2c, Eps: eps,
+			})
 		}
 	}
-	return es.noImprove >= cfg.NIterNoChange
+	return epochLoss / float64(batches)
 }
 
 // fitStochastic runs the sgd/adam epoch loop with mini-batches, learning
@@ -322,14 +241,50 @@ func (m *Model) observeEpoch(es *epochState, st *sgdState, valSet *dataset.Datas
 func (m *Model) fitStochastic(x, target *mat.Dense, valSet *dataset.Dataset, r *rng.RNG) {
 	cfg := m.cfg
 	st := m.newSGDState(x, target, r)
-	es := newEpochState()
 	m.LossCurve = m.nw.ws.Floats(cfg.MaxIter)[:0]
+	// The best holdout score (under early stopping) or training loss so
+	// far, the epochs since it last improved by Tol, and the adaptive
+	// schedule's run of stalled epochs.
+	bestLoss, bestVal := math.Inf(1), math.Inf(-1)
+	noImprove, adaptiveStall := 0, 0
 	for epoch := 0; epoch < cfg.MaxIter; epoch++ {
 		epochLoss := st.runEpoch()
-		if m.observeEpoch(&es, st, valSet, epochLoss) {
+		m.LossCurve = append(m.LossCurve, epochLoss)
+
+		if valSet != nil {
+			if score := m.Score(valSet); score > bestVal+cfg.Tol {
+				bestVal = score
+				noImprove = 0
+			} else {
+				noImprove++
+			}
+		} else if epochLoss < bestLoss-cfg.Tol {
+			bestLoss = epochLoss
+			noImprove = 0
+		} else {
+			noImprove++
+		}
+		// Adaptive schedule: divide the rate by 5 when the loss stalls
+		// twice in a row, and stop once it falls below 1e-6.
+		if cfg.Solver == SGD && cfg.LearningRate == Adaptive {
+			if epoch > 0 && epochLoss > m.LossCurve[epoch-1]-cfg.Tol {
+				adaptiveStall++
+			} else {
+				adaptiveStall = 0
+			}
+			if adaptiveStall >= 2 {
+				st.lr /= 5
+				adaptiveStall = 0
+				if st.lr < 1e-6 {
+					break
+				}
+			}
+		}
+		if noImprove >= cfg.NIterNoChange {
 			break
 		}
 	}
+	m.Epochs = len(m.LossCurve)
 }
 
 // Predict returns the predicted class for each row of d (classification

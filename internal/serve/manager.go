@@ -111,12 +111,6 @@ type Config struct {
 	// the next one started once it has grown past this. Only meaningful
 	// with DataDir set. 0 selects 1 MiB; negative never rotates.
 	TraceMaxBytes int64
-	// KernelWorkers caps the matmul-kernel goroutines of each pooled
-	// evaluation. 0 selects GOMAXPROCS/PoolSize (at least 1); explicit
-	// values are clamped so PoolSize × KernelWorkers never exceeds
-	// GOMAXPROCS. Kernel results are bitwise-identical for any value,
-	// so this only shapes CPU use.
-	KernelWorkers int
 	// WrapEvaluator, when non-nil, wraps each job's evaluator between
 	// the pool gate and the cache. It is the fault-injection point used
 	// by the crash/restart and chaos tests and is applied per job as the
@@ -160,13 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FailureBudget <= 0 {
 		c.FailureBudget = 3
-	}
-	maxProcs := runtime.GOMAXPROCS(0)
-	if c.KernelWorkers <= 0 || c.KernelWorkers*c.PoolSize > maxProcs {
-		c.KernelWorkers = maxProcs / c.PoolSize
-		if c.KernelWorkers < 1 {
-			c.KernelWorkers = 1
-		}
 	}
 	return c
 }
@@ -220,6 +207,10 @@ type scopeEntry struct {
 type Manager struct {
 	cfg     Config
 	started time.Time
+	// kernelWorkers caps the matmul-kernel goroutines of each pooled
+	// evaluation, so PoolSize of them never exceed GOMAXPROCS. Kernel
+	// results are bitwise-identical for any value: it only shapes CPU use.
+	kernelWorkers int
 	// sched hands out all capacity: admission (global cap + per-tenant
 	// quota), job slots in weighted-fair order with rung-boundary
 	// preemption marking, and the PoolSize evaluation slots running jobs
@@ -273,8 +264,9 @@ func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:     cfg,
-		started: time.Now(),
+		cfg:           cfg,
+		started:       time.Now(),
+		kernelWorkers: max(1, runtime.GOMAXPROCS(0)/cfg.PoolSize),
 		sched: sched.New(sched.Config{
 			Slots:     cfg.MaxJobs,
 			EvalSlots: cfg.PoolSize,
@@ -984,7 +976,7 @@ func (m *Manager) buildScope(spec JobSpec) (*evalScope, error) {
 	base := nn.DefaultConfig()
 	base.MaxIter = spec.Iters
 	base.LearningRateInit = 0.02
-	base.KernelWorkers = m.cfg.KernelWorkers
+	base.KernelWorkers = m.kernelWorkers
 	cv := hpo.NewCVEvaluator(train, base, comps)
 	cv.UseF1 = spec.UseF1
 	// An evaluation's folds spill onto whatever evaluation slots are idle:
@@ -1127,7 +1119,7 @@ func (m *Manager) Metrics() Metrics {
 		Evaluations:      m.evals.Load(),
 		FoldsLent:        m.foldsLent.Load(),
 		Kernel:           mat.Kernel(),
-		KernelWorkers:    m.cfg.KernelWorkers,
+		KernelWorkers:    m.kernelWorkers,
 		TrialFailures:    m.trialFailures.Load(),
 		DeadlineExceeded: m.deadlineExceeded.Load(),
 		JournalErrors:    m.journalErrs.Load(),
