@@ -230,10 +230,10 @@ func TestColSumsInto(t *testing.T) {
 // Kernel only names it.
 var exportedAPI = map[string]bool{
 	"AdamCoeffs": true, "AdamStep": true, "AddRowVector": true, "Arena": true, "Axpy": true,
-	"ColSums": true, "ColSumsInto": true,
-	"Dense": true, "Dot": true, "FoldL2": true, "Kernel": true, "Mul": true, "MulT": true,
-	"MulTWorkers": true, "MulWorkers": true, "NewDense": true, "NewDenseData": true,
-	"Norm2": true, "Scale": true, "SqDist": true, "TMul": true, "TMulWorkers": true,
+	"ColSums": true, "ColSumsInto": true, "Dense": true, "Dot": true, "FoldL2": true,
+	"Kernel": true, "Mul": true, "MulT": true, "MulTWorkers": true, "MulWorkers": true,
+	"NewDense": true, "NewDenseData": true, "Norm2": true, "Scale": true, "SqDist": true,
+	"TMul": true, "TMulWorkers": true,
 }
 
 // TestNoKernelSwitch keeps the kernel family a property of the build:
