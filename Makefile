@@ -49,7 +49,9 @@ vet-bench:
 # against its every-trial-backpropagated oracle, concurrent fits on
 # shared datasets against solo ones (TestFitBatchMatchesFitBitwise), and
 # the served job of every method and variant that must equal a core.Run
-# of its spec bit for bit (TestServedJobMatchesCoreRun).
+# of its spec bit for bit (TestServedJobMatchesCoreRun), and a core.Run
+# that lends folds to idle cores against one at one P, which lends none
+# (TestRunDeterministicBest).
 # The same for the cluster layer's non-chaos tests (coordinator, submit retry, membership
 # journal, ring, shipper lanes, sinks, restore, the file handles a lane
 # and a sink keep open while a segment grows), five times each, and
@@ -79,7 +81,7 @@ vet-bench:
 # sealed segment with none after it, which a one-P run hits often.
 cpus:
 	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge|TrialOrderAnyWorkers|TestSHAParallel|TestElementwiseKernelsMatchGo|TestLBFGSMatchesFullGradientBitwise' \
-		./internal/mat/ ./internal/hpo/ ./internal/nn/ ./internal/serve/ ./internal/serve/sched/
+		./internal/mat/ ./internal/hpo/ ./internal/nn/ ./internal/core/ ./internal/serve/ ./internal/serve/sched/
 	$(GO) test -cpu 1,2,4 -count 5 -run 'TestCoordinator|TestSubmitRetry|TestMemberJournal|TestRing|TestMultiSink|TestShipper|TestDirSink|TestRestore|TestKeptHandle' \
 		./internal/coord/ ./internal/serve/shipper/
 	$(GO) test -cpu 1,2,4 -count 1 -run 'TestFailover|TestMembership|TestShutdownJoinsFailover' ./internal/coord/

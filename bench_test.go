@@ -274,7 +274,6 @@ func BenchmarkEvaluate(b *testing.B) {
 	train := benchData(b, 0.5)
 	base := nn.DefaultConfig()
 	base.MaxIter = 8
-	base.KernelWorkers = 1 // one evaluation, one core: what a pool slot runs
 	serial := hpo.NewCVEvaluator(train, base, hpo.VanillaComponents(5))
 	lent1 := hpo.NewCVEvaluator(train, base, hpo.VanillaComponents(5))
 	var out atomic.Bool // the one core is lent
@@ -324,7 +323,6 @@ func benchEvaluateServed(b *testing.B) {
 	train := benchDataset(b, "a9a", 0.2)
 	base := nn.DefaultConfig()
 	base.MaxIter = 2
-	base.KernelWorkers = 1
 	ev := hpo.NewCVEvaluator(train, base, hpo.VanillaComponents(5))
 	space, err := search.TableIIISpace(4)
 	if err != nil {

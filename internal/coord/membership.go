@@ -27,7 +27,8 @@ import (
 // and automated replaces included — not the boot-time one. Membership
 // changes are rare, so the file stays small and is never compacted;
 // replay tolerates a torn final line (crash mid-append) by stopping at
-// the last whole record, and the next openMemberLog cuts it off.
+// the last whole record, and the next openMemberLog cuts it off. A whole
+// line that does not decode fails the replay.
 const MembersFileName = "members.jsonl"
 
 // Membership operations.
@@ -118,27 +119,25 @@ func (l *memberLog) close() error {
 
 // replayMemberLog reads dir's membership journal in append order. A
 // missing file is an empty history; a torn final line ends the replay at
-// the last whole record.
+// the last whole record; a whole line that does not decode is an error
+// naming the file and the line.
 func replayMemberLog(dir string) ([]MemberOp, error) {
-	f, err := os.Open(filepath.Join(dir, MembersFileName))
+	var ops []MemberOp
+	err := seglog.ReadLines(filepath.Join(dir, MembersFileName), func(line []byte) error {
+		var op MemberOp
+		if err := json.Unmarshal(line, &op); err != nil {
+			return err
+		}
+		ops = append(ops, op)
+		return nil
+	})
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("coord: members journal: %w", err)
 	}
-	defer f.Close()
-	var ops []MemberOp
-	dec := json.NewDecoder(f)
-	for {
-		var op MemberOp
-		if err := dec.Decode(&op); err != nil {
-			// The end — or a torn tail: a crash mid-append, and
-			// everything before it is whole.
-			return ops, nil
-		}
-		ops = append(ops, op)
-	}
+	return ops, nil
 }
 
 // memberBody is the request for the membership endpoints.

@@ -141,6 +141,32 @@ func TestMemberJournalTornTailRestart(t *testing.T) {
 	}
 }
 
+// TestMemberJournalCorruptLineFails: a whole line that does not decode is
+// corruption, not a torn tail. The replay — and a coordinator booting on
+// the directory — fails naming the file and the line, instead of serving
+// a ring without the ops behind it.
+func TestMemberJournalCorruptLineFails(t *testing.T) {
+	dir := t.TempDir()
+	appendOps(t, dir, MemberOp{Op: OpJoin, Node: "a", URL: "http://a"})
+	f, err := os.OpenFile(filepath.Join(dir, MembersFileName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"op":"join",oops}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	appendOps(t, dir, MemberOp{Op: OpJoin, Node: "c", URL: "http://c"})
+	want := MembersFileName + " line 2"
+	if ops, err := replayMemberLog(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("replay = %d ops, %v; want an error naming %s", len(ops), err, want)
+	}
+	_, err = New(Config{Nodes: []Node{{Name: "b", URL: "http://b"}}, DataDir: dir})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("New on a corrupt membership journal = %v; want an error naming %s", err, want)
+	}
+}
+
 // TestSubmitRetryOnDeadRoute is the satellite regression: a submission
 // whose routed node accepts the connection and then dies before acking
 // must be retried transparently on the ring successor — same

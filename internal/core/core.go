@@ -12,6 +12,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"enhancedbhpo/internal/dataset"
@@ -114,6 +115,19 @@ func RunCtx(ctx context.Context, train, test *dataset.Dataset, opts Options) (*O
 	}
 	ev := hpo.NewCVEvaluator(train, base, comps)
 	ev.UseF1 = opts.UseF1
+	// An evaluation lends its folds to idle cores, as a served job's do to
+	// idle evaluation slots: beside the goroutines the method runs on,
+	// this run holds at most GOMAXPROCS−1 more, one token each.
+	spare := make(chan struct{}, runtime.GOMAXPROCS(0)-1)
+	giveBack := func() { <-spare }
+	ev.Spare = func() func() {
+		select {
+		case spare <- struct{}{}:
+			return giveBack
+		default:
+			return nil
+		}
+	}
 
 	// The job service resolves methods in the same registry and takes its
 	// components and refit stream from this package, so a served job of

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -165,22 +167,48 @@ func TestVariantString(t *testing.T) {
 	}
 }
 
+// TestRunDeterministicBest runs one spec twice, then once more at one P,
+// where the run has no idle core to lend a fold to: every trial's fold
+// scores, the best configuration and the test score must match bit for
+// bit, so lending changes no result.
 func TestRunDeterministicBest(t *testing.T) {
 	train, test := smallData(t)
 	space := smallSpace(t)
 	opts := Options{Method: "sha", Space: space, Base: fastBase(), RunOptions: hpo.RunOptions{Seed: 6, MaxConfigs: 4}}
-	o1, err := Run(train, test, opts)
-	if err != nil {
-		t.Fatal(err)
+	run := func() *Outcome {
+		t.Helper()
+		o, err := Run(train, test, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
 	}
-	o2, err := Run(train, test, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o1.Search.Best.ID() != o2.Search.Best.ID() {
-		t.Fatal("same seed picked different configs")
-	}
-	if o1.TestScore != o2.TestScore {
-		t.Fatal("same seed produced different test scores")
+	o1, o2 := run(), run()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	solo := run()
+	for _, c := range []struct {
+		label string
+		o     *Outcome
+	}{{"same seed", o2}, {"GOMAXPROCS 1", solo}} {
+		if o1.Search.Best.ID() != c.o.Search.Best.ID() {
+			t.Fatalf("%s picked a different config", c.label)
+		}
+		if math.Float64bits(o1.TestScore) != math.Float64bits(c.o.TestScore) {
+			t.Fatalf("%s: test score %v, want %v", c.label, c.o.TestScore, o1.TestScore)
+		}
+		if len(c.o.Search.Trials) != len(o1.Search.Trials) {
+			t.Fatalf("%s: %d trials, want %d", c.label, len(c.o.Search.Trials), len(o1.Search.Trials))
+		}
+		for i, tr := range o1.Search.Trials {
+			got := c.o.Search.Trials[i].FoldScores
+			if len(got) != len(tr.FoldScores) {
+				t.Fatalf("%s: trial %d has %d fold scores, want %d", c.label, i, len(got), len(tr.FoldScores))
+			}
+			for f, want := range tr.FoldScores {
+				if math.Float64bits(got[f]) != math.Float64bits(want) {
+					t.Fatalf("%s: trial %d fold %d = %v, want %v", c.label, i, f, got[f], want)
+				}
+			}
+		}
 	}
 }

@@ -46,9 +46,10 @@ type CVEvaluator struct {
 	// Spare, when set, is asked for an idle core before each fold an
 	// evaluation could hand away: a non-nil giveBack grants one, for one
 	// fold, and is called exactly once when that fold is over. It must not
-	// block. Nil — every caller but the job service, whose scheduler knows
-	// which cores are idle — trains the folds one after another on the
-	// calling goroutine and starts no other.
+	// block. The job service sets it from its scheduler's idle evaluation
+	// slots and core.Run from a budget of GOMAXPROCS−1 cores; nil trains
+	// the folds one after another on the calling goroutine and starts no
+	// other.
 	Spare func() (giveBack func())
 
 	// arenas holds one *mat.Arena per fold in training, so the folds of an

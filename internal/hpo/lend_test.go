@@ -93,7 +93,6 @@ func (b emptyVal) Folds(d *dataset.Dataset, g *grouping.Groups, budget, k int, r
 func TestEvaluateLentFoldsBitwise(t *testing.T) {
 	base := nn.DefaultConfig()
 	base.MaxIter = 6
-	base.KernelWorkers = 1
 	// A regression target: fold scores are R² values with a full mantissa,
 	// where the separable toy classes would score 1 on every fold.
 	train := tinyRegression(160, 3)
@@ -185,7 +184,6 @@ func (b poisoned) Folds(_ *dataset.Dataset, g *grouping.Groups, budget, k int, r
 func TestEvaluateLentFoldFaults(t *testing.T) {
 	base := nn.DefaultConfig()
 	base.MaxIter = 4
-	base.KernelWorkers = 1
 	const n = 160
 	train := tinyDataset(n+1, 3)
 	train.Class[n] = train.NumClasses // row n: a label no fit accepts

@@ -94,7 +94,6 @@ func sameBits(a, b []float64) bool {
 func TestEvaluateMatchesHeapFitBitwise(t *testing.T) {
 	base := nn.DefaultConfig()
 	base.MaxIter = 6
-	base.KernelWorkers = 1
 	for _, train := range []*dataset.Dataset{tinyDataset(160, 3), tinyRegression(160, 4)} {
 		for _, solver := range []nn.Solver{nn.SGD, nn.Adam, nn.LBFGS} {
 			ev := NewCVEvaluator(train, base, VanillaComponents(3))
@@ -140,7 +139,6 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	base := nn.DefaultConfig()
 	base.MaxIter = 6
-	base.KernelWorkers = 1
 	allocated := func(f func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -176,7 +174,6 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 func TestEvaluateConcurrent(t *testing.T) {
 	base := nn.DefaultConfig()
 	base.MaxIter = 5
-	base.KernelWorkers = 1
 	ev := NewCVEvaluator(tinyDataset(150, 2), base, VanillaComponents(3))
 	cfgs := []search.Config{
 		solverConfig(t, 0, nn.SGD, true),

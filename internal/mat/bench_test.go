@@ -9,9 +9,8 @@ import (
 // The matmul benchmarks time the blocked and the SIMD row kernels side by
 // side (simd where the CPU has it) on identical data at MLP-typical
 // shapes, so the ns/op ratio is the SIMD speedup itself. Each call
-// computes every destination row sequentially; the row-parallel dispatch
-// above them is the same for both families. `make bench-smoke` runs them
-// for one iteration so they cannot rot.
+// computes every destination row sequentially, as Mul, MulT and TMul do.
+// `make bench-smoke` runs them for one iteration so they cannot rot.
 
 // matShapes are (batch × width × width) products as they occur inside
 // nn.Fit on the Table III search space.

@@ -1,15 +1,9 @@
-// Tuned matrix-multiplication kernels. Mul, MulT and TMul dispatch to a
+// Tuned matrix-multiplication kernels. Mul, MulT and TMul run a
 // register-blocked implementation (4-wide unrolled inner loops with
-// multiple independent accumulator chains), or to its AVX2 lift in
-// kernels_simd.go where the CPU has it, and, above a size threshold, to
-// a goroutine-parallel path that partitions *output rows* across
-// workers. Three properties are deliberately engineered in:
+// multiple independent accumulator chains), or its AVX2 lift in
+// kernels_simd.go where the CPU has it, over every destination row on
+// the caller's goroutine. Two properties are deliberately engineered in:
 //
-//   - Bitwise determinism across worker counts. Every output row is
-//     computed by the identical sequential row kernel regardless of how
-//     rows are partitioned, so results are bit-for-bit the same for any
-//     worker count. This is what lets the evaluation cache and the
-//     deterministic parallel ASHA guarantee survive kernel parallelism.
 //   - Bitwise agreement with the naive reference loops the tests hold
 //     them against (NaiveMul/NaiveMulT/NaiveTMul) on finite inputs. The
 //     unrolled loops keep each output element's additions in
@@ -26,11 +20,6 @@
 //     a finite sum, so the skip is unobservable on finite data.
 package mat
 
-import (
-	"runtime"
-	"sync"
-)
-
 // Kernel names the matmul family this process runs: "simd" where the
 // CPU and OS support AVX2 (decided once, at package init, by the CPUID
 // probe), "blocked" otherwise and in -tags purego builds. The families
@@ -42,78 +31,35 @@ func Kernel() string {
 	return "blocked"
 }
 
-// parallelMinFlops is the multiply-add count below which the parallel
-// path is never taken: partitioning costs two goroutine handoffs per
-// worker (~µs), which only pays off once the sequential kernel runs for
-// hundreds of µs. MLP-typical small batches (32×50×50 ≈ 80k flops) stay
-// sequential; full-batch layers (256×200×200 ≈ 10M flops) partition.
-const parallelMinFlops = 1 << 18
-
-// resolveWorkers clamps a requested worker count against the machine,
-// the row count and the problem size. workers <= 0 selects GOMAXPROCS.
-func resolveWorkers(workers, rows, flops int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 || flops < parallelMinFlops {
-		return 1
-	}
-	return workers
-}
-
-// partitionRows runs f over [0, rows) split into contiguous chunks, one
-// per worker. f must compute each row independently of the chunk bounds;
-// that is what makes the output bitwise-identical for any worker count.
-func partitionRows(rows, workers int, f func(i0, i1 int)) {
-	if workers <= 1 {
-		f(0, rows)
-		return
-	}
-	chunk := (rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for i0 := 0; i0 < rows; i0 += chunk {
-		i1 := i0 + chunk
-		if i1 > rows {
-			i1 = rows
-		}
-		wg.Add(1)
-		go func(i0, i1 int) {
-			defer wg.Done()
-			f(i0, i1)
-		}(i0, i1)
-	}
-	wg.Wait()
-}
-
 // Mul computes dst = a*b. dst must be a.rows×b.cols and distinct from a
-// and b. It panics on shape mismatch. Parallelism defaults to GOMAXPROCS
-// above the size threshold; use MulWorkers to cap it.
-func Mul(dst, a, b *Dense) { MulWorkers(dst, a, b, 0) }
-
-// MulWorkers is Mul with an explicit worker cap: 0 selects GOMAXPROCS, 1
-// forces the sequential kernel. The result is bitwise-identical for any
-// worker count.
-func MulWorkers(dst, a, b *Dense, workers int) {
+// and b. It panics on shape mismatch.
+func Mul(dst, a, b *Dense) {
 	checkMul(dst, a, b)
-	f := mulRangeKernel()
-	w := resolveWorkers(workers, a.rows, a.rows*a.cols*b.cols)
-	if w <= 1 {
-		// Direct call: the closure below captures and escapes, and the
-		// sequential path must stay allocation-free for the zero-alloc
-		// training loop.
-		f(dst, a, b, 0, a.rows)
-		return
-	}
-	partitionRows(a.rows, w, func(i0, i1 int) { f(dst, a, b, i0, i1) })
+	mulRangeKernel()(dst, a, b, 0, a.rows)
 }
+
+// MulT computes dst = a * bᵀ. dst must be a.rows×b.rows.
+func MulT(dst, a, b *Dense) {
+	checkMulT(dst, a, b)
+	mulTRangeKernel()(dst, a, b, 0, a.rows)
+}
+
+// TMul computes dst = aᵀ * b. dst must be a.cols×b.cols.
+func TMul(dst, a, b *Dense) {
+	checkTMul(dst, a, b)
+	tMulRangeKernel()(dst, a, b, 0, a.cols)
+}
+
+// MulWorkers, MulTWorkers and TMulWorkers are Mul, MulT and TMul;
+// workers is ignored. They stay only because the benchmark module calls
+// them, until ROADMAP item 4 deletes them.
+func MulWorkers(dst, a, b *Dense, workers int)  { Mul(dst, a, b) }
+func MulTWorkers(dst, a, b *Dense, workers int) { MulT(dst, a, b) }
+func TMulWorkers(dst, a, b *Dense, workers int) { TMul(dst, a, b) }
 
 // rangeKernel computes a contiguous range of destination rows; every
-// kernel family exposes its Mul/MulT/TMul bodies in this shape so the
-// sequential path and every chunk of the row partitioner run the
-// identical per-row code.
+// kernel family exposes its Mul/MulT/TMul bodies in this shape, and the
+// tests call them over split ranges to show no row depends on another.
 type rangeKernel func(dst, a, b *Dense, i0, i1 int)
 
 func mulRangeKernel() rangeKernel {
@@ -135,36 +81,6 @@ func tMulRangeKernel() rangeKernel {
 		return tMulSIMD
 	}
 	return tMulBlocked
-}
-
-// MulT computes dst = a * bᵀ. dst must be a.rows×b.rows. See MulTWorkers.
-func MulT(dst, a, b *Dense) { MulTWorkers(dst, a, b, 0) }
-
-// MulTWorkers is MulT with an explicit worker cap (0 = GOMAXPROCS).
-func MulTWorkers(dst, a, b *Dense, workers int) {
-	checkMulT(dst, a, b)
-	f := mulTRangeKernel()
-	w := resolveWorkers(workers, a.rows, a.rows*a.cols*b.rows)
-	if w <= 1 {
-		f(dst, a, b, 0, a.rows)
-		return
-	}
-	partitionRows(a.rows, w, func(i0, i1 int) { f(dst, a, b, i0, i1) })
-}
-
-// TMul computes dst = aᵀ * b. dst must be a.cols×b.cols. See TMulWorkers.
-func TMul(dst, a, b *Dense) { TMulWorkers(dst, a, b, 0) }
-
-// TMulWorkers is TMul with an explicit worker cap (0 = GOMAXPROCS).
-func TMulWorkers(dst, a, b *Dense, workers int) {
-	checkTMul(dst, a, b)
-	f := tMulRangeKernel()
-	w := resolveWorkers(workers, a.cols, a.rows*a.cols*b.cols)
-	if w <= 1 {
-		f(dst, a, b, 0, a.cols)
-		return
-	}
-	partitionRows(a.cols, w, func(i0, i1 int) { f(dst, a, b, i0, i1) })
 }
 
 // mulBlocked computes rows [i0, i1) of dst = a*b. The k loop is unrolled

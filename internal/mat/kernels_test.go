@@ -14,10 +14,10 @@ import (
 
 // kernelShapes covers the degenerate, prime, tall, wide and MLP-typical
 // cases: (m, k, n) for dst(m×n) = a(m×k) * b(k×n). The odd sizes land in
-// every unroll remainder path (k%4, n%4) and the large ones cross the
-// parallel threshold. The last five are the products the served jobs
-// form: satimage's 36 features and a9a's 123 into a 30- or 50-wide
-// hidden layer, a short tail minibatch, and the 6- and 2-class heads.
+// every unroll remainder path (k%4, n%4). The last five are the products
+// the served jobs form: satimage's 36 features and a9a's 123 into a 30-
+// or 50-wide hidden layer, a short tail minibatch, and the 6- and
+// 2-class heads.
 var kernelShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 5, 1},
@@ -67,8 +67,8 @@ func bitwiseEqual(t *testing.T, label string, got, want *Dense) {
 }
 
 // wideShapes are operands far wider than any layer the paper's networks
-// form (b.cols ≥ 512), with odd sizes in every unroll remainder, the
-// parallel path and a deep k.
+// form (b.cols ≥ 512), with odd sizes in every unroll remainder and a
+// deep k.
 var wideShapes = []struct{ m, k, n int }{
 	{1, 64, 512},
 	{4, 64, 512},
@@ -84,16 +84,16 @@ var kernelOps = []struct {
 	name     string
 	operands func(r *rng.RNG, m, k, n int) (a, b *Dense)
 	oracle   func(dst, a, b *Dense)
-	public   func(dst, a, b *Dense, workers int)
+	public   func(dst, a, b *Dense)
 	rows     [2]rangeKernel // blocked, simd
 	rowsOf   func(*Dense) int
 }{
 	{"Mul", func(r *rng.RNG, m, k, n int) (*Dense, *Dense) { return randDense(r, m, k), randDense(r, k, n) },
-		NaiveMul, MulWorkers, [2]rangeKernel{mulBlocked, mulSIMD}, func(a *Dense) int { return a.rows }},
+		NaiveMul, Mul, [2]rangeKernel{mulBlocked, mulSIMD}, func(a *Dense) int { return a.rows }},
 	{"MulT", func(r *rng.RNG, m, k, n int) (*Dense, *Dense) { return randDense(r, m, k), randDense(r, n, k) },
-		NaiveMulT, MulTWorkers, [2]rangeKernel{mulTBlocked, mulTSIMD}, func(a *Dense) int { return a.rows }},
+		NaiveMulT, MulT, [2]rangeKernel{mulTBlocked, mulTSIMD}, func(a *Dense) int { return a.rows }},
 	{"TMul", func(r *rng.RNG, m, k, n int) (*Dense, *Dense) { return randDense(r, k, m), randDense(r, k, n) },
-		NaiveTMul, TMulWorkers, [2]rangeKernel{tMulBlocked, tMulSIMD}, func(a *Dense) int { return a.cols }},
+		NaiveTMul, TMul, [2]rangeKernel{tMulBlocked, tMulSIMD}, func(a *Dense) int { return a.cols }},
 }
 
 // familyNames are the two matmul families, named as Kernel reports
@@ -128,9 +128,8 @@ func staleDense(m, n int) *Dense {
 }
 
 // checkPublicKernels holds the public entry points of every matmul form
-// against the naive loops, bit for bit, at several worker counts. Every
-// destination starts filled with 42: stale contents must not leak
-// through.
+// against the naive loops, bit for bit. Every destination starts filled
+// with 42: stale contents must not leak through.
 func checkPublicKernels(t *testing.T, shapes []struct{ m, k, n int }, seed uint64) {
 	for si, sh := range shapes {
 		r := rng.New(seed + uint64(si))
@@ -139,11 +138,9 @@ func checkPublicKernels(t *testing.T, shapes []struct{ m, k, n int }, seed uint6
 				a, b := op.operands(r, sh.m, sh.k, sh.n)
 				want := NewDense(sh.m, sh.n)
 				op.oracle(want, a, b)
-				for _, w := range []int{1, 2, 3, 4, 8} {
-					got := staleDense(sh.m, sh.n)
-					op.public(got, a, b, w)
-					bitwiseEqual(t, fmt.Sprintf("%s workers=%d", op.name, w), got, want)
-				}
+				got := staleDense(sh.m, sh.n)
+				op.public(got, a, b)
+				bitwiseEqual(t, op.name, got, want)
 			}
 		})
 	}
@@ -183,27 +180,6 @@ func TestForcedKernelParity(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestParallelWorkerCountDeterminism forces the parallel path (a shape
-// well past the flop threshold) and pins bitwise-identical output for
-// every worker count, including ones that do not divide the row count.
-func TestParallelWorkerCountDeterminism(t *testing.T) {
-	r := rng.New(77)
-	const m, k, n = 131, 64, 64 // 131*64*64 ≈ 537k flops > parallelMinFlops
-	a := randDense(r, m, k)
-	b := randDense(r, k, n)
-	base := NewDense(m, n)
-	MulWorkers(base, a, b, 1)
-	for _, w := range []int{2, 3, 5, 8, 64, 500} {
-		got := NewDense(m, n)
-		MulWorkers(got, a, b, w)
-		bitwiseEqual(t, fmt.Sprintf("workers=%d", w), got, base)
-	}
-	// Default dispatch (workers=0 → GOMAXPROCS) must agree too.
-	got := NewDense(m, n)
-	Mul(got, a, b)
-	bitwiseEqual(t, "workers=default", got, base)
 }
 
 // TestColSumsInto pins the allocation-free column-sum path against the

@@ -25,10 +25,8 @@ func TestFitEpochZeroAlloc(t *testing.T) {
 		cfg.Solver = solver
 		cfg.BatchSize = 8
 		cfg.LearningRate = InvScaling // exercises the schedule math too
-		cfg.KernelWorkers = 1
 		r := rng.New(42)
 		nw := newNetwork(nil, features, []int{10}, classes, ReLU, true, r.Split(1))
-		nw.workers = cfg.KernelWorkers
 		m := &Model{cfg: cfg, nw: nw, kind: dataset.Classification, numClasses: classes}
 
 		x := mat.NewDense(n, features)
@@ -94,7 +92,6 @@ func TestFitInMatchesFitBitwise(t *testing.T) {
 					cfg.MaxIter = 12
 					cfg.BatchSize = 32 // 120 % 32 != 0: the tail batch is exercised
 					cfg.EarlyStopping = seed == 2
-					cfg.KernelWorkers = 1
 					cfg.Seed = seed
 					ws.Reset()
 					got, err := FitIn(ws, train, cfg)

@@ -174,11 +174,9 @@ type Config struct {
 	PowerT float64
 	// Seed drives weight init and batch shuffling.
 	Seed uint64
-	// KernelWorkers caps the goroutines a single training run's matmul
-	// kernels may use (0 = the mat package default, GOMAXPROCS). Callers
-	// running many fits concurrently — e.g. the serve eval pool — set it
-	// so pool workers × kernel workers does not oversubscribe the
-	// machine. Results are bitwise-identical for any value.
+	// KernelWorkers is ignored: a fit's matmuls run on its own
+	// goroutine. It stays only because the benchmark module sets it,
+	// until ROADMAP item 4 deletes it.
 	KernelWorkers int
 }
 
@@ -232,9 +230,6 @@ func (c Config) Validate() error {
 	}
 	if c.NIterNoChange <= 0 {
 		return fmt.Errorf("nn: n_iter_no_change %d <= 0", c.NIterNoChange)
-	}
-	if c.KernelWorkers < 0 {
-		return fmt.Errorf("nn: kernel workers %d < 0", c.KernelWorkers)
 	}
 	return nil
 }

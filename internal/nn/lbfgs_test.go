@@ -30,7 +30,6 @@ func TestLBFGSMatchesFullGradientBitwise(t *testing.T) {
 					cfg.HiddenLayerSizes = []int{7}
 					cfg.MaxIter = maxIter
 					cfg.EarlyStopping = seed == 2
-					cfg.KernelWorkers = 1
 					cfg.Seed = seed
 					label := fmt.Sprintf("%s %s max_iter %d seed %d", train.Kind, act, maxIter, seed)
 
@@ -69,7 +68,6 @@ func lbfgsOracle(ws *mat.Arena, train *dataset.Dataset, cfg Config) *Model {
 		outputs = train.NumClasses
 	}
 	nw := newNetwork(ws, train.Features(), cfg.HiddenLayerSizes, outputs, cfg.Activation, softmax, r.Split(1))
-	nw.workers = cfg.KernelWorkers
 	m := &Model{cfg: cfg, nw: nw, kind: train.Kind, numClasses: train.NumClasses}
 	fitSet := train
 	if cfg.EarlyStopping && train.Len() >= 10 {

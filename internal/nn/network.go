@@ -23,10 +23,6 @@ type network struct {
 	// (regression).
 	softmaxOut bool
 
-	// workers caps kernel parallelism for this network's matmuls
-	// (0 = the mat package default). Results are bitwise-identical for
-	// any setting; it only bounds CPU use per evaluation.
-	workers int
 	// ws is where the parameter vector and every buffer below come from;
 	// nil is the heap. A network built on an arena — and the Model around
 	// it — is valid only until that arena is reset.
@@ -111,7 +107,7 @@ func (nw *network) forwardPass(x *mat.Dense) []*mat.Dense {
 	acts[0] = x
 	for l := 0; l < nw.layers(); l++ {
 		z := acts[l+1]
-		mat.MulWorkers(z, acts[l], nw.weightMat(l), nw.workers)
+		mat.Mul(z, acts[l], nw.weightMat(l))
 		mat.AddRowVector(z, nw.biases(l))
 		if l < nw.layers()-1 {
 			applyActivation(z, nw.activation)
@@ -174,7 +170,7 @@ func (nw *network) backprop(x, target *mat.Dense, alpha float64, grad []float64)
 	for l := nw.layers() - 1; l >= 0; l-- {
 		// Weight gradient: actsᵀ[l] * delta, plus the L2 term.
 		gw := nw.gwBuf(l)
-		mat.TMulWorkers(gw, acts[l], delta, nw.workers)
+		mat.TMul(gw, acts[l], delta)
 		w := nw.weights(l)
 		mat.FoldL2(grad[nw.wOff[l]:nw.wOff[l]+len(w)], gw.Data(), w, alpha, float64(n))
 		// Bias gradient: column sums of delta.
@@ -184,7 +180,7 @@ func (nw *network) backprop(x, target *mat.Dense, alpha float64, grad []float64)
 		}
 		// Propagate: delta_prev = (delta * Wᵀ) ⊙ act'(acts[l]).
 		prev := s.deltas[l]
-		mat.MulTWorkers(prev, delta, nw.weightMat(l), nw.workers)
+		mat.MulT(prev, delta, nw.weightMat(l))
 		applyActivationDeriv(prev, acts[l], nw.activation)
 		delta = prev
 	}

@@ -55,7 +55,6 @@ func FitIn(ws *mat.Arena, train *dataset.Dataset, cfg Config) (*Model, error) {
 		outputs = 1
 	}
 	nw := newNetwork(ws, train.Features(), cfg.HiddenLayerSizes, outputs, cfg.Activation, softmax, r.Split(1))
-	nw.workers = cfg.KernelWorkers
 	m := &Model{cfg: cfg, nw: nw, kind: train.Kind, numClasses: train.NumClasses}
 
 	fitSet := train

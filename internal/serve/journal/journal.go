@@ -28,11 +28,9 @@
 package journal
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -377,26 +375,18 @@ func (r *replayState) apply(rec Record) {
 // write stopped that line — and end the file; a whole line that does not
 // decode is corruption and fails the replay.
 func (r *replayState) replayFile(path string) error {
-	f, err := os.Open(path)
+	err := seglog.ReadLines(path, func(line []byte) error {
+		var rec Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return fmt.Errorf("corrupt record: %w", err)
+		}
+		r.apply(rec)
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	for {
-		line, err := br.ReadBytes('\n')
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("journal: %s: %w", filepath.Base(path), err)
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("journal: corrupt record in %s: %w", filepath.Base(path), err)
-		}
-		r.apply(rec)
-	}
+	return nil
 }
 
 // replayFiles lists the files a replay reads, in order: the newest base,

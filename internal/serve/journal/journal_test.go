@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -352,6 +353,12 @@ func TestReplayAcrossLives(t *testing.T) {
 	}
 	if _, err := Replay(dir); err == nil || !strings.Contains(err.Error(), corrupt) {
 		t.Fatalf("a whole undecodable line replayed as %v; want an error naming %s", err, corrupt)
+	}
+	// A segment listed and gone before it was read is lost history, not
+	// an empty one.
+	var acc replayState
+	if err := acc.replayFile(filepath.Join(dir, segmentName(lay.next()+1))); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a vanished segment replayed as %v; want os.ErrNotExist", err)
 	}
 }
 

@@ -207,10 +207,6 @@ type scopeEntry struct {
 type Manager struct {
 	cfg     Config
 	started time.Time
-	// kernelWorkers caps the matmul-kernel goroutines of each pooled
-	// evaluation, so PoolSize of them never exceed GOMAXPROCS. Kernel
-	// results are bitwise-identical for any value: it only shapes CPU use.
-	kernelWorkers int
 	// sched hands out all capacity: admission (global cap + per-tenant
 	// quota), job slots in weighted-fair order with rung-boundary
 	// preemption marking, and the PoolSize evaluation slots running jobs
@@ -264,9 +260,8 @@ func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:           cfg,
-		started:       time.Now(),
-		kernelWorkers: max(1, runtime.GOMAXPROCS(0)/cfg.PoolSize),
+		cfg:     cfg,
+		started: time.Now(),
 		sched: sched.New(sched.Config{
 			Slots:     cfg.MaxJobs,
 			EvalSlots: cfg.PoolSize,
@@ -976,7 +971,6 @@ func (m *Manager) buildScope(spec JobSpec) (*evalScope, error) {
 	base := nn.DefaultConfig()
 	base.MaxIter = spec.Iters
 	base.LearningRateInit = 0.02
-	base.KernelWorkers = m.kernelWorkers
 	cv := hpo.NewCVEvaluator(train, base, comps)
 	cv.UseF1 = spec.UseF1
 	// An evaluation's folds spill onto whatever evaluation slots are idle:
@@ -1071,7 +1065,6 @@ type Metrics struct {
 	EvalsFused        int64   `json:"evals_fused"`    // always 0: the fuser is gone; bench/ (frozen) still reads it
 	FuseFallbacks     int64   `json:"fuse_fallbacks"` // always 0, as above; both go with bench's serve.* fuse metrics
 	Kernel            string  `json:"kernel"`
-	KernelWorkers     int     `json:"kernel_workers"`
 	TrialFailures     int64   `json:"trial_failures"`
 	DeadlineExceeded  int64   `json:"deadline_exceeded"`
 	EventSubscribers  int64   `json:"event_subscribers"`
@@ -1119,7 +1112,6 @@ func (m *Manager) Metrics() Metrics {
 		Evaluations:      m.evals.Load(),
 		FoldsLent:        m.foldsLent.Load(),
 		Kernel:           mat.Kernel(),
-		KernelWorkers:    m.kernelWorkers,
 		TrialFailures:    m.trialFailures.Load(),
 		DeadlineExceeded: m.deadlineExceeded.Load(),
 		JournalErrors:    m.journalErrs.Load(),

@@ -1,6 +1,7 @@
 // Package seglog is the one writer under bhpod's append-only JSONL logs:
 // the journal and the trace log append through a Log, the coordinator's
-// membership log through a File. A line is one write, fsynced when the
+// membership log and a sink's manifest through a File; ReadLines reads
+// the journal, the membership log and the manifest back. A line is one write, fsynced when the
 // caller asks. A write that fails is undone by truncating the file back
 // to its size before it, so no reader meets half a line with whole ones
 // behind it; if the truncation fails too, the file ends in what readers
@@ -12,9 +13,11 @@
 package seglog
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -98,6 +101,33 @@ func (f *File) Append(line []byte, sync bool) (int, error) {
 
 // Close fsyncs and closes the file.
 func (f *File) Close() error { return errors.Join(f.f.Sync(), f.f.Close()) }
+
+// ReadLines calls fn with each whole line of the file at path, newline
+// included, in order. The bytes after the last newline are a torn tail —
+// a crash or a cut write stopped that line — and end the file unread. An
+// error from fn means a whole line is corrupt; it is returned naming the
+// file and the line's number. A file that cannot be opened returns the
+// open's error, so a missing one matches os.ErrNotExist.
+func ReadLines(path string, fn func(line []byte) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	for n := 1; ; n++ {
+		line, err := br.ReadBytes('\n')
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		if err := fn(line); err != nil {
+			return fmt.Errorf("%s line %d: %w", path, n, err)
+		}
+	}
+}
 
 // Options tunes a Log.
 type Options struct {

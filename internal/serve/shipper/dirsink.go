@@ -268,25 +268,26 @@ func (d *DirSink) appendManifest(e ManifestEntry) error {
 
 // ReadManifest returns a sink directory's sealed-file index, last entry
 // per name winning. A torn final line (crash mid-append) ends the
-// manifest at the last whole entry; a missing manifest is empty.
+// manifest at the last whole entry; a missing manifest is empty. A whole
+// line that does not decode fails with an error matching
+// ErrChecksumMismatch: the replica no longer says what it holds.
 func ReadManifest(dir string) (map[string]ManifestEntry, error) {
-	f, err := os.Open(filepath.Join(dir, ManifestName))
+	out := map[string]ManifestEntry{}
+	err := seglog.ReadLines(filepath.Join(dir, ManifestName), func(line []byte) error {
+		var e ManifestEntry
+		if err := json.Unmarshal(line, &e); err != nil {
+			return fmt.Errorf("%w: %w", ErrChecksumMismatch, err)
+		}
+		out[e.Name] = e
+		return nil
+	})
 	if errors.Is(err, os.ErrNotExist) {
-		return map[string]ManifestEntry{}, nil
+		return out, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("shipper: manifest: %w", err)
 	}
-	defer f.Close()
-	out := map[string]ManifestEntry{}
-	dec := json.NewDecoder(f)
-	for {
-		var e ManifestEntry
-		if err := dec.Decode(&e); err != nil {
-			return out, nil // the end, or a torn tail: the entries before it are whole
-		}
-		out[e.Name] = e
-	}
+	return out, nil
 }
 
 // fsyncFile syncs the file at path.

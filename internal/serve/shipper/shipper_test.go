@@ -359,6 +359,58 @@ func TestRestoreVerifiesChecksums(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesCorruptManifest: a whole manifest line that does not
+// decode leaves a replica unable to say what it holds — the sealed files
+// listed after it would be neither verified nor restored — so the replica
+// fails verification like one whose bytes no longer match, and Restore
+// falls through to the next one. The bad replica is left as it was.
+func TestRestoreRefusesCorruptManifest(t *testing.T) {
+	bad, good := t.TempDir(), t.TempDir()
+	names := []string{"journal-000001.jsonl", "journal-000002.jsonl"}
+	for _, dir := range []string{bad, good} {
+		sink, err := NewDirSink(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			data := []byte(name + "\n")
+			if err := sink.Append(name, 0, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Seal(name, int64(len(data)), sha(data)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	path := filepath.Join(bad, ManifestName)
+	entries := strings.SplitAfter(string(readFile(t, path)), "\n")
+	corrupt := entries[0] + `{"name":oops}` + "\n" + entries[1]
+	writeFile(t, path, []byte(corrupt))
+
+	if _, err := ReadManifest(bad); !errors.Is(err, ErrChecksumMismatch) {
+		t.Fatalf("ReadManifest of a corrupt manifest = %v, want ErrChecksumMismatch", err)
+	}
+	if err := VerifyReplica(bad); !errors.Is(err, ErrChecksumMismatch) {
+		t.Fatalf("VerifyReplica of a corrupt manifest = %v, want ErrChecksumMismatch", err)
+	}
+	dest := filepath.Join(t.TempDir(), "restored")
+	src, err := Restore([]string{bad, good}, dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src != good {
+		t.Fatalf("restored from %s, want the replica with a sound manifest %s", src, good)
+	}
+	for _, name := range names {
+		if got := readFile(t, filepath.Join(dest, name)); string(got) != name+"\n" {
+			t.Fatalf("restored %s = %q", name, got)
+		}
+	}
+	if got := readFile(t, path); string(got) != corrupt {
+		t.Fatalf("the corrupt manifest was rewritten: %q", got)
+	}
+}
+
 // TestShipperAsyncRetriesAfterSinkFailure: with a sink that fails first,
 // the background loop must retry with backoff until it heals, counting
 // the retries.
