@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vet-bench cpus check crash chaos chaos-storm sse failover failover-storm membership fallback bench-smoke bench-pair load loc fmt serve clean
+.PHONY: all build test race vet vet-bench deadcode cover cpus check crash chaos chaos-storm sse failover failover-storm membership fallback bench-smoke bench-pair load loc fmt serve clean
 
 # The Fit/Evaluate microbenchmark family of bench_test.go and the
 # matmul row kernels of internal/mat.
@@ -37,6 +37,25 @@ race:
 vet-bench:
 	$(GO) vet -C bench ./...
 	$(GO) build -C bench -o /dev/null ./...
+
+# Every exported function, method and variable under internal/ has a
+# non-test caller in the root module or in bench/, or is on the short
+# allow-list in deadcode_test.go. It type-checks both modules (seconds),
+# so it sits behind a build tag, outside the plain `go test ./...`.
+deadcode:
+	$(GO) test -tags deadcode -count=1 -run '^TestDeadExports$$' .
+
+# One merged coverage profile of the whole suite over every package of
+# the module, and the statements it never executed, per package.
+COVERPROFILE ?= cover.out
+cover:
+	$(GO) test -count=1 -coverpkg=./... -coverprofile=$(COVERPROFILE) ./... >/dev/null
+	@awk -F'[: ]' 'NR > 1 { k = $$1 ":" $$2; n[k] = $$3; if ($$4 > 0) hit[k] = 1 } \
+		END { for (k in n) { d = k; sub(/\/[^\/]*:.*$$/, "", d); all[d] += n[k]; A += n[k]; \
+				if (!hit[k]) { miss[d] += n[k]; M += n[k] } } \
+			printf "%8s %8s %7s  %s\n", "missed", "stmts", "missed%", "package"; \
+			for (d in all) printf "%8d %8d %6.1f%%  %s\n", miss[d], all[d], 100 * miss[d] / all[d], d | "sort -k4"; \
+			close("sort -k4"); printf "%8d %8d %6.1f%%  total\n", M, A, 100 * M / A }' $(COVERPROFILE)
 
 # The determinism, preemption-replay and bitwise-parity tests at one,
 # two and four Ps, three times each: results may not depend on how many
@@ -211,7 +230,7 @@ loc:
 			for (d in seen) printf "%8d %8d %8d  %s\n", n[d], c[d], t[d], d | "sort -k4"; close("sort -k4"); \
 			printf "%8d %8d %8d  total\n", N, C, T }' $$(find . -name '*.go' -not -path './bench/*')
 
-check: vet vet-bench race cpus chaos-storm failover-storm fallback bench-smoke
+check: vet vet-bench deadcode race cpus chaos-storm failover-storm fallback bench-smoke
 
 fmt:
 	gofmt -l -w .

@@ -42,7 +42,6 @@ import (
 	"enhancedbhpo/internal/core"
 	"enhancedbhpo/internal/dataset"
 	"enhancedbhpo/internal/hpo"
-	"enhancedbhpo/internal/nn"
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 	"enhancedbhpo/internal/trace"
@@ -80,7 +79,6 @@ func run(dsName, csvPath, csvKind, spacePath, methodName string, enhanced bool, 
 	if err != nil {
 		return err
 	}
-	dataset.Standardize(train, test)
 
 	method, ok := hpo.CanonicalName(methodName)
 	if !ok {
@@ -107,10 +105,6 @@ func run(dsName, csvPath, csvKind, spacePath, methodName string, enhanced bool, 
 	if enhanced {
 		variant = core.Enhanced
 	}
-	base := nn.DefaultConfig()
-	base.MaxIter = iters
-	base.LearningRateInit = 0.02
-
 	if !asJSON {
 		fmt.Printf("dataset %s (%s): %d train / %d test instances, %d features\n",
 			train.Name, train.Kind, train.Len(), test.Len(), train.Features())
@@ -122,7 +116,7 @@ func run(dsName, csvPath, csvKind, spacePath, methodName string, enhanced bool, 
 		Method:      method,
 		Variant:     variant,
 		Space:       space,
-		Base:        base,
+		Base:        core.BaseConfig(iters),
 		DatasetSeed: seed,
 		UseF1:       useF1,
 		RunOptions:  hpo.RunOptions{Seed: seed, MaxConfigs: configs},
@@ -150,15 +144,11 @@ func run(dsName, csvPath, csvKind, spacePath, methodName string, enhanced bool, 
 }
 
 // loadData either synthesizes a simulated dataset or loads a user CSV
-// (splitting off 20% for testing, per the paper's 80/20 rule).
+// (splitting off 20% for testing, per the paper's 80/20 rule), and
+// standardizes both splits with the training split's statistics.
 func loadData(dsName, csvPath, csvKind string, scale float64, seed uint64) (train, test *dataset.Dataset, err error) {
 	if csvPath == "" {
-		spec, err := dataset.SpecByName(dsName)
-		if err != nil {
-			return nil, nil, err
-		}
-		spec = spec.Scaled(scale)
-		return dataset.Synthesize(spec, seed)
+		return core.Data(dsName, scale, seed)
 	}
 	var kind dataset.Kind
 	switch csvKind {
@@ -179,5 +169,6 @@ func loadData(dsName, csvPath, csvKind string, scale float64, seed uint64) (trai
 		return nil, nil, err
 	}
 	train, test = full.TrainTestSplit(rng.New(seed), 0.2)
+	dataset.Standardize(train, test)
 	return train, test, nil
 }

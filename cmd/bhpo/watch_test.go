@@ -27,7 +27,7 @@ func startJob(t *testing.T) string {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	job, err := m.Submit(serve.JobSpec{
+	job, err := m.SubmitToken(serve.JobSpec{
 		Dataset:    "australian",
 		Scale:      0.06,
 		Method:     "sha",
@@ -35,7 +35,7 @@ func startJob(t *testing.T) string {
 		MaxConfigs: 6,
 		Iters:      2,
 		Seed:       3,
-	})
+	}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

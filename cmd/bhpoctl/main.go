@@ -113,15 +113,15 @@ func main() {
 		case "tenants":
 			os.Exit(tenantsMain(os.Args[2:], os.Stdout))
 		case "replace":
-			os.Exit(memberMain("replace", os.Args[2:]))
+			os.Exit(memberMain("replace", os.Args[2:], os.Stdout))
 		case "join":
-			os.Exit(memberMain("join", os.Args[2:]))
+			os.Exit(memberMain("join", os.Args[2:], os.Stdout))
 		case "drain":
-			os.Exit(memberMain("drain", os.Args[2:]))
+			os.Exit(memberMain("drain", os.Args[2:], os.Stdout))
 		case "leave":
-			os.Exit(memberMain("leave", os.Args[2:]))
+			os.Exit(memberMain("leave", os.Args[2:], os.Stdout))
 		case "standby":
-			os.Exit(memberMain("standby", os.Args[2:]))
+			os.Exit(memberMain("standby", os.Args[2:], os.Stdout))
 		}
 	}
 	var nodes, standbys nodeFlags
@@ -286,7 +286,7 @@ func orDash(s string) string {
 
 // memberMain implements the membership subcommands (join, leave, drain,
 // standby, replace): one POST to the matching /cluster/ endpoint.
-func memberMain(cmd string, args []string) int {
+func memberMain(cmd string, args []string, out io.Writer) int {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	addr := fs.String("addr", "http://localhost:8150", "coordinator address")
 	node := fs.String("node", "", "node name")
@@ -326,11 +326,11 @@ func memberMain(cmd string, args []string) int {
 		return 1
 	}
 	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
+	table, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(os.Stderr, "bhpoctl: %s: %s\n", resp.Status, strings.TrimSpace(string(out)))
+		fmt.Fprintf(os.Stderr, "bhpoctl: %s: %s\n", resp.Status, strings.TrimSpace(string(table)))
 		return 1
 	}
-	os.Stdout.Write(out)
+	out.Write(table)
 	return 0
 }

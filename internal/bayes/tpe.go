@@ -87,15 +87,6 @@ func (s *Sampler) Add(obs Observation) {
 	s.byBudget[obs.Budget] = append(s.byBudget[obs.Budget], obs)
 }
 
-// Observations returns the total number of recorded observations.
-func (s *Sampler) Observations() int {
-	n := 0
-	for _, v := range s.byBudget {
-		n += len(v)
-	}
-	return n
-}
-
 // Sample proposes a configuration: model-based when enough observations
 // exist at some budget, uniform otherwise (and with probability
 // RandomFraction regardless, as in BOHB).

@@ -39,8 +39,8 @@ func TestSamplerConcentratesOnGoodRegion(t *testing.T) {
 		}
 		s.Add(Observation{Config: c, Budget: budget, Score: score + float64(i)*1e-6})
 	}
-	if s.Observations() != 9 {
-		t.Fatalf("observations = %d", s.Observations())
+	if n := len(s.byBudget[budget]); n != 9 {
+		t.Fatalf("observations = %d", n)
 	}
 	r := rng.New(2)
 	hits := 0

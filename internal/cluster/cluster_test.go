@@ -60,8 +60,8 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.K() != 3 {
-		t.Fatalf("K = %d", res.K())
+	if len(res.Centers) != 3 {
+		t.Fatalf("K = %d", len(res.Centers))
 	}
 	if p := clusterPurity(res.Assign, truth, 3, 3); p < 0.95 {
 		t.Fatalf("purity %v < 0.95", p)

@@ -51,9 +51,6 @@ type Result struct {
 	Iters int
 }
 
-// K returns the number of clusters in the result.
-func (r *Result) K() int { return len(r.Centers) }
-
 // Sizes returns the number of points per cluster.
 func (r *Result) Sizes() []int {
 	s := make([]int, len(r.Centers))

@@ -636,16 +636,15 @@ func (c *Coordinator) listJobs(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, out)
 }
 
-// listMethods answers GET /methods with the first servable node's list —
-// the method registry is compiled into every worker, so any one speaks
+// listMethods answers GET /methods with the first answering node's list
+// — the method registry is compiled into every worker, so any one speaks
 // for the cluster.
 func (c *Coordinator) listMethods(w http.ResponseWriter, r *http.Request) {
-	for _, name := range c.ring.Nodes() {
-		if c.prober.stateOf(name) == StateDead {
+	for _, st := range c.prober.status() {
+		if !st.answers() {
 			continue
 		}
-		nodeURL, _ := c.prober.memberURL(name)
-		if methods, err := getJSON[json.RawMessage](r.Context(), c.client, nodeURL+"/methods"); err == nil {
+		if methods, err := getJSON[json.RawMessage](r.Context(), c.client, st.URL+"/methods"); err == nil {
 			serve.WriteJSON(w, http.StatusOK, methods)
 			return
 		}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"enhancedbhpo/internal/serve"
+	"enhancedbhpo/internal/serve/sched"
 )
 
 // stubWorker is a minimal fake bhpod: it answers just enough of the
@@ -23,9 +24,11 @@ type stubWorker struct {
 	submits []serve.JobSpec
 	tokens  []string // X-Submit-Token seen on each submission, single or batch
 
-	health  atomic.Value // string: healthz status vocabulary
-	metrics serve.Metrics
-	nextID  atomic.Int64
+	health       atomic.Value // string: healthz status vocabulary
+	metrics      serve.Metrics
+	tenants      []serve.TenantStatus
+	nextID       atomic.Int64
+	methodsAsked atomic.Int64
 
 	ts *httptest.Server
 }
@@ -94,7 +97,14 @@ func newStubWorker(t *testing.T, name string) *stubWorker {
 		w.mu.Unlock()
 		json.NewEncoder(rw).Encode(m)
 	})
+	mux.HandleFunc("GET /tenants", func(rw http.ResponseWriter, r *http.Request) {
+		w.mu.Lock()
+		body := tenantsBody{Tenants: w.tenants}
+		w.mu.Unlock()
+		json.NewEncoder(rw).Encode(body)
+	})
 	mux.HandleFunc("GET /methods", func(rw http.ResponseWriter, r *http.Request) {
+		w.methodsAsked.Add(1)
 		rw.Header().Set("X-Stub-Node", w.name)
 		fmt.Fprint(rw, `[{"name":"sha"}]`)
 	})
@@ -365,6 +375,82 @@ func TestCoordinatorMetricsAggregation(t *testing.T) {
 	}
 	if m.NodesAlive != 2 || len(m.Nodes) != 2 {
 		t.Fatalf("nodes: alive %d, payloads %d, want 2 and 2", m.NodesAlive, len(m.Nodes))
+	}
+}
+
+// TestCoordinatorMethodsAsksOnlyAnsweringNodes: GET /methods skips a
+// node that does not answer — here one that is dead with a restore in
+// flight — instead of asking it; with no node left it is a 503.
+func TestCoordinatorMethodsAsksOnlyAnsweringNodes(t *testing.T) {
+	a, b := newStubWorker(t, "a"), newStubWorker(t, "b")
+	coord, ts := newTestCluster(t, a, b)
+	coord.prober.update("a", func(e *probeEntry) { e.state, e.restoring = StateDead, true })
+	if got := coord.prober.stateOf("a"); got != StateRestoring {
+		t.Fatalf("node a is %s, want %s", got, StateRestoring)
+	}
+
+	resp, err := http.Get(ts.URL + "/methods")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var methods []struct{ Name string }
+	err = json.NewDecoder(resp.Body).Decode(&methods)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || len(methods) != 1 || methods[0].Name != "sha" {
+		t.Fatalf("GET /methods = %s %+v (%v), want 200 and the worker's list", resp.Status, methods, err)
+	}
+	if n := a.methodsAsked.Load(); n != 0 {
+		t.Errorf("the restoring node was asked %d times", n)
+	}
+	if n := b.methodsAsked.Load(); n != 1 {
+		t.Errorf("the alive node was asked %d times, want 1", n)
+	}
+
+	coord.prober.update("b", func(e *probeEntry) { e.state = StateDead })
+	resp, err = http.Get(ts.URL + "/methods")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("GET /methods with no answering node = %s, want 503", resp.Status)
+	}
+}
+
+// TestCoordinatorTenantsMerge: GET /tenants merges the answering nodes'
+// rows by tenant — counters sum, weight and virtual time take the
+// maximum — sorted by name, and leaves out a dead node's rows.
+func TestCoordinatorTenantsMerge(t *testing.T) {
+	row := func(name string, weight int, vtime float64, granted int64, done int) serve.TenantStatus {
+		return serve.TenantStatus{
+			TenantStats: sched.TenantStats{Tenant: name, Weight: weight, VTime: vtime, Granted: granted, Evaluations: granted * 10},
+			JobsDone:    done,
+		}
+	}
+	a, b, c := newStubWorker(t, "a"), newStubWorker(t, "b"), newStubWorker(t, "c")
+	a.tenants = []serve.TenantStatus{row("gold", 3, 1.5, 4, 2), row("bronze", 1, 7, 1, 1)}
+	b.tenants = []serve.TenantStatus{row("gold", 3, 2.5, 6, 3)}
+	c.tenants = []serve.TenantStatus{row("gold", 3, 9, 100, 100), row("tin", 1, 1, 1, 1)}
+	coord, ts := newTestCluster(t, a, b, c)
+	coord.prober.update("c", func(e *probeEntry) { e.state = StateDead })
+
+	resp, err := http.Get(ts.URL + "/tenants")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got tenantsBody
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	want := []serve.TenantStatus{row("bronze", 1, 7, 1, 1), row("gold", 3, 2.5, 10, 5)}
+	if len(got.Tenants) != len(want) {
+		t.Fatalf("merged %d tenants %+v, want %d", len(got.Tenants), got.Tenants, len(want))
+	}
+	for i := range want {
+		if got.Tenants[i] != want[i] {
+			t.Errorf("tenant %d = %+v, want %+v", i, got.Tenants[i], want[i])
+		}
 	}
 }
 

@@ -455,7 +455,7 @@ func TestShutdownJoinsFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ship := shipper.New(src, sink, shipper.Options{Sync: true})
+	ship := shipper.NewMulti(src, []shipper.Sink{sink}, shipper.Options{Sync: true})
 	ship.Sealed("journal-000001.jsonl")
 	if err := ship.Close(); err != nil {
 		t.Fatal(err)

@@ -97,18 +97,6 @@ func (r *Ring) sortLocked() {
 	})
 }
 
-// Nodes lists the members in name order.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len reports the member count.
 func (r *Ring) Len() int {
 	r.mu.RLock()

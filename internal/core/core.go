@@ -171,3 +171,28 @@ func Components(train *dataset.Dataset, variant Variant, datasetSeed uint64) (hp
 // RefitStream is the stream a job's final refit draws its seed from,
 // Seed^0xf17: the refit is a function of the search, not of the data.
 func RefitStream(seed uint64) *rng.RNG { return rng.New(seed ^ 0xf17) }
+
+// Data is a job's data: the named paper dataset (dataset.SpecByName)
+// scaled by scale, synthesized from seed and standardized with the
+// training split's statistics.
+func Data(name string, scale float64, seed uint64) (train, test *dataset.Dataset, err error) {
+	spec, err := dataset.SpecByName(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	train, test, err = dataset.Synthesize(spec.Scaled(scale), seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	dataset.Standardize(train, test)
+	return train, test, nil
+}
+
+// BaseConfig is a job's non-searched MLP settings: nn.DefaultConfig
+// trained for iters epochs from an initial learning rate of 0.02.
+func BaseConfig(iters int) nn.Config {
+	base := nn.DefaultConfig()
+	base.MaxIter = iters
+	base.LearningRateInit = 0.02
+	return base
+}

@@ -205,7 +205,7 @@ func TestGroupFoldsSpecialBias(t *testing.T) {
 		}
 	}
 	// General folds should roughly mirror the global group mix.
-	globalFrac := float64(g.Size(0)) / float64(d.Len())
+	globalFrac := float64(len(g.Members[0])) / float64(d.Len())
 	for i := 2; i < 5; i++ {
 		in0 := 0
 		for _, idx := range folds[i].Val {

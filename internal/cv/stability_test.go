@@ -97,7 +97,7 @@ func TestGeneralFoldsMirrorGlobalMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for gi := 0; gi < g.V; gi++ {
-		global := float64(g.Size(gi)) / float64(d.Len())
+		global := float64(len(g.Members[gi])) / float64(d.Len())
 		for fi, f := range folds {
 			in := 0
 			for _, idx := range f.Val {

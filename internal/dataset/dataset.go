@@ -121,19 +121,6 @@ func (d *Dataset) SelectIn(a *mat.Arena, indices []int) *Dataset {
 	return out
 }
 
-// ClassCounts returns the number of instances per class.
-// It panics for regression datasets.
-func (d *Dataset) ClassCounts() []int {
-	if d.Kind != Classification {
-		panic("dataset: ClassCounts on regression dataset")
-	}
-	counts := make([]int, d.NumClasses)
-	for _, c := range d.Class {
-		counts[c]++
-	}
-	return counts
-}
-
 // ClassIndices returns, per class, the row indices holding that class.
 func (d *Dataset) ClassIndices() [][]int {
 	if d.Kind != Classification {

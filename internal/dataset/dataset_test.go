@@ -71,6 +71,28 @@ func TestSelect(t *testing.T) {
 	assertPanics(t, "empty", func() { d.Select(nil) })
 }
 
+// ClassCounts returns the number of instances per class.
+// It panics for regression datasets.
+func (d *Dataset) ClassCounts() []int {
+	if d.Kind != Classification {
+		panic("dataset: ClassCounts on regression dataset")
+	}
+	counts := make([]int, d.NumClasses)
+	for _, c := range d.Class {
+		counts[c]++
+	}
+	return counts
+}
+
+// MustSynthesize is Synthesize that panics on error, for known-good specs.
+func MustSynthesize(spec Spec, seed uint64) (train, test *Dataset) {
+	train, test, err := Synthesize(spec, seed)
+	if err != nil {
+		panic(err)
+	}
+	return train, test
+}
+
 func TestClassCountsAndIndices(t *testing.T) {
 	d := smallClassification()
 	counts := d.ClassCounts()

@@ -2,15 +2,14 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 
 	"enhancedbhpo/internal/rng"
 )
 
 // Noise-injection utilities for robustness experiments: the paper's central
 // claim is evaluation *stability*, so the harness stresses the methods with
-// corrupted labels and noisy features and checks that the enhanced
-// components degrade more gracefully than the vanilla ones.
+// corrupted labels and checks that the enhanced components degrade more
+// gracefully than the vanilla ones.
 
 // CorruptLabels returns a copy of d in which each classification label is
 // replaced, with probability rate, by a uniformly random *different* class.
@@ -39,71 +38,10 @@ func (d *Dataset) CorruptLabels(r *rng.RNG, rate float64) *Dataset {
 	return out
 }
 
-// AddFeatureNoise returns a copy of d with zero-mean Gaussian noise of the
-// given standard deviation added to every feature value.
-func (d *Dataset) AddFeatureNoise(r *rng.RNG, sigma float64) *Dataset {
-	if sigma < 0 {
-		panic(fmt.Sprintf("dataset: negative noise sigma %v", sigma))
-	}
-	out := d.Select(identity(d.Len()))
-	if sigma == 0 {
-		return out
-	}
-	for i := 0; i < out.Len(); i++ {
-		row := out.X.Row(i)
-		for j := range row {
-			row[j] += r.NormScaled(0, sigma)
-		}
-	}
-	return out
-}
-
-// CorruptTargets returns a copy of a regression dataset with heavy-tailed
-// target corruption: with probability rate a target is shifted by a draw
-// from N(0, (spread·targetStd)²).
-func (d *Dataset) CorruptTargets(r *rng.RNG, rate, spread float64) *Dataset {
-	if d.Kind != Regression {
-		panic("dataset: CorruptTargets on classification dataset")
-	}
-	if rate < 0 || rate > 1 {
-		panic(fmt.Sprintf("dataset: corruption rate %v out of [0,1]", rate))
-	}
-	out := d.Select(identity(d.Len()))
-	if rate == 0 || spread == 0 {
-		return out
-	}
-	var mean, sq float64
-	for _, v := range d.Target {
-		mean += v
-	}
-	mean /= float64(len(d.Target))
-	for _, v := range d.Target {
-		diff := v - mean
-		sq += diff * diff
-	}
-	std := 0.0
-	if len(d.Target) > 1 {
-		std = sqrtf(sq / float64(len(d.Target)))
-	}
-	for i := range out.Target {
-		if r.Float64() < rate {
-			out.Target[i] += r.NormScaled(0, spread*std)
-		}
-	}
-	return out
-}
-
 func identity(n int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = i
 	}
 	return out
-}
-
-func sqrtf(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
 }

@@ -69,52 +69,3 @@ func TestCorruptLabelsPanics(t *testing.T) {
 	cls := smallClassification()
 	assertPanics(t, "bad rate", func() { cls.CorruptLabels(rng.New(1), 1.5) })
 }
-
-func TestAddFeatureNoise(t *testing.T) {
-	d := smallClassification()
-	noisy := d.AddFeatureNoise(rng.New(5), 0.5)
-	var diff float64
-	for i := 0; i < d.Len(); i++ {
-		for j := 0; j < d.Features(); j++ {
-			diff += math.Abs(noisy.X.At(i, j) - d.X.At(i, j))
-		}
-	}
-	if diff == 0 {
-		t.Fatal("no noise added")
-	}
-	same := d.AddFeatureNoise(rng.New(5), 0)
-	for i := 0; i < d.Len(); i++ {
-		for j := 0; j < d.Features(); j++ {
-			if same.X.At(i, j) != d.X.At(i, j) {
-				t.Fatal("sigma=0 changed features")
-			}
-		}
-	}
-	assertPanics(t, "negative sigma", func() { d.AddFeatureNoise(rng.New(1), -1) })
-}
-
-func TestCorruptTargets(t *testing.T) {
-	spec, _ := SpecByName("kc-house")
-	spec = spec.Scaled(0.1)
-	d, _ := MustSynthesize(spec, 45)
-	noisy := d.CorruptTargets(rng.New(6), 0.3, 2)
-	changed := 0
-	for i := range d.Target {
-		if noisy.Target[i] != d.Target[i] {
-			changed++
-		}
-	}
-	rate := float64(changed) / float64(d.Len())
-	if rate < 0.15 || rate > 0.45 {
-		t.Fatalf("target corruption rate %v, want ~0.3", rate)
-	}
-	clean := d.CorruptTargets(rng.New(6), 0, 2)
-	for i := range d.Target {
-		if clean.Target[i] != d.Target[i] {
-			t.Fatal("zero-rate corruption changed targets")
-		}
-	}
-	cls := smallClassification()
-	assertPanics(t, "classification", func() { cls.CorruptTargets(rng.New(1), 0.1, 1) })
-	assertPanics(t, "bad rate", func() { d.CorruptTargets(rng.New(1), -0.1, 1) })
-}

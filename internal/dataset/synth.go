@@ -3,7 +3,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"enhancedbhpo/internal/mat"
 	"enhancedbhpo/internal/rng"
@@ -124,16 +123,6 @@ func SpecByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("dataset: unknown spec %q", name)
 }
 
-// Names returns the paper dataset names in Table II order.
-func Names() []string {
-	specs := PaperSpecs()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Name
-	}
-	return out
-}
-
 // Synthesize generates train and test datasets from the spec with the given
 // seed. The same seed always yields the same data.
 func Synthesize(spec Spec, seed uint64) (train, test *Dataset, err error) {
@@ -145,16 +134,6 @@ func Synthesize(spec Spec, seed uint64) (train, test *Dataset, err error) {
 	train = g.generate(spec.Train, r.Split(1))
 	test = g.generate(spec.Test, r.Split(2))
 	return train, test, nil
-}
-
-// MustSynthesize is Synthesize that panics on error; for tests and examples
-// using known-good specs.
-func MustSynthesize(spec Spec, seed uint64) (train, test *Dataset) {
-	train, test, err := Synthesize(spec, seed)
-	if err != nil {
-		panic(err)
-	}
-	return train, test
 }
 
 // generator holds the latent structure shared by the train and test splits.
@@ -325,18 +304,4 @@ func Standardize(fit *Dataset, apply ...*Dataset) {
 			}
 		}
 	}
-}
-
-// SortedClassList returns the distinct classes present in labels, ascending.
-func SortedClassList(labels []int) []int {
-	seen := map[int]struct{}{}
-	for _, c := range labels {
-		seen[c] = struct{}{}
-	}
-	out := make([]int, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -33,13 +33,13 @@ func TestPaperSpecsValid(t *testing.T) {
 }
 
 func TestSpecByNameAndNames(t *testing.T) {
-	names := Names()
-	if len(names) != 12 {
-		t.Fatalf("Names returned %d", len(names))
+	specs := PaperSpecs()
+	if len(specs) != 12 {
+		t.Fatalf("PaperSpecs returned %d", len(specs))
 	}
-	for _, n := range names {
-		if _, err := SpecByName(n); err != nil {
-			t.Errorf("SpecByName(%q): %v", n, err)
+	for _, s := range specs {
+		if got, err := SpecByName(s.Name); err != nil || got.Name != s.Name {
+			t.Errorf("SpecByName(%q) = %q, %v", s.Name, got.Name, err)
 		}
 	}
 	if _, err := SpecByName("nope"); err == nil {
@@ -239,19 +239,6 @@ func TestStandardize(t *testing.T) {
 		}
 		if math.Abs(std-1) > 1e-9 {
 			t.Fatalf("column %d std %v after standardize", j, std)
-		}
-	}
-}
-
-func TestSortedClassList(t *testing.T) {
-	got := SortedClassList([]int{3, 1, 3, 0, 1})
-	want := []int{0, 1, 3}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
 		}
 	}
 }

@@ -66,11 +66,10 @@ type Subscription struct {
 	// C delivers the feed's events.
 	C <-chan Event
 
-	hub     *Hub
-	feed    *feed
-	ch      chan Event
-	dropped atomic.Int64
-	closed  bool // guarded by feed.mu
+	hub    *Hub
+	feed   *feed
+	ch     chan Event
+	closed bool // guarded by feed.mu
 }
 
 // NewHub returns an empty hub.
@@ -117,7 +116,6 @@ func (h *Hub) Publish(jobID string, ev Event) Event {
 		default:
 			// Slow consumer: the event stays in history, the subscriber
 			// sees a sequence gap and backfills via Since.
-			sub.dropped.Add(1)
 			h.dropped.Add(1)
 		}
 	}
@@ -206,10 +204,6 @@ func (s *Subscription) Close() {
 	s.hub.closeSubLocked(s.feed, s)
 	s.feed.mu.Unlock()
 }
-
-// Dropped reports how many events were dropped from this subscription's
-// buffer because the consumer lagged.
-func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
 
 // Since returns a copy of the job's retained events with Seq > afterSeq
 // — the backfill path for consumers that detected a gap, and the data

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"enhancedbhpo/internal/core"
 	"enhancedbhpo/internal/cv"
 	"enhancedbhpo/internal/dataset"
 	"enhancedbhpo/internal/grouping"
@@ -76,13 +77,13 @@ func (s Settings) buildTruth(name string, seed uint64) (*cvTruth, error) {
 	if err != nil {
 		return nil, err
 	}
-	train, test, err := s.loadDataset(name, seed)
+	train, test, err := core.Data(name, s.Scale, seed)
 	if err != nil {
 		return nil, err
 	}
 	configs := space.Enumerate()
 	truth := &cvTruth{train: train, configs: configs, testScores: make([]float64, len(configs))}
-	base := s.baseConfig()
+	base := core.BaseConfig(s.MaxIter)
 	err = forEachParallel(len(configs), func(i int) error {
 		nnCfg, err := search.ToNNConfig(configs[i], base)
 		if err != nil {
@@ -133,7 +134,7 @@ func (s Settings) runCVMethod(truth *cvTruth, c cvCell, groups *grouping.Groups,
 	// At least two instances per fold, at most the whole training set.
 	budget := min(max(int(float64(n)*c.ratio), 2*k), n)
 	gamma := scoring.Gamma(budget, n)
-	base := s.baseConfig()
+	base := core.BaseConfig(s.MaxIter)
 	r := rng.New(seed ^ 0xcfe0)
 	predScores := make([]float64, len(truth.configs))
 	ev := &hpo.CVEvaluator{Train: truth.train, Base: base, Folds: c.folds, K: k, Groups: groups}

@@ -23,12 +23,7 @@
 // claims, and a printer that emits rows shaped like the paper's.
 package experiments
 
-import (
-	"fmt"
-
-	"enhancedbhpo/internal/dataset"
-	"enhancedbhpo/internal/nn"
-)
+import "fmt"
 
 // Settings scale the experiments. The paper's full protocol (162
 // configurations, 5 seeds, 12 datasets at full size) takes hours; the
@@ -87,29 +82,6 @@ func (s Settings) WithDefaults() Settings {
 // benchmarks: one seed, tiny datasets, few configurations.
 func FastSettings() Settings {
 	return Settings{Scale: 0.12, Seeds: 1, MaxConfigs: 12, NumHPs: 2, MaxIter: 10}
-}
-
-// baseConfig returns the shared non-searched MLP settings.
-func (s Settings) baseConfig() nn.Config {
-	base := nn.DefaultConfig()
-	base.MaxIter = s.MaxIter
-	base.LearningRateInit = 0.02
-	return base
-}
-
-// loadDataset synthesizes, scales and standardizes one simulated dataset.
-func (s Settings) loadDataset(name string, seed uint64) (train, test *dataset.Dataset, err error) {
-	spec, err := dataset.SpecByName(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	spec = spec.Scaled(s.Scale)
-	train, test, err = dataset.Synthesize(spec, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	dataset.Standardize(train, test)
-	return train, test, nil
 }
 
 // datasetsOr returns the configured datasets, or the experiment's

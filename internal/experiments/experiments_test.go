@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -316,6 +317,36 @@ func TestTable4Significance(t *testing.T) {
 	res.PrintSignificance(&buf)
 	if !strings.Contains(buf.String(), "wilcoxon-p") {
 		t.Error("significance printout missing header")
+	}
+}
+
+// TestTable4SignificanceRefusesNonFinite: a diverged cell (a NaN mean
+// test score) is not a tie. The pair's line names the refusal and how
+// many scores were not finite; the finite pairs keep their p-values.
+func TestTable4SignificanceRefusesNonFinite(t *testing.T) {
+	res := &Table4Result{}
+	for i := 0; i < 10; i++ {
+		d := fmt.Sprintf("d%d", i)
+		base := 0.7 + float64(i)*0.01
+		sha := base + 0.02
+		if i < 2 {
+			sha = math.NaN()
+		}
+		res.Cells = append(res.Cells,
+			Cell{Dataset: d, Label: "SHA", TestMean: base},
+			Cell{Dataset: d, Label: "SHA+", TestMean: sha},
+			Cell{Dataset: d, Label: "HB", TestMean: base},
+			Cell{Dataset: d, Label: "HB+", TestMean: base + 0.01},
+		)
+	}
+	var buf bytes.Buffer
+	res.PrintSignificance(&buf)
+	out := buf.String()
+	if !strings.Contains(out, "SHA+ vs SHA    refused: 2 of 20 paired observations are not finite") {
+		t.Errorf("SHA+ line does not refuse the two NaN cells:\n%s", out)
+	}
+	if !strings.Contains(out, "HB+ vs HB          10        0") {
+		t.Errorf("HB+ line lost its counts:\n%s", out)
 	}
 }
 

@@ -140,7 +140,7 @@ func (s Settings) runHPOGrid(exp string, cells []hpoCell) ([]Cell, [][]*core.Out
 			d, ok := loaded[dataSeed]
 			if !ok {
 				var err error
-				if d.train, d.test, err = s.loadDataset(c.dataset, dataSeed); err != nil {
+				if d.train, d.test, err = core.Data(c.dataset, s.Scale, dataSeed); err != nil {
 					return nil, nil, fmt.Errorf("%s %s seed %d: %w", exp, c.name(), seed, err)
 				}
 				loaded[dataSeed] = d
@@ -153,7 +153,7 @@ func (s Settings) runHPOGrid(exp string, cells []hpoCell) ([]Cell, [][]*core.Out
 				Method:      c.method,
 				Variant:     c.variant,
 				Space:       c.space,
-				Base:        s.baseConfig(),
+				Base:        core.BaseConfig(s.MaxIter),
 				DatasetSeed: dataSeed,
 				RunOptions: hpo.RunOptions{
 					Seed:       uint64(seed)*c.seedMul + c.seedAdd,

@@ -119,6 +119,9 @@ type SignificanceRow struct {
 	// WilcoxonP is the two-sided Wilcoxon signed-rank p-value (normal
 	// approximation; 1 when too few datasets).
 	WilcoxonP float64
+	// Err is the tests' refusal when a mean test score is not finite (a
+	// diverged cell); the counts and p-values are then unset.
+	Err error
 }
 
 // Significance runs paired tests over the per-dataset mean test scores for
@@ -141,8 +144,10 @@ func (r *Table4Result) Significance() []SignificanceRow {
 			continue
 		}
 		sr := SignificanceRow{Enhanced: pair[0], Vanilla: pair[1]}
-		sr.Wins, sr.Losses, sr.SignP = stats.SignTest(enh, van)
-		_, sr.WilcoxonP = stats.WilcoxonSignedRank(enh, van)
+		sr.Wins, sr.Losses, sr.SignP, sr.Err = stats.SignTest(enh, van)
+		if sr.Err == nil {
+			_, sr.WilcoxonP, sr.Err = stats.WilcoxonSignedRank(enh, van)
+		}
 		out = append(out, sr)
 	}
 	return out
@@ -157,6 +162,10 @@ func (r *Table4Result) PrintSignificance(w io.Writer) {
 	fmt.Fprintln(w, "\npaired tests over per-dataset mean test scores (enhanced vs vanilla):")
 	fmt.Fprintf(w, "  %-14s %6s %8s %10s %12s\n", "pair", "wins", "losses", "sign-p", "wilcoxon-p")
 	for _, sr := range rows {
+		if sr.Err != nil {
+			fmt.Fprintf(w, "  %-14s refused: %v\n", sr.Enhanced+" vs "+sr.Vanilla, sr.Err)
+			continue
+		}
 		fmt.Fprintf(w, "  %-14s %6d %8d %10.3f %12.3f\n",
 			sr.Enhanced+" vs "+sr.Vanilla, sr.Wins, sr.Losses, sr.SignP, sr.WilcoxonP)
 	}

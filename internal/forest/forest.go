@@ -197,9 +197,6 @@ func (f *Forest) Predict(row []float64) (mean, variance float64) {
 	return mean, variance
 }
 
-// Trees returns the ensemble size.
-func (f *Forest) Trees() int { return len(f.trees) }
-
 func (nd *node) eval(row []float64) float64 {
 	for !nd.leaf {
 		if row[nd.feature] <= nd.threshold {

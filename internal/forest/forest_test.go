@@ -27,8 +27,8 @@ func TestTrainPredictLearnsSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Trees() != 30 {
-		t.Fatalf("trees = %d", f.Trees())
+	if len(f.trees) != 30 {
+		t.Fatalf("trees = %d", len(f.trees))
 	}
 	// R² on held-out data must beat a mean predictor decisively.
 	xt, yt := makeRegression(200, 0.1, 3)

@@ -79,9 +79,6 @@ type Groups struct {
 	NumCategories int
 }
 
-// Size returns the number of instances in group g.
-func (g *Groups) Size(group int) int { return len(g.Members[group]) }
-
 // Build runs the full §III-A pipeline on d: balanced feature clustering,
 // label-category extraction, and Operation 1 group generation.
 func Build(d *dataset.Dataset, opts Options, r *rng.RNG) (*Groups, error) {

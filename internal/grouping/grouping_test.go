@@ -99,8 +99,8 @@ func TestBuildProducesValidGroups(t *testing.T) {
 	}
 	total := 0
 	for gi := 0; gi < g.V; gi++ {
-		total += g.Size(gi)
-		if g.Size(gi) == 0 {
+		total += len(g.Members[gi])
+		if len(g.Members[gi]) == 0 {
 			t.Fatalf("group %d empty", gi)
 		}
 	}

@@ -64,27 +64,6 @@ func (m *Dense) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 // Data returns the backing slice (row-major).
 func (m *Dense) Data() []float64 { return m.data }
 
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	out := NewDense(m.rows, m.cols)
-	copy(out.data, m.data)
-	return out
-}
-
-// Zero sets every element to 0.
-func (m *Dense) Zero() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
-}
-
-// Fill sets every element to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.data {
-		m.data[i] = v
-	}
-}
-
 // Scale multiplies every element by s in place.
 func (m *Dense) Scale(s float64) {
 	for i := range m.data {
@@ -100,51 +79,8 @@ func (m *Dense) AddScaled(other *Dense, s float64) {
 	}
 }
 
-// Add adds other to m in place. Shapes must match.
-func (m *Dense) Add(other *Dense) { m.AddScaled(other, 1) }
-
 // Sub subtracts other from m in place. Shapes must match.
 func (m *Dense) Sub(other *Dense) { m.AddScaled(other, -1) }
-
-// MulElem multiplies m element-wise by other in place. Shapes must match.
-func (m *Dense) MulElem(other *Dense) {
-	mustSameShape(m, other)
-	for i, v := range other.data {
-		m.data[i] *= v
-	}
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Dense) T() *Dense {
-	out := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.data[j*m.rows+i] = v
-		}
-	}
-	return out
-}
-
-// FrobNorm returns the Frobenius norm of m.
-func (m *Dense) FrobNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the maximum absolute element value.
-func (m *Dense) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
 
 func mustSameShape(a, b *Dense) {
 	if a.rows != b.rows || a.cols != b.cols {
@@ -257,16 +193,8 @@ func AddRowVector(m *Dense, v []float64) {
 	}
 }
 
-// ColSums returns the per-column sums of m.
-func ColSums(m *Dense) []float64 {
-	out := make([]float64, m.cols)
-	ColSumsInto(out, m)
-	return out
-}
-
 // ColSumsInto writes the per-column sums of m into out, which must have
-// length m.cols. It is the allocation-free form of ColSums used by the
-// training loop's scratch path.
+// length m.cols.
 func ColSumsInto(out []float64, m *Dense) {
 	if len(out) != m.cols {
 		panic(fmt.Sprintf("mat: col sums dst length %d != cols %d", len(out), m.cols))

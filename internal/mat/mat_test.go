@@ -30,15 +30,6 @@ func TestNewDensePanics(t *testing.T) {
 	assertPanics(t, "bad data len", func() { NewDenseData(2, 2, []float64{1, 2, 3}) })
 }
 
-func TestCloneIndependent(t *testing.T) {
-	m := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
-		t.Fatal("Clone shares storage")
-	}
-}
-
 func TestMulKnown(t *testing.T) {
 	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := NewDenseData(3, 2, []float64{7, 8, 9, 10, 11, 12})
@@ -112,9 +103,9 @@ func TestTransposeInvolution(t *testing.T) {
 func TestAddSubScale(t *testing.T) {
 	a := NewDenseData(2, 2, []float64{1, 2, 3, 4})
 	b := NewDenseData(2, 2, []float64{5, 6, 7, 8})
-	a.Add(b)
+	a.AddScaled(b, 1)
 	if a.At(0, 0) != 6 || a.At(1, 1) != 12 {
-		t.Fatalf("Add wrong: %v", a.Data())
+		t.Fatalf("AddScaled wrong: %v", a.Data())
 	}
 	a.Sub(b)
 	if a.At(0, 0) != 1 || a.At(1, 1) != 4 {
@@ -123,23 +114,6 @@ func TestAddSubScale(t *testing.T) {
 	a.Scale(2)
 	if a.At(0, 1) != 4 {
 		t.Fatalf("Scale wrong: %v", a.Data())
-	}
-	a.Zero()
-	if a.FrobNorm() != 0 {
-		t.Fatal("Zero left nonzero entries")
-	}
-	a.Fill(3)
-	if a.At(1, 0) != 3 {
-		t.Fatal("Fill failed")
-	}
-}
-
-func TestMulElem(t *testing.T) {
-	a := NewDenseData(1, 3, []float64{1, 2, 3})
-	b := NewDenseData(1, 3, []float64{2, 2, 2})
-	a.MulElem(b)
-	if a.At(0, 2) != 6 {
-		t.Fatalf("MulElem wrong: %v", a.Data())
 	}
 }
 
@@ -192,24 +166,18 @@ func TestAddRowVectorColSums(t *testing.T) {
 	if m.At(1, 2) != 36 {
 		t.Fatalf("AddRowVector wrong: %v", m.Data())
 	}
-	sums := ColSums(m)
+	sums := make([]float64, 3)
+	ColSumsInto(sums, m)
 	if sums[0] != 11+14 || sums[2] != 33+36 {
 		t.Fatalf("ColSums wrong: %v", sums)
 	}
 	assertPanics(t, "row vector mismatch", func() { AddRowVector(m, []float64{1}) })
 }
 
-func TestMaxAbs(t *testing.T) {
-	m := NewDenseData(1, 3, []float64{-5, 2, 3})
-	if m.MaxAbs() != 5 {
-		t.Fatalf("MaxAbs = %v", m.MaxAbs())
-	}
-}
-
 func TestAddScaledShapePanic(t *testing.T) {
 	a := NewDense(2, 2)
 	b := NewDense(2, 3)
-	assertPanics(t, "shape mismatch", func() { a.Add(b) })
+	assertPanics(t, "shape mismatch", func() { a.AddScaled(b, 1) })
 }
 
 func assertPanics(t *testing.T, name string, f func()) {

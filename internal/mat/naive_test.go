@@ -3,6 +3,27 @@ package mat
 // The naive matmul loops: the oracle the kernel families are held
 // against, bit for bit. Production never dispatches to them.
 
+// T returns the transpose of m as a new matrix.
+func (m *Dense) T() *Dense {
+	out := NewDense(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j, v := range m.Row(i) {
+			out.data[j*m.rows+i] = v
+		}
+	}
+	return out
+}
+
+// Fill sets every element to v.
+func (m *Dense) Fill(v float64) {
+	for i := range m.data {
+		m.data[i] = v
+	}
+}
+
+// Zero sets every element to 0.
+func (m *Dense) Zero() { m.Fill(0) }
+
 // NaiveMul is the pre-tuning reference kernel for dst = a*b (sequential
 // ikj loop with the zero-multiplicand skip).
 func NaiveMul(dst, a, b *Dense) {

@@ -118,46 +118,6 @@ func R2(pred, truth []float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// RMSE returns the root-mean-squared error.
-func RMSE(pred, truth []float64) float64 {
-	mustSameLen(len(pred), len(truth))
-	if len(pred) == 0 {
-		return 0
-	}
-	var s float64
-	for i, t := range truth {
-		d := t - pred[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
-}
-
-// LogLoss returns the mean negative log-likelihood of the true classes under
-// the predicted probability rows. Probabilities are clipped to [eps, 1-eps].
-func LogLoss(proba [][]float64, truth []int) float64 {
-	mustSameLen(len(proba), len(truth))
-	if len(proba) == 0 {
-		return 0
-	}
-	const eps = 1e-15
-	var s float64
-	for i, row := range proba {
-		t := truth[i]
-		if t < 0 || t >= len(row) {
-			panic(fmt.Sprintf("metrics: true label %d out of range %d", t, len(row)))
-		}
-		p := row[t]
-		if p < eps {
-			p = eps
-		}
-		if p > 1-eps {
-			p = 1 - eps
-		}
-		s -= math.Log(p)
-	}
-	return s / float64(len(proba))
-}
-
 // NDCG returns the normalized discounted cumulative gain of a predicted
 // ranking against true relevances. predScores orders the items (higher is
 // better); trueRelevance gives each item's actual quality. This is the

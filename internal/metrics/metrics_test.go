@@ -86,30 +86,6 @@ func TestR2(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	if got := RMSE([]float64{0, 0}, []float64{3, 4}); !almostEq(got, math.Sqrt(12.5)) {
-		t.Fatalf("RMSE = %v", got)
-	}
-	if RMSE(nil, nil) != 0 {
-		t.Fatal("empty RMSE != 0")
-	}
-}
-
-func TestLogLoss(t *testing.T) {
-	proba := [][]float64{{0.9, 0.1}, {0.2, 0.8}}
-	truth := []int{0, 1}
-	want := -(math.Log(0.9) + math.Log(0.8)) / 2
-	if got := LogLoss(proba, truth); !almostEq(got, want) {
-		t.Fatalf("LogLoss = %v, want %v", got, want)
-	}
-	// Clipping keeps the loss finite for zero probabilities.
-	bad := [][]float64{{0, 1}}
-	if got := LogLoss(bad, []int{0}); math.IsInf(got, 0) {
-		t.Fatal("LogLoss not clipped")
-	}
-	assertPanics(t, "label out of range", func() { LogLoss(proba, []int{2, 1}) })
-}
-
 func TestNDCGPerfectRanking(t *testing.T) {
 	rel := []float64{0.9, 0.5, 0.7, 0.3}
 	if got := NDCG(rel, rel); !almostEq(got, 1) {

@@ -321,7 +321,10 @@ func TestPredictProbaRowsSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, row := range m.PredictProba(train) {
+	acts := m.nw.forwardPass(train.X)
+	proba := acts[len(acts)-1]
+	for i := 0; i < proba.Rows(); i++ {
+		row := proba.Row(i)
 		var sum float64
 		for _, p := range row {
 			if p < 0 || p > 1 {
@@ -343,7 +346,7 @@ func TestKindMismatchPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertPanics(t, "PredictReg on classifier", func() { m.PredictReg(train) })
+	assertPanics(t, "target prediction on classifier", func() { m.predictRegInto(make([]float64, train.Len()), train) })
 
 	reg := easyRegression(60, 10)
 	cfgR := DefaultConfig()
@@ -352,7 +355,7 @@ func TestKindMismatchPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertPanics(t, "Predict on regressor", func() { mr.Predict(reg) })
+	assertPanics(t, "class prediction on regressor", func() { mr.predictInto(make([]int, reg.Len()), reg) })
 	assertPanics(t, "ScoreF1 on regressor", func() { mr.ScoreF1(reg) })
 }
 

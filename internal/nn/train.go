@@ -286,16 +286,11 @@ func (m *Model) fitStochastic(x, target *mat.Dense, valSet *dataset.Dataset, r *
 	m.Epochs = len(m.LossCurve)
 }
 
-// Predict returns the predicted class for each row of d (classification
-// models only).
-func (m *Model) Predict(d *dataset.Dataset) []int {
-	return m.predictInto(make([]int, d.Len()), d)
-}
-
-// predictInto writes the arg-max class of each row of d into out.
+// predictInto writes the arg-max class of each row of d into out
+// (classification models only).
 func (m *Model) predictInto(out []int, d *dataset.Dataset) []int {
 	if m.kind != dataset.Classification {
-		panic("nn: Predict on regression model")
+		panic("nn: class prediction on regression model")
 	}
 	acts := m.nw.forwardPass(d.X)
 	proba := acts[len(acts)-1]
@@ -312,29 +307,11 @@ func (m *Model) predictInto(out []int, d *dataset.Dataset) []int {
 	return out
 }
 
-// PredictProba returns the class-probability rows for d.
-func (m *Model) PredictProba(d *dataset.Dataset) [][]float64 {
-	if m.kind != dataset.Classification {
-		panic("nn: PredictProba on regression model")
-	}
-	acts := m.nw.forwardPass(d.X)
-	out := acts[len(acts)-1]
-	n := out.Rows()
-	rows := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		rows[i] = append([]float64(nil), out.Row(i)...)
-	}
-	return rows
-}
-
-// PredictReg returns the predicted targets for d (regression models only).
-func (m *Model) PredictReg(d *dataset.Dataset) []float64 {
-	return m.predictRegInto(make([]float64, d.Len()), d)
-}
-
+// predictRegInto writes the predicted target of each row of d into out
+// (regression models only).
 func (m *Model) predictRegInto(out []float64, d *dataset.Dataset) []float64 {
 	if m.kind != dataset.Regression {
-		panic("nn: PredictReg on classification model")
+		panic("nn: target prediction on classification model")
 	}
 	acts := m.nw.forwardPass(d.X)
 	pred := acts[len(acts)-1]
@@ -369,7 +346,7 @@ func (m *Model) ScoreF1(d *dataset.Dataset) float64 {
 	return metrics.F1Macro(pred, d.Class, m.numClasses)
 }
 
-// scratchClasses is Predict into a buffer the model keeps, for the
+// scratchClasses predicts into a buffer the model keeps, for the
 // scorers: they read the predictions once, and early stopping scores the
 // same holdout every epoch.
 func (m *Model) scratchClasses(d *dataset.Dataset) []int {
@@ -378,6 +355,3 @@ func (m *Model) scratchClasses(d *dataset.Dataset) []int {
 	}
 	return m.predictInto(m.predClass[:d.Len()], d)
 }
-
-// NumParams returns the size of the flat parameter vector.
-func (m *Model) NumParams() int { return len(m.nw.params) }

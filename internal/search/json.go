@@ -7,7 +7,7 @@ import (
 	"math"
 )
 
-// JSON (de)serialization of spaces, so CLI users can search custom grids:
+// JSON decoding of spaces, so CLI users can search custom grids:
 //
 //	{
 //	  "dimensions": [
@@ -56,28 +56,6 @@ func ReadSpaceJSON(r io.Reader) (*Space, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// WriteSpaceJSON renders the space as JSON.
-func WriteSpaceJSON(w io.Writer, s *Space) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	js := jsonSpace{}
-	for _, dim := range s.Dims {
-		jd := jsonDimension{Name: dim.Name}
-		for _, v := range dim.Values {
-			raw, err := json.Marshal(v)
-			if err != nil {
-				return fmt.Errorf("search: encoding %q value %v: %w", dim.Name, v, err)
-			}
-			jd.Values = append(jd.Values, raw)
-		}
-		js.Dimensions = append(js.Dimensions, jd)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(js)
 }
 
 // intValuedDimensions lists the dimensions whose numeric values are ints.

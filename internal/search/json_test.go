@@ -2,11 +2,37 @@ package search
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"enhancedbhpo/internal/nn"
 )
+
+// WriteSpaceJSON renders the space as JSON: the inverse of ReadSpaceJSON,
+// the round-trip oracle of its tests.
+func WriteSpaceJSON(w io.Writer, s *Space) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	js := jsonSpace{}
+	for _, dim := range s.Dims {
+		jd := jsonDimension{Name: dim.Name}
+		for _, v := range dim.Values {
+			raw, err := json.Marshal(v)
+			if err != nil {
+				return fmt.Errorf("search: encoding %q value %v: %w", dim.Name, v, err)
+			}
+			jd.Values = append(jd.Values, raw)
+		}
+		js.Dimensions = append(js.Dimensions, jd)
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(js)
+}
 
 const sampleSpaceJSON = `{
   "dimensions": [

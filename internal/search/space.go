@@ -86,9 +86,6 @@ func (s *Space) NewConfig(idx []int) Config {
 // Space returns the space the configuration belongs to.
 func (c Config) Space() *Space { return c.space }
 
-// Indices returns a copy of the per-dimension choice indices.
-func (c Config) Indices() []int { return append([]int(nil), c.idx...) }
-
 // Index returns the choice index of dimension d.
 func (c Config) Index(d int) int { return c.idx[d] }
 

@@ -87,11 +87,6 @@ func TestConfigAccessors(t *testing.T) {
 	if c.String() == "" {
 		t.Error("empty String()")
 	}
-	idx := c.Indices()
-	idx[0] = 0
-	if c.Index(0) != 5 {
-		t.Error("Indices() exposed internal state")
-	}
 }
 
 func TestNewConfigPanics(t *testing.T) {

@@ -104,7 +104,7 @@ func BenchmarkBoot(b *testing.B) {
 		if i == fill+1 {
 			<-entered // the fill is done and job-401 frozen on its sixth evaluation
 		}
-		if _, err := m1.Submit(bootFillSpec()); err != nil {
+		if _, err := m1.SubmitToken(bootFillSpec(), ""); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,7 @@ import (
 // record, so one queued job, per spec.
 func queuedJournal(t *testing.T, dir string, specs ...[]byte) {
 	t.Helper()
-	w, err := journal.Open(dir)
+	w, err := journal.OpenOptions(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestRestartServesThreeKindsOfJob(t *testing.T) {
 	}
 	ts1 := httptest.NewServer(NewServer(m1))
 	submit := func(spec JobSpec, wantID string) *Job {
-		job, err := m1.Submit(spec)
+		job, err := m1.SubmitToken(spec, "")
 		if err != nil || job.ID != wantID {
 			t.Fatalf("submitted %v, %v; want %s", job, err, wantID)
 		}
@@ -342,7 +342,7 @@ func TestBootOnDamagedTraceLog(t *testing.T) {
 	ts1 := httptest.NewServer(NewServer(m1))
 	ids := []string{"job-1", "job-2"}
 	for range ids {
-		if _, err := m1.Submit(smallSpec()); err != nil {
+		if _, err := m1.SubmitToken(smallSpec(), ""); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -65,7 +65,7 @@ func TestEvalDeadlineAbandonsWedgedTrial(t *testing.T) {
 		}
 	})
 	start := time.Now()
-	job, err := m.Submit(smallSpec())
+	job, err := m.SubmitToken(smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestChaosOverload(t *testing.T) {
 	// that, losing unsynced page-cache data, an in-process test cannot
 	// simulate either way.)
 	freezeArm.Store(true)
-	frozen, err := m1.Submit(smallSpec())
+	frozen, err := m1.SubmitToken(smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

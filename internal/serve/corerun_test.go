@@ -44,7 +44,7 @@ func TestServedJobMatchesCoreRun(t *testing.T) {
 	})
 	jobs := make([]*Job, len(specs))
 	for i, spec := range specs {
-		job, err := m.Submit(spec)
+		job, err := m.SubmitToken(spec, "")
 		if err != nil {
 			t.Fatalf("%s: %v", spec.CacheScope(), err)
 		}

@@ -84,7 +84,7 @@ func TestPoolSlotsEvaluateSideBySide(t *testing.T) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	job, err := m.Submit(smallSpec())
+	job, err := m.SubmitToken(smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func soloRun(t *testing.T, poolSize int, spec JobSpec) (trials, curve []byte, pe
 			}
 		}
 	}()
-	job, err := m.Submit(spec)
+	job, err := m.SubmitToken(spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestIdleSlotTrainsFolds(t *testing.T) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	first, err := m.Submit(long)
+	first, err := m.SubmitToken(long, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestIdleSlotTrainsFolds(t *testing.T) {
 		}
 	}
 	long.Seed = 2
-	second, err := m.Submit(long)
+	second, err := m.SubmitToken(long, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestNaNCurveDoesNotKillDaemon(t *testing.T) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	job, err := m.Submit(smallSpec())
+	job, err := m.SubmitToken(smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestUnencodableResponseAnswers500(t *testing.T) {
 		PoolSize: 2, MaxJobs: 1,
 		WrapEvaluator: func(_ string, inner hpo.Evaluator) hpo.Evaluator { return nanEvaluator{inner} },
 	})
-	job, err := m.Submit(smallSpec())
+	job, err := m.SubmitToken(smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

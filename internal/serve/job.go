@@ -25,7 +25,7 @@ type JobSpec struct {
 	// CacheScope — tenants submitting identical workloads share warm
 	// evaluation caches.
 	Tenant string `json:"tenant,omitempty"`
-	// Dataset names one of the simulated paper datasets (dataset.Names).
+	// Dataset names one of the simulated paper datasets (dataset.PaperSpecs).
 	Dataset string `json:"dataset"`
 	// Scale shrinks or grows the dataset. 0 selects 0.35, the repo's
 	// laptop-scale default.

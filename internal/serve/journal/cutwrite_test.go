@@ -36,7 +36,7 @@ func TestCutWriteReplaysNextRecord(t *testing.T) {
 		}
 		return
 	}
-	w, err := Open(dir)
+	w, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

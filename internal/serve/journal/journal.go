@@ -190,12 +190,6 @@ type Writer struct {
 	log *seglog.Log
 }
 
-// Open creates the data directory if needed and opens its journal for
-// appending with rotation disabled. Use OpenOptions to bound segments.
-func Open(dir string) (*Writer, error) {
-	return OpenOptions(dir, Options{})
-}
-
 // OpenOptions creates the data directory if needed and opens its journal
 // for appending: this life's records go to the segment after the newest
 // base or segment, created at the first of them.

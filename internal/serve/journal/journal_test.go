@@ -25,7 +25,7 @@ func sampleCurve() []trace.Point {
 
 func TestReplayMergesRecords(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir)
+	w, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestReplayMergesRecords(t *testing.T) {
 // last resume.
 func TestReplayKeepsFirstStart(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir)
+	w, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestReplayMissingJournal(t *testing.T) {
 // truncated, and replay must stop cleanly at the last whole record.
 func TestReplayTornTail(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir)
+	w, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestRotationConcurrentAppends(t *testing.T) {
 // fails and writes nothing, neither into the closed segment nor a new one.
 func TestWriterClosedAppendFails(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir)
+	w, err := OpenOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

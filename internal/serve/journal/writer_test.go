@@ -149,7 +149,7 @@ func TestEveryLifeStartsItsOwnSegment(t *testing.T) {
 	recs := frozenRecords()
 	for life, rec := range []*Record{nil, &recs[0], nil, &recs[3]} {
 		before := dirFiles(t, dir)
-		w, err := Open(dir)
+		w, err := OpenOptions(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

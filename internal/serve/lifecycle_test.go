@@ -85,7 +85,7 @@ func bootJournaled(t *testing.T, cfg Config) *Manager {
 // submitAs submits a spec and fails the test unless it got the wanted ID.
 func submitAs(t *testing.T, m *Manager, spec JobSpec, wantID string) *Job {
 	t.Helper()
-	job, err := m.Submit(spec)
+	job, err := m.SubmitToken(spec, "")
 	if err != nil || job.ID != wantID {
 		t.Fatalf("submitted %v, %v; want %s", job, err, wantID)
 	}

@@ -17,7 +17,6 @@ import (
 	"enhancedbhpo/internal/events"
 	"enhancedbhpo/internal/hpo"
 	"enhancedbhpo/internal/mat"
-	"enhancedbhpo/internal/nn"
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 	"enhancedbhpo/internal/serve/evalcache"
@@ -27,7 +26,7 @@ import (
 	"enhancedbhpo/internal/serve/tracestore"
 )
 
-// ErrOverloaded is returned by Submit when the scheduler's global
+// ErrOverloaded is returned by SubmitToken when the scheduler's global
 // queued-job cap (MaxPending) is reached: the service sheds the
 // submission instead of accepting unbounded work. The HTTP layer maps it
 // to 429 with a Retry-After computed from the observed evaluation
@@ -574,23 +573,19 @@ func (m *Manager) launch(job *Job, ticket *sched.Ticket) {
 	go m.run(ctx, job, cancel, ticket)
 }
 
-// Submit validates the spec, applies admission control (the global
+// SubmitToken validates the spec, applies admission control (the global
 // queued cap and the submitting tenant's quota), registers a queued job,
 // journals the submission and starts the job in the background. A full
 // queue sheds the submission with ErrOverloaded; a tenant at quota with
 // a *sched.QuotaError.
-func (m *Manager) Submit(spec JobSpec) (*Job, error) {
-	return m.SubmitToken(spec, "")
-}
-
-// SubmitToken is Submit with an idempotency key: a coordinator retrying
-// a submission it is not sure was accepted (the node died between
-// routing and ack, or the retry landed on a restored replacement that
-// replayed the original) sends the same token, and a token the manager
-// has already accepted returns the existing job instead of running the
-// work twice. Tokens persist in the journal's submit records, so the
-// guarantee survives restart and restore. An empty token is an ordinary
-// submission.
+//
+// The token is an idempotency key: a coordinator retrying a submission
+// it is not sure was accepted (the node died between routing and ack, or
+// the retry landed on a restored replacement that replayed the original)
+// sends the same token, and a token the manager has already accepted
+// returns the existing job instead of running the work twice. Tokens
+// persist in the journal's submit records, so the guarantee survives
+// restart and restore. An empty token is an ordinary submission.
 func (m *Manager) SubmitToken(spec JobSpec, token string) (*Job, error) {
 	jobs, err := m.submit([]JobSpec{spec}, token, false)
 	if err != nil {
@@ -951,15 +946,10 @@ func (m *Manager) scopeReleaser(key string) func() {
 
 // buildScope synthesizes the scope's data, folds and cache.
 func (m *Manager) buildScope(spec JobSpec) (*evalScope, error) {
-	ds, err := dataset.SpecByName(spec.Dataset)
+	train, test, err := core.Data(spec.Dataset, spec.Scale, spec.DatasetSeed)
 	if err != nil {
 		return nil, err
 	}
-	train, test, err := dataset.Synthesize(ds.Scaled(spec.Scale), spec.DatasetSeed)
-	if err != nil {
-		return nil, err
-	}
-	dataset.Standardize(train, test)
 	variant := core.Vanilla
 	if spec.Enhanced {
 		variant = core.Enhanced
@@ -968,10 +958,7 @@ func (m *Manager) buildScope(spec JobSpec) (*evalScope, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := nn.DefaultConfig()
-	base.MaxIter = spec.Iters
-	base.LearningRateInit = 0.02
-	cv := hpo.NewCVEvaluator(train, base, comps)
+	cv := hpo.NewCVEvaluator(train, core.BaseConfig(spec.Iters), comps)
 	cv.UseF1 = spec.UseF1
 	// An evaluation's folds spill onto whatever evaluation slots are idle:
 	// a slot nobody waits for trains the next fold, counted like any other

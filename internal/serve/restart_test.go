@@ -125,7 +125,7 @@ func TestRestartRecovery(t *testing.T) {
 	})
 
 	// job-1 runs to completion; its terminal record is fsynced.
-	j1, err := m1.Submit(smallSpec())
+	j1, err := m1.SubmitToken(smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRestartRecovery(t *testing.T) {
 	// job-2 freezes inside its first evaluation (mid-run at the "crash").
 	spec2 := smallSpec()
 	spec2.Seed = 11
-	j2, err := m1.Submit(spec2)
+	j2, err := m1.SubmitToken(spec2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestRestartRecovery(t *testing.T) {
 	// job-3 stays queued behind MaxJobs=1.
 	spec3 := smallSpec()
 	spec3.Seed = 17
-	j3, err := m1.Submit(spec3)
+	j3, err := m1.SubmitToken(spec3, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestRestartRecovery(t *testing.T) {
 	}
 
 	// Fresh submissions continue the ID sequence past recovered jobs.
-	j4, err := m2.Submit(smallSpec())
+	j4, err := m2.SubmitToken(smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,13 +257,13 @@ func TestPanicIsolation(t *testing.T) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	bad, err := m.Submit(smallSpec())
+	bad, err := m.SubmitToken(smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	goodSpec := smallSpec()
 	goodSpec.Seed = 11
-	good, err := m.Submit(goodSpec)
+	good, err := m.SubmitToken(goodSpec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestTransientFailureRetried(t *testing.T) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	job, err := m.Submit(smallSpec())
+	job, err := m.SubmitToken(smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,12 +388,12 @@ func TestRetryBackoffReleasesSlot(t *testing.T) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	a, err := m.Submit(tinySpec("a", 1))
+	a, err := m.SubmitToken(tinySpec("a", 1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
-	b, err := m.Submit(tinySpec("b", 2))
+	b, err := m.SubmitToken(tinySpec("b", 2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestFailureBudgetAbsorbsTrial(t *testing.T) {
 	})
 	spec := smallSpec()
 	spec.Workers = 1 // sequential evaluations: calls 1..2 are one trial's attempts
-	job, err := m.Submit(spec)
+	job, err := m.SubmitToken(spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestTimeoutReason(t *testing.T) {
 	})
 	spec := bigSpec()
 	spec.TimeoutSec = 0.3
-	job, err := m.Submit(spec)
+	job, err := m.SubmitToken(spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestShutdownWithInFlightJobs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		spec := bigSpec()
 		spec.Seed = uint64(i + 1)
-		j, err := m.Submit(spec)
+		j, err := m.SubmitToken(spec, "")
 		if err != nil {
 			t.Fatal(err)
 		}

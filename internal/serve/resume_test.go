@@ -160,7 +160,7 @@ func TestShortHistoryResumes(t *testing.T) {
 	job := waitJob(t, m, "job-1", func(s Status) bool { return s == StatusDone }, "done")
 	twinMgr := NewManager(Config{PoolSize: 1, MaxJobs: 1, DeterministicTiming: true})
 	defer shutdown(t, twinMgr)
-	twin, err := twinMgr.Submit(wideSpec("victim"))
+	twin, err := twinMgr.SubmitToken(wideSpec("victim"), "")
 	if err != nil {
 		t.Fatal(err)
 	}

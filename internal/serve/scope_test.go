@@ -89,7 +89,7 @@ func TestScopeTTLEvictionDeterministicRebuild(t *testing.T) {
 		}
 	})
 
-	job1, err := m.Submit(smallSpec())
+	job1, err := m.SubmitToken(smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestScopeTTLEvictionDeterministicRebuild(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	job2, err := m.Submit(smallSpec())
+	job2, err := m.SubmitToken(smallSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

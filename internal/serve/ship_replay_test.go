@@ -30,7 +30,7 @@ func TestReplayFromShippedMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ship := shipper.New(dataDir, sink, shipper.Options{Sync: true})
+	ship := shipper.NewMulti(dataDir, []shipper.Sink{sink}, shipper.Options{Sync: true})
 	m, err := NewManagerFromJournal(Config{
 		PoolSize: 2, MaxJobs: 2, DataDir: dataDir, NodeName: "a", Shipper: ship,
 		TraceMaxBytes: 1 << 10, // the job's trace outgrows a segment: one is sealed
@@ -38,10 +38,10 @@ func TestReplayFromShippedMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := m.Submit(JobSpec{
+	job, err := m.SubmitToken(JobSpec{
 		Dataset: "australian", Scale: 0.06, Method: "sha",
 		NumHPs: 2, MaxConfigs: 6, Iters: 2, Seed: 3,
-	})
+	}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestSinkHoldsEachRecordOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ship := shipper.New(dataDir, sink, shipper.Options{Sync: true})
+		ship := shipper.NewMulti(dataDir, []shipper.Sink{sink}, shipper.Options{Sync: true})
 		m := bootJournaled(t, Config{PoolSize: 2, MaxJobs: 2, MaxPending: 32, DataDir: dataDir, NodeName: "a", Shipper: ship})
 		var ids []string
 		for range 20 {
-			job, err := m.Submit(smallSpec())
+			job, err := m.SubmitToken(smallSpec(), "")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,19 @@ import (
 	"time"
 )
 
+// PerSink snapshots each lane's counters in sink order.
+func (s *Shipper) PerSink() []Stats {
+	out := make([]Stats, len(s.lanes))
+	for i, ln := range s.lanes {
+		out[i] = Stats{
+			SegmentsShipped: ln.segmentsShipped.Load(),
+			Retries:         ln.retries.Load(),
+			Bytes:           ln.bytes.Load(),
+		}
+	}
+	return out
+}
+
 // gateSink wraps a sink with an outage switch: while down, every
 // operation fails — the injected "sink unreachable" fault.
 type gateSink struct {

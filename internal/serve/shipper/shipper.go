@@ -112,8 +112,7 @@ type Options struct {
 }
 
 // Stats is a shipping counter snapshot, feeding the node's /metrics.
-// For a multi-sink shipper the top-level Stats sums every lane; PerSink
-// carries the per-sink breakdown.
+// For a multi-sink shipper it sums every lane.
 type Stats struct {
 	// SegmentsShipped counts successfully sealed files (journal segments,
 	// bases and trace segments). With N sinks one local seal counts N
@@ -172,15 +171,10 @@ type Shipper struct {
 	lanes []*lane
 }
 
-// New returns a shipper replicating root into one sink and starts its
-// background loop. Close it to flush and stop.
-func New(root string, sink Sink, opts Options) *Shipper {
-	return NewMulti(root, []Sink{sink}, opts)
-}
-
 // NewMulti returns a shipper replicating root into every sink — N-way
 // replication with one independent lane (offsets, dirty set, retry
-// backoff) per sink — and starts the lanes' background loops.
+// backoff) per sink — and starts the lanes' background loops. Close it
+// to flush and stop.
 func NewMulti(root string, sinks []Sink, opts Options) *Shipper {
 	if opts.Interval <= 0 {
 		opts.Interval = 250 * time.Millisecond
@@ -218,19 +212,6 @@ func (s *Shipper) Stats() Stats {
 		out.SegmentsShipped += ln.segmentsShipped.Load()
 		out.Retries += ln.retries.Load()
 		out.Bytes += ln.bytes.Load()
-	}
-	return out
-}
-
-// PerSink snapshots each lane's counters in sink order.
-func (s *Shipper) PerSink() []Stats {
-	out := make([]Stats, len(s.lanes))
-	for i, ln := range s.lanes {
-		out[i] = Stats{
-			SegmentsShipped: ln.segmentsShipped.Load(),
-			Retries:         ln.retries.Load(),
-			Bytes:           ln.bytes.Load(),
-		}
 	}
 	return out
 }

@@ -146,7 +146,7 @@ func TestDirSinkResealAddsNoEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := New(root, sink, Options{Sync: true})
+		s := NewMulti(root, []Sink{sink}, Options{Sync: true})
 		s.SnapshotRoot()
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
@@ -199,7 +199,7 @@ func TestShipperMidShipCrashResumes(t *testing.T) {
 	first := []byte(strings.Repeat("r1 ", 100))
 	writeFile(t, filepath.Join(root, "journal-000001.jsonl"), first)
 
-	s1 := New(root, sink, Options{Sync: true})
+	s1 := NewMulti(root, []Sink{sink}, Options{Sync: true})
 	s1.Changed("journal-000001.jsonl")
 	// "Crash": abandon s1 without Close. The sink holds a part file.
 	partPath := filepath.Join(sink.root, "journal-000001.jsonl"+partSuffix)
@@ -214,7 +214,7 @@ func TestShipperMidShipCrashResumes(t *testing.T) {
 	tail := []byte("tail after restart\n")
 	all := append(append([]byte{}, first...), tail...)
 	writeFile(t, filepath.Join(root, "journal-000001.jsonl"), all)
-	s2 := New(root, sink, Options{Sync: true})
+	s2 := NewMulti(root, []Sink{sink}, Options{Sync: true})
 	defer s2.Close()
 	s2.Sealed("journal-000001.jsonl")
 	if err := s2.Flush(); err != nil {
@@ -244,7 +244,7 @@ func TestShipperShrunkFileRestarts(t *testing.T) {
 	}
 	path := filepath.Join(root, "traces", "trace-000001.jsonl")
 	writeFile(t, path, []byte(strings.Repeat("x", 500)))
-	s := New(root, sink, Options{Sync: true})
+	s := NewMulti(root, []Sink{sink}, Options{Sync: true})
 	defer s.Close()
 	s.Changed("traces/trace-000001.jsonl")
 
@@ -269,7 +269,7 @@ func TestShipperMissingFileIsDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(root, sink, Options{})
+	s := NewMulti(root, []Sink{sink}, Options{})
 	defer s.Close()
 	s.Sealed("journal-000009.jsonl") // never existed locally
 	if err := s.Flush(); err != nil {
@@ -418,7 +418,7 @@ func TestShipperAsyncRetriesAfterSinkFailure(t *testing.T) {
 	root := t.TempDir()
 	writeFile(t, filepath.Join(root, "journal-000001.jsonl"), []byte("data"))
 	flaky := &flakySink{inner: mustDirSink(t), failFirst: 2}
-	s := New(root, flaky, Options{Interval: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond})
+	s := NewMulti(root, []Sink{flaky}, Options{Interval: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond})
 	defer s.Close()
 	s.Sealed("journal-000001.jsonl")
 	deadline := time.Now().Add(10 * time.Second)
@@ -623,7 +623,7 @@ func TestKeptHandlesClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(root, sink, Options{Sync: true, Interval: time.Hour})
+	s := NewMulti(root, []Sink{sink}, Options{Sync: true, Interval: time.Hour})
 	s.Changed("journal-000001.jsonl")
 	s.Changed("traces/trace-000001.jsonl")
 	if got := fds(); got != 4 {

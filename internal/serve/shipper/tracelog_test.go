@@ -31,7 +31,7 @@ func BenchmarkFinishedJobReplicated(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ship := New(root, sink, Options{Sync: mode.sync})
+			ship := NewMulti(root, []Sink{sink}, Options{Sync: mode.sync})
 			store, err := tracestore.Open(filepath.Join(root, "traces"), tracestore.Options{
 				OnChange: func(name string, final bool) {
 					if final {

@@ -82,18 +82,18 @@ func TestFairnessWeighted3to1(t *testing.T) {
 
 	// The barrier job occupies the only run slot, wedged in its gated
 	// evaluation, while 60+60 jobs pile up behind it.
-	barrier, err := m.Submit(tinySpec("gold", 1))
+	barrier, err := m.SubmitToken(tinySpec("gold", 1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 	tenantOf := map[string]string{barrier.ID: "gold"}
 	for i := 0; i < 60; i++ {
-		jg, err := m.Submit(tinySpec("gold", uint64(100+i)))
+		jg, err := m.SubmitToken(tinySpec("gold", uint64(100+i)), "")
 		if err != nil {
 			t.Fatalf("gold submit %d: %v", i, err)
 		}
-		jb, err := m.Submit(tinySpec("bronze", uint64(200+i)))
+		jb, err := m.SubmitToken(tinySpec("bronze", uint64(200+i)), "")
 		if err != nil {
 			t.Fatalf("bronze submit %d: %v", i, err)
 		}
@@ -176,14 +176,14 @@ func TestSchedulerDeterminism(t *testing.T) {
 			defer cancel()
 			m.Shutdown(ctx)
 		}()
-		barrier, err := m.Submit(tinySpec("a", 1))
+		barrier, err := m.SubmitToken(tinySpec("a", 1), "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		<-entered
 		var jobs []*Job
 		for _, spec := range trace() {
-			j, err := m.Submit(spec)
+			j, err := m.SubmitToken(spec, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,13 +254,13 @@ func TestPreemptResumeByteIdenticalCurve(t *testing.T) {
 		defer cancel()
 		m.Shutdown(ctx)
 	})
-	victim, err := m.Submit(wideSpec("victim"))
+	victim, err := m.SubmitToken(wideSpec("victim"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 	for i := 0; i < 6; i++ {
-		if _, err := m.Submit(tinySpec("vip", uint64(50+i))); err != nil {
+		if _, err := m.SubmitToken(tinySpec("vip", uint64(50+i)), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +289,7 @@ func TestPreemptResumeByteIdenticalCurve(t *testing.T) {
 		defer cancel()
 		m2.Shutdown(ctx)
 	})
-	twin, err := m2.Submit(wideSpec("victim"))
+	twin, err := m2.SubmitToken(wideSpec("victim"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,11 +508,11 @@ func TestTenantFilterAndStatus(t *testing.T) {
 			return &instantEvaluator{inner: inner}
 		},
 	})
-	jx, err := m.Submit(tinySpec("x", 1))
+	jx, err := m.SubmitToken(tinySpec("x", 1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	jy, err := m.Submit(tinySpec("y", 1))
+	jy, err := m.SubmitToken(tinySpec("y", 1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,11 +598,11 @@ func TestPoolInflightGauge(t *testing.T) {
 			t.Errorf("tenants' inflight_evals sum to %d %s, want %d", perTenant, when, want)
 		}
 	}
-	j1, err := m.Submit(tinySpec("a", 1))
+	j1, err := m.SubmitToken(tinySpec("a", 1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := m.Submit(tinySpec("b", 1))
+	j2, err := m.SubmitToken(tinySpec("b", 1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,14 +642,14 @@ func TestTenantAccountingSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim, err := m1.Submit(wideSpec("victim"))
+	victim, err := m1.SubmitToken(wideSpec("victim"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 	var vips []*Job
 	for i := 0; i < 4; i++ {
-		j, err := m1.Submit(tinySpec("vip", uint64(70+i)))
+		j, err := m1.SubmitToken(tinySpec("vip", uint64(70+i)), "")
 		if err != nil {
 			t.Fatal(err)
 		}

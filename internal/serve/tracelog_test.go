@@ -79,7 +79,7 @@ func TestTraceByteIdenticalAcrossRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			ts1 := httptest.NewServer(NewServer(m1))
-			job, err := m1.Submit(smallSpec())
+			job, err := m1.SubmitToken(smallSpec(), "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestNoPerJobSeal(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ship := shipper.New(dataDir, sink, shipper.Options{})
+			ship := shipper.NewMulti(dataDir, []shipper.Sink{sink}, shipper.Options{})
 			m1, err := NewManagerFromJournal(Config{
 				PoolSize: 2, MaxJobs: 2, MaxPending: jobs, DataDir: dataDir, NodeName: "a",
 				Shipper: ship, TraceMaxBytes: tc.traceMax,
@@ -167,7 +167,7 @@ func TestNoPerJobSeal(t *testing.T) {
 			ts1 := httptest.NewServer(NewServer(m1))
 			ids := make([]string, jobs)
 			for i := range ids {
-				job, err := m1.Submit(smallSpec()) // one scope: all but the first run on cache hits
+				job, err := m1.SubmitToken(smallSpec(), "") // one scope: all but the first run on cache hits
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -227,7 +227,7 @@ func TestNoPerJobSeal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ship2 := shipper.New(restored, sink2, shipper.Options{})
+			ship2 := shipper.NewMulti(restored, []shipper.Sink{sink2}, shipper.Options{})
 			defer ship2.Close()
 			m2, err := NewManagerFromJournal(Config{PoolSize: 2, MaxJobs: 2, DataDir: restored, NodeName: "a", Shipper: ship2})
 			if err != nil {

@@ -127,9 +127,6 @@ func (s *Store) Bytes() int64 { return s.bytes.Load() }
 // appends.
 func (s *Store) ActiveSegment() string { return s.log.Active() }
 
-// ErrClosed is what Append's error wraps once the store has been closed.
-var ErrClosed = seglog.ErrClosed
-
 // checkID rejects job IDs that could not be a file name. IDs are of the
 // daemon's own making (job-N) and no longer name a file, but one that
 // reaches the store from outside is still refused rather than recorded.
@@ -143,7 +140,7 @@ func checkID(jobID string) error {
 // Append writes one event as a JSON line to the active segment. A
 // terminal event is fsynced before Append returns; an append that takes
 // the segment past MaxBytes seals it. After Close it writes nothing and
-// returns ErrClosed.
+// returns an error wrapping seglog.ErrClosed.
 func (s *Store) Append(ev events.Event) error {
 	if err := checkID(ev.JobID); err != nil {
 		return err
@@ -161,7 +158,7 @@ func (s *Store) Append(ev events.Event) error {
 }
 
 // Close syncs and closes the active segment, for good: a later Append
-// returns ErrClosed instead of writing, so a runner that outlives
+// returns seglog.ErrClosed instead of writing, so a runner that outlives
 // Shutdown — or a manager a test has "killed" — cannot write beside the
 // store's successor. Idempotent.
 func (s *Store) Close() error { return s.log.Close() }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"enhancedbhpo/internal/events"
+	"enhancedbhpo/internal/serve/seglog"
 	"enhancedbhpo/internal/trace"
 )
 
@@ -241,8 +242,8 @@ func TestCloseIsTerminal(t *testing.T) {
 	other := point(1)
 	other.JobID = "job-2"
 	for _, ev := range []events.Event{late, other} {
-		if err := s.Append(ev); !errors.Is(err, ErrClosed) {
-			t.Fatalf("Append(%s) after Close = %v, want ErrClosed", ev.JobID, err)
+		if err := s.Append(ev); !errors.Is(err, seglog.ErrClosed) {
+			t.Fatalf("Append(%s) after Close = %v, want seglog.ErrClosed", ev.JobID, err)
 		}
 	}
 	after, _ := os.ReadFile(filepath.Join(dir, segmentName(1)))

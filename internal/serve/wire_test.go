@@ -69,13 +69,13 @@ func TestPointWireFormatFrozen(t *testing.T) {
 	if err := trace.EncodeAnytime(&buf, points); err != nil || buf.String() != array+"\n" {
 		t.Errorf("EncodeAnytime wrote %q, %v; want %q", buf.String(), err, array+"\n")
 	}
-	curve, err := trace.DecodeAnytime(strings.NewReader(array))
-	if err != nil || len(curve) != len(points) {
-		t.Fatalf("DecodeAnytime: %d points, %v", len(curve), err)
+	var curve []trace.Point
+	if err := json.Unmarshal([]byte(array), &curve); err != nil || len(curve) != len(points) {
+		t.Fatalf("decoding the curve: %d points, %v", len(curve), err)
 	}
 	for i := range points {
 		if !samePoint(curve[i], points[i]) {
-			t.Errorf("DecodeAnytime point %d = %+v, want %+v", i, curve[i], points[i])
+			t.Errorf("decoded point %d = %+v, want %+v", i, curve[i], points[i])
 		}
 	}
 
@@ -111,7 +111,7 @@ func TestPointWireFormatFrozen(t *testing.T) {
 	}
 
 	journalDir := t.TempDir()
-	w, err := journal.Open(journalDir)
+	w, err := journal.OpenOptions(journalDir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

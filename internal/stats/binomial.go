@@ -31,24 +31,6 @@ func BinomialPMF(k, n int, p float64) float64 {
 	return math.Exp(logPMF)
 }
 
-// BinomialCDF returns P[X <= k] for X ~ Binomial(n, p).
-func BinomialCDF(k, n int, p float64) float64 {
-	if k < 0 {
-		return 0
-	}
-	if k >= n {
-		return 1
-	}
-	var s float64
-	for i := 0; i <= k; i++ {
-		s += BinomialPMF(i, n, p)
-	}
-	if s > 1 {
-		s = 1
-	}
-	return s
-}
-
 // logChoose returns log(C(n, k)) using log-gamma.
 func logChoose(n, k int) float64 {
 	if k < 0 || k > n {

@@ -17,15 +17,3 @@ func ExampleRepresentativeMass() {
 	// Output:
 	// P[exactly balanced]: random 0.125, grouped 1.000
 }
-
-// Welford accumulates mean and variance in one pass without storing
-// samples — used by the experiment harness for long runs.
-func ExampleWelford() {
-	var w stats.Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	fmt.Printf("n=%d mean=%.1f std=%.1f\n", w.N(), w.Mean(), w.StdDev())
-	// Output:
-	// n=8 mean=5.0 std=2.0
-}

@@ -5,10 +5,7 @@
 // convolution).
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -60,141 +57,4 @@ func SampleStdDev(xs []float64) float64 {
 // MeanStd returns Mean(xs) and SampleStdDev(xs) in one pass of the helpers.
 func MeanStd(xs []float64) (mean, std float64) {
 	return Mean(xs), SampleStdDev(xs)
-}
-
-// Min returns the smallest value in xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value in xs. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Quantile returns the q-quantile (0<=q<=1) of xs using linear
-// interpolation between order statistics. It panics on an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of [0,1]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Welford accumulates mean and variance online without storing samples.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples added.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// SpearmanRank returns the Spearman rank correlation between two
-// equal-length score vectors. It is used by tests to sanity-check that the
-// enhanced metric preserves ranking power.
-func SpearmanRank(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("stats: SpearmanRank length mismatch")
-	}
-	n := len(a)
-	if n < 2 {
-		return 0
-	}
-	ra := ranks(a)
-	rb := ranks(b)
-	return pearson(ra, rb)
-}
-
-func ranks(xs []float64) []float64 {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return xs[idx[i]] < xs[idx[j]] })
-	out := make([]float64, len(xs))
-	for pos := 0; pos < len(idx); {
-		end := pos
-		for end+1 < len(idx) && xs[idx[end+1]] == xs[idx[pos]] {
-			end++
-		}
-		// average rank for ties
-		avg := float64(pos+end) / 2
-		for k := pos; k <= end; k++ {
-			out[idx[k]] = avg
-		}
-		pos = end + 1
-	}
-	return out
-}
-
-func pearson(a, b []float64) float64 {
-	ma, mb := Mean(a), Mean(b)
-	var sab, saa, sbb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		sab += da * db
-		saa += da * da
-		sbb += db * db
-	}
-	if saa == 0 || sbb == 0 {
-		return 0
-	}
-	return sab / math.Sqrt(saa*sbb)
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -15,13 +14,4 @@ func EncodeAnytime(w io.Writer, points []Point) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(points)
-}
-
-// DecodeAnytime reads a JSON incumbent curve written by EncodeAnytime.
-func DecodeAnytime(r io.Reader) ([]Point, error) {
-	var points []Point
-	if err := json.NewDecoder(r).Decode(&points); err != nil {
-		return nil, fmt.Errorf("trace: decoding anytime curve: %w", err)
-	}
-	return points, nil
 }

@@ -2,10 +2,23 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"testing"
 	"time"
 )
+
+// DecodeAnytime reads a JSON incumbent curve written by EncodeAnytime:
+// the round-trip oracle of its tests.
+func DecodeAnytime(r io.Reader) ([]Point, error) {
+	var points []Point
+	if err := json.NewDecoder(r).Decode(&points); err != nil {
+		return nil, fmt.Errorf("trace: decoding anytime curve: %w", err)
+	}
+	return points, nil
+}
 
 func TestAnytimeJSONRoundTrip(t *testing.T) {
 	curve := []Point{
