@@ -1,13 +1,14 @@
 # Developer entry points. `make check` is the gate CI (and reviewers)
-# run: static analysis, the full suite under the race detector, and then
-# only what adds a configuration to that — other P counts, the 30-second
-# storms, the portable (purego) kernel path, the benchmark smoke run. The
+# run: static analysis (the targets' -run patterns included), the full
+# suite under the race detector, and then only what adds a configuration
+# to that — other P counts, the 30-second storms, the portable (purego)
+# kernel path, the goldens without FMA, the benchmark smoke run. The
 # scenario targets (crash, chaos, sse, failover, membership, load) are
 # developer shortcuts: named slices of what `race` already ran.
 
 GO ?= go
 
-.PHONY: all build test race vet vet-bench deadcode cover cpus check crash chaos chaos-storm sse failover failover-storm membership fallback bench-smoke bench-pair load loc fmt serve clean
+.PHONY: all build test race vet vet-bench deadcode runnames nofma cover cpus check crash chaos chaos-storm sse failover failover-storm membership fallback bench-smoke bench-pair load loc fmt serve clean
 
 # The Fit/Evaluate microbenchmark family of bench_test.go and the
 # matmul row kernels of internal/mat.
@@ -45,6 +46,18 @@ vet-bench:
 deadcode:
 	$(GO) test -tags deadcode -count=1 -run '^TestDeadExports$$' .
 
+# Every alternative of every -run pattern below matches a test of the
+# packages on its line: a deleted or renamed test fails here instead of
+# leaving a target that silently runs nothing. It lists the tests of each
+# line's packages (seconds), so it sits behind a build tag.
+runnames:
+	$(GO) test -tags runnames -count=1 -run '^TestMakefileRunNames$$' .
+
+# The goldens of internal/experiments and internal/core again with the
+# FMA path of math.Exp switched off: they hold on CPUs without FMA too.
+nofma:
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/experiments/ ./internal/core/
+
 # One merged coverage profile of the whole suite over every package of
 # the module, and the statements it never executed, per package.
 COVERPROFILE ?= cover.out
@@ -70,7 +83,11 @@ cover:
 # the served job of every method and variant that must equal a core.Run
 # of its spec bit for bit (TestServedJobMatchesCoreRun), and a core.Run
 # that lends folds to idle cores against one at one P, which lends none
-# (TestRunDeterministicBest).
+# (TestRunDeterministicBest). With them the service's equivalence gate:
+# a job of each bandit method that a lending pool, a preemption, a kill,
+# a short history or an evicted scope may not move from its plain twin
+# (TestTwinEquivalence), and a node that serves every job's every surface
+# the same after a restart or a restore (TestReadBackEquivalence).
 # The same for the cluster layer's non-chaos tests (coordinator, submit retry, membership
 # journal, ring, shipper lanes, sinks, restore, the file handles a lane
 # and a sink keep open while a segment grows), five times each, and
@@ -92,14 +109,13 @@ cover:
 # after a restart, the first start a replay keeps — and for the curve that
 # only the trace log holds: the listing that decodes no history, the short
 # history that is counted, the older binary's embedded curve, the points a
-# resumed life publishes twice — and the resume that goes on from those
-# points alone: its rounds kept across a restart, a short history resumed
-# from what it holds, an older binary's checkpoint, a preempt record that
-# does not grow with the trials. And for the chaos
+# resumed life publishes twice — and the resume that goes on from those points alone: an older
+# binary's checkpoint, a preempt record that does not grow with the
+# trials. And for the chaos
 # harness's short storm, whose journal may rotate on its last record — a
 # sealed segment with none after it, which a one-P run hits often.
 cpus:
-	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge|TrialOrderAnyWorkers|TestSHAParallel|TestElementwiseKernelsMatchGo|TestLBFGSMatchesFullGradientBitwise' \
+	$(GO) test -cpu 1,2,4 -count 3 -run 'Determinis|Preempt|Bitwise|Matches|SideBySide|IdleSlot|LentFold|EvaluateConcurrent|TestEvalSlot|TestPoolInflightGauge|TrialOrderAnyWorkers|TestSHAParallel|TestElementwiseKernelsMatchGo|TestLBFGSMatchesFullGradientBitwise|TestTwinEquivalence|TestReadBackEquivalence' \
 		./internal/mat/ ./internal/hpo/ ./internal/nn/ ./internal/core/ ./internal/serve/ ./internal/serve/sched/
 	$(GO) test -cpu 1,2,4 -count 5 -run 'TestCoordinator|TestSubmitRetry|TestMemberJournal|TestRing|TestMultiSink|TestShipper|TestDirSink|TestRestore|TestKeptHandle' \
 		./internal/coord/ ./internal/serve/shipper/
@@ -108,22 +124,24 @@ cpus:
 		./internal/serve/tracestore/ ./internal/serve/ ./internal/events/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestCutWrite|TestMemberJournal|TestEveryLifeStartsItsOwnSegment|TestReplayAcrossLives|TestOnChange|TestSegmentBytesFrozen|TestFailedUndo|TestOpenFileCutsTornTail|TestDirSinkTornManifestTail|TestDirSinkResealAddsNoEntry' \
 		./internal/serve/seglog/ ./internal/serve/journal/ ./internal/serve/tracestore/ ./internal/coord/ ./internal/serve/shipper/
-	$(GO) test -cpu 1,2,4 -count 3 -run 'TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestReplayKeepsFirstStart|TestListingLeavesHistoriesUndecoded|TestShortHistoryCounted|TestEmbeddedCurveFixtureBoots|TestResumedPastCheckpointReadsSameAfterRestart|TestResumeAfterRestartKeepsRounds|TestShortHistoryResumes|TestParentCheckpointResumes|TestPreemptRecordStaysSmall' \
+	$(GO) test -cpu 1,2,4 -count 3 -run 'TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestReplayKeepsFirstStart|TestListingLeavesHistoriesUndecoded|TestShortHistoryCounted|TestEmbeddedCurveFixtureBoots|TestResumedPastCheckpointReadsSameAfterRestart|TestParentCheckpointResumes|TestPreemptRecordStaysSmall' \
 		./internal/serve/ ./internal/serve/journal/
 	$(GO) test -cpu 1,2,4 -count 3 -run 'TestChaosOverload' ./internal/serve/
 
 # Crash-safety suite: journal replay across lives, a sink that holds each
-# record once however often the node restarts, kill/restart recovery,
-# every lifecycle path's records and events, a finished job read back
-# the same after a restart, its curve read back from the trace log (listed
-# without decoding, a short history counted, an older binary's embedded
-# curve, points a resumed life published twice), a preempted job resumed
-# from those points after a restart (its rounds kept, a short history, an
-# older binary's checkpoint), panic isolation, retry + failure budget,
-# timeout/shutdown reasons, drain.
+# record once however often the node restarts, the equivalence gate's two
+# tables (a job killed queued, preempted or with a short history ends as
+# its twin; a finished, an interrupted, a resumable and a resumed-past-its-
+# checkpoint job read back the same after a restart or a restore), the
+# kill/restart recovery of each kind of job, a finished job and one resumed
+# past its checkpoint read back the same after a restart, every
+# lifecycle path's records and events, a curve read back from the trace
+# log (listed without decoding, a short history counted, an older binary's
+# embedded curve and checkpoint), panic isolation, retry + failure budget
+# and its capped backoff, timeout/shutdown reasons, drain.
 crash:
 	$(GO) test -race -count=1 ./internal/serve/journal/...
-	$(GO) test -race -count=1 -run 'TestRestartRecovery|TestSinkHoldsEachRecordOnce|TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestListingLeavesHistoriesUndecoded|TestShortHistoryCounted|TestEmbeddedCurveFixtureBoots|TestResumedPastCheckpointReadsSameAfterRestart|TestResumeAfterRestartKeepsRounds|TestShortHistoryResumes|TestParentCheckpointResumes|TestDeadlineJournalsNothing|TestPanicIsolation|TestTransientFailureRetried|TestFailureBudgetAbsorbsTrial|TestTimeoutReason|TestShutdownWithInFlightJobs|TestDrainRefusesSubmissions' ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestTwinEquivalence|TestReadBackEquivalence|TestRestartRecovery|TestSinkHoldsEachRecordOnce|TestJobLifecycleRecords|TestFinishedJobReadsSameAfterRestart|TestResumedPastCheckpointReadsSameAfterRestart|TestListingLeavesHistoriesUndecoded|TestShortHistoryCounted|TestEmbeddedCurveFixtureBoots|TestParentCheckpointResumes|TestDeadlineJournalsNothing|TestPanicIsolation|TestTransientFailureRetried|TestRetryDelayCapped|TestRetryBackoffEndsOnCancel|TestFailureBudgetAbsorbsTrial|TestTimeoutReason|TestShutdownWithInFlightJobs|TestDrainRefusesSubmissions' ./internal/serve/
 
 # Overload suite: admission control (429 + Retry-After), the evaluation
 # deadline watchdog, the scheduler's evaluation-slot acquire under a
@@ -142,13 +160,16 @@ chaos-storm:
 
 # Streaming-telemetry suite: the SSE end-to-end path (submit a job,
 # subscribe, drop the connection, resume with Last-Event-ID and receive
-# every event exactly once in order), durable traces surviving a
-# kill/restart byte-identically, slow-consumer drop accounting, the
+# every event exactly once in order), every job's feed, trace and SSE
+# resume read back the same after a kill/restart or a restore
+# (TestReadBackEquivalence), a finished job's trace replayed from 0 after
+# a kill/restart (TestTraceSurvivesKillAndRestart), slow-consumer drop
+# accounting, the
 # ?since=N incremental poll, the hub unit tests, trace-store
 # crash-safety, and the `bhpo watch` client — all under -race.
 sse:
 	$(GO) test -race -count=1 ./internal/events/... ./internal/serve/tracestore/...
-	$(GO) test -race -count=1 -run 'TestSSE|TestSlowConsumerDropsCounted|TestGetJobSince|TestTraceSurvivesKillAndRestart|TestMetricsExposeEventCounters' ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestSSE|TestSlowConsumerDropsCounted|TestGetJobSince|TestReadBackEquivalence|TestTraceSurvivesKillAndRestart|TestMetricsExposeEventCounters' ./internal/serve/
 	$(GO) test -race -count=1 -run 'TestWatch' ./cmd/bhpo/
 
 # Cluster failover suite: the node-kill chaos e2es — the manual-replace
@@ -159,13 +180,14 @@ sse:
 # mid-incident via the membership journal, loses zero acked jobs, keeps
 # byte-identical pre-crash curves, and resumes SSE at last-seq+1) — plus
 # the hash-ring, multi-sink shipper (its kept file handles included) and
-# coordinator unit suites. Plain
+# coordinator unit suites, and a node restored from its synchronously
+# shipped replica serving every job as it did (TestReadBackEquivalence). Plain
 # `go test` runs a ~2s storm; BHPOD_CHAOS_SECONDS overrides the length.
 # failover-storm is the two e2es at the full chaos budget: the part no
 # other target runs, and the part `make check` includes.
 failover: failover-storm
 	$(GO) test -race -count=1 ./internal/serve/shipper/... ./internal/coord/
-	$(GO) test -race -count=1 -run 'TestReplayFromShippedMatchesLocal|TestSubmitToken|TestNode|TestRunServes' ./internal/serve/ ./cmd/bhpod/
+	$(GO) test -race -count=1 -run 'TestReadBackEquivalence|TestSubmitToken|TestNode|TestRunServes' ./internal/serve/ ./cmd/bhpod/
 
 failover-storm:
 	BHPOD_CHAOS_SECONDS=30 BHPOD_AUTO_FAILOVER=1 $(GO) test -race -count=1 -timeout 600s -run 'TestFailoverNodeKill|TestFailoverZeroOperator' ./internal/coord/
@@ -189,11 +211,12 @@ bench-smoke:
 # unit suite plus the service-level tenant tests — the exact 3:1 grant
 # split at saturation (TestFairnessWeighted3to1), per-tenant and global
 # shedding (TestTenantQuota429), batch atomicity, rung-boundary
-# preemption and grant-order determinism. The HTTP path under real load
+# preemption (TestTwinEquivalence's preempted rows) and grant-order
+# determinism. The HTTP path under real load
 # is the benchmark's tenants-contended workload (make bench-pair).
 load:
 	$(GO) test -race -count=1 ./internal/serve/sched/
-	$(GO) test -race -count=1 -run 'TestTenant|TestFairness|TestPreempt|TestBatch|TestSchedulerDeterminism' ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestTenant|TestFairness|TestPreempt|TestBatch|TestSchedulerDeterminism|TestTwinEquivalence' ./internal/serve/
 
 # Paired end-to-end comparison of the working tree against BASE with the
 # repository benchmark (cmd/benchpair): alternating order, one seed per
@@ -230,7 +253,7 @@ loc:
 			for (d in seen) printf "%8d %8d %8d  %s\n", n[d], c[d], t[d], d | "sort -k4"; close("sort -k4"); \
 			printf "%8d %8d %8d  total\n", N, C, T }' $$(find . -name '*.go' -not -path './bench/*')
 
-check: vet vet-bench deadcode race cpus chaos-storm failover-storm fallback bench-smoke
+check: vet vet-bench deadcode runnames race cpus chaos-storm failover-storm fallback nofma bench-smoke
 
 fmt:
 	gofmt -l -w .

@@ -10,64 +10,84 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"enhancedbhpo/internal/dataset"
 )
 
+// errUsage is run's error for a command line the flag set rejected and
+// has already reported, with the usage, on stderr.
+var errUsage = errors.New("invalid command line")
+
 func main() {
-	var (
-		dsName = flag.String("dataset", "australian", "simulated dataset name (see `datagen -list`)")
-		list   = flag.Bool("list", false, "list available datasets and exit")
-		seed   = flag.Uint64("seed", 1, "generator seed")
-		scale  = flag.Float64("scale", 1.0, "size scale factor")
-		out    = flag.String("out", "", "training-split CSV path (default stdout)")
-		testP  = flag.String("test", "", "optional test-split CSV path")
-		std    = flag.Bool("standardize", false, "standardize features (fit on train)")
-	)
-	flag.Parse()
-	if *list {
-		for _, s := range dataset.PaperSpecs() {
-			fmt.Printf("%-12s %-14s classes=%d train=%d test=%d features=%d\n",
-				s.Name, s.Kind, s.Classes, s.Train, s.Test, s.Features)
-		}
-		return
-	}
-	if err := run(*dsName, *seed, *scale, *out, *testP, *std); err != nil {
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); err {
+	case nil, flag.ErrHelp:
+	case errUsage:
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dsName string, seed uint64, scale float64, out, testPath string, standardize bool) error {
-	spec, err := dataset.SpecByName(dsName)
+// run parses args and writes what they ask for: the dataset list, or one
+// dataset's training split to -out (stdout when omitted) and its test
+// split to -test; progress lines go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		dsName      = fs.String("dataset", "australian", "simulated dataset name (see `datagen -list`)")
+		list        = fs.Bool("list", false, "list available datasets and exit")
+		seed        = fs.Uint64("seed", 1, "generator seed")
+		scale       = fs.Float64("scale", 1.0, "size scale factor")
+		out         = fs.String("out", "", "training-split CSV path (default stdout)")
+		testPath    = fs.String("test", "", "optional test-split CSV path")
+		standardize = fs.Bool("standardize", false, "standardize features (fit on train)")
+	)
+	switch err := fs.Parse(args); {
+	case err == flag.ErrHelp:
+		return err
+	case err != nil:
+		return errUsage
+	}
+	if *list {
+		for _, s := range dataset.PaperSpecs() {
+			fmt.Fprintf(stdout, "%-12s %-14s classes=%d train=%d test=%d features=%d\n",
+				s.Name, s.Kind, s.Classes, s.Train, s.Test, s.Features)
+		}
+		return nil
+	}
+	spec, err := dataset.SpecByName(*dsName)
 	if err != nil {
 		return err
 	}
-	if scale != 1.0 {
-		spec = spec.Scaled(scale)
+	if *scale != 1.0 {
+		spec = spec.Scaled(*scale)
 	}
-	train, test, err := dataset.Synthesize(spec, seed)
+	train, test, err := dataset.Synthesize(spec, *seed)
 	if err != nil {
 		return err
 	}
-	if standardize {
+	if *standardize {
 		dataset.Standardize(train, test)
 	}
-	if out == "" {
-		return train.WriteCSV(os.Stdout)
+	if *out == "" {
+		return train.WriteCSV(stdout)
 	}
-	if err := writeFile(out, train); err != nil {
+	if err := writeFile(*out, train); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %d training instances to %s\n", train.Len(), out)
-	if testPath != "" {
-		if err := writeFile(testPath, test); err != nil {
+	fmt.Fprintf(stderr, "wrote %d training instances to %s\n", train.Len(), *out)
+	if *testPath != "" {
+		if err := writeFile(*testPath, test); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d test instances to %s\n", test.Len(), testPath)
+		fmt.Fprintf(stderr, "wrote %d test instances to %s\n", test.Len(), *testPath)
 	}
 	return nil
 }

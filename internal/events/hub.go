@@ -107,6 +107,7 @@ func (h *Hub) Publish(jobID string, ev Event) Event {
 	ev.Seq = f.nextSeq
 	f.nextSeq++
 	f.history = append(f.history, ev)
+	h.published.Add(1) // before any subscriber can see the event
 	if h.opts.Sink != nil {
 		h.opts.Sink(ev)
 	}
@@ -126,7 +127,6 @@ func (h *Hub) Publish(jobID string, ev Event) Event {
 		}
 	}
 	f.mu.Unlock()
-	h.published.Add(1)
 	return ev
 }
 

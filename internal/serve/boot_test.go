@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -146,188 +144,6 @@ func TestFailedBootLeavesNothingRunning(t *testing.T) {
 	}
 }
 
-// servedJob is everything a client can read of one job's event history.
-type servedJob struct {
-	trace   []byte            // GET /jobs/{id}/trace
-	events  []json.RawMessage // GET /jobs/{id}/trace?events=1
-	since   []byte            // the curve of GET /jobs/{id}?since=N
-	sse     []events.Event    // GET /jobs/{id}/events with Last-Event-ID N, up to upTo
-	lastSeq uint64
-}
-
-// readServed reads a job's history every way the API offers it, the
-// incremental ones from sequence n; the SSE stream is followed until it
-// closes or delivers sequence upTo (a live feed never closes).
-func readServed(t *testing.T, base, id string, n, upTo uint64) servedJob {
-	t.Helper()
-	get := func(path string) []byte {
-		resp, err := http.Get(base + "/jobs/" + id + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /jobs/%s%s: status %d, %v", id, path, resp.StatusCode, err)
-		}
-		return body
-	}
-	out := servedJob{trace: get("/trace")}
-	if err := json.Unmarshal(get("/trace?events=1"), &out.events); err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		Curve   json.RawMessage `json:"curve"`
-		LastSeq uint64          `json:"last_seq"`
-	}
-	if err := json.Unmarshal(get(fmt.Sprintf("?since=%d", n)), &snap); err != nil {
-		t.Fatal(err)
-	}
-	out.since, out.lastSeq = snap.Curve, snap.LastSeq
-	stream := openSSE(t, base, id, n)
-	defer stream.close()
-	for len(out.sse) == 0 || out.sse[len(out.sse)-1].Seq < upTo {
-		ev, ok := stream.next(t)
-		if !ok {
-			break
-		}
-		out.sse = append(out.sse, ev)
-	}
-	return out
-}
-
-// TestRestartServesThreeKindsOfJob: a history held as the log's lines and
-// decoded on first read is indistinguishable from one the process
-// published itself. One data directory holds a finished job, a job
-// frozen mid-run and a job preempted at a rung boundary (so resumable
-// from its checkpoint); the process dies; the manager rebuilt from the
-// journal serves /trace, ?events=1, ?since=N, an SSE connect with
-// Last-Event-ID and last_seq for each as the first process did — the
-// interrupted job plus its one synthesized terminal event, the resumable
-// one as the prefix of a feed that goes on numbering where it stopped.
-func TestRestartServesThreeKindsOfJob(t *testing.T) {
-	const finished, resumable, interrupted = "job-1", "job-2", "job-5"
-	release := make(chan struct{})
-	var m1, m2 *Manager
-	t.Cleanup(func() {
-		close(release) // first: a held evaluation outlives a cancelled context
-		for _, m := range []*Manager{m2, m1} {
-			if m != nil {
-				shutdown(t, m)
-			}
-		}
-	})
-	victimIn, frozen := make(chan struct{}, 1), make(chan struct{})
-	cfg := Config{
-		PoolSize: 1, MaxJobs: 1, MaxPending: 256, DataDir: t.TempDir(), DeterministicTiming: true,
-		TenantWeights: map[string]int{"victim": 1, "vip": 8},
-	}
-	gate := make(chan struct{})
-	cfg.WrapEvaluator = func(id string, inner hpo.Evaluator) hpo.Evaluator {
-		switch id {
-		case resumable: // held in its first evaluation until the vip backlog exists
-			return &gateOnceEvaluator{inner: inner, gate: gate, entered: victimIn}
-		case interrupted:
-			return &stubEvaluator{inner: inner, free: 3, hold: release, entered: frozen}
-		}
-		return inner
-	}
-	var err error
-	if m1, err = NewManagerFromJournal(cfg); err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(NewServer(m1))
-	submit := func(spec JobSpec, wantID string) *Job {
-		job, err := m1.SubmitToken(spec, "")
-		if err != nil || job.ID != wantID {
-			t.Fatalf("submitted %v, %v; want %s", job, err, wantID)
-		}
-		return job
-	}
-	submit(smallSpec(), finished)
-	waitJob(t, m1, finished, func(s Status) bool { return s == StatusDone }, "done")
-	victim := submit(wideSpec("victim"), resumable)
-	<-victimIn
-	submit(tinySpec("vip", 70), "job-3")
-	submit(tinySpec("vip", 71), "job-4")
-	last := smallSpec()
-	last.Tenant = "vip"
-	submit(last, interrupted)
-	close(gate)
-	<-frozen // MaxJobs is 1: the victim is not running, so it yielded or it is done
-	if snap := victim.Snapshot(); snap.Preemptions == 0 || snap.Status != StatusQueued {
-		t.Fatalf("the victim is %s after %d preemptions; the test needs it preempted and waiting", snap.Status, snap.Preemptions)
-	}
-	ids := []string{finished, interrupted, resumable}
-	before := map[string]servedJob{}
-	for _, id := range ids {
-		lastSeq := getJob(t, ts1.URL, id).LastSeq
-		if lastSeq < 3 {
-			t.Fatalf("%s has only %d events before the crash", id, lastSeq)
-		}
-		before[id] = readServed(t, ts1.URL, id, lastSeq/2, lastSeq)
-	}
-	ts1.Close()
-	// Kill: no Shutdown, nothing closed.
-
-	cfg.WrapEvaluator = func(id string, inner hpo.Evaluator) hpo.Evaluator {
-		return &stubEvaluator{inner: inner, hold: release} // the resumed victim publishes no new point
-	}
-	if m2, err = NewManagerFromJournal(cfg); err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(NewServer(m2))
-	defer ts2.Close()
-	if got := m2.Metrics(); got.JobsRestored != 5 || got.BootMS <= 0 || got.BootJournalMS <= 0 || got.BootTraceMS <= 0 ||
-		got.BootJournalMS > got.BootMS || got.BootTraceMS > got.BootMS {
-		t.Errorf("boot metrics: %d jobs restored in %v ms (journal %v ms, trace log %v ms)",
-			got.JobsRestored, got.BootMS, got.BootJournalMS, got.BootTraceMS)
-	}
-	for _, id := range ids {
-		b := before[id]
-		extra := uint64(0)
-		if id == interrupted {
-			extra = 1
-		}
-		a := readServed(t, ts2.URL, id, b.lastSeq/2, b.lastSeq+extra)
-		if !bytes.Equal(a.trace, b.trace) || !bytes.Equal(a.since, b.since) {
-			t.Errorf("%s: curve differs across the restart:\n /trace %s\n was    %s\n since  %s\n was    %s", id, a.trace, b.trace, a.since, b.since)
-		}
-		if id == resumable {
-			// The feed is live again: whatever this life added comes after.
-			if a.lastSeq < b.lastSeq || len(a.events) < len(b.events) || len(a.sse) < len(b.sse) {
-				t.Fatalf("%s: history shrank across the restart: last_seq %d → %d, %d → %d events", id, b.lastSeq, a.lastSeq, len(b.events), len(a.events))
-			}
-			a.lastSeq, a.events, a.sse = b.lastSeq, a.events[:len(b.events)], a.sse[:len(b.sse)]
-		}
-		if a.lastSeq != b.lastSeq+extra || len(a.events) != len(b.events)+int(extra) || len(a.sse) != len(b.sse)+int(extra) {
-			t.Fatalf("%s: last_seq %d → %d, %d → %d events, %d → %d SSE frames; want %d more of each",
-				id, b.lastSeq, a.lastSeq, len(b.events), len(a.events), len(b.sse), len(a.sse), extra)
-		}
-		for i := range b.events {
-			if !bytes.Equal(a.events[i], b.events[i]) {
-				t.Errorf("%s: event %d differs across the restart:\n now %s\n was %s", id, i, a.events[i], b.events[i])
-			}
-		}
-		for i := range b.sse {
-			now, _ := json.Marshal(a.sse[i])
-			was, _ := json.Marshal(b.sse[i])
-			if !bytes.Equal(now, was) {
-				t.Errorf("%s: SSE frame %d differs across the restart:\n now %s\n was %s", id, i, now, was)
-			}
-		}
-		if extra == 1 {
-			end := a.sse[len(a.sse)-1]
-			if !end.Terminal || end.Status != string(StatusCancelled) || end.Reason != string(ReasonInterrupted) || end.Seq != a.lastSeq {
-				t.Errorf("%s: the synthesized terminal event is %+v", id, end)
-			}
-		}
-	}
-	if got := m2.Metrics().TraceStoreErrors; got != 0 {
-		t.Errorf("trace_store_errors = %d after reading a sound log", got)
-	}
-}
-
 // TestBootOnDamagedTraceLog: a trace log with a torn tail and, in the
 // middle of one finished job, a line that is JSON but not an event. The
 // daemon boots and serves; the damaged job's history ends at the bad line
@@ -335,16 +151,11 @@ func TestRestartServesThreeKindsOfJob(t *testing.T) {
 // other job's trace is what it was.
 func TestBootOnDamagedTraceLog(t *testing.T) {
 	cfg := Config{PoolSize: 2, MaxJobs: 1, DataDir: t.TempDir()}
-	m1, err := NewManagerFromJournal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := bootJournaled(t, cfg)
 	ts1 := httptest.NewServer(NewServer(m1))
 	ids := []string{"job-1", "job-2"}
-	for range ids {
-		if _, err := m1.SubmitToken(smallSpec(), ""); err != nil {
-			t.Fatal(err)
-		}
+	for _, id := range ids {
+		submitAs(t, m1, smallSpec(), id)
 	}
 	for _, id := range ids {
 		waitJob(t, m1, id, func(s Status) bool { return s == StatusDone }, "done")
@@ -376,10 +187,7 @@ func TestBootOnDamagedTraceLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := NewManagerFromJournal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m2 := bootJournaled(t, cfg)
 	ts2 := httptest.NewServer(NewServer(m2))
 	defer shutdown(t, m2)
 	defer ts2.Close()
@@ -402,9 +210,5 @@ func TestBootOnDamagedTraceLog(t *testing.T) {
 	if after := fetchTraces(t, ts2.URL, ids[:1]); !bytes.Equal(after["job-1"], before["job-1"]) {
 		t.Errorf("the undamaged job's trace changed:\n now %s\n was %s", after["job-1"], before["job-1"])
 	}
-	if resp, err := http.Get(ts2.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz after the damaged read: %v, %v", resp, err)
-	} else {
-		resp.Body.Close()
-	}
+	getBody(t, ts2.URL+"/healthz")
 }

@@ -57,18 +57,9 @@ func TestEvalDeadlineAbandonsWedgedTrial(t *testing.T) {
 			return &wedgeEvaluator{inner: inner, sleep: wedge}
 		},
 	})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
+	t.Cleanup(func() { shutdown(t, m) })
 	start := time.Now()
-	job, err := m.SubmitToken(smallSpec(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitAs(t, m, smallSpec(), "job-1")
 	waitJob(t, m, job.ID, func(s Status) bool { return s == StatusDone }, "done")
 	elapsed := time.Since(start)
 	if elapsed >= wedge {
@@ -86,20 +77,6 @@ func TestEvalDeadlineAbandonsWedgedTrial(t *testing.T) {
 	if got := m.Metrics().PoolInUse; got != 0 {
 		t.Errorf("PoolInUse = %d after job done, want 0", got)
 	}
-}
-
-// postRaw submits a spec and returns the raw response (caller closes).
-func postRaw(t *testing.T, base string, spec JobSpec) *http.Response {
-	t.Helper()
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
 }
 
 // TestAdmissionControl429: once MaxPending jobs are queued, POST /jobs
@@ -129,22 +106,16 @@ func TestAdmissionControl429(t *testing.T) {
 	}
 
 	// Health flips to overloaded (alive, serving reads, shedding writes).
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var hb healthBody
-	if err := jsonDecode(resp, &hb); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, ts.URL+"/healthz", &hb)
 	if hb.Status != "overloaded" || hb.Pending != 2 || hb.MaxPending != 2 {
 		t.Fatalf("healthz = %+v, want overloaded with pending 2/2", hb)
 	}
 
 	// The queue is full: the next submission is shed.
-	resp = postRaw(t, ts.URL, smallSpec())
+	resp := postRaw(t, ts.URL, "", smallSpec())
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		resp.Body.Close()
 		t.Fatalf("POST over limit: status %d, want 429", resp.StatusCode)
 	}
 	ra := resp.Header.Get("Retry-After")
@@ -153,7 +124,7 @@ func TestAdmissionControl429(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want a positive integer second count", ra)
 	}
 	var ob overloadBody
-	if err := jsonDecode(resp, &ob); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&ob); err != nil {
 		t.Fatal(err)
 	}
 	if ob.RetryAfterSec != secs {
@@ -171,12 +142,7 @@ func TestAdmissionControl429(t *testing.T) {
 
 	// Cancelling a queued job frees its pending slot and re-opens
 	// admission; health goes back to ok.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+j2.ID, nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
+	httpDo(t, http.MethodDelete, ts.URL+"/jobs/"+j2.ID, "")
 	deadline := time.Now().Add(30 * time.Second)
 	for m.PendingDepth() != 1 {
 		if time.Now().After(deadline) {
@@ -261,10 +227,7 @@ func TestChaosOverload(t *testing.T) {
 			return inner
 		},
 	}
-	m1, err := NewManagerFromJournal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := bootJournaled(t, cfg)
 	ts := httptest.NewServer(NewServer(m1))
 	t.Cleanup(func() {
 		ts.Close()
@@ -456,13 +419,7 @@ func TestChaosOverload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-kill replay: %v", err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m2.Shutdown(ctx); err != nil {
-			t.Errorf("m2 shutdown: %v", err)
-		}
-	})
+	t.Cleanup(func() { shutdown(t, m2) })
 
 	if got, want := len(m2.Jobs()), nAccepted+1; got != want {
 		t.Errorf("replay rebuilt %d jobs, want %d (%d accepted + the frozen one)", got, want, nAccepted)

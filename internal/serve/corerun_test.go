@@ -1,11 +1,10 @@
 package serve
 
 import (
-	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"enhancedbhpo/internal/core"
 	"enhancedbhpo/internal/dataset"
@@ -35,20 +34,10 @@ func TestServedJobMatchesCoreRun(t *testing.T) {
 			NumHPs: 2, Iters: 4, Seed: 4, DatasetSeed: 6})
 
 	m := NewManager(Config{PoolSize: 2, MaxJobs: 2, MaxPending: len(specs)})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
+	t.Cleanup(func() { shutdown(t, m) })
 	jobs := make([]*Job, len(specs))
 	for i, spec := range specs {
-		job, err := m.SubmitToken(spec, "")
-		if err != nil {
-			t.Fatalf("%s: %v", spec.CacheScope(), err)
-		}
-		jobs[i] = job
+		jobs[i] = submitAs(t, m, spec, fmt.Sprintf("job-%d", i+1))
 	}
 	for i, spec := range specs {
 		want := coreRun(t, spec)

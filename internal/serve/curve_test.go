@@ -2,8 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,16 +9,9 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"enhancedbhpo/internal/events"
-	"enhancedbhpo/internal/hpo"
-	"enhancedbhpo/internal/rng"
-	"enhancedbhpo/internal/search"
 	"enhancedbhpo/internal/serve/journal"
-	"enhancedbhpo/internal/trace"
 )
 
 // A data directory as the binary before curve-less result records left it:
@@ -195,7 +186,7 @@ func appendTraceLines(t *testing.T, dataDir string, lines ...string) {
 // /jobs/{id} and /trace serve the bodies they served before the restart,
 // and every history counts once.
 func TestListingLeavesHistoriesUndecoded(t *testing.T) {
-	cfg := Config{PoolSize: 2, MaxJobs: 1, DataDir: t.TempDir(), DeterministicTiming: true}
+	cfg := Config{PoolSize: 2, MaxJobs: 1, DataDir: t.TempDir()}
 	m1 := bootJournaled(t, cfg)
 	ts1 := httptest.NewServer(NewServer(m1))
 	ids := []string{"job-1", "job-2", "job-3"}
@@ -268,7 +259,7 @@ func TestShortHistoryCounted(t *testing.T) {
 		{"no-history", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{PoolSize: 2, MaxJobs: 1, DataDir: t.TempDir(), DeterministicTiming: true}
+			cfg := Config{PoolSize: 2, MaxJobs: 1, DataDir: t.TempDir()}
 			m1 := bootJournaled(t, cfg)
 			ts1 := httptest.NewServer(NewServer(m1))
 			submitAs(t, m1, smallSpec(), "job-1")
@@ -330,116 +321,5 @@ func TestShortHistoryCounted(t *testing.T) {
 				t.Errorf("trace_store_errors = %d, want 1 for job-2's short history", got)
 			}
 		})
-	}
-}
-
-// TestResumedPastCheckpointReadsSameAfterRestart: a job resumes from its
-// preempt checkpoint, publishes two new curve points and the process dies;
-// the next life resumes from the same checkpoint, publishes those points
-// again and finishes. Its trace log now holds them twice, yet its curve —
-// GET /jobs/{id} and /trace alike — is the one the finishing life held, and
-// reads the same after one more restart.
-func TestResumedPastCheckpointReadsSameAfterRestart(t *testing.T) {
-	cfg := Config{
-		PoolSize: 1, MaxJobs: 1, MaxPending: 64, DataDir: t.TempDir(), DeterministicTiming: true,
-		TenantWeights: map[string]int{"victim": 1, "vip": 8},
-	}
-	gate, victimIn := make(chan struct{}), make(chan struct{}, 1)
-	hold, frozen := make(chan struct{}), make(chan struct{})
-	var m1, m2, m3 *Manager
-	t.Cleanup(func() {
-		close(hold) // first: the frozen evaluation outlives its manager's kill
-		for _, m := range []*Manager{m3, m2, m1} {
-			if m != nil {
-				shutdown(t, m)
-			}
-		}
-	})
-	live := cfg
-	live.WrapEvaluator = func(id string, inner hpo.Evaluator) hpo.Evaluator {
-		if id != "job-1" {
-			return inner
-		}
-		job, _ := m1.Get(id)
-		job.mu.Lock()
-		replayed := int64(job.checkpointLen)
-		job.mu.Unlock()
-		if replayed == 0 {
-			return &gateOnceEvaluator{inner: inner, gate: gate, entered: victimIn}
-		}
-		// The resumed segment: the replayed prefix and two new trials, then
-		// frozen in the third.
-		calls := new(atomic.Int64)
-		return funcEvaluator{inner, func(c search.Config, budget int, r *rng.RNG) ([]float64, error) {
-			if calls.Add(1) == replayed+3 {
-				close(frozen)
-				<-hold
-				return nil, errors.New("killed")
-			}
-			return inner.Evaluate(c, budget, r)
-		}}
-	}
-	m1 = bootJournaled(t, live)
-	victim := submitAs(t, m1, wideSpec("victim"), "job-1")
-	<-victimIn
-	submitAs(t, m1, tinySpec("vip", 70), "job-2")
-	close(gate)
-	select {
-	case <-frozen:
-	case <-time.After(60 * time.Second):
-		t.Fatal("the victim never reached its third new trial after resuming")
-	}
-	snap := victim.Snapshot()
-	if snap.Preemptions != 1 || snap.Status != StatusRunning {
-		t.Fatalf("the victim is %s after %d preemptions; the test needs it resumed once", snap.Status, snap.Preemptions)
-	}
-	// Kill: no Shutdown, nothing closed.
-
-	m2 = bootJournaled(t, cfg)
-	waitJob(t, m2, "job-1", func(s Status) bool { return s == StatusDone }, "done")
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		states, err := journal.Replay(cfg.DataDir)
-		if err == nil && len(states) > 0 && states[0].Terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job-1's result never reached the journal (%v)", err)
-		}
-	}
-	ts2 := httptest.NewServer(NewServer(m2))
-	before, trace2 := getBody(t, ts2.URL+"/jobs/job-1"), getBody(t, ts2.URL+"/jobs/job-1/trace")
-	var evs []events.Event
-	getJSON(t, ts2.URL+"/jobs/job-1/trace?events=1", &evs)
-	ts2.Close()
-	published := 0
-	for _, ev := range evs {
-		if ev.Type == events.TypeCurvePoint {
-			published++
-		}
-	}
-	var held Snapshot
-	if err := json.Unmarshal(before, &held); err != nil {
-		t.Fatal(err)
-	}
-	if published != held.Evaluations+2 {
-		t.Fatalf("the trace log holds %d curve points for %d evaluations; the test needs the two re-published", published, held.Evaluations)
-	}
-	var served []trace.Point
-	if err := json.Unmarshal(trace2, &served); err != nil || !slices.Equal(served, held.Curve) {
-		t.Errorf("/trace serves %v (%v), the snapshot %v", served, err, held.Curve)
-	}
-	// Kill: no Shutdown, nothing closed.
-
-	m3 = bootJournaled(t, cfg)
-	ts3 := httptest.NewServer(NewServer(m3))
-	defer ts3.Close()
-	if after := getBody(t, ts3.URL+"/jobs/job-1"); !bytes.Equal(after, before) {
-		t.Errorf("GET /jobs/job-1 differs across the restart:\nbefore %s\nafter  %s", before, after)
-	}
-	if after := getBody(t, ts3.URL+"/jobs/job-1/trace"); !bytes.Equal(after, trace2) {
-		t.Errorf("/trace differs across the restart:\nbefore %s\nafter  %s", trace2, after)
-	}
-	if got := m3.Metrics().TraceStoreErrors; got != 0 {
-		t.Errorf("trace_store_errors = %d", got)
 	}
 }

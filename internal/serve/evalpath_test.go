@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -77,17 +75,8 @@ func TestPoolSlotsEvaluateSideBySide(t *testing.T) {
 			return ov
 		},
 	})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
-	job, err := m.SubmitToken(smallSpec(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { shutdown(t, m) })
+	job := submitAs(t, m, smallSpec(), "job-1")
 	waitJob(t, m, job.ID, terminal, "terminal")
 	if snap := job.Snapshot(); snap.Status != StatusDone {
 		t.Fatalf("job ended %s (%s)", snap.Status, snap.Error)
@@ -106,30 +95,12 @@ func TestPoolSlotsEvaluateSideBySide(t *testing.T) {
 }
 
 // soloRun runs spec alone on a fresh manager of the given pool size,
-// sampling pool_in_use all the while, and returns the fold scores of the
-// job's evaluations and its curve as JSON, the most slots seen held and
-// folds_lent.
-func soloRun(t *testing.T, poolSize int, spec JobSpec) (trials, curve []byte, peak int, lent int64) {
+// sampling pool_in_use all the while, and returns the most slots seen
+// held and folds_lent.
+func soloRun(t *testing.T, poolSize int, spec JobSpec) (peak int, lent int64) {
 	t.Helper()
-	var mu sync.Mutex
-	var folds [][]float64
-	m := NewManager(Config{PoolSize: poolSize, MaxJobs: 1, DeterministicTiming: true,
-		WrapEvaluator: func(_ string, inner hpo.Evaluator) hpo.Evaluator {
-			return funcEvaluator{inner, func(c search.Config, budget int, r *rng.RNG) ([]float64, error) {
-				scores, err := inner.Evaluate(c, budget, r)
-				mu.Lock()
-				folds = append(folds, scores)
-				mu.Unlock()
-				return scores, err
-			}}
-		}})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
+	m := NewManager(Config{PoolSize: poolSize, MaxJobs: 1})
+	defer shutdown(t, m)
 	stop, sampled := make(chan struct{}), make(chan int)
 	go func() {
 		peak := 0
@@ -144,27 +115,13 @@ func soloRun(t *testing.T, poolSize int, spec JobSpec) (trials, curve []byte, pe
 			}
 		}
 	}()
-	job, err := m.SubmitToken(spec, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitJob(t, m, job.ID, terminal, "terminal")
+	job := runDone(t, m, spec, "job-1")
 	close(stop)
 	peak = <-sampled
-	snap := job.Snapshot()
-	if snap.Status != StatusDone {
+	if snap := job.Snapshot(); snap.Status != StatusDone {
 		t.Fatalf("PoolSize %d: job ended %s (%s)", poolSize, snap.Status, snap.Error)
 	}
-	mu.Lock()
-	trials, err = json.Marshal(folds)
-	mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if curve, err = json.Marshal(snap.Curve); err != nil {
-		t.Fatal(err)
-	}
-	return trials, curve, peak, m.Metrics().FoldsLent
+	return peak, m.Metrics().FoldsLent
 }
 
 // probeEvaluator marks, per job, when an evaluation holds its slot.
@@ -185,22 +142,16 @@ func (p *probeEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]
 }
 
 // TestIdleSlotTrainsFolds: a solo Hyperband job — one trial at a time —
-// trains folds on the second slot of a 2-slot pool and ends with the
-// trials and the curve, byte for byte, it ends with on a 1-slot pool,
-// where nothing can be lent; the slots held, own and lent, never exceed
-// the pool. And a lent slot is on loan for a fold: a job arriving while
-// another's only evaluation has both slots gets its first one before that
+// trains folds on the second slot of a 2-slot pool and on none of a
+// 1-slot pool, and the slots held, own and lent, never exceed the pool.
+// (That the lending job ends as it does alone is TestTwinEquivalence's.)
+// And a lent slot is on loan for a fold: a job arriving while another's
+// only evaluation has both slots gets its first one before that
 // evaluation is over.
 func TestIdleSlotTrainsFolds(t *testing.T) {
 	spec := JobSpec{Dataset: "australian", Scale: 0.06, Method: "hyperband", NumHPs: 2, Iters: 2, Seed: 3}
-	trials1, curve1, peak1, lent1 := soloRun(t, 1, spec)
-	trials2, curve2, peak2, lent2 := soloRun(t, 2, spec)
-	if !bytes.Equal(trials1, trials2) {
-		t.Errorf("trials differ\nPoolSize 1: %s\nPoolSize 2: %s", trials1, trials2)
-	}
-	if !bytes.Equal(curve1, curve2) {
-		t.Errorf("curves differ\nPoolSize 1: %s\nPoolSize 2: %s", curve1, curve2)
-	}
+	peak1, lent1 := soloRun(t, 1, spec)
+	peak2, lent2 := soloRun(t, 2, spec)
 	if lent1 != 0 || lent2 == 0 {
 		t.Errorf("folds_lent = %d on one slot and %d on two, want 0 and > 0", lent1, lent2)
 	}
@@ -219,17 +170,8 @@ func TestIdleSlotTrainsFolds(t *testing.T) {
 			return probes[id]
 		},
 	})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
-	first, err := m.SubmitToken(long, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { shutdown(t, m) })
+	first := submitAs(t, m, long, "job-1")
 	<-probes[first.ID].entered
 	for deadline := time.Now().Add(30 * time.Second); m.Metrics().PoolInUse < 2; time.Sleep(50 * time.Microsecond) {
 		if time.Now().After(deadline) {
@@ -237,10 +179,7 @@ func TestIdleSlotTrainsFolds(t *testing.T) {
 		}
 	}
 	long.Seed = 2
-	second, err := m.SubmitToken(long, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := submitAs(t, m, long, "job-2")
 	<-probes[second.ID].entered
 	if probes[first.ID].exited.Load() {
 		t.Error("the second job got its first evaluation slot only after the first job's evaluation was over")
@@ -269,38 +208,21 @@ func (n nanEvaluator) Evaluate(search.Config, int, *rng.RNG) ([]float64, error) 
 // terminal state — journaled, which renders the curve's sparkline on the
 // runner goroutine — and the daemon still answers /healthz.
 func TestNaNCurveDoesNotKillDaemon(t *testing.T) {
-	m, err := NewManagerFromJournal(Config{
+	m := bootJournaled(t, Config{
 		PoolSize: 2, MaxJobs: 1, DataDir: t.TempDir(),
 		WrapEvaluator: func(_ string, inner hpo.Evaluator) hpo.Evaluator { return nanEvaluator{inner} },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(NewServer(m))
 	t.Cleanup(func() {
 		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
+		shutdown(t, m)
 	})
-	job, err := m.SubmitToken(smallSpec(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitAs(t, m, smallSpec(), "job-1")
 	waitJob(t, m, job.ID, terminal, "terminal")
 	if snap := job.Snapshot(); len(snap.Curve) == 0 || snap.Sparkline == "" {
 		t.Errorf("terminal snapshot has no curve: %+v", snap)
 	}
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/healthz after a NaN job: status %d", resp.StatusCode)
-	}
+	getBody(t, ts.URL+"/healthz")
 }
 
 // TestUnencodableResponseAnswers500: a job whose curve holds a NaN score
@@ -312,10 +234,7 @@ func TestUnencodableResponseAnswers500(t *testing.T) {
 		PoolSize: 2, MaxJobs: 1,
 		WrapEvaluator: func(_ string, inner hpo.Evaluator) hpo.Evaluator { return nanEvaluator{inner} },
 	})
-	job, err := m.SubmitToken(smallSpec(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitAs(t, m, smallSpec(), "job-1")
 	waitJob(t, m, job.ID, terminal, "terminal")
 	for _, path := range []string{"/jobs/" + job.ID, "/jobs", "/jobs/" + job.ID + "/trace"} {
 		resp, err := http.Get(ts.URL + path)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -184,103 +183,6 @@ func TestSSESubscribeAfterTerminal(t *testing.T) {
 	}
 }
 
-// TestTraceSurvivesKillAndRestart is the durability acceptance scenario:
-// a job runs to completion on a journaled daemon, the daemon dies
-// without any shutdown, and a restarted daemon must serve GET
-// /jobs/{id}/trace byte-identically — the complete pre-crash anytime
-// curve — plus a resumable event feed for the finished job.
-func TestTraceSurvivesKillAndRestart(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{PoolSize: 2, MaxJobs: 1, DataDir: dir}
-	m1, err := NewManagerFromJournal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(NewServer(m1))
-	job, err := m1.SubmitToken(smallSpec(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitJob(t, m1, job.ID, func(s Status) bool { return s == StatusDone }, "done")
-
-	fetchTrace := func(base, id, query string) []byte {
-		resp, err := http.Get(base + "/jobs/" + id + "/trace" + query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /trace: status %d", resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
-	before := fetchTrace(ts1.URL, job.ID, "")
-	ts1.Close()
-	// Kill: no Shutdown, no journal or trace-store close. The terminal
-	// event was fsynced when the job finished, so the curve is on disk.
-
-	m2, err := NewManagerFromJournal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(NewServer(m2))
-	t.Cleanup(func() {
-		ts2.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m2.Shutdown(ctx); err != nil {
-			t.Errorf("m2 shutdown: %v", err)
-		}
-	})
-	after := fetchTrace(ts2.URL, job.ID, "")
-	if string(before) != string(after) {
-		t.Fatalf("trace differs across restart:\n before %s\n after  %s", before, after)
-	}
-	var curve []trace.Point
-	if err := json.Unmarshal(after, &curve); err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) == 0 {
-		t.Fatal("restarted trace is empty")
-	}
-
-	// The raw event log survived too, terminal tail intact, and the SSE
-	// feed on the restarted daemon replays it and closes.
-	var evs []events.Event
-	if err := json.Unmarshal(fetchTrace(ts2.URL, job.ID, "?events=1"), &evs); err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) == 0 || !evs[len(evs)-1].Terminal {
-		t.Fatalf("restarted event log missing its terminal tail (%d events)", len(evs))
-	}
-	s := openSSE(t, ts2.URL, job.ID, 0)
-	defer s.close()
-	n := 0
-	for {
-		ev, ok := s.next(t)
-		if !ok {
-			break
-		}
-		n++
-		if ev.Seq != evs[n-1].Seq {
-			t.Fatalf("restarted feed seq %d at position %d, event log says %d", ev.Seq, n-1, evs[n-1].Seq)
-		}
-	}
-	if n != len(evs) {
-		t.Fatalf("restarted feed replayed %d events, log holds %d", n, len(evs))
-	}
-
-	// A fresh poll with ?since= past the end returns an empty delta.
-	snap := getJob(t, ts2.URL, job.ID)
-	if snap.LastSeq != evs[len(evs)-1].Seq {
-		t.Fatalf("restarted last_seq %d, want %d", snap.LastSeq, evs[len(evs)-1].Seq)
-	}
-}
-
 // TestGetJobSince: ?since=N returns only the curve points past event
 // sequence N — the incremental poll behind cheap dashboards.
 func TestGetJobSince(t *testing.T) {
@@ -289,14 +191,8 @@ func TestGetJobSince(t *testing.T) {
 	pollUntil(t, ts.URL, sub.ID, func(s Snapshot) bool { return terminal(s.Status) }, "terminal")
 
 	// The raw event log gives the seq of each curve point.
-	resp, err := http.Get(ts.URL + "/jobs/" + sub.ID + "/trace?events=1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var evs []events.Event
-	if err := jsonDecode(resp, &evs); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, ts.URL+"/jobs/"+sub.ID+"/trace?events=1", &evs)
 	var curveSeqs []uint64
 	for _, ev := range evs {
 		if ev.Type == events.TypeCurvePoint {
@@ -308,14 +204,8 @@ func TestGetJobSince(t *testing.T) {
 	}
 
 	since := curveSeqs[1] // past the first two curve points
-	snap := Snapshot{}
-	resp, err = http.Get(ts.URL + "/jobs/" + sub.ID + "?since=" + strconv.FormatUint(since, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jsonDecode(resp, &snap); err != nil {
-		t.Fatal(err)
-	}
+	var snap Snapshot
+	getJSON(t, ts.URL+"/jobs/"+sub.ID+"?since="+strconv.FormatUint(since, 10), &snap)
 	full := getJob(t, ts.URL, sub.ID)
 	if want := len(full.Curve) - 2; len(snap.Curve) != want {
 		t.Fatalf("?since=%d returned %d points, want %d of %d", since, len(snap.Curve), want, len(full.Curve))
@@ -330,24 +220,13 @@ func TestGetJobSince(t *testing.T) {
 	}
 
 	// Cursor at the end → empty delta; garbage → 400.
-	resp, err = http.Get(ts.URL + "/jobs/" + sub.ID + "?since=" + strconv.FormatUint(snap.LastSeq, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var empty Snapshot
-	if err := jsonDecode(resp, &empty); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, ts.URL+"/jobs/"+sub.ID+"?since="+strconv.FormatUint(snap.LastSeq, 10), &empty)
 	if len(empty.Curve) != 0 {
 		t.Fatalf("?since=last_seq returned %d points, want 0", len(empty.Curve))
 	}
-	resp, err = http.Get(ts.URL + "/jobs/" + sub.ID + "?since=banana")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("?since=banana: status %d, want 400", resp.StatusCode)
+	if code, _ := httpDo(t, http.MethodGet, ts.URL+"/jobs/"+sub.ID+"?since=banana", ""); code != http.StatusBadRequest {
+		t.Fatalf("?since=banana: status %d, want 400", code)
 	}
 }
 
@@ -368,16 +247,9 @@ func TestSSEDrainClosesStreams(t *testing.T) {
 	t.Cleanup(func() {
 		ts.Close()
 		close(gate)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
+		shutdown(t, m)
 	})
-	job, err := m.SubmitToken(smallSpec(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitAs(t, m, smallSpec(), "job-1")
 	<-entered // the job is wedged mid-evaluation: the feed stays open
 
 	s := openSSE(t, ts.URL, job.ID, 0)
@@ -449,33 +321,17 @@ func TestSlowConsumerDropsCounted(t *testing.T) {
 // streaming-telemetry counters by their documented JSON names.
 func TestMetricsExposeEventCounters(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewManagerFromJournal(Config{PoolSize: 2, MaxJobs: 1, DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := bootJournaled(t, Config{PoolSize: 2, MaxJobs: 1, DataDir: dir})
 	ts := httptest.NewServer(NewServer(m))
 	t.Cleanup(func() {
 		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
+		shutdown(t, m)
 	})
-	job, err := m.SubmitToken(smallSpec(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitAs(t, m, smallSpec(), "job-1")
 	waitJob(t, m, job.ID, func(s Status) bool { return s == StatusDone }, "done")
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var raw map[string]json.RawMessage
-	if err := jsonDecode(resp, &raw); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, ts.URL+"/metrics", &raw)
 	for _, key := range []string{"event_subscribers", "events_published", "events_dropped_slow_consumer", "trace_store_bytes"} {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("/metrics missing %q", key)

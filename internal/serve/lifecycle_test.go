@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,7 +325,7 @@ func TestJobLifecycleRecords(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
-				PoolSize: 1, MaxJobs: 1, MaxPending: 64, DataDir: t.TempDir(), DeterministicTiming: true,
+				PoolSize: 1, MaxJobs: 1, MaxPending: 64, DataDir: t.TempDir(),
 				RetryBackoff: time.Millisecond, TenantWeights: map[string]int{"victim": 1, "vip": 8},
 			}
 			m, id := tc.run(t, cfg)
@@ -340,91 +337,6 @@ func TestJobLifecycleRecords(t *testing.T) {
 				t.Errorf("%s's status events:\n got %+v\nwant %+v", id, got, tc.events)
 			}
 		})
-	}
-}
-
-// getBody returns the body of GET url, failing the test unless it is a 200.
-func getBody(t *testing.T, url string) []byte {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d, %v", url, resp.StatusCode, err)
-	}
-	return body
-}
-
-// TestFinishedJobReadsSameAfterRestart: a finished job that was preempted
-// and absorbed a failed trial serves GET /jobs/{id} byte for byte the same
-// from the manager that ran it and from one rebuilt from its journal —
-// its first start time and its failure count included.
-func TestFinishedJobReadsSameAfterRestart(t *testing.T) {
-	cfg := Config{
-		PoolSize: 1, MaxJobs: 1, MaxPending: 64, DataDir: t.TempDir(), DeterministicTiming: true,
-		EvalAttempts: 1, TenantWeights: map[string]int{"victim": 1, "vip": 8},
-	}
-	gate, victimIn := make(chan struct{}), make(chan struct{}, 1)
-	var m1 *Manager
-	live := cfg
-	live.WrapEvaluator = func(id string, inner hpo.Evaluator) hpo.Evaluator {
-		if id != "job-1" {
-			return inner
-		}
-		job, _ := m1.Get(id)
-		job.mu.Lock()
-		replayed := int64(job.checkpointLen)
-		job.mu.Unlock()
-		if replayed == 0 {
-			return &gateOnceEvaluator{inner: inner, gate: gate, entered: victimIn}
-		}
-		// The resumed segment: the first trial past the replayed prefix
-		// fails, once — after the prefix, so the replay stays exact.
-		calls := new(atomic.Int64)
-		return funcEvaluator{inner, func(c search.Config, budget int, r *rng.RNG) ([]float64, error) {
-			if calls.Add(1) == replayed+1 {
-				return nil, errors.New("injected: definitive failure")
-			}
-			return inner.Evaluate(c, budget, r)
-		}}
-	}
-	m1 = bootJournaled(t, live)
-	t.Cleanup(func() { shutdown(t, m1) })
-	ts1 := httptest.NewServer(NewServer(m1))
-	victim := submitAs(t, m1, wideSpec("victim"), "job-1")
-	<-victimIn
-	submitAs(t, m1, tinySpec("vip", 70), "job-2")
-	close(gate)
-	for _, id := range []string{"job-1", "job-2"} {
-		waitJob(t, m1, id, terminal, "terminal")
-	}
-	if snap := victim.Snapshot(); snap.Status != StatusDone || snap.Preemptions == 0 || snap.Failures != 1 {
-		t.Fatalf("the victim ended %s after %d preemptions and %d failures; the test needs it done, preempted, with one failure",
-			snap.Status, snap.Preemptions, snap.Failures)
-	}
-	// The terminal record lands after the terminal event: wait for it.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		states, err := journal.Replay(cfg.DataDir)
-		if err == nil && len(states) > 0 && states[0].Terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("the victim's result never reached the journal (%v)", err)
-		}
-	}
-	before := getBody(t, ts1.URL+"/jobs/job-1")
-	ts1.Close()
-	// Kill: no Shutdown, nothing closed.
-
-	m2 := bootJournaled(t, cfg)
-	defer shutdown(t, m2)
-	ts2 := httptest.NewServer(NewServer(m2))
-	defer ts2.Close()
-	if after := getBody(t, ts2.URL+"/jobs/job-1"); !bytes.Equal(after, before) {
-		t.Errorf("GET /jobs/job-1 differs across the restart:\nbefore %s\nafter  %s", before, after)
 	}
 }
 

@@ -67,13 +67,6 @@ type Config struct {
 	// for that tenant, independent of the global MaxPending cap.
 	// 0 disables per-tenant quotas.
 	TenantQuota int
-	// DeterministicTiming replaces each observed trial's wall-clock
-	// elapsed time with a synthetic duration proportional to its budget
-	// (budget × 1ms), making anytime curves — including their CumTime
-	// column — bit-identical across runs, preemptions and restarts. Used
-	// by the determinism tests and reproducibility studies; production
-	// keeps real timings.
-	DeterministicTiming bool
 	// EvalTimeout abandons an evaluation that has run longer than this:
 	// its pool slot is released, the wedged goroutine's eventual result
 	// is discarded, and the trial is charged to the job's failure budget
@@ -98,8 +91,9 @@ type Config struct {
 	// a definitive failure (panics and errors alike; retries are spaced
 	// by a jittered RetryBackoff). 0 selects 2.
 	EvalAttempts int
-	// RetryBackoff is the base delay before an evaluation retry; the
-	// actual sleep is jittered in [backoff/2, backoff). 0 selects 50ms.
+	// RetryBackoff is the base delay before an evaluation retry, doubled
+	// per retry up to 5s (or the base, if larger); the actual sleep is
+	// jittered in [backoff/2, backoff]. 0 selects 50ms.
 	RetryBackoff time.Duration
 	// FailureBudget is how many definitive evaluation failures a job
 	// absorbs — each failed trial scores worst-case instead of aborting —
@@ -510,9 +504,6 @@ func (m *Manager) publish(jobID string, ev events.Event) {
 func (m *Manager) observeTrial(job *Job, tr hpo.Trial) {
 	job.mu.Lock()
 	defer job.mu.Unlock()
-	if m.cfg.DeterministicTiming {
-		tr.Elapsed = time.Duration(tr.Budget) * time.Millisecond
-	}
 	if job.replaySkip > 0 {
 		// Replaying the checkpointed prefix after a preemption or restart:
 		// these trials were already recorded, published and charged in the

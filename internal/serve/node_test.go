@@ -16,22 +16,6 @@ import (
 	"enhancedbhpo/internal/serve/shipper"
 )
 
-// httpDo returns the status and body of one request against a node.
-func httpDo(t *testing.T, method, url, body string) (int, string) {
-	t.Helper()
-	req, err := http.NewRequest(method, url, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, string(data)
-}
-
 // served is what a node says about the one job of this test: the job
 // table, the job's snapshot (curve, scores, last_seq) and its durable
 // trace, as raw response bodies.
@@ -39,26 +23,16 @@ type served struct{ table, job, trace string }
 
 func observe(t *testing.T, url string) served {
 	t.Helper()
-	var out served
-	for path, into := range map[string]*string{"/jobs": &out.table, "/jobs/job-1": &out.job, "/jobs/job-1/trace": &out.trace} {
-		code, body := httpDo(t, http.MethodGet, url+path, "")
-		if code != http.StatusOK {
-			t.Fatalf("GET %s: %d %s", path, code, body)
-		}
-		*into = body
-	}
-	return out
+	return served{string(getBody(t, url+"/jobs")), string(getBody(t, url+"/jobs/job-1")), string(getBody(t, url+"/jobs/job-1/trace"))}
 }
 
 // checkBeside asserts that the routes a node serves beside the job API
 // answer: pprof and the /ship/ receiver.
 func checkBeside(t *testing.T, url, when string) {
 	t.Helper()
-	if code, body := httpDo(t, http.MethodGet, url+"/debug/pprof/cmdline", ""); code != http.StatusOK {
-		t.Fatalf("%s: pprof answered %d %s", when, code, body)
-	}
-	if code, body := httpDo(t, http.MethodGet, url+"/ship/peer/offset?name=journal-000001.jsonl", ""); code != http.StatusOK || !strings.Contains(body, `"offset"`) {
-		t.Fatalf("%s: the /ship/ receiver answered %d %s", when, code, body)
+	getBody(t, url+"/debug/pprof/cmdline")
+	if body := getBody(t, url+"/ship/peer/offset?name=journal-000001.jsonl"); !strings.Contains(string(body), `"offset"`) {
+		t.Fatalf("%s: the /ship/ receiver answered %s", when, body)
 	}
 }
 

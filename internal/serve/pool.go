@@ -162,14 +162,28 @@ func (e *pooledEvaluator) evalDirect(cfg search.Config, budget int, r *rng.RNG) 
 	return e.inner.Evaluate(cfg, budget, r)
 }
 
+// maxRetryBackoff caps the growth of an evaluation's retry backoff, as
+// the shipper's default caps a lane's: while a retry sleeps, its job
+// keeps its job slot.
+const maxRetryBackoff = 5 * time.Second
+
+// retryDelay is the backoff before the given retry attempt (1-based):
+// base, doubled per earlier retry until it reaches maxRetryBackoff or
+// base, whichever is larger.
+func retryDelay(base time.Duration, attempt int) time.Duration {
+	ceiling := max(base, maxRetryBackoff)
+	d := base
+	for ; attempt > 1 && d < ceiling; attempt-- {
+		d <<= 1
+	}
+	return min(d, ceiling)
+}
+
 // sleepBackoff waits the jittered, exponentially grown backoff for the
 // given retry attempt, aborting early when the job is cancelled.
 func (e *pooledEvaluator) sleepBackoff(attempt int) error {
-	d := e.m.cfg.RetryBackoff << (attempt - 1)
-	if d <= 0 {
-		return e.ctx.Err()
-	}
-	// Jitter into [d/2, d) so synchronized failures across workers do
+	d := retryDelay(e.m.cfg.RetryBackoff, attempt)
+	// Jitter into [d/2, d] so synchronized failures across workers do
 	// not retry in lockstep.
 	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 	t := time.NewTimer(d)

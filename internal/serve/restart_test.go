@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -17,12 +16,6 @@ import (
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 )
-
-// jsonDecode drains a response body into v.
-func jsonDecode(resp *http.Response, v any) error {
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(v)
-}
 
 // waitJob polls a job until its status satisfies want.
 func waitJob(t *testing.T, m *Manager, id string, want func(Status) bool, desc string) *Job {
@@ -92,149 +85,6 @@ func (f *flakyEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]
 	return f.inner.Evaluate(cfg, budget, r)
 }
 
-// TestRestartRecovery is the kill/restart e2e: a manager with three jobs
-// (one finished, one frozen mid-evaluation, one still queued) is
-// abandoned without shutdown — the moral equivalent of kill -9 — and a
-// second manager recovers the same data dir. The finished job must come
-// back with its anytime curve and scores intact, the mid-run job must be
-// marked cancelled/interrupted, and the queued job must be re-enqueued
-// and run to completion.
-func TestRestartRecovery(t *testing.T) {
-	dir := t.TempDir()
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	gateEv := &gateEvaluator{gate: gate, entered: entered}
-	wrap := func(id string, inner hpo.Evaluator) hpo.Evaluator {
-		if id == "job-2" {
-			gateEv.inner = inner
-			return gateEv
-		}
-		return inner
-	}
-	m1, err := NewManagerFromJournal(Config{PoolSize: 2, MaxJobs: 1, DataDir: dir, WrapEvaluator: wrap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		close(gate)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m1.Shutdown(ctx); err != nil {
-			t.Errorf("m1 shutdown: %v", err)
-		}
-	})
-
-	// job-1 runs to completion; its terminal record is fsynced.
-	j1, err := m1.SubmitToken(smallSpec(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitJob(t, m1, j1.ID, func(s Status) bool { return s == StatusDone }, "done")
-	snap1 := j1.Snapshot()
-	if len(snap1.Curve) == 0 || snap1.BestScore == nil || snap1.TestScore == nil {
-		t.Fatalf("job-1 finished without results: %+v", snap1)
-	}
-
-	// job-2 freezes inside its first evaluation (mid-run at the "crash").
-	spec2 := smallSpec()
-	spec2.Seed = 11
-	j2, err := m1.SubmitToken(spec2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j2.ID != "job-2" {
-		t.Fatalf("second job is %s", j2.ID)
-	}
-	<-entered
-	waitJob(t, m1, j2.ID, func(s Status) bool { return s == StatusRunning }, "running")
-
-	// job-3 stays queued behind MaxJobs=1.
-	spec3 := smallSpec()
-	spec3.Seed = 17
-	j3, err := m1.SubmitToken(spec3, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := j3.Status(); got != StatusQueued {
-		t.Fatalf("third job status %s, want queued", got)
-	}
-
-	// "Kill" the daemon: no shutdown, no journal close. Recover the same
-	// data dir in a fresh manager (no fault injection this time).
-	m2, err := NewManagerFromJournal(Config{PoolSize: 2, MaxJobs: 2, DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		if err := m2.Shutdown(ctx); err != nil {
-			t.Errorf("m2 shutdown: %v", err)
-		}
-	})
-
-	// Finished job: terminal results and anytime curve preserved.
-	r1, ok := m2.Get("job-1")
-	if !ok {
-		t.Fatal("job-1 lost across restart")
-	}
-	rs1 := r1.Snapshot()
-	if rs1.Status != StatusDone {
-		t.Fatalf("recovered job-1 status %s", rs1.Status)
-	}
-	if len(rs1.Curve) != len(snap1.Curve) {
-		t.Fatalf("curve %d points, want %d", len(rs1.Curve), len(snap1.Curve))
-	}
-	for i := range snap1.Curve {
-		if rs1.Curve[i] != snap1.Curve[i] {
-			t.Fatalf("curve point %d: %+v != %+v", i, rs1.Curve[i], snap1.Curve[i])
-		}
-	}
-	if rs1.BestScore == nil || *rs1.BestScore != *snap1.BestScore {
-		t.Fatalf("best score lost: %v != %v", rs1.BestScore, snap1.BestScore)
-	}
-	if rs1.TestScore == nil || *rs1.TestScore != *snap1.TestScore {
-		t.Fatalf("test score lost: %v != %v", rs1.TestScore, snap1.TestScore)
-	}
-	if rs1.Evaluations != snap1.Evaluations {
-		t.Fatalf("evaluations %d, want %d", rs1.Evaluations, snap1.Evaluations)
-	}
-	for k, v := range snap1.BestConfig {
-		if fmt.Sprint(rs1.BestConfig[k]) != fmt.Sprint(v) {
-			t.Fatalf("best config differs at %s: %v != %v", k, rs1.BestConfig[k], v)
-		}
-	}
-
-	// Mid-run job: marked interrupted.
-	r2, ok := m2.Get("job-2")
-	if !ok {
-		t.Fatal("job-2 lost across restart")
-	}
-	rs2 := r2.Snapshot()
-	if rs2.Status != StatusCancelled || rs2.Reason != ReasonInterrupted {
-		t.Fatalf("recovered job-2: status %s reason %q", rs2.Status, rs2.Reason)
-	}
-
-	// Queued job: re-enqueued and replayed to completion for real.
-	r3 := waitJob(t, m2, "job-3", func(s Status) bool { return s == StatusDone }, "done after replay")
-	rs3 := r3.Snapshot()
-	if rs3.Evaluations == 0 || rs3.BestScore == nil {
-		t.Fatalf("replayed job-3 has no results: %+v", rs3)
-	}
-	if rs3.Spec.Seed != 17 {
-		t.Fatalf("replayed job-3 spec seed %d, want 17", rs3.Spec.Seed)
-	}
-
-	// Fresh submissions continue the ID sequence past recovered jobs.
-	j4, err := m2.SubmitToken(smallSpec(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j4.ID != "job-4" {
-		t.Fatalf("post-recovery submission got ID %s, want job-4", j4.ID)
-	}
-}
-
 // TestPanicIsolation verifies fault isolation on the shared pool: a job
 // whose every evaluation panics must fail alone — with the captured
 // stack in its record — while a sibling job sharing the pool finishes.
@@ -250,23 +100,11 @@ func TestPanicIsolation(t *testing.T) {
 		EvalAttempts: 2, RetryBackoff: time.Millisecond, FailureBudget: 2,
 		WrapEvaluator: wrap,
 	})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
-	bad, err := m.SubmitToken(smallSpec(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { shutdown(t, m) })
+	bad := submitAs(t, m, smallSpec(), "job-1")
 	goodSpec := smallSpec()
 	goodSpec.Seed = 11
-	good, err := m.SubmitToken(goodSpec, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := submitAs(t, m, goodSpec, "job-2")
 
 	waitJob(t, m, bad.ID, terminal, "terminal")
 	waitJob(t, m, good.ID, terminal, "terminal")
@@ -310,17 +148,8 @@ func TestTransientFailureRetried(t *testing.T) {
 		EvalAttempts: 2, RetryBackoff: time.Millisecond,
 		WrapEvaluator: wrap,
 	})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
-	job, err := m.SubmitToken(smallSpec(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { shutdown(t, m) })
+	job := submitAs(t, m, smallSpec(), "job-1")
 	waitJob(t, m, job.ID, terminal, "terminal")
 	snap := job.Snapshot()
 	if snap.Status != StatusDone {
@@ -381,22 +210,10 @@ func TestRetryBackoffReleasesSlot(t *testing.T) {
 		EvalAttempts: 2, RetryBackoff: 300 * time.Millisecond,
 		WrapEvaluator: wrap,
 	})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
-	a, err := m.SubmitToken(tinySpec("a", 1), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { shutdown(t, m) })
+	a := submitAs(t, m, tinySpec("a", 1), "job-1")
 	<-entered
-	b, err := m.SubmitToken(tinySpec("b", 2), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := submitAs(t, m, tinySpec("b", 2), "job-2")
 	waitJob(t, m, b.ID, func(s Status) bool { return s == StatusRunning }, "running")
 	close(gate)
 	for _, job := range []*Job{a, b} {
@@ -413,6 +230,57 @@ func TestRetryBackoffReleasesSlot(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffEndsOnCancel: a job cancelled while an evaluation
+// sleeps out its retry backoff stops sleeping and ends cancelled at once.
+func TestRetryBackoffEndsOnCancel(t *testing.T) {
+	failed := make(chan struct{})
+	var once sync.Once
+	m := NewManager(Config{
+		PoolSize: 1, MaxJobs: 1, RetryBackoff: time.Minute,
+		WrapEvaluator: func(_ string, inner hpo.Evaluator) hpo.Evaluator {
+			return funcEvaluator{inner, func(search.Config, int, *rng.RNG) ([]float64, error) {
+				once.Do(func() { close(failed) })
+				return nil, errors.New("injected: transient failure")
+			}}
+		},
+	})
+	t.Cleanup(func() { shutdown(t, m) })
+	job := submitAs(t, m, smallSpec(), "job-1")
+	<-failed
+	start := time.Now()
+	job.Cancel()
+	waitJob(t, m, job.ID, terminal, "terminal")
+	if snap := job.Snapshot(); snap.Status != StatusCancelled || time.Since(start) > 10*time.Second {
+		t.Errorf("the job ended %s %v after its cancel; want cancelled, without the backoff's 30s or more", snap.Status, time.Since(start))
+	}
+}
+
+// TestRetryDelayCapped: the retry backoff doubles from its base and
+// stops at 5s — at every attempt count -eval-attempts allows, where an
+// unbounded shift sleeps for hours and then wraps to no delay at all —
+// and a base above the cap is kept as it is.
+func TestRetryDelayCapped(t *testing.T) {
+	for _, tc := range []struct {
+		base    time.Duration
+		attempt int
+		want    time.Duration
+	}{
+		{50 * time.Millisecond, 1, 50 * time.Millisecond},
+		{50 * time.Millisecond, 2, 100 * time.Millisecond},
+		{50 * time.Millisecond, 14, maxRetryBackoff},
+		{50 * time.Millisecond, 21, maxRetryBackoff},
+		{50 * time.Millisecond, 39, maxRetryBackoff},
+		{50 * time.Millisecond, 40, maxRetryBackoff},
+		{50 * time.Millisecond, 64, maxRetryBackoff},
+		{10 * time.Second, 1, 10 * time.Second},
+		{10 * time.Second, 40, 10 * time.Second},
+	} {
+		if got := retryDelay(tc.base, tc.attempt); got != tc.want {
+			t.Errorf("retryDelay(%v, %d) = %v, want %v", tc.base, tc.attempt, got, tc.want)
+		}
+	}
+}
+
 // TestFailureBudgetAbsorbsTrial: a fault that survives every retry fails
 // only its trial (worst-case score) while the job still completes.
 func TestFailureBudgetAbsorbsTrial(t *testing.T) {
@@ -426,19 +294,10 @@ func TestFailureBudgetAbsorbsTrial(t *testing.T) {
 		EvalAttempts: 2, RetryBackoff: time.Millisecond, FailureBudget: 3,
 		WrapEvaluator: wrap,
 	})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
+	t.Cleanup(func() { shutdown(t, m) })
 	spec := smallSpec()
 	spec.Workers = 1 // sequential evaluations: calls 1..2 are one trial's attempts
-	job, err := m.SubmitToken(spec, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitAs(t, m, spec, "job-1")
 	waitJob(t, m, job.ID, terminal, "terminal")
 	snap := job.Snapshot()
 	if snap.Status != StatusDone {
@@ -459,19 +318,10 @@ func TestFailureBudgetAbsorbsTrial(t *testing.T) {
 // "timeout", not a bare cancelled.
 func TestTimeoutReason(t *testing.T) {
 	m := NewManager(Config{PoolSize: 2, MaxJobs: 1})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
+	t.Cleanup(func() { shutdown(t, m) })
 	spec := bigSpec()
 	spec.TimeoutSec = 0.3
-	job, err := m.SubmitToken(spec, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submitAs(t, m, spec, "job-1")
 	waitJob(t, m, job.ID, terminal, "terminal")
 	snap := job.Snapshot()
 	if snap.Status != StatusCancelled || snap.Reason != ReasonTimeout {
@@ -488,11 +338,7 @@ func TestShutdownWithInFlightJobs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		spec := bigSpec()
 		spec.Seed = uint64(i + 1)
-		j, err := m.SubmitToken(spec, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
+		jobs = append(jobs, submitAs(t, m, spec, fmt.Sprintf("job-%d", i+1)))
 	}
 	waitJob(t, m, jobs[0].ID, func(s Status) bool { return s == StatusRunning }, "running")
 
@@ -516,13 +362,7 @@ func TestShutdownWithInFlightJobs(t *testing.T) {
 // serving reads, and reports draining on the health probe.
 func TestDrainRefusesSubmissions(t *testing.T) {
 	m := NewManager(Config{PoolSize: 1, MaxJobs: 1})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
+	t.Cleanup(func() { shutdown(t, m) })
 	s := NewServer(m)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -530,40 +370,22 @@ func TestDrainRefusesSubmissions(t *testing.T) {
 	sub := postJob(t, ts.URL, smallSpec())
 	s.SetDraining(true)
 
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"dataset":"australian","method":"sha"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining POST /jobs: status %d, want 503", resp.StatusCode)
+	if code, _ := httpDo(t, http.MethodPost, ts.URL+"/jobs", `{"dataset":"australian","method":"sha"}`); code != http.StatusServiceUnavailable {
+		t.Fatalf("draining POST /jobs: status %d, want 503", code)
 	}
 
 	// Reads still work while draining.
 	if snap := getJob(t, ts.URL, sub.ID); snap.ID != sub.ID {
 		t.Fatalf("draining GET: %+v", snap)
 	}
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health struct {
-		Status string `json:"status"`
-	}
-	if err := jsonDecode(hresp, &health); err != nil {
-		t.Fatal(err)
-	}
+	var health healthBody
+	getJSON(t, ts.URL+"/healthz", &health)
 	if health.Status != "draining" {
 		t.Fatalf("healthz while draining: %q", health.Status)
 	}
 
 	s.SetDraining(false)
-	resp2, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"dataset":"australian","method":"sha","scale":0.06,"iters":2,"hps":2,"max_configs":4}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusAccepted {
-		t.Fatalf("post-drain POST /jobs: status %d, want 202", resp2.StatusCode)
+	if code, _ := httpDo(t, http.MethodPost, ts.URL+"/jobs", `{"dataset":"australian","method":"sha","scale":0.06,"iters":2,"hps":2,"max_configs":4}`); code != http.StatusAccepted {
+		t.Fatalf("post-drain POST /jobs: status %d, want 202", code)
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -47,25 +46,45 @@ func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Manager) {
 	ts := httptest.NewServer(NewServer(m))
 	t.Cleanup(func() {
 		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
+		shutdown(t, m)
 	})
 	return ts, m
 }
 
-func postJob(t *testing.T, base string, spec JobSpec) Snapshot {
+// postRaw submits a spec, under an X-Submit-Token if token is set, and
+// returns the raw response (caller closes).
+func postRaw(t *testing.T, base, token string, spec JobSpec) *http.Response {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, base+"/jobs", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
+	req.Header.Set("Content-Type", "application/json")
+	if token != "" {
+		req.Header.Set("X-Submit-Token", token)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// postJob submits a spec and returns the accepted job's snapshot.
+func postJob(t *testing.T, base string, spec JobSpec) Snapshot {
+	t.Helper()
+	return postJobToken(t, base, "", spec)
+}
+
+// postJobToken submits a spec under token and returns the accepted job's
+// snapshot.
+func postJobToken(t *testing.T, base, token string, spec JobSpec) Snapshot {
+	t.Helper()
+	resp := postRaw(t, base, token, spec)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /jobs: status %d", resp.StatusCode)
@@ -79,18 +98,8 @@ func postJob(t *testing.T, base string, spec JobSpec) Snapshot {
 
 func getJob(t *testing.T, base, id string) Snapshot {
 	t.Helper()
-	resp, err := http.Get(base + "/jobs/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /jobs/%s: status %d", id, resp.StatusCode)
-	}
 	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, base+"/jobs/"+id, &snap)
 	return snap
 }
 
@@ -120,17 +129,10 @@ func TestServiceEndToEnd(t *testing.T) {
 	ts, _ := newTestServer(t, Config{PoolSize: pool, MaxJobs: 2})
 
 	// Health first.
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var health struct {
 		Status string `json:"status"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	getJSON(t, ts.URL+"/healthz", &health)
 	if health.Status != "ok" {
 		t.Fatalf("healthz status %q", health.Status)
 	}
@@ -224,14 +226,7 @@ func TestServiceEndToEnd(t *testing.T) {
 
 	// 3. Metrics add up.
 	var met Metrics
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(mresp.Body).Decode(&met); err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
+	getJSON(t, ts.URL+"/metrics", &met)
 	if met.JobsDone < 1 || met.JobsCancelled < 1 {
 		t.Fatalf("metrics jobs: %+v", met)
 	}
@@ -243,15 +238,8 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 
 	// 4. Listing shows both jobs in submission order, without curves.
-	lresp, err := http.Get(ts.URL + "/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var list []Snapshot
-	if err := json.NewDecoder(lresp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	lresp.Body.Close()
+	getJSON(t, ts.URL+"/jobs", &list)
 	if len(list) != 2 || list[0].ID != sub.ID || list[1].ID != big.ID {
 		t.Fatalf("listing: %+v", list)
 	}
@@ -315,23 +303,13 @@ func TestQueuedJobRespectsMaxJobs(t *testing.T) {
 	if s := getJob(t, ts.URL, queued.ID); s.Status != StatusQueued {
 		t.Fatalf("second job status %s, want queued", s.Status)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+queued.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	httpDo(t, http.MethodDelete, ts.URL+"/jobs/"+queued.ID, "")
 	cancelled := pollUntil(t, ts.URL, queued.ID, func(s Snapshot) bool { return terminal(s.Status) }, "terminal")
 	if cancelled.Status != StatusCancelled || cancelled.Evaluations != 0 {
 		t.Fatalf("queued job ended %s with %d evaluations", cancelled.Status, cancelled.Evaluations)
 	}
 	// Unblock the long job quickly.
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+running.ID, nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	httpDo(t, http.MethodDelete, ts.URL+"/jobs/"+running.ID, "")
 }
 
 // TestBadSubmissions exercises validation and routing errors.
@@ -345,22 +323,12 @@ func TestBadSubmissions(t *testing.T) {
 		"bad hps":        `{"dataset":"australian","method":"sha","hps":12}`,
 		"negative limit": `{"dataset":"australian","method":"sha","max_configs":-1}`,
 	} {
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		if code, _ := httpDo(t, http.MethodPost, ts.URL+"/jobs", body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/jobs/job-999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("missing job: status %d, want 404", resp.StatusCode)
+	if code, _ := httpDo(t, http.MethodGet, ts.URL+"/jobs/job-999", ""); code != http.StatusNotFound {
+		t.Fatalf("missing job: status %d, want 404", code)
 	}
 }
 
@@ -368,18 +336,8 @@ func TestBadSubmissions(t *testing.T) {
 // all ten methods, sorted, with aliases and capability flags.
 func TestMethodsEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t, Config{PoolSize: 1, MaxJobs: 1})
-	resp, err := http.Get(ts.URL + "/methods")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /methods: status %d", resp.StatusCode)
-	}
 	var methods []methodBody
-	if err := json.NewDecoder(resp.Body).Decode(&methods); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, ts.URL+"/methods", &methods)
 	want := hpo.MethodNames()
 	if len(methods) != len(want) {
 		t.Fatalf("GET /methods returned %d methods, want %d", len(methods), len(want))

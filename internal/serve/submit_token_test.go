@@ -1,43 +1,6 @@
 package serve
 
-import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"net/http"
-	"testing"
-	"time"
-)
-
-// postJobToken submits a spec with an X-Submit-Token idempotency header.
-func postJobToken(t *testing.T, base, token string, spec JobSpec) Snapshot {
-	t.Helper()
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, base+"/jobs", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if token != "" {
-		req.Header.Set("X-Submit-Token", token)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /jobs: status %d", resp.StatusCode)
-	}
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	return snap
-}
+import "testing"
 
 // TestSubmitTokenIdempotent: resubmitting under the same token must
 // return the already-accepted job — the guarantee a coordinator's
@@ -64,25 +27,15 @@ func TestSubmitTokenIdempotent(t *testing.T) {
 func TestSubmitTokenSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{PoolSize: 2, MaxJobs: 2, DataDir: dir}
-	m1, err := NewManagerFromJournal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := bootJournaled(t, cfg)
 	job, err := m1.SubmitToken(smallSpec(), "tok-restart")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := m1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	shutdown(t, m1)
 
-	m2, err := NewManagerFromJournal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Shutdown(ctx)
+	m2 := bootJournaled(t, cfg)
+	defer shutdown(t, m2)
 	dup, err := m2.SubmitToken(smallSpec(), "tok-restart")
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,8 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"testing"
@@ -27,6 +27,16 @@ type instantEvaluator struct {
 }
 
 func (e *instantEvaluator) FullBudget() int { return e.inner.FullBudget() }
+
+// gateFirst gates the first job's instantEvaluator and no other's.
+func gateFirst(gate, entered chan struct{}) func(string, hpo.Evaluator) hpo.Evaluator {
+	first := true
+	return func(_ string, inner hpo.Evaluator) hpo.Evaluator {
+		ev := &instantEvaluator{inner: inner, gate: gate, gated: first, entered: entered}
+		first = false
+		return ev
+	}
+}
 
 func (e *instantEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]float64, error) {
 	if e.entered != nil {
@@ -62,43 +72,23 @@ func tinySpec(tenant string, seed uint64) JobSpec {
 func TestFairnessWeighted3to1(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 1)
-	first := true
 	m := NewManager(Config{
 		PoolSize:      1,
 		MaxJobs:       1,
 		MaxPending:    256,
 		TenantWeights: map[string]int{"gold": 3, "bronze": 1},
-		WrapEvaluator: func(id string, inner hpo.Evaluator) hpo.Evaluator {
-			ev := &instantEvaluator{inner: inner, gate: gate, gated: first, entered: entered}
-			first = false
-			return ev
-		},
+		WrapEvaluator: gateFirst(gate, entered),
 	})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		m.Shutdown(ctx)
-	})
+	t.Cleanup(func() { shutdown(t, m) })
 
 	// The barrier job occupies the only run slot, wedged in its gated
 	// evaluation, while 60+60 jobs pile up behind it.
-	barrier, err := m.SubmitToken(tinySpec("gold", 1), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	barrier := submitAs(t, m, tinySpec("gold", 1), "job-1")
 	<-entered
 	tenantOf := map[string]string{barrier.ID: "gold"}
 	for i := 0; i < 60; i++ {
-		jg, err := m.SubmitToken(tinySpec("gold", uint64(100+i)), "")
-		if err != nil {
-			t.Fatalf("gold submit %d: %v", i, err)
-		}
-		jb, err := m.SubmitToken(tinySpec("bronze", uint64(200+i)), "")
-		if err != nil {
-			t.Fatalf("bronze submit %d: %v", i, err)
-		}
-		tenantOf[jg.ID] = "gold"
-		tenantOf[jb.ID] = "bronze"
+		tenantOf[submitAs(t, m, tinySpec("gold", uint64(100+i)), fmt.Sprintf("job-%d", 2*i+2)).ID] = "gold"
+		tenantOf[submitAs(t, m, tinySpec("bronze", uint64(200+i)), fmt.Sprintf("job-%d", 2*i+3)).ID] = "bronze"
 	}
 	close(gate)
 
@@ -159,35 +149,19 @@ func TestSchedulerDeterminism(t *testing.T) {
 	run := func(pool int) []string {
 		gate := make(chan struct{})
 		entered := make(chan struct{}, 1)
-		first := true
 		m := NewManager(Config{
 			PoolSize:      pool,
 			MaxJobs:       1,
 			MaxPending:    256,
 			TenantWeights: map[string]int{"a": 3, "b": 2, "c": 1},
-			WrapEvaluator: func(id string, inner hpo.Evaluator) hpo.Evaluator {
-				ev := &instantEvaluator{inner: inner, gate: gate, gated: first, entered: entered}
-				first = false
-				return ev
-			},
+			WrapEvaluator: gateFirst(gate, entered),
 		})
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			m.Shutdown(ctx)
-		}()
-		barrier, err := m.SubmitToken(tinySpec("a", 1), "")
-		if err != nil {
-			t.Fatal(err)
-		}
+		defer shutdown(t, m)
+		barrier := submitAs(t, m, tinySpec("a", 1), "job-1")
 		<-entered
 		var jobs []*Job
-		for _, spec := range trace() {
-			j, err := m.SubmitToken(spec, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			jobs = append(jobs, j)
+		for i, spec := range trace() {
+			jobs = append(jobs, submitAs(t, m, spec, fmt.Sprintf("job-%d", i+2)))
 		}
 		close(gate)
 		waitJob(t, m, barrier.ID, func(s Status) bool { return s == StatusDone }, "done")
@@ -224,96 +198,6 @@ func wideSpec(tenant string) JobSpec {
 	}
 }
 
-// TestPreemptResumeByteIdenticalCurve: a job preempted at a rung
-// boundary and later resumed must finish with an anytime curve byte
-// identical to a never-preempted twin. DeterministicTiming pins the
-// curves' elapsed columns; the real evaluator (seeded synthesis,
-// deterministic training) pins the scores.
-func TestPreemptResumeByteIdenticalCurve(t *testing.T) {
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	cfg := Config{
-		PoolSize:            1,
-		MaxJobs:             1,
-		MaxPending:          256,
-		DeterministicTiming: true,
-		TenantWeights:       map[string]int{"victim": 1, "vip": 8},
-	}
-	cfgGate := cfg
-	cfgGate.WrapEvaluator = func(id string, inner hpo.Evaluator) hpo.Evaluator {
-		if id != "job-1" {
-			return inner
-		}
-		// Gate only the victim's first evaluation so the vip backlog is
-		// in place before any rung completes.
-		return &gateOnceEvaluator{inner: inner, gate: gate, entered: entered}
-	}
-	m := NewManager(cfgGate)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		m.Shutdown(ctx)
-	})
-	victim, err := m.SubmitToken(wideSpec("victim"), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	for i := 0; i < 6; i++ {
-		if _, err := m.SubmitToken(tinySpec("vip", uint64(50+i)), ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(gate)
-	waitJob(t, m, victim.ID, func(s Status) bool { return s == StatusDone }, "done")
-	snap := victim.Snapshot()
-	if snap.Preemptions == 0 {
-		t.Fatal("victim was never preempted; the test exercised nothing")
-	}
-	if got := m.Metrics().Preemptions; got == 0 {
-		t.Error("Metrics().Preemptions = 0 after a preemption")
-	}
-	if got := m.Metrics().Resumes; got == 0 {
-		t.Error("Metrics().Resumes = 0 after a resume")
-	}
-
-	// The twin runs the same spec alone on a fresh manager: same seeds,
-	// same synthetic data, no preemption.
-	m2 := NewManager(Config{
-		PoolSize:            1,
-		MaxJobs:             1,
-		DeterministicTiming: true,
-	})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		m2.Shutdown(ctx)
-	})
-	twin, err := m2.SubmitToken(wideSpec("victim"), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitJob(t, m2, twin.ID, func(s Status) bool { return s == StatusDone }, "done")
-	twinSnap := twin.Snapshot()
-	if twinSnap.Preemptions != 0 {
-		t.Fatalf("twin was preempted %d times; it must run alone", twinSnap.Preemptions)
-	}
-	got, err := json.Marshal(snap.Curve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(twinSnap.Curve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("preempted curve differs from solo twin\npreempted: %s\nsolo:      %s", got, want)
-	}
-	if snap.Evaluations != twinSnap.Evaluations {
-		t.Errorf("evaluations differ: preempted %d vs solo %d", snap.Evaluations, twinSnap.Evaluations)
-	}
-}
-
 // gateOnceEvaluator blocks only its first evaluation.
 type gateOnceEvaluator struct {
 	inner   hpo.Evaluator
@@ -343,37 +227,32 @@ func (g *gateOnceEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) 
 func TestTenantQuota429(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 1)
-	first := true
 	ts, m := newTestServer(t, Config{
-		PoolSize:    1,
-		MaxJobs:     1,
-		MaxPending:  64,
-		TenantQuota: 2,
-		WrapEvaluator: func(id string, inner hpo.Evaluator) hpo.Evaluator {
-			ev := &instantEvaluator{inner: inner, gate: gate, gated: first, entered: entered}
-			first = false
-			return ev
-		},
+		PoolSize:      1,
+		MaxJobs:       1,
+		MaxPending:    64,
+		TenantQuota:   2,
+		WrapEvaluator: gateFirst(gate, entered),
 	})
 	defer close(gate)
 
 	// Job 1 runs (gated); jobs 2 and 3 fill tenant alpha's quota of 2
 	// queued jobs.
-	resp := postRaw(t, ts.URL, tinySpec("alpha", 1))
+	resp := postRaw(t, ts.URL, "", tinySpec("alpha", 1))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 1: status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 	<-entered
 	for i := 0; i < 2; i++ {
-		resp := postRaw(t, ts.URL, tinySpec("alpha", uint64(2+i)))
+		resp := postRaw(t, ts.URL, "", tinySpec("alpha", uint64(2+i)))
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("queued job %d: status %d", i, resp.StatusCode)
 		}
 		resp.Body.Close()
 	}
 	// The third queued submission breaches the quota.
-	resp = postRaw(t, ts.URL, tinySpec("alpha", 9))
+	resp = postRaw(t, ts.URL, "", tinySpec("alpha", 9))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-quota submit: status %d, want 429", resp.StatusCode)
@@ -392,7 +271,7 @@ func TestTenantQuota429(t *testing.T) {
 		t.Errorf("429 body tenant = %q, want alpha", body.Tenant)
 	}
 	// Another tenant is unaffected by alpha's quota.
-	resp2 := postRaw(t, ts.URL, tinySpec("beta", 1))
+	resp2 := postRaw(t, ts.URL, "", tinySpec("beta", 1))
 	if resp2.StatusCode != http.StatusAccepted {
 		t.Fatalf("beta submit: status %d, want 202", resp2.StatusCode)
 	}
@@ -408,22 +287,17 @@ func TestTenantQuota429(t *testing.T) {
 func TestBatchAtomicAdmission(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 1)
-	first := true
 	ts, m := newTestServer(t, Config{
-		PoolSize:    1,
-		MaxJobs:     1,
-		MaxPending:  64,
-		TenantQuota: 2,
-		WrapEvaluator: func(id string, inner hpo.Evaluator) hpo.Evaluator {
-			ev := &instantEvaluator{inner: inner, gate: gate, gated: first, entered: entered}
-			first = false
-			return ev
-		},
+		PoolSize:      1,
+		MaxJobs:       1,
+		MaxPending:    64,
+		TenantQuota:   2,
+		WrapEvaluator: gateFirst(gate, entered),
 	})
 	defer close(gate)
 
 	// Occupy the run slot so batch items all count as queued.
-	resp := postRaw(t, ts.URL, tinySpec("other", 1))
+	resp := postRaw(t, ts.URL, "", tinySpec("other", 1))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("barrier: status %d", resp.StatusCode)
 	}
@@ -508,14 +382,8 @@ func TestTenantFilterAndStatus(t *testing.T) {
 			return &instantEvaluator{inner: inner}
 		},
 	})
-	jx, err := m.SubmitToken(tinySpec("x", 1), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jy, err := m.SubmitToken(tinySpec("y", 1), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	jx := submitAs(t, m, tinySpec("x", 1), "job-1")
+	jy := submitAs(t, m, tinySpec("y", 1), "job-2")
 	waitJob(t, m, jx.ID, func(s Status) bool { return s == StatusDone }, "done")
 	waitJob(t, m, jy.ID, func(s Status) bool { return s == StatusDone }, "done")
 
@@ -527,9 +395,7 @@ func TestTenantFilterAndStatus(t *testing.T) {
 	if listing[0].Tenant != "x" {
 		t.Errorf("snapshot tenant = %q, want x", listing[0].Tenant)
 	}
-	var tenants struct {
-		Tenants []TenantStatus `json:"tenants"`
-	}
+	var tenants tenantsResponse
 	getJSON(t, ts.URL+"/tenants", &tenants)
 	byName := map[string]TenantStatus{}
 	for _, row := range tenants.Tenants {
@@ -551,21 +417,6 @@ func TestTenantFilterAndStatus(t *testing.T) {
 	}
 }
 
-func getJSON(t *testing.T, url string, into any) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPoolInflightGauge: pool_in_use, pool_inflight and the tenants'
 // inflight_evals are one count of held evaluation slots — equal to true
 // occupancy while evaluations hold slots, zero after.
@@ -579,11 +430,7 @@ func TestPoolInflightGauge(t *testing.T) {
 			return &instantEvaluator{inner: inner, gate: gate, gated: true, entered: entered}
 		},
 	})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		m.Shutdown(ctx)
-	})
+	t.Cleanup(func() { shutdown(t, m) })
 	check := func(when string, want int) {
 		t.Helper()
 		mt := m.Metrics()
@@ -598,14 +445,8 @@ func TestPoolInflightGauge(t *testing.T) {
 			t.Errorf("tenants' inflight_evals sum to %d %s, want %d", perTenant, when, want)
 		}
 	}
-	j1, err := m.SubmitToken(tinySpec("a", 1), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := m.SubmitToken(tinySpec("b", 1), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	j1 := submitAs(t, m, tinySpec("a", 1), "job-1")
+	j2 := submitAs(t, m, tinySpec("b", 1), "job-2")
 	<-entered
 	<-entered
 	check("with 2 gated evaluations", 2)
@@ -615,106 +456,50 @@ func TestPoolInflightGauge(t *testing.T) {
 	check("after all jobs done", 0)
 }
 
-// TestTenantAccountingSurvivesRestart: a journaled service restarted
-// after multi-tenant traffic (including a preemption) rebuilds the
-// per-tenant evaluation, service and preemption counters from the
-// journal alone.
+// TestTenantAccountingSurvivesRestart: every per-tenant counter of GET
+// /tenants that a life charged live — a victim preempted by four vips,
+// resumed past its replayed prefix and finished — is what the next life
+// rebuilds from the journal. Virtual times and grant counts restart level.
 func TestTenantAccountingSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	cfg := Config{
-		PoolSize:            1,
-		MaxJobs:             1,
-		MaxPending:          256,
-		DataDir:             dir,
-		DeterministicTiming: true,
-		TenantWeights:       map[string]int{"victim": 1, "vip": 8},
-	}
-	cfgGate := cfg
-	cfgGate.WrapEvaluator = func(id string, inner hpo.Evaluator) hpo.Evaluator {
+	cfg := resumeConfig(t)
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	live := cfg
+	live.WrapEvaluator = func(id string, inner hpo.Evaluator) hpo.Evaluator {
 		if id != "job-1" {
 			return inner
 		}
 		return &gateOnceEvaluator{inner: inner, gate: gate, entered: entered}
 	}
-	m1, err := NewManagerFromJournal(cfgGate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim, err := m1.SubmitToken(wideSpec("victim"), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := bootJournaled(t, live)
+	victim := submitAs(t, m1, wideSpec("victim"), "job-1")
 	<-entered
-	var vips []*Job
-	for i := 0; i < 4; i++ {
-		j, err := m1.SubmitToken(tinySpec("vip", uint64(70+i)), "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		vips = append(vips, j)
+	for i := 2; i <= 5; i++ {
+		submitAs(t, m1, tinySpec("vip", uint64(68+i)), fmt.Sprintf("job-%d", i))
 	}
 	close(gate)
-	waitJob(t, m1, victim.ID, func(s Status) bool { return s == StatusDone }, "done")
-	for _, j := range vips {
-		waitJob(t, m1, j.ID, func(s Status) bool { return s == StatusDone }, "done")
+	for i := 1; i <= 5; i++ {
+		waitJob(t, m1, fmt.Sprintf("job-%d", i), terminal, "terminal")
 	}
 	if victim.Snapshot().Preemptions == 0 {
-		t.Fatal("victim was never preempted")
+		t.Fatal("the victim was never preempted")
 	}
-	before := tenantRows(m1.Tenants())
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := m1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	m2, err := NewManagerFromJournal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		m2.Shutdown(ctx)
-	})
-	after := tenantRows(m2.Tenants())
-	for _, name := range []string{"victim", "vip"} {
-		b, a := before[name], after[name]
-		if a.Evaluations != b.Evaluations {
-			t.Errorf("%s evaluations: %d before restart, %d after", name, b.Evaluations, a.Evaluations)
+	rows := func(m *Manager) string {
+		rows := m.Tenants()
+		for i := range rows {
+			rows[i].VTime, rows[i].Granted = 0, 0
 		}
-		if a.Preemptions != b.Preemptions {
-			t.Errorf("%s preemptions: %d before restart, %d after", name, b.Preemptions, a.Preemptions)
-		}
-		if a.ServiceUnits != b.ServiceUnits {
-			t.Errorf("%s service units: %.1f before restart, %.1f after", name, b.ServiceUnits, a.ServiceUnits)
-		}
-		if a.JobsDone != b.JobsDone {
-			t.Errorf("%s jobs done: %d before restart, %d after", name, b.JobsDone, a.JobsDone)
-		}
+		return canonJSON(t, rows)
 	}
-	if after["victim"].Preemptions == 0 {
-		t.Error("victim preemption count lost across restart")
+	charged := rows(m1)
+	shutdown(t, m1)
+	m2 := bootJournaled(t, cfg)
+	defer shutdown(t, m2)
+	if rebuilt := rows(m2); rebuilt != charged {
+		t.Errorf("/tenants after the restart:\n %s\ncharged live:\n %s", rebuilt, charged)
 	}
-	// The restored job's own snapshot keeps its yield count too (the
-	// result record carries it).
-	restored, ok := m2.Get(victim.ID)
-	if !ok {
-		t.Fatalf("victim %s missing after restart", victim.ID)
+	if job, _ := m2.Get(victim.ID); job.Snapshot().Preemptions != victim.Snapshot().Preemptions {
+		t.Errorf("the victim came back with %d preemptions, not %d", job.Snapshot().Preemptions, victim.Snapshot().Preemptions)
 	}
-	if restored.Snapshot().Preemptions == 0 {
-		t.Error("restored victim snapshot lost its preemptions count")
-	}
-}
-
-func tenantRows(rows []TenantStatus) map[string]TenantStatus {
-	out := make(map[string]TenantStatus, len(rows))
-	for _, r := range rows {
-		out[r.Tenant] = r
-	}
-	return out
 }
 
 // TestBatchDedup: resubmitting a batch under the same X-Submit-Token

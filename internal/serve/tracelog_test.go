@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,8 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"enhancedbhpo/internal/events"
-	"enhancedbhpo/internal/hpo"
 	"enhancedbhpo/internal/serve/shipper"
 )
 
@@ -23,18 +20,8 @@ func fetchTraces(t *testing.T, base string, ids []string) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
 	for _, id := range ids {
-		for _, query := range []string{"", "?events=1"} {
-			resp, err := http.Get(base + "/jobs/" + id + "/trace" + query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET /jobs/%s/trace%s: status %d, %v", id, query, resp.StatusCode, err)
-			}
-			out[id] = append(out[id], body...)
-		}
+		url := base + "/jobs/" + id + "/trace"
+		out[id] = append(getBody(t, url), getBody(t, url+"?events=1")...)
 	}
 	return out
 }
@@ -56,67 +43,6 @@ func traceSegments(t *testing.T, dataDir string) []string {
 		t.Fatal(err)
 	}
 	return names
-}
-
-// TestTraceByteIdenticalAcrossRebuild: a job whose trace holds rung and
-// retry events as well as its curve finishes, the process dies, and a
-// manager rebuilt from the journal serves GET /jobs/{id}/trace — curve
-// and raw events — byte for byte as before: a sealed segment is never
-// rewritten, so nothing observational is shed, whatever the segment size.
-// With 1 KiB segments the job's events straddle several.
-func TestTraceByteIdenticalAcrossRebuild(t *testing.T) {
-	for name, traceMax := range map[string]int64{"one-segment": 0, "straddling": 1 << 10} {
-		t.Run(name, func(t *testing.T) {
-			cfg := Config{
-				PoolSize: 2, MaxJobs: 1, DataDir: t.TempDir(), TraceMaxBytes: traceMax,
-				EvalAttempts: 2, RetryBackoff: time.Millisecond,
-				WrapEvaluator: func(id string, inner hpo.Evaluator) hpo.Evaluator {
-					return &flakyEvaluator{inner: inner, failFirst: 1}
-				},
-			}
-			m1, err := NewManagerFromJournal(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts1 := httptest.NewServer(NewServer(m1))
-			job, err := m1.SubmitToken(smallSpec(), "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			waitJob(t, m1, job.ID, func(s Status) bool { return s == StatusDone }, "done")
-			before := fetchTraces(t, ts1.URL, []string{job.ID})
-			ts1.Close()
-			// Kill: no Shutdown, no journal or trace-store close.
-
-			seen := map[events.Type]bool{}
-			for _, ev := range m1.hub.Since(job.ID, 0) {
-				seen[ev.Type] = true
-			}
-			if !seen[events.TypeRung] || !seen[events.TypeRetry] || !seen[events.TypeCurvePoint] {
-				t.Fatalf("the job's trace lacks a rung, retry or curve event: %v", seen)
-			}
-			if n := len(traceSegments(t, cfg.DataDir)); (traceMax > 0) != (n > 1) {
-				t.Fatalf("%d trace segments at TraceMaxBytes %d", n, traceMax)
-			}
-
-			cfg.WrapEvaluator = nil
-			m2, err := NewManagerFromJournal(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts2 := httptest.NewServer(NewServer(m2))
-			defer shutdown(t, m2)
-			defer ts2.Close()
-			after := fetchTraces(t, ts2.URL, []string{job.ID})
-			if !bytes.Equal(before[job.ID], after[job.ID]) {
-				t.Fatalf("trace differs across the rebuild:\n before %s\n after  %s", before[job.ID], after[job.ID])
-			}
-			if got := m2.Metrics(); got.EventsPublished != 0 || got.TraceStoreErrors != 0 {
-				t.Fatalf("the rebuild published %d events (a whole trace needs none re-issued) with %d trace errors",
-					got.EventsPublished, got.TraceStoreErrors)
-			}
-		})
-	}
 }
 
 // TestNoPerJobSeal is the count the shared log exists for: 200 finished
@@ -157,13 +83,10 @@ func TestNoPerJobSeal(t *testing.T) {
 				}
 			}
 			ship := shipper.NewMulti(dataDir, []shipper.Sink{sink}, shipper.Options{})
-			m1, err := NewManagerFromJournal(Config{
+			m1 := bootJournaled(t, Config{
 				PoolSize: 2, MaxJobs: 2, MaxPending: jobs, DataDir: dataDir, NodeName: "a",
 				Shipper: ship, TraceMaxBytes: tc.traceMax,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			ts1 := httptest.NewServer(NewServer(m1))
 			ids := make([]string, jobs)
 			for i := range ids {
@@ -229,10 +152,7 @@ func TestNoPerJobSeal(t *testing.T) {
 			}
 			ship2 := shipper.NewMulti(restored, []shipper.Sink{sink2}, shipper.Options{})
 			defer ship2.Close()
-			m2, err := NewManagerFromJournal(Config{PoolSize: 2, MaxJobs: 2, DataDir: restored, NodeName: "a", Shipper: ship2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			m2 := bootJournaled(t, Config{PoolSize: 2, MaxJobs: 2, DataDir: restored, NodeName: "a", Shipper: ship2})
 			ts2 := httptest.NewServer(NewServer(m2))
 			defer shutdown(t, m2)
 			defer ts2.Close()
