@@ -17,19 +17,19 @@
 // dead (6): a degraded node stops receiving new jobs but keeps its
 // existing ones. The pacing, the thresholds and the ring's 64 virtual
 // nodes per worker are constants, not flags (see DESIGN.md).
-// With -auto-failover, a dead node heals itself: the coordinator
-// verifies the node's shipped replicas (-sink-root), restores one onto
-// a registered standby (-standby, or `bhpoctl standby`), and re-points
-// the ring identity — no operator in the loop. Membership (runtime
-// joins, leaves, standbys, automated replaces) persists in a crash-safe
-// journal under -data-dir, so a restarted coordinator recovers the
-// current ring, not the boot-time one.
+// Given the shipped-replica roots (-sink-root), a dead node heals
+// itself: the coordinator verifies the node's replicas there, restores
+// one onto a registered standby (-standby, or `bhpoctl standby`), and
+// re-points the ring identity — no operator in the loop. Membership
+// (runtime joins, leaves, standbys, automated replaces) persists in a
+// crash-safe journal under -data-dir, so a restarted coordinator
+// recovers the current ring, not the boot-time one.
 //
 // Usage:
 //
 //	bhpoctl [-addr :8150] -node a=http://h1:8149 -node b=http://h2:8149 ...
 //	        [-standby s1=http://h9:8149]... [-sink-root /mnt/ship]...
-//	        [-auto-failover] [-data-dir /var/lib/bhpoctl]
+//	        [-data-dir /var/lib/bhpoctl]
 //	bhpoctl status  [-addr http://localhost:8150]
 //	bhpoctl tenants [-addr http://localhost:8150]
 //	bhpoctl join    [-addr ...] -node c -url http://h3:8149
@@ -127,24 +127,22 @@ func main() {
 	var nodes, standbys nodeFlags
 	var sinkRoots stringList
 	var (
-		addr     = flag.String("addr", ":8150", "listen address")
-		dataDir  = flag.String("data-dir", "", "directory for the crash-safe membership journal (empty = membership not persisted)")
-		autoFail = flag.Bool("auto-failover", false, "restore dead nodes onto standbys automatically (needs -sink-root and a standby pool)")
+		addr    = flag.String("addr", ":8150", "listen address")
+		dataDir = flag.String("data-dir", "", "directory for the crash-safe membership journal (empty = membership not persisted)")
 	)
 	flag.Var(&nodes, "node", "worker as name=url (repeatable)")
 	flag.Var(&standbys, "standby", "standby node as name=url (repeatable); spares for automated failover")
-	flag.Var(&sinkRoots, "sink-root", "shipped-replica root holding one subdirectory per node (repeatable)")
+	flag.Var(&sinkRoots, "sink-root", "shipped-replica root holding one subdirectory per node (repeatable); restores dead nodes onto standbys automatically")
 	flag.Parse()
 	if len(nodes) == 0 {
 		fmt.Fprintln(os.Stderr, "bhpoctl: at least one -node name=url is required")
 		os.Exit(2)
 	}
 	cfg := coord.Config{
-		Nodes:        nodes,
-		Standbys:     standbys,
-		DataDir:      *dataDir,
-		SinkRoots:    sinkRoots,
-		AutoFailover: *autoFail,
+		Nodes:     nodes,
+		Standbys:  standbys,
+		DataDir:   *dataDir,
+		SinkRoots: sinkRoots,
 	}
 	if err := run(*addr, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "bhpoctl:", err)

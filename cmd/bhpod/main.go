@@ -50,9 +50,10 @@
 // answers /healthz with {"status":"standby"} until a coordinator's POST
 // /restore names a dead node and its replicas, restores them under
 // -data-dir/<node> and becomes that node — same flags as any worker,
-// shipping, receiver and pprof included; the automated half of bhpoctl's
-// -auto-failover. POST /restore is idempotent: repeated for the node the
-// daemon already is, it answers as it did the first time.
+// shipping, receiver and pprof included; the automated half of the
+// failover a bhpoctl given -sink-root runs. POST /restore is
+// idempotent: repeated for the node the daemon already is, it answers
+// as it did the first time.
 //
 // Usage:
 //

@@ -50,12 +50,11 @@ type Config struct {
 	DataDir string
 	// SinkRoots are the shipped-replica roots the failover pipeline
 	// verifies and restores from: each holds one subdirectory per node
-	// name (a DirSink root or a ship receiver's -ship-recv-dir).
+	// name (a DirSink root or a ship receiver's -ship-recv-dir). Naming
+	// any turns on the zero-operator pipeline: a node declared dead
+	// triggers verify → restore onto a standby → re-point, with no manual
+	// replace call.
 	SinkRoots []string
-	// AutoFailover turns on the zero-operator pipeline: a node declared
-	// dead triggers verify → restore onto a standby → re-point, with no
-	// manual replace call.
-	AutoFailover bool
 }
 
 // Coordinator routes the bhpod HTTP API across a cluster of workers.

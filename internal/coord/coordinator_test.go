@@ -1,11 +1,13 @@
 package coord
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -530,5 +532,56 @@ func TestCoordinatorRejectsBadNodeNames(t *testing.T) {
 	}})
 	if err == nil {
 		t.Fatal("duplicate node name accepted")
+	}
+}
+
+// TestStartShutdownJoinsProbeLoop: Start launches the probe loop and
+// Shutdown stops it and waits for it, so no probe goroutine outlives the
+// coordinator. The loop is found by its frame in a dump of every
+// goroutine; no probe interval passes.
+func TestStartShutdownJoinsProbeLoop(t *testing.T) {
+	c, _ := newTestCluster(t, newStubWorker(t, "a"))
+	loops := func() int {
+		buf := make([]byte, 1<<20)
+		return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("(*prober).start.func1"))
+	}
+	before := loops()
+	c.Start()
+	if got := loops(); got != before+1 {
+		t.Fatalf("%d probe loops after Start, want %d", got, before+1)
+	}
+	c.Shutdown()
+	if got := loops(); got != before {
+		t.Fatalf("%d probe loops after Shutdown returned, want %d", got, before)
+	}
+}
+
+// TestClusterStandby: POST /cluster/standby registers a spare and, with
+// remove, deregisters it; it refuses a name that is no node name (400)
+// and a ring member's (409), registering nothing.
+func TestClusterStandby(t *testing.T) {
+	spare := newStubWorker(t, "s1")
+	_, ts := newTestCluster(t, newStubWorker(t, "a"))
+	for _, row := range []struct {
+		body     map[string]any
+		want     int
+		standbys string
+	}{
+		{map[string]any{"node": "s1", "url": spare.ts.URL}, http.StatusOK, "s1"},
+		{map[string]any{"node": "s1", "remove": true}, http.StatusOK, ""},
+		{map[string]any{"node": "s/1", "url": spare.ts.URL}, http.StatusBadRequest, ""},
+		{map[string]any{"node": "a", "url": spare.ts.URL}, http.StatusConflict, ""},
+	} {
+		resp := postMember(t, ts.URL, "standby", row.body)
+		resp.Body.Close()
+		var standbys []string
+		for _, n := range clusterNodes(t, ts.URL) {
+			if n.State == StateStandby {
+				standbys = append(standbys, n.Name)
+			}
+		}
+		if resp.StatusCode != row.want || strings.Join(standbys, ",") != row.standbys {
+			t.Fatalf("standby %v: %s with standbys %q, want %d with %q", row.body, resp.Status, standbys, row.want, row.standbys)
+		}
 	}
 }

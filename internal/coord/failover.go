@@ -81,11 +81,12 @@ func (c *Coordinator) clusterEvents(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, out)
 }
 
-// onNodeDead is the prober's dead-transition hook. One pipeline per
-// node: a node that flaps dead while its restore is already running
-// does not spawn a second, and none starts once Shutdown has begun.
+// onNodeDead is the prober's dead-transition hook. With no sink roots
+// there is no replica to restore, so no pipeline. One pipeline per node:
+// a node that flaps dead while its restore is already running does not
+// spawn a second, and none starts once Shutdown has begun.
 func (c *Coordinator) onNodeDead(name string) {
-	if !c.cfg.AutoFailover {
+	if len(c.cfg.SinkRoots) == 0 {
 		return
 	}
 	c.failMu.Lock()

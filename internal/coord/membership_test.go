@@ -269,16 +269,7 @@ func postMember(t *testing.T, base, cmd string, body map[string]any) *http.Respo
 // clusterNodes fetches GET /cluster.
 func clusterNodes(t *testing.T, base string) []NodeStatus {
 	t.Helper()
-	resp, err := http.Get(base + "/cluster")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var nodes []NodeStatus
-	if err := json.NewDecoder(resp.Body).Decode(&nodes); err != nil {
-		t.Fatal(err)
-	}
-	return nodes
+	return mustGet[[]NodeStatus](t, base+"/cluster")
 }
 
 // TestMembershipJoinStormDrainLeave is the runtime-membership e2e over
@@ -288,26 +279,16 @@ func clusterNodes(t *testing.T, base string) []NodeStatus {
 // coordinator rebuilds the post-churn member set from its journal.
 func TestMembershipJoinStormDrainLeave(t *testing.T) {
 	shipRoot := t.TempDir()
-	dataDir := t.TempDir()
-
-	spec := func(seed uint64) serve.JobSpec {
-		return serve.JobSpec{
-			Dataset: "australian", Scale: 0.06, DatasetSeed: seed,
-			Method: "sha", NumHPs: 2, MaxConfigs: 6, Iters: 2, Seed: 3,
-		}
-	}
-
 	workers := map[string]*workerProc{}
 	for _, n := range []string{"a", "b", "c"} {
-		workers[n] = startWorkerProc(t, shipRoot, n)
+		workers[n] = startWorkerProc(t, n, shipRoot)
 	}
-
 	cfg := Config{
 		Nodes: []Node{
 			{Name: "a", URL: workers["a"].ts.URL},
 			{Name: "b", URL: workers["b"].ts.URL},
 		},
-		DataDir: dataDir,
+		DataDir: t.TempDir(),
 	}
 	coord, err := New(cfg)
 	if err != nil {
@@ -316,52 +297,31 @@ func TestMembershipJoinStormDrainLeave(t *testing.T) {
 	front := httptest.NewServer(coord)
 
 	// Join c at runtime: the ring now has three members and c is alive.
-	jresp := postMember(t, front.URL, "join", map[string]any{"node": "c", "url": workers["c"].ts.URL})
-	if jresp.StatusCode != http.StatusOK {
-		t.Fatalf("join: %s", jresp.Status)
+	member := func(cmd string, body map[string]any, want int) {
+		t.Helper()
+		resp := postMember(t, front.URL, cmd, body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s %v: %s, want %d", cmd, body, resp.Status, want)
+		}
 	}
-	jresp.Body.Close()
+	joinC := map[string]any{"node": "c", "url": workers["c"].ts.URL}
+	member("join", joinC, http.StatusOK)
 	if got := len(clusterNodes(t, front.URL)); got != 3 {
 		t.Fatalf("%d nodes after join, want 3", got)
 	}
 	// Joining again with the same URL is idempotent; a different URL must
 	// be refused (that is what /cluster/replace is for).
-	jresp = postMember(t, front.URL, "join", map[string]any{"node": "c", "url": workers["c"].ts.URL})
-	if jresp.StatusCode != http.StatusOK {
-		t.Fatalf("idempotent re-join: %s", jresp.Status)
-	}
-	jresp.Body.Close()
-	jresp = postMember(t, front.URL, "join", map[string]any{"node": "c", "url": "http://elsewhere:1"})
-	if jresp.StatusCode != http.StatusConflict {
-		t.Fatalf("conflicting re-join: %s, want 409", jresp.Status)
-	}
-	jresp.Body.Close()
+	member("join", joinC, http.StatusOK)
+	member("join", map[string]any{"node": "c", "url": "http://elsewhere:1"}, http.StatusConflict)
 
 	// Storm across the three-node ring; c must take real work.
-	seedsOwnedBy := func(owner string, n int, from uint64) []uint64 {
-		var out []uint64
-		for seed := from; len(out) < n; seed++ {
-			if coord.ring.Owner(spec(seed).CacheScope()) == owner {
-				out = append(out, seed)
-			}
-		}
-		return out
-	}
-	var ids []string
+	var seeds []uint64
 	for _, owner := range []string{"a", "b", "c"} {
-		for _, seed := range seedsOwnedBy(owner, 2, 1) {
-			resp, snap := postJob(t, front.URL, spec(seed))
-			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("storm submit: %s", resp.Status)
-			}
-			ids = append(ids, snap.ID)
-		}
+		seeds = append(seeds, seedsOwnedBy(coord.ring, owner, 2, 1)...)
 	}
 	onC := 0
-	for _, id := range ids {
-		if snap := waitTerminal(t, front.URL, id); snap.Status != serve.StatusDone {
-			t.Fatalf("storm job %s: %s, want done", id, snap.Status)
-		}
+	for _, id := range runJobs(t, front.URL, seeds) {
 		if strings.HasPrefix(id, "c:") {
 			onC++
 		}
@@ -372,50 +332,29 @@ func TestMembershipJoinStormDrainLeave(t *testing.T) {
 
 	// Drain c: it stops taking new jobs — a scope it owns routes to a
 	// successor — but stays a probed, queryable member.
-	dresp := postMember(t, front.URL, "drain", map[string]any{"node": "c"})
-	if dresp.StatusCode != http.StatusOK {
-		t.Fatalf("drain: %s", dresp.Status)
-	}
-	dresp.Body.Close()
+	member("drain", map[string]any{"node": "c"}, http.StatusOK)
 	if st := coord.prober.stateOf("c"); st != StateDraining {
 		t.Fatalf("c state %q after drain, want draining", st)
 	}
-	drainSeed := seedsOwnedBy("c", 1, 10_000)[0]
-	resp, snap := postJob(t, front.URL, spec(drainSeed))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit during drain: %s", resp.Status)
-	}
-	if strings.HasPrefix(snap.ID, "c:") {
-		t.Fatalf("draining node still took job %s", snap.ID)
-	}
-	if got := waitTerminal(t, front.URL, snap.ID); got.Status != serve.StatusDone {
-		t.Fatalf("drain-rerouted job: %s, want done", got.Status)
+	drainSeed := seedsOwnedBy(coord.ring, "c", 1, 10_000)
+	if id := runJobs(t, front.URL, drainSeed)[0]; strings.HasPrefix(id, "c:") {
+		t.Fatalf("draining node still took job %s", id)
 	}
 
 	// Leave: waits for c to go idle (it is — every job finished), then
 	// removes it from the ring.
-	lresp := postMember(t, front.URL, "leave", map[string]any{"node": "c", "deadline_sec": 30.0})
-	if lresp.StatusCode != http.StatusOK {
-		t.Fatalf("leave: %s", lresp.Status)
-	}
-	lresp.Body.Close()
+	member("leave", map[string]any{"node": "c", "deadline_sec": 30.0}, http.StatusOK)
 	if got := len(clusterNodes(t, front.URL)); got != 2 {
 		t.Fatalf("%d nodes after leave, want 2", got)
 	}
-	resp, snap = postJob(t, front.URL, spec(drainSeed))
-	if resp.StatusCode != http.StatusAccepted || strings.HasPrefix(snap.ID, "c:") {
-		t.Fatalf("submit after leave: %s -> %s", resp.Status, snap.ID)
+	if id := runJobs(t, front.URL, drainSeed)[0]; strings.HasPrefix(id, "c:") {
+		t.Fatalf("submit after leave routed to %s", id)
 	}
-	waitTerminal(t, front.URL, snap.ID)
 
 	// c rejoins, then the coordinator restarts: the journal — boot config
 	// plus join/drain/leave/join — must rebuild the current member set,
 	// with c back and not draining.
-	jresp = postMember(t, front.URL, "join", map[string]any{"node": "c", "url": workers["c"].ts.URL})
-	if jresp.StatusCode != http.StatusOK {
-		t.Fatalf("re-join: %s", jresp.Status)
-	}
-	jresp.Body.Close()
+	member("join", joinC, http.StatusOK)
 	front.Close()
 	coord.Shutdown()
 
@@ -435,9 +374,7 @@ func TestMembershipJoinStormDrainLeave(t *testing.T) {
 			t.Fatal("rejoined node came back draining")
 		}
 	}
-	resp, snap = postJob(t, front2.URL, spec(seedsOwnedBy("c", 1, 20_000)[0]))
-	if resp.StatusCode != http.StatusAccepted || !strings.HasPrefix(snap.ID, "c:") {
-		t.Fatalf("post-restart submit: %s -> %s, want routed to the rejoined c", resp.Status, snap.ID)
+	if id := runJobs(t, front2.URL, seedsOwnedBy(coord2.ring, "c", 1, 20_000))[0]; !strings.HasPrefix(id, "c:") {
+		t.Fatalf("post-restart submit routed to %s, want the rejoined c", id)
 	}
-	waitTerminal(t, front2.URL, snap.ID)
 }

@@ -177,7 +177,7 @@ func TestAdmissionControl429(t *testing.T) {
 // is consistent: no accepted job is lost, terminal outcomes match, and
 // the mid-run job comes back cancelled/interrupted.
 //
-// The storm runs ~2s by default; `make chaos` sets BHPOD_CHAOS_SECONDS=30.
+// The storm runs ~2s by default; `make race` sets BHPOD_CHAOS_SECONDS=30.
 func TestChaosOverload(t *testing.T) {
 	secs := 2.0
 	if s := os.Getenv("BHPOD_CHAOS_SECONDS"); s != "" {

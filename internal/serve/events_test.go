@@ -86,7 +86,7 @@ func (s *sseStream) next(t *testing.T) (events.Event, bool) {
 func (s *sseStream) close() { s.resp.Body.Close() }
 
 // TestSSEOrderedResumable is the streaming acceptance scenario, run
-// under -race by `make sse`: a client follows a job's SSE feed, loses
+// under -race by `make race`: a client follows a job's SSE feed, loses
 // its connection mid-run, reconnects with Last-Event-ID, and must end up
 // having seen every event exactly once, in order, ending with the
 // terminal transition — and the streamed curve points must equal the

@@ -38,94 +38,114 @@ func readFile(t *testing.T, path string) []byte {
 	return b
 }
 
-// TestDirSinkAppendSealRoundTrip: bytes appended in pieces seal into a
-// final file plus a manifest entry carrying its checksum.
-func TestDirSinkAppendSealRoundTrip(t *testing.T) {
-	sink, err := NewDirSink(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSinkContract holds both sinks to the Sink contract: every row runs
+// against a DirSink and against an HTTPSink pushing to a mounted
+// Receiver, which must carry the named sentinel errors across the wire.
+// dir is where the backend keeps the node's files.
+func TestSinkContract(t *testing.T) {
+	const name = "journal-000001.jsonl"
 	data := []byte("hello, replicated world\n")
-	if err := sink.Append("journal-000001.jsonl", 0, data[:10]); err != nil {
-		t.Fatal(err)
+	mustAppend := func(t *testing.T, sink Sink, off int64, b []byte) {
+		t.Helper()
+		if err := sink.Append(name, off, b); err != nil {
+			t.Fatalf("append at %d: %v", off, err)
+		}
 	}
-	off, err := sink.Offset("journal-000001.jsonl")
-	if err != nil || off != 10 {
-		t.Fatalf("offset = %d, %v; want 10", off, err)
+	wantOffset := func(t *testing.T, sink Sink, want int64) {
+		t.Helper()
+		if off, err := sink.Offset(name); err != nil || off != want {
+			t.Fatalf("offset = %d, %v; want %d", off, err, want)
+		}
 	}
-	if err := sink.Append("journal-000001.jsonl", 10, data[10:]); err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name string
+		run  func(t *testing.T, sink Sink, dir string)
+	}{
+		{"append-in-pieces", func(t *testing.T, sink Sink, dir string) {
+			mustAppend(t, sink, 0, data[:10])
+			wantOffset(t, sink, 10)
+			mustAppend(t, sink, 10, data[10:])
+			wantOffset(t, sink, int64(len(data)))
+		}},
+		{"gap-append", func(t *testing.T, sink Sink, dir string) {
+			mustAppend(t, sink, 0, data[:3])
+			if err := sink.Append(name, 7, data[3:]); !errors.Is(err, ErrOffsetMismatch) {
+				t.Fatalf("gap append = %v, want ErrOffsetMismatch", err)
+			}
+			wantOffset(t, sink, 3)
+		}},
+		{"restart-at-zero", func(t *testing.T, sink Sink, dir string) {
+			mustAppend(t, sink, 0, data)
+			mustAppend(t, sink, 0, []byte("restart"))
+			wantOffset(t, sink, int64(len("restart")))
+		}},
+		// A seal whose digest does not match the held bytes keeps them under
+		// a quarantine name for post-mortems and never promotes them.
+		{"bad-seal", func(t *testing.T, sink Sink, dir string) {
+			mustAppend(t, sink, 0, data)
+			if err := sink.Seal(name, int64(len(data)), sha([]byte("evil bytes"))); !errors.Is(err, ErrChecksumMismatch) {
+				t.Fatalf("seal = %v, want ErrChecksumMismatch", err)
+			}
+			if got := readFile(t, filepath.Join(dir, name+quarantineSuffix)); string(got) != string(data) {
+				t.Fatalf("quarantined %q, want %q", got, data)
+			}
+			if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("mismatched content was promoted to its final name: %v", err)
+			}
+			if m, err := ReadManifest(dir); err != nil || len(m) != 0 {
+				t.Fatalf("manifest after a failed seal = %v, %v; want empty", m, err)
+			}
+		}},
+		// A sealed file's offset is its final size: a re-querying shipper
+		// sees nothing left to ship.
+		{"good-seal", func(t *testing.T, sink Sink, dir string) {
+			mustAppend(t, sink, 0, data)
+			if err := sink.Seal(name, int64(len(data)), sha(data)); err != nil {
+				t.Fatal(err)
+			}
+			if got := readFile(t, filepath.Join(dir, name)); string(got) != string(data) {
+				t.Fatalf("sealed %q, want %q", got, data)
+			}
+			m, err := ReadManifest(dir)
+			if e := m[name]; err != nil || e.Size != int64(len(data)) || e.SHA256 != sha(data) {
+				t.Fatalf("manifest entry = %+v, %v", e, err)
+			}
+			wantOffset(t, sink, int64(len(data)))
+		}},
 	}
-	if err := sink.Seal("journal-000001.jsonl", int64(len(data)), sha(data)); err != nil {
-		t.Fatal(err)
+	backends := []struct {
+		name string
+		open func(t *testing.T) (Sink, string)
+	}{
+		{"dir", func(t *testing.T) (Sink, string) {
+			sink := mustDirSink(t)
+			return sink, sink.root
+		}},
+		{"http", func(t *testing.T) (Sink, string) {
+			root := t.TempDir()
+			recv, err := NewReceiver(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(http.StripPrefix("/ship", recv))
+			t.Cleanup(func() {
+				ts.Close()
+				recv.Close()
+			})
+			sink, err := NewHTTPSink(ts.URL+"/ship", "node-a", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sink, filepath.Join(root, "node-a")
+		}},
 	}
-	got := readFile(t, filepath.Join(sink.root, "journal-000001.jsonl"))
-	if string(got) != string(data) {
-		t.Fatalf("sealed content %q, want %q", got, data)
-	}
-	manifest, err := ReadManifest(sink.root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := manifest["journal-000001.jsonl"]
-	if !ok || e.Size != int64(len(data)) || e.SHA256 != sha(data) {
-		t.Fatalf("manifest entry = %+v, ok=%v", e, ok)
-	}
-	// A sealed file's offset is its final size — a re-querying shipper
-	// sees nothing left to ship.
-	off, err = sink.Offset("journal-000001.jsonl")
-	if err != nil || off != int64(len(data)) {
-		t.Fatalf("post-seal offset = %d, %v", off, err)
-	}
-}
-
-// TestDirSinkOffsetMismatch: appending anywhere but the current part size
-// (except a restart at zero) is refused with the named error.
-func TestDirSinkOffsetMismatch(t *testing.T) {
-	sink, err := NewDirSink(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Append("f", 0, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Append("f", 7, []byte("xyz")); !errors.Is(err, ErrOffsetMismatch) {
-		t.Fatalf("gap append error = %v, want ErrOffsetMismatch", err)
-	}
-	// Restarting at zero is the rewrite path and must succeed.
-	if err := sink.Append("f", 0, []byte("restart")); err != nil {
-		t.Fatal(err)
-	}
-	off, _ := sink.Offset("f")
-	if off != int64(len("restart")) {
-		t.Fatalf("offset after restart = %d", off)
-	}
-}
-
-// TestDirSinkChecksumQuarantine: a seal whose digest does not match the
-// held bytes must quarantine them under a .quarantine name and fail with
-// ErrChecksumMismatch — corrupted history is preserved for post-mortems,
-// never promoted.
-func TestDirSinkChecksumQuarantine(t *testing.T) {
-	sink, err := NewDirSink(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Append("seg", 0, []byte("good bytes")); err != nil {
-		t.Fatal(err)
-	}
-	err = sink.Seal("seg", int64(len("good bytes")), sha([]byte("evil bytes")))
-	if !errors.Is(err, ErrChecksumMismatch) {
-		t.Fatalf("seal error = %v, want ErrChecksumMismatch", err)
-	}
-	if _, err := os.Stat(filepath.Join(sink.root, "seg"+quarantineSuffix)); err != nil {
-		t.Fatalf("quarantined file missing: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(sink.root, "seg")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("mismatched content was promoted to its final name")
-	}
-	if m, _ := ReadManifest(sink.root); len(m) != 0 {
-		t.Fatalf("manifest recorded a failed seal: %v", m)
+	for _, row := range rows {
+		for _, b := range backends {
+			t.Run(row.name+"/"+b.name, func(t *testing.T) {
+				sink, dir := b.open(t)
+				row.run(t, sink, dir)
+			})
+		}
 	}
 }
 
@@ -274,48 +294,6 @@ func TestShipperMissingFileIsDone(t *testing.T) {
 	s.Sealed("journal-000009.jsonl") // never existed locally
 	if err := s.Flush(); err != nil {
 		t.Fatalf("missing file errored: %v", err)
-	}
-}
-
-// TestReceiverHTTPSinkRoundTrip: the peer-push path — HTTPSink against a
-// mounted Receiver — must behave like a local DirSink, including carrying
-// the named sentinel errors across the wire.
-func TestReceiverHTTPSinkRoundTrip(t *testing.T) {
-	recvRoot := t.TempDir()
-	recv, err := NewReceiver(recvRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(http.StripPrefix("/ship", recv))
-	defer ts.Close()
-	sink, err := NewHTTPSink(ts.URL+"/ship", "node-a", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("pushed across the wire\n")
-	if err := sink.Append("journal-000001.jsonl", 0, data); err != nil {
-		t.Fatal(err)
-	}
-	off, err := sink.Offset("journal-000001.jsonl")
-	if err != nil || off != int64(len(data)) {
-		t.Fatalf("offset = %d, %v", off, err)
-	}
-	if err := sink.Append("journal-000001.jsonl", 5, []byte("x")); !errors.Is(err, ErrOffsetMismatch) {
-		t.Fatalf("gap append over HTTP = %v, want ErrOffsetMismatch", err)
-	}
-	if err := sink.Seal("journal-000001.jsonl", int64(len(data)), sha([]byte("wrong"))); !errors.Is(err, ErrChecksumMismatch) {
-		t.Fatalf("bad seal over HTTP = %v, want ErrChecksumMismatch", err)
-	}
-	// The quarantine consumed the part; re-push and seal correctly.
-	if err := sink.Append("journal-000001.jsonl", 0, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Seal("journal-000001.jsonl", int64(len(data)), sha(data)); err != nil {
-		t.Fatal(err)
-	}
-	got := readFile(t, filepath.Join(recvRoot, "node-a", "journal-000001.jsonl"))
-	if string(got) != string(data) {
-		t.Fatalf("receiver holds %q", got)
 	}
 }
 
