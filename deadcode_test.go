@@ -28,8 +28,6 @@ import (
 var deadcodeAllow = map[string]string{
 	"enhancedbhpo/internal/serve/shipper.Shipper.Flush": "a barrier for the shipper's own tests and TestNodeOneAssemblyThreeTriggers: " +
 		"ship every change so far before the node is killed or restored",
-	"enhancedbhpo/internal/serve/tracestore.Store.ActiveSegment": "TestNoPerJobSeal's handle check: " +
-		"the growing segment's file must be held open, and only that one",
 }
 
 const maxAllowed = 6

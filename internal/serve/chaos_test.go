@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -216,8 +216,7 @@ func TestChaosOverload(t *testing.T) {
 			if freezeArm.CompareAndSwap(true, false) {
 				return &gateEvaluator{inner: inner, gate: freezeGate, entered: frozenEntered}
 			}
-			var n int
-			fmt.Sscanf(id, "job-%d", &n)
+			n, _ := strconv.Atoi(strings.TrimPrefix(id, "job-"))
 			switch {
 			case n%7 == 0: // injected panic on the first evaluation
 				return &flakyEvaluator{inner: inner, failFirst: 1, panics: true}

@@ -244,19 +244,68 @@ func TestListingLeavesHistoriesUndecoded(t *testing.T) {
 	}
 }
 
+// lineOf returns where the n-th line of raw that holds every mark starts
+// and ends (n from 0), failing the test if raw has no such line.
+func lineOf(t *testing.T, raw []byte, n int, marks ...string) (int, int) {
+	t.Helper()
+	for off := 0; off < len(raw); {
+		end := off + bytes.IndexByte(raw[off:], '\n') + 1
+		held := 0
+		for _, mark := range marks {
+			if bytes.Contains(raw[off:end], []byte(mark)) {
+				held++
+			}
+		}
+		if held == len(marks) {
+			if n == 0 {
+				return off, end
+			}
+			n--
+		}
+		off = end
+	}
+	t.Fatalf("the trace log has fewer than %d lines holding %q", n+1, marks)
+	return 0, 0
+}
+
+// writeFile writes data to path, failing the test if it cannot.
+func writeFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestShortHistoryCounted: the trace log is the only copy of a finished
 // curve, so a history cut short — a segment's unsynced tail lost to a power
 // cut, here in the middle of a line, or every line of the job — is served
-// as it is and counted once in trace_store_errors; the job's evaluations
-// and scores, which the journal holds, are intact. The other job, whose
-// lines come first, reads as before.
+// as it is and counted once in trace_store_errors, by the boot; the job's
+// evaluations and scores, which the journal holds, are intact. The other
+// job, whose lines come first, reads as before. So does a segment lost
+// from the middle of the log, here one that held only job-2's first rung
+// event, and both jobs' curves are served whole.
 func TestShortHistoryCounted(t *testing.T) {
+	const job2 = `"job":"job-2"`
 	for _, tc := range []struct {
 		name string
-		keep int // whole lines of job-2 kept before the cut
+		// damage rewrites the trace log the first life left in dir: seg,
+		// which holds raw.
+		damage func(t *testing.T, dir, seg string, raw []byte)
+		whole  bool // job-2's curve is served whole
 	}{
-		{"torn-tail", 3},
-		{"no-history", 0},
+		{"torn-tail", func(t *testing.T, _, seg string, raw []byte) {
+			off, end := lineOf(t, raw, 3, job2)
+			writeFile(t, seg, raw[:off+(end-off)/2])
+		}, false},
+		{"no-history", func(t *testing.T, _, seg string, raw []byte) {
+			off, _ := lineOf(t, raw, 0, job2)
+			writeFile(t, seg, raw[:off])
+		}, false},
+		{"lost-segment", func(t *testing.T, dir, seg string, raw []byte) {
+			off, end := lineOf(t, raw, 0, job2, `"type":"rung"`)
+			writeFile(t, seg, raw[:off])
+			writeFile(t, filepath.Join(TraceDir(dir), "trace-000003.jsonl"), raw[end:])
+		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{PoolSize: 2, MaxJobs: 1, DataDir: t.TempDir()}
@@ -278,32 +327,15 @@ func TestShortHistoryCounted(t *testing.T) {
 			if err != nil || len(segs) != 1 {
 				t.Fatalf("%d trace segments, %v", len(segs), err)
 			}
-			at, kept := -1, 0
-			for off := 0; off < len(raw); {
-				end := off + bytes.IndexByte(raw[off:], '\n') + 1
-				if bytes.Contains(raw[off:end], []byte(`"job":"job-2"`)) {
-					if kept == tc.keep {
-						at = off + (end-off)/2
-						if tc.keep == 0 {
-							at = off
-						}
-						break
-					}
-					kept++
-				}
-				off = end
-			}
-			if at < 0 {
-				t.Fatalf("job-2 has fewer than %d lines in the trace log", tc.keep+1)
-			}
-			if err := os.WriteFile(segs[0], raw[:at], 0o644); err != nil {
-				t.Fatal(err)
-			}
+			tc.damage(t, cfg.DataDir, segs[0], raw)
 
 			m2 := bootJournaled(t, cfg)
 			defer shutdown(t, m2)
 			ts2 := httptest.NewServer(NewServer(m2))
 			defer ts2.Close()
+			if got := m2.Metrics().TraceStoreErrors; got != 1 {
+				t.Errorf("the boot counted %d trace errors, want 1", got)
+			}
 			if got := getBody(t, ts2.URL+"/jobs/job-1"); !bytes.Equal(got, job1) {
 				t.Errorf("job-1 differs across the restart:\n now %s\n was %s", got, job1)
 			}
@@ -313,8 +345,9 @@ func TestShortHistoryCounted(t *testing.T) {
 				t.Errorf("job-2 came back %s with %d evaluations, best %v, test %v; was %d, %v, %v",
 					now.Status, now.Evaluations, now.BestScore, now.TestScore, was.Evaluations, *was.BestScore, *was.TestScore)
 			}
-			if len(now.Curve) >= len(was.Curve) || !slices.Equal(now.Curve, was.Curve[:len(now.Curve)]) {
-				t.Errorf("job-2's curve: %d points, want a prefix of its %d", len(now.Curve), len(was.Curve))
+			if len(now.Curve) > len(was.Curve) || tc.whole != (len(now.Curve) == len(was.Curve)) ||
+				!slices.Equal(now.Curve, was.Curve[:len(now.Curve)]) {
+				t.Errorf("job-2's curve: %d points of its %d, want it whole: %v", len(now.Curve), len(was.Curve), tc.whole)
 			}
 			getBody(t, ts2.URL+"/jobs/job-2/trace?events=1")
 			if got := m2.Metrics().TraceStoreErrors; got != 1 {

@@ -12,29 +12,25 @@
 //	journal-000009.jsonl   an earlier life's last segment, maybe torn
 //	journal-000010.jsonl   active segment (appends go here)
 //
-// Segments are written through seglog, the writer the trace log shares:
-// every life starts its own segment, the one after the newest on disk,
-// created at its first record; a write that fails is undone, so a record
-// appended after it is replayed, not hidden behind half a line. Append
-// seals the active segment once it passes the configured size and goes on
-// in the next one.
+// Segments are written, numbered, listed and read by seglog, as the trace
+// log's are: every life starts its own segment, the one after the newest
+// base or segment on disk, created at its first record; a write that fails
+// is undone, so a record appended after it is replayed, not hidden behind
+// half a line. Append seals the active segment once it passes the
+// configured size and goes on in the next one.
 //
 // Older binaries compacted the log into base-NNNNNN.jsonl files, each the
 // fold of every segment up to its sequence. Replay still reads the newest
 // base and the segments above it, ignoring older bases and the segments a
-// base folded, so their data directories boot. A gap in the segment
-// sequence means a segment was lost, and Replay fails rather than
-// silently dropping jobs.
+// base folded, so their data directories boot. A gap in the sequence
+// means a segment was lost, and Replay fails rather than silently
+// dropping jobs; so does a whole line that does not decode.
 package journal
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -111,78 +107,13 @@ type Record struct {
 	Failures int `json:"failures,omitempty"`
 }
 
-// segmentName and baseName are the on-disk names for sequence seq.
-func segmentName(seq int) string { return seglog.Name("journal-", seq) }
-func baseName(seq int) string    { return seglog.Name("base-", seq) }
+// prefixes name the journal's files: its segments, then the bases older
+// binaries compacted it into.
+var prefixes = []string{"journal-", "base-"}
 
-// parseSeq extracts the sequence from a segment or base file name.
-func parseSeq(name, prefix string) (int, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".jsonl") {
-		return 0, false
-	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, prefix), ".jsonl")
-	n, err := strconv.Atoi(mid)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// layout is the scanned shape of a data directory: the newest base an
-// older binary left, if any, and the segments above it, sorted. Older
-// bases and the segments at or below the newest base are stale: that base
-// holds their records.
-type layout struct {
-	baseSeq int // -1 without a base
-	segs    []int
-}
-
-// scanDir reads the directory into a layout. A missing directory is an
-// empty layout.
-func scanDir(dir string) (layout, error) {
-	lay := layout{baseSeq: -1}
-	entries, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return lay, nil
-	}
-	if err != nil {
-		return lay, fmt.Errorf("journal: %w", err)
-	}
-	var segs []int
-	for _, e := range entries {
-		if n, ok := parseSeq(e.Name(), "journal-"); ok {
-			segs = append(segs, n)
-		} else if n, ok := parseSeq(e.Name(), "base-"); ok {
-			lay.baseSeq = max(lay.baseSeq, n)
-		}
-	}
-	for _, n := range segs {
-		if n > lay.baseSeq {
-			lay.segs = append(lay.segs, n)
-		}
-	}
-	sort.Ints(lay.segs)
-	return lay, nil
-}
-
-// next is the sequence of the segment a new life appends to: the one
-// after the newest base or segment.
-func (l layout) next() int {
-	if n := len(l.segs); n > 0 {
-		return l.segs[n-1] + 1
-	}
-	return max(l.baseSeq, 0) + 1
-}
-
-// Options tunes a Writer.
-type Options struct {
-	// MaxBytes seals the active segment once it reaches this size; 0 or
-	// negative never rotates.
-	MaxBytes int64
-	// OnChange, when non-nil, is the shipper's replication hook, called as
-	// seglog.Options.OnChange is.
-	OnChange func(name string, sealed bool)
-}
+// Options tunes a Writer as they tune its seglog.Log; OnChange is the
+// shipper's replication hook.
+type Options = seglog.Options
 
 // Writer appends records to a data directory's journal, rotating the
 // active segment at Options.MaxBytes. Safe for concurrent use.
@@ -192,19 +123,17 @@ type Writer struct {
 
 // OpenOptions creates the data directory if needed and opens its journal
 // for appending: this life's records go to the segment after the newest
-// base or segment, created at the first of them.
+// base or segment, created at the first of them. Every file already there
+// is announced to opts.OnChange as sealed.
 func OpenOptions(dir string, opts Options) (*Writer, error) {
 	if dir == "" {
 		return nil, errors.New("journal: empty data dir")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	log, err := seglog.Open(dir, opts, prefixes...)
+	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	lay, err := scanDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &Writer{log: seglog.Open(dir, "journal-", lay.next(), seglog.Options{MaxBytes: opts.MaxBytes, OnChange: opts.OnChange})}, nil
+	return &Writer{log: log}, nil
 }
 
 // Append writes one record as a JSON line. Terminal (result) records are
@@ -239,26 +168,13 @@ type Stats struct {
 	Bytes    int64
 }
 
-// DirStats scans a data directory for journal files. Best-effort: an
+// DirStats lists a data directory's journal files. Best-effort: an
 // unreadable directory reports zero.
 func DirStats(dir string) Stats {
-	var s Stats
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return s
-	}
-	for _, e := range entries {
-		_, isSeg := parseSeq(e.Name(), "journal-")
-		_, isBase := parseSeq(e.Name(), "base-")
-		if !isSeg && !isBase {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		s.Segments++
-		s.Bytes += info.Size()
+	segs, _ := seglog.List(dir, prefixes...)
+	s := Stats{Segments: len(segs)}
+	for _, seg := range segs {
+		s.Bytes += seg.Size
 	}
 	return s
 }
@@ -364,65 +280,38 @@ func (r *replayState) apply(rec Record) {
 	}
 }
 
-// replayFile decodes one journal file into the accumulator, line by line.
-// The bytes after its last newline are a torn tail — a crash or a cut
-// write stopped that line — and end the file; a whole line that does not
-// decode is corruption and fails the replay.
-func (r *replayState) replayFile(path string) error {
-	err := seglog.ReadLines(path, func(line []byte) error {
+// Replay reads a data directory's journal — the newest base an older
+// binary left, then the segments above it — into per-job states in first
+// submission order. A missing journal yields no states; a torn tail ends
+// its segment at the last whole record; a missing segment or a whole line
+// that does not decode is an error naming the file.
+func Replay(dir string) ([]JobState, error) {
+	all, err := seglog.List(dir, prefixes...)
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	// A base holds every record of the files before it: older bases and
+	// the segment it shares its sequence number with, which sorts after it.
+	var segs []seglog.Segment
+	for _, seg := range all {
+		if strings.HasPrefix(seg.Name, "base-") {
+			segs = segs[:0]
+		} else if n := len(segs); n > 0 && seg.Seq == segs[n-1].Seq {
+			continue
+		}
+		segs = append(segs, seg)
+	}
+	acc := replayState{byID: map[string]*JobState{}}
+	err = seglog.Read(dir, segs, func(line []byte) error {
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("corrupt record: %w", err)
 		}
-		r.apply(rec)
+		acc.apply(rec)
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
-}
-
-// replayFiles lists the files a replay reads, in order: the newest base,
-// if any, then the segments above it, which must follow it and each other
-// without a gap — a missing segment was lost.
-func replayFiles(dir string, lay layout) ([]string, error) {
-	var files []string
-	next := 0 // the sequence the next segment must have; 0 while unknown
-	if lay.baseSeq >= 0 {
-		files = append(files, filepath.Join(dir, baseName(lay.baseSeq)))
-		next = lay.baseSeq + 1
-	}
-	for _, seq := range lay.segs {
-		if next > 0 && seq != next {
-			return nil, fmt.Errorf("journal: missing segment %s (found %s after %s)",
-				segmentName(next), segmentName(seq), filepath.Base(files[len(files)-1]))
-		}
-		files = append(files, filepath.Join(dir, segmentName(seq)))
-		next = seq + 1
-	}
-	return files, nil
-}
-
-// Replay reads a data directory's journal — the newest base an older
-// binary left, then the segments above it — into per-job states in first
-// submission order. A missing journal yields no states; a torn tail ends
-// its segment at the last whole record; a missing segment or a corrupt
-// record is an error naming the file.
-func Replay(dir string) ([]JobState, error) {
-	lay, err := scanDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	files, err := replayFiles(dir, lay)
-	if err != nil {
-		return nil, err
-	}
-	acc := replayState{byID: map[string]*JobState{}}
-	for _, path := range files {
-		if err := acc.replayFile(path); err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("journal: %w", err)
 	}
 	out := make([]JobState, 0, len(acc.order))
 	for _, id := range acc.order {

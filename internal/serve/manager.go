@@ -8,6 +8,8 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -369,16 +371,10 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 	if log.err != nil {
 		m.traceErrs.Add(1)
 	}
-	// Trace segments ship under their directory-relative name so a
-	// restored replica has the same traces/ layout the manager opens.
-	traces, err := tracestore.Open(TraceDir(cfg.DataDir), tracestore.Options{
-		MaxBytes: m.cfg.TraceMaxBytes,
-		OnChange: shipHook(cfg.Shipper, "traces/"),
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.traces = traces
+	// Opening a log announces the files earlier lives left, which ship
+	// sealed: the journal's first, then the trace log's, which ship under
+	// their directory-relative name so a restored replica has the same
+	// traces/ layout the manager opens.
 	w, err := journal.OpenOptions(cfg.DataDir, journal.Options{
 		MaxBytes: m.cfg.JournalMaxBytes,
 		OnChange: shipHook(cfg.Shipper, ""),
@@ -387,12 +383,14 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 		return nil, err
 	}
 	m.journal = w
-	if cfg.Shipper != nil {
-		// Ship whatever is already on disk (earlier lives' segments,
-		// pre-crash traces) so the replica is complete even for files that
-		// will never change again.
-		cfg.Shipper.SnapshotRoot()
+	traces, err := tracestore.Open(TraceDir(cfg.DataDir), tracestore.Options{
+		MaxBytes: m.cfg.TraceMaxBytes,
+		OnChange: shipHook(cfg.Shipper, "traces/"),
+	})
+	if err != nil {
+		return nil, err
 	}
+	m.traces = traces
 	var live []*Job
 	for i, st := range states {
 		job := &Job{
@@ -533,8 +531,8 @@ func (m *Manager) observeTrial(job *Job, tr hpo.Trial) {
 func (m *Manager) register(job *Job) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var n int
-	if _, err := fmt.Sscanf(job.ID, "job-%d", &n); err == nil && n > m.seq {
+	num, ok := strings.CutPrefix(job.ID, "job-")
+	if n, err := strconv.Atoi(num); ok && err == nil && n > m.seq {
 		m.seq = n
 	}
 	m.jobs[job.ID] = job

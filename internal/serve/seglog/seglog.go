@@ -1,34 +1,122 @@
-// Package seglog is the one writer under bhpod's append-only JSONL logs:
-// the journal and the trace log append through a Log, the coordinator's
-// membership log and a sink's manifest through a File; ReadLines reads
-// the journal, the membership log and the manifest back. A line is one write, fsynced when the
-// caller asks. A write that fails is undone by truncating the file back
-// to its size before it, so no reader meets half a line with whole ones
-// behind it; if the truncation fails too, the file ends in what readers
-// take for a torn tail and refuses every later append. Every process life
-// writes a segment of its own — the one after the newest, created at its
-// first line — so a torn line a crash left only ever ends an earlier
-// life's last segment. A segment that reaches the size limit is sealed:
-// fsynced, closed, announced, never written again.
+// Package seglog owns bhpod's append-only JSONL logs: their writer, the
+// listing and numbering of their segments, and their reader. The journal
+// and the trace log are segmented Logs; the coordinator's membership log
+// and a sink's manifest are single Files. A line is one write, fsynced
+// when the caller asks. A write that fails is undone by truncating the
+// file back to its size before it, so no reader meets half a line with
+// whole ones behind it; if the truncation fails too, the file ends in
+// what readers take for a torn tail and refuses every later append.
+//
+// A log is the files dir/<prefix>NNNNNN.jsonl of one or more prefixes —
+// the journal's are journal- and its legacy base- — numbered in one
+// sequence. Every process life writes a segment of its own, the one after
+// the newest file of any prefix, created at its first line, so a torn
+// line a crash left only ever ends an earlier life's last segment; every
+// file Open finds is therefore final, and is announced as sealed. A
+// segment that reaches the size limit is sealed: fsynced, closed,
+// announced, never written again. Read hands out a log's lines, one
+// segment read whole at a time, and reports a segment missing from the
+// sequence.
 package seglog
 
 import (
-	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 )
 
 // ErrClosed is what Append returns once its Log has been closed.
 var ErrClosed = errors.New("log closed")
 
+// SkipSegment, returned by a Read callback, ends the segment being read:
+// Read goes on with the next one. Read itself never returns it.
+var SkipSegment = errors.New("skip the rest of this segment")
+
 // Name is the file name of segment seq of the log whose segments are
 // named prefix: trace-000007.jsonl.
 func Name(prefix string, seq int) string { return fmt.Sprintf("%s%06d.jsonl", prefix, seq) }
+
+// Segment is one file of a log on disk.
+type Segment struct {
+	Name string
+	Seq  int
+	Size int64
+}
+
+// List returns the files of dir that Name makes of one of prefixes, with
+// their sizes, in sequence order. A missing directory holds none.
+func List(dir string, prefixes ...string) ([]Segment, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
+	var segs []Segment
+	for _, e := range entries {
+		for _, prefix := range prefixes {
+			mid, ok := strings.CutPrefix(e.Name(), prefix)
+			seq, err := strconv.Atoi(strings.TrimSuffix(mid, ".jsonl"))
+			if !ok || err != nil || e.IsDir() || e.Name() != Name(prefix, seq) {
+				continue
+			}
+			seg := Segment{Name: e.Name(), Seq: seq}
+			if info, err := e.Info(); err == nil {
+				seg.Size = info.Size()
+			}
+			segs = append(segs, seg)
+		}
+	}
+	slices.SortFunc(segs, func(a, b Segment) int { return cmp.Or(cmp.Compare(a.Seq, b.Seq), strings.Compare(a.Name, b.Name)) })
+	return segs, nil
+}
+
+// Read calls fn with each whole line of segs, in order, without its
+// newline. Each segment is read whole and its lines alias that buffer.
+// The bytes after a segment's last newline are a torn tail — a crash or a
+// cut write stopped that line — and end the segment unread; so does
+// SkipSegment from fn. Any other error from fn means a whole line is
+// corrupt: Read stops and returns it naming the file and the line's
+// number. A segment that cannot be read returns the read's error, so a
+// missing one matches os.ErrNotExist. A sequence number missing between
+// two of segs is an error naming it, returned once every segment is read.
+func Read(dir string, segs []Segment, fn func(line []byte) error) error {
+	var gap error
+	for i, seg := range segs {
+		if i > 0 && seg.Seq != segs[i-1].Seq+1 && gap == nil {
+			prefix := strings.TrimSuffix(seg.Name, Name("", seg.Seq))
+			gap = fmt.Errorf("missing segment %s (found %s after %s)", Name(prefix, segs[i-1].Seq+1), seg.Name, segs[i-1].Name)
+		}
+		path := filepath.Join(dir, seg.Name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for n := 1; ; n++ {
+			end := bytes.IndexByte(data, '\n')
+			if end < 0 {
+				break
+			}
+			if err := fn(data[:end]); errors.Is(err, SkipSegment) {
+				break
+			} else if err != nil {
+				return fmt.Errorf("%s line %d: %w", path, n, err)
+			}
+			data = data[end+1:]
+		}
+	}
+	return gap
+}
+
+// ReadLines reads the one file at path as Read reads a segment.
+func ReadLines(path string, fn func(line []byte) error) error {
+	return Read(filepath.Dir(path), []Segment{{Name: filepath.Base(path)}}, fn)
+}
 
 // File is one append-only file of whole lines; its owner serializes
 // appends.
@@ -102,47 +190,21 @@ func (f *File) Append(line []byte, sync bool) (int, error) {
 // Close fsyncs and closes the file.
 func (f *File) Close() error { return errors.Join(f.f.Sync(), f.f.Close()) }
 
-// ReadLines calls fn with each whole line of the file at path, newline
-// included, in order. The bytes after the last newline are a torn tail —
-// a crash or a cut write stopped that line — and end the file unread. An
-// error from fn means a whole line is corrupt; it is returned naming the
-// file and the line's number. A file that cannot be opened returns the
-// open's error, so a missing one matches os.ErrNotExist.
-func ReadLines(path string, fn func(line []byte) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	for n := 1; ; n++ {
-		line, err := br.ReadBytes('\n')
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if err := fn(line); err != nil {
-			return fmt.Errorf("%s line %d: %w", path, n, err)
-		}
-	}
-}
-
 // Options tunes a Log.
 type Options struct {
 	// MaxBytes seals a segment once it has grown to this size; 0 or
 	// negative never rotates.
 	MaxBytes int64
-	// OnChange, when non-nil, is called with a segment's name after each
-	// append that did not seal it (false) and once when it is sealed
-	// (true), in append order with the log's lock held: it must not call
-	// back into the log.
+	// OnChange, when non-nil, is called with a segment's name once with
+	// true for each file Open finds, in sequence order, then after each
+	// append that did not seal its segment (false) and once when it is
+	// sealed (true), in append order with the log's lock held: it must not
+	// call back into the log.
 	OnChange func(name string, sealed bool)
 }
 
-// Log is the segmented log dir/<prefix>NNNNNN.jsonl. Safe for concurrent
-// use.
+// Log is the segmented log of dir's files of its prefixes. Safe for
+// concurrent use.
 type Log struct {
 	dir, prefix string
 	opts        Options
@@ -153,18 +215,26 @@ type Log struct {
 	closed bool
 }
 
-// Open returns the log whose first segment this life is seq — by rule the
-// one after the newest on disk. Nothing is created before the first
-// Append.
-func Open(dir, prefix string, seq int, opts Options) *Log {
-	return &Log{dir: dir, prefix: prefix, opts: opts, seq: seq}
-}
-
-// Active returns the name of the segment that receives appends.
-func (l *Log) Active() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return Name(l.prefix, l.seq)
+// Open creates dir if needed, announces every file of prefixes already in
+// it as sealed and returns the log that appends to files of prefixes[0],
+// this life's first being the one after the newest of them all. Nothing
+// is created before the first Append.
+func Open(dir string, opts Options, prefixes ...string) (*Log, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	segs, err := List(dir, prefixes...)
+	if err != nil {
+		return nil, err
+	}
+	l := &Log{dir: dir, prefix: prefixes[0], opts: opts, seq: 1}
+	for _, seg := range segs {
+		if opts.OnChange != nil {
+			opts.OnChange(seg.Name, true)
+		}
+		l.seq = seg.Seq + 1
+	}
+	return l, nil
 }
 
 // Append writes line to the active segment as File.Append does, creating

@@ -14,10 +14,11 @@
 //     resumable offset and appends them. A file the sink holds more of
 //     than exists locally (a sink that was ahead of the replica this node
 //     was restored from) restarts at offset zero.
-//   - a *sealed* file (a rotated segment, or at boot one an earlier life
-//     left) ships its remaining tail and is then sealed at the sink with
-//     its size and SHA-256, which records it in the sink's checksummed
-//     manifest once. Sealed content is what Restore verifies.
+//   - a *sealed* file (a rotated segment, or one an earlier life left,
+//     which each log announces when it opens) ships its remaining tail
+//     and is then sealed at the sink with its size and SHA-256, which
+//     records it in the sink's checksummed manifest once. Sealed content
+//     is what Restore verifies.
 //
 // With several sinks (bhpod -ship-to repeated) the shipper replicates
 // N-way: every sink runs its own *lane* — an independent resumable
@@ -45,7 +46,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -227,38 +227,12 @@ func (s *Shipper) Changed(rel string) {
 }
 
 // Sealed notes that rel reached its final content (a rotated journal or
-// trace segment, or one an earlier life left): the remaining tail ships
-// and the file is sealed into each sink's checksummed manifest.
+// trace segment, or one an earlier life left, which a log announces when
+// it opens): the remaining tail ships and the file is sealed into each
+// sink's checksummed manifest.
 func (s *Shipper) Sealed(rel string) {
 	for _, ln := range s.lanes {
 		ln.sealed(rel)
-	}
-}
-
-// SnapshotRoot marks every journal and trace file currently in the data
-// directory for shipping, sealed — the startup sync after a restart (or
-// the first run against an already-populated directory), called before
-// this life's first append. Every file on disk then is final: each log
-// writes a life's appends to a segment of its own, created at the first.
-func (s *Shipper) SnapshotRoot() {
-	s.snapshotDir("", "journal-", "base-")
-	s.snapshotDir("traces/", "trace-")
-}
-
-// snapshotDir marks the .jsonl files of one directory (sub is "" or ends
-// in a slash) that carry one of the prefixes.
-func (s *Shipper) snapshotDir(sub string, prefixes ...string) {
-	entries, err := os.ReadDir(filepath.Join(s.root, sub))
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".jsonl") ||
-			!slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(name, p) }) {
-			continue
-		}
-		s.Sealed(sub + name)
 	}
 }
 

@@ -167,7 +167,9 @@ func TestDirSinkResealAddsNoEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := NewMulti(root, []Sink{sink}, Options{Sync: true})
-		s.SnapshotRoot()
+		for _, name := range files { // as the logs announce them when they open
+			s.Sealed(name)
+		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"enhancedbhpo/internal/serve/seglog"
 	"enhancedbhpo/internal/serve/shipper"
 )
 
@@ -101,7 +102,6 @@ func TestNoPerJobSeal(t *testing.T) {
 			}
 			before := fetchTraces(t, ts1.URL, ids)
 			ts1.Close()
-			active := m1.traces.ActiveSegment()
 			shutdown(t, m1)
 			if err := ship.Close(); err != nil {
 				t.Fatal(err)
@@ -115,10 +115,18 @@ func TestNoPerJobSeal(t *testing.T) {
 				final += len(names)
 			}
 			final-- // the active journal segment
-			rotations := 0
-			for _, name := range traceSegments(t, dataDir) {
-				if filepath.Base(name) != active {
+			// A trace segment was sealed if it reached its size; the one
+			// that did not is the growing one.
+			segs, err := seglog.List(TraceDir(dataDir), "trace-")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rotations, active := 0, ""
+			for _, seg := range segs {
+				if tc.traceMax > 0 && seg.Size >= tc.traceMax {
 					rotations++
+				} else {
+					active = seg.Name
 				}
 			}
 			if (tc.traceMax > 0) != (rotations > 0) {

@@ -13,15 +13,17 @@
 // before Append returns. A finished job creates, closes and renames
 // nothing: its events are lines in the segment every other job writes.
 //
-// The segments are written by seglog, the writer the journal shares: a
-// segment that passes MaxBytes is fsynced, closed and announced as sealed
-// and never written again, and neither is a segment a previous process
-// left behind — every Open starts a new one, created at its first event,
-// so nothing is ever appended behind a torn line (the signature of a
-// crash mid-append), and a write that fails part-way is cut back off
-// before the next event is written. A reader ends a segment at a line
-// that is not whole — no newline, not JSON, no job — and goes on to the
-// next.
+// The segments are written, numbered, listed and read by seglog, as the
+// journal's are: a segment that passes MaxBytes is fsynced, closed and
+// announced as sealed and never written again, and neither is a segment a
+// previous process left behind — every Open announces those as sealed and
+// starts a new one, created at its first event, so nothing is ever
+// appended behind a torn line (the signature of a crash mid-append), and a
+// write that fails part-way is cut back off before the next event is
+// written. A reader ends a segment at a line that is not whole — no
+// newline, not JSON, no job — and goes on to the next; a segment missing
+// from the sequence is an error, returned with everything the other
+// segments hold.
 //
 // There are two readers. Read decodes one job's events, for post-mortems
 // and tests. ReadAll is the boot path and decodes nothing: it files every
@@ -35,11 +37,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync/atomic"
 
 	"enhancedbhpo/internal/events"
 	"enhancedbhpo/internal/serve/seglog"
@@ -49,53 +50,31 @@ import (
 // OnChange is the shipper's replication hook.
 type Options = seglog.Options
 
+// prefix names the log's segments: trace-000007.jsonl.
+const prefix = "trace-"
+
 // Store appends every job's events to one segmented log. Safe for
 // concurrent use.
 type Store struct {
-	log   *seglog.Log
-	bytes atomic.Int64 // on-disk bytes across all segments
+	dir string
+	log *seglog.Log
 }
 
-func segmentName(seq int) string { return seglog.Name("trace-", seq) }
-
-// segmentSeq extracts the sequence from a segment file name.
-func segmentSeq(name string) (int, bool) {
-	var seq int
-	if n, err := fmt.Sscanf(name, "trace-%d.jsonl", &seq); n != 1 || err != nil || name != segmentName(seq) {
-		return 0, false
+// segments lists the directory's segments. One that still holds the
+// per-job files of the previous layout is refused.
+func segments(dir string) ([]seglog.Segment, error) {
+	// The pattern is well formed and Glob reports no I/O error: a
+	// directory that cannot be read fails at List.
+	if old, _ := fs.Glob(os.DirFS(dir), "*.trace.jsonl"); len(old) > 0 {
+		return nil, fmt.Errorf("%s is a per-job trace file of an older bhpod, which this one does not read: "+
+			"move the *.trace.jsonl files out of %s (the journal that bhpod wrote embeds every finished job's curve in its result, so finished jobs keep their results and curves)",
+			filepath.Join(dir, old[0]), dir)
 	}
-	return seq, true
+	return seglog.List(dir, prefix)
 }
 
-// segments lists the sequences of the directory's segment files in
-// order, with their total size. A missing directory holds none; one that
-// still holds the per-job files of the previous layout is refused.
-func segments(dir string) (seqs []int, total int64, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, 0, fmt.Errorf("tracestore: %w", err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".trace.jsonl") {
-			return nil, 0, fmt.Errorf("tracestore: %s is a per-job trace file of an older bhpod, which this one does not read: "+
-				"move the *.trace.jsonl files out of %s (the journal that bhpod wrote embeds every finished job's curve in its result, so finished jobs keep their results and curves)",
-				filepath.Join(dir, e.Name()), dir)
-		}
-		seq, ok := segmentSeq(e.Name())
-		if !ok || e.IsDir() {
-			continue
-		}
-		if info, err := e.Info(); err == nil {
-			total += info.Size()
-		}
-		seqs = append(seqs, seq)
-	}
-	sort.Ints(seqs)
-	return seqs, total, nil
-}
-
-// Open creates the directory if needed, tallies the segments already
-// there and makes the one after them the active segment.
+// Open creates the directory if needed, announces the segments already
+// there as sealed and makes the one after them the active segment.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("tracestore: empty directory")
@@ -103,29 +82,26 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.MaxBytes == 0 {
 		opts.MaxBytes = 1 << 20
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if _, err := segments(dir); err != nil { // the per-job layout's refusal
 		return nil, fmt.Errorf("tracestore: %w", err)
 	}
-	seqs, total, err := segments(dir)
+	log, err := seglog.Open(dir, opts, prefix)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tracestore: %w", err)
 	}
-	next := 1
-	if n := len(seqs); n > 0 {
-		next = seqs[n-1] + 1
-	}
-	s := &Store{log: seglog.Open(dir, "trace-", next, opts)}
-	s.bytes.Store(total)
-	return s, nil
+	return &Store{dir: dir, log: log}, nil
 }
 
 // Bytes reports the total on-disk trace size — the trace_store_bytes
-// service metric.
-func (s *Store) Bytes() int64 { return s.bytes.Load() }
-
-// ActiveSegment returns the file name of the segment that receives
-// appends.
-func (s *Store) ActiveSegment() string { return s.log.Active() }
+// service metric. Best-effort: an unreadable directory reports zero.
+func (s *Store) Bytes() int64 {
+	segs, _ := seglog.List(s.dir, prefix)
+	var total int64
+	for _, seg := range segs {
+		total += seg.Size
+	}
+	return total
+}
 
 // checkID rejects job IDs that could not be a file name. IDs are of the
 // daemon's own making (job-N) and no longer name a file, but one that
@@ -149,9 +125,7 @@ func (s *Store) Append(ev events.Event) error {
 	if err != nil {
 		return fmt.Errorf("tracestore: encoding event: %w", err)
 	}
-	n, err := s.log.Append(append(line, '\n'), ev.Terminal)
-	s.bytes.Add(int64(n))
-	if err != nil {
+	if _, err := s.log.Append(append(line, '\n'), ev.Terminal); err != nil {
 		return fmt.Errorf("tracestore: %w", err)
 	}
 	return nil
@@ -197,16 +171,17 @@ func (h History) Events() ([]events.Event, error) {
 // publish order, without decoding it — how a booting manager re-arms its
 // event hub at the cost of one validating pass over the bytes. A line
 // counts only if it is valid JSON and names its job. A missing directory
-// is empty.
+// is empty; a missing segment is an error, returned with the lines of the
+// segments that are there.
 func ReadAll(dir string) (map[string]History, error) {
 	out := map[string]History{}
-	err := scan(dir, func(line []byte) bool {
+	err := read(dir, func(line []byte) error {
 		id := lineJob(line)
 		if len(id) == 0 || !json.Valid(line) {
-			return false
+			return seglog.SkipSegment
 		}
 		out[string(id)] = append(out[string(id)], line)
-		return true
+		return nil
 	})
 	return out, err
 }
@@ -245,44 +220,31 @@ func Read(dir, jobID string) ([]events.Event, error) {
 	id, _ := json.Marshal(jobID) // a string always encodes
 	filter := append([]byte(`"job":`), id...)
 	var out []events.Event
-	err := scan(dir, func(line []byte) bool {
+	err := read(dir, func(line []byte) error {
 		if !bytes.Contains(line, filter) {
-			return true
+			return nil
 		}
 		var ev events.Event
 		if json.Unmarshal(line, &ev) != nil {
-			return false
+			return seglog.SkipSegment
 		}
 		if ev.JobID == jobID {
 			out = append(out, ev)
 		}
-		return true
+		return nil
 	})
 	return out, err
 }
 
-// scan hands fn the whole lines of the directory's segments, in sequence
-// order, each segment read in one piece. A segment ends at the first line
-// fn refuses or that has no newline — a torn tail, which only a crash
-// mid-append leaves and only at the end of a process life's last segment
-// — and the pass goes on to the next.
-func scan(dir string, fn func(line []byte) bool) error {
-	seqs, _, err := segments(dir)
-	if err != nil {
-		return err
+// read hands fn the lines of the directory's segments as seglog.Read
+// does.
+func read(dir string, fn func(line []byte) error) error {
+	segs, err := segments(dir)
+	if err == nil {
+		err = seglog.Read(dir, segs, fn)
 	}
-	for _, seq := range seqs {
-		data, err := os.ReadFile(filepath.Join(dir, segmentName(seq)))
-		if err != nil {
-			return fmt.Errorf("tracestore: %w", err)
-		}
-		for {
-			end := bytes.IndexByte(data, '\n')
-			if end < 0 || !fn(data[:end]) {
-				break
-			}
-			data = data[end+1:]
-		}
+	if err != nil {
+		return fmt.Errorf("tracestore: %w", err)
 	}
 	return nil
 }
