@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -381,5 +382,71 @@ func TestWriterClosedAppendFails(t *testing.T) {
 	}
 	if after := dirFiles(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Fatalf("a closed writer wrote: %v became %v", before, after)
+	}
+}
+
+// TestRotationConcurrentAppends hammers a rotating writer from several
+// goroutines (run under -race via make check): every job must survive
+// rotation, every sealed segment must have reached the size limit, and
+// nothing but segments may be on disk.
+func TestRotationConcurrentAppends(t *testing.T) {
+	dir := t.TempDir()
+	const maxBytes = 512
+	w, err := OpenOptions(dir, Options{MaxBytes: maxBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, jobsEach = 4, 40
+	spec := json.RawMessage(`{"dataset":"australian","method":"sha"}`)
+	now := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < jobsEach; i++ {
+				id := fmt.Sprintf("job-%d-%d", g, i)
+				if err := w.Append(Record{Type: TypeSubmit, Time: now, JobID: id, Spec: spec}); err != nil {
+					t.Errorf("append submit %s: %v", id, err)
+					return
+				}
+				if err := w.Append(Record{
+					Type: TypeResult, Time: now.Add(time.Second), JobID: id,
+					Status: "done", Evaluations: 1,
+				}); err != nil {
+					t.Errorf("append result %s: %v", id, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	states, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(states) != writers*jobsEach {
+		t.Fatalf("replayed %d states, want %d", len(states), writers*jobsEach)
+	}
+	for _, st := range states {
+		if st.Status != "done" {
+			t.Fatalf("job %s lost its result across rotation: %+v", st.ID, st)
+		}
+	}
+	files := dirFiles(t, dir)
+	for seq := 1; seq < len(files); seq++ {
+		if data, ok := files[segmentName(seq)]; !ok || len(data) < maxBytes {
+			t.Fatalf("%s holds %d bytes (on disk: %v); every segment but the last is sealed at %d", segmentName(seq), len(data), ok, maxBytes)
+		}
+	}
+	if _, ok := files[segmentName(len(files))]; !ok || len(files) < 5 {
+		t.Fatalf("%d files on disk, want several segments and nothing else", len(files))
+	}
+	if s := DirStats(dir); s.Segments != len(files) || s.Bytes == 0 {
+		t.Fatalf("DirStats sees %+v of %d segments", s, len(files))
 	}
 }

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -95,5 +96,90 @@ func checkFiles(t *testing.T, dir string, want map[string]string) {
 		if got[name] != data {
 			t.Errorf("%s:\n got %q\nwant %q", name, got[name], data)
 		}
+	}
+}
+
+// hookCall is one OnChange call as a test saw it.
+type hookCall struct {
+	name   string
+	sealed bool
+}
+
+// TestOnChangeOrderUnderRotation: under rotation every append that did
+// not seal its segment is announced once with false, every sealed segment
+// exactly once with true and never again, in sequence, and no other file
+// is ever announced.
+func TestOnChangeOrderUnderRotation(t *testing.T) {
+	dir := t.TempDir()
+	var calls []hookCall
+	w, err := OpenOptions(dir, Options{
+		MaxBytes: 512,
+		OnChange: func(name string, sealed bool) { calls = append(calls, hookCall{name, sealed}) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const appends = 60
+	spec := json.RawMessage(`{"dataset":"australian","method":"sha"}`)
+	for i := range appends {
+		if err := w.Append(Record{Type: TypeSubmit, JobID: fmt.Sprintf("job-%d", i), Spec: spec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var segs []string // in the order they were sealed
+	for i, c := range calls {
+		if want := segmentName(len(segs) + 1); c.name != want {
+			t.Fatalf("call %d announced %s (sealed=%v); want %s, the segment after the last sealed", i, c.name, c.sealed, want)
+		}
+		if c.sealed {
+			segs = append(segs, c.name)
+		}
+	}
+	if len(segs) < 5 || len(calls) != appends {
+		t.Fatalf("%d segments sealed in %d announcements; want several, one per append", len(segs), len(calls))
+	}
+}
+
+// TestEveryLifeStartsItsOwnSegment: a writer that appends nothing leaves
+// no file, and one that appends starts the segment after the newest on
+// disk — never writing into a previous life's, which may end in a torn
+// line.
+func TestEveryLifeStartsItsOwnSegment(t *testing.T) {
+	dir := t.TempDir()
+	recs := frozenRecords()
+	for life, rec := range []*Record{nil, &recs[0], nil, &recs[3]} {
+		before := dirFiles(t, dir)
+		w, err := OpenOptions(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec != nil {
+			if err := w.Append(*rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		after := dirFiles(t, dir)
+		for name, data := range before {
+			if after[name] != data {
+				t.Fatalf("life %d changed %s, which an earlier life wrote", life, name)
+			}
+		}
+		if added := len(after) - len(before); (rec != nil) != (added == 1) || added > 1 {
+			t.Fatalf("life %d (appending %v) added %d files", life, rec != nil, added)
+		}
+	}
+	if files := dirFiles(t, dir); len(files) != 2 || files[segmentName(1)] == "" || files[segmentName(2)] == "" {
+		t.Fatalf("two appending lives left %v, want journal-000001 and journal-000002", files)
+	}
+	states, err := Replay(dir)
+	if err != nil || len(states) != 2 {
+		t.Fatalf("replayed %d jobs, %v; want both lives' submissions", len(states), err)
 	}
 }

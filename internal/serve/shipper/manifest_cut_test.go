@@ -1,8 +1,12 @@
+//go:build unix
+
 package shipper
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
+	"syscall"
 	"testing"
 )
 
@@ -34,6 +38,60 @@ func checkBothSealed(t *testing.T, dir string) {
 	}
 	if got := readFile(t, filepath.Join(dest, "journal-000002.jsonl")); string(got) != "second\n" {
 		t.Fatalf("restored later segment holds %q", got)
+	}
+}
+
+// TestCutWriteManifestKeepsLaterSeal: a manifest entry whose write the
+// file-size limit cuts short fails its seal, and the retried seal's entry
+// is read back rather than hidden behind the half line. The writes run in
+// a re-executed test binary, so the limit (RLIMIT_FSIZE) binds nothing
+// else in the run.
+func TestCutWriteManifestKeepsLaterSeal(t *testing.T) {
+	dir := os.Getenv("SHIPPER_CUT_DIR")
+	if dir == "" {
+		dir = t.TempDir()
+		cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "SHIPPER_CUT_DIR="+dir)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("child: %v\n%s", err, out)
+		}
+		checkBothSealed(t, dir)
+		return
+	}
+	sink, err := NewDirSink(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealWhole(t, sink, "journal-000001.jsonl", []byte("first\n"))
+	second := []byte("second\n")
+	if err := sink.Append("journal-000002.jsonl", 0, second); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cap the files this process writes 20 bytes past the manifest's end.
+	// Go ignores the SIGXFSZ a write past the cap raises: the write returns
+	// EFBIG with what fitted written, and the process lives.
+	var old syscall.Rlimit
+	if err := syscall.Getrlimit(syscall.RLIMIT_FSIZE, &old); err != nil {
+		t.Fatal(err)
+	}
+	lim := old
+	lim.Cur = uint64(st.Size() + 20)
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &lim); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Seal("journal-000002.jsonl", int64(len(second)), sha(second)); err == nil {
+		t.Fatal("a manifest write past the file-size limit succeeded")
+	}
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &old); err != nil {
+		t.Fatal(err)
+	}
+	// The shipper's retry: the file is already in place, the entry is not.
+	if err := sink.Seal("journal-000002.jsonl", int64(len(second)), sha(second)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -468,5 +469,104 @@ func TestReadAllDamagedLog(t *testing.T) {
 	}
 	if last, ok := all["nobody"].Last(); ok || len(seqsOf(t, all["nobody"])) != 0 {
 		t.Errorf("a job the log never saw has a newest event: %+v", last)
+	}
+}
+
+// TestRotationConcurrentAppends: eight goroutines, eight jobs each,
+// through one store whose segments hold 4 KiB. Per job every sequence
+// number reads back exactly once and in order across the segments; every
+// sealed segment is announced by exactly one OnChange(name, true), after
+// which it is neither announced nor written again; Bytes() is what the
+// directory holds.
+func TestRotationConcurrentAppends(t *testing.T) {
+	const (
+		writers = 8
+		jobsPer = 8
+		perJob  = 40
+	)
+	dir := t.TempDir()
+	sealedSize := map[string]int64{} // written under the store's lock
+	opts := Options{MaxBytes: 4 << 10, OnChange: func(name string, sealed bool) {
+		if _, again := sealedSize[name]; again {
+			t.Errorf("%s announced (sealed=%v) after it was sealed", name, sealed)
+		}
+		if sealed {
+			st, err := os.Stat(filepath.Join(dir, name))
+			if err != nil {
+				t.Errorf("sealed segment: %v", err)
+				return
+			}
+			sealedSize[name] = st.Size()
+		}
+	}}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Round-robin over the goroutine's own jobs: each job's events
+			// reach the store in sequence order, as the hub delivers them.
+			for seq := 1; seq <= perJob; seq++ {
+				for j := 0; j < jobsPer; j++ {
+					ev := point(seq)
+					if seq == perJob {
+						ev = terminalEvent(seq)
+					}
+					ev.JobID = fmt.Sprintf("job-%d", w*jobsPer+j+1)
+					if err := s.Append(ev); err != nil {
+						t.Errorf("append: %v", err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	all, err := ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != writers*jobsPer {
+		t.Fatalf("%d jobs read back, want %d", len(all), writers*jobsPer)
+	}
+	for id, lines := range all {
+		evs, err := lines.Events()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(evs) != perJob {
+			t.Fatalf("%s: %d events, want %d", id, len(evs), perJob)
+		}
+		for i, ev := range evs {
+			if ev.Seq != uint64(i+1) {
+				t.Fatalf("%s: seq %d at position %d", id, ev.Seq, i)
+			}
+		}
+	}
+	one, err := Read(dir, "job-1") // not job-10 … job-19
+	if err != nil || len(one) != perJob {
+		t.Fatalf("Read(job-1) = %d events, %v; want %d", len(one), err, perJob)
+	}
+	names := dirNames(t, dir)
+	if len(sealedSize) < 10 || len(names)-len(sealedSize) > 1 {
+		t.Fatalf("%d segments on disk, %d sealed: want many, and at most the last one unsealed", len(names), len(sealedSize))
+	}
+	for name, size := range sealedSize {
+		if st, err := os.Stat(filepath.Join(dir, name)); err != nil || st.Size() != size {
+			t.Errorf("%s was %d bytes when sealed, now %v, %v", name, size, st.Size(), err)
+		}
+		if size < opts.MaxBytes {
+			t.Errorf("%s sealed at %d bytes, below the %d-byte segment size", name, size, opts.MaxBytes)
+		}
+	}
+	if s.Bytes() != diskBytes(t, dir) {
+		t.Fatalf("Bytes() = %d, the directory holds %d", s.Bytes(), diskBytes(t, dir))
 	}
 }

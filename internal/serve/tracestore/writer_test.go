@@ -52,3 +52,64 @@ func TestSegmentBytesFrozen(t *testing.T) {
 		}
 	}
 }
+
+// TestOnChangeOnePerAppend: one OnChange(name, false) per append that did
+// not seal its segment, one OnChange(name, true) per sealed segment, and
+// nothing for a segment once it is sealed.
+func TestOnChangeOnePerAppend(t *testing.T) {
+	var calls []string
+	sealed := map[string]bool{}
+	s, err := Open(t.TempDir(), Options{MaxBytes: 1 << 10, OnChange: func(name string, seal bool) {
+		if sealed[name] {
+			t.Errorf("%s announced (sealed=%v) after it was sealed", name, seal)
+		}
+		sealed[name] = seal
+		if !seal {
+			calls = append(calls, name)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const appends = 100
+	for i := 1; i <= appends; i++ {
+		if err := s.Append(point(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seals := 0
+	for _, seal := range sealed {
+		if seal {
+			seals++
+		}
+	}
+	if seals < 5 || len(calls)+seals != appends {
+		t.Fatalf("%d unsealed announcements + %d seals for %d appends; want several seals and one call per append", len(calls), seals, appends)
+	}
+}
+
+// TestEveryLifeStartsItsOwnSegment: a store that appends nothing leaves
+// no file; one that appends starts the segment after the newest.
+func TestEveryLifeStartsItsOwnSegment(t *testing.T) {
+	dir := t.TempDir()
+	for life := 1; life <= 4; life++ {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if life%2 == 0 {
+			if err := s.Append(point(life)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if names := dirNames(t, dir); len(names) != life/2 || life > 1 && names[len(names)-1] != segmentName(life/2) {
+			t.Fatalf("after life %d the directory holds %v", life, names)
+		}
+	}
+}
