@@ -71,10 +71,11 @@ cover:
 # core.Run of its spec — and a test tuned to one machine's timing fails
 # here instead of on the next box. The cluster layer (coordinator,
 # failover, membership, shipper lanes and sinks), whose tests race real
-# servers against each other, runs twice more.
+# servers against each other, runs twice more, and so does the event hub,
+# which alone holds the streams' exactly-once delivery.
 cpus:
 	$(GO) test -cpu 1,2,4 -count 3 ./...
-	$(GO) test -cpu 1,2,4 -count 2 ./internal/coord/ ./internal/serve/shipper/
+	$(GO) test -cpu 1,2,4 -count 2 ./internal/coord/ ./internal/serve/shipper/ ./internal/events/
 
 # One-iteration smoke run so the benchmarks can never rot; part of check.
 bench-smoke:

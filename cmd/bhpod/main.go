@@ -27,9 +27,7 @@
 // set — recorded durably to the trace log all jobs share (segments of
 // -trace-max-bytes, immutable once sealed) so GET /jobs/{id}/trace serves
 // the full event history even after a crash and restart. `bhpo
-// watch <job-url>` is the terminal client for the feed. One value is not a
-// flag: a subscriber 256 events behind (events.SubscriberBuffer) drops the
-// rest and resumes.
+// watch <job-url>` is the terminal client for the feed.
 //
 // As a cluster member the daemon can ship its journal and trace
 // segments to replica sinks while it runs (-ship-to, repeatable: each a

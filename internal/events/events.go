@@ -1,6 +1,6 @@
-// Package events is bhpod's streaming-telemetry layer: a per-job
-// broadcast hub that fans typed, sequence-numbered job events out to any
-// number of subscribers. The runner publishes what the optimizer is doing
+// Package events is bhpod's streaming-telemetry layer: a per-job hub
+// that keeps typed, sequence-numbered job events and lets any number of
+// subscribers read them. The runner publishes what the optimizer is doing
 // as it happens — incumbent-curve points, rung promotions, evaluation
 // retries, deadline abandonments, failure-budget charges, lifecycle
 // transitions — and the HTTP layer re-exposes the feed as server-sent
@@ -10,18 +10,18 @@
 // publish time. The hub retains each job's full event history (jobs are
 // bounded by their trial counts), so a subscriber can join late or
 // reconnect and resume from any sequence number with exactly-once,
-// in-order delivery — and that history is the only copy of a job's curve
-// the serving process keeps: its snapshots, its /trace and a restarted
-// job's resume point are all read from it. Events of this process life
+// in-order delivery. A subscription is only a position in that history
+// and a channel the next publish closes: no event is copied per
+// subscriber, so none can be dropped, whatever the reader's pace. That
+// history is the only copy of a job's curve the serving process keeps:
+// its snapshots, its /trace and a restarted job's resume point are all
+// read from it. Events of this process life
 // are retained decoded, as published; a job that finished in an earlier
 // life is primed with its last sequence number and a loader (Prime), its
 // history held as the durable log's lines and decoded — once, then
-// retained like any other — the first time Since or Subscribe reads it. A
-// restart therefore pays for the jobs somebody asks about, not for every
-// job there ever was. Per-subscriber buffers are bounded: a consumer that
-// falls behind has events dropped from its channel (never from the
-// history), the drops are counted, and the consumer recovers by reading
-// the history from its last seen sequence.
+// retained like any other — the first time Since or a subscription reads
+// it. A restart therefore pays for the jobs somebody asks about, not for
+// every job there ever was.
 //
 // An optional Sink receives every event synchronously in publish order —
 // the hook the durable trace store hangs off, so what is on disk is

@@ -5,12 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// SubscriberBuffer is each subscription's channel capacity. A subscriber
-// whose buffer is full has events dropped from its channel (counted,
-// never removed from history) and recovers via Since: the size only
-// decides how often a slow reader backfills.
-const SubscriberBuffer = 256
-
 // Options tunes a Hub.
 type Options struct {
 	// Sink, when non-nil, receives every published event synchronously
@@ -27,25 +21,22 @@ type Stats struct {
 	// (primed history is not counted — it was published in a previous
 	// process life).
 	Published int64
-	// Dropped counts events dropped from slow consumers' buffers.
-	Dropped int64
 }
 
-// Hub is a per-job broadcast switchboard: Publish assigns the next
+// Hub is a per-job event log with readers: Publish assigns the next
 // sequence number for the job, retains the event, hands it to the sink,
-// and fans it out to the job's subscribers. Safe for concurrent use.
+// and wakes the job's subscribers. Safe for concurrent use.
 type Hub struct {
 	opts Options
 
 	subscribers atomic.Int64
 	published   atomic.Int64
-	dropped     atomic.Int64
 
 	mu    sync.Mutex
 	feeds map[string]*feed
 }
 
-// feed is one job's event log plus its live subscribers.
+// feed is one job's event log.
 type feed struct {
 	mu      sync.Mutex
 	history []Event
@@ -54,22 +45,20 @@ type feed struct {
 	load    func() []Event
 	nextSeq uint64
 	done    bool
-	subs    map[*Subscription]struct{}
+	// wake, while non-nil, is the channel the next Publish closes; a
+	// reader asks for it (Next), so a feed nobody waits on allocates none.
+	wake chan struct{}
 }
 
-// Subscription is one consumer's handle on a job feed. Events arrive on
-// C in sequence order; the channel closes after the job's terminal event
-// has been delivered (or when Close is called). If the subscriber lags
-// more than the buffer, intervening events are dropped from C — detect
-// the sequence gap and backfill with Hub.Since.
+// Subscription is one consumer's position in a job's feed: the sequence
+// number of the last event it was handed. It holds no copy of any event,
+// so a reader of any pace gets every event exactly once, in order. Use it
+// from one goroutine.
 type Subscription struct {
-	// C delivers the feed's events.
-	C <-chan Event
-
-	hub    *Hub
 	feed   *feed
-	ch     chan Event
-	closed bool // guarded by feed.mu
+	hub    *Hub
+	seq    uint64
+	closed atomic.Bool
 }
 
 // NewHub returns an empty hub.
@@ -77,29 +66,30 @@ func NewHub(opts Options) *Hub {
 	return &Hub{opts: opts, feeds: map[string]*feed{}}
 }
 
-// getFeed returns (creating if needed) the job's feed.
+// getFeed returns (creating if needed) the job's feed. A reader creates
+// one too: an empty feed reads as no events, not done, and Prime still
+// applies to it.
 func (h *Hub) getFeed(jobID string) *feed {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	f, ok := h.feeds[jobID]
 	if !ok {
-		f = &feed{nextSeq: 1, subs: map[*Subscription]struct{}{}}
+		f = &feed{nextSeq: 1}
 		h.feeds[jobID] = f
 	}
 	return f
 }
 
 // Publish stamps the event with the job's next sequence number and the
-// job ID, retains it, hands it to the sink, and fans it out. A terminal
-// event closes the feed: subscribers' channels are closed after it is
-// delivered, and later publishes for the job are no-ops (a feed never
-// reopens). Returns the stamped event; a dropped (post-terminal) publish
-// returns Seq 0.
+// job ID, retains it, hands it to the sink, and wakes the job's waiting
+// subscribers. A terminal event closes the feed: later publishes for the
+// job are no-ops (a feed never reopens). Returns the stamped event; a
+// dropped (post-terminal) publish returns Seq 0.
 func (h *Hub) Publish(jobID string, ev Event) Event {
 	f := h.getFeed(jobID)
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.done {
-		f.mu.Unlock()
 		ev.Seq = 0
 		return ev
 	}
@@ -107,26 +97,15 @@ func (h *Hub) Publish(jobID string, ev Event) Event {
 	ev.Seq = f.nextSeq
 	f.nextSeq++
 	f.history = append(f.history, ev)
+	f.done = ev.Terminal
 	h.published.Add(1) // before any subscriber can see the event
 	if h.opts.Sink != nil {
 		h.opts.Sink(ev)
 	}
-	for sub := range f.subs {
-		select {
-		case sub.ch <- ev:
-		default:
-			// Slow consumer: the event stays in history, the subscriber
-			// sees a sequence gap and backfills via Since.
-			h.dropped.Add(1)
-		}
+	if f.wake != nil {
+		close(f.wake)
+		f.wake = nil
 	}
-	if ev.Terminal {
-		f.done = true
-		for sub := range f.subs {
-			h.closeSubLocked(f, sub)
-		}
-	}
-	f.mu.Unlock()
 	return ev
 }
 
@@ -135,11 +114,12 @@ func (h *Hub) Publish(jobID string, ev Event) Event {
 // so numbering continues where the previous process stopped, done says
 // that event was terminal, and load decodes the history. A feed that will
 // publish again (not done) is loaded at once; a done feed the first time
-// Since or Subscribe reads it — LastSeq, Done and a post-terminal Publish
-// never load. load runs at most once, with the feed's lock held, and must
-// not call back into the hub; what it returns is retained like any other
-// history. Prime only applies to an untouched feed. Primed events do not
-// count as published and do not reach the sink (they are already durable).
+// Since or a subscription's Next reads it — LastSeq, Done and a
+// post-terminal Publish never load. load runs at most once, with the
+// feed's lock held, and must not call back into the hub; what it returns
+// is retained like any other history. Prime only applies to an untouched
+// feed. Primed events do not count as published and do not reach the sink
+// (they are already durable).
 func (h *Hub) Prime(jobID string, lastSeq uint64, done bool, load func() []Event) {
 	if lastSeq == 0 {
 		return
@@ -163,58 +143,49 @@ func (f *feed) loadLocked() {
 	}
 }
 
-// Subscribe registers a consumer on the job's feed and returns the
-// backlog of events with Seq > afterSeq. Registration and the backlog
-// snapshot are atomic, so the backlog plus the channel delivers every
-// event exactly once in order. Subscribing to a finished job returns the
-// remaining history and an already-closed channel.
-func (h *Hub) Subscribe(jobID string, afterSeq uint64) (*Subscription, []Event) {
-	f := h.getFeed(jobID)
-	sub := &Subscription{hub: h, feed: f, ch: make(chan Event, SubscriberBuffer)}
-	sub.C = sub.ch
+// Subscribe opens a subscription on the job's feed positioned after
+// sequence number afterSeq: its first Next returns the events past it.
+func (h *Hub) Subscribe(jobID string, afterSeq uint64) *Subscription {
+	h.subscribers.Add(1)
+	return &Subscription{feed: h.getFeed(jobID), hub: h, seq: afterSeq}
+}
+
+// Next returns every retained event past the subscription's position and
+// moves the position past them, with the channel the feed's next Publish
+// closes — or nil once the feed has closed and every event has been
+// returned; the subscription is then complete and no longer counted.
+func (s *Subscription) Next() ([]Event, <-chan struct{}) {
+	f := s.feed
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.loadLocked()
-	backlog := eventsAfter(f.history, afterSeq)
+	evs := eventsAfter(f.history, s.seq)
+	if n := len(evs); n > 0 {
+		s.seq = evs[n-1].Seq
+	}
 	if f.done {
-		sub.closed = true
-		close(sub.ch)
-		return sub, backlog
+		s.Close()
+		return evs, nil
 	}
-	f.subs[sub] = struct{}{}
-	h.subscribers.Add(1)
-	return sub, backlog
-}
-
-// closeSubLocked closes one subscription under its feed's lock.
-func (h *Hub) closeSubLocked(f *feed, sub *Subscription) {
-	if sub.closed {
-		return
+	if f.wake == nil {
+		f.wake = make(chan struct{})
 	}
-	sub.closed = true
-	delete(f.subs, sub)
-	close(sub.ch)
-	h.subscribers.Add(-1)
+	return evs, f.wake
 }
 
 // Close detaches the subscription. Idempotent, and safe to call after
-// the feed already closed the channel.
+// Next reported it complete.
 func (s *Subscription) Close() {
-	s.feed.mu.Lock()
-	s.hub.closeSubLocked(s.feed, s)
-	s.feed.mu.Unlock()
+	if s.closed.CompareAndSwap(false, true) {
+		s.hub.subscribers.Add(-1)
+	}
 }
 
 // Since returns a copy of the job's retained events with Seq > afterSeq
-// — the backfill path for consumers that detected a gap, and the data
-// behind the ?since=N incremental poll and the /trace endpoint.
+// — the data behind the ?since=N incremental poll, every snapshot's curve
+// and the /trace endpoint.
 func (h *Hub) Since(jobID string, afterSeq uint64) []Event {
-	h.mu.Lock()
-	f, ok := h.feeds[jobID]
-	h.mu.Unlock()
-	if !ok {
-		return nil
-	}
+	f := h.getFeed(jobID)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.loadLocked()
@@ -224,12 +195,7 @@ func (h *Hub) Since(jobID string, afterSeq uint64) []Event {
 // LastSeq returns the job's highest published sequence number (0 when
 // the job has no events).
 func (h *Hub) LastSeq(jobID string) uint64 {
-	h.mu.Lock()
-	f, ok := h.feeds[jobID]
-	h.mu.Unlock()
-	if !ok {
-		return 0
-	}
+	f := h.getFeed(jobID)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.nextSeq - 1
@@ -237,12 +203,7 @@ func (h *Hub) LastSeq(jobID string) uint64 {
 
 // Done reports whether the job's feed saw its terminal event.
 func (h *Hub) Done(jobID string) bool {
-	h.mu.Lock()
-	f, ok := h.feeds[jobID]
-	h.mu.Unlock()
-	if !ok {
-		return false
-	}
+	f := h.getFeed(jobID)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.done
@@ -253,7 +214,6 @@ func (h *Hub) Stats() Stats {
 	return Stats{
 		Subscribers: h.subscribers.Load(),
 		Published:   h.published.Load(),
-		Dropped:     h.dropped.Load(),
 	}
 }
 

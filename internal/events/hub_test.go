@@ -10,23 +10,33 @@ import (
 	"enhancedbhpo/internal/trace"
 )
 
-// collect drains backlog + channel until the channel closes or n events
-// arrived, returning them in arrival order.
-func collect(sub *Subscription, backlog []Event, n int, timeout time.Duration) []Event {
-	out := append([]Event{}, backlog...)
+// collect reads the subscription until its feed completes or n events
+// arrived, returning them in order.
+func collect(sub *Subscription, n int, timeout time.Duration) []Event {
+	var out []Event
 	deadline := time.After(timeout)
-	for len(out) < n {
+	for {
+		evs, wake := sub.Next()
+		out = append(out, evs...)
+		if wake == nil || len(out) >= n {
+			return out
+		}
 		select {
-		case ev, ok := <-sub.C:
-			if !ok {
-				return out
-			}
-			out = append(out, ev)
+		case <-wake:
 		case <-deadline:
 			return out
 		}
 	}
-	return out
+}
+
+// closed reports whether a wake-up channel has been closed.
+func closed(wake <-chan struct{}) bool {
+	select {
+	case <-wake:
+		return true
+	default:
+		return false
+	}
 }
 
 func curveEvent(i int) Event {
@@ -61,21 +71,28 @@ func TestPublishAssignsMonotonicSeqs(t *testing.T) {
 }
 
 // TestSubscribeBacklogAndLive: a subscriber joining mid-stream gets the
-// backlog past its resume point atomically, then live events, with no
-// gap and no duplicate at the hand-off.
+// backlog past its resume point, then live events, with no gap and no
+// duplicate at the hand-off.
 func TestSubscribeBacklogAndLive(t *testing.T) {
 	h := NewHub(Options{})
 	for i := 1; i <= 5; i++ {
 		h.Publish("j", curveEvent(i))
 	}
-	sub, backlog := h.Subscribe("j", 2)
+	sub := h.Subscribe("j", 2)
 	defer sub.Close()
+	backlog, wake := sub.Next()
 	if len(backlog) != 3 || backlog[0].Seq != 3 || backlog[2].Seq != 5 {
 		t.Fatalf("backlog after seq 2 = %+v, want seqs 3..5", backlog)
 	}
+	if wake == nil || closed(wake) {
+		t.Fatal("a live feed's subscriber has no open wake-up channel")
+	}
 	h.Publish("j", curveEvent(6))
+	if !closed(wake) {
+		t.Fatal("publish did not close the wake-up channel")
+	}
 	h.Publish("j", Event{Type: TypeStatus, Status: "done", Terminal: true})
-	got := collect(sub, backlog, 5, 5*time.Second)
+	got := append(backlog, collect(sub, 2, 5*time.Second)...)
 	for i, ev := range got {
 		if ev.Seq != uint64(i+3) {
 			t.Fatalf("event %d has seq %d, want %d (events: %+v)", i, ev.Seq, i+3, got)
@@ -84,21 +101,25 @@ func TestSubscribeBacklogAndLive(t *testing.T) {
 	if len(got) != 5 {
 		t.Fatalf("got %d events, want 5 (3 backlog + 2 live)", len(got))
 	}
-	// Terminal closed the channel.
-	if _, ok := <-sub.C; ok {
-		t.Fatal("channel still open after terminal event")
+	// Terminal completed the subscription.
+	if evs, wake := sub.Next(); len(evs) != 0 || wake != nil {
+		t.Fatalf("Next after the terminal event = %d events, wake %v; want none, nil", len(evs), wake)
 	}
 }
 
 // TestTerminalClosesFeed: the terminal event reaches subscribers, the
 // feed refuses later publishes, and a late subscriber gets the full
-// history with an already-closed channel.
+// history and no wake-up channel, completing at once.
 func TestTerminalClosesFeed(t *testing.T) {
 	h := NewHub(Options{})
-	sub, _ := h.Subscribe("j", 0)
+	sub := h.Subscribe("j", 0)
+	defer sub.Close()
+	if _, wake := sub.Next(); wake == nil {
+		t.Fatal("an open feed's subscription is already complete")
+	}
 	h.Publish("j", curveEvent(1))
 	h.Publish("j", Event{Type: TypeStatus, Status: "done", Terminal: true})
-	got := collect(sub, nil, 2, 5*time.Second)
+	got := collect(sub, 3, 5*time.Second)
 	if len(got) != 2 || !got[1].Terminal {
 		t.Fatalf("subscriber saw %+v, want curve point then terminal", got)
 	}
@@ -108,48 +129,52 @@ func TestTerminalClosesFeed(t *testing.T) {
 	if !h.Done("j") {
 		t.Fatal("Done(j) = false after terminal event")
 	}
-	late, backlog := h.Subscribe("j", 0)
+	late := h.Subscribe("j", 0)
+	backlog, wake := late.Next()
 	if len(backlog) != 2 {
 		t.Fatalf("late subscriber backlog = %d events, want 2", len(backlog))
 	}
-	if _, ok := <-late.C; ok {
-		t.Fatal("late subscriber channel open on a finished feed")
+	if wake != nil {
+		t.Fatal("late subscriber got a wake-up channel on a finished feed")
 	}
 	if got := h.Stats().Subscribers; got != 0 {
 		t.Fatalf("Subscribers = %d after feed closed, want 0", got)
 	}
+	late.Close() // idempotent after completion
+	if got := h.Stats().Subscribers; got != 0 {
+		t.Fatalf("Subscribers = %d after a repeated Close, want 0", got)
+	}
 }
 
-// TestSlowConsumerDropAccounting: a subscriber that never drains its
-// buffer loses the events published past it from its channel — counted
-// on the hub — while the history keeps everything, so Since can backfill
-// the gap.
+// TestSlowConsumerDropAccounting: a subscriber that reads nothing while
+// more events are published than any per-subscriber buffer would hold
+// (256) loses none of them: its next read returns them all, in order.
 func TestSlowConsumerDropAccounting(t *testing.T) {
 	h := NewHub(Options{})
-	sub, _ := h.Subscribe("j", 0)
+	sub := h.Subscribe("j", 0)
 	defer sub.Close()
-	const n = SubscriberBuffer + 9
+	_, wake := sub.Next()
+	const n = 256 + 9
 	for i := 1; i <= n; i++ {
 		h.Publish("j", curveEvent(i))
 	}
-	if got := len(sub.C); got != SubscriberBuffer {
-		t.Fatalf("subscription holds %d events, want a full buffer of %d", got, SubscriberBuffer)
+	if !closed(wake) {
+		t.Fatal("publishes did not wake the stalled subscriber")
 	}
-	if got := h.Stats().Dropped; got != n-SubscriberBuffer {
-		t.Fatalf("hub dropped %d, want %d", got, n-SubscriberBuffer)
+	got, _ := sub.Next()
+	if len(got) != n {
+		t.Fatalf("the stalled subscriber's next read returned %d events, want %d", len(got), n)
 	}
-	// The delivered events are the first SubscriberBuffer; the gap
-	// backfills from history.
-	var ev Event
-	for i := 1; i <= SubscriberBuffer; i++ {
-		if ev = <-sub.C; ev.Seq != uint64(i) {
-			t.Fatalf("delivered event %d has seq %d", i, ev.Seq)
+	for i, ev := range got {
+		if ev.Seq != uint64(i+1) || ev.Point.Evaluations != i+1 {
+			t.Fatalf("event %d has seq %d, evaluations %d", i, ev.Seq, ev.Point.Evaluations)
 		}
 	}
-	rest := h.Since("j", ev.Seq)
-	if len(rest) != n-SubscriberBuffer || rest[0].Seq != SubscriberBuffer+1 || rest[len(rest)-1].Seq != n {
-		t.Fatalf("Since(%d) = %d events [%d..%d], want seqs %d..%d",
-			ev.Seq, len(rest), rest[0].Seq, rest[len(rest)-1].Seq, SubscriberBuffer+1, n)
+	if more, _ := sub.Next(); len(more) != 0 {
+		t.Fatalf("a second read returned %d events again", len(more))
+	}
+	if got := h.Stats(); got.Subscribers != 1 || got.Published != n {
+		t.Fatalf("stats = %+v, want 1 subscriber and %d published", got, n)
 	}
 }
 
@@ -188,8 +213,9 @@ func TestPrimeContinuesSequence(t *testing.T) {
 }
 
 // TestPrimeLoadsDoneFeedOnFirstRead: a finished job's history of an
-// earlier life stays undecoded until Since or Subscribe reads it. LastSeq,
-// Done and a post-terminal Publish never run the loader; readers racing
+// earlier life stays undecoded until Since or a subscription's Next reads
+// it. LastSeq, Done, Subscribe and a post-terminal Publish never run the
+// loader; readers racing
 // from many goroutines run it exactly once and all see the same events.
 func TestPrimeLoadsDoneFeedOnFirstRead(t *testing.T) {
 	h := NewHub(Options{})
@@ -213,6 +239,7 @@ func TestPrimeLoadsDoneFeedOnFirstRead(t *testing.T) {
 	if ev := h.Publish("j", curveEvent(10)); ev.Seq != 0 {
 		t.Fatalf("post-terminal publish got seq %d, want 0", ev.Seq)
 	}
+	h.Subscribe("j", 0).Close()
 	if n := loads.Load(); n != 0 {
 		t.Fatalf("loader ran %d times before any read, want 0", n)
 	}
@@ -227,13 +254,14 @@ func TestPrimeLoadsDoneFeedOnFirstRead(t *testing.T) {
 			if tail := h.Since("j", 4); len(tail) != 5 || tail[0].Seq != 5 {
 				t.Errorf("goroutine %d: Since(4) = %d events", g, len(tail))
 			}
-			sub, backlog := h.Subscribe("j", 6)
+			sub := h.Subscribe("j", 6)
 			defer sub.Close()
+			backlog, wake := sub.Next()
 			if len(backlog) != 3 || backlog[0].Seq != 7 {
 				t.Errorf("goroutine %d: Subscribe(6) backlog = %d events", g, len(backlog))
 			}
-			if _, open := <-sub.C; open {
-				t.Errorf("goroutine %d: a finished feed's channel is open", g)
+			if wake != nil {
+				t.Errorf("goroutine %d: a finished feed's subscription is not complete", g)
 			}
 		}(g)
 	}
@@ -260,13 +288,14 @@ func TestPrimeNotDoneFeedContinues(t *testing.T) {
 	if loads != 1 {
 		t.Fatalf("loader ran %d times at Prime of a live feed, want 1", loads)
 	}
-	sub, backlog := h.Subscribe("j", 1)
+	sub := h.Subscribe("j", 1)
 	defer sub.Close()
+	backlog, _ := sub.Next()
 	if ev := h.Publish("j", curveEvent(4)); ev.Seq != 4 {
 		t.Fatalf("first publish after Prime got seq %d, want 4", ev.Seq)
 	}
 	h.Publish("j", Event{Type: TypeStatus, Status: "done", Terminal: true})
-	got := collect(sub, backlog, 4, 2*time.Second)
+	got := append(backlog, collect(sub, 3, 2*time.Second)...)
 	if len(got) != 4 {
 		t.Fatalf("backlog + live = %d events, want 4", len(got))
 	}
@@ -284,37 +313,48 @@ func TestPrimeNotDoneFeedContinues(t *testing.T) {
 }
 
 // TestConcurrentPublishSubscribe hammers one feed from many publishers
-// and subscribers under -race: every subscriber must see a strictly
-// increasing sequence (gaps allowed only where its drop counter says so).
-// The 800 events overflow the subscriber buffer, so a lagging reader drops.
+// and subscribers under -race: every subscriber must see every event
+// exactly once, in sequence order — the live readers as they go, and one
+// that subscribed first but reads only after the terminal event.
 func TestConcurrentPublishSubscribe(t *testing.T) {
 	h := NewHub(Options{})
 	const (
 		publishers = 4
 		perPub     = 200
 		readers    = 3
+		want       = publishers*perPub + 1
 	)
+	// read follows sub to its feed's end and checks it saw seqs 1..want.
+	read := func(sub *Subscription) {
+		defer sub.Close()
+		next := uint64(1)
+		for {
+			evs, wake := sub.Next()
+			for _, ev := range evs {
+				if ev.Seq != next {
+					t.Errorf("delivery broke: seq %d where %d was due", ev.Seq, next)
+					return
+				}
+				next++
+			}
+			if wake == nil {
+				break
+			}
+			<-wake
+		}
+		if next != want+1 {
+			t.Errorf("subscriber ended after seq %d, want %d", next-1, want)
+		}
+	}
+	late := h.Subscribe("j", 0)
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
-		sub, backlog := h.Subscribe("j", 0)
+		sub := h.Subscribe("j", 0)
 		wg.Add(1)
-		go func(sub *Subscription, backlog []Event) {
+		go func() {
 			defer wg.Done()
-			defer sub.Close()
-			last := uint64(0)
-			check := func(ev Event) {
-				if ev.Seq <= last {
-					t.Errorf("out-of-order delivery: %d after %d", ev.Seq, last)
-				}
-				last = ev.Seq
-			}
-			for _, ev := range backlog {
-				check(ev)
-			}
-			for ev := range sub.C {
-				check(ev)
-			}
-		}(sub, backlog)
+			read(sub)
+		}()
 	}
 	var pubWG sync.WaitGroup
 	for p := 0; p < publishers; p++ {
@@ -329,12 +369,12 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 	pubWG.Wait()
 	h.Publish("j", Event{Type: TypeStatus, Status: "done", Terminal: true})
 	wg.Wait()
-	want := int64(publishers*perPub + 1)
-	if got := h.Stats().Published; got != want {
-		t.Fatalf("Published = %d, want %d", got, want)
+	read(late)
+	if got := h.Stats(); got.Published != want || got.Subscribers != 0 {
+		t.Fatalf("stats = %+v, want %d published and no subscriber left", got, want)
 	}
 	all := h.Since("j", 0)
-	if len(all) != int(want) {
+	if len(all) != want {
 		t.Fatalf("history holds %d events, want %d", len(all), want)
 	}
 	for i, ev := range all {

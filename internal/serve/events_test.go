@@ -7,8 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -230,6 +232,68 @@ func TestGetJobSince(t *testing.T) {
 	}
 }
 
+// TestGetJobPollReassemblesCurve: clients that follow a live job by one
+// full GET /jobs/{id} and then ?since=last_seq polls reassemble exactly
+// the curve /trace serves once it is done — no point lost between a curve
+// and its cursor, none served twice. The evaluations are instant, so
+// points are published while the polls read.
+func TestGetJobPollReassemblesCurve(t *testing.T) {
+	ts, _ := newTestServer(t, Config{
+		PoolSize: 2, MaxJobs: 1,
+		WrapEvaluator: func(_ string, inner hpo.Evaluator) hpo.Evaluator {
+			return &instantEvaluator{inner: inner}
+		},
+	})
+	spec := tinySpec("", 5)
+	spec.NumHPs, spec.Trials = 8, 3000
+	job := postJob(t, ts.URL, spec)
+	get := func(url string) (snap Snapshot, err error) {
+		resp, err := http.Get(url)
+		if err != nil {
+			return snap, err
+		}
+		defer resp.Body.Close()
+		return snap, json.NewDecoder(resp.Body).Decode(&snap)
+	}
+	const pollers = 4
+	curves := make([][]trace.Point, pollers)
+	errs := make([]error, pollers)
+	var wg sync.WaitGroup
+	for p := range curves {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			url := ts.URL + "/jobs/" + job.ID // the full GET first, then deltas
+			for {
+				snap, err := get(url)
+				if err != nil {
+					errs[p] = err
+					return
+				}
+				curves[p] = append(curves[p], snap.Curve...)
+				if terminal(snap.Status) {
+					return
+				}
+				url = ts.URL + "/jobs/" + job.ID + "?since=" + strconv.FormatUint(snap.LastSeq, 10)
+			}
+		}()
+	}
+	wg.Wait()
+	var want []trace.Point
+	getJSON(t, ts.URL+"/jobs/"+job.ID+"/trace", &want)
+	if len(want) != spec.Trials {
+		t.Fatalf("/trace holds %d points, want %d", len(want), spec.Trials)
+	}
+	for p, curve := range curves {
+		if errs[p] != nil {
+			t.Fatalf("poller %d: %v", p, errs[p])
+		}
+		if !slices.Equal(curve, want) {
+			t.Errorf("poller %d reassembled %d points, /trace holds %d", p, len(curve), len(want))
+		}
+	}
+}
+
 // TestSSEDrainClosesStreams: turning on drain mode ends open event
 // streams promptly, so a graceful shutdown is never held open by a
 // subscriber watching a long job.
@@ -283,37 +347,34 @@ func TestSSEDrainClosesStreams(t *testing.T) {
 	}
 }
 
-// TestSlowConsumerDropsCounted: a stalled subscriber has the events
-// published past its buffer dropped from its stream — counted in the
-// service metrics — while the hub history keeps everything, so a
-// backfill read is still complete.
+// TestSlowConsumerDropsCounted: a stalled subscriber that reads nothing
+// while more events are published than any per-subscriber buffer would
+// hold (256) gets them all, in order, on its next read, and the service
+// metrics count no drop.
 func TestSlowConsumerDropsCounted(t *testing.T) {
 	_, m := newTestServer(t, Config{PoolSize: 1, MaxJobs: 1})
 	const jobID = "job-synthetic"
-	stuck, _ := m.hub.Subscribe(jobID, 0)
+	stuck := m.hub.Subscribe(jobID, 0)
 	defer stuck.Close()
 
-	const published = events.SubscriberBuffer + 4
+	const published = 256 + 4
 	for i := 0; i < published; i++ {
 		m.hub.Publish(jobID, events.Event{Type: events.TypeRung, Round: i})
 	}
-	// The buffer fills; everything past it must have been shed.
-	const dropped = published - events.SubscriberBuffer
-	if got := len(stuck.C); got != events.SubscriberBuffer {
-		t.Fatalf("subscription holds %d events, want a full buffer of %d", got, events.SubscriberBuffer)
+	got, wake := stuck.Next()
+	if len(got) != published || wake == nil {
+		t.Fatalf("the stalled subscriber's next read returned %d events (wake %v), want %d and an open feed", len(got), wake, published)
 	}
-	if got := m.Metrics().EventsDropped; got != dropped {
-		t.Fatalf("events_dropped_slow_consumer = %d, want %d", got, dropped)
-	}
-	// Drops never touch history: the gap backfill still has every event.
-	backlog := m.hub.Since(jobID, 0)
-	if len(backlog) != published {
-		t.Fatalf("hub history holds %d events, want %d", len(backlog), published)
-	}
-	for i, ev := range backlog {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("history seq %d at position %d", ev.Seq, i)
+	for i, ev := range got {
+		if ev.Seq != uint64(i+1) || ev.Round != i {
+			t.Fatalf("event %d has seq %d, round %d", i, ev.Seq, ev.Round)
 		}
+	}
+	if got := m.Metrics().EventsDropped; got != 0 {
+		t.Fatalf("events_dropped_slow_consumer = %d, want 0", got)
+	}
+	if got := m.Metrics().EventSubscribers; got != 1 {
+		t.Fatalf("event_subscribers = %d with one open subscription, want 1", got)
 	}
 }
 

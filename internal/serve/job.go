@@ -436,10 +436,35 @@ type Snapshot struct {
 // and a feed can hold more, the points a life that died after resuming
 // published past the checkpoint this one resumed from.
 func (j *Job) Snapshot() Snapshot {
-	snap := j.summary()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.snapshotLocked()
+}
+
+func (j *Job) snapshotLocked() Snapshot {
+	snap := j.summaryLocked()
 	curve := curvePoints(j.hub.Since(j.ID, 0))
 	snap.Curve = curve[:min(len(curve), snap.Evaluations)]
 	snap.Sparkline = trace.Sparkline(snap.Curve, 40)
+	return snap
+}
+
+// poll answers GET /jobs/{id}: the snapshot — or, as a ?since=N delta,
+// the summary with only the curve points past event sequence since — and
+// its last_seq, read in one hold of j.mu. Curve points are published only
+// under it, so last_seq counts exactly the points served: a client that
+// polls ?since=last_seq next neither misses nor repeats one.
+func (j *Job) poll(since uint64, delta bool) Snapshot {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var snap Snapshot
+	if delta {
+		snap = j.summaryLocked()
+		snap.Curve = curvePoints(j.hub.Since(j.ID, since))
+	} else {
+		snap = j.snapshotLocked()
+	}
+	snap.LastSeq = j.hub.LastSeq(j.ID)
 	return snap
 }
 
@@ -448,6 +473,10 @@ func (j *Job) Snapshot() Snapshot {
 func (j *Job) summary() Snapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.summaryLocked()
+}
+
+func (j *Job) summaryLocked() Snapshot {
 	snap := Snapshot{
 		ID:          j.ID,
 		Status:      j.status,

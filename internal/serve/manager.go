@@ -212,10 +212,10 @@ type Manager struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
-	// hub fans each job's telemetry (curve points, rung promotions,
+	// hub keeps each job's telemetry (curve points, rung promotions,
 	// retries, deadline abandonments, failure-budget charges, lifecycle
-	// transitions) out to SSE subscribers; traces, when persistence is
-	// on, durably records the same stream per job behind the hub's sink.
+	// transitions) for SSE subscribers to read; traces, when persistence
+	// is on, durably records the same stream per job behind the hub's sink.
 	hub    *events.Hub
 	traces *tracestore.Store // nil when persistence is disabled
 
@@ -1045,7 +1045,7 @@ type Metrics struct {
 	DeadlineExceeded  int64   `json:"deadline_exceeded"`
 	EventSubscribers  int64   `json:"event_subscribers"`
 	EventsPublished   int64   `json:"events_published"`
-	EventsDropped     int64   `json:"events_dropped_slow_consumer"`
+	EventsDropped     int64   `json:"events_dropped_slow_consumer"` // always 0: a subscriber drops nothing; bench/ (frozen) still reads it
 	TraceStoreBytes   int64   `json:"trace_store_bytes"`
 	TraceStoreErrors  int64   `json:"trace_store_errors"`
 	JournalErrors     int64   `json:"journal_errors"`
@@ -1101,7 +1101,6 @@ func (m *Manager) Metrics() Metrics {
 	es := m.hub.Stats()
 	out.EventSubscribers = es.Subscribers
 	out.EventsPublished = es.Published
-	out.EventsDropped = es.Dropped
 	if m.traces != nil {
 		out.TraceStoreBytes = m.traces.Bytes()
 	}

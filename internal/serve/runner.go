@@ -34,7 +34,7 @@ func (m *Manager) run(ctx context.Context, job *Job, cancel context.CancelFunc, 
 		// Queued until the scheduler grants the ticket; cancellation while
 		// queued withdraws it without ever taking an evaluation slot.
 		if err := ticket.Wait(ctx); err != nil {
-			m.finish(job, nil, nil, err)
+			m.finish(job, ticket, nil, nil, err)
 			return
 		}
 
@@ -46,8 +46,7 @@ func (m *Manager) run(ctx context.Context, job *Job, cancel context.CancelFunc, 
 		scope, release, err := m.acquireScope(job.Spec)
 		if err != nil {
 			segCancel(nil)
-			m.finish(job, nil, nil, err)
-			m.sched.Release(ticket)
+			m.finish(job, ticket, nil, nil, err)
 			return
 		}
 		res, err := m.optimize(segCtx, job, scope)
@@ -63,8 +62,7 @@ func (m *Manager) run(ctx context.Context, job *Job, cancel context.CancelFunc, 
 		segCancel(nil)
 		// finish holds the job slot through the final FitFull so the refit
 		// competes for CPU like any other evaluation.
-		m.finish(job, scope, res, err)
-		m.sched.Release(ticket)
+		m.finish(job, ticket, scope, res, err)
 		release()
 		return
 	}
@@ -113,8 +111,10 @@ func (m *Manager) optimize(ctx context.Context, job *Job, scope *evalScope) (*hp
 // transition. A successful run is refitted on the full training set and
 // scored on the test split, matching the paper's final step. Cancelled
 // jobs keep the reason set at the cancel source (user_cancel, shutdown)
-// or derived here (timeout).
-func (m *Manager) finish(job *Job, scope *evalScope, res *hpo.Result, err error) {
+// or derived here (timeout). The ticket's slot goes back in the same
+// step as the terminal status, so no reader sees a finished job still
+// holding one (a never-granted ticket's release is a no-op).
+func (m *Manager) finish(job *Job, ticket *sched.Ticket, scope *evalScope, res *hpo.Result, err error) {
 	status := StatusDone
 	var testScore *float64
 	timedOut := errors.Is(err, context.DeadlineExceeded)
@@ -138,6 +138,7 @@ func (m *Manager) finish(job *Job, scope *evalScope, res *hpo.Result, err error)
 		}
 	}
 	m.transition(job, phaseTerminal, time.Now(), func() {
+		m.sched.Release(ticket)
 		job.status = status
 		switch {
 		case status != StatusCancelled:

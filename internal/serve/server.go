@@ -324,26 +324,20 @@ func (s *Server) getJob(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
+	// ?since=N is the incremental poll: only the curve points past event
+	// sequence N. The client keeps its own prefix and appends these;
+	// last_seq is the cursor for the next poll. The sparkline is omitted —
+	// it renders the full curve, not a delta.
 	v := r.URL.Query().Get("since")
-	if v == "" {
-		snap := job.Snapshot()
-		snap.LastSeq = s.manager.hub.LastSeq(job.ID)
-		WriteJSON(w, http.StatusOK, snap)
-		return
+	var since uint64
+	if v != "" {
+		var err error
+		if since, err = strconv.ParseUint(v, 10, 64); err != nil {
+			WriteError(w, http.StatusBadRequest, "bad since %q", v)
+			return
+		}
 	}
-	since, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "bad since %q", v)
-		return
-	}
-	// Incremental poll: only the curve points past event sequence `since`.
-	// The client keeps its own prefix and appends these; last_seq, read
-	// first, is the cursor for the next poll. The sparkline is omitted — it
-	// renders the full curve, not a delta.
-	snap := job.summary()
-	snap.LastSeq = s.manager.hub.LastSeq(job.ID)
-	snap.Curve = curvePoints(s.manager.hub.Since(job.ID, since))
-	WriteJSON(w, http.StatusOK, snap)
+	WriteJSON(w, http.StatusOK, job.poll(since, v != ""))
 }
 
 func (s *Server) cancelJob(w http.ResponseWriter, r *http.Request) {

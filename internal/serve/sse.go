@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -34,27 +35,15 @@ func (s *Server) jobEvents(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	after := uint64(0)
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "bad Last-Event-ID %q", v)
+	var after uint64
+	if v := cmp.Or(r.URL.Query().Get("after"), r.Header.Get("Last-Event-ID")); v != "" {
+		var err error
+		if after, err = strconv.ParseUint(v, 10, 64); err != nil {
+			WriteError(w, http.StatusBadRequest, "bad resume point %q (after or Last-Event-ID)", v)
 			return
 		}
-		after = n
 	}
-	if v := r.URL.Query().Get("after"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "bad after %q", v)
-			return
-		}
-		after = n
-	}
-	// Subscribe before the headers go out: registration and the backlog
-	// snapshot are atomic in the hub, so the stream holds the
-	// exactly-once guarantee from its first byte.
-	sub, backlog := s.manager.hub.Subscribe(job.ID, after)
+	sub := s.manager.hub.Subscribe(job.ID, after)
 	defer sub.Close()
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -62,58 +51,31 @@ func (s *Server) jobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	last := after
-	write := func(ev events.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-			return false
-		}
-		last = ev.Seq
-		return true
-	}
-	for _, ev := range backlog {
-		if !write(ev) {
-			return
-		}
-	}
-	flusher.Flush()
-
 	drain := s.drainSignal()
 	keepalive := time.NewTicker(keepaliveInterval)
 	defer keepalive.Stop()
 	for {
+		evs, wake := sub.Next()
+		for _, ev := range evs {
+			data, err := json.Marshal(ev)
+			if err != nil {
+				return
+			}
+			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
+				return
+			}
+		}
+		flusher.Flush()
+		if wake == nil {
+			// Terminal event written: the stream is complete.
+			return
+		}
 		select {
-		case ev, ok := <-sub.C:
-			if !ok {
-				// Terminal event delivered (or the feed closed): the
-				// stream is complete.
-				return
-			}
-			if ev.Seq <= last {
-				// Already sent via a gap backfill below.
-				continue
-			}
-			if ev.Seq > last+1 {
-				// The subscriber lagged and the hub dropped events from
-				// its buffer; the history keeps everything, so backfill
-				// the gap in order before carrying on.
-				for _, missed := range s.manager.hub.Since(job.ID, last) {
-					if !write(missed) {
-						return
-					}
-				}
-			} else if !write(ev) {
-				return
-			}
-			flusher.Flush()
+		case <-wake:
 		case <-keepalive.C:
 			if _, err := fmt.Fprint(w, ": ping\n\n"); err != nil {
 				return
 			}
-			flusher.Flush()
 		case <-r.Context().Done():
 			return
 		case <-drain:
