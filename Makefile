@@ -50,8 +50,10 @@ deadcode:
 
 # The goldens of internal/experiments and internal/core again with the
 # FMA path of math.Exp switched off: they hold on CPUs without FMA too.
+# internal/mat and internal/nn ride along: there the activation kernels
+# must pick their plain exp variant and match math.Exp's non-FMA path.
 nofma:
-	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/experiments/ ./internal/core/
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/experiments/ ./internal/core/ ./internal/mat/ ./internal/nn/
 
 # One merged coverage profile of the whole suite over every package of
 # the module, and the statements it never executed, per package.
@@ -95,13 +97,17 @@ bench-pair:
 # Portable-path run: -tags purego leaves the AVX2 assembly out of the
 # build, so the blocked kernels stay tested end to end on SIMD hardware
 # and a regression in the non-SIMD path cannot hide behind AVX2 CI boxes.
-# That includes the Go loops of the Adam step and the L2 fold, which
-# every adam fit and every gradient in internal/nn run under it.
+# That includes the Go loops of the Adam step, the L2 fold and the
+# activations, which every fit and every gradient in internal/nn run
+# under it.
 # internal/experiments rides along for its golden: the one place the
 # "kernel families are bitwise-equal" invariant is asserted on the paper's
-# own tables rather than on a matmul.
+# own tables rather than on a matmul. The GOAMD64=v3 line is the build in
+# which the compiler may use FMA in Go code — the reference loops and
+# math.tanh — so the kernels' parity and the golden are held there too.
 fallback:
 	$(GO) test -count=1 -tags purego ./internal/mat/ ./internal/nn/ ./internal/hpo/ ./internal/experiments/
+	GOAMD64=v3 $(GO) test -count=1 ./internal/mat/ ./internal/nn/ ./internal/experiments/
 
 # Go lines per package and in total, outside bench/: non-test lines —
 # raw `wc -l`, the count ROADMAP's "net line count per PR" and every

@@ -318,7 +318,9 @@ func BenchmarkEvaluate(b *testing.B) {
 // the shape the paper's served jobs train (solo-paper's a9a at scale 0.2,
 // 123 features into one hidden layer of 50, two iterations), at the
 // lowest budget a bandit method runs — folds of 8 rows, where
-// per-parameter work outweighs the rows — and at the full one.
+// per-parameter work outweighs the rows — and at the full one. Those
+// rows train the logistic activation; solo-<solver>-tanh and
+// solo-<solver>-relu train the same shape with the other two.
 func benchEvaluateServed(b *testing.B) {
 	train := benchDataset(b, "a9a", 0.2)
 	base := nn.DefaultConfig()
@@ -328,21 +330,23 @@ func benchEvaluateServed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Table III indices: hidden [50], logistic, the solver, lr 0.05.
-	for si, solver := range []string{"lbfgs", "sgd", "adam"} {
-		cfg := space.NewConfig([]int{4, 0, si, 1})
-		for _, budget := range []struct {
-			name string
-			n    int
-		}{{"budget10", 10}, {"full", ev.FullBudget()}} {
-			b.Run("solo-"+solver+"/"+budget.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := ev.Evaluate(cfg, budget.n, rng.New(7)); err != nil {
-						b.Fatal(err)
+	// Table III indices: hidden [50], the activation, the solver, lr 0.05.
+	for ai, act := range []string{"", "-tanh", "-relu"} {
+		for si, solver := range []string{"lbfgs", "sgd", "adam"} {
+			cfg := space.NewConfig([]int{4, ai, si, 1})
+			for _, budget := range []struct {
+				name string
+				n    int
+			}{{"budget10", 10}, {"full", ev.FullBudget()}} {
+				b.Run("solo-"+solver+act+"/"+budget.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := ev.Evaluate(cfg, budget.n, rng.New(7)); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -50,3 +50,29 @@ func BenchmarkMatMulT(b *testing.B) { benchRowKernels(b, 1) }
 
 // BenchmarkMatTMul times dst = aᵀ*b (the weight gradient).
 func BenchmarkMatTMul(b *testing.B) { benchRowKernels(b, 2) }
+
+// BenchmarkMatActivation times each activation over one hidden layer of
+// a 32-row batch at width 50 (1 600 values), the Go loop beside the
+// entry point, which runs this build's family (copying the input back
+// in is part of both).
+func BenchmarkMatActivation(b *testing.B) {
+	r := rng.New(30)
+	x := make([]float64, 32*50)
+	for i := range x {
+		x[i] = 2 * r.Norm()
+	}
+	buf := make([]float64, len(x))
+	for _, op := range activationOps {
+		for _, f := range []struct {
+			name string
+			fn   func([]float64)
+		}{{"go", op.want}, {Kernel(), op.run}} {
+			b.Run(op.name+"/"+f.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(buf, x)
+					f.fn(buf)
+				}
+			})
+		}
+	}
+}

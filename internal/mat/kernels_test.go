@@ -210,10 +210,11 @@ func TestColSumsInto(t *testing.T) {
 // Kernel only names it.
 var exportedAPI = map[string]bool{
 	"AdamCoeffs": true, "AdamStep": true, "AddRowVector": true, "Arena": true, "Axpy": true,
-	"ColSumsInto": true, "Dense": true, "Dot": true, "FoldL2": true,
-	"Kernel": true, "Mul": true, "MulT": true, "MulTWorkers": true, "MulWorkers": true,
-	"NewDense": true, "NewDenseData": true, "Norm2": true, "Scale": true, "SqDist": true,
-	"TMul": true, "TMulWorkers": true,
+	"ColSumsInto": true, "Dense": true, "Dot": true, "Exp": true, "FoldL2": true,
+	"Kernel": true, "Logistic": true, "LogisticDeriv": true, "Mul": true, "MulT": true,
+	"MulTWorkers": true, "MulWorkers": true, "NewDense": true, "NewDenseData": true, "Norm2": true,
+	"ReLU": true, "ReLUDeriv": true, "Scale": true, "SqDist": true,
+	"TMul": true, "TMulWorkers": true, "Tanh": true, "TanhDeriv": true,
 }
 
 // TestNoKernelSwitch keeps the kernel family a property of the build:

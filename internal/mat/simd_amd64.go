@@ -2,6 +2,8 @@
 
 package mat
 
+import "math"
+
 // AVX2 microkernel declarations (bodies in simd_amd64.s) plus the CPUID
 // probing that decides whether the SIMD kernel family is usable at all.
 //
@@ -13,9 +15,15 @@ package mat
 // chains (dot4) only changes *which* elements are computed together,
 // never the order of additions within one element, and VMULPD/VADDPD
 // round each lane exactly like the scalar ops, so the SIMD family is
-// bitwise-identical to the blocked and naive kernels. FMA instructions
-// are never emitted: a fused multiply-add rounds once where the
-// reference kernels round twice, which would break that guarantee.
+// bitwise-identical to the blocked and naive kernels. The matmul, Adam
+// and L2-fold kernels never emit FMA: a fused multiply-add rounds once
+// where the reference kernels round twice, which would break that
+// guarantee.
+//
+// The activation kernels (the contracts are in activation.go) compute
+// math.Exp lane for lane, and math.Exp itself has two bodies, one with
+// FMA. So their exp comes in two variants, and pickExpKernels takes, at
+// init, the one that reproduces this process's math.Exp, or none.
 
 // axpy4avx computes dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 // for j in [0, n), where b0 starts at b and b1..b3 follow at stride ldb
@@ -50,6 +58,41 @@ func adamavx(p, m, v, grad *float64, n uintptr, c *AdamCoeffs)
 //go:noescape
 func foldl2avx(dst, gw, w *float64, n uintptr, alpha, rows float64)
 
+// The activation kernels work in place over x's whole blocks of four.
+// The exp-based ones (one variant per exp body) return how many
+// elements they finished: they stop at the first block holding a lane
+// outside their fast range, which the caller completes in Go.
+//
+//go:noescape
+func expavx(x *float64, n uintptr) uintptr
+
+//go:noescape
+func expfmaavx(x *float64, n uintptr) uintptr
+
+//go:noescape
+func logisticavx(x *float64, n uintptr) uintptr
+
+//go:noescape
+func logisticfmaavx(x *float64, n uintptr) uintptr
+
+//go:noescape
+func tanhavx(x *float64, n uintptr) uintptr
+
+//go:noescape
+func tanhfmaavx(x *float64, n uintptr) uintptr
+
+//go:noescape
+func reluavx(x *float64, n uintptr) uintptr
+
+//go:noescape
+func logisticderivavx(d, a *float64, n uintptr)
+
+//go:noescape
+func tanhderivavx(d, a *float64, n uintptr)
+
+//go:noescape
+func reluderivavx(d, a *float64, n uintptr)
+
 // cpuid executes the CPUID instruction with the given leaf/subleaf.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
@@ -83,3 +126,62 @@ func detectAVX2() bool {
 // process: the AVX2 microkernels where the probe says yes, the blocked
 // Go loops otherwise.
 var simdAvailable = detectAVX2()
+
+// detectFMA reports whether the CPU has FMA3 (the OS's YMM state is
+// detectAVX2's part).
+func detectFMA() bool {
+	_, _, c1, _ := cpuid(1, 0)
+	return c1&(1<<12) != 0
+}
+
+// expKernel, logisticKernel and tanhKernel are the activation kernels of
+// the variant whose exp reproduces this process's math.Exp, nil where
+// neither does. math.Exp takes its FMA body where the CPU has FMA and
+// GODEBUG leaves it on (math.useFMA, unexported), so the choice is made
+// the only way that cannot disagree with it: the FMA variant is tried
+// where CPUID reports FMA, and a variant is taken only if it matches
+// math.Exp bit for bit over expProbe, on which the two bodies differ.
+var expKernel, logisticKernel, tanhKernel = pickExpKernels()
+
+func pickExpKernels() (exp, logistic, tanh func(*float64, uintptr) uintptr) {
+	if !simdAvailable {
+		return nil, nil, nil
+	}
+	if detectFMA() && expMatches(expfmaavx) {
+		return expfmaavx, logisticfmaavx, tanhfmaavx
+	}
+	if expMatches(expavx) {
+		return expavx, logisticavx, tanhavx
+	}
+	return nil, nil, nil
+}
+
+// expMatches reports whether kernel computes math.Exp on every probe.
+func expMatches(kernel func(*float64, uintptr) uintptr) bool {
+	x := expProbe()
+	if kernel(&x[0], uintptr(len(x))) != uintptr(len(x)) {
+		return false
+	}
+	for i, v := range expProbe() {
+		if math.Float64bits(x[i]) != math.Float64bits(math.Exp(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// reluKernel and the derivative kernels need no exp, so no variant.
+var (
+	reluKernel          = pick(reluavx)
+	logisticDerivKernel = pick(logisticderivavx)
+	tanhDerivKernel     = pick(tanhderivavx)
+	reluDerivKernel     = pick(reluderivavx)
+)
+
+// pick returns k where the SIMD family runs, nil elsewhere.
+func pick[K any](k K) (none K) {
+	if simdAvailable {
+		return k
+	}
+	return none
+}

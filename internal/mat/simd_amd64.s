@@ -1,11 +1,14 @@
 //go:build amd64 && !purego
 
-// AVX2 microkernels for the SIMD family: the matmul sweeps and the
-// per-parameter Adam and L2-fold loops. See simd_amd64.go for the
-// contracts. Determinism rules observed throughout:
+// AVX2 microkernels for the SIMD family: the matmul sweeps, the
+// per-parameter Adam and L2-fold loops, and the activations. See
+// simd_amd64.go and activation.go for the contracts. Determinism rules
+// observed throughout:
 //
 //   - separate VMULPD + VADDPD, never FMA: each product is rounded
-//     before it is added, exactly like the scalar float64(a*b) form;
+//     before it is added, exactly like the scalar float64(a*b) form —
+//     except in EXP_FMA, which fuses exactly where math.Exp's own FMA
+//     body does and runs only where math.Exp runs that body;
 //   - per output element, additions happen in the same order as the
 //     scalar kernels (a0..a3 per quad in the axpys, ascending k in the
 //     dot lanes); vectorization only groups *independent* elements;
@@ -382,6 +385,455 @@ foldl2_tailloop:
 	JMP  foldl2_tailloop
 
 foldl2_done:
+	RET
+
+// The activation kernels: exp, and on top of it the logistic function
+// and tanh, four lanes at a time, plus relu and the three derivatives.
+// Each lane performs the operations of the scalar Go code in its order,
+// so each is bit-identical to it (see activation.go for the contracts).
+//
+// exp is math.archExp (exp_amd64.s) lane for lane, the SLEEF sequence
+// it was written from being straight-line SIMD code already: x·log2e is
+// rounded to an integer k by VCVTPD2DQ, which rounds through MXCSR as
+// CVTSD2SL does; x − k·ln2 is reduced in two halves, scaled by 1/16 and
+// put through the Taylor polynomial and four squarings; the result is
+// multiplied by 2ᵏ, built as (k + 1023) << 52. archExp has two bodies,
+// chosen by math.useFMA, and so has this: EXP_PLAIN rounds every product
+// like the MULSD/ADDSD path, EXP_FMA fuses exactly where the VFMADD
+// path does. Only the fast range |x| ≤ 700 is computed: no overflow,
+// underflow or denormal occurs there, so the scalar code's special
+// cases never apply. A kernel stops at the first block holding a lane
+// outside its range and returns how many elements it finished; the
+// caller completes that block with the Go code and resumes.
+//
+// In every kernel Y0–Y3 are exp's working registers (x in and eˣ out
+// in Y0, the integer k in X2), Y14 holds the sign-clear mask and Y15
+// the range bound where a kernel checks it.
+
+// Four copies of each constant, one YMM operand apiece, at 32-byte
+// steps: the sign masks, exp's range bound and the constants of
+// math.archExp (exp_amd64.s), the exponent bias, and math.tanh's branch
+// points and rational coefficients. Bit patterns, not decimals, so
+// each lane is the exact float64 the scalar code reads.
+#define CONST4(off, bits) DATA actconst<>+off(SB)/8, bits; DATA actconst<>+off+8(SB)/8, bits; DATA actconst<>+off+16(SB)/8, bits; DATA actconst<>+off+24(SB)/8, bits
+
+CONST4(0, $0x7fffffffffffffff) // sign bit clear
+CONST4(32, $0x8000000000000000) // sign bit
+CONST4(64, $0x4085e00000000000) // 700, the fast range of exp
+CONST4(96, $0x3ff71547652b82fe) // 1/ln 2
+CONST4(128, $0x3fe62e42fefa3000) // upper half of ln 2
+CONST4(160, $0x3d53de6af278ece6) // lower half of ln 2
+CONST4(192, $0x3fb0000000000000) // 0.0625
+CONST4(224, $0x3efa01a01a01a01a) // 1/8!
+CONST4(256, $0x3f2a01a01a01a01a) // 1/7!
+CONST4(288, $0x3f56c16c16c16c17) // 1/6!
+CONST4(320, $0x3f81111111111111) // 1/5!
+CONST4(352, $0x3fa5555555555555) // 1/4!
+CONST4(384, $0x3fc5555555555555) // 1/3!
+CONST4(416, $0x3fe0000000000000) // 0.5
+CONST4(448, $0x3ff0000000000000) // 1.0
+CONST4(480, $0x4000000000000000) // 2.0
+CONST4(512, $0x00000000000003ff) // 1023, the exponent bias (int64 lanes)
+CONST4(544, $0x3fe4000000000000) // 0.625
+CONST4(576, $0x404601e678fc457b) // 0.5·MAXLOG of math.tanh
+CONST4(608, $0xbfeedc5baafd6f4b) // tanhP[0]
+CONST4(640, $0xc058d26a0e26682d) // tanhP[1]
+CONST4(672, $0xc0993ac030580563) // tanhP[2]
+CONST4(704, $0x405c33f28a581b86) // tanhQ[0]
+CONST4(736, $0x40a176fa0e5535fa) // tanhQ[1]
+CONST4(768, $0x40b2ec102442040c) // tanhQ[2]
+GLOBL actconst<>(SB), RODATA|NOPTR, $800
+
+#define ABSMASK actconst<>+0(SB)
+#define SIGNMASK actconst<>+32(SB)
+#define EXPBOUND actconst<>+64(SB)
+#define LOG2E actconst<>+96(SB)
+#define LN2U actconst<>+128(SB)
+#define LN2L actconst<>+160(SB)
+#define SIXTEENTH actconst<>+192(SB)
+#define EXPC7 actconst<>+224(SB)
+#define EXPC6 actconst<>+256(SB)
+#define EXPC5 actconst<>+288(SB)
+#define EXPC4 actconst<>+320(SB)
+#define EXPC3 actconst<>+352(SB)
+#define EXPC2 actconst<>+384(SB)
+#define HALF actconst<>+416(SB)
+#define ONE actconst<>+448(SB)
+#define TWO actconst<>+480(SB)
+#define EXPBIAS actconst<>+512(SB)
+#define FIVEEIGHTHS actconst<>+544(SB)
+#define HALFMAXLOG actconst<>+576(SB)
+#define TANHP0 actconst<>+608(SB)
+#define TANHP1 actconst<>+640(SB)
+#define TANHP2 actconst<>+672(SB)
+#define TANHQ0 actconst<>+704(SB)
+#define TANHQ1 actconst<>+736(SB)
+#define TANHQ2 actconst<>+768(SB)
+
+// EXP_REDUCE rounds Y0·log2e to k (int32 lanes in X2, float64 in Y1).
+#define EXP_REDUCE \
+	VMULPD     LOG2E, Y0, Y1; \
+	VCVTPD2DQY Y1, X2; \
+	VCVTDQ2PD  X2, Y1
+
+// EXP_SCALE multiplies Y0 by 2ᵏ.
+#define EXP_SCALE \
+	VPMOVSXDQ X2, Y2; \
+	VPADDQ    EXPBIAS, Y2, Y2; \
+	VPSLLQ    $52, Y2, Y2; \
+	VMULPD    Y2, Y0, Y0
+
+// EXP_PLAIN sets Y0 = exp(Y0) as archExp's non-FMA path does.
+#define EXP_PLAIN \
+	EXP_REDUCE; \
+	VMULPD  LN2U, Y1, Y3; \
+	VSUBPD  Y3, Y0, Y0; \
+	VMULPD  LN2L, Y1, Y3; \
+	VSUBPD  Y3, Y0, Y0; \
+	VMULPD  SIXTEENTH, Y0, Y0; \
+	VMULPD  EXPC7, Y0, Y1; \
+	VADDPD  EXPC6, Y1, Y1; \
+	VMULPD  Y0, Y1, Y1; \
+	VADDPD  EXPC5, Y1, Y1; \
+	VMULPD  Y0, Y1, Y1; \
+	VADDPD  EXPC4, Y1, Y1; \
+	VMULPD  Y0, Y1, Y1; \
+	VADDPD  EXPC3, Y1, Y1; \
+	VMULPD  Y0, Y1, Y1; \
+	VADDPD  EXPC2, Y1, Y1; \
+	VMULPD  Y0, Y1, Y1; \
+	VADDPD  HALF, Y1, Y1; \
+	VMULPD  Y0, Y1, Y1; \
+	VADDPD  ONE, Y1, Y1; \
+	VMULPD  Y1, Y0, Y0; \
+	VADDPD  TWO, Y0, Y1; \
+	VMULPD  Y1, Y0, Y0; \
+	VADDPD  TWO, Y0, Y1; \
+	VMULPD  Y1, Y0, Y0; \
+	VADDPD  TWO, Y0, Y1; \
+	VMULPD  Y1, Y0, Y0; \
+	VADDPD  TWO, Y0, Y1; \
+	VMULPD  Y1, Y0, Y0; \
+	VADDPD  ONE, Y0, Y0; \
+	EXP_SCALE
+
+// EXP_FMA sets Y0 = exp(Y0) as archExp's FMA path does.
+#define EXP_FMA \
+	EXP_REDUCE; \
+	VFNMADD231PD LN2U, Y1, Y0; \
+	VFNMADD231PD LN2L, Y1, Y0; \
+	VMULPD       SIXTEENTH, Y0, Y0; \
+	VMOVUPD      EXPC7, Y1; \
+	VFMADD213PD  EXPC6, Y0, Y1; \
+	VFMADD213PD  EXPC5, Y0, Y1; \
+	VFMADD213PD  EXPC4, Y0, Y1; \
+	VFMADD213PD  EXPC3, Y0, Y1; \
+	VFMADD213PD  EXPC2, Y0, Y1; \
+	VFMADD213PD  HALF, Y0, Y1; \
+	VFMADD213PD  ONE, Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       TWO, Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       TWO, Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       TWO, Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       TWO, Y0, Y1; \
+	VFMADD213PD  ONE, Y1, Y0; \
+	EXP_SCALE
+
+// EXP_OUTSIDE sets the flags for a JNZ taken when a lane of x lies
+// outside exp's fast range: |x| > 700, or NaN.
+#define EXP_OUTSIDE(x) \
+	VANDPD    Y14, x, Y1; \
+	VCMPPD    $0x16, Y15, Y1, Y1; \
+	VMOVMSKPD Y1, BX; \
+	TESTQ     BX, BX
+
+// KERNEL_ENTRY loads a kernel's (x *float64, n uintptr) arguments and
+// the range registers; AX counts finished elements up to n&^3 in DX.
+#define KERNEL_ENTRY \
+	MOVQ    x+0(FP), DI; \
+	MOVQ    n+8(FP), DX; \
+	ANDQ    $-4, DX; \
+	XORQ    AX, AX; \
+	VMOVUPD ABSMASK, Y14; \
+	VMOVUPD EXPBOUND, Y15
+
+// LOGISTIC_BLOCK sets Y0 = 1/(1+exp(−x)) from Y0 = x with the exp body
+// given.
+#define LOGISTIC_BLOCK(exp) \
+	VXORPD  SIGNMASK, Y0, Y0; \
+	exp; \
+	VADDPD  ONE, Y0, Y0; \
+	VMOVUPD ONE, Y1; \
+	VDIVPD  Y0, Y1, Y0
+
+// TANH_BLOCK sets Y12 = tanh(x) from Y6 = x with the exp body given:
+// math.tanh's three branches for every lane, blended in its order.
+#define TANH_BLOCK(exp) \
+	VANDPD    Y14, Y6, Y7; \
+	VADDPD    Y7, Y7, Y0; \
+	exp; \
+	VADDPD    ONE, Y0, Y0; \
+	VMOVUPD   TWO, Y1; \
+	VDIVPD    Y0, Y1, Y0; \
+	VMOVUPD   ONE, Y1; \
+	VSUBPD    Y0, Y1, Y0; \
+	VANDPD    SIGNMASK, Y6, Y8; \
+	VORPD     Y8, Y0, Y0; \
+	VMULPD    Y6, Y6, Y9; \
+	VMULPD    TANHP0, Y9, Y10; \
+	VADDPD    TANHP1, Y10, Y10; \
+	VMULPD    Y9, Y10, Y10; \
+	VADDPD    TANHP2, Y10, Y10; \
+	VADDPD    TANHQ0, Y9, Y11; \
+	VMULPD    Y9, Y11, Y11; \
+	VADDPD    TANHQ1, Y11, Y11; \
+	VMULPD    Y9, Y11, Y11; \
+	VADDPD    TANHQ2, Y11, Y11; \
+	VMULPD    Y9, Y6, Y12; \
+	VMULPD    Y10, Y12, Y12; \
+	VDIVPD    Y11, Y12, Y12; \
+	VADDPD    Y12, Y6, Y12; \
+	VXORPD    Y13, Y13, Y13; \
+	VCMPPD    $0x00, Y13, Y6, Y13; \
+	VBLENDVPD Y13, Y6, Y12, Y12; \
+	VCMPPD    $0x1d, FIVEEIGHTHS, Y7, Y13; \
+	VBLENDVPD Y13, Y0, Y12, Y12; \
+	VCMPPD    $0x1e, HALFMAXLOG, Y7, Y13; \
+	VORPD     ONE, Y8, Y1; \
+	VBLENDVPD Y13, Y1, Y12, Y12
+
+// func expavx(x *float64, n uintptr) uintptr
+TEXT ·expavx(SB), NOSPLIT, $0-24
+	KERNEL_ENTRY
+
+exp_loop:
+	CMPQ AX, DX
+	JGE  exp_done
+	VMOVUPD (DI)(AX*8), Y0
+	EXP_OUTSIDE(Y0)
+	JNZ  exp_done
+	EXP_PLAIN
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  exp_loop
+
+exp_done:
+	VZEROUPPER
+	MOVQ AX, ret+16(FP)
+	RET
+
+// func expfmaavx(x *float64, n uintptr) uintptr
+TEXT ·expfmaavx(SB), NOSPLIT, $0-24
+	KERNEL_ENTRY
+
+expfma_loop:
+	CMPQ AX, DX
+	JGE  expfma_done
+	VMOVUPD (DI)(AX*8), Y0
+	EXP_OUTSIDE(Y0)
+	JNZ  expfma_done
+	EXP_FMA
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  expfma_loop
+
+expfma_done:
+	VZEROUPPER
+	MOVQ AX, ret+16(FP)
+	RET
+
+// func logisticavx(x *float64, n uintptr) uintptr
+TEXT ·logisticavx(SB), NOSPLIT, $0-24
+	KERNEL_ENTRY
+
+logistic_loop:
+	CMPQ AX, DX
+	JGE  logistic_done
+	VMOVUPD (DI)(AX*8), Y0
+	EXP_OUTSIDE(Y0)
+	JNZ  logistic_done
+	LOGISTIC_BLOCK(EXP_PLAIN)
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  logistic_loop
+
+logistic_done:
+	VZEROUPPER
+	MOVQ AX, ret+16(FP)
+	RET
+
+// func logisticfmaavx(x *float64, n uintptr) uintptr
+TEXT ·logisticfmaavx(SB), NOSPLIT, $0-24
+	KERNEL_ENTRY
+
+logisticfma_loop:
+	CMPQ AX, DX
+	JGE  logisticfma_done
+	VMOVUPD (DI)(AX*8), Y0
+	EXP_OUTSIDE(Y0)
+	JNZ  logisticfma_done
+	LOGISTIC_BLOCK(EXP_FMA)
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  logisticfma_loop
+
+logisticfma_done:
+	VZEROUPPER
+	MOVQ AX, ret+16(FP)
+	RET
+
+// func tanhavx(x *float64, n uintptr) uintptr
+//
+// tanh calls exp only on 2|x| ≤ MAXLOG, inside the fast range; lanes
+// where exp's input leaves it are blended away. Only NaN stops it.
+TEXT ·tanhavx(SB), NOSPLIT, $0-24
+	KERNEL_ENTRY
+
+tanh_loop:
+	CMPQ AX, DX
+	JGE  tanh_done
+	VMOVUPD   (DI)(AX*8), Y6
+	VCMPPD    $0x03, Y6, Y6, Y1
+	VMOVMSKPD Y1, BX
+	TESTQ     BX, BX
+	JNZ       tanh_done
+	TANH_BLOCK(EXP_PLAIN)
+	VMOVUPD Y12, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  tanh_loop
+
+tanh_done:
+	VZEROUPPER
+	MOVQ AX, ret+16(FP)
+	RET
+
+// func tanhfmaavx(x *float64, n uintptr) uintptr
+TEXT ·tanhfmaavx(SB), NOSPLIT, $0-24
+	KERNEL_ENTRY
+
+tanhfma_loop:
+	CMPQ AX, DX
+	JGE  tanhfma_done
+	VMOVUPD   (DI)(AX*8), Y6
+	VCMPPD    $0x03, Y6, Y6, Y1
+	VMOVMSKPD Y1, BX
+	TESTQ     BX, BX
+	JNZ       tanhfma_done
+	TANH_BLOCK(EXP_FMA)
+	VMOVUPD Y12, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  tanhfma_loop
+
+tanhfma_done:
+	VZEROUPPER
+	MOVQ AX, ret+16(FP)
+	RET
+
+// func reluavx(x *float64, n uintptr) uintptr
+//
+// x = +0 where x < 0 (an ordered compare: −0 and NaN stay). It has no
+// range to leave, so it always finishes n&^3 elements.
+TEXT ·reluavx(SB), NOSPLIT, $0-24
+	MOVQ   x+0(FP), DI
+	MOVQ   n+8(FP), DX
+	ANDQ   $-4, DX
+	XORQ   AX, AX
+	VXORPD Y15, Y15, Y15
+
+relu_loop:
+	CMPQ AX, DX
+	JGE  relu_done
+	VMOVUPD (DI)(AX*8), Y0
+	VCMPPD  $0x11, Y15, Y0, Y1
+	VANDNPD Y0, Y1, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  relu_loop
+
+relu_done:
+	VZEROUPPER
+	MOVQ AX, ret+16(FP)
+	RET
+
+// func logisticderivavx(d, a *float64, n uintptr)
+//
+// d = ((1−a)·a)·d, the operand order of the compiled Go loop.
+TEXT ·logisticderivavx(SB), NOSPLIT, $0-24
+	MOVQ    d+0(FP), DI
+	MOVQ    a+8(FP), SI
+	MOVQ    n+16(FP), DX
+	ANDQ    $-4, DX
+	XORQ    AX, AX
+	VMOVUPD ONE, Y15
+
+logisticderiv_loop:
+	CMPQ AX, DX
+	JGE  logisticderiv_done
+	VMOVUPD (SI)(AX*8), Y0
+	VSUBPD  Y0, Y15, Y1
+	VMULPD  Y0, Y1, Y1
+	VMULPD  (DI)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  logisticderiv_loop
+
+logisticderiv_done:
+	VZEROUPPER
+	RET
+
+// func tanhderivavx(d, a *float64, n uintptr)
+//
+// d = (1−a·a)·d.
+TEXT ·tanhderivavx(SB), NOSPLIT, $0-24
+	MOVQ    d+0(FP), DI
+	MOVQ    a+8(FP), SI
+	MOVQ    n+16(FP), DX
+	ANDQ    $-4, DX
+	XORQ    AX, AX
+	VMOVUPD ONE, Y15
+
+tanhderiv_loop:
+	CMPQ AX, DX
+	JGE  tanhderiv_done
+	VMOVUPD (SI)(AX*8), Y0
+	VMULPD  Y0, Y0, Y1
+	VSUBPD  Y1, Y15, Y1
+	VMULPD  (DI)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  tanhderiv_loop
+
+tanhderiv_done:
+	VZEROUPPER
+	RET
+
+// func reluderivavx(d, a *float64, n uintptr)
+//
+// d = +0 where a ≤ 0 (ordered: a NaN a leaves d).
+TEXT ·reluderivavx(SB), NOSPLIT, $0-24
+	MOVQ   d+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   n+16(FP), DX
+	ANDQ   $-4, DX
+	XORQ   AX, AX
+	VXORPD Y15, Y15, Y15
+
+reluderiv_loop:
+	CMPQ AX, DX
+	JGE  reluderiv_done
+	VMOVUPD (SI)(AX*8), Y0
+	VCMPPD  $0x12, Y15, Y0, Y1
+	VMOVUPD (DI)(AX*8), Y2
+	VANDNPD Y2, Y1, Y2
+	VMOVUPD Y2, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  reluderiv_loop
+
+reluderiv_done:
+	VZEROUPPER
 	RET
 
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

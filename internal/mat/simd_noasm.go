@@ -29,3 +29,9 @@ func adamavx(p, m, v, grad *float64, n uintptr, c *AdamCoeffs) {
 func foldl2avx(dst, gw, w *float64, n uintptr, alpha, rows float64) {
 	panic("mat: SIMD kernel called on a platform without SIMD support")
 }
+
+// Without the assembly every activation runs its Go loop.
+var (
+	expKernel, logisticKernel, tanhKernel, reluKernel     func(x *float64, n uintptr) uintptr
+	logisticDerivKernel, tanhDerivKernel, reluDerivKernel func(d, a *float64, n uintptr)
+)

@@ -17,16 +17,19 @@ import (
 // and for adam on the SIMD family, whose step hands the assembly a
 // pointer to its coefficients (skipped where the CPU or build has no
 // AVX2 kernels). An L-BFGS iteration's loss and backprop calls allocate
-// nothing once warm either.
+// nothing once warm either. ReLU is the base case; the logistic and tanh
+// rows train through the exp-based activation kernels, the softmax head
+// through mat.Exp in every row.
 func TestFitEpochZeroAlloc(t *testing.T) {
 	const n, features, classes = 37, 6, 3 // 37%8 != 0 → tail batch every epoch
-	setup := func(solver Solver) (*Model, *mat.Dense, *mat.Dense, *rng.RNG) {
+	setup := func(solver Solver, act Activation) (*Model, *mat.Dense, *mat.Dense, *rng.RNG) {
 		cfg := DefaultConfig()
 		cfg.Solver = solver
+		cfg.Activation = act
 		cfg.BatchSize = 8
 		cfg.LearningRate = InvScaling // exercises the schedule math too
 		r := rng.New(42)
-		nw := newNetwork(nil, features, []int{10}, classes, ReLU, true, r.Split(1))
+		nw := newNetwork(nil, features, []int{10}, classes, act, true, r.Split(1))
 		m := &Model{cfg: cfg, nw: nw, kind: dataset.Classification, numClasses: classes}
 
 		x := mat.NewDense(n, features)
@@ -43,17 +46,22 @@ func TestFitEpochZeroAlloc(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		solver Solver
+		act    Activation
 		simd   bool // needs the SIMD family
 	}{
-		{"sgd", SGD, false},
-		{"adam", Adam, false},
-		{"adam/simd", Adam, true},
+		{"sgd", SGD, ReLU, false},
+		{"sgd/logistic", SGD, Logistic, false},
+		{"sgd/tanh", SGD, Tanh, false},
+		{"adam", Adam, ReLU, false},
+		{"adam/logistic", Adam, Logistic, false},
+		{"adam/tanh", Adam, Tanh, false},
+		{"adam/simd", Adam, ReLU, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if c.simd && mat.Kernel() != "simd" {
 				t.Skip("this CPU or build has no AVX2 kernels")
 			}
-			m, x, target, r := setup(c.solver)
+			m, x, target, r := setup(c.solver, c.act)
 			st := m.newSGDState(x, target, r.Split(2))
 			st.runEpoch() // warm-up: builds full-batch and tail scratch
 			if allocs := testing.AllocsPerRun(5, func() { st.runEpoch() }); allocs != 0 {
@@ -61,18 +69,23 @@ func TestFitEpochZeroAlloc(t *testing.T) {
 			}
 		})
 	}
-	t.Run("lbfgs", func(t *testing.T) {
-		m, x, target, _ := setup(LBFGS)
-		grad := make([]float64, len(m.nw.params))
-		m.nw.lossGrad(x, target, m.cfg.Alpha, grad) // warm-up: builds the full-batch scratch
-		iteration := func() {
-			m.nw.loss(x, target, m.cfg.Alpha) // a line-search trial
-			m.nw.backprop(x, target, m.cfg.Alpha, grad)
-		}
-		if allocs := testing.AllocsPerRun(5, iteration); allocs != 0 {
-			t.Errorf("warm loss and backprop allocated %v objects, want 0", allocs)
-		}
-	})
+	for _, c := range []struct {
+		name string
+		act  Activation
+	}{{"lbfgs", ReLU}, {"lbfgs/logistic", Logistic}, {"lbfgs/tanh", Tanh}} {
+		t.Run(c.name, func(t *testing.T) {
+			m, x, target, _ := setup(LBFGS, c.act)
+			grad := make([]float64, len(m.nw.params))
+			m.nw.lossGrad(x, target, m.cfg.Alpha, grad) // warm-up: builds the full-batch scratch
+			iteration := func() {
+				m.nw.loss(x, target, m.cfg.Alpha) // a line-search trial
+				m.nw.backprop(x, target, m.cfg.Alpha, grad)
+			}
+			if allocs := testing.AllocsPerRun(5, iteration); allocs != 0 {
+				t.Errorf("warm loss and backprop allocated %v objects, want 0", allocs)
+			}
+		})
+	}
 }
 
 // TestFitInMatchesFitBitwise trains small, large and again small models

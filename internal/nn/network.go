@@ -75,14 +75,8 @@ func (nw *network) glorotInit(r *rng.RNG) {
 	for l := 0; l < nw.layers(); l++ {
 		fanIn, fanOut := nw.dims[l], nw.dims[l+1]
 		bound := math.Sqrt(factor / float64(fanIn+fanOut))
-		w := nw.weights(l)
-		for i := range w {
-			w[i] = (2*r.Float64() - 1) * bound
-		}
-		b := nw.biases(l)
-		for i := range b {
-			b[i] = (2*r.Float64() - 1) * bound
-		}
+		r.FillUniform(nw.weights(l), bound)
+		r.FillUniform(nw.biases(l), bound)
 	}
 }
 
@@ -188,22 +182,13 @@ func (nw *network) backprop(x, target *mat.Dense, alpha float64, grad []float64)
 
 // applyActivation applies the hidden-layer activation to z in place.
 func applyActivation(z *mat.Dense, act Activation) {
-	d := z.Data()
 	switch act {
 	case Logistic:
-		for i, v := range d {
-			d[i] = 1 / (1 + math.Exp(-v))
-		}
+		mat.Logistic(z.Data())
 	case Tanh:
-		for i, v := range d {
-			d[i] = math.Tanh(v)
-		}
+		mat.Tanh(z.Data())
 	case ReLU:
-		for i, v := range d {
-			if v < 0 {
-				d[i] = 0
-			}
-		}
+		mat.ReLU(z.Data())
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", int(act)))
 	}
@@ -212,28 +197,21 @@ func applyActivation(z *mat.Dense, act Activation) {
 // applyActivationDeriv multiplies delta in place by act'(z) expressed in
 // terms of the post-activation values a.
 func applyActivationDeriv(delta, a *mat.Dense, act Activation) {
-	dd := delta.Data()
-	ad := a.Data()
 	switch act {
 	case Logistic:
-		for i, av := range ad {
-			dd[i] *= av * (1 - av)
-		}
+		mat.LogisticDeriv(delta.Data(), a.Data())
 	case Tanh:
-		for i, av := range ad {
-			dd[i] *= 1 - av*av
-		}
+		mat.TanhDeriv(delta.Data(), a.Data())
 	case ReLU:
-		for i, av := range ad {
-			if av <= 0 {
-				dd[i] = 0
-			}
-		}
+		mat.ReLUDeriv(delta.Data(), a.Data())
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", int(act)))
 	}
 }
 
+// softmaxRows turns each row of z into probabilities: the row's max is
+// subtracted, one mat.Exp covers the whole matrix, and each row is then
+// summed in order and divided by its sum.
 func softmaxRows(z *mat.Dense) {
 	n, _ := z.Dims()
 	for i := 0; i < n; i++ {
@@ -244,10 +222,15 @@ func softmaxRows(z *mat.Dense) {
 				mx = v
 			}
 		}
-		var sum float64
 		for j, v := range row {
-			e := math.Exp(v - mx)
-			row[j] = e
+			row[j] = v - mx
+		}
+	}
+	mat.Exp(z.Data())
+	for i := 0; i < n; i++ {
+		row := z.Row(i)
+		var sum float64
+		for _, e := range row {
 			sum += e
 		}
 		for j := range row {

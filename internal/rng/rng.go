@@ -84,6 +84,26 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
+// FillUniform sets each element of dst, in order, to (2·Float64()−1)·bound,
+// a draw uniform on [−bound, bound): the same values as that loop, leaving
+// r in the same state, with the generator's state held in locals for the
+// whole fill.
+func (r *RNG) FillUniform(dst []float64, bound float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		result := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		dst[i] = (2*(float64(result>>11)/(1<<53)) - 1) * bound
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

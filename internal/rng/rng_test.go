@@ -257,3 +257,31 @@ func TestFingerprint(t *testing.T) {
 		t.Fatal("advanced generator kept the same fingerprint")
 	}
 }
+
+// TestFillUniformMatchesFloat64Loop holds FillUniform to the loop it
+// replaces: the same values in the same order, bit for bit, and the
+// generator left in the same state (spare normal included), so the next
+// draw agrees too.
+func TestFillUniformMatchesFloat64Loop(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 64, 6000} {
+		for _, bound := range []float64{1, 0.0316, math.Sqrt(6.0 / 173)} {
+			a, b := New(uint64(900+n)), New(uint64(900+n))
+			a.Norm() // leaves a spare normal pending in both
+			b.Norm()
+			got := make([]float64, n)
+			a.FillUniform(got, bound)
+			for i := range got {
+				want := (2*b.Float64() - 1) * bound
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("n=%d bound=%v: element %d = %v, the Float64 loop %v", n, bound, i, got[i], want)
+				}
+			}
+			if *a != *b {
+				t.Fatalf("n=%d bound=%v: state %+v after the fill, the Float64 loop %+v", n, bound, *a, *b)
+			}
+			if a.Norm() != b.Norm() || a.Uint64() != b.Uint64() {
+				t.Fatalf("n=%d bound=%v: the next draws differ", n, bound)
+			}
+		}
+	}
+}
