@@ -7,21 +7,27 @@ import (
 )
 
 // The matmul benchmarks time the blocked and the SIMD row kernels side by
-// side (simd where the CPU has it) on identical data at MLP-typical
-// shapes, so the ns/op ratio is the SIMD speedup itself. Each call
+// side (simd where the CPU has it) on identical data at the shapes the
+// paper's networks form, so the ns/op ratio is the SIMD speedup itself. Each call
 // computes every destination row sequentially, as Mul, MulT and TMul do.
 // `make bench-smoke` runs them for one iteration so they cannot rot.
 
-// matShapes are (batch × width × width) products as they occur inside
-// nn.Fit on the Table III search space.
+// matShapes are the products the solo-paper workload's Table III
+// networks form, as (batch × fan-in × fan-out) = (m × k × n) of Mul: a
+// satimage (36 features) or a9a (123) input into a 30-, 40- or 50-wide
+// hidden layer at the 8-, 32- and 320-row batches, and a 40-wide layer
+// into the 6- and 2-class heads. MulT and TMul pose the same three
+// numbers as their own (m, k, n), like the parity tests.
 var matShapes = []struct {
 	name    string
 	m, k, n int
 }{
-	{"batch32_w50", 32, 50, 50},
-	{"batch128_w100", 128, 100, 100},
-	{"batch256_w200", 256, 200, 200},
-	{"batch64_w512", 64, 512, 512},
+	{"8x36x50", 8, 36, 50},
+	{"32x36x40", 32, 36, 40},
+	{"32x123x30", 32, 123, 30},
+	{"320x123x40", 320, 123, 40},
+	{"32x40x6", 32, 40, 6},
+	{"320x40x2", 320, 40, 2},
 }
 
 // benchRowKernels runs one sub-benchmark per kernel family and shape
@@ -45,7 +51,8 @@ func benchRowKernels(b *testing.B, op int) {
 // BenchmarkMatMul times dst = a*b (the forward-pass product).
 func BenchmarkMatMul(b *testing.B) { benchRowKernels(b, 0) }
 
-// BenchmarkMatMulT times dst = a*bᵀ (the backprop delta propagation).
+// BenchmarkMatMulT times dst = a*bᵀ (in the SIMD family, the pack of bᵀ
+// included).
 func BenchmarkMatMulT(b *testing.B) { benchRowKernels(b, 1) }
 
 // BenchmarkMatTMul times dst = aᵀ*b (the weight gradient).

@@ -1,17 +1,19 @@
-// Tuned matrix-multiplication kernels. Mul, MulT and TMul run a
-// register-blocked implementation (4-wide unrolled inner loops with
-// multiple independent accumulator chains), or its AVX2 lift in
-// kernels_simd.go where the CPU has it, over every destination row on
-// the caller's goroutine. Two properties are deliberately engineered in:
+// Tuned matrix-multiplication kernels. Mul, MulT and TMul run one of two
+// families over every destination row on the caller's goroutine: the
+// register-blocked Go loops below (4-wide unrolled inner loops with
+// multiple independent accumulator chains), or, where the CPU has AVX2,
+// the tile family of kernels_simd.go, which holds a 4-row destination
+// tile in registers over the whole k loop and serves MulT by packing bᵀ.
+// Two properties are deliberately engineered in:
 //
 //   - Bitwise agreement with the naive reference loops the tests hold
-//     them against (NaiveMul/NaiveMulT/NaiveTMul) on finite inputs. The
-//     unrolled loops keep each output element's additions in
-//     ascending-k order — unrolling buys instruction-level parallelism
-//     from *independent* element chains, never by splitting one
-//     element's sum — and every product is passed through float64(·) so
-//     implementations that fuse multiply-add (arm64, ppc64) cannot
-//     introduce drift.
+//     them against (NaiveMul/NaiveMulT/NaiveTMul) on finite inputs. Both
+//     families keep each output element's additions in ascending-k
+//     order, starting from +0 — unrolling and tiling buy
+//     instruction-level parallelism from *independent* element chains,
+//     never by splitting one element's sum — and every product is
+//     passed through float64(·) so implementations that fuse
+//     multiply-add (arm64, ppc64) cannot introduce drift.
 //   - No av == 0 branch in the dense path. The naive loops skip zero
 //     multiplicands (profitable for sparse ReLU activations but a
 //     mispredicted branch on dense data); the blocked kernels always

@@ -1,91 +1,91 @@
 package mat
 
-// SIMD row-range drivers: the same loop structure as the blocked kernels
-// with the innermost sweeps replaced by the AVX2 microkernels from
-// simd_amd64.s. Per-element accumulation order is identical, so these
-// are bitwise-equal to the blocked kernels and the naive oracle; parity
-// is pinned by the property tests. They are only dispatched to when
-// simdAvailable.
+import "sync"
+
+// The SIMD family's matmul bodies. Every form is one tileRows sweep of
+// the AVX2 tile kernels in simd_amd64.s: a 4-row destination tile stays
+// in registers over the whole k loop and is stored once. Mul reads a
+// along its rows and TMul down its columns (four contiguous values per
+// k); MulT packs bᵀ row-major and runs as a Mul, as backprop's δ·Wᵀ
+// does with the Wᵀ it packs itself (internal/nn). A tile element is
+// +0 + p₀ + p₁ + … in ascending k, the order of the blocked kernels and
+// the naive oracle, so the families are bitwise-equal; the property
+// tests pin it. They are only dispatched to when simdAvailable.
 
 // mulSIMD computes rows [i0, i1) of dst = a*b.
 func mulSIMD(dst, a, b *Dense, i0, i1 int) {
-	kDim, n := a.cols, b.cols
-	bd := b.data
-	for i := i0; i < i1; i++ {
-		arow := a.data[i*kDim : (i+1)*kDim]
-		drow := dst.data[i*n : i*n+n]
-		for j := range drow {
-			drow[j] = 0
-		}
-		k := 0
-		for ; k+4 <= kDim; k += 4 {
-			axpy4avx(arow[k], arow[k+1], arow[k+2], arow[k+3],
-				&bd[k*n], uintptr(n), &drow[0], uintptr(n))
-		}
-		for ; k < kDim; k++ {
-			axpy1avx(arow[k], &bd[k*n], &drow[0], uintptr(n))
-		}
-	}
+	tileRows(dst, a.data, a.cols, 1, b, i0, i1)
 }
 
-// mulTSIMD computes rows [i0, i1) of dst = a * bᵀ: four dot products per
-// dot4avx call (one per lane), with the k tail beyond n&^3 finished here
-// so each lane's chain continues in ascending-k order.
-func mulTSIMD(dst, a, b *Dense, i0, i1 int) {
-	kDim, n := a.cols, b.rows
-	bd := b.data
-	k4 := kDim &^ 3
-	for i := i0; i < i1; i++ {
-		arow := a.data[i*kDim : (i+1)*kDim : (i+1)*kDim]
-		drow := dst.data[i*n : i*n+n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			dot4avx(&arow[0], &bd[j*kDim], uintptr(kDim), uintptr(kDim), &drow[j])
-			if k4 < kDim {
-				b0 := bd[j*kDim : (j+1)*kDim : (j+1)*kDim]
-				b1 := bd[(j+1)*kDim : (j+2)*kDim : (j+2)*kDim]
-				b2 := bd[(j+2)*kDim : (j+3)*kDim : (j+3)*kDim]
-				b3 := bd[(j+3)*kDim : (j+4)*kDim : (j+4)*kDim]
-				s0, s1, s2, s3 := drow[j], drow[j+1], drow[j+2], drow[j+3]
-				for k := k4; k < kDim; k++ {
-					av := arow[k]
-					s0 += float64(av * b0[k])
-					s1 += float64(av * b1[k])
-					s2 += float64(av * b2[k])
-					s3 += float64(av * b3[k])
-				}
-				drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-			}
-		}
-		for ; j < n; j++ {
-			brow := bd[j*kDim : (j+1)*kDim : (j+1)*kDim]
-			var s float64
-			for k, av := range arow {
-				s += float64(av * brow[k])
-			}
-			drow[j] = s
-		}
-	}
-}
-
-// tMulSIMD computes rows [i0, i1) of dst = aᵀ * b (row i of dst is
-// column i of a against all of b), with the same axpy microkernels as
-// mulSIMD and the a values gathered down column i.
+// tMulSIMD computes rows [i0, i1) of dst = aᵀ * b: row i of aᵀ is column
+// i of a, so a tile's four a values per k are contiguous.
 func tMulSIMD(dst, a, b *Dense, i0, i1 int) {
-	kDim, p, n := a.rows, a.cols, b.cols
-	ad, bd := a.data, b.data
-	for i := i0; i < i1; i++ {
-		drow := dst.data[i*n : i*n+n]
-		for j := range drow {
-			drow[j] = 0
+	tileRows(dst, a.data, 1, a.cols, b, i0, i1)
+}
+
+// mulTSIMD computes rows [i0, i1) of dst = a * bᵀ as a times bᵀ packed
+// row-major: the same products, summed in the same ascending-k order as
+// the blocked kernel's dot products. The packed copy is borrowed from
+// packs, so repeated calls allocate nothing.
+func mulTSIMD(dst, a, b *Dense, i0, i1 int) {
+	buf, _ := packs.Get().(*[]float64)
+	if buf == nil || cap(*buf) < len(b.data) {
+		buf = new([]float64)
+		*buf = make([]float64, len(b.data))
+	}
+	bt := Dense{rows: b.cols, cols: b.rows, data: (*buf)[:len(b.data)]}
+	transpose(bt.data, b.data, b.rows, b.cols)
+	tileRows(dst, a.data, a.cols, 1, &bt, i0, i1)
+	packs.Put(buf)
+}
+
+// packs holds mulTSIMD's bᵀ buffers between calls.
+var packs sync.Pool
+
+// transpose writes the rows×cols matrix src into dst as cols×rows.
+func transpose(dst, src []float64, rows, cols int) {
+	for j := 0; j < rows; j++ {
+		for k, v := range src[j*cols : (j+1)*cols] {
+			dst[k*rows+j] = v
 		}
-		k := 0
-		for ; k+4 <= kDim; k += 4 {
-			axpy4avx(ad[k*p+i], ad[(k+1)*p+i], ad[(k+2)*p+i], ad[(k+3)*p+i],
-				&bd[k*n], uintptr(n), &drow[0], uintptr(n))
+	}
+}
+
+// tileRows computes rows [i0, i1) of dst = A*b, where A(i, k) is
+// a[i*rs + k*cs], four rows at a time: 8-column tiles across, then one
+// 4-, 2- and 1-column tile for the rest.
+func tileRows(dst *Dense, a []float64, rs, cs int, b *Dense, i0, i1 int) {
+	k, n := uintptr(b.rows), b.cols
+	ucs, ldb := uintptr(cs), uintptr(n)
+	for i := i0; i < i1; {
+		ars, ldd, rows := uintptr(rs), ldb, 4
+		switch {
+		case i+4 <= i1:
+		case i1-i0 >= 4:
+			// The last tile ends at i1; the rows it shares with the
+			// one before are computed again, to the same bits.
+			i = i1 - 4
+		default:
+			// Zero row strides on a and dst compute row i four times
+			// and store it four times in place.
+			ars, ldd, rows = 0, 0, 1
 		}
-		for ; k < kDim; k++ {
-			axpy1avx(ad[k*p+i], &bd[k*n], &drow[0], uintptr(n))
+		ap, drow := &a[i*rs], dst.data[i*n:(i+1)*n]
+		j := 0
+		for ; j+8 <= n; j += 8 {
+			tile4x8(ap, ars, ucs, &b.data[j], ldb, &drow[j], ldd, k)
 		}
+		if j+4 <= n {
+			tile4x4(ap, ars, ucs, &b.data[j], ldb, &drow[j], ldd, k)
+			j += 4
+		}
+		if j+2 <= n {
+			tile4x2(ap, ars, ucs, &b.data[j], ldb, &drow[j], ldd, k)
+			j += 2
+		}
+		if j < n {
+			tile4x1(ap, ars, ucs, &b.data[j], ldb, &drow[j], ldd, k)
+		}
+		i += rows
 	}
 }

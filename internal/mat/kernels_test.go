@@ -14,11 +14,11 @@ import (
 
 // kernelShapes covers the degenerate, prime, tall, wide and MLP-typical
 // cases: (m, k, n) for dst(m×n) = a(m×k) * b(k×n). The odd sizes land in
-// every unroll remainder path (k%4, n%4). The last five are the products
-// the served jobs form: satimage's 36 features and a9a's 123 into a 30-
-// or 50-wide hidden layer, a short tail minibatch, and the 6- and
-// 2-class heads.
-var kernelShapes = []struct{ m, k, n int }{
+// every unroll remainder path (k%4, n%4). The five after the square ones
+// are the products the served jobs form: satimage's 36 features and
+// a9a's 123 into a 30- or 50-wide hidden layer, a short tail minibatch,
+// and the 6- and 2-class heads. tileShapes adds the rest.
+var kernelShapes = append([]struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 5, 1},
 	{2, 3, 4},
@@ -35,6 +35,22 @@ var kernelShapes = []struct{ m, k, n int }{
 	{8, 123, 50},
 	{9, 50, 6},
 	{32, 50, 2},
+}, tileShapes()...)
+
+// tileShapes puts each row remainder past the 4-row tiles, m%4 ∈ {1, 2,
+// 3}, against each column remainder past the 8-column tiles, n%8 ∈ {1…7}
+// both after a whole tile and alone — n = 1 is the regression head of
+// kc-house and molecules, 2 and 6 the class heads — at k ∈ {1, 2, 6,
+// 123}.
+func tileShapes() (shapes []struct{ m, k, n int }) {
+	for _, m := range []int{5, 10, 15} {
+		for _, k := range []int{1, 2, 6, 123} {
+			for r := 1; r < 8; r++ {
+				shapes = append(shapes, struct{ m, k, n int }{m, k, r}, struct{ m, k, n int }{m, k, 8 + r})
+			}
+		}
+	}
+	return shapes
 }
 
 func randDense(r *rng.RNG, rows, cols int) *Dense {
@@ -127,6 +143,17 @@ func staleDense(m, n int) *Dense {
 	return d
 }
 
+// untouched fails unless every value of rows, a part of a staleDense
+// outside the range a kernel was given, is still 42.
+func untouched(t *testing.T, label string, rows []float64) {
+	t.Helper()
+	for i, v := range rows {
+		if v != 42 {
+			t.Fatalf("%s: element %d outside the row range = %v", label, i, v)
+		}
+	}
+}
+
 // checkPublicKernels holds the public entry points of every matmul form
 // against the naive loops, bit for bit. Every destination starts filled
 // with 42: stale contents must not leak through.
@@ -160,7 +187,10 @@ func TestBlockedKernelsTiledShapes(t *testing.T) {
 
 // TestForcedKernelParity calls each family's row kernels directly, over
 // two row ranges of every shape, and holds them to the naive loops bit
-// for bit, whichever family the public entry points run.
+// for bit, whichever family the public entry points run. The ranges
+// split after the first row, in the middle and before the last row, and
+// each range alone must leave the other's rows as it found them, so a
+// 4-row tile that reached across a range edge would show.
 func TestForcedKernelParity(t *testing.T) {
 	shapes := append(kernelShapes[:len(kernelShapes):len(kernelShapes)], wideShapes...)
 	for fi := range familyNames {
@@ -171,11 +201,18 @@ func TestForcedKernelParity(t *testing.T) {
 					a, b := op.operands(r, sh.m, sh.k, sh.n)
 					want := NewDense(sh.m, sh.n)
 					op.oracle(want, a, b)
-					got := staleDense(sh.m, sh.n)
 					rows := op.rowsOf(a)
-					op.rows[fi](got, a, b, 0, rows/2)
-					op.rows[fi](got, a, b, rows/2, rows)
-					bitwiseEqual(t, fmt.Sprintf("%s %dx%dx%d", op.name, sh.m, sh.k, sh.n), got, want)
+					for _, split := range []int{1, rows / 2, rows - 1} {
+						label := fmt.Sprintf("%s %dx%dx%d split %d", op.name, sh.m, sh.k, sh.n, split)
+						head := staleDense(sh.m, sh.n)
+						op.rows[fi](head, a, b, 0, split)
+						untouched(t, label, head.Data()[split*sh.n:])
+						got := staleDense(sh.m, sh.n)
+						op.rows[fi](got, a, b, split, rows)
+						untouched(t, label, got.Data()[:split*sh.n])
+						op.rows[fi](got, a, b, 0, split)
+						bitwiseEqual(t, label, got, want)
+					}
 				}
 			}
 		})

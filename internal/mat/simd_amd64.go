@@ -7,45 +7,43 @@ import "math"
 // AVX2 microkernel declarations (bodies in simd_amd64.s) plus the CPUID
 // probing that decides whether the SIMD kernel family is usable at all.
 //
-// The microkernels are deliberately *not* full matmuls: they are the two
-// inner-loop shapes the blocked kernels already use — a 4-row axpy sweep
-// (mulBlocked/tMulBlocked) and a 4-wide dot-product block (mulTBlocked) —
-// lifted to AVX2 with the exact same per-element accumulation order.
-// Vectorizing across output columns (axpy) or across independent dot
-// chains (dot4) only changes *which* elements are computed together,
-// never the order of additions within one element, and VMULPD/VADDPD
-// round each lane exactly like the scalar ops, so the SIMD family is
-// bitwise-identical to the blocked and naive kernels. The matmul, Adam
-// and L2-fold kernels never emit FMA: a fused multiply-add rounds once
-// where the reference kernels round twice, which would break that
-// guarantee.
+// The matmul kernels compute a register-resident 4-row destination tile
+// over the whole inner dimension: tile4x8, tile4x4, tile4x2 and tile4x1
+// cover 8, 4, 2 and 1 columns, and tileRows (kernels_simd.go) lays them
+// over a row range; MulT, like backprop's δ·Wᵀ in internal/nn, runs as a
+// Mul against a packed transpose. Each tile element starts at +0 and
+// adds its products one k at a time in ascending k — the order of the
+// naive and blocked loops — so tiling changes only *which* elements are
+// computed together, never the order of additions within one.
+// VMULPD/VADDPD round each lane exactly like the scalar ops, so the SIMD
+// family is bitwise-identical to the blocked and naive kernels. The
+// matmul, Adam and L2-fold kernels never emit FMA: a fused multiply-add
+// rounds once where the reference kernels round twice, which would
+// break that guarantee.
 //
 // The activation kernels (the contracts are in activation.go) compute
 // math.Exp lane for lane, and math.Exp itself has two bodies, one with
 // FMA. So their exp comes in two variants, and pickExpKernels takes, at
 // init, the one that reproduces this process's math.Exp, or none.
 
-// axpy4avx computes dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-// for j in [0, n), where b0 starts at b and b1..b3 follow at stride ldb
-// elements. The four adds per element are applied in a0..a3 order,
-// matching the scalar 4-wide unrolled loop.
+// tile4x8 sets, for r < 4 and c < 8,
+//
+//	dst[r*ldd+c] = Σ_{κ<k} a[r*rs+κ*cs] * b[κ*ldb+c]
+//
+// summed from +0 in ascending κ; strides are in elements. tile4x4,
+// tile4x2 and tile4x1 do the same for c < 4, 2 and 1.
 //
 //go:noescape
-func axpy4avx(a0, a1, a2, a3 float64, b *float64, ldb uintptr, dst *float64, n uintptr)
+func tile4x8(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
 
-// axpy1avx computes dst[j] += a0*b[j] for j in [0, n).
-//
 //go:noescape
-func axpy1avx(a0 float64, b *float64, dst *float64, n uintptr)
+func tile4x4(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
 
-// dot4avx sets out[m] = Σ_{k<n&^3} a[k]*b_m[k] for the four rows b_m at
-// stride ldb elements from b, accumulating in ascending-k order per
-// output (one sequential chain per lane; lanes are independent dots).
-// The k tail beyond n&^3 is left to the caller so the remaining adds
-// continue each chain in order.
-//
 //go:noescape
-func dot4avx(a *float64, b *float64, ldb, n uintptr, out *float64)
+func tile4x2(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
+
+//go:noescape
+func tile4x1(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
 
 // adamavx is AdamStep four lanes wide over n elements, c pointing at
 // the eight coefficients in AdamCoeffs field order.

@@ -1,6 +1,6 @@
 //go:build amd64 && !purego
 
-// AVX2 microkernels for the SIMD family: the matmul sweeps, the
+// AVX2 microkernels for the SIMD family: the matmul tiles, the
 // per-parameter Adam and L2-fold loops, and the activations. See
 // simd_amd64.go and activation.go for the contracts. Determinism rules
 // observed throughout:
@@ -10,228 +10,224 @@
 //     except in EXP_FMA, which fuses exactly where math.Exp's own FMA
 //     body does and runs only where math.Exp runs that body;
 //   - per output element, additions happen in the same order as the
-//     scalar kernels (a0..a3 per quad in the axpys, ascending k in the
-//     dot lanes); vectorization only groups *independent* elements;
+//     scalar kernels (a tile element is +0 + p₀ + p₁ + … in ascending
+//     k, one k per loop step); vectorization and tiling only group
+//     *independent* elements;
 //   - VZEROUPPER before any scalar tail or return, so the SSE tail ops
 //     pay no AVX transition penalty.
 
 #include "textflag.h"
 
-// func axpy4avx(a0, a1, a2, a3 float64, b *float64, ldb uintptr, dst *float64, n uintptr)
-TEXT ·axpy4avx(SB), NOSPLIT, $0-64
-	VBROADCASTSD a0+0(FP), Y0
-	VBROADCASTSD a1+8(FP), Y1
-	VBROADCASTSD a2+16(FP), Y2
-	VBROADCASTSD a3+24(FP), Y3
-	MOVQ b+32(FP), SI
-	MOVQ ldb+40(FP), CX
-	SHLQ $3, CX            // stride in bytes
-	MOVQ dst+48(FP), DI
-	MOVQ n+56(FP), DX
-	LEAQ (SI)(CX*1), R8    // b1
-	LEAQ (SI)(CX*2), R9    // b2
-	LEAQ (R8)(CX*2), R10   // b3
-	XORQ AX, AX
-	MOVQ DX, BX
-	ANDQ $-8, BX
-
-axpy4_loop8:
-	CMPQ AX, BX
-	JGE  axpy4_quad
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
-	VMOVUPD (SI)(AX*8), Y6
-	VMOVUPD 32(SI)(AX*8), Y7
-	VMULPD  Y0, Y6, Y6
-	VMULPD  Y0, Y7, Y7
-	VADDPD  Y6, Y4, Y4
-	VADDPD  Y7, Y5, Y5
-	VMOVUPD (R8)(AX*8), Y6
-	VMOVUPD 32(R8)(AX*8), Y7
-	VMULPD  Y1, Y6, Y6
-	VMULPD  Y1, Y7, Y7
-	VADDPD  Y6, Y4, Y4
-	VADDPD  Y7, Y5, Y5
-	VMOVUPD (R9)(AX*8), Y6
-	VMOVUPD 32(R9)(AX*8), Y7
-	VMULPD  Y2, Y6, Y6
-	VMULPD  Y2, Y7, Y7
-	VADDPD  Y6, Y4, Y4
-	VADDPD  Y7, Y5, Y5
-	VMOVUPD (R10)(AX*8), Y6
-	VMOVUPD 32(R10)(AX*8), Y7
-	VMULPD  Y3, Y6, Y6
-	VMULPD  Y3, Y7, Y7
-	VADDPD  Y6, Y4, Y4
-	VADDPD  Y7, Y5, Y5
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	ADDQ $8, AX
-	JMP  axpy4_loop8
-
-axpy4_quad:
-	MOVQ DX, BX
-	ANDQ $-4, BX
-
-axpy4_loop4:
-	CMPQ AX, BX
-	JGE  axpy4_tail
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD (SI)(AX*8), Y6
-	VMULPD  Y0, Y6, Y6
-	VADDPD  Y6, Y4, Y4
-	VMOVUPD (R8)(AX*8), Y6
-	VMULPD  Y1, Y6, Y6
-	VADDPD  Y6, Y4, Y4
-	VMOVUPD (R9)(AX*8), Y6
-	VMULPD  Y2, Y6, Y6
-	VADDPD  Y6, Y4, Y4
-	VMOVUPD (R10)(AX*8), Y6
-	VMULPD  Y3, Y6, Y6
-	VADDPD  Y6, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP  axpy4_loop4
-
-axpy4_tail:
-	VZEROUPPER
-
-axpy4_tailloop:
-	CMPQ AX, DX
-	JGE  axpy4_done
-	MOVSD (DI)(AX*8), X4
-	MOVSD (SI)(AX*8), X6
-	MULSD X0, X6
-	ADDSD X6, X4
-	MOVSD (R8)(AX*8), X6
-	MULSD X1, X6
-	ADDSD X6, X4
-	MOVSD (R9)(AX*8), X6
-	MULSD X2, X6
-	ADDSD X6, X4
-	MOVSD (R10)(AX*8), X6
-	MULSD X3, X6
-	ADDSD X6, X4
-	MOVSD X4, (DI)(AX*8)
-	INCQ AX
-	JMP  axpy4_tailloop
-
-axpy4_done:
-	RET
-
-// func axpy1avx(a0 float64, b *float64, dst *float64, n uintptr)
-TEXT ·axpy1avx(SB), NOSPLIT, $0-32
-	VBROADCASTSD a0+0(FP), Y0
-	MOVQ b+8(FP), SI
-	MOVQ dst+16(FP), DI
-	MOVQ n+24(FP), DX
-	XORQ AX, AX
-	MOVQ DX, BX
-	ANDQ $-8, BX
-
-axpy1_loop8:
-	CMPQ AX, BX
-	JGE  axpy1_quad
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
-	VMOVUPD (SI)(AX*8), Y6
-	VMOVUPD 32(SI)(AX*8), Y7
-	VMULPD  Y0, Y6, Y6
-	VMULPD  Y0, Y7, Y7
-	VADDPD  Y6, Y4, Y4
-	VADDPD  Y7, Y5, Y5
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	ADDQ $8, AX
-	JMP  axpy1_loop8
-
-axpy1_quad:
-	MOVQ DX, BX
-	ANDQ $-4, BX
-
-axpy1_loop4:
-	CMPQ AX, BX
-	JGE  axpy1_tail
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD (SI)(AX*8), Y6
-	VMULPD  Y0, Y6, Y6
-	VADDPD  Y6, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP  axpy1_loop4
-
-axpy1_tail:
-	VZEROUPPER
-
-axpy1_tailloop:
-	CMPQ AX, DX
-	JGE  axpy1_done
-	MOVSD (DI)(AX*8), X4
-	MOVSD (SI)(AX*8), X6
-	MULSD X0, X6
-	ADDSD X6, X4
-	MOVSD X4, (DI)(AX*8)
-	INCQ AX
-	JMP  axpy1_tailloop
-
-axpy1_done:
-	RET
-
-// func dot4avx(a *float64, b *float64, ldb, n uintptr, out *float64)
+// The matmul tile kernels: tile4xC computes a 4×C destination tile,
+// C = 8, 4, 2 or 1 columns, over the whole k loop. The operands are
+// addressed by strides, in elements:
 //
-// Four independent dot products in the four lanes of Y0: each k-step
-// loads b0..b3[k..k+3], transposes the 4x4 block into per-k column
-// vectors, and adds a[k]*col(k) one k at a time — so every lane is a
-// single sequential ascending-k accumulation chain, exactly like the
-// scalar 4-chain loop in mulTBlocked. Only n&^3 steps are processed;
-// the caller finishes the k tail.
-TEXT ·dot4avx(SB), NOSPLIT, $0-40
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), R8
-	MOVQ ldb+16(FP), CX
-	SHLQ $3, CX
-	MOVQ n+24(FP), DX
-	LEAQ (R8)(CX*1), R9
-	LEAQ (R8)(CX*2), R10
-	LEAQ (R9)(CX*2), R11
+//	dst[r*ldd + c] = Σ_{κ<k} a[r*rs + κ*cs] · b[κ*ldb + c]   (r < 4, c < C)
+//
+// The accumulators start at +0 and stay in registers; each step κ loads
+// one C-wide b row, broadcasts the four a values and adds their products
+// in ascending κ; the tile is stored once, at the end. The arguments are
+// the same for every width:
+//
+//	func tile4xC(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
+//
+// TILE_ENTRY loads them into byte strides: SI walks a's row 0 and R8
+// its row 3 (rows 1 and 2 are SI+CX and SI+2·CX), BX walks b, and DI,
+// R10 are dst and its row stride; R11 counts k down.
+#define TILE_ENTRY \
+	MOVQ a+0(FP), SI; \
+	MOVQ rs+8(FP), CX; \
+	SHLQ $3, CX; \
+	MOVQ cs+16(FP), DX; \
+	SHLQ $3, DX; \
+	MOVQ b+24(FP), BX; \
+	MOVQ ldb+32(FP), R9; \
+	SHLQ $3, R9; \
+	MOVQ dst+40(FP), DI; \
+	MOVQ ldd+48(FP), R10; \
+	SHLQ $3, R10; \
+	MOVQ k+56(FP), R11; \
+	LEAQ (SI)(CX*2), R8; \
+	ADDQ CX, R8
+
+// TILE_STEP advances a, b and the k count by one step.
+#define TILE_STEP \
+	ADDQ DX, SI; \
+	ADDQ DX, R8; \
+	ADDQ R9, BX; \
+	DECQ R11
+
+// TILE_ROWS points R12 at dst's row 2 and R13 at its row 3.
+#define TILE_ROWS \
+	LEAQ (DI)(R10*2), R12; \
+	LEAQ (R12)(R10*1), R13
+
+// func tile4x8(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
+//
+// Row r accumulates in Y(2r) (columns 0–3) and Y(2r+1) (columns 4–7).
+TEXT ·tile4x8(SB), NOSPLIT, $0-64
+	TILE_ENTRY
 	VXORPD Y0, Y0, Y0
-	XORQ AX, AX
-	MOVQ DX, BX
-	ANDQ $-4, BX
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	TESTQ  R11, R11
+	JEQ    tile4x8_store
 
-dot4_loop:
-	CMPQ AX, BX
-	JGE  dot4_done
-	VMOVUPD (R8)(AX*8), Y1   // b0[k..k+3]
-	VMOVUPD (R9)(AX*8), Y2   // b1[k..k+3]
-	VMOVUPD (R10)(AX*8), Y3  // b2[k..k+3]
-	VMOVUPD (R11)(AX*8), Y4  // b3[k..k+3]
-	VUNPCKLPD Y2, Y1, Y5     // b0[k] b1[k] b0[k+2] b1[k+2]
-	VUNPCKHPD Y2, Y1, Y6     // b0[k+1] b1[k+1] b0[k+3] b1[k+3]
-	VUNPCKLPD Y4, Y3, Y7     // b2[k] b3[k] b2[k+2] b3[k+2]
-	VUNPCKHPD Y4, Y3, Y8     // b2[k+1] b3[k+1] b2[k+3] b3[k+3]
-	VPERM2F128 $0x20, Y7, Y5, Y9   // col k
-	VPERM2F128 $0x20, Y8, Y6, Y10  // col k+1
-	VPERM2F128 $0x31, Y7, Y5, Y11  // col k+2
-	VPERM2F128 $0x31, Y8, Y6, Y12  // col k+3
-	VBROADCASTSD (SI)(AX*8), Y13
-	VMULPD Y9, Y13, Y13
-	VADDPD Y13, Y0, Y0
-	VBROADCASTSD 8(SI)(AX*8), Y13
-	VMULPD Y10, Y13, Y13
-	VADDPD Y13, Y0, Y0
-	VBROADCASTSD 16(SI)(AX*8), Y13
-	VMULPD Y11, Y13, Y13
-	VADDPD Y13, Y0, Y0
-	VBROADCASTSD 24(SI)(AX*8), Y13
-	VMULPD Y12, Y13, Y13
-	VADDPD Y13, Y0, Y0
-	ADDQ $4, AX
-	JMP  dot4_loop
+tile4x8_loop:
+	VMOVUPD      (BX), Y8
+	VMOVUPD      32(BX), Y9
+	VBROADCASTSD (SI), Y10
+	VMULPD       Y8, Y10, Y14
+	VMULPD       Y9, Y10, Y15
+	VADDPD       Y14, Y0, Y0
+	VADDPD       Y15, Y1, Y1
+	VBROADCASTSD (SI)(CX*1), Y11
+	VMULPD       Y8, Y11, Y14
+	VMULPD       Y9, Y11, Y15
+	VADDPD       Y14, Y2, Y2
+	VADDPD       Y15, Y3, Y3
+	VBROADCASTSD (SI)(CX*2), Y12
+	VMULPD       Y8, Y12, Y14
+	VMULPD       Y9, Y12, Y15
+	VADDPD       Y14, Y4, Y4
+	VADDPD       Y15, Y5, Y5
+	VBROADCASTSD (R8), Y13
+	VMULPD       Y8, Y13, Y14
+	VMULPD       Y9, Y13, Y15
+	VADDPD       Y14, Y6, Y6
+	VADDPD       Y15, Y7, Y7
+	TILE_STEP
+	JNZ          tile4x8_loop
 
-dot4_done:
-	MOVQ out+32(FP), DI
+tile4x8_store:
+	TILE_ROWS
 	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R10*1)
+	VMOVUPD Y3, 32(DI)(R10*1)
+	VMOVUPD Y4, (R12)
+	VMOVUPD Y5, 32(R12)
+	VMOVUPD Y6, (R13)
+	VMOVUPD Y7, 32(R13)
+	VZEROUPPER
+	RET
+
+// func tile4x4(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
+//
+// Row r accumulates in Yr.
+TEXT ·tile4x4(SB), NOSPLIT, $0-64
+	TILE_ENTRY
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	TESTQ  R11, R11
+	JEQ    tile4x4_store
+
+tile4x4_loop:
+	VMOVUPD      (BX), Y8
+	VBROADCASTSD (SI), Y10
+	VBROADCASTSD (SI)(CX*1), Y11
+	VBROADCASTSD (SI)(CX*2), Y12
+	VBROADCASTSD (R8), Y13
+	VMULPD       Y8, Y10, Y10
+	VMULPD       Y8, Y11, Y11
+	VMULPD       Y8, Y12, Y12
+	VMULPD       Y8, Y13, Y13
+	VADDPD       Y10, Y0, Y0
+	VADDPD       Y11, Y1, Y1
+	VADDPD       Y12, Y2, Y2
+	VADDPD       Y13, Y3, Y3
+	TILE_STEP
+	JNZ          tile4x4_loop
+
+tile4x4_store:
+	TILE_ROWS
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(R10*1)
+	VMOVUPD Y2, (R12)
+	VMOVUPD Y3, (R13)
+	VZEROUPPER
+	RET
+
+// func tile4x2(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
+//
+// Row r accumulates in Xr; VMOVDDUP broadcasts an a value to both lanes.
+TEXT ·tile4x2(SB), NOSPLIT, $0-64
+	TILE_ENTRY
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+	TESTQ  R11, R11
+	JEQ    tile4x2_store
+
+tile4x2_loop:
+	VMOVUPD   (BX), X8
+	VMOVDDUP  (SI), X10
+	VMOVDDUP  (SI)(CX*1), X11
+	VMOVDDUP  (SI)(CX*2), X12
+	VMOVDDUP  (R8), X13
+	VMULPD    X8, X10, X10
+	VMULPD    X8, X11, X11
+	VMULPD    X8, X12, X12
+	VMULPD    X8, X13, X13
+	VADDPD    X10, X0, X0
+	VADDPD    X11, X1, X1
+	VADDPD    X12, X2, X2
+	VADDPD    X13, X3, X3
+	TILE_STEP
+	JNZ       tile4x2_loop
+
+tile4x2_store:
+	TILE_ROWS
+	VMOVUPD X0, (DI)
+	VMOVUPD X1, (DI)(R10*1)
+	VMOVUPD X2, (R12)
+	VMOVUPD X3, (R13)
+	VZEROUPPER
+	RET
+
+// func tile4x1(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
+//
+// Row r accumulates in the low lane of Xr.
+TEXT ·tile4x1(SB), NOSPLIT, $0-64
+	TILE_ENTRY
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+	TESTQ  R11, R11
+	JEQ    tile4x1_store
+
+tile4x1_loop:
+	VMOVSD (BX), X8
+	VMOVSD (SI), X10
+	VMOVSD (SI)(CX*1), X11
+	VMOVSD (SI)(CX*2), X12
+	VMOVSD (R8), X13
+	VMULSD X8, X10, X10
+	VMULSD X8, X11, X11
+	VMULSD X8, X12, X12
+	VMULSD X8, X13, X13
+	VADDSD X10, X0, X0
+	VADDSD X11, X1, X1
+	VADDSD X12, X2, X2
+	VADDSD X13, X3, X3
+	TILE_STEP
+	JNZ    tile4x1_loop
+
+tile4x1_store:
+	TILE_ROWS
+	VMOVSD X0, (DI)
+	VMOVSD X1, (DI)(R10*1)
+	VMOVSD X2, (R12)
+	VMOVSD X3, (R13)
 	VZEROUPPER
 	RET
 

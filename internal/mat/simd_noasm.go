@@ -10,15 +10,19 @@ package mat
 
 const simdAvailable = false
 
-func axpy4avx(a0, a1, a2, a3 float64, b *float64, ldb uintptr, dst *float64, n uintptr) {
+func tile4x8(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr) {
 	panic("mat: SIMD kernel called on a platform without SIMD support")
 }
 
-func axpy1avx(a0 float64, b *float64, dst *float64, n uintptr) {
+func tile4x4(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr) {
 	panic("mat: SIMD kernel called on a platform without SIMD support")
 }
 
-func dot4avx(a *float64, b *float64, ldb, n uintptr, out *float64) {
+func tile4x2(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr) {
+	panic("mat: SIMD kernel called on a platform without SIMD support")
+}
+
+func tile4x1(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr) {
 	panic("mat: SIMD kernel called on a platform without SIMD support")
 }
 

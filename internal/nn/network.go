@@ -28,12 +28,14 @@ type network struct {
 	// it — is valid only until that arena is reset.
 	ws *mat.Arena
 	// Reused buffers (lazily built — Load constructs networks without
-	// newNetwork): weight views, weight-gradient buffers, and per-row-
-	// count forward/backward scratch. Their presence makes forwardPass
-	// and lossGrad allocation-free in steady state, but also means a
-	// network must not be used from multiple goroutines concurrently.
+	// newNetwork): weight views, weight-gradient buffers, transposed-
+	// weight buffers, and per-row-count forward/backward scratch. Their
+	// presence makes forwardPass and lossGrad allocation-free in steady
+	// state, but also means a network must not be used from multiple
+	// goroutines concurrently.
 	wMats   []*mat.Dense
 	gwBufs  []*mat.Dense
+	wtBufs  []*mat.Dense
 	scratch []*batchScratch
 }
 
@@ -174,7 +176,7 @@ func (nw *network) backprop(x, target *mat.Dense, alpha float64, grad []float64)
 		}
 		// Propagate: delta_prev = (delta * Wᵀ) ⊙ act'(acts[l]).
 		prev := s.deltas[l]
-		mat.MulT(prev, delta, nw.weightMat(l))
+		mat.Mul(prev, delta, nw.packWT(l))
 		applyActivationDeriv(prev, acts[l], nw.activation)
 		delta = prev
 	}

@@ -66,6 +66,74 @@ func TestGradCheckReLUSoftmax(t *testing.T)     { gradCheck(t, ReLU, true) }
 func TestGradCheckTanhRegression(t *testing.T)  { gradCheck(t, Tanh, false) }
 func TestGradCheckReLURegression(t *testing.T)  { gradCheck(t, ReLU, false) }
 
+// backpropMulT is backprop with the delta propagated by mat.MulT against
+// the weights as stored: the reference the packed Wᵀ is held to.
+func backpropMulT(nw *network, x, target *mat.Dense, alpha float64, grad []float64) {
+	n := x.Rows()
+	acts := nw.scratchFor(n).acts
+	delta := mat.NewDense(n, nw.dims[nw.layers()])
+	copy(delta.Data(), acts[nw.layers()].Data())
+	delta.Sub(target)
+	delta.Scale(1 / float64(n))
+	for l := nw.layers() - 1; l >= 0; l-- {
+		gw := mat.NewDense(nw.dims[l], nw.dims[l+1])
+		mat.TMul(gw, acts[l], delta)
+		w := nw.weights(l)
+		mat.FoldL2(grad[nw.wOff[l]:nw.wOff[l]+len(w)], gw.Data(), w, alpha, float64(n))
+		mat.ColSumsInto(grad[nw.bOff[l]:nw.bOff[l]+nw.dims[l+1]], delta)
+		if l == 0 {
+			break
+		}
+		prev := mat.NewDense(n, nw.dims[l])
+		mat.MulT(prev, delta, nw.weightMat(l))
+		applyActivationDeriv(prev, acts[l], nw.activation)
+		delta = prev
+	}
+}
+
+// TestBackpropPackedWTMatchesMulT holds backprop's gradient, whose delta
+// runs through the packed Wᵀ and mat.Mul, to the gradient through
+// mat.MulT, bit for bit: every activation, the 2- and 6-class heads and
+// the 1-output regression head, one and two hidden layers, over 13 rows
+// (a row remainder after the 4-row tiles) with widths that leave column
+// remainders too.
+func TestBackpropPackedWTMatchesMulT(t *testing.T) {
+	const rows, features = 13, 11
+	for _, act := range []Activation{Logistic, Tanh, ReLU} {
+		for _, head := range []struct {
+			name    string
+			outputs int
+			softmax bool
+		}{{"2-class", 2, true}, {"6-class", 6, true}, {"regression", 1, false}} {
+			for _, hidden := range [][]int{{9}, {10, 7}} {
+				r := rng.New(uint64(len(hidden)*100 + head.outputs))
+				nw := newNetwork(nil, features, hidden, head.outputs, act, head.softmax, r.Split(1))
+				x := mat.NewDense(rows, features)
+				for i, xd := 0, x.Data(); i < len(xd); i++ {
+					xd[i] = r.Norm()
+				}
+				target := mat.NewDense(rows, head.outputs)
+				for i := 0; i < rows; i++ {
+					if head.softmax {
+						target.Set(i, r.Intn(head.outputs), 1)
+					} else {
+						target.Set(i, 0, r.Norm())
+					}
+				}
+				got := make([]float64, len(nw.params))
+				nw.lossGrad(x, target, 0.01, got)
+				want := make([]float64, len(nw.params))
+				backpropMulT(nw, x, target, 0.01, want)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s %s %v: grad[%d] = %x, want %x", act, head.name, hidden, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // easyClassification builds a well-separated 2-class problem.
 func easyClassification(n int, seed uint64) *dataset.Dataset {
 	r := rng.New(seed)

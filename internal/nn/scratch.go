@@ -70,3 +70,26 @@ func (nw *network) gwBuf(l int) *mat.Dense {
 	}
 	return nw.gwBufs[l]
 }
+
+// packWT returns layer l's weights transposed (fanOut×fanIn), copied
+// from the parameters into the layer's persistent buffer. Backprop's
+// delta·Wᵀ is then a plain Mul, which runs as register tiles over
+// contiguous rows; each element sums the same products in the same
+// ascending order as a MulT against the weights would. The copy is made
+// on every call, since the parameters change between backprops.
+func (nw *network) packWT(l int) *mat.Dense {
+	if nw.wtBufs == nil {
+		nw.wtBufs = make([]*mat.Dense, nw.layers())
+	}
+	fanIn, fanOut := nw.dims[l], nw.dims[l+1]
+	if nw.wtBufs[l] == nil {
+		nw.wtBufs[l] = nw.ws.Dense(fanOut, fanIn)
+	}
+	wt, w := nw.wtBufs[l].Data(), nw.weights(l)
+	for i := 0; i < fanIn; i++ {
+		for j, v := range w[i*fanOut : (i+1)*fanOut] {
+			wt[j*fanIn+i] = v
+		}
+	}
+	return nw.wtBufs[l]
+}
