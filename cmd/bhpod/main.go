@@ -21,7 +21,7 @@
 // use).
 //
 // Every job also streams its telemetry live: curve points, rung
-// promotions, retries, deadline abandonments, failure-budget charges and
+// promotions, deadline abandonments, failure-budget charges and
 // lifecycle transitions are published to GET /jobs/{id}/events as
 // Server-Sent Events (resumable via Last-Event-ID), and — with -data-dir
 // set — recorded durably to the trace log all jobs share (segments of
@@ -56,8 +56,7 @@
 // Usage:
 //
 //	bhpod [-addr :8149] [-workers N] [-max-jobs 4] [-max-pending 64]
-//	      [-data-dir DIR] [-drain-timeout 30s]
-//	      [-eval-attempts 2] [-retry-backoff 50ms] [-failure-budget 3]
+//	      [-data-dir DIR] [-drain-timeout 30s] [-failure-budget 3]
 //	      [-eval-timeout 0] [-journal-max-bytes 4194304] [-scope-ttl 0]
 //	      [-trace-max-bytes 1048576] [-pprof]
 //	      [-tenant-weights NAME=W,...] [-tenant-quota 0]
@@ -100,6 +99,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -129,41 +129,62 @@ func (s *stringList) Set(v string) error {
 }
 
 func main() {
-	var shipTo, restoreFrom stringList
-	var (
-		addr     = flag.String("addr", ":8149", "listen address")
-		workers  = flag.Int("workers", runtime.NumCPU(), "cores evaluations may train on, across all jobs: one per evaluation holding a slot, the idle ones lent to running evaluations fold by fold")
-		maxJobs  = flag.Int("max-jobs", 4, "max concurrently running jobs (excess stay queued)")
-		maxPend  = flag.Int("max-pending", 64, "max queued jobs before POST /jobs sheds load with 429 + Retry-After")
-		evalTmo  = flag.Duration("eval-timeout", 0, "abandon an evaluation running longer than this, freeing its pool slot (0 = no deadline)")
-		dataDir  = flag.String("data-dir", "", "journal directory for crash-safe job persistence (empty = in-memory only)")
-		jrnlMax  = flag.Int64("journal-max-bytes", 4<<20, "seal the journal's active segment and start the next once it passes this size (negative = never)")
-		scopeTTL = flag.Duration("scope-ttl", 0, "release an idle dataset scope's memory after this long unused; rebuilt on next use (0 = keep forever)")
-		drainTmo = flag.Duration("drain-timeout", 30*time.Second, "how long in-flight jobs may finish after SIGTERM before being cancelled")
-		attempts = flag.Int("eval-attempts", 2, "total tries per evaluation before it counts as a failure")
-		backoff  = flag.Duration("retry-backoff", 50*time.Millisecond, "base (jittered) delay between evaluation retries")
-		failures = flag.Int("failure-budget", 3, "evaluation failures a job absorbs before it is failed")
-		traceMax = flag.Int64("trace-max-bytes", 1<<20, "segment size of the durable trace log: start a new segment once the active one has grown past this (negative = never; needs -data-dir)")
-		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ for live profiling")
-
-		tenantW     = flag.String("tenant-weights", "", "per-tenant fair-share weights as name=weight pairs, comma-separated (e.g. gold=3,free=1); unlisted tenants get weight 1")
-		tenantQuota = flag.Int("tenant-quota", 0, "max queued jobs per tenant before its submissions shed with 429 (0 = no per-tenant quota)")
-
-		nodeName = flag.String("node", "", "cluster node name (ring identity under a bhpoctl coordinator; required with -ship-to)")
-		shipIntv = flag.Duration("ship-interval", 250*time.Millisecond, "background ship pass interval")
-		shipSync = flag.Bool("ship-sync", false, "ship synchronously: every journal append reaches every sink before the write returns (a kill -9 loses no acknowledged job)")
-		shipRecv = flag.String("ship-recv-dir", "", "accept peers' shipped replicas under /ship/, stored in this directory")
-		standby  = flag.Bool("standby", false, "boot as a blank spare: wait for a coordinator's POST /restore, then become the restored node")
-	)
-	flag.Var(&shipTo, "ship-to", "replicate the journal + traces to this sink: a directory, or a peer node's URL (its /ship receiver); repeatable for N-way replication; needs -data-dir and -node")
-	flag.Var(&restoreFrom, "restore-from", "before starting, restore a shipped replica (a sink's node directory) into -data-dir; repeatable — the first replica whose manifest verifies wins")
-	flag.Parse()
-	weights, err := parseTenantWeights(*tenantW)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bhpod: -tenant-weights:", err)
-		os.Exit(2)
+	addr, drainTmo, opts, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	opts := serve.NodeOptions{Config: serve.Config{
+	if err != nil {
+		os.Exit(2) // the flag set has printed the error and the usage
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	listen := func() (net.Listener, error) { return net.Listen("tcp", addr) }
+	if err = run(ctx, listen, opts, drainTmo); err != nil {
+		fmt.Fprintln(os.Stderr, "bhpod:", err)
+		os.Exit(1)
+	}
+}
+
+// parseFlags turns bhpod's command line (args, without the program name)
+// into the address to listen on, the drain timeout and the node to run.
+// An error, -h included, is printed with the usage to output.
+func parseFlags(args []string, output io.Writer) (addr string, drainTmo time.Duration, opts serve.NodeOptions, err error) {
+	fs := flag.NewFlagSet("bhpod", flag.ContinueOnError)
+	fs.SetOutput(output)
+	var shipTo, restoreFrom stringList
+	var weights map[string]int
+	fs.StringVar(&addr, "addr", ":8149", "listen address")
+	fs.DurationVar(&drainTmo, "drain-timeout", 30*time.Second, "how long in-flight jobs may finish after SIGTERM before being cancelled")
+	var (
+		workers  = fs.Int("workers", runtime.NumCPU(), "cores evaluations may train on, across all jobs: one per evaluation holding a slot, the idle ones lent to running evaluations fold by fold")
+		maxJobs  = fs.Int("max-jobs", 4, "max concurrently running jobs (excess stay queued)")
+		maxPend  = fs.Int("max-pending", 64, "max queued jobs before POST /jobs sheds load with 429 + Retry-After")
+		evalTmo  = fs.Duration("eval-timeout", 0, "abandon an evaluation running longer than this, freeing its pool slot (0 = no deadline)")
+		dataDir  = fs.String("data-dir", "", "journal directory for crash-safe job persistence (empty = in-memory only)")
+		jrnlMax  = fs.Int64("journal-max-bytes", 4<<20, "seal the journal's active segment and start the next once it passes this size (negative = never)")
+		scopeTTL = fs.Duration("scope-ttl", 0, "release an idle dataset scope's memory after this long unused; rebuilt on next use (0 = keep forever)")
+		failures = fs.Int("failure-budget", 3, "failed evaluations a job absorbs before it is failed; a failed evaluation is not retried")
+		traceMax = fs.Int64("trace-max-bytes", 1<<20, "segment size of the durable trace log: start a new segment once the active one has grown past this (negative = never; needs -data-dir)")
+		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ for live profiling")
+
+		tenantQuota = fs.Int("tenant-quota", 0, "max queued jobs per tenant before its submissions shed with 429 (0 = no per-tenant quota)")
+
+		nodeName = fs.String("node", "", "cluster node name (ring identity under a bhpoctl coordinator; required with -ship-to)")
+		shipIntv = fs.Duration("ship-interval", 250*time.Millisecond, "background ship pass interval")
+		shipSync = fs.Bool("ship-sync", false, "ship synchronously: every journal append reaches every sink before the write returns (a kill -9 loses no acknowledged job)")
+		shipRecv = fs.String("ship-recv-dir", "", "accept peers' shipped replicas under /ship/, stored in this directory")
+		standby  = fs.Bool("standby", false, "boot as a blank spare: wait for a coordinator's POST /restore, then become the restored node")
+	)
+	fs.Func("tenant-weights", "per-tenant fair-share weights as name=weight pairs, comma-separated (e.g. gold=3,free=1); unlisted tenants get weight 1", func(v string) (err error) {
+		weights, err = parseTenantWeights(v)
+		return err
+	})
+	fs.Var(&shipTo, "ship-to", "replicate the journal + traces to this sink: a directory, or a peer node's URL (its /ship receiver); repeatable for N-way replication; needs -data-dir and -node")
+	fs.Var(&restoreFrom, "restore-from", "before starting, restore a shipped replica (a sink's node directory) into -data-dir; repeatable — the first replica whose manifest verifies wins")
+	if err = fs.Parse(args); err != nil {
+		return addr, drainTmo, opts, err
+	}
+	opts = serve.NodeOptions{Config: serve.Config{
 		PoolSize:        *workers,
 		MaxJobs:         *maxJobs,
 		MaxPending:      *maxPend,
@@ -173,8 +194,6 @@ func main() {
 		DataDir:         *dataDir,
 		JournalMaxBytes: *jrnlMax,
 		ScopeTTL:        *scopeTTL,
-		EvalAttempts:    *attempts,
-		RetryBackoff:    *backoff,
 		FailureBudget:   *failures,
 		TraceMaxBytes:   *traceMax,
 		NodeName:        *nodeName,
@@ -191,13 +210,7 @@ func main() {
 		Standby:     *standby,
 		Logf:        func(format string, args ...any) { log.Printf("bhpod: "+format, args...) },
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	listen := func() (net.Listener, error) { return net.Listen("tcp", *addr) }
-	if err = run(ctx, listen, opts, *drainTmo); err != nil {
-		fmt.Fprintln(os.Stderr, "bhpod:", err)
-		os.Exit(1)
-	}
+	return addr, drainTmo, opts, nil
 }
 
 // parseTenantWeights parses "name=weight,name=weight" into the serve

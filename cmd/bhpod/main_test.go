@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"io"
+	"maps"
 	"net"
 	"net/http"
 	"strings"
@@ -61,5 +63,46 @@ func TestRunServesDrainsAndJournals(t *testing.T) {
 	}
 	if _, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
 		t.Fatal("the listener is still open after run returned")
+	}
+}
+
+// TestParseFlags: the documented defaults land in the node's options, a
+// bad -tenant-weights is refused, and so are the retry flags, which the
+// daemon no longer has: a failed evaluation is not retried.
+func TestParseFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		wantErr string // empty: the args parse
+		check   func(serve.NodeOptions) bool
+	}{
+		{"defaults", nil, "", func(o serve.NodeOptions) bool {
+			c := o.Config
+			return c.MaxJobs == 4 && c.MaxPending == 64 && c.FailureBudget == 3 &&
+				c.JournalMaxBytes == 4<<20 && c.TraceMaxBytes == 1<<20 && o.Ship.Interval == 250*time.Millisecond &&
+				c.TenantWeights == nil && c.EvalTimeout == 0 && !o.Standby
+		}},
+		{"tenant-weights", []string{"-tenant-weights", "gold=3,free=1"}, "", func(o serve.NodeOptions) bool {
+			return maps.Equal(o.Config.TenantWeights, map[string]int{"gold": 3, "free": 1})
+		}},
+		{"bad-tenant-weights", []string{"-tenant-weights", "gold=0"}, `bad weight "0"`, nil},
+		{"eval-attempts", []string{"-eval-attempts", "2"}, "flag provided but not defined: -eval-attempts", nil},
+		{"retry-backoff", []string{"-retry-backoff", "50ms"}, "flag provided but not defined: -retry-backoff", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, drain, opts, err := parseFlags(tc.args, io.Discard)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("parseFlags(%q) = %v, want an error holding %q", tc.args, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("parseFlags(%q): %v", tc.args, err)
+			}
+			if addr != ":8149" || drain != 30*time.Second || !tc.check(opts) {
+				t.Errorf("parseFlags(%q) = %q, %v, %+v", tc.args, addr, drain, opts)
+			}
+		})
 	}
 }

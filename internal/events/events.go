@@ -44,7 +44,9 @@ const (
 	// TypeRung: the optimizer promoted into a new halving round/rung.
 	// Round is the new rung, Budget its per-configuration budget.
 	TypeRung Type = "rung"
-	// TypeRetry: an evaluation attempt failed and is being retried.
+	// TypeRetry: an evaluation attempt failed and was retried. Only trace
+	// logs older binaries wrote hold it — the service now counts a failed
+	// evaluation as definitive — and they decode and serve it as written.
 	// Attempt is the 1-based attempt that failed, Error what it said.
 	TypeRetry Type = "retry"
 	// TypeDeadline: an evaluation ran past the watchdog deadline and was
@@ -91,7 +93,8 @@ type Event struct {
 	// Budget is the per-configuration budget of the new rung (rung
 	// events) or of the affected evaluation (deadline events).
 	Budget int `json:"budget,omitempty"`
-	// Attempt is the 1-based evaluation attempt that failed (retry).
+	// Attempt is the 1-based evaluation attempt that failed (retry
+	// events of older logs).
 	Attempt int `json:"attempt,omitempty"`
 	// Failures is the job's failure-budget charge count (failure_budget).
 	Failures int `json:"failures,omitempty"`

@@ -50,8 +50,6 @@ func TestEvalDeadlineAbandonsWedgedTrial(t *testing.T) {
 		PoolSize:      2,
 		MaxJobs:       1,
 		EvalTimeout:   150 * time.Millisecond,
-		EvalAttempts:  2,
-		RetryBackoff:  time.Millisecond,
 		FailureBudget: 5,
 		WrapEvaluator: func(id string, inner hpo.Evaluator) hpo.Evaluator {
 			return &wedgeEvaluator{inner: inner, sleep: wedge}
@@ -205,8 +203,6 @@ func TestChaosOverload(t *testing.T) {
 		MaxJobs:         2,
 		MaxPending:      maxPend,
 		EvalTimeout:     evalTmo,
-		EvalAttempts:    1,
-		RetryBackoff:    time.Millisecond,
 		FailureBudget:   50,
 		ScopeTTL:        300 * time.Millisecond,
 		DataDir:         dir,

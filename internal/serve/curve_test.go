@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"enhancedbhpo/internal/events"
 	"enhancedbhpo/internal/serve/journal"
 )
 
@@ -354,5 +356,62 @@ func TestShortHistoryCounted(t *testing.T) {
 				t.Errorf("trace_store_errors = %d, want 1 for job-2's short history", got)
 			}
 		})
+	}
+}
+
+// TestOlderRetryEventServed: a trace log an older binary wrote may hold
+// retry events, from when a failed evaluation was attempted again. The
+// service publishes none now, but it boots on such a log and serves each
+// as it was written, attempt and error included. Here a finished job's
+// first rung event is rewritten into one.
+func TestOlderRetryEventServed(t *testing.T) {
+	cfg := Config{PoolSize: 2, MaxJobs: 1, DataDir: t.TempDir()}
+	m1 := bootJournaled(t, cfg)
+	submitAs(t, m1, smallSpec(), "job-1")
+	waitJob(t, m1, "job-1", func(s Status) bool { return s == StatusDone }, "done")
+	shutdown(t, m1)
+
+	segs := traceSegments(t, cfg.DataDir)
+	raw, err := os.ReadFile(segs[0])
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("%d trace segments, %v", len(segs), err)
+	}
+	off, end := lineOf(t, raw, 0, `"type":"rung"`)
+	var retry events.Event
+	if err := json.Unmarshal(raw[off:end], &retry); err != nil {
+		t.Fatal(err)
+	}
+	retry.Type, retry.Round, retry.Budget = events.TypeRetry, 0, 0
+	retry.Attempt, retry.Error = 1, "injected: transient failure"
+	line, err := json.Marshal(retry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(line, []byte(`"type":"retry"`)) || !bytes.Contains(line, []byte(`"attempt":1,"error":"injected: transient failure"}`)) {
+		t.Fatalf("the rewritten line %s is not the shape older binaries wrote", line)
+	}
+	writeFile(t, segs[0], slices.Concat(raw[:off], line, []byte("\n"), raw[end:]))
+
+	m2 := bootJournaled(t, cfg)
+	defer shutdown(t, m2)
+	ts := httptest.NewServer(NewServer(m2))
+	defer ts.Close()
+	var evs []events.Event
+	getJSON(t, ts.URL+"/jobs/job-1/trace?events=1", &evs)
+	served := 0
+	for _, ev := range evs {
+		if ev.Type != events.TypeRetry {
+			continue
+		}
+		served++
+		if got, _ := json.Marshal(ev); !bytes.Equal(got, line) {
+			t.Errorf("served retry event %s, written %s", got, line)
+		}
+	}
+	if served != 1 || len(evs) != bytes.Count(raw, []byte(`"job":"job-1"`)) {
+		t.Errorf("served %d retry events in %d events; want 1 in every event of the log", served, len(evs))
+	}
+	if got := m2.Metrics().TraceStoreErrors; got != 0 {
+		t.Errorf("trace_store_errors = %d on a log holding a retry event", got)
 	}
 }

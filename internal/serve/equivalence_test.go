@@ -507,7 +507,7 @@ var (
 // newReadBack returns the read-back node on trace segments of traceMax
 // bytes (0: the default, one segment a life), built over two lives that
 // ship their files to a replica, synchronously. The first finishes job-1
-// after a preemption, a retry and an absorbed failed trial, and dies with
+// after a preemption and an absorbed failed trial, and dies with
 // job-3 resumed past its checkpoint. The second resumes job-3 from that
 // checkpoint, so its log holds the re-published points twice, and
 // finishes it; then it dies with job-5 preempted and waiting behind job-7,
@@ -521,7 +521,7 @@ func newReadBack(t *testing.T, traceMax int64) *readBack {
 		return rb
 	}
 	rb := &readBack{from: map[string]uint64{}, base: Config{
-		PoolSize: 1, MaxJobs: 1, MaxPending: 64, TraceMaxBytes: traceMax, RetryBackoff: time.Millisecond,
+		PoolSize: 1, MaxJobs: 1, MaxPending: 64, TraceMaxBytes: traceMax,
 		TenantWeights: map[string]int{"victim": 1, "vip": 8},
 	}}
 	dir, replica := t.TempDir(), filepath.Join(t.TempDir(), "a")
@@ -598,12 +598,12 @@ func newReadBack(t *testing.T, traceMax int64) *readBack {
 			return &gateOnceEvaluator{inner: inner, gate: gates[id], entered: victimIn}
 		}
 		// The resumed segment, after its replayed prefix: the finished
-		// job's first new trial fails both its attempts; the other runs
-		// two new trials and dies in its third.
+		// job's first new trial fails; the other runs two new trials and
+		// dies in its third.
 		calls := new(atomic.Int64)
 		return funcEvaluator{inner, func(c search.Config, budget int, r *rng.RNG) ([]float64, error) {
 			switch n := calls.Add(1); {
-			case id == rbFinished && (n == replayed+1 || n == replayed+2):
+			case id == rbFinished && n == replayed+1:
 				return nil, errors.New("injected: definitive failure")
 			case id == rbResumedPast && n == replayed+3:
 				close(frozen)
@@ -663,8 +663,8 @@ func newReadBack(t *testing.T, traceMax int64) *readBack {
 	for _, ev := range m2.hub.Since(rbFinished, 0) {
 		seen[ev.Type] = true
 	}
-	if !seen[events.TypeRung] || !seen[events.TypeRetry] || !seen[events.TypeFailure] || !seen[events.TypePreempted] {
-		t.Fatalf("%s's trace lacks a rung, retry, failure or preempted event: %v", rbFinished, seen)
+	if !seen[events.TypeRung] || !seen[events.TypeFailure] || !seen[events.TypePreempted] {
+		t.Fatalf("%s's trace lacks a rung, failure or preempted event: %v", rbFinished, seen)
 	}
 	if segs := traceSegments(t, dir); traceMax == 0 && len(segs) != 2 || traceMax > 0 && len(segs) < 3 {
 		t.Fatalf("%d trace segments at TraceMaxBytes %d; the node needs one a life, or several to straddle", len(segs), traceMax)
@@ -800,8 +800,8 @@ func TestReadBackEquivalence(t *testing.T) {
 }
 
 // TestFinishedJobReadsSameAfterRestart: a finished job that was
-// preempted, retried and absorbed a failed trial reads the same from the
-// life that ran it, from the next life and after the node came back — GET
+// preempted and absorbed a failed trial reads the same from the life
+// that ran it, from the next life and after the node came back — GET
 // /jobs/{id} byte for byte, its first start time and its failure count
 // included, and every other surface.
 func TestFinishedJobReadsSameAfterRestart(t *testing.T) {

@@ -147,7 +147,7 @@ func TestJobLifecycleRecords(t *testing.T) {
 		{
 			name: "failed-budget-exhausted",
 			run: func(t *testing.T, cfg Config) (*Manager, string) {
-				cfg.EvalAttempts, cfg.FailureBudget = 1, 1
+				cfg.FailureBudget = 1
 				cfg.WrapEvaluator = func(_ string, inner hpo.Evaluator) hpo.Evaluator {
 					return funcEvaluator{inner, func(search.Config, int, *rng.RNG) ([]float64, error) {
 						return nil, errors.New("injected: definitive failure")
@@ -326,7 +326,7 @@ func TestJobLifecycleRecords(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
 				PoolSize: 1, MaxJobs: 1, MaxPending: 64, DataDir: t.TempDir(),
-				RetryBackoff: time.Millisecond, TenantWeights: map[string]int{"victim": 1, "vip": 8},
+				TenantWeights: map[string]int{"victim": 1, "vip": 8},
 			}
 			m, id := tc.run(t, cfg)
 			shutdown(t, m)
@@ -346,7 +346,7 @@ func TestJobLifecycleRecords(t *testing.T) {
 func TestDeadlineJournalsNothing(t *testing.T) {
 	cfg := Config{
 		PoolSize: 2, MaxJobs: 1, DataDir: t.TempDir(),
-		EvalTimeout: 150 * time.Millisecond, EvalAttempts: 2, RetryBackoff: time.Millisecond, FailureBudget: 5,
+		EvalTimeout: 150 * time.Millisecond, FailureBudget: 5,
 		WrapEvaluator: func(_ string, inner hpo.Evaluator) hpo.Evaluator {
 			return &wedgeEvaluator{inner: inner, sleep: 30 * time.Second}
 		},

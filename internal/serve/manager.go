@@ -89,17 +89,10 @@ type Config struct {
 	// cache scope key, so only the memoized scores are lost). 0 disables
 	// eviction.
 	ScopeTTL time.Duration
-	// EvalAttempts is the total tries per evaluation before it counts as
-	// a definitive failure (panics and errors alike; retries are spaced
-	// by a jittered RetryBackoff). 0 selects 2.
-	EvalAttempts int
-	// RetryBackoff is the base delay before an evaluation retry, doubled
-	// per retry up to 5s (or the base, if larger); the actual sleep is
-	// jittered in [backoff/2, backoff]. 0 selects 50ms.
-	RetryBackoff time.Duration
-	// FailureBudget is how many definitive evaluation failures a job
-	// absorbs — each failed trial scores worst-case instead of aborting —
-	// before the job flips to StatusFailed. 0 selects 3.
+	// FailureBudget is how many failed evaluations (errors, panics and
+	// deadlines alike, each attempted once) a job absorbs — each failed
+	// trial scores worst-case instead of aborting — before the job flips
+	// to StatusFailed. 0 selects 3.
 	FailureBudget int
 	// TraceMaxBytes is the segment size of the durable trace log all jobs
 	// share: the active segment is sealed, immutable from then on, and
@@ -109,7 +102,9 @@ type Config struct {
 	// WrapEvaluator, when non-nil, wraps each job's evaluator between
 	// the pool gate and the cache. It is the fault-injection point used
 	// by the crash/restart and chaos tests and is applied per job as the
-	// job starts optimizing.
+	// job starts optimizing. The pool calls the wrapped evaluator once per
+	// trial: a fault it injects fails that trial, charged to the job's
+	// failure budget.
 	WrapEvaluator func(jobID string, inner hpo.Evaluator) hpo.Evaluator
 	// NodeName identifies this daemon in a cluster: it is surfaced in
 	// /healthz and /metrics so a coordinator's probes and a replacement
@@ -140,12 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceMaxBytes == 0 {
 		c.TraceMaxBytes = 1 << 20
-	}
-	if c.EvalAttempts <= 0 {
-		c.EvalAttempts = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
 	}
 	if c.FailureBudget <= 0 {
 		c.FailureBudget = 3

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"enhancedbhpo/internal/events"
 	"enhancedbhpo/internal/hpo"
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
@@ -65,7 +66,7 @@ func (p panicEvaluator) Evaluate(search.Config, int, *rng.RNG) ([]float64, error
 }
 
 // flakyEvaluator fails (or panics) on the first failFirst calls, then
-// behaves normally — a transient fault for the retry path.
+// behaves normally.
 type flakyEvaluator struct {
 	inner     hpo.Evaluator
 	failFirst int64
@@ -96,8 +97,7 @@ func TestPanicIsolation(t *testing.T) {
 		return inner
 	}
 	m := NewManager(Config{
-		PoolSize: 2, MaxJobs: 2,
-		EvalAttempts: 2, RetryBackoff: time.Millisecond, FailureBudget: 2,
+		PoolSize: 2, MaxJobs: 2, FailureBudget: 2,
 		WrapEvaluator: wrap,
 	})
 	t.Cleanup(func() { shutdown(t, m) })
@@ -135,34 +135,70 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestTransientFailureRetried: a fault that clears after one attempt is
-// absorbed by the retry, costing no failure budget.
-func TestTransientFailureRetried(t *testing.T) {
-	var flaky *flakyEvaluator
-	wrap := func(id string, inner hpo.Evaluator) hpo.Evaluator {
-		flaky = &flakyEvaluator{inner: inner, failFirst: 1}
-		return flaky
-	}
-	m := NewManager(Config{
-		PoolSize: 2, MaxJobs: 1,
-		EvalAttempts: 2, RetryBackoff: time.Millisecond,
-		WrapEvaluator: wrap,
-	})
-	t.Cleanup(func() { shutdown(t, m) })
-	job := submitAs(t, m, smallSpec(), "job-1")
-	waitJob(t, m, job.ID, terminal, "terminal")
-	snap := job.Snapshot()
-	if snap.Status != StatusDone {
-		t.Fatalf("job ended %s (%s) despite retry", snap.Status, snap.Error)
-	}
-	if snap.Failures != 0 {
-		t.Fatalf("transient fault charged the failure budget: %d", snap.Failures)
-	}
-	if m.Metrics().TrialFailures != 0 {
-		t.Fatalf("transient fault counted as trial failure: %+v", m.Metrics())
-	}
-	if flaky.calls.Load() < 2 {
-		t.Fatalf("no retry happened: %d calls", flaky.calls.Load())
+// TestFailedEvaluationIsDefinitive: an evaluation is a deterministic
+// function of its configuration, budget and RNG stream, so one that fails
+// — by an error or by a panic — is not attempted again: its trial is
+// charged to the failure budget at once, the job finishes, and its trace
+// holds the charge and no retry.
+func TestFailedEvaluationIsDefinitive(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		panics bool
+	}{{"error", false}, {"panic", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var failed string // the failing trial's configuration and budget
+			calls := map[string]int{}
+			wrap := func(_ string, inner hpo.Evaluator) hpo.Evaluator {
+				return funcEvaluator{inner, func(cfg search.Config, budget int, r *rng.RNG) ([]float64, error) {
+					trial := fmt.Sprint(cfg, budget)
+					mu.Lock()
+					calls[trial]++
+					first := failed == ""
+					if first {
+						failed = trial
+					}
+					mu.Unlock()
+					if first {
+						if tc.panics {
+							panic("injected: panic")
+						}
+						return nil, errors.New("injected: failure")
+					}
+					return inner.Evaluate(cfg, budget, r)
+				}}
+			}
+			m := NewManager(Config{PoolSize: 2, MaxJobs: 1, WrapEvaluator: wrap})
+			t.Cleanup(func() { shutdown(t, m) })
+			ts := httptest.NewServer(NewServer(m))
+			defer ts.Close()
+			job := submitAs(t, m, smallSpec(), "job-1")
+			waitJob(t, m, job.ID, terminal, "terminal")
+
+			mu.Lock()
+			if calls[failed] != 1 {
+				t.Errorf("the failing trial was evaluated %d times, want 1", calls[failed])
+			}
+			mu.Unlock()
+			snap := getJob(t, ts.URL, job.ID)
+			if snap.Status != StatusDone {
+				t.Fatalf("job ended %s (%s): one failed trial aborted the run", snap.Status, snap.Error)
+			}
+			var metrics Metrics
+			getJSON(t, ts.URL+"/metrics", &metrics)
+			if snap.Failures != 1 || metrics.TrialFailures != 1 {
+				t.Errorf("failures %d, trial_failures %d; want 1 and 1", snap.Failures, metrics.TrialFailures)
+			}
+			var evs []events.Event
+			getJSON(t, ts.URL+"/jobs/job-1/trace?events=1", &evs)
+			seen := map[events.Type]int{}
+			for _, ev := range evs {
+				seen[ev.Type]++
+			}
+			if seen[events.TypeFailure] != 1 || seen[events.TypeRetry] != 0 {
+				t.Errorf("the trace holds %d failure_budget and %d retry events; want 1 and 0", seen[events.TypeFailure], seen[events.TypeRetry])
+			}
+		})
 	}
 }
 
@@ -178,125 +214,21 @@ func (f funcEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]fl
 	return f.eval(cfg, budget, r)
 }
 
-// TestRetryBackoffReleasesSlot: an evaluation sleeping out its retry
-// backoff holds no evaluation slot. On a one-slot pool, job A's first
-// attempt fails with job B already running; B's evaluation has trained and
-// returned by the time A's retry gets the slot back — not after it.
-func TestRetryBackoffReleasesSlot(t *testing.T) {
-	gate, entered := make(chan struct{}), make(chan struct{})
-	var aCalls, bDone, bDoneAtRetry atomic.Int64
-	wrap := func(id string, inner hpo.Evaluator) hpo.Evaluator {
-		if id != "job-1" {
-			return funcEvaluator{inner, func(cfg search.Config, budget int, r *rng.RNG) ([]float64, error) {
-				scores, err := inner.Evaluate(cfg, budget, r)
-				bDone.Add(1)
-				return scores, err
-			}}
-		}
-		return funcEvaluator{inner, func(cfg search.Config, budget int, r *rng.RNG) ([]float64, error) {
-			switch aCalls.Add(1) {
-			case 1:
-				close(entered)
-				<-gate
-				return nil, errors.New("injected: transient failure")
-			case 2:
-				bDoneAtRetry.Store(bDone.Load())
-			}
-			return inner.Evaluate(cfg, budget, r)
-		}}
-	}
-	m := NewManager(Config{
-		PoolSize: 1, MaxJobs: 2,
-		EvalAttempts: 2, RetryBackoff: 300 * time.Millisecond,
-		WrapEvaluator: wrap,
-	})
-	t.Cleanup(func() { shutdown(t, m) })
-	a := submitAs(t, m, tinySpec("a", 1), "job-1")
-	<-entered
-	b := submitAs(t, m, tinySpec("b", 2), "job-2")
-	waitJob(t, m, b.ID, func(s Status) bool { return s == StatusRunning }, "running")
-	close(gate)
-	for _, job := range []*Job{a, b} {
-		waitJob(t, m, job.ID, terminal, "terminal")
-		if snap := job.Snapshot(); snap.Status != StatusDone || snap.Failures != 0 {
-			t.Errorf("%s ended %s with %d failures (%s)", job.ID, snap.Status, snap.Failures, snap.Error)
-		}
-	}
-	if aCalls.Load() != 2 {
-		t.Fatalf("job A's evaluation was attempted %d times, want 2", aCalls.Load())
-	}
-	if bDoneAtRetry.Load() == 0 {
-		t.Error("job B's evaluation had not run when job A's retry began: A slept out its backoff holding the only slot")
-	}
-}
-
-// TestRetryBackoffEndsOnCancel: a job cancelled while an evaluation
-// sleeps out its retry backoff stops sleeping and ends cancelled at once.
-func TestRetryBackoffEndsOnCancel(t *testing.T) {
-	failed := make(chan struct{})
-	var once sync.Once
-	m := NewManager(Config{
-		PoolSize: 1, MaxJobs: 1, RetryBackoff: time.Minute,
-		WrapEvaluator: func(_ string, inner hpo.Evaluator) hpo.Evaluator {
-			return funcEvaluator{inner, func(search.Config, int, *rng.RNG) ([]float64, error) {
-				once.Do(func() { close(failed) })
-				return nil, errors.New("injected: transient failure")
-			}}
-		},
-	})
-	t.Cleanup(func() { shutdown(t, m) })
-	job := submitAs(t, m, smallSpec(), "job-1")
-	<-failed
-	start := time.Now()
-	job.Cancel()
-	waitJob(t, m, job.ID, terminal, "terminal")
-	if snap := job.Snapshot(); snap.Status != StatusCancelled || time.Since(start) > 10*time.Second {
-		t.Errorf("the job ended %s %v after its cancel; want cancelled, without the backoff's 30s or more", snap.Status, time.Since(start))
-	}
-}
-
-// TestRetryDelayCapped: the retry backoff doubles from its base and
-// stops at 5s — at every attempt count -eval-attempts allows, where an
-// unbounded shift sleeps for hours and then wraps to no delay at all —
-// and a base above the cap is kept as it is.
-func TestRetryDelayCapped(t *testing.T) {
-	for _, tc := range []struct {
-		base    time.Duration
-		attempt int
-		want    time.Duration
-	}{
-		{50 * time.Millisecond, 1, 50 * time.Millisecond},
-		{50 * time.Millisecond, 2, 100 * time.Millisecond},
-		{50 * time.Millisecond, 14, maxRetryBackoff},
-		{50 * time.Millisecond, 21, maxRetryBackoff},
-		{50 * time.Millisecond, 39, maxRetryBackoff},
-		{50 * time.Millisecond, 40, maxRetryBackoff},
-		{50 * time.Millisecond, 64, maxRetryBackoff},
-		{10 * time.Second, 1, 10 * time.Second},
-		{10 * time.Second, 40, 10 * time.Second},
-	} {
-		if got := retryDelay(tc.base, tc.attempt); got != tc.want {
-			t.Errorf("retryDelay(%v, %d) = %v, want %v", tc.base, tc.attempt, got, tc.want)
-		}
-	}
-}
-
-// TestFailureBudgetAbsorbsTrial: a fault that survives every retry fails
-// only its trial (worst-case score) while the job still completes.
+// TestFailureBudgetAbsorbsTrial: a failed evaluation fails only its trial
+// (worst-case score) while the job still completes.
 func TestFailureBudgetAbsorbsTrial(t *testing.T) {
 	wrap := func(id string, inner hpo.Evaluator) hpo.Evaluator {
-		// Panics on the first two calls: both attempts of the first
-		// trial, making it a definitive — but absorbed — failure.
-		return &flakyEvaluator{inner: inner, failFirst: 2, panics: true}
+		// Panics on the first call: the first trial, a definitive — but
+		// absorbed — failure.
+		return &flakyEvaluator{inner: inner, failFirst: 1, panics: true}
 	}
 	m := NewManager(Config{
-		PoolSize: 2, MaxJobs: 1,
-		EvalAttempts: 2, RetryBackoff: time.Millisecond, FailureBudget: 3,
+		PoolSize: 2, MaxJobs: 1, FailureBudget: 3,
 		WrapEvaluator: wrap,
 	})
 	t.Cleanup(func() { shutdown(t, m) })
 	spec := smallSpec()
-	spec.Workers = 1 // sequential evaluations: calls 1..2 are one trial's attempts
+	spec.Workers = 1 // sequential evaluations: call 1 is the first trial
 	job := submitAs(t, m, spec, "job-1")
 	waitJob(t, m, job.ID, terminal, "terminal")
 	snap := job.Snapshot()
