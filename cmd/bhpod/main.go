@@ -3,45 +3,43 @@
 // shared bounded worker pool with a per-dataset evaluation cache, and
 // reports live anytime curves while jobs are in flight.
 //
-// With -data-dir set the daemon is crash-safe: job specs and terminal
-// results are journaled to an append-only JSONL log, and a restarted
-// daemon rebuilds its job table from the journal — finished jobs keep
-// their results and anytime curves (the curves read back from the trace
-// log), jobs that were mid-run come back as
-// cancelled with reason "interrupted", and jobs that were still queued
-// are re-enqueued and run again.
+// With -data-dir set the daemon is crash-safe: job specs, transitions
+// and terminal results are recorded in an append-only JSONL log, the same
+// one that holds every job's events, and a restarted daemon rebuilds its
+// job table from those records — finished jobs keep their results and
+// anytime curves, jobs that were mid-run come back as cancelled with
+// reason "interrupted", and jobs that were still queued are re-enqueued
+// and run again. A data directory an older bhpod journaled boots too.
 //
 // The daemon also governs its own resources under load: submissions
 // beyond -max-pending queued jobs are shed with 429 + Retry-After
 // (priced from the observed evaluation latency), an evaluation running
 // past -eval-timeout is abandoned so it cannot hold a pool slot forever,
-// the journal seals its active segment and starts the next once it passes
-// -journal-max-bytes, and dataset scopes idle longer than
-// -scope-ttl release their memory (rebuilt deterministically on next
-// use).
+// and dataset scopes idle longer than -scope-ttl release their memory
+// (rebuilt deterministically on next use).
 //
 // Every job also streams its telemetry live: curve points, rung
 // promotions, deadline abandonments, failure-budget charges and
 // lifecycle transitions are published to GET /jobs/{id}/events as
 // Server-Sent Events (resumable via Last-Event-ID), and — with -data-dir
-// set — recorded durably to the trace log all jobs share (segments of
+// set — recorded durably to the log all jobs share (segments of
 // -trace-max-bytes, immutable once sealed) so GET /jobs/{id}/trace serves
 // the full event history even after a crash and restart. `bhpo
 // watch <job-url>` is the terminal client for the feed.
 //
-// As a cluster member the daemon can ship its journal and trace
-// segments to replica sinks while it runs (-ship-to, repeatable: each a
+// As a cluster member the daemon can ship its log's segments (and the
+// journal files an older bhpod left) to replica sinks while it runs (-ship-to, repeatable: each a
 // directory or a peer node's /ship receiver, every sink tracking its own
 // resumable offsets) and receive peers' replicas (-ship-recv-dir).
 //
 // However a process becomes a node, it does so by one sequence
 // (serve.StartNode): restore a replica if any were named, start the
-// shipper, rebuild the job table from the journal, serve. It has three
+// shipper, rebuild the job table from the log, serve. It has three
 // triggers. A normal boot runs it on -data-dir as it stands. With
 // -restore-from (repeatable) the daemon starts as a *replacement* for a
 // dead node: the first replica whose manifest checksums hold is restored
 // into -data-dir — which may be absent or empty, never a directory that
-// already holds a journal — and replayed, so mid-run jobs come back as
+// already holds a log — and replayed, so mid-run jobs come back as
 // interrupted, trace sequence numbers continue, and the coordinator
 // (bhpoctl) re-points the dead node's name at the new address. With
 // -standby the daemon boots as the same node not yet activated: it
@@ -57,8 +55,8 @@
 //
 //	bhpod [-addr :8149] [-workers N] [-max-jobs 4] [-max-pending 64]
 //	      [-data-dir DIR] [-drain-timeout 30s] [-failure-budget 3]
-//	      [-eval-timeout 0] [-journal-max-bytes 4194304] [-scope-ttl 0]
-//	      [-trace-max-bytes 1048576] [-pprof]
+//	      [-eval-timeout 0] [-scope-ttl 0] [-trace-max-bytes 1048576]
+//	      [-pprof]
 //	      [-tenant-weights NAME=W,...] [-tenant-quota 0]
 //	      [-node NAME] [-ship-to DIR|URL]... [-ship-interval 250ms]
 //	      [-ship-sync] [-ship-recv-dir DIR] [-restore-from DIR]...
@@ -80,7 +78,7 @@
 //	GET    /healthz            health probe ("ok", "overloaded", "draining"
 //	                           or, not yet promoted, "standby")
 //	GET    /metrics            service counters
-//	POST   /ship/{node}/...    peer journal-shipping receiver (only with
+//	POST   /ship/{node}/...    peer log-shipping receiver (only with
 //	                           -ship-recv-dir)
 //	POST   /restore            standby promotion: restore a dead node's
 //	                           replica and become it; 200 again for the
@@ -89,7 +87,7 @@
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: new submissions are
 // refused with 503, in-flight evaluations get -drain-timeout to finish,
-// every outcome is journaled, and then the process exits.
+// every outcome is recorded, and then the process exits.
 //
 // See the README's "Running the service" section for a curl walkthrough.
 package main
@@ -161,7 +159,6 @@ func parseFlags(args []string, output io.Writer) (addr string, drainTmo time.Dur
 		maxPend  = fs.Int("max-pending", 64, "max queued jobs before POST /jobs sheds load with 429 + Retry-After")
 		evalTmo  = fs.Duration("eval-timeout", 0, "abandon an evaluation running longer than this, freeing its pool slot (0 = no deadline)")
 		dataDir  = fs.String("data-dir", "", "journal directory for crash-safe job persistence (empty = in-memory only)")
-		jrnlMax  = fs.Int64("journal-max-bytes", 4<<20, "seal the journal's active segment and start the next once it passes this size (negative = never)")
 		scopeTTL = fs.Duration("scope-ttl", 0, "release an idle dataset scope's memory after this long unused; rebuilt on next use (0 = keep forever)")
 		failures = fs.Int("failure-budget", 3, "failed evaluations a job absorbs before it is failed; a failed evaluation is not retried")
 		traceMax = fs.Int64("trace-max-bytes", 1<<20, "segment size of the durable trace log: start a new segment once the active one has grown past this (negative = never; needs -data-dir)")
@@ -185,18 +182,17 @@ func parseFlags(args []string, output io.Writer) (addr string, drainTmo time.Dur
 		return addr, drainTmo, opts, err
 	}
 	opts = serve.NodeOptions{Config: serve.Config{
-		PoolSize:        *workers,
-		MaxJobs:         *maxJobs,
-		MaxPending:      *maxPend,
-		TenantWeights:   weights,
-		TenantQuota:     *tenantQuota,
-		EvalTimeout:     *evalTmo,
-		DataDir:         *dataDir,
-		JournalMaxBytes: *jrnlMax,
-		ScopeTTL:        *scopeTTL,
-		FailureBudget:   *failures,
-		TraceMaxBytes:   *traceMax,
-		NodeName:        *nodeName,
+		PoolSize:      *workers,
+		MaxJobs:       *maxJobs,
+		MaxPending:    *maxPend,
+		TenantWeights: weights,
+		TenantQuota:   *tenantQuota,
+		EvalTimeout:   *evalTmo,
+		DataDir:       *dataDir,
+		ScopeTTL:      *scopeTTL,
+		FailureBudget: *failures,
+		TraceMaxBytes: *traceMax,
+		NodeName:      *nodeName,
 	},
 		ShipTo: shipTo,
 		Ship: shipper.Options{
@@ -271,7 +267,7 @@ func run(ctx context.Context, listen func() (net.Listener, error), opts serve.No
 
 	// Graceful drain: refuse new submissions, let in-flight evaluations
 	// finish within the drain timeout, then cancel whatever remains with
-	// reason "shutdown". Every terminal record is journaled — and shipped —
+	// reason "shutdown". Every terminal record is written — and shipped —
 	// before exit.
 	drainCtx, cancelDrain := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancelDrain()

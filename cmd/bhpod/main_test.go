@@ -68,7 +68,8 @@ func TestRunServesDrainsAndJournals(t *testing.T) {
 
 // TestParseFlags: the documented defaults land in the node's options, a
 // bad -tenant-weights is refused, and so are the retry flags, which the
-// daemon no longer has: a failed evaluation is not retried.
+// daemon no longer has: a failed evaluation is not retried. So is
+// -journal-max-bytes: records share the log -trace-max-bytes sizes.
 func TestParseFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -79,7 +80,7 @@ func TestParseFlags(t *testing.T) {
 		{"defaults", nil, "", func(o serve.NodeOptions) bool {
 			c := o.Config
 			return c.MaxJobs == 4 && c.MaxPending == 64 && c.FailureBudget == 3 &&
-				c.JournalMaxBytes == 4<<20 && c.TraceMaxBytes == 1<<20 && o.Ship.Interval == 250*time.Millisecond &&
+				c.TraceMaxBytes == 1<<20 && o.Ship.Interval == 250*time.Millisecond &&
 				c.TenantWeights == nil && c.EvalTimeout == 0 && !o.Standby
 		}},
 		{"tenant-weights", []string{"-tenant-weights", "gold=3,free=1"}, "", func(o serve.NodeOptions) bool {
@@ -88,6 +89,7 @@ func TestParseFlags(t *testing.T) {
 		{"bad-tenant-weights", []string{"-tenant-weights", "gold=0"}, `bad weight "0"`, nil},
 		{"eval-attempts", []string{"-eval-attempts", "2"}, "flag provided but not defined: -eval-attempts", nil},
 		{"retry-backoff", []string{"-retry-backoff", "50ms"}, "flag provided but not defined: -retry-backoff", nil},
+		{"journal-max-bytes", []string{"-journal-max-bytes", "4096"}, "flag provided but not defined: -journal-max-bytes", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addr, drain, opts, err := parseFlags(tc.args, io.Discard)

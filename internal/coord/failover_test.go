@@ -796,9 +796,9 @@ func TestRestoreLostAckAdopted(t *testing.T) {
 	}
 	job.Body.Close()
 	waitTerminal(t, worker.ts.URL, "job-1")
-	// The result record follows the terminal status a snapshot shows; sync
+	// The result record is in the log before the terminal event; sync
 	// shipping puts it at the sink as it is appended.
-	part := filepath.Join(sinkRoot, "a", "journal-000001.jsonl.part")
+	part := filepath.Join(sinkRoot, "a", "traces", "trace-000001.jsonl.part")
 	waitFor(t, "job-1's result record never reached the sink", func() bool {
 		data, _ := os.ReadFile(part)
 		return bytes.Contains(data, []byte(`"t":"result"`))

@@ -12,7 +12,6 @@ import (
 	"enhancedbhpo/internal/hpo"
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
-	"enhancedbhpo/internal/serve/journal"
 )
 
 // copyTree copies a data directory — what a benchmark iteration or a test
@@ -75,7 +74,8 @@ func bootFillSpec() JobSpec {
 //	go test -run '^$' -bench BenchmarkBoot -benchtime 30x -benchmem ./internal/serve/
 //
 // is the number CHANGES.md quotes (add -cpuprofile for the per-phase split),
-// beside journal-B/job: the snapshot's journal bytes per restored job.
+// beside log-B/job: the bytes of the snapshot's log — records and events —
+// per restored job.
 func BenchmarkBoot(b *testing.B) {
 	const fill, queued = 400, 3
 	snapshot := b.TempDir()
@@ -108,10 +108,10 @@ func BenchmarkBoot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if got := m1.Metrics(); got.JobsDone != fill || got.JobsRunning != 1 || got.JobsQueued != queued {
+	got := m1.Metrics()
+	if got.JobsDone != fill || got.JobsRunning != 1 || got.JobsQueued != queued {
 		b.Fatalf("snapshot holds %d done, %d running, %d queued jobs", got.JobsDone, got.JobsRunning, got.JobsQueued)
 	}
-	journalBytes := journal.DirStats(snapshot).Bytes
 
 	var elapsed time.Duration
 	b.ReportAllocs()
@@ -141,5 +141,5 @@ func BenchmarkBoot(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(elapsed.Microseconds())/1000/float64(b.N), "ms/boot")
-	b.ReportMetric(float64(journalBytes)/(fill+1+queued), "journal-B/job")
+	b.ReportMetric(float64(got.TraceStoreBytes)/(fill+1+queued), "log-B/job")
 }

@@ -186,7 +186,7 @@ func TestChaosOverload(t *testing.T) {
 	const (
 		poolSize = 2
 		maxPend  = 8
-		maxBytes = int64(8 << 10)
+		maxBytes = int64(4 << 10) // force the log's rotations under the storm
 	)
 	evalTmo := 250 * time.Millisecond
 	dir := t.TempDir()
@@ -199,15 +199,14 @@ func TestChaosOverload(t *testing.T) {
 	t.Cleanup(releaseFrozen)
 
 	cfg := Config{
-		PoolSize:        poolSize,
-		MaxJobs:         2,
-		MaxPending:      maxPend,
-		EvalTimeout:     evalTmo,
-		FailureBudget:   50,
-		ScopeTTL:        300 * time.Millisecond,
-		DataDir:         dir,
-		JournalMaxBytes: maxBytes,
-		TraceMaxBytes:   4 << 10, // force trace rotations under the storm
+		PoolSize:      poolSize,
+		MaxJobs:       2,
+		MaxPending:    maxPend,
+		EvalTimeout:   evalTmo,
+		FailureBudget: 50,
+		ScopeTTL:      300 * time.Millisecond,
+		DataDir:       dir,
+		TraceMaxBytes: maxBytes,
 		WrapEvaluator: func(id string, inner hpo.Evaluator) hpo.Evaluator {
 			if freezeArm.CompareAndSwap(true, false) {
 				return &gateEvaluator{inner: inner, gate: freezeGate, entered: frozenEntered}
@@ -244,7 +243,7 @@ func TestChaosOverload(t *testing.T) {
 		seedCtr  atomic.Uint64
 		badRetry atomic.Bool
 		pendOver atomic.Bool
-		samples  = map[string][]byte{} // journal file → its last read, the sampler's until it stops
+		samples  = map[string][]byte{} // log segment → its last read, the sampler's until it stops
 	)
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -299,7 +298,7 @@ func TestChaosOverload(t *testing.T) {
 	}
 
 	// Watchdog sampler: queue depth stays bounded at all times, not just at
-	// the end, and every journal file only grows.
+	// the end, and every segment of the log only grows.
 	samplerDone := make(chan struct{})
 	go func() {
 		defer close(samplerDone)
@@ -374,9 +373,9 @@ func TestChaosOverload(t *testing.T) {
 	if mt.JournalErrors != 0 {
 		t.Errorf("journal recorded %d errors", mt.JournalErrors)
 	}
-	// A rotation leaves its sealed segment; one on the storm's last record
+	// A rotation leaves its sealed segment; one on the storm's last line
 	// leaves no segment after it.
-	segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.jsonl"))
+	segs := traceSegments(t, dir)
 	rotated := false
 	for _, path := range segs {
 		if info, err := os.Stat(path); err == nil && info.Size() >= maxBytes {
@@ -384,17 +383,16 @@ func TestChaosOverload(t *testing.T) {
 		}
 	}
 	if !rotated {
-		t.Errorf("no journal segment among %d reached %d bytes: the journal never rotated", len(segs), maxBytes)
+		t.Errorf("no log segment among %d reached %d bytes: the log never rotated", len(segs), maxBytes)
 	}
 
 	// Kill phase: arm the gate, submit one more job, and once it is wedged
 	// mid-evaluation abandon m1 without shutdown — no drain, no terminal
 	// record — and recover the same directory with a second manager. A dead
-	// process writes nothing more, so the kill closes m1's trace store and
-	// journal: the wedged job's deadline watchdog and eventual result find
-	// them closed instead of appending beside m2. (What kill -9 adds to
-	// that, losing unsynced page-cache data, an in-process test cannot
-	// simulate either way.)
+	// process writes nothing more, so the kill closes m1's log: the wedged
+	// job's deadline watchdog and eventual result find it closed instead
+	// of appending beside m2. (What kill -9 adds to that, losing unsynced
+	// page-cache data, an in-process test cannot simulate either way.)
 	freezeArm.Store(true)
 	frozen, err := m1.SubmitToken(smallSpec(), "")
 	if err != nil {
@@ -406,7 +404,6 @@ func TestChaosOverload(t *testing.T) {
 		t.Fatal("frozen job never reached its evaluation")
 	}
 	m1.traces.Close()
-	m1.journal.Close()
 
 	cfg2 := cfg
 	cfg2.WrapEvaluator = nil
@@ -513,7 +510,7 @@ func TestChaosOverload(t *testing.T) {
 	}
 
 	// Append-only across the kill and the recovery too: every read the
-	// storm took of a journal file is where that file still begins.
+	// storm took of a log segment is where that segment still begins.
 	for path, sample := range samples {
 		if data, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(data, sample) {
 			t.Errorf("%s, read at %d bytes mid-storm, does not begin with that read now (%v)", filepath.Base(path), len(sample), err)
@@ -521,11 +518,11 @@ func TestChaosOverload(t *testing.T) {
 	}
 }
 
-// sampleJournal reads every journal file in dir whose size moved since
-// its last read in samples and fails the test unless the new read extends
-// that one: nothing rewrites, truncates or deletes a journal file.
+// sampleJournal reads every segment of the log in dir whose size moved
+// since its last read in samples and fails the test unless the new read
+// extends that one: nothing rewrites, truncates or deletes a segment.
 func sampleJournal(t *testing.T, dir string, samples map[string][]byte) {
-	paths, _ := filepath.Glob(filepath.Join(dir, "journal-*.jsonl"))
+	paths, _ := filepath.Glob(filepath.Join(TraceDir(dir), "trace-*.jsonl"))
 	for _, path := range paths {
 		prev, seen := samples[path]
 		if info, err := os.Stat(path); err != nil || seen && info.Size() == int64(len(prev)) {

@@ -278,14 +278,43 @@ func writeFile(t *testing.T, path string, data []byte) {
 	}
 }
 
+// olderLayout rewrites a data directory as a binary before the one log
+// left it: every record line of its log moved, in order, to a journal
+// file at its root; only events in its trace log. There the journal could
+// outlive the unsynced tail of the trace log — in one log, a synced
+// record makes every line before it durable.
+func olderLayout(t *testing.T, dir string) {
+	t.Helper()
+	var journal []byte
+	for _, seg := range traceSegments(t, dir) {
+		raw, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []byte
+		for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+			if bytes.HasPrefix(line, []byte(`{"t":`)) {
+				journal = append(journal, line...)
+			} else {
+				events = append(events, line...)
+			}
+		}
+		writeFile(t, seg, events)
+	}
+	writeFile(t, filepath.Join(dir, "journal-000001.jsonl"), journal)
+}
+
 // TestShortHistoryCounted: the trace log is the only copy of a finished
 // curve, so a history cut short — a segment's unsynced tail lost to a power
 // cut, here in the middle of a line, or every line of the job — is served
 // as it is and counted once in trace_store_errors, by the boot; the job's
-// evaluations and scores, which the journal holds, are intact. The other
-// job, whose lines come first, reads as before. So does a segment lost
-// from the middle of the log, here one that held only job-2's first rung
-// event, and both jobs' curves are served whole.
+// evaluations and scores, which the journal holds, are intact. That takes
+// the directory of an older binary, whose journal was a log of its own
+// (olderLayout); in one log a power cut takes the records after the cut
+// as well. The other job, whose lines come first, reads as before. So
+// does a segment lost from the middle of the log, here one that held only
+// job-2's first rung event, and both jobs' curves are served whole — in
+// the one log too, whose records the missing segment did not hold.
 func TestShortHistoryCounted(t *testing.T) {
 	const job2 = `"job":"job-2"`
 	for _, tc := range []struct {
@@ -294,20 +323,21 @@ func TestShortHistoryCounted(t *testing.T) {
 		// which holds raw.
 		damage func(t *testing.T, dir, seg string, raw []byte)
 		whole  bool // job-2's curve is served whole
+		older  bool // the damage is to an older binary's directory
 	}{
 		{"torn-tail", func(t *testing.T, _, seg string, raw []byte) {
 			off, end := lineOf(t, raw, 3, job2)
 			writeFile(t, seg, raw[:off+(end-off)/2])
-		}, false},
+		}, false, true},
 		{"no-history", func(t *testing.T, _, seg string, raw []byte) {
 			off, _ := lineOf(t, raw, 0, job2)
 			writeFile(t, seg, raw[:off])
-		}, false},
+		}, false, true},
 		{"lost-segment", func(t *testing.T, dir, seg string, raw []byte) {
 			off, end := lineOf(t, raw, 0, job2, `"type":"rung"`)
 			writeFile(t, seg, raw[:off])
 			writeFile(t, filepath.Join(TraceDir(dir), "trace-000003.jsonl"), raw[end:])
-		}, true},
+		}, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{PoolSize: 2, MaxJobs: 1, DataDir: t.TempDir()}
@@ -324,6 +354,9 @@ func TestShortHistoryCounted(t *testing.T) {
 			ts1.Close()
 			shutdown(t, m1)
 
+			if tc.older {
+				olderLayout(t, cfg.DataDir)
+			}
 			segs := traceSegments(t, cfg.DataDir)
 			raw, err := os.ReadFile(segs[0])
 			if err != nil || len(segs) != 1 {
@@ -408,7 +441,13 @@ func TestOlderRetryEventServed(t *testing.T) {
 			t.Errorf("served retry event %s, written %s", got, line)
 		}
 	}
-	if served != 1 || len(evs) != bytes.Count(raw, []byte(`"job":"job-1"`)) {
+	written := 0 // the log's event lines, not its records
+	for _, line := range bytes.Split(raw, []byte("\n")) {
+		if bytes.HasPrefix(line, []byte(`{"seq":`)) && bytes.Contains(line, []byte(`"job":"job-1"`)) {
+			written++
+		}
+	}
+	if served != 1 || len(evs) != written {
 		t.Errorf("served %d retry events in %d events; want 1 in every event of the log", served, len(evs))
 	}
 	if got := m2.Metrics().TraceStoreErrors; got != 0 {

@@ -296,9 +296,12 @@ func TestTwinEquivalence(t *testing.T) {
 			// A power cut took the tail of the trace log: the job's curve
 			// points from its third on, its rung event and its preemption.
 			// It resumes from the two points left, and the short history
-			// counts once in trace_store_errors.
+			// counts once in trace_store_errors. Only an older binary's
+			// directory can lose them and keep the preempt record, which
+			// its journal held apart (olderLayout).
 			cfg := resumeConfig(t)
 			preemptInRungOne(t, cfg, spec)
+			olderLayout(t, cfg.DataDir)
 			segs := traceSegments(t, cfg.DataDir)
 			raw, err := os.ReadFile(segs[len(segs)-1])
 			if err != nil {

@@ -1,30 +1,34 @@
-// Package journal gives bhpod crash-safe job persistence: an append-only
-// JSONL log per data directory recording job submissions, status
-// transitions and terminal results. The write path is sequenced so that a
-// crash at any instant loses at most the record being written: every
-// record is one JSON line, terminal records are fsynced before Append
-// returns, and Replay takes the bytes after a segment's last newline — a
-// line a crash cut short — for a torn tail that ends the segment.
+// Package journal is bhpod's job table on disk: the records of job
+// submissions, status transitions, preemptions and terminal results, and
+// the reader that folds them back into per-job states after a restart.
+// It is a reader of two sources, folded in this order:
 //
-// The log is segmented, and nothing rewrites or deletes a segment:
+//   - the journal files an older binary wrote at the data directory's
+//     root, which nothing writes now:
 //
-//	journal-000008.jsonl   sealed segment
-//	journal-000009.jsonl   an earlier life's last segment, maybe torn
-//	journal-000010.jsonl   active segment (appends go here)
+//     base-000007.jsonl      the fold an older binary compacted up to 7
+//     journal-000008.jsonl   sealed segment
+//     journal-000009.jsonl   that binary's last segment, maybe torn
 //
-// Segments are written, numbered, listed and read by seglog, as the trace
-// log's are: every life starts its own segment, the one after the newest
-// base or segment on disk, created at its first record; a write that fails
-// is undone, so a record appended after it is replayed, not hidden behind
-// half a line. Append seals the active segment once it passes the
-// configured size and goes on in the next one.
+//   - the record lines of the trace log (tracestore), where
+//     Manager.transition appends each record just before the event of the
+//     same transition. A result record is not synced itself: the terminal
+//     event after it is, and that fsync covers both lines.
 //
-// Older binaries compacted the log into base-NNNNNN.jsonl files, each the
-// fold of every segment up to its sequence. Replay still reads the newest
-// base and the segments above it, ignoring older bases and the segments a
-// base folded, so their data directories boot. A gap in the sequence
-// means a segment was lost, and Replay fails rather than silently
-// dropping jobs; so does a whole line that does not decode.
+// A record is one JSON line; Replay takes the bytes after a segment's last
+// newline — a line a crash cut short — for a torn tail that ends the
+// segment. The records stay records in the trace log, not events: the
+// benchmark harness still reads them through Replay and times a Writer,
+// so the records cannot yet become the feed's events (ROADMAP items 4
+// and 7).
+//
+// Older binaries compacted their journal into base files, each the fold
+// of every segment up to its sequence. Replay reads the newest base and
+// the segments above it, ignoring older bases and the segments a base
+// folded. A gap in the journal files' sequence means a segment was lost,
+// and Replay fails rather than silently dropping jobs; so does a whole
+// record line that does not decode, in either source. A segment missing
+// from the trace log is the trace log's to report.
 package journal
 
 import (
@@ -35,6 +39,7 @@ import (
 	"time"
 
 	"enhancedbhpo/internal/serve/seglog"
+	"enhancedbhpo/internal/serve/tracestore"
 	"enhancedbhpo/internal/trace"
 )
 
@@ -46,7 +51,8 @@ const (
 	TypeStatus = "status"
 	// TypeResult records a terminal state with everything needed to serve
 	// the job after a restart except its curve, which the trace log holds;
-	// it is fsynced.
+	// it is durable once Append, or the terminal event written after it,
+	// returns.
 	TypeResult = "result"
 	// TypeEvent is an observational incident record (reason "deadline":
 	// an evaluation was abandoned by the watchdog) that earlier versions
@@ -111,20 +117,26 @@ type Record struct {
 // binaries compacted it into.
 var prefixes = []string{"journal-", "base-"}
 
+// Files lists the journal files in dir — segments and bases — in sequence
+// order. A missing directory holds none.
+func Files(dir string) ([]seglog.Segment, error) { return seglog.List(dir, prefixes...) }
+
 // Options tunes a Writer as they tune its seglog.Log; OnChange is the
 // shipper's replication hook.
 type Options = seglog.Options
 
-// Writer appends records to a data directory's journal, rotating the
-// active segment at Options.MaxBytes. Safe for concurrent use.
+// Writer appends records to journal files, as older binaries did,
+// rotating the active segment at Options.MaxBytes. Safe for concurrent
+// use. Only the benchmark harness opens one now (ROADMAP item 4): bhpod
+// appends its records to the trace log.
 type Writer struct {
 	log *seglog.Log
 }
 
 // OpenOptions creates the data directory if needed and opens its journal
-// for appending: this life's records go to the segment after the newest
-// base or segment, created at the first of them. Every file already there
-// is announced to opts.OnChange as sealed.
+// files for appending: this life's records go to the segment after the
+// newest base or segment, created at the first of them. Every file
+// already there is announced to opts.OnChange as sealed.
 func OpenOptions(dir string, opts Options) (*Writer, error) {
 	if dir == "" {
 		return nil, errors.New("journal: empty data dir")
@@ -160,18 +172,17 @@ func (w *Writer) Close() error {
 	return w.log.Close()
 }
 
-// Stats reports the journal files currently on disk (bases and segments)
-// and their total size — the payload behind the journal_segments and
-// journal_bytes service metrics.
+// Stats reports the journal files on disk (bases and segments) and their
+// total size.
 type Stats struct {
 	Segments int
 	Bytes    int64
 }
 
-// DirStats lists a data directory's journal files. Best-effort: an
-// unreadable directory reports zero.
+// DirStats lists a data directory's journal files for the benchmark
+// harness. Best-effort: an unreadable directory reports zero.
 func DirStats(dir string) Stats {
-	segs, _ := seglog.List(dir, prefixes...)
+	segs, _ := Files(dir)
 	s := Stats{Segments: len(segs)}
 	for _, seg := range segs {
 		s.Bytes += seg.Size
@@ -280,13 +291,15 @@ func (r *replayState) apply(rec Record) {
 	}
 }
 
-// Replay reads a data directory's journal — the newest base an older
-// binary left, then the segments above it — into per-job states in first
-// submission order. A missing journal yields no states; a torn tail ends
-// its segment at the last whole record; a missing segment or a whole line
-// that does not decode is an error naming the file.
+// Replay reads a data directory's records — the newest base an older
+// binary left and the journal segments above it, then the record lines of
+// the trace log — into per-job states in first submission order. A
+// directory without records yields no states; a torn tail ends its
+// segment at the last whole line; a journal segment missing from its
+// sequence or a whole record line that does not decode is an error naming
+// the file.
 func Replay(dir string) ([]JobState, error) {
-	all, err := seglog.List(dir, prefixes...)
+	all, err := Files(dir)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
@@ -302,14 +315,18 @@ func Replay(dir string) ([]JobState, error) {
 		segs = append(segs, seg)
 	}
 	acc := replayState{byID: map[string]*JobState{}}
-	err = seglog.Read(dir, segs, func(line []byte) error {
+	apply := func(line []byte) error {
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("corrupt record: %w", err)
 		}
 		acc.apply(rec)
 		return nil
-	})
+	}
+	err = seglog.Read(dir, segs, apply)
+	if err == nil {
+		err = tracestore.Records(tracestore.Dir(dir), apply)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}

@@ -20,17 +20,18 @@ const (
 )
 
 // transition moves a job one step along its lifecycle; it is the only code
-// that journals a job or publishes a status, preempted or resumed event.
+// that records a job or publishes a status, preempted or resumed event.
 // Under job.mu it runs apply (the step's outcome, may be nil), sets the
 // status fields the phase implies and builds the record and the event from
-// that one state. A restored job is journaled only when apply is the
+// that one state. A restored job is recorded only when apply is the
 // boot's own verdict; its event is published only if its feed never
-// closed. Then it writes both by one rule: a terminal transition
-// reaches the trace log — which fsyncs it and closes the job's feed —
-// before the journal's result record, so a journal that says a job
-// finished has its whole trace on disk behind it; every other transition
-// is journaled first. A journal error only counts in journal_errors: the
-// in-memory table stays authoritative until the next restart.
+// closed. Then it writes both to the one log, record, then event. A result
+// record is not synced: the terminal event after it is, which makes both
+// lines durable with one fsync, and a crash between the two leaves a
+// finished job whose boot publishes the missing terminal event. A result
+// no event follows, and every preempt record, is synced itself. A record
+// that cannot be written only counts in journal_errors: the in-memory
+// table stays authoritative until the next restart.
 func (m *Manager) transition(job *Job, ph phase, at time.Time, apply func()) {
 	var rec journal.Record
 	ev := &events.Event{Type: events.TypeStatus, Time: at}
@@ -88,26 +89,27 @@ func (m *Manager) transition(job *Job, ph phase, at time.Time, apply func()) {
 	}
 	job.mu.Unlock()
 
-	closes := ev != nil && ev.Terminal
-	if closes {
-		m.publish(job.ID, *ev)
-	}
-	if rec.Type != "" && m.journal != nil {
+	if rec.Type != "" && m.traces != nil {
 		rec.Time, rec.JobID = at, job.ID
+		var line []byte
 		var err error
 		if rec.Type == journal.TypeSubmit {
 			rec.Spec, err = json.Marshal(job.Spec)
 		}
-		if err != nil || m.journal.Append(rec) != nil {
+		if err == nil {
+			line, err = json.Marshal(rec)
+		}
+		sync := rec.Type == journal.TypePreempt || rec.Type == journal.TypeResult && (ev == nil || !ev.Terminal)
+		if err != nil || m.traces.AppendRecord(line, sync) != nil {
 			m.journalErrs.Add(1)
 		}
 	}
-	if ev != nil && !closes {
+	if ev != nil {
 		m.publish(job.ID, *ev)
 	}
 }
 
-// resultLocked is the journal's result record of a finished job:
+// resultLocked is the result record of a finished job:
 // everything GET /jobs/{id} serves of it after a restart, which
 // restoreResult below reads back — except the curve, which the trace log
 // already holds as the job's curve_point events; the record carries only
@@ -129,7 +131,7 @@ func (j *Job) resultLocked() journal.Record {
 	}
 }
 
-// restoreResult is resultLocked read back into a job the journal holds as
+// restoreResult is resultLocked read back into a job the records hold as
 // terminal, at boot, before the manager serves or runs anything; its curve
 // is its feed's, like every job's. (What every restored job carries, its
 // preemption count and its submission and first start times, the boot

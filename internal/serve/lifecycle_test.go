@@ -16,6 +16,7 @@ import (
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 	"enhancedbhpo/internal/serve/journal"
+	"enhancedbhpo/internal/serve/tracestore"
 )
 
 // lifeLine is one lifecycle step as a log holds it: a journal record's
@@ -26,31 +27,31 @@ type lifeLine struct {
 	Terminal             bool
 }
 
-// jobJournal returns a job's journal records in replay order, segment by
-// segment, skipping event records.
-func jobJournal(t *testing.T, dir, id string) []lifeLine {
+// logRecords returns every record line of a data directory's log, in log
+// order, decoded.
+func logRecords(t *testing.T, dir string) []journal.Record {
 	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "journal-*.jsonl"))
+	var out []journal.Record
+	err := tracestore.Records(TraceDir(dir), func(line []byte) error {
+		var rec journal.Record
+		err := json.Unmarshal(line, &rec)
+		out = append(out, rec)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return out
+}
+
+// jobJournal returns a job's records in replay order, segment by segment,
+// skipping event records.
+func jobJournal(t *testing.T, dir, id string) []lifeLine {
+	t.Helper()
 	var out []lifeLine
-	for _, path := range segs {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range bytes.Split(raw, []byte("\n")) {
-			if len(line) == 0 {
-				continue
-			}
-			var rec journal.Record
-			if err := json.Unmarshal(line, &rec); err != nil {
-				t.Fatalf("%s: %v", filepath.Base(path), err)
-			}
-			if rec.JobID == id && rec.Type != journal.TypeEvent {
-				out = append(out, lifeLine{Type: rec.Type, Status: rec.Status, Reason: rec.Reason})
-			}
+	for _, rec := range logRecords(t, dir) {
+		if rec.JobID == id && rec.Type != journal.TypeEvent {
+			out = append(out, lifeLine{Type: rec.Type, Status: rec.Status, Reason: rec.Reason})
 		}
 	}
 	return out
@@ -341,8 +342,8 @@ func TestJobLifecycleRecords(t *testing.T) {
 }
 
 // TestDeadlineJournalsNothing: an evaluation abandoned at its deadline is
-// told by the trace log's deadline event, which carries its budget; the
-// journal holds no record of it.
+// told by the log's deadline event, which carries its budget; no record
+// tells it.
 func TestDeadlineJournalsNothing(t *testing.T) {
 	cfg := Config{
 		PoolSize: 2, MaxJobs: 1, DataDir: t.TempDir(),
@@ -368,9 +369,9 @@ func TestDeadlineJournalsNothing(t *testing.T) {
 		t.Errorf("/trace?events=1 holds %d deadline events, want 1", deadlines)
 	}
 	shutdown(t, m)
-	files, err := filepath.Glob(filepath.Join(cfg.DataDir, "*.jsonl"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no journal files in %s (%v)", cfg.DataDir, err)
+	files := traceSegments(t, cfg.DataDir)
+	if len(files) == 0 {
+		t.Fatalf("no log segments in %s", cfg.DataDir)
 	}
 	for _, path := range files {
 		raw, err := os.ReadFile(path)

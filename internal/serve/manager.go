@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -74,15 +73,11 @@ type Config struct {
 	// is discarded, and the trial is charged to the job's failure budget
 	// (worst-case score). 0 disables the watchdog.
 	EvalTimeout time.Duration
-	// DataDir, when non-empty, enables journaled persistence: job specs
-	// and terminal results are appended to a segmented JSONL journal in
-	// DataDir so NewManagerFromJournal can rebuild the job table after a
-	// restart.
+	// DataDir, when non-empty, enables journaled persistence: job records
+	// (specs, transitions, results) and events are appended to one
+	// segmented JSONL log in DataDir, the trace log, so
+	// NewManagerFromJournal can rebuild the job table after a restart.
 	DataDir string
-	// JournalMaxBytes seals the journal's active segment past this size
-	// and goes on in a new one; sealed segments are kept as they are. 0
-	// selects 4 MiB; negative disables rotation.
-	JournalMaxBytes int64
 	// ScopeTTL releases an evalScope's dataset/fold memory once no live
 	// job has referenced it for this long; the scope is rebuilt
 	// deterministically on next use (same spec → same data, folds and
@@ -94,10 +89,11 @@ type Config struct {
 	// trial scores worst-case instead of aborting — before the job flips
 	// to StatusFailed. 0 selects 3.
 	FailureBudget int
-	// TraceMaxBytes is the segment size of the durable trace log all jobs
-	// share: the active segment is sealed, immutable from then on, and
-	// the next one started once it has grown past this. Only meaningful
-	// with DataDir set. 0 selects 1 MiB; negative never rotates.
+	// TraceMaxBytes is the segment size of the durable log all jobs share,
+	// their records and events: the active segment is sealed, immutable
+	// from then on, and the next one started once it has grown past this.
+	// Only meaningful with DataDir set. 0 selects 1 MiB; negative never
+	// rotates.
 	TraceMaxBytes int64
 	// WrapEvaluator, when non-nil, wraps each job's evaluator between
 	// the pool gate and the cache. It is the fault-injection point used
@@ -110,13 +106,13 @@ type Config struct {
 	// /healthz and /metrics so a coordinator's probes and a replacement
 	// node's operators can tell nodes apart. Empty outside a cluster.
 	NodeName string
-	// Shipper, when non-nil, replicates the journal and trace files to
-	// its sink as they grow and seal, so a replacement node can rebuild
-	// this node's job table after the machine dies (shipper.Restore +
-	// NewManagerFromJournal). Requires DataDir. The manager wires the
-	// journal and trace-store hooks; ownership (Close) stays with the
-	// caller, which should close it after Shutdown so the final state
-	// flushes.
+	// Shipper, when non-nil, replicates the log's segments — and the
+	// journal files an older binary left — to its sinks as they grow and
+	// seal, so a replacement node can rebuild this node's job table after
+	// the machine dies (shipper.Restore + NewManagerFromJournal). Requires
+	// DataDir. The manager wires the log's hook; ownership (Close) stays
+	// with the caller, which should close it after Shutdown so the final
+	// state flushes.
 	Shipper *shipper.Shipper
 }
 
@@ -129,9 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 64
-	}
-	if c.JournalMaxBytes == 0 {
-		c.JournalMaxBytes = 4 << 20
 	}
 	if c.TraceMaxBytes == 0 {
 		c.TraceMaxBytes = 1 << 20
@@ -202,9 +195,10 @@ type Manager struct {
 	wg         sync.WaitGroup
 
 	// hub keeps each job's telemetry (curve points, rung promotions,
-	// retries, deadline abandonments, failure-budget charges, lifecycle
+	// deadline abandonments, failure-budget charges, lifecycle
 	// transitions) for SSE subscribers to read; traces, when persistence
-	// is on, durably records the same stream per job behind the hub's sink.
+	// is on, is the one durable log: the same stream behind the hub's
+	// sink, and the job records transition appends.
 	hub    *events.Hub
 	traces *tracestore.Store // nil when persistence is disabled
 
@@ -219,11 +213,9 @@ type Manager struct {
 	scopesEvicted    atomic.Int64
 	evalEWMA         atomic.Uint64 // math.Float64bits of the latency EWMA in seconds
 
-	journal *journal.Writer // nil when persistence is disabled
-
 	// boot is what NewManagerFromJournal cost, set once before it returns:
-	// the whole call, the journal's replay, the trace log's filing pass
-	// beside it; jobs came back, live of them were launched again.
+	// the whole call, the records' replay, the events' filing pass beside
+	// it; jobs came back, live of them were launched again.
 	boot struct {
 		total, journal, trace time.Duration
 		jobs, live            int
@@ -277,19 +269,19 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// shipHook replicates a log's segments through ship, nil without one:
-// appends ship incrementally, a sealed file ships its tail and is sealed
-// at the sinks. sub is the log's directory relative to the data
-// directory, "" or ending in a slash.
-func shipHook(ship *shipper.Shipper, sub string) func(name string, sealed bool) {
+// shipHook replicates the log's segments through ship, nil without one:
+// appends ship incrementally, a sealed segment ships its tail and is
+// sealed at the sinks. They ship under their name relative to the data
+// directory, so a restored replica has the traces/ layout a manager opens.
+func shipHook(ship *shipper.Shipper) func(name string, sealed bool) {
 	if ship == nil {
 		return nil
 	}
 	return func(name string, sealed bool) {
 		if sealed {
-			ship.Sealed(sub + name)
+			ship.Sealed("traces/" + name)
 		} else {
-			ship.Changed(sub + name)
+			ship.Changed("traces/" + name)
 		}
 	}
 }
@@ -303,20 +295,21 @@ func shipHook(ship *shipper.Shipper, sub string) func(name string, sealed bool) 
 // re-enqueued and run again — those preempted before, from the curve
 // points their trace log holds.
 //
-// A boot decodes the journal once and the trace log not at all, and
-// rewrites neither. In order: the journal is replayed and every job's
-// spec decoded — while, on a goroutine of its own because the trace log is
-// an independent file, tracestore.ReadAll files the log's lines under
-// their jobs. The two are joined, this life's trace segment and journal
-// segment opened, and the whole table built: register, sched.Restore,
-// and the event feed primed with the sequence number and done flag of the
-// job's newest trace event, its history left as lines until somebody
-// reads it (events.Hub.Prime). A job that was mid-run without a
+// A boot decodes every record once and no event, and rewrites nothing.
+// It makes two passes side by side. journal.Replay folds the journal
+// files an older binary left, then the log's record lines, and every
+// job's spec is decoded. On a goroutine of its own, tracestore.ReadAll
+// files the log's event lines under their jobs. The two are joined, the
+// older binary's journal files announced to the shipper as sealed, this
+// life's segment of the log opened, and the whole table built: register,
+// sched.Restore, and the event feed primed with the sequence number and
+// done flag of the job's newest event, its history left as lines until
+// somebody reads it (events.Hub.Prime). A job that was mid-run without a
 // checkpoint is the one thing the boot decides: it ends cancelled,
-// interrupted, finished at the boot's start, and its result record is
-// this life's journal segment's first lines. Only then are the queued
-// jobs launched, so nothing runs before the table is whole and a boot
-// that fails leaves nothing running and nothing open.
+// interrupted, finished at the boot's start, and its result record and
+// terminal event are among this life's segment's first lines. Only then
+// are the queued jobs launched, so nothing runs before the table is whole
+// and a boot that fails leaves nothing running and nothing open.
 func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("serve: NewManagerFromJournal needs Config.DataDir")
@@ -327,7 +320,7 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 		err     error
 		took    time.Duration
 	}
-	filed := make(chan filedTrace, 1) // buffered: a journal error returns without waiting for the reader
+	filed := make(chan filedTrace, 1) // buffered: a replay error returns without waiting for the reader
 	go func() {
 		history, err := tracestore.ReadAll(TraceDir(cfg.DataDir))
 		filed <- filedTrace{history, err, time.Since(begin)}
@@ -349,8 +342,8 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 	defer func() {
 		if err != nil {
 			// Nothing is registered yet: this stops the janitor and closes
-			// whichever of the two logs did open. The boot's error is the
-			// one to report.
+			// the log if it did open. The boot's error is the one to
+			// report.
 			_ = m.Shutdown(context.Background())
 		}
 	}()
@@ -360,21 +353,20 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 	if log.err != nil {
 		m.traceErrs.Add(1)
 	}
-	// Opening a log announces the files earlier lives left, which ship
-	// sealed: the journal's first, then the trace log's, which ship under
-	// their directory-relative name so a restored replica has the same
-	// traces/ layout the manager opens.
-	w, err := journal.OpenOptions(cfg.DataDir, journal.Options{
-		MaxBytes: m.cfg.JournalMaxBytes,
-		OnChange: shipHook(cfg.Shipper, ""),
-	})
-	if err != nil {
-		return nil, err
+	// The files earlier lives left ship sealed, once per life: an older
+	// binary's journal files here, the log's segments as it opens.
+	if cfg.Shipper != nil {
+		old, err := journal.Files(cfg.DataDir)
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range old {
+			cfg.Shipper.Sealed(f.Name)
+		}
 	}
-	m.journal = w
 	traces, err := tracestore.Open(TraceDir(cfg.DataDir), tracestore.Options{
 		MaxBytes: m.cfg.TraceMaxBytes,
-		OnChange: shipHook(cfg.Shipper, "traces/"),
+		OnChange: shipHook(cfg.Shipper),
 	})
 	if err != nil {
 		return nil, err
@@ -400,9 +392,9 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 		// sequence numbers continue where the dead process stopped, and
 		// subscribers can resume (or fetch the full pre-crash curve) across
 		// the restart. A history holding fewer curve points than the
-		// evaluations the journal counts (a power cut can take the unsynced
-		// tail of an earlier life's segment) is served, or resumed from, as
-		// it is and counted once in trace_store_errors: when it is decoded
+		// evaluations the records count (an older binary's journal could
+		// outlive the unsynced tail of its trace log) is served, or resumed
+		// from, as it is and counted once in trace_store_errors: when it is decoded
 		// — a finished job's on its first read, a live one's now — or now
 		// if it holds no event at all.
 		history := log.history[st.ID]
@@ -434,7 +426,7 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 			})
 		default:
 			// Queued, or yielded at a rung boundary before it ran again, when
-			// the process died: run it again under this manager (the journal
+			// the process died: run it again under this manager (the log
 			// already holds its submit record, so launching appends only the
 			// new transitions) — a checkpointed job from its curve points.
 			live = append(live, job)
@@ -461,11 +453,9 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 	return m, nil
 }
 
-// TraceDir is where a data directory keeps its trace log: the segments
-// (trace-NNNNNN.jsonl) all jobs' events are appended to.
-func TraceDir(dataDir string) string {
-	return filepath.Join(dataDir, "traces")
-}
+// TraceDir is where a data directory keeps its log: the segments
+// (trace-NNNNNN.jsonl) all jobs' records and events are appended to.
+func TraceDir(dataDir string) string { return tracestore.Dir(dataDir) }
 
 // publish stamps the event time (when unset) and routes it through the
 // hub — and so to SSE subscribers and, when persistence is on, the
@@ -842,7 +832,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 }
 
 // Shutdown cancels every remaining job (recording reason "shutdown"),
-// waits for runners to exit or ctx to expire, and closes the journal so
+// waits for runners to exit or ctx to expire, and closes the log so
 // every terminal record is on disk. The scope janitor stops with the
 // base context.
 func (m *Manager) Shutdown(ctx context.Context) error {
@@ -861,11 +851,6 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	err := m.Drain(ctx)
 	if m.traces != nil {
 		if cerr := m.traces.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if m.journal != nil {
-		if cerr := m.journal.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
@@ -1015,12 +1000,10 @@ type Metrics struct {
 	Preemptions   int64   `json:"preemptions"`
 	Resumes       int64   `json:"resumes"`
 	PoolSize      int     `json:"pool_size"`
-	// PoolInUse and PoolInflight are the same number, the scheduler's
-	// count of held evaluation slots — by an evaluation or lent to one of
-	// its folds; both names are read by clients.
-	PoolInUse    int   `json:"pool_in_use"`
-	PoolInflight int   `json:"pool_inflight"`
-	Evaluations  int64 `json:"evaluations"`
+	// PoolInUse is the scheduler's count of held evaluation slots — by an
+	// evaluation or lent to one of its folds.
+	PoolInUse   int   `json:"pool_in_use"`
+	Evaluations int64 `json:"evaluations"`
 	// FoldsLent counts folds trained on a borrowed slot; the other
 	// cache_misses × K − folds_lent ran on their evaluation's own. Zero
 	// under load means the job mix leaves no slot idle; zero on a quiet
@@ -1038,8 +1021,6 @@ type Metrics struct {
 	TraceStoreBytes   int64   `json:"trace_store_bytes"`
 	TraceStoreErrors  int64   `json:"trace_store_errors"`
 	JournalErrors     int64   `json:"journal_errors"`
-	JournalSegments   int     `json:"journal_segments"`
-	JournalBytes      int64   `json:"journal_bytes"`
 	CacheScopes       int     `json:"cache_scopes"`
 	ScopesEvicted     int64   `json:"scopes_evicted"`
 	CacheEntries      int     `json:"cache_entries"`
@@ -1050,9 +1031,10 @@ type Metrics struct {
 	SegmentsShipped   int64   `json:"segments_shipped"`
 	ShipRetries       int64   `json:"ship_retries"`
 	ShipBytes         int64   `json:"ship_bytes"`
-	// What the boot from the journal cost (all 0 without one): the whole
-	// NewManagerFromJournal call, its journal replay, and the trace
-	// log's filing pass, which runs beside that; and the jobs it restored.
+	// What the boot from the log cost (all 0 without one): the whole
+	// NewManagerFromJournal call, its replay of the records, and the
+	// filing pass over the events, which runs beside that; and the jobs
+	// it restored.
 	BootMS        float64 `json:"boot_ms"`
 	BootJournalMS float64 `json:"boot_journal_ms"`
 	BootTraceMS   float64 `json:"boot_trace_ms"`
@@ -1096,11 +1078,6 @@ func (m *Manager) Metrics() Metrics {
 	if uptime > 0 {
 		out.EvaluationsPerSec = float64(out.Evaluations) / uptime
 	}
-	if m.cfg.DataDir != "" {
-		js := journal.DirStats(m.cfg.DataDir)
-		out.JournalSegments = js.Segments
-		out.JournalBytes = js.Bytes
-	}
 	if m.cfg.Shipper != nil {
 		ss := m.cfg.Shipper.Stats()
 		out.SegmentsShipped = ss.SegmentsShipped
@@ -1109,7 +1086,6 @@ func (m *Manager) Metrics() Metrics {
 	}
 	out.PendingDepth = m.sched.Queued()
 	out.PoolInUse = m.sched.Inflight()
-	out.PoolInflight = out.PoolInUse
 	tenants := m.Tenants()
 	out.Tenants = len(tenants)
 	for _, row := range tenants {

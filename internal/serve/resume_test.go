@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
@@ -15,6 +14,7 @@ import (
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 	"enhancedbhpo/internal/serve/journal"
+	"enhancedbhpo/internal/serve/tracestore"
 	"enhancedbhpo/internal/trace"
 )
 
@@ -60,34 +60,23 @@ func TestPreemptRecordStaysSmall(t *testing.T) {
 	if n := victim.Snapshot().Preemptions; n != 1 {
 		t.Fatalf("the victim was preempted %d times; the test needs once", n)
 	}
-	files, err := filepath.Glob(filepath.Join(cfg.DataDir, "*.jsonl"))
+	found := 0
+	err := tracestore.Records(TraceDir(cfg.DataDir), func(line []byte) error {
+		var rec journal.Record
+		if err := json.Unmarshal(line, &rec); err != nil || rec.Type != journal.TypePreempt {
+			return err
+		}
+		found++
+		if rec.Evaluations < trials || len(line) >= 300 {
+			t.Errorf("preempt record after %d evaluations is %d bytes: %s", rec.Evaluations, len(line), line)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := 0
-	for _, path := range files {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := bufio.NewScanner(f)
-		for lines.Scan() {
-			var rec journal.Record
-			if err := json.Unmarshal(lines.Bytes(), &rec); err != nil {
-				t.Fatalf("%s: %v", filepath.Base(path), err)
-			}
-			if rec.Type != journal.TypePreempt {
-				continue
-			}
-			found++
-			if rec.Evaluations < trials || len(lines.Bytes()) >= 300 {
-				t.Errorf("preempt record after %d evaluations is %d bytes: %s", rec.Evaluations, len(lines.Bytes()), lines.Bytes())
-			}
-		}
-		f.Close()
-	}
 	if found != 1 {
-		t.Errorf("%d preempt records in the journal, want 1", found)
+		t.Errorf("%d preempt records in the log, want 1", found)
 	}
 }
 

@@ -611,7 +611,7 @@ func (s *Scheduler) releaseEvalLocked(t *tenant) {
 }
 
 // Inflight returns the evaluation slots currently held, by an evaluation
-// or lent to one of its folds — the pool_in_use and pool_inflight gauges.
+// or lent to one of its folds — the pool_in_use gauge.
 func (s *Scheduler) Inflight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -13,9 +13,9 @@ import (
 )
 
 // TestSinkHoldsEachRecordOnce: six lives of a node shipping synchronously,
-// twenty jobs each, leave its sink the node's own journal bytes — every
-// record once, none of an earlier life shipped again — and a manifest of
-// one line per sealed file, though every boot re-seals every file on disk.
+// twenty jobs each, leave its sink the node's own log bytes — every record
+// once, none of an earlier life shipped again — and a manifest of one line
+// per sealed file, though every boot re-seals every file on disk.
 func TestSinkHoldsEachRecordOnce(t *testing.T) {
 	dataDir, sinkDir := t.TempDir(), filepath.Join(t.TempDir(), "a")
 	for life := 1; life <= 6; life++ {
@@ -36,17 +36,17 @@ func TestSinkHoldsEachRecordOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	journalBytes := func(dir string) (n int64) {
-		entries, _ := os.ReadDir(dir)
+	logBytes := func(dir string) (n int64) {
+		entries, _ := os.ReadDir(TraceDir(dir))
 		for _, e := range entries {
-			if info, err := e.Info(); err == nil && (strings.HasPrefix(e.Name(), "journal-") || strings.HasPrefix(e.Name(), "base-")) {
+			if info, err := e.Info(); err == nil && strings.HasPrefix(e.Name(), "trace-") {
 				n += info.Size()
 			}
 		}
 		return n
 	}
-	if node, sink := journalBytes(dataDir), journalBytes(sinkDir); node == 0 || sink != node {
-		t.Errorf("the sink holds %d bytes of journal for the node's %d", sink, node)
+	if node, sink := logBytes(dataDir), logBytes(sinkDir); node == 0 || sink != node {
+		t.Errorf("the sink holds %d bytes of log for the node's %d", sink, node)
 	}
 	manifest, err := shipper.ReadManifest(sinkDir)
 	if err != nil {
@@ -63,8 +63,8 @@ func TestSinkHoldsEachRecordOnce(t *testing.T) {
 		}
 		return err
 	})
-	if lines := bytes.Count(raw, []byte("\n")); lines != len(manifest) || sealed != len(manifest) || sealed < 10 {
-		t.Errorf("the manifest holds %d lines naming %d files; the sink holds %d sealed files, want one line for each, five lives' journal and trace segments",
+	if lines := bytes.Count(raw, []byte("\n")); lines != len(manifest) || sealed != len(manifest) || sealed < 5 {
+		t.Errorf("the manifest holds %d lines naming %d files; the sink holds %d sealed files, want one line for each, five lives' segments",
 			lines, len(manifest), sealed)
 	}
 }

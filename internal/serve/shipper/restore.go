@@ -12,15 +12,16 @@ import (
 	"strings"
 
 	"enhancedbhpo/internal/serve/journal"
+	"enhancedbhpo/internal/serve/tracestore"
 )
 
 // Restore materializes the first usable replica in srcDirs — a sink's
 // node directories, in preference order — as the bhpod data directory
 // destDir and returns the one it used. Every manifest-listed (sealed)
 // file is copied through the hasher and compared with its manifest entry,
-// and every in-progress .part file — the active journal segment and live
-// trace tails, whose torn final line journal.Replay and the trace store
-// already tolerate — is copied under its bare name. The result is a
+// and every in-progress .part file — the log's active segment, whose torn
+// final line journal.Replay and the trace store already tolerate — is
+// copied under its bare name. The result is a
 // directory NewManagerFromJournal can open as if the dead node had merely
 // been restarted.
 //
@@ -31,24 +32,27 @@ import (
 // suffix inside the replica, which keeps that replica unusable until an
 // operator has looked) and the restore falls through to the next replica;
 // when none is left the error matches ErrChecksumMismatch — a replica
-// that lies about its journal is never promoted silently.
+// that lies about its log is never promoted silently.
 //
 // destDir may be absent or an empty, pre-created directory, which the
-// restored one replaces. One that already holds a journal
-// (journal-*.jsonl, base-*.jsonl) is someone's data and is refused rather
-// than overlaid or replaced; so is anything the final rename could not
-// replace whole — a file, a symlink, a mount point, a directory holding
-// other files — before a byte is copied.
+// restored one replaces. One that already holds a log — a traces/
+// directory, or the journal files an older binary wrote (journal-*.jsonl,
+// base-*.jsonl) — is someone's data and is refused rather than overlaid
+// or replaced; so is anything the final rename could not replace whole —
+// a file, a symlink, a mount point, a directory holding other files —
+// before a byte is copied.
 func Restore(srcDirs []string, destDir string) (string, error) {
 	if len(srcDirs) == 0 {
 		return "", errors.New("shipper: restore: no replicas given")
 	}
 	if fi, err := os.Lstat(destDir); err == nil {
+		old, _ := journal.Files(destDir)
+		_, logErr := os.Lstat(tracestore.Dir(destDir))
 		switch {
 		case !fi.IsDir():
 			err = errors.New("not a directory (a symlink is not followed)")
-		case journal.DirStats(destDir).Segments > 0:
-			err = errors.New("already holds a journal")
+		case len(old) > 0 || logErr == nil:
+			err = errors.New("already holds a log")
 		default: // make way for the rename, before anything is copied
 			err = os.Remove(destDir) // takes an empty directory only, and no mount point
 		}
@@ -97,7 +101,7 @@ func restoreInto(srcDir, destDir string) error {
 
 // VerifyReplica checks a shipped replica without touching it, so the
 // coordinator can probe candidates before committing a restore: the sink
-// directory must exist and hold a journal, and every manifest-listed file
+// directory must exist and hold a log, and every manifest-listed file
 // still present must hash to its manifest checksum. It applies the rules
 // Restore applies, read-only — nothing is copied or quarantined. A corrupt
 // file fails with an error matching ErrChecksumMismatch.
@@ -115,13 +119,15 @@ func checkSealed(dir, copyTo string) error {
 	if err != nil {
 		return err
 	}
-	// A replica holds a journal: sealed files its manifest lists or, in a
-	// node's first life before anything was sealed, a segment in progress.
-	// Refusing one that holds neither (or is not there at all) keeps an
-	// empty sink directory from being preferred over a complete replica
-	// later in the preference list.
-	if parts, _ := filepath.Glob(filepath.Join(dir, "journal-*.jsonl"+partSuffix)); len(manifest) == 0 && len(parts) == 0 {
-		return fmt.Errorf("shipper: replica %s holds no journal: %w", dir, os.ErrNotExist)
+	// A replica holds a log: sealed files its manifest lists or, in a
+	// node's first life before anything was sealed, a segment in progress
+	// — the log's, or an older binary's journal's. Refusing one that holds
+	// neither (or is not there at all) keeps an empty sink directory from
+	// being preferred over a complete replica later in the preference list.
+	parts, _ := filepath.Glob(filepath.Join(tracestore.Dir(dir), "*"+partSuffix))
+	oldParts, _ := filepath.Glob(filepath.Join(dir, "journal-*"+partSuffix))
+	if len(manifest)+len(parts)+len(oldParts) == 0 {
+		return fmt.Errorf("shipper: replica %s holds no log: %w", dir, os.ErrNotExist)
 	}
 	for name, entry := range manifest {
 		src := filepath.Join(dir, filepath.FromSlash(name))
@@ -154,7 +160,7 @@ func checkSealed(dir, copyTo string) error {
 
 // hashCopy reads the file at src once and returns its SHA-256 hex digest
 // and size. With dest set the same bytes are written there (creating
-// parent directories) and fsynced, so a restored journal is durable before
+// parent directories) and fsynced, so a restored log is durable before
 // the replacement opens it. A missing src fails with os.ErrNotExist before
 // anything is created.
 func hashCopy(src, dest string) (string, int64, error) {

@@ -1,21 +1,21 @@
-// Package shipper replicates a bhpod data directory — journal and trace
-// segments — to one or more sinks, so a
+// Package shipper replicates a bhpod data directory — the segments of its
+// one log, which holds every job's records and events, and the journal
+// files an older binary left beside it — to one or more sinks, so a
 // *replacement* node (not just a restarted process) can rebuild a dead
 // machine's job table with journal.Replay and serve its traces
 // byte-identically.
 //
 // The unit of shipping is one file, addressed by its path relative to the
-// data directory ("journal-000003.jsonl", "traces/trace-000002.jsonl").
-// Files move in two phases matching how the journal and trace store write
-// them:
+// data directory ("traces/trace-000002.jsonl", "journal-000003.jsonl").
+// Files move in two phases matching how the log writes them:
 //
-//   - a *changed* file (the active journal or trace segment) ships
+//   - a *changed* file (the log's active segment) ships
 //     incrementally: the shipper reads the local bytes past the sink's
 //     resumable offset and appends them. A file the sink holds more of
 //     than exists locally (a sink that was ahead of the replica this node
 //     was restored from) restarts at offset zero.
 //   - a *sealed* file (a rotated segment, or one an earlier life left,
-//     which each log announces when it opens) ships its remaining tail
+//     which the manager announces as it boots) ships its remaining tail
 //     and is then sealed at the sink with its size and SHA-256, which
 //     records it in the sink's checksummed manifest once. Sealed content
 //     is what Restore verifies.
@@ -114,9 +114,10 @@ type Options struct {
 // Stats is a shipping counter snapshot, feeding the node's /metrics.
 // For a multi-sink shipper it sums every lane.
 type Stats struct {
-	// SegmentsShipped counts successfully sealed files (journal segments,
-	// bases and trace segments). With N sinks one local seal counts N
-	// times — it is a count of sink-seal operations, not of local files.
+	// SegmentsShipped counts successfully sealed files (log segments, and
+	// an older binary's journal segments and bases). With N sinks one
+	// local seal counts N times — it is a count of sink-seal operations,
+	// not of local files.
 	SegmentsShipped int64
 	// Retries counts ship attempts that failed and were requeued.
 	Retries int64
@@ -226,9 +227,8 @@ func (s *Shipper) Changed(rel string) {
 	}
 }
 
-// Sealed notes that rel reached its final content (a rotated journal or
-// trace segment, or one an earlier life left, which a log announces when
-// it opens): the remaining tail ships and the file is sealed into each
+// Sealed notes that rel reached its final content (a rotated segment, or
+// a file an earlier life left, which the manager announces as it boots): the remaining tail ships and the file is sealed into each
 // sink's checksummed manifest.
 func (s *Shipper) Sealed(rel string) {
 	for _, ln := range s.lanes {
@@ -493,7 +493,7 @@ func (ln *lane) flush() error {
 		rels = append(rels, rel)
 	}
 	ln.mu.Unlock()
-	sort.Strings(rels) // deterministic order: journal before traces
+	sort.Strings(rels) // deterministic order: an older journal before traces
 	var first error
 	for _, rel := range rels {
 		if err := ln.shipFile(rel); err != nil {

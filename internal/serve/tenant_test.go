@@ -417,8 +417,8 @@ func TestTenantFilterAndStatus(t *testing.T) {
 	}
 }
 
-// TestPoolInflightGauge: pool_in_use, pool_inflight and the tenants'
-// inflight_evals are one count of held evaluation slots — equal to true
+// TestPoolInflightGauge: pool_in_use and the tenants' inflight_evals are
+// one count of held evaluation slots — equal to true
 // occupancy while evaluations hold slots, zero after.
 func TestPoolInflightGauge(t *testing.T) {
 	gate := make(chan struct{})
@@ -434,8 +434,8 @@ func TestPoolInflightGauge(t *testing.T) {
 	check := func(when string, want int) {
 		t.Helper()
 		mt := m.Metrics()
-		if mt.PoolInUse != want || mt.PoolInflight != want {
-			t.Errorf("PoolInUse = %d, PoolInflight = %d %s, want %d", mt.PoolInUse, mt.PoolInflight, when, want)
+		if mt.PoolInUse != want {
+			t.Errorf("PoolInUse = %d %s, want %d", mt.PoolInUse, when, want)
 		}
 		perTenant := 0
 		for _, row := range m.Tenants() {

@@ -47,8 +47,8 @@ func traceSegments(t *testing.T, dataDir string) []string {
 }
 
 // TestNoPerJobSeal is the count the shared log exists for: 200 finished
-// jobs leave a replica whose manifest lists bases and rotated segments
-// only — nothing per job, so its length does not grow with the number of
+// jobs leave a replica whose manifest lists rotated segments only —
+// nothing per job, so its length does not grow with the number of
 // jobs — through a directory sink and through the peer-push receiver,
 // with and without trace rotations. The replica is still whole: restored
 // into an empty directory, a manager booted on it serves every job's
@@ -107,16 +107,13 @@ func TestNoPerJobSeal(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// What may be sealed, counted on the node's own disk: bases,
-			// rotated journal segments, rotated trace segments.
-			final := 0
-			for _, pattern := range []string{"base-*.jsonl", "journal-*.jsonl"} {
-				names, _ := filepath.Glob(filepath.Join(dataDir, pattern))
-				final += len(names)
+			// What may be sealed, counted on the node's own disk: the rotated
+			// segments of the log. A segment was sealed if it reached its
+			// size; the one that did not is the growing one. The node wrote
+			// no journal file.
+			if old, _ := filepath.Glob(filepath.Join(dataDir, "*.jsonl")); len(old) > 0 {
+				t.Fatalf("the node wrote journal files: %v", old)
 			}
-			final-- // the active journal segment
-			// A trace segment was sealed if it reached its size; the one
-			// that did not is the growing one.
 			segs, err := seglog.List(TraceDir(dataDir), "trace-")
 			if err != nil {
 				t.Fatal(err)
@@ -142,12 +139,12 @@ func TestNoPerJobSeal(t *testing.T) {
 					t.Errorf("manifest lists a per-job file: %s", name)
 				}
 			}
-			if len(manifest) > final+rotations || len(manifest) >= jobs/10 {
-				t.Fatalf("manifest holds %d entries for %d jobs; the node sealed %d journal files and %d trace segments",
-					len(manifest), jobs, final, rotations)
+			if len(manifest) > rotations || len(manifest) >= jobs/10 {
+				t.Fatalf("manifest holds %d entries for %d jobs; the node sealed %d segments",
+					len(manifest), jobs, rotations)
 			}
-			if got := ship.Stats().SegmentsShipped; got > int64(final+rotations) {
-				t.Fatalf("segments_shipped = %d, above %d journal files + %d trace rotations", got, final, rotations)
+			if got := ship.Stats().SegmentsShipped; got > int64(rotations) {
+				t.Fatalf("segments_shipped = %d, above %d rotations", got, rotations)
 			}
 
 			restored := filepath.Join(t.TempDir(), "restored")

@@ -1,35 +1,45 @@
-// Package tracestore persists bhpod's job telemetry durably: one
-// append-only, size-rotated JSONL log shared by every job of a data
-// directory (trace-000007.jsonl under the traces directory), each line
-// one events.Event — which names its job — in publish order. It sits
-// behind the event hub as its sink, so what is on disk is always a prefix
-// of what live subscribers saw, and it is what lets GET /jobs/{id}/trace
-// serve a job's full event history after the process that ran the job is
-// gone — including jobs the journal replays as interrupted.
+// Package tracestore is bhpod's one durable log: an append-only,
+// size-rotated JSONL log shared by every job of a data directory
+// (trace-000007.jsonl under its traces directory). It holds two line
+// kinds, told apart by their first key and by nothing else:
 //
-// Durability follows the journal's discipline: ordinary events ride the
-// OS page cache (losing the tail of a live job's trace on crash only
-// shortens its curve, never corrupts it), terminal events are fsynced
-// before Append returns. A finished job creates, closes and renames
-// nothing: its events are lines in the segment every other job writes.
+//   - an event line ({"seq":…) is one events.Event, which names its job,
+//     in publish order. The log sits behind the event hub as its sink, so
+//     the events on disk are always a prefix of what live subscribers saw,
+//     and GET /jobs/{id}/trace serves a job's full history after the
+//     process that ran it is gone.
+//   - a record line ({"t":…) is one job record (journal.Record, which this
+//     package does not decode): a submission, a status change, a
+//     preemption, a result. The manager appends a transition's record
+//     just before its event, and journal.Replay rebuilds the job table
+//     from them.
 //
-// The segments are written, numbered, listed and read by seglog, as the
-// journal's are: a segment that passes MaxBytes is fsynced, closed and
-// announced as sealed and never written again, and neither is a segment a
-// previous process left behind — every Open announces those as sealed and
-// starts a new one, created at its first event, so nothing is ever
-// appended behind a torn line (the signature of a crash mid-append), and a
-// write that fails part-way is cut back off before the next event is
-// written. A reader ends a segment at a line that is not whole — no
-// newline, not JSON, no job — and goes on to the next; a segment missing
-// from the sequence is an error, returned with everything the other
-// segments hold.
+// Event readers never see a record line, and Records hands out nothing
+// else.
 //
-// There are two readers. Read decodes one job's events, for post-mortems
-// and tests. ReadAll is the boot path and decodes nothing: it files every
-// line under its job as bytes (History), so a restart costs one
-// validating scan of the log, and an event is decoded when its job's
-// history is first asked for.
+// Durability: ordinary lines ride the OS page cache (losing the tail of a
+// live job's trace on crash only shortens its curve, never corrupts it);
+// a terminal event is fsynced before Append returns, and so is a record
+// its caller asks to sync. A finished job creates, closes and renames
+// nothing: its lines are in the segment every other job writes.
+//
+// The segments are written, numbered, listed and read by seglog: a
+// segment that passes MaxBytes is fsynced, closed and announced as sealed
+// and never written again, and neither is a segment a previous process
+// left behind — every Open announces those as sealed and starts a new
+// one, created at its first line, so nothing is ever appended behind a
+// torn line (the signature of a crash mid-append), and a write that fails
+// part-way is cut back off before the next line is written. A reader ends
+// a segment at a line that is not whole — no newline, not JSON, no job —
+// and goes on to the next; a segment missing from the sequence is an
+// error, returned with everything the other segments hold.
+//
+// There are three readers. Read decodes one job's events, for post-mortems
+// and tests. ReadAll is the boot's event pass and decodes nothing: it
+// files every event line under its job as bytes (History), so a restart
+// costs one validating scan of the log, and an event is decoded when its
+// job's history is first asked for. Records is the boot's record pass,
+// which journal.Replay folds beside it.
 package tracestore
 
 import (
@@ -53,8 +63,18 @@ type Options = seglog.Options
 // prefix names the log's segments: trace-000007.jsonl.
 const prefix = "trace-"
 
-// Store appends every job's events to one segmented log. Safe for
-// concurrent use.
+// Dir is where a data directory keeps its log.
+func Dir(dataDir string) string { return filepath.Join(dataDir, "traces") }
+
+// recordPrefix begins every record line and no event line: a record's
+// first key is "t", an event's "seq". It is the one rule that tells the
+// two line kinds apart.
+var recordPrefix = []byte(`{"t":`)
+
+func isRecord(line []byte) bool { return bytes.HasPrefix(line, recordPrefix) }
+
+// Store appends every job's events and records to one segmented log. Safe
+// for concurrent use.
 type Store struct {
 	dir string
 	log *seglog.Log
@@ -113,6 +133,19 @@ func checkID(jobID string) error {
 	return nil
 }
 
+// AppendRecord writes one record line — a JSON object whose first key is
+// "t", without its newline — to the active segment, fsynced before
+// AppendRecord returns if sync is set. Otherwise it is as Append.
+func (s *Store) AppendRecord(line []byte, sync bool) error {
+	if !isRecord(line) {
+		return fmt.Errorf("tracestore: not a record line: %.40s", line)
+	}
+	if _, err := s.log.Append(append(line, '\n'), sync); err != nil {
+		return fmt.Errorf("tracestore: %w", err)
+	}
+	return nil
+}
+
 // Append writes one event as a JSON line to the active segment. A
 // terminal event is fsynced before Append returns; an append that takes
 // the segment past MaxBytes seals it. After Close it writes nothing and
@@ -137,8 +170,8 @@ func (s *Store) Append(ev events.Event) error {
 // store's successor. Idempotent.
 func (s *Store) Close() error { return s.log.Close() }
 
-// History is one job's lines of the log, oldest first, as the store wrote
-// them: whole, valid JSON, not yet decoded. The lines alias the buffer
+// History is one job's event lines of the log, oldest first, as the
+// store wrote them: whole, valid JSON, not yet decoded. The lines alias the buffer
 // their segment was read into, so one undecoded History keeps its
 // segments' bytes alive.
 type History [][]byte
@@ -167,15 +200,18 @@ func (h History) Events() ([]events.Event, error) {
 	return out, nil
 }
 
-// ReadAll files every line of the directory's segments under its job, in
-// publish order, without decoding it — how a booting manager re-arms its
-// event hub at the cost of one validating pass over the bytes. A line
-// counts only if it is valid JSON and names its job. A missing directory
-// is empty; a missing segment is an error, returned with the lines of the
-// segments that are there.
+// ReadAll files every event line of the directory's segments under its
+// job, in publish order, without decoding it — how a booting manager
+// re-arms its event hub at the cost of one validating pass over the bytes.
+// A line counts only if it is valid JSON and names its job; record lines
+// are passed over. A missing directory is empty; a missing segment is an
+// error, returned with the lines of the segments that are there.
 func ReadAll(dir string) (map[string]History, error) {
 	out := map[string]History{}
 	err := read(dir, func(line []byte) error {
+		if isRecord(line) {
+			return nil
+		}
 		id := lineJob(line)
 		if len(id) == 0 || !json.Valid(line) {
 			return seglog.SkipSegment
@@ -210,8 +246,8 @@ var jobMarker = []byte(`"job":"`)
 
 // Read returns one job's events in publish order without a Store — the
 // post-mortem path (a crashed daemon's traces can be inspected without
-// opening the store for writing). It scans the whole log; only lines
-// that mention the job are decoded. A job the log never saw is an empty
+// opening the store for writing). It scans the whole log; only event
+// lines that mention the job are decoded. A job the log never saw is an empty
 // trace.
 func Read(dir, jobID string) ([]events.Event, error) {
 	if err := checkID(jobID); err != nil {
@@ -221,7 +257,7 @@ func Read(dir, jobID string) ([]events.Event, error) {
 	filter := append([]byte(`"job":`), id...)
 	var out []events.Event
 	err := read(dir, func(line []byte) error {
-		if !bytes.Contains(line, filter) {
+		if isRecord(line) || !bytes.Contains(line, filter) {
 			return nil
 		}
 		var ev events.Event
@@ -234,6 +270,27 @@ func Read(dir, jobID string) ([]events.Event, error) {
 		return nil
 	})
 	return out, err
+}
+
+// Records hands fn every record line of the directory's segments, in
+// order, as seglog.Read does: a torn tail ends its segment, and an error
+// from fn stops the read and is returned naming the file and the line. A
+// missing directory holds none. A segment missing from the sequence is not
+// an error here — ReadAll, which a boot runs beside it, reports it.
+func Records(dir string, fn func(line []byte) error) error {
+	segs, err := segments(dir)
+	for i := 0; err == nil && i < len(segs); i++ {
+		err = seglog.Read(dir, segs[i:i+1], func(line []byte) error {
+			if !isRecord(line) {
+				return nil
+			}
+			return fn(line)
+		})
+	}
+	if err != nil {
+		return fmt.Errorf("tracestore: %w", err)
+	}
+	return nil
 }
 
 // read hands fn the lines of the directory's segments as seglog.Read
