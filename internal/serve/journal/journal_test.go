@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"enhancedbhpo/internal/serve/seglog"
+	"enhancedbhpo/internal/serve/tracestore"
 	"enhancedbhpo/internal/trace"
 )
 
@@ -252,11 +253,13 @@ func TestReplayMissingMiddleSegment(t *testing.T) {
 
 // TestReplayAcrossLives runs four lives on one directory, each killed
 // mid-write: its last segment ends in a line without its newline. The
-// second life rotates at a small size and preempts a job the third
-// resumes to done. After every life Replay holds every job as it last
-// stood, and every file an earlier life left is byte for byte as it was
-// then: nothing is rewritten, nothing deleted. A whole line that does not
-// decode is corruption, named by its file.
+// first two are an older binary's, which wrote journal files; the last
+// two write their records to the trace log, as bhpod does now. The second
+// life rotates at a small size and preempts a job the third resumes to
+// done; the fourth rotates too. After every life Replay holds every job
+// as it last stood, and every file an earlier life left is byte for byte
+// as it was then: nothing is rewritten, nothing deleted. A whole record
+// line that does not decode is corruption, named by its file.
 func TestReplayAcrossLives(t *testing.T) {
 	dir := t.TempDir()
 	t0 := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
@@ -292,28 +295,15 @@ func TestReplayAcrossLives(t *testing.T) {
 			want: []string{"job-1 done 4 0", "job-2 cancelled 0 0", "job-3 done 6 1", "job-4 queued 0 0"},
 		},
 		{
-			recs: []Record{running("job-4", 30), result("job-4", 31, "failed", "", 1)},
-			want: []string{"job-1 done 4 0", "job-2 cancelled 0 0", "job-3 done 6 1", "job-4 failed 1 0"},
+			maxBytes: 50,
+			recs:     []Record{running("job-4", 30), result("job-4", 31, "failed", "", 1)},
+			want:     []string{"job-1 done 4 0", "job-2 cancelled 0 0", "job-3 done 6 1", "job-4 failed 1 0"},
 		},
 	} {
 		before := dirFiles(t, dir)
-		w, err := OpenOptions(dir, Options{MaxBytes: life.maxBytes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range life.recs {
-			if err := w.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		segs, err := seglog.List(dir, "journal-")
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.OpenFile(filepath.Join(dir, segs[len(segs)-1].Name), os.O_WRONLY|os.O_APPEND, 0o644)
+		older := i < 2
+		last := appendLife(t, dir, older, life.maxBytes, life.recs)
+		f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,19 +334,70 @@ func TestReplayAcrossLives(t *testing.T) {
 		}
 	}
 
-	files := dirFiles(t, dir)
-	if s := DirStats(dir); s.Segments != len(files) || s.Bytes == 0 {
-		t.Fatalf("DirStats sees %+v of %d segments", s, len(files))
+	old, err := Files(dir)
+	if s := DirStats(dir); err != nil || s.Segments != len(old) || s.Segments < 3 || s.Bytes == 0 {
+		t.Fatalf("DirStats sees %+v of the %d journal files the older lives left (%v)", s, len(old), err)
 	}
-	corrupt := segmentName(len(files) + 1)
+	logSegs, err := seglog.List(tracestore.Dir(dir), "trace-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := seglog.Name("trace-", len(logSegs)+1)
 	line, _ := json.Marshal(submit("job-5", 40))
 	data := string(line) + "\n" + `{"t":"submit","job":` + "\n" + string(line) + "\n"
-	if err := os.WriteFile(filepath.Join(dir, corrupt), []byte(data), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(tracestore.Dir(dir), corrupt), []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Replay(dir); err == nil || !strings.Contains(err.Error(), corrupt) {
 		t.Fatalf("a whole undecodable line replayed as %v; want an error naming %s", err, corrupt)
 	}
+}
+
+// appendLife is one life's records, appended as an older binary did — to
+// journal files — or as bhpod does, to the trace log; it returns the path
+// of the life's last segment.
+func appendLife(t *testing.T, dir string, older bool, maxBytes int64, recs []Record) string {
+	t.Helper()
+	if older {
+		w, err := OpenOptions(dir, Options{MaxBytes: maxBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := seglog.List(dir, "journal-")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return filepath.Join(dir, segs[len(segs)-1].Name)
+	}
+	store, err := tracestore.Open(tracestore.Dir(dir), tracestore.Options{MaxBytes: maxBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.AppendRecord(line, rec.Type == TypeResult); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := seglog.List(tracestore.Dir(dir), "trace-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(tracestore.Dir(dir), segs[len(segs)-1].Name)
 }
 
 // TestWriterClosedAppendFails: Close is terminal — an append after it

@@ -3,6 +3,7 @@ package journal
 import (
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,20 +29,22 @@ func frozenRecords() []Record {
 	}
 }
 
-// dirFiles returns a directory's files by name.
+// dirFiles returns the files under a directory by their path relative to
+// it.
 func dirFiles(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		out[rel] = string(data)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	out := map[string]string{}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[e.Name()] = string(data)
 	}
 	return out
 }

@@ -14,6 +14,7 @@ import (
 	"enhancedbhpo/internal/rng"
 	"enhancedbhpo/internal/search"
 	"enhancedbhpo/internal/serve/journal"
+	"enhancedbhpo/internal/serve/shipper"
 	"enhancedbhpo/internal/serve/tracestore"
 	"enhancedbhpo/internal/trace"
 )
@@ -130,5 +131,74 @@ func TestParentCheckpointResumes(t *testing.T) {
 	}
 	if mt := m.Metrics(); mt.TraceStoreErrors != 0 || mt.JournalErrors != 0 {
 		t.Errorf("%d trace errors, %d journal errors", mt.TraceStoreErrors, mt.JournalErrors)
+	}
+}
+
+// TestOlderDirectoryUpgrades: the directory of TestParentCheckpointResumes,
+// which an older binary journaled — a base and a journal segment beside
+// the trace log — boots, resumes job-2 to done and boots again. Every body
+// the second boot serves is byte for byte the first's; the older binary's
+// journal files are as it left them; and a node given a shipper seals
+// them at its sink in each life, once, as it seals the log's segments.
+func TestOlderDirectoryUpgrades(t *testing.T) {
+	const fixture = "testdata/parent-preempted/data"
+	old := []string{"base-000000.jsonl", "journal-000001.jsonl"}
+	cfg := resumeConfig(t)
+	copyTree(t, fixture, cfg.DataDir)
+	sinkDir := filepath.Join(t.TempDir(), "a")
+	var was map[string][]byte
+	for life := 1; life <= 2; life++ {
+		sink, err := shipper.NewDirSink(sinkDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ship := shipper.NewMulti(cfg.DataDir, []shipper.Sink{sink}, shipper.Options{})
+		c := cfg
+		c.Shipper = ship
+		segs := len(traceSegments(t, cfg.DataDir)) // what this boot seals beside the journal files
+		m := bootJournaled(t, c)
+		ts := httptest.NewServer(NewServer(m))
+		waitJob(t, m, "job-2", func(s Status) bool { return s == StatusDone }, "done")
+		now := map[string][]byte{"/jobs": getBody(t, ts.URL+"/jobs")}
+		for _, id := range []string{"job-1", "job-2", "job-3"} {
+			for _, path := range []string{"/jobs/" + id, "/jobs/" + id + "/trace", "/jobs/" + id + "/trace?events=1"} {
+				now[path] = getBody(t, ts.URL+path)
+			}
+		}
+		for path, body := range was {
+			if !bytes.Equal(now[path], body) {
+				t.Errorf("life %d serves GET %s\n %s\nlife %d served\n %s", life, path, now[path], life-1, body)
+			}
+		}
+		was = now
+		ts.Close()
+		shutdown(t, m)
+		if err := ship.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := ship.Stats().SegmentsShipped; got != int64(len(old)+segs) {
+			t.Errorf("life %d sealed %d files, want the %d journal files and %d log segments once each", life, got, len(old), segs)
+		}
+		if err := ship.Close(); err != nil {
+			t.Fatal(err)
+		}
+		manifest, err := shipper.ReadManifest(sinkDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range old {
+			if _, ok := manifest[name]; !ok {
+				t.Errorf("life %d did not seal %s at its sink", life, name)
+			}
+		}
+	}
+	for _, name := range old {
+		want, err := os.ReadFile(filepath.Join(fixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(filepath.Join(cfg.DataDir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s is not as the older binary left it (%v)", name, err)
+		}
 	}
 }

@@ -292,8 +292,9 @@ func TestMultiSinkCrashResumesPerSinkOffsets(t *testing.T) {
 }
 
 // TestRestoreDestinationRule: one rule for every restore, however many
-// replicas are named — a destination that already holds a journal segment
-// or base is refused and left as it was, an absent one and an empty
+// replicas are named — a destination that already holds a log, its
+// trace segments or an older binary's journal segment or base, is refused
+// and left as it was, an absent one and an empty
 // pre-created one are accepted; a file, a symlink and a directory holding
 // anything else are refused before a byte is copied.
 func TestRestoreDestinationRule(t *testing.T) {
@@ -312,7 +313,7 @@ func TestRestoreDestinationRule(t *testing.T) {
 	// Replica paths as an operator types them (./replicas/a/), not as
 	// t.TempDir cleans them: file names are taken relative to the replica.
 	for _, replicas := range [][]string{{dirA + "/./"}, {dirA + "/.", dirB}} {
-		for _, held := range []string{"journal-000001.jsonl", "base-000001.jsonl"} {
+		for _, held := range []string{"traces/trace-000001.jsonl", "journal-000001.jsonl", "base-000001.jsonl"} {
 			live := t.TempDir()
 			writeFile(t, filepath.Join(live, held), []byte("live\n"))
 			if _, err := Restore(replicas, live); err == nil {

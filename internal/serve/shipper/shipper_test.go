@@ -339,6 +339,28 @@ func TestRestoreVerifiesChecksums(t *testing.T) {
 	}
 }
 
+// TestRestoreFirstLifeReplica: in a node's first life nothing is sealed
+// yet, and its replica is the log's active segment alone, in progress
+// under traces/. That replica verifies and restores, the segment under
+// its bare name; a sink directory that holds no log is refused.
+func TestRestoreFirstLifeReplica(t *testing.T) {
+	sinkDir := t.TempDir()
+	if err := VerifyReplica(sinkDir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("an empty replica verified as %v, want os.ErrNotExist", err)
+	}
+	writeFile(t, filepath.Join(sinkDir, "traces", "trace-000001.jsonl"+partSuffix), []byte("active tail"))
+	if err := VerifyReplica(sinkDir); err != nil {
+		t.Fatal(err)
+	}
+	dest := filepath.Join(t.TempDir(), "restored")
+	if _, err := Restore([]string{sinkDir}, dest); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, filepath.Join(dest, "traces", "trace-000001.jsonl")); string(got) != "active tail" {
+		t.Fatalf("restored segment = %q", got)
+	}
+}
+
 // TestRestoreRefusesCorruptManifest: a whole manifest line that does not
 // decode leaves a replica unable to say what it holds — the sealed files
 // listed after it would be neither verified nor restored — so the replica

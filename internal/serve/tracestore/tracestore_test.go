@@ -570,3 +570,77 @@ func TestRotationConcurrentAppends(t *testing.T) {
 		t.Fatalf("Bytes() = %d, the directory holds %d", s.Bytes(), diskBytes(t, dir))
 	}
 }
+
+// TestRecordLinesAreNotEvents: a log holding job records between its
+// events. No event reader sees a record — ReadAll does not file one, Read
+// does not decode one, a History holds none — and Records hands out the
+// records alone, in log order, across a segment missing from the
+// sequence, which is ReadAll's to report. A line that is not a record is
+// not appended as one.
+func TestRecordLinesAreNotEvents(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := []byte(`{"t":"submit","time":"2026-08-05T10:00:00Z","job":"job-1"}`)
+	result := []byte(`{"t":"result","time":"2026-08-05T10:00:09Z","job":"job-1","status":"done","evaluations":2}`)
+	if err := s.AppendRecord(submit, false); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		if err := s.Append(point(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AppendRecord(result, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(terminalEvent(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendRecord([]byte(`{"seq":4,"job":"job-1"}`), true); err == nil {
+		t.Error("an event line was appended as a record")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A third segment, after a missing second, holds a later record.
+	later := `{"t":"submit","time":"2026-08-05T10:01:00Z","job":"job-2"}`
+	writeSegment(t, dir, 3, later+"\n", forJob("job-2", 1))
+
+	all, err := ReadAll(dir)
+	if err == nil {
+		t.Error("ReadAll did not report the missing segment")
+	}
+	if got := seqsOf(t, all["job-1"]); fmt.Sprint(got) != "[1 2 3]" {
+		t.Errorf("job-1 filed as seqs %v, want its three events", got)
+	}
+	if last, ok := all["job-1"].Last(); !ok || last.Seq != 3 || !last.Terminal {
+		t.Errorf("job-1's newest event is %+v, %v; want the terminal one", last, ok)
+	}
+	if got := seqsOf(t, all["job-2"]); fmt.Sprint(got) != "[1]" {
+		t.Errorf("job-2 filed as seqs %v, want [1]", got)
+	}
+	evs, _ := Read(dir, "job-1")
+	if len(evs) != 3 || evs[0].Seq != 1 || evs[2].Seq != 3 {
+		t.Errorf("Read job-1: %+v, want its three events", evs)
+	}
+	var recs []string
+	if err := Records(dir, func(line []byte) error {
+		recs = append(recs, string(line))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{string(submit), string(result), later}; fmt.Sprint(recs) != fmt.Sprint(want) {
+		t.Errorf("Records handed out\n %q\nwant\n %q", recs, want)
+	}
+}
+
+// forJob is event seq of job id as a log line's value.
+func forJob(id string, seq int) events.Event {
+	ev := point(seq)
+	ev.JobID = id
+	return ev
+}
