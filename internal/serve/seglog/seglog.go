@@ -20,10 +20,12 @@
 package seglog
 
 import (
+	"bufio"
 	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -116,6 +118,40 @@ func Read(dir string, segs []Segment, fn func(line []byte) error) error {
 // ReadLines reads the one file at path as Read reads a segment.
 func ReadLines(path string, fn func(line []byte) error) error {
 	return Read(filepath.Dir(path), []Segment{{Name: filepath.Base(path)}}, fn)
+}
+
+// ScanLines reads the one file at path as ReadLines does, but through a
+// small buffer instead of whole, for a reader that keeps no line: a line
+// aliases that buffer only until fn returns.
+func ScanLines(path string, fn func(line []byte) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 64<<10)
+	var long []byte // a line longer than r's buffer, gathered
+	for n := 1; ; n++ {
+		line, err := r.ReadSlice('\n')
+		for errors.Is(err, bufio.ErrBufferFull) {
+			long = append(long, line...)
+			line, err = r.ReadSlice('\n')
+		}
+		if errors.Is(err, io.EOF) {
+			return nil // the torn tail, if any, ends the file unread
+		}
+		if err != nil {
+			return err
+		}
+		if long != nil {
+			line, long = append(long, line...), long[:0]
+		}
+		if err := fn(line[:len(line)-1]); errors.Is(err, SkipSegment) {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("%s line %d: %w", path, n, err)
+		}
+	}
 }
 
 // File is one append-only file of whole lines; its owner serializes

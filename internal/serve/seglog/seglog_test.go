@@ -362,3 +362,42 @@ func files(t *testing.T, dir string) map[string]string {
 	}
 	return out
 }
+
+// TestScanLinesReadsAsReadLines: through its small buffer, ScanLines hands
+// out what ReadLines does — whole lines in order, one longer than the
+// buffer too, and not the torn tail — and stops at SkipSegment or an
+// error as it does, naming the file and the line.
+func TestScanLinesReadsAsReadLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace-000001.jsonl")
+	long := `{"long":"` + strings.Repeat("x", 200<<10) + `"}`
+	data := "{\"a\":1}\n" + long + "\n\n{\"b\":2}\n{\"torn\":"
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	collect := func(read func(string, func([]byte) error) error, stop string) ([]string, error) {
+		var got []string
+		err := read(path, func(line []byte) error {
+			got = append(got, string(line))
+			switch string(line) {
+			case stop:
+				return SkipSegment
+			case "{\"b\":2}":
+				if stop == "" {
+					return errors.New("bad line")
+				}
+			}
+			return nil
+		})
+		return got, err
+	}
+	for _, stop := range []string{"", long} {
+		want, werr := collect(ReadLines, stop)
+		got, err := collect(ScanLines, stop)
+		if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Errorf("stop at %.10q: ScanLines read %d lines, %v; ReadLines %d, %v", stop, len(got), err, len(want), werr)
+		}
+	}
+	if got, err := collect(ScanLines, "-"); err != nil || len(got) != 4 || got[1] != long || got[2] != "" {
+		t.Errorf("ScanLines read %d lines, %v; want the four whole ones", len(got), err)
+	}
+}

@@ -273,19 +273,21 @@ func Read(dir, jobID string) ([]events.Event, error) {
 }
 
 // Records hands fn every record line of the directory's segments, in
-// order, as seglog.Read does: a torn tail ends its segment, and an error
-// from fn stops the read and is returned naming the file and the line. A
-// missing directory holds none. A segment missing from the sequence is not
-// an error here — ReadAll, which a boot runs beside it, reports it.
+// order, as seglog.ScanLines does — so a line is fn's only until it
+// returns: a torn tail ends its segment, and an error from fn stops the
+// read and is returned naming the file and the line. A missing directory
+// holds none. A segment missing from the sequence is not an error here —
+// ReadAll, which a boot runs beside it, reports it.
 func Records(dir string, fn func(line []byte) error) error {
+	records := func(line []byte) error {
+		if !isRecord(line) {
+			return nil
+		}
+		return fn(line)
+	}
 	segs, err := segments(dir)
 	for i := 0; err == nil && i < len(segs); i++ {
-		err = seglog.Read(dir, segs[i:i+1], func(line []byte) error {
-			if !isRecord(line) {
-				return nil
-			}
-			return fn(line)
-		})
+		err = seglog.ScanLines(filepath.Join(dir, segs[i].Name), records)
 	}
 	if err != nil {
 		return fmt.Errorf("tracestore: %w", err)
