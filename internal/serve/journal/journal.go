@@ -1,37 +1,27 @@
 // Package journal is bhpod's job table on disk: the records of job
 // submissions, status transitions, preemptions and terminal results, and
-// the reader that folds them back into per-job states after a restart.
-// It is a reader of two sources, folded in this order:
+// Replay, which folds them back into per-job states after a restart. It
+// reads two sources, in this order:
 //
 //   - the journal files an older binary wrote at the data directory's
-//     root, which nothing writes now:
-//
-//     base-000007.jsonl      the fold an older binary compacted up to 7
-//     journal-000008.jsonl   sealed segment
-//     journal-000009.jsonl   that binary's last segment, maybe torn
-//
+//     root — segments (journal-000008.jsonl) and the bases it compacted
+//     them into (base-000007.jsonl, the fold of every segment up to 7) —
+//     which nothing writes now. Replay reads the newest base and the
+//     segments above it; a gap in their sequence fails it rather than
+//     silently dropping jobs.
 //   - the record lines of the trace log (tracestore), where
 //     Manager.transition appends each record just before the event of the
-//     same transition. A result record is not synced itself: the terminal
-//     event after it is, and that fsync covers both lines.
+//     same transition, whose fsync covers a result record too.
 //
-// A record is one JSON line; Replay takes the bytes after a segment's last
-// newline — a line a crash cut short — for a torn tail that ends the
-// segment. The records stay records in the trace log, not events: the
-// benchmark harness still reads them through Replay and times a Writer,
-// so the records cannot yet become the feed's events (ROADMAP items 4
-// and 7).
-//
-// Older binaries compacted their journal into base files, each the fold
-// of every segment up to its sequence. Replay reads the newest base and
-// the segments above it, ignoring older bases and the segments a base
-// folded. A gap in the journal files' sequence means a segment was lost,
-// and Replay fails rather than silently dropping jobs; so does a whole
-// record line that does not decode, in either source. A segment missing
-// from the trace log is the trace log's to report.
+// A record is one JSON line. A torn tail — the bytes after a segment's
+// last newline — ends its segment; a whole record line that does not
+// decode fails Replay. The records stay records, not events, while the
+// benchmark harness reads them through Replay and times a Writer (ROADMAP
+// items 4 and 7).
 package journal
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -323,11 +313,7 @@ func Replay(dir string) ([]JobState, error) {
 		acc.apply(rec)
 		return nil
 	}
-	err = seglog.Read(dir, segs, apply)
-	if err == nil {
-		err = tracestore.Records(tracestore.Dir(dir), apply)
-	}
-	if err != nil {
+	if err := cmp.Or(seglog.Read(dir, segs, apply), tracestore.Records(tracestore.Dir(dir), apply)); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	out := make([]JobState, 0, len(acc.order))

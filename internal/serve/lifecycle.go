@@ -25,13 +25,12 @@ const (
 // status fields the phase implies and builds the record and the event from
 // that one state. A restored job is recorded only when apply is the
 // boot's own verdict; its event is published only if its feed never
-// closed. Then it writes both to the one log, record, then event. A result
-// record is not synced: the terminal event after it is, which makes both
-// lines durable with one fsync, and a crash between the two leaves a
-// finished job whose boot publishes the missing terminal event. A result
-// no event follows, and every preempt record, is synced itself. A record
-// that cannot be written only counts in journal_errors: the in-memory
-// table stays authoritative until the next restart.
+// closed. Then it writes both to the one log, record, then event: the
+// terminal event's fsync makes the result record before it durable too,
+// and a boot publishes a terminal event a crash cut off. A preempt
+// record, and a result no event follows, is synced itself. A record that
+// cannot be written only counts in journal_errors: the in-memory table
+// stays authoritative until the next restart.
 func (m *Manager) transition(job *Job, ph phase, at time.Time, apply func()) {
 	var rec journal.Record
 	ev := &events.Event{Type: events.TypeStatus, Time: at}
@@ -91,16 +90,13 @@ func (m *Manager) transition(job *Job, ph phase, at time.Time, apply func()) {
 
 	if rec.Type != "" && m.traces != nil {
 		rec.Time, rec.JobID = at, job.ID
-		var line []byte
-		var err error
+		var specErr error
 		if rec.Type == journal.TypeSubmit {
-			rec.Spec, err = json.Marshal(job.Spec)
+			rec.Spec, specErr = json.Marshal(job.Spec)
 		}
-		if err == nil {
-			line, err = json.Marshal(rec)
-		}
+		line, err := json.Marshal(rec)
 		sync := rec.Type == journal.TypePreempt || rec.Type == journal.TypeResult && (ev == nil || !ev.Terminal)
-		if err != nil || m.traces.AppendRecord(line, sync) != nil {
+		if specErr != nil || err != nil || m.traces.AppendRecord(line, sync) != nil {
 			m.journalErrs.Add(1)
 		}
 	}

@@ -89,11 +89,10 @@ type Config struct {
 	// trial scores worst-case instead of aborting — before the job flips
 	// to StatusFailed. 0 selects 3.
 	FailureBudget int
-	// TraceMaxBytes is the segment size of the durable log all jobs share,
-	// their records and events: the active segment is sealed, immutable
-	// from then on, and the next one started once it has grown past this.
-	// Only meaningful with DataDir set. 0 selects 1 MiB; negative never
-	// rotates.
+	// TraceMaxBytes is the segment size of the durable log all jobs share:
+	// the active segment is sealed, immutable from then on, and the next
+	// one started once it has grown past this. Only meaningful with
+	// DataDir set. 0 selects 1 MiB; negative never rotates.
 	TraceMaxBytes int64
 	// WrapEvaluator, when non-nil, wraps each job's evaluator between
 	// the pool gate and the cache. It is the fault-injection point used
@@ -106,13 +105,12 @@ type Config struct {
 	// /healthz and /metrics so a coordinator's probes and a replacement
 	// node's operators can tell nodes apart. Empty outside a cluster.
 	NodeName string
-	// Shipper, when non-nil, replicates the log's segments — and the
-	// journal files an older binary left — to its sinks as they grow and
-	// seal, so a replacement node can rebuild this node's job table after
-	// the machine dies (shipper.Restore + NewManagerFromJournal). Requires
-	// DataDir. The manager wires the log's hook; ownership (Close) stays
-	// with the caller, which should close it after Shutdown so the final
-	// state flushes.
+	// Shipper, when non-nil, replicates the log (and an older binary's
+	// journal files) to its sinks as it grows and seals, so a replacement
+	// node can rebuild this node's job table after the machine dies
+	// (shipper.Restore + NewManagerFromJournal). Requires DataDir.
+	// Ownership (Close) stays with the caller, which should close it after
+	// Shutdown so the final state flushes.
 	Shipper *shipper.Shipper
 }
 
@@ -269,23 +267,6 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// shipHook replicates the log's segments through ship, nil without one:
-// appends ship incrementally, a sealed segment ships its tail and is
-// sealed at the sinks. They ship under their name relative to the data
-// directory, so a restored replica has the traces/ layout a manager opens.
-func shipHook(ship *shipper.Shipper) func(name string, sealed bool) {
-	if ship == nil {
-		return nil
-	}
-	return func(name string, sealed bool) {
-		if sealed {
-			ship.Sealed("traces/" + name)
-		} else {
-			ship.Changed("traces/" + name)
-		}
-	}
-}
-
 // NewManagerFromJournal opens (creating if needed) the journal in
 // cfg.DataDir, replays it, and returns a manager with the previous
 // process's job table rebuilt: terminal jobs are restored with their
@@ -353,21 +334,27 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 	if log.err != nil {
 		m.traceErrs.Add(1)
 	}
-	// The files earlier lives left ship sealed, once per life: an older
-	// binary's journal files here, the log's segments as it opens.
-	if cfg.Shipper != nil {
+	// With a shipper, what earlier lives left ships sealed, once per life:
+	// an older binary's journal files here, the log's segments as it opens
+	// — under their name in the data directory, as a restore lays them out.
+	var onChange func(name string, sealed bool)
+	if ship := cfg.Shipper; ship != nil {
 		old, err := journal.Files(cfg.DataDir)
 		if err != nil {
 			return nil, err
 		}
 		for _, f := range old {
-			cfg.Shipper.Sealed(f.Name)
+			ship.Sealed(f.Name)
+		}
+		onChange = func(name string, sealed bool) {
+			if sealed {
+				ship.Sealed("traces/" + name)
+			} else {
+				ship.Changed("traces/" + name)
+			}
 		}
 	}
-	traces, err := tracestore.Open(TraceDir(cfg.DataDir), tracestore.Options{
-		MaxBytes: m.cfg.TraceMaxBytes,
-		OnChange: shipHook(cfg.Shipper),
-	})
+	traces, err := tracestore.Open(TraceDir(cfg.DataDir), tracestore.Options{MaxBytes: m.cfg.TraceMaxBytes, OnChange: onChange})
 	if err != nil {
 		return nil, err
 	}

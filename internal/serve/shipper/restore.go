@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"enhancedbhpo/internal/serve/journal"
 	"enhancedbhpo/internal/serve/tracestore"
 )
 
@@ -35,26 +34,19 @@ import (
 // that lies about its log is never promoted silently.
 //
 // destDir may be absent or an empty, pre-created directory, which the
-// restored one replaces. One that already holds a log — a traces/
-// directory, or the journal files an older binary wrote (journal-*.jsonl,
-// base-*.jsonl) — is someone's data and is refused rather than overlaid
-// or replaced; so is anything the final rename could not replace whole —
-// a file, a symlink, a mount point, a directory holding other files —
-// before a byte is copied.
+// restored one replaces. Anything the final rename could not replace
+// whole — a file, a symlink, a mount point, a directory holding anything,
+// a node's log above all — is refused before a byte is copied, never
+// overlaid or replaced.
 func Restore(srcDirs []string, destDir string) (string, error) {
 	if len(srcDirs) == 0 {
 		return "", errors.New("shipper: restore: no replicas given")
 	}
 	if fi, err := os.Lstat(destDir); err == nil {
-		old, _ := journal.Files(destDir)
-		_, logErr := os.Lstat(tracestore.Dir(destDir))
-		switch {
-		case !fi.IsDir():
-			err = errors.New("not a directory (a symlink is not followed)")
-		case len(old) > 0 || logErr == nil:
-			err = errors.New("already holds a log")
-		default: // make way for the rename, before anything is copied
+		if fi.IsDir() { // make way for the rename, before anything is copied
 			err = os.Remove(destDir) // takes an empty directory only, and no mount point
+		} else {
+			err = errors.New("not a directory (a symlink is not followed)")
 		}
 		if err != nil {
 			return "", fmt.Errorf("shipper: restore: destination %s: %w", destDir, err)

@@ -1,45 +1,31 @@
 // Package tracestore is bhpod's one durable log: an append-only,
 // size-rotated JSONL log shared by every job of a data directory
-// (trace-000007.jsonl under its traces directory). It holds two line
-// kinds, told apart by their first key and by nothing else:
+// (trace-000007.jsonl under its traces directory). Its lines are of two
+// kinds, told apart by their first key alone (isRecord): an event line
+// ({"seq":…) is one events.Event, appended by the event hub's sink in
+// publish order, so the events on disk are a prefix of what subscribers
+// saw; a record line ({"t":…) is one journal.Record, which the manager
+// appends just before the event of the same transition and
+// journal.Replay folds into the job table. No event reader sees a record.
 //
-//   - an event line ({"seq":…) is one events.Event, which names its job,
-//     in publish order. The log sits behind the event hub as its sink, so
-//     the events on disk are always a prefix of what live subscribers saw,
-//     and GET /jobs/{id}/trace serves a job's full history after the
-//     process that ran it is gone.
-//   - a record line ({"t":…) is one job record (journal.Record, which this
-//     package does not decode): a submission, a status change, a
-//     preemption, a result. The manager appends a transition's record
-//     just before its event, and journal.Replay rebuilds the job table
-//     from them.
-//
-// Event readers never see a record line, and Records hands out nothing
-// else.
-//
-// Durability: ordinary lines ride the OS page cache (losing the tail of a
-// live job's trace on crash only shortens its curve, never corrupts it);
-// a terminal event is fsynced before Append returns, and so is a record
-// its caller asks to sync. A finished job creates, closes and renames
-// nothing: its lines are in the segment every other job writes.
+// Ordinary lines ride the OS page cache (losing a live job's tail only
+// shortens it, never corrupts it); a terminal event is fsynced before
+// Append returns, and so is a record its caller asks to sync. A finished
+// job creates, closes and renames nothing.
 //
 // The segments are written, numbered, listed and read by seglog: a
-// segment that passes MaxBytes is fsynced, closed and announced as sealed
-// and never written again, and neither is a segment a previous process
-// left behind — every Open announces those as sealed and starts a new
-// one, created at its first line, so nothing is ever appended behind a
-// torn line (the signature of a crash mid-append), and a write that fails
-// part-way is cut back off before the next line is written. A reader ends
-// a segment at a line that is not whole — no newline, not JSON, no job —
-// and goes on to the next; a segment missing from the sequence is an
-// error, returned with everything the other segments hold.
+// segment that passes MaxBytes is sealed and never written again, and
+// neither is one a previous process left — every Open announces those as
+// sealed and starts a new one at its first line, so nothing is appended
+// behind a torn line, and a write that fails part-way is cut back off. A
+// reader ends a segment at a line that is not whole — no newline, not
+// JSON, no job — and goes on to the next; a segment missing from the
+// sequence is an error, returned with everything the others hold.
 //
-// There are three readers. Read decodes one job's events, for post-mortems
-// and tests. ReadAll is the boot's event pass and decodes nothing: it
-// files every event line under its job as bytes (History), so a restart
-// costs one validating scan of the log, and an event is decoded when its
-// job's history is first asked for. Records is the boot's record pass,
-// which journal.Replay folds beside it.
+// Read decodes one job's events, for post-mortems and tests. ReadAll, the
+// boot's event pass, decodes nothing: it files every event line under its
+// job as bytes (History), decoded when the job is first asked for.
+// Records, the boot's record pass beside it, hands out the record lines.
 package tracestore
 
 import (
@@ -66,12 +52,9 @@ const prefix = "trace-"
 // Dir is where a data directory keeps its log.
 func Dir(dataDir string) string { return filepath.Join(dataDir, "traces") }
 
-// recordPrefix begins every record line and no event line: a record's
-// first key is "t", an event's "seq". It is the one rule that tells the
-// two line kinds apart.
-var recordPrefix = []byte(`{"t":`)
-
-func isRecord(line []byte) bool { return bytes.HasPrefix(line, recordPrefix) }
+// isRecord is the one rule that tells the line kinds apart: a record's
+// first key is "t", an event's "seq".
+func isRecord(line []byte) bool { return bytes.HasPrefix(line, []byte(`{"t":`)) }
 
 // Store appends every job's events and records to one segmented log. Safe
 // for concurrent use.
@@ -272,22 +255,19 @@ func Read(dir, jobID string) ([]events.Event, error) {
 	return out, err
 }
 
-// Records hands fn every record line of the directory's segments, in
-// order, as seglog.ScanLines does — so a line is fn's only until it
-// returns: a torn tail ends its segment, and an error from fn stops the
-// read and is returned naming the file and the line. A missing directory
-// holds none. A segment missing from the sequence is not an error here —
+// Records hands fn every record line of the directory's segments in
+// order, as seglog.ScanLines reads a file — a line is fn's only until fn
+// returns. A segment missing from the sequence is not an error here:
 // ReadAll, which a boot runs beside it, reports it.
 func Records(dir string, fn func(line []byte) error) error {
-	records := func(line []byte) error {
-		if !isRecord(line) {
-			return nil
-		}
-		return fn(line)
-	}
 	segs, err := segments(dir)
 	for i := 0; err == nil && i < len(segs); i++ {
-		err = seglog.ScanLines(filepath.Join(dir, segs[i].Name), records)
+		err = seglog.ScanLines(filepath.Join(dir, segs[i].Name), func(line []byte) error {
+			if isRecord(line) {
+				return fn(line)
+			}
+			return nil
+		})
 	}
 	if err != nil {
 		return fmt.Errorf("tracestore: %w", err)
