@@ -143,7 +143,7 @@ func ScanLines(path string, fn func(line []byte) error) error {
 		if err != nil {
 			return err
 		}
-		if long != nil {
+		if len(long) > 0 {
 			line, long = append(long, line...), long[:0]
 		}
 		if err := fn(line[:len(line)-1]); errors.Is(err, SkipSegment) {
