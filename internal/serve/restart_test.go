@@ -247,9 +247,12 @@ func TestFailureBudgetAbsorbsTrial(t *testing.T) {
 }
 
 // TestTimeoutReason: a job killed by its own TimeoutSec reports reason
-// "timeout", not a bare cancelled.
+// "timeout", not a bare cancelled. Every evaluation takes 50 ms, so the
+// job outlives its 0.3 s however fast the machine trains.
 func TestTimeoutReason(t *testing.T) {
-	m := NewManager(Config{PoolSize: 2, MaxJobs: 1})
+	m := NewManager(Config{PoolSize: 2, MaxJobs: 1, WrapEvaluator: func(_ string, inner hpo.Evaluator) hpo.Evaluator {
+		return sleepEvaluator{inner: inner, d: 50 * time.Millisecond}
+	}})
 	t.Cleanup(func() { shutdown(t, m) })
 	spec := bigSpec()
 	spec.TimeoutSec = 0.3
