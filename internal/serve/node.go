@@ -149,7 +149,7 @@ func (n *Node) activate(node, dataDir string, replicas []string) (err error) {
 			return err
 		}
 		cfg.Shipper = ship
-		logf("shipping journal + traces to %s (sync=%v)", strings.Join(n.opts.ShipTo, ", "), n.opts.Ship.Sync)
+		logf("shipping the log to %s (sync=%v)", strings.Join(n.opts.ShipTo, ", "), n.opts.Ship.Sync)
 	}
 	var manager *Manager
 	if dataDir != "" {
@@ -283,7 +283,7 @@ func (n *Node) Drain(ctx context.Context) error {
 
 // Close takes the node down in the reverse of the order it was assembled
 // in: the manager cancels what is still running (reason "shutdown") and
-// closes its trace store and journal, then the shipper flushes that final
+// closes its log, then the shipper flushes that final
 // state to its sinks and stops, and the /ship/ receiver closes the replica
 // files it holds open — the one step a blank node has too. Callers stop
 // serving requests first.
