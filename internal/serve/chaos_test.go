@@ -161,14 +161,14 @@ func TestAdmissionControl429(t *testing.T) {
 // TestChaosOverload is the chaos harness: sustained over-capacity HTTP
 // submissions against a journaled manager with injected evaluation
 // panics (every 7th job) and wedged evaluations (every 5th job, abandoned
-// by the -eval-timeout watchdog), while the journal rotates online and
+// by the -eval-timeout watchdog), while the log rotates online and
 // idle scopes are TTL-evicted. Throughout, under -race:
 //
 //   - the service never deadlocks and never exceeds MaxPending,
 //   - every shed submission gets 429 with a positive Retry-After,
-//   - the journal only ever grows: every journal file read mid-storm is
-//     a byte prefix of what it finally holds, and a sealed segment shows
-//     the journal rotated,
+//   - the log only ever grows: every segment read mid-storm is a byte
+//     prefix of what it finally holds, and a sealed segment shows the
+//     log rotated,
 //
 // and after a kill -9 equivalent (a second manager recovers the same
 // data dir while the first still holds a job mid-evaluation) the replay

@@ -73,8 +73,8 @@ func getJSON(t *testing.T, url string, into any) {
 	}
 }
 
-// waitJournaled waits until the journal in dir holds every named job as
-// terminal: its result record lands after its terminal event.
+// waitJournaled waits until the records in dir hold every named job as
+// terminal: a snapshot says done before its result record is written.
 func waitJournaled(t *testing.T, dir string, ids ...string) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {

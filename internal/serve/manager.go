@@ -267,9 +267,9 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// NewManagerFromJournal opens (creating if needed) the journal in
-// cfg.DataDir, replays it, and returns a manager with the previous
-// process's job table rebuilt: terminal jobs are restored with their
+// NewManagerFromJournal opens (creating if needed) the log in
+// cfg.DataDir, replays its records, and returns a manager with the
+// previous process's job table rebuilt: terminal jobs are restored with their
 // results (their anytime curves are read from the trace log when first
 // asked for), jobs that were mid-run when the process died are marked
 // cancelled with reason "interrupted", and jobs that were still queued are

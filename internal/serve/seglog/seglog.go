@@ -1,7 +1,7 @@
 // Package seglog owns bhpod's append-only JSONL logs: their writer, the
-// listing and numbering of their segments, and their reader. The journal
-// and the trace log are segmented Logs; the coordinator's membership log
-// and a sink's manifest are single Files. A line is one write, fsynced
+// listing and numbering of their segments, and their reader. The trace
+// log (and the journal files older binaries wrote) are segmented Logs;
+// the coordinator's membership log and a sink's manifest are single Files. A line is one write, fsynced
 // when the caller asks. A write that fails is undone by truncating the
 // file back to its size before it, so no reader meets half a line with
 // whole ones behind it; if the truncation fails too, the file ends in
@@ -16,7 +16,7 @@
 // segment that reaches the size limit is sealed: fsynced, closed,
 // announced, never written again. Read hands out a log's lines, one
 // segment read whole at a time, and reports a segment missing from the
-// sequence.
+// sequence; ScanLines reads one file through a small buffer instead.
 package seglog
 
 import (
