@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -312,11 +313,18 @@ func olderLayout(t *testing.T, dir string) {
 // the directory of an older binary, whose journal was a log of its own
 // (olderLayout); in one log a power cut takes the records after the cut
 // as well. The other job, whose lines come first, reads as before. So
-// does a segment lost from the middle of the log, here one that held only
-// job-2's first rung event, and both jobs' curves are served whole — in
-// the one log too, whose records the missing segment did not hold.
+// does a segment lost from the middle of an older binary's log of events,
+// here one that held only job-2's first rung event, and both jobs' curves
+// are served whole. In the one log, where records came before it, the
+// same loss could have cost any job's records: the boot is refused,
+// naming the missing segment.
 func TestShortHistoryCounted(t *testing.T) {
 	const job2 = `"job":"job-2"`
+	lostSegment := func(t *testing.T, dir, seg string, raw []byte) {
+		off, end := lineOf(t, raw, 0, job2, `"type":"rung"`)
+		writeFile(t, seg, raw[:off])
+		writeFile(t, filepath.Join(TraceDir(dir), "trace-000003.jsonl"), raw[end:])
+	}
 	for _, tc := range []struct {
 		name string
 		// damage rewrites the trace log the first life left in dir: seg,
@@ -333,11 +341,8 @@ func TestShortHistoryCounted(t *testing.T) {
 			off, _ := lineOf(t, raw, 0, job2)
 			writeFile(t, seg, raw[:off])
 		}, false, true},
-		{"lost-segment", func(t *testing.T, dir, seg string, raw []byte) {
-			off, end := lineOf(t, raw, 0, job2, `"type":"rung"`)
-			writeFile(t, seg, raw[:off])
-			writeFile(t, filepath.Join(TraceDir(dir), "trace-000003.jsonl"), raw[end:])
-		}, true, false},
+		{"lost-segment", lostSegment, true, true},
+		{"lost-segment-one-log", lostSegment, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{PoolSize: 2, MaxJobs: 1, DataDir: t.TempDir()}
@@ -364,6 +369,15 @@ func TestShortHistoryCounted(t *testing.T) {
 			}
 			tc.damage(t, cfg.DataDir, segs[0], raw)
 
+			if !tc.older {
+				if m2, err := NewManagerFromJournal(cfg); err == nil || !strings.Contains(err.Error(), "missing segment trace-000002.jsonl") {
+					if err == nil {
+						shutdown(t, m2)
+					}
+					t.Fatalf("a log missing a segment after its records booted: %v", err)
+				}
+				return
+			}
 			m2 := bootJournaled(t, cfg)
 			defer shutdown(t, m2)
 			ts2 := httptest.NewServer(NewServer(m2))

@@ -1,27 +1,25 @@
 // Package journal is bhpod's job table on disk: the records of job
 // submissions, status transitions, preemptions and terminal results, and
-// Replay, which folds them back into per-job states after a restart. It
-// reads two sources, in this order:
+// Fold, which folds them back into per-job states after a restart, from
+// two sources in this order:
 //
 //   - the journal files an older binary wrote at the data directory's
 //     root — segments (journal-000008.jsonl) and the bases it compacted
 //     them into (base-000007.jsonl, the fold of every segment up to 7) —
-//     which nothing writes now. Replay reads the newest base and the
-//     segments above it; a gap in their sequence fails it rather than
-//     silently dropping jobs.
+//     which nothing writes now;
 //   - the record lines of the trace log (tracestore), where
 //     Manager.transition appends each record just before the event of the
 //     same transition, whose fsync covers a result record too.
 //
 // A record is one JSON line. A torn tail — the bytes after a segment's
 // last newline — ends its segment; a whole record line that does not
-// decode fails Replay. The records stay records, not events, while the
-// benchmark harness reads them through Replay and times a Writer (ROADMAP
-// items 4 and 7).
+// decode, or a segment lost from the middle of either log after a record,
+// fails the fold rather than silently dropping jobs. The records stay
+// records, not events, while the benchmark harness reads them through
+// Replay and times a Writer (ROADMAP items 4 and 7).
 package journal
 
 import (
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -223,6 +221,20 @@ func (s JobState) Terminal() bool {
 type replayState struct {
 	byID  map[string]*JobState
 	order []string
+	spec  func(id string, spec json.RawMessage) error // Fold's
+}
+
+// applyLine decodes one record line and merges it.
+func (r *replayState) applyLine(line []byte) error {
+	var rec Record
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return fmt.Errorf("corrupt record: %w", err)
+	}
+	r.apply(rec)
+	if rec.Type == TypeSubmit && r.spec != nil {
+		return r.spec(rec.JobID, rec.Spec)
+	}
+	return nil
 }
 
 // apply merges one record. Event records are observational and skipped.
@@ -281,17 +293,57 @@ func (r *replayState) apply(rec Record) {
 	}
 }
 
-// Replay reads a data directory's records — the newest base an older
-// binary left and the journal segments above it, then the record lines of
-// the trace log — into per-job states in first submission order. A
-// directory without records yields no states; a torn tail ends its
-// segment at the last whole line; a journal segment missing from its
-// sequence or a whole record line that does not decode is an error naming
-// the file.
+// Replay reads a data directory's records, as Fold does, into per-job
+// states in first submission order.
 func Replay(dir string) ([]JobState, error) {
+	states, _, err := Fold(dir, nil)
+	return states, err
+}
+
+// Log is what Fold's read of the trace log leaves besides the records:
+// the event lines, filed under their jobs; the gap that cost only events,
+// if there is one (tracestore.ErrEventsLost); how long the read took.
+type Log struct {
+	History map[string]tracestore.History
+	Lost    error
+	Took    time.Duration
+}
+
+// Fold folds a data directory's records — the newest base an older binary
+// left and the journal segments above it, then the record lines of the
+// trace log — into per-job states in first submission order. It reads the
+// log once, with tracestore.ReadAll on a goroutine of its own that hands
+// over the record lines 64 at a time, so this one wakes once per batch.
+// Unless spec is nil, it gets each submit record's job ID and spec as the
+// record is folded — a boot decodes the specs while the log is read — and
+// an error from it fails the fold. A torn tail ends its segment; a record
+// line that does not decode or a missing segment is an error naming the
+// file, save a gap in the trace log that no record came before (Log.Lost).
+func Fold(dir string, spec func(id string, spec json.RawMessage) error) (states []JobState, log Log, err error) {
+	records, filed := make(chan [][]byte, 64), make(chan Log, 1)
+	go func() {
+		begin := time.Now()
+		var batch [][]byte
+		history, err := tracestore.ReadAll(tracestore.Dir(dir), func(line []byte) {
+			if batch = append(batch, line); len(batch) == 64 {
+				records <- batch
+				batch = nil
+			}
+		})
+		records <- batch
+		close(records)
+		filed <- Log{history, err, time.Since(begin)}
+	}()
+	defer func() {
+		for range records { // the reader never blocks
+		}
+		if log = <-filed; err == nil && log.Lost != nil && !errors.Is(log.Lost, tracestore.ErrEventsLost) {
+			states, err = nil, fmt.Errorf("journal: %w", log.Lost)
+		}
+	}()
 	all, err := Files(dir)
 	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
+		return nil, log, fmt.Errorf("journal: %w", err)
 	}
 	// A base holds every record of the files before it: older bases and
 	// the segment it shares its sequence number with, which sorts after it.
@@ -304,21 +356,19 @@ func Replay(dir string) ([]JobState, error) {
 		}
 		segs = append(segs, seg)
 	}
-	acc := replayState{byID: map[string]*JobState{}}
-	apply := func(line []byte) error {
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("corrupt record: %w", err)
+	acc := replayState{byID: map[string]*JobState{}, spec: spec}
+	if err := seglog.Read(dir, segs, acc.applyLine); err != nil {
+		return nil, log, fmt.Errorf("journal: %w", err)
+	}
+	for batch := range records {
+		for _, line := range batch {
+			if err := acc.applyLine(line); err != nil {
+				return nil, log, fmt.Errorf("journal: %w", tracestore.Locate(tracestore.Dir(dir), line, err))
+			}
 		}
-		acc.apply(rec)
-		return nil
 	}
-	if err := cmp.Or(seglog.Read(dir, segs, apply), tracestore.Records(tracestore.Dir(dir), apply)); err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	out := make([]JobState, 0, len(acc.order))
 	for _, id := range acc.order {
-		out = append(out, *acc.byID[id])
+		states = append(states, *acc.byID[id])
 	}
-	return out, nil
+	return states, log, nil
 }

@@ -227,27 +227,55 @@ func TestSegmentReplayTornNewest(t *testing.T) {
 }
 
 // TestReplayMissingMiddleSegment: a gap in the live segment sequence is
-// lost data and must fail with an error naming the missing segment.
+// lost data and must fail with an error naming the missing segment — in
+// an older binary's journal files and in the trace log alike.
 func TestReplayMissingMiddleSegment(t *testing.T) {
-	dir := t.TempDir()
 	spec := json.RawMessage(`{"dataset":"australian","method":"sha"}`)
 	now := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
-	for seq := 1; seq <= 3; seq++ {
-		writeSegment(t, dir, seq,
-			Record{Type: TypeSubmit, Time: now, JobID: "job-" + segmentName(seq), Spec: spec})
-	}
-	if _, err := Replay(dir); err != nil {
-		t.Fatalf("contiguous segments: %v", err)
-	}
-	if err := os.Remove(filepath.Join(dir, segmentName(2))); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Replay(dir)
-	if err == nil {
-		t.Fatal("missing middle segment replayed without error")
-	}
-	if !strings.Contains(err.Error(), segmentName(2)) {
-		t.Fatalf("error %q does not name the missing segment", err)
+	for _, tc := range []struct {
+		name string
+		// write writes segment seq, holding rec, and returns its path.
+		write func(t *testing.T, dir string, seq int, rec Record) string
+	}{
+		{"journal", func(t *testing.T, dir string, seq int, rec Record) string {
+			writeSegment(t, dir, seq, rec)
+			return filepath.Join(dir, segmentName(seq))
+		}},
+		{"trace-log", func(t *testing.T, dir string, seq int, rec Record) string {
+			line, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(tracestore.Dir(dir), seglog.Name("trace-", seq))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var paths []string
+			for seq := 1; seq <= 3; seq++ {
+				paths = append(paths, tc.write(t, dir, seq, Record{Type: TypeSubmit, Time: now, JobID: fmt.Sprint("job-", seq), Spec: spec}))
+			}
+			if states, err := Replay(dir); err != nil || len(states) != 3 {
+				t.Fatalf("contiguous segments: %d jobs, %v", len(states), err)
+			}
+			if err := os.Remove(paths[1]); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Replay(dir)
+			if err == nil {
+				t.Fatal("missing middle segment replayed without error")
+			}
+			if !strings.Contains(err.Error(), filepath.Base(paths[1])) {
+				t.Fatalf("error %q does not name the missing segment", err)
+			}
+		})
 	}
 }
 

@@ -33,11 +33,12 @@ type lifeLine struct {
 func logRecords(t *testing.T, dir string) []journal.Record {
 	t.Helper()
 	var out []journal.Record
-	err := tracestore.Records(TraceDir(dir), func(line []byte) error {
+	_, err := tracestore.ReadAll(TraceDir(dir), func(line []byte) {
 		var rec journal.Record
-		err := json.Unmarshal(line, &rec)
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
 		out = append(out, rec)
-		return err
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -276,12 +276,13 @@ func NewManager(cfg Config) *Manager {
 // re-enqueued and run again — those preempted before, from the curve
 // points their trace log holds.
 //
-// A boot decodes every record once and no event, and rewrites nothing.
-// It makes two passes side by side. journal.Replay folds the journal
-// files an older binary left, then the log's record lines, and every
-// job's spec is decoded. On a goroutine of its own, tracestore.ReadAll
-// files the log's event lines under their jobs. The two are joined, the
-// older binary's journal files announced to the shipper as sealed, this
+// A boot reads the log once, decodes every record once and no event, and
+// rewrites nothing. journal.Fold folds the records — an older binary's
+// journal files, then the log's record lines — and decodes every job's
+// spec, while its reader files the log's event lines under their jobs. A
+// segment missing after a record line fails the boot; one that only
+// events came before is counted in trace_store_errors. Then the older
+// binary's journal files are announced to the shipper as sealed, this
 // life's segment of the log opened, and the whole table built: register,
 // sched.Restore, and the event feed primed with the sequence number and
 // done flag of the job's newest event, its history left as lines until
@@ -296,30 +297,23 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 		return nil, fmt.Errorf("serve: NewManagerFromJournal needs Config.DataDir")
 	}
 	begin := time.Now()
-	type filedTrace struct {
-		history map[string]tracestore.History
-		err     error
-		took    time.Duration
-	}
-	filed := make(chan filedTrace, 1) // buffered: a replay error returns without waiting for the reader
-	go func() {
-		history, err := tracestore.ReadAll(TraceDir(cfg.DataDir))
-		filed <- filedTrace{history, err, time.Since(begin)}
-	}()
-	states, err := journal.Replay(cfg.DataDir)
+	specs := map[string]JobSpec{}
+	states, log, err := journal.Fold(cfg.DataDir, func(id string, raw json.RawMessage) error {
+		if len(raw) == 0 {
+			return nil
+		}
+		var spec JobSpec
+		if err := json.Unmarshal(raw, &spec); err != nil {
+			return fmt.Errorf("serve: replaying %s: %w", id, err)
+		}
+		specs[id] = spec
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]JobSpec, len(states))
-	for i, st := range states {
-		if len(st.Spec) > 0 {
-			if err := json.Unmarshal(st.Spec, &specs[i]); err != nil {
-				return nil, fmt.Errorf("serve: replaying %s: %w", st.ID, err)
-			}
-		}
-	}
 	m := NewManager(cfg)
-	m.boot.journal, m.boot.jobs = time.Since(begin), len(states)
+	m.boot.journal, m.boot.trace, m.boot.jobs = time.Since(begin), log.Took, len(states)
 	defer func() {
 		if err != nil {
 			// Nothing is registered yet: this stops the janitor and closes
@@ -328,10 +322,7 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 			_ = m.Shutdown(context.Background())
 		}
 	}()
-	// The filing pass read the log before this life's segment is opened.
-	log := <-filed
-	m.boot.trace = log.took
-	if log.err != nil {
+	if log.Lost != nil {
 		m.traceErrs.Add(1)
 	}
 	// With a shipper, what earlier lives left ships sealed, once per life:
@@ -360,10 +351,10 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 	}
 	m.traces = traces
 	var live []*Job
-	for i, st := range states {
+	for _, st := range states {
 		job := &Job{
 			ID:        st.ID,
-			Spec:      specs[i],
+			Spec:      specs[st.ID],
 			token:     st.Token,
 			hub:       m.hub,
 			cancel:    func() {},
@@ -384,7 +375,7 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 		// from, as it is and counted once in trace_store_errors: when it is decoded
 		// — a finished job's on its first read, a live one's now — or now
 		// if it holds no event at all.
-		history := log.history[st.ID]
+		history := log.History[st.ID]
 		if last, ok := history.Last(); ok {
 			m.hub.Prime(st.ID, last.Seq, last.Terminal, func() []events.Event {
 				evs, err := history.Events()
@@ -1019,9 +1010,9 @@ type Metrics struct {
 	ShipRetries       int64   `json:"ship_retries"`
 	ShipBytes         int64   `json:"ship_bytes"`
 	// What the boot from the log cost (all 0 without one): the whole
-	// NewManagerFromJournal call, its replay of the records, and the
-	// filing pass over the events, which runs beside that; and the jobs
-	// it restored.
+	// NewManagerFromJournal call, its fold of the records, and the read
+	// of the log that files the events and hands the fold its record
+	// lines, which runs beside that; and the jobs it restored.
 	BootMS        float64 `json:"boot_ms"`
 	BootJournalMS float64 `json:"boot_journal_ms"`
 	BootTraceMS   float64 `json:"boot_trace_ms"`

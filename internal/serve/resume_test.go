@@ -62,16 +62,18 @@ func TestPreemptRecordStaysSmall(t *testing.T) {
 		t.Fatalf("the victim was preempted %d times; the test needs once", n)
 	}
 	found := 0
-	err := tracestore.Records(TraceDir(cfg.DataDir), func(line []byte) error {
+	_, err := tracestore.ReadAll(TraceDir(cfg.DataDir), func(line []byte) {
 		var rec journal.Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Type != journal.TypePreempt {
-			return err
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type != journal.TypePreempt {
+			return
 		}
 		found++
 		if rec.Evaluations < trials || len(line) >= 300 {
 			t.Errorf("preempt record after %d evaluations is %d bytes: %s", rec.Evaluations, len(line), line)
 		}
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,16 +16,14 @@
 // segment that reaches the size limit is sealed: fsynced, closed,
 // announced, never written again. Read hands out a log's lines, one
 // segment read whole at a time, and reports a segment missing from the
-// sequence; ScanLines reads one file through a small buffer instead.
+// sequence.
 package seglog
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -78,6 +76,18 @@ func List(dir string, prefixes ...string) ([]Segment, error) {
 	return segs, nil
 }
 
+// GapError is Read's report of a segment missing from the sequence: the
+// last one, with how many lines Read handed to fn before it — so a caller
+// can tell whether the lines it cares about reach past a gap.
+type GapError struct {
+	Missing, Found, After string
+	Lines                 int
+}
+
+func (e *GapError) Error() string {
+	return fmt.Sprintf("missing segment %s (found %s after %s)", e.Missing, e.Found, e.After)
+}
+
 // Read calls fn with each whole line of segs, in order, without its
 // newline. Each segment is read whole and its lines alias that buffer.
 // The bytes after a segment's last newline are a torn tail — a crash or a
@@ -86,13 +96,14 @@ func List(dir string, prefixes ...string) ([]Segment, error) {
 // corrupt: Read stops and returns it naming the file and the line's
 // number. A segment that cannot be read returns the read's error, so a
 // missing one matches os.ErrNotExist. A sequence number missing between
-// two of segs is an error naming it, returned once every segment is read.
+// two of segs is a *GapError, returned once every segment is read.
 func Read(dir string, segs []Segment, fn func(line []byte) error) error {
-	var gap error
+	var gap *GapError
+	lines := 0
 	for i, seg := range segs {
-		if i > 0 && seg.Seq != segs[i-1].Seq+1 && gap == nil {
+		if i > 0 && seg.Seq != segs[i-1].Seq+1 {
 			prefix := strings.TrimSuffix(seg.Name, Name("", seg.Seq))
-			gap = fmt.Errorf("missing segment %s (found %s after %s)", Name(prefix, segs[i-1].Seq+1), seg.Name, segs[i-1].Name)
+			gap = &GapError{Missing: Name(prefix, segs[i-1].Seq+1), Found: seg.Name, After: segs[i-1].Name, Lines: lines}
 		}
 		path := filepath.Join(dir, seg.Name)
 		data, err := os.ReadFile(path)
@@ -104,6 +115,7 @@ func Read(dir string, segs []Segment, fn func(line []byte) error) error {
 			if end < 0 {
 				break
 			}
+			lines++
 			if err := fn(data[:end]); errors.Is(err, SkipSegment) {
 				break
 			} else if err != nil {
@@ -112,46 +124,15 @@ func Read(dir string, segs []Segment, fn func(line []byte) error) error {
 			data = data[end+1:]
 		}
 	}
-	return gap
+	if gap != nil {
+		return gap
+	}
+	return nil
 }
 
 // ReadLines reads the one file at path as Read reads a segment.
 func ReadLines(path string, fn func(line []byte) error) error {
 	return Read(filepath.Dir(path), []Segment{{Name: filepath.Base(path)}}, fn)
-}
-
-// ScanLines reads the one file at path as ReadLines does, but through a
-// small buffer instead of whole, for a reader that keeps no line: a line
-// aliases that buffer only until fn returns.
-func ScanLines(path string, fn func(line []byte) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 64<<10)
-	var long []byte // a line longer than r's buffer, gathered
-	for n := 1; ; n++ {
-		line, err := r.ReadSlice('\n')
-		for errors.Is(err, bufio.ErrBufferFull) {
-			long = append(long, line...)
-			line, err = r.ReadSlice('\n')
-		}
-		if errors.Is(err, io.EOF) {
-			return nil // the torn tail, if any, ends the file unread
-		}
-		if err != nil {
-			return err
-		}
-		if len(long) > 0 {
-			line, long = append(long, line...), long[:0]
-		}
-		if err := fn(line[:len(line)-1]); errors.Is(err, SkipSegment) {
-			return nil
-		} else if err != nil {
-			return fmt.Errorf("%s line %d: %w", path, n, err)
-		}
-	}
 }
 
 // File is one append-only file of whole lines; its owner serializes

@@ -157,15 +157,25 @@ func TestContract(t *testing.T) {
 		{"cut-write-file", cutWrite(func(dir string) (appender, error) { return OpenFile(filepath.Join(dir, Name("x-", 1))) })},
 		{"gap-reported", func(t *testing.T, dir string) {
 			// A segment missing between two others is named once every
-			// other one is read; one listed and gone before its turn is lost
-			// history, not an empty one; an error from the callback stops
-			// the read, naming the file and the line.
+			// other one is read — the last such, with the lines read before
+			// it; one listed and gone before its turn is lost history, not
+			// an empty one; an error from the callback stops the read,
+			// naming the file and the line.
 			for name, data := range map[string]string{"x-000001.jsonl": "a\n", "x-000002.jsonl": "b\nc\n", "x-000004.jsonl": "d\n"} {
 				write(t, dir, name, data)
 			}
 			got, err := lines(dir)
 			if fmt.Sprint(got) != "[a b c d]" || err == nil || !strings.Contains(err.Error(), "missing segment x-000003.jsonl") {
 				t.Errorf("read %v, %v; want every line and the gap named", got, err)
+			}
+			write(t, dir, "x-000006.jsonl", "e\n")
+			got, err = lines(dir)
+			var gap *GapError
+			if !errors.As(err, &gap) || gap.Missing != "x-000005.jsonl" || gap.After != "x-000004.jsonl" || gap.Found != "x-000006.jsonl" || gap.Lines != 4 {
+				t.Errorf("read %v, %#v; want the last gap, after 4 lines", got, err)
+			}
+			if err := os.Remove(filepath.Join(dir, "x-000006.jsonl")); err != nil {
+				t.Fatal(err)
 			}
 			gone := []Segment{{Name: Name("x-", 5), Seq: 5}}
 			if err := Read(dir, gone, func([]byte) error { return nil }); !errors.Is(err, os.ErrNotExist) {
@@ -361,43 +371,4 @@ func files(t *testing.T, dir string) map[string]string {
 		out[e.Name()] = string(data)
 	}
 	return out
-}
-
-// TestScanLinesReadsAsReadLines: through its small buffer, ScanLines hands
-// out what ReadLines does — whole lines in order, one longer than the
-// buffer too, and not the torn tail — and stops at SkipSegment or an
-// error as it does, naming the file and the line.
-func TestScanLinesReadsAsReadLines(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace-000001.jsonl")
-	long := `{"long":"` + strings.Repeat("x", 200<<10) + `"}`
-	data := "{\"a\":1}\n" + long + "\n\n{\"b\":2}\n{\"torn\":"
-	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	collect := func(read func(string, func([]byte) error) error, stop string) ([]string, error) {
-		var got []string
-		err := read(path, func(line []byte) error {
-			got = append(got, string(line))
-			switch string(line) {
-			case stop:
-				return SkipSegment
-			case "{\"b\":2}":
-				if stop == "" {
-					return errors.New("bad line")
-				}
-			}
-			return nil
-		})
-		return got, err
-	}
-	for _, stop := range []string{"", long} {
-		want, werr := collect(ReadLines, stop)
-		got, err := collect(ScanLines, stop)
-		if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(err) != fmt.Sprint(werr) {
-			t.Errorf("stop at %.10q: ScanLines read %d lines, %v; ReadLines %d, %v", stop, len(got), err, len(want), werr)
-		}
-	}
-	if got, err := collect(ScanLines, "-"); err != nil || len(got) != 4 || got[1] != long || got[2] != "" {
-		t.Errorf("ScanLines read %d lines, %v; want the four whole ones", len(got), err)
-	}
 }

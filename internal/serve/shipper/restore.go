@@ -93,8 +93,9 @@ func restoreInto(srcDir, destDir string) error {
 
 // VerifyReplica checks a shipped replica without touching it, so the
 // coordinator can probe candidates before committing a restore: the sink
-// directory must exist and hold a log, and every manifest-listed file
-// still present must hash to its manifest checksum. It applies the rules
+// directory must exist and hold a log, every sealed segment of the log
+// its manifest lists must be there, and every manifest-listed file still
+// present must hash to its manifest checksum. It applies the rules
 // Restore applies, read-only — nothing is copied or quarantined. A corrupt
 // file fails with an error matching ErrChecksumMismatch.
 func VerifyReplica(dir string) error {
@@ -129,13 +130,18 @@ func checkSealed(dir, copyTo string) error {
 		}
 		sum, size, err := hashCopy(src, dest)
 		if errors.Is(err, os.ErrNotExist) {
-			if _, qerr := os.Stat(src + quarantineSuffix); qerr != nil {
-				// Sealed but gone: a base an older binary folded it into
-				// deleted it; nothing to restore under this name.
-				continue
+			switch _, qerr := os.Stat(src + quarantineSuffix); {
+			case qerr == nil:
+				// Gone because an earlier restore quarantined it.
+				return fmt.Errorf("shipper: replica %s: %s is quarantined: %w", dir, name, ErrChecksumMismatch)
+			case strings.HasPrefix(name, "traces/"):
+				// Nothing deletes a segment of the log: this one, and the
+				// records it held, are lost.
+				return fmt.Errorf("shipper: replica %s: sealed %s is missing: %w", dir, name, err)
 			}
-			// Gone because an earlier restore quarantined it.
-			return fmt.Errorf("shipper: replica %s: %s is quarantined: %w", dir, name, ErrChecksumMismatch)
+			// Sealed but gone: a base an older binary folded it into
+			// deleted it; nothing to restore under this name.
+			continue
 		}
 		if err != nil {
 			return fmt.Errorf("shipper: replica %s: %s: %w", dir, name, err)

@@ -361,6 +361,48 @@ func TestRestoreFirstLifeReplica(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesLostSegment: nothing deletes a sealed segment of the
+// log, so one the manifest lists and the replica lacks took its records
+// with it. The replica fails verification and Restore falls through to
+// the next one. A sealed journal file an older binary folded into a base
+// and deleted is no loss.
+func TestRestoreRefusesLostSegment(t *testing.T) {
+	var replicas []string
+	for range 2 {
+		sinkDir := t.TempDir()
+		sink, err := NewDirSink(sinkDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"journal-000001.jsonl", "traces/trace-000001.jsonl", "traces/trace-000002.jsonl"} {
+			data := []byte(name + "\n")
+			if err := sink.Append(name, 0, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Seal(name, int64(len(data)), sha(data)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.Remove(filepath.Join(sinkDir, "journal-000001.jsonl")); err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyReplica(sinkDir); err != nil {
+			t.Fatalf("a replica without a folded journal file: %v", err)
+		}
+		replicas = append(replicas, sinkDir)
+	}
+	if err := os.Remove(filepath.Join(replicas[0], "traces", "trace-000001.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyReplica(replicas[0]); !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), "trace-000001.jsonl") {
+		t.Fatalf("a replica without a sealed segment verified as %v", err)
+	}
+	used, err := Restore(replicas, filepath.Join(t.TempDir(), "restored"))
+	if err != nil || used != replicas[1] {
+		t.Fatalf("Restore used %s, %v; want the whole replica %s", used, err, replicas[1])
+	}
+}
+
 // TestRestoreRefusesCorruptManifest: a whole manifest line that does not
 // decode leaves a replica unable to say what it holds — the sealed files
 // listed after it would be neither verified nor restored — so the replica

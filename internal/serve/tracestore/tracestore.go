@@ -23,9 +23,9 @@
 // sequence is an error, returned with everything the others hold.
 //
 // Read decodes one job's events, for post-mortems and tests. ReadAll, the
-// boot's event pass, decodes nothing: it files every event line under its
-// job as bytes (History), decoded when the job is first asked for.
-// Records, the boot's record pass beside it, hands out the record lines.
+// boot's one pass over the log, decodes nothing: it files every event line
+// under its job as bytes (History), decoded when the job is first asked
+// for, and hands each record line to its caller, who folds it.
 package tracestore
 
 import (
@@ -183,16 +183,28 @@ func (h History) Events() ([]events.Event, error) {
 	return out, nil
 }
 
+// ErrEventsLost marks ReadAll's report of a segment missing from a log
+// that held no record line before it, as an older binary's held none: the
+// gap cost events but no record.
+var ErrEventsLost = errors.New("events lost")
+
 // ReadAll files every event line of the directory's segments under its
-// job, in publish order, without decoding it — how a booting manager
-// re-arms its event hub at the cost of one validating pass over the bytes.
-// A line counts only if it is valid JSON and names its job; record lines
-// are passed over. A missing directory is empty; a missing segment is an
-// error, returned with the lines of the segments that are there.
-func ReadAll(dir string) (map[string]History, error) {
+// job, in publish order, without decoding it, and hands each record line
+// to record, unchecked: its decoder scans it anyway, and Locate names the
+// place of one that fails. An event line counts only if it is valid JSON
+// and names its job. The lines alias their segment's buffer. A missing
+// directory is empty; a missing segment is an error, returned with the
+// lines of the segments that are there.
+func ReadAll(dir string, record func(line []byte)) (map[string]History, error) {
 	out := map[string]History{}
+	lines, firstRecord := 0, 0
 	err := read(dir, func(line []byte) error {
+		lines++
 		if isRecord(line) {
+			if firstRecord == 0 {
+				firstRecord = lines
+			}
+			record(line)
 			return nil
 		}
 		id := lineJob(line)
@@ -202,6 +214,9 @@ func ReadAll(dir string) (map[string]History, error) {
 		out[string(id)] = append(out[string(id)], line)
 		return nil
 	})
+	if gap := (*seglog.GapError)(nil); errors.As(err, &gap) && (firstRecord == 0 || firstRecord > gap.Lines) {
+		err = fmt.Errorf("%w: %w", ErrEventsLost, err)
+	}
 	return out, err
 }
 
@@ -255,24 +270,20 @@ func Read(dir, jobID string) ([]events.Event, error) {
 	return out, err
 }
 
-// Records hands fn every record line of the directory's segments in
-// order, as seglog.ScanLines reads a file — a line is fn's only until fn
-// returns. A segment missing from the sequence is not an error here:
-// ReadAll, which a boot runs beside it, reports it.
-func Records(dir string, fn func(line []byte) error) error {
-	segs, err := segments(dir)
-	for i := 0; err == nil && i < len(segs); i++ {
-		err = seglog.ScanLines(filepath.Join(dir, segs[i].Name), func(line []byte) error {
-			if isRecord(line) {
-				return fn(line)
-			}
-			return nil
-		})
+// Locate returns err, the failure of a line of the log that ReadAll handed
+// out, as a failure of the first line equal to it: naming its file and
+// its number there, as Read names a line. err alone if no line is.
+func Locate(dir string, line []byte, err error) error {
+	found := read(dir, func(l []byte) error {
+		if bytes.Equal(l, line) {
+			return err
+		}
+		return nil
+	})
+	if errors.Is(found, err) {
+		return found
 	}
-	if err != nil {
-		return fmt.Errorf("tracestore: %w", err)
-	}
-	return nil
+	return err
 }
 
 // read hands fn the lines of the directory's segments as seglog.Read

@@ -65,7 +65,7 @@ func TestAppendReadRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n got %s\nwant %s", a, b)
 	}
 	// The one-pass reader (the boot path) agrees.
-	all, err := ReadAll(dir)
+	all, err := ReadAll(dir, skipRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestOpenRefusesPerJobLayout(t *testing.T) {
 			t.Errorf("refusal %q does not mention %q", err, want)
 		}
 	}
-	if _, err := ReadAll(dir); err == nil {
+	if _, err := ReadAll(dir, skipRecord); err == nil {
 		t.Error("ReadAll accepted a directory of per-job trace files")
 	}
 	if names := dirNames(t, dir); len(names) != 2 {
@@ -336,7 +336,7 @@ func TestCrashReopenLosesNothingBehindTear(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	all, err := ReadAll(dir)
+	all, err := ReadAll(dir, skipRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestReadAllDamagedLog(t *testing.T) {
 	writeSegment(t, dir, 4, forJob("a", 4), forJob("c", 1), "{\"seq\":\"x\",\"job\":\"c\"}\n", forJob("c", 3), forJob("a", 5),
 		forJob(`q"<uote`, 1), forJob("b", 5))
 
-	all, err := ReadAll(dir)
+	all, err := ReadAll(dir, skipRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestRotationConcurrentAppends(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	all, err := ReadAll(dir)
+	all, err := ReadAll(dir, skipRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,12 +571,17 @@ func TestRotationConcurrentAppends(t *testing.T) {
 	}
 }
 
+// skipRecord is a ReadAll record callback that keeps nothing.
+func skipRecord([]byte) {}
+
 // TestRecordLinesAreNotEvents: a log holding job records between its
 // events. No event reader sees a record — ReadAll does not file one, Read
-// does not decode one, a History holds none — and Records hands out the
-// records alone, in log order, across a segment missing from the
-// sequence, which is ReadAll's to report. A line that is not a record is
-// not appended as one.
+// does not decode one, a History holds none — and ReadAll hands out the
+// records alone, in log order. A segment missing after a record line may
+// have held records: ReadAll reports it as no ErrEventsLost; one that only
+// events came before is one. Locate names the file and line of a record
+// that failed its decoder. A line that is not a record is not appended as
+// one.
 func TestRecordLinesAreNotEvents(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -609,9 +614,13 @@ func TestRecordLinesAreNotEvents(t *testing.T) {
 	later := `{"t":"submit","time":"2026-08-05T10:01:00Z","job":"job-2"}`
 	writeSegment(t, dir, 3, later+"\n", forJob("job-2", 1))
 
-	all, err := ReadAll(dir)
-	if err == nil {
-		t.Error("ReadAll did not report the missing segment")
+	var recs []string
+	all, err := ReadAll(dir, func(line []byte) { recs = append(recs, string(line)) })
+	if err == nil || errors.Is(err, ErrEventsLost) || !strings.Contains(err.Error(), "trace-000002.jsonl") {
+		t.Errorf("ReadAll reported the segment missing after a record as %v", err)
+	}
+	if want := []string{string(submit), string(result), later}; fmt.Sprint(recs) != fmt.Sprint(want) {
+		t.Errorf("ReadAll handed out the records\n %q\nwant\n %q", recs, want)
 	}
 	if got := seqsOf(t, all["job-1"]); fmt.Sprint(got) != "[1 2 3]" {
 		t.Errorf("job-1 filed as seqs %v, want its three events", got)
@@ -626,15 +635,22 @@ func TestRecordLinesAreNotEvents(t *testing.T) {
 	if len(evs) != 3 || evs[0].Seq != 1 || evs[2].Seq != 3 {
 		t.Errorf("Read job-1: %+v, want its three events", evs)
 	}
-	var recs []string
-	if err := Records(dir, func(line []byte) error {
-		recs = append(recs, string(line))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+
+	// The same gap with events alone before it: what an older binary's
+	// log could lose.
+	older := t.TempDir()
+	writeSegment(t, older, 1, point(1))
+	writeSegment(t, older, 3, later+"\n", forJob("job-2", 1))
+	if _, err := ReadAll(older, skipRecord); !errors.Is(err, ErrEventsLost) {
+		t.Errorf("a gap only events came before read as %v, want ErrEventsLost", err)
 	}
-	if want := []string{string(submit), string(result), later}; fmt.Sprint(recs) != fmt.Sprint(want) {
-		t.Errorf("Records handed out\n %q\nwant\n %q", recs, want)
+
+	bad := errors.New("bad record")
+	if err := Locate(dir, []byte(later), bad); !errors.Is(err, bad) || !strings.Contains(err.Error(), "trace-000003.jsonl line 1") {
+		t.Errorf("the later record located as %v", err)
+	}
+	if err := Locate(dir, []byte(`{"t":"nowhere"}`), bad); err != bad {
+		t.Errorf("a line the log does not hold located as %v", err)
 	}
 }
 
