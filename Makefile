@@ -97,17 +97,21 @@ bench-pair:
 # Portable-path run: -tags purego leaves the AVX2 assembly out of the
 # build, so the blocked kernels stay tested end to end on SIMD hardware
 # and a regression in the non-SIMD path cannot hide behind AVX2 CI boxes.
-# That includes the Go loops of the Adam step, the L2 fold and the
+# That includes the Go loops of the per-parameter kernels (the Adam, SGD
+# and L-BFGS steps, the L2 fold, L-BFGS's vector passes) and the
 # activations, which every fit and every gradient in internal/nn run
 # under it.
 # internal/experiments rides along for its golden: the one place the
 # "kernel families are bitwise-equal" invariant is asserted on the paper's
-# own tables rather than on a matmul. The GOAMD64=v3 line is the build in
-# which the compiler may use FMA in Go code — the reference loops and
-# math.tanh — so the kernels' parity and the golden are held there too.
+# own tables rather than on a matmul. The GOAMD64=v3 lines are the build
+# in which the compiler may use FMA in Go code — the reference loops and
+# math.tanh — so the kernels' parity and the golden are held there too,
+# with the assembly and, under purego, on the Go references themselves,
+# which every product's float64(·) keeps from fusing.
 fallback:
 	$(GO) test -count=1 -tags purego ./internal/mat/ ./internal/nn/ ./internal/hpo/ ./internal/experiments/
 	GOAMD64=v3 $(GO) test -count=1 ./internal/mat/ ./internal/nn/ ./internal/experiments/
+	GOAMD64=v3 $(GO) test -count=1 -tags purego ./internal/mat/ ./internal/nn/ ./internal/experiments/
 
 # Go lines per package and in total, outside bench/: non-test lines —
 # raw `wc -l`, the count ROADMAP's "net line count per PR" and every

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"testing"
 
 	"enhancedbhpo/internal/rng"
@@ -80,6 +81,89 @@ func BenchmarkMatActivation(b *testing.B) {
 					f.fn(buf)
 				}
 			})
+		}
+	}
+}
+
+// elementwiseSizes are the parameter counts of the largest networks the
+// solo-paper workload trains, [50 50] hidden layers: satimage (36
+// features, 6 classes) and a9a (123 features, 2 classes).
+var elementwiseSizes = []int{4706, 8852}
+
+// BenchmarkMatElementwise times each per-parameter kernel over a whole
+// parameter vector, the Go reference loop beside the entry point, which
+// runs this build's family. The step kernels include the sum of squares
+// they carry; sumsq, a Go loop only, is the standalone chain over the
+// weights that carrying it saves a loss. The state a step moves is reset by a copy
+// in both columns.
+func BenchmarkMatElementwise(b *testing.B) {
+	for _, n := range elementwiseSizes {
+		r := rng.New(uint64(40 + n))
+		vec := func(scale float64) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = scale * r.Norm()
+			}
+			return v
+		}
+		p0, m0, v0, g := vec(0.1), vec(1e-3), vec(1e-6), vec(1e-2)
+		for i := range v0 {
+			v0[i] *= v0[i]
+		}
+		dir, gPrev, z := vec(1e-2), vec(1e-2), vec(1)
+		p, m, v, s, y := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		c := AdamCoeffs{0.9, 0.1, 0.999, 0.001, 1e-3, 0.1, 0.001, 1e-8}
+		kernels := []struct {
+			name     string
+			goLoop   func()
+			dispatch func()
+		}{
+			{"adam",
+				func() { copy(p, p0); copy(m, m0); copy(v, v0); adamStepGo(p, m, v, g, &c, 0) },
+				func() { copy(p, p0); copy(m, m0); copy(v, v0); AdamStep(p, m, v, g, c, 0) }},
+			{"sgd",
+				func() { copy(p, p0); copy(v, m0); sgdStepGo(p, v, g, 0.9, 1e-3, false, 0) },
+				func() { copy(p, p0); copy(v, m0); SGDStep(p, v, g, 0.9, 1e-3, false, 0) }},
+			{"sgd-nesterov",
+				func() { copy(p, p0); copy(v, m0); sgdStepGo(p, v, g, 0.9, 1e-3, true, 0) },
+				func() { copy(p, p0); copy(v, m0); SGDStep(p, v, g, 0.9, 1e-3, true, 0) }},
+			{"trial-step",
+				func() { axpyToGo(p, 0.5, dir, p0, 0) },
+				func() { AxpyTo(p, 0.5, dir, p0, 0) }},
+			{"sumsq", func() { sumSq(0, p0) }, nil},
+			{"l2fold-37rows",
+				func() { foldL2Go(s, g, p0, 1e-4, 37) },
+				func() { FoldL2(s, g, p0, 1e-4, 37) }},
+			{"l2fold-32rows",
+				func() { foldL2Go(s, g, p0, 1e-4, 32) },
+				func() { FoldL2(s, g, p0, 1e-4, 32) }},
+			{"axpy",
+				func() { copy(p, p0); axpyGo(-0.3, dir, p) },
+				func() { copy(p, p0); Axpy(-0.3, dir, p) }},
+			{"scale",
+				func() { copy(p, p0); scaleGo(0.7, p) },
+				func() { copy(p, p0); Scale(0.7, p) }},
+			{"axpydot",
+				func() { copy(p, p0); axpyDotGo(-0.3, dir, p, true, z) },
+				func() { copy(p, p0); AxpyDot(-0.3, dir, p, true, z) }},
+			{"curvature-pair",
+				func() { curvaturePairGo(s, y, 0.5, dir, g, gPrev) },
+				func() { CurvaturePair(s, y, 0.5, dir, g, gPrev) }},
+		}
+		for _, k := range kernels {
+			for _, f := range []struct {
+				name string
+				fn   func()
+			}{{"go", k.goLoop}, {Kernel(), k.dispatch}} {
+				if f.fn == nil {
+					continue
+				}
+				b.Run(fmt.Sprintf("%s/%d/%s", k.name, n, f.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						f.fn()
+					}
+				})
+			}
 		}
 	}
 }

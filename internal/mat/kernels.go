@@ -22,6 +22,8 @@
 //     a finite sum, so the skip is unobservable on finite data.
 package mat
 
+import "fmt"
+
 // Kernel names the matmul family this process runs: "simd" where the
 // CPU and OS support AVX2 (decided once, at package init, by the CPUID
 // probe), "blocked" otherwise and in -tags purego builds. The families
@@ -37,7 +39,19 @@ func Kernel() string {
 // and b. It panics on shape mismatch.
 func Mul(dst, a, b *Dense) {
 	checkMul(dst, a, b)
-	mulRangeKernel()(dst, a, b, 0, a.rows)
+	mulRangeKernel()(dst, a, b, nil, 0, a.rows)
+}
+
+// MulBias computes dst = a*b + bias, bias added to every row: a layer's
+// forward product and its bias in one pass. Each element is its Mul sum
+// plus bias[j], one rounding, as adding the bias to Mul's result would
+// give. bias must have b.cols elements.
+func MulBias(dst, a, b *Dense, bias []float64) {
+	checkMul(dst, a, b)
+	if len(bias) != b.cols {
+		panic(fmt.Sprintf("mat: bias length %d != cols %d", len(bias), b.cols))
+	}
+	mulRangeKernel()(dst, a, b, bias, 0, a.rows)
 }
 
 // MulT computes dst = a * bᵀ. dst must be a.rows×b.rows.
@@ -64,7 +78,11 @@ func TMulWorkers(dst, a, b *Dense, workers int) { TMul(dst, a, b) }
 // tests call them over split ranges to show no row depends on another.
 type rangeKernel func(dst, a, b *Dense, i0, i1 int)
 
-func mulRangeKernel() rangeKernel {
+// biasKernel is a rangeKernel of dst = a*b + bias; a nil bias adds
+// nothing, not even +0 (which would turn a −0 element into +0).
+type biasKernel func(dst, a, b *Dense, bias []float64, i0, i1 int)
+
+func mulRangeKernel() biasKernel {
 	if simdAvailable {
 		return mulSIMD
 	}
@@ -85,12 +103,13 @@ func tMulRangeKernel() rangeKernel {
 	return tMulBlocked
 }
 
-// mulBlocked computes rows [i0, i1) of dst = a*b. The k loop is unrolled
-// 4-wide so each pass reads four b rows and touches dst once (4× less
-// dst traffic than the naive kernel), and the j loop is unrolled 4-wide
-// so four independent accumulator chains keep the FPU pipeline full.
-// Each element's additions stay in ascending-k order.
-func mulBlocked(dst, a, b *Dense, i0, i1 int) {
+// mulBlocked computes rows [i0, i1) of dst = a*b + bias (bias nil: a*b).
+// The k loop is unrolled 4-wide so each pass reads four b rows and
+// touches dst once (4× less dst traffic than the naive kernel), and the
+// j loop is unrolled 4-wide so four independent accumulator chains keep
+// the FPU pipeline full. Each element's additions stay in ascending-k
+// order; the bias is added last, while the row is still in cache.
+func mulBlocked(dst, a, b *Dense, bias []float64, i0, i1 int) {
 	kDim, n := a.cols, b.cols
 	bd := b.data
 	for i := i0; i < i1; i++ {
@@ -123,6 +142,11 @@ func mulBlocked(dst, a, b *Dense, i0, i1 int) {
 			brow := bd[k*n : k*n+n][:len(drow)]
 			for j, bv := range brow {
 				drow[j] += float64(av * bv)
+			}
+		}
+		if bias != nil {
+			for j, bv := range bias[:len(drow)] {
+				drow[j] += bv
 			}
 		}
 	}

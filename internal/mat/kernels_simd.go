@@ -12,15 +12,16 @@ import "sync"
 // the naive oracle, so the families are bitwise-equal; the property
 // tests pin it. They are only dispatched to when simdAvailable.
 
-// mulSIMD computes rows [i0, i1) of dst = a*b.
-func mulSIMD(dst, a, b *Dense, i0, i1 int) {
-	tileRows(dst, a.data, a.cols, 1, b, i0, i1)
+// mulSIMD computes rows [i0, i1) of dst = a*b + bias (bias nil: a*b);
+// the tiles add the bias as they store.
+func mulSIMD(dst, a, b *Dense, bias []float64, i0, i1 int) {
+	tileRows(dst, a.data, a.cols, 1, b, bias, i0, i1)
 }
 
 // tMulSIMD computes rows [i0, i1) of dst = aᵀ * b: row i of aᵀ is column
 // i of a, so a tile's four a values per k are contiguous.
 func tMulSIMD(dst, a, b *Dense, i0, i1 int) {
-	tileRows(dst, a.data, 1, a.cols, b, i0, i1)
+	tileRows(dst, a.data, 1, a.cols, b, nil, i0, i1)
 }
 
 // mulTSIMD computes rows [i0, i1) of dst = a * bᵀ as a times bᵀ packed
@@ -35,7 +36,7 @@ func mulTSIMD(dst, a, b *Dense, i0, i1 int) {
 	}
 	bt := Dense{rows: b.cols, cols: b.rows, data: (*buf)[:len(b.data)]}
 	transpose(bt.data, b.data, b.rows, b.cols)
-	tileRows(dst, a.data, a.cols, 1, &bt, i0, i1)
+	tileRows(dst, a.data, a.cols, 1, &bt, nil, i0, i1)
 	packs.Put(buf)
 }
 
@@ -51,12 +52,19 @@ func transpose(dst, src []float64, rows, cols int) {
 	}
 }
 
-// tileRows computes rows [i0, i1) of dst = A*b, where A(i, k) is
+// tileRows computes rows [i0, i1) of dst = A*b + bias, where A(i, k) is
 // a[i*rs + k*cs], four rows at a time: 8-column tiles across, then one
-// 4-, 2- and 1-column tile for the rest.
-func tileRows(dst *Dense, a []float64, rs, cs int, b *Dense, i0, i1 int) {
+// 4-, 2- and 1-column tile for the rest. A nil bias adds nothing.
+func tileRows(dst *Dense, a []float64, rs, cs int, b *Dense, bias []float64, i0, i1 int) {
 	k, n := uintptr(b.rows), b.cols
 	ucs, ldb := uintptr(cs), uintptr(n)
+	// bp is a tile's bias columns, nil for none.
+	bp := func(j int) *float64 {
+		if bias == nil {
+			return nil
+		}
+		return &bias[j]
+	}
 	for i := i0; i < i1; {
 		ars, ldd, rows := uintptr(rs), ldb, 4
 		switch {
@@ -73,18 +81,18 @@ func tileRows(dst *Dense, a []float64, rs, cs int, b *Dense, i0, i1 int) {
 		ap, drow := &a[i*rs], dst.data[i*n:(i+1)*n]
 		j := 0
 		for ; j+8 <= n; j += 8 {
-			tile4x8(ap, ars, ucs, &b.data[j], ldb, &drow[j], ldd, k)
+			tile4x8(ap, ars, ucs, &b.data[j], ldb, &drow[j], ldd, k, bp(j))
 		}
 		if j+4 <= n {
-			tile4x4(ap, ars, ucs, &b.data[j], ldb, &drow[j], ldd, k)
+			tile4x4(ap, ars, ucs, &b.data[j], ldb, &drow[j], ldd, k, bp(j))
 			j += 4
 		}
 		if j+2 <= n {
-			tile4x2(ap, ars, ucs, &b.data[j], ldb, &drow[j], ldd, k)
+			tile4x2(ap, ars, ucs, &b.data[j], ldb, &drow[j], ldd, k, bp(j))
 			j += 2
 		}
 		if j < n {
-			tile4x1(ap, ars, ucs, &b.data[j], ldb, &drow[j], ldd, k)
+			tile4x1(ap, ars, ucs, &b.data[j], ldb, &drow[j], ldd, k, bp(j))
 		}
 		i += rows
 	}

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math"
 	"strings"
 	"testing"
 
@@ -93,9 +94,55 @@ var wideShapes = []struct{ m, k, n int }{
 	{3, 300, 1024},
 }
 
-// kernelOps are the three matmul forms, each posed as dst(m×n) over an
-// inner dimension k, with its oracle, its public entry point, the row
-// kernels of both families and dst's row count read off a.
+// testBias is a bias row of n values for the MulBias form: ordinary
+// draws, exact zeros of both signs (a +0 bias turns a −0 sum into +0, as
+// adding it afterwards does) and a value large enough to absorb a sum.
+func testBias(n int) []float64 {
+	r := rng.New(uint64(500 + n))
+	bias := make([]float64, n)
+	for j := range bias {
+		switch j % 5 {
+		case 1:
+			bias[j] = 0
+		case 3:
+			bias[j] = math.Copysign(0, -1)
+		case 4:
+			bias[j] = r.Norm() * 1e17
+		default:
+			bias[j] = r.Norm()
+		}
+	}
+	return bias
+}
+
+// naiveMulBias is MulBias's oracle: NaiveMul, then the bias added to
+// every row.
+func naiveMulBias(dst, a, b *Dense) {
+	NaiveMul(dst, a, b)
+	bias := testBias(dst.cols)
+	for i := 0; i < dst.rows; i++ {
+		for j, v := range bias {
+			dst.data[i*dst.cols+j] += v
+		}
+	}
+}
+
+// withBias turns a family's dst = a*b + bias kernel into a rangeKernel,
+// with testBias as the bias (nil: none, Mul).
+func withBias(k biasKernel, bias bool) rangeKernel {
+	return func(dst, a, b *Dense, i0, i1 int) {
+		var v []float64
+		if bias {
+			v = testBias(b.cols)
+		}
+		k(dst, a, b, v, i0, i1)
+	}
+}
+
+// kernelOps are the matmul forms, each posed as dst(m×n) over an inner
+// dimension k, with its oracle, its public entry point, the row kernels
+// of both families and dst's row count read off a. MulBias is Mul with a
+// layer's bias row added as the tiles store it.
 var kernelOps = []struct {
 	name     string
 	operands func(r *rng.RNG, m, k, n int) (a, b *Dense)
@@ -105,11 +152,14 @@ var kernelOps = []struct {
 	rowsOf   func(*Dense) int
 }{
 	{"Mul", func(r *rng.RNG, m, k, n int) (*Dense, *Dense) { return randDense(r, m, k), randDense(r, k, n) },
-		NaiveMul, Mul, [2]rangeKernel{mulBlocked, mulSIMD}, func(a *Dense) int { return a.rows }},
+		NaiveMul, Mul, [2]rangeKernel{withBias(mulBlocked, false), withBias(mulSIMD, false)}, func(a *Dense) int { return a.rows }},
 	{"MulT", func(r *rng.RNG, m, k, n int) (*Dense, *Dense) { return randDense(r, m, k), randDense(r, n, k) },
 		NaiveMulT, MulT, [2]rangeKernel{mulTBlocked, mulTSIMD}, func(a *Dense) int { return a.rows }},
 	{"TMul", func(r *rng.RNG, m, k, n int) (*Dense, *Dense) { return randDense(r, k, m), randDense(r, k, n) },
 		NaiveTMul, TMul, [2]rangeKernel{tMulBlocked, tMulSIMD}, func(a *Dense) int { return a.cols }},
+	{"MulBias", func(r *rng.RNG, m, k, n int) (*Dense, *Dense) { return randDense(r, m, k), randDense(r, k, n) },
+		naiveMulBias, func(dst, a, b *Dense) { MulBias(dst, a, b, testBias(b.cols)) },
+		[2]rangeKernel{withBias(mulBlocked, true), withBias(mulSIMD, true)}, func(a *Dense) int { return a.rows }},
 }
 
 // familyNames are the two matmul families, named as Kernel reports
@@ -246,12 +296,13 @@ func TestColSumsInto(t *testing.T) {
 // holds no kernel selector: the family is picked once, from CPUID, and
 // Kernel only names it.
 var exportedAPI = map[string]bool{
-	"AdamCoeffs": true, "AdamStep": true, "AddRowVector": true, "Arena": true, "Axpy": true,
-	"ColSumsInto": true, "Dense": true, "Dot": true, "Exp": true, "FoldL2": true,
-	"Kernel": true, "Logistic": true, "LogisticDeriv": true, "Mul": true, "MulT": true,
-	"MulTWorkers": true, "MulWorkers": true, "NewDense": true, "NewDenseData": true, "Norm2": true,
-	"ReLU": true, "ReLUDeriv": true, "Scale": true, "SqDist": true,
-	"TMul": true, "TMulWorkers": true, "Tanh": true, "TanhDeriv": true,
+	"AdamCoeffs": true, "AdamStep": true, "Arena": true, "Axpy": true, "AxpyDot": true,
+	"AxpyTo": true, "ColSumsInto": true, "CurvaturePair": true, "Dense": true, "Dot": true,
+	"Exp": true, "FoldL2": true, "Kernel": true, "Logistic": true, "LogisticDeriv": true,
+	"Mul": true, "MulBias": true, "MulT": true, "MulTWorkers": true, "MulWorkers": true,
+	"NewDense": true, "NewDenseData": true, "Norm2": true, "ReLU": true, "ReLUDeriv": true,
+	"SGDStep": true, "Scale": true, "SqDist": true, "TMul": true, "TMulWorkers": true,
+	"Tanh": true, "TanhDeriv": true,
 }
 
 // TestNoKernelSwitch keeps the kernel family a property of the build:

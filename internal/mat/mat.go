@@ -141,13 +141,28 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Axpy computes y += alpha*x for equal-length vectors.
+// Axpy computes y += alpha*x for equal-length vectors, with the AVX2
+// body where the CPU has it (the Go loop is the reference; see
+// elementwise.go).
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mat: axpy length mismatch %d vs %d", len(x), len(y)))
 	}
+	if len(x) == 0 {
+		return
+	}
+	if simdAvailable {
+		axpyavx(&x[0], &y[0], uintptr(len(x)), alpha)
+		return
+	}
+	axpyGo(alpha, x, y)
+}
+
+// axpyGo is Axpy's reference loop.
+func axpyGo(alpha float64, x, y []float64) {
+	y = y[:len(x)]
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float64(alpha * v)
 	}
 }
 
@@ -173,23 +188,23 @@ func SqDist(a, b []float64) float64 {
 	return s
 }
 
-// Scale multiplies every element of v by s in place.
+// Scale multiplies every element of v by s in place, with the AVX2 body
+// where the CPU has it.
 func Scale(s float64, v []float64) {
-	for i := range v {
-		v[i] *= s
+	if len(v) == 0 {
+		return
 	}
+	if simdAvailable {
+		scaleavx(&v[0], uintptr(len(v)), s)
+		return
+	}
+	scaleGo(s, v)
 }
 
-// AddRowVector adds vector v to every row of m in place.
-func AddRowVector(m *Dense, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: row vector length %d != cols %d", len(v), m.cols))
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, x := range v {
-			row[j] += x
-		}
+// scaleGo is Scale's reference loop.
+func scaleGo(s float64, v []float64) {
+	for i := range v {
+		v[i] *= s
 	}
 }
 

@@ -160,18 +160,23 @@ func TestSqDistNonNegativeAndSymmetric(t *testing.T) {
 	}
 }
 
+// TestAddRowVectorColSums adds a row vector the way the forward pass
+// does, as MulBias's bias (against the identity, so the product is the
+// matrix itself), and sums the columns back.
 func TestAddRowVectorColSums(t *testing.T) {
-	m := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	AddRowVector(m, []float64{10, 20, 30})
+	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	id := NewDenseData(3, 3, []float64{1, 0, 0, 0, 1, 0, 0, 0, 1})
+	m := NewDense(2, 3)
+	MulBias(m, a, id, []float64{10, 20, 30})
 	if m.At(1, 2) != 36 {
-		t.Fatalf("AddRowVector wrong: %v", m.Data())
+		t.Fatalf("row vector add wrong: %v", m.Data())
 	}
 	sums := make([]float64, 3)
 	ColSumsInto(sums, m)
 	if sums[0] != 11+14 || sums[2] != 33+36 {
 		t.Fatalf("ColSums wrong: %v", sums)
 	}
-	assertPanics(t, "row vector mismatch", func() { AddRowVector(m, []float64{1}) })
+	assertPanics(t, "row vector mismatch", func() { MulBias(m, a, id, []float64{1}) })
 }
 
 func TestAddScaledShapePanic(t *testing.T) {

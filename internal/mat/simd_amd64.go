@@ -17,9 +17,17 @@ import "math"
 // computed together, never the order of additions within one.
 // VMULPD/VADDPD round each lane exactly like the scalar ops, so the SIMD
 // family is bitwise-identical to the blocked and naive kernels. The
-// matmul, Adam and L2-fold kernels never emit FMA: a fused multiply-add
+// matmul and per-parameter kernels never emit FMA: a fused multiply-add
 // rounds once where the reference kernels round twice, which would
 // break that guarantee.
+//
+// The per-parameter kernels are the three weight writers — adamavx,
+// sgdavx and axpytoavx (an L-BFGS trial point) — each returning the sum
+// of squares of what it wrote, the L2 folds foldl2avx and foldl2mulavx,
+// axpyavx and scaleavx, and L-BFGS's fused passes axpydotavx (an Axpy
+// and the Dot that reads it) and pairavx (a curvature pair and its three
+// sums). A layer's bias is added as the tile is stored,
+// the one rounding a separate row-vector add would make.
 //
 // The activation kernels (the contracts are in activation.go) compute
 // math.Exp lane for lane, and math.Exp itself has two bodies, one with
@@ -28,33 +36,71 @@ import "math"
 
 // tile4x8 sets, for r < 4 and c < 8,
 //
-//	dst[r*ldd+c] = Σ_{κ<k} a[r*rs+κ*cs] * b[κ*ldb+c]
+//	dst[r*ldd+c] = Σ_{κ<k} a[r*rs+κ*cs] * b[κ*ldb+c]  (+ bias[c])
 //
-// summed from +0 in ascending κ; strides are in elements. tile4x4,
-// tile4x2 and tile4x1 do the same for c < 4, 2 and 1.
-//
-//go:noescape
-func tile4x8(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
-
-//go:noescape
-func tile4x4(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
-
-//go:noescape
-func tile4x2(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
-
-//go:noescape
-func tile4x1(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
-
-// adamavx is AdamStep four lanes wide over n elements, c pointing at
-// the eight coefficients in AdamCoeffs field order.
+// summed from +0 in ascending κ; strides are in elements. Where bias is
+// not nil, bias[c] is added to the sum as it is stored, one rounding.
+// tile4x4, tile4x2 and tile4x1 do the same for c < 4, 2 and 1.
 //
 //go:noescape
-func adamavx(p, m, v, grad *float64, n uintptr, c *AdamCoeffs)
+func tile4x8(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr, bias *float64)
 
-// foldl2avx is FoldL2 four lanes wide over n elements.
+//go:noescape
+func tile4x4(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr, bias *float64)
+
+//go:noescape
+func tile4x2(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr, bias *float64)
+
+//go:noescape
+func tile4x1(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr, bias *float64)
+
+// The per-parameter kernels (contracts in elementwise.go and mat.go),
+// four lanes wide over n elements. Those that return a sum of squares or
+// a dot product add each block's four lanes to it in lane order.
+
+// adamavx is AdamStep, c pointing at the eight coefficients in
+// AdamCoeffs field order.
+//
+//go:noescape
+func adamavx(p, m, v, grad *float64, n uintptr, c *AdamCoeffs, sq float64) float64
+
+// sgdavx is SGDStep; nesterov is 0 or 1.
+//
+//go:noescape
+func sgdavx(p, vel, grad *float64, n uintptr, mu, lr float64, nesterov uintptr, sq float64) float64
+
+// axpytoavx is AxpyTo.
+//
+//go:noescape
+func axpytoavx(dst, x, y *float64, n uintptr, a, sq float64) float64
+
+// axpydotavx is AxpyDot, the negation an XOR with mask (0 or the sign
+// bit).
+//
+//go:noescape
+func axpydotavx(x, y, z *float64, n uintptr, a float64, mask uint64) float64
+
+// pairavx is CurvaturePair.
+//
+//go:noescape
+func pairavx(s, y, dir, grad, prev *float64, n uintptr, step float64) (sy, yy, gg float64)
+
+// axpyavx is Axpy and scaleavx is Scale.
+//
+//go:noescape
+func axpyavx(x, y *float64, n uintptr, a float64)
+
+//go:noescape
+func scaleavx(v *float64, n uintptr, s float64)
+
+// foldl2avx is FoldL2 dividing by rows, foldl2mulavx FoldL2 multiplying
+// by the exact reciprocal inv of a power-of-two row count.
 //
 //go:noescape
 func foldl2avx(dst, gw, w *float64, n uintptr, alpha, rows float64)
+
+//go:noescape
+func foldl2mulavx(dst, gw, w *float64, n uintptr, alpha, inv float64)
 
 // The activation kernels work in place over x's whole blocks of four.
 // The exp-based ones (one variant per exp body) return how many

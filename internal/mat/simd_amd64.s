@@ -1,7 +1,10 @@
 //go:build amd64 && !purego
 
-// AVX2 microkernels for the SIMD family: the matmul tiles, the
-// per-parameter Adam and L2-fold loops, and the activations. See
+// AVX2 microkernels for the SIMD family: the matmul tiles (with the bias
+// store), the per-parameter kernels — the Adam and SGD steps and the
+// L-BFGS trial step, each carrying the sum of squares of what it wrote,
+// the L2 folds, Axpy, Scale and L-BFGS's fused AxpyDot and curvature-
+// pair passes — and the activations. See
 // simd_amd64.go and activation.go for the contracts. Determinism rules
 // observed throughout:
 //
@@ -13,6 +16,10 @@
 //     scalar kernels (a tile element is +0 + p₀ + p₁ + … in ascending
 //     k, one k per loop step); vectorization and tiling only group
 //     *independent* elements;
+//   - a reduction (a sum of squares, a dot product) is one chain in
+//     element order, as in the Go loops: a block's four products are
+//     computed together, then added to the scalar accumulator lane by
+//     lane (SUM4), never summed pairwise;
 //   - VZEROUPPER before any scalar tail or return, so the SSE tail ops
 //     pay no AVX transition penalty.
 
@@ -26,10 +33,12 @@
 //
 // The accumulators start at +0 and stay in registers; each step κ loads
 // one C-wide b row, broadcasts the four a values and adds their products
-// in ascending κ; the tile is stored once, at the end. The arguments are
+// in ascending κ; the tile is stored once, at the end, with bias[c]
+// added to column c first where bias is not nil (VADDPD acc + bias, the
+// one rounding of adding the bias row afterwards). The arguments are
 // the same for every width:
 //
-//	func tile4xC(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
+//	func tile4xC(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr, bias *float64)
 //
 // TILE_ENTRY loads them into byte strides: SI walks a's row 0 and R8
 // its row 3 (rows 1 and 2 are SI+CX and SI+2·CX), BX walks b, and DI,
@@ -57,15 +66,17 @@
 	ADDQ R9, BX; \
 	DECQ R11
 
-// TILE_ROWS points R12 at dst's row 2 and R13 at its row 3.
+// TILE_ROWS points R12 at dst's row 2 and R13 at its row 3, and AX at
+// the bias columns (nil for none).
 #define TILE_ROWS \
 	LEAQ (DI)(R10*2), R12; \
-	LEAQ (R12)(R10*1), R13
+	LEAQ (R12)(R10*1), R13; \
+	MOVQ bias+64(FP), AX
 
-// func tile4x8(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
+// func tile4x8(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr, bias *float64)
 //
 // Row r accumulates in Y(2r) (columns 0–3) and Y(2r+1) (columns 4–7).
-TEXT ·tile4x8(SB), NOSPLIT, $0-64
+TEXT ·tile4x8(SB), NOSPLIT, $0-72
 	TILE_ENTRY
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -106,6 +117,20 @@ tile4x8_loop:
 
 tile4x8_store:
 	TILE_ROWS
+	TESTQ   AX, AX
+	JEQ     tile4x8_put
+	VMOVUPD (AX), Y8
+	VMOVUPD 32(AX), Y9
+	VADDPD  Y8, Y0, Y0
+	VADDPD  Y9, Y1, Y1
+	VADDPD  Y8, Y2, Y2
+	VADDPD  Y9, Y3, Y3
+	VADDPD  Y8, Y4, Y4
+	VADDPD  Y9, Y5, Y5
+	VADDPD  Y8, Y6, Y6
+	VADDPD  Y9, Y7, Y7
+
+tile4x8_put:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, (DI)(R10*1)
@@ -117,10 +142,10 @@ tile4x8_store:
 	VZEROUPPER
 	RET
 
-// func tile4x4(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
+// func tile4x4(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr, bias *float64)
 //
 // Row r accumulates in Yr.
-TEXT ·tile4x4(SB), NOSPLIT, $0-64
+TEXT ·tile4x4(SB), NOSPLIT, $0-72
 	TILE_ENTRY
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -148,6 +173,15 @@ tile4x4_loop:
 
 tile4x4_store:
 	TILE_ROWS
+	TESTQ   AX, AX
+	JEQ     tile4x4_put
+	VMOVUPD (AX), Y8
+	VADDPD  Y8, Y0, Y0
+	VADDPD  Y8, Y1, Y1
+	VADDPD  Y8, Y2, Y2
+	VADDPD  Y8, Y3, Y3
+
+tile4x4_put:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, (DI)(R10*1)
 	VMOVUPD Y2, (R12)
@@ -155,10 +189,10 @@ tile4x4_store:
 	VZEROUPPER
 	RET
 
-// func tile4x2(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
+// func tile4x2(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr, bias *float64)
 //
 // Row r accumulates in Xr; VMOVDDUP broadcasts an a value to both lanes.
-TEXT ·tile4x2(SB), NOSPLIT, $0-64
+TEXT ·tile4x2(SB), NOSPLIT, $0-72
 	TILE_ENTRY
 	VXORPD X0, X0, X0
 	VXORPD X1, X1, X1
@@ -186,6 +220,15 @@ tile4x2_loop:
 
 tile4x2_store:
 	TILE_ROWS
+	TESTQ   AX, AX
+	JEQ     tile4x2_put
+	VMOVUPD (AX), X8
+	VADDPD  X8, X0, X0
+	VADDPD  X8, X1, X1
+	VADDPD  X8, X2, X2
+	VADDPD  X8, X3, X3
+
+tile4x2_put:
 	VMOVUPD X0, (DI)
 	VMOVUPD X1, (DI)(R10*1)
 	VMOVUPD X2, (R12)
@@ -193,10 +236,10 @@ tile4x2_store:
 	VZEROUPPER
 	RET
 
-// func tile4x1(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr)
+// func tile4x1(a *float64, rs, cs uintptr, b *float64, ldb uintptr, dst *float64, ldd, k uintptr, bias *float64)
 //
 // Row r accumulates in the low lane of Xr.
-TEXT ·tile4x1(SB), NOSPLIT, $0-64
+TEXT ·tile4x1(SB), NOSPLIT, $0-72
 	TILE_ENTRY
 	VXORPD X0, X0, X0
 	VXORPD X1, X1, X1
@@ -224,6 +267,15 @@ tile4x1_loop:
 
 tile4x1_store:
 	TILE_ROWS
+	TESTQ  AX, AX
+	JEQ    tile4x1_put
+	VMOVSD (AX), X8
+	VADDSD X8, X0, X0
+	VADDSD X8, X1, X1
+	VADDSD X8, X2, X2
+	VADDSD X8, X3, X3
+
+tile4x1_put:
 	VMOVSD X0, (DI)
 	VMOVSD X1, (DI)(R10*1)
 	VMOVSD X2, (R12)
@@ -231,15 +283,29 @@ tile4x1_store:
 	VZEROUPPER
 	RET
 
-// func adamavx(p, m, v, grad *float64, n uintptr, c *AdamCoeffs)
+// SUM4(y, x, t, acc) adds the four lanes of y to the scalar in acc's low
+// lane, lane 0 first, one rounding each: the sequential chain of the Go
+// loops (acc is the first operand, as in their acc += v). x is y's low
+// half and t a scratch register; y is clobbered.
+#define SUM4(y, x, t, acc) \
+	VADDSD       x, acc, acc; \
+	VUNPCKHPD    x, x, t; \
+	VADDSD       t, acc, acc; \
+	VEXTRACTF128 $1, y, x; \
+	VADDSD       x, acc, acc; \
+	VUNPCKHPD    x, x, t; \
+	VADDSD       t, acc, acc
+
+// func adamavx(p, m, v, grad *float64, n uintptr, c *AdamCoeffs, sq float64) float64
 //
 // One Adam step per lane, in the reference loop's operation order:
 // m' = β1·m + (1−β1)·g, v' = β2·v + ((1−β2)·g)·g, then
-// p −= (lr·(m'/b1c)) / (√(v'/b2c) + ε). Multiplication is commutative
-// bit for bit, so only the grouping of each expression matters, and it
-// is kept. VSQRTPD and VDIVPD are correctly rounded like SQRTSD and
-// DIVSD, so every lane equals the scalar form.
-TEXT ·adamavx(SB), NOSPLIT, $0-48
+// p −= (lr·(m'/b1c)) / (√(v'/b2c) + ε), and p'·p' into the chain in X15.
+// Multiplication is commutative bit for bit, so only the grouping of
+// each expression matters, and it is kept. VSQRTPD and VDIVPD are
+// correctly rounded like SQRTSD and DIVSD, so every lane equals the
+// scalar form. The chain's latency hides behind the divides.
+TEXT ·adamavx(SB), NOSPLIT, $0-64
 	MOVQ p+0(FP), DI
 	MOVQ m+8(FP), SI
 	MOVQ v+16(FP), R8
@@ -254,6 +320,7 @@ TEXT ·adamavx(SB), NOSPLIT, $0-48
 	VBROADCASTSD 40(R10), Y5  // b1c
 	VBROADCASTSD 48(R10), Y6  // b2c
 	VBROADCASTSD 56(R10), Y7  // ε
+	VMOVSD       sq+48(FP), X15
 	XORQ AX, AX
 	MOVQ DX, BX
 	ANDQ $-4, BX
@@ -282,6 +349,8 @@ adam_loop4:
 	VMOVUPD (DI)(AX*8), Y11
 	VSUBPD  Y9, Y11, Y11      // p − step
 	VMOVUPD Y11, (DI)(AX*8)
+	VMULPD  Y11, Y11, Y12     // p'·p'
+	SUM4(Y12, X12, X13, X15)
 	ADDQ $4, AX
 	JMP  adam_loop4
 
@@ -314,10 +383,367 @@ adam_tailloop:
 	MOVSD (DI)(AX*8), X11
 	SUBSD X9, X11
 	MOVSD X11, (DI)(AX*8)
+	MULSD X11, X11
+	ADDSD X11, X15
 	INCQ AX
 	JMP  adam_tailloop
 
 adam_done:
+	MOVSD X15, ret+56(FP)
+	RET
+
+// func sgdavx(p, vel, grad *float64, n uintptr, mu, lr float64, nesterov uintptr, sq float64) float64
+//
+// One momentum step per lane: v' = μ·v − lr·g, then p += v' (plain) or
+// p += μ·v' − lr·g (nesterov, the lr·g product reused), and p'·p' into
+// the chain in X15.
+TEXT ·sgdavx(SB), NOSPLIT, $0-72
+	MOVQ         p+0(FP), DI
+	MOVQ         vel+8(FP), SI
+	MOVQ         grad+16(FP), R8
+	MOVQ         n+24(FP), DX
+	VBROADCASTSD mu+32(FP), Y0
+	VBROADCASTSD lr+40(FP), Y1
+	MOVQ         nesterov+48(FP), R10
+	VMOVSD       sq+56(FP), X15
+	XORQ AX, AX
+	MOVQ DX, BX
+	ANDQ $-4, BX
+
+sgd_loop4:
+	CMPQ AX, BX
+	JGE  sgd_tail
+	VMOVUPD (R8)(AX*8), Y2
+	VMULPD  Y2, Y1, Y2        // lr·g
+	VMOVUPD (SI)(AX*8), Y3
+	VMULPD  Y0, Y3, Y3        // μ·v
+	VSUBPD  Y2, Y3, Y3        // v'
+	VMOVUPD Y3, (SI)(AX*8)
+	TESTQ   R10, R10
+	JEQ     sgd_add4
+	VMULPD  Y0, Y3, Y3        // μ·v'
+	VSUBPD  Y2, Y3, Y3        // μ·v' − lr·g
+
+sgd_add4:
+	VMOVUPD (DI)(AX*8), Y4
+	VADDPD  Y3, Y4, Y4        // p + d
+	VMOVUPD Y4, (DI)(AX*8)
+	VMULPD  Y4, Y4, Y5
+	SUM4(Y5, X5, X6, X15)
+	ADDQ $4, AX
+	JMP  sgd_loop4
+
+sgd_tail:
+	VZEROUPPER
+
+sgd_tailloop:
+	CMPQ  AX, DX
+	JGE   sgd_done
+	MOVSD (R8)(AX*8), X2
+	MULSD X1, X2
+	MOVSD (SI)(AX*8), X3
+	MULSD X0, X3
+	SUBSD X2, X3
+	MOVSD X3, (SI)(AX*8)
+	TESTQ R10, R10
+	JEQ   sgd_add1
+	MULSD X0, X3
+	SUBSD X2, X3
+
+sgd_add1:
+	MOVSD (DI)(AX*8), X4
+	ADDSD X3, X4
+	MOVSD X4, (DI)(AX*8)
+	MULSD X4, X4
+	ADDSD X4, X15
+	INCQ  AX
+	JMP   sgd_tailloop
+
+sgd_done:
+	MOVSD X15, ret+64(FP)
+	RET
+
+// func axpytoavx(dst, x, y *float64, n uintptr, a, sq float64) float64
+//
+// dst = y + a·x per lane, and dst·dst into the chain in X15.
+TEXT ·axpytoavx(SB), NOSPLIT, $0-56
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), R8
+	MOVQ         n+24(FP), DX
+	VBROADCASTSD a+32(FP), Y0
+	VMOVSD       sq+40(FP), X15
+	XORQ AX, AX
+	MOVQ DX, BX
+	ANDQ $-4, BX
+
+axpyto_loop4:
+	CMPQ AX, BX
+	JGE  axpyto_tail
+	VMOVUPD (SI)(AX*8), Y1
+	VMULPD  Y1, Y0, Y1        // a·x
+	VMOVUPD (R8)(AX*8), Y2
+	VADDPD  Y1, Y2, Y2        // y + a·x
+	VMOVUPD Y2, (DI)(AX*8)
+	VMULPD  Y2, Y2, Y3
+	SUM4(Y3, X3, X4, X15)
+	ADDQ $4, AX
+	JMP  axpyto_loop4
+
+axpyto_tail:
+	VZEROUPPER
+
+axpyto_tailloop:
+	CMPQ  AX, DX
+	JGE   axpyto_done
+	MOVSD (SI)(AX*8), X1
+	MULSD X0, X1
+	MOVSD (R8)(AX*8), X2
+	ADDSD X1, X2
+	MOVSD X2, (DI)(AX*8)
+	MULSD X2, X2
+	ADDSD X2, X15
+	INCQ  AX
+	JMP   axpyto_tailloop
+
+axpyto_done:
+	MOVSD X15, ret+48(FP)
+	RET
+
+// func axpydotavx(x, y, z *float64, n uintptr, a float64, mask uint64) float64
+//
+// y = (y + a·x) XOR mask per lane, and z·y into the chain in X15, from
+// +0.
+TEXT ·axpydotavx(SB), NOSPLIT, $0-56
+	MOVQ         x+0(FP), SI
+	MOVQ         y+8(FP), DI
+	MOVQ         z+16(FP), R8
+	MOVQ         n+24(FP), DX
+	VBROADCASTSD a+32(FP), Y0
+	VBROADCASTSD mask+40(FP), Y1
+	VXORPD       X15, X15, X15
+	XORQ AX, AX
+	MOVQ DX, BX
+	ANDQ $-4, BX
+
+axpydot_loop4:
+	CMPQ AX, BX
+	JGE  axpydot_tail
+	VMOVUPD (SI)(AX*8), Y2
+	VMULPD  Y2, Y0, Y2        // a·x
+	VMOVUPD (DI)(AX*8), Y3
+	VADDPD  Y2, Y3, Y3        // y + a·x
+	VXORPD  Y1, Y3, Y3
+	VMOVUPD Y3, (DI)(AX*8)
+	VMOVUPD (R8)(AX*8), Y4
+	VMULPD  Y3, Y4, Y4        // z·y
+	SUM4(Y4, X4, X5, X15)
+	ADDQ $4, AX
+	JMP  axpydot_loop4
+
+axpydot_tail:
+	VZEROUPPER
+
+axpydot_tailloop:
+	CMPQ  AX, DX
+	JGE   axpydot_done
+	MOVSD (SI)(AX*8), X2
+	MULSD X0, X2
+	MOVSD (DI)(AX*8), X3
+	ADDSD X2, X3
+	XORPD X1, X3
+	MOVSD X3, (DI)(AX*8)
+	MOVSD (R8)(AX*8), X4
+	MULSD X3, X4
+	ADDSD X4, X15
+	INCQ  AX
+	JMP   axpydot_tailloop
+
+axpydot_done:
+	MOVSD X15, ret+48(FP)
+	RET
+
+// func pairavx(s, y, dir, grad, prev *float64, n uintptr, step float64) (sy, yy, gg float64)
+//
+// s = step·dir and y = grad − prev per lane; sᵀy, yᵀy and gᵀg are three
+// independent chains (X13, X14, X15, from +0), advanced lane by lane
+// side by side, so they cost the latency of one.
+TEXT ·pairavx(SB), NOSPLIT, $0-80
+	MOVQ         s+0(FP), DI
+	MOVQ         y+8(FP), SI
+	MOVQ         dir+16(FP), R8
+	MOVQ         grad+24(FP), R9
+	MOVQ         prev+32(FP), R10
+	MOVQ         n+40(FP), DX
+	VBROADCASTSD step+48(FP), Y0
+	VXORPD       X13, X13, X13
+	VXORPD       X14, X14, X14
+	VXORPD       X15, X15, X15
+	XORQ AX, AX
+	MOVQ DX, BX
+	ANDQ $-4, BX
+
+pair_loop4:
+	CMPQ AX, BX
+	JGE  pair_tail
+	VMOVUPD      (R8)(AX*8), Y1
+	VMULPD       Y1, Y0, Y1   // s = step·dir
+	VMOVUPD      Y1, (DI)(AX*8)
+	VMOVUPD      (R9)(AX*8), Y2
+	VMOVUPD      (R10)(AX*8), Y3
+	VSUBPD       Y3, Y2, Y3   // y = grad − prev
+	VMOVUPD      Y3, (SI)(AX*8)
+	VMULPD       Y3, Y1, Y4   // s·y
+	VMULPD       Y3, Y3, Y5   // y·y
+	VMULPD       Y2, Y2, Y6   // grad·grad
+	VADDSD       X4, X13, X13
+	VADDSD       X5, X14, X14
+	VADDSD       X6, X15, X15
+	VUNPCKHPD    X4, X4, X7
+	VUNPCKHPD    X5, X5, X8
+	VUNPCKHPD    X6, X6, X9
+	VADDSD       X7, X13, X13
+	VADDSD       X8, X14, X14
+	VADDSD       X9, X15, X15
+	VEXTRACTF128 $1, Y4, X4
+	VEXTRACTF128 $1, Y5, X5
+	VEXTRACTF128 $1, Y6, X6
+	VADDSD       X4, X13, X13
+	VADDSD       X5, X14, X14
+	VADDSD       X6, X15, X15
+	VUNPCKHPD    X4, X4, X7
+	VUNPCKHPD    X5, X5, X8
+	VUNPCKHPD    X6, X6, X9
+	VADDSD       X7, X13, X13
+	VADDSD       X8, X14, X14
+	VADDSD       X9, X15, X15
+	ADDQ $4, AX
+	JMP  pair_loop4
+
+pair_tail:
+	VZEROUPPER
+
+pair_tailloop:
+	CMPQ  AX, DX
+	JGE   pair_done
+	MOVSD (R8)(AX*8), X1
+	MULSD X0, X1
+	MOVSD X1, (DI)(AX*8)
+	MOVSD (R9)(AX*8), X2
+	MOVSD X2, X3
+	SUBSD (R10)(AX*8), X3
+	MOVSD X3, (SI)(AX*8)
+	MOVSD X1, X4
+	MULSD X3, X4
+	MOVSD X3, X5
+	MULSD X3, X5
+	MOVSD X2, X6
+	MULSD X2, X6
+	ADDSD X4, X13
+	ADDSD X5, X14
+	ADDSD X6, X15
+	INCQ  AX
+	JMP   pair_tailloop
+
+pair_done:
+	MOVSD X13, sy+56(FP)
+	MOVSD X14, yy+64(FP)
+	MOVSD X15, gg+72(FP)
+	RET
+
+// func axpyavx(x, y *float64, n uintptr, a float64)
+//
+// y = y + a·x per lane.
+TEXT ·axpyavx(SB), NOSPLIT, $0-32
+	MOVQ         x+0(FP), SI
+	MOVQ         y+8(FP), DI
+	MOVQ         n+16(FP), DX
+	VBROADCASTSD a+24(FP), Y0
+	XORQ AX, AX
+	MOVQ DX, BX
+	ANDQ $-8, BX
+
+axpy_loop8:
+	CMPQ AX, BX
+	JGE  axpy_quad
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VMULPD  32(SI)(AX*8), Y0, Y2
+	VADDPD  (DI)(AX*8), Y1, Y1
+	VADDPD  32(DI)(AX*8), Y2, Y2
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y2, 32(DI)(AX*8)
+	ADDQ $8, AX
+	JMP  axpy_loop8
+
+axpy_quad:
+	MOVQ DX, BX
+	ANDQ $-4, BX
+	CMPQ AX, BX
+	JGE  axpy_tail
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VADDPD  (DI)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+
+axpy_tail:
+	VZEROUPPER
+
+axpy_tailloop:
+	CMPQ  AX, DX
+	JGE   axpy_done
+	MOVSD (SI)(AX*8), X1
+	MULSD X0, X1
+	ADDSD (DI)(AX*8), X1
+	MOVSD X1, (DI)(AX*8)
+	INCQ  AX
+	JMP   axpy_tailloop
+
+axpy_done:
+	RET
+
+// func scaleavx(v *float64, n uintptr, s float64)
+//
+// v = v·s per lane.
+TEXT ·scaleavx(SB), NOSPLIT, $0-24
+	MOVQ         v+0(FP), DI
+	MOVQ         n+8(FP), DX
+	VBROADCASTSD s+16(FP), Y0
+	XORQ AX, AX
+	MOVQ DX, BX
+	ANDQ $-8, BX
+
+scale_loop8:
+	CMPQ AX, BX
+	JGE  scale_quad
+	VMULPD  (DI)(AX*8), Y0, Y1
+	VMULPD  32(DI)(AX*8), Y0, Y2
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y2, 32(DI)(AX*8)
+	ADDQ $8, AX
+	JMP  scale_loop8
+
+scale_quad:
+	MOVQ DX, BX
+	ANDQ $-4, BX
+	CMPQ AX, BX
+	JGE  scale_tail
+	VMULPD  (DI)(AX*8), Y0, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+
+scale_tail:
+	VZEROUPPER
+
+scale_tailloop:
+	CMPQ  AX, DX
+	JGE   scale_done
+	MOVSD (DI)(AX*8), X1
+	MULSD X0, X1
+	MOVSD X1, (DI)(AX*8)
+	INCQ  AX
+	JMP   scale_tailloop
+
+scale_done:
 	RET
 
 // func foldl2avx(dst, gw, w *float64, n uintptr, alpha, rows float64)
@@ -381,6 +807,70 @@ foldl2_tailloop:
 	JMP  foldl2_tailloop
 
 foldl2_done:
+	RET
+
+// func foldl2mulavx(dst, gw, w *float64, n uintptr, alpha, inv float64)
+//
+// dst = gw + (α·w)·inv per lane, inv = 1/rows for a power-of-two rows:
+// the same bits as the division (see FoldL2).
+TEXT ·foldl2mulavx(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ gw+8(FP), SI
+	MOVQ w+16(FP), R8
+	MOVQ n+24(FP), DX
+	VBROADCASTSD alpha+32(FP), Y0
+	VBROADCASTSD inv+40(FP), Y1
+	XORQ AX, AX
+	MOVQ DX, BX
+	ANDQ $-8, BX
+
+foldl2mul_loop8:
+	CMPQ AX, BX
+	JGE  foldl2mul_quad
+	VMOVUPD (R8)(AX*8), Y2
+	VMOVUPD 32(R8)(AX*8), Y3
+	VMULPD  Y0, Y2, Y2
+	VMULPD  Y0, Y3, Y3
+	VMULPD  Y1, Y2, Y2
+	VMULPD  Y1, Y3, Y3
+	VMOVUPD (SI)(AX*8), Y4
+	VMOVUPD 32(SI)(AX*8), Y5
+	VADDPD  Y2, Y4, Y4
+	VADDPD  Y3, Y5, Y5
+	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD Y5, 32(DI)(AX*8)
+	ADDQ $8, AX
+	JMP  foldl2mul_loop8
+
+foldl2mul_quad:
+	MOVQ DX, BX
+	ANDQ $-4, BX
+	CMPQ AX, BX
+	JGE  foldl2mul_tail
+	VMOVUPD (R8)(AX*8), Y2
+	VMULPD  Y0, Y2, Y2
+	VMULPD  Y1, Y2, Y2
+	VMOVUPD (SI)(AX*8), Y4
+	VADDPD  Y2, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ $4, AX
+
+foldl2mul_tail:
+	VZEROUPPER
+
+foldl2mul_tailloop:
+	CMPQ AX, DX
+	JGE  foldl2mul_done
+	MOVSD (R8)(AX*8), X2
+	MULSD X0, X2
+	MULSD X1, X2
+	MOVSD (SI)(AX*8), X4
+	ADDSD X2, X4
+	MOVSD X4, (DI)(AX*8)
+	INCQ AX
+	JMP  foldl2mul_tailloop
+
+foldl2mul_done:
 	RET
 
 // The activation kernels: exp, and on top of it the logistic function

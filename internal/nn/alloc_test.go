@@ -76,9 +76,9 @@ func TestFitEpochZeroAlloc(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			m, x, target, _ := setup(LBFGS, c.act)
 			grad := make([]float64, len(m.nw.params))
-			m.nw.lossGrad(x, target, m.cfg.Alpha, grad) // warm-up: builds the full-batch scratch
+			m.nw.lossGrad(x, target, m.cfg.Alpha, m.nw.weightSq(), grad) // warm-up: builds the full-batch scratch
 			iteration := func() {
-				m.nw.loss(x, target, m.cfg.Alpha) // a line-search trial
+				m.nw.loss(x, target, m.cfg.Alpha, 0) // a line-search trial
 				m.nw.backprop(x, target, m.cfg.Alpha, grad)
 			}
 			if allocs := testing.AllocsPerRun(5, iteration); allocs != 0 {

@@ -21,20 +21,24 @@ func (m *Model) fitLBFGS(x, target *mat.Dense) {
 	const history = 10
 	const c1 = 1e-4 // Armijo sufficient-decrease constant
 	cfg := m.cfg
-	p := len(m.nw.params)
-	ws := m.nw.ws
+	nw := m.nw
+	p := len(nw.params)
+	ws := nw.ws
 	grad := ws.Floats(p)
-	loss := m.nw.lossGrad(x, target, cfg.Alpha, grad)
+	loss := nw.lossGrad(x, target, cfg.Alpha, nw.weightSq(), grad)
 	m.LossCurve = ws.Floats(cfg.MaxIter + 1)[:0]
 	m.LossCurve = append(m.LossCurve, loss)
 
 	// The history window holds at most history pairs between iterations
-	// and one more while a new pair is being admitted.
+	// and one more while a new pair is being admitted. lastSY and lastYY
+	// are the newest admitted pair's sᵀy and yᵀy, the scale γ is taken
+	// from.
 	sList := make([][]float64, 0, history+1)
 	yList := make([][]float64, 0, history+1)
 	rhoList := ws.Floats(history + 1)[:0]
+	var lastSY, lastYY float64
 	dir := ws.Floats(p)
-	trial := ws.Floats(p)
+	base := ws.Floats(p)
 	newGrad := ws.Floats(p)
 	alphaBuf := ws.Floats(history)
 	// freelist recycles curvature-pair buffers evicted from the history
@@ -50,32 +54,43 @@ func (m *Model) fitLBFGS(x, target *mat.Dense) {
 		return ws.Floats(p)
 	}
 
+	// gnorm is ‖grad‖: here from the first gradient, later from the pass
+	// that builds the curvature pair.
+	gnorm := mat.Norm2(grad)
 	for iter := 0; iter < cfg.MaxIter; iter++ {
-		gnorm := mat.Norm2(grad)
 		if gnorm < cfg.Tol {
 			break
 		}
-		// Two-loop recursion: dir = -H·grad.
+		// Two-loop recursion: dir = -H·grad, and descent = gradᵀdir.
+		// Each Axpy runs fused with the Dot that reads its result, the
+		// last one with the negation and the descent product too.
 		copy(dir, grad)
 		k := len(sList)
-		for i := k - 1; i >= 0; i-- {
-			alphaBuf[i] = rhoList[i] * mat.Dot(sList[i], dir)
-			mat.Axpy(-alphaBuf[i], yList[i], dir)
-		}
-		if k > 0 {
-			// Scale by the standard gamma = sᵀy / yᵀy.
-			last := k - 1
-			gamma := mat.Dot(sList[last], yList[last]) / mat.Dot(yList[last], yList[last])
+		var descent float64
+		if k == 0 {
+			mat.Scale(-1, dir)
+			descent = mat.Dot(grad, dir)
+		} else {
+			dot := mat.Dot(sList[k-1], dir)
+			for i := k - 1; i > 0; i-- {
+				alphaBuf[i] = rhoList[i] * dot
+				dot = mat.AxpyDot(-alphaBuf[i], yList[i], dir, false, sList[i-1])
+			}
+			alphaBuf[0] = rhoList[0] * dot
+			mat.Axpy(-alphaBuf[0], yList[0], dir)
+			// Scale by the standard gamma = sᵀy / yᵀy of the newest pair.
+			gamma := lastSY / lastYY
 			if gamma > 0 && !math.IsInf(gamma, 0) && !math.IsNaN(gamma) {
 				mat.Scale(gamma, dir)
 			}
+			dot = mat.Dot(yList[0], dir)
+			for i := 0; i < k-1; i++ {
+				beta := rhoList[i] * dot
+				dot = mat.AxpyDot(alphaBuf[i]-beta, sList[i], dir, false, yList[i+1])
+			}
+			beta := rhoList[k-1] * dot
+			descent = mat.AxpyDot(alphaBuf[k-1]-beta, sList[k-1], dir, true, grad)
 		}
-		for i := 0; i < k; i++ {
-			beta := rhoList[i] * mat.Dot(yList[i], dir)
-			mat.Axpy(alphaBuf[i]-beta, sList[i], dir)
-		}
-		mat.Scale(-1, dir)
-		descent := mat.Dot(grad, dir)
 		if descent >= 0 {
 			// Not a descent direction (numerical breakdown); restart with
 			// steepest descent.
@@ -89,22 +104,27 @@ func (m *Model) fitLBFGS(x, target *mat.Dense) {
 			}
 		}
 		// Backtracking Armijo line search, on the loss alone: a trial's
-		// gradient is needed only if the trial is accepted.
+		// gradient is needed only if the trial is accepted. Each trial
+		// point is written from base, the accepted point, by the pass
+		// that also sums its weights' squares for the loss, so a
+		// rejected trial needs no copy back.
+		copy(base, nw.params)
 		step := 1.0
 		var newLoss float64
 		accepted := false
 		for ls := 0; ls < 30; ls++ {
-			copy(trial, m.nw.params)
-			mat.Axpy(step, dir, m.nw.params)
-			newLoss = m.nw.loss(x, target, cfg.Alpha)
+			wsq := nw.stepBlocks(func(lo, hi int, sq float64) float64 {
+				return mat.AxpyTo(nw.params[lo:hi], step, dir[lo:hi], base[lo:hi], sq)
+			})
+			newLoss = nw.loss(x, target, cfg.Alpha, wsq)
 			if newLoss <= loss+c1*step*descent {
 				accepted = true
 				break
 			}
-			copy(m.nw.params, trial)
 			step *= 0.5
 		}
 		if !accepted {
+			copy(nw.params, base)
 			break
 		}
 		converged := math.Abs(loss-newLoss) < cfg.Tol*math.Max(1, math.Abs(loss))
@@ -115,19 +135,18 @@ func (m *Model) fitLBFGS(x, target *mat.Dense) {
 			// No later step reads this point's gradient or curvature pair.
 			break
 		}
-		m.nw.backprop(x, target, cfg.Alpha, newGrad)
-		// Curvature pair update.
+		nw.backprop(x, target, cfg.Alpha, newGrad)
+		// Curvature pair update; the same pass sums sᵀy, yᵀy and the new
+		// gradient's squared norm.
 		s := newPair()
 		y := newPair()
-		for i := range s {
-			s[i] = step * dir[i]
-			y[i] = newGrad[i] - grad[i]
-		}
-		sy := mat.Dot(s, y)
+		sy, yy, gg := mat.CurvaturePair(s, y, step, dir, newGrad, grad)
+		gnorm = math.Sqrt(gg)
 		if sy > 1e-10 {
 			sList = append(sList, s)
 			yList = append(yList, y)
 			rhoList = append(rhoList, 1/sy)
+			lastSY, lastYY = sy, yy
 			if len(sList) > history {
 				// Shift down in place so the window keeps its backing arrays.
 				freelist = append(freelist, sList[0], yList[0])
@@ -137,6 +156,9 @@ func (m *Model) fitLBFGS(x, target *mat.Dense) {
 			}
 		} else {
 			freelist = append(freelist, s, y)
+			if nw.probe != nil {
+				nw.probe.pairsRejected++
+			}
 		}
 		grad, newGrad = newGrad, grad
 	}

@@ -86,7 +86,7 @@ func (m *Model) fitLBFGSOracle(x, target *mat.Dense) {
 	p := len(m.nw.params)
 	ws := m.nw.ws
 	grad := ws.Floats(p)
-	loss := m.nw.lossGrad(x, target, cfg.Alpha, grad)
+	loss := m.nw.lossGrad(x, target, cfg.Alpha, m.nw.weightSq(), grad)
 	m.LossCurve = ws.Floats(cfg.MaxIter + 1)[:0]
 	m.LossCurve = append(m.LossCurve, loss)
 
@@ -157,7 +157,7 @@ func (m *Model) fitLBFGSOracle(x, target *mat.Dense) {
 		for ls := 0; ls < 30; ls++ {
 			copy(trial, m.nw.params)
 			mat.Axpy(step, dir, m.nw.params)
-			newLoss = m.nw.lossGrad(x, target, cfg.Alpha, newGrad)
+			newLoss = m.nw.lossGrad(x, target, cfg.Alpha, m.nw.weightSq(), newGrad)
 			if newLoss <= loss+c1*step*descent {
 				accepted = true
 				break

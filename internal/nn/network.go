@@ -37,6 +37,17 @@ type network struct {
 	gwBufs  []*mat.Dense
 	wtBufs  []*mat.Dense
 	scratch []*batchScratch
+
+	// probe is nil outside tests, which set it to watch a fit's steps.
+	probe *probe
+}
+
+// probe is a test's window on a fit: stepped sees the Σw′² every
+// parameter update carries, and pairsRejected counts the L-BFGS
+// curvature pairs the sᵀy test turns away.
+type probe struct {
+	stepped       func(wsq float64)
+	pairsRejected int
 }
 
 func newNetwork(ws *mat.Arena, inputs int, hidden []int, outputs int, act Activation, softmax bool, r *rng.RNG) *network {
@@ -93,6 +104,38 @@ func (nw *network) biases(l int) []float64 {
 	return nw.params[nw.bOff[l] : nw.bOff[l]+nw.dims[l+1]]
 }
 
+// weightSq returns Σw² over the weight blocks — layer 0 to L−1, each in
+// index order, one sequential chain, biases skipped — the sum the L2
+// penalty of loss is taken from. Only a fit's first loss needs it: every
+// later one gets the sum from the step that wrote the weights
+// (stepBlocks).
+func (nw *network) weightSq() float64 {
+	var wsq float64
+	for l := 0; l < nw.layers(); l++ {
+		for _, wv := range nw.weights(l) {
+			wsq += float64(wv * wv)
+		}
+	}
+	return wsq
+}
+
+// stepBlocks runs a step kernel over the parameters, block by block:
+// step(lo, hi, sq) updates params[lo:hi] and returns sq plus the sum of
+// squares of the values it wrote. The weight blocks thread one sum
+// through them in weightSq's order, which stepBlocks returns; the bias
+// blocks' sums are dropped.
+func (nw *network) stepBlocks(step func(lo, hi int, sq float64) float64) float64 {
+	var wsq float64
+	for l := 0; l < nw.layers(); l++ {
+		wsq = step(nw.wOff[l], nw.bOff[l], wsq)
+		step(nw.bOff[l], nw.bOff[l]+nw.dims[l+1], 0)
+	}
+	if nw.probe != nil {
+		nw.probe.stepped(wsq)
+	}
+	return wsq
+}
+
 // forwardPass computes activations for a batch. Returns the per-layer
 // post-activation matrices (acts[0] is the input), so backprop can reuse
 // them. The returned slice is scratch owned by the network: it is valid
@@ -103,8 +146,7 @@ func (nw *network) forwardPass(x *mat.Dense) []*mat.Dense {
 	acts[0] = x
 	for l := 0; l < nw.layers(); l++ {
 		z := acts[l+1]
-		mat.Mul(z, acts[l], nw.weightMat(l))
-		mat.AddRowVector(z, nw.biases(l))
+		mat.MulBias(z, acts[l], nw.weightMat(l), nw.biases(l))
 		if l < nw.layers()-1 {
 			applyActivation(z, nw.activation)
 		} else if nw.softmaxOut {
@@ -117,17 +159,20 @@ func (nw *network) forwardPass(x *mat.Dense) []*mat.Dense {
 // lossGrad computes the regularized loss and its gradient over the batch.
 // For classification target is one-hot rows (softmax + cross-entropy); for
 // regression target holds real values (identity + half squared error).
-// grad must have len(nw.params); it is overwritten.
-func (nw *network) lossGrad(x, target *mat.Dense, alpha float64, grad []float64) float64 {
-	loss := nw.loss(x, target, alpha)
+// wsq is weightSq of the current parameters, as loss takes it. grad must
+// have len(nw.params); it is overwritten.
+func (nw *network) lossGrad(x, target *mat.Dense, alpha, wsq float64, grad []float64) float64 {
+	loss := nw.loss(x, target, alpha, wsq)
 	nw.backprop(x, target, alpha, grad)
 	return loss
 }
 
 // loss runs the forward pass over the batch and returns the regularized
 // loss, leaving the activations in the scratch for x's row count, where
-// a backprop call with the same x and target reads them.
-func (nw *network) loss(x, target *mat.Dense, alpha float64) float64 {
+// a backprop call with the same x and target reads them. wsq must be
+// weightSq of the current parameters, bit for bit: the step that wrote
+// them carries it (stepBlocks), so loss does not walk the weights.
+func (nw *network) loss(x, target *mat.Dense, alpha, wsq float64) float64 {
 	out := nw.forwardPass(x)[nw.layers()]
 	var loss float64
 	if nw.softmaxOut {
@@ -136,13 +181,7 @@ func (nw *network) loss(x, target *mat.Dense, alpha float64) float64 {
 		loss = halfSquaredError(out, target)
 	}
 	// L2 penalty on weights only (not biases), matching sklearn.
-	var reg float64
-	for l := 0; l < nw.layers(); l++ {
-		for _, wv := range nw.weights(l) {
-			reg += wv * wv
-		}
-	}
-	return loss + 0.5*alpha*reg/float64(x.Rows())
+	return loss + 0.5*alpha*wsq/float64(x.Rows())
 }
 
 // backprop writes into grad the gradient of the loss the last loss call

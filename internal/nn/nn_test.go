@@ -17,9 +17,9 @@ func numericalGrad(nw *network, x, target *mat.Dense, alpha float64) []float64 {
 	for i := range nw.params {
 		orig := nw.params[i]
 		nw.params[i] = orig + h
-		lp := nw.lossGrad(x, target, alpha, scratch)
+		lp := nw.lossGrad(x, target, alpha, nw.weightSq(), scratch)
 		nw.params[i] = orig - h
-		lm := nw.lossGrad(x, target, alpha, scratch)
+		lm := nw.lossGrad(x, target, alpha, nw.weightSq(), scratch)
 		nw.params[i] = orig
 		grad[i] = (lp - lm) / (2 * h)
 	}
@@ -49,7 +49,7 @@ func gradCheck(t *testing.T, act Activation, softmax bool) {
 		}
 	}
 	analytic := make([]float64, len(nw.params))
-	nw.lossGrad(x, target, 0.01, analytic)
+	nw.lossGrad(x, target, 0.01, nw.weightSq(), analytic)
 	numeric := numericalGrad(nw, x, target, 0.01)
 	for i := range analytic {
 		diff := math.Abs(analytic[i] - numeric[i])
@@ -121,7 +121,7 @@ func TestBackpropPackedWTMatchesMulT(t *testing.T) {
 					}
 				}
 				got := make([]float64, len(nw.params))
-				nw.lossGrad(x, target, 0.01, got)
+				nw.lossGrad(x, target, 0.01, nw.weightSq(), got)
 				want := make([]float64, len(nw.params))
 				backpropMulT(nw, x, target, 0.01, want)
 				for i := range want {

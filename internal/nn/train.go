@@ -133,6 +133,9 @@ type sgdState struct {
 	grad                   []float64
 	velocity, adamM, adamV []float64
 	lr                     float64
+	// wsq is weightSq of the current parameters: walked once at the
+	// start, then carried by each step.
+	wsq float64
 	// step is the global minibatch counter driving the invscaling
 	// schedule (equals epoch*batchesPerEpoch + batchInEpoch, 1-based).
 	step  int
@@ -156,6 +159,7 @@ func (m *Model) newSGDState(x, target *mat.Dense, r *rng.RNG) *sgdState {
 		m: m, x: x, target: target, n: n, batch: batch, r: r,
 		grad: ws.Floats(p),
 		lr:   cfg.LearningRateInit,
+		wsq:  m.nw.weightSq(),
 		bx:   ws.Dense(batch, x.Cols()),
 		bt:   ws.Dense(batch, target.Cols()),
 	}
@@ -178,11 +182,13 @@ func (m *Model) newSGDState(x, target *mat.Dense, r *rng.RNG) *sgdState {
 
 // runEpoch shuffles, sweeps the minibatches — the last one the n%batch
 // tail — and applies the solver update after each, returning the mean
-// minibatch loss. Steady-state calls are allocation-free: minibatch
-// buffers, the gradient vector and the network's forward/backward
-// scratch are all reused.
+// minibatch loss. The update is one kernel pass per parameter block
+// that also yields the next loss's Σw′². Steady-state calls are
+// allocation-free: minibatch buffers, the gradient vector and the
+// network's forward/backward scratch are all reused.
 func (st *sgdState) runEpoch() float64 {
 	m, cfg, grad := st.m, st.m.cfg, st.grad
+	params := m.nw.params
 	st.r.Shuffle(st.order)
 	var epochLoss float64
 	batches := 0
@@ -196,7 +202,7 @@ func (st *sgdState) runEpoch() float64 {
 			copy(bx.Row(bi), st.x.Row(src))
 			copy(bt.Row(bi), st.target.Row(src))
 		}
-		epochLoss += m.nw.lossGrad(bx, bt, cfg.Alpha, grad)
+		epochLoss += m.nw.lossGrad(bx, bt, cfg.Alpha, st.wsq, grad)
 		batches++
 
 		st.step++
@@ -206,29 +212,23 @@ func (st *sgdState) runEpoch() float64 {
 			if cfg.LearningRate == InvScaling {
 				effLR = cfg.LearningRateInit / math.Pow(float64(st.step), cfg.PowerT)
 			}
-			velocity := st.velocity
-			if cfg.Nesterov {
-				// Nesterov look-ahead in the standard reformulation
-				// (sklearn's): v ← μ·v − lr·∇; params += μ·v − lr·∇.
-				for i := range velocity {
-					velocity[i] = cfg.Momentum*velocity[i] - effLR*grad[i]
-					m.nw.params[i] += cfg.Momentum*velocity[i] - effLR*grad[i]
-				}
-			} else {
-				for i := range velocity {
-					velocity[i] = cfg.Momentum*velocity[i] - effLR*grad[i]
-					m.nw.params[i] += velocity[i]
-				}
-			}
+			// Nesterov look-ahead in the standard reformulation
+			// (sklearn's): v ← μ·v − lr·∇; params += μ·v − lr·∇.
+			st.wsq = m.nw.stepBlocks(func(lo, hi int, sq float64) float64 {
+				return mat.SGDStep(params[lo:hi], st.velocity[lo:hi], grad[lo:hi], cfg.Momentum, effLR, cfg.Nesterov, sq)
+			})
 		case Adam:
 			st.adamT++
 			const beta1, beta2, eps = 0.9, 0.999, 1e-8
-			b1c := 1 - math.Pow(beta1, float64(st.adamT))
-			b2c := 1 - math.Pow(beta2, float64(st.adamT))
-			mat.AdamStep(m.nw.params, st.adamM, st.adamV, grad, mat.AdamCoeffs{
+			c := mat.AdamCoeffs{
 				Beta1: beta1, OneMinusBeta1: 1 - beta1,
 				Beta2: beta2, OneMinusBeta2: 1 - beta2,
-				LR: st.lr, B1c: b1c, B2c: b2c, Eps: eps,
+				LR: st.lr, Eps: eps,
+				B1c: 1 - math.Pow(beta1, float64(st.adamT)),
+				B2c: 1 - math.Pow(beta2, float64(st.adamT)),
+			}
+			st.wsq = m.nw.stepBlocks(func(lo, hi int, sq float64) float64 {
+				return mat.AdamStep(params[lo:hi], st.adamM[lo:hi], st.adamV[lo:hi], grad[lo:hi], c, sq)
 			})
 		}
 	}

@@ -7,10 +7,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"enhancedbhpo/internal/hpo"
+	"enhancedbhpo/internal/rng"
+	"enhancedbhpo/internal/search"
 	"enhancedbhpo/internal/trace"
 )
 
@@ -121,12 +124,63 @@ func terminal(s Status) bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCancelled
 }
 
+// evalWatch counts one job's evaluations where the pool hands them to
+// the job (WrapEvaluator): how many are in flight, and how many start
+// after the test has marked the cancel.
+type evalWatch struct {
+	inner hpo.Evaluator
+
+	mu        sync.Mutex
+	inFlight  int
+	cancelled bool
+	late      int // evaluations started after markCancel
+}
+
+func (w *evalWatch) FullBudget() int { return w.inner.FullBudget() }
+
+func (w *evalWatch) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]float64, error) {
+	w.mu.Lock()
+	if w.cancelled {
+		w.late++
+	}
+	w.inFlight++
+	w.mu.Unlock()
+	defer func() {
+		w.mu.Lock()
+		w.inFlight--
+		w.mu.Unlock()
+	}()
+	return w.inner.Evaluate(cfg, budget, r)
+}
+
+// markCancel records that the job has been cancelled and returns how many
+// of its evaluations are in flight at that point.
+func (w *evalWatch) markCancel() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.cancelled = true
+	return w.inFlight
+}
+
+// startedLate returns how many evaluations started after markCancel.
+func (w *evalWatch) startedLate() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.late
+}
+
 // TestServiceEndToEnd is the acceptance scenario: submit a small job over
 // HTTP, poll to completion, check the anytime curve; cancel a big job
 // mid-run and verify it stops within one evaluation per pool slot.
 func TestServiceEndToEnd(t *testing.T) {
 	const pool = 2
-	ts, _ := newTestServer(t, Config{PoolSize: pool, MaxJobs: 2})
+	var watches sync.Map // job ID → *evalWatch
+	ts, _ := newTestServer(t, Config{PoolSize: pool, MaxJobs: 2,
+		WrapEvaluator: func(id string, inner hpo.Evaluator) hpo.Evaluator {
+			w := &evalWatch{inner: inner}
+			watches.Store(id, w)
+			return w
+		}})
 
 	// Health first.
 	var health struct {
@@ -176,17 +230,22 @@ func TestServiceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The DELETE response snapshot is taken after the cancel fires, so
-	// its evaluation count is the baseline for "stops within one
-	// evaluation" — an earlier poll would be stale by however many
-	// evaluations completed while the DELETE was in flight.
-	var atCancel Snapshot
-	if err := json.NewDecoder(dresp.Body).Decode(&atCancel); err != nil {
-		t.Fatal(err)
-	}
+	// The DELETE answers after the cancel has fired: from here on the
+	// service may start none of the job's evaluations, and only those
+	// already in flight, at most one per pool slot, may still finish.
+	// They are counted where the pool hands them to the job, not in the
+	// job's snapshot: asha buffers finished trials and emits them in
+	// serial order, so trials that finished before the cancel can still
+	// be observed after it.
+	w, _ := watches.Load(big.ID)
+	watch := w.(*evalWatch)
+	inFlight := watch.markCancel()
 	dresp.Body.Close()
 	if dresp.StatusCode != http.StatusAccepted {
 		t.Fatalf("DELETE: status %d", dresp.StatusCode)
+	}
+	if inFlight > pool {
+		t.Fatalf("%d evaluations in flight at the cancel (pool %d)", inFlight, pool)
 	}
 	stopped := pollUntil(t, ts.URL, big.ID, func(s Snapshot) bool { return terminal(s.Status) }, "a terminal state")
 	if stopped.Status != StatusCancelled {
@@ -195,11 +254,8 @@ func TestServiceEndToEnd(t *testing.T) {
 	if stopped.Reason != ReasonUserCancel {
 		t.Fatalf("cancelled job reason %q, want user_cancel", stopped.Reason)
 	}
-	// "Stops within one evaluation": only work already in flight on the
-	// shared pool may land after the cancel — at most one evaluation per
-	// pool slot.
-	if extra := stopped.Evaluations - atCancel.Evaluations; extra > pool {
-		t.Fatalf("%d evaluations finished after cancel (pool %d)", extra, pool)
+	if late := watch.startedLate(); late != 0 {
+		t.Fatalf("%d evaluations started after the cancel", late)
 	}
 	if stopped.Evaluations < mid.Evaluations {
 		t.Fatalf("evaluations went backwards: %d -> %d", mid.Evaluations, stopped.Evaluations)
