@@ -131,12 +131,9 @@ func BenchmarkMatElementwise(b *testing.B) {
 				func() { axpyToGo(p, 0.5, dir, p0, 0) },
 				func() { AxpyTo(p, 0.5, dir, p0, 0) }},
 			{"sumsq", func() { sumSq(0, p0) }, nil},
-			{"l2fold-37rows",
+			{"l2fold",
 				func() { foldL2Go(s, g, p0, 1e-4, 37) },
 				func() { FoldL2(s, g, p0, 1e-4, 37) }},
-			{"l2fold-32rows",
-				func() { foldL2Go(s, g, p0, 1e-4, 32) },
-				func() { FoldL2(s, g, p0, 1e-4, 32) }},
 			{"axpy",
 				func() { copy(p, p0); axpyGo(-0.3, dir, p) },
 				func() { copy(p, p0); Axpy(-0.3, dir, p) }},

@@ -228,26 +228,12 @@ func curvaturePairGo(s, y []float64, step float64, dir, g, gPrev []float64) (sy,
 // FoldL2 writes a weight gradient with the L2 penalty's gradient folded
 // in: g[i] = gw[i] + (alpha·w[i])/n. All three slices must have the
 // same length; g may be gw.
-//
-// Where n is a power of two, as a full minibatch of the default batch
-// sizes is, the division is a multiplication by 1/n: 2⁻ᵏ is exact, and
-// x/2ᵏ and x·2⁻ᵏ are the same real number, so IEEE rounds them alike —
-// subnormal results included.
 func FoldL2(g, gw, w []float64, alpha, n float64) {
 	k := len(g)
 	if len(gw) != k || len(w) != k {
 		panic(fmt.Sprintf("mat: l2 fold length mismatch %d/%d/%d", k, len(gw), len(w)))
 	}
 	if k == 0 {
-		return
-	}
-	if frac, _ := math.Frexp(n); frac == 0.5 {
-		inv := 1 / n
-		if simdAvailable {
-			foldl2mulavx(&g[0], &gw[0], &w[0], uintptr(k), alpha, inv)
-			return
-		}
-		foldL2MulGo(g, gw, w, alpha, inv)
 		return
 	}
 	if simdAvailable {
@@ -262,13 +248,5 @@ func foldL2Go(g, gw, w []float64, alpha, n float64) {
 	gw, w = gw[:len(g)], w[:len(g)]
 	for i, wv := range w {
 		g[i] = gw[i] + alpha*wv/n
-	}
-}
-
-// foldL2MulGo is FoldL2's loop for a power-of-two n, inv being 1/n.
-func foldL2MulGo(g, gw, w []float64, alpha, inv float64) {
-	gw, w = gw[:len(g)], w[:len(g)]
-	for i, wv := range w {
-		g[i] = gw[i] + float64(float64(alpha*wv)*inv)
 	}
 }

@@ -139,11 +139,7 @@ func elementwiseRuns() []elementwiseRun {
 				if len(g) == 0 {
 					return
 				}
-				if frac, _ := math.Frexp(n); frac == 0.5 {
-					foldl2mulavx(&g[0], &gw[0], &w[0], uintptr(len(g)), alpha, 1/n)
-				} else {
-					foldl2avx(&g[0], &gw[0], &w[0], uintptr(len(g)), alpha, n)
-				}
+				foldl2avx(&g[0], &gw[0], &w[0], uintptr(len(g)), alpha, n)
 			}})
 	}
 	return runs
@@ -178,9 +174,8 @@ func clone(v []float64) []float64 { return append([]float64(nil), v...) }
 // (every tail size of the 4- and 8-wide loops) with signed zeros,
 // subnormals, infinities and NaNs among the inputs. The step kernels'
 // sums are held against a fresh chain over what they wrote too, and
-// FoldL2 at power-of-two row counts, where it multiplies by the
-// reciprocal, against the dividing reference, with α·w/rows down in
-// the subnormals.
+// FoldL2 runs row counts from 1 to 2²⁰, with α·w/rows down in the
+// subnormals.
 func TestElementwiseKernelsMatchGo(t *testing.T) {
 	const beta1, beta2 = 0.9, 0.999
 	coeffs := []AdamCoeffs{

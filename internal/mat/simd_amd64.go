@@ -23,7 +23,7 @@ import "math"
 //
 // The per-parameter kernels are the three weight writers — adamavx,
 // sgdavx and axpytoavx (an L-BFGS trial point) — each returning the sum
-// of squares of what it wrote, the L2 folds foldl2avx and foldl2mulavx,
+// of squares of what it wrote, the L2 fold foldl2avx,
 // axpyavx and scaleavx, and L-BFGS's fused passes axpydotavx (an Axpy
 // and the Dot that reads it) and pairavx (a curvature pair and its three
 // sums). A layer's bias is added as the tile is stored,
@@ -93,14 +93,10 @@ func axpyavx(x, y *float64, n uintptr, a float64)
 //go:noescape
 func scaleavx(v *float64, n uintptr, s float64)
 
-// foldl2avx is FoldL2 dividing by rows, foldl2mulavx FoldL2 multiplying
-// by the exact reciprocal inv of a power-of-two row count.
+// foldl2avx is FoldL2 four lanes wide over n elements.
 //
 //go:noescape
 func foldl2avx(dst, gw, w *float64, n uintptr, alpha, rows float64)
-
-//go:noescape
-func foldl2mulavx(dst, gw, w *float64, n uintptr, alpha, inv float64)
 
 // The activation kernels work in place over x's whole blocks of four.
 // The exp-based ones (one variant per exp body) return how many

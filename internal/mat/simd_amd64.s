@@ -809,70 +809,6 @@ foldl2_tailloop:
 foldl2_done:
 	RET
 
-// func foldl2mulavx(dst, gw, w *float64, n uintptr, alpha, inv float64)
-//
-// dst = gw + (α·w)·inv per lane, inv = 1/rows for a power-of-two rows:
-// the same bits as the division (see FoldL2).
-TEXT ·foldl2mulavx(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ gw+8(FP), SI
-	MOVQ w+16(FP), R8
-	MOVQ n+24(FP), DX
-	VBROADCASTSD alpha+32(FP), Y0
-	VBROADCASTSD inv+40(FP), Y1
-	XORQ AX, AX
-	MOVQ DX, BX
-	ANDQ $-8, BX
-
-foldl2mul_loop8:
-	CMPQ AX, BX
-	JGE  foldl2mul_quad
-	VMOVUPD (R8)(AX*8), Y2
-	VMOVUPD 32(R8)(AX*8), Y3
-	VMULPD  Y0, Y2, Y2
-	VMULPD  Y0, Y3, Y3
-	VMULPD  Y1, Y2, Y2
-	VMULPD  Y1, Y3, Y3
-	VMOVUPD (SI)(AX*8), Y4
-	VMOVUPD 32(SI)(AX*8), Y5
-	VADDPD  Y2, Y4, Y4
-	VADDPD  Y3, Y5, Y5
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	ADDQ $8, AX
-	JMP  foldl2mul_loop8
-
-foldl2mul_quad:
-	MOVQ DX, BX
-	ANDQ $-4, BX
-	CMPQ AX, BX
-	JGE  foldl2mul_tail
-	VMOVUPD (R8)(AX*8), Y2
-	VMULPD  Y0, Y2, Y2
-	VMULPD  Y1, Y2, Y2
-	VMOVUPD (SI)(AX*8), Y4
-	VADDPD  Y2, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ $4, AX
-
-foldl2mul_tail:
-	VZEROUPPER
-
-foldl2mul_tailloop:
-	CMPQ AX, DX
-	JGE  foldl2mul_done
-	MOVSD (R8)(AX*8), X2
-	MULSD X0, X2
-	MULSD X1, X2
-	MOVSD (SI)(AX*8), X4
-	ADDSD X2, X4
-	MOVSD X4, (DI)(AX*8)
-	INCQ AX
-	JMP  foldl2mul_tailloop
-
-foldl2mul_done:
-	RET
-
 // The activation kernels: exp, and on top of it the logistic function
 // and tanh, four lanes at a time, plus relu and the three derivatives.
 // Each lane performs the operations of the scalar Go code in its order,

@@ -58,10 +58,6 @@ func foldl2avx(dst, gw, w *float64, n uintptr, alpha, rows float64) {
 	panic("mat: SIMD kernel called on a platform without SIMD support")
 }
 
-func foldl2mulavx(dst, gw, w *float64, n uintptr, alpha, inv float64) {
-	panic("mat: SIMD kernel called on a platform without SIMD support")
-}
-
 // Without the assembly every activation runs its Go loop.
 var (
 	expKernel, logisticKernel, tanhKernel, reluKernel     func(x *float64, n uintptr) uintptr

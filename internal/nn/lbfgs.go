@@ -156,9 +156,6 @@ func (m *Model) fitLBFGS(x, target *mat.Dense) {
 			}
 		} else {
 			freelist = append(freelist, s, y)
-			if nw.probe != nil {
-				nw.probe.pairsRejected++
-			}
 		}
 		grad, newGrad = newGrad, grad
 	}

@@ -78,8 +78,10 @@ func lbfgsOracle(ws *mat.Arena, train *dataset.Dataset, cfg Config) *Model {
 }
 
 // fitLBFGSOracle is fitLBFGS as it was before the line search ran on
-// the loss alone: every trial and the final point are backpropagated.
-func (m *Model) fitLBFGSOracle(x, target *mat.Dense) {
+// the loss alone: every trial and the final point are backpropagated,
+// and every loss walks the weights for its L2 term. It returns how many
+// Armijo trials and curvature pairs it rejected.
+func (m *Model) fitLBFGSOracle(x, target *mat.Dense) (armijoRejected, pairsRejected int) {
 	const history = 10
 	const c1 = 1e-4 // Armijo sufficient-decrease constant
 	cfg := m.cfg
@@ -163,6 +165,7 @@ func (m *Model) fitLBFGSOracle(x, target *mat.Dense) {
 				break
 			}
 			copy(m.nw.params, trial)
+			armijoRejected++
 			step *= 0.5
 		}
 		if !accepted {
@@ -189,6 +192,7 @@ func (m *Model) fitLBFGSOracle(x, target *mat.Dense) {
 			}
 		} else {
 			freelist = append(freelist, s, y)
+			pairsRejected++
 		}
 		if math.Abs(loss-newLoss) < cfg.Tol*math.Max(1, math.Abs(loss)) {
 			loss = newLoss
@@ -202,4 +206,5 @@ func (m *Model) fitLBFGSOracle(x, target *mat.Dense) {
 		m.LossCurve = append(m.LossCurve, loss)
 		m.Epochs = iter + 1
 	}
+	return armijoRejected, pairsRejected
 }

@@ -37,17 +37,6 @@ type network struct {
 	gwBufs  []*mat.Dense
 	wtBufs  []*mat.Dense
 	scratch []*batchScratch
-
-	// probe is nil outside tests, which set it to watch a fit's steps.
-	probe *probe
-}
-
-// probe is a test's window on a fit: stepped sees the Σw′² every
-// parameter update carries, and pairsRejected counts the L-BFGS
-// curvature pairs the sᵀy test turns away.
-type probe struct {
-	stepped       func(wsq float64)
-	pairsRejected int
 }
 
 func newNetwork(ws *mat.Arena, inputs int, hidden []int, outputs int, act Activation, softmax bool, r *rng.RNG) *network {
@@ -129,9 +118,6 @@ func (nw *network) stepBlocks(step func(lo, hi int, sq float64) float64) float64
 	for l := 0; l < nw.layers(); l++ {
 		wsq = step(nw.wOff[l], nw.bOff[l], wsq)
 		step(nw.bOff[l], nw.bOff[l]+nw.dims[l+1], 0)
-	}
-	if nw.probe != nil {
-		nw.probe.stepped(wsq)
 	}
 	return wsq
 }
