@@ -9,9 +9,9 @@ GO ?= go
 
 .PHONY: all build test race vet vet-bench deadcode nofma cover cpus check fallback bench-smoke bench-pair loc fmt serve clean
 
-# The Fit/Evaluate microbenchmark family of bench_test.go and the
-# matmul row kernels of internal/mat.
-BENCH_PATTERN = BenchmarkMat|BenchmarkFit|BenchmarkEvaluate
+# The Fit/Evaluate microbenchmark family of bench_test.go, the matmul
+# row kernels of internal/mat and the initial-weight draw of internal/rng.
+BENCH_PATTERN = BenchmarkMat|BenchmarkFit|BenchmarkEvaluate|BenchmarkFillUniform
 
 all: build
 
@@ -51,9 +51,10 @@ deadcode:
 # The goldens of internal/experiments and internal/core again with the
 # FMA path of math.Exp switched off: they hold on CPUs without FMA too.
 # internal/mat and internal/nn ride along: there the activation kernels
-# must pick their plain exp variant and match math.Exp's non-FMA path.
+# must pick their plain exp variant and match math.Exp's non-FMA path;
+# internal/rng, for the four-lane draw of the initial weights.
 nofma:
-	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/experiments/ ./internal/core/ ./internal/mat/ ./internal/nn/
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/experiments/ ./internal/core/ ./internal/mat/ ./internal/nn/ ./internal/rng/
 
 # One merged coverage profile of the whole suite over every package of
 # the module, and the statements it never executed, per package.
@@ -81,7 +82,7 @@ cpus:
 
 # One-iteration smoke run so the benchmarks can never rot; part of check.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem . ./internal/mat/ >/dev/null
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem . ./internal/mat/ ./internal/rng/ >/dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkBoot' -benchtime 1x -benchmem ./internal/serve/ >/dev/null
 
 # Paired end-to-end comparison of the working tree against BASE with the
@@ -100,7 +101,8 @@ bench-pair:
 # That includes the Go loops of the per-parameter kernels (the Adam, SGD
 # and L-BFGS steps, the L2 fold, L-BFGS's vector passes) and the
 # activations, which every fit and every gradient in internal/nn run
-# under it.
+# under it, and internal/rng's initial-weight draw, whose lanes fall back
+# to FillUniform.
 # internal/experiments rides along for its golden: the one place the
 # "kernel families are bitwise-equal" invariant is asserted on the paper's
 # own tables rather than on a matmul. The GOAMD64=v3 lines are the build
@@ -109,9 +111,9 @@ bench-pair:
 # with the assembly and, under purego, on the Go references themselves,
 # which every product's float64(·) keeps from fusing.
 fallback:
-	$(GO) test -count=1 -tags purego ./internal/mat/ ./internal/nn/ ./internal/hpo/ ./internal/experiments/
-	GOAMD64=v3 $(GO) test -count=1 ./internal/mat/ ./internal/nn/ ./internal/experiments/
-	GOAMD64=v3 $(GO) test -count=1 -tags purego ./internal/mat/ ./internal/nn/ ./internal/experiments/
+	$(GO) test -count=1 -tags purego ./internal/mat/ ./internal/nn/ ./internal/rng/ ./internal/hpo/ ./internal/experiments/
+	GOAMD64=v3 $(GO) test -count=1 ./internal/mat/ ./internal/nn/ ./internal/rng/ ./internal/experiments/
+	GOAMD64=v3 $(GO) test -count=1 -tags purego ./internal/mat/ ./internal/nn/ ./internal/rng/ ./internal/experiments/
 
 # Go lines per package and in total, outside bench/: non-test lines —
 # raw `wc -l`, the count ROADMAP's "net line count per PR" and every

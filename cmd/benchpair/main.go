@@ -120,34 +120,59 @@ func run(base, workload string, pairs, seconds, seed int) error {
 				fmt.Printf("%-20s missing from %d of %d runs\n", m.Name, 2*pairs-len(b)-len(h), 2*pairs)
 				continue
 			}
-			lower := m.Better != "higher"
-			wins := 0 // a tie counts for neither side
-			for i := range b {
-				if h[i] != b[i] && (h[i] < b[i]) == lower {
-					wins++
-				}
-			}
-			bq1, bmed, bq3 := quartiles(b)
-			hq1, hmed, hq3 := quartiles(h)
-			shift := (hmed - bmed) / bmed
-			worse := shift
-			if !lower {
-				worse = -shift
-			}
-			verdict := "within bound"
-			switch {
-			case worse > m.Bound:
-				verdict = "REGRESSION past the bound"
-			case worse < 0 && 10*wins >= 9*pairs && math.Abs(hmed-bmed) > bq3-bq1:
-				verdict = "gain"
-			case bq3-bq1 > m.Bound*bmed:
-				verdict = "unresolved: base spread exceeds the bound"
-			}
+			c := compare(b, h, m.Better != "higher", m.Bound)
 			fmt.Printf("%-20s %-31s %-31s %+7.1f%% %3d/%-2d  %s\n", m.Name,
-				cell(bmed, bq1, bq3, m.Unit), cell(hmed, hq1, hq3, m.Unit), 100*shift, wins, pairs, verdict)
+				cell(c.baseMed, c.baseQ1, c.baseQ3, m.Unit), cell(c.headMed, c.headQ1, c.headQ3, m.Unit), 100*c.shift, c.wins, pairs, c.verdict)
 		}
 	}
 	return nil
+}
+
+// comparison is one metric's paired samples summed up.
+type comparison struct {
+	baseQ1, baseMed, baseQ3 float64
+	headQ1, headMed, headQ3 float64
+	// shift is the head median's change against the base median, as a
+	// fraction of it (+ is higher).
+	shift float64
+	// wins counts the pairs in which head beat base; a tie counts for
+	// neither side.
+	wins    int
+	verdict string
+}
+
+// compare sums up the paired samples base[i], head[i] of one metric,
+// lower being better unless lower is false, with the benchmark's bound
+// on a worsening of the median. The verdict is "REGRESSION past the
+// bound" when the median worsens by more than bound; "gain" when it
+// improves, head wins at least nine pairs in ten and the medians are
+// further apart than base's interquartile range; "unresolved: base
+// spread exceeds the bound" when base's interquartile range is wider
+// than bound of its median; "within bound" otherwise.
+func compare(base, head []float64, lower bool, bound float64) comparison {
+	var c comparison
+	for i := range base {
+		if head[i] != base[i] && (head[i] < base[i]) == lower {
+			c.wins++
+		}
+	}
+	c.baseQ1, c.baseMed, c.baseQ3 = quartiles(base)
+	c.headQ1, c.headMed, c.headQ3 = quartiles(head)
+	c.shift = (c.headMed - c.baseMed) / c.baseMed
+	worse := c.shift
+	if !lower {
+		worse = -c.shift
+	}
+	c.verdict = "within bound"
+	switch {
+	case worse > bound:
+		c.verdict = "REGRESSION past the bound"
+	case worse < 0 && 10*c.wins >= 9*len(base) && math.Abs(c.headMed-c.baseMed) > c.baseQ3-c.baseQ1:
+		c.verdict = "gain"
+	case c.baseQ3-c.baseQ1 > bound*c.baseMed:
+		c.verdict = "unresolved: base spread exceeds the bound"
+	}
+	return c
 }
 
 // bench runs one driver-mode benchmark in tree and parses its last line.

@@ -94,12 +94,14 @@ func (d *Dataset) Validate() error {
 func (d *Dataset) Select(indices []int) *Dataset { return d.SelectIn(nil, indices) }
 
 // SelectIn is Select with the row copies and labels taken from a, so the
-// result is valid only until a.Reset(). A nil arena is the heap.
+// result is valid only until a.Reset(). A nil arena is the heap. The row
+// copies and targets overwrite every element, so a hands them out
+// unzeroed.
 func (d *Dataset) SelectIn(a *mat.Arena, indices []int) *Dataset {
 	if len(indices) == 0 {
 		panic("dataset: Select with no indices")
 	}
-	x := a.Dense(len(indices), d.Features())
+	x := a.DenseData(len(indices), d.Features(), a.FloatsUnzeroed(len(indices)*d.Features()))
 	out := &Dataset{Name: d.Name, Kind: d.Kind, X: x, NumClasses: d.NumClasses}
 	for row, idx := range indices {
 		if idx < 0 || idx >= d.Len() {
@@ -113,7 +115,7 @@ func (d *Dataset) SelectIn(a *mat.Arena, indices []int) *Dataset {
 			out.Class[row] = d.Class[idx]
 		}
 	} else {
-		out.Target = a.Floats(len(indices))
+		out.Target = a.FloatsUnzeroed(len(indices))
 		for row, idx := range indices {
 			out.Target[row] = d.Target[idx]
 		}

@@ -56,6 +56,13 @@ type CVEvaluator struct {
 	// evaluation — and of the next evaluation that worker runs — train in
 	// the same memory instead of re-allocating it.
 	arenas sync.Pool
+	// drawn holds the arenas idle evaluations drew their folds' initial
+	// weights into, one per evaluation in flight at most. They are a few
+	// hundred kilobytes each, so unlike arenas they are kept across
+	// collections: a pooled one, dropped at every GC, would be re-grown
+	// from the heap as often.
+	drawnMu sync.Mutex
+	drawn   []*mat.Arena
 }
 
 // NewCVEvaluator wires an evaluator from the shared components.
@@ -76,8 +83,10 @@ func (e *CVEvaluator) FullBudget() int { return e.Train.Len() }
 // Evaluate implements Evaluator: it builds folds over a budget-sized
 // subset, trains one model per fold and returns the per-fold scores.
 //
-// Each fold's row copies, model and training state live in a pooled
-// arena that is reset before the next fold; only the score leaves it.
+// The folds' initial weights are drawn together first, four folds per
+// pass (nn.DrawInits), into an arena of drawn that outlives every fold. Each fold's row copies, model and training state live in a
+// pooled arena that is reset before the next fold; only the score
+// leaves it.
 // With Spare set, folds the calling goroutine has not reached train on the
 // cores Spare grants, each in an arena of its own. Either way the scores
 // are the same bits, the lowest-indexed failing fold decides the error or
@@ -92,7 +101,14 @@ func (e *CVEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]flo
 	if err != nil {
 		return nil, fmt.Errorf("hpo: materializing config: %w", err)
 	}
-	run := &foldRun{e: e, folds: folds, cfg: nnCfg, r: r, scores: make([]float64, len(folds)), failed: len(folds)}
+	seeds := make([]uint64, len(folds))
+	for fi := range folds {
+		seeds[fi] = r.Split(uint64(fi) + 1).Uint64()
+	}
+	initWS := e.drawArena()
+	initWS.Reset()
+	run := &foldRun{e: e, folds: folds, cfg: nnCfg, seeds: seeds, inits: nn.DrawInits(initWS, e.Train, nnCfg, seeds),
+		scores: make([]float64, len(folds)), failed: len(folds)}
 	ws := e.arena()
 	for fi, _ := run.take(false); fi >= 0; fi, _ = run.take(false) {
 		run.offer()
@@ -100,6 +116,9 @@ func (e *CVEvaluator) Evaluate(cfg search.Config, budget int, r *rng.RNG) ([]flo
 	}
 	e.arenas.Put(ws)
 	run.lent.Wait()
+	e.drawnMu.Lock()
+	e.drawn = append(e.drawn, initWS)
+	e.drawnMu.Unlock()
 	if p, ok := run.err.(*foldPanic); ok {
 		panic(p)
 	}
@@ -127,7 +146,8 @@ type foldRun struct {
 	e      *CVEvaluator
 	folds  []cv.Fold
 	cfg    nn.Config
-	r      *rng.RNG
+	seeds  []uint64  // by fold index: each fold's cfg.Seed
+	inits  []nn.Init // by fold index: each fold's initial weights
 	scores []float64 // by fold index; each written by the goroutine that trained the fold
 
 	mu     sync.Mutex
@@ -209,8 +229,8 @@ func (fr *foldRun) train(ws *mat.Arena, fi int) {
 	trainSub := e.Train.SelectIn(ws, fold.Train)
 	valSub := e.Train.SelectIn(ws, fold.Val)
 	foldCfg := fr.cfg
-	foldCfg.Seed = fr.r.Split(uint64(fi) + 1).Uint64()
-	model, err := nn.FitIn(ws, trainSub, foldCfg)
+	foldCfg.Seed = fr.seeds[fi]
+	model, err := nn.FitFrom(ws, trainSub, foldCfg, fr.inits[fi])
 	if err != nil {
 		fr.fail(fi, fmt.Errorf("hpo: training fold %d: %w", fi, err))
 		return
@@ -229,6 +249,18 @@ func (fr *foldRun) fail(fi int, err error) {
 
 func (e *CVEvaluator) arena() *mat.Arena {
 	if ws, _ := e.arenas.Get().(*mat.Arena); ws != nil {
+		return ws
+	}
+	return new(mat.Arena)
+}
+
+// drawArena takes an idle arena from drawn, or a new one.
+func (e *CVEvaluator) drawArena() *mat.Arena {
+	e.drawnMu.Lock()
+	defer e.drawnMu.Unlock()
+	if k := len(e.drawn); k > 0 {
+		ws := e.drawn[k-1]
+		e.drawn = e.drawn[:k-1]
 		return ws
 	}
 	return new(mat.Arena)
@@ -254,6 +286,25 @@ func (e *CVEvaluator) FitFull(cfg search.Config, seed uint64) (*nn.Model, error)
 	}
 	nnCfg.Seed = seed
 	return nn.Fit(e.Train, nnCfg)
+}
+
+// ScoreFull is FitFull scored on test and dropped, for a caller that
+// keeps only the score: the model trains in a pooled arena, as a fold
+// does, and scores the bits FitFull's model would.
+func (e *CVEvaluator) ScoreFull(cfg search.Config, seed uint64, test *dataset.Dataset) (float64, error) {
+	nnCfg, err := search.ToNNConfig(cfg, e.Base)
+	if err != nil {
+		return 0, err
+	}
+	nnCfg.Seed = seed
+	ws := e.arena()
+	defer e.arenas.Put(ws)
+	ws.Reset()
+	model, err := nn.FitIn(ws, e.Train, nnCfg)
+	if err != nil {
+		return 0, err
+	}
+	return e.ScoreModel(model, test), nil
 }
 
 // evalTrial runs one evaluation and wraps it in a Trial with timing and the

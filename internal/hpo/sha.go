@@ -129,8 +129,9 @@ func evalRound(ctx context.Context, ev Evaluator, comps Components, configs []se
 // bestScoreOf finds best's score in the final round ranking (0 when the run
 // had a single configuration and no evaluations).
 func bestScoreOf(rs []ranked, best search.Config) float64 {
+	id := best.ID()
 	for _, r := range rs {
-		if r.cfg.ID() == best.ID() {
+		if r.cfg.ID() == id {
 			return r.score
 		}
 	}

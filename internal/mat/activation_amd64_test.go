@@ -6,6 +6,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"enhancedbhpo/internal/cpu"
 )
 
 // kernelVariants are the exp variants this CPU can run: the plain one
@@ -16,7 +18,7 @@ func kernelVariants() []kernelVariant {
 		return nil
 	}
 	vs := []kernelVariant{{"plain", false, expavx, logisticavx, tanhavx}}
-	if detectFMA() {
+	if cpu.FMA {
 		vs = append(vs, kernelVariant{"fma", true, expfmaavx, logisticfmaavx, tanhfmaavx})
 	}
 	return vs
@@ -44,7 +46,7 @@ func TestExpVariantChosen(t *testing.T) {
 			t.Fatalf("variant fma=%v chosen, but math.Exp(%v) = %x, its reference %x", fma, v, math.Float64bits(got), math.Float64bits(want))
 		}
 	}
-	if detectFMA() {
+	if cpu.FMA {
 		p, q := expProbe(), expProbe()
 		expavx(&p[0], uintptr(len(p)))
 		expfmaavx(&q[0], uintptr(len(q)))

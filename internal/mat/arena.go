@@ -2,8 +2,15 @@ package mat
 
 // Arena is a bump allocator for the buffers of one unit of work that is
 // thrown away as a whole — in this repository, training and scoring one
-// cross-validation fold. Everything handed out is zeroed, exactly like
-// make, so code produces the same bits with or without one. Reset
+// cross-validation fold. Floats, Ints and Dense hand out zeroed memory,
+// exactly like make, so code produces the same bits with or without one.
+// FloatsUnzeroed skips the clear, for a buffer its caller writes whole
+// before reading any of it: a network's parameters (the initial draw
+// writes them all), its gradient, activations, deltas and weight
+// buffers, the minibatch buffers, L-BFGS's direction, base point,
+// gradient and curvature pairs, and a fold's row copies. Whatever is
+// read before it is written — the momentum velocity, Adam's moments, a
+// one-hot target, every Ints — stays zeroed. Reset
 // reclaims every hand-out at once; after the first cycle of a given
 // shape the arena holds one block of that cycle's total size and later
 // cycles allocate nothing.
@@ -31,14 +38,18 @@ type bump[T any] struct {
 	off, need int
 }
 
-func (b *bump[T]) take(n int) []T {
+// take hands out n elements, zeroed when zero is set; a hand-out the
+// heap serves is zeroed either way.
+func (b *bump[T]) take(n int, zero bool) []T {
 	b.need += n
 	if n > len(b.block)-b.off {
 		return make([]T, n)
 	}
 	s := b.block[b.off : b.off+n : b.off+n]
 	b.off += n
-	clear(s)
+	if zero {
+		clear(s)
+	}
 	return s
 }
 
@@ -56,7 +67,17 @@ func (a *Arena) Floats(n int) []float64 {
 	if a == nil {
 		return make([]float64, n)
 	}
-	return a.floats.take(n)
+	return a.floats.take(n, true)
+}
+
+// FloatsUnzeroed returns n float64s holding whatever an earlier cycle
+// left there, for a buffer the caller writes whole before reading it.
+// The nil arena returns make's zeroed slice.
+func (a *Arena) FloatsUnzeroed(n int) []float64 {
+	if a == nil {
+		return make([]float64, n)
+	}
+	return a.floats.take(n, false)
 }
 
 // Ints returns a zeroed slice of n ints.
@@ -64,7 +85,7 @@ func (a *Arena) Ints(n int) []int {
 	if a == nil {
 		return make([]int, n)
 	}
-	return a.ints.take(n)
+	return a.ints.take(n, true)
 }
 
 // Dense returns a rows×cols zero matrix. It panics if rows or cols is
@@ -74,7 +95,7 @@ func (a *Arena) Dense(rows, cols int) *Dense {
 		return NewDense(rows, cols)
 	}
 	checkDims(rows, cols)
-	return a.header(rows, cols, a.floats.take(rows*cols))
+	return a.header(rows, cols, a.floats.take(rows*cols, true))
 }
 
 // DenseData wraps data (length rows*cols, row-major) without copying,

@@ -82,3 +82,37 @@ func TestArenaDensePanicsOnBadDims(t *testing.T) {
 	}()
 	new(Arena).Dense(0, 3)
 }
+
+// TestArenaFloatsUnzeroed: the write-first hand-out is make's zeroed
+// slice on the nil arena and from the heap, comes from the block
+// without a clear once the block is sized — what the last cycle wrote
+// is still there — and sits beside zeroed hand-outs without overlap.
+func TestArenaFloatsUnzeroed(t *testing.T) {
+	var nilArena *Arena
+	for _, x := range nilArena.FloatsUnzeroed(5) {
+		if x != 0 {
+			t.Fatal("nil arena handed out a non-zero float")
+		}
+	}
+	a := new(Arena)
+	for cycle := 0; cycle < 3; cycle++ {
+		a.Reset()
+		u := a.FloatsUnzeroed(8)
+		z := a.Floats(8)
+		for k := range u {
+			if cycle < 2 && u[k] != 0 {
+				t.Fatalf("cycle %d: a heap-served or first block hand-out is not zeroed", cycle)
+			}
+			if z[k] != 0 {
+				t.Fatalf("cycle %d: Floats beside FloatsUnzeroed is not zeroed", cycle)
+			}
+			u[k], z[k] = 3, 4
+		}
+		if cycle == 2 && u[0] != 3 {
+			t.Fatal("the warm write-first hand-out was cleared")
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, func() { a.Reset(); a.FloatsUnzeroed(8) }); allocs != 0 {
+		t.Errorf("warm cycle allocated %v objects, want 0", allocs)
+	}
+}

@@ -130,6 +130,9 @@ func BenchmarkMatElementwise(b *testing.B) {
 			{"trial-step",
 				func() { axpyToGo(p, 0.5, dir, p0, 0) },
 				func() { AxpyTo(p, 0.5, dir, p0, 0) }},
+			{"step-from",
+				func() { copy(p, p0); stepFromGo(p, s, dir, 1, false, g, 0, 0) },
+				func() { copy(p, p0); StepFrom(p, s, dir, 1, false, g, 0, 0) }},
 			{"sumsq", func() { sumSq(0, p0) }, nil},
 			{"l2fold",
 				func() { foldL2Go(s, g, p0, 1e-4, 37) },
@@ -138,7 +141,7 @@ func BenchmarkMatElementwise(b *testing.B) {
 				func() { copy(p, p0); axpyGo(-0.3, dir, p) },
 				func() { copy(p, p0); Axpy(-0.3, dir, p) }},
 			{"scale",
-				func() { copy(p, p0); scaleGo(0.7, p) },
+				func() { copy(p, p0); scaleToGo(p, 0.7, p) },
 				func() { copy(p, p0); Scale(0.7, p) }},
 			{"axpydot",
 				func() { copy(p, p0); axpyDotGo(-0.3, dir, p, true, z) },

@@ -5,10 +5,10 @@ import (
 	"math"
 )
 
-// Per-parameter kernels of the training loop: the three ways a step
-// writes the weights (AdamStep, SGDStep, and AxpyTo for an L-BFGS trial
-// point), the L2 fold of the weight gradient, and L-BFGS's fused vector
-// passes (AxpyDot, CurvaturePair). Each runs once per parameter per
+// Per-parameter kernels of the training loop: the ways a step writes
+// the weights (AdamStep, SGDStep, and StepFrom and AxpyTo for L-BFGS
+// trial points), the L2 fold of the weight gradient, and L-BFGS's fused
+// vector passes (AxpyDot, CurvaturePair). Each runs once per parameter per
 // minibatch or iteration, and on the small folds a bandit method's low
 // budgets train on their cost rivals the matmuls'. Like Mul, they run
 // the AVX2 bodies in simd_amd64.s where the CPU has them and the Go
@@ -156,6 +156,57 @@ func axpyToGo(dst []float64, a float64, x, y []float64, sq float64) float64 {
 	return sq
 }
 
+// StepFrom starts an L-BFGS line search from p in one pass: it copies p
+// into base, negates dir in place where neg is set, writes the first
+// trial point p = base + step·dir, and returns dot plus Σ z·dir and sq
+// plus Σ p², the final direction's descent product and the trial's sum
+// of squares, two independent chains in index order. For each i:
+//
+//	dir[i] = −dir[i]               (neg only)
+//	base[i] = p[i]
+//	p[i] = base[i] + step·dir[i]
+//	dot += z[i]·dir[i]
+//	sq += p[i]·p[i]
+//
+// That is the last update of AxpyDot's negating form, copy(base, p) and
+// AxpyTo(p, step, dir, base, sq) bit for bit, with AxpyDot's chain
+// started from dot. All four slices must have the same length.
+func StepFrom(p, base, dir []float64, step float64, neg bool, z []float64, dot, sq float64) (float64, float64) {
+	n := len(p)
+	if len(base) != n || len(dir) != n || len(z) != n {
+		panic(fmt.Sprintf("mat: step-from length mismatch %d/%d/%d/%d", n, len(base), len(dir), len(z)))
+	}
+	if n == 0 {
+		return dot, sq
+	}
+	if simdAvailable {
+		var mask uint64
+		if neg {
+			mask = 1 << 63
+		}
+		return stepfromavx(&p[0], &base[0], &dir[0], &z[0], uintptr(n), step, mask, dot, sq)
+	}
+	return stepFromGo(p, base, dir, step, neg, z, dot, sq)
+}
+
+// stepFromGo is StepFrom's reference loop.
+func stepFromGo(p, base, dir []float64, step float64, neg bool, z []float64, dot, sq float64) (float64, float64) {
+	base, dir, z = base[:len(p)], dir[:len(p)], z[:len(p)]
+	for i, d := range dir {
+		if neg {
+			d = -d
+			dir[i] = d
+		}
+		b := p[i]
+		base[i] = b
+		v := b + float64(step*d)
+		p[i] = v
+		dot += float64(z[i] * d)
+		sq += float64(v * v)
+	}
+	return dot, sq
+}
+
 // AxpyDot sets y[i] = y[i] + a·x[i] — negated when neg — and returns
 // the dot product Σ z[i]·y[i] of z with the updated y, summed from +0 in
 // index order as Dot does: an Axpy and the Dot that reads its result,
@@ -194,16 +245,18 @@ func axpyDotGo(a float64, x, y []float64, neg bool, z []float64) float64 {
 }
 
 // CurvaturePair writes an L-BFGS curvature pair, s = step·dir and
-// y = g − gPrev, and returns the three sums the solver reads off it in
-// the same pass: sᵀy, yᵀy and gᵀg, each summed from +0 in index order
-// as Dot does. All five slices must have the same length.
-func CurvaturePair(s, y []float64, step float64, dir, g, gPrev []float64) (sy, yy, gg float64) {
+// y = g − gPrev, and returns the four sums the solver reads off it in
+// the same pass: sᵀy, yᵀy, gᵀg and sᵀg, each summed from +0 in index
+// order as Dot does (sᵀg is Dot(s, g), the first product of the next
+// two-loop recursion when the pair is kept). All five slices must have
+// the same length.
+func CurvaturePair(s, y []float64, step float64, dir, g, gPrev []float64) (sy, yy, gg, sg float64) {
 	n := len(s)
 	if len(y) != n || len(dir) != n || len(g) != n || len(gPrev) != n {
 		panic(fmt.Sprintf("mat: curvature pair length mismatch %d/%d/%d/%d/%d", n, len(y), len(dir), len(g), len(gPrev)))
 	}
 	if n == 0 {
-		return 0, 0, 0
+		return 0, 0, 0, 0
 	}
 	if simdAvailable {
 		return pairavx(&s[0], &y[0], &dir[0], &g[0], &gPrev[0], uintptr(n), step)
@@ -212,7 +265,7 @@ func CurvaturePair(s, y []float64, step float64, dir, g, gPrev []float64) (sy, y
 }
 
 // curvaturePairGo is CurvaturePair's reference loop.
-func curvaturePairGo(s, y []float64, step float64, dir, g, gPrev []float64) (sy, yy, gg float64) {
+func curvaturePairGo(s, y []float64, step float64, dir, g, gPrev []float64) (sy, yy, gg, sg float64) {
 	y, dir, g, gPrev = y[:len(s)], dir[:len(s)], g[:len(s)], gPrev[:len(s)]
 	for i, gi := range g {
 		si := float64(step * dir[i])
@@ -221,8 +274,9 @@ func curvaturePairGo(s, y []float64, step float64, dir, g, gPrev []float64) (sy,
 		sy += float64(si * yi)
 		yy += float64(yi * yi)
 		gg += float64(gi * gi)
+		sg += float64(si * gi)
 	}
-	return sy, yy, gg
+	return sy, yy, gg, sg
 }
 
 // FoldL2 writes a weight gradient with the L2 penalty's gradient folded

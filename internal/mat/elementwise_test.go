@@ -73,10 +73,11 @@ type elementwiseRun struct {
 	adam    func(p, m, v, g []float64, c AdamCoeffs, sq float64) float64
 	sgd     func(p, vel, g []float64, mu, lr float64, nesterov bool, sq float64) float64
 	axpyTo  func(dst []float64, a float64, x, y []float64, sq float64) float64
+	from    func(p, base, dir []float64, step float64, neg bool, z []float64, dot, sq float64) (float64, float64)
 	axpy    func(a float64, x, y []float64)
-	scale   func(s float64, v []float64)
+	scaleTo func(dst []float64, s float64, x []float64)
 	axpyDot func(a float64, x, y []float64, neg bool, z []float64) float64
-	pair    func(s, y []float64, step float64, dir, g, gPrev []float64) (sy, yy, gg float64)
+	pair    func(s, y []float64, step float64, dir, g, gPrev []float64) (sy, yy, gg, sg float64)
 	foldL   func(g, gw, w []float64, alpha, n float64)
 }
 
@@ -84,7 +85,7 @@ type elementwiseRun struct {
 // it) and the public entry points, which run the family this build
 // selected: the assembly natively, the Go loops under -tags purego.
 func elementwiseRuns() []elementwiseRun {
-	runs := []elementwiseRun{{"dispatch/" + Kernel(), AdamStep, SGDStep, AxpyTo, Axpy, Scale, AxpyDot, CurvaturePair, FoldL2}}
+	runs := []elementwiseRun{{"dispatch/" + Kernel(), AdamStep, SGDStep, AxpyTo, StepFrom, Axpy, ScaleTo, AxpyDot, CurvaturePair, FoldL2}}
 	if simdAvailable {
 		runs = append(runs, elementwiseRun{"avx",
 			func(p, m, v, g []float64, c AdamCoeffs, sq float64) float64 {
@@ -109,14 +110,24 @@ func elementwiseRuns() []elementwiseRun {
 				}
 				return axpytoavx(&dst[0], &x[0], &y[0], uintptr(len(dst)), a, sq)
 			},
+			func(p, base, dir []float64, step float64, neg bool, z []float64, dot, sq float64) (float64, float64) {
+				if len(p) == 0 {
+					return dot, sq
+				}
+				var mask uint64
+				if neg {
+					mask = 1 << 63
+				}
+				return stepfromavx(&p[0], &base[0], &dir[0], &z[0], uintptr(len(p)), step, mask, dot, sq)
+			},
 			func(a float64, x, y []float64) {
 				if len(x) > 0 {
 					axpyavx(&x[0], &y[0], uintptr(len(x)), a)
 				}
 			},
-			func(s float64, v []float64) {
-				if len(v) > 0 {
-					scaleavx(&v[0], uintptr(len(v)), s)
+			func(dst []float64, s float64, x []float64) {
+				if len(x) > 0 {
+					scaleavx(&dst[0], &x[0], uintptr(len(x)), s)
 				}
 			},
 			func(a float64, x, y []float64, neg bool, z []float64) float64 {
@@ -129,9 +140,9 @@ func elementwiseRuns() []elementwiseRun {
 				}
 				return axpydotavx(&x[0], &y[0], &z[0], uintptr(len(y)), a, mask)
 			},
-			func(s, y []float64, step float64, dir, g, gPrev []float64) (sy, yy, gg float64) {
+			func(s, y []float64, step float64, dir, g, gPrev []float64) (sy, yy, gg, sg float64) {
 				if len(s) == 0 {
-					return 0, 0, 0
+					return 0, 0, 0, 0
 				}
 				return pairavx(&s[0], &y[0], &dir[0], &g[0], &gPrev[0], uintptr(len(s)), step)
 			},
@@ -251,12 +262,55 @@ func TestElementwiseKernelsMatchGo(t *testing.T) {
 					run.axpy(a, x, gy)
 					bitwiseSlices(t, "axpy "+label, gy, wy)
 
-					wx, gx := clone(x), clone(x)
-					scaleGo(a, wx)
-					run.scale(a, gx)
+					wx, gx := make([]float64, n), make([]float64, n)
+					scaleToGo(wx, a, x)
+					run.scaleTo(gx, a, x)
+					bitwiseSlices(t, "scaleto "+label, gx, wx)
+					// In place, as Scale runs it.
+					gx = clone(x)
+					run.scaleTo(gx, a, gx)
 					bitwiseSlices(t, "scale "+label, gx, wx)
+					if a == -1 {
+						// L-BFGS's steepest descent: a negating copy keeps
+						// each value's bits but the sign, NaN payloads too.
+						for i, v := range x {
+							if math.Float64bits(gx[i]) != math.Float64bits(v)^1<<63 && !math.IsNaN(v) {
+								t.Fatalf("scale %s: element %d = %x, −x %x", label, i, math.Float64bits(gx[i]), math.Float64bits(v)^1<<63)
+							}
+						}
+					}
 
 					neg := ai%2 == 1
+					// StepFrom from point y along x, z the gradient,
+					// against its reference and against the passes it
+					// fuses: the negation and Σz·dir chain of a negating
+					// AxpyDot, the copy, and AxpyTo.
+					for _, neg := range []bool{false, true} {
+						l := fmt.Sprintf("stepfrom %s neg=%v", label, neg)
+						wp, wb, wd := clone(y), make([]float64, n), clone(x)
+						wDot, wSq := stepFromGo(wp, wb, wd, a, neg, z, 0.5, a)
+						gp, gb, gd := clone(y), make([]float64, n), clone(x)
+						gDot, gSq := run.from(gp, gb, gd, a, neg, z, 0.5, a)
+						bitwiseSlices(t, l+" p", gp, wp)
+						bitwiseSlices(t, l+" base", gb, wb)
+						bitwiseSlices(t, l+" dir", gd, wd)
+						bitwiseSum(t, l+" Σz·dir", gDot, wDot)
+						bitwiseSum(t, l+" Σp²", gSq, wSq)
+						cd, cDot := clone(x), 0.5
+						for i := range cd {
+							if neg {
+								cd[i] = -cd[i]
+							}
+							cDot += float64(z[i] * cd[i])
+						}
+						cp := make([]float64, n)
+						cSq := axpyToGo(cp, a, cd, y, a)
+						bitwiseSlices(t, l+" p as AxpyTo", wp, cp)
+						bitwiseSlices(t, l+" base as a copy", wb, y)
+						bitwiseSlices(t, l+" dir negated", wd, cd)
+						bitwiseSum(t, l+" Σp² as AxpyTo", wSq, cSq)
+						bitwiseSum(t, l+" Σz·dir as a chain", wDot, cDot)
+					}
 					wy, gy = clone(y), clone(y)
 					wantDot := axpyDotGo(a, x, wy, neg, z)
 					bitwiseSum(t, fmt.Sprintf("axpydot %s neg=%v Σ", label, neg), run.axpyDot(a, x, gy, neg, z), wantDot)
@@ -266,15 +320,19 @@ func TestElementwiseKernelsMatchGo(t *testing.T) {
 					d := draws(r, n, 3)
 					dir, g, gPrev := d[0], d[1], d[2]
 					ws, wy := make([]float64, n), make([]float64, n)
-					wsy, wyy, wgg := curvaturePairGo(ws, wy, step, dir, g, gPrev)
+					wsy, wyy, wgg, wsg := curvaturePairGo(ws, wy, step, dir, g, gPrev)
 					gs, gy := make([]float64, n), make([]float64, n)
-					sy, yy, gg := run.pair(gs, gy, step, dir, g, gPrev)
+					sy, yy, gg, sg := run.pair(gs, gy, step, dir, g, gPrev)
 					label := fmt.Sprintf("pair n=%d step=%g", n, step)
 					bitwiseSlices(t, label+" s", gs, ws)
 					bitwiseSlices(t, label+" y", gy, wy)
 					bitwiseSum(t, label+" sᵀy", sy, wsy)
 					bitwiseSum(t, label+" yᵀy", yy, wyy)
 					bitwiseSum(t, label+" gᵀg", gg, wgg)
+					bitwiseSum(t, label+" sᵀg", sg, wsg)
+					// sᵀg stands in for the next two-loop recursion's
+					// first Dot(s, g).
+					bitwiseSum(t, label+" sᵀg as Dot", wsg, Dot(ws, g))
 				}
 				for _, f := range folds {
 					gw, w := make([]float64, n), make([]float64, n)
@@ -315,8 +373,10 @@ func TestElementwiseLengthMismatchPanics(t *testing.T) {
 	assertPanics(t, "adam", func() { AdamStep(a, a, a, b, AdamCoeffs{}, 0) })
 	assertPanics(t, "sgd", func() { SGDStep(a, a, b, 0.9, 0.1, false, 0) })
 	assertPanics(t, "axpyto", func() { AxpyTo(a, 1, a, b, 0) })
+	assertPanics(t, "stepfrom", func() { StepFrom(a, a, a, 1, false, b, 0, 0) })
 	assertPanics(t, "axpydot", func() { AxpyDot(1, a, a, false, b) })
 	assertPanics(t, "curvature pair", func() { CurvaturePair(a, a, 1, a, a, b) })
 	assertPanics(t, "axpy", func() { Axpy(1, a, b) })
+	assertPanics(t, "scaleto", func() { ScaleTo(a, -1, b) })
 	assertPanics(t, "l2 fold", func() { FoldL2(a, b, a, 1, 1) })
 }

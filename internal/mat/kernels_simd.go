@@ -1,6 +1,9 @@
 package mat
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // The SIMD family's matmul bodies. Every form is one tileRows sweep of
 // the AVX2 tile kernels in simd_amd64.s: a 4-row destination tile stays
@@ -43,11 +46,32 @@ func mulTSIMD(dst, a, b *Dense, i0, i1 int) {
 // packs holds mulTSIMD's bᵀ buffers between calls.
 var packs sync.Pool
 
-// transpose writes the rows×cols matrix src into dst as cols×rows.
+// TransposeInto writes src's transpose into dst, which must be
+// src.cols×src.rows, as backprop's packed Wᵀ is: a copy, so every bit
+// is src's.
+func TransposeInto(dst, src *Dense) {
+	if dst.rows != src.cols || dst.cols != src.rows {
+		panic(fmt.Sprintf("mat: transpose dst shape %dx%d, want %dx%d", dst.rows, dst.cols, src.cols, src.rows))
+	}
+	transpose(dst.data, src.data, src.rows, src.cols)
+}
+
+// transpose writes the rows×cols matrix src into dst as cols×rows: the
+// whole 4×4 blocks with the AVX2 body where the CPU has it, the Go loop
+// for the rest (and everything elsewhere).
 func transpose(dst, src []float64, rows, cols int) {
+	r4, c4 := 0, 0
+	if simdAvailable && rows >= 4 && cols >= 4 {
+		r4, c4 = rows&^3, cols&^3
+		transposeavx(&dst[0], &src[0], uintptr(rows), uintptr(cols))
+	}
 	for j := 0; j < rows; j++ {
-		for k, v := range src[j*cols : (j+1)*cols] {
-			dst[k*rows+j] = v
+		k0 := 0
+		if j < r4 {
+			k0 = c4
+		}
+		for k, v := range src[j*cols+k0 : (j+1)*cols] {
+			dst[(k0+k)*rows+j] = v
 		}
 	}
 }

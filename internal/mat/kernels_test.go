@@ -269,7 +269,11 @@ func TestForcedKernelParity(t *testing.T) {
 	}
 }
 
-// TestColSumsInto pins the column sums against a column-major loop.
+// TestColSumsInto pins the column sums against a column-major loop,
+// and this build's family against the Go loop bit for bit (a NaN sum as
+// NaN, see bitwiseSum) at every width from 1 to 40 (each tail of the
+// 16- and 4-column blocks) and heights 1 to 9, with signed zeros,
+// subnormals, infinities and NaNs among the values.
 func TestColSumsInto(t *testing.T) {
 	r := rng.New(9)
 	m := randDense(r, 11, 7)
@@ -290,6 +294,50 @@ func TestColSumsInto(t *testing.T) {
 		}
 	}
 	assertPanics(t, "length mismatch", func() { ColSumsInto(make([]float64, 3), m) })
+
+	for rows := 1; rows <= 9; rows++ {
+		for cols := 1; cols <= 40; cols++ {
+			m := NewDense(rows, cols)
+			for i, v := range draws(r, rows*cols, 1)[0] {
+				m.data[i] = v
+			}
+			want, got := make([]float64, cols), make([]float64, cols)
+			colSumsGo(want, m)
+			for i := range got {
+				got[i] = 42
+			}
+			ColSumsInto(got, m)
+			for j := range want {
+				bitwiseSum(t, fmt.Sprintf("col sums %dx%d column %d", rows, cols, j), got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestTransposeInto holds the transpose — the AVX2 blocks and the Go
+// loop around them — to its definition bit for bit, NaN payloads
+// included, at every shape up to 13×13 (each remainder of the 4×4
+// blocks on both sides), and pins its shape check.
+func TestTransposeInto(t *testing.T) {
+	r := rng.New(11)
+	for rows := 1; rows <= 13; rows++ {
+		for cols := 1; cols <= 13; cols++ {
+			src := NewDense(rows, cols)
+			for i, v := range draws(r, rows*cols, 1)[0] {
+				src.data[i] = v
+			}
+			dst := NewDense(cols, rows)
+			TransposeInto(dst, src)
+			for i := 0; i < rows; i++ {
+				for j := 0; j < cols; j++ {
+					if g, w := math.Float64bits(dst.At(j, i)), math.Float64bits(src.At(i, j)); g != w {
+						t.Fatalf("%dx%d: dst[%d][%d] = %x, src[%d][%d] %x", rows, cols, j, i, g, i, j, w)
+					}
+				}
+			}
+		}
+	}
+	assertPanics(t, "shape mismatch", func() { TransposeInto(NewDense(3, 4), NewDense(3, 4)) })
 }
 
 // exportedAPI is everything the package exports at package level. It
@@ -301,7 +349,7 @@ var exportedAPI = map[string]bool{
 	"Exp": true, "FoldL2": true, "Kernel": true, "Logistic": true, "LogisticDeriv": true,
 	"Mul": true, "MulBias": true, "MulT": true, "MulTWorkers": true, "MulWorkers": true,
 	"NewDense": true, "NewDenseData": true, "Norm2": true, "ReLU": true, "ReLUDeriv": true,
-	"SGDStep": true, "Scale": true, "SqDist": true, "TMul": true, "TMulWorkers": true,
+	"SGDStep": true, "Scale": true, "ScaleTo": true, "StepFrom": true, "SqDist": true, "TMul": true, "TMulWorkers": true, "TransposeInto": true,
 	"Tanh": true, "TanhDeriv": true,
 }
 

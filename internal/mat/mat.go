@@ -75,7 +75,7 @@ func (m *Dense) Scale(s float64) {
 func (m *Dense) AddScaled(other *Dense, s float64) {
 	mustSameShape(m, other)
 	for i, v := range other.data {
-		m.data[i] += s * v
+		m.data[i] += float64(s * v)
 	}
 }
 
@@ -170,7 +170,7 @@ func axpyGo(alpha float64, x, y []float64) {
 func Norm2(v []float64) float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -183,37 +183,57 @@ func SqDist(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {
 		d := v - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
 
 // Scale multiplies every element of v by s in place, with the AVX2 body
 // where the CPU has it.
-func Scale(s float64, v []float64) {
-	if len(v) == 0 {
+func Scale(s float64, v []float64) { ScaleTo(v, s, v) }
+
+// ScaleTo writes dst = s·x, each element the one rounding of Scale: a
+// copy and a Scale in one pass. dst and x must have the same length;
+// dst may be x.
+func ScaleTo(dst []float64, s float64, x []float64) {
+	if len(dst) != len(x) {
+		panic(fmt.Sprintf("mat: scale length mismatch %d vs %d", len(dst), len(x)))
+	}
+	if len(x) == 0 {
 		return
 	}
 	if simdAvailable {
-		scaleavx(&v[0], uintptr(len(v)), s)
+		scaleavx(&dst[0], &x[0], uintptr(len(x)), s)
 		return
 	}
-	scaleGo(s, v)
+	scaleToGo(dst, s, x)
 }
 
-// scaleGo is Scale's reference loop.
-func scaleGo(s float64, v []float64) {
-	for i := range v {
-		v[i] *= s
+// scaleToGo is ScaleTo's reference loop.
+func scaleToGo(dst []float64, s float64, x []float64) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = v * s
 	}
 }
 
 // ColSumsInto writes the per-column sums of m into out, which must have
-// length m.cols.
+// length m.cols: each column summed from +0 down its rows in order, with
+// the AVX2 body where the CPU has it (columns are independent chains, so
+// four of them share a register).
 func ColSumsInto(out []float64, m *Dense) {
 	if len(out) != m.cols {
 		panic(fmt.Sprintf("mat: col sums dst length %d != cols %d", len(out), m.cols))
 	}
+	if simdAvailable {
+		colsumsavx(&out[0], &m.data[0], uintptr(m.rows), uintptr(m.cols))
+		return
+	}
+	colSumsGo(out, m)
+}
+
+// colSumsGo is ColSumsInto's reference loop.
+func colSumsGo(out []float64, m *Dense) {
 	for j := range out {
 		out[j] = 0
 	}

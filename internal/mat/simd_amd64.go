@@ -2,10 +2,14 @@
 
 package mat
 
-import "math"
+import (
+	"math"
 
-// AVX2 microkernel declarations (bodies in simd_amd64.s) plus the CPUID
-// probing that decides whether the SIMD kernel family is usable at all.
+	"enhancedbhpo/internal/cpu"
+)
+
+// AVX2 microkernel declarations (bodies in simd_amd64.s); internal/cpu's
+// CPUID probe decides whether the SIMD kernel family is usable at all.
 //
 // The matmul kernels compute a register-resident 4-row destination tile
 // over the whole inner dimension: tile4x8, tile4x4, tile4x2 and tile4x1
@@ -22,10 +26,11 @@ import "math"
 // break that guarantee.
 //
 // The per-parameter kernels are the three weight writers — adamavx,
-// sgdavx and axpytoavx (an L-BFGS trial point) — each returning the sum
+// sgdavx, and stepfromavx and axpytoavx (L-BFGS trial points) — each
+// returning the sum
 // of squares of what it wrote, the L2 fold foldl2avx,
 // axpyavx and scaleavx, and L-BFGS's fused passes axpydotavx (an Axpy
-// and the Dot that reads it) and pairavx (a curvature pair and its three
+// and the Dot that reads it) and pairavx (a curvature pair and its four
 // sums). A layer's bias is added as the tile is stored,
 // the one rounding a separate row-vector add would make.
 //
@@ -74,6 +79,12 @@ func sgdavx(p, vel, grad *float64, n uintptr, mu, lr float64, nesterov uintptr, 
 //go:noescape
 func axpytoavx(dst, x, y *float64, n uintptr, a, sq float64) float64
 
+// stepfromavx is StepFrom, the negation an XOR with mask (0 or the sign
+// bit).
+//
+//go:noescape
+func stepfromavx(p, base, dir, z *float64, n uintptr, step float64, mask uint64, dot, sq float64) (float64, float64)
+
 // axpydotavx is AxpyDot, the negation an XOR with mask (0 or the sign
 // bit).
 //
@@ -83,15 +94,26 @@ func axpydotavx(x, y, z *float64, n uintptr, a float64, mask uint64) float64
 // pairavx is CurvaturePair.
 //
 //go:noescape
-func pairavx(s, y, dir, grad, prev *float64, n uintptr, step float64) (sy, yy, gg float64)
+func pairavx(s, y, dir, grad, prev *float64, n uintptr, step float64) (sy, yy, gg, sg float64)
 
-// axpyavx is Axpy and scaleavx is Scale.
+// axpyavx is Axpy and scaleavx is ScaleTo (and Scale, with dst = x).
 //
 //go:noescape
 func axpyavx(x, y *float64, n uintptr, a float64)
 
 //go:noescape
-func scaleavx(v *float64, n uintptr, s float64)
+func scaleavx(dst, x *float64, n uintptr, s float64)
+
+// transposeavx writes dst[j*rows+i] = src[i*cols+j] for the whole 4×4
+// blocks, i < rows&^3 and j < cols&^3; rows and cols are at least 4.
+//
+//go:noescape
+func transposeavx(dst, src *float64, rows, cols uintptr)
+
+// colsumsavx is ColSumsInto over a rows×cols row-major m.
+//
+//go:noescape
+func colsumsavx(out, m *float64, rows, cols uintptr)
 
 // foldl2avx is FoldL2 four lanes wide over n elements.
 //
@@ -133,46 +155,10 @@ func tanhderivavx(d, a *float64, n uintptr)
 //go:noescape
 func reluderivavx(d, a *float64, n uintptr)
 
-// cpuid executes the CPUID instruction with the given leaf/subleaf.
-func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv0 reads extended control register 0 (OS-enabled SIMD state).
-func xgetbv0() (eax, edx uint32)
-
-// detectAVX2 reports whether both the CPU and the OS support AVX2 with
-// full YMM state.
-func detectAVX2() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, c1, _ := cpuid(1, 0)
-	const (
-		osxsaveBit = 1 << 27
-		avxBit     = 1 << 28
-	)
-	if c1&osxsaveBit == 0 || c1&avxBit == 0 {
-		return false
-	}
-	// XCR0 bits 1 (XMM) and 2 (YMM) must both be OS-enabled.
-	if xlo, _ := xgetbv0(); xlo&0x6 != 0x6 {
-		return false
-	}
-	_, b7, _, _ := cpuid(7, 0)
-	return b7&(1<<5) != 0 // AVX2
-}
-
 // simdAvailable selects the kernel family, once, for the life of the
-// process: the AVX2 microkernels where the probe says yes, the blocked
-// Go loops otherwise.
-var simdAvailable = detectAVX2()
-
-// detectFMA reports whether the CPU has FMA3 (the OS's YMM state is
-// detectAVX2's part).
-func detectFMA() bool {
-	_, _, c1, _ := cpuid(1, 0)
-	return c1&(1<<12) != 0
-}
+// process: the AVX2 microkernels where the CPUID probe says yes, the
+// blocked Go loops otherwise.
+var simdAvailable = cpu.AVX2
 
 // expKernel, logisticKernel and tanhKernel are the activation kernels of
 // the variant whose exp reproduces this process's math.Exp, nil where
@@ -187,7 +173,7 @@ func pickExpKernels() (exp, logistic, tanh func(*float64, uintptr) uintptr) {
 	if !simdAvailable {
 		return nil, nil, nil
 	}
-	if detectFMA() && expMatches(expfmaavx) {
+	if cpu.FMA && expMatches(expfmaavx) {
 		return expfmaavx, logisticfmaavx, tanhfmaavx
 	}
 	if expMatches(expavx) {

@@ -3,8 +3,8 @@
 // AVX2 microkernels for the SIMD family: the matmul tiles (with the bias
 // store), the per-parameter kernels — the Adam and SGD steps and the
 // L-BFGS trial step, each carrying the sum of squares of what it wrote,
-// the L2 folds, Axpy, Scale and L-BFGS's fused AxpyDot and curvature-
-// pair passes — and the activations. See
+// the L2 folds, Axpy, Scale (ScaleTo) and L-BFGS's fused AxpyDot and
+// curvature-pair passes — and the activations. See
 // simd_amd64.go and activation.go for the contracts. Determinism rules
 // observed throughout:
 //
@@ -510,6 +510,85 @@ axpyto_done:
 	MOVSD X15, ret+48(FP)
 	RET
 
+// func stepfromavx(p, base, dir, z *float64, n uintptr, step float64, mask uint64, dot, sq float64) (float64, float64)
+//
+// d = dir XOR mask (stored back), base = p, p = base + step·d per lane;
+// z·d into the chain in X14 and p·p into the chain in X15, advanced
+// lane by lane side by side, so they cost the latency of one.
+TEXT ·stepfromavx(SB), NOSPLIT, $0-88
+	MOVQ         p+0(FP), DI
+	MOVQ         base+8(FP), SI
+	MOVQ         dir+16(FP), R8
+	MOVQ         z+24(FP), R9
+	MOVQ         n+32(FP), DX
+	VBROADCASTSD step+40(FP), Y0
+	VBROADCASTSD mask+48(FP), Y1
+	VMOVSD       dot+56(FP), X14
+	VMOVSD       sq+64(FP), X15
+	XORQ AX, AX
+	MOVQ DX, BX
+	ANDQ $-4, BX
+
+stepfrom_loop4:
+	CMPQ AX, BX
+	JGE  stepfrom_tail
+	VMOVUPD      (R8)(AX*8), Y2
+	VXORPD       Y1, Y2, Y2   // d
+	VMOVUPD      Y2, (R8)(AX*8)
+	VMOVUPD      (DI)(AX*8), Y3
+	VMOVUPD      Y3, (SI)(AX*8)
+	VMULPD       Y2, Y0, Y4   // step·d
+	VADDPD       Y4, Y3, Y3   // base + step·d
+	VMOVUPD      Y3, (DI)(AX*8)
+	VMOVUPD      (R9)(AX*8), Y4
+	VMULPD       Y2, Y4, Y4   // z·d
+	VMULPD       Y3, Y3, Y5   // p·p
+	VADDSD       X4, X14, X14
+	VADDSD       X5, X15, X15
+	VUNPCKHPD    X4, X4, X6
+	VUNPCKHPD    X5, X5, X7
+	VADDSD       X6, X14, X14
+	VADDSD       X7, X15, X15
+	VEXTRACTF128 $1, Y4, X4
+	VEXTRACTF128 $1, Y5, X5
+	VADDSD       X4, X14, X14
+	VADDSD       X5, X15, X15
+	VUNPCKHPD    X4, X4, X6
+	VUNPCKHPD    X5, X5, X7
+	VADDSD       X6, X14, X14
+	VADDSD       X7, X15, X15
+	ADDQ $4, AX
+	JMP  stepfrom_loop4
+
+stepfrom_tail:
+	VZEROUPPER
+
+stepfrom_tailloop:
+	CMPQ  AX, DX
+	JGE   stepfrom_done
+	MOVSD (R8)(AX*8), X2
+	XORPD X1, X2
+	MOVSD X2, (R8)(AX*8)
+	MOVSD (DI)(AX*8), X3
+	MOVSD X3, (SI)(AX*8)
+	MOVSD X2, X4
+	MULSD X0, X4
+	ADDSD X4, X3
+	MOVSD X3, (DI)(AX*8)
+	MOVSD (R9)(AX*8), X4
+	MULSD X2, X4
+	MOVSD X3, X5
+	MULSD X3, X5
+	ADDSD X4, X14
+	ADDSD X5, X15
+	INCQ  AX
+	JMP   stepfrom_tailloop
+
+stepfrom_done:
+	MOVSD X14, ret+72(FP)
+	MOVSD X15, ret1+80(FP)
+	RET
+
 // func axpydotavx(x, y, z *float64, n uintptr, a float64, mask uint64) float64
 //
 // y = (y + a·x) XOR mask per lane, and z·y into the chain in X15, from
@@ -563,12 +642,12 @@ axpydot_done:
 	MOVSD X15, ret+48(FP)
 	RET
 
-// func pairavx(s, y, dir, grad, prev *float64, n uintptr, step float64) (sy, yy, gg float64)
+// func pairavx(s, y, dir, grad, prev *float64, n uintptr, step float64) (sy, yy, gg, sg float64)
 //
-// s = step·dir and y = grad − prev per lane; sᵀy, yᵀy and gᵀg are three
-// independent chains (X13, X14, X15, from +0), advanced lane by lane
+// s = step·dir and y = grad − prev per lane; sᵀy, yᵀy, gᵀg and sᵀg are
+// four independent chains (X12–X15, from +0), advanced lane by lane
 // side by side, so they cost the latency of one.
-TEXT ·pairavx(SB), NOSPLIT, $0-80
+TEXT ·pairavx(SB), NOSPLIT, $0-88
 	MOVQ         s+0(FP), DI
 	MOVQ         y+8(FP), SI
 	MOVQ         dir+16(FP), R8
@@ -576,6 +655,7 @@ TEXT ·pairavx(SB), NOSPLIT, $0-80
 	MOVQ         prev+32(FP), R10
 	MOVQ         n+40(FP), DX
 	VBROADCASTSD step+48(FP), Y0
+	VXORPD       X12, X12, X12
 	VXORPD       X13, X13, X13
 	VXORPD       X14, X14, X14
 	VXORPD       X15, X15, X15
@@ -596,27 +676,35 @@ pair_loop4:
 	VMULPD       Y3, Y1, Y4   // s·y
 	VMULPD       Y3, Y3, Y5   // y·y
 	VMULPD       Y2, Y2, Y6   // grad·grad
+	VMULPD       Y2, Y1, Y10  // s·grad
 	VADDSD       X4, X13, X13
 	VADDSD       X5, X14, X14
 	VADDSD       X6, X15, X15
+	VADDSD       X10, X12, X12
 	VUNPCKHPD    X4, X4, X7
 	VUNPCKHPD    X5, X5, X8
 	VUNPCKHPD    X6, X6, X9
+	VUNPCKHPD    X10, X10, X11
 	VADDSD       X7, X13, X13
 	VADDSD       X8, X14, X14
 	VADDSD       X9, X15, X15
+	VADDSD       X11, X12, X12
 	VEXTRACTF128 $1, Y4, X4
 	VEXTRACTF128 $1, Y5, X5
 	VEXTRACTF128 $1, Y6, X6
+	VEXTRACTF128 $1, Y10, X10
 	VADDSD       X4, X13, X13
 	VADDSD       X5, X14, X14
 	VADDSD       X6, X15, X15
+	VADDSD       X10, X12, X12
 	VUNPCKHPD    X4, X4, X7
 	VUNPCKHPD    X5, X5, X8
 	VUNPCKHPD    X6, X6, X9
+	VUNPCKHPD    X10, X10, X11
 	VADDSD       X7, X13, X13
 	VADDSD       X8, X14, X14
 	VADDSD       X9, X15, X15
+	VADDSD       X11, X12, X12
 	ADDQ $4, AX
 	JMP  pair_loop4
 
@@ -639,9 +727,12 @@ pair_tailloop:
 	MULSD X3, X5
 	MOVSD X2, X6
 	MULSD X2, X6
+	MOVSD X1, X10
+	MULSD X2, X10
 	ADDSD X4, X13
 	ADDSD X5, X14
 	ADDSD X6, X15
+	ADDSD X10, X12
 	INCQ  AX
 	JMP   pair_tailloop
 
@@ -649,6 +740,7 @@ pair_done:
 	MOVSD X13, sy+56(FP)
 	MOVSD X14, yy+64(FP)
 	MOVSD X15, gg+72(FP)
+	MOVSD X12, sg+80(FP)
 	RET
 
 // func axpyavx(x, y *float64, n uintptr, a float64)
@@ -701,13 +793,14 @@ axpy_tailloop:
 axpy_done:
 	RET
 
-// func scaleavx(v *float64, n uintptr, s float64)
+// func scaleavx(dst, x *float64, n uintptr, s float64)
 //
-// v = v·s per lane.
-TEXT ·scaleavx(SB), NOSPLIT, $0-24
-	MOVQ         v+0(FP), DI
-	MOVQ         n+8(FP), DX
-	VBROADCASTSD s+16(FP), Y0
+// dst = s·x per lane; dst may be x.
+TEXT ·scaleavx(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), DX
+	VBROADCASTSD s+24(FP), Y0
 	XORQ AX, AX
 	MOVQ DX, BX
 	ANDQ $-8, BX
@@ -715,8 +808,8 @@ TEXT ·scaleavx(SB), NOSPLIT, $0-24
 scale_loop8:
 	CMPQ AX, BX
 	JGE  scale_quad
-	VMULPD  (DI)(AX*8), Y0, Y1
-	VMULPD  32(DI)(AX*8), Y0, Y2
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VMULPD  32(SI)(AX*8), Y0, Y2
 	VMOVUPD Y1, (DI)(AX*8)
 	VMOVUPD Y2, 32(DI)(AX*8)
 	ADDQ $8, AX
@@ -727,7 +820,7 @@ scale_quad:
 	ANDQ $-4, BX
 	CMPQ AX, BX
 	JGE  scale_tail
-	VMULPD  (DI)(AX*8), Y0, Y1
+	VMULPD  (SI)(AX*8), Y0, Y1
 	VMOVUPD Y1, (DI)(AX*8)
 	ADDQ $4, AX
 
@@ -737,13 +830,171 @@ scale_tail:
 scale_tailloop:
 	CMPQ  AX, DX
 	JGE   scale_done
-	MOVSD (DI)(AX*8), X1
+	MOVSD (SI)(AX*8), X1
 	MULSD X0, X1
 	MOVSD X1, (DI)(AX*8)
 	INCQ  AX
 	JMP   scale_tailloop
 
 scale_done:
+	RET
+
+// func transposeavx(dst, src *float64, rows, cols uintptr)
+//
+// dst[j*rows + i] = src[i*cols + j] over the whole 4×4 blocks: four src
+// rows of four are loaded, transposed in registers (two unpacks and a
+// 128-bit permute per output row) and stored as four dst rows of four.
+// Only moves, so every bit is src's.
+TEXT ·transposeavx(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), DX
+	MOVQ cols+24(FP), CX
+	MOVQ CX, R10
+	SHLQ $3, R10              // src row stride in bytes
+	MOVQ DX, R11
+	SHLQ $3, R11              // dst row stride in bytes
+	MOVQ DX, R12
+	ANDQ $-4, R12             // rows, whole blocks
+	MOVQ CX, R13
+	ANDQ $-4, R13             // cols, whole blocks
+	XORQ AX, AX               // i
+
+transpose_rows:
+	CMPQ AX, R12
+	JGE  transpose_done
+	MOVQ AX, R8
+	IMULQ R10, R8
+	ADDQ SI, R8               // &src[i*cols]
+	LEAQ (DI)(AX*8), R9       // &dst[i]
+	XORQ BX, BX               // j
+
+transpose_cols:
+	CMPQ       BX, R13
+	JGE        transpose_next
+	LEAQ       (R8)(BX*8), DX
+	VMOVUPD    (DX), Y0           // a0 a1 a2 a3
+	VMOVUPD    (DX)(R10*1), Y1    // b0 b1 b2 b3
+	LEAQ       (DX)(R10*2), DX
+	VMOVUPD    (DX), Y2           // c0 c1 c2 c3
+	VMOVUPD    (DX)(R10*1), Y3    // d0 d1 d2 d3
+	VUNPCKLPD  Y1, Y0, Y4         // a0 b0 a2 b2
+	VUNPCKHPD  Y1, Y0, Y5         // a1 b1 a3 b3
+	VUNPCKLPD  Y3, Y2, Y6         // c0 d0 c2 d2
+	VUNPCKHPD  Y3, Y2, Y7         // c1 d1 c3 d3
+	VPERM2F128 $0x20, Y6, Y4, Y0  // a0 b0 c0 d0
+	VPERM2F128 $0x20, Y7, Y5, Y1  // a1 b1 c1 d1
+	VPERM2F128 $0x31, Y6, Y4, Y2  // a2 b2 c2 d2
+	VPERM2F128 $0x31, Y7, Y5, Y3  // a3 b3 c3 d3
+	MOVQ       BX, CX
+	IMULQ      R11, CX
+	ADDQ       R9, CX             // &dst[j*rows + i]
+	VMOVUPD    Y0, (CX)
+	VMOVUPD    Y1, (CX)(R11*1)
+	LEAQ       (CX)(R11*2), CX
+	VMOVUPD    Y2, (CX)
+	VMOVUPD    Y3, (CX)(R11*1)
+	ADDQ       $4, BX
+	JMP        transpose_cols
+
+transpose_next:
+	ADDQ $4, AX
+	JMP  transpose_rows
+
+transpose_done:
+	VZEROUPPER
+	RET
+
+// func colsumsavx(out, m *float64, rows, cols uintptr)
+//
+// out[j] = +0 + m[0][j] + m[1][j] + … down the rows, in order: sixteen
+// columns at a time in Y0–Y3, then four in Y0, then one in X0, each
+// column's chain its own lane. Each add takes the row's value as its
+// first operand, as the compiled Go loop does (v + out[j]), so where two
+// NaNs meet the same payload wins.
+TEXT ·colsumsavx(SB), NOSPLIT, $0-32
+	MOVQ out+0(FP), DI
+	MOVQ m+8(FP), SI
+	MOVQ rows+16(FP), DX
+	MOVQ cols+24(FP), CX
+	MOVQ CX, R10
+	SHLQ $3, R10              // row stride in bytes
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-16, BX
+
+colsums_loop16:
+	CMPQ   AX, BX
+	JGE    colsums_quad
+	LEAQ   (SI)(AX*8), R8
+	MOVQ   DX, R9
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+colsums_rows16:
+	VMOVUPD (R8), Y4
+	VMOVUPD 32(R8), Y5
+	VMOVUPD 64(R8), Y6
+	VMOVUPD 96(R8), Y7
+	VADDPD  Y0, Y4, Y0
+	VADDPD  Y1, Y5, Y1
+	VADDPD  Y2, Y6, Y2
+	VADDPD  Y3, Y7, Y3
+	ADDQ    R10, R8
+	DECQ    R9
+	JNZ     colsums_rows16
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, 64(DI)(AX*8)
+	VMOVUPD Y3, 96(DI)(AX*8)
+	ADDQ    $16, AX
+	JMP     colsums_loop16
+
+colsums_quad:
+	MOVQ CX, BX
+	ANDQ $-4, BX
+
+colsums_loop4:
+	CMPQ   AX, BX
+	JGE    colsums_tail
+	LEAQ   (SI)(AX*8), R8
+	MOVQ   DX, R9
+	VXORPD Y0, Y0, Y0
+
+colsums_rows4:
+	VMOVUPD (R8), Y4
+	VADDPD  Y0, Y4, Y0
+	ADDQ    R10, R8
+	DECQ    R9
+	JNZ     colsums_rows4
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     colsums_loop4
+
+colsums_tail:
+	VZEROUPPER
+
+colsums_loop1:
+	CMPQ  AX, CX
+	JGE   colsums_done
+	LEAQ  (SI)(AX*8), R8
+	MOVQ  DX, R9
+	XORPD X0, X0
+
+colsums_rows1:
+	MOVSD (R8), X1
+	ADDSD X0, X1
+	MOVSD X1, X0
+	ADDQ  R10, R8
+	DECQ  R9
+	JNZ   colsums_rows1
+	MOVSD X0, (DI)(AX*8)
+	INCQ  AX
+	JMP   colsums_loop1
+
+colsums_done:
 	RET
 
 // func foldl2avx(dst, gw, w *float64, n uintptr, alpha, rows float64)
@@ -1256,23 +1507,4 @@ reluderiv_loop:
 
 reluderiv_done:
 	VZEROUPPER
-	RET
-
-// func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxIn+0(FP), AX
-	MOVL ecxIn+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() (eax, edx uint32)
-TEXT ·xgetbv0(SB), NOSPLIT, $0-8
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
 	RET

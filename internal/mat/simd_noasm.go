@@ -38,11 +38,15 @@ func axpytoavx(dst, x, y *float64, n uintptr, a, sq float64) float64 {
 	panic("mat: SIMD kernel called on a platform without SIMD support")
 }
 
+func stepfromavx(p, base, dir, z *float64, n uintptr, step float64, mask uint64, dot, sq float64) (float64, float64) {
+	panic("mat: SIMD kernel called on a platform without SIMD support")
+}
+
 func axpydotavx(x, y, z *float64, n uintptr, a float64, mask uint64) float64 {
 	panic("mat: SIMD kernel called on a platform without SIMD support")
 }
 
-func pairavx(s, y, dir, grad, prev *float64, n uintptr, step float64) (sy, yy, gg float64) {
+func pairavx(s, y, dir, grad, prev *float64, n uintptr, step float64) (sy, yy, gg, sg float64) {
 	panic("mat: SIMD kernel called on a platform without SIMD support")
 }
 
@@ -50,7 +54,15 @@ func axpyavx(x, y *float64, n uintptr, a float64) {
 	panic("mat: SIMD kernel called on a platform without SIMD support")
 }
 
-func scaleavx(v *float64, n uintptr, s float64) {
+func scaleavx(dst, x *float64, n uintptr, s float64) {
+	panic("mat: SIMD kernel called on a platform without SIMD support")
+}
+
+func transposeavx(dst, src *float64, rows, cols uintptr) {
+	panic("mat: SIMD kernel called on a platform without SIMD support")
+}
+
+func colsumsavx(out, m *float64, rows, cols uintptr) {
 	panic("mat: SIMD kernel called on a platform without SIMD support")
 }
 

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"enhancedbhpo/internal/dataset"
@@ -62,7 +63,7 @@ func TestFitEpochZeroAlloc(t *testing.T) {
 				t.Skip("this CPU or build has no AVX2 kernels")
 			}
 			m, x, target, r := setup(c.solver, c.act)
-			st := m.newSGDState(x, target, r.Split(2))
+			st := m.newSGDState(x, target, r.Split(2), m.nw.weightSq())
 			st.runEpoch() // warm-up: builds full-batch and tail scratch
 			if allocs := testing.AllocsPerRun(5, func() { st.runEpoch() }); allocs != 0 {
 				t.Errorf("steady-state epoch allocated %v objects, want 0", allocs)
@@ -119,6 +120,70 @@ func TestFitInMatchesFitBitwise(t *testing.T) {
 					assertModelBitwise(t, label, got, want)
 					if g, w := got.Score(train), want.Score(train); g != w {
 						t.Fatalf("%s: score %x, want %x", label, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFitInPoisonedArenaMatchesFit fills an arena's whole block with NaN
+// before every fit, through a hand-out FloatsUnzeroed leaves as it is,
+// so any buffer read before it is written reads NaN. Every solver ×
+// activation × task, with and without the validation carve-out, must
+// still train to the bits of a heap Fit: parameters, loss curve, epoch
+// count and score. The same holds for fits from DrawInits, five seeds
+// drawn together (a four-lane pass and a one-lane pass) into a poisoned
+// arena of their own.
+func TestFitInPoisonedArenaMatchesFit(t *testing.T) {
+	const block = 1 << 16 // floats, more than any fit below takes
+	poison := func(ws *mat.Arena) {
+		ws.Reset()
+		for range 2 { // a first hand-out past the block sizes it
+			buf := ws.FloatsUnzeroed(block)
+			for i := range buf {
+				buf[i] = math.NaN()
+			}
+			ws.Reset()
+		}
+	}
+	ws, initWS := new(mat.Arena), new(mat.Arena)
+	for _, train := range []*dataset.Dataset{easyClassification(45, 5), easyRegression(45, 6)} {
+		for _, solver := range []Solver{SGD, Adam, LBFGS} {
+			for _, act := range []Activation{Logistic, Tanh, ReLU} {
+				for _, early := range []bool{false, true} {
+					cfg := DefaultConfig()
+					cfg.Solver = solver
+					cfg.Activation = act
+					cfg.HiddenLayerSizes = []int{9, 5}
+					cfg.MaxIter = 8
+					cfg.BatchSize = 16 // 45 % 16 != 0: the tail batch is exercised
+					cfg.EarlyStopping = early
+					seeds := []uint64{11, 12, 13, 14, 15}
+					poison(initWS)
+					inits := DrawInits(initWS, train, cfg, seeds)
+					for k, seed := range seeds {
+						cfg.Seed = seed
+						label := fmt.Sprintf("%s %s %s early=%v seed %d", train.Kind, solver, act, early, seed)
+						want, err := Fit(train, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, from := range []Init{{}, inits[k]} {
+							poison(ws)
+							got, err := FitFrom(ws, train, cfg, from)
+							if err != nil {
+								t.Fatal(err)
+							}
+							l := label
+							if from.params != nil {
+								l += " drawn ahead"
+							}
+							assertModelBitwise(t, l, got, want)
+							if g, w := got.Score(train), want.Score(train); math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("%s: score %x, want %x", l, g, w)
+							}
+						}
 					}
 				}
 			}

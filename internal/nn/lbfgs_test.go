@@ -58,6 +58,29 @@ func TestLBFGSMatchesFullGradientBitwise(t *testing.T) {
 	}
 }
 
+// TestLBFGSToleranceExitAtStart sets a tolerance no first gradient's
+// norm reaches under: the fit must stop before its first step with the
+// drawn parameters and the first loss alone, as the oracle does, though
+// the pass that starts the line search has written a trial point by
+// the time the norm is known.
+func TestLBFGSToleranceExitAtStart(t *testing.T) {
+	for _, train := range []*dataset.Dataset{easyClassification(60, 1), easyRegression(60, 2)} {
+		cfg := DefaultConfig()
+		cfg.Solver = LBFGS
+		cfg.HiddenLayerSizes = []int{7}
+		cfg.Tol = 1e6
+		got, err := Fit(train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := lbfgsOracle(nil, train, cfg)
+		assertModelBitwise(t, fmt.Sprintf("%s tol 1e6", train.Kind), got, want)
+		if got.Epochs != 0 || len(got.LossCurve) != 1 {
+			t.Fatalf("%s: %d epochs and %d losses, want the first loss alone", train.Kind, got.Epochs, len(got.LossCurve))
+		}
+	}
+}
+
 // lbfgsOracle is FitIn with the solver swapped for fitLBFGSOracle: the
 // same network, initialization and validation carve-out.
 func lbfgsOracle(ws *mat.Arena, train *dataset.Dataset, cfg Config) *Model {

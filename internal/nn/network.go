@@ -39,47 +39,72 @@ type network struct {
 	scratch []*batchScratch
 }
 
-func newNetwork(ws *mat.Arena, inputs int, hidden []int, outputs int, act Activation, softmax bool, r *rng.RNG) *network {
+// layoutNetwork returns a network of the given layer widths without its
+// parameter vector: the offsets of its weight and bias blocks and its
+// size, for drawInit to draw parameters into.
+func layoutNetwork(ws *mat.Arena, inputs int, hidden []int, outputs int, act Activation, softmax bool) (nw *network, size int) {
 	layers := len(hidden) + 1
 	dims := ws.Ints(layers + 1)
 	dims[0] = inputs
 	copy(dims[1:], hidden)
 	dims[layers] = outputs
-	total := 0
 	wOff := ws.Ints(layers)
 	bOff := ws.Ints(layers)
 	for l := 0; l < layers; l++ {
-		wOff[l] = total
-		total += dims[l] * dims[l+1]
-		bOff[l] = total
-		total += dims[l+1]
+		wOff[l] = size
+		size += dims[l] * dims[l+1]
+		bOff[l] = size
+		size += dims[l+1]
 	}
-	nw := &network{
-		dims:       dims,
-		params:     ws.Floats(total),
-		wOff:       wOff,
-		bOff:       bOff,
-		activation: act,
-		softmaxOut: softmax,
-		ws:         ws,
-	}
-	nw.glorotInit(r)
-	return nw
+	return &network{dims: dims, wOff: wOff, bOff: bOff, activation: act, softmaxOut: softmax, ws: ws}, size
 }
 
-// glorotInit fills the weights with the Glorot/Xavier uniform scheme used by
-// scikit-learn's MLP (factor 6 for tanh/relu, 2 for logistic).
-func (nw *network) glorotInit(r *rng.RNG) {
+// Init is a network's initial parameters, drawn ahead of its fit, and
+// Σw² over their weight blocks in stepBlocks's order, which the fit's
+// first loss takes instead of walking the weights.
+type Init struct {
+	params []float64
+	wsq    float64
+}
+
+// drawInit draws the initial parameters of networks laid out like nw,
+// of size parameters each, from rs into one block of ws, rs[k] for the
+// k-th: the Glorot/Xavier uniform scheme of scikit-learn's MLP (factor 6
+// for tanh/relu, 2 for logistic), weights then biases, layer by layer.
+// rng.FillUniformLanes draws four networks per pass, each its
+// generator's own sequence, and carries each one's Σw² through its
+// weight blocks; the bias blocks' sums are dropped.
+func (nw *network) drawInit(size int, rs []*rng.RNG) []Init {
 	factor := 6.0
 	if nw.activation == Logistic {
 		factor = 2.0
 	}
-	for l := 0; l < nw.layers(); l++ {
-		fanIn, fanOut := nw.dims[l], nw.dims[l+1]
-		bound := math.Sqrt(factor / float64(fanIn+fanOut))
-		r.FillUniform(nw.weights(l), bound)
-		r.FillUniform(nw.biases(l), bound)
+	block := nw.ws.FloatsUnzeroed(len(rs) * size)
+	inits := make([]Init, len(rs))
+	for k := range inits {
+		inits[k].params = block[k*size : (k+1)*size : (k+1)*size]
 	}
+	var lanes [4][]float64
+	var wsq, dropped [4]float64
+	for g := 0; g < len(rs); g += 4 {
+		k := min(4, len(rs)-g)
+		wsq = [4]float64{}
+		for l := 0; l < nw.layers(); l++ {
+			bound := math.Sqrt(factor / float64(nw.dims[l]+nw.dims[l+1]))
+			for i := range k {
+				lanes[i] = inits[g+i].params[nw.wOff[l]:nw.bOff[l]]
+			}
+			rng.FillUniformLanes(rs[g:g+k], lanes[:k], bound, wsq[:k])
+			for i := range k {
+				lanes[i] = inits[g+i].params[nw.bOff[l] : nw.bOff[l]+nw.dims[l+1]]
+			}
+			rng.FillUniformLanes(rs[g:g+k], lanes[:k], bound, dropped[:k])
+		}
+		for i := range k {
+			inits[g+i].wsq = wsq[i]
+		}
+	}
+	return inits
 }
 
 func (nw *network) layers() int { return len(nw.dims) - 1 }
@@ -93,26 +118,12 @@ func (nw *network) biases(l int) []float64 {
 	return nw.params[nw.bOff[l] : nw.bOff[l]+nw.dims[l+1]]
 }
 
-// weightSq returns Σw² over the weight blocks — layer 0 to L−1, each in
-// index order, one sequential chain, biases skipped — the sum the L2
-// penalty of loss is taken from. Only a fit's first loss needs it: every
-// later one gets the sum from the step that wrote the weights
-// (stepBlocks).
-func (nw *network) weightSq() float64 {
-	var wsq float64
-	for l := 0; l < nw.layers(); l++ {
-		for _, wv := range nw.weights(l) {
-			wsq += float64(wv * wv)
-		}
-	}
-	return wsq
-}
-
 // stepBlocks runs a step kernel over the parameters, block by block:
 // step(lo, hi, sq) updates params[lo:hi] and returns sq plus the sum of
 // squares of the values it wrote. The weight blocks thread one sum
-// through them in weightSq's order, which stepBlocks returns; the bias
-// blocks' sums are dropped.
+// through them — layer 0 to L−1, each in index order, one sequential
+// chain, biases skipped: the sum the L2 penalty of loss is taken from —
+// which stepBlocks returns; the bias blocks' sums are dropped.
 func (nw *network) stepBlocks(step func(lo, hi int, sq float64) float64) float64 {
 	var wsq float64
 	for l := 0; l < nw.layers(); l++ {
@@ -145,7 +156,7 @@ func (nw *network) forwardPass(x *mat.Dense) []*mat.Dense {
 // lossGrad computes the regularized loss and its gradient over the batch.
 // For classification target is one-hot rows (softmax + cross-entropy); for
 // regression target holds real values (identity + half squared error).
-// wsq is weightSq of the current parameters, as loss takes it. grad must
+// wsq is Σw² of the current parameters, as loss takes it. grad must
 // have len(nw.params); it is overwritten.
 func (nw *network) lossGrad(x, target *mat.Dense, alpha, wsq float64, grad []float64) float64 {
 	loss := nw.loss(x, target, alpha, wsq)
@@ -156,8 +167,9 @@ func (nw *network) lossGrad(x, target *mat.Dense, alpha, wsq float64, grad []flo
 // loss runs the forward pass over the batch and returns the regularized
 // loss, leaving the activations in the scratch for x's row count, where
 // a backprop call with the same x and target reads them. wsq must be
-// weightSq of the current parameters, bit for bit: the step that wrote
-// them carries it (stepBlocks), so loss does not walk the weights.
+// Σw² of the current parameters in stepBlocks's order, bit for bit: the
+// draw or the step that wrote them carries it (drawInit, stepBlocks), so
+// loss does not walk the weights.
 func (nw *network) loss(x, target *mat.Dense, alpha, wsq float64) float64 {
 	out := nw.forwardPass(x)[nw.layers()]
 	var loss float64
@@ -277,7 +289,7 @@ func crossEntropy(proba, oneHot *mat.Dense) float64 {
 			if p < eps {
 				p = eps
 			}
-			loss -= t * math.Log(p)
+			loss -= float64(t * math.Log(p))
 		}
 	}
 	return loss / float64(n)
@@ -289,7 +301,7 @@ func halfSquaredError(out, target *mat.Dense) float64 {
 	od, td := out.Data(), target.Data()
 	for i, t := range td {
 		d := od[i] - t
-		loss += d * d
+		loss += float64(d * d)
 	}
 	return loss / (2 * float64(n))
 }

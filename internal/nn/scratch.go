@@ -34,11 +34,12 @@ func (nw *network) scratchFor(rows int) *batchScratch {
 		acts:   make([]*mat.Dense, L+1),
 		deltas: make([]*mat.Dense, L+1),
 	}
+	// Every pass writes these whole before reading them.
 	for l := 0; l < L; l++ {
-		s.acts[l+1] = nw.ws.Dense(rows, nw.dims[l+1])
+		s.acts[l+1] = nw.writeFirst(rows, nw.dims[l+1])
 	}
 	for l := 1; l <= L; l++ {
-		s.deltas[l] = nw.ws.Dense(rows, nw.dims[l])
+		s.deltas[l] = nw.writeFirst(rows, nw.dims[l])
 	}
 	nw.scratch = append(nw.scratch, s)
 	return s
@@ -66,7 +67,7 @@ func (nw *network) gwBuf(l int) *mat.Dense {
 		nw.gwBufs = make([]*mat.Dense, nw.layers())
 	}
 	if nw.gwBufs[l] == nil {
-		nw.gwBufs[l] = nw.ws.Dense(nw.dims[l], nw.dims[l+1])
+		nw.gwBufs[l] = nw.writeFirst(nw.dims[l], nw.dims[l+1])
 	}
 	return nw.gwBufs[l]
 }
@@ -83,13 +84,15 @@ func (nw *network) packWT(l int) *mat.Dense {
 	}
 	fanIn, fanOut := nw.dims[l], nw.dims[l+1]
 	if nw.wtBufs[l] == nil {
-		nw.wtBufs[l] = nw.ws.Dense(fanOut, fanIn)
+		nw.wtBufs[l] = nw.writeFirst(fanOut, fanIn)
 	}
-	wt, w := nw.wtBufs[l].Data(), nw.weights(l)
-	for i := 0; i < fanIn; i++ {
-		for j, v := range w[i*fanOut : (i+1)*fanOut] {
-			wt[j*fanIn+i] = v
-		}
-	}
+	mat.TransposeInto(nw.wtBufs[l], nw.weightMat(l))
 	return nw.wtBufs[l]
+}
+
+// writeFirst returns a rows×cols matrix from the network's arena that is
+// not cleared first, for a buffer every use writes whole before reading
+// it.
+func (nw *network) writeFirst(rows, cols int) *mat.Dense {
+	return nw.ws.DenseData(rows, cols, nw.ws.FloatsUnzeroed(rows*cols))
 }

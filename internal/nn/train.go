@@ -37,6 +37,33 @@ func Fit(train *dataset.Dataset, cfg Config) (*Model, error) { return FitIn(nil,
 // arithmetic — and so every weight and score — is that of Fit; a nil ws
 // is Fit.
 func FitIn(ws *mat.Arena, train *dataset.Dataset, cfg Config) (*Model, error) {
+	return FitFrom(ws, train, cfg, Init{})
+}
+
+// DrawInits draws in ws the initial parameters of the networks FitIn
+// trains for cfg on data shaped like train — its features and classes —
+// with each of seeds as cfg.Seed, four at a time (drawInit). FitFrom
+// trains from them: FitFrom(ws', d, c, inits[k]), with c cfg under
+// seeds[k], is FitIn(ws', d, c) bit for bit. The Inits alias ws and are
+// valid until ws.Reset(). Where cfg is invalid every Init is the zero
+// Init, from which FitFrom draws its own and so rejects cfg as FitIn
+// does.
+func DrawInits(ws *mat.Arena, train *dataset.Dataset, cfg Config, seeds []uint64) []Init {
+	if cfg.Validate() != nil {
+		return make([]Init, len(seeds))
+	}
+	nw, size := layoutFor(ws, train, cfg)
+	rs := make([]*rng.RNG, len(seeds))
+	for k, seed := range seeds {
+		rs[k] = fitRNG(seed).Split(1)
+	}
+	return nw.drawInit(size, rs)
+}
+
+// FitFrom is FitIn starting from init, drawn for cfg on data shaped like
+// train by DrawInits; from the zero Init it draws its own, and is FitIn.
+// The model trains in init's parameter vector.
+func FitFrom(ws *mat.Arena, train *dataset.Dataset, cfg Config, init Init) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -46,15 +73,14 @@ func FitIn(ws *mat.Arena, train *dataset.Dataset, cfg Config) (*Model, error) {
 	if train.Len() < 2 {
 		return nil, fmt.Errorf("nn: need at least 2 training instances, got %d", train.Len())
 	}
-	r := rng.New(cfg.Seed ^ 0xabcdef1234)
-	var outputs int
-	softmax := train.Kind == dataset.Classification
-	if softmax {
-		outputs = train.NumClasses
-	} else {
-		outputs = 1
+	r := fitRNG(cfg.Seed)
+	nw, size := layoutFor(ws, train, cfg)
+	if init.params == nil {
+		init = nw.drawInit(size, []*rng.RNG{r.Split(1)})[0]
+	} else if len(init.params) != size {
+		panic(fmt.Sprintf("nn: %d initial parameters for a network of %d", len(init.params), size))
 	}
-	nw := newNetwork(ws, train.Features(), cfg.HiddenLayerSizes, outputs, cfg.Activation, softmax, r.Split(1))
+	nw.params = init.params
 	m := &Model{cfg: cfg, nw: nw, kind: train.Kind, numClasses: train.NumClasses}
 
 	fitSet := train
@@ -68,13 +94,30 @@ func FitIn(ws *mat.Arena, train *dataset.Dataset, cfg Config) (*Model, error) {
 
 	switch cfg.Solver {
 	case LBFGS:
-		m.fitLBFGS(x, target)
+		m.fitLBFGS(x, target, init.wsq)
 	case SGD, Adam:
-		m.fitStochastic(x, target, valSet, r.Split(3))
+		m.fitStochastic(x, target, valSet, r.Split(3), init.wsq)
 	default:
 		return nil, fmt.Errorf("nn: unknown solver %v", cfg.Solver)
 	}
 	return m, nil
+}
+
+// fitRNG is the generator a fit with the given seed draws from: its
+// Split(1) draws the initial parameters, Split(2) carves the validation
+// holdout and Split(3) shuffles the minibatches.
+func fitRNG(seed uint64) *rng.RNG { return rng.New(seed ^ 0xabcdef1234) }
+
+// layoutFor lays out the network FitIn builds for cfg on train: train's
+// features in, cfg's hidden layers, and a softmax over train's classes
+// or one linear output.
+func layoutFor(ws *mat.Arena, train *dataset.Dataset, cfg Config) (*network, int) {
+	softmax := train.Kind == dataset.Classification
+	outputs := 1
+	if softmax {
+		outputs = train.NumClasses
+	}
+	return layoutNetwork(ws, train.Features(), cfg.HiddenLayerSizes, outputs, cfg.Activation, softmax)
 }
 
 // splitValidation carves a validation holdout off train (stratified for
@@ -133,8 +176,8 @@ type sgdState struct {
 	grad                   []float64
 	velocity, adamM, adamV []float64
 	lr                     float64
-	// wsq is weightSq of the current parameters: walked once at the
-	// start, then carried by each step.
+	// wsq is Σw² of the current parameters: the draw's to start with,
+	// then carried by each step.
 	wsq float64
 	// step is the global minibatch counter driving the invscaling
 	// schedule (equals epoch*batchesPerEpoch + batchInEpoch, 1-based).
@@ -146,7 +189,7 @@ type sgdState struct {
 	tailBx, tailBt *mat.Dense // n%batch remainder buffers (nil when none)
 }
 
-func (m *Model) newSGDState(x, target *mat.Dense, r *rng.RNG) *sgdState {
+func (m *Model) newSGDState(x, target *mat.Dense, r *rng.RNG, wsq float64) *sgdState {
 	cfg := m.cfg
 	n := x.Rows()
 	batch := cfg.BatchSize
@@ -157,11 +200,11 @@ func (m *Model) newSGDState(x, target *mat.Dense, r *rng.RNG) *sgdState {
 	ws := m.nw.ws
 	st := &sgdState{
 		m: m, x: x, target: target, n: n, batch: batch, r: r,
-		grad: ws.Floats(p),
+		grad: ws.FloatsUnzeroed(p),
 		lr:   cfg.LearningRateInit,
-		wsq:  m.nw.weightSq(),
-		bx:   ws.Dense(batch, x.Cols()),
-		bt:   ws.Dense(batch, target.Cols()),
+		wsq:  wsq,
+		bx:   m.nw.writeFirst(batch, x.Cols()),
+		bt:   m.nw.writeFirst(batch, target.Cols()),
 	}
 	if cfg.Solver == SGD {
 		st.velocity = ws.Floats(p)
@@ -170,8 +213,8 @@ func (m *Model) newSGDState(x, target *mat.Dense, r *rng.RNG) *sgdState {
 		st.adamV = ws.Floats(p)
 	}
 	if rem := n % batch; rem != 0 {
-		st.tailBx = ws.Dense(rem, x.Cols())
-		st.tailBt = ws.Dense(rem, target.Cols())
+		st.tailBx = m.nw.writeFirst(rem, x.Cols())
+		st.tailBt = m.nw.writeFirst(rem, target.Cols())
 	}
 	st.order = ws.Ints(n)
 	for i := range st.order {
@@ -237,9 +280,10 @@ func (st *sgdState) runEpoch() float64 {
 
 // fitStochastic runs the sgd/adam epoch loop with mini-batches, learning
 // rate schedules, early stopping and the no-improvement convergence check.
-func (m *Model) fitStochastic(x, target *mat.Dense, valSet *dataset.Dataset, r *rng.RNG) {
+// wsq is Σw² of the initial parameters.
+func (m *Model) fitStochastic(x, target *mat.Dense, valSet *dataset.Dataset, r *rng.RNG, wsq float64) {
 	cfg := m.cfg
-	st := m.newSGDState(x, target, r)
+	st := m.newSGDState(x, target, r, wsq)
 	m.LossCurve = m.nw.ws.Floats(cfg.MaxIter)[:0]
 	// The best holdout score (under early stopping) or training loss so
 	// far, the epochs since it last improved by Tol, and the adaptive

@@ -48,7 +48,7 @@ func TestStepsCarryWeightSq(t *testing.T) {
 					// Large inputs make the first steps overshoot.
 					mat.Scale(40, train.X.Data())
 					got, x, target := stepModel(train, cfg, rng.New(77))
-					got.fitLBFGS(x, target)
+					got.fitLBFGS(x, target, got.nw.weightSq())
 					want, _, _ := stepModel(train, cfg, rng.New(77))
 					a, p := want.fitLBFGSOracle(x, target)
 					armijoRejected += a
@@ -61,7 +61,7 @@ func TestStepsCarryWeightSq(t *testing.T) {
 					cfg.BatchSize = batch
 					r := rng.New(77)
 					m, x, target := stepModel(train, cfg, r)
-					st := m.newSGDState(x, target, r.Split(3))
+					st := m.newSGDState(x, target, r.Split(3), m.nw.weightSq())
 					for epoch := 1; epoch <= cfg.MaxIter; epoch++ {
 						st.runEpoch()
 						if want := m.nw.weightSq(); math.Float64bits(st.wsq) != math.Float64bits(want) {
@@ -92,4 +92,25 @@ func stepModel(train *dataset.Dataset, cfg Config, r *rng.RNG) (*Model, *mat.Den
 	nw := newNetwork(nil, train.Features(), cfg.HiddenLayerSizes, outputs, cfg.Activation, softmax, r.Split(1))
 	m := &Model{cfg: cfg, nw: nw, kind: train.Kind, numClasses: train.NumClasses}
 	return m, train.X, targetMatrix(nil, train)
+}
+
+// newNetwork builds a network of the given widths on ws and draws its
+// initial parameters from r, as FitIn does from its generator's Split(1).
+func newNetwork(ws *mat.Arena, inputs int, hidden []int, outputs int, act Activation, softmax bool, r *rng.RNG) *network {
+	nw, size := layoutNetwork(ws, inputs, hidden, outputs, act, softmax)
+	nw.params = nw.drawInit(size, []*rng.RNG{r})[0].params
+	return nw
+}
+
+// weightSq returns Σw² over the weight blocks — layer 0 to L−1, each in
+// index order, one sequential chain, biases skipped — walked afresh: the
+// sum the draw and every step carry into loss.
+func (nw *network) weightSq() float64 {
+	var wsq float64
+	for l := 0; l < nw.layers(); l++ {
+		for _, wv := range nw.weights(l) {
+			wsq += float64(wv * wv)
+		}
+	}
+	return wsq
 }

@@ -6,6 +6,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 )
 
@@ -85,10 +86,19 @@ func (r *RNG) Float64() float64 {
 }
 
 // FillUniform sets each element of dst, in order, to (2·Float64()−1)·bound,
-// a draw uniform on [−bound, bound): the same values as that loop, leaving
-// r in the same state, with the generator's state held in locals for the
-// whole fill.
-func (r *RNG) FillUniform(dst []float64, bound float64) {
+// a draw uniform on [−bound, bound), and returns sq plus the sum of
+// squares of the values, sq + v₀² + v₁² + …, one rounding per term in
+// index order: the same values as that loop, leaving r in the same
+// state, with the generator's state held in locals for the whole fill.
+//
+// A value is computed as (x − 2⁵²)·(bound·2⁻⁵²), x the draw's top 53
+// bits, one multiply where the loop's form takes four operations. The
+// two are the same bits: x/2⁵³, its doubling and the subtraction of 1
+// are exact, so the loop rounds once, from ((x − 2⁵²)/2⁵²)·bound, the
+// real number this form rounds once from; x − 2⁵² converts exactly and
+// bound·2⁻⁵² is exact for any bound above 2⁻⁹⁷⁰.
+func (r *RNG) FillUniform(dst []float64, bound, sq float64) float64 {
+	scale := bound * 0x1p-52
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for i := range dst {
 		result := rotl(s1*5, 7) * 9
@@ -99,9 +109,60 @@ func (r *RNG) FillUniform(dst []float64, bound float64) {
 		s0 ^= s3
 		s2 ^= t
 		s3 = rotl(s3, 45)
-		dst[i] = (2*(float64(result>>11)/(1<<53)) - 1) * bound
+		v := float64(int64(result>>11)-1<<52) * scale
+		dst[i] = v
+		sq += float64(v * v)
 	}
 	r.s = [4]uint64{s0, s1, s2, s3}
+	return sq
+}
+
+// FillUniformLanes runs FillUniform on up to four generators at once:
+// rs[k] fills dst[k] with bound and sq[k] becomes the sum it returns,
+// started from sq[k]. Every dst must have the same length. Where the CPU
+// has AVX2 the generators run side by side in the four lanes of one
+// kernel, each lane the same bits and the same final state as its
+// generator's FillUniform; a single generator, which would leave three
+// lanes idle, and every other build run FillUniform itself.
+func FillUniformLanes(rs []*RNG, dst [][]float64, bound float64, sq []float64) {
+	k := len(rs)
+	if k == 0 || k > 4 || len(dst) != k || len(sq) != k {
+		panic(fmt.Sprintf("rng: %d generators, %d destinations and %d sums for up to 4 lanes", k, len(dst), len(sq)))
+	}
+	n := len(dst[0])
+	for _, d := range dst {
+		if len(d) != n {
+			panic(fmt.Sprintf("rng: lane lengths %d and %d differ", n, len(d)))
+		}
+	}
+	if !lanesAVX2 || k == 1 || n == 0 {
+		for i, r := range rs {
+			sq[i] = r.FillUniform(dst[i], bound, sq[i])
+		}
+		return
+	}
+	// The state transposed, word j of lane l at [j][l], and the lanes
+	// padded with copies of lane 0: a copy draws lane 0's values into
+	// lane 0's slice, the same bits, so idle lanes write nothing new.
+	var st [4][4]uint64
+	var ptr [4]*float64
+	var acc [4]float64
+	for l := range 4 {
+		src := l
+		if l >= k {
+			src = 0
+		}
+		for j := range 4 {
+			st[j][l] = rs[src].s[j]
+		}
+		ptr[l] = &dst[src][0]
+		acc[l] = sq[src]
+	}
+	uniformavx(&st, ptr[0], ptr[1], ptr[2], ptr[3], uintptr(n), bound*0x1p-52, &acc)
+	for l, r := range rs {
+		r.s = [4]uint64{st[0][l], st[1][l], st[2][l], st[3][l]}
+		sq[l] = acc[l]
+	}
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.

@@ -261,20 +261,27 @@ func TestFingerprint(t *testing.T) {
 // TestFillUniformMatchesFloat64Loop holds FillUniform to the loop it
 // replaces: the same values in the same order, bit for bit, and the
 // generator left in the same state (spare normal included), so the next
-// draw agrees too.
+// draw agrees too, for bounds down to 2⁻⁹⁷⁰, below which bound·2⁻⁵²
+// is no longer exact. The sum it returns is the chain sq + v₀² + v₁² + …
+// over those values.
 func TestFillUniformMatchesFloat64Loop(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 64, 6000} {
-		for _, bound := range []float64{1, 0.0316, math.Sqrt(6.0 / 173)} {
+		for _, bound := range []float64{1, 0.0316, math.Sqrt(6.0 / 173), 3e5, 0x1p-970} {
 			a, b := New(uint64(900+n)), New(uint64(900+n))
 			a.Norm() // leaves a spare normal pending in both
 			b.Norm()
 			got := make([]float64, n)
-			a.FillUniform(got, bound)
+			sq := a.FillUniform(got, bound, 0.25)
+			want := 0.25
 			for i := range got {
-				want := (2*b.Float64() - 1) * bound
-				if math.Float64bits(got[i]) != math.Float64bits(want) {
-					t.Fatalf("n=%d bound=%v: element %d = %v, the Float64 loop %v", n, bound, i, got[i], want)
+				v := (2*b.Float64() - 1) * bound
+				if math.Float64bits(got[i]) != math.Float64bits(v) {
+					t.Fatalf("n=%d bound=%v: element %d = %v, the Float64 loop %v", n, bound, i, got[i], v)
 				}
+				want += float64(v * v)
+			}
+			if math.Float64bits(sq) != math.Float64bits(want) {
+				t.Fatalf("n=%d bound=%v: Σv² %x, the chain over the values %x", n, bound, math.Float64bits(sq), math.Float64bits(want))
 			}
 			if *a != *b {
 				t.Fatalf("n=%d bound=%v: state %+v after the fill, the Float64 loop %+v", n, bound, *a, *b)
@@ -284,4 +291,97 @@ func TestFillUniformMatchesFloat64Loop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFillUniformLanesMatchesFillUniform holds every lane of
+// FillUniformLanes — the AVX2 kernel where the CPU has it — to its own
+// generator's FillUniform at one to four lanes: the values, the sum each
+// lane carries on from its own start, and the generator's final state,
+// bit for bit, over lengths 0–67 and 6 000, and bounds down to where
+// values and their squares turn subnormal.
+func TestFillUniformLanesMatchesFillUniform(t *testing.T) {
+	lengths := []int{6000}
+	for n := 0; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	for lanes := 1; lanes <= 4; lanes++ {
+		for _, n := range lengths {
+			for _, bound := range []float64{1, 0.0316, math.Sqrt(6.0 / 173), 3e5, 1e-300} {
+				rs := make([]*RNG, lanes)
+				dst := make([][]float64, lanes)
+				sq := make([]float64, lanes)
+				for l := range rs {
+					rs[l] = New(uint64(31*n + l))
+					dst[l] = make([]float64, n)
+					sq[l] = float64(l) * 0.5
+				}
+				FillUniformLanes(rs, dst, bound, sq)
+				for l := range rs {
+					ref := New(uint64(31*n + l))
+					want := make([]float64, n)
+					wantSq := ref.FillUniform(want, bound, float64(l)*0.5)
+					for i := range want {
+						if math.Float64bits(dst[l][i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%d lanes, n=%d, bound=%v: lane %d element %d = %x, FillUniform %x",
+								lanes, n, bound, l, i, math.Float64bits(dst[l][i]), math.Float64bits(want[i]))
+						}
+					}
+					if math.Float64bits(sq[l]) != math.Float64bits(wantSq) {
+						t.Fatalf("%d lanes, n=%d, bound=%v: lane %d Σv² %x, FillUniform %x", lanes, n, bound, l, math.Float64bits(sq[l]), math.Float64bits(wantSq))
+					}
+					if *rs[l] != *ref {
+						t.Fatalf("%d lanes, n=%d, bound=%v: lane %d left state %+v, FillUniform %+v", lanes, n, bound, l, *rs[l], *ref)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestFillUniformLanesRejectsMismatch(t *testing.T) {
+	for name, call := range map[string]func(){
+		"no lanes":   func() { FillUniformLanes(nil, nil, 1, nil) },
+		"five lanes": func() { FillUniformLanes(make([]*RNG, 5), make([][]float64, 5), 1, make([]float64, 5)) },
+		"lengths": func() {
+			FillUniformLanes([]*RNG{New(1), New(2)}, [][]float64{make([]float64, 3), make([]float64, 4)}, 1, make([]float64, 2))
+		},
+		"sum count": func() { FillUniformLanes([]*RNG{New(1)}, [][]float64{make([]float64, 3)}, 1, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// BenchmarkFillUniform draws an 8 800-parameter network's worth of
+// values — the [40 40] network of a 123-feature dataset — for one
+// network (FillUniform) and for an evaluation's five folds
+// (FillUniformLanes, four lanes and one).
+func BenchmarkFillUniform(b *testing.B) {
+	const n = 8800
+	b.Run("one", func(b *testing.B) {
+		r, dst := New(1), make([]float64, n)
+		b.SetBytes(8 * n)
+		for i := 0; i < b.N; i++ {
+			r.FillUniform(dst, 0.1, 0)
+		}
+	})
+	b.Run("lanes5", func(b *testing.B) {
+		rs := []*RNG{New(1), New(2), New(3), New(4), New(5)}
+		dst := make([][]float64, 5)
+		for l := range dst {
+			dst[l] = make([]float64, n)
+		}
+		sq := make([]float64, 5)
+		b.SetBytes(5 * 8 * n)
+		for i := 0; i < b.N; i++ {
+			FillUniformLanes(rs[:4], dst[:4], 0.1, sq[:4])
+			FillUniformLanes(rs[4:], dst[4:], 0.1, sq[4:])
+		}
+	})
 }

@@ -10,6 +10,7 @@ package search
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"enhancedbhpo/internal/nn"
@@ -102,11 +103,14 @@ func (c Config) Value(name string) any {
 
 // ID returns a stable identifier like "2-0-1-1", usable as a map key.
 func (c Config) ID() string {
-	parts := make([]string, len(c.idx))
+	buf := make([]byte, 0, 3*len(c.idx))
 	for i, v := range c.idx {
-		parts[i] = fmt.Sprintf("%d", v)
+		if i > 0 {
+			buf = append(buf, '-')
+		}
+		buf = strconv.AppendInt(buf, int64(v), 10)
 	}
-	return strings.Join(parts, "-")
+	return string(buf)
 }
 
 // String renders the configuration with names and values.

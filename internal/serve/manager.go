@@ -161,11 +161,11 @@ type refitter struct {
 func (f refitter) FullBudget() int { return f.cv.FullBudget() }
 
 func (f refitter) Evaluate(cfg search.Config, _ int, r *rng.RNG) ([]float64, error) {
-	model, err := f.cv.FitFull(cfg, r.Uint64())
+	score, err := f.cv.ScoreFull(cfg, r.Uint64(), f.test)
 	if err != nil {
 		return nil, err
 	}
-	return []float64{f.cv.ScoreModel(model, f.test)}, nil
+	return []float64{score}, nil
 }
 
 // scopeEntry tracks one live scope in the manager's table: how many jobs

@@ -60,7 +60,7 @@ func (m *Manager) run(ctx context.Context, job *Job, cancel context.CancelFunc, 
 			continue
 		}
 		segCancel(nil)
-		// finish holds the job slot through the final FitFull so the refit
+		// finish holds the job slot through the final refit so that it
 		// competes for CPU like any other evaluation.
 		m.finish(job, ticket, scope, res, err)
 		release()

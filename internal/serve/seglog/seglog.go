@@ -227,8 +227,9 @@ type Log struct {
 	opts        Options
 
 	mu     sync.Mutex
-	seq    int   // the active segment's
-	active *File // nil until the active segment's first line
+	seq    int    // the active segment's
+	name   string // Name(prefix, seq), made once per segment
+	active *File  // nil until the active segment's first line
 	closed bool
 }
 
@@ -251,6 +252,7 @@ func Open(dir string, opts Options, prefixes ...string) (*Log, error) {
 		}
 		l.seq = seg.Seq + 1
 	}
+	l.name = Name(l.prefix, l.seq)
 	return l, nil
 }
 
@@ -263,7 +265,7 @@ func (l *Log) Append(line []byte, sync bool) (int, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	name := Name(l.prefix, l.seq)
+	name := l.name
 	if l.active == nil {
 		f, err := OpenFile(filepath.Join(l.dir, name))
 		if err != nil {
@@ -281,6 +283,7 @@ func (l *Log) Append(line []byte, sync bool) (int, error) {
 		// written to it again.
 		err = l.active.Close()
 		l.active, l.seq = nil, l.seq+1
+		l.name = Name(l.prefix, l.seq)
 	}
 	if l.opts.OnChange != nil {
 		l.opts.OnChange(name, sealed)
