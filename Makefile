@@ -83,7 +83,7 @@ cpus:
 # One-iteration smoke run so the benchmarks can never rot; part of check.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem . ./internal/mat/ ./internal/rng/ >/dev/null
-	$(GO) test -run '^$$' -bench 'BenchmarkBoot' -benchtime 1x -benchmem ./internal/serve/ >/dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkBoot|BenchmarkWarmJob' -benchtime 1x -benchmem ./internal/serve/ >/dev/null
 
 # Paired end-to-end comparison of the working tree against BASE with the
 # repository benchmark (cmd/benchpair): alternating order, one seed per

@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"enhancedbhpo/internal/mat"
 	"enhancedbhpo/internal/rng"
@@ -113,10 +114,15 @@ func PaperSpecs() []Spec {
 	}
 }
 
-// SpecByName returns the paper spec with the given name.
+// paperSpecs is PaperSpecs, built once for SpecByName.
+var paperSpecs = PaperSpecs()
+
+// SpecByName returns the paper spec with the given name: a copy, Priors
+// included, so a caller cannot change the table.
 func SpecByName(name string) (Spec, error) {
-	for _, s := range PaperSpecs() {
+	for _, s := range paperSpecs {
 		if s.Name == name {
+			s.Priors = slices.Clone(s.Priors)
 			return s, nil
 		}
 	}

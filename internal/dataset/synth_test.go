@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -44,6 +45,27 @@ func TestSpecByNameAndNames(t *testing.T) {
 	}
 	if _, err := SpecByName("nope"); err == nil {
 		t.Error("expected error for unknown name")
+	}
+}
+
+// TestSpecByNameSharesNothing: SpecByName answers from a table built once,
+// and what it returns is the caller's own — a caller that writes into a
+// spec's Priors changes neither the next answer nor PaperSpecs.
+func TestSpecByNameSharesNothing(t *testing.T) {
+	for _, want := range PaperSpecs() {
+		got, err := SpecByName(want.Name)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("SpecByName(%q) = %+v, %v; want %+v", want.Name, got, err, want)
+		}
+		for i := range got.Priors {
+			got.Priors[i] = -1
+		}
+		if again, _ := SpecByName(want.Name); !reflect.DeepEqual(again, want) {
+			t.Fatalf("a caller's write into %s's priors reached the table: %v", want.Name, again.Priors)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = SpecByName("australian") }); allocs != 0 {
+		t.Fatalf("SpecByName of a balanced spec allocates %.0f times, want 0", allocs)
 	}
 }
 

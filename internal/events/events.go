@@ -15,17 +15,19 @@
 // subscriber, so none can be dropped, whatever the reader's pace. That
 // history is the only copy of a job's curve the serving process keeps:
 // its snapshots, its /trace and a restarted job's resume point are all
-// read from it. Events of this process life
-// are retained decoded, as published; a job that finished in an earlier
+// read from it. Events of this process life are retained decoded, as
+// published, beside the one JSON line Publish encoded each to: the durable
+// log writes that line and every event stream sends it, so an event is
+// encoded once however many read it. A job that finished in an earlier
 // life is primed with its last sequence number and a loader (Prime), its
 // history held as the durable log's lines and decoded — once, then
 // retained like any other — the first time Since or a subscription reads
 // it. A restart therefore pays for the jobs somebody asks about, not for
 // every job there ever was.
 //
-// An optional Sink receives every event synchronously in publish order —
-// the hook the durable trace store hangs off, so what is on disk is
-// always a prefix of what subscribers saw.
+// An optional Sink receives every event and its line synchronously in
+// publish order — the hook the durable trace store hangs off, so what is
+// on disk is always a prefix of what subscribers saw.
 package events
 
 import (

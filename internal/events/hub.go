@@ -1,6 +1,7 @@
 package events
 
 import (
+	"encoding/json"
 	"sync"
 	"sync/atomic"
 )
@@ -8,9 +9,21 @@ import (
 // Options tunes a Hub.
 type Options struct {
 	// Sink, when non-nil, receives every published event synchronously
-	// in publish order, before any subscriber sees it. It is the durable
-	// trace store's hook; it must not call back into the hub.
-	Sink func(Event)
+	// in publish order, before any subscriber sees it, with the line
+	// Publish encoded it to. It is the durable trace store's hook; it must
+	// not call back into the hub, nor change the line.
+	Sink func(Entry)
+}
+
+// Entry is one retained event and its wire form.
+type Entry struct {
+	Event
+	// Line is json.Marshal of the event and a newline, encoded once by
+	// Publish: the durable log writes it and every event stream sends it.
+	// Nil for an event that does not encode (a non-finite score) and for
+	// one primed from an earlier process life, which a reader encodes
+	// itself.
+	Line []byte
 }
 
 // Stats is the hub's counter snapshot, feeding the service /metrics.
@@ -38,8 +51,10 @@ type Hub struct {
 
 // feed is one job's event log.
 type feed struct {
-	mu      sync.Mutex
-	history []Event
+	mu sync.Mutex
+	// history only grows by appending, and no entry is rewritten, so a
+	// tail handed out keeps its contents while publishes append past it.
+	history []Entry
 	// load, while non-nil, is an earlier process life's history not yet
 	// decoded (Prime); the first reader runs it, once, under mu.
 	load    func() []Event
@@ -81,10 +96,13 @@ func (h *Hub) getFeed(jobID string) *feed {
 }
 
 // Publish stamps the event with the job's next sequence number and the
-// job ID, retains it, hands it to the sink, and wakes the job's waiting
-// subscribers. A terminal event closes the feed: later publishes for the
-// job are no-ops (a feed never reopens). Returns the stamped event; a
-// dropped (post-terminal) publish returns Seq 0.
+// job ID, encodes it — the one encoding the event gets, which the sink and
+// every subscriber are handed as Entry.Line — retains it, hands it to the
+// sink, and wakes the job's waiting subscribers. An event that does not
+// encode is retained and published all the same, with a nil line. A
+// terminal event closes the feed: later publishes for the job are no-ops
+// (a feed never reopens). Returns the stamped event; a dropped
+// (post-terminal) publish returns Seq 0.
 func (h *Hub) Publish(jobID string, ev Event) Event {
 	f := h.getFeed(jobID)
 	f.mu.Lock()
@@ -96,11 +114,17 @@ func (h *Hub) Publish(jobID string, ev Event) Event {
 	ev.JobID = jobID
 	ev.Seq = f.nextSeq
 	f.nextSeq++
-	f.history = append(f.history, ev)
+	f.history = append(f.history, Entry{Event: ev})
+	// Encoded where it is kept, so the event is not boxed a second time;
+	// no reader can see the entry before the lock is released.
+	e := &f.history[len(f.history)-1]
+	if line, err := json.Marshal(&e.Event); err == nil {
+		e.Line = append(line, '\n') // Marshal's buffer is rounded up: rarely a copy
+	}
 	f.done = ev.Terminal
 	h.published.Add(1) // before any subscriber can see the event
 	if h.opts.Sink != nil {
-		h.opts.Sink(ev)
+		h.opts.Sink(*e)
 	}
 	if f.wake != nil {
 		close(f.wake)
@@ -138,8 +162,13 @@ func (h *Hub) Prime(jobID string, lastSeq uint64, done bool, load func() []Event
 
 // loadLocked decodes a primed history the first time it is needed.
 func (f *feed) loadLocked() {
-	if f.load != nil {
-		f.history, f.load = f.load(), nil
+	if f.load == nil {
+		return
+	}
+	evs := f.load()
+	f.history, f.load = make([]Entry, len(evs)), nil
+	for i, ev := range evs {
+		f.history[i].Event = ev
 	}
 }
 
@@ -153,15 +182,18 @@ func (h *Hub) Subscribe(jobID string, afterSeq uint64) *Subscription {
 // Next returns every retained event past the subscription's position and
 // moves the position past them, with the channel the feed's next Publish
 // closes — or nil once the feed has closed and every event has been
-// returned; the subscription is then complete and no longer counted.
-func (s *Subscription) Next() ([]Event, <-chan struct{}) {
+// returned; the subscription is then complete and no longer counted. The
+// events are the feed's own history, not a copy, capped so that an append
+// cannot reach them: the caller must not change them.
+func (s *Subscription) Next() ([]Entry, <-chan struct{}) {
 	f := s.feed
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.loadLocked()
-	evs := eventsAfter(f.history, s.seq)
-	if n := len(evs); n > 0 {
-		s.seq = evs[n-1].Seq
+	var evs []Entry
+	if i, n := cut(f.history, s.seq), len(f.history); i < n {
+		evs = f.history[i:n:n]
+		s.seq = evs[len(evs)-1].Seq
 	}
 	if f.done {
 		s.Close()
@@ -189,7 +221,15 @@ func (h *Hub) Since(jobID string, afterSeq uint64) []Event {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.loadLocked()
-	return eventsAfter(f.history, afterSeq)
+	tail := f.history[cut(f.history, afterSeq):]
+	if len(tail) == 0 {
+		return nil
+	}
+	out := make([]Event, len(tail))
+	for i := range tail {
+		out[i] = tail[i].Event
+	}
+	return out
 }
 
 // LastSeq returns the job's highest published sequence number (0 when
@@ -217,9 +257,9 @@ func (h *Hub) Stats() Stats {
 	}
 }
 
-// eventsAfter copies the tail of history with Seq > afterSeq. History is
-// seq-ordered, so a binary search finds the cut.
-func eventsAfter(history []Event, afterSeq uint64) []Event {
+// cut returns the index of history's first event with Seq > afterSeq.
+// History is seq-ordered, so a binary search finds it.
+func cut(history []Entry, afterSeq uint64) int {
 	lo, hi := 0, len(history)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -229,10 +269,5 @@ func eventsAfter(history []Event, afterSeq uint64) []Event {
 			hi = mid
 		}
 	}
-	if lo == len(history) {
-		return nil
-	}
-	out := make([]Event, len(history)-lo)
-	copy(out, history[lo:])
-	return out
+	return lo
 }

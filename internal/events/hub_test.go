@@ -1,7 +1,6 @@
 package events
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,8 +11,8 @@ import (
 
 // collect reads the subscription until its feed completes or n events
 // arrived, returning them in order.
-func collect(sub *Subscription, n int, timeout time.Duration) []Event {
-	var out []Event
+func collect(sub *Subscription, n int, timeout time.Duration) []Entry {
+	var out []Entry
 	deadline := time.After(timeout)
 	for {
 		evs, wake := sub.Next()
@@ -279,7 +278,7 @@ func TestPrimeLoadsDoneFeedOnFirstRead(t *testing.T) {
 // life's backlog plus the live events exactly once, in order.
 func TestPrimeNotDoneFeedContinues(t *testing.T) {
 	var sunk []uint64
-	h := NewHub(Options{Sink: func(ev Event) { sunk = append(sunk, ev.Seq) }})
+	h := NewHub(Options{Sink: func(e Entry) { sunk = append(sunk, e.Seq) }})
 	loads := 0
 	h.Prime("j", 3, false, func() []Event {
 		loads++
@@ -389,9 +388,9 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 func TestSinkSeesPublishOrder(t *testing.T) {
 	var mu sync.Mutex
 	var seen []uint64
-	h := NewHub(Options{Sink: func(ev Event) {
+	h := NewHub(Options{Sink: func(e Entry) {
 		mu.Lock()
-		seen = append(seen, ev.Seq)
+		seen = append(seen, e.Seq)
 		mu.Unlock()
 	}})
 	var wg sync.WaitGroup
@@ -417,22 +416,20 @@ func TestSinkSeesPublishOrder(t *testing.T) {
 	}
 }
 
-// TestEventsAfterBinarySearch pins the backlog cut against a linear scan.
+// TestEventsAfterBinarySearch pins the cut before the events past a
+// sequence number against a linear scan.
 func TestEventsAfterBinarySearch(t *testing.T) {
-	var hist []Event
+	var hist []Entry
 	for i := 1; i <= 9; i++ {
-		hist = append(hist, Event{Seq: uint64(i)})
+		hist = append(hist, Entry{Event: Event{Seq: uint64(i)}})
 	}
 	for after := uint64(0); after <= 10; after++ {
-		got := eventsAfter(hist, after)
-		var want []Event
-		for _, ev := range hist {
-			if ev.Seq > after {
-				want = append(want, ev)
-			}
+		want := 0
+		for want < len(hist) && hist[want].Seq <= after {
+			want++
 		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("eventsAfter(%d) = %v, want %v", after, got, want)
+		if got := cut(hist, after); got != want {
+			t.Fatalf("cut(%d) = %d, want %d", after, got, want)
 		}
 	}
 }

@@ -13,9 +13,11 @@ import (
 // grid by a uniform subsample, drawn by the seed.
 func gridSearch(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
 	root := rng.New(o.Seed ^ 0x6e1d)
-	configs := space.Enumerate()
-	if o.MaxConfigs > 0 && o.MaxConfigs < len(configs) {
+	var configs []search.Config
+	if o.MaxConfigs > 0 && o.MaxConfigs < space.Size() {
 		configs = space.SampleN(root.Split(1), o.MaxConfigs)
+	} else {
+		configs = space.Enumerate()
 	}
 	return evalSequential(ctx, ev, comps, configs, root)
 }

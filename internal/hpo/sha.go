@@ -21,9 +21,11 @@ import (
 // for any worker count (per-trial RNG streams are derived from round and
 // index, not from scheduling, and trials are observed in index order).
 func (sc schedule) sha(ctx context.Context, space *search.Space, ev Evaluator, comps Components, o RunOptions) (*Result, error) {
-	current := space.Enumerate()
-	if o.MaxConfigs > 0 && o.MaxConfigs < len(current) {
+	var current []search.Config
+	if o.MaxConfigs > 0 && o.MaxConfigs < space.Size() {
 		current = space.SampleN(rng.New(o.Seed^0xc0de).Split(2), o.MaxConfigs)
+	} else {
+		current = space.Enumerate()
 	}
 	root := rng.New(o.Seed ^ 0x5a5a1)
 	budget, rMin := ev.FullBudget(), sc.rMin(comps.K)

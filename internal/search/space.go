@@ -123,28 +123,29 @@ func (c Config) String() string {
 }
 
 // Enumerate returns every configuration of the space in lexicographic
-// index order.
+// index order: the last dimension changes fastest.
 func (s *Space) Enumerate() []Config {
-	total := s.Size()
-	out := make([]Config, 0, total)
-	idx := make([]int, len(s.Dims))
-	for {
-		out = append(out, s.NewConfig(idx))
-		// Increment mixed-radix counter.
-		d := len(idx) - 1
-		for d >= 0 {
-			idx[d]++
-			if idx[d] < len(s.Dims[d].Values) {
-				break
-			}
-			idx[d] = 0
-			d--
-		}
-		if d < 0 {
-			break
-		}
-	}
+	out := make([]Config, s.Size())
+	s.decode(out, func(i int) int { return i })
 	return out
+}
+
+// decode fills out[i] with the configuration at position index(i) of
+// Enumerate's order: the position's mixed-radix digits, the last
+// dimension's the least significant. The configurations share one index
+// array, which nothing writes after this.
+func (s *Space) decode(out []Config, index func(i int) int) {
+	k := len(s.Dims)
+	flat := make([]int, len(out)*k)
+	for i := range out {
+		idx := flat[i*k : (i+1)*k : (i+1)*k]
+		p := index(i)
+		for d := k - 1; d >= 0; d-- {
+			n := len(s.Dims[d].Values)
+			idx[d], p = p%n, p/n
+		}
+		out[i] = Config{space: s, idx: idx}
+	}
 }
 
 // Sample returns one uniformly random configuration.
@@ -158,19 +159,17 @@ func (s *Space) Sample(r *rng.RNG) Config {
 
 // SampleN returns n configurations sampled without replacement when the
 // space is small enough, falling back to with-replacement sampling for
-// huge spaces.
+// huge spaces. Without replacement, it draws n positions of Enumerate's
+// order and decodes only those.
 func (s *Space) SampleN(r *rng.RNG, n int) []Config {
 	size := s.Size()
 	if n >= size {
 		return s.Enumerate()
 	}
 	if size <= 1<<16 {
-		all := s.Enumerate()
 		picked := r.Sample(size, n)
 		out := make([]Config, n)
-		for i, p := range picked {
-			out[i] = all[p]
-		}
+		s.decode(out, func(i int) int { return picked[i] })
 		return out
 	}
 	seen := map[string]bool{}

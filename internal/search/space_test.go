@@ -1,6 +1,7 @@
 package search
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -235,4 +236,83 @@ func assertPanics(t *testing.T, name string, f func()) {
 		}
 	}()
 	f()
+}
+
+// enumerateByCounter is Enumerate as a mixed-radix counter whose last
+// dimension turns fastest: the reference order positions are decoded in.
+func enumerateByCounter(s *Space) []Config {
+	var out []Config
+	idx := make([]int, len(s.Dims))
+	for {
+		out = append(out, s.NewConfig(idx))
+		d := len(idx) - 1
+		for ; d >= 0; d-- {
+			if idx[d]++; idx[d] < len(s.Dims[d].Values) {
+				break
+			}
+			idx[d] = 0
+		}
+		if d < 0 {
+			return out
+		}
+	}
+}
+
+// sampleNByEnumerate is SampleN's rule for a space of at most 2^16
+// configurations written the long way: enumerate the whole space, then
+// pick the drawn positions.
+func sampleNByEnumerate(s *Space, r *rng.RNG, n int) []Config {
+	all := enumerateByCounter(s)
+	if n >= len(all) {
+		return all
+	}
+	var out []Config
+	for _, p := range r.Sample(len(all), n) {
+		out = append(out, all[p])
+	}
+	return out
+}
+
+func configIDs(cs []Config) []string {
+	ids := make([]string, len(cs))
+	for i, c := range cs {
+		ids[i] = c.ID()
+	}
+	return ids
+}
+
+// TestSampleNDecodesEnumerateOrder: drawing positions and decoding only
+// those gives the configurations enumerating the space and picking the
+// same positions gives, in the same order, for every Table III prefix and
+// the model-size space, at one, half and all but one of the space, and
+// Enumerate is the counter's order.
+func TestSampleNDecodesEnumerateOrder(t *testing.T) {
+	var spaces []*Space
+	for hps := 1; hps <= 8; hps++ {
+		s, err := TableIIISpace(hps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spaces = append(spaces, s)
+	}
+	ms, err := ModelSizeSpace([]int{10, 20, 30}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaces = append(spaces, ms)
+	for _, s := range spaces {
+		size := s.Size()
+		if got, want := configIDs(s.Enumerate()), configIDs(enumerateByCounter(s)); !slices.Equal(got, want) {
+			t.Fatalf("%d dims: Enumerate is not the counter's order", len(s.Dims))
+		}
+		for _, n := range []int{1, size / 2, size - 1, size} {
+			for seed := uint64(1); seed <= 4; seed++ {
+				got := configIDs(s.SampleN(rng.New(seed), n))
+				want := configIDs(sampleNByEnumerate(s, rng.New(seed), n))
+				if !slices.Equal(got, want) {
+					t.Fatalf("%d dims, n=%d, seed %d: SampleN = %v, enumerate-then-pick = %v", len(s.Dims), n, seed, got, want)
+				}
+			}
+		}
+	}
 }

@@ -250,13 +250,13 @@ func NewManager(cfg Config) *Manager {
 		scopes:     map[string]*scopeEntry{},
 	}
 	m.hub = events.NewHub(events.Options{
-		Sink: func(ev events.Event) {
+		Sink: func(e events.Entry) {
 			// m.traces is set (at most once) before any job can publish,
 			// so this read never races the write in NewManagerFromJournal.
 			if m.traces == nil {
 				return
 			}
-			if err := m.traces.Append(ev); err != nil {
+			if err := m.traces.AppendEntry(e); err != nil {
 				m.traceErrs.Add(1)
 			}
 		},

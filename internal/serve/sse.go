@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
-	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -22,8 +22,11 @@ const keepaliveInterval = 15 * time.Second
 // as the SSE id, so a client that reconnects with Last-Event-ID (or
 // ?after=N) resumes exactly where it stopped — the backlog past that
 // sequence is replayed first, then live events follow; nothing is lost
-// or duplicated. The stream ends after the job's terminal event, when
-// the client goes away, or when the server starts draining.
+// or duplicated. An event's data is the line the hub encoded it to when
+// it was published, written as it is; only an event primed from an
+// earlier process life is encoded here. The stream ends after the job's
+// terminal event, at an event that does not encode, when the client goes
+// away, or when the server starts draining.
 func (s *Server) jobEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.manager.Get(r.PathValue("id"))
 	if !ok {
@@ -54,15 +57,25 @@ func (s *Server) jobEvents(w http.ResponseWriter, r *http.Request) {
 	drain := s.drainSignal()
 	keepalive := time.NewTicker(keepaliveInterval)
 	defer keepalive.Stop()
+	var head []byte
 	for {
 		evs, wake := sub.Next()
-		for _, ev := range evs {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
+		for _, e := range evs {
+			line := e.Line
+			if line == nil {
+				data, err := json.Marshal(e.Event)
+				if err != nil {
+					return
+				}
+				line = append(data, '\n')
 			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-				return
+			// "id: <seq>\nevent: <type>\ndata: " <line> "\n"
+			head = append(strconv.AppendUint(append(head[:0], "id: "...), e.Seq, 10), "\nevent: "...)
+			head = append(append(head, e.Type...), "\ndata: "...)
+			for _, p := range [...][]byte{head, line, blankLine} {
+				if _, err := w.Write(p); err != nil {
+					return
+				}
 			}
 		}
 		flusher.Flush()
@@ -73,7 +86,7 @@ func (s *Server) jobEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-wake:
 		case <-keepalive.C:
-			if _, err := fmt.Fprint(w, ": ping\n\n"); err != nil {
+			if _, err := io.WriteString(w, ": ping\n\n"); err != nil {
 				return
 			}
 		case <-r.Context().Done():
@@ -85,6 +98,9 @@ func (s *Server) jobEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
+
+// blankLine ends an SSE event after its data line.
+var blankLine = []byte("\n")
 
 // jobTrace serves GET /jobs/{id}/trace: the job's full anytime curve in
 // the trace package's wire encoding — its curve points as the event hub

@@ -129,19 +129,29 @@ func (s *Store) AppendRecord(line []byte, sync bool) error {
 	return nil
 }
 
-// Append writes one event as a JSON line to the active segment. A
-// terminal event is fsynced before Append returns; an append that takes
-// the segment past MaxBytes seals it. After Close it writes nothing and
-// returns an error wrapping seglog.ErrClosed.
+// Append encodes one event and appends it as AppendEntry does.
 func (s *Store) Append(ev events.Event) error {
-	if err := checkID(ev.JobID); err != nil {
-		return err
-	}
 	line, err := json.Marshal(ev)
 	if err != nil {
 		return fmt.Errorf("tracestore: encoding event: %w", err)
 	}
-	if _, err := s.log.Append(append(line, '\n'), ev.Terminal); err != nil {
+	return s.AppendEntry(events.Entry{Event: ev, Line: append(line, '\n')})
+}
+
+// AppendEntry writes one event's line, as the hub encoded it, to the
+// active segment: the bytes are written as they are, newline included. A
+// terminal event is fsynced before AppendEntry returns; an append that
+// takes the segment past MaxBytes seals it. An entry with no line (the
+// event did not encode) writes nothing and is an error. After Close it
+// writes nothing and returns an error wrapping seglog.ErrClosed.
+func (s *Store) AppendEntry(e events.Entry) error {
+	if err := checkID(e.JobID); err != nil {
+		return err
+	}
+	if e.Line == nil {
+		return fmt.Errorf("tracestore: event %d of %s did not encode", e.Seq, e.JobID)
+	}
+	if _, err := s.log.Append(e.Line, e.Terminal); err != nil {
 		return fmt.Errorf("tracestore: %w", err)
 	}
 	return nil
