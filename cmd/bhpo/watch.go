@@ -227,10 +227,6 @@ func (t *ticker) render(ev events.Event) {
 		if !t.quiet {
 			fmt.Fprintf(t.w, "-- rung %d: promoted to budget %d\n", ev.Round, ev.Budget)
 		}
-	case events.TypeRetry:
-		if !t.quiet {
-			fmt.Fprintf(t.w, "-- retry attempt %d: %s\n", ev.Attempt, ev.Error)
-		}
 	case events.TypeDeadline:
 		if !t.quiet {
 			fmt.Fprintf(t.w, "-- evaluation abandoned at deadline (budget %d)\n", ev.Budget)

@@ -9,7 +9,8 @@
 // job table from those records — finished jobs keep their results and
 // anytime curves, jobs that were mid-run come back as cancelled with
 // reason "interrupted", and jobs that were still queued are re-enqueued
-// and run again. A data directory an older bhpod journaled boots too.
+// and run again. The log is all a data directory holds: a boot refuses
+// one that holds files of an earlier on-disk format, naming the first.
 //
 // The daemon also governs its own resources under load: submissions
 // beyond -max-pending queued jobs are shed with 429 + Retry-After
@@ -27,10 +28,10 @@
 // the full event history even after a crash and restart. `bhpo
 // watch <job-url>` is the terminal client for the feed.
 //
-// As a cluster member the daemon can ship its log's segments (and the
-// journal files an older bhpod left) to replica sinks while it runs (-ship-to, repeatable: each a
-// directory or a peer node's /ship receiver, every sink tracking its own
-// resumable offsets) and receive peers' replicas (-ship-recv-dir).
+// As a cluster member the daemon can ship its log's segments to replica
+// sinks while it runs (-ship-to, repeatable: each a directory or a peer
+// node's /ship receiver, every sink tracking its own resumable offsets)
+// and receive peers' replicas (-ship-recv-dir).
 //
 // However a process becomes a node, it does so by one sequence
 // (serve.StartNode): restore a replica if any were named, start the

@@ -677,7 +677,10 @@ func healUnattended(t *testing.T, k *killedCluster) {
 func TestShutdownJoinsFailover(t *testing.T) {
 	// A replica of the dead node that verifies: one sealed segment.
 	sinkRoot, src := t.TempDir(), t.TempDir()
-	if err := os.WriteFile(filepath.Join(src, "journal-000001.jsonl"), []byte("{}\n"), 0o644); err != nil {
+	if err := os.MkdirAll(filepath.Join(src, "traces"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(src, "traces", "trace-000001.jsonl"), []byte("{}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	sink, err := shipper.NewDirSink(filepath.Join(sinkRoot, "a"))
@@ -685,7 +688,7 @@ func TestShutdownJoinsFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	ship := shipper.NewMulti(src, []shipper.Sink{sink}, shipper.Options{Sync: true})
-	ship.Sealed("journal-000001.jsonl")
+	ship.Sealed("traces/trace-000001.jsonl")
 	if err := ship.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,6 @@ func eventsOfEveryType(s string, score float64) []Event {
 	return []Event{
 		{Type: TypeCurvePoint, Time: at, Point: &trace.Point{Evaluations: 7, CumBudget: 1 << 40, CumTime: math.MaxInt64, BestScore: score}},
 		{Type: TypeRung, Time: at, Round: 3, Budget: 81},
-		{Type: TypeRetry, Time: at, Attempt: 2, Error: s},
 		{Type: TypeDeadline, Time: at, Budget: -1},
 		{Type: TypeFailure, Time: at.UTC(), Failures: 4, Error: s},
 		{Type: TypeStatus, Time: time.Time{}, Status: s, Reason: s, Error: s},

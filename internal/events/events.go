@@ -46,11 +46,6 @@ const (
 	// TypeRung: the optimizer promoted into a new halving round/rung.
 	// Round is the new rung, Budget its per-configuration budget.
 	TypeRung Type = "rung"
-	// TypeRetry: an evaluation attempt failed and was retried. Only trace
-	// logs older binaries wrote hold it — the service now counts a failed
-	// evaluation as definitive — and they decode and serve it as written.
-	// Attempt is the 1-based attempt that failed, Error what it said.
-	TypeRetry Type = "retry"
 	// TypeDeadline: an evaluation ran past the watchdog deadline and was
 	// abandoned (slot released, result discarded).
 	TypeDeadline Type = "deadline"
@@ -95,17 +90,14 @@ type Event struct {
 	// Budget is the per-configuration budget of the new rung (rung
 	// events) or of the affected evaluation (deadline events).
 	Budget int `json:"budget,omitempty"`
-	// Attempt is the 1-based evaluation attempt that failed (retry
-	// events of older logs).
-	Attempt int `json:"attempt,omitempty"`
 	// Failures is the job's failure-budget charge count (failure_budget).
 	Failures int `json:"failures,omitempty"`
 	// Status is the new lifecycle state (status events).
 	Status string `json:"status,omitempty"`
 	// Reason qualifies a cancelled status (status events).
 	Reason string `json:"reason,omitempty"`
-	// Error carries the triggering error text (retry, failure_budget,
-	// failed status).
+	// Error carries the triggering error text (failure_budget, failed
+	// status).
 	Error string `json:"error,omitempty"`
 	// Terminal marks the job's final status transition.
 	Terminal bool `json:"terminal,omitempty"`

@@ -16,23 +16,27 @@ import (
 	"enhancedbhpo/internal/events"
 	"enhancedbhpo/internal/hpo"
 	"enhancedbhpo/internal/serve/journal"
+	"enhancedbhpo/internal/serve/tracestore"
 )
 
-// queuedJournal writes a data directory's journal by hand: one submit
-// record, so one queued job, per spec.
+// queuedJournal writes a data directory's log by hand: one submit record,
+// so one queued job, per spec.
 func queuedJournal(t *testing.T, dir string, specs ...[]byte) {
 	t.Helper()
-	w, err := journal.OpenOptions(dir, journal.Options{})
+	store, err := tracestore.Open(TraceDir(dir), tracestore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, spec := range specs {
-		rec := journal.Record{Type: journal.TypeSubmit, Time: time.Now(), JobID: fmt.Sprintf("job-%d", i+1), Spec: spec}
-		if err := w.Append(rec); err != nil {
+		line, err := json.Marshal(journal.Record{Type: journal.TypeSubmit, Time: time.Now(), JobID: fmt.Sprintf("job-%d", i+1), Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.AppendRecord(line, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Close(); err != nil {
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -61,10 +65,12 @@ func rewriteLogs(t *testing.T, dir, old, new string) {
 // TestFailedBootLeavesNothingRunning: NewManagerFromJournal either
 // returns a manager or leaves nothing behind — no job of the half-built
 // table training and journaling into a directory nobody serves, no
-// janitor, no open log — and the same directory boots once the cause is
-// repaired. Two causes: a submit record whose spec is JSON but not a
-// JobSpec, behind a queued job; and a traces/ directory of the per-job
-// layout, which is refused after the manager exists.
+// janitor, no open log, no byte of the directory changed — and the same
+// directory boots once the cause is repaired. The causes: a submit record
+// whose spec is JSON but not a JobSpec, behind a queued job; and a file of
+// an earlier on-disk format — a journal segment or base at the root, a
+// per-job trace file under traces/ — which the boot refuses by name. A
+// file or directory that is not the log's (lost+found) is ignored.
 func TestFailedBootLeavesNothingRunning(t *testing.T) {
 	good, err := json.Marshal(smallSpec())
 	if err != nil {
@@ -72,38 +78,30 @@ func TestFailedBootLeavesNothingRunning(t *testing.T) {
 	}
 	const goodScale, badScale = `"scale":0.06`, `"scale":"x"`
 	for _, tc := range []struct {
-		name          string
-		specs         [][]byte
-		damage, mends func(t *testing.T, dir string)
+		name string
+		// older is the file of an earlier format the row adds, relative to
+		// the data directory; "" for the undecodable spec.
+		older string
+		specs [][]byte
 	}{
-		{
-			name:   "undecodable-spec",
-			specs:  [][]byte{good, bytes.Replace(good, []byte(goodScale), []byte(badScale), 1)},
-			damage: func(*testing.T, string) {},
-			mends:  func(t *testing.T, dir string) { rewriteLogs(t, dir, badScale, goodScale) },
-		},
-		{
-			name:  "per-job-trace-layout",
-			specs: [][]byte{good},
-			damage: func(t *testing.T, dir string) {
-				if err := os.MkdirAll(TraceDir(dir), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(TraceDir(dir), "job-1.trace.jsonl"), []byte("{}\n"), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			mends: func(t *testing.T, dir string) {
-				if err := os.Remove(filepath.Join(TraceDir(dir), "job-1.trace.jsonl")); err != nil {
-					t.Fatal(err)
-				}
-			},
-		},
+		{"undecodable-spec", "", [][]byte{good, bytes.Replace(good, []byte(goodScale), []byte(badScale), 1)}},
+		{"per-job-trace-layout", filepath.Join("traces", "job-1.trace.jsonl"), [][]byte{good}},
+		{"journal-file", "journal-000001.jsonl", [][]byte{good}},
+		{"base-file", "base-000001.jsonl", [][]byte{good}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			queuedJournal(t, dir, tc.specs...)
-			tc.damage(t, dir)
+			if err := os.Mkdir(filepath.Join(dir, "lost+found"), 0o700); err != nil {
+				t.Fatal(err)
+			}
+			writeFile(t, filepath.Join(dir, "NOTES"), []byte("not the log's\n"))
+			names := filepath.Join("traces", "trace-000001.jsonl") // the line of the bad spec
+			if tc.older != "" {
+				names = tc.older
+				writeFile(t, filepath.Join(dir, tc.older), []byte(`{"t":"submit","time":"2026-08-05T10:00:00Z","job":"job-1"}`+"\n"))
+			}
+			before := readTree(t, dir)
 			var evals atomic.Int64
 			cfg := Config{PoolSize: 1, MaxJobs: 1, DataDir: dir, ScopeTTL: time.Hour,
 				WrapEvaluator: func(id string, inner hpo.Evaluator) hpo.Evaluator {
@@ -116,6 +114,12 @@ func TestFailedBootLeavesNothingRunning(t *testing.T) {
 				shutdown(t, m)
 				t.Fatal("the damaged directory booted")
 			}
+			if !strings.Contains(err.Error(), filepath.Join(dir, names)) {
+				t.Errorf("the boot failed with %v, which does not name %s", err, names)
+			}
+			if after := readTree(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Errorf("the failed boot changed the directory:\n now %q\n was %q", after, before)
+			}
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 				time.Sleep(5 * time.Millisecond)
@@ -127,7 +131,11 @@ func TestFailedBootLeavesNothingRunning(t *testing.T) {
 				t.Errorf("the failed boot started %d jobs", n)
 			}
 
-			tc.mends(t, dir)
+			if tc.older == "" {
+				rewriteLogs(t, dir, badScale, goodScale)
+			} else if err := os.Remove(filepath.Join(dir, tc.older)); err != nil {
+				t.Fatal(err)
+			}
 			m, err = NewManagerFromJournal(cfg)
 			if err != nil {
 				t.Fatalf("the repaired directory does not boot: %v", err)

@@ -370,12 +370,9 @@ func (j *Job) tenant() string {
 }
 
 // checkpointState is the journal's preempt-record payload: the preemption
-// count, so a restart keeps honoring the per-job cap even where a base an
-// older binary wrote folded the preempt records into one. The resume
-// point is the record's evaluations — that many curve points of the job's
-// feed — and the
-// optimizer re-derives the trials behind them from the spec seed. (Older
-// binaries embedded the trial list too; it is not read.)
+// count, so a restart keeps honoring the per-job cap. The resume point is
+// the record's evaluations — that many curve points of the job's feed —
+// and the optimizer re-derives the trials behind them from the spec seed.
 type checkpointState struct {
 	Preempts int `json:"preempts"`
 }

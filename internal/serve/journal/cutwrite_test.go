@@ -23,12 +23,8 @@ func TestCutWriteReplaysNextRecord(t *testing.T) {
 	if dir == "" {
 		dir = t.TempDir()
 		rerun(t, "JOURNAL_CUT_DIR="+dir)
-		states, err := Replay(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var got []string
-		for _, st := range states {
+		for _, st := range writerStates(t, dir) {
 			got = append(got, st.ID+" "+st.Status)
 		}
 		if fmt.Sprint(got) != "[job-1 done]" {

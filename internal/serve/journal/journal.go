@@ -1,34 +1,30 @@
 // Package journal is bhpod's job table on disk: the records of job
 // submissions, status transitions, preemptions and terminal results, and
-// Fold, which folds them back into per-job states after a restart, from
-// two sources in this order:
-//
-//   - the journal files an older binary wrote at the data directory's
-//     root — segments (journal-000008.jsonl) and the bases it compacted
-//     them into (base-000007.jsonl, the fold of every segment up to 7) —
-//     which nothing writes now;
-//   - the record lines of the trace log (tracestore), where
-//     Manager.transition appends each record just before the event of the
-//     same transition, whose fsync covers a result record too.
+// Fold, which folds them back into per-job states after a restart. The
+// records are lines of the trace log (tracestore), where
+// Manager.transition appends each record just before the event of the
+// same transition, whose fsync covers a result record too; a data
+// directory holds nothing else (refuseOlder).
 //
 // A record is one JSON line. A torn tail — the bytes after a segment's
 // last newline — ends its segment; a whole record line that does not
-// decode, or a segment lost from the middle of either log after a record,
-// fails the fold rather than silently dropping jobs. The records stay
-// records, not events, while the benchmark harness reads them through
-// Replay and times a Writer (ROADMAP items 4 and 7).
+// decode, or a segment lost from the middle of the log, fails the fold
+// rather than silently dropping jobs. The records stay records, not
+// events, while the benchmark harness reads them through Replay and times
+// a Writer (ROADMAP items 4 and 7).
 package journal
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
+	"os"
+	"path/filepath"
 	"time"
 
 	"enhancedbhpo/internal/serve/seglog"
 	"enhancedbhpo/internal/serve/tracestore"
-	"enhancedbhpo/internal/trace"
 )
 
 // Record types.
@@ -42,12 +38,6 @@ const (
 	// it is durable once Append, or the terminal event written after it,
 	// returns.
 	TypeResult = "result"
-	// TypeEvent is an observational incident record (reason "deadline":
-	// an evaluation was abandoned by the watchdog) that earlier versions
-	// wrote. Nothing writes it now — the trace log's deadline event tells
-	// the same, with the evaluation's budget — and replay skips it, so
-	// their data directories still boot.
-	TypeEvent = "event"
 	// TypePreempt records a rung-boundary preemption: the scheduler
 	// reclaimed the job's slot after Evaluations trials, and Checkpoint
 	// carries the serve layer's preemption count — a few bytes however
@@ -59,8 +49,7 @@ const (
 )
 
 // Record is one journal line. The spec travels as raw JSON so this
-// package stays independent of the serve layer's types; the curves older
-// binaries embedded decode through the trace package's Point.
+// package stays independent of the serve layer's types.
 type Record struct {
 	Type  string          `json:"t"`
 	Time  time.Time       `json:"time"`
@@ -76,11 +65,6 @@ type Record struct {
 	Error       string `json:"error,omitempty"`
 	Stack       string `json:"stack,omitempty"`
 	Evaluations int    `json:"evaluations,omitempty"`
-	// Curve is the anytime curve a result record written by an older
-	// binary embeds. Replay reads only its last point's cum_budget, as
-	// Budget; nothing writes a curve now — the trace log's curve_point
-	// events are the one copy.
-	Curve []trace.Point `json:"curve,omitempty"`
 	// Budget on a result record is the job's final cumulative budget (its
 	// curve's last cum_budget): what a restart re-seeds the tenant's
 	// accounting with, without the curve.
@@ -89,47 +73,39 @@ type Record struct {
 	BestScore  *float64       `json:"best_score,omitempty"`
 	TestScore  *float64       `json:"test_score,omitempty"`
 	// Checkpoint is the serve layer's opaque payload on preempt records:
-	// its preemption count. Checkpoints older binaries wrote carry the
-	// trial list as well.
+	// its preemption count.
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
-	// Preemptions on a result record carries the job's final yield
-	// count, which a base an older binary folded the job's preempt
-	// records into no longer tells.
+	// Preemptions on a result record carries the job's final yield count.
 	Preemptions int `json:"preemptions,omitempty"`
 	// Failures on a result record is how many failed trials the job's
 	// failure budget absorbed.
 	Failures int `json:"failures,omitempty"`
 }
 
-// prefixes name the journal's files: its segments, then the bases older
-// binaries compacted it into.
-var prefixes = []string{"journal-", "base-"}
+// writerPrefix names the files a Writer appends to: journal-000001.jsonl.
+const writerPrefix = "journal-"
 
-// Files lists the journal files in dir — segments and bases — in sequence
-// order. A missing directory holds none.
-func Files(dir string) ([]seglog.Segment, error) { return seglog.List(dir, prefixes...) }
-
-// Options tunes a Writer as they tune its seglog.Log; OnChange is the
-// shipper's replication hook.
+// Options tunes a Writer as they tune its seglog.Log.
 type Options = seglog.Options
 
-// Writer appends records to journal files, as older binaries did,
+// Writer appends records to files of their own (journal-000001.jsonl),
 // rotating the active segment at Options.MaxBytes. Safe for concurrent
-// use. Only the benchmark harness opens one now (ROADMAP item 4): bhpod
-// appends its records to the trace log.
+// use. Only the benchmark harness opens one, to time the appends (ROADMAP
+// item 4): bhpod appends its records to the trace log, and a boot refuses
+// a directory holding a Writer's files.
 type Writer struct {
 	log *seglog.Log
 }
 
-// OpenOptions creates the data directory if needed and opens its journal
-// files for appending: this life's records go to the segment after the
-// newest base or segment, created at the first of them. Every file
-// already there is announced to opts.OnChange as sealed.
+// OpenOptions creates the directory if needed and opens its journal files
+// for appending: this life's records go to the segment after the newest,
+// created at the first of them. Every file already there is announced to
+// opts.OnChange as sealed.
 func OpenOptions(dir string, opts Options) (*Writer, error) {
 	if dir == "" {
 		return nil, errors.New("journal: empty data dir")
 	}
-	log, err := seglog.Open(dir, opts, prefixes...)
+	log, err := seglog.Open(dir, opts, writerPrefix)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
@@ -160,17 +136,17 @@ func (w *Writer) Close() error {
 	return w.log.Close()
 }
 
-// Stats reports the journal files on disk (bases and segments) and their
-// total size.
+// Stats reports a Writer's files on disk and their total size.
 type Stats struct {
 	Segments int
 	Bytes    int64
 }
 
-// DirStats lists a data directory's journal files for the benchmark
-// harness. Best-effort: an unreadable directory reports zero.
+// DirStats lists the files a Writer left in dir, for the benchmark
+// harness, which alone writes them. Best-effort: an unreadable directory
+// reports zero.
 func DirStats(dir string) Stats {
-	segs, _ := Files(dir)
+	segs, _ := seglog.List(dir, writerPrefix)
 	s := Stats{Segments: len(segs)}
 	for _, seg := range segs {
 		s.Bytes += seg.Size
@@ -217,7 +193,7 @@ func (s JobState) Terminal() bool {
 	return true
 }
 
-// replayState accumulates records across files in first-submission order.
+// replayState accumulates records in first-submission order.
 type replayState struct {
 	byID  map[string]*JobState
 	order []string
@@ -237,11 +213,8 @@ func (r *replayState) applyLine(line []byte) error {
 	return nil
 }
 
-// apply merges one record. Event records are observational and skipped.
+// apply merges one record.
 func (r *replayState) apply(rec Record) {
-	if rec.Type == TypeEvent {
-		return
-	}
 	st, ok := r.byID[rec.JobID]
 	if !ok {
 		st = &JobState{ID: rec.JobID, Status: "queued"}
@@ -282,9 +255,6 @@ func (r *replayState) apply(rec Record) {
 		}
 		st.Failures = rec.Failures
 		st.Budget = rec.Budget
-		if n := len(rec.Curve); n > 0 {
-			st.Budget = rec.Curve[n-1].CumBudget
-		}
 		st.BestConfig = rec.BestConfig
 		st.BestScore = rec.BestScore
 		st.TestScore = rec.TestScore
@@ -301,65 +271,50 @@ func Replay(dir string) ([]JobState, error) {
 }
 
 // Log is what Fold's read of the trace log leaves besides the records:
-// the event lines, filed under their jobs; the gap that cost only events,
-// if there is one (tracestore.ErrEventsLost); how long the read took.
+// the event lines, filed under their jobs, and how long the read took.
 type Log struct {
 	History map[string]tracestore.History
-	Lost    error
 	Took    time.Duration
 }
 
-// Fold folds a data directory's records — the newest base an older binary
-// left and the journal segments above it, then the record lines of the
-// trace log — into per-job states in first submission order. It reads the
+// Fold folds the record lines of a data directory's trace log into
+// per-job states in first submission order, once refuseOlder has found
+// nothing in the directory that this bhpod does not write. It reads the
 // log once, with tracestore.ReadAll on a goroutine of its own that hands
 // over the record lines 64 at a time, so this one wakes once per batch.
 // Unless spec is nil, it gets each submit record's job ID and spec as the
 // record is folded — a boot decodes the specs while the log is read — and
 // an error from it fails the fold. A torn tail ends its segment; a record
 // line that does not decode or a missing segment is an error naming the
-// file, save a gap in the trace log that no record came before (Log.Lost).
+// file.
 func Fold(dir string, spec func(id string, spec json.RawMessage) error) (states []JobState, log Log, err error) {
-	records, filed := make(chan [][]byte, 64), make(chan Log, 1)
+	if err := refuseOlder(dir); err != nil {
+		return nil, log, err
+	}
+	records := make(chan [][]byte, 64)
+	var read Log // the reader's, until it closes records
+	var readErr error
 	go func() {
 		begin := time.Now()
 		var batch [][]byte
-		history, err := tracestore.ReadAll(tracestore.Dir(dir), func(line []byte) {
+		read.History, readErr = tracestore.ReadAll(tracestore.Dir(dir), func(line []byte) {
 			if batch = append(batch, line); len(batch) == 64 {
 				records <- batch
 				batch = nil
 			}
 		})
+		read.Took = time.Since(begin)
 		records <- batch
 		close(records)
-		filed <- Log{history, err, time.Since(begin)}
 	}()
 	defer func() {
 		for range records { // the reader never blocks
 		}
-		if log = <-filed; err == nil && log.Lost != nil && !errors.Is(log.Lost, tracestore.ErrEventsLost) {
-			states, err = nil, fmt.Errorf("journal: %w", log.Lost)
+		if log = read; err == nil && readErr != nil {
+			states, err = nil, fmt.Errorf("journal: %w", readErr)
 		}
 	}()
-	all, err := Files(dir)
-	if err != nil {
-		return nil, log, fmt.Errorf("journal: %w", err)
-	}
-	// A base holds every record of the files before it: older bases and
-	// the segment it shares its sequence number with, which sorts after it.
-	var segs []seglog.Segment
-	for _, seg := range all {
-		if strings.HasPrefix(seg.Name, "base-") {
-			segs = segs[:0]
-		} else if n := len(segs); n > 0 && seg.Seq == segs[n-1].Seq {
-			continue
-		}
-		segs = append(segs, seg)
-	}
 	acc := replayState{byID: map[string]*JobState{}, spec: spec}
-	if err := seglog.Read(dir, segs, acc.applyLine); err != nil {
-		return nil, log, fmt.Errorf("journal: %w", err)
-	}
 	for batch := range records {
 		for _, line := range batch {
 			if err := acc.applyLine(line); err != nil {
@@ -371,4 +326,35 @@ func Fold(dir string, spec func(id string, spec json.RawMessage) error) (states 
 		states = append(states, *acc.byID[id])
 	}
 	return states, log, nil
+}
+
+// refuseOlder is the one place that decides what a data directory may
+// hold. The trace log is all this bhpod writes there: journal segments and
+// bases at the root and per-job trace files under traces/ are files of a
+// format it does not read, and booting beside them would serve a job table
+// without their jobs. The first such file fails the boot by name, before
+// anything is opened or written; anything else is not the log's and is
+// left alone.
+func refuseOlder(dir string) error {
+	name := cmp.Or(firstMatch(dir, "journal-*.jsonl", "base-*.jsonl"), firstMatch(tracestore.Dir(dir), "*.trace.jsonl"))
+	if name == "" {
+		return nil
+	}
+	return fmt.Errorf("journal: %s was written by an older bhpod, which this one does not read: "+
+		"move it out of %s, or give this bhpod a new data directory", name, filepath.Dir(name))
+}
+
+// firstMatch returns the path of the first file in dir whose name matches
+// one of patterns, "" if none does. A directory that cannot be listed
+// holds none here: the log's read reports it.
+func firstMatch(dir string, patterns ...string) string {
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		for _, pattern := range patterns {
+			if ok, _ := filepath.Match(pattern, e.Name()); ok {
+				return filepath.Join(dir, e.Name())
+			}
+		}
+	}
+	return ""
 }

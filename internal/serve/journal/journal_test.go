@@ -12,24 +12,40 @@ import (
 
 	"enhancedbhpo/internal/serve/seglog"
 	"enhancedbhpo/internal/serve/tracestore"
-	"enhancedbhpo/internal/trace"
 )
 
 func ptr(f float64) *float64 { return &f }
 
-func sampleCurve() []trace.Point {
-	return []trace.Point{
-		{Evaluations: 1, CumBudget: 100, CumTime: 12345 * time.Microsecond, BestScore: 0.71},
-		{Evaluations: 2, CumBudget: 250, CumTime: 34567 * time.Microsecond, BestScore: 0.83},
+// appendRecords appends recs to dir's trace log as bhpod does, in one life
+// that rotates at maxBytes (0: the store's default), and returns the path
+// of the life's last segment.
+func appendRecords(t *testing.T, dir string, maxBytes int64, recs ...Record) string {
+	t.Helper()
+	store, err := tracestore.Open(tracestore.Dir(dir), tracestore.Options{MaxBytes: maxBytes})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.AppendRecord(line, rec.Type == TypeResult); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := seglog.List(tracestore.Dir(dir), "trace-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(tracestore.Dir(dir), segs[len(segs)-1].Name)
 }
 
 func TestReplayMergesRecords(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenOptions(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	t0 := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
 	spec := json.RawMessage(`{"dataset":"australian","method":"sha"}`)
 	records := []Record{
@@ -38,19 +54,12 @@ func TestReplayMergesRecords(t *testing.T) {
 		{Type: TypeSubmit, Time: t0.Add(2 * time.Second), JobID: "job-2", Spec: spec},
 		{
 			Type: TypeResult, Time: t0.Add(3 * time.Second), JobID: "job-1",
-			Status: "done", Evaluations: 2, Curve: sampleCurve(),
+			Status: "done", Evaluations: 2, Budget: 250,
 			BestConfig: map[string]any{"activation": "relu"},
 			BestScore:  ptr(0.83), TestScore: ptr(0.80),
 		},
 	}
-	for _, rec := range records {
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendRecords(t, dir, 0, records...)
 
 	states, err := Replay(dir)
 	if err != nil {
@@ -66,9 +75,8 @@ func TestReplayMergesRecords(t *testing.T) {
 	if j1.Status != "done" || !j1.Terminal() {
 		t.Fatalf("job-1 status %q", j1.Status)
 	}
-	// An older binary's embedded curve is read for its final budget.
 	if j1.Evaluations != 2 || j1.Budget != 250 {
-		t.Fatalf("job-1: %d evals, budget %d; want 2 and the curve's last cum_budget, 250", j1.Evaluations, j1.Budget)
+		t.Fatalf("job-1: %d evals, budget %d; want 2 and the result's budget, 250", j1.Evaluations, j1.Budget)
 	}
 	if j1.BestScore == nil || *j1.BestScore != 0.83 || j1.TestScore == nil || *j1.TestScore != 0.80 {
 		t.Fatalf("job-1 scores: %+v", j1)
@@ -89,10 +97,6 @@ func TestReplayMergesRecords(t *testing.T) {
 // last resume.
 func TestReplayKeepsFirstStart(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenOptions(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	t0 := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
 	records := []Record{
 		{Type: TypeSubmit, Time: t0, JobID: "job-1", Spec: json.RawMessage(`{}`)},
@@ -101,14 +105,7 @@ func TestReplayKeepsFirstStart(t *testing.T) {
 		{Type: TypeStatus, Time: t0.Add(3 * time.Second), JobID: "job-1", Status: "running"},
 		{Type: TypeResult, Time: t0.Add(4 * time.Second), JobID: "job-1", Status: "done", Evaluations: 2},
 	}
-	for _, rec := range records {
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendRecords(t, dir, 0, records...)
 	states, err := Replay(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -132,18 +129,8 @@ func TestReplayMissingJournal(t *testing.T) {
 // truncated, and replay must stop cleanly at the last whole record.
 func TestReplayTornTail(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenOptions(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := json.RawMessage(`{"dataset":"australian","method":"sha"}`)
-	if err := w.Append(Record{Type: TypeSubmit, Time: time.Now(), JobID: "job-1", Spec: spec}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, segmentName(1))
+	path := appendRecords(t, dir, 0, Record{Type: TypeSubmit, Time: time.Now(), JobID: "job-1", Spec: spec})
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -162,8 +149,9 @@ func TestReplayTornTail(t *testing.T) {
 	}
 }
 
-// writeSegment handcrafts one complete segment file from records.
-func writeSegment(t *testing.T, dir string, seq int, recs ...Record) {
+// writeSegment handcrafts segment seq of dir's trace log from records and
+// returns its path.
+func writeSegment(t *testing.T, dir string, seq int, recs ...Record) string {
 	t.Helper()
 	var buf []byte
 	for _, rec := range recs {
@@ -174,9 +162,20 @@ func writeSegment(t *testing.T, dir string, seq int, recs ...Record) {
 		buf = append(buf, line...)
 		buf = append(buf, '\n')
 	}
-	if err := os.WriteFile(filepath.Join(dir, segmentName(seq)), buf, 0o644); err != nil {
+	return writeLines(t, dir, seq, buf)
+}
+
+// writeLines writes segment seq of dir's trace log and returns its path.
+func writeLines(t *testing.T, dir string, seq int, data []byte) string {
+	t.Helper()
+	path := filepath.Join(tracestore.Dir(dir), seglog.Name("trace-", seq))
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestSegmentReplayTornNewest: a torn tail ends its segment, the newest
@@ -189,10 +188,10 @@ func TestSegmentReplayTornNewest(t *testing.T) {
 		Record{Type: TypeSubmit, Time: t0, JobID: "job-1", Spec: spec},
 		Record{Type: TypeResult, Time: t0.Add(time.Second), JobID: "job-1", Status: "done", Evaluations: 3},
 	)
-	writeSegment(t, dir, 2,
+	second := writeSegment(t, dir, 2,
 		Record{Type: TypeSubmit, Time: t0.Add(2 * time.Second), JobID: "job-2", Spec: spec},
 	)
-	f, err := os.OpenFile(filepath.Join(dir, segmentName(2)), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(second, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,65 +225,52 @@ func TestSegmentReplayTornNewest(t *testing.T) {
 	}
 }
 
-// TestReplayMissingMiddleSegment: a gap in the live segment sequence is
-// lost data and must fail with an error naming the missing segment — in
-// an older binary's journal files and in the trace log alike.
+// TestReplayMissingMiddleSegment: a gap in the log's segment sequence is
+// lost data and must fail with an error naming the missing segment —
+// whatever came before it: records, or event lines alone.
 func TestReplayMissingMiddleSegment(t *testing.T) {
 	spec := json.RawMessage(`{"dataset":"australian","method":"sha"}`)
 	now := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
+	submit := func(seq int) Record {
+		return Record{Type: TypeSubmit, Time: now, JobID: fmt.Sprint("job-", seq), Spec: spec}
+	}
 	for _, tc := range []struct {
 		name string
-		// write writes segment seq, holding rec, and returns its path.
-		write func(t *testing.T, dir string, seq int, rec Record) string
+		// first writes the first segment.
+		first func(t *testing.T, dir string)
 	}{
-		{"journal", func(t *testing.T, dir string, seq int, rec Record) string {
-			writeSegment(t, dir, seq, rec)
-			return filepath.Join(dir, segmentName(seq))
-		}},
-		{"trace-log", func(t *testing.T, dir string, seq int, rec Record) string {
-			line, err := json.Marshal(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(tracestore.Dir(dir), seglog.Name("trace-", seq))
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return path
+		{"trace-log", func(t *testing.T, dir string) { writeSegment(t, dir, 1, submit(1)) }},
+		{"events-before-gap", func(t *testing.T, dir string) {
+			writeLines(t, dir, 1, []byte(`{"seq":1,"type":"status","time":"2026-08-05T10:00:00Z","job":"job-1","status":"running"}`+"\n"))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			var paths []string
-			for seq := 1; seq <= 3; seq++ {
-				paths = append(paths, tc.write(t, dir, seq, Record{Type: TypeSubmit, Time: now, JobID: fmt.Sprint("job-", seq), Spec: spec}))
+			tc.first(t, dir)
+			missing := writeSegment(t, dir, 2, submit(2))
+			writeSegment(t, dir, 3, submit(3))
+			if _, err := Replay(dir); err != nil {
+				t.Fatalf("contiguous segments: %v", err)
 			}
-			if states, err := Replay(dir); err != nil || len(states) != 3 {
-				t.Fatalf("contiguous segments: %d jobs, %v", len(states), err)
-			}
-			if err := os.Remove(paths[1]); err != nil {
+			if err := os.Remove(missing); err != nil {
 				t.Fatal(err)
 			}
 			_, err := Replay(dir)
 			if err == nil {
 				t.Fatal("missing middle segment replayed without error")
 			}
-			if !strings.Contains(err.Error(), filepath.Base(paths[1])) {
+			if !strings.Contains(err.Error(), filepath.Base(missing)) {
 				t.Fatalf("error %q does not name the missing segment", err)
 			}
 		})
 	}
 }
 
-// TestReplayAcrossLives runs four lives on one directory, each killed
-// mid-write: its last segment ends in a line without its newline. The
-// first two are an older binary's, which wrote journal files; the last
-// two write their records to the trace log, as bhpod does now. The second
-// life rotates at a small size and preempts a job the third resumes to
-// done; the fourth rotates too. After every life Replay holds every job
+// TestReplayAcrossLives runs four lives on one directory, each appending
+// its records to the trace log and killed mid-write: its last segment
+// ends in a line without its newline. The second life rotates at a small
+// size and preempts a job the third resumes to done; the fourth rotates
+// too. After every life Replay holds every job
 // as it last stood, and every file an earlier life left is byte for byte
 // as it was then: nothing is rewritten, nothing deleted. A whole record
 // line that does not decode is corruption, named by its file.
@@ -329,8 +315,7 @@ func TestReplayAcrossLives(t *testing.T) {
 		},
 	} {
 		before := dirFiles(t, dir)
-		older := i < 2
-		last := appendLife(t, dir, older, life.maxBytes, life.recs)
+		last := appendRecords(t, dir, life.maxBytes, life.recs...)
 		f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			t.Fatal(err)
@@ -362,10 +347,6 @@ func TestReplayAcrossLives(t *testing.T) {
 		}
 	}
 
-	old, err := Files(dir)
-	if s := DirStats(dir); err != nil || s.Segments != len(old) || s.Segments < 3 || s.Bytes == 0 {
-		t.Fatalf("DirStats sees %+v of the %d journal files the older lives left (%v)", s, len(old), err)
-	}
 	logSegs, err := seglog.List(tracestore.Dir(dir), "trace-")
 	if err != nil {
 		t.Fatal(err)
@@ -379,53 +360,6 @@ func TestReplayAcrossLives(t *testing.T) {
 	if _, err := Replay(dir); err == nil || !strings.Contains(err.Error(), corrupt) {
 		t.Fatalf("a whole undecodable line replayed as %v; want an error naming %s", err, corrupt)
 	}
-}
-
-// appendLife is one life's records, appended as an older binary did — to
-// journal files — or as bhpod does, to the trace log; it returns the path
-// of the life's last segment.
-func appendLife(t *testing.T, dir string, older bool, maxBytes int64, recs []Record) string {
-	t.Helper()
-	if older {
-		w, err := OpenOptions(dir, Options{MaxBytes: maxBytes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range recs {
-			if err := w.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		segs, err := seglog.List(dir, "journal-")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return filepath.Join(dir, segs[len(segs)-1].Name)
-	}
-	store, err := tracestore.Open(tracestore.Dir(dir), tracestore.Options{MaxBytes: maxBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.AppendRecord(line, rec.Type == TypeResult); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := seglog.List(tracestore.Dir(dir), "trace-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return filepath.Join(tracestore.Dir(dir), segs[len(segs)-1].Name)
 }
 
 // TestWriterClosedAppendFails: Close is terminal — an append after it
@@ -494,10 +428,7 @@ func TestRotationConcurrentAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	states, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	states := writerStates(t, dir)
 	if len(states) != writers*jobsEach {
 		t.Fatalf("replayed %d states, want %d", len(states), writers*jobsEach)
 	}

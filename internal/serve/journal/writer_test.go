@@ -6,13 +6,33 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"enhancedbhpo/internal/serve/seglog"
 )
 
-func segmentName(seq int) string { return seglog.Name("journal-", seq) }
+func segmentName(seq int) string { return seglog.Name(writerPrefix, seq) }
+
+// writerStates folds the records of the files a Writer left in dir, which
+// Replay refuses, as Fold folds the log's.
+func writerStates(t *testing.T, dir string) []JobState {
+	t.Helper()
+	segs, err := seglog.List(dir, writerPrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := replayState{byID: map[string]*JobState{}}
+	if err := seglog.Read(dir, segs, acc.applyLine); err != nil {
+		t.Fatal(err)
+	}
+	var states []JobState
+	for _, id := range acc.order {
+		states = append(states, *acc.byID[id])
+	}
+	return states
+}
 
 // frozenRecords are the appends TestSegmentBytesFrozen pins the files of.
 func frozenRecords() []Record {
@@ -22,9 +42,8 @@ func frozenRecords() []Record {
 		{Type: TypeSubmit, Time: t0, JobID: "job-1", Token: "tok", Tenant: "gold", Spec: spec},
 		{Type: TypeStatus, Time: t0.Add(time.Second), JobID: "job-1", Status: "running"},
 		{Type: TypeResult, Time: t0.Add(2 * time.Second), JobID: "job-1", Status: "done", Evaluations: 2,
-			Curve: sampleCurve(), BestConfig: map[string]any{"activation": "relu"}, BestScore: ptr(0.83), TestScore: ptr(0.8)},
+			BestConfig: map[string]any{"activation": "relu"}, BestScore: ptr(0.83), TestScore: ptr(0.8)},
 		{Type: TypeSubmit, Time: t0.Add(3 * time.Second), JobID: "job-2", Spec: spec},
-		{Type: TypeEvent, Time: t0.Add(4 * time.Second), JobID: "job-2", Reason: "deadline"},
 		{Type: TypePreempt, Time: t0.Add(5 * time.Second), JobID: "job-2", Evaluations: 1, Checkpoint: json.RawMessage(`{"trials":1}`)},
 	}
 }
@@ -54,13 +73,9 @@ func dirFiles(t *testing.T, dir string) map[string]string {
 const (
 	frozenSubmit1 = `{"t":"submit","time":"2026-08-05T10:00:00Z","job":"job-1","token":"tok","spec":{"dataset":"australian","method":"sha"},"tenant":"gold"}` + "\n"
 	frozenStatus1 = `{"t":"status","time":"2026-08-05T10:00:01Z","job":"job-1","status":"running"}` + "\n"
-	// The result record embeds its curve, as older binaries wrote it.
 	frozenResult1 = `{"t":"result","time":"2026-08-05T10:00:02Z","job":"job-1","status":"done","evaluations":2,` +
-		`"curve":[{"evaluations":1,"cum_budget":100,"cum_time_ns":12345000,"best_score":0.71},` +
-		`{"evaluations":2,"cum_budget":250,"cum_time_ns":34567000,"best_score":0.83}],` +
 		`"best_config":{"activation":"relu"},"best_score":0.83,"test_score":0.8}` + "\n"
 	frozenSubmit2 = `{"t":"submit","time":"2026-08-05T10:00:03Z","job":"job-2","spec":{"dataset":"australian","method":"sha"}}` + "\n"
-	frozenEvent2  = `{"t":"event","time":"2026-08-05T10:00:04Z","job":"job-2","reason":"deadline"}` + "\n"
 	frozenPreempt = `{"t":"preempt","time":"2026-08-05T10:00:05Z","job":"job-2","evaluations":1,"checkpoint":{"trials":1}}` + "\n"
 )
 
@@ -69,7 +84,7 @@ const (
 // a change to the writer cannot change what is on disk.
 func TestSegmentBytesFrozen(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenOptions(dir, Options{MaxBytes: 600})
+	w, err := OpenOptions(dir, Options{MaxBytes: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +98,7 @@ func TestSegmentBytesFrozen(t *testing.T) {
 	}
 	checkFiles(t, dir, map[string]string{
 		"journal-000001.jsonl": frozenSubmit1 + frozenStatus1 + frozenResult1 + frozenSubmit2,
-		"journal-000002.jsonl": frozenEvent2 + frozenPreempt,
+		"journal-000002.jsonl": frozenPreempt,
 	})
 }
 
@@ -150,7 +165,7 @@ func TestOnChangeOrderUnderRotation(t *testing.T) {
 // TestEveryLifeStartsItsOwnSegment: a writer that appends nothing leaves
 // no file, and one that appends starts the segment after the newest on
 // disk — never writing into a previous life's, which may end in a torn
-// line.
+// line. A boot refuses the directory, naming the first of them.
 func TestEveryLifeStartsItsOwnSegment(t *testing.T) {
 	dir := t.TempDir()
 	recs := frozenRecords()
@@ -181,8 +196,10 @@ func TestEveryLifeStartsItsOwnSegment(t *testing.T) {
 	if files := dirFiles(t, dir); len(files) != 2 || files[segmentName(1)] == "" || files[segmentName(2)] == "" {
 		t.Fatalf("two appending lives left %v, want journal-000001 and journal-000002", files)
 	}
-	states, err := Replay(dir)
-	if err != nil || len(states) != 2 {
-		t.Fatalf("replayed %d jobs, %v; want both lives' submissions", len(states), err)
+	if states := writerStates(t, dir); len(states) != 2 {
+		t.Fatalf("read back %d jobs; want both lives' submissions", len(states))
+	}
+	if _, err := Replay(dir); err == nil || !strings.Contains(err.Error(), filepath.Join(dir, segmentName(1))+" was written by an older bhpod") {
+		t.Fatalf("Replay of a Writer's files: %v; want them refused by name", err)
 	}
 }

@@ -46,13 +46,12 @@ func logRecords(t *testing.T, dir string) []journal.Record {
 	return out
 }
 
-// jobJournal returns a job's records in replay order, segment by segment,
-// skipping event records.
+// jobJournal returns a job's records in replay order, segment by segment.
 func jobJournal(t *testing.T, dir, id string) []lifeLine {
 	t.Helper()
 	var out []lifeLine
 	for _, rec := range logRecords(t, dir) {
-		if rec.JobID == id && rec.Type != journal.TypeEvent {
+		if rec.JobID == id {
 			out = append(out, lifeLine{Type: rec.Type, Status: rec.Status, Reason: rec.Reason})
 		}
 	}

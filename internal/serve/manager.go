@@ -105,10 +105,10 @@ type Config struct {
 	// /healthz and /metrics so a coordinator's probes and a replacement
 	// node's operators can tell nodes apart. Empty outside a cluster.
 	NodeName string
-	// Shipper, when non-nil, replicates the log (and an older binary's
-	// journal files) to its sinks as it grows and seals, so a replacement
-	// node can rebuild this node's job table after the machine dies
-	// (shipper.Restore + NewManagerFromJournal). Requires DataDir.
+	// Shipper, when non-nil, replicates the log to its sinks as it grows
+	// and seals, so a replacement node can rebuild this node's job table
+	// after the machine dies (shipper.Restore + NewManagerFromJournal).
+	// Requires DataDir.
 	// Ownership (Close) stays with the caller, which should close it after
 	// Shutdown so the final state flushes.
 	Shipper *shipper.Shipper
@@ -277,13 +277,11 @@ func NewManager(cfg Config) *Manager {
 // points their trace log holds.
 //
 // A boot reads the log once, decodes every record once and no event, and
-// rewrites nothing. journal.Fold folds the records — an older binary's
-// journal files, then the log's record lines — and decodes every job's
-// spec, while its reader files the log's event lines under their jobs. A
-// segment missing after a record line fails the boot; one that only
-// events came before is counted in trace_store_errors. Then the older
-// binary's journal files are announced to the shipper as sealed, this
-// life's segment of the log opened, and the whole table built: register,
+// rewrites nothing. journal.Fold refuses a directory holding a file this
+// bhpod does not write, naming it, then folds the log's record lines and
+// decodes every job's spec, while its reader files the log's event lines
+// under their jobs; a missing segment fails the boot. Then this life's
+// segment of the log is opened and the whole table built: register,
 // sched.Restore, and the event feed primed with the sequence number and
 // done flag of the job's newest event, its history left as lines until
 // somebody reads it (events.Hub.Prime). A job that was mid-run without a
@@ -322,21 +320,11 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 			_ = m.Shutdown(context.Background())
 		}
 	}()
-	if log.Lost != nil {
-		m.traceErrs.Add(1)
-	}
-	// With a shipper, what earlier lives left ships sealed, once per life:
-	// an older binary's journal files here, the log's segments as it opens
-	// — under their name in the data directory, as a restore lays them out.
+	// With a shipper, the segments earlier lives left ship sealed, once per
+	// life, as the log opens — under their name in the data directory, as a
+	// restore lays them out.
 	var onChange func(name string, sealed bool)
 	if ship := cfg.Shipper; ship != nil {
-		old, err := journal.Files(cfg.DataDir)
-		if err != nil {
-			return nil, err
-		}
-		for _, f := range old {
-			ship.Sealed(f.Name)
-		}
 		onChange = func(name string, sealed bool) {
 			if sealed {
 				ship.Sealed("traces/" + name)
@@ -370,8 +358,8 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 		// sequence numbers continue where the dead process stopped, and
 		// subscribers can resume (or fetch the full pre-crash curve) across
 		// the restart. A history holding fewer curve points than the
-		// evaluations the records count (an older binary's journal could
-		// outlive the unsynced tail of its trace log) is served, or resumed
+		// evaluations the records count (an event that did not encode, or
+		// whose append failed, is missing from the log) is served, or resumed
 		// from, as it is and counted once in trace_store_errors: when it is decoded
 		// — a finished job's on its first read, a live one's now — or now
 		// if it holds no event at all.

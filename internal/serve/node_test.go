@@ -31,7 +31,7 @@ func observe(t *testing.T, url string) served {
 func checkBeside(t *testing.T, url, when string) {
 	t.Helper()
 	getBody(t, url+"/debug/pprof/cmdline")
-	if body := getBody(t, url+"/ship/peer/offset?name=journal-000001.jsonl"); !strings.Contains(string(body), `"offset"`) {
+	if body := getBody(t, url+"/ship/peer/offset?name=traces/trace-000001.jsonl"); !strings.Contains(string(body), `"offset"`) {
 		t.Fatalf("%s: the /ship/ receiver answered %s", when, body)
 	}
 }

@@ -195,8 +195,8 @@ func TestFailedEvaluationIsDefinitive(t *testing.T) {
 			for _, ev := range evs {
 				seen[ev.Type]++
 			}
-			if seen[events.TypeFailure] != 1 || seen[events.TypeRetry] != 0 {
-				t.Errorf("the trace holds %d failure_budget and %d retry events; want 1 and 0", seen[events.TypeFailure], seen[events.TypeRetry])
+			if seen[events.TypeFailure] != 1 || seen["retry"] != 0 {
+				t.Errorf("the trace holds %d failure_budget and %d retry events; want 1 and 0", seen[events.TypeFailure], seen["retry"])
 			}
 		})
 	}

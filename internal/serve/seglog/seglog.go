@@ -1,17 +1,16 @@
 // Package seglog owns bhpod's append-only JSONL logs: their writer, the
 // listing and numbering of their segments, and their reader. The trace
-// log (and the journal files older binaries wrote) are segmented Logs;
-// the coordinator's membership log and a sink's manifest are single Files. A line is one write, fsynced
-// when the caller asks. A write that fails is undone by truncating the
-// file back to its size before it, so no reader meets half a line with
-// whole ones behind it; if the truncation fails too, the file ends in
-// what readers take for a torn tail and refuses every later append.
+// log is a segmented Log; the coordinator's membership log and a sink's
+// manifest are single Files. A line is one write, fsynced when the caller
+// asks. A write that fails is undone by truncating the file back to its
+// size before it, so no reader meets half a line with whole ones behind
+// it; if the truncation fails too, the file ends in what readers take for
+// a torn tail and refuses every later append.
 //
-// A log is the files dir/<prefix>NNNNNN.jsonl of one or more prefixes —
-// the journal's are journal- and its legacy base- — numbered in one
-// sequence. Every process life writes a segment of its own, the one after
-// the newest file of any prefix, created at its first line, so a torn
-// line a crash left only ever ends an earlier life's last segment; every
+// A log is the files dir/<prefix>NNNNNN.jsonl of one prefix, numbered in
+// one sequence. Every process life writes a segment of its own, the one
+// after the newest file, created at its first line, so a torn line a
+// crash left only ever ends an earlier life's last segment; every
 // file Open finds is therefore final, and is announced as sealed. A
 // segment that reaches the size limit is sealed: fsynced, closed,
 // announced, never written again. Read hands out a log's lines, one
@@ -50,42 +49,28 @@ type Segment struct {
 	Size int64
 }
 
-// List returns the files of dir that Name makes of one of prefixes, with
-// their sizes, in sequence order. A missing directory holds none.
-func List(dir string, prefixes ...string) ([]Segment, error) {
+// List returns the files of dir that Name makes of prefix, with their
+// sizes, in sequence order. A missing directory holds none.
+func List(dir, prefix string) ([]Segment, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
 	var segs []Segment
 	for _, e := range entries {
-		for _, prefix := range prefixes {
-			mid, ok := strings.CutPrefix(e.Name(), prefix)
-			seq, err := strconv.Atoi(strings.TrimSuffix(mid, ".jsonl"))
-			if !ok || err != nil || e.IsDir() || e.Name() != Name(prefix, seq) {
-				continue
-			}
-			seg := Segment{Name: e.Name(), Seq: seq}
-			if info, err := e.Info(); err == nil {
-				seg.Size = info.Size()
-			}
-			segs = append(segs, seg)
+		mid, ok := strings.CutPrefix(e.Name(), prefix)
+		seq, err := strconv.Atoi(strings.TrimSuffix(mid, ".jsonl"))
+		if !ok || err != nil || e.IsDir() || e.Name() != Name(prefix, seq) {
+			continue
 		}
+		seg := Segment{Name: e.Name(), Seq: seq}
+		if info, err := e.Info(); err == nil {
+			seg.Size = info.Size()
+		}
+		segs = append(segs, seg)
 	}
-	slices.SortFunc(segs, func(a, b Segment) int { return cmp.Or(cmp.Compare(a.Seq, b.Seq), strings.Compare(a.Name, b.Name)) })
+	slices.SortFunc(segs, func(a, b Segment) int { return cmp.Compare(a.Seq, b.Seq) })
 	return segs, nil
-}
-
-// GapError is Read's report of a segment missing from the sequence: the
-// last one, with how many lines Read handed to fn before it — so a caller
-// can tell whether the lines it cares about reach past a gap.
-type GapError struct {
-	Missing, Found, After string
-	Lines                 int
-}
-
-func (e *GapError) Error() string {
-	return fmt.Sprintf("missing segment %s (found %s after %s)", e.Missing, e.Found, e.After)
 }
 
 // Read calls fn with each whole line of segs, in order, without its
@@ -96,14 +81,14 @@ func (e *GapError) Error() string {
 // corrupt: Read stops and returns it naming the file and the line's
 // number. A segment that cannot be read returns the read's error, so a
 // missing one matches os.ErrNotExist. A sequence number missing between
-// two of segs is a *GapError, returned once every segment is read.
+// two of segs is an error naming the last such, returned once every
+// segment is read.
 func Read(dir string, segs []Segment, fn func(line []byte) error) error {
-	var gap *GapError
-	lines := 0
+	var gap error
 	for i, seg := range segs {
 		if i > 0 && seg.Seq != segs[i-1].Seq+1 {
 			prefix := strings.TrimSuffix(seg.Name, Name("", seg.Seq))
-			gap = &GapError{Missing: Name(prefix, segs[i-1].Seq+1), Found: seg.Name, After: segs[i-1].Name, Lines: lines}
+			gap = fmt.Errorf("missing segment %s (found %s after %s)", Name(prefix, segs[i-1].Seq+1), seg.Name, segs[i-1].Name)
 		}
 		path := filepath.Join(dir, seg.Name)
 		data, err := os.ReadFile(path)
@@ -115,7 +100,6 @@ func Read(dir string, segs []Segment, fn func(line []byte) error) error {
 			if end < 0 {
 				break
 			}
-			lines++
 			if err := fn(data[:end]); errors.Is(err, SkipSegment) {
 				break
 			} else if err != nil {
@@ -124,10 +108,7 @@ func Read(dir string, segs []Segment, fn func(line []byte) error) error {
 			data = data[end+1:]
 		}
 	}
-	if gap != nil {
-		return gap
-	}
-	return nil
+	return gap
 }
 
 // ReadLines reads the one file at path as Read reads a segment.
@@ -220,7 +201,7 @@ type Options struct {
 	OnChange func(name string, sealed bool)
 }
 
-// Log is the segmented log of dir's files of its prefixes. Safe for
+// Log is the segmented log of dir's files of its prefix. Safe for
 // concurrent use.
 type Log struct {
 	dir, prefix string
@@ -233,19 +214,19 @@ type Log struct {
 	closed bool
 }
 
-// Open creates dir if needed, announces every file of prefixes already in
-// it as sealed and returns the log that appends to files of prefixes[0],
-// this life's first being the one after the newest of them all. Nothing
-// is created before the first Append.
-func Open(dir string, opts Options, prefixes ...string) (*Log, error) {
+// Open creates dir if needed, announces every file of prefix already in
+// it as sealed and returns the log that appends to files of prefix, this
+// life's first being the one after the newest of them. Nothing is created
+// before the first Append.
+func Open(dir string, opts Options, prefix string) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	segs, err := List(dir, prefixes...)
+	segs, err := List(dir, prefix)
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, prefix: prefixes[0], opts: opts, seq: 1}
+	l := &Log{dir: dir, prefix: prefix, opts: opts, seq: 1}
 	for _, seg := range segs {
 		if opts.OnChange != nil {
 			opts.OnChange(seg.Name, true)

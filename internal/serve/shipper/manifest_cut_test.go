@@ -36,7 +36,7 @@ func checkBothSealed(t *testing.T, dir string) {
 	if _, err := Restore([]string{dir}, dest); err != nil {
 		t.Fatal(err)
 	}
-	if got := readFile(t, filepath.Join(dest, "journal-000002.jsonl")); string(got) != "second\n" {
+	if got := readFile(t, filepath.Join(dest, "traces/trace-000002.jsonl")); string(got) != "second\n" {
 		t.Fatalf("restored later segment holds %q", got)
 	}
 }
@@ -62,9 +62,9 @@ func TestCutWriteManifestKeepsLaterSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealWhole(t, sink, "journal-000001.jsonl", []byte("first\n"))
+	sealWhole(t, sink, "traces/trace-000001.jsonl", []byte("first\n"))
 	second := []byte("second\n")
-	if err := sink.Append("journal-000002.jsonl", 0, second); err != nil {
+	if err := sink.Append("traces/trace-000002.jsonl", 0, second); err != nil {
 		t.Fatal(err)
 	}
 	st, err := os.Stat(filepath.Join(dir, ManifestName))
@@ -83,14 +83,14 @@ func TestCutWriteManifestKeepsLaterSeal(t *testing.T) {
 	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &lim); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Seal("journal-000002.jsonl", int64(len(second)), sha(second)); err == nil {
+	if err := sink.Seal("traces/trace-000002.jsonl", int64(len(second)), sha(second)); err == nil {
 		t.Fatal("a manifest write past the file-size limit succeeded")
 	}
 	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &old); err != nil {
 		t.Fatal(err)
 	}
 	// The shipper's retry: the file is already in place, the entry is not.
-	if err := sink.Seal("journal-000002.jsonl", int64(len(second)), sha(second)); err != nil {
+	if err := sink.Seal("traces/trace-000002.jsonl", int64(len(second)), sha(second)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -104,15 +104,15 @@ func TestDirSinkTornManifestTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealWhole(t, sink, "journal-000001.jsonl", []byte("first\n"))
+	sealWhole(t, sink, "traces/trace-000001.jsonl", []byte("first\n"))
 	f, err := os.OpenFile(filepath.Join(dir, ManifestName), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"name":"journal-0000`); err != nil {
+	if _, err := f.WriteString(`{"name":"traces/trace-0000`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	sealWhole(t, sink, "journal-000002.jsonl", []byte("second\n"))
+	sealWhole(t, sink, "traces/trace-000002.jsonl", []byte("second\n"))
 	checkBothSealed(t, dir)
 }

@@ -72,16 +72,16 @@ func TestMultiSinkShipsToAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("replicated twice\n")
-	writeFile(t, filepath.Join(root, "journal-000001.jsonl"), data)
+	writeFile(t, filepath.Join(root, "traces/trace-000001.jsonl"), data)
 
 	s := NewMulti(root, []Sink{sinkA, sinkB}, Options{Interval: time.Hour})
 	defer s.Close()
-	s.Sealed("journal-000001.jsonl")
+	s.Sealed("traces/trace-000001.jsonl")
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for _, dir := range []string{dirA, dirB} {
-		if got := readFile(t, filepath.Join(dir, "journal-000001.jsonl")); string(got) != string(data) {
+		if got := readFile(t, filepath.Join(dir, "traces/trace-000001.jsonl")); string(got) != string(data) {
 			t.Fatalf("sink %s holds %q", dir, got)
 		}
 		if err := VerifyReplica(dir); err != nil {
@@ -122,12 +122,12 @@ func TestMultiSinkOneDownOtherStaysCurrent(t *testing.T) {
 	sinkB.down.Store(true)
 
 	data := []byte("must not be held back by the dead sink\n")
-	writeFile(t, filepath.Join(root, "journal-000001.jsonl"), data)
+	writeFile(t, filepath.Join(root, "traces/trace-000001.jsonl"), data)
 	s := NewMulti(root, []Sink{sinkA, sinkB}, Options{
 		Interval: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
 	})
 	defer s.Close()
-	s.Sealed("journal-000001.jsonl")
+	s.Sealed("traces/trace-000001.jsonl")
 
 	// The healthy sink converges while B is still down.
 	deadline := time.Now().Add(10 * time.Second)
@@ -140,7 +140,7 @@ func TestMultiSinkOneDownOtherStaysCurrent(t *testing.T) {
 	if err := VerifyReplica(dirA); err != nil {
 		t.Fatalf("healthy sink does not verify: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dirB, "journal-000001.jsonl")); err == nil {
+	if _, err := os.Stat(filepath.Join(dirB, "traces/trace-000001.jsonl")); err == nil {
 		t.Fatal("down sink received the segment")
 	}
 
@@ -155,7 +155,7 @@ func TestMultiSinkOneDownOtherStaysCurrent(t *testing.T) {
 	if err := VerifyReplica(dirB); err != nil {
 		t.Fatalf("caught-up sink does not verify: %v", err)
 	}
-	if got := readFile(t, filepath.Join(dirB, "journal-000001.jsonl")); string(got) != string(data) {
+	if got := readFile(t, filepath.Join(dirB, "traces/trace-000001.jsonl")); string(got) != string(data) {
 		t.Fatalf("caught-up sink holds %q", got)
 	}
 	per := s.PerSink()
@@ -175,17 +175,17 @@ func TestRestoreAnyFallsBackOnMismatch(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	sinkA, _ := NewDirSink(dirA)
 	sinkB, _ := NewDirSink(dirB)
-	data := []byte("the authoritative journal\n")
-	writeFile(t, filepath.Join(root, "journal-000001.jsonl"), data)
+	data := []byte("the authoritative segment\n")
+	writeFile(t, filepath.Join(root, "traces/trace-000001.jsonl"), data)
 	s := NewMulti(root, []Sink{sinkA, sinkB}, Options{Interval: time.Hour})
-	s.Sealed("journal-000001.jsonl")
+	s.Sealed("traces/trace-000001.jsonl")
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 
 	// Bitrot on A: its manifest now lies about the sealed bytes.
-	writeFile(t, filepath.Join(dirA, "journal-000001.jsonl"), []byte("bitrot"))
+	writeFile(t, filepath.Join(dirA, "traces/trace-000001.jsonl"), []byte("bitrot"))
 
 	dest := filepath.Join(t.TempDir(), "restored")
 	src, err := Restore([]string{dirA, dirB}, dest)
@@ -195,8 +195,8 @@ func TestRestoreAnyFallsBackOnMismatch(t *testing.T) {
 	if src != dirB {
 		t.Fatalf("restored from %s, want the clean sink %s", src, dirB)
 	}
-	if got := readFile(t, filepath.Join(dest, "journal-000001.jsonl")); string(got) != string(data) {
-		t.Fatalf("restored journal = %q", got)
+	if got := readFile(t, filepath.Join(dest, "traces/trace-000001.jsonl")); string(got) != string(data) {
+		t.Fatalf("restored segment = %q", got)
 	}
 	if _, err := os.Stat(dest + ".restoring"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("scratch dir left behind: %v", err)
@@ -205,7 +205,7 @@ func TestRestoreAnyFallsBackOnMismatch(t *testing.T) {
 	// replica was there to fall back to, and A stays unusable — for the
 	// coordinator's probe too — instead of passing as a replica whose
 	// segment was superseded.
-	if _, err := os.Stat(filepath.Join(dirA, "journal-000001.jsonl"+quarantineSuffix)); err != nil {
+	if _, err := os.Stat(filepath.Join(dirA, "traces/trace-000001.jsonl"+quarantineSuffix)); err != nil {
 		t.Fatalf("corrupt file not quarantined with a fallback present: %v", err)
 	}
 	if err := VerifyReplica(dirA); !errors.Is(err, ErrChecksumMismatch) {
@@ -214,7 +214,7 @@ func TestRestoreAnyFallsBackOnMismatch(t *testing.T) {
 
 	// Both corrupt: the error must carry the mismatch, and the existing
 	// destination must be refused rather than replaced.
-	writeFile(t, filepath.Join(dirB, "journal-000001.jsonl"), []byte("worse"))
+	writeFile(t, filepath.Join(dirB, "traces/trace-000001.jsonl"), []byte("worse"))
 	if _, err := Restore([]string{dirA, dirB}, filepath.Join(t.TempDir(), "r2")); !errors.Is(err, ErrChecksumMismatch) {
 		t.Fatalf("all-corrupt restore = %v, want ErrChecksumMismatch", err)
 	}
@@ -250,14 +250,14 @@ func TestMultiSinkCrashResumesPerSinkOffsets(t *testing.T) {
 	// nothing. The process then crashes: its lanes stop without a flush
 	// and its in-memory offsets are lost.
 	full := []byte("0123456789abcdefghij\n")
-	writeFile(t, filepath.Join(root, "journal-000001.jsonl"), full[:10])
+	writeFile(t, filepath.Join(root, "traces/trace-000001.jsonl"), full[:10])
 	sinkB.down.Store(true)
 	s1 := NewMulti(root, []Sink{sinkA, sinkB}, Options{Interval: time.Hour})
-	s1.Changed("journal-000001.jsonl")
+	s1.Changed("traces/trace-000001.jsonl")
 	if err := s1.Flush(); err == nil {
 		t.Fatal("flush with a down sink reported success")
 	}
-	if off, _ := sinkA.Offset("journal-000001.jsonl"); off != 10 {
+	if off, _ := sinkA.Offset("traces/trace-000001.jsonl"); off != 10 {
 		t.Fatalf("sink A offset = %d before crash, want 10", off)
 	}
 	s1.crash()
@@ -265,11 +265,11 @@ func TestMultiSinkCrashResumesPerSinkOffsets(t *testing.T) {
 	// Second life: the file has grown and sealed; B is back. The new
 	// shipper knows nothing — each lane must query its own sink's offset
 	// and ship exactly the missing suffix.
-	writeFile(t, filepath.Join(root, "journal-000001.jsonl"), full)
+	writeFile(t, filepath.Join(root, "traces/trace-000001.jsonl"), full)
 	sinkB.down.Store(false)
 	s2 := NewMulti(root, []Sink{sinkA, sinkB}, Options{Interval: time.Hour})
 	defer s2.Close()
-	s2.Sealed("journal-000001.jsonl")
+	s2.Sealed("traces/trace-000001.jsonl")
 	if err := s2.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestMultiSinkCrashResumesPerSinkOffsets(t *testing.T) {
 		if err := VerifyReplica(dir); err != nil {
 			t.Fatalf("sink %s after resume: %v", name, err)
 		}
-		if got := readFile(t, filepath.Join(dir, "journal-000001.jsonl")); string(got) != string(full) {
+		if got := readFile(t, filepath.Join(dir, "traces/trace-000001.jsonl")); string(got) != string(full) {
 			t.Fatalf("sink %s holds %q after resume", name, got)
 		}
 	}
@@ -292,39 +292,36 @@ func TestMultiSinkCrashResumesPerSinkOffsets(t *testing.T) {
 }
 
 // TestRestoreDestinationRule: one rule for every restore, however many
-// replicas are named — a destination that already holds a log, its
-// trace segments or an older binary's journal segment or base, is refused
-// and left as it was, an absent one and an empty
-// pre-created one are accepted; a file, a symlink and a directory holding
-// anything else are refused before a byte is copied.
+// replicas are named — a destination that already holds a log is refused
+// and left as it was, an absent one and an empty pre-created one are
+// accepted; a file, a symlink and a directory holding anything else are
+// refused before a byte is copied.
 func TestRestoreDestinationRule(t *testing.T) {
 	root := t.TempDir()
 	dirA, dirB := t.TempDir(), t.TempDir()
 	sinkA, _ := NewDirSink(dirA)
 	sinkB, _ := NewDirSink(dirB)
-	writeFile(t, filepath.Join(root, "base-000002.jsonl"), []byte("replica\n"))
-	writeFile(t, filepath.Join(root, "journal-000003.jsonl"), []byte("active tail"))
+	writeFile(t, filepath.Join(root, "traces", "trace-000002.jsonl"), []byte("replica\n"))
+	writeFile(t, filepath.Join(root, "traces", "trace-000003.jsonl"), []byte("active tail"))
 	s := NewMulti(root, []Sink{sinkA, sinkB}, Options{Interval: time.Hour})
-	s.Sealed("base-000002.jsonl")
-	s.Changed("journal-000003.jsonl")
+	s.Sealed("traces/trace-000002.jsonl")
+	s.Changed("traces/trace-000003.jsonl")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Replica paths as an operator types them (./replicas/a/), not as
 	// t.TempDir cleans them: file names are taken relative to the replica.
 	for _, replicas := range [][]string{{dirA + "/./"}, {dirA + "/.", dirB}} {
-		for _, held := range []string{"traces/trace-000001.jsonl", "journal-000001.jsonl", "base-000001.jsonl"} {
-			live := t.TempDir()
-			writeFile(t, filepath.Join(live, held), []byte("live\n"))
-			if _, err := Restore(replicas, live); err == nil {
-				t.Fatalf("%d replica(s) restored over a directory holding %s", len(replicas), held)
-			}
-			if got := readFile(t, filepath.Join(live, held)); string(got) != "live\n" {
-				t.Fatalf("refused restore rewrote %s: %q", held, got)
-			}
-			if _, err := os.Stat(filepath.Join(live, "base-000002.jsonl")); !errors.Is(err, os.ErrNotExist) {
-				t.Fatalf("refused restore copied the replica in anyway (%v)", err)
-			}
+		live, held := t.TempDir(), filepath.Join("traces", "trace-000001.jsonl")
+		writeFile(t, filepath.Join(live, held), []byte("live\n"))
+		if _, err := Restore(replicas, live); err == nil {
+			t.Fatalf("%d replica(s) restored over a directory holding %s", len(replicas), held)
+		}
+		if got := readFile(t, filepath.Join(live, held)); string(got) != "live\n" {
+			t.Fatalf("refused restore rewrote %s: %q", held, got)
+		}
+		if _, err := os.Stat(filepath.Join(live, "traces", "trace-000002.jsonl")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("refused restore copied the replica in anyway (%v)", err)
 		}
 		// What the final rename could not replace whole is refused up
 		// front and left as found: a file is not deleted, a symlink not
@@ -360,10 +357,10 @@ func TestRestoreDestinationRule(t *testing.T) {
 			if _, err := Restore(replicas, dest); err != nil {
 				t.Fatalf("%d replica(s) into %s: %v", len(replicas), dest, err)
 			}
-			if got := readFile(t, filepath.Join(dest, "base-000002.jsonl")); string(got) != "replica\n" {
-				t.Fatalf("restored base = %q", got)
+			if got := readFile(t, filepath.Join(dest, "traces", "trace-000002.jsonl")); string(got) != "replica\n" {
+				t.Fatalf("restored segment = %q", got)
 			}
-			if got := readFile(t, filepath.Join(dest, "journal-000003.jsonl")); string(got) != "active tail" {
+			if got := readFile(t, filepath.Join(dest, "traces", "trace-000003.jsonl")); string(got) != "active tail" {
 				t.Fatalf("restored part = %q", got)
 			}
 		}

@@ -113,13 +113,12 @@ func checkSealed(dir, copyTo string) error {
 		return err
 	}
 	// A replica holds a log: sealed files its manifest lists or, in a
-	// node's first life before anything was sealed, a segment in progress
-	// — the log's, or an older binary's journal's. Refusing one that holds
-	// neither (or is not there at all) keeps an empty sink directory from
-	// being preferred over a complete replica later in the preference list.
+	// node's first life before anything was sealed, a segment in progress.
+	// Refusing one that holds neither (or is not there at all) keeps an
+	// empty sink directory from being preferred over a complete replica
+	// later in the preference list.
 	parts, _ := filepath.Glob(filepath.Join(tracestore.Dir(dir), "*"+partSuffix))
-	oldParts, _ := filepath.Glob(filepath.Join(dir, "journal-*"+partSuffix))
-	if len(manifest)+len(parts)+len(oldParts) == 0 {
+	if len(manifest)+len(parts) == 0 {
 		return fmt.Errorf("shipper: replica %s holds no log: %w", dir, os.ErrNotExist)
 	}
 	for name, entry := range manifest {
@@ -130,18 +129,13 @@ func checkSealed(dir, copyTo string) error {
 		}
 		sum, size, err := hashCopy(src, dest)
 		if errors.Is(err, os.ErrNotExist) {
-			switch _, qerr := os.Stat(src + quarantineSuffix); {
-			case qerr == nil:
+			if _, qerr := os.Stat(src + quarantineSuffix); qerr == nil {
 				// Gone because an earlier restore quarantined it.
 				return fmt.Errorf("shipper: replica %s: %s is quarantined: %w", dir, name, ErrChecksumMismatch)
-			case strings.HasPrefix(name, "traces/"):
-				// Nothing deletes a segment of the log: this one, and the
-				// records it held, are lost.
-				return fmt.Errorf("shipper: replica %s: sealed %s is missing: %w", dir, name, err)
 			}
-			// Sealed but gone: a base an older binary folded it into
-			// deleted it; nothing to restore under this name.
-			continue
+			// Nothing deletes a segment of the log: this one, and the
+			// records it held, are lost.
+			return fmt.Errorf("shipper: replica %s: sealed %s is missing: %w", dir, name, err)
 		}
 		if err != nil {
 			return fmt.Errorf("shipper: replica %s: %s: %w", dir, name, err)

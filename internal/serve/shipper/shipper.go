@@ -1,12 +1,11 @@
 // Package shipper replicates a bhpod data directory — the segments of its
-// one log, which holds every job's records and events, and the journal
-// files an older binary left beside it — to one or more sinks, so a
-// *replacement* node (not just a restarted process) can rebuild a dead
-// machine's job table with journal.Replay and serve its traces
-// byte-identically.
+// one log, which holds every job's records and events — to one or more
+// sinks, so a *replacement* node (not just a restarted process) can
+// rebuild a dead machine's job table with journal.Replay and serve its
+// traces byte-identically.
 //
 // The unit of shipping is one file, addressed by its path relative to the
-// data directory ("traces/trace-000002.jsonl", "journal-000003.jsonl").
+// data directory ("traces/trace-000002.jsonl").
 // Files move in two phases matching how the log writes them:
 //
 //   - a *changed* file (the log's active segment) ships
@@ -114,10 +113,9 @@ type Options struct {
 // Stats is a shipping counter snapshot, feeding the node's /metrics.
 // For a multi-sink shipper it sums every lane.
 type Stats struct {
-	// SegmentsShipped counts successfully sealed files (log segments, and
-	// an older binary's journal segments and bases). With N sinks one
-	// local seal counts N times — it is a count of sink-seal operations,
-	// not of local files.
+	// SegmentsShipped counts successfully sealed files (log segments).
+	// With N sinks one local seal counts N times — it is a count of
+	// sink-seal operations, not of local files.
 	SegmentsShipped int64
 	// Retries counts ship attempts that failed and were requeued.
 	Retries int64
@@ -368,9 +366,9 @@ func (ln *lane) shipFile(rel string) error {
 		st.offset = 0
 	}
 	if size == 0 && st.sealed && st.offset == 0 {
-		// An empty sealed file (a base an older binary folded from zero
-		// jobs) never gets an append, but it still has to exist at the sink
-		// to seal.
+		// An empty sealed file never gets an append, but it still has to
+		// exist at the sink to seal: a segment whose only write failed and
+		// was undone is left empty, and the next boot seals it.
 		if err := ln.sink.Append(rel, 0, nil); err != nil {
 			return fmt.Errorf("shipper: %s: %w", rel, err)
 		}
@@ -493,7 +491,7 @@ func (ln *lane) flush() error {
 		rels = append(rels, rel)
 	}
 	ln.mu.Unlock()
-	sort.Strings(rels) // deterministic order: an older journal before traces
+	sort.Strings(rels) // deterministic order: segments in sequence
 	var first error
 	for _, rel := range rels {
 		if err := ln.shipFile(rel); err != nil {

@@ -43,7 +43,7 @@ func readFile(t *testing.T, path string) []byte {
 // Receiver, which must carry the named sentinel errors across the wire.
 // dir is where the backend keeps the node's files.
 func TestSinkContract(t *testing.T) {
-	const name = "journal-000001.jsonl"
+	const name = "traces/trace-000001.jsonl"
 	data := []byte("hello, replicated world\n")
 	mustAppend := func(t *testing.T, sink Sink, off int64, b []byte) {
 		t.Helper()
@@ -156,7 +156,7 @@ func TestSinkContract(t *testing.T) {
 // before the append, gets it at the next boot.
 func TestDirSinkResealAddsNoEntry(t *testing.T) {
 	root, sinkDir := t.TempDir(), t.TempDir()
-	files := []string{"journal-000001.jsonl", "traces/trace-000001.jsonl"}
+	files := []string{"traces/trace-000001.jsonl", "traces/trace-000002.jsonl"}
 	for _, name := range files {
 		writeFile(t, filepath.Join(root, filepath.FromSlash(name)), []byte(name+"\n"))
 	}
@@ -219,12 +219,12 @@ func TestShipperMidShipCrashResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := []byte(strings.Repeat("r1 ", 100))
-	writeFile(t, filepath.Join(root, "journal-000001.jsonl"), first)
+	writeFile(t, filepath.Join(root, "traces/trace-000001.jsonl"), first)
 
 	s1 := NewMulti(root, []Sink{sink}, Options{Sync: true})
-	s1.Changed("journal-000001.jsonl")
+	s1.Changed("traces/trace-000001.jsonl")
 	// "Crash": abandon s1 without Close. The sink holds a part file.
-	partPath := filepath.Join(sink.root, "journal-000001.jsonl"+partSuffix)
+	partPath := filepath.Join(sink.root, "traces/trace-000001.jsonl"+partSuffix)
 	if got := readFile(t, partPath); string(got) != string(first) {
 		t.Fatalf("sink part holds %d bytes, want %d", len(got), len(first))
 	}
@@ -235,22 +235,22 @@ func TestShipperMidShipCrashResumes(t *testing.T) {
 	// content must remain a strict prefix-extension).
 	tail := []byte("tail after restart\n")
 	all := append(append([]byte{}, first...), tail...)
-	writeFile(t, filepath.Join(root, "journal-000001.jsonl"), all)
+	writeFile(t, filepath.Join(root, "traces/trace-000001.jsonl"), all)
 	s2 := NewMulti(root, []Sink{sink}, Options{Sync: true})
 	defer s2.Close()
-	s2.Sealed("journal-000001.jsonl")
+	s2.Sealed("traces/trace-000001.jsonl")
 	if err := s2.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.Stats(); got.Bytes != int64(len(tail)) {
 		t.Fatalf("fresh shipper shipped %d bytes, want only the %d-byte tail (resume failed)", got.Bytes, len(tail))
 	}
-	got := readFile(t, filepath.Join(sink.root, "journal-000001.jsonl"))
+	got := readFile(t, filepath.Join(sink.root, "traces/trace-000001.jsonl"))
 	if string(got) != string(all) {
 		t.Fatalf("sealed content mismatch: %d bytes vs %d", len(got), len(all))
 	}
 	m, _ := ReadManifest(sink.root)
-	if e := m["journal-000001.jsonl"]; e.SHA256 != sha(all) {
+	if e := m["traces/trace-000001.jsonl"]; e.SHA256 != sha(all) {
 		t.Fatalf("manifest checksum %q, want %q", e.SHA256, sha(all))
 	}
 }
@@ -282,9 +282,9 @@ func TestShipperShrunkFileRestarts(t *testing.T) {
 	}
 }
 
-// TestShipperMissingFileIsDone: a queued file deleted locally (the
-// journal fold removed a superseded segment) must resolve as done, not
-// retry forever.
+// TestShipperMissingFileIsDone: a queued file missing locally (the logs
+// delete nothing, but someone may have) must resolve as done, not retry
+// forever.
 func TestShipperMissingFileIsDone(t *testing.T) {
 	root := t.TempDir()
 	sink, err := NewDirSink(t.TempDir())
@@ -293,7 +293,7 @@ func TestShipperMissingFileIsDone(t *testing.T) {
 	}
 	s := NewMulti(root, []Sink{sink}, Options{})
 	defer s.Close()
-	s.Sealed("journal-000009.jsonl") // never existed locally
+	s.Sealed("traces/trace-000009.jsonl") // never existed locally
 	if err := s.Flush(); err != nil {
 		t.Fatalf("missing file errored: %v", err)
 	}
@@ -309,32 +309,32 @@ func TestRestoreVerifiesChecksums(t *testing.T) {
 		t.Fatal(err)
 	}
 	sealed := []byte("sealed segment\n")
-	if err := sink.Append("journal-000001.jsonl", 0, sealed); err != nil {
+	if err := sink.Append("traces/trace-000001.jsonl", 0, sealed); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Seal("journal-000001.jsonl", int64(len(sealed)), sha(sealed)); err != nil {
+	if err := sink.Seal("traces/trace-000001.jsonl", int64(len(sealed)), sha(sealed)); err != nil {
 		t.Fatal(err)
 	}
-	writeFile(t, filepath.Join(sinkDir, "journal-000002.jsonl"+partSuffix), []byte("active tail"))
+	writeFile(t, filepath.Join(sinkDir, "traces/trace-000002.jsonl"+partSuffix), []byte("active tail"))
 
 	dest := t.TempDir()
 	if _, err := Restore([]string{sinkDir}, dest); err != nil {
 		t.Fatal(err)
 	}
-	if got := readFile(t, filepath.Join(dest, "journal-000001.jsonl")); string(got) != string(sealed) {
+	if got := readFile(t, filepath.Join(dest, "traces/trace-000001.jsonl")); string(got) != string(sealed) {
 		t.Fatalf("restored sealed file = %q", got)
 	}
-	if got := readFile(t, filepath.Join(dest, "journal-000002.jsonl")); string(got) != "active tail" {
+	if got := readFile(t, filepath.Join(dest, "traces/trace-000002.jsonl")); string(got) != "active tail" {
 		t.Fatalf("restored part = %q", got)
 	}
 
 	// Corrupt the sealed replica: Restore must refuse and quarantine.
-	writeFile(t, filepath.Join(sinkDir, "journal-000001.jsonl"), []byte("bitrot"))
+	writeFile(t, filepath.Join(sinkDir, "traces/trace-000001.jsonl"), []byte("bitrot"))
 	_, err = Restore([]string{sinkDir}, t.TempDir())
 	if !errors.Is(err, ErrChecksumMismatch) {
 		t.Fatalf("restore of corrupted replica = %v, want ErrChecksumMismatch", err)
 	}
-	if _, err := os.Stat(filepath.Join(sinkDir, "journal-000001.jsonl"+quarantineSuffix)); err != nil {
+	if _, err := os.Stat(filepath.Join(sinkDir, "traces/trace-000001.jsonl"+quarantineSuffix)); err != nil {
 		t.Fatalf("corrupted file not quarantined: %v", err)
 	}
 }
@@ -364,8 +364,7 @@ func TestRestoreFirstLifeReplica(t *testing.T) {
 // TestRestoreRefusesLostSegment: nothing deletes a sealed segment of the
 // log, so one the manifest lists and the replica lacks took its records
 // with it. The replica fails verification and Restore falls through to
-// the next one. A sealed journal file an older binary folded into a base
-// and deleted is no loss.
+// the next one.
 func TestRestoreRefusesLostSegment(t *testing.T) {
 	var replicas []string
 	for range 2 {
@@ -374,7 +373,7 @@ func TestRestoreRefusesLostSegment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range []string{"journal-000001.jsonl", "traces/trace-000001.jsonl", "traces/trace-000002.jsonl"} {
+		for _, name := range []string{"traces/trace-000001.jsonl", "traces/trace-000002.jsonl"} {
 			data := []byte(name + "\n")
 			if err := sink.Append(name, 0, data); err != nil {
 				t.Fatal(err)
@@ -383,11 +382,8 @@ func TestRestoreRefusesLostSegment(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := os.Remove(filepath.Join(sinkDir, "journal-000001.jsonl")); err != nil {
-			t.Fatal(err)
-		}
 		if err := VerifyReplica(sinkDir); err != nil {
-			t.Fatalf("a replica without a folded journal file: %v", err)
+			t.Fatalf("a whole replica: %v", err)
 		}
 		replicas = append(replicas, sinkDir)
 	}
@@ -410,7 +406,7 @@ func TestRestoreRefusesLostSegment(t *testing.T) {
 // falls through to the next one. The bad replica is left as it was.
 func TestRestoreRefusesCorruptManifest(t *testing.T) {
 	bad, good := t.TempDir(), t.TempDir()
-	names := []string{"journal-000001.jsonl", "journal-000002.jsonl"}
+	names := []string{"traces/trace-000001.jsonl", "traces/trace-000002.jsonl"}
 	for _, dir := range []string{bad, good} {
 		sink, err := NewDirSink(dir)
 		if err != nil {
@@ -460,11 +456,11 @@ func TestRestoreRefusesCorruptManifest(t *testing.T) {
 // the retries.
 func TestShipperAsyncRetriesAfterSinkFailure(t *testing.T) {
 	root := t.TempDir()
-	writeFile(t, filepath.Join(root, "journal-000001.jsonl"), []byte("data"))
+	writeFile(t, filepath.Join(root, "traces/trace-000001.jsonl"), []byte("data"))
 	flaky := &flakySink{inner: mustDirSink(t), failFirst: 2}
 	s := NewMulti(root, []Sink{flaky}, Options{Interval: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond})
 	defer s.Close()
-	s.Sealed("journal-000001.jsonl")
+	s.Sealed("traces/trace-000001.jsonl")
 	deadline := time.Now().Add(10 * time.Second)
 	for s.Stats().SegmentsShipped == 0 {
 		if time.Now().After(deadline) {
@@ -595,13 +591,13 @@ func TestKeptHandleSinkContract(t *testing.T) {
 }
 
 // TestKeptHandleSealedThenFoldedIsDone: a growing file whose handle the
-// lane keeps, then sealed, then deleted before the lane runs ends done,
-// with nothing sealed at the sink. The
-// lane's loop is not started, so nothing ships between the steps.
+// lane keeps, then sealed, then deleted by hand before the lane runs ends
+// done, with nothing sealed at the sink. The lane's loop is not started,
+// so nothing ships between the steps.
 func TestKeptHandleSealedThenFoldedIsDone(t *testing.T) {
 	root := t.TempDir()
 	sink := mustDirSink(t)
-	const name = "journal-000002.jsonl"
+	const name = "traces/trace-000002.jsonl"
 	path := filepath.Join(root, name)
 	writeFile(t, path, []byte("r1\n"))
 	ln := newLane(root, sink, Options{})
@@ -622,13 +618,13 @@ func TestKeptHandleSealedThenFoldedIsDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := ln.flush(); err != nil {
-		t.Fatalf("folded-away file errored: %v", err)
+		t.Fatalf("deleted file errored: %v", err)
 	}
 	if !st.done || len(ln.dirty) != 0 {
-		t.Fatalf("folded-away file: done=%v, dirty=%v", st.done, ln.dirty)
+		t.Fatalf("deleted file: done=%v, dirty=%v", st.done, ln.dirty)
 	}
 	if m, _ := ReadManifest(sink.root); len(m) != 0 {
-		t.Fatalf("folded-away file was sealed: %v", m)
+		t.Fatalf("deleted file was sealed: %v", m)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -660,20 +656,20 @@ func TestKeptHandlesClosed(t *testing.T) {
 		}
 		return n
 	}
-	writeFile(t, filepath.Join(root, "journal-000001.jsonl"), []byte("j1\n"))
 	writeFile(t, filepath.Join(root, "traces", "trace-000001.jsonl"), []byte("t1\n"))
+	writeFile(t, filepath.Join(root, "traces", "trace-000002.jsonl"), []byte("t2\n"))
 	sink, err := NewDirSink(sinkDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s := NewMulti(root, []Sink{sink}, Options{Sync: true, Interval: time.Hour})
-	s.Changed("journal-000001.jsonl")
 	s.Changed("traces/trace-000001.jsonl")
+	s.Changed("traces/trace-000002.jsonl")
 	if got := fds(); got != 4 {
 		t.Fatalf("%d descriptors with two growing files shipped, want 4 (one per end)", got)
 	}
-	s.Sealed("journal-000001.jsonl")
+	s.Sealed("traces/trace-000001.jsonl")
 	if got := fds(); got != 2 {
 		t.Fatalf("%d descriptors after a seal, want 2", got)
 	}
@@ -690,7 +686,7 @@ func TestKeptHandlesClosed(t *testing.T) {
 	}
 	for _, node := range []string{"a", "b"} {
 		w := httptest.NewRecorder()
-		recv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/"+node+"/append?name=journal-000001.jsonl&off=0", strings.NewReader("j1\n")))
+		recv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/"+node+"/append?name=traces/trace-000001.jsonl&off=0", strings.NewReader("t1\n")))
 		if w.Code != http.StatusOK {
 			t.Fatalf("append for %s: %d %s", node, w.Code, w.Body)
 		}

@@ -33,8 +33,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -63,19 +61,6 @@ type Store struct {
 	log *seglog.Log
 }
 
-// segments lists the directory's segments. One that still holds the
-// per-job files of the previous layout is refused.
-func segments(dir string) ([]seglog.Segment, error) {
-	// The pattern is well formed and Glob reports no I/O error: a
-	// directory that cannot be read fails at List.
-	if old, _ := fs.Glob(os.DirFS(dir), "*.trace.jsonl"); len(old) > 0 {
-		return nil, fmt.Errorf("%s is a per-job trace file of an older bhpod, which this one does not read: "+
-			"move the *.trace.jsonl files out of %s (the journal that bhpod wrote embeds every finished job's curve in its result, so finished jobs keep their results and curves)",
-			filepath.Join(dir, old[0]), dir)
-	}
-	return seglog.List(dir, prefix)
-}
-
 // Open creates the directory if needed, announces the segments already
 // there as sealed and makes the one after them the active segment.
 func Open(dir string, opts Options) (*Store, error) {
@@ -84,9 +69,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if opts.MaxBytes == 0 {
 		opts.MaxBytes = 1 << 20
-	}
-	if _, err := segments(dir); err != nil { // the per-job layout's refusal
-		return nil, fmt.Errorf("tracestore: %w", err)
 	}
 	log, err := seglog.Open(dir, opts, prefix)
 	if err != nil {
@@ -193,11 +175,6 @@ func (h History) Events() ([]events.Event, error) {
 	return out, nil
 }
 
-// ErrEventsLost marks ReadAll's report of a segment missing from a log
-// that held no record line before it, as an older binary's held none: the
-// gap cost events but no record.
-var ErrEventsLost = errors.New("events lost")
-
 // ReadAll files every event line of the directory's segments under its
 // job, in publish order, without decoding it, and hands each record line
 // to record, unchecked: its decoder scans it anyway, and Locate names the
@@ -207,13 +184,8 @@ var ErrEventsLost = errors.New("events lost")
 // lines of the segments that are there.
 func ReadAll(dir string, record func(line []byte)) (map[string]History, error) {
 	out := map[string]History{}
-	lines, firstRecord := 0, 0
 	err := read(dir, func(line []byte) error {
-		lines++
 		if isRecord(line) {
-			if firstRecord == 0 {
-				firstRecord = lines
-			}
 			record(line)
 			return nil
 		}
@@ -224,9 +196,6 @@ func ReadAll(dir string, record func(line []byte)) (map[string]History, error) {
 		out[string(id)] = append(out[string(id)], line)
 		return nil
 	})
-	if gap := (*seglog.GapError)(nil); errors.As(err, &gap) && (firstRecord == 0 || firstRecord > gap.Lines) {
-		err = fmt.Errorf("%w: %w", ErrEventsLost, err)
-	}
 	return out, err
 }
 
@@ -299,7 +268,7 @@ func Locate(dir string, line []byte, err error) error {
 // read hands fn the lines of the directory's segments as seglog.Read
 // does.
 func read(dir string, fn func(line []byte) error) error {
-	segs, err := segments(dir)
+	segs, err := seglog.List(dir, prefix)
 	if err == nil {
 		err = seglog.Read(dir, segs, fn)
 	}

@@ -261,33 +261,6 @@ func TestCloseIsTerminal(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesPerJobLayout: a traces directory written by the per-job
-// layout is refused by name, with what to do about it, instead of booting
-// with silently empty traces; so are the readers.
-func TestOpenRefusesPerJobLayout(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"job-2.trace.jsonl", "job-1.trace.jsonl"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := Open(dir, Options{})
-	if err == nil {
-		t.Fatal("Open accepted a directory of per-job trace files")
-	}
-	for _, want := range []string{filepath.Join(dir, "job-1.trace.jsonl"), "move", "journal"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("refusal %q does not mention %q", err, want)
-		}
-	}
-	if _, err := ReadAll(dir, skipRecord); err == nil {
-		t.Error("ReadAll accepted a directory of per-job trace files")
-	}
-	if names := dirNames(t, dir); len(names) != 2 {
-		t.Errorf("the refused directory was touched: %v", names)
-	}
-}
-
 // TestCrashReopenLosesNothingBehindTear: a segment cut mid-line (the
 // kill -9 signature), a reopen and new appends — every whole event before
 // the tear and every event after the reopen reads back, per job in
@@ -577,11 +550,10 @@ func skipRecord([]byte) {}
 // TestRecordLinesAreNotEvents: a log holding job records between its
 // events. No event reader sees a record — ReadAll does not file one, Read
 // does not decode one, a History holds none — and ReadAll hands out the
-// records alone, in log order. A segment missing after a record line may
-// have held records: ReadAll reports it as no ErrEventsLost; one that only
-// events came before is one. Locate names the file and line of a record
-// that failed its decoder. A line that is not a record is not appended as
-// one.
+// records alone, in log order. A segment missing from the log is an error
+// naming it, whatever came before it: after a record line, or after event
+// lines alone. Locate names the file and line of a record that failed its
+// decoder. A line that is not a record is not appended as one.
 func TestRecordLinesAreNotEvents(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -616,7 +588,7 @@ func TestRecordLinesAreNotEvents(t *testing.T) {
 
 	var recs []string
 	all, err := ReadAll(dir, func(line []byte) { recs = append(recs, string(line)) })
-	if err == nil || errors.Is(err, ErrEventsLost) || !strings.Contains(err.Error(), "trace-000002.jsonl") {
+	if err == nil || !strings.Contains(err.Error(), "missing segment trace-000002.jsonl") {
 		t.Errorf("ReadAll reported the segment missing after a record as %v", err)
 	}
 	if want := []string{string(submit), string(result), later}; fmt.Sprint(recs) != fmt.Sprint(want) {
@@ -636,13 +608,12 @@ func TestRecordLinesAreNotEvents(t *testing.T) {
 		t.Errorf("Read job-1: %+v, want its three events", evs)
 	}
 
-	// The same gap with events alone before it: what an older binary's
-	// log could lose.
-	older := t.TempDir()
-	writeSegment(t, older, 1, point(1))
-	writeSegment(t, older, 3, later+"\n", forJob("job-2", 1))
-	if _, err := ReadAll(older, skipRecord); !errors.Is(err, ErrEventsLost) {
-		t.Errorf("a gap only events came before read as %v, want ErrEventsLost", err)
+	// The same gap with events alone before it is the same error.
+	eventsFirst := t.TempDir()
+	writeSegment(t, eventsFirst, 1, point(1))
+	writeSegment(t, eventsFirst, 3, later+"\n", forJob("job-2", 1))
+	if _, gap := ReadAll(eventsFirst, skipRecord); gap == nil || err == nil || gap.Error() != err.Error() {
+		t.Errorf("a gap only events came before read as %v, want %v", gap, err)
 	}
 
 	bad := errors.New("bad record")

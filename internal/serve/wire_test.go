@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"enhancedbhpo/internal/events"
-	"enhancedbhpo/internal/serve/journal"
 	"enhancedbhpo/internal/serve/tracestore"
 	"enhancedbhpo/internal/trace"
 )
@@ -48,8 +47,8 @@ func samePoint(a, b trace.Point) bool {
 }
 
 // TestPointWireFormatFrozen pins every byte a curve point is written as —
-// bare, in an EncodeAnytime array, in a trace-log line and in a journal
-// result record — and what those bytes decode to. It passes unmodified at
+// bare, in an EncodeAnytime array and in a trace-log line — and what those
+// bytes decode to. It passes unmodified at
 // the commit before trace.Point took its wire names from struct tags.
 func TestPointWireFormatFrozen(t *testing.T) {
 	points, want := wirePoints()
@@ -107,33 +106,6 @@ func TestPointWireFormatFrozen(t *testing.T) {
 	for i, ev := range evs {
 		if ev.Point == nil || !samePoint(*ev.Point, points[i]) || ev.Seq != uint64(i+1) || !ev.Time.Equal(at) {
 			t.Errorf("trace event %d read back as %+v (point %+v)", i, ev, ev.Point)
-		}
-	}
-
-	journalDir := t.TempDir()
-	w, err := journal.OpenOptions(journalDir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := 0.5
-	rec := journal.Record{Type: "result", Time: at, JobID: "job-1", Status: "done", Evaluations: len(points), Curve: points, BestScore: &best}
-	if err := w.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recWant := `{"t":"result",` + stamp + `"status":"done","evaluations":7,"curve":` + array + `,"best_score":0.5}` + "\n"
-	if raw, err := os.ReadFile(filepath.Join(journalDir, "journal-000001.jsonl")); err != nil || string(raw) != recWant {
-		t.Errorf("journal holds\n%s(%v) want\n%s", raw, err, recWant)
-	}
-	var recBack journal.Record
-	if err := json.Unmarshal([]byte(recWant), &recBack); err != nil || len(recBack.Curve) != len(points) {
-		t.Fatalf("journal record decodes to %d points, %v", len(recBack.Curve), err)
-	}
-	for i := range points {
-		if !samePoint(recBack.Curve[i], points[i]) {
-			t.Errorf("journal curve point %d = %+v, want %+v", i, recBack.Curve[i], points[i])
 		}
 	}
 
