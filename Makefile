@@ -2,12 +2,13 @@
 # run: static analysis, the full suite under the race detector with the
 # 30-second chaos storms, the full suite again at one, two and four Ps,
 # and then only what adds a configuration to that — the portable (purego)
-# kernel path, the goldens without FMA, the benchmark smoke run. Every
-# target names packages, not tests.
+# kernel path, the goldens without FMA, the benchmark smoke run — and ten
+# seconds of each fuzzer. Every target names packages, not tests, but
+# deadcode and fuzz, which go test can only run by name.
 
 GO ?= go
 
-.PHONY: all build test race vet vet-bench deadcode nofma cover cpus check fallback bench-smoke bench-pair loc fmt serve clean
+.PHONY: all build test race vet vet-bench deadcode nofma cover cpus check fallback bench-smoke fuzz bench-pair loc fmt serve clean
 
 # The Fit/Evaluate microbenchmark family of bench_test.go, the matmul
 # row kernels of internal/mat and the initial-weight draw of internal/rng.
@@ -85,6 +86,17 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem . ./internal/mat/ ./internal/rng/ >/dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkBoot|BenchmarkWarmJob' -benchtime 1x -benchmem ./internal/serve/ >/dev/null
 
+# Each fuzzer for 10 s: the boot on bytes appended to a log, POST /jobs,
+# the CSV reader and the search-space JSON. `go test -fuzz` takes one
+# target at a time, so this target names them, the one place besides
+# deadcode that names tests. A finding is written under the package's
+# testdata/fuzz/, where the plain `go test ./...` reruns it with the seeds.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzBoot$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSpaceJSON$$' -fuzztime 10s ./internal/search/
+
 # Paired end-to-end comparison of the working tree against BASE with the
 # repository benchmark (cmd/benchpair): alternating order, one seed per
 # pair, medians, quartiles and wins per metric. Every performance claim
@@ -129,7 +141,7 @@ loc:
 			for (d in seen) printf "%8d %8d %8d  %s\n", n[d], c[d], t[d], d | "sort -k4"; close("sort -k4"); \
 			printf "%8d %8d %8d  total\n", N, C, T }' $$(find . -name '*.go' -not -path './bench/*')
 
-check: vet vet-bench deadcode race cpus fallback nofma bench-smoke
+check: vet vet-bench deadcode race cpus fallback nofma bench-smoke fuzz
 
 fmt:
 	gofmt -l -w .

@@ -166,7 +166,13 @@ func TestBootOnDamagedTraceLog(t *testing.T) {
 		submitAs(t, m1, smallSpec(), id)
 	}
 	for _, id := range ids {
-		waitJob(t, m1, id, func(s Status) bool { return s == StatusDone }, "done")
+		// The terminal event, not the status: a reader sees done before
+		// the event is written (ROADMAP item 1).
+		for deadline := time.Now().Add(90 * time.Second); !m1.hub.Done(id); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never published its terminal event", id)
+			}
+		}
 	}
 	before := fetchTraces(t, ts1.URL, ids)
 	lastSeq := getJob(t, ts1.URL, "job-2").LastSeq

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -106,6 +107,11 @@ func fieldErr(field, format string, args ...any) error {
 	return &SpecFieldError{Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
+// maxTimeoutSec bounds TimeoutSec: launch converts it to a time.Duration,
+// whose nanoseconds a longer timeout overflows into a negative one that
+// expires at once.
+const maxTimeoutSec = float64(math.MaxInt64) / float64(time.Second)
+
 // Validate reports the first problem with the spec. The method name is
 // resolved against the hpo registry, and option fields a method cannot
 // honor (per its capability flags) are rejected here — a named-field 400
@@ -150,8 +156,8 @@ func (s JobSpec) Validate() error {
 	if s.Iters < 0 || s.Iters > 10_000 {
 		return fieldErr("iters", "iters %d out of [1, 10000]", s.Iters)
 	}
-	if s.TimeoutSec < 0 {
-		return fieldErr("timeout_sec", "negative timeout_sec")
+	if s.TimeoutSec < 0 || s.TimeoutSec >= maxTimeoutSec {
+		return fieldErr("timeout_sec", "timeout_sec %v out of [0, %v)", s.TimeoutSec, maxTimeoutSec)
 	}
 	return nil
 }

@@ -200,11 +200,16 @@ type replayState struct {
 	spec  func(id string, spec json.RawMessage) error // Fold's
 }
 
-// applyLine decodes one record line and merges it.
+// applyLine decodes one record line and merges it. A count below zero is
+// no record Manager.transition writes, and would index a job's curve
+// backwards: the line is corrupt.
 func (r *replayState) applyLine(line []byte) error {
 	var rec Record
 	if err := json.Unmarshal(line, &rec); err != nil {
 		return fmt.Errorf("corrupt record: %w", err)
+	}
+	if min(rec.Evaluations, rec.Budget, rec.Preemptions, rec.Failures) < 0 {
+		return errors.New("corrupt record: a negative count")
 	}
 	r.apply(rec)
 	if rec.Type == TypeSubmit && r.spec != nil {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -125,30 +124,6 @@ func TestReplayMissingJournal(t *testing.T) {
 	}
 }
 
-// TestReplayTornTail simulates a crash mid-append: the last line is
-// truncated, and replay must stop cleanly at the last whole record.
-func TestReplayTornTail(t *testing.T) {
-	dir := t.TempDir()
-	spec := json.RawMessage(`{"dataset":"australian","method":"sha"}`)
-	path := appendRecords(t, dir, 0, Record{Type: TypeSubmit, Time: time.Now(), JobID: "job-1", Spec: spec})
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"t":"result","job":"job-1","sta`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	states, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(states) != 1 || states[0].Status != "queued" {
-		t.Fatalf("torn tail replay: %+v", states)
-	}
-}
-
 // writeSegment handcrafts segment seq of dir's trace log from records and
 // returns its path.
 func writeSegment(t *testing.T, dir string, seq int, recs ...Record) string {
@@ -176,53 +151,6 @@ func writeLines(t *testing.T, dir string, seq int, data []byte) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-// TestSegmentReplayTornNewest: a torn tail ends its segment, the newest
-// one's as an earlier life's, and the segments after it replay whole.
-func TestSegmentReplayTornNewest(t *testing.T) {
-	dir := t.TempDir()
-	spec := json.RawMessage(`{"dataset":"australian","method":"sha"}`)
-	t0 := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
-	writeSegment(t, dir, 1,
-		Record{Type: TypeSubmit, Time: t0, JobID: "job-1", Spec: spec},
-		Record{Type: TypeResult, Time: t0.Add(time.Second), JobID: "job-1", Status: "done", Evaluations: 3},
-	)
-	second := writeSegment(t, dir, 2,
-		Record{Type: TypeSubmit, Time: t0.Add(2 * time.Second), JobID: "job-2", Spec: spec},
-	)
-	f, err := os.OpenFile(second, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"t":"result","job":"job-2","sta`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	states, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(states) != 2 {
-		t.Fatalf("replayed %d states, want 2: %+v", len(states), states)
-	}
-	if states[0].Status != "done" || states[0].Evaluations != 3 {
-		t.Fatalf("sealed segment state lost: %+v", states[0])
-	}
-	if states[1].Status != "queued" {
-		t.Fatalf("torn tail not dropped: %+v", states[1])
-	}
-
-	// A later life's segment leaves the tear where it is, ending an earlier
-	// segment now: the same rule.
-	writeSegment(t, dir, 3,
-		Record{Type: TypeSubmit, Time: t0.Add(3 * time.Second), JobID: "job-3", Spec: spec},
-	)
-	states, err = Replay(dir)
-	if err != nil || len(states) != 3 || states[1].Status != "queued" || states[2].ID != "job-3" {
-		t.Fatalf("replayed %+v, %v; want job-2 queued and job-3 after it", states, err)
-	}
 }
 
 // TestReplayMissingMiddleSegment: a gap in the log's segment sequence is
@@ -385,68 +313,5 @@ func TestWriterClosedAppendFails(t *testing.T) {
 	}
 	if after := dirFiles(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Fatalf("a closed writer wrote: %v became %v", before, after)
-	}
-}
-
-// TestRotationConcurrentAppends hammers a rotating writer from several
-// goroutines (run under -race via make check): every job must survive
-// rotation, every sealed segment must have reached the size limit, and
-// nothing but segments may be on disk.
-func TestRotationConcurrentAppends(t *testing.T) {
-	dir := t.TempDir()
-	const maxBytes = 512
-	w, err := OpenOptions(dir, Options{MaxBytes: maxBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const writers, jobsEach = 4, 40
-	spec := json.RawMessage(`{"dataset":"australian","method":"sha"}`)
-	now := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < jobsEach; i++ {
-				id := fmt.Sprintf("job-%d-%d", g, i)
-				if err := w.Append(Record{Type: TypeSubmit, Time: now, JobID: id, Spec: spec}); err != nil {
-					t.Errorf("append submit %s: %v", id, err)
-					return
-				}
-				if err := w.Append(Record{
-					Type: TypeResult, Time: now.Add(time.Second), JobID: id,
-					Status: "done", Evaluations: 1,
-				}); err != nil {
-					t.Errorf("append result %s: %v", id, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	states := writerStates(t, dir)
-	if len(states) != writers*jobsEach {
-		t.Fatalf("replayed %d states, want %d", len(states), writers*jobsEach)
-	}
-	for _, st := range states {
-		if st.Status != "done" {
-			t.Fatalf("job %s lost its result across rotation: %+v", st.ID, st)
-		}
-	}
-	files := dirFiles(t, dir)
-	for seq := 1; seq < len(files); seq++ {
-		if data, ok := files[segmentName(seq)]; !ok || len(data) < maxBytes {
-			t.Fatalf("%s holds %d bytes (on disk: %v); every segment but the last is sealed at %d", segmentName(seq), len(data), ok, maxBytes)
-		}
-	}
-	if _, ok := files[segmentName(len(files))]; !ok || len(files) < 5 {
-		t.Fatalf("%d files on disk, want several segments and nothing else", len(files))
-	}
-	if s := DirStats(dir); s.Segments != len(files) || s.Bytes == 0 {
-		t.Fatalf("DirStats sees %+v of %d segments", s, len(files))
 	}
 }

@@ -15,25 +15,6 @@ import (
 
 func segmentName(seq int) string { return seglog.Name(writerPrefix, seq) }
 
-// writerStates folds the records of the files a Writer left in dir, which
-// Replay refuses, as Fold folds the log's.
-func writerStates(t *testing.T, dir string) []JobState {
-	t.Helper()
-	segs, err := seglog.List(dir, writerPrefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := replayState{byID: map[string]*JobState{}}
-	if err := seglog.Read(dir, segs, acc.applyLine); err != nil {
-		t.Fatal(err)
-	}
-	var states []JobState
-	for _, id := range acc.order {
-		states = append(states, *acc.byID[id])
-	}
-	return states
-}
-
 // frozenRecords are the appends TestSegmentBytesFrozen pins the files of.
 func frozenRecords() []Record {
 	t0 := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
@@ -81,7 +62,8 @@ const (
 
 // TestSegmentBytesFrozen pins, byte for byte, the files a fixed sequence
 // of appends leaves — a segment sealed by rotation and the active one — so
-// a change to the writer cannot change what is on disk.
+// a change to the writer cannot change what is on disk. DirStats counts
+// them, and a boot's Replay refuses them, naming the first.
 func TestSegmentBytesFrozen(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenOptions(dir, Options{MaxBytes: 400})
@@ -96,10 +78,17 @@ func TestSegmentBytesFrozen(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	first := frozenSubmit1 + frozenStatus1 + frozenResult1 + frozenSubmit2
 	checkFiles(t, dir, map[string]string{
-		"journal-000001.jsonl": frozenSubmit1 + frozenStatus1 + frozenResult1 + frozenSubmit2,
+		"journal-000001.jsonl": first,
 		"journal-000002.jsonl": frozenPreempt,
 	})
+	if s := DirStats(dir); s != (Stats{Segments: 2, Bytes: int64(len(first) + len(frozenPreempt))}) {
+		t.Errorf("DirStats sees %+v", s)
+	}
+	if _, err := Replay(dir); err == nil || !strings.Contains(err.Error(), filepath.Join(dir, segmentName(1))+" was written by an older bhpod") {
+		t.Errorf("Replay of a Writer's files: %v; want them refused by name", err)
+	}
 }
 
 // checkFiles fails unless dir holds exactly the files of want, each with
@@ -159,47 +148,5 @@ func TestOnChangeOrderUnderRotation(t *testing.T) {
 	}
 	if len(segs) < 5 || len(calls) != appends {
 		t.Fatalf("%d segments sealed in %d announcements; want several, one per append", len(segs), len(calls))
-	}
-}
-
-// TestEveryLifeStartsItsOwnSegment: a writer that appends nothing leaves
-// no file, and one that appends starts the segment after the newest on
-// disk — never writing into a previous life's, which may end in a torn
-// line. A boot refuses the directory, naming the first of them.
-func TestEveryLifeStartsItsOwnSegment(t *testing.T) {
-	dir := t.TempDir()
-	recs := frozenRecords()
-	for life, rec := range []*Record{nil, &recs[0], nil, &recs[3]} {
-		before := dirFiles(t, dir)
-		w, err := OpenOptions(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec != nil {
-			if err := w.Append(*rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		after := dirFiles(t, dir)
-		for name, data := range before {
-			if after[name] != data {
-				t.Fatalf("life %d changed %s, which an earlier life wrote", life, name)
-			}
-		}
-		if added := len(after) - len(before); (rec != nil) != (added == 1) || added > 1 {
-			t.Fatalf("life %d (appending %v) added %d files", life, rec != nil, added)
-		}
-	}
-	if files := dirFiles(t, dir); len(files) != 2 || files[segmentName(1)] == "" || files[segmentName(2)] == "" {
-		t.Fatalf("two appending lives left %v, want journal-000001 and journal-000002", files)
-	}
-	if states := writerStates(t, dir); len(states) != 2 {
-		t.Fatalf("read back %d jobs; want both lives' submissions", len(states))
-	}
-	if _, err := Replay(dir); err == nil || !strings.Contains(err.Error(), filepath.Join(dir, segmentName(1))+" was written by an older bhpod") {
-		t.Fatalf("Replay of a Writer's files: %v; want them refused by name", err)
 	}
 }

@@ -401,107 +401,51 @@ func TestDeadlineJournalsNothing(t *testing.T) {
 	}
 }
 
-// TestOneStatusAfterACrashAtTheFinish: a finished job's last two lines in
-// the log are its result record and its terminal event, and a crash can
-// cut the log before either, between them or after both. Each cut boots
-// to one status on every surface — GET /jobs/{id}, the GET /jobs listing
-// and the last event of /trace?events=1 — and journal.Replay reads the cut
-// log as the boot does: running without a checkpoint before the record,
-// done from it on.
-func TestOneStatusAfterACrashAtTheFinish(t *testing.T) {
-	cfg := Config{PoolSize: 2, MaxJobs: 1, DataDir: t.TempDir()}
-	m := bootJournaled(t, cfg)
-	submitAs(t, m, smallSpec(), "job-1")
-	waitJob(t, m, "job-1", terminal, "terminal")
-	shutdown(t, m)
-	segs := traceSegments(t, cfg.DataDir)
-	raw, err := os.ReadFile(segs[len(segs)-1])
+// checkReplayReadsServed fails unless journal.Replay of the data
+// directory — what the benchmark's crash-recover check reads of a
+// snapshot — returns every job of m, which has been shut down, as m
+// serves it: its ID, status, checkpoint, evaluations, budget (its curve's
+// final cumulative budget), token and tenant.
+func checkReplayReadsServed(t *testing.T, m *Manager, dataDir string) {
+	t.Helper()
+	states, err := journal.Replay(dataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := lineOf(t, raw, 0, `"t":"result"`)
-	ev, end := lineOf(t, raw, 0, `"terminal":true`)
-	if rec >= ev || end != len(raw) {
-		t.Fatalf("the log ends %q; want the result record, then the terminal event", raw[rec:])
+	jobs := m.Jobs()
+	if len(states) != len(jobs) {
+		t.Fatalf("Replay holds %d jobs, the manager %d", len(states), len(jobs))
 	}
-	for _, tc := range []struct {
-		name     string
-		cut      int
-		replayed Status // what journal.Replay reads
-		served   Status
-	}{
-		{"before-the-record", rec, StatusRunning, StatusCancelled},
-		{"between-record-and-event", ev, StatusDone, StatusDone},
-		{"after-both", end, StatusDone, StatusDone},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := cfg
-			c.DataDir = filepath.Join(t.TempDir(), "data")
-			copyTree(t, cfg.DataDir, c.DataDir)
-			rel, _ := filepath.Rel(cfg.DataDir, segs[len(segs)-1])
-			writeFile(t, filepath.Join(c.DataDir, rel), raw[:tc.cut])
-			states, err := journal.Replay(c.DataDir)
-			if err != nil || len(states) != 1 || states[0].Status != string(tc.replayed) || len(states[0].Checkpoint) > 0 {
-				t.Fatalf("Replay of the cut log: %+v, %v; want job-1 %s without a checkpoint", states, err, tc.replayed)
-			}
-			m := bootJournaled(t, c)
-			defer shutdown(t, m)
-			ts := httptest.NewServer(NewServer(m))
-			defer ts.Close()
-			one := getJob(t, ts.URL, "job-1")
-			var list []Snapshot
-			getJSON(t, ts.URL+"/jobs", &list)
-			var evs []events.Event
-			getJSON(t, ts.URL+"/jobs/job-1/trace?events=1", &evs)
-			if len(list) != 1 || len(evs) == 0 {
-				t.Fatalf("%d jobs listed, %d events served", len(list), len(evs))
-			}
-			last := evs[len(evs)-1]
-			if one.Status != tc.served || list[0].Status != tc.served || last.Status != string(tc.served) || !last.Terminal {
-				t.Errorf("GET /jobs/job-1 says %s, GET /jobs %s, the last event %s (terminal %v); want %s everywhere",
-					one.Status, list[0].Status, last.Status, last.Terminal, tc.served)
-			}
-		})
+	for i, job := range jobs {
+		snap := job.Snapshot()
+		budget := 0
+		if n := len(snap.Curve); n > 0 {
+			budget = snap.Curve[n-1].CumBudget
+		}
+		job.mu.Lock()
+		token := job.token
+		job.mu.Unlock()
+		st := states[i]
+		got := fmt.Sprintf("%s %s checkpoint=%t evaluations=%d budget=%d token=%q tenant=%q",
+			st.ID, st.Status, len(st.Checkpoint) > 0, st.Evaluations, st.Budget, st.Token, st.Tenant)
+		want := fmt.Sprintf("%s %s checkpoint=%t evaluations=%d budget=%d token=%q tenant=%q",
+			snap.ID, snap.Status, snap.Status == StatusQueued && snap.Preemptions > 0, snap.Evaluations, budget, token, snap.Tenant)
+		if got != want {
+			t.Errorf("Replay reads\n %s\nthe manager serves\n %s", got, want)
+		}
 	}
 }
 
 // TestReplayReadsWhatWasServed: for every lifecycle path, journal.Replay
-// of the data directory — what the benchmark's crash-recover check reads
-// of a snapshot — returns every job as the manager that holds it last
-// serves it: its ID, status, checkpoint, evaluations, budget (its curve's
-// final cumulative budget), token and tenant.
+// of the data directory reads every job as the manager that holds it
+// last serves it.
 func TestReplayReadsWhatWasServed(t *testing.T) {
 	for _, tc := range lifecyclePaths() {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := lifecycleConfig(t)
 			m, _ := tc.run(t, cfg)
 			shutdown(t, m)
-			states, err := journal.Replay(cfg.DataDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jobs := m.Jobs()
-			if len(states) != len(jobs) {
-				t.Fatalf("Replay holds %d jobs, the manager %d", len(states), len(jobs))
-			}
-			for i, job := range jobs {
-				snap := job.Snapshot()
-				budget := 0
-				if n := len(snap.Curve); n > 0 {
-					budget = snap.Curve[n-1].CumBudget
-				}
-				job.mu.Lock()
-				token := job.token
-				job.mu.Unlock()
-				st := states[i]
-				got := fmt.Sprintf("%s %s checkpoint=%t evaluations=%d budget=%d token=%q tenant=%q",
-					st.ID, st.Status, len(st.Checkpoint) > 0, st.Evaluations, st.Budget, st.Token, st.Tenant)
-				want := fmt.Sprintf("%s %s checkpoint=%t evaluations=%d budget=%d token=%q tenant=%q",
-					snap.ID, snap.Status, snap.Status == StatusQueued && snap.Preemptions > 0, snap.Evaluations, budget, token, snap.Tenant)
-				if got != want {
-					t.Errorf("Replay reads\n %s\nthe manager serves\n %s", got, want)
-				}
-			}
+			checkReplayReadsServed(t, m, cfg.DataDir)
 		})
 	}
 }

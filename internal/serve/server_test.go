@@ -367,17 +367,22 @@ func TestQueuedJobRespectsMaxJobs(t *testing.T) {
 	httpDo(t, http.MethodDelete, ts.URL+"/jobs/"+running.ID, "")
 }
 
+// badSubmissions are bodies POST /jobs answers 400, by what is wrong
+// with them.
+var badSubmissions = map[string]string{
+	"bad json":         `{`,
+	"unknown field":    `{"dataset":"australian","method":"sha","bogus":1}`,
+	"bad method":       `{"dataset":"australian","method":"sgd"}`,
+	"bad dataset":      `{"dataset":"mnist","method":"sha"}`,
+	"bad hps":          `{"dataset":"australian","method":"sha","hps":12}`,
+	"negative limit":   `{"dataset":"australian","method":"sha","max_configs":-1}`,
+	"timeout overflow": `{"dataset":"australian","method":"sha","timeout_sec":1e10}`,
+}
+
 // TestBadSubmissions exercises validation and routing errors.
 func TestBadSubmissions(t *testing.T) {
 	ts, _ := newTestServer(t, Config{PoolSize: 1, MaxJobs: 1})
-	for name, body := range map[string]string{
-		"bad json":       `{`,
-		"unknown field":  `{"dataset":"australian","method":"sha","bogus":1}`,
-		"bad method":     `{"dataset":"australian","method":"sgd"}`,
-		"bad dataset":    `{"dataset":"mnist","method":"sha"}`,
-		"bad hps":        `{"dataset":"australian","method":"sha","hps":12}`,
-		"negative limit": `{"dataset":"australian","method":"sha","max_configs":-1}`,
-	} {
+	for name, body := range badSubmissions {
 		if code, _ := httpDo(t, http.MethodPost, ts.URL+"/jobs", body); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, code)
 		}

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -101,40 +100,6 @@ func dirNames(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestTornTailTolerated: a trace ending in half a record (crash
-// mid-append) reads back as everything before the tear.
-func TestTornTailTolerated(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if err := s.Append(point(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, segmentName(1))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"seq":4,"type":"curve_po`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	got, err := Read(dir, "job-1")
-	if err != nil {
-		t.Fatalf("torn tail not tolerated: %v", err)
-	}
-	if len(got) != 3 || got[2].Seq != 3 {
-		t.Fatalf("read %d events past the tear, want the 3 whole ones", len(got))
-	}
-}
-
 // TestMissingTraceIsEmpty: a job the log never saw is an empty trace, not
 // an error — in an empty directory, in a missing one and beside other
 // jobs' events; a bad job ID is rejected.
@@ -168,8 +133,9 @@ func TestMissingTraceIsEmpty(t *testing.T) {
 
 // TestReopenReplaysByteIdentically: a new store over the same directory
 // (the restart path) serves the pre-crash events byte-identically,
-// re-tallies the on-disk size and leaves the previous life's segment as it
-// found it.
+// re-tallies the on-disk size, leaves the previous life's segment as it
+// found it, and counts in Bytes() what the directory holds once it has
+// appended too.
 func TestReopenReplaysByteIdentically(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir, Options{})
@@ -216,6 +182,9 @@ func TestReopenReplaysByteIdentically(t *testing.T) {
 	if evs, err := Read(dir, "job-1"); err != nil || len(evs) != 8 || evs[7].Seq != 8 {
 		t.Fatalf("after the reopen's append: %d events, %v; want 8", len(evs), err)
 	}
+	if s2.Bytes() != diskBytes(t, dir) {
+		t.Fatalf("Bytes() = %d, the directory holds %d", s2.Bytes(), diskBytes(t, dir))
+	}
 }
 
 // TestCloseIsTerminal: once the store is closed an Append must not write
@@ -258,89 +227,6 @@ func TestCloseIsTerminal(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
-	}
-}
-
-// TestCrashReopenLosesNothingBehindTear: a segment cut mid-line (the
-// kill -9 signature), a reopen and new appends — every whole event before
-// the tear and every event after the reopen reads back, per job in
-// sequence order. Nothing is appended behind the tear, where a reader
-// would never find it.
-func TestCrashReopenLosesNothingBehindTear(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := func(i int) events.Event {
-		ev := point(i)
-		ev.JobID = "job-2"
-		return ev
-	}
-	for i := 1; i <= 3; i++ {
-		for _, ev := range []events.Event{point(i), other(i)} {
-			if err := s1.Append(ev); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// The crash: s1 is abandoned and its last line (job-2's third event)
-	// only half reached the disk.
-	path := filepath.Join(dir, segmentName(1))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, int64(len(raw)-20)); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Append(other(3)); err != nil { // the hub re-issues the lost sequence number
-		t.Fatal(err)
-	}
-	for _, ev := range []events.Event{point(4), terminalEvent(5), other(4)} {
-		if err := s2.Append(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	all, err := ReadAll(dir, skipRecord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, want := range map[string]int{"job-1": 5, "job-2": 4} {
-		one, err := Read(dir, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		filed, err := all[id].Events()
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, _ := json.Marshal(one)
-		b, _ := json.Marshal(filed)
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: Read and ReadAll disagree:\n %s\n %s", id, a, b)
-		}
-		if len(one) != want {
-			t.Fatalf("%s: %d events read back, want %d", id, len(one), want)
-		}
-		for i, ev := range one {
-			if ev.Seq != uint64(i+1) {
-				t.Fatalf("%s: seq %d at position %d", id, ev.Seq, i)
-			}
-		}
-	}
-	if last, ok := all["job-1"].Last(); !ok || last.Seq != 5 || !last.Terminal {
-		t.Fatal("the terminal event written after the reopen was lost")
-	}
-	if s2.Bytes() != diskBytes(t, dir) {
-		t.Fatalf("Bytes() = %d, the directory holds %d", s2.Bytes(), diskBytes(t, dir))
 	}
 }
 
@@ -442,105 +328,6 @@ func TestReadAllDamagedLog(t *testing.T) {
 	}
 	if last, ok := all["nobody"].Last(); ok || len(seqsOf(t, all["nobody"])) != 0 {
 		t.Errorf("a job the log never saw has a newest event: %+v", last)
-	}
-}
-
-// TestRotationConcurrentAppends: eight goroutines, eight jobs each,
-// through one store whose segments hold 4 KiB. Per job every sequence
-// number reads back exactly once and in order across the segments; every
-// sealed segment is announced by exactly one OnChange(name, true), after
-// which it is neither announced nor written again; Bytes() is what the
-// directory holds.
-func TestRotationConcurrentAppends(t *testing.T) {
-	const (
-		writers = 8
-		jobsPer = 8
-		perJob  = 40
-	)
-	dir := t.TempDir()
-	sealedSize := map[string]int64{} // written under the store's lock
-	opts := Options{MaxBytes: 4 << 10, OnChange: func(name string, sealed bool) {
-		if _, again := sealedSize[name]; again {
-			t.Errorf("%s announced (sealed=%v) after it was sealed", name, sealed)
-		}
-		if sealed {
-			st, err := os.Stat(filepath.Join(dir, name))
-			if err != nil {
-				t.Errorf("sealed segment: %v", err)
-				return
-			}
-			sealedSize[name] = st.Size()
-		}
-	}}
-	s, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Round-robin over the goroutine's own jobs: each job's events
-			// reach the store in sequence order, as the hub delivers them.
-			for seq := 1; seq <= perJob; seq++ {
-				for j := 0; j < jobsPer; j++ {
-					ev := point(seq)
-					if seq == perJob {
-						ev = terminalEvent(seq)
-					}
-					ev.JobID = fmt.Sprintf("job-%d", w*jobsPer+j+1)
-					if err := s.Append(ev); err != nil {
-						t.Errorf("append: %v", err)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	all, err := ReadAll(dir, skipRecord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != writers*jobsPer {
-		t.Fatalf("%d jobs read back, want %d", len(all), writers*jobsPer)
-	}
-	for id, lines := range all {
-		evs, err := lines.Events()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(evs) != perJob {
-			t.Fatalf("%s: %d events, want %d", id, len(evs), perJob)
-		}
-		for i, ev := range evs {
-			if ev.Seq != uint64(i+1) {
-				t.Fatalf("%s: seq %d at position %d", id, ev.Seq, i)
-			}
-		}
-	}
-	one, err := Read(dir, "job-1") // not job-10 … job-19
-	if err != nil || len(one) != perJob {
-		t.Fatalf("Read(job-1) = %d events, %v; want %d", len(one), err, perJob)
-	}
-	names := dirNames(t, dir)
-	if len(sealedSize) < 10 || len(names)-len(sealedSize) > 1 {
-		t.Fatalf("%d segments on disk, %d sealed: want many, and at most the last one unsealed", len(names), len(sealedSize))
-	}
-	for name, size := range sealedSize {
-		if st, err := os.Stat(filepath.Join(dir, name)); err != nil || st.Size() != size {
-			t.Errorf("%s was %d bytes when sealed, now %v, %v", name, size, st.Size(), err)
-		}
-		if size < opts.MaxBytes {
-			t.Errorf("%s sealed at %d bytes, below the %d-byte segment size", name, size, opts.MaxBytes)
-		}
-	}
-	if s.Bytes() != diskBytes(t, dir) {
-		t.Fatalf("Bytes() = %d, the directory holds %d", s.Bytes(), diskBytes(t, dir))
 	}
 }
 

@@ -90,26 +90,3 @@ func TestOnChangeOnePerAppend(t *testing.T) {
 		t.Fatalf("%d unsealed announcements + %d seals for %d appends; want several seals and one call per append", len(calls), seals, appends)
 	}
 }
-
-// TestEveryLifeStartsItsOwnSegment: a store that appends nothing leaves
-// no file; one that appends starts the segment after the newest.
-func TestEveryLifeStartsItsOwnSegment(t *testing.T) {
-	dir := t.TempDir()
-	for life := 1; life <= 4; life++ {
-		s, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if life%2 == 0 {
-			if err := s.Append(point(life)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if names := dirNames(t, dir); len(names) != life/2 || life > 1 && names[len(names)-1] != segmentName(life/2) {
-			t.Fatalf("after life %d the directory holds %v", life, names)
-		}
-	}
-}
