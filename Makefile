@@ -87,13 +87,17 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBoot|BenchmarkWarmJob' -benchtime 1x -benchmem ./internal/serve/ >/dev/null
 
 # Each fuzzer for 10 s: the boot on bytes appended to a log, POST /jobs,
-# the CSV reader and the search-space JSON. `go test -fuzz` takes one
-# target at a time, so this target names them, the one place besides
-# deadcode that names tests. A finding is written under the package's
-# testdata/fuzz/, where the plain `go test ./...` reruns it with the seeds.
+# the boot's JSON validator against json.Valid and its record decoder
+# against json.Unmarshal, the CSV reader and the search-space JSON. `go
+# test -fuzz` takes one target at a time, so this target names them, the
+# one place besides deadcode that names tests. A finding is written under
+# the package's testdata/fuzz/, where the plain `go test ./...` reruns it
+# with the seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBoot$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzValid$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSpaceJSON$$' -fuzztime 10s ./internal/search/
 

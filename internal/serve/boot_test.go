@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -149,6 +150,51 @@ func TestFailedBootLeavesNothingRunning(t *testing.T) {
 					got.JobsRestored, got.JournalErrors, got.TraceStoreErrors)
 			}
 		})
+	}
+}
+
+// TestBootFailsAnInvalidSpec: a log that holds a queued job whose spec
+// POST /jobs would refuse ("scale":-1) boots, and the job is failed, not
+// run: GET /jobs/{id}, GET /jobs and its last event agree, each error
+// names the field, the verdict is journaled, and no evaluator is made for
+// the job. The valid job queued beside it runs to done, and a second boot
+// serves the failed job as it is without judging it again.
+func TestBootFailsAnInvalidSpec(t *testing.T) {
+	good, err := json.Marshal(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Replace(good, []byte(`"scale":0.06`), []byte(`"scale":-1`), 1)
+	dir := t.TempDir()
+	queuedJournal(t, dir, bad, good)
+	var wrapped sync.Map // job ID → true once an evaluator is made for it
+	cfg := Config{PoolSize: 1, MaxJobs: 1, DataDir: dir,
+		WrapEvaluator: func(id string, inner hpo.Evaluator) hpo.Evaluator {
+			wrapped.Store(id, true)
+			return inner
+		}}
+	for life := 1; life <= 2; life++ {
+		m := bootJournaled(t, cfg)
+		waitJob(t, m, "job-2", func(s Status) bool { return s == StatusDone }, "done")
+		s := serveAll(t, m)["job-1"]
+		checkServes(t, "job-1", s, StatusFailed, "")
+		last := s.events[len(s.events)-1]
+		for _, msg := range []string{s.one.Error, s.listed.Error, last.Error} {
+			if !strings.Contains(msg, "scale") {
+				t.Errorf("life %d: job-1 failed with %q, which does not name the scale", life, msg)
+			}
+		}
+		shutdown(t, m)
+		states, err := journal.Replay(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := states[0]; st.ID != "job-1" || st.Status != string(StatusFailed) || st.Error != s.one.Error {
+			t.Errorf("life %d: the log holds job-1 as %s %q, served failed %q", life, st.Status, st.Error, s.one.Error)
+		}
+	}
+	if _, ok := wrapped.Load("job-1"); ok {
+		t.Error("an evaluator was made for the job of the invalid spec")
 	}
 }
 

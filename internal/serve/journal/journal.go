@@ -6,7 +6,9 @@
 // same transition, whose fsync covers a result record too; a data
 // directory holds nothing else (refuseOlder).
 //
-// A record is one JSON line. A torn tail — the bytes after a segment's
+// A record is one JSON line, which json.Marshal writes and a boot decodes
+// by hand (Decoder), or with json.Unmarshal if it is not in the form
+// json.Marshal gives. A torn tail — the bytes after a segment's
 // last newline — ends its segment; a whole record line that does not
 // decode, or a segment lost from the middle of the log, fails the fold
 // rather than silently dropping jobs. The records stay records, not
@@ -195,18 +197,23 @@ func (s JobState) Terminal() bool {
 
 // replayState accumulates records in first-submission order.
 type replayState struct {
-	byID  map[string]*JobState
-	order []string
-	spec  func(id string, spec json.RawMessage) error // Fold's
+	byID   map[string]*JobState
+	order  []string
+	spec   func(id string, spec json.RawMessage) error // Fold's
+	decode Decoder
 }
 
-// applyLine decodes one record line and merges it. A count below zero is
-// no record Manager.transition writes, and would index a job's curve
-// backwards: the line is corrupt.
+// applyLine decodes one record line and merges it: by hand when the line
+// is in the form Manager.transition writes (Decoder.Record), else with
+// json.Unmarshal. A count below zero is no record Manager.transition
+// writes, and would index a job's curve backwards: the line is corrupt.
 func (r *replayState) applyLine(line []byte) error {
-	var rec Record
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return fmt.Errorf("corrupt record: %w", err)
+	rec, ok := r.decode.Record(line)
+	if !ok {
+		var err error
+		if rec, err = unmarshalRecord(line); err != nil {
+			return fmt.Errorf("corrupt record: %w", err)
+		}
 	}
 	if min(rec.Evaluations, rec.Budget, rec.Preemptions, rec.Failures) < 0 {
 		return errors.New("corrupt record: a negative count")
@@ -216,6 +223,14 @@ func (r *replayState) applyLine(line []byte) error {
 		return r.spec(rec.JobID, rec.Spec)
 	}
 	return nil
+}
+
+// unmarshalRecord decodes a record line that Decoder.Record does not, with
+// json.Unmarshal: a function of its own, so that only such a line puts a
+// Record on the heap.
+func unmarshalRecord(line []byte) (rec Record, err error) {
+	err = json.Unmarshal(line, &rec)
+	return rec, err
 }
 
 // apply merges one record.
@@ -285,13 +300,16 @@ type Log struct {
 // Fold folds the record lines of a data directory's trace log into
 // per-job states in first submission order, once refuseOlder has found
 // nothing in the directory that this bhpod does not write. It reads the
-// log once, with tracestore.ReadAll on a goroutine of its own that hands
-// over the record lines 64 at a time, so this one wakes once per batch.
-// Unless spec is nil, it gets each submit record's job ID and spec as the
-// record is folded — a boot decodes the specs while the log is read — and
-// an error from it fails the fold. A torn tail ends its segment; a record
-// line that does not decode or a missing segment is an error naming the
-// file.
+// log once, with tracestore.ReadAll on a goroutine of its own that checks
+// and files the event lines and hands over the record lines 64 at a time,
+// so this one wakes once per batch. This one decodes each record line by
+// hand if Manager.transition could have written it (Decoder.Record),
+// else with json.Unmarshal; either way the record is the same. Unless
+// spec is nil, it gets each
+// submit record's job ID and spec as the record is folded — a boot
+// decodes the specs while the log is read — and an error from it fails
+// the fold. A torn tail ends its segment; a record line that does not
+// decode or a missing segment is an error naming the file.
 func Fold(dir string, spec func(id string, spec json.RawMessage) error) (states []JobState, log Log, err error) {
 	if err := refuseOlder(dir); err != nil {
 		return nil, log, err
@@ -301,11 +319,11 @@ func Fold(dir string, spec func(id string, spec json.RawMessage) error) (states 
 	var readErr error
 	go func() {
 		begin := time.Now()
-		var batch [][]byte
+		batch := make([][]byte, 0, 64)
 		read.History, readErr = tracestore.ReadAll(tracestore.Dir(dir), func(line []byte) {
-			if batch = append(batch, line); len(batch) == 64 {
+			if batch = append(batch, line); len(batch) == cap(batch) {
 				records <- batch
-				batch = nil
+				batch = make([][]byte, 0, 64)
 			}
 		})
 		read.Took = time.Since(begin)
@@ -327,6 +345,7 @@ func Fold(dir string, spec func(id string, spec json.RawMessage) error) (states 
 			}
 		}
 	}
+	states = make([]JobState, 0, len(acc.order))
 	for _, id := range acc.order {
 		states = append(states, *acc.byID[id])
 	}

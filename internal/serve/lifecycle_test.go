@@ -72,7 +72,7 @@ func jobLifeEvents(m *Manager, id string) []lifeLine {
 }
 
 // bootJournaled is NewManagerFromJournal that fails the test on error.
-func bootJournaled(t *testing.T, cfg Config) *Manager {
+func bootJournaled(t testing.TB, cfg Config) *Manager {
 	t.Helper()
 	m, err := NewManagerFromJournal(cfg)
 	if err != nil {
@@ -82,7 +82,7 @@ func bootJournaled(t *testing.T, cfg Config) *Manager {
 }
 
 // submitAs submits a spec and fails the test unless it got the wanted ID.
-func submitAs(t *testing.T, m *Manager, spec JobSpec, wantID string) *Job {
+func submitAs(t testing.TB, m *Manager, spec JobSpec, wantID string) *Job {
 	t.Helper()
 	job, err := m.SubmitToken(spec, "")
 	if err != nil || job.ID != wantID {
@@ -129,13 +129,13 @@ func eEnd(s Status, r Reason) lifeLine {
 // publishes, each in order.
 type lifecyclePath struct {
 	name    string
-	run     func(t *testing.T, cfg Config) (*Manager, string)
+	run     func(t testing.TB, cfg Config) (*Manager, string)
 	journal []lifeLine
 	events  []lifeLine
 }
 
 // lifecycleConfig is the manager every lifecycle path runs on.
-func lifecycleConfig(t *testing.T) Config {
+func lifecycleConfig(t testing.TB) Config {
 	return Config{
 		PoolSize: 1, MaxJobs: 1, MaxPending: 64, DataDir: t.TempDir(),
 		TenantWeights: map[string]int{"victim": 1, "vip": 8},
@@ -147,7 +147,7 @@ func lifecyclePaths() []lifecyclePath {
 	return []lifecyclePath{
 		{
 			name: "done",
-			run: func(t *testing.T, cfg Config) (*Manager, string) {
+			run: func(t testing.TB, cfg Config) (*Manager, string) {
 				m := bootJournaled(t, cfg)
 				submitAs(t, m, smallSpec(), "job-1")
 				waitJob(t, m, "job-1", terminal, "terminal")
@@ -158,7 +158,7 @@ func lifecyclePaths() []lifecyclePath {
 		},
 		{
 			name: "failed-budget-exhausted",
-			run: func(t *testing.T, cfg Config) (*Manager, string) {
+			run: func(t testing.TB, cfg Config) (*Manager, string) {
 				cfg.FailureBudget = 1
 				cfg.WrapEvaluator = func(_ string, inner hpo.Evaluator) hpo.Evaluator {
 					return funcEvaluator{inner, func(search.Config, int, *rng.RNG) ([]float64, error) {
@@ -175,7 +175,7 @@ func lifecyclePaths() []lifecyclePath {
 		},
 		{
 			name: "cancelled-while-queued",
-			run: func(t *testing.T, cfg Config) (*Manager, string) {
+			run: func(t testing.TB, cfg Config) (*Manager, string) {
 				gate, entered := make(chan struct{}), make(chan struct{})
 				cfg.WrapEvaluator = func(id string, inner hpo.Evaluator) hpo.Evaluator {
 					if id == "job-1" {
@@ -197,7 +197,7 @@ func lifecyclePaths() []lifecyclePath {
 		},
 		{
 			name: "cancelled-while-running",
-			run: func(t *testing.T, cfg Config) (*Manager, string) {
+			run: func(t testing.TB, cfg Config) (*Manager, string) {
 				gate, entered := make(chan struct{}), make(chan struct{})
 				cfg.WrapEvaluator = func(_ string, inner hpo.Evaluator) hpo.Evaluator {
 					return &gateEvaluator{inner: inner, gate: gate, entered: entered}
@@ -215,7 +215,7 @@ func lifecyclePaths() []lifecyclePath {
 		},
 		{
 			name: "timeout",
-			run: func(t *testing.T, cfg Config) (*Manager, string) {
+			run: func(t testing.TB, cfg Config) (*Manager, string) {
 				cfg.WrapEvaluator = func(_ string, inner hpo.Evaluator) hpo.Evaluator {
 					return sleepEvaluator{inner: inner, d: 200 * time.Millisecond}
 				}
@@ -231,7 +231,7 @@ func lifecyclePaths() []lifecyclePath {
 		},
 		{
 			name: "shutdown",
-			run: func(t *testing.T, cfg Config) (*Manager, string) {
+			run: func(t testing.TB, cfg Config) (*Manager, string) {
 				gate, entered := make(chan struct{}), make(chan struct{})
 				cfg.WrapEvaluator = func(_ string, inner hpo.Evaluator) hpo.Evaluator {
 					return &gateEvaluator{inner: inner, gate: gate, entered: entered}
@@ -256,7 +256,7 @@ func lifecyclePaths() []lifecyclePath {
 		},
 		{
 			name: "preempted-resumed-done",
-			run: func(t *testing.T, cfg Config) (*Manager, string) {
+			run: func(t testing.TB, cfg Config) (*Manager, string) {
 				gate, victimIn := make(chan struct{}), make(chan struct{}, 1)
 				cfg.WrapEvaluator = func(id string, inner hpo.Evaluator) hpo.Evaluator {
 					if id == "job-1" {
@@ -282,7 +282,7 @@ func lifecyclePaths() []lifecyclePath {
 		},
 		{
 			name: "interrupted-at-restart",
-			run: func(t *testing.T, cfg Config) (*Manager, string) {
+			run: func(t testing.TB, cfg Config) (*Manager, string) {
 				release, frozen := make(chan struct{}), make(chan struct{})
 				live := cfg
 				live.WrapEvaluator = func(_ string, inner hpo.Evaluator) hpo.Evaluator {
@@ -303,7 +303,7 @@ func lifecyclePaths() []lifecyclePath {
 		},
 		{
 			name: "resumable-at-restart",
-			run: func(t *testing.T, cfg Config) (*Manager, string) {
+			run: func(t testing.TB, cfg Config) (*Manager, string) {
 				gate, victimIn := make(chan struct{}), make(chan struct{}, 1)
 				release, frozen := make(chan struct{}), make(chan struct{})
 				live := cfg

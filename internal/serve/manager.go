@@ -284,10 +284,12 @@ func NewManager(cfg Config) *Manager {
 // segment of the log is opened and the whole table built: register,
 // sched.Restore, and the event feed primed with the sequence number and
 // done flag of the job's newest event, its history left as lines until
-// somebody reads it (events.Hub.Prime). A job that was mid-run without a
-// checkpoint is the one thing the boot decides: it ends cancelled,
-// interrupted, finished at the boot's start, and its result record and
-// terminal event are among this life's segment's first lines. Only then
+// somebody reads it (events.Hub.Prime). The boot decides two things: a
+// job that was mid-run without a checkpoint ends cancelled, interrupted,
+// and one it would run again on a spec JobSpec.Validate refuses ends
+// failed, naming the field; either is finished at the boot's start, and
+// its result record and terminal event are among this life's segment's
+// first lines. Terminal jobs are not validated again. Only then
 // are the queued jobs launched, so nothing runs before the table is whole
 // and a boot that fails leaves nothing running and nothing open.
 func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
@@ -296,12 +298,13 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 	}
 	begin := time.Now()
 	specs := map[string]JobSpec{}
+	var dec journal.Decoder
 	states, log, err := journal.Fold(cfg.DataDir, func(id string, raw json.RawMessage) error {
 		if len(raw) == 0 {
 			return nil
 		}
-		var spec JobSpec
-		if err := json.Unmarshal(raw, &spec); err != nil {
+		spec, err := decodeSpec(&dec, raw)
+		if err != nil {
 			return fmt.Errorf("serve: replaying %s: %w", id, err)
 		}
 		specs[id] = spec
@@ -395,6 +398,16 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 			// the process died: run it again under this manager (the log
 			// already holds its submit record, so launching appends only the
 			// new transitions) — a checkpointed job from its curve points.
+			// Unless its spec is one POST /jobs refuses, which a log written
+			// by hand or by another program may hold: then it fails, the
+			// boot's verdict, journaled like interrupted, and nothing trains.
+			if err := job.Spec.Validate(); err != nil {
+				m.transition(job, phaseRestored, begin, func() {
+					job.status, job.finished = StatusFailed, begin
+					job.errMsg = "serve: invalid spec in the log: " + strings.TrimPrefix(err.Error(), "serve: ")
+				})
+				break
+			}
 			live = append(live, job)
 			if len(st.Checkpoint) > 0 {
 				ck := checkpointState{Preempts: job.preempts} // kept if the checkpoint does not decode
@@ -417,6 +430,56 @@ func NewManagerFromJournal(cfg Config) (_ *Manager, err error) {
 	}
 	m.boot.live, m.boot.total = len(live), time.Since(begin)
 	return m, nil
+}
+
+// specKeys are JobSpec's JSON keys in the order json.Marshal writes them.
+var specKeys = [...]string{
+	"tenant", "dataset", "scale", "dataset_seed", "method", "enhanced", "hps",
+	"max_configs", "trials", "seed", "iters", "use_f1", "workers", "timeout_sec",
+}
+
+// decodeSpec decodes a submit record's spec: by hand if it is in the form
+// json.Marshal gives a JobSpec, as d decodes the record around it, else
+// with json.Unmarshal.
+func decodeSpec(d *journal.Decoder, raw []byte) (spec JobSpec, err error) {
+	byHand := d.Object(raw, specKeys[:], func(key int) bool {
+		switch specKeys[key] {
+		case "tenant":
+			return d.String(&spec.Tenant)
+		case "dataset":
+			return d.String(&spec.Dataset)
+		case "scale":
+			return d.Float(&spec.Scale)
+		case "dataset_seed":
+			return d.Uint(&spec.DatasetSeed)
+		case "method":
+			return d.String(&spec.Method)
+		case "enhanced":
+			return d.Bool(&spec.Enhanced)
+		case "hps":
+			return d.Int(&spec.NumHPs)
+		case "max_configs":
+			return d.Int(&spec.MaxConfigs)
+		case "trials":
+			return d.Int(&spec.Trials)
+		case "seed":
+			return d.Uint(&spec.Seed)
+		case "iters":
+			return d.Int(&spec.Iters)
+		case "use_f1":
+			return d.Bool(&spec.UseF1)
+		case "workers":
+			return d.Int(&spec.Workers)
+		case "timeout_sec":
+			return d.Float(&spec.TimeoutSec)
+		}
+		return false
+	})
+	if !byHand {
+		spec = JobSpec{}
+		err = json.Unmarshal(raw, &spec)
+	}
+	return spec, err
 }
 
 // TraceDir is where a data directory keeps its log: the segments

@@ -27,7 +27,7 @@ type segment struct {
 
 // logSegments returns a data directory's log, segment by segment in
 // sequence order.
-func logSegments(t *testing.T, dataDir string) []segment {
+func logSegments(t testing.TB, dataDir string) []segment {
 	t.Helper()
 	var out []segment
 	for _, path := range traceSegments(t, dataDir) {

@@ -19,7 +19,7 @@ import (
 )
 
 // waitJob polls a job until its status satisfies want.
-func waitJob(t *testing.T, m *Manager, id string, want func(Status) bool, desc string) *Job {
+func waitJob(t testing.TB, m *Manager, id string, want func(Status) bool, desc string) *Job {
 	t.Helper()
 	deadline := time.Now().Add(90 * time.Second)
 	for time.Now().Before(deadline) {

@@ -27,7 +27,7 @@ func fetchTraces(t *testing.T, base string, ids []string) map[string][]byte {
 	return out
 }
 
-func shutdown(t *testing.T, m *Manager) {
+func shutdown(t testing.TB, m *Manager) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -37,7 +37,7 @@ func shutdown(t *testing.T, m *Manager) {
 }
 
 // traceSegments lists the trace segments a data directory holds.
-func traceSegments(t *testing.T, dataDir string) []string {
+func traceSegments(t testing.TB, dataDir string) []string {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(TraceDir(dataDir), "trace-*.jsonl"))
 	if err != nil {

@@ -23,9 +23,10 @@
 // sequence is an error, returned with everything the others hold.
 //
 // Read decodes one job's events, for post-mortems and tests. ReadAll, the
-// boot's one pass over the log, decodes nothing: it files every event line
-// under its job as bytes (History), decoded when the job is first asked
-// for, and hands each record line to its caller, who folds it.
+// boot's one pass over the log, decodes nothing: it checks that every
+// event line is JSON (jsonscan.Valid, json.Valid's answer), files it under
+// its job as bytes (History), decoded when the job is first asked for, and
+// hands each record line to its caller, who folds it.
 package tracestore
 
 import (
@@ -34,9 +35,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"enhancedbhpo/internal/events"
+	"enhancedbhpo/internal/serve/jsonscan"
 	"enhancedbhpo/internal/serve/seglog"
 )
 
@@ -179,37 +182,83 @@ func (h History) Events() ([]events.Event, error) {
 // job, in publish order, without decoding it, and hands each record line
 // to record, unchecked: its decoder scans it anyway, and Locate names the
 // place of one that fails. An event line counts only if it is valid JSON
-// and names its job. The lines alias their segment's buffer. A missing
-// directory is empty; a missing segment is an error, returned with the
-// lines of the segments that are there.
+// (jsonscan.Valid, json.Valid's verdict without its cost) and names its
+// job. The lines alias their segment's buffer, and the histories share one
+// array of lines, each capped at its own end. A missing directory is
+// empty; a missing segment is an error, returned with the lines of the
+// segments that are there.
 func ReadAll(dir string, record func(line []byte)) (map[string]History, error) {
-	out := map[string]History{}
+	index := map[string]int32{} // job ID → the job's number, in order of its first line
+	var lines [][]byte
+	var owner []int32 // owner[i] is the number of lines[i]'s job
+	var lastID []byte // the job of the last event line, numbered last
+	var last int32
 	err := read(dir, func(line []byte) error {
 		if isRecord(line) {
 			record(line)
 			return nil
 		}
 		id := lineJob(line)
-		if len(id) == 0 || !json.Valid(line) {
+		if len(id) == 0 || !jsonscan.Valid(line) {
 			return seglog.SkipSegment
 		}
-		out[string(id)] = append(out[string(id)], line)
+		if !bytes.Equal(id, lastID) { // a job's events mostly follow each other
+			n, ok := index[string(id)]
+			if !ok {
+				n = int32(len(index))
+				index[string(id)] = n
+			}
+			lastID, last = id, n
+		}
+		lines = append(lines, line)
+		owner = append(owner, last)
 		return nil
 	})
+	// Lay the lines out job by job, each job's in publish order.
+	first := make([]int, len(index)+1) // job n's lines are byJob[first[n]:first[n+1]]
+	for _, n := range owner {
+		first[n+1]++
+	}
+	for n := range len(index) {
+		first[n+1] += first[n]
+	}
+	byJob := make([][]byte, len(lines))
+	filed := slices.Clone(first)
+	for i, n := range owner {
+		byJob[filed[n]] = lines[i]
+		filed[n]++
+	}
+	out := make(map[string]History, len(index))
+	for id, n := range index {
+		out[id] = byJob[first[n]:first[n+1]:first[n+1]]
+	}
 	return out, err
 }
 
 // lineJob returns the job ID of a line Append wrote, nil if it has none.
 // The marker cannot occur inside a JSON string (its quotes would be
 // escaped) and the job field precedes every free-text one, so its first
-// occurrence is the field; an ID that needed escaping is decoded.
+// occurrence is the field; an ID that needed escaping is decoded. The
+// search steps over the marker's rare 'j', not its quote, which starts
+// every key.
 func lineJob(line []byte) []byte {
-	i := bytes.Index(line, jobMarker)
+	i := -1
+	for from := 1; from < len(line); {
+		j := bytes.IndexByte(line[from:], jobMarker[1])
+		if j < 0 {
+			return nil
+		}
+		if j += from; line[j-1] == '"' && bytes.HasPrefix(line[j:], jobMarker[1:]) {
+			i = j - 1
+			break
+		}
+		from = j + 1
+	}
 	if i < 0 {
 		return nil
 	}
 	id := line[i+len(jobMarker):]
-	if end := bytes.IndexAny(id, `"\`); end >= 0 && id[end] == '"' {
+	if end := bytes.IndexByte(id, '"'); end >= 0 && bytes.IndexByte(id[:end], '\\') < 0 {
 		return id[:end]
 	}
 	var v struct {
