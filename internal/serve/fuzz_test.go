@@ -68,7 +68,10 @@ func FuzzBoot(f *testing.F) {
 		}
 		defer shutdown(t, m)
 		for _, job := range m.Jobs() {
-			if err := job.Spec.Validate(); err != nil && !terminalStatus(job.Status()) {
+			// Only the jobs the boot runs again are queued or running; a
+			// terminal record's status, however odd, launches nothing.
+			live := job.Status() == StatusQueued || job.Status() == StatusRunning
+			if err := job.Spec.Validate(); err != nil && live {
 				t.Fatalf("the boot runs %s again on a spec that does not validate: %v", job.ID, err)
 			}
 		}
